@@ -1,6 +1,10 @@
 //! Experiment E8 (ablation): how the modulus size affects the cost of the core
 //! secure operators. The paper's prototype fixes 1024-bit primes (2048-bit n);
-//! this sweep shows what that parameter buys and costs.
+//! this sweep shows what that parameter buys and costs, and what the Montgomery
+//! context of the modulus (`sdb_crypto::Modulus`) buys at each width against the
+//! `BigUint` reference it replaced (`(a·b) % n`, binary `modpow`): n = 256, 512
+//! and 2048 run the monomorphised 4-, 8- and 32-limb kernels, n = 1024 the
+//! slice path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use num_bigint::BigUint;
@@ -8,12 +12,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+use sdb_crypto::bigint::mod_mul;
 use sdb_crypto::share::{encrypt_value, gen_item_key, KeyUpdateParams};
 use sdb_crypto::{KeyConfig, SignedCodec, SystemKey};
 
 fn modulus_sweep(c: &mut Criterion) {
-    // prime_bits → modulus of ~2×prime_bits. 1024 (the paper's setting) is included
-    // but dominates wall-clock; comment it out for quick runs.
+    // prime_bits → modulus of ~2×prime_bits.
     let profiles = [
         (
             "n=256",
@@ -39,6 +43,7 @@ fn modulus_sweep(c: &mut Criterion) {
                 blind_bits: 30,
             },
         ),
+        ("n=2048", KeyConfig::PAPER),
     ];
 
     let mut group = c.benchmark_group("ablation_modulus");
@@ -65,10 +70,26 @@ fn modulus_sweep(c: &mut Criterion) {
             |b, key| b.iter(|| black_box(gen_item_key(key, &ck_a, &row))),
         );
         group.bench_with_input(BenchmarkId::new("ee_multiply", label), &key, |b, key| {
-            b.iter(|| black_box((&a_e * &b_e) % key.n()))
+            b.iter(|| black_box(mod_mul(&a_e, &b_e, key.n())))
         });
         group.bench_with_input(BenchmarkId::new("key_update", label), &key, |b, key| {
             b.iter(|| black_box(params.apply(key.n(), &a_e, &s_e)))
+        });
+
+        // The context itself, next to the reference it replaced.
+        let context = key.modulus();
+        let bound = params.bind(key.n());
+        group.bench_with_input(BenchmarkId::new("reference_mul", label), &key, |b, key| {
+            b.iter(|| black_box((&a_e * &b_e) % key.n()))
+        });
+        group.bench_with_input(BenchmarkId::new("context_pow", label), &key, |b, _| {
+            b.iter(|| black_box(context.pow(&s_e, &params.p)))
+        });
+        group.bench_with_input(BenchmarkId::new("reference_pow", label), &key, |b, key| {
+            b.iter(|| black_box(s_e.modpow(&params.p, key.n())))
+        });
+        group.bench_with_input(BenchmarkId::new("bound_key_update", label), &key, |b, _| {
+            b.iter(|| black_box(bound.apply(&a_e, &s_e)))
         });
     }
     group.finish();

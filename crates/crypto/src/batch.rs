@@ -15,7 +15,7 @@
 
 use num_bigint::BigUint;
 
-use crate::bigint::{mod_inverse, mod_mul};
+use crate::bigint::{mod_inverse, mod_mul, reduce};
 use crate::keys::{ColumnKey, SystemKey};
 use crate::share::gen_item_key;
 use crate::Result;
@@ -33,7 +33,7 @@ pub fn mod_inverse_batch(items: &[BigUint], m: &BigUint) -> Result<Vec<BigUint>>
     }
     // Prefix products p[i] = items[0] · … · items[i] mod m.
     let mut prefixes = Vec::with_capacity(items.len());
-    let mut acc = &items[0] % m;
+    let mut acc = reduce(&items[0], m).into_owned();
     prefixes.push(acc.clone());
     for item in &items[1..] {
         acc = mod_mul(&acc, item, m);
@@ -81,13 +81,12 @@ pub fn encrypt_values(
     plaintexts
         .iter()
         .zip(&inverses)
-        .map(|(v, inv)| mod_mul(&(v % key.n()), inv, key.n()))
+        .map(|(v, inv)| key.modulus().mul(v, inv))
         .collect()
 }
 
 /// Batched [`gen_item_key`]: item keys for a column of row ids under one
-/// column key. The per-call constants (`x`, `φ(n)`, `g`, `n`) are borrowed
-/// once for the whole column instead of re-entering the call per value.
+/// column key, each through the key's fixed-base table of `g`.
 pub fn gen_item_keys(key: &SystemKey, ck: &ColumnKey, row_ids: &[BigUint]) -> Vec<BigUint> {
     row_ids.iter().map(|r| gen_item_key(key, ck, r)).collect()
 }
@@ -99,7 +98,7 @@ pub fn blind_shares(n: &BigUint, shares: &[BigUint], factors: &[u64]) -> Vec<Big
     shares
         .iter()
         .zip(factors)
-        .map(|(share, &factor)| (share * BigUint::from(factor)) % n)
+        .map(|(share, &factor)| mod_mul(share, &BigUint::from(factor), n))
         .collect()
 }
 

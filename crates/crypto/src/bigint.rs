@@ -1,11 +1,15 @@
 //! Small helpers over [`num_bigint`] used throughout the scheme: modular inverse,
-//! uniform random residues, and co-primality sampling.
+//! uniform random residues, co-primality sampling, and the modular operations
+//! that take a bare modulus (served by the per-thread [`Modulus`] context).
+
+use std::borrow::Cow;
 
 use num_bigint::{BigInt, BigUint, RandBigInt, Sign};
 use num_integer::Integer;
 use num_traits::{One, Zero};
 use rand::Rng;
 
+use crate::modulus::Modulus;
 use crate::{CryptoError, Result};
 
 /// Computes the modular multiplicative inverse of `a` modulo `m` using the
@@ -65,31 +69,58 @@ pub fn random_odd_with_bits<R: Rng + ?Sized>(rng: &mut R, bits: u64) -> BigUint 
 
 /// Computes `base^exp mod modulus`, treating an exponent of zero as producing one.
 ///
-/// Thin wrapper over [`BigUint::modpow`]; exists so call sites read like the paper's
-/// formulas and so the zero-modulus case panics with a clear message.
+/// An odd modulus goes through this thread's [`Modulus`] context (windowed
+/// Montgomery exponentiation); an even one — `φ(n)` is the only one the scheme
+/// meets — through [`BigUint::modpow`].
 pub fn mod_pow(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
     assert!(!modulus.is_zero(), "modulus must be non-zero");
-    base.modpow(exp, modulus)
+    match Modulus::shared(modulus) {
+        Some(context) => context.pow(base, exp),
+        None => base.modpow(exp, modulus),
+    }
 }
 
 /// Computes `(a * b) mod m`.
 pub fn mod_mul(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
-    (a * b) % m
+    match Modulus::shared(m) {
+        Some(context) => context.mul(a, b),
+        None => (a * b) % m,
+    }
+}
+
+/// Reduces a value that is almost always canonical already: compares first and
+/// divides only when `x ≥ m`.
+pub(crate) fn reduce<'a>(x: &'a BigUint, m: &BigUint) -> Cow<'a, BigUint> {
+    if x < m {
+        Cow::Borrowed(x)
+    } else {
+        Cow::Owned(x % m)
+    }
 }
 
 /// Computes `(a + b) mod m`.
 pub fn mod_add(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
-    (a + b) % m
+    let sum = a + b;
+    if sum < *m {
+        return sum;
+    }
+    // Two canonical operands overshoot by less than `m`.
+    let sum = sum - m;
+    if sum < *m {
+        sum
+    } else {
+        sum % m
+    }
 }
 
 /// Computes `(a - b) mod m`, wrapping into `[0, m)`.
 pub fn mod_sub(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
-    let a = a % m;
-    let b = b % m;
-    if a >= b {
-        a - b
+    let a = reduce(a, m);
+    let b = reduce(b, m);
+    if *a >= *b {
+        &*a - &*b
     } else {
-        m - (b - a)
+        m - (&*b - &*a)
     }
 }
 
@@ -177,6 +208,36 @@ mod tests {
         for _ in 0..100 {
             let v = random_in_range(&mut rng, &low, &high);
             assert!(v >= low && v < high);
+        }
+    }
+
+    #[test]
+    fn mod_add_and_sub_reduce_unreduced_operands() {
+        let m = BigUint::from(35u32);
+        for a in [0u32, 1, 34, 35, 36, 70, 1000] {
+            for b in [0u32, 1, 34, 35, 36, 70, 1000] {
+                let (a, b) = (BigUint::from(a), BigUint::from(b));
+                assert_eq!(mod_add(&a, &b, &m), (&a + &b) % &m, "{a} + {b}");
+                let expected = (&a % &m + &m - &b % &m) % &m;
+                assert_eq!(mod_sub(&a, &b, &m), expected, "{a} - {b}");
+            }
+        }
+    }
+
+    /// `φ(n)` is even, so everything the DO computes modulo it stays on the
+    /// `BigUint` path; odd moduli go through the Montgomery context. Both must
+    /// agree with the textbook definitions.
+    #[test]
+    fn even_moduli_are_served_by_the_fallback() {
+        let mut rng = rng();
+        for m in [24u64, 1 << 40, 1_000_000_006] {
+            let m = BigUint::from(m);
+            for _ in 0..20 {
+                let a = random_in_range(&mut rng, &BigUint::zero(), &m);
+                let b = random_in_range(&mut rng, &BigUint::zero(), &m);
+                assert_eq!(mod_mul(&a, &b, &m), (&a * &b) % &m);
+                assert_eq!(mod_pow(&a, &b, &m), a.modpow(&b, &m));
+            }
         }
     }
 

@@ -5,12 +5,15 @@
 //! * [`ColumnKey`] — the per-column pair `⟨m, x⟩` used to derive item keys.
 //! * [`KeyConfig`] — parameter profile (modulus bit length, signed-domain bits).
 
+use std::sync::Arc;
+
 use num_bigint::BigUint;
 use num_traits::One;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::bigint::{coprime, random_coprime, random_in_range};
+use crate::modulus::{FixedBase, Modulus};
 use crate::prime::generate_prime_pair;
 use crate::{CryptoError, Result};
 
@@ -79,12 +82,9 @@ impl Default for KeyConfig {
     }
 }
 
-/// The data owner's system-wide key material.
-///
-/// Only `n` is public. ρ₁, ρ₂, `φ(n)` and `g` never leave the DO; the service
-/// provider sees `n` (it needs it to reduce UDF results) and nothing else.
+/// The persisted part of a [`SystemKey`]: exactly the fields its JSON holds.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SystemKey {
+struct SystemKeyParts {
     /// First secret prime.
     rho1: BigUint,
     /// Second secret prime.
@@ -99,7 +99,64 @@ pub struct SystemKey {
     config: KeyConfig,
 }
 
+/// The data owner's system-wide key material.
+///
+/// Only `n` is public. ρ₁, ρ₂, `φ(n)` and `g` never leave the DO; the service
+/// provider sees `n` (it needs it to reduce UDF results) and nothing else.
+///
+/// The key also owns the deployment's arithmetic: the Montgomery context of `n`
+/// and the fixed-base table of `g` that every item key is derived through. Both
+/// are built once per key (clones share them) and neither is serialised — a key
+/// read back from JSON rebuilds them, so the table, a DO secret, exists only in
+/// the DO's memory.
+#[derive(Debug, Clone)]
+pub struct SystemKey {
+    parts: SystemKeyParts,
+    modulus: Arc<Modulus>,
+    g_table: Arc<FixedBase>,
+}
+
+impl PartialEq for SystemKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts == other.parts
+    }
+}
+
+impl Eq for SystemKey {}
+
+impl Serialize for SystemKey {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        self.parts.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for SystemKey {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        let parts = SystemKeyParts::deserialize(deserializer)?;
+        SystemKey::assemble(parts).map_err(serde::de::Error::custom)
+    }
+}
+
 impl SystemKey {
+    /// Derives the arithmetic contexts from the key's numbers.
+    fn assemble(parts: SystemKeyParts) -> Result<Self> {
+        let modulus = Modulus::new(&parts.n).ok_or_else(|| CryptoError::InvalidKey {
+            detail: "the modulus n must be odd".to_string(),
+        })?;
+        let modulus = Arc::new(modulus);
+        let g_table = FixedBase::new(Arc::clone(&modulus), &parts.g);
+        Ok(SystemKey {
+            parts,
+            modulus,
+            g_table: Arc::new(g_table),
+        })
+    }
+
     /// Generates fresh system key material under `config`.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, config: KeyConfig) -> Result<Self> {
         config.validate()?;
@@ -107,7 +164,7 @@ impl SystemKey {
         let n = &rho1 * &rho2;
         let phi = (&rho1 - BigUint::one()) * (&rho2 - BigUint::one());
         let g = random_coprime(rng, &n);
-        Ok(SystemKey {
+        SystemKey::assemble(SystemKeyParts {
             rho1,
             rho2,
             n,
@@ -119,6 +176,8 @@ impl SystemKey {
 
     /// Builds a system key from explicit primes and generator. Used for the paper's
     /// Figure 1 worked example and for deterministic tests.
+    ///
+    /// Panics if either "prime" is even: the scheme needs an odd modulus.
     pub fn from_parts(rho1: BigUint, rho2: BigUint, g: BigUint) -> Self {
         let n = &rho1 * &rho2;
         let phi = (&rho1 - BigUint::one()) * (&rho2 - BigUint::one());
@@ -127,41 +186,52 @@ impl SystemKey {
             domain_bits: 2,
             blind_bits: 1,
         };
-        SystemKey {
+        SystemKey::assemble(SystemKeyParts {
             rho1,
             rho2,
             n,
             phi,
             g,
             config,
-        }
+        })
+        .expect("the primes of a system key are odd")
     }
 
     /// The public modulus `n`.
     pub fn n(&self) -> &BigUint {
-        &self.n
+        &self.parts.n
+    }
+
+    /// The Montgomery context of `n`, for arithmetic on shares.
+    pub fn modulus(&self) -> &Modulus {
+        &self.modulus
+    }
+
+    /// `factor · g^exponent mod n` through the fixed-base table of `g`.
+    pub(crate) fn g_pow_times(&self, exponent: &BigUint, factor: &BigUint) -> BigUint {
+        self.g_table.pow_times(exponent, factor)
     }
 
     /// The secret totient `φ(n)`. Only the DO-side code may call this.
     pub fn phi(&self) -> &BigUint {
-        &self.phi
+        &self.parts.phi
     }
 
     /// The secret generator `g`. Only the DO-side code may call this.
     pub fn g(&self) -> &BigUint {
-        &self.g
+        &self.parts.g
     }
 
     /// The parameter profile this key was generated under.
     pub fn config(&self) -> KeyConfig {
-        self.config
+        self.parts.config
     }
 
     /// Generates a fresh random column key `⟨m, x⟩` with `0 < m, x < n`, `m` co-prime
     /// with `n` (so item keys are invertible).
     pub fn gen_column_key<R: Rng + ?Sized>(&self, rng: &mut R) -> ColumnKey {
-        let m = random_coprime(rng, &self.n);
-        let x = random_in_range(rng, &BigUint::one(), &self.phi);
+        let m = random_coprime(rng, self.n());
+        let x = random_in_range(rng, &BigUint::one(), self.phi());
         ColumnKey::new(m, x)
     }
 
@@ -171,9 +241,9 @@ impl SystemKey {
     /// divide by `x_S` modulo `φ(n)` (see [`crate::share::KeyUpdateParams`]).
     pub fn gen_aux_column_key<R: Rng + ?Sized>(&self, rng: &mut R) -> ColumnKey {
         loop {
-            let m = random_coprime(rng, &self.n);
-            let x = random_in_range(rng, &BigUint::one(), &self.phi);
-            if coprime(&x, &self.phi) {
+            let m = random_coprime(rng, self.n());
+            let x = random_in_range(rng, &BigUint::one(), self.phi());
+            if coprime(&x, self.phi()) {
                 return ColumnKey::new(m, x);
             }
         }
@@ -181,7 +251,7 @@ impl SystemKey {
 
     /// Generates a random secret row id in `(0, n)`.
     pub fn gen_row_id<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        random_in_range(rng, &BigUint::one(), &self.n)
+        random_in_range(rng, &BigUint::one(), self.n())
     }
 }
 
@@ -231,10 +301,11 @@ mod tests {
     fn generate_produces_consistent_material() {
         let mut rng = rng();
         let key = SystemKey::generate(&mut rng, KeyConfig::TEST).unwrap();
-        assert_eq!(key.n(), &(&key.rho1 * &key.rho2));
+        let (rho1, rho2) = (&key.parts.rho1, &key.parts.rho2);
+        assert_eq!(key.n(), &(rho1 * rho2));
         assert_eq!(
             key.phi(),
-            &((&key.rho1 - BigUint::one()) * (&key.rho2 - BigUint::one()))
+            &((rho1 - BigUint::one()) * (rho2 - BigUint::one()))
         );
         assert!(coprime(key.g(), key.n()));
         // n should have roughly 2 * prime_bits bits.
@@ -290,6 +361,33 @@ mod tests {
         let json = serde_json::to_string(&ck).unwrap();
         let back: ColumnKey = serde_json::from_str(&json).unwrap();
         assert_eq!(ck, back);
+    }
+
+    /// The JSON of a key is its six numbers: the Montgomery context and the `g`
+    /// table are rebuilt on the way back in, never persisted.
+    #[test]
+    fn serialized_key_holds_no_derived_tables() {
+        let mut rng = rng();
+        let key = SystemKey::generate(&mut rng, KeyConfig::TEST).unwrap();
+        let json = serde_json::to_string(&key).unwrap();
+        assert_eq!(json, serde_json::to_string(&key.parts).unwrap());
+        assert!(
+            !json.contains("table") && !json.contains("modulus"),
+            "{json}"
+        );
+
+        let back: SystemKey = serde_json::from_str(&json).unwrap();
+        let (ck, r) = (key.gen_column_key(&mut rng), key.gen_row_id(&mut rng));
+        assert_eq!(
+            crate::gen_item_key(&back, &ck, &r),
+            crate::gen_item_key(&key, &ck, &r)
+        );
+        assert!(format!("{key:?}").contains("<redacted>"));
+
+        // A tampered store with an even modulus is refused, not mis-served.
+        let even = json.replacen(&format!("\"n\":\"{}\"", key.n()), "\"n\":\"24\"", 1);
+        assert_ne!(even, json);
+        assert!(serde_json::from_str::<SystemKey>(&even).is_err());
     }
 
     #[test]

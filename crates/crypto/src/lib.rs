@@ -27,6 +27,8 @@
 //!   [`KeyUpdateParams`] computation behind the `sdb_key_update` UDF.
 //! * [`signed`] — encoding of signed 64-bit application values into `Z_n`.
 //! * [`prime`] — Miller–Rabin primality testing and random prime generation.
+//! * [`modulus`] — the Montgomery context of one fixed odd modulus: multiply,
+//!   windowed exponentiation, and the fixed-base table behind item keys.
 //! * [`bigint`] — modular inverse, random residues, small helpers.
 //! * [`prf`] — a SipHash-2-4 based keyed PRF (equality tags, key derivation).
 //! * [`sies`] — the row-id cipher (stand-in for SIES \[Papadopoulos et al., ICDE'11\]).
@@ -57,6 +59,7 @@ pub mod batch;
 pub mod bigint;
 pub mod error;
 pub mod keys;
+pub mod modulus;
 pub mod prf;
 pub mod prime;
 pub mod rowid;
@@ -67,9 +70,12 @@ pub mod signed;
 pub use batch::{blind_shares, encrypt_values, gen_item_keys, mod_inverse_batch};
 pub use error::CryptoError;
 pub use keys::{ColumnKey, KeyConfig, SystemKey};
+pub use modulus::Modulus;
 pub use prf::{EqualityTagger, Prf};
 pub use rowid::{EncryptedRowId, RowId, RowIdGenerator};
-pub use share::{decrypt_value, encrypt_value, gen_item_key, ColumnKeyAlgebra, KeyUpdateParams};
+pub use share::{
+    decrypt_value, encrypt_value, gen_item_key, BoundKeyUpdate, ColumnKeyAlgebra, KeyUpdateParams,
+};
 pub use sies::SiesCipher;
 pub use signed::SignedCodec;
 

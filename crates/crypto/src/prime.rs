@@ -9,6 +9,7 @@ use num_traits::{One, Zero};
 use rand::Rng;
 
 use crate::bigint::random_odd_with_bits;
+use crate::modulus::Modulus;
 use crate::{CryptoError, Result};
 
 /// Number of Miller–Rabin rounds. 40 rounds gives an error probability below
@@ -57,14 +58,15 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
     let s = n_minus_1.trailing_zeros().unwrap_or(0);
     let d = &n_minus_1 >> s;
 
+    let context = Modulus::new(n).expect("even candidates were rejected above");
     'witness: for _ in 0..MILLER_RABIN_ROUNDS {
         let a = rng.gen_biguint_range(&two, &(n - &two));
-        let mut x = a.modpow(&d, n);
+        let mut x = context.pow(&a, &d);
         if x.is_one() || x == n_minus_1 {
             continue 'witness;
         }
         for _ in 0..s.saturating_sub(1) {
-            x = x.modpow(&two, n);
+            x = context.mul(&x, &x);
             if x == n_minus_1 {
                 continue 'witness;
             }

@@ -3,7 +3,11 @@
 //! parameter computation that powers the `sdb_key_update` UDF.
 //!
 //! All formulas follow §2.1–2.2 of the demo paper; the key-update and addition
-//! protocols are the reconstruction documented in `DESIGN.md` §2.
+//! protocols are the reconstruction documented in ARCHITECTURE.md ("Modular
+//! arithmetic"), as is the Montgomery context the arithmetic modulo `n` runs
+//! through.
+
+use std::sync::Arc;
 
 use num_bigint::BigUint;
 use rand::Rng;
@@ -11,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bigint::{mod_inverse, mod_mul, mod_pow, mod_sub};
 use crate::keys::{ColumnKey, SystemKey};
+use crate::modulus::{Modulus, Mont, Windows};
 use crate::Result;
 
 /// Item key generation (paper Definition 1 / Eq. 2):
@@ -18,8 +23,7 @@ use crate::Result;
 /// `v_k = gen(r, ⟨m, x⟩) = m · g^{r·x mod φ(n)} mod n`
 pub fn gen_item_key(key: &SystemKey, ck: &ColumnKey, row_id: &BigUint) -> BigUint {
     let exponent = (row_id * ck.x()) % key.phi();
-    let g_pow = mod_pow(key.g(), &exponent, key.n());
-    mod_mul(ck.m(), &g_pow, key.n())
+    key.g_pow_times(&exponent, ck.m())
 }
 
 /// Encryption (paper Definition 2 / Eq. 3): `v_e = v · v_k⁻¹ mod n`.
@@ -29,7 +33,7 @@ pub fn gen_item_key(key: &SystemKey, ck: &ColumnKey, row_id: &BigUint) -> BigUin
 /// co-prime with `n`.
 pub fn encrypt_value(key: &SystemKey, plaintext: &BigUint, item_key: &BigUint) -> BigUint {
     let inv = mod_inverse(item_key, key.n()).expect("item key must be invertible mod n");
-    mod_mul(&(plaintext % key.n()), &inv, key.n())
+    key.modulus().mul(plaintext, &inv)
 }
 
 /// Fallible variant of [`encrypt_value`] for callers that cannot guarantee the item
@@ -40,15 +44,16 @@ pub fn try_encrypt_value(
     item_key: &BigUint,
 ) -> Result<BigUint> {
     let inv = mod_inverse(item_key, key.n())?;
-    Ok(mod_mul(&(plaintext % key.n()), &inv, key.n()))
+    Ok(key.modulus().mul(plaintext, &inv))
 }
 
 /// Decryption (paper Eq. 4): `v = v_e · v_k mod n`.
 pub fn decrypt_value(key: &SystemKey, encrypted: &BigUint, item_key: &BigUint) -> BigUint {
-    mod_mul(encrypted, item_key, key.n())
+    key.modulus().mul(encrypted, item_key)
 }
 
-/// Parameters `(p, q)` the DO ships to the SP for a key update (DESIGN.md §2).
+/// Parameters `(p, q)` the DO ships to the SP for a key update (ARCHITECTURE.md,
+/// "Modular arithmetic").
 ///
 /// Given a source column with key `⟨m_A, x_A⟩`, the auxiliary all-ones column `S`
 /// with key `⟨m_S, x_S⟩` (where `x_S` is invertible modulo `φ(n)`), and a target key
@@ -80,13 +85,14 @@ impl KeyUpdateParams {
         target: &ColumnKey,
     ) -> Result<Self> {
         let phi = key.phi();
-        let n = key.n();
+        let modulus = key.modulus();
+        // φ(n) is even: arithmetic modulo it stays on the `BigUint` path.
         let x_s_inv = mod_inverse(aux.x(), phi)?;
         let delta = mod_sub(target.x(), source.x(), phi);
         let p = mod_mul(&delta, &x_s_inv, phi);
-        let m_t_inv = mod_inverse(target.m(), n)?;
-        let m_s_pow = mod_pow(aux.m(), &p, n);
-        let q = mod_mul(&mod_mul(source.m(), &m_s_pow, n), &m_t_inv, n);
+        let m_t_inv = mod_inverse(target.m(), key.n())?;
+        let m_s_pow = modulus.pow(aux.m(), &p);
+        let q = modulus.mul(&modulus.mul(source.m(), &m_s_pow), &m_t_inv);
         Ok(KeyUpdateParams { p, q })
     }
 
@@ -96,8 +102,52 @@ impl KeyUpdateParams {
     /// This is exactly what the `sdb_key_update` UDF computes; it uses only public
     /// information (`n`, the shipped `(p, q)`) and encrypted values.
     pub fn apply(&self, n: &BigUint, a_e: &BigUint, s_e: &BigUint) -> BigUint {
-        let s_pow = mod_pow(s_e, &self.p, n);
-        mod_mul(&mod_mul(a_e, &s_pow, n), &self.q, n)
+        self.bind(n).apply(a_e, s_e)
+    }
+
+    /// Binds the update to its modulus for a column of rows: `p` is recoded into
+    /// windows and `q` converted once, not per row.
+    pub fn bind(&self, n: &BigUint) -> BoundKeyUpdate {
+        BoundKeyUpdate(match Modulus::shared(n) {
+            Some(modulus) => Kernel::Montgomery {
+                p: Windows::new(&self.p),
+                q: modulus.to_mont(&self.q),
+                modulus,
+            },
+            None => Kernel::Plain {
+                params: self.clone(),
+                n: n.clone(),
+            },
+        })
+    }
+}
+
+/// A key update bound to its modulus: the SP-side state of one `SDB_KEY_UPDATE`
+/// call site. Everything in it derives from `n`, `p` and `q`, which the SP is
+/// sent in the clear.
+pub struct BoundKeyUpdate(Kernel);
+
+enum Kernel {
+    /// The Montgomery context of `n`, `p` in windows, `q` in Montgomery form.
+    Montgomery {
+        modulus: Arc<Modulus>,
+        p: Windows,
+        q: Mont,
+    },
+    /// An even `n`, which no key produces but the SQL surface cannot rule out.
+    Plain { params: KeyUpdateParams, n: BigUint },
+}
+
+impl BoundKeyUpdate {
+    /// `A'_e = A_e · S_e^p · q mod n` for one row.
+    pub fn apply(&self, a_e: &BigUint, s_e: &BigUint) -> BigUint {
+        match &self.0 {
+            Kernel::Montgomery { modulus, p, q } => modulus.mul_pow_mul(a_e, s_e, p, q),
+            Kernel::Plain { params, n } => {
+                let s_pow = mod_pow(s_e, &params.p, n);
+                mod_mul(&mod_mul(a_e, &s_pow, n), &params.q, n)
+            }
+        }
     }
 }
 
@@ -111,14 +161,14 @@ impl ColumnKeyAlgebra {
     /// Result column key of an EE multiplication `C = A × B`:
     /// `ck_C = ⟨m_A·m_B mod n, x_A + x_B mod φ(n)⟩` (paper §2.2).
     pub fn multiply(key: &SystemKey, a: &ColumnKey, b: &ColumnKey) -> ColumnKey {
-        ColumnKey::new(mod_mul(a.m(), b.m(), key.n()), (a.x() + b.x()) % key.phi())
+        ColumnKey::new(key.modulus().mul(a.m(), b.m()), (a.x() + b.x()) % key.phi())
     }
 
     /// Result column key of an EP multiplication by a plaintext constant `c`:
     /// the encrypted values are untouched, only the key changes to
     /// `ck_C = ⟨c·m_A mod n, x_A⟩` so that decryption yields `c·a`.
     pub fn scale_by_constant(key: &SystemKey, a: &ColumnKey, c: &BigUint) -> ColumnKey {
-        ColumnKey::new(mod_mul(c, a.m(), key.n()), a.x().clone())
+        ColumnKey::new(key.modulus().mul(c, a.m()), a.x().clone())
     }
 
     /// Column key under which the auxiliary all-ones column `S` decrypts to the
@@ -131,8 +181,8 @@ impl ColumnKeyAlgebra {
     /// A fresh *row-independent* target key `⟨m_T, 0⟩`.
     ///
     /// After a key update to such a key every row shares the same item key `m_T`,
-    /// which is what makes server-side SUM folding possible (DESIGN.md §2,
-    /// "Aggregates").
+    /// which is what makes server-side SUM folding possible (ARCHITECTURE.md,
+    /// "Modular arithmetic").
     pub fn row_independent_target<R: Rng + ?Sized>(key: &SystemKey, rng: &mut R) -> ColumnKey {
         let base = key.gen_column_key(rng);
         ColumnKey::new(base.m().clone(), BigUint::from(0u32))

@@ -8,7 +8,7 @@
 //! a keystream which is XOR-combined with the serialised plaintext, and a keyed tag
 //! authenticates the result.
 //!
-//! The substitution is recorded in `DESIGN.md` §4.
+//! The substitution is recorded in ARCHITECTURE.md (crate map: `sdb-crypto`).
 
 use num_bigint::BigUint;
 use rand::Rng;

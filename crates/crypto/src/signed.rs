@@ -16,6 +16,7 @@
 use num_bigint::BigUint;
 use num_traits::Zero;
 
+use crate::bigint::reduce;
 use crate::keys::SystemKey;
 use crate::{CryptoError, Result};
 
@@ -78,11 +79,11 @@ impl SignedCodec {
     /// Residues in `[0, n/2]` decode as non-negative, residues in `(n/2, n)` decode
     /// as negative. Returns an error if the magnitude does not fit in an `i128`.
     pub fn decode(&self, residue: &BigUint) -> Result<i128> {
-        let residue = residue % &self.n;
-        let (neg, mag) = if residue > self.half_n {
-            (true, &self.n - &residue)
+        let residue = reduce(residue, &self.n);
+        let (neg, mag) = if *residue > self.half_n {
+            (true, &self.n - &*residue)
         } else {
-            (false, residue)
+            (false, residue.into_owned())
         };
         let mag_u128: u128 = mag.try_into().map_err(|_| CryptoError::DomainOverflow {
             detail: "decoded magnitude exceeds 128 bits".to_string(),
@@ -104,10 +105,10 @@ impl SignedCodec {
     /// This is all the comparison protocol needs from a blinded difference, so the
     /// proxy can avoid materialising magnitudes it does not need.
     pub fn sign(&self, residue: &BigUint) -> i8 {
-        let residue = residue % &self.n;
+        let residue = reduce(residue, &self.n);
         if residue.is_zero() {
             0
-        } else if residue > self.half_n {
+        } else if *residue > self.half_n {
             -1
         } else {
             1
@@ -202,6 +203,17 @@ mod tests {
             let blinded = (&d * BigUint::from(blind)) % n;
             let expected = (a - b).signum() as i8;
             assert_eq!(codec.sign(&blinded), expected, "a={a} b={b} blind={blind}");
+        }
+    }
+
+    #[test]
+    fn unreduced_residues_decode_like_reduced_ones() {
+        let (key, codec, _) = setup();
+        let n = key.n();
+        for v in [-5i128, 0, 7] {
+            let wide = codec.encode(v).unwrap() + n * BigUint::from(3u32);
+            assert_eq!(codec.decode(&wide).unwrap(), v);
+            assert_eq!(codec.sign(&wide), v.signum() as i8);
         }
     }
 

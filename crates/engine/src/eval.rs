@@ -7,12 +7,15 @@
 //! supported dialect: three-valued logic, NULL propagation, mixed INT/DECIMAL
 //! arithmetic, date arithmetic, LIKE, CASE, IN and (uncorrelated) subqueries.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::fmt::Write;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use sdb_sql::ast::{BinaryOp, Expr, Literal, Query, UnaryOp};
 use sdb_storage::{RecordBatch, Value};
 
-use crate::udf::UdfRegistry;
+use crate::udf::{ScalarUdf, UdfRegistry, UdfSites};
 use crate::{EngineError, Result};
 
 /// Resolves uncorrelated subqueries on behalf of the evaluator.
@@ -26,10 +29,28 @@ pub trait SubqueryResolver {
     fn column(&self, query: &Query) -> Result<Vec<Value>>;
 }
 
+/// One function call of an expression, resolved on its first row: the UDF
+/// instance serving it and an argument buffer whose literal slots are filled
+/// once — only the `dynamic` slots are evaluated per row.
+struct CallSite<'a> {
+    call: &'a Expr,
+    udf: Arc<dyn ScalarUdf>,
+    args: RefCell<Vec<Value>>,
+    dynamic: Vec<usize>,
+}
+
 /// Expression evaluator bound to a batch schema.
+///
+/// Expressions must outlive the evaluator (`'a`): a function call is resolved
+/// once and found again by the address of its node, which is only sound while
+/// that node cannot be dropped or replaced.
 pub struct Evaluator<'a> {
     registry: &'a UdfRegistry,
     subqueries: Option<&'a dyn SubqueryResolver>,
+    /// The per-query call-site instances (`None`: a stand-alone evaluator,
+    /// whose sites live and die with it).
+    query_sites: Option<&'a UdfSites>,
+    sites: RefCell<Vec<Rc<CallSite<'a>>>>,
     udf_calls: Cell<usize>,
 }
 
@@ -39,6 +60,8 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             registry,
             subqueries: None,
+            query_sites: None,
+            sites: RefCell::new(Vec::new()),
             udf_calls: Cell::new(0),
         }
     }
@@ -49,13 +72,62 @@ impl<'a> Evaluator<'a> {
         self
     }
 
+    /// Shares the query's call-site instances, so a site's constants are bound
+    /// once per query rather than once per evaluator.
+    pub(crate) fn with_query_sites(mut self, sites: &'a UdfSites) -> Self {
+        self.query_sites = Some(sites);
+        self
+    }
+
+    /// Resolves the function call at node `call`, once per evaluator.
+    fn call_site(&self, call: &'a Expr, name: &str, args: &'a [Expr]) -> Result<Rc<CallSite<'a>>> {
+        if let Some(site) = self
+            .sites
+            .borrow()
+            .iter()
+            .find(|site| std::ptr::eq(site.call, call))
+        {
+            return Ok(Rc::clone(site));
+        }
+        if sdb_sql::ast::is_aggregate_name(name) {
+            return Err(EngineError::Expression {
+                detail: format!("aggregate {name} outside of GROUP BY context"),
+            });
+        }
+        let mut values = vec![Value::Null; args.len()];
+        let mut dynamic = Vec::new();
+        // What tells this site from the query's others: name and literals.
+        let mut signature = String::from(name);
+        for (i, arg) in args.iter().enumerate() {
+            match arg {
+                Expr::Literal(literal) => {
+                    values[i] = literal_to_value(literal);
+                    let _ = write!(signature, "\u{1f}{i}={literal}");
+                }
+                _ => dynamic.push(i),
+            }
+        }
+        let udf = match self.query_sites {
+            Some(sites) => sites.resolve(self.registry, name, signature)?,
+            None => self.registry.site(name)?,
+        };
+        let site = Rc::new(CallSite {
+            call,
+            udf,
+            args: RefCell::new(values),
+            dynamic,
+        });
+        self.sites.borrow_mut().push(Rc::clone(&site));
+        Ok(site)
+    }
+
     /// Number of scalar UDF invocations made so far.
     pub fn udf_calls(&self) -> usize {
         self.udf_calls.get()
     }
 
     /// Evaluates `expr` against row `row` of `batch`.
-    pub fn evaluate(&self, expr: &Expr, batch: &RecordBatch, row: usize) -> Result<Value> {
+    pub fn evaluate(&self, expr: &'a Expr, batch: &RecordBatch, row: usize) -> Result<Value> {
         match expr {
             Expr::Column(name) => {
                 let col = batch.column_by_name(name)?;
@@ -77,21 +149,16 @@ impl<'a> Evaluator<'a> {
                 self.eval_binary(*op, l, r)
             }
             Expr::Function { name, args, .. } => {
-                if sdb_sql::ast::is_aggregate_name(name) {
-                    return Err(EngineError::Expression {
-                        detail: format!("aggregate {name} outside of GROUP BY context"),
-                    });
-                }
-                let udf = self
-                    .registry
-                    .get(name)
-                    .ok_or_else(|| EngineError::UnknownFunction { name: name.clone() })?;
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.evaluate(a, batch, row)?);
+                let site = self.call_site(expr, name, args)?;
+                for &i in &site.dynamic {
+                    // The nested evaluation may reach other sites, never this
+                    // one: the buffer is only borrowed for the assignment.
+                    let value = self.evaluate(&args[i], batch, row)?;
+                    site.args.borrow_mut()[i] = value;
                 }
                 self.udf_calls.set(self.udf_calls.get() + 1);
-                udf.invoke(&values)
+                let result = site.udf.invoke(&site.args.borrow());
+                result
             }
             Expr::Case {
                 operand,
@@ -211,7 +278,12 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates a predicate for filtering: NULL counts as "do not keep".
-    pub fn evaluate_predicate(&self, expr: &Expr, batch: &RecordBatch, row: usize) -> Result<bool> {
+    pub fn evaluate_predicate(
+        &self,
+        expr: &'a Expr,
+        batch: &RecordBatch,
+        row: usize,
+    ) -> Result<bool> {
         match self.evaluate(expr, batch, row)? {
             Value::Bool(b) => Ok(b),
             Value::Null => Ok(false),
@@ -656,36 +728,100 @@ mod tests {
     fn udf_calls_through_registry() {
         assert_eq!(eval("ABS(0 - a)", 0), Value::Int(1));
         let registry = UdfRegistry::with_sdb_udfs();
+        let call = expr("ABS(a)");
         let evaluator = Evaluator::new(&registry);
-        evaluator
-            .evaluate(&expr("ABS(a)"), &sample_batch(), 0)
-            .unwrap();
+        evaluator.evaluate(&call, &sample_batch(), 0).unwrap();
         assert_eq!(evaluator.udf_calls(), 1);
+        // The call site is resolved once; every row still counts as a call.
+        evaluator.evaluate(&call, &sample_batch(), 1).unwrap();
+        assert_eq!(evaluator.udf_calls(), 2);
+        assert_eq!(evaluator.sites.borrow().len(), 1);
+    }
+
+    /// Two call sites of one function with different constants keep their own
+    /// instances (no eviction between them), and literal arguments are placed
+    /// in the argument buffer once, not per row.
+    #[test]
+    fn call_sites_bind_their_constants_separately() {
+        use num_bigint::BigUint;
+        let schema = Schema::new(vec![
+            ColumnDef::sensitive("x", DataType::Encrypted),
+            ColumnDef::sensitive("y", DataType::Encrypted),
+        ]);
+        let enc = |v: u32| Value::Encrypted(BigUint::from(v));
+        let batch =
+            RecordBatch::from_rows(schema, vec![vec![enc(10), enc(11)], vec![enc(20), enc(30)]])
+                .unwrap();
+        let both = expr("SDB_ADD(SDB_MULTIPLY(x, y, '35'), SDB_MULTIPLY(x, y, '33'), '1000')");
+        let registry = UdfRegistry::with_sdb_udfs();
+        let sites = UdfSites::default();
+        let evaluator = Evaluator::new(&registry).with_query_sites(&sites);
+        // 110 mod 35 + 110 mod 33 = 5 + 11; 600 mod 35 + 600 mod 33 = 5 + 6.
+        assert_eq!(evaluator.evaluate(&both, &batch, 0).unwrap(), enc(16));
+        assert_eq!(evaluator.evaluate(&both, &batch, 1).unwrap(), enc(11));
+        assert_eq!(evaluator.udf_calls(), 6);
+        let mut remembered = sites.remembered_constants();
+        remembered.sort();
+        assert_eq!(remembered, ["1000", "33", "35"]);
+
+        // A second evaluator of the same query (the next batch) finds the
+        // instances already bound.
+        let next = Evaluator::new(&registry).with_query_sites(&sites);
+        assert_eq!(next.evaluate(&both, &batch, 0).unwrap(), enc(16));
+        assert_eq!(sites.remembered_constants().len(), 3);
+    }
+
+    /// A call site whose modulus is not a literal sees a different text on
+    /// every row; each row is reduced modulo its own `n`.
+    #[test]
+    fn per_row_constants_are_rebound_per_row() {
+        use num_bigint::BigUint;
+        let schema = Schema::new(vec![
+            ColumnDef::sensitive("x", DataType::Encrypted),
+            ColumnDef::public("m", DataType::Varchar),
+        ]);
+        let row = |m: &str| {
+            vec![
+                Value::Encrypted(BigUint::from(100u32)),
+                Value::Str(m.into()),
+            ]
+        };
+        let batch = RecordBatch::from_rows(schema, vec![row("35"), row("33"), row("35"), row("7")])
+            .unwrap();
+        let call = expr("SDB_MULTIPLY(x, x, m)");
+        let registry = UdfRegistry::with_sdb_udfs();
+        let evaluator = Evaluator::new(&registry);
+        for (i, expected) in [10_000 % 35, 10_000 % 33, 10_000 % 35, 10_000 % 7u32]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(
+                evaluator.evaluate(&call, &batch, i).unwrap(),
+                Value::Encrypted(BigUint::from(expected)),
+                "row {i}"
+            );
+        }
     }
 
     #[test]
     fn unknown_function_and_aggregate_errors() {
         let registry = UdfRegistry::with_sdb_udfs();
+        let (unknown, aggregate) = (expr("NO_SUCH_FN(a)"), expr("SUM(a)"));
         let evaluator = Evaluator::new(&registry);
         assert!(matches!(
-            evaluator.evaluate(&expr("NO_SUCH_FN(a)"), &sample_batch(), 0),
+            evaluator.evaluate(&unknown, &sample_batch(), 0),
             Err(EngineError::UnknownFunction { .. })
         ));
-        assert!(evaluator
-            .evaluate(&expr("SUM(a)"), &sample_batch(), 0)
-            .is_err());
+        assert!(evaluator.evaluate(&aggregate, &sample_batch(), 0).is_err());
     }
 
     #[test]
     fn division_by_zero_is_an_error() {
         let registry = UdfRegistry::with_sdb_udfs();
+        let (quotient, remainder) = (expr("a / 0"), expr("a % 0"));
         let evaluator = Evaluator::new(&registry);
-        assert!(evaluator
-            .evaluate(&expr("a / 0"), &sample_batch(), 0)
-            .is_err());
-        assert!(evaluator
-            .evaluate(&expr("a % 0"), &sample_batch(), 0)
-            .is_err());
+        assert!(evaluator.evaluate(&quotient, &sample_batch(), 0).is_err());
+        assert!(evaluator.evaluate(&remainder, &sample_batch(), 0).is_err());
     }
 
     #[test]
@@ -703,14 +839,13 @@ mod tests {
     #[test]
     fn predicate_helper_treats_null_as_false() {
         let registry = UdfRegistry::with_sdb_udfs();
+        let (null, yes, not_boolean) = (expr("b > 1"), expr("a = 2"), expr("a"));
         let evaluator = Evaluator::new(&registry);
         let batch = sample_batch();
-        assert!(!evaluator
-            .evaluate_predicate(&expr("b > 1"), &batch, 1)
-            .unwrap());
+        assert!(!evaluator.evaluate_predicate(&null, &batch, 1).unwrap());
+        assert!(evaluator.evaluate_predicate(&yes, &batch, 1).unwrap());
         assert!(evaluator
-            .evaluate_predicate(&expr("a = 2"), &batch, 1)
-            .unwrap());
-        assert!(evaluator.evaluate_predicate(&expr("a"), &batch, 1).is_err());
+            .evaluate_predicate(&not_boolean, &batch, 1)
+            .is_err());
     }
 }

@@ -50,7 +50,7 @@ pub use secure::{
 };
 pub use stats::ExecutionStats;
 pub use trace::{QueryTrace, SpanReport, TraceEvent, TraceReport};
-pub use udf::{ScalarUdf, UdfRegistry};
+pub use udf::{ScalarUdf, UdfRegistry, UdfSites};
 
 /// Library result alias.
 pub type Result<T> = std::result::Result<T, EngineError>;

@@ -345,9 +345,9 @@ impl<'a> NestedLoopJoin<'a> {
 
     /// Evaluates the ON condition for one combined row (`None` = cross join
     /// keeps everything).
-    fn keep_row(
-        &self,
-        evaluator: &crate::eval::Evaluator<'_>,
+    fn keep_row<'e>(
+        &'e self,
+        evaluator: &crate::eval::Evaluator<'e>,
         combined_schema: &Schema,
         row: &[Value],
     ) -> Result<bool> {

@@ -183,6 +183,10 @@ pub struct ExecContext<'a> {
     /// so two parameterisations that happen to display the same SQL text
     /// cannot collide, and cache hits never rebuild a plan.
     subquery_cache: Mutex<HashMap<String, Vec<(Query, RecordBatch)>>>,
+    /// The UDF instances of this query's call sites: each binds its constant
+    /// arguments (`n`, `p`, `q`) once, however many batches and evaluators
+    /// the query runs through.
+    udf_sites: crate::udf::UdfSites,
     batch_size: usize,
     parallelism: usize,
     /// Whether the cost-based optimizer rewrites logical plans before
@@ -247,6 +251,7 @@ impl<'a> ExecContext<'a> {
             rngs: Self::entropy_rngs(parallelism),
             rng_seed: None,
             subquery_cache: Mutex::new(HashMap::new()),
+            udf_sites: crate::udf::UdfSites::default(),
             batch_size: DEFAULT_BATCH_SIZE,
             parallelism,
             optimizer: true,
@@ -554,10 +559,18 @@ impl<'a> ExecContext<'a> {
         self.rngs[parallel::current_worker() % self.rngs.len()].lock()
     }
 
+    /// The UDF instances of the query's call sites, with the constants they
+    /// bound: the arithmetic state the SP keeps while the query runs.
+    pub fn udf_sites(&self) -> &crate::udf::UdfSites {
+        &self.udf_sites
+    }
+
     /// An expression evaluator wired to this context's registry and subquery
     /// resolution.
     pub(crate) fn evaluator(&self) -> Evaluator<'_> {
-        Evaluator::new(self.registry).with_subqueries(self)
+        Evaluator::new(self.registry)
+            .with_subqueries(self)
+            .with_query_sites(&self.udf_sites)
     }
 
     /// Folds an evaluator's UDF counter into the statistics.

@@ -5,7 +5,8 @@
 //!
 //! 1. draws a random secret row id `r` and stores it SIES-encrypted in `row_id`;
 //! 2. stores the auxiliary all-ones column `sdb_s` encrypted under the table's aux
-//!    key (the vehicle for key updates and constants, DESIGN.md §2);
+//!    key (the vehicle for key updates and constants; ARCHITECTURE.md,
+//!    "Modular arithmetic");
 //! 3. encrypts every sensitive numeric column under its own column key and the row
 //!    id (`v_e = v·v_k⁻¹ mod n`);
 //! 4. replaces every sensitive VARCHAR column with a deterministic equality tag

@@ -22,7 +22,7 @@ use crate::{ProxyError, Result};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TableKeys {
     /// Column key of the auxiliary all-ones column `S` (its `x` is invertible
-    /// modulo φ(n); see `DESIGN.md` §2).
+    /// modulo φ(n); see ARCHITECTURE.md, "Modular arithmetic").
     pub aux: ColumnKey,
     /// Column keys of the sensitive numeric columns, by column name.
     pub columns: BTreeMap<String, ColumnKey>,

@@ -5,7 +5,8 @@
 //! The rewrite follows the paper's pattern exactly for the operators it spells out
 //! (`SELECT A × B AS C FROM T` becomes `SELECT row-id, SDB_MULTIPLY(A_e, B_e, n) AS
 //! C_e FROM T` with the proxy recording `ck_C = ⟨m_A·m_B, x_A+x_B⟩`), and extends it
-//! to the full operator set reconstructed in `DESIGN.md` §2:
+//! to the full operator set reconstructed in ARCHITECTURE.md ("Modular
+//! arithmetic", the share protocols):
 //!
 //! * EE / EP arithmetic → `SDB_MULTIPLY`, `SDB_ADD`, `SDB_KEY_UPDATE`,
 //!   `SDB_MUL_PLAIN`, `SDB_ADD_PLAIN`;

@@ -147,6 +147,11 @@ impl BigUint {
         Some(limb as u64 * 64 + u64::from(self.limbs[limb].trailing_zeros()))
     }
 
+    /// The value's base-2⁶⁴ digits, least significant first (none for zero).
+    pub fn iter_u64_digits(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.limbs.iter().copied()
+    }
+
     /// Converts to `u64` if the value fits.
     pub fn to_u64(&self) -> Option<u64> {
         match self.limbs.len() {

@@ -6,7 +6,12 @@
 //! discussion (§2.3): what an attacker with DB knowledge sees at rest, and what an
 //! attacker with QR knowledge sees on the wire, during a full query workload.
 
+use std::sync::Arc;
+
 use sdb::{SdbClient, SdbConfig};
+use sdb_engine::operators::drain_operator;
+use sdb_engine::{ExecContext, PhysicalPlanner, SdbOracle, UdfRegistry};
+use sdb_sql::PlanBuilder;
 use sdb_storage::Value;
 use sdb_workload::{generate_all, ScaleFactor, SensitivityProfile};
 
@@ -140,5 +145,114 @@ fn query_results_decrypt_only_at_the_proxy() {
     assert!(
         !wire.contains(&decrypted_sum),
         "the plaintext aggregate leaked onto the wire"
+    );
+}
+
+#[test]
+fn sp_side_arithmetic_state_holds_only_constants_the_sp_was_sent() {
+    // The SP binds each SDB_* call site's constants once per query and keeps
+    // the derived arithmetic state (parsed numbers, the Montgomery context of
+    // n, p's windows) while the query runs. Run the SP half of a query the way
+    // the engine does, then look at what that state remembers: only n, p and
+    // q, which crossed the wire in the clear inside the rewritten SQL.
+    let client = loaded_client();
+    let rewritten = client
+        .rewrite_only(
+            "SELECT SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS charge, \
+             SUM(l_extendedprice + l_quantity) AS mixed FROM lineitem",
+        )
+        .unwrap();
+
+    let registry = UdfRegistry::with_sdb_udfs();
+    let oracle: Arc<dyn SdbOracle> = client.proxy().oracle(&rewritten);
+    let ctx = Arc::new(ExecContext::new(
+        client.engine().catalog(),
+        &registry,
+        Some(oracle),
+    ));
+    let plan = PlanBuilder::build(&rewritten.server_query).unwrap();
+    let mut root = PhysicalPlanner::new(Arc::clone(&ctx)).plan(&plan).unwrap();
+    let sp_answer = drain_operator(root.as_mut()).unwrap();
+    assert_eq!(sp_answer.num_rows(), 1);
+
+    let remembered = ctx.udf_sites().remembered_constants();
+    let system = client.proxy().keystore().system();
+    assert!(
+        remembered.contains(&system.n().to_string()),
+        "the query multiplies shares, so some site bound n: {remembered:?}"
+    );
+    assert!(
+        remembered.len() > 3,
+        "key updates bind p and q as well: {remembered:?}"
+    );
+    for constant in &remembered {
+        assert!(
+            rewritten.server_sql.contains(constant.as_str()),
+            "the SP remembers {constant}, which the rewritten SQL never sent it"
+        );
+    }
+
+    // None of the DO's secrets is among them.
+    let mut secrets = vec![system.phi().to_string(), system.g().to_string()];
+    let keystore = client.proxy().keystore();
+    for table in keystore.table_names() {
+        let keys = keystore.table_keys(&table).unwrap();
+        for key in keys.columns.values().chain([&keys.aux]) {
+            secrets.push(key.m().to_string());
+            secrets.push(key.x().to_string());
+        }
+    }
+    for secret in &secrets {
+        assert!(
+            !remembered.contains(secret),
+            "a DO secret reached the SP-side arithmetic state"
+        );
+    }
+    // And no sensitive plaintext: the same needles as the storage/wire audit.
+    let mut auditor = sdb::MemoryAuditor::new();
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        auditor.register_table(&table);
+    }
+    let haystack = remembered.join("\n");
+    assert!(auditor
+        .audit([("sp-arithmetic-state", haystack.as_str())])
+        .is_clean());
+}
+
+#[test]
+fn keystore_json_holds_no_derived_tables_and_a_restored_store_rebuilds_them() {
+    // The fixed-base table of g and the Montgomery context are DO-side derived
+    // state: persisting them would multiply the key store's size by orders of
+    // magnitude and write a second copy of a secret to disk.
+    let client = loaded_client();
+    let keystore = client.proxy().keystore();
+    let json = serde_json::to_string(keystore).unwrap();
+    assert_eq!(json.len(), keystore.approx_size_bytes());
+    let system_json = serde_json::to_string(keystore.system()).unwrap();
+    assert!(json.contains(&system_json));
+    for field in [
+        "\"rho1\":",
+        "\"rho2\":",
+        "\"n\":",
+        "\"phi\":",
+        "\"g\":",
+        "\"config\":",
+    ] {
+        assert_eq!(system_json.matches(field).count(), 1, "{field}");
+    }
+    assert_eq!(
+        system_json.matches("\":").count(),
+        6 + 3,
+        "six fields plus KeyConfig's three: {system_json}"
+    );
+    assert!(!format!("{:?}", keystore.system()).contains("table: ["));
+
+    let restored: sdb_proxy::KeyStore = serde_json::from_str(&json).unwrap();
+    assert_eq!(serde_json::to_string(&restored).unwrap(), json);
+    let column_key = restored.column_key("lineitem", "l_extendedprice").unwrap();
+    let row_id = num_bigint::BigUint::from(0x5eed_1234_u64);
+    assert_eq!(
+        sdb_crypto::gen_item_key(restored.system(), column_key, &row_id),
+        sdb_crypto::gen_item_key(keystore.system(), column_key, &row_id)
     );
 }
