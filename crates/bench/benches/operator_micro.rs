@@ -5,7 +5,10 @@
 //! * encryption / decryption of one value (SDB secret sharing vs Paillier vs DET/OPE);
 //! * EE multiplication (`SDB_MULTIPLY`) vs plaintext multiplication;
 //! * key update + EE addition vs Paillier homomorphic addition;
-//! * comparison protocol step (blind + decrypt sign) vs OPE comparison.
+//! * comparison protocol step (blind + decrypt sign) vs OPE comparison;
+//! * `scan_pruning`: a scan + half-selective filter over a wide encrypted table
+//!   by a query referencing 1 / 4 / all of its 16 columns, and `clone` + `slice`
+//!   of one 4096-row batch of it (shared buffers: neither copies a cell).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use num_bigint::BigUint;
@@ -157,9 +160,59 @@ fn micro(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 16-column table shaped like an uploaded one: four plain columns and
+/// twelve 512-bit shares per row.
+fn wide_encrypted_table(rows: i64) -> sdb_storage::Table {
+    use sdb_storage::{ColumnDef, DataType, Schema, Table, Value};
+    let mut defs = vec![ColumnDef::public("id", DataType::Int)];
+    defs.extend((0..3).map(|i| ColumnDef::public(&format!("p{i}"), DataType::Int)));
+    defs.extend((0..12).map(|i| ColumnDef::sensitive(&format!("e{i}"), DataType::Encrypted)));
+    let mut table = Table::new("wide", Schema::new(defs));
+    let mut rng = StdRng::seed_from_u64(13);
+    for id in 0..rows {
+        let mut row = vec![Value::Int(id); 4];
+        row.extend((0..12).map(|_| {
+            let bytes: Vec<u8> = (0..64).map(|_| rng.gen()).collect();
+            Value::Encrypted(BigUint::from_bytes_le(&bytes))
+        }));
+        table.insert_row(row).expect("row matches the schema");
+    }
+    table
+}
+
+fn scan_pruning(c: &mut Criterion) {
+    const ROWS: i64 = 16_384;
+    let engine = sdb_engine::SpEngine::new().with_parallelism(1);
+    engine
+        .load_table(wide_encrypted_table(ROWS))
+        .expect("load wide");
+    let half = ROWS / 2;
+
+    let mut group = c.benchmark_group("scan_pruning");
+    for (name, select) in [
+        ("query_references_1_of_16", "id"),
+        ("query_references_4_of_16", "id, e0, e1, e2"),
+        ("query_references_16_of_16", "*"),
+    ] {
+        let sql = format!("SELECT {select} FROM wide WHERE id < {half}");
+        group.bench_function(name, |bencher| {
+            bencher.iter(|| black_box(engine.execute_sql(black_box(&sql)).expect("query")))
+        });
+    }
+    let batch = engine.catalog().table("wide").expect("loaded");
+    let batch = batch.read().scan().limit(4096);
+    group.bench_function("clone_4096_rows", |bencher| {
+        bencher.iter(|| black_box(black_box(&batch).clone()))
+    });
+    group.bench_function("slice_4096_rows", |bencher| {
+        bencher.iter(|| black_box(black_box(&batch).slice(1024, 2048).expect("in range")))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = micro
+    targets = micro, scan_pruning
 }
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Experiment E5: the TPC-H coverage matrix (the paper's "all 22 vs 4 of 22"
 //! comparison). The analysis itself is cheap; the value of this target is the
-//! printed matrix, which EXPERIMENTS.md records. The Criterion measurement covers
+//! printed matrix (`examples/tpch_demo.rs` prints the same one, `ARCHITECTURE.md`
+//! places the analyzer). The Criterion measurement covers
 //! the analyzer + SDB rewriter cost per query (i.e. the proxy's rewrite overhead).
 
 use std::collections::BTreeMap;

@@ -1,7 +1,8 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Every bench target regenerates one experiment from `DESIGN.md` §5 /
-//! `EXPERIMENTS.md`; this crate only hosts the fixtures they share.
+//! Every bench target regenerates one of the paper's experiments (E1-E6);
+//! this crate only hosts the fixtures they share. The end-to-end numbers are
+//! `perf_report`'s (`perfbench/README.md`).
 
 #![forbid(unsafe_code)]
 

@@ -188,13 +188,9 @@ pub fn append_virtual_column(
     let mut defs = batch.schema().columns().to_vec();
     defs.push(def.clone());
     let mut columns = batch.columns().to_vec();
-    // Virtual columns may mix NULLs with typed values; push unchecked since the
+    // Virtual columns may mix NULLs with typed values; unchecked since the
     // values come from the oracle response mapping.
-    let mut column = Column::new(def.data_type);
-    for v in values {
-        column.push_unchecked(v);
-    }
-    columns.push(column);
+    columns.push(Column::from_values_unchecked(def.data_type, values));
     RecordBatch::new(Schema::new(defs), columns).map_err(Into::into)
 }
 

@@ -9,8 +9,8 @@
 //!
 //! One file per operator:
 //!
-//! * [`scan`] — base-table scan, chunked into batches, with a
-//!   morsel-parallel variant;
+//! * [`scan`] — base-table scan: windows onto the table's shared buffers,
+//!   only the columns the plan references;
 //! * [`filter`] — row filtering over a predicate;
 //! * [`project`] — projection / expression evaluation;
 //! * [`join`] — hash equi-join (parallel build side) and the nested-loop
@@ -37,8 +37,6 @@
 //! phases out across `ctx.parallelism()` workers using `std::thread::scope`
 //! (see [`parallel`]):
 //!
-//! * [`scan::ParallelTableScan`] slices the table snapshot into per-worker
-//!   morsels and materialises the output batches concurrently;
 //! * [`join::HashJoin`] partitions its materialised build side and builds
 //!   per-worker hash indexes that are merged in morsel order;
 //! * [`aggregate::ParallelHashAggregate`] partitions its input via

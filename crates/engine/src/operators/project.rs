@@ -191,12 +191,8 @@ impl<'a> Project<'a> {
                             // the historical all-NULL default.
                             None => ColumnDef::public(name, sdb_storage::DataType::Int),
                         };
-                        let mut column = Column::new(def.data_type);
-                        for v in values {
-                            column.push(v)?;
-                        }
+                        columns.push(Column::from_values(def.data_type, values)?);
                         defs.push(def);
-                        columns.push(column);
                     }
                 }
             }

@@ -1,46 +1,26 @@
-//! Base-table scan: the serial chunked scan and its morsel-parallel variant.
+//! Base-table scan: windows onto the table's shared column buffers, reading
+//! only the columns the plan references.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sdb_storage::{partition_ranges, ColumnDef, RecordBatch, Schema};
+use sdb_storage::{ColumnDef, RecordBatch, Schema};
 
-use super::parallel::{effective_workers, scoped_workers};
 use super::{ExecContext, PhysicalOperator};
 use crate::Result;
 
-/// Takes a snapshot of `table` with column names qualified by the visible
-/// table name (the alias if one was given) so joins and qualified references
-/// resolve; bare references still work through the schema's suffix matching.
-fn qualified_snapshot(
-    ctx: &ExecContext<'_>,
-    table: &str,
-    alias: Option<&str>,
-) -> Result<RecordBatch> {
-    let handle = ctx.catalog().table(table)?;
-    let guard = handle.read();
-    let batch = guard.scan();
-    let visible = alias.unwrap_or(table);
-    let qualified = Schema::new(
-        batch
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| ColumnDef {
-                name: format!("{visible}.{}", c.name),
-                data_type: c.data_type,
-                sensitivity: c.sensitivity,
-            })
-            .collect(),
-    );
-    Ok(RecordBatch::new(qualified, batch.columns().to_vec())?)
-}
-
 /// Scans a catalog table, emitting batches of at most `ctx.batch_size()` rows.
+///
+/// `open()` takes the snapshot under the table's read guard: one shared
+/// handle per column read, no cell copied, and the guard is gone before the
+/// first batch. A concurrent `INSERT` copies on write, so the rows a scan
+/// emits are exactly the rows the table held at `open()`. Batches are
+/// windows onto that snapshot.
 pub struct TableScan<'a> {
     ctx: Arc<ExecContext<'a>>,
     table: String,
     alias: Option<String>,
+    /// The column names the plan above references (`None`: every column).
+    referenced: Option<Vec<String>>,
     /// The table snapshot, taken at `open()`.
     source: Option<RecordBatch>,
     /// Next row offset into the snapshot.
@@ -51,17 +31,79 @@ pub struct TableScan<'a> {
 }
 
 impl<'a> TableScan<'a> {
-    /// Creates a scan of `table` (visible under `alias` if given).
+    /// Creates a scan of every column of `table` (visible under `alias` if
+    /// given).
     pub fn new(ctx: Arc<ExecContext<'a>>, table: &str, alias: Option<&str>) -> Self {
         TableScan {
             ctx,
             table: table.to_string(),
             alias: alias.map(str::to_string),
+            referenced: None,
             source: None,
             offset: 0,
             emitted: false,
         }
     }
+
+    /// Restricts the scan to the columns some name in `referenced` can
+    /// resolve to (`None` keeps every column). When no name does (`COUNT(*)`)
+    /// one column stays, a numeric one if there is one, for the row count.
+    pub fn reading(mut self, referenced: Option<Vec<String>>) -> Self {
+        self.referenced = referenced;
+        self
+    }
+
+    /// Whether a reference anywhere above can resolve to column `name` of
+    /// this scan: spelled bare, or qualified with the scan's visible name.
+    fn reads(&self, visible: &str, name: &str) -> bool {
+        let Some(referenced) = &self.referenced else {
+            return true;
+        };
+        referenced.iter().any(|r| {
+            let bare = match r.rsplit_once('.') {
+                Some((qualifier, bare)) if qualifier.eq_ignore_ascii_case(visible) => bare,
+                Some(_) => return false,
+                None => r,
+            };
+            bare.eq_ignore_ascii_case(name)
+        })
+    }
+
+    /// The snapshot: the read columns, named `visible.column` so joins and
+    /// qualified references resolve (bare references still work through the
+    /// schema's suffix matching).
+    fn snapshot(&self) -> Result<RecordBatch> {
+        let visible = self.alias.as_deref().unwrap_or(&self.table);
+        let handle = self.ctx.catalog().table(&self.table)?;
+        let (snapshot, total) = {
+            let table = handle.read();
+            let defs = table.schema().columns();
+            let mut read: Vec<usize> = (0..defs.len())
+                .filter(|&i| self.reads(visible, &defs[i].name))
+                .collect();
+            if read.is_empty() && !defs.is_empty() {
+                let heapless = |d: &ColumnDef| d.data_type.is_numeric();
+                read.push(defs.iter().position(heapless).unwrap_or(0));
+            }
+            (table.scan_columns(&read), defs.len())
+        };
+        let mut stats = self.ctx.stats_mut();
+        stats.scan_columns_read += snapshot.num_columns();
+        stats.scan_columns_total += total;
+        drop(stats);
+        let schema = qualified(visible, snapshot.schema());
+        Ok(RecordBatch::new(schema, snapshot.columns().to_vec())?)
+    }
+}
+
+/// `schema` with every column named `visible.column`, the way a scan emits it.
+pub(crate) fn qualified(visible: &str, schema: &Schema) -> Schema {
+    let qualify = |c: &ColumnDef| ColumnDef {
+        name: format!("{visible}.{}", c.name),
+        data_type: c.data_type,
+        sensitivity: c.sensitivity,
+    };
+    Schema::new(schema.columns().iter().map(qualify).collect())
 }
 
 impl PhysicalOperator for TableScan<'_> {
@@ -70,11 +112,7 @@ impl PhysicalOperator for TableScan<'_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.source = Some(qualified_snapshot(
-            &self.ctx,
-            &self.table,
-            self.alias.as_deref(),
-        )?);
+        self.source = Some(self.snapshot()?);
         self.offset = 0;
         self.emitted = false;
         Ok(())
@@ -82,36 +120,15 @@ impl PhysicalOperator for TableScan<'_> {
 
     fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
         self.ctx.check_cancelled()?;
-        let total = match &self.source {
-            Some(source) => source.num_rows(),
-            // The whole-table fast path below already handed the snapshot off.
-            None => return Ok(None),
+        let Some(source) = &self.source else {
+            return Ok(None);
         };
-        if self.offset >= total {
-            if self.emitted {
-                return Ok(None);
-            }
-            // Empty table: emit one empty batch carrying the schema.
-            self.emitted = true;
-            let schema = self
-                .source
-                .as_ref()
-                .expect("checked above")
-                .schema()
-                .clone();
-            return Ok(Some(RecordBatch::empty(schema)));
+        let take = self.ctx.batch_size().min(source.num_rows() - self.offset);
+        // An empty table still emits one empty batch carrying the schema.
+        if take == 0 && self.emitted {
+            return Ok(None);
         }
-        let take = self.ctx.batch_size().min(total - self.offset);
-        // Whole-table-in-one-batch fast path: hand the snapshot off instead of
-        // cloning it row by row.
-        let batch = if self.offset == 0 && take == total {
-            self.source.take().expect("checked above")
-        } else {
-            self.source
-                .as_ref()
-                .expect("checked above")
-                .slice(self.offset, take)?
-        };
+        let batch = source.slice(self.offset, take)?;
         self.offset += take;
         self.emitted = true;
         self.ctx.stats_mut().rows_scanned += take;
@@ -120,84 +137,6 @@ impl PhysicalOperator for TableScan<'_> {
 
     fn close(&mut self) -> Result<()> {
         self.source = None;
-        Ok(())
-    }
-}
-
-/// Morsel-parallel table scan: `open()` splits the snapshot's row range into
-/// one contiguous morsel per worker and materialises each morsel's batches on
-/// a scoped worker thread; `next_batch()` then replays the chunks in global
-/// row order, accounting `rows_scanned` as chunks are actually handed
-/// downstream (so a consumer that stops early — `LIMIT` — reports roughly the
-/// same scan count as the serial scan).
-///
-/// The emitted rows (and their order) are identical to [`TableScan`]'s; only
-/// the batch boundaries may differ, since each morsel is chunked
-/// independently. Unlike the serial scan, the slicing work all happens at
-/// `open()` — a `LIMIT` above this operator saves emission, not
-/// materialisation (a limit-aware planner choice is a ROADMAP item).
-pub struct ParallelTableScan<'a> {
-    ctx: Arc<ExecContext<'a>>,
-    table: String,
-    alias: Option<String>,
-    chunks: VecDeque<RecordBatch>,
-}
-
-impl<'a> ParallelTableScan<'a> {
-    /// Creates a parallel scan of `table` (visible under `alias` if given).
-    pub fn new(ctx: Arc<ExecContext<'a>>, table: &str, alias: Option<&str>) -> Self {
-        ParallelTableScan {
-            ctx,
-            table: table.to_string(),
-            alias: alias.map(str::to_string),
-            chunks: VecDeque::new(),
-        }
-    }
-}
-
-impl PhysicalOperator for ParallelTableScan<'_> {
-    fn name(&self) -> &'static str {
-        "ParallelTableScan"
-    }
-
-    fn open(&mut self) -> Result<()> {
-        let snapshot = qualified_snapshot(&self.ctx, &self.table, self.alias.as_deref())?;
-        let total = snapshot.num_rows();
-        if total == 0 {
-            // Empty table: one empty batch carrying the schema.
-            self.chunks = VecDeque::from([RecordBatch::empty(snapshot.schema().clone())]);
-            return Ok(());
-        }
-        let workers = effective_workers(self.ctx.parallelism(), total);
-        let ranges = partition_ranges(total, workers);
-        let batch_size = self.ctx.batch_size();
-        let snapshot = &snapshot;
-        let per_worker: Vec<Vec<RecordBatch>> = scoped_workers(workers, |i| {
-            let range = ranges[i].clone();
-            let mut out = Vec::with_capacity((range.len()).div_ceil(batch_size));
-            let mut offset = range.start;
-            while offset < range.end {
-                let take = batch_size.min(range.end - offset);
-                out.push(snapshot.slice(offset, take)?);
-                offset += take;
-            }
-            Ok(out)
-        })?;
-        self.chunks = per_worker.into_iter().flatten().collect();
-        Ok(())
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        self.ctx.check_cancelled()?;
-        let chunk = self.chunks.pop_front();
-        if let Some(chunk) = &chunk {
-            self.ctx.stats_mut().rows_scanned += chunk.num_rows();
-        }
-        Ok(chunk)
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.chunks.clear();
         Ok(())
     }
 }

@@ -3,16 +3,17 @@
 //! The planner is deliberately thin: operator selection (hash vs nested-loop
 //! join, serial vs parallel variants), oracle-call placement ([`OracleResolve`]
 //! children under the operators whose expressions need interactive protocol
-//! steps) and name-resolution schemas for join-key classification. Runtime
-//! concerns — expression binding, type inference, the actual oracle round
-//! trips — live in the operators themselves.
+//! steps), name-resolution schemas for join-key classification and the
+//! columns each scan reads. Runtime concerns — expression binding, type
+//! inference, the actual oracle round trips — live in the operators
+//! themselves.
 //!
-//! When the context's `parallelism` knob is above one, scans lower to
-//! [`ParallelTableScan`] and aggregations to [`ParallelHashAggregate`]
-//! (morsel-parallel variants with byte-identical output); [`HashJoin`]
-//! parallelises its build side internally under the same knob.
+//! When the context's `parallelism` knob is above one, aggregations lower to
+//! [`ParallelHashAggregate`] (a morsel-parallel variant with byte-identical
+//! output); [`HashJoin`] parallelises its build side internally under the
+//! same knob. A scan is the one [`TableScan`] at every parallelism.
 //!
-//! Two further selection rules:
+//! Two further rules:
 //!
 //! * **Bounded memory** — with a limited
 //!   [`MemoryBudget`](sdb_storage::MemoryBudget) on the context, `Sort`
@@ -22,11 +23,12 @@
 //!   in-memory operators. (LEFT JOINs with residual ON conjuncts still take
 //!   the nested-loop path under a budget — residuals decide matching there,
 //!   and both plans must agree.)
-//! * **Limit-aware scans** — when a `Limit` sits above a scan with only
-//!   streaming operators (filter, project, distinct, other limits) in
-//!   between, the scan stays the lazy serial [`TableScan`] even at
-//!   `parallelism > 1`: [`ParallelTableScan`] materialises every chunk at
-//!   `open()`, so a `LIMIT k` over it saves emission but not slicing.
+//! * **Column pruning** — lowering carries down the column names referenced
+//!   above each node; a projection without a wildcard and an aggregate start
+//!   the list afresh (everything above them names *their* output), every
+//!   other node adds its own expressions. A scan reads the columns a listed
+//!   name can resolve to. With a wildcard, or nothing but the plan root,
+//!   above it, a scan reads every column.
 
 use std::sync::Arc;
 
@@ -42,7 +44,7 @@ use crate::operators::grace_join::GraceHashJoin;
 use crate::operators::join::{HashJoin, NestedLoopJoin};
 use crate::operators::oracle::{collect_oracle_calls_all, OracleResolve};
 use crate::operators::project::Project;
-use crate::operators::scan::{ParallelTableScan, TableScan};
+use crate::operators::scan::{qualified, TableScan};
 use crate::operators::sort::{Distinct, Limit, Sort};
 use crate::operators::spill_aggregate::SpillingHashAggregate;
 use crate::operators::{BoxedOperator, ExecContext};
@@ -58,6 +60,9 @@ pub struct PhysicalPlanner<'a> {
     /// (and empty) when tracing is off. `RefCell`: planning is
     /// single-threaded.
     pending_spans: std::cell::RefCell<Vec<crate::trace::SpanId>>,
+    /// Whether scans read only referenced columns: always, except in the
+    /// all-columns reference plans this module's tests build.
+    prune: bool,
 }
 
 impl<'a> PhysicalPlanner<'a> {
@@ -66,6 +71,7 @@ impl<'a> PhysicalPlanner<'a> {
         PhysicalPlanner {
             ctx,
             pending_spans: std::cell::RefCell::new(Vec::new()),
+            prune: true,
         }
     }
 
@@ -108,7 +114,7 @@ impl<'a> PhysicalPlanner<'a> {
 
     /// Lowers a logical plan into an executable operator tree.
     pub fn plan(&self, plan: &LogicalPlan) -> Result<BoxedOperator<'a>> {
-        self.lower(plan, false).map(|(op, _)| op)
+        self.lower(plan, &None).map(|(op, _)| op)
     }
 
     /// Recursive lowering; returns the operator plus a *name-resolution
@@ -117,12 +123,14 @@ impl<'a> PhysicalPlanner<'a> {
     /// raw plans reference oracle steps as function calls, never by their
     /// materialised column names.
     ///
-    /// `under_limit` is true when a `Limit` sits above this node with only
-    /// streaming operators in between: a scan reached that way stays the
-    /// lazy serial [`TableScan`] so the limit can stop slicing early.
-    /// Blocking operators (sort, aggregate, join) reset the flag — they
-    /// drain their input completely regardless of any limit above them.
-    fn lower(&self, plan: &LogicalPlan, under_limit: bool) -> Result<(BoxedOperator<'a>, Schema)> {
+    /// `referenced` lists the column names the nodes above reference in
+    /// this node's output (`None`: all of it is wanted); the scans below
+    /// read only what a listed name can resolve to.
+    fn lower(
+        &self,
+        plan: &LogicalPlan,
+        referenced: &Referenced,
+    ) -> Result<(BoxedOperator<'a>, Schema)> {
         match plan {
             LogicalPlan::Scan { table, alias } => {
                 // Resolve the table at plan time: missing tables fail before
@@ -130,40 +138,18 @@ impl<'a> PhysicalPlanner<'a> {
                 // classification above.
                 let handle = self.ctx.catalog().table(table)?;
                 let visible = alias.as_deref().unwrap_or(table);
-                let names = Schema::new(
-                    handle
-                        .read()
-                        .schema()
-                        .columns()
-                        .iter()
-                        .map(|c| ColumnDef {
-                            name: format!("{visible}.{}", c.name),
-                            data_type: c.data_type,
-                            sensitivity: c.sensitivity,
-                        })
-                        .collect(),
-                );
-                // A scan feeding a limit through streaming operators stays
-                // lazy and serial: the parallel scan slices every chunk at
-                // open(), wasting the work a LIMIT would skip.
-                let scan: BoxedOperator<'a> = if self.ctx.parallelism() > 1 && !under_limit {
-                    Box::new(ParallelTableScan::new(
-                        Arc::clone(&self.ctx),
-                        table,
-                        alias.as_deref(),
-                    ))
-                } else {
-                    Box::new(TableScan::new(
-                        Arc::clone(&self.ctx),
-                        table,
-                        alias.as_deref(),
-                    ))
-                };
-                Ok((self.instrument(scan, 0, self.estimate(plan)), names))
+                let names = qualified(visible, handle.read().schema());
+                let scan = TableScan::new(Arc::clone(&self.ctx), table, alias.as_deref())
+                    .reading(referenced.clone().filter(|_| self.prune));
+                Ok((
+                    self.instrument(Box::new(scan), 0, self.estimate(plan)),
+                    names,
+                ))
             }
 
             LogicalPlan::Filter { input, predicate } => {
-                let (child, schema) = self.lower(input, under_limit)?;
+                let below = also_referencing(referenced, [predicate]);
+                let (child, schema) = self.lower(input, &below)?;
                 let child = self.with_oracle_resolve(child, std::slice::from_ref(predicate));
                 let filter = Filter::new(Arc::clone(&self.ctx), child, predicate.clone());
                 Ok((
@@ -173,7 +159,6 @@ impl<'a> PhysicalPlanner<'a> {
             }
 
             LogicalPlan::Project { input, items } => {
-                let (child, schema) = self.lower(input, under_limit)?;
                 let computed: Vec<Expr> = items
                     .iter()
                     .filter_map(|item| match item {
@@ -181,6 +166,12 @@ impl<'a> PhysicalPlanner<'a> {
                         ProjectionItem::Wildcard => None,
                     })
                     .collect();
+                let below = if computed.len() == items.len() {
+                    also_referencing(&Some(Vec::new()), &computed)
+                } else {
+                    None
+                };
+                let (child, schema) = self.lower(input, &below)?;
                 let calls = collect_oracle_calls_all(&computed);
                 let virtual_columns: Vec<String> = calls
                     .iter()
@@ -213,8 +204,9 @@ impl<'a> PhysicalPlanner<'a> {
                 kind,
                 on,
             } => {
-                let (left_op, left_schema) = self.lower(left, false)?;
-                let (right_op, right_schema) = self.lower(right, false)?;
+                let below = also_referencing(referenced, on);
+                let (left_op, left_schema) = self.lower(left, &below)?;
+                let (right_op, right_schema) = self.lower(right, &below)?;
                 let combined = left_schema.join(&right_schema);
 
                 // Split the ON condition into hash-joinable equality pairs and
@@ -302,9 +294,9 @@ impl<'a> PhysicalPlanner<'a> {
                 group_by,
                 aggregates,
             } => {
-                let (child, _) = self.lower(input, false)?;
                 let mut exprs: Vec<Expr> = group_by.iter().map(|(e, _)| e.clone()).collect();
                 exprs.extend(aggregates.iter().filter_map(|a| a.arg.clone()));
+                let (child, _) = self.lower(input, &also_referencing(&Some(Vec::new()), &exprs))?;
                 let child = self.with_oracle_resolve(child, &exprs);
 
                 let mut names: Vec<ColumnDef> = group_by
@@ -342,8 +334,8 @@ impl<'a> PhysicalPlanner<'a> {
             }
 
             LogicalPlan::Sort { input, keys } => {
-                let (child, schema) = self.lower(input, false)?;
                 let exprs: Vec<Expr> = keys.iter().map(|k| k.expr.clone()).collect();
+                let (child, schema) = self.lower(input, &also_referencing(referenced, &exprs))?;
                 let child = self.with_oracle_resolve(child, &exprs);
                 let sort: BoxedOperator<'a> = if self.ctx.memory_budget().is_limited() {
                     Box::new(ExternalSort::new(
@@ -358,7 +350,7 @@ impl<'a> PhysicalPlanner<'a> {
             }
 
             LogicalPlan::Distinct { input } => {
-                let (child, schema) = self.lower(input, under_limit)?;
+                let (child, schema) = self.lower(input, referenced)?;
                 Ok((
                     self.instrument(Box::new(Distinct::new(child)), 1, self.estimate(plan)),
                     schema,
@@ -366,7 +358,7 @@ impl<'a> PhysicalPlanner<'a> {
             }
 
             LogicalPlan::Limit { input, n } => {
-                let (child, schema) = self.lower(input, true)?;
+                let (child, schema) = self.lower(input, referenced)?;
                 Ok((
                     self.instrument(
                         Box::new(Limit::new(child, *n as usize)),
@@ -398,6 +390,22 @@ impl<'a> PhysicalPlanner<'a> {
     }
 }
 
+/// The column names referenced above a plan node, as written (`None`: the
+/// node's whole output is wanted).
+type Referenced = Option<Vec<String>>;
+
+/// `referenced` plus every column `exprs` name.
+fn also_referencing<'e>(
+    referenced: &Referenced,
+    exprs: impl IntoIterator<Item = &'e Expr>,
+) -> Referenced {
+    let mut names = referenced.clone()?;
+    for expr in exprs {
+        expr.referenced_columns(&mut names);
+    }
+    Some(names)
+}
+
 /// A name-only column entry for the planner's resolution schemas.
 fn placeholder_column(name: &str) -> ColumnDef {
     ColumnDef::public(name, DataType::Int)
@@ -421,7 +429,7 @@ mod tests {
     use sdb_sql::{parse_sql, Statement};
     use sdb_storage::{Catalog, Value};
 
-    fn setup_catalog() -> Catalog {
+    pub(super) fn setup_catalog() -> Catalog {
         let catalog = Catalog::new();
         let emp_schema = Schema::new(vec![
             ColumnDef::public("id", DataType::Int),
@@ -463,7 +471,7 @@ mod tests {
         catalog
     }
 
-    fn parse_query(sql: &str) -> sdb_sql::ast::Query {
+    pub(super) fn parse_query(sql: &str) -> sdb_sql::ast::Query {
         match parse_sql(sql).unwrap() {
             Statement::Query(q) => q,
             other => panic!("expected query, got {other:?}"),
@@ -745,35 +753,21 @@ mod tests {
     }
 
     #[test]
-    fn limit_above_streaming_operators_keeps_lazy_serial_scan() {
+    fn scans_lower_to_the_one_table_scan_at_any_parallelism() {
         let catalog = setup_catalog();
         let registry = UdfRegistry::with_sdb_udfs();
-        let ctx = Arc::new(ExecContext::new(&catalog, &registry, None).with_parallelism(4));
-        let planner = PhysicalPlanner::new(Arc::clone(&ctx));
         let plan_of = |sql: &str| PlanBuilder::build(&parse_query(sql)).unwrap();
-
-        // LIMIT above project/filter: the scan stays lazy and serial so the
-        // limit can stop slicing early.
-        let op = planner
-            .plan(&plan_of("SELECT name FROM emp WHERE salary > 0 LIMIT 2"))
-            .unwrap();
-        assert_eq!(op.describe(), "Limit(Project(Filter(TableScan)))");
-
-        // No limit: the parallel scan is selected at parallelism > 1.
-        let op = planner.plan(&plan_of("SELECT name FROM emp")).unwrap();
-        assert_eq!(op.describe(), "Project(ParallelTableScan)");
-
-        // A blocking operator (sort) between limit and scan drains its
-        // input completely, so laziness buys nothing — keep the parallel
-        // scan.
-        let op = planner
-            .plan(&plan_of("SELECT name FROM emp ORDER BY name LIMIT 2"))
-            .unwrap();
-        assert!(
-            op.describe().contains("ParallelTableScan"),
-            "blocking operators reset the limit flag: {}",
-            op.describe()
-        );
+        for parallelism in [1, 4] {
+            let ctx =
+                Arc::new(ExecContext::new(&catalog, &registry, None).with_parallelism(parallelism));
+            let planner = PhysicalPlanner::new(Arc::clone(&ctx));
+            let op = planner
+                .plan(&plan_of("SELECT name FROM emp WHERE salary > 0 LIMIT 2"))
+                .unwrap();
+            assert_eq!(op.describe(), "Limit(Project(Filter(TableScan)))");
+            let op = planner.plan(&plan_of("SELECT name FROM emp")).unwrap();
+            assert_eq!(op.describe(), "Project(TableScan)");
+        }
     }
 
     #[test]
@@ -896,5 +890,196 @@ mod tests {
             "SELECT e.name FROM emp e JOIN dept d ON e.dept_id > d.id ORDER BY e.name",
         );
         assert!(batch.num_rows() > 0);
+    }
+}
+
+#[cfg(test)]
+mod pruning_tests {
+    //! Scan column pruning: a plan whose scans read only referenced columns
+    //! returns bytes identical to the same plan reading every column.
+
+    use super::tests::{parse_query, setup_catalog};
+    use super::*;
+    use crate::secure::{
+        OracleRef, OracleRequest, OracleRequestKind, OracleResponse, OracleResult,
+    };
+    use crate::udf::UdfRegistry;
+    use num_bigint::BigUint;
+    use sdb_sql::plan::PlanBuilder;
+    use sdb_storage::{Catalog, Value};
+
+    /// Runs `sql` with pruned scans and with all-column scans, asserts the
+    /// outputs are byte-identical, and returns the pruned output with each
+    /// scan's `(columns read, columns in the table)` in lowering order.
+    fn run_both(
+        catalog: &Catalog,
+        sql: &str,
+        oracle: Option<OracleRef>,
+    ) -> (RecordBatch, Vec<(usize, usize)>) {
+        let registry = UdfRegistry::with_sdb_udfs();
+        let run = |prune: bool| {
+            let ctx = ExecContext::new(catalog, &registry, oracle.clone())
+                .with_rng_seed(11)
+                .with_batch_size(3)
+                .with_tracing(true);
+            let ctx = Arc::new(ctx);
+            let plan = ctx
+                .optimizer()
+                .optimize(&PlanBuilder::build(&parse_query(sql)).unwrap());
+            let planner = PhysicalPlanner::new(Arc::clone(&ctx));
+            let planner = PhysicalPlanner { prune, ..planner };
+            let mut root = planner.plan(&plan).unwrap();
+            let out = crate::operators::drain_operator(root.as_mut())
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let report = ctx.trace().expect("tracing is on").report();
+            let scans = (report.spans.iter())
+                .filter(|s| s.name == "TableScan")
+                .map(|s| {
+                    (
+                        s.exclusive.scan_columns_read,
+                        s.exclusive.scan_columns_total,
+                    )
+                })
+                .collect::<Vec<_>>();
+            (out, scans)
+        };
+        let (pruned, scans) = run(true);
+        let (reference, all) = run(false);
+        assert!(all.iter().all(|(read, total)| read == total), "{all:?}");
+        assert_eq!(
+            serde_json::to_string(&pruned).unwrap(),
+            serde_json::to_string(&reference).unwrap(),
+            "pruned scans changed the answer of: {sql}"
+        );
+        (pruned, scans)
+    }
+
+    #[test]
+    fn wildcards_read_every_column() {
+        let catalog = setup_catalog();
+        let (out, scans) = run_both(&catalog, "SELECT * FROM emp WHERE id > 1", None);
+        assert_eq!((out.num_rows(), out.num_columns()), (4, 4));
+        assert_eq!(scans, vec![(4, 4)]);
+        // A wildcard beside named items reads everything too.
+        let (_, scans) = run_both(&catalog, "SELECT salary + 1 AS s, * FROM emp", None);
+        assert_eq!(scans, vec![(4, 4)]);
+    }
+
+    #[test]
+    fn count_star_keeps_one_column_for_the_row_count() {
+        let catalog = setup_catalog();
+        let (out, scans) = run_both(&catalog, "SELECT COUNT(*) AS n FROM emp", None);
+        assert_eq!(out.column(0).get(0), &Value::Int(5));
+        assert_eq!(scans, vec![(1, 4)]);
+    }
+
+    #[test]
+    fn sort_keys_and_having_arguments_are_read() {
+        let catalog = setup_catalog();
+        // ORDER BY a column the select list does not name.
+        let (out, scans) = run_both(&catalog, "SELECT name FROM emp ORDER BY salary DESC", None);
+        assert_eq!(out.column(0).get(0), &Value::Str("eve".into()));
+        assert_eq!(scans, vec![(2, 4)]);
+        // HAVING over an aggregate the select list does not name.
+        let (out, scans) = run_both(
+            &catalog,
+            "SELECT dept_id FROM emp GROUP BY dept_id HAVING SUM(salary) > 400 ORDER BY dept_id",
+            None,
+        );
+        assert_eq!(out.num_rows(), 2);
+        assert_eq!(scans, vec![(2, 4)]);
+    }
+
+    #[test]
+    fn each_scan_of_a_self_join_reads_its_own_columns() {
+        let catalog = setup_catalog();
+        let (out, scans) = run_both(
+            &catalog,
+            "SELECT a.name, b.name, b.salary FROM emp a JOIN emp b ON a.id = b.dept_id / 10 \
+             ORDER BY a.id, b.id",
+            None,
+        );
+        assert_eq!(out.num_rows(), 5);
+        // a: name, id.  b: name, salary, dept_id, id.
+        assert_eq!(scans, vec![(2, 4), (4, 4)]);
+    }
+
+    #[test]
+    fn left_joins_pad_the_pruned_right_side() {
+        let catalog = setup_catalog();
+        let (out, scans) = run_both(
+            &catalog,
+            "SELECT e.name, d.dept_name FROM emp e LEFT JOIN dept d ON e.dept_id = d.id \
+             ORDER BY e.id",
+            None,
+        );
+        assert_eq!(out.num_rows(), 5);
+        assert!(out.column(1).get(4).is_null());
+        assert_eq!(scans, vec![(3, 4), (2, 2)]);
+        // With a residual ON conjunct (the nested-loop path).
+        let (out, _) = run_both(
+            &catalog,
+            "SELECT e.name, d.dept_name FROM emp e \
+             LEFT JOIN dept d ON e.dept_id = d.id AND d.dept_name <> 'eng' ORDER BY e.id",
+            None,
+        );
+        assert!(out.column(1).get(0).is_null());
+    }
+
+    /// Sign answers that depend only on the row-id ciphertext, as the
+    /// proxy's do.
+    struct RowIdOracle;
+
+    impl crate::secure::SdbOracle for RowIdOracle {
+        fn resolve(&self, request: OracleRequest) -> OracleResult {
+            assert_eq!(request.kind, OracleRequestKind::Sign);
+            let sign = |r: &crate::secure::OracleRow| {
+                let sum: u64 = r.row_id.0.body.iter().map(|&b| u64::from(b)).sum();
+                if sum.is_multiple_of(2) {
+                    1
+                } else {
+                    -1
+                }
+            };
+            Ok(OracleResponse::Signs(
+                request.rows.iter().map(sign).collect(),
+            ))
+        }
+    }
+
+    #[test]
+    fn oracle_call_arguments_are_read_and_virtual_columns_still_resolve() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let cipher = sdb_crypto::SiesCipher::from_master(&mut rng);
+        let catalog = Catalog::new();
+        let schema = Schema::new(vec![
+            ColumnDef::public("id", DataType::Int),
+            ColumnDef::sensitive("v", DataType::Encrypted),
+            ColumnDef::sensitive("w", DataType::Encrypted),
+            ColumnDef::public("rid", DataType::EncryptedRowId),
+            ColumnDef::public("note", DataType::Varchar),
+        ]);
+        let table = catalog.create_table("enc", schema).unwrap();
+        for i in 0..10u64 {
+            let rid = cipher.encrypt_biguint(&mut rng, &BigUint::from(i + 1));
+            table
+                .write()
+                .insert_row(vec![
+                    Value::Int(i as i64),
+                    Value::Encrypted(BigUint::from(i + 3)),
+                    Value::Encrypted(BigUint::from(i + 5)),
+                    Value::EncryptedRowId(sdb_crypto::EncryptedRowId(rid)),
+                    Value::Str(format!("note {i}")),
+                ])
+                .unwrap();
+        }
+        let (out, scans) = run_both(
+            &catalog,
+            "SELECT id FROM enc WHERE SDB_CMP_GT(v, rid, 'h', '1000003') ORDER BY id",
+            Some(Arc::new(RowIdOracle)),
+        );
+        assert!(0 < out.num_rows() && out.num_rows() < 10, "{out:?}");
+        assert_eq!(scans, vec![(3, 5)], "id, v and rid; not w or note");
     }
 }

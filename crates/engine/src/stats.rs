@@ -11,6 +11,10 @@ use serde::{Deserialize, Serialize};
 pub struct ExecutionStats {
     /// Rows read from base tables.
     pub rows_scanned: usize,
+    /// Columns the table scans read: those the plan references.
+    pub scan_columns_read: usize,
+    /// Columns the scanned tables hold (`read / total` is the pruning ratio).
+    pub scan_columns_total: usize,
     /// Rows produced by the root operator.
     pub rows_returned: usize,
     /// Number of scalar UDF invocations (SDB or plain).
@@ -74,6 +78,8 @@ impl ExecutionStats {
     /// subqueries).
     pub fn merge(&mut self, other: &ExecutionStats) {
         self.rows_scanned += other.rows_scanned;
+        self.scan_columns_read += other.scan_columns_read;
+        self.scan_columns_total += other.scan_columns_total;
         self.udf_calls += other.udf_calls;
         self.oracle_round_trips += other.oracle_round_trips;
         self.oracle_rows_shipped += other.oracle_rows_shipped;
@@ -104,6 +110,12 @@ impl ExecutionStats {
     pub fn delta_since(&self, earlier: &ExecutionStats) -> ExecutionStats {
         ExecutionStats {
             rows_scanned: self.rows_scanned.saturating_sub(earlier.rows_scanned),
+            scan_columns_read: self
+                .scan_columns_read
+                .saturating_sub(earlier.scan_columns_read),
+            scan_columns_total: self
+                .scan_columns_total
+                .saturating_sub(earlier.scan_columns_total),
             rows_returned: 0,
             udf_calls: self.udf_calls.saturating_sub(earlier.udf_calls),
             oracle_round_trips: self
@@ -363,6 +375,8 @@ mod tests {
             vectorised_batches: 18,
             scalar_fallback_batches: 19,
             subquery_time: Duration::from_micros(20),
+            scan_columns_read: 21,
+            scan_columns_total: 22,
         };
         let b = ExecutionStats {
             rows_scanned: 100,
@@ -385,6 +399,8 @@ mod tests {
             vectorised_batches: 1_800,
             scalar_fallback_batches: 1_900,
             subquery_time: Duration::from_micros(2_000),
+            scan_columns_read: 2_100,
+            scan_columns_total: 2_200,
         };
         a.merge(&b);
         assert_eq!(a.rows_scanned, 101);
@@ -411,6 +427,8 @@ mod tests {
         assert_eq!(a.vectorised_batches, 1_818);
         assert_eq!(a.scalar_fallback_batches, 1_919);
         assert_eq!(a.subquery_time, Duration::from_micros(2_020));
+        assert_eq!(a.scan_columns_read, 2_121);
+        assert_eq!(a.scan_columns_total, 2_222);
     }
 
     /// `delta_since` is merge's inverse on the summed fields: zeroes the

@@ -384,6 +384,12 @@ impl SpanReport {
             fmt_us(self.exclusive_us),
         ));
         let x = &self.exclusive;
+        if x.scan_columns_total > 0 {
+            line.push_str(&format!(
+                " cols={}/{}",
+                x.scan_columns_read, x.scan_columns_total
+            ));
+        }
         if x.oracle_round_trips > 0 || x.oracle_memo_hits > 0 {
             line.push_str(&format!(
                 " oracle[trips={} rows={} bytes={} memo={} wait={}]",

@@ -43,42 +43,44 @@ impl RecordBatch {
 
     /// An empty batch with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        let columns = schema
-            .columns()
-            .iter()
-            .map(|c| Column::new(c.data_type))
-            .collect();
-        RecordBatch {
-            schema,
-            columns,
-            num_rows: 0,
-        }
+        RecordBatch::from_rows_unchecked(schema, [])
     }
 
     /// Builds a batch from row-major values (convenient in tests and loaders).
     pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Result<Self> {
-        let mut columns: Vec<Column> = schema
-            .columns()
-            .iter()
-            .map(|c| Column::new(c.data_type))
-            .collect();
-        for row in rows {
+        for row in &rows {
             if row.len() != schema.len() {
                 return Err(StorageError::ArityMismatch {
                     expected: schema.len(),
                     found: row.len(),
                 });
             }
-            for (col, value) in columns.iter_mut().zip(row) {
-                col.push(value)?;
+            for (def, value) in schema.columns().iter().zip(row) {
+                value.check_type(def.data_type)?;
             }
         }
-        let num_rows = columns.first().map(|c| c.len()).unwrap_or(0);
-        Ok(RecordBatch {
+        Ok(RecordBatch::from_rows_unchecked(schema, rows))
+    }
+
+    /// [`Self::from_rows`] for trusted rows of the schema's arity: no checks.
+    pub fn from_rows_unchecked(schema: Schema, rows: impl IntoIterator<Item = Vec<Value>>) -> Self {
+        let rows = rows.into_iter();
+        let mut columns: Vec<Vec<Value>> = (0..schema.len())
+            .map(|_| Vec::with_capacity(rows.size_hint().0))
+            .collect();
+        for row in rows {
+            for (column, value) in columns.iter_mut().zip(row) {
+                column.push(value);
+            }
+        }
+        let columns: Vec<Column> = (schema.columns().iter().zip(columns))
+            .map(|(def, values)| Column::from_values_unchecked(def.data_type, values))
+            .collect();
+        RecordBatch {
+            num_rows: columns.first().map_or(0, Column::len),
             schema,
             columns,
-            num_rows,
-        })
+        }
     }
 
     /// The batch's schema.
@@ -121,71 +123,50 @@ impl RecordBatch {
         (0..self.num_rows).map(move |i| self.row(i))
     }
 
+    /// Fails unless a per-row argument has one entry per row.
+    fn check_rows(&self, what: &str, len: usize) -> Result<()> {
+        if len == self.num_rows {
+            return Ok(());
+        }
+        Err(StorageError::Invalid {
+            detail: format!("{what} has {len} entries for {} rows", self.num_rows),
+        })
+    }
+
+    /// Copies the rows at `rows` (any order) into a new batch: the one place
+    /// cells are copied, reached only when rows are dropped or reordered.
+    fn gather(&self, rows: &[usize]) -> RecordBatch {
+        RecordBatch {
+            schema: self.schema.clone(),
+            columns: self.columns.iter().map(|c| c.gather(rows)).collect(),
+            num_rows: rows.len(),
+        }
+    }
+
+    /// [`Self::gather`] for an ascending selection of `kept` rows: keeping
+    /// every row shares the buffers, keeping none visits no row.
+    fn select(&self, kept: usize, rows: impl Iterator<Item = usize>) -> RecordBatch {
+        match kept {
+            0 => RecordBatch::empty(self.schema.clone()),
+            n if n == self.num_rows => self.clone(),
+            _ => self.gather(&rows.collect::<Vec<_>>()),
+        }
+    }
+
     /// Keeps only the rows where `mask[i]` is true.
     pub fn filter(&self, mask: &[bool]) -> Result<RecordBatch> {
-        if mask.len() != self.num_rows {
-            return Err(StorageError::Invalid {
-                detail: format!(
-                    "filter mask has {} entries for {} rows",
-                    mask.len(),
-                    self.num_rows
-                ),
-            });
-        }
-        let mut columns: Vec<Column> = self
-            .schema
-            .columns()
-            .iter()
-            .map(|c| Column::new(c.data_type))
-            .collect();
-        for (i, keep) in mask.iter().enumerate() {
-            if *keep {
-                for (col, src) in columns.iter_mut().zip(self.columns.iter()) {
-                    col.push_unchecked(src.get(i).clone());
-                }
-            }
-        }
-        let num_rows = columns.first().map(|c| c.len()).unwrap_or(0);
-        Ok(RecordBatch {
-            schema: self.schema.clone(),
-            columns,
-            num_rows,
-        })
+        self.check_rows("filter mask", mask.len())?;
+        let kept = mask.iter().filter(|keep| **keep).count();
+        let rows = mask.iter().enumerate().filter(|(_, keep)| **keep);
+        Ok(self.select(kept, rows.map(|(i, _)| i)))
     }
 
     /// Keeps only the rows whose bit is set in `selection`. Word-wise
     /// iteration over the bitmap skips cleared regions 64 rows at a time,
     /// so sparse selections never touch the dropped rows.
     pub fn filter_bitmap(&self, selection: &crate::Bitmap) -> Result<RecordBatch> {
-        if selection.len() != self.num_rows {
-            return Err(StorageError::Invalid {
-                detail: format!(
-                    "selection bitmap has {} entries for {} rows",
-                    selection.len(),
-                    self.num_rows
-                ),
-            });
-        }
-        let kept = selection.count_set();
-        if kept == self.num_rows {
-            return Ok(self.clone());
-        }
-        let mut columns: Vec<Column> = self
-            .schema
-            .columns()
-            .iter()
-            .map(|c| Column::new(c.data_type))
-            .collect();
-        for i in selection.iter_set() {
-            for (col, src) in columns.iter_mut().zip(self.columns.iter()) {
-                col.push_unchecked(src.get(i).clone());
-            }
-        }
-        Ok(RecordBatch {
-            schema: self.schema.clone(),
-            columns,
-            num_rows: kept,
-        })
+        self.check_rows("selection bitmap", selection.len())?;
+        Ok(self.select(selection.count_set(), selection.iter_set()))
     }
 
     /// Selects a subset of columns by index, in the given order.
@@ -201,38 +182,18 @@ impl RecordBatch {
 
     /// Reorders rows according to `perm` (a permutation of row indices).
     pub fn reorder(&self, perm: &[usize]) -> Result<RecordBatch> {
-        if perm.len() != self.num_rows {
-            return Err(StorageError::Invalid {
-                detail: "permutation length mismatch".into(),
-            });
-        }
-        let mut columns: Vec<Column> = self
-            .schema
-            .columns()
-            .iter()
-            .map(|c| Column::new(c.data_type))
-            .collect();
-        for &i in perm {
-            for (col, src) in columns.iter_mut().zip(self.columns.iter()) {
-                col.push_unchecked(src.get(i).clone());
-            }
-        }
-        Ok(RecordBatch {
-            schema: self.schema.clone(),
-            columns,
-            num_rows: perm.len(),
-        })
+        self.check_rows("permutation", perm.len())?;
+        Ok(self.gather(perm))
     }
 
     /// Takes the first `n` rows.
     pub fn limit(&self, n: usize) -> RecordBatch {
-        let keep = n.min(self.num_rows);
-        let mask: Vec<bool> = (0..self.num_rows).map(|i| i < keep).collect();
-        self.filter(&mask).expect("mask length matches")
+        self.slice(0, n.min(self.num_rows))
+            .expect("a prefix is in range")
     }
 
-    /// Copies `len` rows starting at `offset` into a new batch (the chunking
-    /// primitive behind batched scans).
+    /// The window of `len` rows starting at `offset`, sharing this batch's
+    /// buffers (the chunking primitive behind batched scans).
     pub fn slice(&self, offset: usize, len: usize) -> Result<RecordBatch> {
         if offset + len > self.num_rows {
             return Err(StorageError::Invalid {
@@ -243,20 +204,9 @@ impl RecordBatch {
                 ),
             });
         }
-        let mut columns: Vec<Column> = self
-            .schema
-            .columns()
-            .iter()
-            .map(|c| Column::new(c.data_type))
-            .collect();
-        for i in offset..offset + len {
-            for (col, src) in columns.iter_mut().zip(self.columns.iter()) {
-                col.push_unchecked(src.get(i).clone());
-            }
-        }
         Ok(RecordBatch {
             schema: self.schema.clone(),
-            columns,
+            columns: self.columns.iter().map(|c| c.slice(offset, len)).collect(),
             num_rows: len,
         })
     }
@@ -268,8 +218,10 @@ impl RecordBatch {
         Ok(out)
     }
 
-    /// Appends another batch's rows in place (identical schemas required).
-    /// This is the O(rows-appended) primitive batch accumulation builds on.
+    /// Appends another batch's rows (identical schemas required): in place
+    /// when this batch alone owns its buffers, after copying its own rows out
+    /// otherwise. This is the O(rows-appended) primitive batch accumulation
+    /// builds on.
     pub fn append(&mut self, other: &RecordBatch) -> Result<()> {
         if self.schema != other.schema {
             return Err(StorageError::Invalid {
@@ -277,9 +229,7 @@ impl RecordBatch {
             });
         }
         for (col, src) in self.columns.iter_mut().zip(other.columns.iter()) {
-            for v in src.values() {
-                col.push_unchecked(v.clone());
-            }
+            col.extend_from_slice(src.values());
         }
         self.num_rows += other.num_rows;
         Ok(())

@@ -193,11 +193,8 @@ impl ColumnarColumn {
     /// Pivots back to a row-exchange [`Column`] of the given declared type.
     /// Exact inverse of [`ColumnarColumn::from_column`].
     pub fn to_column(&self, data_type: DataType) -> Column {
-        let mut column = Column::new(data_type);
-        for i in 0..self.len() {
-            column.push_unchecked(self.value_at(i));
-        }
-        column
+        let values = (0..self.len()).map(|i| self.value_at(i)).collect();
+        Column::from_values_unchecked(data_type, values)
     }
 }
 

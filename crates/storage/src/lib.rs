@@ -3,7 +3,8 @@
 //! The storage substrate of the SDB reproduction: typed values, schemas, columnar
 //! tables, record batches and a catalog. This is the "data store" half of the
 //! service provider that the paper gets for free from Spark SQL — here it is built
-//! from scratch so that the whole system is self-contained (see `DESIGN.md` §4).
+//! from scratch so that the whole system is self-contained (see `ARCHITECTURE.md`,
+//! "Crate map" and "Batches: shared buffers, windows, copy-on-write, column pruning").
 //!
 //! Sensitive columns are stored as [`Value::Encrypted`] residues (the `v_e` shares
 //! of the paper) next to plain insensitive columns, exactly mirroring the paper's

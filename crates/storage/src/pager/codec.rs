@@ -216,11 +216,11 @@ fn decode_column_def(r: &mut Reader<'_>) -> Result<ColumnDef> {
 }
 
 fn decode_column_values(r: &mut Reader<'_>, data_type: DataType, nrows: usize) -> Result<Column> {
-    let mut column = Column::new(data_type);
+    let mut column = Vec::new();
     match r.u8()? {
         LAYOUT_TAGGED => {
             for _ in 0..nrows {
-                column.push_unchecked(decode_value(r)?);
+                column.push(decode_value(r)?);
             }
         }
         LAYOUT_COLUMNAR => {
@@ -229,7 +229,7 @@ fn decode_column_values(r: &mut Reader<'_>, data_type: DataType, nrows: usize) -
                 DataType::Int => {
                     let v = r.i64_array(nrows)?;
                     for (i, x) in v.into_iter().enumerate() {
-                        column.push_unchecked(if validity.get(i) {
+                        column.push(if validity.get(i) {
                             Value::Int(x)
                         } else {
                             Value::Null
@@ -241,7 +241,7 @@ fn decode_column_values(r: &mut Reader<'_>, data_type: DataType, nrows: usize) -
                     let scales = r.take(nrows)?.to_vec();
                     let ints = decode_bitmap(r, nrows)?;
                     for (i, u) in units.into_iter().enumerate() {
-                        column.push_unchecked(if !validity.get(i) {
+                        column.push(if !validity.get(i) {
                             Value::Null
                         } else if ints.get(i) {
                             Value::Int(u)
@@ -259,7 +259,7 @@ fn decode_column_values(r: &mut Reader<'_>, data_type: DataType, nrows: usize) -
                     let bytes = r.take(total)?;
                     for i in 0..nrows {
                         if !validity.get(i) {
-                            column.push_unchecked(Value::Null);
+                            column.push(Value::Null);
                             continue;
                         }
                         let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
@@ -268,13 +268,13 @@ fn decode_column_values(r: &mut Reader<'_>, data_type: DataType, nrows: usize) -
                         }
                         let s = String::from_utf8(bytes[start..end].to_vec())
                             .map_err(|_| corrupt("string value is not UTF-8"))?;
-                        column.push_unchecked(Value::Str(s));
+                        column.push(Value::Str(s));
                     }
                 }
                 DataType::Date => {
                     let v = r.i32_array(nrows)?;
                     for (i, d) in v.into_iter().enumerate() {
-                        column.push_unchecked(if validity.get(i) {
+                        column.push(if validity.get(i) {
                             Value::Date(d)
                         } else {
                             Value::Null
@@ -284,7 +284,7 @@ fn decode_column_values(r: &mut Reader<'_>, data_type: DataType, nrows: usize) -
                 DataType::Bool => {
                     let bits = decode_bitmap(r, nrows)?;
                     for i in 0..nrows {
-                        column.push_unchecked(if validity.get(i) {
+                        column.push(if validity.get(i) {
                             Value::Bool(bits.get(i))
                         } else {
                             Value::Null
@@ -294,7 +294,7 @@ fn decode_column_values(r: &mut Reader<'_>, data_type: DataType, nrows: usize) -
                 DataType::Tag => {
                     let v = r.u64_array(nrows)?;
                     for (i, t) in v.into_iter().enumerate() {
-                        column.push_unchecked(if validity.get(i) {
+                        column.push(if validity.get(i) {
                             Value::Tag(t)
                         } else {
                             Value::Null
@@ -308,7 +308,7 @@ fn decode_column_values(r: &mut Reader<'_>, data_type: DataType, nrows: usize) -
         }
         l => return Err(corrupt(format!("unknown column layout {l}"))),
     }
-    Ok(column)
+    Ok(Column::from_values_unchecked(data_type, column))
 }
 
 fn decode_bitmap(r: &mut Reader<'_>, len: usize) -> Result<Bitmap> {

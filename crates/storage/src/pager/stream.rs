@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use super::pool::{PageId, Pager};
-use crate::{Column, RecordBatch, Result, Schema, StorageError, Value};
+use crate::{RecordBatch, Result, Schema, StorageError, Value};
 
 /// Buffers rows for one page stream and flushes them to pager pages.
 ///
@@ -87,18 +87,7 @@ impl PageStreamWriter {
         if self.buffer.is_empty() {
             return Ok(());
         }
-        let mut columns: Vec<Column> = self
-            .schema
-            .columns()
-            .iter()
-            .map(|c| Column::new(c.data_type))
-            .collect();
-        for row in self.buffer.drain(..) {
-            for (column, value) in columns.iter_mut().zip(row) {
-                column.push_unchecked(value);
-            }
-        }
-        let batch = RecordBatch::new(self.schema.clone(), columns)?;
+        let batch = RecordBatch::from_rows_unchecked(self.schema.clone(), self.buffer.drain(..));
         self.buffer_bytes = 0;
         self.pages.push(pager.append_page(batch)?);
         Ok(())

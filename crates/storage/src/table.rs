@@ -75,17 +75,23 @@ impl Table {
             });
         }
         for (col, src) in self.columns.iter_mut().zip(batch.columns().iter()) {
-            for v in src.values() {
-                col.push_unchecked(v.clone());
-            }
+            col.extend_from_slice(src.values());
         }
         self.num_rows += batch.num_rows();
         Ok(())
     }
 
-    /// Materialises the whole table as a record batch (a full scan).
+    /// The whole table as a record batch sharing the table's buffers: O(columns),
+    /// no cell is copied, and later inserts never show through (copy-on-write).
     pub fn scan(&self) -> RecordBatch {
         RecordBatch::new(self.schema.clone(), self.columns.clone())
+            .expect("table columns are consistent by construction")
+    }
+
+    /// [`Self::scan`] restricted to the columns at `indices`, in that order.
+    pub fn scan_columns(&self, indices: &[usize]) -> RecordBatch {
+        let columns = indices.iter().map(|&i| self.columns[i].clone()).collect();
+        RecordBatch::new(self.schema.project(indices), columns)
             .expect("table columns are consistent by construction")
     }
 

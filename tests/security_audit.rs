@@ -256,3 +256,52 @@ fn keystore_json_holds_no_derived_tables_and_a_restored_store_rebuilds_them() {
         sdb_crypto::gen_item_key(keystore.system(), column_key, &row_id)
     );
 }
+
+#[test]
+fn scan_pruning_reports_column_counts_only() {
+    // The pruning surface — `cols=read/total` on EXPLAIN ANALYZE scan lines,
+    // `scan_columns_*` in the exported trace — carries two integers per scan:
+    // no column name beyond what the rewritten SQL already shows, no value.
+    let client = loaded_client();
+    let mut auditor = sdb::MemoryAuditor::new();
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        auditor.register_table(&table);
+    }
+    for id in [1u8, 3, 6] {
+        let template = sdb_workload::query_by_id(id).expect("template");
+        let analyzed = client
+            .explain_analyze(template.sql)
+            .expect("explain analyze");
+        let plan: Vec<&str> = analyzed.lines().skip(1).collect();
+        let scans: Vec<&&str> = plan.iter().filter(|l| l.contains("TableScan")).collect();
+        assert!(!scans.is_empty(), "Q{id} scans a table:\n{analyzed}");
+        for line in scans {
+            let cols = line.split("cols=").nth(1).expect("scan lines carry cols=");
+            let cols = cols.split_whitespace().next().expect("a token follows");
+            let (read, total) = cols.split_once('/').expect("read/total");
+            let (read, total): (usize, usize) = (read.parse().unwrap(), total.parse().unwrap());
+            assert!(0 < read && read <= total, "Q{id}: {line}");
+        }
+        assert!(
+            auditor
+                .audit([("explain-analyze", plan.join("\n").as_str())])
+                .is_clean(),
+            "Q{id}: sensitive plaintext in the analyzed plan"
+        );
+
+        let opts = sdb_engine::QueryOptions::default().with_tracing(true);
+        let traced = client
+            .query_with(template.sql, &opts)
+            .expect("traced query");
+        let json = traced.trace.expect("tracing was on").to_json();
+        for field in ["\"scan_columns_read\": ", "\"scan_columns_total\": "] {
+            let occurrences: Vec<&str> = json.split(field).skip(1).collect();
+            assert!(!occurrences.is_empty(), "the trace exports {field}");
+            for rest in occurrences {
+                let value = rest.split([',', '\n']).next().unwrap_or("");
+                assert!(value.trim().parse::<usize>().is_ok(), "{field}{value}");
+            }
+        }
+        assert!(auditor.audit([("trace-json", json.as_str())]).is_clean());
+    }
+}

@@ -649,3 +649,51 @@ fn no_submission_starves_under_sustained_load() {
     assert_eq!(server.admission().running(), 0);
     assert_eq!(server.admission().waiting(), 0);
 }
+
+#[test]
+fn a_scan_opened_before_an_insert_keeps_its_snapshot() {
+    use sdb_engine::{ExecContext, PhysicalPlanner, UdfRegistry};
+
+    let mut server = build_server(MemoryBudget::unlimited(), 1, 1, AdmissionMode::Queue);
+    let catalog = Arc::clone(server.client().engine().catalog());
+    let registry = UdfRegistry::with_sdb_udfs();
+    let ctx = Arc::new(ExecContext::new(&catalog, &registry, None).with_batch_size(32));
+    let sdb_sql::Statement::Query(query) = sdb_sql::parse_sql("SELECT id FROM orders").unwrap()
+    else {
+        panic!("a query");
+    };
+    let plan = sdb_sql::PlanBuilder::build(&query).unwrap();
+    let mut root = PhysicalPlanner::new(Arc::clone(&ctx)).plan(&plan).unwrap();
+
+    // The scan is open and one batch in when the INSERT lands on its table.
+    root.open().unwrap();
+    let mut ids: Vec<Value> = Vec::new();
+    ids.extend_from_slice(
+        root.next_batch()
+            .unwrap()
+            .expect("first batch")
+            .column(0)
+            .values(),
+    );
+    assert_eq!(ids.len(), 32);
+    server
+        .execute_ddl(&format!(
+            "INSERT INTO orders VALUES ({ROWS}, 'north', 1, 2)"
+        ))
+        .expect("insert while the scan is open");
+    while let Some(batch) = root.next_batch().unwrap() {
+        ids.extend_from_slice(batch.column(0).values());
+    }
+    root.close().unwrap();
+    let before: Vec<Value> = (0..ROWS).map(Value::Int).collect();
+    assert_eq!(ids, before, "the open scan saw exactly the pre-insert rows");
+
+    // The writer copied on write; the next query reads the new row.
+    let session = server.connect();
+    let result = server
+        .execute(session, "SELECT id FROM orders ORDER BY id DESC LIMIT 1")
+        .expect("query after the insert");
+    assert_eq!(result.rows(), vec![vec![Value::Int(ROWS)]]);
+    let stored = catalog.table("orders").unwrap().read().num_rows();
+    assert_eq!(stored as i64, ROWS + 1);
+}

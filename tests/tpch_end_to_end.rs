@@ -122,3 +122,82 @@ fn oracle_round_trips_stay_batched() {
         result.server_stats.oracle_round_trips
     );
 }
+
+#[test]
+fn rewritten_q6_and_q3_scans_read_exactly_the_referenced_columns() {
+    use sdb_sql::ast::SelectItem;
+    use std::collections::BTreeSet;
+
+    let (client, _) = deployments();
+    for id in [6u8, 3] {
+        let template = sdb_workload::query_by_id(id).expect("template");
+        let rewritten = client.rewrite_only(template.sql).expect("rewrite");
+        let query = &rewritten.server_query;
+
+        // Every column the rewritten SQL names, from the AST alone.
+        let mut names = Vec::new();
+        let mut exprs: Vec<&sdb_sql::ast::Expr> = Vec::new();
+        for item in &query.projections {
+            if let SelectItem::Expr { expr, .. } = item {
+                exprs.push(expr);
+            }
+        }
+        exprs.extend(&query.where_clause);
+        exprs.extend(&query.group_by);
+        exprs.extend(&query.having);
+        exprs.extend(query.order_by.iter().map(|o| &o.expr));
+        exprs.extend(query.joins.iter().map(|j| &j.on));
+        for expr in exprs {
+            expr.referenced_columns(&mut names);
+        }
+        // Qualified names belong to the table visible under the qualifier;
+        // a bare name to whichever table has such a column (else it is a
+        // select-list alias).
+        let tables: Vec<_> = (query.from.iter())
+            .chain(query.joins.iter().map(|j| &j.table))
+            .collect();
+        let mut expected: Vec<String> = tables
+            .iter()
+            .map(|t| {
+                let handle = client.engine().catalog().table(&t.name).expect("uploaded");
+                let table = handle.read();
+                let read: BTreeSet<String> = names
+                    .iter()
+                    .filter_map(|name| match name.rsplit_once('.') {
+                        Some((visible, column)) => visible
+                            .eq_ignore_ascii_case(t.visible_name())
+                            .then(|| column.to_ascii_lowercase()),
+                        None => table
+                            .schema()
+                            .index_of(name)
+                            .ok()
+                            .map(|_| name.to_ascii_lowercase()),
+                    })
+                    .collect();
+                format!("{}/{}", read.len(), table.schema().len())
+            })
+            .collect();
+        expected.sort();
+
+        let analyzed = client
+            .explain_analyze(template.sql)
+            .expect("explain analyze");
+        let mut got: Vec<String> = analyzed
+            .lines()
+            .filter(|line| line.trim_start().starts_with("TableScan"))
+            .map(|line| {
+                let cols = line.split("cols=").nth(1).expect("scan lines carry cols=");
+                cols.split_whitespace().next().unwrap_or("").to_string()
+            })
+            .collect();
+        got.sort();
+        assert_eq!(got, expected, "Q{id}: columns read / columns in table");
+        assert!(
+            got.iter().all(|cols| {
+                let (read, total) = cols.split_once('/').unwrap();
+                read.parse::<usize>().unwrap() < total.parse::<usize>().unwrap()
+            }),
+            "Q{id} references a strict subset of every table it scans: {got:?}"
+        );
+    }
+}
