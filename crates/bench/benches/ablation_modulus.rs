@@ -5,6 +5,10 @@
 //! `BigUint` reference it replaced (`(a·b) % n`, binary `modpow`): n = 256, 512
 //! and 2048 run the monomorphised 4-, 8- and 32-limb kernels, n = 1024 the
 //! slice path.
+//!
+//! The `key_update_set` group prices one row of a key-update set (1, 2, 4 and
+//! 7 updates of one auxiliary share, the last with a `p, p−1, p−2` run as in
+//! rewritten Q1) against the same updates bound and applied one by one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use num_bigint::BigUint;
@@ -14,11 +18,11 @@ use std::hint::black_box;
 
 use sdb_crypto::bigint::mod_mul;
 use sdb_crypto::share::{encrypt_value, gen_item_key, KeyUpdateParams};
-use sdb_crypto::{KeyConfig, SignedCodec, SystemKey};
+use sdb_crypto::{BoundKeyUpdateSet, KeyConfig, SignedCodec, SystemKey};
 
-fn modulus_sweep(c: &mut Criterion) {
-    // prime_bits → modulus of ~2×prime_bits.
-    let profiles = [
+/// prime_bits → modulus of ~2×prime_bits.
+fn profiles() -> [(&'static str, KeyConfig); 4] {
+    [
         (
             "n=256",
             KeyConfig {
@@ -44,10 +48,12 @@ fn modulus_sweep(c: &mut Criterion) {
             },
         ),
         ("n=2048", KeyConfig::PAPER),
-    ];
+    ]
+}
 
+fn modulus_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_modulus");
-    for (label, config) in profiles {
+    for (label, config) in profiles() {
         let mut rng = StdRng::seed_from_u64(0xab1a);
         let key = SystemKey::generate(&mut rng, config).expect("key generation");
         let codec = SignedCodec::new(&key);
@@ -95,9 +101,63 @@ fn modulus_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+fn key_update_set(c: &mut Criterion) {
+    let mut group = c.benchmark_group("key_update_set");
+    for (label, config) in profiles() {
+        let mut rng = StdRng::seed_from_u64(0xab1b);
+        let key = SystemKey::generate(&mut rng, config).expect("key generation");
+        let ck_s = key.gen_aux_column_key(&mut rng);
+        let row = key.gen_row_id(&mut rng);
+        let one = BigUint::from(1u32);
+        let s_e = encrypt_value(&key, &one, &gen_item_key(&key, &ck_s, &row));
+        let a_e = encrypt_value(
+            &key,
+            &BigUint::from(42u32),
+            &gen_item_key(&key, &key.gen_column_key(&mut rng), &row),
+        );
+        // Seven updates in four families: p0, p1, p2, p3 and the neighbours
+        // p0−1, p0−2, p3−1.
+        let mut updates: Vec<KeyUpdateParams> = (0..4)
+            .map(|_| {
+                let (source, target) = (key.gen_column_key(&mut rng), key.gen_column_key(&mut rng));
+                KeyUpdateParams::compute(&key, &source, &ck_s, &target).unwrap()
+            })
+            .collect();
+        for (family, below) in [(0, 1u32), (0, 2), (3, 1)] {
+            updates.push(KeyUpdateParams {
+                p: &updates[family].p - BigUint::from(below),
+                q: updates[family].q.clone(),
+            });
+        }
+        for members in [1, 2, 4, 7] {
+            let updates = &updates[..members];
+            let set = BoundKeyUpdateSet::bind(key.n(), updates).expect("odd modulus");
+            let mut powers = vec![0u64; set.row_limbs()];
+            let id = format!("{label}/k={members}");
+            group.bench_function(BenchmarkId::new("set", &id), |b| {
+                b.iter(|| {
+                    set.fill(&s_e, &mut powers);
+                    for member in 0..members {
+                        black_box(set.apply(member, &a_e, &powers));
+                    }
+                })
+            });
+            let bound: Vec<_> = updates.iter().map(|u| u.bind(key.n())).collect();
+            group.bench_function(BenchmarkId::new("independent", &id), |b| {
+                b.iter(|| {
+                    for update in &bound {
+                        black_box(update.apply(&a_e, &s_e));
+                    }
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = modulus_sweep
+    targets = modulus_sweep, key_update_set
 }
 criterion_main!(benches);

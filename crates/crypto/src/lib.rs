@@ -74,7 +74,8 @@ pub use modulus::Modulus;
 pub use prf::{EqualityTagger, Prf};
 pub use rowid::{EncryptedRowId, RowId, RowIdGenerator};
 pub use share::{
-    decrypt_value, encrypt_value, gen_item_key, BoundKeyUpdate, ColumnKeyAlgebra, KeyUpdateParams,
+    decrypt_value, encrypt_value, gen_item_key, BoundKeyUpdate, BoundKeyUpdateSet,
+    ColumnKeyAlgebra, KeyUpdateParams,
 };
 pub use sies::SiesCipher;
 pub use signed::SignedCodec;

@@ -5,7 +5,9 @@
 //! depends on `n` alone (`−n⁻¹ mod 2⁶⁴`, `R mod n`, `R² mod n` for `R = 2^(64·k)`,
 //! `k` the limb count) so that a product costs one interleaved
 //! multiply-and-reduce pass (CIOS) instead of a schoolbook product followed by a
-//! Knuth division, and an exponentiation runs over sliding windows.
+//! Knuth division, and an exponentiation runs over sliding windows. Several
+//! exponents of one base are planned together (an `ExponentSet`): neighbours
+//! are derived from each other and the rest share one squaring ladder.
 //!
 //! Residues enter and leave every public method as canonical [`BigUint`]s in
 //! `[0, n)`; an operand `≥ n` is reduced on entry. Montgomery form exists only
@@ -263,6 +265,123 @@ impl Windows {
     }
 }
 
+/// Bits per digit of the digit-wise exponentiations: a [`FixedBase`] table
+/// and the shared ladder of an [`ExponentSet`].
+const DIGIT_BITS: usize = 4;
+/// Non-zero values of one digit.
+const DIGIT_VALUES: usize = (1 << DIGIT_BITS) - 1;
+
+/// Exponents this close to an already planned one are derived from it.
+const DERIVE_BELOW_BITS: u64 = 16;
+
+/// How one exponent of an [`ExponentSet`] is obtained.
+enum Slot {
+    /// Raised directly: the head with this index.
+    Head(usize),
+    /// `S^e = S^(e − δ) · S^δ`: the power in slot `from` (an earlier one)
+    /// times the small power with index `delta`.
+    Derived { from: usize, delta: usize },
+}
+
+/// The exponents raised directly.
+enum Heads {
+    /// None or one: sliding windows, as a lone exponentiation.
+    Windowed(Option<Windows>),
+    /// Two or more, as little-endian 4-bit digit strings: they share one
+    /// squaring ladder, so each costs only its digit products.
+    Ladder(Vec<Vec<u8>>),
+}
+
+/// Several exponents planned for one base at a time. Equal exponents share a
+/// slot; an exponent less than 2¹⁶ above the next smaller one is derived from
+/// it with one multiplication by a small power of the base; the rest are
+/// heads. Slots are in ascending order of exponent.
+pub(crate) struct ExponentSet {
+    slots: Vec<Slot>,
+    heads: Heads,
+    /// The distinct differences `δ` of the derived slots.
+    deltas: Vec<u32>,
+}
+
+impl ExponentSet {
+    /// Plans `exponents`; the second value maps each of them to its slot.
+    pub(crate) fn plan(exponents: &[&BigUint]) -> (ExponentSet, Vec<usize>) {
+        let mut distinct = exponents.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut slots = Vec::with_capacity(distinct.len());
+        let mut heads = Vec::new();
+        let mut deltas = Vec::new();
+        for (i, &exponent) in distinct.iter().enumerate() {
+            let gap = i.checked_sub(1).map(|below| exponent - distinct[below]);
+            match gap.filter(|gap| gap.bits() <= DERIVE_BELOW_BITS) {
+                Some(gap) => {
+                    let gap = gap.to_u64().expect("at most 16 bits") as u32;
+                    let delta = deltas.iter().position(|&d| d == gap).unwrap_or_else(|| {
+                        deltas.push(gap);
+                        deltas.len() - 1
+                    });
+                    slots.push(Slot::Derived { from: i - 1, delta });
+                }
+                None => {
+                    slots.push(Slot::Head(heads.len()));
+                    heads.push(exponent);
+                }
+            }
+        }
+        let heads = match heads[..] {
+            [] => Heads::Windowed(None),
+            [only] => Heads::Windowed(Some(Windows::new(only))),
+            _ => Heads::Ladder(heads.iter().map(|head| digits_of(head)).collect()),
+        };
+        let slot_of = exponents
+            .iter()
+            .map(|exponent| distinct.binary_search(exponent).expect("planned above"))
+            .collect();
+        let set = ExponentSet {
+            slots,
+            heads,
+            deltas,
+        };
+        (set, slot_of)
+    }
+
+    /// Number of distinct exponents: residues per base in a
+    /// [`Modulus::pow_set`] row.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Number of exponents raised directly.
+    pub(crate) fn heads(&self) -> usize {
+        match &self.heads {
+            Heads::Windowed(head) => head.iter().count(),
+            Heads::Ladder(heads) => heads.len(),
+        }
+    }
+
+    /// Number of exponents derived from a neighbour.
+    pub(crate) fn derived(&self) -> usize {
+        self.slots.len() - self.heads()
+    }
+}
+
+/// The 4-bit digits of `exponent`, least significant first, without leading
+/// zeros.
+fn digits_of(exponent: &BigUint) -> Vec<u8> {
+    let per_limb = 64 / DIGIT_BITS;
+    let mut digits: Vec<u8> = exponent
+        .iter_u64_digits()
+        .flat_map(|limb| {
+            (0..per_limb).map(move |j| (limb >> (j * DIGIT_BITS)) as u8 & DIGIT_VALUES as u8)
+        })
+        .collect();
+    while digits.last() == Some(&0) {
+        digits.pop();
+    }
+    digits
+}
+
 /// Precomputed Montgomery context of one odd modulus `n`.
 ///
 /// Derived from `n` alone, so it holds nothing the service provider does not
@@ -348,7 +467,10 @@ impl Modulus {
 
     /// `base^exponent mod n` (`x⁰ = 1`, and everything is 0 modulo 1).
     pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        by_width!(self, pow_in(base, &Windows::new(exponent)))
+        let (set, _) = ExponentSet::plan(&[exponent]);
+        let mut power = vec![0; self.limbs.len()];
+        self.pow_set(&set, base, &mut power);
+        self.out_of_mont(&power)
     }
 
     /// `x·R mod n`.
@@ -356,16 +478,28 @@ impl Modulus {
         by_width!(self, to_mont_in(x))
     }
 
-    /// `a · base^exponent · factor mod n`: the per-row arithmetic of a key
-    /// update, with the exponent recoded and the factor converted once.
-    pub(crate) fn mul_pow_mul(
-        &self,
-        a: &BigUint,
-        base: &BigUint,
-        exponent: &Windows,
-        factor: &Mont,
-    ) -> BigUint {
-        by_width!(self, mul_pow_mul_in(a, base, exponent, factor))
+    /// Number of 64-bit limbs of a residue.
+    pub(crate) fn limb_count(&self) -> usize {
+        self.limbs.len()
+    }
+
+    /// Raises `base` to every exponent of `set`: `out` receives `set.slots()`
+    /// residues of `k` limbs each in Montgomery form, in slot order.
+    pub(crate) fn pow_set(&self, set: &ExponentSet, base: &BigUint, out: &mut [u64]) {
+        by_width!(self, pow_set_in(set, base, out))
+    }
+
+    /// The canonical value of a residue in Montgomery form (one slot of a
+    /// [`Self::pow_set`] row).
+    pub(crate) fn out_of_mont(&self, x: &[u64]) -> BigUint {
+        by_width!(self, unload(x))
+    }
+
+    /// `a · power · factor mod n` for a `power` in Montgomery form (one slot
+    /// of a [`Self::pow_set`] row): the two multiplications a key update
+    /// costs once its `S_e^p` is known.
+    pub(crate) fn mul_mont_mul(&self, a: &BigUint, power: &[u64], factor: &Mont) -> BigUint {
+        by_width!(self, mul_mont_mul_in(a, power, factor))
     }
 
     fn mont_mul<L: Limbs>(&self, a: &[u64], b: &[u64]) -> L {
@@ -410,32 +544,54 @@ impl Modulus {
         Mont(self.mont_mul::<L>(x.as_ref(), &self.r2).as_ref().to_vec())
     }
 
-    fn pow_in<L: Limbs>(&self, base: &BigUint, exponent: &Windows) -> BigUint {
-        self.unload::<L>(self.pow_mont::<L>(base, exponent).as_ref())
-    }
-
-    fn mul_pow_mul_in<L: Limbs>(
-        &self,
-        a: &BigUint,
-        base: &BigUint,
-        exponent: &Windows,
-        factor: &Mont,
-    ) -> BigUint {
-        let power = self.pow_mont::<L>(base, exponent);
+    fn mul_mont_mul_in<L: Limbs>(&self, a: &BigUint, power: &[u64], factor: &Mont) -> BigUint {
         let a = self.load::<L>(a);
         // canonical × Montgomery = canonical: no conversion back is needed.
-        let product = self.mont_mul::<L>(a.as_ref(), power.as_ref());
+        let product = self.mont_mul::<L>(a.as_ref(), power);
         store(self.mont_mul::<L>(product.as_ref(), &factor.0).as_ref())
     }
 
-    /// `base^exponent` in Montgomery form, by sliding windows over a table of
-    /// the odd powers of `base`.
-    fn pow_mont<L: Limbs>(&self, base: &BigUint, exponent: &Windows) -> L {
+    /// The Montgomery form of one.
+    fn one<L: Limbs>(&self) -> L {
+        let mut one = L::zeroed(self.limbs.len());
+        one.as_mut().copy_from_slice(&self.one);
+        one
+    }
+
+    fn pow_set_in<L: Limbs>(&self, set: &ExponentSet, base: &BigUint, out: &mut [u64]) {
+        let k = self.limbs.len();
         let base = self.load::<L>(base);
         let base = self.mont_mul::<L>(base.as_ref(), &self.r2);
-        let mut odd_powers = vec![base];
+        let mut heads: Vec<L> = Vec::new();
+        match &set.heads {
+            Heads::Windowed(None) => {}
+            Heads::Windowed(Some(exponent)) => heads.push(self.pow_windows(&base, exponent)),
+            Heads::Ladder(digits) => self.pow_ladder(&base, digits, &mut heads),
+        }
+        let small: Vec<L> = (set.deltas.iter())
+            .map(|&delta| self.pow_small(&base, delta))
+            .collect();
+        for (i, slot) in set.slots.iter().enumerate() {
+            let (earlier, rest) = out.split_at_mut(i * k);
+            let derived;
+            let power = match *slot {
+                Slot::Head(head) => &heads[head],
+                Slot::Derived { from, delta } => {
+                    let source = &earlier[from * k..(from + 1) * k];
+                    derived = self.mont_mul::<L>(source, small[delta].as_ref());
+                    &derived
+                }
+            };
+            rest[..k].copy_from_slice(power.as_ref());
+        }
+    }
+
+    /// `base^exponent` by sliding windows over a table of the odd powers of
+    /// `base`; everything in Montgomery form.
+    fn pow_windows<L: Limbs>(&self, base: &L, exponent: &Windows) -> L {
+        let mut odd_powers = vec![base.clone()];
         if exponent.width > 1 {
-            let square = self.mont_sqr::<L>(odd_powers[0].as_ref());
+            let square = self.mont_sqr::<L>(base.as_ref());
             for i in 1..1usize << (exponent.width - 1) {
                 let next = self.mont_mul::<L>(odd_powers[i - 1].as_ref(), square.as_ref());
                 odd_powers.push(next);
@@ -457,18 +613,70 @@ impl Modulus {
                 }
             });
         }
-        acc.unwrap_or_else(|| {
-            let mut one = L::zeroed(self.limbs.len());
-            one.as_mut().copy_from_slice(&self.one);
-            one
-        })
+        acc.unwrap_or_else(|| self.one())
+    }
+
+    /// `base^e` for every digit string of `heads` over ONE squaring ladder
+    /// `base^(16^i)`: each rung is multiplied into the bucket of the digit a
+    /// head has there, and a head's buckets fold as `Π_d bucket_d^d` (Yao).
+    /// The powers are appended to `out`.
+    fn pow_ladder<L: Limbs>(&self, base: &L, heads: &[Vec<u8>], out: &mut Vec<L>) {
+        let mut buckets: Vec<Option<L>> = vec![None; heads.len() * DIGIT_VALUES];
+        let positions = heads.iter().map(Vec::len).max().unwrap_or(0);
+        let mut rung = base.clone();
+        for position in 0..positions {
+            if position > 0 {
+                for _ in 0..DIGIT_BITS {
+                    rung = self.mont_sqr::<L>(rung.as_ref());
+                }
+            }
+            for (head, digits) in heads.iter().enumerate() {
+                let digit = digits.get(position).copied().unwrap_or(0) as usize;
+                if digit == 0 {
+                    continue;
+                }
+                let bucket = &mut buckets[head * DIGIT_VALUES + digit - 1];
+                *bucket = Some(match bucket.take() {
+                    None => rung.clone(),
+                    Some(product) => self.mont_mul(product.as_ref(), rung.as_ref()),
+                });
+            }
+        }
+        for buckets in buckets.chunks_exact(DIGIT_VALUES) {
+            // `running` is the product of the buckets from the top digit down;
+            // multiplying it in once per digit value raises bucket `d` to `d`.
+            let mut running: Option<L> = None;
+            let mut power: Option<L> = None;
+            for bucket in buckets.iter().rev() {
+                if let Some(bucket) = bucket {
+                    running = Some(match running {
+                        None => bucket.clone(),
+                        Some(running) => self.mont_mul(running.as_ref(), bucket.as_ref()),
+                    });
+                }
+                if let Some(running) = &running {
+                    power = Some(match power {
+                        None => running.clone(),
+                        Some(power) => self.mont_mul(power.as_ref(), running.as_ref()),
+                    });
+                }
+            }
+            out.push(power.unwrap_or_else(|| self.one()));
+        }
+    }
+
+    /// `base^exponent` for a small non-zero exponent, by square and multiply.
+    fn pow_small<L: Limbs>(&self, base: &L, exponent: u32) -> L {
+        let mut acc = base.clone();
+        for bit in (0..exponent.ilog2()).rev() {
+            acc = self.mont_sqr::<L>(acc.as_ref());
+            if exponent >> bit & 1 == 1 {
+                acc = self.mont_mul(acc.as_ref(), base.as_ref());
+            }
+        }
+        acc
     }
 }
-
-/// Bits per digit of a [`FixedBase`] table.
-const FIXED_BASE_DIGIT_BITS: usize = 4;
-/// Non-zero values of one digit.
-const FIXED_BASE_DIGIT_VALUES: usize = (1 << FIXED_BASE_DIGIT_BITS) - 1;
 
 /// Powers of one fixed base, tabulated so that `base^e` costs one
 /// multiplication per non-zero 4-bit digit of `e` and no squarings:
@@ -498,7 +706,7 @@ impl FixedBase {
     /// Tabulates `base` for exponents as long as the modulus (the scheme's are
     /// reduced modulo `φ(n) < n`); longer ones take the general path.
     pub(crate) fn new(modulus: Arc<Modulus>, base: &BigUint) -> FixedBase {
-        let digits = (modulus.n.bits() as usize).div_ceil(FIXED_BASE_DIGIT_BITS);
+        let digits = (modulus.n.bits() as usize).div_ceil(DIGIT_BITS);
         let table = by_width!(modulus, fixed_base_table(base, digits));
         FixedBase {
             modulus,
@@ -509,7 +717,7 @@ impl FixedBase {
 
     /// `factor · base^exponent mod n`.
     pub(crate) fn pow_times(&self, exponent: &BigUint, factor: &BigUint) -> BigUint {
-        if exponent.bits() as usize > self.digits * FIXED_BASE_DIGIT_BITS {
+        if exponent.bits() as usize > self.digits * DIGIT_BITS {
             // Wider than the table: recover the base and take the general path.
             let base = by_width!(self.modulus, unload(self.entry(0, 1)));
             return self.modulus.mul(factor, &self.modulus.pow(&base, exponent));
@@ -519,7 +727,7 @@ impl FixedBase {
 
     fn entry(&self, digit: usize, value: usize) -> &[u64] {
         let k = self.modulus.limbs.len();
-        let start = (digit * FIXED_BASE_DIGIT_VALUES + value - 1) * k;
+        let start = (digit * DIGIT_VALUES + value - 1) * k;
         &self.table[start..start + k]
     }
 }
@@ -527,13 +735,13 @@ impl FixedBase {
 impl Modulus {
     fn fixed_base_table<L: Limbs>(&self, base: &BigUint, digits: usize) -> Vec<u64> {
         let k = self.limbs.len();
-        let mut table = Vec::with_capacity(digits * FIXED_BASE_DIGIT_VALUES * k);
+        let mut table = Vec::with_capacity(digits * DIGIT_VALUES * k);
         let base = self.load::<L>(base);
         // `unit` is base^(16^i) for the digit position being filled.
         let mut unit = self.mont_mul::<L>(base.as_ref(), &self.r2);
         for _ in 0..digits {
             let mut power = unit.clone();
-            for _ in 0..FIXED_BASE_DIGIT_VALUES {
+            for _ in 0..DIGIT_VALUES {
                 table.extend_from_slice(power.as_ref());
                 power = self.mont_mul::<L>(power.as_ref(), unit.as_ref());
             }
@@ -549,11 +757,10 @@ impl Modulus {
         factor: &BigUint,
     ) -> BigUint {
         let mut acc: Option<L> = None;
-        let digits_per_limb = 64 / FIXED_BASE_DIGIT_BITS;
+        let digits_per_limb = 64 / DIGIT_BITS;
         for (i, limb) in exponent.iter_u64_digits().enumerate() {
             for j in 0..digits_per_limb {
-                let value =
-                    (limb >> (j * FIXED_BASE_DIGIT_BITS)) as usize & FIXED_BASE_DIGIT_VALUES;
+                let value = (limb >> (j * DIGIT_BITS)) as usize & DIGIT_VALUES;
                 if value == 0 {
                     continue;
                 }
@@ -709,26 +916,113 @@ mod tests {
         }
     }
 
+    /// Every exponent of every set, raised through the set kernel, equals
+    /// `BigUint::modpow` — whichever way the plan obtains it — and a key
+    /// update finished from that power equals `a · base^e · q mod n`.
     #[test]
-    fn mul_pow_mul_matches_the_key_update_formula() {
+    fn pow_set_matches_binary_modpow_per_exponent() {
         let mut rng = StdRng::seed_from_u64(0x4d10);
+        let big = |v: u64| BigUint::from(v);
         for limbs in LIMB_COUNTS {
             let n = odd_modulus(&mut rng, limbs);
             let modulus = Modulus::new(&n).expect("odd modulus");
-            let values = bases(&mut rng, &n, limbs);
-            let p = rng.gen_biguint_below(&n);
+            let p = rng.gen_biguint_below(&n) | (BigUint::one() << (64 * limbs - 2));
+            let r = rng.gen_biguint_below(&n);
+            let short = rng.gen_biguint(40);
+            let mut sets = vec![
+                // A lone exponent: the sliding-window path.
+                vec![p.clone()],
+                // A run, out of order, with a duplicate.
+                vec![&p + big(2), p.clone(), &p + big(1), p.clone()],
+                // Two heads on one ladder, mixed bit lengths, zero and one.
+                vec![p.clone(), short.clone(), big(0), big(1)],
+            ];
+            if limbs < 32 {
+                sets.extend([
+                    vec![big(0)],
+                    vec![big(1), big(1)],
+                    vec![big(0), r.clone()],
+                    // Gaps on both sides of the derivation bound.
+                    vec![
+                        r.clone(),
+                        &r + big(0xffff),
+                        &r + big(0x1_fffe),
+                        &r + big(0x2_fffe),
+                    ],
+                    // Eight members: three families and a far neighbour.
+                    vec![
+                        p.clone(),
+                        &p - big(1),
+                        &p - big(2),
+                        r.clone(),
+                        &r + big(1),
+                        short.clone(),
+                        &short + big(3),
+                        &n - big(1),
+                    ],
+                    (0..7).map(|_| rng.gen_biguint_below(&n)).collect(),
+                ]);
+            }
+            let bases = bases(&mut rng, &n, limbs);
             let q = rng.gen_biguint_below(&n);
-            let (windows, factor) = (Windows::new(&p), modulus.to_mont(&q));
-            for a in &values {
-                for s in &values {
-                    assert_eq!(
-                        modulus.mul_pow_mul(a, s, &windows, &factor),
-                        (a * s.modpow(&p, &n) % &n) * &q % &n,
-                        "{limbs} limbs"
-                    );
+            let q_mont = modulus.to_mont(&q);
+            let k = modulus.limb_count();
+            for exponents in &sets {
+                let refs: Vec<&BigUint> = exponents.iter().collect();
+                let (set, slot_of) = ExponentSet::plan(&refs);
+                let mut row = vec![0u64; set.slots() * k];
+                // The bases double as first operands: 0, 1, n − 1 and ≥ n.
+                for (base, a) in bases.iter().zip(bases.iter().rev()) {
+                    modulus.pow_set(&set, base, &mut row);
+                    for (exponent, &slot) in exponents.iter().zip(&slot_of) {
+                        let power = &row[slot * k..(slot + 1) * k];
+                        let expected = base.modpow(exponent, &n);
+                        assert_eq!(
+                            modulus.out_of_mont(power),
+                            expected,
+                            "{limbs} limbs: {base} ^ {exponent} in {exponents:?}"
+                        );
+                        assert_eq!(
+                            modulus.mul_mont_mul(a, power, &q_mont),
+                            a * expected % &n * &q % &n,
+                            "{limbs} limbs: {a} · {base} ^ {exponent} · {q}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// A set of no exponents has no powers to write.
+    #[test]
+    fn an_empty_exponent_set_writes_nothing() {
+        let modulus = Modulus::new(&BigUint::from(1_000_003u32)).expect("odd");
+        let (set, slot_of) = ExponentSet::plan(&[]);
+        assert_eq!((set.slots(), set.heads(), set.derived()), (0, 0, 0));
+        assert!(slot_of.is_empty());
+        modulus.pow_set(&set, &BigUint::from(7u32), &mut []);
+    }
+
+    /// The exponent set of rewritten TPC-H Q1: four families whose members
+    /// differ by one or two (`a·(1±b)` shifts `p` by exactly one).
+    #[test]
+    fn the_q1_exponent_set_plans_as_four_heads_and_three_derived() {
+        let mut rng = StdRng::seed_from_u64(0x4d11);
+        let [quantity, price, discount, tax] = [(); 4].map(|()| rng.gen_biguint(500));
+        let one = BigUint::one();
+        let calls = [
+            quantity.clone(),
+            price.clone(),
+            &discount + &one,
+            &price - &one,
+            &discount + &one,
+            tax.clone(),
+            &price - &one - &one,
+            discount.clone(),
+        ];
+        let (set, slot_of) = ExponentSet::plan(&calls.iter().collect::<Vec<_>>());
+        assert_eq!((set.slots(), set.heads(), set.derived()), (7, 4, 3));
+        assert_eq!(slot_of[2], slot_of[4], "equal exponents share a slot");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bigint::{mod_inverse, mod_mul, mod_pow, mod_sub};
 use crate::keys::{ColumnKey, SystemKey};
-use crate::modulus::{Modulus, Mont, Windows};
+use crate::modulus::{ExponentSet, Modulus, Mont};
 use crate::Result;
 
 /// Item key generation (paper Definition 1 / Eq. 2):
@@ -108,17 +108,15 @@ impl KeyUpdateParams {
     /// Binds the update to its modulus for a column of rows: `p` is recoded into
     /// windows and `q` converted once, not per row.
     pub fn bind(&self, n: &BigUint) -> BoundKeyUpdate {
-        BoundKeyUpdate(match Modulus::shared(n) {
-            Some(modulus) => Kernel::Montgomery {
-                p: Windows::new(&self.p),
-                q: modulus.to_mont(&self.q),
-                modulus,
+        BoundKeyUpdate(
+            match BoundKeyUpdateSet::bind(n, std::slice::from_ref(self)) {
+                Some(set) => Kernel::Montgomery(set),
+                None => Kernel::Plain {
+                    params: self.clone(),
+                    n: n.clone(),
+                },
             },
-            None => Kernel::Plain {
-                params: self.clone(),
-                n: n.clone(),
-            },
-        })
+        )
     }
 }
 
@@ -128,12 +126,8 @@ impl KeyUpdateParams {
 pub struct BoundKeyUpdate(Kernel);
 
 enum Kernel {
-    /// The Montgomery context of `n`, `p` in windows, `q` in Montgomery form.
-    Montgomery {
-        modulus: Arc<Modulus>,
-        p: Windows,
-        q: Mont,
-    },
+    /// A set of one: the same code that serves several updates of one share.
+    Montgomery(BoundKeyUpdateSet),
     /// An even `n`, which no key produces but the SQL surface cannot rule out.
     Plain { params: KeyUpdateParams, n: BigUint },
 }
@@ -142,12 +136,91 @@ impl BoundKeyUpdate {
     /// `A'_e = A_e · S_e^p · q mod n` for one row.
     pub fn apply(&self, a_e: &BigUint, s_e: &BigUint) -> BigUint {
         match &self.0 {
-            Kernel::Montgomery { modulus, p, q } => modulus.mul_pow_mul(a_e, s_e, p, q),
+            Kernel::Montgomery(set) => {
+                let mut powers = vec![0; set.row_limbs()];
+                set.fill(s_e, &mut powers);
+                set.apply(0, a_e, &powers)
+            }
             Kernel::Plain { params, n } => {
                 let s_pow = mod_pow(s_e, &params.p, n);
                 mod_mul(&mod_mul(a_e, &s_pow, n), &params.q, n)
             }
         }
+    }
+}
+
+/// Several key updates that raise the same auxiliary share `S_e` under one odd
+/// `n`, bound together so that every `S_e^p` is computed once per row: equal
+/// exponents share a power, an exponent within 2¹⁶ of another is one
+/// multiplication away from it, and the remaining *heads* share one squaring
+/// ladder (see ARCHITECTURE.md, "Key-update sets").
+///
+/// [`Self::fill`] writes one share's powers into a caller-owned row of limbs;
+/// [`Self::apply`] finishes one update from there with two multiplications.
+/// Like [`BoundKeyUpdate`], the set and the rows it fills hold only
+/// functions of `S_e`, `p`, `q` and `n`.
+pub struct BoundKeyUpdateSet {
+    modulus: Arc<Modulus>,
+    exponents: ExponentSet,
+    /// Per bound update, in binding order: where its `S_e^p` starts in a
+    /// row of powers, and `q` in Montgomery form.
+    members: Vec<(usize, Mont)>,
+}
+
+impl BoundKeyUpdateSet {
+    /// Plans `updates` for rows modulo `n`. `None` for an even (or zero) `n`,
+    /// which has no Montgomery context.
+    pub fn bind(n: &BigUint, updates: &[KeyUpdateParams]) -> Option<BoundKeyUpdateSet> {
+        let modulus = Modulus::shared(n)?;
+        let exponents: Vec<&BigUint> = updates.iter().map(|update| &update.p).collect();
+        let (exponents, slot_of) = ExponentSet::plan(&exponents);
+        let members = updates
+            .iter()
+            .zip(slot_of)
+            .map(|(update, slot)| (slot * modulus.limb_count(), modulus.to_mont(&update.q)))
+            .collect();
+        Some(BoundKeyUpdateSet {
+            modulus,
+            exponents,
+            members,
+        })
+    }
+
+    /// Exponents raised directly per row.
+    pub fn heads(&self) -> usize {
+        self.exponents.heads()
+    }
+
+    /// Exponents derived from a neighbouring one per row.
+    pub fn derived(&self) -> usize {
+        self.exponents.derived()
+    }
+
+    /// Limbs (`u64`) of a row of powers: a residue per distinct exponent.
+    pub fn row_limbs(&self) -> usize {
+        self.exponents.slots() * self.modulus.limb_count()
+    }
+
+    /// Fills `row` ([`Self::row_limbs`] long) with the powers of the
+    /// auxiliary share `s_e`, in Montgomery form.
+    pub fn fill(&self, s_e: &BigUint, row: &mut [u64]) {
+        self.modulus.pow_set(&self.exponents, s_e, row);
+    }
+
+    /// `A'_e = A_e · S_e^p · q mod n` for the `member`-th bound update, from
+    /// the row [`Self::fill`] wrote for `S_e`.
+    pub fn apply(&self, member: usize, a_e: &BigUint, row: &[u64]) -> BigUint {
+        let (start, q) = &self.members[member];
+        let power = &row[*start..*start + self.modulus.limb_count()];
+        self.modulus.mul_mont_mul(a_e, power, q)
+    }
+
+    /// The residues `S_e^p` a filled `row` holds, one per distinct exponent,
+    /// as canonical values: what a leakage audit of the row compares.
+    pub fn powers(&self, row: &[u64]) -> Vec<BigUint> {
+        row.chunks(self.modulus.limb_count())
+            .map(|power| self.modulus.out_of_mont(power))
+            .collect()
     }
 }
 
@@ -200,6 +273,7 @@ impl ColumnKeyAlgebra {
 mod tests {
     use super::*;
     use crate::keys::KeyConfig;
+    use num_bigint::RandBigInt;
     use num_traits::One;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -309,6 +383,54 @@ mod tests {
             let ik_t = gen_item_key(&key, &ck_t, &r);
             assert_eq!(decrypt_value(&key, &a_e_new, &ik_t), a);
         }
+    }
+
+    /// A set of updates of one auxiliary share gives, member by member, what
+    /// the textbook formula gives — duplicates and neighbours included — its
+    /// row holds the distinct `S_e^p`, an empty set binds and fills nothing,
+    /// and an even modulus has no set.
+    #[test]
+    fn a_bound_set_matches_the_textbook_member_by_member() {
+        let mut rng = rng();
+        let key = test_key(&mut rng);
+        let ck_s = key.gen_aux_column_key(&mut rng);
+        let mut updates: Vec<KeyUpdateParams> = (0..3)
+            .map(|_| {
+                let (source, target) = (key.gen_column_key(&mut rng), key.gen_column_key(&mut rng));
+                KeyUpdateParams::compute(&key, &source, &ck_s, &target).unwrap()
+            })
+            .collect();
+        updates.push(KeyUpdateParams {
+            p: &updates[0].p + BigUint::from(2u32),
+            q: updates[1].q.clone(),
+        });
+        updates.push(updates[2].clone());
+        let set = BoundKeyUpdateSet::bind(key.n(), &updates).unwrap();
+        assert_eq!((set.heads(), set.derived()), (3, 1));
+        let n = key.n();
+        let mut row = vec![0u64; set.row_limbs()];
+        for _ in 0..4 {
+            let share = rng.gen_biguint_below(n);
+            set.fill(&share, &mut row);
+            let a_e = rng.gen_biguint_below(n);
+            for (member, update) in updates.iter().enumerate() {
+                let power = share.modpow(&update.p, n);
+                assert_eq!(
+                    set.apply(member, &a_e, &row),
+                    &a_e * &power % n * &update.q % n
+                );
+                assert!(set.powers(&row).contains(&power));
+            }
+            assert_eq!(set.powers(&row).len(), 4);
+        }
+        let empty = BoundKeyUpdateSet::bind(n, &[]).unwrap();
+        assert_eq!(
+            (empty.heads(), empty.derived(), empty.row_limbs()),
+            (0, 0, 0)
+        );
+        empty.fill(&rng.gen_biguint_below(n), &mut []);
+        assert!(empty.powers(&[]).is_empty());
+        assert!(BoundKeyUpdateSet::bind(&BigUint::from(1_000_000u32), &updates).is_none());
     }
 
     #[test]

@@ -15,7 +15,9 @@ use std::sync::Arc;
 use sdb_sql::ast::{BinaryOp, Expr, Literal, Query, UnaryOp};
 use sdb_storage::{RecordBatch, Value};
 
-use crate::udf::{ScalarUdf, UdfRegistry, UdfSites};
+use crate::udf::{
+    KeyUpdateCounts, KeyUpdateMember, KeyUpdateSets, ScalarUdf, UdfRegistry, UdfSites, KEY_UPDATE,
+};
 use crate::{EngineError, Result};
 
 /// Resolves uncorrelated subqueries on behalf of the evaluator.
@@ -37,6 +39,12 @@ struct CallSite<'a> {
     udf: Arc<dyn ScalarUdf>,
     args: RefCell<Vec<Value>>,
     dynamic: Vec<usize>,
+    /// Whether the function is `SDB_KEY_UPDATE`.
+    is_key_update: bool,
+    /// For a member of the operator's key-update sets: the auxiliary column
+    /// it raises (read from the batch directly, so not among `dynamic`) and
+    /// its place in the sets.
+    key_update: Option<(&'a str, KeyUpdateMember)>,
 }
 
 /// Expression evaluator bound to a batch schema.
@@ -50,8 +58,11 @@ pub struct Evaluator<'a> {
     /// The per-query call-site instances (`None`: a stand-alone evaluator,
     /// whose sites live and die with it).
     query_sites: Option<&'a UdfSites>,
+    /// The key-update sets of the operator this evaluator works for.
+    key_updates: Option<&'a KeyUpdateSets>,
     sites: RefCell<Vec<Rc<CallSite<'a>>>>,
     udf_calls: Cell<usize>,
+    key_update_counts: Cell<KeyUpdateCounts>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -61,8 +72,10 @@ impl<'a> Evaluator<'a> {
             registry,
             subqueries: None,
             query_sites: None,
+            key_updates: None,
             sites: RefCell::new(Vec::new()),
             udf_calls: Cell::new(0),
+            key_update_counts: Cell::default(),
         }
     }
 
@@ -76,6 +89,15 @@ impl<'a> Evaluator<'a> {
     /// once per query rather than once per evaluator.
     pub(crate) fn with_query_sites(mut self, sites: &'a UdfSites) -> Self {
         self.query_sites = Some(sites);
+        self
+    }
+
+    /// Serves the `SDB_KEY_UPDATE` sites `sets` was planned from out of the
+    /// powers it raises once per row instead of one exponentiation per call.
+    /// The caller evaluates row by row: every expression of a row before the
+    /// next row's.
+    pub(crate) fn with_key_updates(mut self, sets: &'a KeyUpdateSets) -> Self {
+        self.key_updates = Some(sets);
         self
     }
 
@@ -94,6 +116,7 @@ impl<'a> Evaluator<'a> {
                 detail: format!("aggregate {name} outside of GROUP BY context"),
             });
         }
+        let key_update = self.key_updates.and_then(|sets| sets.member(name, args));
         let mut values = vec![Value::Null; args.len()];
         let mut dynamic = Vec::new();
         // What tells this site from the query's others: name and literals.
@@ -104,6 +127,7 @@ impl<'a> Evaluator<'a> {
                     values[i] = literal_to_value(literal);
                     let _ = write!(signature, "\u{1f}{i}={literal}");
                 }
+                _ if i == 1 && key_update.is_some() => {}
                 _ => dynamic.push(i),
             }
         }
@@ -116,6 +140,8 @@ impl<'a> Evaluator<'a> {
             udf,
             args: RefCell::new(values),
             dynamic,
+            is_key_update: name.eq_ignore_ascii_case(KEY_UPDATE),
+            key_update,
         });
         self.sites.borrow_mut().push(Rc::clone(&site));
         Ok(site)
@@ -124,6 +150,39 @@ impl<'a> Evaluator<'a> {
     /// Number of scalar UDF invocations made so far.
     pub fn udf_calls(&self) -> usize {
         self.udf_calls.get()
+    }
+
+    /// What the `SDB_KEY_UPDATE` invocations among them cost.
+    pub(crate) fn key_update_counts(&self) -> KeyUpdateCounts {
+        self.key_update_counts.get()
+    }
+
+    /// One `SDB_KEY_UPDATE` call: from its set's powers of the row where the
+    /// site is a member and both operands are shares, through the function
+    /// otherwise — which also owns every NULL and error case.
+    fn key_update(&self, site: &CallSite<'a>, batch: &RecordBatch, row: usize) -> Result<Value> {
+        let mut counts = self.key_update_counts.get();
+        counts.calls += 1;
+        let mut served = None;
+        if let (Some((aux, member)), Some(sets)) = (site.key_update, self.key_updates) {
+            let aux = batch.column_by_name(aux)?;
+            if let Value::Encrypted(a) = &site.args.borrow()[0] {
+                served = sets.apply(member, aux, row, a, &mut counts);
+            }
+            if served.is_none() {
+                site.args.borrow_mut()[1] = aux.get(row).clone();
+            }
+        }
+        let result = match served {
+            Some(updated) => Ok(Value::Encrypted(updated)),
+            None => {
+                let result = site.udf.invoke(&site.args.borrow());
+                counts.pows += usize::from(matches!(result, Ok(Value::Encrypted(_))));
+                result
+            }
+        };
+        self.key_update_counts.set(counts);
+        result
     }
 
     /// Evaluates `expr` against row `row` of `batch`.
@@ -157,6 +216,9 @@ impl<'a> Evaluator<'a> {
                     site.args.borrow_mut()[i] = value;
                 }
                 self.udf_calls.set(self.udf_calls.get() + 1);
+                if site.is_key_update {
+                    return self.key_update(&site, batch, row);
+                }
                 let result = site.udf.invoke(&site.args.borrow());
                 result
             }

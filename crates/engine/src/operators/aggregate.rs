@@ -22,6 +22,7 @@ use super::parallel::{effective_workers, scoped_workers};
 use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
 use crate::eval::literal_to_value;
 use crate::kernels::{GlobalAggKernel, KeyColumns};
+use crate::udf::KeyUpdateSets;
 use crate::{EngineError, Result};
 
 /// Per-group accumulation state: the rendered key, the group-key values, the
@@ -58,11 +59,23 @@ pub(super) fn bind_aggregate_exprs(
     (group_exprs, agg_args)
 }
 
+/// The key-update sets of an aggregation: every `SDB_KEY_UPDATE` among its
+/// grouping expressions and aggregate arguments.
+pub(super) fn aggregate_key_updates(
+    ctx: &ExecContext<'_>,
+    group_by: &[(Expr, String)],
+    aggregates: &[AggregateExpr],
+) -> Arc<KeyUpdateSets> {
+    let keys = group_by.iter().map(|(expr, _)| expr);
+    ctx.key_update_sets(keys.chain(aggregates.iter().filter_map(|agg| agg.arg.as_ref())))
+}
+
 /// Groups one contiguous morsel of rows, evaluating the grouping expressions
 /// and every aggregate argument per row. Groups come back in first-occurrence
 /// order; each group's argument values are in row order.
 fn group_morsel(
     ctx: &ExecContext<'_>,
+    key_updates: &KeyUpdateSets,
     batch: &RecordBatch,
     group_exprs: &[Expr],
     agg_args: &[Expr],
@@ -74,7 +87,7 @@ fn group_morsel(
         }
     }
     ctx.stats_mut().scalar_fallback_batches += 1;
-    let evaluator = ctx.evaluator();
+    let evaluator = ctx.evaluator().with_key_updates(key_updates);
     let mut index: HashMap<String, usize> = HashMap::new();
     let mut groups: Vec<GroupState> = Vec::new();
     for row in 0..batch.num_rows() {
@@ -271,6 +284,7 @@ pub struct HashAggregate<'a> {
     input: BoxedOperator<'a>,
     group_by: Vec<(Expr, String)>,
     aggregates: Vec<AggregateExpr>,
+    key_updates: Arc<KeyUpdateSets>,
     done: bool,
 }
 
@@ -283,6 +297,7 @@ impl<'a> HashAggregate<'a> {
         aggregates: Vec<AggregateExpr>,
     ) -> Self {
         HashAggregate {
+            key_updates: aggregate_key_updates(&ctx, &group_by, &aggregates),
             ctx,
             input,
             group_by,
@@ -321,7 +336,13 @@ impl PhysicalOperator for HashAggregate<'_> {
         {
             return Ok(Some(out));
         }
-        let groups = group_morsel(&self.ctx, &batch, &group_exprs, &agg_args)?;
+        let groups = group_morsel(
+            &self.ctx,
+            &self.key_updates,
+            &batch,
+            &group_exprs,
+            &agg_args,
+        )?;
         finalize_groups(
             &self.group_by,
             &self.aggregates,
@@ -351,6 +372,7 @@ pub struct ParallelHashAggregate<'a> {
     input: BoxedOperator<'a>,
     group_by: Vec<(Expr, String)>,
     aggregates: Vec<AggregateExpr>,
+    key_updates: Arc<KeyUpdateSets>,
     done: bool,
 }
 
@@ -363,6 +385,7 @@ impl<'a> ParallelHashAggregate<'a> {
         aggregates: Vec<AggregateExpr>,
     ) -> Self {
         ParallelHashAggregate {
+            key_updates: aggregate_key_updates(&ctx, &group_by, &aggregates),
             ctx,
             input,
             group_by,
@@ -404,14 +427,21 @@ impl PhysicalOperator for ParallelHashAggregate<'_> {
 
         let workers = effective_workers(self.ctx.parallelism(), batch.num_rows());
         let groups = if workers <= 1 {
-            group_morsel(&self.ctx, &batch, &group_exprs, &agg_args)?
+            group_morsel(
+                &self.ctx,
+                &self.key_updates,
+                &batch,
+                &group_exprs,
+                &agg_args,
+            )?
         } else {
             let morsels = batch.partition(workers);
             let ctx = &self.ctx;
+            let key_updates = &self.key_updates;
             let group_exprs = &group_exprs;
             let agg_args = &agg_args;
             let parts = scoped_workers(morsels.len(), |i| {
-                group_morsel(ctx, &morsels[i], group_exprs, agg_args)
+                group_morsel(ctx, key_updates, &morsels[i], group_exprs, agg_args)
             })?;
             merge_group_states(parts)
         };

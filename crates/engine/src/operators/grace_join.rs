@@ -342,7 +342,7 @@ impl<'a> GraceHashJoin<'a> {
         if calls.is_empty() {
             return Ok(None);
         }
-        let resolver = OracleAccumulator::new(&self.ctx, &calls, schema)?;
+        let resolver = OracleAccumulator::new(&self.ctx, &calls, Arc::default(), schema)?;
         Ok((!resolver.is_passthrough()).then_some(resolver))
     }
 

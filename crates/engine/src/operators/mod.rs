@@ -571,9 +571,24 @@ impl<'a> ExecContext<'a> {
             .with_query_sites(&self.udf_sites)
     }
 
-    /// Folds an evaluator's UDF counter into the statistics.
+    /// Plans the key-update sets of one operator from the expressions it
+    /// evaluates (see [`crate::udf::KeyUpdateSets`]); the operator hands them
+    /// to its evaluators with [`Evaluator::with_key_updates`].
+    pub(crate) fn key_update_sets<'e>(
+        &self,
+        exprs: impl IntoIterator<Item = &'e sdb_sql::ast::Expr>,
+    ) -> Arc<crate::udf::KeyUpdateSets> {
+        self.udf_sites.key_update_sets(exprs, self.parallelism)
+    }
+
+    /// Folds an evaluator's UDF counters into the statistics.
     pub(crate) fn record_udf_calls(&self, evaluator: &Evaluator<'_>) {
-        self.stats_mut().udf_calls += evaluator.udf_calls();
+        let key_updates = evaluator.key_update_counts();
+        let mut stats = self.stats_mut();
+        stats.udf_calls += evaluator.udf_calls();
+        stats.key_update_calls += key_updates.calls;
+        stats.key_update_pows += key_updates.pows;
+        stats.key_update_derived += key_updates.derived;
     }
 }
 

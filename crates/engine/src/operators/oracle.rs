@@ -50,6 +50,7 @@ use crate::secure::{
     oracle_fns, parse_biguint_arg, sign_to_bool, OracleRequest, OracleRequestKind, OracleResponse,
     OracleRow,
 };
+use crate::udf::KeyUpdateSets;
 use crate::{EngineError, Result};
 
 /// Accumulated operand bytes (across all registered calls) that force a
@@ -195,29 +196,34 @@ struct CallBuffer {
     rows: Vec<OracleRow>,
 }
 
-/// Evaluates one call's operand expressions over `batch`, appending the
-/// non-NULL rows to `buffer` at positions offset by `base`. Returns the
-/// approximate operand bytes added (for the flush threshold).
+/// Evaluates every call's operand expressions over `batch`, appending the
+/// non-NULL rows to the call's buffer at positions offset by `base`. Rows go
+/// outermost, so calls over one auxiliary column share that row's powers
+/// (see [`KeyUpdateSets`]). Returns the approximate operand bytes added (for
+/// the flush threshold).
 fn gather_operands(
     ctx: &ExecContext<'_>,
-    call: &PreparedCall,
+    key_updates: &KeyUpdateSets,
+    calls: &[PreparedCall],
     batch: &RecordBatch,
     base: usize,
-    buffer: &mut CallBuffer,
+    buffers: &mut [CallBuffer],
 ) -> Result<usize> {
-    let evaluator = ctx.evaluator();
+    let evaluator = ctx.evaluator().with_key_updates(key_updates);
     let mut bytes = 0usize;
     for row in 0..batch.num_rows() {
-        let share = evaluator.evaluate(&call.share_expr, batch, row)?;
-        let row_id = evaluator.evaluate(&call.row_id_expr, batch, row)?;
-        if share.is_null() || row_id.is_null() {
-            continue;
+        for (call, buffer) in calls.iter().zip(buffers.iter_mut()) {
+            let share = evaluator.evaluate(&call.share_expr, batch, row)?;
+            let row_id = evaluator.evaluate(&call.row_id_expr, batch, row)?;
+            if share.is_null() || row_id.is_null() {
+                continue;
+            }
+            let share = share.as_encrypted()?.clone();
+            let row_id = row_id.as_encrypted_row_id()?.clone();
+            bytes += row_id.size_bytes() + (share.bits() as usize).div_ceil(8);
+            buffer.present.push(base + row);
+            buffer.rows.push(OracleRow { row_id, share });
         }
-        let share = share.as_encrypted()?.clone();
-        let row_id = row_id.as_encrypted_row_id()?.clone();
-        bytes += row_id.size_bytes() + (share.bits() as usize).div_ceil(8);
-        buffer.present.push(base + row);
-        buffer.rows.push(OracleRow { row_id, share });
     }
     ctx.record_udf_calls(&evaluator);
     Ok(bytes)
@@ -377,15 +383,19 @@ pub(crate) struct OracleAccumulator {
     writer: PageStreamWriter,
     total_rows: usize,
     active: Vec<PreparedCall>,
+    key_updates: Arc<KeyUpdateSets>,
     buffers: Vec<CallBuffer>,
     operand_bytes: usize,
 }
 
 impl OracleAccumulator {
     /// Prepares the calls not already materialised as columns of `schema`.
+    /// `key_updates` are the sets planned from `calls` by the operator that
+    /// owns them (empty: every key update is served by the function).
     pub(crate) fn new(
         ctx: &ExecContext<'_>,
         calls: &[Expr],
+        key_updates: Arc<KeyUpdateSets>,
         schema: &Schema,
     ) -> Result<OracleAccumulator> {
         let mut active = Vec::new();
@@ -407,6 +417,7 @@ impl OracleAccumulator {
             .unwrap_or(1 << 20);
         let buffers = active.iter().map(|_| CallBuffer::default()).collect();
         Ok(OracleAccumulator {
+            key_updates,
             input_schema: schema.clone(),
             writer: PageStreamWriter::new(schema.clone(), flush_bytes, ctx.batch_size()),
             total_rows: 0,
@@ -425,9 +436,14 @@ impl OracleAccumulator {
 
     /// Parks one input batch and buffers its operand rows.
     pub(crate) fn push(&mut self, ctx: &ExecContext<'_>, batch: &RecordBatch) -> Result<()> {
-        for (call, buffer) in self.active.iter().zip(self.buffers.iter_mut()) {
-            self.operand_bytes += gather_operands(ctx, call, batch, self.total_rows, buffer)?;
-        }
+        self.operand_bytes += gather_operands(
+            ctx,
+            &self.key_updates,
+            &self.active,
+            batch,
+            self.total_rows,
+            &mut self.buffers,
+        )?;
         for row in 0..batch.num_rows() {
             self.writer.push_row(ctx.pager(), batch.row(row))?;
         }
@@ -539,6 +555,9 @@ pub struct OracleResolve<'a> {
     ctx: Arc<ExecContext<'a>>,
     input: BoxedOperator<'a>,
     calls: Vec<Expr>,
+    /// The key-update sets of the calls' operands: calls over one auxiliary
+    /// column share its powers, whichever call gathers a batch first.
+    key_updates: Arc<KeyUpdateSets>,
     /// True when any call demands whole-input resolution (rank surrogates).
     blocking: bool,
     /// Cross-batch accumulation configured on the context.
@@ -559,6 +578,7 @@ impl<'a> OracleResolve<'a> {
         });
         let batched = ctx.oracle_batching();
         OracleResolve {
+            key_updates: ctx.key_update_sets(&calls),
             ctx,
             input,
             calls,
@@ -580,11 +600,13 @@ impl<'a> OracleResolve<'a> {
             self.done = true;
             let batch = super::materialize_input(self.input.as_mut())?
                 .unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-            return resolve_oracle_calls(&self.ctx, batch, &self.calls).map(Some);
+            return resolve_calls(&self.ctx, &self.key_updates, batch, &self.calls).map(Some);
         }
         match self.input.next_batch()? {
             None => Ok(None),
-            Some(batch) => resolve_oracle_calls(&self.ctx, batch, &self.calls).map(Some),
+            Some(batch) => {
+                resolve_calls(&self.ctx, &self.key_updates, batch, &self.calls).map(Some)
+            }
         }
     }
 
@@ -597,7 +619,12 @@ impl<'a> OracleResolve<'a> {
             self.done = true;
             return Ok(None);
         };
-        let mut acc = OracleAccumulator::new(&self.ctx, &self.calls, first.schema())?;
+        let mut acc = OracleAccumulator::new(
+            &self.ctx,
+            &self.calls,
+            Arc::clone(&self.key_updates),
+            first.schema(),
+        )?;
         if acc.is_passthrough() {
             // Every call is already a column of the input (or none were
             // registered): nothing to coalesce, stream the input through.
@@ -753,6 +780,17 @@ pub fn resolve_oracle_calls(
     batch: RecordBatch,
     calls: &[Expr],
 ) -> Result<RecordBatch> {
+    resolve_calls(ctx, &KeyUpdateSets::default(), batch, calls)
+}
+
+/// [`resolve_oracle_calls`] with the key-update sets of the operator the calls
+/// belong to.
+fn resolve_calls(
+    ctx: &ExecContext<'_>,
+    key_updates: &KeyUpdateSets,
+    batch: RecordBatch,
+    calls: &[Expr],
+) -> Result<RecordBatch> {
     if calls.is_empty() {
         return Ok(batch);
     }
@@ -761,15 +799,21 @@ pub fn resolve_oracle_calls(
             operation: calls[0].to_string(),
         });
     }
-    let mut batch = batch;
+    let mut active: Vec<PreparedCall> = Vec::new();
     for call in calls {
-        if batch.schema().index_of(&call.to_string()).is_ok() {
+        let rendered = call.to_string();
+        if batch.schema().index_of(&rendered).is_ok()
+            || active.iter().any(|earlier| earlier.rendered == rendered)
+        {
             continue; // already materialised by an earlier operator or call
         }
-        let call = PreparedCall::parse(call)?;
-        let mut buffer = CallBuffer::default();
-        gather_operands(ctx, &call, &batch, 0, &mut buffer)?;
-        let values = resolve_call(ctx, &call, batch.num_rows(), buffer, false)?;
+        active.push(PreparedCall::parse(call)?);
+    }
+    let mut buffers: Vec<CallBuffer> = active.iter().map(|_| CallBuffer::default()).collect();
+    gather_operands(ctx, key_updates, &active, &batch, 0, &mut buffers)?;
+    let mut batch = batch;
+    for (call, buffer) in active.iter().zip(buffers) {
+        let values = resolve_call(ctx, call, batch.num_rows(), buffer, false)?;
         batch = append_virtual_column(
             &batch,
             ColumnDef::public(&call.rendered, call.data_type()),

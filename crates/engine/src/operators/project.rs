@@ -42,6 +42,8 @@ pub struct Project<'a> {
     input: BoxedOperator<'a>,
     items: Vec<ProjectionItem>,
     virtual_columns: Vec<String>,
+    /// The key-update sets of the computed items.
+    key_updates: Arc<crate::udf::KeyUpdateSets>,
     /// Concrete defs locked in for each computed expression, once known.
     locked: Vec<Option<ColumnDef>>,
     /// Batches staged while some computed column is still type-ambiguous.
@@ -66,9 +68,14 @@ impl<'a> Project<'a> {
             .iter()
             .filter(|item| matches!(item, ProjectionItem::Named { .. }))
             .count();
+        let key_updates = ctx.key_update_sets(items.iter().filter_map(|item| match item {
+            ProjectionItem::Named { expr, .. } => Some(expr),
+            ProjectionItem::Wildcard => None,
+        }));
         Project {
             ctx,
             input,
+            key_updates,
             items,
             virtual_columns,
             locked: vec![None; computed_count],
@@ -112,7 +119,7 @@ impl<'a> Project<'a> {
             }
         }
 
-        let evaluator = self.ctx.evaluator();
+        let evaluator = self.ctx.evaluator().with_key_updates(&self.key_updates);
         let mut computed: Vec<Vec<Value>> = vec![Vec::with_capacity(batch.num_rows()); exprs.len()];
         for row in 0..batch.num_rows() {
             for (i, expr) in exprs.iter().enumerate() {

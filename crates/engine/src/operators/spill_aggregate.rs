@@ -30,7 +30,7 @@ use sdb_sql::ast::Expr;
 use sdb_sql::plan::AggregateExpr;
 use sdb_storage::{ColumnDef, DataType, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
 
-use super::aggregate::{bind_aggregate_exprs, finalize_groups, GroupState};
+use super::aggregate::{aggregate_key_updates, bind_aggregate_exprs, finalize_groups, GroupState};
 use super::expr::join_key_component;
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
 use crate::Result;
@@ -83,6 +83,7 @@ pub struct SpillingHashAggregate<'a> {
     input: BoxedOperator<'a>,
     group_by: Vec<(Expr, String)>,
     aggregates: Vec<AggregateExpr>,
+    key_updates: Arc<crate::udf::KeyUpdateSets>,
     done: bool,
 }
 
@@ -95,6 +96,7 @@ impl<'a> SpillingHashAggregate<'a> {
         aggregates: Vec<AggregateExpr>,
     ) -> Self {
         SpillingHashAggregate {
+            key_updates: aggregate_key_updates(&ctx, &group_by, &aggregates),
             ctx,
             input,
             group_by,
@@ -128,7 +130,7 @@ impl<'a> SpillingHashAggregate<'a> {
         out: &mut Vec<PreparedRow>,
         out_bytes: &mut usize,
     ) -> Result<()> {
-        let evaluator = self.ctx.evaluator();
+        let evaluator = self.ctx.evaluator().with_key_updates(&self.key_updates);
         for row in 0..batch.num_rows() {
             let mut key_values = Vec::with_capacity(group_exprs.len());
             for e in group_exprs {

@@ -13,8 +13,12 @@
 //! output); [`HashJoin`] parallelises its build side internally under the
 //! same knob. A scan is the one [`TableScan`] at every parallelism.
 //!
-//! Two further rules:
+//! Three further rules:
 //!
+//! * **Plain conjuncts first** — a filter whose predicate mixes oracle-free
+//!   and oracle-backed conjuncts lowers to `Filter → OracleResolve → Filter`:
+//!   the oracle-free conjuncts run below the [`OracleResolve`], so only the
+//!   rows they keep are key-updated, blinded and shipped to the proxy.
 //! * **Bounded memory** — with a limited
 //!   [`MemoryBudget`](sdb_storage::MemoryBudget) on the context, `Sort`
 //!   lowers to [`ExternalSort`], `Aggregate` to [`SpillingHashAggregate`]
@@ -150,12 +154,7 @@ impl<'a> PhysicalPlanner<'a> {
             LogicalPlan::Filter { input, predicate } => {
                 let below = also_referencing(referenced, [predicate]);
                 let (child, schema) = self.lower(input, &below)?;
-                let child = self.with_oracle_resolve(child, std::slice::from_ref(predicate));
-                let filter = Filter::new(Arc::clone(&self.ctx), child, predicate.clone());
-                Ok((
-                    self.instrument(Box::new(filter), 1, self.estimate(plan)),
-                    schema,
-                ))
+                Ok((self.filter(child, predicate, self.estimate(plan)), schema))
             }
 
             LogicalPlan::Project { input, items } => {
@@ -275,15 +274,7 @@ impl<'a> PhysicalPlanner<'a> {
                 let join =
                     self.instrument(join, 2, if residual_pred.is_some() { None } else { est });
                 let op = match residual_pred {
-                    Some(predicate) => {
-                        let child =
-                            self.with_oracle_resolve(join, std::slice::from_ref(&predicate));
-                        self.instrument(
-                            Box::new(Filter::new(Arc::clone(&self.ctx), child, predicate)),
-                            1,
-                            est,
-                        )
-                    }
+                    Some(predicate) => self.filter(join, &predicate, est),
                     None => join,
                 };
                 Ok((op, combined))
@@ -369,6 +360,34 @@ impl<'a> PhysicalPlanner<'a> {
                 ))
             }
         }
+    }
+
+    /// Filters `child` by `predicate`; `est_rows` annotates the result. A
+    /// conjunction of oracle-free and oracle-backed conjuncts becomes
+    /// `Filter → OracleResolve → Filter`: the oracle-free ones run first, so
+    /// only the rows they keep are key-updated, blinded and shipped. The same
+    /// rows come out — a conjunction is true iff every conjunct is.
+    fn filter(
+        &self,
+        mut child: BoxedOperator<'a>,
+        predicate: &Expr,
+        est_rows: Option<f64>,
+    ) -> BoxedOperator<'a> {
+        let mut predicate = predicate.clone();
+        let calls = collect_oracle_calls_all(std::slice::from_ref(&predicate));
+        if !calls.is_empty() {
+            let (plain, oracle_backed): (Vec<Expr>, Vec<Expr>) = split_conjuncts(&predicate)
+                .into_iter()
+                .partition(|c| collect_oracle_calls_all(std::slice::from_ref(c)).is_empty());
+            if let Some(first) = conjoin(plain) {
+                let first = Filter::new(Arc::clone(&self.ctx), child, first);
+                child = self.instrument(Box::new(first), 1, None);
+                predicate = conjoin(oracle_backed).expect("some conjunct holds the calls");
+            }
+        }
+        let child = self.wrap_calls(child, calls);
+        let filter = Filter::new(Arc::clone(&self.ctx), child, predicate);
+        self.instrument(Box::new(filter), 1, est_rows)
     }
 
     /// Wraps `child` in an [`OracleResolve`] operator when `exprs` contain
@@ -721,6 +740,41 @@ mod tests {
         .unwrap();
         let err = execute_plan(&ctx, &plan);
         assert!(matches!(err, Err(EngineError::OracleUnavailable { .. })));
+    }
+
+    #[test]
+    fn plain_conjuncts_filter_below_the_oracle_backed_ones() {
+        let catalog = setup_catalog();
+        let registry = UdfRegistry::with_sdb_udfs();
+        let ctx = Arc::new(ExecContext::new(&catalog, &registry, None));
+        let planner = PhysicalPlanner::new(Arc::clone(&ctx));
+        let tree = |sql: &str| {
+            let plan = PlanBuilder::build(&parse_query(sql)).unwrap();
+            planner.plan(&plan).unwrap().describe()
+        };
+        let oracle = "SDB_CMP_GT(salary, id, 'h', '35')";
+        assert_eq!(
+            tree(&format!(
+                "SELECT name FROM emp WHERE dept_id = 10 AND {oracle} AND id < 4"
+            )),
+            "Project(Filter(OracleResolve(Filter(TableScan))))"
+        );
+        // Nothing to put first, or nothing to resolve: one filter as before.
+        assert_eq!(
+            tree(&format!("SELECT name FROM emp WHERE {oracle}")),
+            "Project(Filter(OracleResolve(TableScan)))"
+        );
+        assert_eq!(
+            tree("SELECT name FROM emp WHERE dept_id = 10 AND id < 4"),
+            "Project(Filter(TableScan))"
+        );
+        // An OR over both kinds is one conjunct, and oracle-backed.
+        assert_eq!(
+            tree(&format!(
+                "SELECT name FROM emp WHERE dept_id = 10 OR {oracle}"
+            )),
+            "Project(Filter(OracleResolve(TableScan)))"
+        );
     }
 
     #[test]

@@ -19,6 +19,14 @@ pub struct ExecutionStats {
     pub rows_returned: usize,
     /// Number of scalar UDF invocations (SDB or plain).
     pub udf_calls: usize,
+    /// `SDB_KEY_UPDATE` invocations among [`Self::udf_calls`], whether served
+    /// from a key-update set's block or by the function itself.
+    pub key_update_calls: usize,
+    /// Exponentiations `S_e^p` actually raised for them: the heads of every
+    /// row a set filled, plus one per call the function served itself.
+    pub key_update_pows: usize,
+    /// Powers obtained from a neighbouring exponent's with one multiplication.
+    pub key_update_derived: usize,
     /// Number of oracle round trips to the DO proxy.
     pub oracle_round_trips: usize,
     /// Rows shipped to the oracle across all round trips.
@@ -81,6 +89,9 @@ impl ExecutionStats {
         self.scan_columns_read += other.scan_columns_read;
         self.scan_columns_total += other.scan_columns_total;
         self.udf_calls += other.udf_calls;
+        self.key_update_calls += other.key_update_calls;
+        self.key_update_pows += other.key_update_pows;
+        self.key_update_derived += other.key_update_derived;
         self.oracle_round_trips += other.oracle_round_trips;
         self.oracle_rows_shipped += other.oracle_rows_shipped;
         self.oracle_memo_hits += other.oracle_memo_hits;
@@ -118,6 +129,13 @@ impl ExecutionStats {
                 .saturating_sub(earlier.scan_columns_total),
             rows_returned: 0,
             udf_calls: self.udf_calls.saturating_sub(earlier.udf_calls),
+            key_update_calls: self
+                .key_update_calls
+                .saturating_sub(earlier.key_update_calls),
+            key_update_pows: self.key_update_pows.saturating_sub(earlier.key_update_pows),
+            key_update_derived: self
+                .key_update_derived
+                .saturating_sub(earlier.key_update_derived),
             oracle_round_trips: self
                 .oracle_round_trips
                 .saturating_sub(earlier.oracle_round_trips),
@@ -377,6 +395,9 @@ mod tests {
             subquery_time: Duration::from_micros(20),
             scan_columns_read: 21,
             scan_columns_total: 22,
+            key_update_calls: 23,
+            key_update_pows: 24,
+            key_update_derived: 25,
         };
         let b = ExecutionStats {
             rows_scanned: 100,
@@ -401,6 +422,9 @@ mod tests {
             subquery_time: Duration::from_micros(2_000),
             scan_columns_read: 2_100,
             scan_columns_total: 2_200,
+            key_update_calls: 2_300,
+            key_update_pows: 2_400,
+            key_update_derived: 2_500,
         };
         a.merge(&b);
         assert_eq!(a.rows_scanned, 101);
@@ -429,6 +453,9 @@ mod tests {
         assert_eq!(a.subquery_time, Duration::from_micros(2_020));
         assert_eq!(a.scan_columns_read, 2_121);
         assert_eq!(a.scan_columns_total, 2_222);
+        assert_eq!(a.key_update_calls, 2_323);
+        assert_eq!(a.key_update_pows, 2_424);
+        assert_eq!(a.key_update_derived, 2_525);
     }
 
     /// `delta_since` is merge's inverse on the summed fields: zeroes the

@@ -400,6 +400,12 @@ impl SpanReport {
                 fmt_us(x.oracle_time.as_micros() as u64),
             ));
         }
+        if x.key_update_calls > 0 {
+            line.push_str(&format!(
+                " keyupd[calls={} pows={} derived={}]",
+                x.key_update_calls, x.key_update_pows, x.key_update_derived,
+            ));
+        }
         if x.pages_spilled > 0 || x.pages_evicted > 0 || x.spill_bytes_read > 0 {
             line.push_str(&format!(
                 " spill[pages={} written={} read={} evicted={}]",

@@ -13,6 +13,11 @@
 //! evaluator gives every call site of a query its own instance
 //! ([`ScalarUdf::site_instance`], [`UdfSites`]), so two sites with different
 //! constants never evict each other; see ARCHITECTURE.md, "Modular arithmetic".
+//!
+//! The `SDB_KEY_UPDATE` sites of one operator that raise the same auxiliary
+//! column under the same `n` form a [`KeyUpdateSets`] group: their `S_e^p`
+//! are computed together, on the first call that needs a row, into a row of
+//! powers every site reads (ARCHITECTURE.md, "Key-update sets").
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,9 +25,11 @@ use std::sync::Arc;
 use num_bigint::BigUint;
 use parking_lot::Mutex;
 use sdb_crypto::bigint::{mod_add, mod_mul};
-use sdb_crypto::{BoundKeyUpdate, KeyUpdateParams};
-use sdb_storage::Value;
+use sdb_crypto::{BoundKeyUpdate, BoundKeyUpdateSet, KeyUpdateParams};
+use sdb_sql::ast::{Expr, Literal};
+use sdb_storage::{Column, Value};
 
+use crate::operators::parallel;
 use crate::secure::parse_biguint_arg;
 use crate::{EngineError, Result};
 
@@ -52,6 +59,8 @@ pub trait ScalarUdf: Send + Sync {
 #[derive(Default)]
 pub struct UdfSites {
     sites: Mutex<HashMap<String, Arc<dyn ScalarUdf>>>,
+    /// The key-update sets of the query's operators.
+    key_updates: Mutex<Vec<Arc<KeyUpdateSets>>>,
 }
 
 impl UdfSites {
@@ -72,14 +81,248 @@ impl UdfSites {
         Ok(udf)
     }
 
+    /// Plans the key-update sets of one operator from its expressions and
+    /// keeps them with the query's other arithmetic state. `workers` is how
+    /// many threads may evaluate the operator's rows at once.
+    pub(crate) fn key_update_sets<'e>(
+        &self,
+        exprs: impl IntoIterator<Item = &'e Expr>,
+        workers: usize,
+    ) -> Arc<KeyUpdateSets> {
+        let sets = Arc::new(KeyUpdateSets::plan(exprs, workers));
+        if !sets.groups.is_empty() {
+            self.key_updates.lock().push(Arc::clone(&sets));
+        }
+        sets
+    }
+
     /// Every constant remembered by any site (see
-    /// [`ScalarUdf::remembered_constants`]).
+    /// [`ScalarUdf::remembered_constants`]) or bound by a key-update set.
     pub fn remembered_constants(&self) -> Vec<String> {
         let sites = self.sites.lock();
+        let key_updates = self.key_updates.lock();
         sites
             .values()
             .flat_map(|udf| udf.remembered_constants())
+            .chain(key_updates.iter().flat_map(|sets| sets.constants()))
             .collect()
+    }
+
+    /// Every residue `S_e^p` a key-update set holds in its rows of powers, as
+    /// a canonical value. With [`Self::remembered_constants`] this is all
+    /// the sets keep, and what the leakage audit scans.
+    pub fn remembered_powers(&self) -> Vec<BigUint> {
+        let key_updates = self.key_updates.lock();
+        key_updates.iter().flat_map(|sets| sets.powers()).collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Key-update sets
+// ---------------------------------------------------------------------------
+
+/// The name the key-update function is registered under.
+pub(crate) const KEY_UPDATE: &str = "SDB_KEY_UPDATE";
+
+/// What an evaluator counts about the key updates it evaluated.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyUpdateCounts {
+    /// Invocations, however served.
+    pub(crate) calls: usize,
+    /// Exponentiations raised.
+    pub(crate) pows: usize,
+    /// Powers derived from a neighbour's.
+    pub(crate) derived: usize,
+}
+
+/// A call site's place in its operator's [`KeyUpdateSets`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyUpdateMember {
+    group: usize,
+    member: usize,
+}
+
+/// The `p`, `q` and `n` texts of an `SDB_KEY_UPDATE` call whose auxiliary
+/// share is a plain column and whose parameters are literals, with that
+/// column's name.
+fn literal_key_update<'e>(name: &str, args: &'e [Expr]) -> Option<[&'e str; 4]> {
+    if !name.eq_ignore_ascii_case(KEY_UPDATE) {
+        return None;
+    }
+    let [_, Expr::Column(aux), p, q, n] = args else {
+        return None;
+    };
+    let text = |arg: &'e Expr| match arg {
+        Expr::Literal(Literal::Str(text)) => Some(text.as_str()),
+        _ => None,
+    };
+    Some([aux, text(p)?, text(q)?, text(n)?])
+}
+
+/// The key-update sets of one operator: its `SDB_KEY_UPDATE` call sites with
+/// literal `p`, `q` and `n`, grouped by (auxiliary column, `n`). Each group
+/// binds its updates as one [`BoundKeyUpdateSet`] and serves them from the
+/// powers of one row's auxiliary share, raised when the first site asks for
+/// that row and not before: a row no site evaluates (a `CASE` branch not
+/// taken, a short-circuited `AND`) costs nothing. A group remembers one row
+/// per worker, so its readers go row by row — every site of a row before the
+/// next row's — as all four operators that evaluate with sets do. Sites whose
+/// constants do not parse, or whose `n` is even, are left out: the function
+/// itself serves them, and reports what is wrong with them.
+#[derive(Default)]
+pub struct KeyUpdateSets {
+    groups: Vec<KeyUpdateGroup>,
+    /// The four texts of a site, joined → its place.
+    members: HashMap<String, KeyUpdateMember>,
+}
+
+struct KeyUpdateGroup {
+    /// `n`, then `p` and `q` of every member, as the SQL wrote them.
+    constants: Vec<String>,
+    set: BoundKeyUpdateSet,
+    /// The row each worker raised last, so the morsels of a fan-out do not
+    /// evict each other's.
+    rows: Vec<Mutex<PowerRow>>,
+}
+
+/// The powers of the auxiliary share in one cell of a column.
+#[derive(Default)]
+struct PowerRow {
+    /// The cell, as a window of one. Holding it keeps its buffer alive, so a
+    /// hit can only be the cell the powers were raised from.
+    cell: Option<Column>,
+    /// A residue per distinct exponent of the group.
+    limbs: Vec<u64>,
+}
+
+/// The share in a cell of an auxiliary column, if it holds one.
+fn share(value: &Value) -> Option<&BigUint> {
+    match value {
+        Value::Encrypted(share) => Some(share),
+        _ => None,
+    }
+}
+
+fn member_key(texts: [&str; 4]) -> String {
+    texts.join("\u{1f}")
+}
+
+impl KeyUpdateSets {
+    fn plan<'e>(exprs: impl IntoIterator<Item = &'e Expr>, workers: usize) -> KeyUpdateSets {
+        /// A group while its sites are being collected.
+        struct Planned<'e> {
+            aux: &'e str,
+            n_text: &'e str,
+            n: BigUint,
+            updates: Vec<KeyUpdateParams>,
+            constants: Vec<String>,
+        }
+        let mut planned: Vec<Planned<'e>> = Vec::new();
+        let mut members = HashMap::new();
+        let mut visit = |expr: &'e Expr| {
+            let Expr::Function { name, args, .. } = expr else {
+                return;
+            };
+            let Some(texts @ [aux, p_text, q_text, n_text]) = literal_key_update(name, args) else {
+                return;
+            };
+            let key = member_key(texts);
+            if members.contains_key(&key) {
+                return;
+            }
+            let parse = |text| parse_biguint_arg(KEY_UPDATE, text);
+            let (Ok(p), Ok(q)) = (parse(p_text), parse(q_text)) else {
+                return;
+            };
+            let same = |g: &Planned<'_>| g.aux == aux && g.n_text == n_text;
+            let group = match planned.iter().position(same) {
+                Some(group) => group,
+                None => match parse(n_text) {
+                    Ok(n) if n.bit(0) => {
+                        planned.push(Planned {
+                            aux,
+                            n_text,
+                            n,
+                            updates: Vec::new(),
+                            constants: vec![n_text.to_string()],
+                        });
+                        planned.len() - 1
+                    }
+                    _ => return,
+                },
+            };
+            let planned = &mut planned[group];
+            let member = planned.updates.len();
+            members.insert(key, KeyUpdateMember { group, member });
+            planned.updates.push(KeyUpdateParams { p, q });
+            planned
+                .constants
+                .extend([p_text.to_string(), q_text.to_string()]);
+        };
+        for expr in exprs {
+            expr.walk(&mut visit);
+        }
+        let groups = planned
+            .into_iter()
+            .map(|group| KeyUpdateGroup {
+                constants: group.constants,
+                set: BoundKeyUpdateSet::bind(&group.n, &group.updates).expect("n is odd"),
+                rows: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
+            })
+            .collect();
+        KeyUpdateSets { groups, members }
+    }
+
+    /// The place of the call `name(args)` in these sets, if it is one of the
+    /// sites they were planned from.
+    pub(crate) fn member<'e>(
+        &self,
+        name: &str,
+        args: &'e [Expr],
+    ) -> Option<(&'e str, KeyUpdateMember)> {
+        let texts = literal_key_update(name, args)?;
+        Some((texts[0], *self.members.get(&member_key(texts))?))
+    }
+
+    /// `a · S_e^p · q mod n` for `site`, with `S_e` the share in `row` of the
+    /// auxiliary column `aux`. `None` when that cell is not a share: the
+    /// caller then asks the function, which decides what a NULL or a value
+    /// of another type means.
+    pub(crate) fn apply(
+        &self,
+        site: KeyUpdateMember,
+        aux: &Column,
+        row: usize,
+        a: &BigUint,
+        counts: &mut KeyUpdateCounts,
+    ) -> Option<BigUint> {
+        let group = &self.groups[site.group];
+        let share = share(aux.get(row))?;
+        let mut powers = group.rows[parallel::current_worker() % group.rows.len()].lock();
+        let at = aux.offset() + row;
+        let raised = |cell: &Column| cell.shares_buffer(aux) && cell.offset() == at;
+        if !powers.cell.as_ref().is_some_and(raised) {
+            powers.limbs.resize(group.set.row_limbs(), 0);
+            group.set.fill(share, &mut powers.limbs);
+            powers.cell = Some(aux.slice(row, 1));
+            counts.pows += group.set.heads();
+            counts.derived += group.set.derived();
+        }
+        Some(group.set.apply(site.member, a, &powers.limbs))
+    }
+
+    fn constants(&self) -> impl Iterator<Item = String> + '_ {
+        self.groups
+            .iter()
+            .flat_map(|group| group.constants.iter().cloned())
+    }
+
+    fn powers(&self) -> Vec<BigUint> {
+        let rows = self.groups.iter().flat_map(|group| {
+            let rows = group.rows.iter().map(Mutex::lock);
+            rows.map(|row| group.set.powers(&row.limbs))
+        });
+        rows.flatten().collect()
     }
 }
 
@@ -397,11 +640,11 @@ pub struct SdbKeyUpdateUdf {
 
 impl ScalarUdf for SdbKeyUpdateUdf {
     fn name(&self) -> &str {
-        "SDB_KEY_UPDATE"
+        KEY_UPDATE
     }
 
     fn invoke(&self, args: &[Value]) -> Result<Value> {
-        const NAME: &str = "SDB_KEY_UPDATE";
+        const NAME: &str = KEY_UPDATE;
         let [a, s, p, q, n] = args else {
             return Err(arity_error(NAME, 5, args.len()));
         };
@@ -936,6 +1179,121 @@ mod tests {
                 &big("0")
             ))
             .is_err());
+    }
+
+    /// The select-list expressions of `SELECT <items> FROM t`.
+    fn select_items(items: &str) -> Vec<Expr> {
+        let sql = format!("SELECT {items} FROM t");
+        let sdb_sql::Statement::Query(query) = sdb_sql::parse_sql(&sql).unwrap() else {
+            unreachable!()
+        };
+        let exprs = query.projections.into_iter().map(|item| match item {
+            sdb_sql::SelectItem::Expr { expr, .. } => expr,
+            other => panic!("unexpected {other:?}"),
+        });
+        exprs.collect()
+    }
+
+    /// Sites group by (auxiliary column, `n`); a site the function would
+    /// refuse (unparsable constant, even or zero modulus) or whose parameters
+    /// are not literals is no member, so the function still answers for it.
+    #[test]
+    fn key_update_sets_group_sites_by_auxiliary_column_and_modulus() {
+        let exprs = select_items(
+            "SDB_KEY_UPDATE(a, s, '5', '2', '35'), \
+             SDB_ADD(SDB_KEY_UPDATE(b, s, '6', '3', '35'), SDB_KEY_UPDATE(a, s, '5', '2', '35'), '35'), \
+             CASE WHEN x THEN sdb_key_update(a, s2, '5', '2', '35') END, \
+             SDB_KEY_UPDATE(a, s, '5', '2', '33'), \
+             SDB_KEY_UPDATE(a, s, '5', '2', '36'), \
+             SDB_KEY_UPDATE(a, s, '5', '2', '0'), \
+             SDB_KEY_UPDATE(a, s, 'five', '2', '35'), \
+             SDB_KEY_UPDATE(a, s, p, '2', '35'), \
+             SDB_KEY_UPDATE(a, SDB_MULTIPLY(s, s, '35'), '5', '2', '35'), \
+             SDB_KEY_UPDATE(a, s, '5', '2')",
+        );
+        let sets = KeyUpdateSets::plan(&exprs, 1);
+        // (s, 35) with two members, (s2, 35), (s, 33).
+        assert_eq!(sets.groups.len(), 3);
+        assert_eq!(sets.members.len(), 4);
+        assert_eq!(
+            (sets.groups[0].set.heads(), sets.groups[0].set.derived()),
+            (1, 1)
+        );
+        fn member_of<'e>(sets: &KeyUpdateSets, expr: &'e Expr) -> Option<&'e str> {
+            let Expr::Function { name, args, .. } = expr else {
+                return None;
+            };
+            sets.member(name, args).map(|(aux, _)| aux)
+        }
+        let members: Vec<Option<&str>> = exprs.iter().map(|e| member_of(&sets, e)).collect();
+        assert_eq!(members[0], Some("s"));
+        assert_eq!(members[3], Some("s"));
+        assert_eq!(members[4..], [None; 6], "left to the function");
+        let mut constants: Vec<String> = sets.constants().collect();
+        constants.sort();
+        constants.dedup();
+        assert_eq!(constants, ["2", "3", "33", "35", "5", "6"]);
+        assert!(sets.powers().is_empty(), "nothing is raised before a call");
+    }
+
+    /// A row's powers are raised by the first site that asks for the row and
+    /// read by every other: the same cell through a slice hits, equal values
+    /// in another buffer or another row do not, a row nobody asks for costs
+    /// nothing, NULL rows are the function's, and what the group remembers
+    /// is the canonical `S_e^p` of the row raised last.
+    #[test]
+    fn powers_are_raised_on_the_first_call_of_a_row() {
+        let mut rng = StdRng::seed_from_u64(0xb10c);
+        let key = SystemKey::generate(&mut rng, KeyConfig::TEST).unwrap();
+        let n = key.n();
+        let (p, q) = (key.gen_row_id(&mut rng), BigUint::from(12_345u32));
+        let next = &p + BigUint::from(1u32);
+        let exprs = select_items(&format!(
+            "SDB_KEY_UPDATE(a, s, '{p}', '{q}', '{n}'), SDB_KEY_UPDATE(a, s, '{next}', '{q}', '{n}')"
+        ));
+        let shares: Vec<Value> = (0..8)
+            .map(|i| match i {
+                5 => Value::Null,
+                _ => Value::Encrypted(key.gen_row_id(&mut rng)),
+            })
+            .collect();
+        let column =
+            Column::from_values_unchecked(sdb_storage::DataType::Encrypted, shares.clone());
+        let a = BigUint::from(777u32);
+        let expected = |row: usize, p: &BigUint| match &shares[row] {
+            Value::Encrypted(s) => Some(textbook_key_update(&a, s, p, &q, n)),
+            _ => None,
+        };
+
+        let sets = KeyUpdateSets::plan(&exprs, 1);
+        let sites: Vec<KeyUpdateMember> = exprs
+            .iter()
+            .map(|expr| match expr {
+                Expr::Function { name, args, .. } => sets.member(name, args).unwrap().1,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let mut counts = KeyUpdateCounts::default();
+        let mut apply = |site: usize, column: &Column, row: usize| {
+            let updated = sets.apply(sites[site], column, row, &a, &mut counts);
+            (updated, counts.pows, counts.derived)
+        };
+        // Both sites of row 0 on one exponentiation; rows 1 and 2 are skipped.
+        assert_eq!(apply(0, &column, 0), (expected(0, &p), 1, 1));
+        assert_eq!(apply(1, &column, 0), (expected(0, &next), 1, 1));
+        assert_eq!(apply(1, &column, 3), (expected(3, &next), 2, 2));
+        // The same cell through a slice of the column.
+        assert_eq!(apply(0, &column.slice(2, 4), 1), (expected(3, &p), 2, 2));
+        // A NULL cell is left to the function and evicts nothing.
+        assert_eq!(apply(0, &column, 5), (None, 2, 2));
+        assert_eq!(apply(0, &column, 3), (expected(3, &p), 2, 2));
+        // Equal values in another buffer are another cell.
+        let copy = Column::from_values_unchecked(sdb_storage::DataType::Encrypted, shares.clone());
+        assert_eq!(apply(0, &copy, 3), (expected(3, &p), 3, 3));
+        let Value::Encrypted(s) = &shares[3] else {
+            unreachable!()
+        };
+        assert_eq!(sets.powers(), [s.modpow(&p, n), s.modpow(&next, n)]);
     }
 
     /// A site instance starts with an empty memory of its own, so call sites

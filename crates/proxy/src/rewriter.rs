@@ -99,6 +99,11 @@ struct Ctx {
     /// rendered original group expr → rewritten server group expr.
     group_map: HashMap<String, Expr>,
     server_items: Vec<ServerItem>,
+    /// rendered argument of a pushed encrypted `SUM` → alias of its server
+    /// item. Every push draws a fresh target key, so repeats (`SUM(x)` beside
+    /// `AVG(x)`, or in the select list and in `HAVING`) would otherwise miss
+    /// the identical-expression dedup and be computed and shipped again.
+    encrypted_sums: HashMap<String, String>,
     /// visible table → server alias of its projected row-id column.
     rowid_items: HashMap<String, String>,
     used_aliases: HashSet<String>,
@@ -151,6 +156,7 @@ impl<'a> Rewriter<'a> {
                     .unwrap_or(false),
             group_map: HashMap::new(),
             server_items: Vec::new(),
+            encrypted_sums: HashMap::new(),
             rowid_items: HashMap::new(),
             used_aliases: HashSet::new(),
             outputs: Vec::new(),
@@ -1283,6 +1289,10 @@ impl<'a> Rewriter<'a> {
     /// expression to a fresh *row-independent* key, let the SP fold with modular
     /// addition, and decrypt the single result with the constant item key.
     fn push_encrypted_sum(&self, arg: &Expr, ctx: &mut Ctx) -> Result<String> {
+        let source = arg.to_string();
+        if let Some(alias) = ctx.encrypted_sums.get(&source) {
+            return Ok(alias.clone());
+        }
         let enc = self.rewrite_enc_expr(arg, ctx)?;
         let aux = self.aux_key_of(&enc.table, ctx)?;
         let target = ColumnKeyAlgebra::row_independent_target(
@@ -1297,14 +1307,16 @@ impl<'a> Rewriter<'a> {
             decode: scaled_plain_type(enc.scale),
         });
         let server_expr = Expr::func("SUM", vec![updated]);
-        Ok(self.add_server_item(
+        let alias = self.add_server_item(
             server_expr,
             Ingredient::EncryptedRowIndependent {
                 handle,
                 decode: scaled_plain_type(enc.scale),
             },
             ctx,
-        ))
+        );
+        ctx.encrypted_sums.insert(source, alias.clone());
+        Ok(alias)
     }
 
     /// Adds a row-keyed encrypted ingredient (plus the row-id projection its
@@ -1537,6 +1549,31 @@ mod tests {
             sql.contains("SDB_KEY_UPDATE(emp.bonus, emp.sdb_s,"),
             "{sql}"
         );
+    }
+
+    /// `SUM(x)` beside `AVG(x)`, and a `SUM` repeated in `HAVING`, push one
+    /// server item per distinct argument: one key update, one result column.
+    #[test]
+    fn repeated_encrypted_sums_share_one_server_item() {
+        let f = fixture();
+        let (out, _) = rewrite(
+            &f,
+            "SELECT dept, SUM(salary) AS total, AVG(salary) AS mean, SUM(bonus) AS extra \
+             FROM emp GROUP BY dept HAVING SUM(salary) > 100",
+        );
+        let sql = out.server_query.to_string();
+        assert_eq!(
+            sql.matches("SUM(SDB_KEY_UPDATE(emp.salary,").count(),
+            1,
+            "{sql}"
+        );
+        assert_eq!(
+            sql.matches("SUM(SDB_KEY_UPDATE(emp.bonus,").count(),
+            1,
+            "{sql}"
+        );
+        assert_eq!(sql.matches("SDB_KEY_UPDATE").count(), 2, "{sql}");
+        assert_eq!(out.plan.encrypted_ingredient_count(), 2);
     }
 
     #[test]

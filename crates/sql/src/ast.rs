@@ -280,21 +280,20 @@ impl Expr {
         }
     }
 
-    /// Collects every column name referenced anywhere in the expression
-    /// (including inside subqueries' outer references — subquery bodies are skipped
-    /// because they reference their own scope).
-    pub fn referenced_columns(&self, out: &mut Vec<String>) {
+    /// Calls `visit` on this expression and on every subexpression, parents
+    /// first. Subquery bodies are skipped: they reference their own scope.
+    pub fn walk<'e, F: FnMut(&'e Expr)>(&'e self, visit: &mut F) {
+        visit(self);
         match self {
-            Expr::Column(name) => out.push(name.clone()),
-            Expr::Literal(_) => {}
-            Expr::Unary { expr, .. } => expr.referenced_columns(out),
+            Expr::Column(_) | Expr::Literal(_) => {}
+            Expr::Unary { expr, .. } => expr.walk(visit),
             Expr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
+                left.walk(visit);
+                right.walk(visit);
             }
             Expr::Function { args, .. } => {
                 for a in args {
-                    a.referenced_columns(out);
+                    a.walk(visit);
                 }
             }
             Expr::Case {
@@ -303,34 +302,45 @@ impl Expr {
                 else_expr,
             } => {
                 if let Some(op) = operand {
-                    op.referenced_columns(out);
+                    op.walk(visit);
                 }
                 for (w, t) in branches {
-                    w.referenced_columns(out);
-                    t.referenced_columns(out);
+                    w.walk(visit);
+                    t.walk(visit);
                 }
                 if let Some(e) = else_expr {
-                    e.referenced_columns(out);
+                    e.walk(visit);
                 }
             }
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.referenced_columns(out);
-                low.referenced_columns(out);
-                high.referenced_columns(out);
+                expr.walk(visit);
+                low.walk(visit);
+                high.walk(visit);
             }
             Expr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
+                expr.walk(visit);
                 for e in list {
-                    e.referenced_columns(out);
+                    e.walk(visit);
                 }
             }
-            Expr::InSubquery { expr, .. } => expr.referenced_columns(out),
+            Expr::InSubquery { expr, .. } => expr.walk(visit),
             Expr::ScalarSubquery(_) | Expr::Exists { .. } => {}
-            Expr::Like { expr, .. } => expr.referenced_columns(out),
-            Expr::IsNull { expr, .. } => expr.referenced_columns(out),
+            Expr::Like { expr, .. } => expr.walk(visit),
+            Expr::IsNull { expr, .. } => expr.walk(visit),
         }
+    }
+
+    /// Collects every column name referenced anywhere in the expression
+    /// (including inside subqueries' outer references — subquery bodies are skipped
+    /// because they reference their own scope).
+    pub fn referenced_columns(&self, out: &mut Vec<String>) {
+        self.walk(&mut |expr| {
+            if let Expr::Column(name) = expr {
+                out.push(name.clone());
+            }
+        });
     }
 
     /// True if the expression contains any aggregate function call.

@@ -128,6 +128,13 @@ impl Column {
         Arc::ptr_eq(&self.buffer, &other.buffer)
     }
 
+    /// Where this column's window starts in its buffer: with
+    /// [`Column::shares_buffer`], what tells which cells two windows have in
+    /// common.
+    pub fn offset(&self) -> usize {
+        self.offset
+    }
+
     /// Rough serialised size in bytes, used for key-store / storage accounting
     /// (experiment E2).
     pub fn approx_size_bytes(&self) -> usize {

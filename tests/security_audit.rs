@@ -220,6 +220,87 @@ fn sp_side_arithmetic_state_holds_only_constants_the_sp_was_sent() {
 }
 
 #[test]
+fn key_update_sets_remember_only_what_the_sp_was_sent_and_count_in_integers() {
+    // A key-update set keeps the texts of `n`, `p` and `q` it bound and, per
+    // worker, the powers `S_e^p` of the row it raised last: functions of a
+    // stored share and of constants the rewritten SQL carries in the clear.
+    // Run the SP half of rewritten Q1 and look at all of it, the powers as
+    // the canonical residues they stand for.
+    let client = loaded_client();
+    let q1 = sdb_workload::query_by_id(1).expect("template").sql;
+    let rewritten = client.rewrite_only(q1).unwrap();
+    let registry = UdfRegistry::with_sdb_udfs();
+    let oracle: Arc<dyn SdbOracle> = client.proxy().oracle(&rewritten);
+    let ctx = Arc::new(ExecContext::new(
+        client.engine().catalog(),
+        &registry,
+        Some(oracle),
+    ));
+    let plan = PlanBuilder::build(&rewritten.server_query).unwrap();
+    let mut root = PhysicalPlanner::new(Arc::clone(&ctx)).plan(&plan).unwrap();
+    drain_operator(root.as_mut()).unwrap();
+    let stats = ctx.stats();
+    assert!(stats.key_update_calls > 0 && stats.key_update_pows < stats.key_update_calls);
+
+    let constants = ctx.udf_sites().remembered_constants();
+    assert!(constants.len() > 2 * 8, "n, and the p and q of eight sites");
+    for constant in &constants {
+        assert!(
+            rewritten.server_sql.contains(constant.as_str()),
+            "a set remembers {constant}, which the rewritten SQL never sent"
+        );
+    }
+    let powers: Vec<String> = (ctx.udf_sites().remembered_powers().iter())
+        .map(ToString::to_string)
+        .collect();
+    assert!(!powers.is_empty(), "the last row's powers are still held");
+
+    let system = client.proxy().keystore().system();
+    let mut secrets = vec![system.phi().to_string(), system.g().to_string()];
+    let keystore = client.proxy().keystore();
+    for table in keystore.table_names() {
+        let keys = keystore.table_keys(&table).unwrap();
+        for key in keys.columns.values().chain([&keys.aux]) {
+            secrets.push(key.m().to_string());
+            secrets.push(key.x().to_string());
+        }
+    }
+    for secret in &secrets {
+        assert!(
+            !constants.contains(secret) && !powers.contains(secret),
+            "a DO secret reached a key-update set"
+        );
+    }
+    let mut auditor = sdb::MemoryAuditor::new();
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        auditor.register_table(&table);
+    }
+    let haystack = [constants.join("\n"), powers.join("\n")].join("\n");
+    assert!(auditor
+        .audit([("key-update-sets", haystack.as_str())])
+        .is_clean());
+
+    // What the sets add to EXPLAIN ANALYZE and the exported trace is three
+    // integers per operator.
+    let opts = sdb_engine::QueryOptions::default().with_tracing(true);
+    let traced = client.query_with(q1, &opts).expect("traced query");
+    let json = traced.trace.expect("tracing was on").to_json();
+    for field in [
+        "\"key_update_calls\": ",
+        "\"key_update_pows\": ",
+        "\"key_update_derived\": ",
+    ] {
+        let occurrences: Vec<&str> = json.split(field).skip(1).collect();
+        assert!(!occurrences.is_empty(), "the trace exports {field}");
+        for rest in occurrences {
+            let value = rest.split([',', '\n']).next().unwrap_or("");
+            assert!(value.trim().parse::<usize>().is_ok(), "{field}{value}");
+        }
+    }
+    assert!(auditor.audit([("trace-json", json.as_str())]).is_clean());
+}
+
+#[test]
 fn keystore_json_holds_no_derived_tables_and_a_restored_store_rebuilds_them() {
     // The fixed-base table of g and the Montgomery context are DO-side derived
     // state: persisting them would multiply the key store's size by orders of

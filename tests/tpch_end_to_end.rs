@@ -100,11 +100,84 @@ fn rewritten_queries_use_sdb_udfs_where_sensitive_data_is_involved() {
     assert!(q1.server_sql.contains("SDB_KEY_UPDATE"));
     assert!(q1.server_sql.contains("SDB_MULTIPLY") || q1.server_sql.contains("SDB_MUL_PLAIN"));
 
+    // SUM(l_quantity) beside AVG(l_quantity), and likewise l_extendedprice,
+    // are one server item each: 8 key updates, not 10.
+    assert_eq!(
+        q1.server_sql.matches("SDB_KEY_UPDATE").count(),
+        8,
+        "{}",
+        q1.server_sql
+    );
+
     let q6 = client
         .rewrite_only(sdb_workload::query_by_id(6).unwrap().sql)
         .unwrap();
     assert!(q6.server_sql.contains("SDB_CMP_"));
     assert!(q6.server_sql.contains("SUM(SDB_KEY_UPDATE"));
+}
+
+/// Q6's `WHERE` mixes plain date conjuncts with oracle-backed comparisons:
+/// the plain ones filter first, so only the rows they keep are key-updated,
+/// blinded and shipped. Q1's eight key updates a row are four exponentiations.
+#[test]
+fn plain_conjuncts_run_below_the_oracle_and_key_updates_share_their_powers() {
+    let (client, _) = deployments();
+    let q6 = sdb_workload::query_by_id(6).unwrap().sql;
+    let explained = client.explain(q6).expect("explain");
+    let operators: Vec<&str> = explained
+        .lines()
+        .skip_while(|line| !line.starts_with("physical plan"))
+        .skip(1)
+        .take_while(|line| line.starts_with(' '))
+        .map(str::trim)
+        .collect();
+    assert_eq!(
+        operators[2..],
+        ["Filter", "OracleResolve", "Filter", "TableScan"],
+        "{explained}"
+    );
+
+    let analyzed = client.explain_analyze(q6).expect("explain analyze");
+    let rows_out = |operator: &str, nth: usize| -> usize {
+        let line = analyzed
+            .lines()
+            .filter(|line| line.trim_start().starts_with(operator))
+            .nth(nth)
+            .unwrap_or_else(|| panic!("no {operator} #{nth} in\n{analyzed}"));
+        let rows = line.split("rows=").nth(1).expect("rows=");
+        rows.split_whitespace().next().unwrap().parse().unwrap()
+    };
+    let (scanned, plain_kept) = (rows_out("TableScan", 0), rows_out("Filter", 1));
+    assert!(0 < plain_kept && plain_kept < scanned, "{analyzed}");
+    let result = client.query(q6).unwrap();
+    assert_eq!(
+        result.server_stats.oracle_rows_shipped,
+        3 * plain_kept,
+        "three comparisons over the rows the date conjuncts keep"
+    );
+
+    let q1 = client
+        .query(sdb_workload::query_by_id(1).unwrap().sql)
+        .unwrap();
+    let stats = &q1.server_stats;
+    assert!(stats.key_update_calls > 0);
+    assert_eq!(stats.key_update_calls % 8, 0);
+    assert_eq!(stats.key_update_pows, stats.key_update_calls / 2);
+    assert_eq!(stats.key_update_derived, stats.key_update_calls / 8 * 3);
+    let analyzed = client
+        .explain_analyze(sdb_workload::query_by_id(1).unwrap().sql)
+        .unwrap();
+    let aggregate = analyzed
+        .lines()
+        .find(|line| line.contains("HashAggregate"))
+        .expect("Q1 aggregates");
+    assert!(
+        aggregate.contains(&format!(
+            "keyupd[calls={} pows={} derived={}]",
+            stats.key_update_calls, stats.key_update_pows, stats.key_update_derived
+        )),
+        "{aggregate}"
+    );
 }
 
 #[test]
