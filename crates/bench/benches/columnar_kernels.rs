@@ -1,15 +1,17 @@
-//! Scalar vs vectorised kernel micro-benches over a 200k-row fact table:
-//! selection (predicate → selection bitmap → `filter_bitmap`), key hashing
-//! (join probe and group-by key rendering through `KeyColumns`) and global
-//! aggregation (`GlobalAggKernel`'s columnar folds), each run through the
-//! full engine twice — `with_vectorised(false)` vs `(true)` — so the
-//! numbers compare the two production code paths, not synthetic loops.
+//! Kernel micro-benches over a 200k-row fact table, each query run through
+//! the full engine so the numbers are production code paths, not synthetic
+//! loops. Selection (predicate → selection bitmap → `filter_bitmap`) and
+//! global aggregation (`GlobalAggKernel`'s columnar folds) have a scalar
+//! twin and run twice — `with_vectorised(false)` vs `(true)`. The keyed
+//! operators (hash-join probe on one and on two key columns, group-by) have
+//! one key path (`sdb_engine::kernels::keys`) whatever the knob says, so
+//! they are timed once.
 //!
 //! Besides the criterion timings, the target writes a
 //! `BENCH_columnar.json` snapshot at the repository root: the workload is
 //! fully seeded (deterministic data, queries and output cardinalities); the
-//! recorded speedups come from a best-of-N wall-clock measurement at
-//! snapshot time.
+//! recorded times come from a best-of-N wall-clock measurement at snapshot
+//! time.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -22,24 +24,35 @@ use sdb_storage::{Catalog, ColumnDef, DataType, Schema, Value};
 
 const ROWS: u64 = 200_000;
 
-/// The micro-bench battery: one query per kernel family.
-const BENCHES: &[(&str, &str)] = &[
+/// The micro-bench battery: name, query, and whether the query has a scalar
+/// twin to compare against (the keyed operators do not).
+const BENCHES: &[(&str, &str, bool)] = &[
     (
         "filter",
         "SELECT id FROM fact WHERE val > 0 AND d < 30.5 AND name LIKE 'g%'",
+        true,
     ),
     (
         "hash_join_probe",
         "SELECT f.id, d.label FROM fact f JOIN dim d ON f.grp = d.k",
+        false,
+    ),
+    // Two key columns, the shape of TPC-H Q5's top join.
+    (
+        "hash_join_probe_two_keys",
+        "SELECT f.id, d.label FROM fact f JOIN dim2 d ON f.grp = d.k AND f.flag = d.f",
+        false,
     ),
     (
         "group_keys",
         "SELECT grp, flag, COUNT(*) AS n, SUM(val) AS s FROM fact GROUP BY grp, flag",
+        false,
     ),
     (
         "global_agg",
         "SELECT COUNT(val) AS c, SUM(val) AS s, AVG(val) AS a, \
          MIN(val) AS lo, MAX(val) AS hi, MIN(name) AS mn FROM fact",
+        true,
     ),
 ];
 
@@ -50,7 +63,8 @@ fn mix(i: u64) -> u64 {
 }
 
 /// A `fact(id, val, d, name, grp, flag)` table (~6% NULLs per nullable
-/// column) plus a 16-row `dim(k, label)` dimension.
+/// column) plus a 16-row `dim(k, label)` and a 32-row `dim2(k, f, label)`
+/// dimension.
 fn shared_catalog() -> Arc<Catalog> {
     let catalog = Arc::new(Catalog::new());
     let fact = catalog
@@ -95,12 +109,27 @@ fn shared_catalog() -> Arc<Catalog> {
             ]),
         )
         .expect("fresh catalog");
-    let mut t = dim.write();
+    let dim2 = catalog
+        .create_table(
+            "dim2",
+            Schema::new(vec![
+                ColumnDef::public("k", DataType::Int),
+                ColumnDef::public("f", DataType::Bool),
+                ColumnDef::public("label", DataType::Varchar),
+            ]),
+        )
+        .expect("fresh catalog");
+    let (mut t, mut t2) = (dim.write(), dim2.write());
     for k in 0..16 {
         t.insert_row(vec![Value::Int(k), Value::Str(format!("dim{k}"))])
             .expect("schema matches");
+        for f in [false, true] {
+            let label = Value::Str(format!("dim{k}{f}"));
+            t2.insert_row(vec![Value::Int(k), Value::Bool(f), label])
+                .expect("schema matches");
+        }
     }
-    drop(t);
+    drop((t, t2));
     catalog
 }
 
@@ -123,18 +152,25 @@ fn best_ms(engine: &SpEngine, sql: &str, n: u32) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Writes the speedup snapshot checked in at the repo root. Output
-/// cardinalities are asserted identical across the two paths first — a bench
+/// Writes the timing snapshot checked in at the repo root. Where two paths
+/// are compared, output cardinalities are asserted identical first — a bench
 /// that compares non-identical work would be meaningless.
 fn write_snapshot(catalog: &Arc<Catalog>) {
     let scalar = engine(catalog, false);
     let vectorised = engine(catalog, true);
     let mut entries = Vec::new();
-    for (name, sql) in BENCHES {
-        let rows = rows_of(&scalar, sql);
-        assert_eq!(rows, rows_of(&vectorised, sql), "paths diverged: {sql}");
-        let scalar_ms = best_ms(&scalar, sql, 5);
+    for (name, sql, paired) in BENCHES {
+        let rows = rows_of(&vectorised, sql);
         let vectorised_ms = best_ms(&vectorised, sql, 5);
+        if !paired {
+            entries.push(format!(
+                "    \"{name}\": {{\n      \"output_rows\": {rows},\n      \
+                 \"ms\": {vectorised_ms:.2}\n    }}"
+            ));
+            continue;
+        }
+        assert_eq!(rows, rows_of(&scalar, sql), "paths diverged: {sql}");
+        let scalar_ms = best_ms(&scalar, sql, 5);
         entries.push(format!(
             "    \"{name}\": {{\n      \"output_rows\": {rows},\n      \
              \"scalar_ms\": {scalar_ms:.2},\n      \
@@ -162,7 +198,11 @@ fn columnar_kernels(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("columnar_kernels_200k");
     group.sample_size(10);
-    for (name, sql) in BENCHES {
+    for (name, sql, paired) in BENCHES {
+        if !paired {
+            group.bench_function(*name, |b| b.iter(|| black_box(rows_of(&vectorised, sql))));
+            continue;
+        }
         group.bench_function(format!("{name}_scalar"), |b| {
             b.iter(|| black_box(rows_of(&scalar, sql)))
         });

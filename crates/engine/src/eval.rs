@@ -13,7 +13,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use sdb_sql::ast::{BinaryOp, Expr, Literal, Query, UnaryOp};
-use sdb_storage::{RecordBatch, Value};
+use sdb_storage::{Column, RecordBatch, Schema, Value};
 
 use crate::udf::{
     KeyUpdateCounts, KeyUpdateMember, KeyUpdateSets, ScalarUdf, UdfRegistry, UdfSites, KEY_UPDATE,
@@ -61,8 +61,20 @@ pub struct Evaluator<'a> {
     /// The key-update sets of the operator this evaluator works for.
     key_updates: Option<&'a KeyUpdateSets>,
     sites: RefCell<Vec<Rc<CallSite<'a>>>>,
+    columns: RefCell<ResolvedColumns<'a>>,
     udf_calls: Cell<usize>,
     key_update_counts: Cell<KeyUpdateCounts>,
+}
+
+/// The column references resolved against the schema last evaluated over:
+/// a name is looked up once per schema, not once per row. A reference is
+/// found again by the address of its name (names live in `'a` expressions,
+/// see [`Evaluator`]); holding a clone of the schema keeps its identity from
+/// being reused while the indices are.
+#[derive(Default)]
+struct ResolvedColumns<'a> {
+    schema: Option<Schema>,
+    indices: Vec<(&'a str, usize)>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -74,6 +86,7 @@ impl<'a> Evaluator<'a> {
             query_sites: None,
             key_updates: None,
             sites: RefCell::new(Vec::new()),
+            columns: RefCell::default(),
             udf_calls: Cell::new(0),
             key_update_counts: Cell::default(),
         }
@@ -147,6 +160,26 @@ impl<'a> Evaluator<'a> {
         Ok(site)
     }
 
+    /// The column of `batch` that `name` refers to. A failed resolution is
+    /// not remembered: it fails the same way on every row it is asked for.
+    fn column<'b>(&self, name: &'a str, batch: &'b RecordBatch) -> Result<&'b Column> {
+        let mut resolved = self.columns.borrow_mut();
+        if !(resolved.schema.as_ref()).is_some_and(|schema| schema.ptr_eq(batch.schema())) {
+            resolved.schema = Some(batch.schema().clone());
+            resolved.indices.clear();
+        }
+        let known = (resolved.indices.iter()).find(|(known, _)| std::ptr::eq(*known, name));
+        let idx = match known {
+            Some(&(_, idx)) => idx,
+            None => {
+                let idx = batch.schema().index_of(name)?;
+                resolved.indices.push((name, idx));
+                idx
+            }
+        };
+        Ok(batch.column(idx))
+    }
+
     /// Number of scalar UDF invocations made so far.
     pub fn udf_calls(&self) -> usize {
         self.udf_calls.get()
@@ -165,7 +198,7 @@ impl<'a> Evaluator<'a> {
         counts.calls += 1;
         let mut served = None;
         if let (Some((aux, member)), Some(sets)) = (site.key_update, self.key_updates) {
-            let aux = batch.column_by_name(aux)?;
+            let aux = self.column(aux, batch)?;
             if let Value::Encrypted(a) = &site.args.borrow()[0] {
                 served = sets.apply(member, aux, row, a, &mut counts);
             }
@@ -188,10 +221,7 @@ impl<'a> Evaluator<'a> {
     /// Evaluates `expr` against row `row` of `batch`.
     pub fn evaluate(&self, expr: &'a Expr, batch: &RecordBatch, row: usize) -> Result<Value> {
         match expr {
-            Expr::Column(name) => {
-                let col = batch.column_by_name(name)?;
-                Ok(col.get(row).clone())
-            }
+            Expr::Column(name) => Ok(self.column(name, batch)?.get(row).clone()),
             Expr::Literal(lit) => Ok(literal_to_value(lit)),
             Expr::Unary { op, expr } => {
                 let v = self.evaluate(expr, batch, row)?;
@@ -659,6 +689,46 @@ mod tests {
             },
             _ => unreachable!(),
         }
+    }
+
+    /// A name is resolved once per schema: a batch with another schema gets
+    /// its own resolution, and a failed one fails again on every row.
+    #[test]
+    fn column_references_resolve_per_schema() {
+        let registry = UdfRegistry::with_sdb_udfs();
+        let evaluator = Evaluator::new(&registry);
+        let reference = expr("b");
+        let first = sample_batch();
+        let swapped = first.project(&[1, 0]);
+        for _ in 0..2 {
+            let got = evaluator.evaluate(&reference, &first, 0).unwrap();
+            assert_eq!(got, Value::Int(10));
+            let got = evaluator.evaluate(&reference, &swapped, 0).unwrap();
+            assert_eq!(got, Value::Int(10));
+            let sliced = first.slice(1, 1).unwrap();
+            assert!(evaluator
+                .evaluate(&reference, &sliced, 0)
+                .unwrap()
+                .is_null());
+        }
+
+        let qualified = Schema::new(vec![
+            ColumnDef::public("l.k", DataType::Int),
+            ColumnDef::public("r.k", DataType::Int),
+        ]);
+        let row = vec![Value::Int(1), Value::Int(2)];
+        let batch = RecordBatch::from_rows(qualified, vec![row.clone(), row]).unwrap();
+        let (ambiguous, missing) = (expr("k"), expr("nope"));
+        for row in [0, 1, 0] {
+            let err = evaluator.evaluate(&ambiguous, &batch, row).unwrap_err();
+            assert!(err.to_string().contains("ambiguous"), "{err}");
+            let err = evaluator.evaluate(&missing, &batch, row).unwrap_err();
+            assert!(err.to_string().contains("nope"), "{err}");
+        }
+        assert_eq!(
+            evaluator.evaluate(&expr("r.k"), &batch, 1).unwrap(),
+            Value::Int(2)
+        );
     }
 
     fn eval(text: &str, row: usize) -> Value {

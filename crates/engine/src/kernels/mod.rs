@@ -3,12 +3,15 @@
 //! Each kernel compiles a *subset* of the scalar evaluator's surface against
 //! an input schema, then evaluates entire [`sdb_storage::RecordBatch`]es over
 //! pivoted [`sdb_storage::ColumnarColumn`]s — typed vectors plus validity
-//! bitmaps — instead of per-row [`sdb_storage::Value`] interpretation. Three
+//! bitmaps — instead of per-row [`sdb_storage::Value`] interpretation. Two
 //! kernel families exist:
 //!
 //! * [`select`] — predicate → selection [`sdb_storage::Bitmap`] for `Filter`;
-//! * [`keys`] — join/group key rendering for hash join and aggregation;
 //! * [`agg`] — global (no `GROUP BY`) SUM/COUNT/AVG/MIN/MAX folds.
+//!
+//! [`keys`] is not a kernel with a scalar twin but the one key path of every
+//! keyed operator: key columns, a hash per row, the key equality and the
+//! chained index joins, grouping and `DISTINCT` share.
 //!
 //! Compilation is conservative: anything that could *error* or call a UDF in
 //! the scalar path (mixed-type comparisons, computed expressions, subqueries)
@@ -24,5 +27,4 @@ pub mod keys;
 pub mod select;
 
 pub use agg::GlobalAggKernel;
-pub use keys::KeyColumns;
 pub use select::CompiledPredicate;

@@ -9,7 +9,6 @@
 //! global row order within each group), and `finalize_groups` computes the
 //! aggregate values and infers the output schema.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use num_bigint::BigUint;
@@ -17,23 +16,54 @@ use sdb_sql::ast::Expr;
 use sdb_sql::plan::{AggFunc, AggregateExpr};
 use sdb_storage::{ColumnDef, DataType, RecordBatch, Schema, Value};
 
-use super::expr::{infer_column_def, join_key_component, sensitivity_of};
+use super::expr::{evaluate_exprs, infer_column_def, input_column, sensitivity_of, ExprColumn};
 use super::parallel::{effective_workers, scoped_workers};
 use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
-use crate::eval::literal_to_value;
-use crate::kernels::{GlobalAggKernel, KeyColumns};
+use crate::kernels::keys::{hash_key, key_eq, keys_eq, BatchKeys, ChainIndex};
+use crate::kernels::GlobalAggKernel;
 use crate::udf::KeyUpdateSets;
 use crate::{EngineError, Result};
 
-/// Per-group accumulation state: the rendered key, the group-key values, the
-/// number of rows seen and each aggregate's argument values in row order.
-/// Shared with [`super::spill_aggregate::SpillingHashAggregate`], which
-/// rebuilds these states from spilled partition rows.
+/// Per-group accumulation state: the group-key values (which *are* the key),
+/// the number of rows seen and each aggregate's argument values in row order.
 pub(super) struct GroupState {
-    pub(super) key: String,
     pub(super) key_values: Vec<Value>,
     pub(super) rows: usize,
     pub(super) arg_values: Vec<Vec<Value>>,
+}
+
+/// Group states in first-occurrence order, found by key through an index from
+/// key hash to candidate states (see [`crate::kernels::keys`]; NULLs form one
+/// group). Shared with [`super::spill_aggregate::SpillingHashAggregate`],
+/// which rebuilds states from spilled partition rows.
+#[derive(Default)]
+pub(super) struct Groups {
+    pub(super) states: Vec<GroupState>,
+    index: ChainIndex,
+}
+
+impl Groups {
+    /// The position of the group whose key is `key` (hashing to `hash`),
+    /// appended — with the key cloned and `aggregates` empty argument lists —
+    /// if this is its first occurrence.
+    pub(super) fn find_or_insert<'v>(
+        &mut self,
+        hash: u64,
+        key: impl Iterator<Item = &'v Value> + Clone,
+        aggregates: usize,
+    ) -> usize {
+        let states = &self.states;
+        let found = (self.index.matches(hash))
+            .find(|&group| keys_eq(&states[group].key_values, key.clone()));
+        found.unwrap_or_else(|| {
+            self.states.push(GroupState {
+                key_values: key.cloned().collect(),
+                rows: 0,
+                arg_values: vec![Vec::new(); aggregates],
+            });
+            self.index.insert(hash)
+        })
+    }
 }
 
 /// Binds the grouping expressions and aggregate arguments to the input schema
@@ -70,9 +100,12 @@ pub(super) fn aggregate_key_updates(
     ctx.key_update_sets(keys.chain(aggregates.iter().filter_map(|agg| agg.arg.as_ref())))
 }
 
-/// Groups one contiguous morsel of rows, evaluating the grouping expressions
-/// and every aggregate argument per row. Groups come back in first-occurrence
-/// order; each group's argument values are in row order.
+/// Groups one contiguous morsel of rows. The grouping expressions and every
+/// aggregate argument become one column each — shared when the expression is
+/// a column reference, interpreted row by row (keys, then arguments)
+/// otherwise — the key columns are hashed, and the row loop is a group lookup
+/// plus argument clones. Groups come back in first-occurrence order; each
+/// group's argument values are in row order.
 fn group_morsel(
     ctx: &ExecContext<'_>,
     key_updates: &KeyUpdateSets,
@@ -80,109 +113,31 @@ fn group_morsel(
     group_exprs: &[Expr],
     agg_args: &[Expr],
 ) -> Result<Vec<GroupState>> {
-    if ctx.vectorised() {
-        if let Some(groups) = group_morsel_vectorised(batch, group_exprs, agg_args) {
-            ctx.stats_mut().vectorised_batches += 1;
-            return Ok(groups);
-        }
-    }
-    ctx.stats_mut().scalar_fallback_batches += 1;
+    let exprs: Vec<&Expr> = group_exprs.iter().chain(agg_args).collect();
+    let interpreted = (exprs.iter())
+        .any(|e| !matches!(e, Expr::Literal(_)) && input_column(e, batch.schema()).is_none());
+    ctx.record_key_batch(interpreted);
     let evaluator = ctx.evaluator().with_key_updates(key_updates);
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut groups: Vec<GroupState> = Vec::new();
-    for row in 0..batch.num_rows() {
-        let mut key_values = Vec::with_capacity(group_exprs.len());
-        for e in group_exprs {
-            key_values.push(evaluator.evaluate(e, batch, row)?);
-        }
-        let key: String = key_values
-            .iter()
-            .map(join_key_component)
-            .collect::<Vec<_>>()
-            .join("\u{1f}");
-        let g = match index.get(&key) {
-            Some(&g) => g,
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push(GroupState {
-                    key,
-                    key_values,
-                    rows: 0,
-                    arg_values: vec![Vec::new(); agg_args.len()],
-                });
-                groups.len() - 1
-            }
-        };
-        groups[g].rows += 1;
-        for (j, arg) in agg_args.iter().enumerate() {
-            groups[g].arg_values[j].push(evaluator.evaluate(arg, batch, row)?);
-        }
-    }
+    let mut evaluated = evaluate_exprs(&evaluator, &exprs, batch, false)?;
     ctx.record_udf_calls(&evaluator);
-    Ok(groups)
-}
+    let mut args = evaluated.split_off(group_exprs.len());
+    let keys = evaluated.into_iter().map(|key| key.into_column(batch));
+    let keys = BatchKeys::new(keys.collect(), batch.num_rows());
 
-/// One aggregate-argument source in the vectorised grouping path.
-enum ArgSource {
-    Col(usize),
-    Lit(Value),
-}
-
-/// Kernel fast path for [`group_morsel`]: when every grouping expression is a
-/// plain column over typed vectors and every aggregate argument is a plain
-/// column or literal, the group keys render in one vectorised pass
-/// ([`KeyColumns::group_keys`]) and the per-row loop reduces to group lookup
-/// plus argument clones — no interpreter dispatch. Group order (global
-/// first-occurrence), per-group argument row order and rendered keys are
-/// byte-identical to the scalar loop; plain columns and literals never touch
-/// UDFs, so the skipped `record_udf_calls` would have recorded zero. `None`
-/// (out-of-subset expression or untyped column) → scalar loop.
-fn group_morsel_vectorised(
-    batch: &RecordBatch,
-    group_exprs: &[Expr],
-    agg_args: &[Expr],
-) -> Option<Vec<GroupState>> {
-    let key_columns = KeyColumns::compile(group_exprs, batch.schema())?;
-    let keys = key_columns.group_keys(batch)?;
-    let mut args = Vec::with_capacity(agg_args.len());
-    for arg in agg_args {
-        args.push(match arg {
-            Expr::Column(name) => ArgSource::Col(batch.schema().index_of(name).ok()?),
-            Expr::Literal(lit) => ArgSource::Lit(literal_to_value(lit)),
-            _ => return None,
-        });
-    }
-
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut groups: Vec<GroupState> = Vec::new();
-    for (row, key) in keys.into_iter().enumerate() {
-        let g = match index.get(&key) {
-            Some(&g) => g,
-            None => {
-                let key_values = key_columns
-                    .indices()
-                    .iter()
-                    .map(|&c| batch.column(c).get(row).clone())
-                    .collect();
-                index.insert(key.clone(), groups.len());
-                groups.push(GroupState {
-                    key,
-                    key_values,
-                    rows: 0,
-                    arg_values: vec![Vec::new(); agg_args.len()],
-                });
-                groups.len() - 1
-            }
-        };
-        groups[g].rows += 1;
-        for (j, arg) in args.iter().enumerate() {
-            groups[g].arg_values[j].push(match arg {
-                ArgSource::Col(c) => batch.column(*c).get(row).clone(),
-                ArgSource::Lit(v) => v.clone(),
+    let mut groups = Groups::default();
+    for (row, &hash) in keys.hashes.iter().enumerate() {
+        let group = groups.find_or_insert(hash, keys.row(row), args.len());
+        let state = &mut groups.states[group];
+        state.rows += 1;
+        for (acc, arg) in state.arg_values.iter_mut().zip(&mut args) {
+            acc.push(match arg {
+                ExprColumn::Input(idx) => batch.column(*idx).get(row).clone(),
+                // Computed for this row alone (often a share): moved, not cloned.
+                ExprColumn::Values(values) => std::mem::replace(&mut values[row], Value::Null),
             });
         }
     }
-    Some(groups)
+    Ok(groups.states)
 }
 
 /// Merges per-morsel group states in morsel order. Because morsels are
@@ -191,26 +146,17 @@ fn group_morsel_vectorised(
 /// order — exactly what a single [`group_morsel`] over the whole input
 /// produces.
 fn merge_group_states(parts: Vec<Vec<GroupState>>) -> Vec<GroupState> {
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut merged: Vec<GroupState> = Vec::new();
-    for part in parts {
-        for state in part {
-            match index.get(&state.key) {
-                Some(&g) => {
-                    let target = &mut merged[g];
-                    target.rows += state.rows;
-                    for (acc, values) in target.arg_values.iter_mut().zip(state.arg_values) {
-                        acc.extend(values);
-                    }
-                }
-                None => {
-                    index.insert(state.key.clone(), merged.len());
-                    merged.push(state);
-                }
-            }
+    let mut merged = Groups::default();
+    for state in parts.into_iter().flatten() {
+        let hash = hash_key(&state.key_values);
+        let group = merged.find_or_insert(hash, state.key_values.iter(), state.arg_values.len());
+        let target = &mut merged.states[group];
+        target.rows += state.rows;
+        for (acc, values) in target.arg_values.iter_mut().zip(state.arg_values) {
+            acc.extend(values);
         }
     }
-    merged
+    merged.states
 }
 
 /// Computes the aggregate values for every group and assembles the output
@@ -226,7 +172,6 @@ pub(super) fn finalize_groups(
 ) -> Result<RecordBatch> {
     if groups.is_empty() && group_exprs.is_empty() {
         groups.push(GroupState {
-            key: String::new(),
             key_values: vec![],
             rows: 0,
             arg_values: vec![Vec::new(); aggregates.len()],
@@ -499,10 +444,16 @@ pub fn compute_aggregate(
         if !agg.distinct {
             return vals;
         }
-        let mut seen = std::collections::HashSet::new();
-        vals.into_iter()
-            .filter(|v| seen.insert(join_key_component(v)))
-            .collect()
+        let mut index = ChainIndex::default();
+        let mut kept: Vec<Value> = Vec::new();
+        for v in vals {
+            let hash = hash_key([&v]);
+            if !index.matches(hash).any(|seen| key_eq(&kept[seen], &v)) {
+                index.insert(hash);
+                kept.push(v);
+            }
+        }
+        kept
     };
 
     match agg.func {

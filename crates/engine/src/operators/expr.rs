@@ -1,9 +1,11 @@
 //! Expression-tree helpers shared by the physical operators: schema binding,
-//! conjunct splitting, join-key canonicalisation and output-type inference.
+//! conjunct splitting, whole-batch evaluation into columns and output-type
+//! inference.
 
 use sdb_sql::ast::{BinaryOp, Expr};
 use sdb_storage::{Column, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value};
 
+use crate::eval::{literal_to_value, Evaluator};
 use crate::Result;
 
 /// Replaces every subexpression whose rendered text names an existing input
@@ -155,20 +157,88 @@ pub fn classify_equi_conjunct(
     }
 }
 
-/// Canonical string form of a value used as a join / grouping / distinct key.
-/// Numerics are normalised so `1`, `1.0` and `1.00` agree.
-pub fn join_key_component(v: &Value) -> String {
-    match v {
-        Value::Null => "\u{0}NULL".to_string(),
-        Value::Int(_) | Value::Decimal { .. } | Value::Date(_) | Value::Bool(_) => v
-            .as_scaled_i128(4)
-            .map(|x| format!("n{x}"))
-            .unwrap_or_else(|_| v.render()),
-        Value::Str(s) => format!("s{s}"),
-        Value::Tag(t) => format!("t{t}"),
-        Value::Encrypted(e) => format!("e{e}"),
-        Value::EncryptedRowId(_) => format!("r{:?}", v),
+/// The values of one expression over a whole batch.
+pub(super) enum ExprColumn {
+    /// The expression is a reference to this input column: shared, not
+    /// copied.
+    Input(usize),
+    /// One value per row.
+    Values(Vec<Value>),
+}
+
+impl ExprColumn {
+    /// The values as a column: the input's own (an `Arc` bump), or the
+    /// computed ones under the type of the first non-NULL value.
+    pub(super) fn into_column(self, batch: &RecordBatch) -> Column {
+        match self {
+            ExprColumn::Input(idx) => batch.column(idx).clone(),
+            ExprColumn::Values(values) => {
+                let data_type = values.iter().find_map(Value::data_type);
+                Column::from_values_unchecked(data_type.unwrap_or(DataType::Int), values)
+            }
+        }
     }
+}
+
+/// The input column `expr` refers to, when it is a resolvable reference.
+pub(super) fn input_column(expr: &Expr, schema: &Schema) -> Option<usize> {
+    match expr {
+        Expr::Column(name) => schema.index_of(name).ok(),
+        _ => None,
+    }
+}
+
+/// Evaluates `exprs` over every row of `batch`, one [`ExprColumn`] each. A
+/// column reference costs nothing per row and a literal one clone; everything
+/// else goes through the interpreter row by row — every expression of a row
+/// before the next row's, which is what key-update sets require — so errors
+/// and UDF counts are those of evaluating each row in turn.
+///
+/// With `null_ends_row` (join keys, where a NULL component already decides
+/// that the row matches nothing) the expressions after a row's first NULL
+/// are not evaluated and read NULL.
+pub(super) fn evaluate_exprs<'e>(
+    evaluator: &Evaluator<'e>,
+    exprs: &[&'e Expr],
+    batch: &RecordBatch,
+    null_ends_row: bool,
+) -> Result<Vec<ExprColumn>> {
+    let rows = batch.num_rows();
+    let mut interpreted = Vec::with_capacity(exprs.len());
+    let mut out = Vec::with_capacity(exprs.len());
+    for expr in exprs {
+        let ready = match expr {
+            Expr::Literal(literal) => {
+                Some(ExprColumn::Values(vec![literal_to_value(literal); rows]))
+            }
+            expr => input_column(expr, batch.schema()).map(ExprColumn::Input),
+        };
+        interpreted.push(ready.is_none());
+        out.push(ready.unwrap_or_else(|| ExprColumn::Values(Vec::with_capacity(rows))));
+    }
+    if !interpreted.contains(&true) {
+        return Ok(out);
+    }
+    for row in 0..rows {
+        let mut ended = false;
+        for (i, expr) in exprs.iter().enumerate() {
+            let null = match &mut out[i] {
+                ExprColumn::Values(values) if interpreted[i] => {
+                    let value = match ended {
+                        true => Value::Null,
+                        false => evaluator.evaluate(expr, batch, row)?,
+                    };
+                    values.push(value);
+                    values[row].is_null()
+                }
+                _ if !null_ends_row => continue,
+                ExprColumn::Values(values) => values[row].is_null(),
+                ExprColumn::Input(idx) => batch.column(*idx).get(row).is_null(),
+            };
+            ended |= null_ends_row && null;
+        }
+    }
+    Ok(out)
 }
 
 /// The string payload of a literal expression, if it is one.

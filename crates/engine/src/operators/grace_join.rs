@@ -9,21 +9,22 @@
 //! operator flips to the classic Grace plan:
 //!
 //! 1. **Partition** — both inputs hash-partition by join key into `FANOUT`
-//!    paired pager streams ([`PageStreamWriter`]), the rendered key riding
-//!    along as an extra
-//!    column so a faulted-in row never re-evaluates its key (re-evaluation
-//!    could re-trigger subquery resolution and would double-count UDF
-//!    statistics). Probe rows also carry their global arrival sequence
-//!    number. Key evaluation is morsel-parallel (per-worker scoped threads,
-//!    concatenated in morsel order — the same parallel build path the
-//!    in-memory join uses); routing happens serially in arrival order, so
-//!    every stream preserves input order.
-//! 2. **Join pairs** — each build partition is materialised and indexed with
-//!    the in-memory machinery, then its probe partition streams against it
-//!    page by page. A build partition still larger than the budget
-//!    recursively re-partitions *both* streams at the next hash level
-//!    (bounded depth, like the spilling aggregate); beyond that it is joined
-//!    in memory — a single pathological key cannot be split further.
+//!    paired pager streams ([`PageStreamWriter`]), the evaluated key
+//!    components riding along as extra `__key{i}` columns so a faulted-in row
+//!    never re-evaluates its key (re-evaluation could re-trigger subquery
+//!    resolution and would double-count UDF statistics); what a row is
+//!    routed by is the hash of those components
+//!    ([`crate::kernels::keys`]), recomputed from them at every level.
+//!    Probe rows also carry their global arrival sequence number. Key
+//!    evaluation is morsel-parallel (the same path the in-memory join
+//!    uses); routing happens serially in arrival order, so every stream
+//!    preserves input order.
+//! 2. **Join pairs** — each build partition is materialised and indexed by
+//!    its key columns with the in-memory machinery, then its probe partition
+//!    streams against it page by page. A build partition still larger than
+//!    the budget recursively re-partitions *both* streams at the next hash
+//!    level (bounded depth, like the spilling aggregate); beyond that it is
+//!    joined in memory — a single pathological key cannot be split further.
 //!    Partition pairs are independent up to the final ordered merge, so with
 //!    `parallelism > 1` they join concurrently on scoped worker threads
 //!    (`scoped_workers`); concurrency is additionally capped so the
@@ -55,15 +56,15 @@
 //! chunks are parked in the pager while operand rows coalesce, so the whole
 //! side resolves in **one round trip per key call** and spilled chunks are
 //! never re-resolved — the resolved virtual columns ride along when the
-//! chunks stream back out for partitioning (and only the rendered
-//! `__joinkey` enters the partition streams, so recursion levels pay zero
-//! further trips). With batching off, keys resolve per accumulated chunk as
-//! before. Tags come from a keyed PRF of the plaintext and are stable across
-//! round trips, so partitioning by them is sound (rank surrogates never
-//! appear in equi-join keys).
+//! chunks stream back out for partitioning (and only the evaluated
+//! `__key{i}` components enter the partition streams, so recursion levels
+//! pay zero further trips). With batching off, keys resolve per accumulated
+//! chunk as before. Tags come from a keyed PRF of the plaintext and are
+//! stable across round trips, so partitioning by them is sound (rank
+//! surrogates never appear in equi-join keys).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use sdb_sql::ast::{Expr, JoinKind};
@@ -76,11 +77,13 @@ use parking_lot::Mutex;
 
 use sdb_storage::partition_ranges;
 
-use super::join::{build_index, keys_of_batch, probe_batch, BuildSide};
+use super::expr::input_column;
+use super::join::{keys_of_batch, probe_batch, BuildSide};
 use super::oracle::{collect_oracle_calls_all, resolve_for_exprs, OracleAccumulator};
 use super::parallel::scoped_workers;
-use super::spill_aggregate::{partition_of, FANOUT, MAX_LEVELS};
+use super::spill_aggregate::{FANOUT, MAX_LEVELS};
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
+use crate::kernels::keys::{partition_of, BatchKeys};
 use crate::Result;
 
 /// Bounded-memory hash equi-join. Output is byte-identical to the in-memory
@@ -151,21 +154,19 @@ impl<'a> GraceHashJoin<'a> {
         (limit / (2 * FANOUT)).max(1)
     }
 
-    /// The page schema of build partition streams: the rendered key, then the
-    /// build side's original columns.
-    fn build_page_schema(right_schema: &Schema) -> Schema {
-        let mut defs = vec![ColumnDef::public("__joinkey", DataType::Varchar)];
+    /// The page schema of build partition streams: the key components, then
+    /// the build side's original columns.
+    fn build_page_schema(&self, right_schema: &Schema) -> Schema {
+        let mut defs = key_defs(&self.right_keys, right_schema);
         defs.extend(right_schema.columns().iter().cloned());
         Schema::new(defs)
     }
 
     /// The page schema of probe partition streams: arrival sequence number,
-    /// rendered key, then the probe side's original columns.
-    fn probe_page_schema(left_schema: &Schema) -> Schema {
-        let mut defs = vec![
-            ColumnDef::public("__seq", DataType::Int),
-            ColumnDef::public("__joinkey", DataType::Varchar),
-        ];
+    /// the key components, then the probe side's original columns.
+    fn probe_page_schema(&self, left_schema: &Schema) -> Schema {
+        let mut defs = vec![ColumnDef::public("__seq", DataType::Int)];
+        defs.extend(key_defs(&self.left_keys, left_schema));
         defs.extend(left_schema.columns().iter().cloned());
         Schema::new(defs)
     }
@@ -202,15 +203,8 @@ impl<'a> GraceHashJoin<'a> {
         if !overflow {
             // Everything fit: the in-memory build path, byte for byte.
             let right_rows = acc.unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-            let right_schema = right_rows.schema().clone();
-            let mut right_keys = self.right_keys.clone();
-            let working = resolve_for_exprs(&self.ctx, right_rows.clone(), &mut right_keys)?;
-            let index = build_index(&self.ctx, &right_keys, &working)?;
-            return Ok(State::InMemory(BuildSide {
-                right_schema,
-                right_rows,
-                index,
-            }));
+            let build = BuildSide::index(&self.ctx, right_rows, &self.right_keys)?;
+            return Ok(State::InMemory(build));
         }
 
         // Partitioned build: route the accumulated chunk, then the rest of
@@ -221,7 +215,7 @@ impl<'a> GraceHashJoin<'a> {
         let acc = acc.expect("overflow implies at least one batch");
         let right_schema = acc.schema().clone();
         let payload = right_schema.len();
-        let build_schema = Self::build_page_schema(&right_schema);
+        let build_schema = self.build_page_schema(&right_schema);
         let mut build_writers = self.new_writers(&build_schema);
         match self.spill_resolver(&self.right_keys, &right_schema)? {
             Some(mut resolver) => {
@@ -254,7 +248,7 @@ impl<'a> GraceHashJoin<'a> {
             if !probe_saw_batch {
                 probe_saw_batch = true;
                 left_schema = batch.schema().clone();
-                probe_writers = Some(self.new_writers(&Self::probe_page_schema(&left_schema)));
+                probe_writers = Some(self.new_writers(&self.probe_page_schema(&left_schema)));
                 probe_resolver = self.spill_resolver(&self.left_keys, &left_schema)?;
             }
             match &mut probe_resolver {
@@ -303,6 +297,7 @@ impl<'a> GraceHashJoin<'a> {
             ctx: &self.ctx,
             kind: self.kind,
             flush_bytes: self.flush_bytes(),
+            keys: self.left_keys.len(),
         };
         let pairs: Vec<(PageStream, PageStream)> =
             build_streams.into_iter().zip(probe_streams).collect();
@@ -359,16 +354,16 @@ impl<'a> GraceHashJoin<'a> {
     ) -> Result<()> {
         let mut keys = self.right_keys.clone();
         let working = resolve_for_exprs(&self.ctx, batch.clone(), &mut keys)?;
-        let rendered = keys_of_batch(&self.ctx, &keys, &working)?;
+        let keys = keys_of_batch(&self.ctx, &keys, &working)?;
         let pager = self.ctx.pager();
         let mut routed = 0usize;
-        for (row, key) in rendered.into_iter().enumerate() {
-            let Some(key) = key else { continue };
-            let p = partition_of(&key, 0);
-            let mut out = Vec::with_capacity(1 + payload);
-            out.push(Value::Str(key));
+        for (row, &hash) in keys.hashes.iter().enumerate() {
+            if keys.nulls[row] {
+                continue;
+            }
+            let mut out: Vec<Value> = keys.row(row).cloned().collect();
             out.extend(batch.row(row).into_iter().take(payload));
-            writers[p].push_row(pager, out)?;
+            writers[partition_of(hash, 0, FANOUT)].push_row(pager, out)?;
             routed += 1;
         }
         self.ctx.stats_mut().join_spilled_rows += routed;
@@ -377,8 +372,8 @@ impl<'a> GraceHashJoin<'a> {
 
     /// Routes one probe-side chunk into the partition writers, tagging every
     /// row with its global arrival sequence number. Null-keyed rows are
-    /// dropped for inner joins and routed (keyless) to partition zero for
-    /// LEFT JOINs, where they will null-pad.
+    /// dropped for inner joins and routed to partition zero for LEFT JOINs,
+    /// where they will null-pad.
     fn partition_probe_chunk(
         &self,
         batch: RecordBatch,
@@ -388,20 +383,19 @@ impl<'a> GraceHashJoin<'a> {
     ) -> Result<()> {
         let mut keys = self.left_keys.clone();
         let working = resolve_for_exprs(&self.ctx, batch.clone(), &mut keys)?;
-        let rendered = keys_of_batch(&self.ctx, &keys, &working)?;
+        let keys = keys_of_batch(&self.ctx, &keys, &working)?;
         let pager = self.ctx.pager();
         let mut routed = 0usize;
-        for (row, key) in rendered.into_iter().enumerate() {
+        for (row, &hash) in keys.hashes.iter().enumerate() {
             let seq = *next_seq;
             *next_seq += 1;
-            let (p, key_value) = match key {
-                Some(key) => (partition_of(&key, 0), Value::Str(key)),
-                None if self.kind == JoinKind::Left => (0, Value::Null),
-                None => continue,
+            let p = match keys.nulls[row] {
+                false => partition_of(hash, 0, FANOUT),
+                true if self.kind == JoinKind::Left => 0,
+                true => continue,
             };
-            let mut out = Vec::with_capacity(2 + payload);
-            out.push(Value::Int(seq as i64));
-            out.push(key_value);
+            let mut out = vec![Value::Int(seq as i64)];
+            out.extend(keys.row(row).cloned());
             out.extend(batch.row(row).into_iter().take(payload));
             writers[p].push_row(pager, out)?;
             routed += 1;
@@ -418,6 +412,9 @@ struct PairJoiner<'j, 'a> {
     ctx: &'j Arc<ExecContext<'a>>,
     kind: JoinKind,
     flush_bytes: usize,
+    /// How many key components lead a build row and follow a probe row's
+    /// sequence number.
+    keys: usize,
 }
 
 impl PairJoiner<'_, '_> {
@@ -511,23 +508,19 @@ impl PairJoiner<'_, '_> {
             return self.repartition_pair(build, probe, level, output_schema, outputs);
         }
 
-        // Leaf: materialise and index the build partition, stream the probe
-        // partition against it page by page.
-        let mut build_rows: Option<RecordBatch> = None;
+        // Leaf: materialise the build partition and index it by its key
+        // columns, then stream the probe partition against it page by page.
+        let mut build_rows = RecordBatch::empty(build.schema().clone());
         let mut reader = build.reader();
         while let Some(page) = reader.next_batch(&pager)? {
-            match &mut build_rows {
-                None => build_rows = Some(page.as_ref().clone()),
-                Some(acc) => acc.append(&page)?,
-            }
+            build_rows.append(&page)?;
         }
-        let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-        if let Some(rows) = &build_rows {
-            for row in 0..rows.num_rows() {
-                let key = rows.column(0).get(row).as_str()?.to_string();
-                index.entry(key).or_default().push(row);
-            }
-        }
+        let keys = BatchKeys::new(
+            build_rows.columns()[..self.keys].to_vec(),
+            build_rows.num_rows(),
+        );
+        let payload: Vec<usize> = (self.keys..build_rows.num_columns()).collect();
+        let side = BuildSide::new(build_rows.project(&payload), keys);
 
         let mut out = PageStreamWriter::new(
             out_page_schema(output_schema),
@@ -536,39 +529,18 @@ impl PairJoiner<'_, '_> {
         );
         let mut reader = probe.reader();
         while let Some(page) = reader.next_batch(&pager)? {
-            for row in 0..page.num_rows() {
-                let seq = page.column(0).get(row).clone();
-                let key = page.column(1).get(row);
-                let probe_values = || {
-                    let mut v = Vec::with_capacity(output_schema.len() + 1);
-                    v.push(seq.clone());
-                    v.extend((2..page.num_columns()).map(|c| page.column(c).get(row).clone()));
-                    v
-                };
-                let matches = match key {
-                    Value::Null => None,
-                    other => index.get(other.as_str()?),
-                };
-                match matches {
-                    Some(rows) => {
-                        let build_rows = build_rows.as_ref().expect("index nonempty");
-                        for &rrow in rows {
-                            let mut joined = probe_values();
-                            joined.extend(
-                                (1..build_rows.num_columns())
-                                    .map(|c| build_rows.column(c).get(rrow).clone()),
-                            );
-                            out.push_row(&pager, joined)?;
-                        }
-                    }
-                    None if self.kind == JoinKind::Left => {
-                        let mut padded = probe_values();
-                        let pad = output_schema.len() + 1 - padded.len();
-                        padded.extend(std::iter::repeat_n(Value::Null, pad));
-                        out.push_row(&pager, padded)?;
-                    }
-                    None => {}
-                }
+            let keys = BatchKeys::new(page.columns()[1..1 + self.keys].to_vec(), page.num_rows());
+            let (probe_rows, matched) = side.matches(&keys, self.kind == JoinKind::Left);
+            for (&lrow, rrow) in probe_rows.iter().zip(matched) {
+                let mut joined = Vec::with_capacity(output_schema.len() + 1);
+                joined.push(page.column(0).get(lrow).clone());
+                let probe_payload = &page.columns()[1 + self.keys..];
+                joined.extend(probe_payload.iter().map(|c| c.get(lrow).clone()));
+                joined.extend((side.rows.columns().iter()).map(|c| match rrow {
+                    Some(rrow) => c.get(rrow).clone(),
+                    None => Value::Null,
+                }));
+                out.push_row(&pager, joined)?;
             }
         }
         let stream = out.finish(&pager)?;
@@ -582,8 +554,9 @@ impl PairJoiner<'_, '_> {
 
     /// Splits both streams of an oversized pair at hash level `level` and
     /// recurses into the sub-pairs at `level + 1`. Rows keep their attached
-    /// key (and sequence number), so re-partitioning never re-evaluates
-    /// expressions; order within every sub-stream stays arrival order.
+    /// key components (and sequence number), so re-partitioning re-hashes
+    /// but never re-evaluates expressions; order within every sub-stream
+    /// stays arrival order.
     fn repartition_pair(
         &self,
         build: PageStream,
@@ -598,8 +571,9 @@ impl PairJoiner<'_, '_> {
         let mut reader = build.reader();
         let mut routed = 0usize;
         while let Some(page) = reader.next_batch(&pager)? {
-            for row in 0..page.num_rows() {
-                let p = partition_of(page.column(0).get(row).as_str()?, level);
+            let keys = BatchKeys::new(page.columns()[..self.keys].to_vec(), page.num_rows());
+            for (row, &hash) in keys.hashes.iter().enumerate() {
+                let p = partition_of(hash, level, FANOUT);
                 build_writers[p].push_row(&pager, page.row(row))?;
                 routed += 1;
             }
@@ -609,10 +583,12 @@ impl PairJoiner<'_, '_> {
         let mut probe_writers = self.new_writers(&probe_schema);
         let mut reader = probe.reader();
         while let Some(page) = reader.next_batch(&pager)? {
-            for row in 0..page.num_rows() {
-                let p = match page.column(1).get(row) {
-                    Value::Null => 0,
-                    other => partition_of(other.as_str()?, level),
+            let keys = BatchKeys::new(page.columns()[1..1 + self.keys].to_vec(), page.num_rows());
+            for (row, &hash) in keys.hashes.iter().enumerate() {
+                // Null-keyed LEFT JOIN rows stay in partition zero.
+                let p = match keys.nulls[row] {
+                    true => 0,
+                    false => partition_of(hash, level, FANOUT),
                 };
                 probe_writers[p].push_row(&pager, page.row(row))?;
                 routed += 1;
@@ -756,6 +732,19 @@ impl OutCursor {
             Some(page) => Ok(Some(page.column(0).get(self.row).as_i64()? as u64)),
         }
     }
+}
+
+/// The bookkeeping columns carrying one side's evaluated key components
+/// through its partition streams: typed like the input column where the key
+/// is one, a placeholder otherwise (the page codec tags mismatching values
+/// individually).
+fn key_defs(keys: &[Expr], schema: &Schema) -> Vec<ColumnDef> {
+    let data_type = |key| {
+        input_column(key, schema).map_or(DataType::Int, |idx| schema.column_at(idx).data_type)
+    };
+    (keys.iter().enumerate())
+        .map(|(i, key)| ColumnDef::public(&format!("__key{i}"), data_type(key)))
+        .collect()
 }
 
 /// The page schema of output streams: the probe row's sequence number, then

@@ -1,34 +1,34 @@
-//! Joins: hash equi-join (with streaming probe side and a morsel-parallel
-//! build side) and the nested-loop fallback for non-equi or missing ON
-//! conditions.
+//! Joins: hash equi-join (streaming probe side, build-side key evaluation
+//! fanned out over morsels) and the nested-loop fallback for non-equi or
+//! missing ON conditions.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sdb_sql::ast::{Expr, JoinKind};
-use sdb_storage::{partition_ranges, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
+use sdb_storage::{Column, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
 
-use super::expr::join_key_component;
+use super::expr::{evaluate_exprs, input_column};
 use super::oracle::resolve_for_exprs;
 use super::parallel::{effective_workers, scoped_workers};
 use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
-use crate::kernels::KeyColumns;
+use crate::kernels::keys::{keys_eq, BatchKeys, ChainIndex};
 use crate::Result;
 
-/// Hash equi-join: builds a hash table over the materialised right side during
-/// `open()`, then streams left batches, probing per row.
+/// Hash equi-join: indexes the materialised right side by key during
+/// `open()`, then streams left batches against it. Keys are columns plus a
+/// hash per row (see [`crate::kernels::keys`]); a probe row's matches come
+/// back as `(probe row, build row)` index pairs and the output batch is one
+/// gather per column.
 ///
-/// When `ctx.parallelism() > 1` the build side is indexed in parallel: the
-/// materialised (and oracle-resolved) right rows are split into contiguous
-/// per-worker morsels via [`partition_ranges`], each worker builds a partial
-/// key index over its morsel, and the partials are merged in morsel order —
-/// so every key's match list stays in ascending row order and the join output
-/// is byte-identical to the serial build.
+/// Output order is probe rows in arrival order, each row's matches in
+/// ascending build-row order (one NULL-padded row for an unmatched LEFT JOIN
+/// probe row) — at any parallelism, since only key *evaluation* fans out and
+/// the index is always filled in row order.
 ///
 /// Oracle-backed calls in the keys (e.g. `SDB_GROUP_TAG` equality surrogates)
-/// are resolved inline per side *before* partitioning (oracle round trips stay
-/// serial and batched); the virtual columns feed only the key evaluation and
-/// never appear in the join output.
+/// are resolved inline per side *before* evaluation (oracle round trips stay
+/// serial and batched); the virtual columns feed only the keys and never
+/// appear in the join output.
 pub struct HashJoin<'a> {
     ctx: Arc<ExecContext<'a>>,
     left: BoxedOperator<'a>,
@@ -36,18 +36,72 @@ pub struct HashJoin<'a> {
     kind: JoinKind,
     left_keys: Vec<Expr>,
     right_keys: Vec<Expr>,
-    /// Build state: right rows (original columns only) and the key index.
     build: Option<BuildSide>,
 }
 
 /// A fully-built hash-join build side: the materialised right rows (original
-/// columns only) plus the key index. Shared with the spilling
-/// [`super::grace_join::GraceHashJoin`], whose in-memory mode is exactly this
-/// operator's build/probe path.
+/// columns only), their key columns and the index from key hash to rows.
+/// Shared with the spilling [`super::grace_join::GraceHashJoin`], both for
+/// its in-memory mode and for each leaf partition.
 pub(super) struct BuildSide {
-    pub(super) right_schema: Schema,
-    pub(super) right_rows: RecordBatch,
-    pub(super) index: HashMap<String, Vec<usize>>,
+    pub(super) rows: RecordBatch,
+    keys: Vec<Column>,
+    index: ChainIndex,
+}
+
+impl BuildSide {
+    /// Indexes `rows` (the build side's output columns) by `keys`, one key
+    /// per row. Rows with a NULL key component are left out: they can match
+    /// nothing.
+    pub(super) fn new(rows: RecordBatch, keys: BatchKeys) -> BuildSide {
+        BuildSide {
+            rows,
+            index: ChainIndex::build(keys.hashes, &keys.nulls),
+            keys: keys.columns,
+        }
+    }
+
+    /// Resolves and evaluates `keys` over the materialised build side and
+    /// indexes it.
+    pub(super) fn index(ctx: &ExecContext<'_>, rows: RecordBatch, keys: &[Expr]) -> Result<Self> {
+        let mut keys = keys.to_vec();
+        let working = resolve_for_exprs(ctx, rows.clone(), &mut keys)?;
+        let keys = keys_of_batch(ctx, &keys, &working)?;
+        Ok(BuildSide::new(rows, keys))
+    }
+
+    /// Matches every probe row against the index: `(probe row, build row)`
+    /// pairs, probe rows in order and each one's matches ascending by build
+    /// row; with `pad_unmatched` a probe row without a match appears once,
+    /// with no build row. A candidate the index hands back is a match only
+    /// once every key component compares equal.
+    pub(super) fn matches(
+        &self,
+        probe: &BatchKeys,
+        pad_unmatched: bool,
+    ) -> (Vec<usize>, Vec<Option<usize>>) {
+        let build_keys: Vec<&[Value]> = self.keys.iter().map(Column::values).collect();
+        let probe_keys: Vec<&[Value]> = probe.columns.iter().map(Column::values).collect();
+        let mut probe_rows = Vec::with_capacity(probe.hashes.len());
+        let mut build_rows = Vec::with_capacity(probe.hashes.len());
+        for (lrow, &hash) in probe.hashes.iter().enumerate() {
+            let before = probe_rows.len();
+            if !probe.nulls[lrow] {
+                for rrow in self.index.matches(hash) {
+                    let build_key = build_keys.iter().map(|column| &column[rrow]);
+                    if keys_eq(probe_keys.iter().map(|column| &column[lrow]), build_key) {
+                        probe_rows.push(lrow);
+                        build_rows.push(Some(rrow));
+                    }
+                }
+            }
+            if pad_unmatched && probe_rows.len() == before {
+                probe_rows.push(lrow);
+                build_rows.push(None);
+            }
+        }
+        (probe_rows, build_rows)
+    }
 }
 
 impl<'a> HashJoin<'a> {
@@ -76,126 +130,51 @@ impl<'a> HashJoin<'a> {
     }
 }
 
-/// Evaluates the (resolved and bound) key expressions for one row; `None`
-/// when any component is NULL (NULL join keys never match).
-pub(super) fn key_of(
-    ctx: &ExecContext<'_>,
-    exprs: &[Expr],
-    batch: &RecordBatch,
-    row: usize,
-) -> Result<Option<String>> {
-    let evaluator = ctx.evaluator();
-    let mut parts = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        let v = evaluator.evaluate(e, batch, row)?;
-        if v.is_null() {
-            ctx.record_udf_calls(&evaluator);
-            return Ok(None);
-        }
-        parts.push(join_key_component(&v));
-    }
-    ctx.record_udf_calls(&evaluator);
-    Ok(Some(parts.join("\u{1f}")))
-}
-
-/// Kernel fast path for key rendering: when vectorised execution is on and
-/// every key expression is a plain column reference over typed columns, the
-/// whole batch's keys render through [`KeyColumns`] with no per-row
-/// interpretation. Plain column keys never touch UDFs or the oracle, so the
-/// fast path changes no observable. `None` → scalar path.
-fn kernel_join_keys(
-    ctx: &ExecContext<'_>,
-    keys: &[Expr],
-    working: &RecordBatch,
-) -> Option<Vec<Option<String>>> {
-    if !ctx.vectorised() {
-        return None;
-    }
-    KeyColumns::compile(keys, working.schema())?.join_keys(working)
-}
-
-/// Evaluates the rendered join key for every row of a batch. With more than
-/// one worker each contiguous morsel evaluates on its own scoped thread and
-/// the per-morsel results are concatenated in morsel order, so the output
-/// vector is in row order regardless of parallelism.
+/// Evaluates the (resolved and bound) key expressions over a batch and hashes
+/// them. A key that is a column reference is that column, shared; anything
+/// else is interpreted once per row, stopping at a row's first NULL component
+/// (the row already matches nothing). Interpretation fans out over contiguous
+/// morsels, one evaluator per worker, concatenated in morsel order.
 pub(super) fn keys_of_batch(
     ctx: &ExecContext<'_>,
     keys: &[Expr],
     working: &RecordBatch,
-) -> Result<Vec<Option<String>>> {
-    if let Some(rendered) = kernel_join_keys(ctx, keys, working) {
-        ctx.stats_mut().vectorised_batches += 1;
-        return Ok(rendered);
+) -> Result<BatchKeys> {
+    let rows = working.num_rows();
+    let interpreted = (keys.iter()).any(|key| input_column(key, working.schema()).is_none());
+    ctx.record_key_batch(interpreted);
+    let keys: Vec<&Expr> = keys.iter().collect();
+    let evaluate = |morsel: &RecordBatch| {
+        let evaluator = ctx.evaluator();
+        let evaluated = evaluate_exprs(&evaluator, &keys, morsel, true);
+        ctx.record_udf_calls(&evaluator);
+        let columns = evaluated?.into_iter().map(|key| key.into_column(morsel));
+        Ok(columns.collect::<Vec<Column>>())
+    };
+    let workers = match interpreted {
+        true => effective_workers(ctx.parallelism(), rows),
+        false => 1,
+    };
+    if workers <= 1 {
+        return Ok(BatchKeys::new(evaluate(working)?, rows));
     }
-    ctx.stats_mut().scalar_fallback_batches += 1;
-    let workers = effective_workers(ctx.parallelism(), working.num_rows());
-    let ranges = partition_ranges(working.num_rows(), workers.max(1));
-    let parts: Vec<Vec<Option<String>>> = scoped_workers(workers.max(1), |i| {
-        let mut out = Vec::new();
-        if let Some(range) = ranges.get(i) {
-            out.reserve(range.len());
-            for row in range.clone() {
-                out.push(key_of(ctx, keys, working, row)?);
-            }
-        }
-        Ok(out)
-    })?;
-    Ok(parts.into_iter().flatten().collect())
-}
-
-/// Indexes the build side by key. With more than one worker, each worker
-/// indexes one contiguous morsel of rows (global row numbers) and the
-/// partial indexes are merged in morsel order.
-pub(super) fn build_index(
-    ctx: &ExecContext<'_>,
-    keys: &[Expr],
-    working: &RecordBatch,
-) -> Result<HashMap<String, Vec<usize>>> {
-    // Kernel path: rendered keys come from one vectorised pass; the serial
-    // index insertion visits rows in ascending order, exactly the order the
-    // morsel-merge below reconstructs.
-    if let Some(rendered) = kernel_join_keys(ctx, keys, working) {
-        ctx.stats_mut().vectorised_batches += 1;
-        let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-        for (row, key) in rendered.into_iter().enumerate() {
-            if let Some(key) = key {
-                index.entry(key).or_default().push(row);
-            }
-        }
-        return Ok(index);
-    }
-    ctx.stats_mut().scalar_fallback_batches += 1;
-    let workers = effective_workers(ctx.parallelism(), working.num_rows());
-    let ranges = partition_ranges(working.num_rows(), workers.max(1));
-    let partials: Vec<HashMap<String, Vec<usize>>> = scoped_workers(workers, |i| {
-        let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-        if let Some(range) = ranges.get(i) {
-            for row in range.clone() {
-                if let Some(key) = key_of(ctx, keys, working, row)? {
-                    index.entry(key).or_default().push(row);
-                }
-            }
-        }
-        Ok(index)
-    })?;
-    let mut merged: HashMap<String, Vec<usize>> = HashMap::new();
-    // Morsel order: each key's row list stays in ascending global order.
-    for partial in partials {
-        if merged.is_empty() {
-            merged = partial;
-            continue;
-        }
-        for (key, rows) in partial {
-            merged.entry(key).or_default().extend(rows);
+    let morsels = working.partition(workers);
+    let mut parts = scoped_workers(morsels.len(), |i| evaluate(&morsels[i]))?.into_iter();
+    let mut columns = parts.next().expect("one part per morsel");
+    for part in parts {
+        for (column, more) in columns.iter_mut().zip(part) {
+            column.extend_from_slice(more.values());
         }
     }
-    Ok(merged)
+    Ok(BatchKeys::new(columns, rows))
 }
 
 /// Probes one left batch against a built right side, producing the joined
 /// output batch (LEFT JOIN rows null-pad when unmatched). Resolves
 /// oracle-backed calls in `left_keys` against a working copy of the batch;
-/// output rows come from the original columns.
+/// the output gathers the original columns. When every probe row matched
+/// exactly once (a foreign key against its primary key) the probe columns
+/// are shared with the input, not copied.
 pub(super) fn probe_batch(
     ctx: &ExecContext<'_>,
     build: &BuildSide,
@@ -203,41 +182,21 @@ pub(super) fn probe_batch(
     left_keys: &[Expr],
     batch: RecordBatch,
 ) -> Result<RecordBatch> {
-    let combined_schema = batch.schema().join(&build.right_schema);
-    let right_width = build.right_schema.len();
-
     let mut keys = left_keys.to_vec();
     let working = resolve_for_exprs(ctx, batch.clone(), &mut keys)?;
-    let rendered = kernel_join_keys(ctx, &keys, &working);
-    match &rendered {
-        Some(_) => ctx.stats_mut().vectorised_batches += 1,
-        None => ctx.stats_mut().scalar_fallback_batches += 1,
-    }
+    let probe = keys_of_batch(ctx, &keys, &working)?;
+    let (probe_rows, build_rows) = build.matches(&probe, kind == JoinKind::Left);
 
-    let mut rows = Vec::new();
-    for lrow in 0..working.num_rows() {
-        let mut matched = false;
-        let key = match &rendered {
-            Some(rendered) => rendered[lrow].clone(),
-            None => key_of(ctx, &keys, &working, lrow)?,
-        };
-        if let Some(key) = key {
-            if let Some(matches) = build.index.get(&key) {
-                for &rrow in matches {
-                    let mut row = batch.row(lrow);
-                    row.extend(build.right_rows.row(rrow));
-                    rows.push(row);
-                    matched = true;
-                }
-            }
-        }
-        if !matched && kind == JoinKind::Left {
-            let mut row = batch.row(lrow);
-            row.extend(std::iter::repeat_n(Value::Null, right_width));
-            rows.push(row);
-        }
-    }
-    RecordBatch::from_rows(combined_schema, rows).map_err(Into::into)
+    let identity = probe_rows.len() == batch.num_rows()
+        && probe_rows.iter().enumerate().all(|(i, &row)| i == row);
+    let mut columns = Vec::with_capacity(batch.num_columns() + build.rows.num_columns());
+    columns.extend(batch.columns().iter().map(|column| match identity {
+        true => column.clone(),
+        false => column.gather(&probe_rows),
+    }));
+    let build_columns = build.rows.columns().iter();
+    columns.extend(build_columns.map(|column| column.gather_or_null(&build_rows)));
+    RecordBatch::new(batch.schema().join(build.rows.schema()), columns).map_err(Into::into)
 }
 
 impl PhysicalOperator for HashJoin<'_> {
@@ -258,21 +217,12 @@ impl PhysicalOperator for HashJoin<'_> {
         self.left.open()?;
         self.right.open()?;
 
-        // Build phase: materialise the right side and index it by key.
+        // Build phase: materialise the right side and index it by key (oracle
+        // calls in the keys resolve against a working copy; the output rows
+        // come from the original, unaugmented columns).
         let right_rows = materialize_input(self.right.as_mut())?
             .unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-        let right_schema = right_rows.schema().clone();
-
-        // Resolve oracle calls in the right keys against a working copy; the
-        // output rows come from the original (unaugmented) columns.
-        let mut right_keys = self.right_keys.clone();
-        let working = resolve_for_exprs(&self.ctx, right_rows.clone(), &mut right_keys)?;
-        let index = build_index(&self.ctx, &right_keys, &working)?;
-        self.build = Some(BuildSide {
-            right_schema,
-            right_rows,
-            index,
-        });
+        self.build = Some(BuildSide::index(&self.ctx, right_rows, &self.right_keys)?);
         Ok(())
     }
 

@@ -13,8 +13,8 @@
 //!   only the columns the plan references;
 //! * [`filter`] — row filtering over a predicate;
 //! * [`project`] — projection / expression evaluation;
-//! * [`join`] — hash equi-join (parallel build side) and the nested-loop
-//!   fallback;
+//! * [`join`] — hash equi-join (index-vector probe, gathered output) and the
+//!   nested-loop fallback;
 //! * [`grace_join`] — bounded-memory Grace-style spilling hash join
 //!   (selected when a [`MemoryBudget`] is set);
 //! * [`aggregate`] — hash aggregation with grouping, with a partitioned
@@ -37,8 +37,9 @@
 //! phases out across `ctx.parallelism()` workers using `std::thread::scope`
 //! (see [`parallel`]):
 //!
-//! * [`join::HashJoin`] partitions its materialised build side and builds
-//!   per-worker hash indexes that are merged in morsel order;
+//! * [`join::HashJoin`] partitions its materialised build side to evaluate
+//!   interpreted key expressions per worker (concatenated in morsel order;
+//!   the index itself is filled serially, in row order);
 //! * [`aggregate::ParallelHashAggregate`] partitions its input via
 //!   [`RecordBatch::partition`], accumulates per-worker group states and
 //!   merges them at drain in global first-occurrence order.
@@ -579,6 +580,19 @@ impl<'a> ExecContext<'a> {
         exprs: impl IntoIterator<Item = &'e sdb_sql::ast::Expr>,
     ) -> Arc<crate::udf::KeyUpdateSets> {
         self.udf_sites.key_update_sets(exprs, self.parallelism)
+    }
+
+    /// Counts one batch of keyed work (join keys, a grouped morsel): a kernel
+    /// hit when nothing in it needed the interpreter — every expression a
+    /// column reference or literal — and a scalar fallback otherwise, or
+    /// with the knob off. One code path either way; the counters keep
+    /// `kernel_hit_share` comparable.
+    pub(crate) fn record_key_batch(&self, interpreted: bool) {
+        let mut stats = self.stats_mut();
+        match interpreted || !self.vectorised {
+            true => stats.scalar_fallback_batches += 1,
+            false => stats.vectorised_batches += 1,
+        }
     }
 
     /// Folds an evaluator's UDF counters into the statistics.

@@ -3,11 +3,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sdb_sql::ast::Expr;
 use sdb_sql::plan::ProjectionItem;
-use sdb_storage::{Column, ColumnDef, RecordBatch, Schema, Value};
+use sdb_storage::{Column, ColumnDef, RecordBatch, Schema};
 
-use super::expr::{bind_to_existing_columns, infer_column_def};
+use super::expr::{bind_to_existing_columns, evaluate_exprs, infer_column_def, ExprColumn};
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
 use crate::Result;
 
@@ -18,14 +17,20 @@ enum Output {
     Computed { index: usize, name: String },
 }
 
-/// One processed-but-not-yet-emitted batch: passthrough columns plus the raw
-/// values of each computed expression (typed only at emission time).
+/// One processed-but-not-yet-emitted batch: passthrough columns plus each
+/// named item as evaluated — the raw values of a real expression are typed
+/// only at emission time.
 struct StagedBatch {
     passthrough: Vec<(ColumnDef, Column)>,
-    computed: Vec<Vec<Value>>,
+    /// The batch the items were evaluated over: an item that is a reference
+    /// to one of its columns shares that column at emission.
+    input: RecordBatch,
+    computed: Vec<ExprColumn>,
 }
 
-/// Evaluates projection items against each input batch.
+/// Evaluates projection items against each input batch. An item that binds
+/// to an input column shares that column's buffer, under the input's type
+/// and sensitivity; only real expressions are evaluated row by row.
 ///
 /// Computed-column types are inferred from produced values. To keep the
 /// output schema stable across batches, the first *concrete* inference per
@@ -120,12 +125,8 @@ impl<'a> Project<'a> {
         }
 
         let evaluator = self.ctx.evaluator().with_key_updates(&self.key_updates);
-        let mut computed: Vec<Vec<Value>> = vec![Vec::with_capacity(batch.num_rows()); exprs.len()];
-        for row in 0..batch.num_rows() {
-            for (i, expr) in exprs.iter().enumerate() {
-                computed[i].push(evaluator.evaluate(expr, &batch, row)?);
-            }
-        }
+        let computed =
+            evaluate_exprs(&evaluator, &exprs.iter().collect::<Vec<_>>(), &batch, false)?;
         self.ctx.record_udf_calls(&evaluator);
 
         // Lock in concrete defs: a direct column reference is concrete even
@@ -140,15 +141,15 @@ impl<'a> Project<'a> {
             if self.locked[i].is_some() {
                 continue;
             }
-            let is_concrete = matches!(expr, Expr::Column(c) if batch.schema().index_of(c).is_ok())
-                || computed[i].iter().any(|v| !v.is_null());
+            let values = match &computed[i] {
+                ExprColumn::Input(_) => &[][..],
+                ExprColumn::Values(values) => values,
+            };
+            let is_concrete =
+                matches!(computed[i], ExprColumn::Input(_)) || values.iter().any(|v| !v.is_null());
             if is_concrete {
-                self.locked[i] = Some(infer_column_def(
-                    &computed_names[i],
-                    expr,
-                    &computed[i],
-                    batch.schema(),
-                ));
+                let def = infer_column_def(&computed_names[i], expr, values, batch.schema());
+                self.locked[i] = Some(def);
             }
         }
 
@@ -163,6 +164,7 @@ impl<'a> Project<'a> {
         }
         self.staged.push_back(StagedBatch {
             passthrough,
+            input: batch,
             computed,
         });
         self.output_order = outputs;
@@ -181,7 +183,7 @@ impl<'a> Project<'a> {
             let mut defs = Vec::new();
             let mut columns = Vec::new();
             let mut passthrough = staged.passthrough.into_iter();
-            let mut computed: Vec<Option<Vec<Value>>> =
+            let mut computed: Vec<Option<ExprColumn>> =
                 staged.computed.into_iter().map(Some).collect();
             for output in &self.output_order {
                 match output {
@@ -191,14 +193,19 @@ impl<'a> Project<'a> {
                         columns.push(column);
                     }
                     Output::Computed { index, name } => {
-                        let values = computed[*index].take().expect("each computed used once");
+                        let evaluated = computed[*index].take().expect("each computed used once");
                         let def = match &self.locked[*index] {
                             Some(locked) => locked.clone(),
                             // Never saw a concrete value anywhere: fall back to
                             // the historical all-NULL default.
                             None => ColumnDef::public(name, sdb_storage::DataType::Int),
                         };
-                        columns.push(Column::from_values(def.data_type, values)?);
+                        columns.push(match evaluated {
+                            ExprColumn::Input(idx) => staged.input.column(idx).clone(),
+                            ExprColumn::Values(values) => {
+                                Column::from_values(def.data_type, values)?
+                            }
+                        });
                         defs.push(def);
                     }
                 }

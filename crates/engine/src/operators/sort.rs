@@ -1,13 +1,13 @@
 //! The order-shaping operators: sort, limit and distinct.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use sdb_sql::plan::SortKey;
 use sdb_storage::{RecordBatch, Schema, Value};
 
-use super::expr::{bind_to_existing_columns, join_key_component};
+use super::expr::bind_to_existing_columns;
 use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
+use crate::kernels::keys::{keys_eq, BatchKeys, ChainIndex};
 use crate::Result;
 
 /// Sorts the materialised input by the given keys (stable, NULLs ordered by
@@ -151,10 +151,12 @@ impl PhysicalOperator for Limit<'_> {
 }
 
 /// Removes duplicate rows (first occurrence wins), streaming batch by batch
-/// with a running seen-set.
+/// with a running set of the rows emitted so far: the whole row is the key
+/// (see [`crate::kernels::keys`]; NULLs equal each other).
 pub struct Distinct<'a> {
     input: BoxedOperator<'a>,
-    seen: HashSet<String>,
+    seen: Vec<Vec<Value>>,
+    index: ChainIndex,
 }
 
 impl<'a> Distinct<'a> {
@@ -162,7 +164,8 @@ impl<'a> Distinct<'a> {
     pub fn new(input: BoxedOperator<'a>) -> Self {
         Distinct {
             input,
-            seen: HashSet::new(),
+            seen: Vec::new(),
+            index: ChainIndex::default(),
         }
     }
 }
@@ -178,6 +181,7 @@ impl PhysicalOperator for Distinct<'_> {
 
     fn open(&mut self) -> Result<()> {
         self.seen.clear();
+        self.index = ChainIndex::default();
         self.input.open()
     }
 
@@ -185,15 +189,16 @@ impl PhysicalOperator for Distinct<'_> {
         let Some(batch) = self.input.next_batch()? else {
             return Ok(None);
         };
+        let keys = BatchKeys::new(batch.columns().to_vec(), batch.num_rows());
         let mut mask = Vec::with_capacity(batch.num_rows());
-        for row in 0..batch.num_rows() {
-            let key: String = batch
-                .row(row)
-                .iter()
-                .map(join_key_component)
-                .collect::<Vec<_>>()
-                .join("\u{1f}");
-            mask.push(self.seen.insert(key));
+        for (row, &hash) in keys.hashes.iter().enumerate() {
+            let seen = &self.seen;
+            let is_new = !(self.index.matches(hash)).any(|i| keys_eq(&seen[i], keys.row(row)));
+            if is_new {
+                self.index.insert(hash);
+                self.seen.push(keys.row(row).cloned().collect());
+            }
+            mask.push(is_new);
         }
         batch.filter(&mask).map(Some).map_err(Into::into)
     }

@@ -6,7 +6,9 @@
 //! aggregate's argument value. Prepared rows accumulate in memory until the
 //! [`MemoryBudget`](sdb_storage::MemoryBudget) is exceeded, at which point
 //! they are hash-partitioned by grouping key into `FANOUT` spill streams
-//! parked in the pager (same-key rows always land in the same partition).
+//! parked in the pager (same-key rows always land in the same partition: a
+//! row is routed by the hash of its key values, [`crate::kernels::keys`],
+//! which is not spilled — a reloaded row re-hashes the values it carries).
 //! At the end each partition is re-aggregated independently; a partition
 //! still larger than the budget is recursively re-partitioned with a
 //! different hash level, up to `MAX_LEVELS` (beyond that it is aggregated
@@ -22,17 +24,17 @@
 //! nothing spills and the pending rows aggregate directly — the same code
 //! path minus the partitioning.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use sdb_sql::ast::Expr;
 use sdb_sql::plan::AggregateExpr;
 use sdb_storage::{ColumnDef, DataType, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
 
-use super::aggregate::{aggregate_key_updates, bind_aggregate_exprs, finalize_groups, GroupState};
-use super::expr::join_key_component;
+use super::aggregate::{
+    aggregate_key_updates, bind_aggregate_exprs, finalize_groups, GroupState, Groups,
+};
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
+use crate::kernels::keys::{hash_key, partition_of};
 use crate::Result;
 
 /// Number of spill partitions per level (shared with
@@ -46,22 +48,21 @@ pub(super) const MAX_LEVELS: u32 = 3;
 struct PreparedRow {
     /// Global arrival index (drives first-occurrence ordering).
     seq: u64,
-    /// Rendered grouping key (the same derivation the in-memory operator
-    /// uses: components joined with a unit separator).
-    key: String,
+    /// [`hash_key`] of the key values: routes the row to its partition and
+    /// to its group. Never spilled — a reloaded row re-hashes its values.
+    hash: u64,
     key_values: Vec<Value>,
     args: Vec<Value>,
 }
 
 impl PreparedRow {
     fn approx_size(&self) -> usize {
-        16 + self.key.len()
-            + self
-                .key_values
-                .iter()
-                .chain(self.args.iter())
-                .map(Value::approx_size)
-                .sum::<usize>()
+        16 + self
+            .key_values
+            .iter()
+            .chain(self.args.iter())
+            .map(Value::approx_size)
+            .sum::<usize>()
     }
 
     /// The page layout of a prepared row: sequence number, key values, then
@@ -136,18 +137,13 @@ impl<'a> SpillingHashAggregate<'a> {
             for e in group_exprs {
                 key_values.push(evaluator.evaluate(e, batch, row)?);
             }
-            let key: String = key_values
-                .iter()
-                .map(join_key_component)
-                .collect::<Vec<_>>()
-                .join("\u{1f}");
             let mut args = Vec::with_capacity(agg_args.len());
             for a in agg_args {
                 args.push(evaluator.evaluate(a, batch, row)?);
             }
             let prepared = PreparedRow {
                 seq: *next_seq,
-                key,
+                hash: hash_key(&key_values),
                 key_values,
                 args,
             };
@@ -217,9 +213,9 @@ impl<'a> SpillingHashAggregate<'a> {
             // in arrival order, so the groups come out exactly as the
             // in-memory operator would produce them.
             None => {
-                let mut groups = Vec::new();
-                group_rows_into(pending, &mut HashMap::new(), &mut Vec::new(), &mut groups);
-                groups
+                let mut groups = Groups::default();
+                group_rows_into(pending, &mut Vec::new(), &mut groups);
+                groups.states
             }
             Some(mut writers) => {
                 spill_rows(&self.ctx, &mut writers, pending.drain(..), 0)?;
@@ -266,15 +262,14 @@ impl<'a> SpillingHashAggregate<'a> {
         // Small enough (or unsplittable): fold the partition's rows into
         // group states page by page, keeping only one page resident (the
         // reader frees each page as it is consumed).
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut groups: Vec<GroupState> = Vec::new();
+        let mut groups = Groups::default();
         let mut min_seqs: Vec<u64> = Vec::new();
         let mut reader = run.reader();
         while let Some(batch) = reader.next_batch(self.ctx.pager())? {
             let rows = decode_rows(&batch, self.group_by.len(), self.aggregates.len())?;
-            group_rows_into(rows, &mut index, &mut min_seqs, &mut groups);
+            group_rows_into(rows, &mut min_seqs, &mut groups);
         }
-        out.extend(min_seqs.into_iter().zip(groups));
+        out.extend(min_seqs.into_iter().zip(groups.states));
         Ok(())
     }
 }
@@ -314,16 +309,6 @@ impl PhysicalOperator for SpillingHashAggregate<'_> {
     }
 }
 
-/// Deterministic partition assignment: same key, same level → same
-/// partition; a different level reshuffles keys. Shared with the Grace hash
-/// join so both spilling operators split identically.
-pub(super) fn partition_of(key: &str, level: u32) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    level.hash(&mut hasher);
-    key.hash(&mut hasher);
-    (hasher.finish() % FANOUT as u64) as usize
-}
-
 /// Routes prepared rows (in arrival order) to their partitions' writers.
 fn spill_rows(
     ctx: &ExecContext<'_>,
@@ -332,45 +317,31 @@ fn spill_rows(
     level: u32,
 ) -> Result<()> {
     for row in rows {
-        let p = partition_of(&row.key, level);
+        let p = partition_of(row.hash, level, FANOUT);
         writers[p].push_row(ctx.pager(), row.into_values())?;
     }
     Ok(())
 }
 
 /// Folds prepared rows (already in arrival order) into group states,
-/// continuing an existing index/groups pair across calls (one call per
-/// partition page). `min_seqs[i]` is group `i`'s first arrival.
-fn group_rows_into(
-    rows: Vec<PreparedRow>,
-    index: &mut HashMap<String, usize>,
-    min_seqs: &mut Vec<u64>,
-    groups: &mut Vec<GroupState>,
-) {
+/// continuing an existing set of groups across calls (one call per partition
+/// page). `min_seqs[i]` is group `i`'s first arrival.
+fn group_rows_into(rows: Vec<PreparedRow>, min_seqs: &mut Vec<u64>, groups: &mut Groups) {
     for row in rows {
-        let g = match index.get(&row.key) {
-            Some(&g) => g,
-            None => {
-                index.insert(row.key.clone(), groups.len());
-                min_seqs.push(row.seq);
-                groups.push(GroupState {
-                    key: row.key,
-                    key_values: row.key_values,
-                    rows: 0,
-                    arg_values: vec![Vec::new(); row.args.len()],
-                });
-                groups.len() - 1
-            }
-        };
-        groups[g].rows += 1;
-        for (acc, value) in groups[g].arg_values.iter_mut().zip(row.args) {
+        let group = groups.find_or_insert(row.hash, row.key_values.iter(), row.args.len());
+        if group == min_seqs.len() {
+            min_seqs.push(row.seq);
+        }
+        let state: &mut GroupState = &mut groups.states[group];
+        state.rows += 1;
+        for (acc, value) in state.arg_values.iter_mut().zip(row.args) {
             acc.push(value);
         }
     }
 }
 
-/// Unpacks a page batch back into prepared rows (re-deriving the rendered
-/// key from the key values — the same derivation that produced it).
+/// Unpacks a page batch back into prepared rows (re-hashing the key values —
+/// the same derivation that produced the hash).
 fn decode_rows(batch: &RecordBatch, num_keys: usize, num_args: usize) -> Result<Vec<PreparedRow>> {
     let mut rows = Vec::with_capacity(batch.num_rows());
     for r in 0..batch.num_rows() {
@@ -381,14 +352,9 @@ fn decode_rows(batch: &RecordBatch, num_keys: usize, num_args: usize) -> Result<
         let args: Vec<Value> = (0..num_args)
             .map(|j| batch.column(1 + num_keys + j).get(r).clone())
             .collect();
-        let key: String = key_values
-            .iter()
-            .map(join_key_component)
-            .collect::<Vec<_>>()
-            .join("\u{1f}");
         rows.push(PreparedRow {
             seq,
-            key,
+            hash: hash_key(&key_values),
             key_values,
             args,
         });

@@ -237,6 +237,51 @@ fn project_computes_per_batch() {
     assert_eq!(out.num_rows(), 2);
 }
 
+/// An item that is a column reference is that column's buffer under the
+/// item's name and the input's type and sensitivity; only the real expression
+/// beside it is computed — and typed as before, NULL-leading batch included.
+#[test]
+fn project_shares_what_it_does_not_compute() {
+    let catalog = Catalog::new();
+    let reg = registry();
+    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let schema = Schema::new(vec![
+        ColumnDef::public("a", DataType::Int),
+        ColumnDef::sensitive("b", DataType::Decimal { scale: 2 }),
+    ]);
+    let dec = |units| Value::Decimal { units, scale: 2 };
+    let batches = vec![
+        RecordBatch::from_rows(schema.clone(), vec![vec![Value::Int(1), Value::Null]]).unwrap(),
+        RecordBatch::from_rows(schema, vec![vec![Value::Int(2), dec(250)]]).unwrap(),
+    ];
+    let items = vec![
+        ProjectionItem::Named {
+            expr: col("b"),
+            name: "renamed".into(),
+        },
+        ProjectionItem::Named {
+            expr: Expr::binary(col("b"), BinaryOp::Add, col("b")),
+            name: "twice".into(),
+        },
+    ];
+    let mut project = Project::new(ctx, FixedBatches::boxed(batches.clone()), items, vec![]);
+    project.open().unwrap();
+    for input in &batches {
+        let out = project.next_batch().unwrap().unwrap();
+        assert!(out.column(0).shares_buffer(input.column(1)));
+        let renamed = out.schema().column_at(0);
+        assert_eq!(renamed.name, "renamed");
+        assert_eq!(renamed.data_type, DataType::Decimal { scale: 2 });
+        assert!(renamed.sensitivity.is_sensitive());
+        // The computed column waited for the second batch to learn its type.
+        assert_eq!(
+            out.schema().column_at(1).data_type,
+            DataType::Decimal { scale: 2 }
+        );
+    }
+    assert!(project.next_batch().unwrap().is_none());
+}
+
 // ---------------------------------------------------------------------------
 // Joins
 // ---------------------------------------------------------------------------
@@ -329,6 +374,163 @@ fn hash_join_with_empty_sides() {
     let out = drain_operator(&mut join).unwrap();
     assert_eq!(out.num_rows(), 0);
     assert_eq!(out.num_columns(), 4);
+}
+
+/// A foreign key against its primary key: every probe row matches exactly
+/// once, so the probe columns of the output are the input's buffers, not
+/// copies; one unmatched row and they are gathered.
+#[test]
+fn fk_pk_probe_shares_the_probe_columns() {
+    let catalog = Catalog::new();
+    let reg = registry();
+    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let schema = ab_schema();
+    let dim = || FixedBatches::boxed(int_batches(&ab_schema(), &[&[(2, -2), (1, -1), (3, -3)]]));
+    let probe = |rows: &[(i64, i64)]| int_batches(&schema, &[rows]).remove(0);
+
+    let fact = probe(&[(1, 10), (3, 30), (1, 11), (2, 20)]);
+    let mut join = HashJoin::new(
+        Arc::clone(&ctx),
+        FixedBatches::boxed(vec![fact.clone()]),
+        dim(),
+        JoinKind::Inner,
+        vec![col("a")],
+        vec![col("a")],
+    );
+    join.open().unwrap();
+    let out = join.next_batch().unwrap().unwrap();
+    join.close().unwrap();
+    assert!(out.column(0).shares_buffer(fact.column(0)));
+    assert!(out.column(1).shares_buffer(fact.column(1)));
+    let dim_values: Vec<Value> = out.column(3).values().to_vec();
+    assert_eq!(dim_values, [-1, -3, -1, -2].map(Value::Int));
+
+    let fact = probe(&[(1, 10), (4, 40)]);
+    let mut join = HashJoin::new(
+        ctx,
+        FixedBatches::boxed(vec![fact.clone()]),
+        dim(),
+        JoinKind::Inner,
+        vec![col("a")],
+        vec![col("a")],
+    );
+    join.open().unwrap();
+    let out = join.next_batch().unwrap().unwrap();
+    assert_eq!(out.num_rows(), 1);
+    assert!(!out.column(0).shares_buffer(fact.column(0)));
+}
+
+/// Duplicate build keys come back in ascending build-row order under each
+/// probe row, a LEFT JOIN pads what matched nothing (NULL keys included) with
+/// NULLs through the gather, and empty inputs on either side keep the shape.
+#[test]
+fn hash_join_orders_matches_and_pads_unmatched_rows() {
+    let catalog = Catalog::new();
+    let reg = registry();
+    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let schema = ab_schema();
+    let build = || {
+        FixedBatches::boxed(keyed_batches(
+            &ab_schema(),
+            &[
+                &[(Some(7), 0), (Some(8), 1), (None, 2)],
+                &[(Some(7), 3), (Some(7), 4)],
+            ],
+        ))
+    };
+    let probe = keyed_batches(&schema, &[&[(Some(7), 100), (None, 101), (Some(9), 102)]]);
+    let run = |kind, left: Vec<RecordBatch>, right: BoxedOperator<'static>| {
+        let left = FixedBatches::boxed(left);
+        let keys = vec![col("a")];
+        let mut join = HashJoin::new(Arc::clone(&ctx), left, right, kind, keys.clone(), keys);
+        drain_operator(&mut join).unwrap()
+    };
+    let int = |v| Value::Int(v);
+
+    let inner = run(JoinKind::Inner, probe.clone(), build());
+    let build_rows: Vec<Value> = inner.column(3).values().to_vec();
+    assert_eq!(build_rows, [0, 3, 4].map(int), "ascending build rows");
+
+    let left = run(JoinKind::Left, probe.clone(), build());
+    assert_eq!(left.num_rows(), 5);
+    assert_eq!(left.row(2), vec![int(7), int(100), int(7), int(4)]);
+    assert_eq!(
+        left.row(3),
+        vec![Value::Null, int(101), Value::Null, Value::Null]
+    );
+    assert_eq!(
+        left.row(4),
+        vec![int(9), int(102), Value::Null, Value::Null]
+    );
+    assert_eq!(left.column(2).data_type(), DataType::Int);
+
+    // Empty build side: a LEFT JOIN pads every probe row.
+    let empty = || FixedBatches::boxed(vec![RecordBatch::empty(ab_schema())]);
+    let padded = run(JoinKind::Left, probe.clone(), empty());
+    assert_eq!(padded.num_rows(), 3);
+    assert!(padded.column(2).values().iter().all(Value::is_null));
+    // Empty probe batch: an empty batch of the combined schema.
+    let none = run(
+        JoinKind::Left,
+        vec![RecordBatch::empty(ab_schema())],
+        build(),
+    );
+    assert_eq!((none.num_rows(), none.num_columns()), (0, 4));
+}
+
+/// With every hash forced to collide, the key equality alone decides each
+/// match: an inner join, a LEFT JOIN, a GROUP BY with a NULL group and a
+/// DISTINCT all produce exactly what they produce under the real hasher.
+#[test]
+fn forced_hash_collisions_change_no_result() {
+    use crate::kernels::keys::FORCE_COLLISIONS;
+
+    let catalog = Catalog::new();
+    let reg = registry();
+    // Serial: the hook is per thread.
+    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None).with_parallelism(1));
+    let rows: Vec<(Option<i64>, i64)> = (0..90)
+        .map(|i| ((i % 11 != 0).then_some(i % 7), i % 5))
+        .collect();
+    let chunks: Vec<&[(Option<i64>, i64)]> = rows.chunks(16).collect();
+    let input = || FixedBatches::boxed(keyed_batches(&ab_schema(), &chunks));
+
+    let run_all = || {
+        let mut outputs = Vec::new();
+        for kind in [JoinKind::Inner, JoinKind::Left] {
+            let keys = vec![col("a"), col("b")];
+            let mut join =
+                HashJoin::new(Arc::clone(&ctx), input(), input(), kind, keys.clone(), keys);
+            outputs.push(drain_operator(&mut join).unwrap());
+        }
+        let mut aggregate = HashAggregate::new(
+            Arc::clone(&ctx),
+            input(),
+            vec![(col("a"), "a".into())],
+            vec![AggregateExpr {
+                func: AggFunc::Count,
+                arg: Some(col("b")),
+                distinct: true,
+                name: "n".into(),
+            }],
+        );
+        outputs.push(drain_operator(&mut aggregate).unwrap());
+        outputs.push(drain_operator(&mut Distinct::new(input())).unwrap());
+        outputs
+    };
+
+    let expected = run_all();
+    FORCE_COLLISIONS.with(|force| force.set(true));
+    assert_eq!(crate::kernels::keys::hash_key([&Value::Int(1)]), 0);
+    let collided = run_all();
+    FORCE_COLLISIONS.with(|force| force.set(false));
+    assert_eq!(expected, collided);
+    // The inputs exercise what they claim to: a NULL group among the 8, and
+    // DISTINCT dropping most of the 90 rows.
+    assert_eq!(expected[2].num_rows(), 8);
+    assert!(expected[2].column(0).values().contains(&Value::Null));
+    assert!(expected[3].num_rows() < 45);
+    assert!(expected[0].num_rows() > 90 && expected[1].num_rows() > expected[0].num_rows());
 }
 
 #[test]

@@ -122,6 +122,17 @@ impl Column {
         Column::from_values_unchecked(self.data_type, gathered)
     }
 
+    /// [`Self::gather`] with gaps: `None` becomes a NULL (the unmatched side
+    /// of an outer join).
+    pub fn gather_or_null(&self, rows: &[Option<usize>]) -> Column {
+        let values = self.values();
+        let gathered = rows
+            .iter()
+            .map(|row| row.map_or(Value::Null, |i| values[i].clone()))
+            .collect();
+        Column::from_values_unchecked(self.data_type, gathered)
+    }
+
     /// True when both columns are windows onto the same buffer (no cell was
     /// copied between them).
     pub fn shares_buffer(&self, other: &Column) -> bool {
@@ -207,6 +218,23 @@ mod tests {
         )
         .unwrap();
         assert!(enc.approx_size_bytes() > plain.approx_size_bytes());
+    }
+
+    #[test]
+    fn gathers_copy_the_named_rows_and_pad_gaps_with_null() {
+        let c = Column::from_values(DataType::Int, (1..=4).map(Value::Int).collect()).unwrap();
+        let window = c.slice(1, 3);
+        assert_eq!(
+            window.gather(&[2, 0, 0]).values(),
+            &[Value::Int(4), Value::Int(2), Value::Int(2)]
+        );
+        let padded = window.gather_or_null(&[Some(1), None, Some(1)]);
+        assert_eq!(
+            padded.values(),
+            &[Value::Int(3), Value::Null, Value::Int(3)]
+        );
+        assert_eq!(padded.data_type(), DataType::Int);
+        assert!(window.gather_or_null(&[]).is_empty());
     }
 
     #[test]

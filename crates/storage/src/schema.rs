@@ -1,5 +1,8 @@
 //! Schemas: column definitions, sensitivity flags and lookup helpers.
 
+use std::sync::Arc;
+
+use serde::ser::SerializeStruct;
 use serde::{Deserialize, Serialize};
 
 use crate::{DataType, Result, StorageError};
@@ -57,20 +60,34 @@ impl ColumnDef {
 }
 
 /// An ordered collection of column definitions.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// The definitions are shared: `clone` is a reference-count bump, so every
+/// batch sliced, filtered or gathered out of one input carries the *same*
+/// schema, which [`Schema::ptr_eq`] can tell without comparing a name. The
+/// serialised form is `{columns}`, as if the definitions were held directly.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schema {
-    columns: Vec<ColumnDef>,
+    columns: Arc<Vec<ColumnDef>>,
 }
 
 impl Schema {
     /// Creates a schema from column definitions.
     pub fn new(columns: Vec<ColumnDef>) -> Self {
-        Schema { columns }
+        Schema {
+            columns: Arc::new(columns),
+        }
     }
 
     /// Empty schema.
     pub fn empty() -> Self {
-        Schema { columns: vec![] }
+        Schema::default()
+    }
+
+    /// True when both schemas are clones of one another (no definition was
+    /// copied between them): a name resolved against one resolves to the same
+    /// index against the other.
+    pub fn ptr_eq(&self, other: &Schema) -> bool {
+        Arc::ptr_eq(&self.columns, &other.columns)
     }
 
     /// Number of columns.
@@ -132,22 +149,44 @@ impl Schema {
 
     /// Appends a column, returning the new schema (builder style).
     pub fn with_column(mut self, def: ColumnDef) -> Self {
-        self.columns.push(def);
+        Arc::make_mut(&mut self.columns).push(def);
         self
     }
 
     /// Concatenates two schemas (used by joins).
     pub fn join(&self, other: &Schema) -> Schema {
-        let mut columns = self.columns.clone();
+        let mut columns = self.columns.to_vec();
         columns.extend(other.columns.iter().cloned());
-        Schema { columns }
+        Schema::new(columns)
     }
 
     /// Projects a subset of columns by index.
     pub fn project(&self, indices: &[usize]) -> Schema {
-        Schema {
-            columns: indices.iter().map(|&i| self.columns[i].clone()).collect(),
+        Schema::new(indices.iter().map(|&i| self.columns[i].clone()).collect())
+    }
+}
+
+impl Serialize for Schema {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        let mut s = serializer.serialize_struct("Schema", 1)?;
+        s.serialize_field("columns", self.columns())?;
+        s.end()
+    }
+}
+
+impl<'de> Deserialize<'de> for Schema {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        /// The serialised form of a schema.
+        #[derive(Deserialize)]
+        struct Stored {
+            columns: Vec<ColumnDef>,
         }
+        Ok(Schema::new(Stored::deserialize(deserializer)?.columns))
     }
 }
 
@@ -268,7 +307,19 @@ mod tests {
     fn schema_serde_roundtrip() {
         let s = sample();
         let json = serde_json::to_string(&s).unwrap();
+        assert!(json.starts_with(r#"{"columns":[{"name":"id","#), "{json}");
         let back: Schema = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn clones_share_their_definitions_and_builders_do_not_disturb_them() {
+        let s = sample();
+        let clone = s.clone();
+        assert!(s.ptr_eq(&clone));
+        assert!(!s.ptr_eq(&sample()), "equal content is not identity");
+        let wider = clone.with_column(ColumnDef::public("extra", DataType::Int));
+        assert!(!s.ptr_eq(&wider));
+        assert_eq!((s.len(), wider.len()), (3, 4));
     }
 }
