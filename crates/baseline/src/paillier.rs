@@ -10,7 +10,7 @@ use num_integer::Integer;
 use num_traits::One;
 use rand::Rng;
 
-use sdb_crypto::bigint::{mod_inverse, mod_mul, mod_pow};
+use sdb_crypto::bigint::{coprime, mod_inverse, mod_mul, mod_pow};
 use sdb_crypto::prime::generate_prime_pair;
 use sdb_crypto::KeyConfig;
 
@@ -69,7 +69,7 @@ impl PaillierKey {
         // c = (1 + m·n) · r^n mod n², using g = n + 1.
         let r = loop {
             let candidate = sdb_crypto::bigint::random_in_range(rng, &BigUint::one(), &self.n);
-            if candidate.gcd(&self.n).is_one() {
+            if coprime(&candidate, &self.n) {
                 break candidate;
             }
         };

@@ -9,14 +9,20 @@
 //! The `key_update_set` group prices one row of a key-update set (1, 2, 4 and
 //! 7 updates of one auxiliary share, the last with a `p, p−1, p−2` run as in
 //! rewritten Q1) against the same updates bound and applied one by one.
+//!
+//! The `inverse` group prices the data owner's two inversions of a key
+//! update — `m_T⁻¹ mod n` (odd) and `x_S⁻¹ mod φ(n)` (even) — through the
+//! fixed-width kernel behind `bigint::mod_inverse`, next to the `num-bigint`
+//! extended Euclid it replaced (timed here only; the library keeps it as a
+//! test reference).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use num_bigint::BigUint;
+use num_bigint::{BigInt, BigUint, Sign};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-use sdb_crypto::bigint::mod_mul;
+use sdb_crypto::bigint::{mod_inverse, mod_mul};
 use sdb_crypto::share::{encrypt_value, gen_item_key, KeyUpdateParams};
 use sdb_crypto::{BoundKeyUpdateSet, KeyConfig, SignedCodec, SystemKey};
 
@@ -155,9 +161,44 @@ fn key_update_set(c: &mut Criterion) {
     group.finish();
 }
 
+/// `a⁻¹ mod m` by the shim's extended Euclid, as `mod_inverse` ran before.
+fn euclid_inverse(a: &BigUint, m: &BigUint) -> BigUint {
+    let m = BigInt::from_biguint(Sign::Plus, m.clone());
+    let ext = BigInt::from_biguint(Sign::Plus, a.clone()).extended_gcd(&m);
+    assert!(ext.gcd == BigInt::one(), "not invertible");
+    let mut x = ext.x % &m;
+    if x.sign() == Sign::Minus {
+        x += &m;
+    }
+    x.to_biguint().expect("normalised")
+}
+
+fn inverse(c: &mut Criterion) {
+    let mut group = c.benchmark_group("inverse");
+    for (label, config) in profiles() {
+        let mut rng = StdRng::seed_from_u64(0xab1c);
+        let key = SystemKey::generate(&mut rng, config).expect("key generation");
+        // What a key update inverts: a target's `m` modulo n, the auxiliary
+        // column's `x` modulo φ(n).
+        let m_t = key.gen_column_key(&mut rng).m().clone();
+        let x_s = key.gen_aux_column_key(&mut rng).x().clone();
+        for (name, a, m) in [("n", &m_t, key.n()), ("phi", &x_s, key.phi())] {
+            let kernel = mod_inverse(a, m).expect("invertible");
+            assert_eq!(kernel, euclid_inverse(a, m), "{name} at {label}");
+            group.bench_function(BenchmarkId::new(format!("kernel_{name}"), label), |b| {
+                b.iter(|| black_box(mod_inverse(a, m)))
+            });
+            group.bench_function(BenchmarkId::new(format!("reference_{name}"), label), |b| {
+                b.iter(|| black_box(euclid_inverse(a, m)))
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = modulus_sweep, key_update_set
+    targets = modulus_sweep, key_update_set, inverse
 }
 criterion_main!(benches);

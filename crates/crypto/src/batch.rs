@@ -135,6 +135,32 @@ mod tests {
         assert!(mod_inverse_batch(&[BigUint::from(0u32)], &m).is_err());
     }
 
+    /// At a real `n` and at its even `φ(n)`, the batch gives the Euclid's
+    /// inverses; with one element sharing a factor with the modulus, its
+    /// per-element fallback reports the Euclid's error.
+    #[test]
+    fn batch_inverse_matches_the_reference_inverse() {
+        use crate::bigint::reference;
+        let mut rng = rng();
+        let key = SystemKey::generate(&mut rng, KeyConfig::TEST).unwrap();
+        // n·3 ≡ 0 (mod n); φ(n)/2 shares every factor of φ(n) but one 2.
+        let shared = [key.n() * BigUint::from(3u32), key.phi() >> 1u32];
+        for (m, shared) in [key.n(), key.phi()].into_iter().zip(shared) {
+            let mut items: Vec<BigUint> = (0..9).map(|_| random_coprime(&mut rng, m)).collect();
+            items.push(m + BigUint::from(1u32));
+            let expected: Result<Vec<BigUint>> =
+                items.iter().map(|a| reference::mod_inverse(a, m)).collect();
+            assert!(expected.is_ok());
+            assert_eq!(mod_inverse_batch(&items, m), expected);
+
+            items.insert(4, shared);
+            assert!(reference::mod_inverse(&items[4], m).is_err());
+            let expected: Result<Vec<BigUint>> =
+                items.iter().map(|a| reference::mod_inverse(a, m)).collect();
+            assert_eq!(mod_inverse_batch(&items, m), expected);
+        }
+    }
+
     #[test]
     fn batch_encrypt_matches_scalar_encrypt() {
         let mut rng = rng();

@@ -1,41 +1,31 @@
-//! Small helpers over [`num_bigint`] used throughout the scheme: modular inverse,
+//! Small helpers over [`num_bigint`] used throughout the scheme: modular inverse
+//! and co-primality (a fixed-width binary extended GCD, `crate::inverse`),
 //! uniform random residues, co-primality sampling, and the modular operations
 //! that take a bare modulus (served by the per-thread [`Modulus`] context).
 
 use std::borrow::Cow;
 
-use num_bigint::{BigInt, BigUint, RandBigInt, Sign};
-use num_integer::Integer;
+use num_bigint::{BigUint, RandBigInt};
 use num_traits::{One, Zero};
 use rand::Rng;
 
+use crate::inverse;
 use crate::modulus::Modulus;
 use crate::{CryptoError, Result};
 
-/// Computes the modular multiplicative inverse of `a` modulo `m` using the
-/// extended Euclidean algorithm.
+/// Computes the modular multiplicative inverse of `a` modulo `m`, for odd and
+/// even `m` alike; an `a ≥ m` is reduced first.
 ///
-/// Returns an error if `gcd(a, m) != 1`.
+/// Returns an error if `gcd(a, m) != 1` (or `m` is zero).
 pub fn mod_inverse(a: &BigUint, m: &BigUint) -> Result<BigUint> {
-    let a = BigInt::from_biguint(Sign::Plus, a.clone());
-    let m_int = BigInt::from_biguint(Sign::Plus, m.clone());
-    let ext = a.extended_gcd(&m_int);
-    if !ext.gcd.is_one() {
-        return Err(CryptoError::NotInvertible {
-            what: "gcd(a, m) != 1",
-        });
-    }
-    // x may be negative; normalise into [0, m).
-    let mut x = ext.x % &m_int;
-    if x.sign() == Sign::Minus {
-        x += &m_int;
-    }
-    Ok(x.to_biguint().expect("normalised to non-negative"))
+    inverse::mod_inverse(a, m).ok_or(CryptoError::NotInvertible {
+        what: "gcd(a, m) != 1",
+    })
 }
 
 /// Returns `true` if `a` and `b` are co-prime.
 pub fn coprime(a: &BigUint, b: &BigUint) -> bool {
-    a.gcd(b).is_one()
+    inverse::coprime(a, b)
 }
 
 /// Samples a uniform random residue in `[low, high)`.
@@ -121,6 +111,40 @@ pub fn mod_sub(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
         &*a - &*b
     } else {
         m - (&*b - &*a)
+    }
+}
+
+/// The `num-bigint` Euclid that [`mod_inverse`] and [`coprime`] ran before the
+/// fixed-width kernel: the reference the tests compare the kernel against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use num_bigint::{BigInt, BigUint, Sign};
+    use num_integer::Integer;
+    use num_traits::One;
+
+    use crate::{CryptoError, Result};
+
+    /// `a⁻¹ mod m` by the extended Euclidean algorithm.
+    pub(crate) fn mod_inverse(a: &BigUint, m: &BigUint) -> Result<BigUint> {
+        let a = BigInt::from_biguint(Sign::Plus, a.clone());
+        let m_int = BigInt::from_biguint(Sign::Plus, m.clone());
+        let ext = a.extended_gcd(&m_int);
+        if !ext.gcd.is_one() {
+            return Err(CryptoError::NotInvertible {
+                what: "gcd(a, m) != 1",
+            });
+        }
+        // x may be negative; normalise into [0, m).
+        let mut x = ext.x % &m_int;
+        if x.sign() == Sign::Minus {
+            x += &m_int;
+        }
+        Ok(x.to_biguint().expect("normalised to non-negative"))
+    }
+
+    /// `gcd(a, b) = 1` by Euclid's remainders.
+    pub(crate) fn coprime(a: &BigUint, b: &BigUint) -> bool {
+        Integer::gcd(a, b).is_one()
     }
 }
 

@@ -336,6 +336,51 @@ mod tests {
         }
     }
 
+    /// The key draws accept exactly the candidates a loop over the Euclid's
+    /// gcd accepts, so a seeded generator yields the same keys and is left in
+    /// the same state: `random_coprime` against `n`, `φ(n)` and a modulus
+    /// with many small factors (frequent rejections), `gen_aux_column_key`
+    /// against `φ(n)`.
+    #[test]
+    fn key_draws_match_a_reference_gcd_loop() {
+        use crate::bigint::reference;
+        use num_bigint::RandBigInt;
+        let one = BigUint::one();
+        let reference_coprime = |rng: &mut StdRng, m: &BigUint| loop {
+            let candidate = rng.gen_biguint_range(&one, m);
+            if reference::coprime(&candidate, m) {
+                return candidate;
+            }
+        };
+        let mut rng = rng();
+        let key = SystemKey::generate(&mut rng, KeyConfig::TEST).unwrap();
+        let smooth = BigUint::from(2u64 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37);
+        for seed in 0..16 {
+            for m in [key.n(), key.phi(), &smooth] {
+                let mut drawn = StdRng::seed_from_u64(seed);
+                let mut expected = drawn.clone();
+                assert_eq!(
+                    random_coprime(&mut drawn, m),
+                    reference_coprime(&mut expected, m)
+                );
+                assert_eq!(drawn.gen::<u64>(), expected.gen::<u64>());
+            }
+
+            let mut drawn = StdRng::seed_from_u64(seed);
+            let mut expected = drawn.clone();
+            let aux = key.gen_aux_column_key(&mut drawn);
+            let reference_aux = loop {
+                let m = reference_coprime(&mut expected, key.n());
+                let x = random_in_range(&mut expected, &one, key.phi());
+                if reference::coprime(&x, key.phi()) {
+                    break ColumnKey::new(m, x);
+                }
+            };
+            assert_eq!(aux, reference_aux);
+            assert_eq!(drawn.gen::<u64>(), expected.gen::<u64>());
+        }
+    }
+
     #[test]
     fn config_validation_rejects_tiny_modulus() {
         let bad = KeyConfig {

@@ -29,7 +29,8 @@
 //! * [`prime`] — Miller–Rabin primality testing and random prime generation.
 //! * [`modulus`] — the Montgomery context of one fixed odd modulus: multiply,
 //!   windowed exponentiation, and the fixed-base table behind item keys.
-//! * [`bigint`] — modular inverse, random residues, small helpers.
+//! * [`bigint`] — modular inverse and co-primality (a fixed-width binary
+//!   extended GCD), random residues, small helpers.
 //! * [`prf`] — a SipHash-2-4 based keyed PRF (equality tags, key derivation).
 //! * [`sies`] — the row-id cipher (stand-in for SIES \[Papadopoulos et al., ICDE'11\]).
 //! * [`rowid`] — row-id generation and the encrypted row-id type.
@@ -58,6 +59,7 @@
 pub mod batch;
 pub mod bigint;
 pub mod error;
+mod inverse;
 pub mod keys;
 pub mod modulus;
 pub mod prf;

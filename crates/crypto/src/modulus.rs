@@ -32,7 +32,7 @@ use num_bigint::BigUint;
 
 /// Limb storage of one residue: a fixed array for the shipped widths, a `Vec`
 /// for every other.
-trait Limbs: Clone + AsRef<[u64]> + AsMut<[u64]> {
+pub(crate) trait Limbs: Clone + AsRef<[u64]> + AsMut<[u64]> {
     /// Storage of twice the width: a full square before its reduction.
     type Wide: AsMut<[u64]>;
     fn zeroed(k: usize) -> Self;
@@ -75,15 +75,35 @@ impl Limbs for Vec<u64> {
     }
 }
 
+/// Evaluates `$body` with `$L` naming the limb storage of `$k` limbs.
+macro_rules! by_limbs {
+    ($k:expr, $L:ident => $body:expr) => {
+        match $k {
+            4 => {
+                type $L = [u64; 4];
+                $body
+            }
+            8 => {
+                type $L = [u64; 8];
+                $body
+            }
+            32 => {
+                type $L = [u64; 32];
+                $body
+            }
+            _ => {
+                type $L = Vec<u64>;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use by_limbs;
+
 /// Runs a width-generic method on the limb storage matching this modulus.
 macro_rules! by_width {
     ($modulus:expr, $method:ident($($arg:expr),*)) => {
-        match $modulus.limbs.len() {
-            4 => $modulus.$method::<[u64; 4]>($($arg),*),
-            8 => $modulus.$method::<[u64; 8]>($($arg),*),
-            32 => $modulus.$method::<[u64; 32]>($($arg),*),
-            _ => $modulus.$method::<Vec<u64>>($($arg),*),
-        }
+        by_limbs!($modulus.limbs.len(), L => $modulus.$method::<L>($($arg),*))
     };
 }
 
@@ -96,7 +116,8 @@ fn ge(a: &[u64], b: &[u64]) -> bool {
     true
 }
 
-fn sub_assign(a: &mut [u64], b: &[u64]) {
+/// `a −= b` modulo `2^(64·len)`; returns the borrow out of the top limb.
+pub(crate) fn sub_assign(a: &mut [u64], b: &[u64]) -> bool {
     let mut borrow = false;
     for (x, y) in a.iter_mut().zip(b) {
         let (d, b1) = x.overflowing_sub(*y);
@@ -104,6 +125,27 @@ fn sub_assign(a: &mut [u64], b: &[u64]) {
         *x = d;
         borrow = b1 | b2;
     }
+    borrow
+}
+
+/// `x⁻¹ mod 2⁶⁴` for an odd `x`, by Newton iteration: each round doubles the
+/// number of correct low bits.
+pub(crate) fn word_inverse(x: u64) -> u64 {
+    debug_assert!(x & 1 == 1, "only odd words are invertible modulo 2⁶⁴");
+    let mut inverse = 1u64;
+    for _ in 0..6 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(inverse)));
+    }
+    inverse
+}
+
+/// The `k` limbs of an `x` below `2^(64·k)`.
+pub(crate) fn limbs_of<L: Limbs>(x: &BigUint, k: usize) -> L {
+    let mut out = L::zeroed(k);
+    for (limb, digit) in out.as_mut().iter_mut().zip(x.iter_u64_digits()) {
+        *limb = digit;
+    }
+    out
 }
 
 /// CIOS Montgomery product `a·b·R⁻¹ mod n` of two residues below `n`.
@@ -194,7 +236,7 @@ fn mont_sqr<L: Limbs>(a: &[u64], n: &[u64], n0: u64) -> L {
 }
 
 /// Builds the canonical [`BigUint`] of a little-endian limb slice.
-fn store(limbs: &[u64]) -> BigUint {
+pub(crate) fn store(limbs: &[u64]) -> BigUint {
     const STACK_LIMBS: usize = 32;
     let mut stack = [0u8; 8 * STACK_LIMBS];
     let mut heap = Vec::new();
@@ -417,11 +459,6 @@ impl Modulus {
             return None;
         }
         let limbs: Vec<u64> = n.iter_u64_digits().collect();
-        // Newton iteration: each round doubles the number of correct low bits.
-        let mut inverse = 1u64;
-        for _ in 0..6 {
-            inverse = inverse.wrapping_mul(2u64.wrapping_sub(limbs[0].wrapping_mul(inverse)));
-        }
         let padded = |x: BigUint| {
             let mut out: Vec<u64> = x.iter_u64_digits().collect();
             out.resize(limbs.len(), 0);
@@ -431,7 +468,7 @@ impl Modulus {
         let r2 = (&r * &r) % n;
         Some(Modulus {
             n: n.clone(),
-            n0: inverse.wrapping_neg(),
+            n0: word_inverse(limbs[0]).wrapping_neg(),
             one: padded(r),
             r2: padded(r2),
             limbs,
@@ -519,11 +556,7 @@ impl Modulus {
             reduced = x % &self.n;
             &reduced
         };
-        let mut out = L::zeroed(self.limbs.len());
-        for (limb, digit) in out.as_mut().iter_mut().zip(x.iter_u64_digits()) {
-            *limb = digit;
-        }
-        out
+        limbs_of(x, self.limbs.len())
     }
 
     /// The canonical value of a residue in Montgomery form.

@@ -86,7 +86,8 @@ impl KeyUpdateParams {
     ) -> Result<Self> {
         let phi = key.phi();
         let modulus = key.modulus();
-        // φ(n) is even: arithmetic modulo it stays on the `BigUint` path.
+        // φ(n) is even: its products stay on the `BigUint` path; the inverse
+        // takes the kernel's even-modulus branch.
         let x_s_inv = mod_inverse(aux.x(), phi)?;
         let delta = mod_sub(target.x(), source.x(), phi);
         let p = mod_mul(&delta, &x_s_inv, phi);
@@ -431,6 +432,32 @@ mod tests {
         empty.fill(&rng.gen_biguint_below(n), &mut []);
         assert!(empty.powers(&[]).is_empty());
         assert!(BoundKeyUpdateSet::bind(&BigUint::from(1_000_000u32), &updates).is_none());
+    }
+
+    /// `(p, q)` at the `TEST` and `BALANCED` profiles is the textbook pair
+    /// built with the Euclid's inverses and `BigUint::modpow`: the parameters
+    /// the rewritten SQL carries do not depend on which inversion ran.
+    #[test]
+    fn key_update_params_match_the_textbook_with_the_reference_inverse() {
+        use crate::bigint::reference;
+        let mut rng = rng();
+        for config in [KeyConfig::TEST, KeyConfig::BALANCED] {
+            let key = SystemKey::generate(&mut rng, config).unwrap();
+            let (n, phi) = (key.n(), key.phi());
+            let aux = key.gen_aux_column_key(&mut rng);
+            for _ in 0..6 {
+                let (source, target) = (key.gen_column_key(&mut rng), key.gen_column_key(&mut rng));
+                let x_s_inv = reference::mod_inverse(aux.x(), phi).unwrap();
+                let delta = (target.x() + phi - source.x()) % phi;
+                let p = delta * x_s_inv % phi;
+                let m_t_inv = reference::mod_inverse(target.m(), n).unwrap();
+                let q = source.m() * aux.m().modpow(&p, n) % n * m_t_inv % n;
+                assert_eq!(
+                    KeyUpdateParams::compute(&key, &source, &aux, &target).unwrap(),
+                    KeyUpdateParams { p, q }
+                );
+            }
+        }
     }
 
     #[test]
