@@ -149,9 +149,9 @@ impl SdbServer {
             }
         };
         let json = serde_json::to_string(&response).unwrap_or_default();
-        self.wire()
-            .record(WireMessageKind::SessionResponse, json.clone());
-        encode_frame(json.as_bytes())
+        let frame = encode_frame(json.as_bytes());
+        self.wire().record(WireMessageKind::SessionResponse, json);
+        frame
     }
 
     /// Executes one decoded request.
@@ -235,6 +235,32 @@ mod tests {
         let json = serde_json::to_string(&request).unwrap();
         let back: Request = serde_json::from_str(&json).unwrap();
         assert_eq!(back, request);
+    }
+
+    #[test]
+    fn logged_response_is_the_framed_payload() {
+        let server = SdbServer::new(ServerConfig::test_profile()).unwrap();
+        let session = match unframe(&server.handle_frame(&frame(&Request::Connect))) {
+            Response::Connected { session } => session,
+            other => panic!("unexpected {other:?}"),
+        };
+        for input in [
+            frame(&Request::Metrics),
+            frame(&Request::Stats { session }),
+            frame(&Request::Execute {
+                session,
+                sql: "SELECT * FROM missing".into(),
+            }),
+            b"\x00\x00".to_vec(),
+            frame(&Request::Close { session }),
+        ] {
+            let output = server.handle_frame(&input);
+            let (payload, consumed) = decode_frame(&output).unwrap();
+            assert_eq!(consumed, output.len());
+            let logged = server.wire().messages().pop().unwrap();
+            assert_eq!(logged.kind, WireMessageKind::SessionResponse);
+            assert_eq!(logged.payload.as_bytes(), payload);
+        }
     }
 
     #[test]

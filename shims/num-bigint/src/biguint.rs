@@ -702,25 +702,51 @@ impl Integer for BigUint {
 // Formatting
 // ---------------------------------------------------------------------------
 
+impl BigUint {
+    /// The decimal digits of `self`.
+    ///
+    /// One copy of the limbs is divided in place by 10^19 (the largest power
+    /// of ten in a `u64`) until it is zero; each remainder is written as 19
+    /// digits, back to front, into one buffer sized for the longest possible
+    /// result, whose leading zeros are then dropped.
+    fn to_decimal(&self) -> String {
+        const CHUNK: u128 = 10_000_000_000_000_000_000;
+        const CHUNK_DIGITS: usize = 19;
+        if self.limbs.len() <= 1 {
+            return self.limbs.first().copied().unwrap_or(0).to_string();
+        }
+        let mut limbs = self.limbs.to_vec();
+        // n limbs hold fewer than 19.27·n + 1 digits: at most n + n/64 + 2 chunks.
+        let chunks = limbs.len() + limbs.len() / 64 + 2;
+        let mut digits = vec![b'0'; chunks * CHUNK_DIGITS];
+        let mut end = digits.len();
+        while !limbs.is_empty() {
+            let mut remainder = 0u128;
+            for limb in limbs.iter_mut().rev() {
+                let acc = (remainder << 64) | u128::from(*limb);
+                let quotient = acc / CHUNK;
+                *limb = quotient as u64;
+                remainder = acc - quotient * CHUNK;
+            }
+            while limbs.last() == Some(&0) {
+                limbs.pop();
+            }
+            let mut chunk = remainder as u64;
+            for digit in digits[end - CHUNK_DIGITS..end].iter_mut().rev() {
+                *digit = b'0' + (chunk % 10) as u8;
+                chunk /= 10;
+            }
+            end -= CHUNK_DIGITS;
+        }
+        let leading_zeros = digits[end..].iter().take_while(|&&d| d == b'0').count();
+        digits.drain(..end + leading_zeros);
+        String::from_utf8(digits).expect("decimal digits are ASCII")
+    }
+}
+
 impl fmt::Display for BigUint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.pad_integral(true, "", "0");
-        }
-        // Peel off 19 decimal digits at a time (the largest power of ten in u64).
-        const CHUNK: u64 = 10_000_000_000_000_000_000;
-        let mut chunks = Vec::new();
-        let mut value = self.clone();
-        while !value.is_zero() {
-            let (quotient, remainder) = division::div_rem_small(&value, CHUNK);
-            chunks.push(remainder);
-            value = quotient;
-        }
-        let mut text = chunks.last().expect("non-zero value").to_string();
-        for chunk in chunks.iter().rev().skip(1) {
-            text.push_str(&format!("{chunk:019}"));
-        }
-        f.pad_integral(true, "", &text)
+        f.pad_integral(true, "", &self.to_decimal())
     }
 }
 
@@ -769,7 +795,7 @@ impl std::error::Error for ParseBigIntError {}
 
 impl serde::Serialize for BigUint {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_string())
+        serializer.serialize_str(&self.to_decimal())
     }
 }
 
@@ -807,6 +833,66 @@ mod tests {
         assert!(BigUint::parse_bytes(b"", 10).is_none());
         assert!(BigUint::parse_bytes(b"12a", 10).is_none());
         assert_eq!(BigUint::parse_bytes(b"ff", 16).unwrap(), BigUint::from(255u32));
+    }
+
+    /// `Display` as it was before it divided in place: a clone of the value,
+    /// one `div_rem_small` (a fresh quotient) and one `format!` per chunk.
+    fn reference_decimal(value: &BigUint) -> String {
+        if value.is_zero() {
+            return "0".to_string();
+        }
+        const CHUNK: u64 = 10_000_000_000_000_000_000;
+        let mut chunks = Vec::new();
+        let mut value = value.clone();
+        while !value.is_zero() {
+            let (quotient, remainder) = division::div_rem_small(&value, CHUNK);
+            chunks.push(remainder);
+            value = quotient;
+        }
+        let mut text = chunks.last().expect("non-zero value").to_string();
+        for chunk in chunks.iter().rev().skip(1) {
+            text.push_str(&format!("{chunk:019}"));
+        }
+        text
+    }
+
+    #[test]
+    fn display_matches_the_clone_and_divide_reference() {
+        use crate::RandBigInt;
+        use rand::Rng;
+        let ten_19 = BigUint::from(10u32).pow(19);
+        let ten_38 = BigUint::from(10u32).pow(38);
+        let mut values = vec![
+            BigUint::zero(),
+            BigUint::one(),
+            &ten_19 - BigUint::one(),
+            ten_19.clone(),
+            &ten_19 + BigUint::one(),
+            ten_38.clone(),
+            // All-zero middle chunks.
+            &ten_38 + BigUint::from(5u32),
+            BigUint::from(10u32).pow(95) + BigUint::from(7u32),
+            BigUint::from(u64::MAX),
+            BigUint::one() << 64u32,
+            (BigUint::one() << 128u32) - BigUint::one(),
+            (BigUint::one() << 2048u32) - BigUint::one(),
+        ];
+        let mut rng = StdRng::seed_from_u64(19);
+        for _ in 0..400 {
+            let bits = rng.gen_range(64..=2048);
+            values.push(rng.gen_biguint(bits));
+        }
+        for value in &values {
+            let text = reference_decimal(value);
+            assert_eq!(value.to_string(), text);
+            assert_eq!(format!("{value:?}"), text);
+            // Width, fill and sign still go through `pad_integral`.
+            assert_eq!(format!("{value:>90}"), format!("{text:>90}"));
+            assert_eq!(format!("{value:<90}"), format!("{text:<90}"));
+            assert_eq!(format!("{value:090}"), format!("{text:0>90}"));
+            assert_eq!(format!("{value:+}"), format!("+{text}"));
+            assert_eq!(BigUint::parse_bytes(text.as_bytes(), 10).as_ref(), Some(value));
+        }
     }
 
     #[test]

@@ -13,11 +13,12 @@ use crate::ser::{
 };
 
 // ---------------------------------------------------------------------------
-// The one concrete serializer: builds a Content tree.
+// A serializer that builds a Content tree.
 // ---------------------------------------------------------------------------
 
 /// Serializer producing a [`Content`] tree; generic over the error type so any
-/// format error can flow through.
+/// format error can flow through. `serde_json` renders values by streaming;
+/// it builds a tree only for a map key, which must be checked to be scalar.
 pub struct ContentSerializer<E>(PhantomData<E>);
 
 impl<E> ContentSerializer<E> {

@@ -1,7 +1,9 @@
 //! The shim's single data model: a JSON-like value tree.
 
-/// A serialized value. Every `Serialize` impl produces one of these; every
-/// `Deserialize` impl consumes one.
+/// A serialized value. Every `Deserialize` impl consumes one; a `Serialize`
+/// impl produces one only through the [`ContentSerializer`] (JSON map keys).
+///
+/// [`ContentSerializer`]: crate::__private::ContentSerializer
 #[derive(Debug, Clone, PartialEq)]
 pub enum Content {
     /// Null / `None` / unit.

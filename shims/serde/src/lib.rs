@@ -2,10 +2,12 @@
 //!
 //! Keeps serde's *shape* — `Serialize`/`Serializer`, `Deserialize`/
 //! `Deserializer` with associated `Ok`/`Error` types, derive macros, and the
-//! `#[serde(with = "module")]` attribute — but funnels everything through one
-//! simplified data model, [`content::Content`] (a JSON-ish value tree), instead
-//! of serde's full visitor architecture. `serde_json` (the sibling shim) is the
-//! only data format and works directly on that model.
+//! `#[serde(with = "module")]` attribute — without serde's full visitor
+//! architecture. `serde_json` (the sibling shim) is the only data format.
+//! Serialization is generic over the [`Serializer`], so `serde_json` streams
+//! its text directly; deserialization funnels through one simplified data
+//! model, [`content::Content`] (a JSON-ish value tree), which the parser
+//! builds and every `Deserialize` impl consumes.
 
 pub mod content;
 pub mod de;

@@ -14,7 +14,12 @@ pub trait Serialize {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
 }
 
-/// A data-format serializer (in this shim, always a [`Content`] builder).
+/// A data-format serializer.
+///
+/// The shim has two: `serde_json`'s streaming writer, which renders JSON text
+/// straight into its output as the value walks itself, and the [`Content`]
+/// builder, which `serde_json` uses only to check and render map keys.
+/// Deserialization still goes through a [`Content`] tree.
 ///
 /// [`Content`]: crate::content::Content
 pub trait Serializer: Sized {

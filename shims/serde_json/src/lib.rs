@@ -1,17 +1,20 @@
 //! Offline shim for the `serde_json` crate.
 //!
-//! Renders and parses JSON directly against the `serde` shim's
-//! [`Content`](serde::content::Content) model. Supports the subset this
-//! workspace uses: `to_string`, `to_string_pretty`, `to_vec` and `from_str` /
-//! `from_slice`.
+//! Supports the subset this workspace uses: `to_string`, `to_string_pretty`,
+//! `to_vec` and `from_str` / `from_slice`. Rendering streams: a
+//! [`Serializer`](serde::Serializer) writes the JSON text straight into the
+//! output string as the value walks itself. Parsing still builds the `serde`
+//! shim's [`Content`](serde::content::Content) tree and deserializes from it.
 
 use std::fmt;
 
 use serde::content::Content;
-use serde::__private::{ContentDeserializer, ContentSerializer};
+use serde::__private::ContentDeserializer;
 use serde::{Deserialize, Serialize};
 
 mod parser;
+mod stream;
+#[cfg(test)]
 mod writer;
 
 /// An error produced while encoding or decoding JSON.
@@ -51,17 +54,15 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serializes a value to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let content = value.serialize(ContentSerializer::<Error>::new())?;
     let mut out = String::new();
-    writer::write_compact(&content, &mut out)?;
+    value.serialize(&mut stream::Writer::compact(&mut out))?;
     Ok(out)
 }
 
 /// Serializes a value to an indented JSON string.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let content = value.serialize(ContentSerializer::<Error>::new())?;
     let mut out = String::new();
-    writer::write_pretty(&content, &mut out, 0)?;
+    value.serialize(&mut stream::Writer::pretty(&mut out))?;
     Ok(out)
 }
 

@@ -1,10 +1,16 @@
-//! JSON rendering of a content tree.
+//! The reference JSON renderer: a [`Content`] tree in, text out.
+//!
+//! This is how the shim rendered JSON before `to_string`/`to_string_pretty`
+//! streamed (see `stream.rs`); it is kept, compiled only for tests, as the
+//! byte-for-byte reference the streaming writer is checked against. It depends
+//! on nothing but the `serde` shim's `Content`, so the workspace's own tests
+//! can include it too and check real payload types against it.
 
 use serde::content::Content;
 
-use crate::{Error, Result};
-
-pub(crate) fn write_compact(content: &Content, out: &mut String) -> Result<()> {
+/// Renders `content` compactly; errors carry the message `serde_json`
+/// reports.
+pub(crate) fn write_compact(content: &Content, out: &mut String) -> Result<(), String> {
     match content {
         Content::Null => out.push_str("null"),
         Content::Bool(true) => out.push_str("true"),
@@ -15,7 +21,7 @@ pub(crate) fn write_compact(content: &Content, out: &mut String) -> Result<()> {
         Content::U128(v) => out.push_str(&v.to_string()),
         Content::F64(v) => {
             if !v.is_finite() {
-                return Err(Error::new("cannot serialize non-finite float as JSON"));
+                return Err("cannot serialize non-finite float as JSON".to_string());
             }
             let text = v.to_string();
             out.push_str(&text);
@@ -51,7 +57,12 @@ pub(crate) fn write_compact(content: &Content, out: &mut String) -> Result<()> {
     Ok(())
 }
 
-pub(crate) fn write_pretty(content: &Content, out: &mut String, indent: usize) -> Result<()> {
+/// Renders `content` with two-space indentation, `indent` levels deep.
+pub(crate) fn write_pretty(
+    content: &Content,
+    out: &mut String,
+    indent: usize,
+) -> Result<(), String> {
     match content {
         Content::Seq(items) if !items.is_empty() => {
             out.push_str("[\n");
@@ -95,34 +106,17 @@ fn push_indent(out: &mut String, indent: usize) {
 
 /// JSON object keys must be strings; numeric keys are quoted (matching real
 /// serde_json's integer-key behaviour).
-fn write_key(key: &Content, out: &mut String) -> Result<()> {
+fn write_key(key: &Content, out: &mut String) -> Result<(), String> {
     match key {
-        Content::Str(s) => {
-            write_string(s, out);
-            Ok(())
-        }
-        Content::I64(v) => {
-            write_string(&v.to_string(), out);
-            Ok(())
-        }
-        Content::U64(v) => {
-            write_string(&v.to_string(), out);
-            Ok(())
-        }
-        Content::I128(v) => {
-            write_string(&v.to_string(), out);
-            Ok(())
-        }
-        Content::U128(v) => {
-            write_string(&v.to_string(), out);
-            Ok(())
-        }
-        Content::Bool(v) => {
-            write_string(&v.to_string(), out);
-            Ok(())
-        }
-        other => Err(Error::new(format!("JSON keys must be scalar, found {}", other.kind()))),
+        Content::Str(s) => write_string(s, out),
+        Content::I64(v) => write_string(&v.to_string(), out),
+        Content::U64(v) => write_string(&v.to_string(), out),
+        Content::I128(v) => write_string(&v.to_string(), out),
+        Content::U128(v) => write_string(&v.to_string(), out),
+        Content::Bool(v) => write_string(&v.to_string(), out),
+        other => return Err(format!("JSON keys must be scalar, found {}", other.kind())),
     }
+    Ok(())
 }
 
 fn write_string(text: &str, out: &mut String) {
