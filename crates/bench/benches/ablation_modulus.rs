@@ -10,6 +10,10 @@
 //! 7 updates of one auxiliary share, the last with a `p, p−1, p−2` run as in
 //! rewritten Q1) against the same updates bound and applied one by one.
 //!
+//! The `key_update_rows` group raises four rows of a set one, two or four at
+//! a time in lockstep; the `item_keys` group derives a column of item keys row
+//! by row and in lockstep.
+//!
 //! The `inverse` group prices the data owner's two inversions of a key
 //! update — `m_T⁻¹ mod n` (odd) and `x_S⁻¹ mod φ(n)` (even) — through the
 //! fixed-width kernel behind `bigint::mod_inverse`, next to the `num-bigint`
@@ -24,7 +28,7 @@ use std::hint::black_box;
 
 use sdb_crypto::bigint::{mod_inverse, mod_mul};
 use sdb_crypto::share::{encrypt_value, gen_item_key, KeyUpdateParams};
-use sdb_crypto::{BoundKeyUpdateSet, KeyConfig, SignedCodec, SystemKey};
+use sdb_crypto::{gen_item_keys, BoundKeyUpdateSet, KeyConfig, SignedCodec, SystemKey};
 
 /// prime_bits → modulus of ~2×prime_bits.
 fn profiles() -> [(&'static str, KeyConfig); 4] {
@@ -142,7 +146,7 @@ fn key_update_set(c: &mut Criterion) {
             let id = format!("{label}/k={members}");
             group.bench_function(BenchmarkId::new("set", &id), |b| {
                 b.iter(|| {
-                    set.fill(&s_e, &mut powers);
+                    set.fill_rows(&[&s_e], &mut powers);
                     for member in 0..members {
                         black_box(set.apply(member, &a_e, &powers));
                     }
@@ -157,6 +161,74 @@ fn key_update_set(c: &mut Criterion) {
                 })
             });
         }
+    }
+    group.finish();
+}
+
+/// Four rows of a key-update set raised one, two or four at a time in
+/// lockstep (`BoundKeyUpdateSet::fill_rows`), for sets of 1, 2 and 7 heads:
+/// every id does the same work, so the times compare directly. What
+/// `BoundKeyUpdateSet::block_rows` is set to at each width comes from here.
+fn key_update_rows(c: &mut Criterion) {
+    const ROWS: usize = 4;
+    let mut group = c.benchmark_group("key_update_rows");
+    for (label, config) in profiles() {
+        let mut rng = StdRng::seed_from_u64(0xab1d);
+        let key = SystemKey::generate(&mut rng, config).expect("key generation");
+        let ck_s = key.gen_aux_column_key(&mut rng);
+        let shares: Vec<BigUint> = (0..ROWS)
+            .map(|_| {
+                let item_key = gen_item_key(&key, &ck_s, &key.gen_row_id(&mut rng));
+                encrypt_value(&key, &BigUint::from(1u32), &item_key)
+            })
+            .collect();
+        let shares: Vec<&BigUint> = shares.iter().collect();
+        let updates: Vec<KeyUpdateParams> = (0..7)
+            .map(|_| {
+                let (source, target) = (key.gen_column_key(&mut rng), key.gen_column_key(&mut rng));
+                KeyUpdateParams::compute(&key, &source, &ck_s, &target).unwrap()
+            })
+            .collect();
+        for heads in [1, 2, 7] {
+            let set = BoundKeyUpdateSet::bind(key.n(), &updates[..heads]).expect("odd modulus");
+            assert_eq!(set.heads(), heads);
+            for block in [1, 2, 4] {
+                let mut powers = vec![0u64; block * set.row_limbs()];
+                let id = format!("{label}/heads={heads}/rows={block}");
+                group.bench_function(BenchmarkId::new("fill_4_rows", &id), |b| {
+                    b.iter(|| {
+                        for rows in shares.chunks(block) {
+                            set.fill_rows(rows, &mut powers);
+                            black_box(&powers);
+                        }
+                    })
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
+/// A column of 64 item keys under one column key: `gen_item_key` row by row
+/// against `gen_item_keys`, which runs the fixed-base table over several rows
+/// in lockstep.
+fn item_keys(c: &mut Criterion) {
+    let mut group = c.benchmark_group("item_keys");
+    for (label, config) in profiles() {
+        let mut rng = StdRng::seed_from_u64(0xab1e);
+        let key = SystemKey::generate(&mut rng, config).expect("key generation");
+        let ck = key.gen_column_key(&mut rng);
+        let row_ids: Vec<BigUint> = (0..64).map(|_| key.gen_row_id(&mut rng)).collect();
+        group.bench_function(BenchmarkId::new("per_row_64", label), |b| {
+            b.iter(|| {
+                for row in &row_ids {
+                    black_box(gen_item_key(&key, &ck, row));
+                }
+            })
+        });
+        group.bench_function(BenchmarkId::new("lockstep_64", label), |b| {
+            b.iter(|| black_box(gen_item_keys(&key, &ck, &row_ids)))
+        });
     }
     group.finish();
 }
@@ -199,6 +271,6 @@ fn inverse(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = modulus_sweep, key_update_set, inverse
+    targets = modulus_sweep, key_update_set, key_update_rows, item_keys, inverse
 }
 criterion_main!(benches);

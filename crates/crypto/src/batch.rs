@@ -17,7 +17,6 @@ use num_bigint::BigUint;
 
 use crate::bigint::{mod_inverse, mod_mul, reduce};
 use crate::keys::{ColumnKey, SystemKey};
-use crate::share::gen_item_key;
 use crate::Result;
 
 /// Inverts every element of `items` modulo `m` using Montgomery simultaneous
@@ -85,10 +84,12 @@ pub fn encrypt_values(
         .collect()
 }
 
-/// Batched [`gen_item_key`]: item keys for a column of row ids under one
-/// column key, each through the key's fixed-base table of `g`.
+/// Batched [`crate::gen_item_key`]: item keys for a column of row ids under
+/// one column key, through the key's fixed-base table of `g` with several
+/// rows in lockstep.
 pub fn gen_item_keys(key: &SystemKey, ck: &ColumnKey, row_ids: &[BigUint]) -> Vec<BigUint> {
-    row_ids.iter().map(|r| gen_item_key(key, ck, r)).collect()
+    let exponents: Vec<BigUint> = (row_ids.iter()).map(|r| (r * ck.x()) % key.phi()).collect();
+    key.g_pow_times(&exponents, ck.m())
 }
 
 /// Blinds a column of shares in one pass: `share_i · factor_i mod n`.
@@ -107,7 +108,7 @@ mod tests {
     use super::*;
     use crate::bigint::random_coprime;
     use crate::keys::KeyConfig;
-    use crate::share::encrypt_value;
+    use crate::share::{encrypt_value, gen_item_key};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -207,9 +207,10 @@ impl SystemKey {
         &self.modulus
     }
 
-    /// `factor · g^exponent mod n` through the fixed-base table of `g`.
-    pub(crate) fn g_pow_times(&self, exponent: &BigUint, factor: &BigUint) -> BigUint {
-        self.g_table.pow_times(exponent, factor)
+    /// `factor · g^e mod n` for every exponent `e` of `exponents`, through the
+    /// fixed-base table of `g`.
+    pub(crate) fn g_pow_times(&self, exponents: &[BigUint], factor: &BigUint) -> Vec<BigUint> {
+        self.g_table.pow_times(exponents, factor)
     }
 
     /// The secret totient `φ(n)`. Only the DO-side code may call this.

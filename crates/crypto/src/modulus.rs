@@ -9,6 +9,13 @@
 //! exponents of one base are planned together (an `ExponentSet`): neighbours
 //! are derived from each other and the rest share one squaring ladder.
 //!
+//! One row's exponentiation is a single chain of dependent products, so it is
+//! bound by the latency of a product, not by the multiplier's throughput. The
+//! exponentiation kernels therefore take several bases at once and run them in
+//! lockstep — every squaring or multiplication step is applied to all rows
+//! before the next step starts — so the rows' independent carry chains overlap
+//! in the pipeline. One row is the same code with one base.
+//!
 //! Residues enter and leave every public method as canonical [`BigUint`]s in
 //! `[0, n)`; an operand `≥ n` is reduced on entry. Montgomery form exists only
 //! between the two ends of one call (and inside the precomputed tables), so
@@ -316,6 +323,18 @@ const DIGIT_VALUES: usize = (1 << DIGIT_BITS) - 1;
 /// Exponents this close to an already planned one are derived from it.
 const DERIVE_BELOW_BITS: u64 = 16;
 
+/// How many rows an exponentiation at `k` limbs is best run with in lockstep
+/// (`ablation_modulus`, group `key_update_rows`). Up to 8 limbs a product is
+/// short enough that one row's chain leaves the multiplier idle, and four
+/// rows fill it; a 16- or 32-limb product keeps it busy on its own, so more
+/// rows only add working set.
+pub(crate) fn lockstep_rows(k: usize) -> usize {
+    match k {
+        0..=8 => 4,
+        _ => 1,
+    }
+}
+
 /// How one exponent of an [`ExponentSet`] is obtained.
 enum Slot {
     /// Raised directly: the head with this index.
@@ -506,7 +525,7 @@ impl Modulus {
     pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         let (set, _) = ExponentSet::plan(&[exponent]);
         let mut power = vec![0; self.limbs.len()];
-        self.pow_set(&set, base, &mut power);
+        self.pow_set(&set, &[base], &mut power);
         self.out_of_mont(&power)
     }
 
@@ -520,10 +539,11 @@ impl Modulus {
         self.limbs.len()
     }
 
-    /// Raises `base` to every exponent of `set`: `out` receives `set.slots()`
+    /// Raises every base of `bases` to every exponent of `set`, the bases in
+    /// lockstep: `out` receives a row per base, in order, of `set.slots()`
     /// residues of `k` limbs each in Montgomery form, in slot order.
-    pub(crate) fn pow_set(&self, set: &ExponentSet, base: &BigUint, out: &mut [u64]) {
-        by_width!(self, pow_set_in(set, base, out))
+    pub(crate) fn pow_set(&self, set: &ExponentSet, bases: &[&BigUint], out: &mut [u64]) {
+        by_width!(self, pow_set_in(set, bases, out))
     }
 
     /// The canonical value of a residue in Montgomery form (one slot of a
@@ -591,120 +611,155 @@ impl Modulus {
         one
     }
 
-    fn pow_set_in<L: Limbs>(&self, set: &ExponentSet, base: &BigUint, out: &mut [u64]) {
-        let k = self.limbs.len();
-        let base = self.load::<L>(base);
-        let base = self.mont_mul::<L>(base.as_ref(), &self.r2);
-        let mut heads: Vec<L> = Vec::new();
-        match &set.heads {
-            Heads::Windowed(None) => {}
-            Heads::Windowed(Some(exponent)) => heads.push(self.pow_windows(&base, exponent)),
-            Heads::Ladder(digits) => self.pow_ladder(&base, digits, &mut heads),
+    /// `x ← x²` for every row's `x`. The rows' products do not depend on each
+    /// other, so consecutive ones overlap in the pipeline; this and
+    /// [`Self::mul_rows`] are the steps every lockstep kernel is made of.
+    fn sqr_rows<L: Limbs>(&self, xs: &mut [L]) {
+        for x in xs {
+            *x = self.mont_sqr::<L>(x.as_ref());
         }
+    }
+
+    /// `x ← x·y` for every row's `x` and the same row's `y`.
+    fn mul_rows<L: Limbs>(&self, xs: &mut [L], ys: &[L]) {
+        for (x, y) in xs.iter_mut().zip(ys) {
+            *x = self.mont_mul::<L>(x.as_ref(), y.as_ref());
+        }
+    }
+
+    /// `acc ← acc·y` for every row, where an acc not yet `started` (the
+    /// empty product) becomes a copy of `y`.
+    fn mul_into<L: Limbs>(&self, acc: &mut [L], started: &mut bool, ys: &[L]) {
+        if *started {
+            self.mul_rows(acc, ys);
+        } else {
+            acc.clone_from_slice(ys);
+            *started = true;
+        }
+    }
+
+    // The lockstep kernels keep one residue per row of every intermediate
+    // value side by side: value `v` of row `r` is at `[v * rows + r]`.
+
+    fn pow_set_in<L: Limbs>(&self, set: &ExponentSet, bases: &[&BigUint], out: &mut [u64]) {
+        let (k, rows) = (self.limbs.len(), bases.len());
+        let row_limbs = set.slots() * k;
+        assert_eq!(out.len(), rows * row_limbs, "one row of powers per base");
+        let base: Vec<L> = (bases.iter())
+            .map(|base| self.mont_mul::<L>(self.load::<L>(base).as_ref(), &self.r2))
+            .collect();
+        let heads: Vec<L> = match &set.heads {
+            Heads::Windowed(None) => Vec::new(),
+            Heads::Windowed(Some(exponent)) => self.pow_windows(&base, exponent),
+            Heads::Ladder(digits) => self.pow_ladder(&base, digits),
+        };
         let small: Vec<L> = (set.deltas.iter())
-            .map(|&delta| self.pow_small(&base, delta))
+            .flat_map(|&delta| self.pow_small(&base, delta))
             .collect();
         for (i, slot) in set.slots.iter().enumerate() {
-            let (earlier, rest) = out.split_at_mut(i * k);
-            let derived;
-            let power = match *slot {
-                Slot::Head(head) => &heads[head],
-                Slot::Derived { from, delta } => {
-                    let source = &earlier[from * k..(from + 1) * k];
-                    derived = self.mont_mul::<L>(source, small[delta].as_ref());
-                    &derived
-                }
-            };
-            rest[..k].copy_from_slice(power.as_ref());
-        }
-    }
-
-    /// `base^exponent` by sliding windows over a table of the odd powers of
-    /// `base`; everything in Montgomery form.
-    fn pow_windows<L: Limbs>(&self, base: &L, exponent: &Windows) -> L {
-        let mut odd_powers = vec![base.clone()];
-        if exponent.width > 1 {
-            let square = self.mont_sqr::<L>(base.as_ref());
-            for i in 1..1usize << (exponent.width - 1) {
-                let next = self.mont_mul::<L>(odd_powers[i - 1].as_ref(), square.as_ref());
-                odd_powers.push(next);
+            for (row, out) in out.chunks_exact_mut(row_limbs).enumerate() {
+                let (earlier, rest) = out.split_at_mut(i * k);
+                let derived;
+                let power = match *slot {
+                    Slot::Head(head) => &heads[head * rows + row],
+                    Slot::Derived { from, delta } => {
+                        let source = &earlier[from * k..(from + 1) * k];
+                        derived = self.mont_mul::<L>(source, small[delta * rows + row].as_ref());
+                        &derived
+                    }
+                };
+                rest[..k].copy_from_slice(power.as_ref());
             }
         }
-        let mut acc: Option<L> = None;
-        for &(squarings, odd) in &exponent.steps {
-            acc = Some(match acc {
-                // The leading window: its squarings would square one.
-                None => odd_powers[(odd >> 1) as usize].clone(),
-                Some(mut acc) => {
-                    for _ in 0..squarings {
-                        acc = self.mont_sqr::<L>(acc.as_ref());
-                    }
-                    if odd != 0 {
-                        acc = self.mont_mul(acc.as_ref(), odd_powers[(odd >> 1) as usize].as_ref());
-                    }
-                    acc
-                }
-            });
-        }
-        acc.unwrap_or_else(|| self.one())
     }
 
-    /// `base^e` for every digit string of `heads` over ONE squaring ladder
-    /// `base^(16^i)`: each rung is multiplied into the bucket of the digit a
-    /// head has there, and a head's buckets fold as `Π_d bucket_d^d` (Yao).
-    /// The powers are appended to `out`.
-    fn pow_ladder<L: Limbs>(&self, base: &L, heads: &[Vec<u8>], out: &mut Vec<L>) {
-        let mut buckets: Vec<Option<L>> = vec![None; heads.len() * DIGIT_VALUES];
+    /// `base^exponent` for every row's base by sliding windows over a table of
+    /// the odd powers of the base; everything in Montgomery form.
+    fn pow_windows<L: Limbs>(&self, base: &[L], exponent: &Windows) -> Vec<L> {
+        let rows = base.len();
+        let mut odd_powers = base.to_vec();
+        if exponent.width > 1 {
+            let mut square = base.to_vec();
+            self.sqr_rows(&mut square);
+            for i in 1..1usize << (exponent.width - 1) {
+                odd_powers.extend_from_within((i - 1) * rows..);
+                self.mul_rows(&mut odd_powers[i * rows..], &square);
+            }
+        }
+        let mut acc = vec![self.one(); rows];
+        let mut started = false;
+        for &(squarings, odd) in &exponent.steps {
+            // The leading window's squarings would square one.
+            if started {
+                for _ in 0..squarings {
+                    self.sqr_rows(&mut acc);
+                }
+            }
+            if odd != 0 {
+                let odd = (odd >> 1) as usize;
+                self.mul_into(
+                    &mut acc,
+                    &mut started,
+                    &odd_powers[odd * rows..(odd + 1) * rows],
+                );
+            }
+        }
+        acc
+    }
+
+    /// `base^e` for every row's base and every digit string of `heads` over
+    /// ONE squaring ladder `base^(16^i)` per row: each rung is multiplied into
+    /// the bucket of the digit a head has there, and a head's buckets fold as
+    /// `Π_d bucket_d^d` (Yao). Returns the powers head by head.
+    fn pow_ladder<L: Limbs>(&self, base: &[L], heads: &[Vec<u8>]) -> Vec<L> {
+        let rows = base.len();
+        let mut buckets = vec![self.one::<L>(); heads.len() * DIGIT_VALUES * rows];
+        // Which buckets fill depends on the digits alone, not on the row.
+        let mut filled = vec![false; heads.len() * DIGIT_VALUES];
         let positions = heads.iter().map(Vec::len).max().unwrap_or(0);
-        let mut rung = base.clone();
+        let mut rung = base.to_vec();
         for position in 0..positions {
             if position > 0 {
                 for _ in 0..DIGIT_BITS {
-                    rung = self.mont_sqr::<L>(rung.as_ref());
+                    self.sqr_rows(&mut rung);
                 }
             }
             for (head, digits) in heads.iter().enumerate() {
                 let digit = digits.get(position).copied().unwrap_or(0) as usize;
-                if digit == 0 {
-                    continue;
+                if digit != 0 {
+                    let bucket = head * DIGIT_VALUES + digit - 1;
+                    let values = &mut buckets[bucket * rows..(bucket + 1) * rows];
+                    self.mul_into(values, &mut filled[bucket], &rung);
                 }
-                let bucket = &mut buckets[head * DIGIT_VALUES + digit - 1];
-                *bucket = Some(match bucket.take() {
-                    None => rung.clone(),
-                    Some(product) => self.mont_mul(product.as_ref(), rung.as_ref()),
-                });
             }
         }
-        for buckets in buckets.chunks_exact(DIGIT_VALUES) {
+        let mut powers = vec![self.one::<L>(); heads.len() * rows];
+        let mut running = vec![self.one::<L>(); rows];
+        for (head, power) in powers.chunks_exact_mut(rows).enumerate() {
             // `running` is the product of the buckets from the top digit down;
             // multiplying it in once per digit value raises bucket `d` to `d`.
-            let mut running: Option<L> = None;
-            let mut power: Option<L> = None;
-            for bucket in buckets.iter().rev() {
-                if let Some(bucket) = bucket {
-                    running = Some(match running {
-                        None => bucket.clone(),
-                        Some(running) => self.mont_mul(running.as_ref(), bucket.as_ref()),
-                    });
+            let (mut running_started, mut power_started) = (false, false);
+            for bucket in (head * DIGIT_VALUES..(head + 1) * DIGIT_VALUES).rev() {
+                if filled[bucket] {
+                    let values = &buckets[bucket * rows..(bucket + 1) * rows];
+                    self.mul_into(&mut running, &mut running_started, values);
                 }
-                if let Some(running) = &running {
-                    power = Some(match power {
-                        None => running.clone(),
-                        Some(power) => self.mont_mul(power.as_ref(), running.as_ref()),
-                    });
+                if running_started {
+                    self.mul_into(power, &mut power_started, &running);
                 }
             }
-            out.push(power.unwrap_or_else(|| self.one()));
         }
+        powers
     }
 
-    /// `base^exponent` for a small non-zero exponent, by square and multiply.
-    fn pow_small<L: Limbs>(&self, base: &L, exponent: u32) -> L {
-        let mut acc = base.clone();
+    /// `base^exponent` for every row's base and a small non-zero exponent, by
+    /// square and multiply.
+    fn pow_small<L: Limbs>(&self, base: &[L], exponent: u32) -> Vec<L> {
+        let mut acc = base.to_vec();
         for bit in (0..exponent.ilog2()).rev() {
-            acc = self.mont_sqr::<L>(acc.as_ref());
+            self.sqr_rows(&mut acc);
             if exponent >> bit & 1 == 1 {
-                acc = self.mont_mul(acc.as_ref(), base.as_ref());
+                self.mul_rows(&mut acc, base);
             }
         }
         acc
@@ -748,14 +803,17 @@ impl FixedBase {
         }
     }
 
-    /// `factor · base^exponent mod n`.
-    pub(crate) fn pow_times(&self, exponent: &BigUint, factor: &BigUint) -> BigUint {
-        if exponent.bits() as usize > self.digits * DIGIT_BITS {
-            // Wider than the table: recover the base and take the general path.
-            let base = by_width!(self.modulus, unload(self.entry(0, 1)));
-            return self.modulus.mul(factor, &self.modulus.pow(&base, exponent));
+    /// `factor · base^e mod n` for every exponent `e` of `exponents`, in
+    /// order; [`lockstep_rows`] of them at a time run in lockstep.
+    pub(crate) fn pow_times(&self, exponents: &[BigUint], factor: &BigUint) -> Vec<BigUint> {
+        let mut out = Vec::with_capacity(exponents.len());
+        for block in exponents.chunks(lockstep_rows(self.modulus.limb_count())) {
+            by_width!(
+                self.modulus,
+                fixed_base_pow_times(self, block, factor, &mut out)
+            );
         }
-        by_width!(self.modulus, fixed_base_pow_times(self, exponent, factor))
+        out
     }
 
     fn entry(&self, digit: usize, value: usize) -> &[u64] {
@@ -783,35 +841,57 @@ impl Modulus {
         table
     }
 
+    /// Appends `factor · base^e` to `out` for every row's exponent `e`, the
+    /// rows in lockstep digit by digit.
     fn fixed_base_pow_times<L: Limbs>(
         &self,
         base: &FixedBase,
-        exponent: &BigUint,
+        exponents: &[BigUint],
         factor: &BigUint,
-    ) -> BigUint {
-        let mut acc: Option<L> = None;
+        out: &mut Vec<BigUint>,
+    ) {
+        let (k, width) = (self.limbs.len(), base.digits * DIGIT_BITS);
+        let fits = |exponent: &BigUint| exponent.bits() as usize <= width;
+        // Per row: the exponent's limbs (zero for one wider than the table,
+        // which takes the general path below) and the running product.
+        let mut rows: Vec<(L, L)> = (exponents.iter())
+            .map(|e| {
+                let limbs = if fits(e) {
+                    limbs_of(e, k)
+                } else {
+                    L::zeroed(k)
+                };
+                (limbs, self.one())
+            })
+            .collect();
         let digits_per_limb = 64 / DIGIT_BITS;
-        for (i, limb) in exponent.iter_u64_digits().enumerate() {
-            for j in 0..digits_per_limb {
-                let value = (limb >> (j * DIGIT_BITS)) as usize & DIGIT_VALUES;
-                if value == 0 {
-                    continue;
+        for digit in 0..base.digits {
+            let (limb, shift) = (
+                digit / digits_per_limb,
+                digit % digits_per_limb * DIGIT_BITS,
+            );
+            for (exponent, acc) in &mut rows {
+                let value = (exponent.as_ref()[limb] >> shift) as usize & DIGIT_VALUES;
+                if value != 0 {
+                    *acc = self.mont_mul(acc.as_ref(), base.entry(digit, value));
                 }
-                let entry = base.entry(i * digits_per_limb + j, value);
-                acc = Some(match acc {
-                    None => {
-                        let mut first = L::zeroed(self.limbs.len());
-                        first.as_mut().copy_from_slice(entry);
-                        first
-                    }
-                    Some(acc) => self.mont_mul(acc.as_ref(), entry),
-                });
             }
         }
-        let factor = self.load::<L>(factor);
-        let power = acc.as_ref().map_or(&self.one[..], |acc| acc.as_ref());
-        // canonical × Montgomery = canonical.
-        store(self.mont_mul::<L>(factor.as_ref(), power).as_ref())
+        let factor_limbs = self.load::<L>(factor);
+        for (exponent, (_, power)) in exponents.iter().zip(&rows) {
+            out.push(if fits(exponent) {
+                // canonical × Montgomery = canonical.
+                store(
+                    self.mont_mul::<L>(factor_limbs.as_ref(), power.as_ref())
+                        .as_ref(),
+                )
+            } else {
+                // Wider than the table: recover the base and take the general
+                // path.
+                let base = self.unload::<L>(base.entry(0, 1));
+                self.mul(factor, &self.pow(&base, exponent))
+            });
+        }
     }
 }
 
@@ -850,16 +930,33 @@ mod tests {
         ]
     }
 
+    /// Whether the wide limb counts get the whole test matrix: the `BigUint`
+    /// reference is slow unoptimised, so a debug build runs a boundary-heavy
+    /// part of it there and a release build (`cargo test --release`) all of it.
+    const FULL_SIZE: bool = !cfg!(debug_assertions);
+
     /// The operands an exponentiation test uses as bases: all of them at the
     /// narrow widths, a boundary-heavy few where the `BigUint` reference is
     /// slow (the kernels are the same code at every width).
     fn bases(rng: &mut StdRng, n: &BigUint, limbs: u64) -> Vec<BigUint> {
         let all = operands(rng, n);
-        if limbs < 32 {
+        if limbs < 32 || FULL_SIZE {
             return all;
         }
         // n − 1, one below n and one far above it.
         [2, 6, 8].map(|i| all[i].clone()).to_vec()
+    }
+
+    /// How many of its operands a lockstep test starts a block at (a block
+    /// takes the operands from there on, wrapping around): the first three,
+    /// so that every block length sees each boundary operand at several
+    /// positions, or only the first at the wide limb counts of a debug build.
+    fn starts(limbs: u64) -> usize {
+        if limbs < 32 || FULL_SIZE {
+            3
+        } else {
+            1
+        }
     }
 
     #[test]
@@ -914,6 +1011,10 @@ mod tests {
         }
     }
 
+    /// The multi-row fixed base gives, row by row, what one row at a time and
+    /// `BigUint::modpow` give: zero exponents, exponents wider than the table
+    /// (the general path) among the lockstep ones, and every block length up
+    /// to one past [`lockstep_rows`].
     #[test]
     fn fixed_base_pow_matches_binary_modpow() {
         let mut rng = StdRng::seed_from_u64(0x4d0f);
@@ -930,19 +1031,35 @@ mod tests {
                     rng.gen_biguint_below(&n),
                     // Wider than the table: served by the general path.
                     rng.gen_biguint(n.bits() + 9) | (BigUint::one() << (n.bits() + 8)),
+                    BigUint::zero(),
+                    rng.gen_biguint_below(&n),
                 ];
-                for exponent in &exponents {
-                    let power = base.modpow(exponent, &n);
-                    for factor in [
-                        BigUint::one(),
-                        rng.gen_biguint_below(&n),
-                        &n + BigUint::from(5u32),
-                    ] {
+                let powers: Vec<BigUint> = exponents.iter().map(|e| base.modpow(e, &n)).collect();
+                for factor in [
+                    BigUint::one(),
+                    rng.gen_biguint_below(&n),
+                    &n + BigUint::from(5u32),
+                ] {
+                    let expected: Vec<BigUint> = (powers.iter())
+                        .map(|power| (&factor * power) % &n)
+                        .collect();
+                    for (exponent, expected) in exponents.iter().zip(&expected) {
                         assert_eq!(
-                            table.pow_times(exponent, &factor),
-                            (&factor * &power) % &n,
+                            table.pow_times(std::slice::from_ref(exponent), &factor),
+                            std::slice::from_ref(expected),
                             "{limbs} limbs: {factor} · {base} ^ {exponent}"
                         );
+                    }
+                    for rows in 1..=lockstep_rows(limbs as usize) + 1 {
+                        for start in 0..starts(limbs) {
+                            let picked: Vec<usize> =
+                                (start..start + rows).map(|i| i % exponents.len()).collect();
+                            let block: Vec<BigUint> =
+                                picked.iter().map(|&i| exponents[i].clone()).collect();
+                            let want: Vec<BigUint> =
+                                picked.iter().map(|&i| expected[i].clone()).collect();
+                            assert_eq!(table.pow_times(&block, &factor), want, "{limbs} limbs");
+                        }
                     }
                 }
             }
@@ -951,7 +1068,11 @@ mod tests {
 
     /// Every exponent of every set, raised through the set kernel, equals
     /// `BigUint::modpow` — whichever way the plan obtains it — and a key
-    /// update finished from that power equals `a · base^e · q mod n`.
+    /// update finished from that power equals `a · base^e · q mod n`. Raised
+    /// several bases at a time, every row equals the same base raised alone:
+    /// every block length up to one past [`lockstep_rows`], bases 0, 1,
+    /// `n − 1` and `≥ n` side by side, sets of one, two and seven heads with
+    /// derived slots and duplicate exponents.
     #[test]
     fn pow_set_matches_binary_modpow_per_exponent() {
         let mut rng = StdRng::seed_from_u64(0x4d10);
@@ -970,7 +1091,7 @@ mod tests {
                 // Two heads on one ladder, mixed bit lengths, zero and one.
                 vec![p.clone(), short.clone(), big(0), big(1)],
             ];
-            if limbs < 32 {
+            if limbs < 32 || FULL_SIZE {
                 sets.extend([
                     vec![big(0)],
                     vec![big(1), big(1)],
@@ -1003,10 +1124,12 @@ mod tests {
             for exponents in &sets {
                 let refs: Vec<&BigUint> = exponents.iter().collect();
                 let (set, slot_of) = ExponentSet::plan(&refs);
-                let mut row = vec![0u64; set.slots() * k];
+                let row_limbs = set.slots() * k;
+                let mut alone = Vec::new();
                 // The bases double as first operands: 0, 1, n − 1 and ≥ n.
                 for (base, a) in bases.iter().zip(bases.iter().rev()) {
-                    modulus.pow_set(&set, base, &mut row);
+                    let mut row = vec![0u64; row_limbs];
+                    modulus.pow_set(&set, &[base], &mut row);
                     for (exponent, &slot) in exponents.iter().zip(&slot_of) {
                         let power = &row[slot * k..(slot + 1) * k];
                         let expected = base.modpow(exponent, &n);
@@ -1021,6 +1144,19 @@ mod tests {
                             "{limbs} limbs: {a} · {base} ^ {exponent} · {q}"
                         );
                     }
+                    alone.push(row);
+                }
+                for rows in 1..=lockstep_rows(k) + 1 {
+                    for start in 0..starts(limbs) {
+                        let picked: Vec<usize> =
+                            (start..start + rows).map(|i| i % bases.len()).collect();
+                        let block: Vec<&BigUint> = picked.iter().map(|&i| &bases[i]).collect();
+                        let mut lockstep = vec![0u64; rows * row_limbs];
+                        modulus.pow_set(&set, &block, &mut lockstep);
+                        let want: Vec<u64> =
+                            picked.iter().flat_map(|&i| alone[i].clone()).collect();
+                        assert_eq!(lockstep, want, "{limbs} limbs, {rows} rows from {start}");
+                    }
                 }
             }
         }
@@ -1033,7 +1169,8 @@ mod tests {
         let (set, slot_of) = ExponentSet::plan(&[]);
         assert_eq!((set.slots(), set.heads(), set.derived()), (0, 0, 0));
         assert!(slot_of.is_empty());
-        modulus.pow_set(&set, &BigUint::from(7u32), &mut []);
+        modulus.pow_set(&set, &[&BigUint::from(7u32)], &mut []);
+        modulus.pow_set(&set, &[&BigUint::from(7u32), &BigUint::from(8u32)], &mut []);
     }
 
     /// The exponent set of rewritten TPC-H Q1: four families whose members

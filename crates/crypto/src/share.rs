@@ -15,15 +15,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::bigint::{mod_inverse, mod_mul, mod_pow, mod_sub};
 use crate::keys::{ColumnKey, SystemKey};
-use crate::modulus::{ExponentSet, Modulus, Mont};
+use crate::modulus::{lockstep_rows, ExponentSet, Modulus, Mont};
 use crate::Result;
 
 /// Item key generation (paper Definition 1 / Eq. 2):
 ///
 /// `v_k = gen(r, ⟨m, x⟩) = m · g^{r·x mod φ(n)} mod n`
 pub fn gen_item_key(key: &SystemKey, ck: &ColumnKey, row_id: &BigUint) -> BigUint {
-    let exponent = (row_id * ck.x()) % key.phi();
-    key.g_pow_times(&exponent, ck.m())
+    let mut item_keys = crate::gen_item_keys(key, ck, std::slice::from_ref(row_id));
+    item_keys.pop().expect("one item key per row id")
 }
 
 /// Encryption (paper Definition 2 / Eq. 3): `v_e = v · v_k⁻¹ mod n`.
@@ -139,7 +139,7 @@ impl BoundKeyUpdate {
         match &self.0 {
             Kernel::Montgomery(set) => {
                 let mut powers = vec![0; set.row_limbs()];
-                set.fill(s_e, &mut powers);
+                set.fill_rows(&[s_e], &mut powers);
                 set.apply(0, a_e, &powers)
             }
             Kernel::Plain { params, n } => {
@@ -156,8 +156,9 @@ impl BoundKeyUpdate {
 /// multiplication away from it, and the remaining *heads* share one squaring
 /// ladder (see ARCHITECTURE.md, "Key-update sets").
 ///
-/// [`Self::fill`] writes one share's powers into a caller-owned row of limbs;
-/// [`Self::apply`] finishes one update from there with two multiplications.
+/// [`Self::fill_rows`] writes the powers of several shares, raised in
+/// lockstep, into caller-owned rows of limbs; [`Self::apply`] finishes one
+/// update of one row from there with two multiplications.
 /// Like [`BoundKeyUpdate`], the set and the rows it fills hold only
 /// functions of `S_e`, `p`, `q` and `n`.
 pub struct BoundKeyUpdateSet {
@@ -202,14 +203,22 @@ impl BoundKeyUpdateSet {
         self.exponents.slots() * self.modulus.limb_count()
     }
 
-    /// Fills `row` ([`Self::row_limbs`] long) with the powers of the
-    /// auxiliary share `s_e`, in Montgomery form.
-    pub fn fill(&self, s_e: &BigUint, row: &mut [u64]) {
-        self.modulus.pow_set(&self.exponents, s_e, row);
+    /// How many shares [`Self::fill_rows`] is best handed at once at this
+    /// modulus width: more rows in lockstep stop paying off beyond it.
+    pub fn block_rows(&self) -> usize {
+        lockstep_rows(self.modulus.limb_count())
+    }
+
+    /// Fills `rows` — [`Self::row_limbs`] per share, in the order of
+    /// `shares` — with the powers of the auxiliary shares, in Montgomery
+    /// form. The shares are raised in lockstep: the rows' dependent products
+    /// overlap, so a few shares cost less than the same shares one by one.
+    pub fn fill_rows(&self, shares: &[&BigUint], rows: &mut [u64]) {
+        self.modulus.pow_set(&self.exponents, shares, rows);
     }
 
     /// `A'_e = A_e · S_e^p · q mod n` for the `member`-th bound update, from
-    /// the row [`Self::fill`] wrote for `S_e`.
+    /// the row [`Self::fill_rows`] wrote for `S_e`.
     pub fn apply(&self, member: usize, a_e: &BigUint, row: &[u64]) -> BigUint {
         let (start, q) = &self.members[member];
         let power = &row[*start..*start + self.modulus.limb_count()];
@@ -412,7 +421,7 @@ mod tests {
         let mut row = vec![0u64; set.row_limbs()];
         for _ in 0..4 {
             let share = rng.gen_biguint_below(n);
-            set.fill(&share, &mut row);
+            set.fill_rows(&[&share], &mut row);
             let a_e = rng.gen_biguint_below(n);
             for (member, update) in updates.iter().enumerate() {
                 let power = share.modpow(&update.p, n);
@@ -429,7 +438,7 @@ mod tests {
             (empty.heads(), empty.derived(), empty.row_limbs()),
             (0, 0, 0)
         );
-        empty.fill(&rng.gen_biguint_below(n), &mut []);
+        empty.fill_rows(&[&rng.gen_biguint_below(n)], &mut []);
         assert!(empty.powers(&[]).is_empty());
         assert!(BoundKeyUpdateSet::bind(&BigUint::from(1_000_000u32), &updates).is_none());
     }

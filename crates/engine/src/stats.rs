@@ -22,8 +22,10 @@ pub struct ExecutionStats {
     /// `SDB_KEY_UPDATE` invocations among [`Self::udf_calls`], whether served
     /// from a key-update set's block or by the function itself.
     pub key_update_calls: usize,
-    /// Exponentiations `S_e^p` actually raised for them: the heads of every
-    /// row a set filled, plus one per call the function served itself.
+    /// Exponentiations `S_e^p` raised for them: the heads of every row a set
+    /// served (charged when a call first uses the row, so a row raised ahead
+    /// in a lockstep block counts once, and only if used), plus one per call
+    /// the function served itself.
     pub key_update_pows: usize,
     /// Powers obtained from a neighbouring exponent's with one multiplication.
     pub key_update_derived: usize,

@@ -17,7 +17,9 @@
 //! The `SDB_KEY_UPDATE` sites of one operator that raise the same auxiliary
 //! column under the same `n` form a [`KeyUpdateSets`] group: their `S_e^p`
 //! are computed together, on the first call that needs a row, into a row of
-//! powers every site reads (ARCHITECTURE.md, "Key-update sets").
+//! powers every site reads — several rows at a time in lockstep where a site
+//! is known to need the following rows too (ARCHITECTURE.md, "Key-update
+//! sets").
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -129,7 +131,7 @@ pub(crate) const KEY_UPDATE: &str = "SDB_KEY_UPDATE";
 pub(crate) struct KeyUpdateCounts {
     /// Invocations, however served.
     pub(crate) calls: usize,
-    /// Exponentiations raised.
+    /// Exponentiations raised, charged on a row's first use.
     pub(crate) pows: usize,
     /// Powers derived from a neighbour's.
     pub(crate) derived: usize,
@@ -159,13 +161,62 @@ fn literal_key_update<'e>(name: &str, args: &'e [Expr]) -> Option<[&'e str; 4]> 
     Some([aux, text(p)?, text(q)?, text(n)?])
 }
 
+/// Calls `visit` on every node of `expr` with whether the node is evaluated
+/// on every row `expr` is: reached from it only through function arguments
+/// and arithmetic, not under a `CASE`, the right side of `AND`/`OR`, the
+/// candidates of `IN` or the arguments of `COALESCE`.
+fn walk_with_reach<'e>(expr: &'e Expr, every_row: bool, visit: &mut impl FnMut(&'e Expr, bool)) {
+    visit(expr, every_row);
+    match expr {
+        Expr::Function { name, args, .. } => {
+            let every_row = every_row && !name.eq_ignore_ascii_case("COALESCE");
+            for arg in args {
+                walk_with_reach(arg, every_row, visit);
+            }
+        }
+        Expr::Binary { left, op, right } if op.is_arithmetic() => {
+            walk_with_reach(left, every_row, visit);
+            walk_with_reach(right, every_row, visit);
+        }
+        Expr::Unary { expr, .. } => walk_with_reach(expr, every_row, visit),
+        // Everything below any other node counts as conditional; `walk`
+        // visits the node itself first, which was visited above.
+        other => {
+            let mut below = false;
+            other.walk(&mut |node| {
+                if below {
+                    visit(node, false);
+                }
+                below = true;
+            });
+        }
+    }
+}
+
+/// Whether `expr` is built only from columns, non-NULL literals and function
+/// calls: an operand that is NULL only where the data is, not by a branch or
+/// a literal of the query's own.
+fn plain_operand(expr: &Expr) -> bool {
+    match expr {
+        Expr::Column(_) => true,
+        Expr::Literal(literal) => !matches!(literal, Literal::Null),
+        Expr::Function { args, .. } => args.iter().all(plain_operand),
+        _ => false,
+    }
+}
+
 /// The key-update sets of one operator: its `SDB_KEY_UPDATE` call sites with
 /// literal `p`, `q` and `n`, grouped by (auxiliary column, `n`). Each group
 /// binds its updates as one [`BoundKeyUpdateSet`] and serves them from the
-/// powers of one row's auxiliary share, raised when the first site asks for
-/// that row and not before: a row no site evaluates (a `CASE` branch not
-/// taken, a short-circuited `AND`) costs nothing. A group remembers one row
-/// per worker, so its readers go row by row — every site of a row before the
+/// powers of the auxiliary shares of a block of rows, raised when the first
+/// site asks for a row and not before. A group with an *unconditional*
+/// member — evaluated on every row, its first operand built from columns,
+/// non-NULL literals and functions — raises that row together with every
+/// share among the following cells of the same window, up to
+/// [`BoundKeyUpdateSet::block_rows`], in lockstep. A group without one raises
+/// one row at a time: a row no site evaluates (a `CASE` branch not taken, a
+/// short-circuited `AND`) costs nothing. A group remembers one block per
+/// worker, so its readers go row by row — every site of a row before the
 /// next row's — as all four operators that evaluate with sets do. Sites whose
 /// constants do not parse, or whose `n` is even, are left out: the function
 /// itself serves them, and reports what is wrong with them.
@@ -180,19 +231,55 @@ struct KeyUpdateGroup {
     /// `n`, then `p` and `q` of every member, as the SQL wrote them.
     constants: Vec<String>,
     set: BoundKeyUpdateSet,
-    /// The row each worker raised last, so the morsels of a fan-out do not
+    /// Whether the group has an unconditional member: a miss then also
+    /// raises the following cells of the window that hold a share.
+    prefetch: bool,
+    /// The block each worker raised last, so the morsels of a fan-out do not
     /// evict each other's.
-    rows: Vec<Mutex<PowerRow>>,
+    blocks: Vec<Mutex<PowerBlock>>,
 }
 
-/// The powers of the auxiliary share in one cell of a column.
+/// The powers of the auxiliary shares in a window of consecutive cells of a
+/// column.
 #[derive(Default)]
-struct PowerRow {
-    /// The cell, as a window of one. Holding it keeps its buffer alive, so a
-    /// hit can only be the cell the powers were raised from.
-    cell: Option<Column>,
-    /// A residue per distinct exponent of the group.
+struct PowerBlock {
+    /// The window. Holding it keeps its buffer alive, so a hit can only be a
+    /// cell the powers were raised from.
+    window: Option<Column>,
+    /// Per cell of the window that holds a share: which row of `limbs` holds
+    /// its powers, and whether a call has used them yet (the counts charge a
+    /// row when it is first used).
+    cells: Vec<Option<(usize, bool)>>,
+    /// A residue per distinct exponent of the group, for every share of the
+    /// window, in order.
     limbs: Vec<u64>,
+}
+
+impl PowerBlock {
+    /// Where `at`, a position in `aux`'s buffer, falls in the window.
+    fn cell(&self, aux: &Column, at: usize) -> Option<usize> {
+        let window = self.window.as_ref()?;
+        let cell = at.checked_sub(window.offset())?;
+        (window.shares_buffer(aux) && cell < window.len()).then_some(cell)
+    }
+
+    /// Makes the window the `len` cells of `aux` from `row` on, and raises
+    /// the share of every one that holds one, in lockstep.
+    fn raise(&mut self, set: &BoundKeyUpdateSet, aux: &Column, row: usize, len: usize) {
+        let mut shares = Vec::with_capacity(len);
+        self.cells.clear();
+        for cell in row..row + len {
+            let raised = share(aux.get(cell)).map(|share| {
+                shares.push(share);
+                (shares.len() - 1, false)
+            });
+            self.cells.push(raised);
+        }
+        self.limbs.clear();
+        self.limbs.resize(shares.len() * set.row_limbs(), 0);
+        set.fill_rows(&shares, &mut self.limbs);
+        self.window = Some(aux.slice(row, len));
+    }
 }
 
 /// The share in a cell of an auxiliary column, if it holds one.
@@ -216,10 +303,11 @@ impl KeyUpdateSets {
             n: BigUint,
             updates: Vec<KeyUpdateParams>,
             constants: Vec<String>,
+            prefetch: bool,
         }
         let mut planned: Vec<Planned<'e>> = Vec::new();
-        let mut members = HashMap::new();
-        let mut visit = |expr: &'e Expr| {
+        let mut members: HashMap<String, KeyUpdateMember> = HashMap::new();
+        let mut visit = |expr: &'e Expr, every_row: bool| {
             let Expr::Function { name, args, .. } = expr else {
                 return;
             };
@@ -227,47 +315,53 @@ impl KeyUpdateSets {
                 return;
             };
             let key = member_key(texts);
-            if members.contains_key(&key) {
-                return;
-            }
-            let parse = |text| parse_biguint_arg(KEY_UPDATE, text);
-            let (Ok(p), Ok(q)) = (parse(p_text), parse(q_text)) else {
-                return;
+            let group = match members.get(&key) {
+                Some(member) => member.group,
+                None => {
+                    let parse = |text| parse_biguint_arg(KEY_UPDATE, text);
+                    let (Ok(p), Ok(q)) = (parse(p_text), parse(q_text)) else {
+                        return;
+                    };
+                    let same = |g: &Planned<'_>| g.aux == aux && g.n_text == n_text;
+                    let group = match planned.iter().position(same) {
+                        Some(group) => group,
+                        None => match parse(n_text) {
+                            Ok(n) if n.bit(0) => {
+                                planned.push(Planned {
+                                    aux,
+                                    n_text,
+                                    n,
+                                    updates: Vec::new(),
+                                    constants: vec![n_text.to_string()],
+                                    prefetch: false,
+                                });
+                                planned.len() - 1
+                            }
+                            _ => return,
+                        },
+                    };
+                    let planned = &mut planned[group];
+                    let member = planned.updates.len();
+                    members.insert(key, KeyUpdateMember { group, member });
+                    planned.updates.push(KeyUpdateParams { p, q });
+                    planned
+                        .constants
+                        .extend([p_text.to_string(), q_text.to_string()]);
+                    group
+                }
             };
-            let same = |g: &Planned<'_>| g.aux == aux && g.n_text == n_text;
-            let group = match planned.iter().position(same) {
-                Some(group) => group,
-                None => match parse(n_text) {
-                    Ok(n) if n.bit(0) => {
-                        planned.push(Planned {
-                            aux,
-                            n_text,
-                            n,
-                            updates: Vec::new(),
-                            constants: vec![n_text.to_string()],
-                        });
-                        planned.len() - 1
-                    }
-                    _ => return,
-                },
-            };
-            let planned = &mut planned[group];
-            let member = planned.updates.len();
-            members.insert(key, KeyUpdateMember { group, member });
-            planned.updates.push(KeyUpdateParams { p, q });
-            planned
-                .constants
-                .extend([p_text.to_string(), q_text.to_string()]);
+            planned[group].prefetch |= every_row && plain_operand(&args[0]);
         };
         for expr in exprs {
-            expr.walk(&mut visit);
+            walk_with_reach(expr, true, &mut visit);
         }
         let groups = planned
             .into_iter()
             .map(|group| KeyUpdateGroup {
                 constants: group.constants,
                 set: BoundKeyUpdateSet::bind(&group.n, &group.updates).expect("n is odd"),
-                rows: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
+                prefetch: group.prefetch,
+                blocks: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
             })
             .collect();
         KeyUpdateSets { groups, members }
@@ -297,18 +391,31 @@ impl KeyUpdateSets {
         counts: &mut KeyUpdateCounts,
     ) -> Option<BigUint> {
         let group = &self.groups[site.group];
-        let share = share(aux.get(row))?;
-        let mut powers = group.rows[parallel::current_worker() % group.rows.len()].lock();
-        let at = aux.offset() + row;
-        let raised = |cell: &Column| cell.shares_buffer(aux) && cell.offset() == at;
-        if !powers.cell.as_ref().is_some_and(raised) {
-            powers.limbs.resize(group.set.row_limbs(), 0);
-            group.set.fill(share, &mut powers.limbs);
-            powers.cell = Some(aux.slice(row, 1));
+        share(aux.get(row))?;
+        let mut block = group.blocks[parallel::current_worker() % group.blocks.len()].lock();
+        let cell = match block.cell(aux, aux.offset() + row) {
+            Some(cell) => cell,
+            None => {
+                let len = if group.prefetch {
+                    group.set.block_rows().min(aux.len() - row)
+                } else {
+                    1
+                };
+                block.raise(&group.set, aux, row, len);
+                0
+            }
+        };
+        let (raised, used) =
+            (block.cells[cell].as_mut()).expect("every share of the window is raised");
+        let raised = *raised;
+        if !*used {
+            *used = true;
             counts.pows += group.set.heads();
             counts.derived += group.set.derived();
         }
-        Some(group.set.apply(site.member, a, &powers.limbs))
+        let row_limbs = group.set.row_limbs();
+        let powers = &block.limbs[raised * row_limbs..(raised + 1) * row_limbs];
+        Some(group.set.apply(site.member, a, powers))
     }
 
     fn constants(&self) -> impl Iterator<Item = String> + '_ {
@@ -318,11 +425,11 @@ impl KeyUpdateSets {
     }
 
     fn powers(&self) -> Vec<BigUint> {
-        let rows = self.groups.iter().flat_map(|group| {
-            let rows = group.rows.iter().map(Mutex::lock);
-            rows.map(|row| group.set.powers(&row.limbs))
+        let blocks = self.groups.iter().flat_map(|group| {
+            let blocks = group.blocks.iter().map(Mutex::lock);
+            blocks.map(|block| group.set.powers(&block.limbs))
         });
-        rows.flatten().collect()
+        blocks.flatten().collect()
     }
 }
 
@@ -1236,11 +1343,47 @@ mod tests {
         assert!(sets.powers().is_empty(), "nothing is raised before a call");
     }
 
+    /// A group raises rows ahead only for an unconditional member: one reached
+    /// through function arguments and arithmetic alone, whose first operand
+    /// is built from columns, non-NULL literals and functions. Each select
+    /// item below has a group of its own (auxiliary column `s0` … `s9`).
+    #[test]
+    fn only_an_unconditional_member_makes_a_group_raise_ahead() {
+        let ku = |operand: &str, aux: usize| {
+            format!("SDB_KEY_UPDATE({operand}, s{aux}, '5', '2', '35')")
+        };
+        let exprs = select_items(
+            &[
+                ku("a", 0),
+                format!(
+                    "SDB_MULTIPLY(b, {}, '35') + 1",
+                    ku("SDB_ADD_PLAIN(a, 1, 2, s1, '35')", 1)
+                ),
+                format!("CASE WHEN x THEN {} END", ku("a", 2)),
+                format!("x AND {}", ku("a", 3)),
+                format!("x OR {}", ku("a", 4)),
+                format!("y IN (1, {})", ku("a", 5)),
+                format!("COALESCE({}, y)", ku("a", 6)),
+                ku("CASE WHEN x THEN a END", 7),
+                ku("SDB_MULTIPLY(a, NULL, '35')", 8),
+                // A guarded and an unconditional member of one group.
+                format!("CASE WHEN x THEN {} END, {}", ku("a", 9), ku("c", 9)),
+            ]
+            .join(", "),
+        );
+        let sets = KeyUpdateSets::plan(&exprs, 1);
+        let prefetch: Vec<bool> = sets.groups.iter().map(|group| group.prefetch).collect();
+        assert_eq!(
+            prefetch,
+            [true, true, false, false, false, false, false, false, false, true]
+        );
+    }
+
     /// A row's powers are raised by the first site that asks for the row and
     /// read by every other: the same cell through a slice hits, equal values
-    /// in another buffer or another row do not, a row nobody asks for costs
-    /// nothing, NULL rows are the function's, and what the group remembers
-    /// is the canonical `S_e^p` of the row raised last.
+    /// in another buffer or another row do not, a row nobody asks for is
+    /// never charged, NULL rows are the function's, and what the group
+    /// remembers is the canonical `S_e^p` of the block raised last.
     #[test]
     fn powers_are_raised_on_the_first_call_of_a_row() {
         let mut rng = StdRng::seed_from_u64(0xb10c);
@@ -1278,7 +1421,8 @@ mod tests {
             let updated = sets.apply(sites[site], column, row, &a, &mut counts);
             (updated, counts.pows, counts.derived)
         };
-        // Both sites of row 0 on one exponentiation; rows 1 and 2 are skipped.
+        // Both sites of row 0 on one exponentiation; rows 1 and 2 are raised
+        // with it, in one block, but never charged.
         assert_eq!(apply(0, &column, 0), (expected(0, &p), 1, 1));
         assert_eq!(apply(1, &column, 0), (expected(0, &next), 1, 1));
         assert_eq!(apply(1, &column, 3), (expected(3, &next), 2, 2));
@@ -1290,10 +1434,14 @@ mod tests {
         // Equal values in another buffer are another cell.
         let copy = Column::from_values_unchecked(sdb_storage::DataType::Encrypted, shares.clone());
         assert_eq!(apply(0, &copy, 3), (expected(3, &p), 3, 3));
-        let Value::Encrypted(s) = &shares[3] else {
-            unreachable!()
-        };
-        assert_eq!(sets.powers(), [s.modpow(&p, n), s.modpow(&next, n)]);
+        // That miss started the block held now: every share of `copy` from
+        // row 3 on, up to `block_rows` cells, the NULL of row 5 left out.
+        let block = sets.groups[0].set.block_rows();
+        let held: Vec<BigUint> = (shares[3..(3 + block).min(shares.len())].iter())
+            .filter_map(share)
+            .flat_map(|s| [s.modpow(&p, n), s.modpow(&next, n)])
+            .collect();
+        assert_eq!(sets.powers(), held);
     }
 
     /// A site instance starts with an empty memory of its own, so call sites

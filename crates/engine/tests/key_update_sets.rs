@@ -5,7 +5,9 @@
 //! or from the function itself — must equal `a · s^p · q mod n` computed with
 //! `BigUint::modpow`, row by row, at the three shipped key widths, at batch
 //! size 2 and the default, at parallelism 1 and 4, unbounded and under a
-//! 4 KiB budget (the spilling aggregate).
+//! 4 KiB budget (the spilling aggregate). Where a set raises several rows in
+//! lockstep, the rows it holds at the end are exactly those its last block
+//! should have taken.
 
 use std::sync::Arc;
 
@@ -14,7 +16,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdb_crypto::{EncryptedRowId, KeyConfig, SiesCipher};
+use sdb_crypto::{BoundKeyUpdateSet, EncryptedRowId, KeyConfig, KeyUpdateParams, SiesCipher};
 use sdb_engine::planner::execute_plan;
 use sdb_engine::secure::{OracleRequest, OracleResponse, OracleResult, SdbOracle};
 use sdb_engine::{ExecContext, ExecutionStats, UdfRegistry, DEFAULT_BATCH_SIZE};
@@ -211,6 +213,18 @@ fn run(
     knobs: Knobs,
     oracle: Option<Arc<dyn SdbOracle>>,
 ) -> sdb_engine::Result<(RecordBatch, ExecutionStats)> {
+    let (out, stats, _) = run_keeping_powers(catalog, sql, knobs, oracle)?;
+    Ok((out, stats))
+}
+
+/// [`run`], also returning every power the query's key-update sets still
+/// hold when it ends (`UdfSites::remembered_powers`).
+fn run_keeping_powers(
+    catalog: &Catalog,
+    sql: &str,
+    knobs: Knobs,
+    oracle: Option<Arc<dyn SdbOracle>>,
+) -> sdb_engine::Result<(RecordBatch, ExecutionStats, Vec<BigUint>)> {
     let Statement::Query(query) = parse_sql(sql).unwrap() else {
         panic!("not a query: {sql}");
     };
@@ -225,7 +239,7 @@ fn run(
             .with_batch_size(knobs.batch_size),
     );
     let out = execute_plan(&ctx, &PlanBuilder::build(&query).unwrap())?;
-    Ok((out, ctx.stats()))
+    Ok((out, ctx.stats(), ctx.udf_sites().remembered_powers()))
 }
 
 /// Encrypted `SUM`: the integer sum of the non-NULL residues, NULL if none.
@@ -551,6 +565,202 @@ fn non_literal_parameters_go_through_the_function_and_agree() {
             // Every call raised its own power, except none twice for the set.
             assert_eq!(stats.key_update_calls, 3 * present.len());
             assert_eq!(stats.key_update_pows, 3 * present.len());
+        }
+    }
+}
+
+/// Table `v(id, g, a, sdb_s)` of random residues below `f.n`: `a` is NULL on
+/// every fourth row (a NULL operand over a share), and `a` and `sdb_s`
+/// together on every seventh (a NULL auxiliary cell, whose update is NULL).
+/// Returns each row's `(g, a, s)`.
+fn gapped_table(f: &Fixture, seed: u64) -> Vec<(i64, Option<BigUint>, Option<BigUint>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let v = f
+        .catalog
+        .create_table(
+            "v",
+            Schema::new(vec![
+                ColumnDef::public("id", DataType::Int),
+                ColumnDef::public("g", DataType::Int),
+                ColumnDef::sensitive("a", DataType::Encrypted),
+                ColumnDef::sensitive("sdb_s", DataType::Encrypted),
+            ]),
+        )
+        .unwrap();
+    let mut rows = Vec::new();
+    for i in 0..f.rows.len() as i64 {
+        let s = (i % 7 != 3).then(|| rng.gen_biguint_below(&f.n));
+        let a = (s.is_some() && i % 4 != 2).then(|| rng.gen_biguint_below(&f.n));
+        let share = |v: &Option<BigUint>| v.clone().map_or(Value::Null, Value::Encrypted);
+        v.write()
+            .insert_row(vec![Value::Int(i), Value::Int(i % 3), share(&a), share(&s)])
+            .unwrap();
+        rows.push((i % 3, a, s));
+    }
+    rows
+}
+
+/// The rows of every lockstep block an unconditional site over `table` raises,
+/// one window of `batch` rows at a time: each row with an operand and a share
+/// that no block holds yet starts one with the next `block` rows of its
+/// batch, raising every one that holds a share.
+fn blocks(
+    table: &[(i64, Option<BigUint>, Option<BigUint>)],
+    batch: usize,
+    block: usize,
+) -> Vec<Vec<usize>> {
+    let mut blocks: Vec<Vec<usize>> = Vec::new();
+    let mut end = 0;
+    for (row, (_, a, s)) in table.iter().enumerate() {
+        if a.is_some() && s.is_some() && row >= end {
+            end = (row + block)
+                .min((row / batch + 1) * batch)
+                .min(table.len());
+            blocks.push((row..end).filter(|&r| table[r].2.is_some()).collect());
+        }
+    }
+    blocks
+}
+
+/// An update every row evaluates raises the rows of a window in blocks, in
+/// lockstep: a NULL auxiliary cell is left out of a block, a share under a
+/// NULL operand is raised with it but never charged, a block ends with its
+/// batch (batch size 2), a guarded member of the same group reads the
+/// unconditional member's rows, and the rows a set holds at the end are
+/// those of its last block — at most `BoundKeyUpdateSet::block_rows` of
+/// them. Every power is charged once, to the first call that uses it.
+#[test]
+fn an_unconditional_update_raises_its_rows_in_blocks() {
+    for (config, rows) in PROFILES {
+        let f = fixture(config, rows);
+        let table = gapped_table(&f, 0x61ed + config.prime_bits);
+        let (p, next) = (&f.p[0], &f.p[0] + BigUint::from(1u32));
+        // No ORDER BY: the projection sees the scan's batches, in table order.
+        let sql = format!(
+            "SELECT id, {} AS v, CASE WHEN g = 0 THEN {} END AS w FROM v",
+            f.ku("a", "sdb_s", p, &f.q[0]),
+            f.ku("a", "sdb_s", &next, &f.q[1]),
+        );
+        let update =
+            |a: &Option<BigUint>, s: &Option<BigUint>, p: &BigUint, q: &BigUint| match (a, s) {
+                (Some(a), Some(s)) => Value::Encrypted(f.textbook(a, s, p, q)),
+                _ => Value::Null,
+            };
+        let expected: Vec<Vec<Value>> = (table.iter().enumerate())
+            .map(|(id, (g, a, s))| {
+                let w = match g {
+                    0 => update(a, s, &next, &f.q[1]),
+                    _ => Value::Null,
+                };
+                vec![Value::Int(id as i64), update(a, s, p, &f.q[0]), w]
+            })
+            .collect();
+        let present: Vec<bool> = (table.iter())
+            .map(|(_, a, s)| a.is_some() && s.is_some())
+            .collect();
+        let raised = present.iter().filter(|&&p| p).count();
+        let params = KeyUpdateParams {
+            p: p.clone(),
+            q: f.q[0].clone(),
+        };
+        let block = BoundKeyUpdateSet::bind(&f.n, &[params])
+            .unwrap()
+            .block_rows();
+        for knobs in knob_matrix(config == KeyConfig::PAPER) {
+            let (out, stats, powers) = run_keeping_powers(&f.catalog, &sql, knobs, None).unwrap();
+            assert_eq!(rows_of(&out), expected, "{config:?} {knobs:?}");
+            let guarded = table.iter().filter(|(g, _, _)| *g == 0).count();
+            assert_eq!(stats.key_update_calls, rows + guarded, "{knobs:?}");
+            assert_eq!(stats.key_update_pows, raised, "{knobs:?}");
+            assert_eq!(stats.key_update_derived, raised, "{knobs:?}");
+            // A projection evaluates on one thread: one block, two powers a row.
+            let raised_blocks = blocks(&table, knobs.batch_size, block);
+            let held = raised_blocks.last().unwrap();
+            let expected_powers: Vec<BigUint> = (held.iter())
+                .flat_map(|&row| {
+                    let s = table[row].2.as_ref().unwrap();
+                    [s.modpow(p, &f.n), s.modpow(&next, &f.n)]
+                })
+                .collect();
+            assert_eq!(powers, expected_powers, "{config:?} {knobs:?}");
+            assert!(held.len() <= block);
+        }
+        if config == KeyConfig::TEST {
+            // The counts above were exact over blocks that raised the share
+            // of a NULL operand ahead and left out a NULL auxiliary cell.
+            let raised_blocks = blocks(&table, DEFAULT_BATCH_SIZE, block);
+            let null_operand = |held: &Vec<usize>| held.iter().any(|&row| table[row].1.is_none());
+            let null_aux = |held: &Vec<usize>| {
+                (held[0]..held[held.len() - 1]).any(|row| table[row].2.is_none())
+            };
+            assert!(raised_blocks.iter().any(null_operand));
+            assert!(raised_blocks.iter().any(null_aux));
+            // The last block, whose powers were checked, has several rows.
+            assert!(raised_blocks.last().unwrap().len() > 1);
+
+            // Without the unconditional member the guarded one raises one
+            // row at a time: the set holds the last row whose branch ran.
+            let guarded_only = format!(
+                "SELECT id, CASE WHEN g = 0 THEN {} END AS w FROM v",
+                f.ku("a", "sdb_s", &next, &f.q[1]),
+            );
+            let serial = Knobs {
+                parallelism: 1,
+                batch_size: DEFAULT_BATCH_SIZE,
+                budget: None,
+            };
+            let (_, _, powers) =
+                run_keeping_powers(&f.catalog, &guarded_only, serial, None).unwrap();
+            let last = (0..rows)
+                .rev()
+                .find(|&row| present[row] && table[row].0 == 0);
+            let s = table[last.unwrap()].2.as_ref().unwrap();
+            assert_eq!(powers, [s.modpow(&next, &f.n)]);
+        }
+    }
+}
+
+/// Grouped and summed, the same update over `v` agrees with the textbook
+/// sums at every knob — the parallel aggregate's morsels and the spilling
+/// aggregate raise blocks of their own rows — and no worker's set holds more
+/// than `BoundKeyUpdateSet::block_rows` rows at the end.
+#[test]
+fn blocks_of_rows_serve_every_aggregate_variant() {
+    for (config, rows) in PROFILES {
+        let f = fixture(config, rows);
+        let table = gapped_table(&f, 0x61ee + config.prime_bits);
+        let p = &f.p[1];
+        let sql = format!(
+            "SELECT g, SUM({}) AS s, COUNT(*) AS c FROM v GROUP BY g ORDER BY g",
+            f.ku("a", "sdb_s", p, &f.q[2]),
+        );
+        let expected: Vec<Vec<Value>> = (0..3i64)
+            .map(|g| {
+                let members = table.iter().filter(|(group, _, _)| *group == g);
+                let count = members.clone().count() as i64;
+                let updates =
+                    members.map(|(_, a, s)| Some(f.textbook(a.as_ref()?, s.as_ref()?, p, &f.q[2])));
+                vec![Value::Int(g), sum(updates), Value::Int(count)]
+            })
+            .collect();
+        let raised = table
+            .iter()
+            .filter(|(_, a, s)| a.is_some() && s.is_some())
+            .count();
+        let params = KeyUpdateParams {
+            p: p.clone(),
+            q: f.q[2].clone(),
+        };
+        let block = BoundKeyUpdateSet::bind(&f.n, &[params])
+            .unwrap()
+            .block_rows();
+        for knobs in knob_matrix(config == KeyConfig::PAPER) {
+            let (out, stats, powers) = run_keeping_powers(&f.catalog, &sql, knobs, None).unwrap();
+            assert_eq!(rows_of(&out), expected, "{config:?} {knobs:?}");
+            assert_eq!(stats.key_update_calls, rows, "{knobs:?}");
+            assert_eq!(stats.key_update_pows, raised, "{knobs:?}");
+            assert!(!powers.is_empty(), "{knobs:?}");
+            assert!(powers.len() <= block * knobs.parallelism, "{knobs:?}");
         }
     }
 }

@@ -8,8 +8,8 @@
 
 use std::collections::HashMap;
 
-use sdb_crypto::share::{decrypt_value, gen_item_key};
-use sdb_crypto::{RowIdGenerator, SiesCipher, SignedCodec, SystemKey};
+use sdb_crypto::share::decrypt_value;
+use sdb_crypto::{gen_item_keys, RowIdGenerator, SiesCipher, SignedCodec, SystemKey};
 use sdb_engine::eval::Evaluator;
 use sdb_engine::UdfRegistry;
 use sdb_storage::{Column, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value};
@@ -82,22 +82,28 @@ impl Decryptor {
                     };
                     let rid_idx = server.schema().index_of(row_id_column)?;
                     let rid_col = server.column(rid_idx);
-                    let mut out = Vec::with_capacity(rows);
-                    for row in 0..rows {
-                        let share = column.get(row);
-                        if share.is_null() {
-                            out.push(Value::Null);
-                            continue;
-                        }
-                        let rid_value = rid_col.get(row);
+                    // The row ids of the non-NULL cells, then all their item
+                    // keys in one call.
+                    let mut row_ids = Vec::with_capacity(rows);
+                    for row in (0..rows).filter(|&row| !column.get(row).is_null()) {
                         let rid = self
                             .row_ids
-                            .decrypt(rid_value.as_encrypted_row_id()?)
+                            .decrypt(rid_col.get(row).as_encrypted_row_id()?)
                             .map_err(|e| ProxyError::Decryption {
                                 detail: format!("row id decryption failed: {e}"),
                             })?;
-                        let ik = gen_item_key(&self.system, &key, rid.value());
-                        out.push(self.decode_share(share, &ik, *decode)?);
+                        row_ids.push(rid.0);
+                    }
+                    let mut item_keys = gen_item_keys(&self.system, &key, &row_ids).into_iter();
+                    let mut out = Vec::with_capacity(rows);
+                    for share in column.values() {
+                        out.push(match share {
+                            Value::Null => Value::Null,
+                            share => {
+                                let ik = item_keys.next().expect("one item key per share");
+                                self.decode_share(share, &ik, *decode)?
+                            }
+                        });
                     }
                     out
                 }
@@ -323,7 +329,7 @@ mod tests {
     use num_bigint::BigUint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sdb_crypto::share::encrypt_value;
+    use sdb_crypto::share::{encrypt_value, gen_item_key};
     use sdb_crypto::KeyConfig;
     use sdb_sql::ast::{BinaryOp, Expr};
 

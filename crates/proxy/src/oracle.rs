@@ -10,8 +10,10 @@
 
 use std::sync::Arc;
 
-use sdb_crypto::share::{decrypt_value, gen_item_key};
-use sdb_crypto::{RowIdGenerator, SignedCodec, SystemKey};
+use num_bigint::BigUint;
+use sdb_crypto::share::decrypt_value;
+use sdb_crypto::{gen_item_keys, RowIdGenerator, SignedCodec, SystemKey};
+use sdb_engine::secure::OracleRow;
 use sdb_engine::{OracleRequest, OracleResponse, OracleResult, SdbOracle};
 use sdb_storage::Value;
 
@@ -40,20 +42,18 @@ impl ProxyOracle {
         }
     }
 
-    fn item_key(
-        &self,
-        handle: &HandleKey,
-        row_id: &sdb_crypto::EncryptedRowId,
-    ) -> Result<num_bigint::BigUint, String> {
+    /// The item key of every row of a request: for a row-keyed handle, all
+    /// of them derived in one call from the rows' decrypted row ids.
+    fn item_keys(&self, handle: &HandleKey, rows: &[OracleRow]) -> Result<Vec<BigUint>, String> {
         match handle {
             HandleKey::RowKeyed { key, .. } => {
-                let rid = self
-                    .row_ids
-                    .decrypt(row_id)
+                let row_ids = (rows.iter())
+                    .map(|row| self.row_ids.decrypt(&row.row_id).map(|rid| rid.0))
+                    .collect::<Result<Vec<_>, _>>()
                     .map_err(|e| format!("row id decryption failed: {e}"))?;
-                Ok(gen_item_key(&self.system, key, rid.value()))
+                Ok(gen_item_keys(&self.system, key, &row_ids))
             }
-            HandleKey::RowIndependent { item_key, .. } => Ok(item_key.clone()),
+            HandleKey::RowIndependent { item_key, .. } => Ok(vec![item_key.clone(); rows.len()]),
         }
     }
 
@@ -86,13 +86,14 @@ impl SdbOracle for ProxyOracle {
             .handle(&request.handle)
             .map_err(|e| e.to_string())?;
         self.session.count_oracle_request(request.rows.len());
+        let item_keys = self.item_keys(&handle, &request.rows)?;
+        let rows = request.rows.iter().zip(&item_keys);
 
         match request.kind {
             sdb_engine::secure::OracleRequestKind::Sign => {
                 let mut signs = Vec::with_capacity(request.rows.len());
-                for row in &request.rows {
-                    let ik = self.item_key(&handle, &row.row_id)?;
-                    let residue = decrypt_value(&self.system, &row.share, &ik);
+                for (row, ik) in rows {
+                    let residue = decrypt_value(&self.system, &row.share, ik);
                     signs.push(self.codec.sign(&residue));
                 }
                 Ok(OracleResponse::Signs(signs))
@@ -100,9 +101,8 @@ impl SdbOracle for ProxyOracle {
             sdb_engine::secure::OracleRequestKind::GroupTag => {
                 let decode = Self::decode_of(&handle);
                 let mut tags = Vec::with_capacity(request.rows.len());
-                for row in &request.rows {
-                    let ik = self.item_key(&handle, &row.row_id)?;
-                    let residue = decrypt_value(&self.system, &row.share, &ik);
+                for (row, ik) in rows {
+                    let residue = decrypt_value(&self.system, &row.share, ik);
                     let units = self
                         .codec
                         .decode(&residue)
@@ -125,9 +125,8 @@ impl SdbOracle for ProxyOracle {
                 // sensitive data requires) and cannot invert a rank to a value.
                 let decode = Self::decode_of(&handle);
                 let mut units_per_row = Vec::with_capacity(request.rows.len());
-                for row in &request.rows {
-                    let ik = self.item_key(&handle, &row.row_id)?;
-                    let residue = decrypt_value(&self.system, &row.share, &ik);
+                for (row, ik) in rows {
+                    let residue = decrypt_value(&self.system, &row.share, ik);
                     let units = self
                         .codec
                         .decode(&residue)
@@ -162,9 +161,9 @@ mod tests {
     use num_bigint::BigUint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sdb_crypto::share::encrypt_value;
+    use sdb_crypto::share::{encrypt_value, gen_item_key};
     use sdb_crypto::KeyConfig;
-    use sdb_engine::secure::{OracleRequestKind, OracleRow};
+    use sdb_engine::secure::OracleRequestKind;
 
     struct Setup {
         keystore: KeyStore,
