@@ -8,7 +8,10 @@
 //! * comparison protocol step (blind + decrypt sign) vs OPE comparison;
 //! * `scan_pruning`: a scan + half-selective filter over a wide encrypted table
 //!   by a query referencing 1 / 4 / all of its 16 columns, and `clone` + `slice`
-//!   of one 4096-row batch of it (shared buffers: neither copies a cell).
+//!   of one 4096-row batch of it (shared buffers: neither copies a cell);
+//! * `query_setup`: the SP's fixed cost per query — building an `ExecContext`
+//!   from a config, and a one-row `SELECT` through `SpEngine::execute_sql_with`
+//!   at parallelism 1 (the serving path's per-request floor).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use num_bigint::BigUint;
@@ -210,9 +213,47 @@ fn scan_pruning(c: &mut Criterion) {
     group.finish();
 }
 
+fn query_setup(c: &mut Criterion) {
+    use sdb_engine::{ExecConfig, ExecContext, QueryOptions, SpEngine, UdfRegistry};
+    let engine = SpEngine::new();
+    engine
+        .execute_sql("CREATE TABLE one (id INT, v INT)")
+        .expect("create");
+    engine
+        .execute_sql("INSERT INTO one VALUES (1, 10)")
+        .expect("insert");
+    let registry = UdfRegistry::with_sdb_udfs();
+    let config = ExecConfig::default();
+    let serial = QueryOptions::default().with_parallelism(1);
+
+    let mut group = c.benchmark_group("query_setup");
+    group.bench_function("exec_context_from_config", |bencher| {
+        bencher.iter(|| {
+            black_box(ExecContext::new(
+                engine.catalog(),
+                &registry,
+                None,
+                config.clone(),
+                None,
+                None,
+            ))
+        })
+    });
+    group.bench_function("one_row_select_parallelism_1", |bencher| {
+        bencher.iter(|| {
+            black_box(
+                engine
+                    .execute_sql_with("SELECT v FROM one WHERE id = 1", &serial)
+                    .expect("query"),
+            )
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = micro, scan_pruning
+    targets = micro, scan_pruning, query_setup
 }
 criterion_main!(benches);

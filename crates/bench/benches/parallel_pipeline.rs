@@ -66,6 +66,8 @@ fn shared_catalog() -> Arc<Catalog> {
     catalog
 }
 
+// Setup, once per bench run: the core count picks the parallel engine's width.
+#[allow(clippy::disallowed_methods)]
 fn parallel_pipeline(c: &mut Criterion) {
     let catalog = shared_catalog();
     let cores = std::thread::available_parallelism()

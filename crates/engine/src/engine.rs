@@ -13,6 +13,7 @@ use sdb_storage::{
     Value,
 };
 
+use crate::config::ExecConfig;
 use crate::eval::literal_to_value;
 use crate::operators::ExecContext;
 use crate::planner;
@@ -139,59 +140,20 @@ pub struct SpEngine {
     catalog: Arc<Catalog>,
     registry: UdfRegistry,
     oracle: RwLock<Option<OracleRef>>,
-    /// Rows per batch flowing between operators for every query this engine
-    /// executes.
-    batch_size: usize,
-    /// Workers per query for the morsel-parallel operators (`1` = serial
-    /// plans). Defaults to the available cores.
-    parallelism: usize,
-    /// Memory budget for blocking operators. Defaults to the
-    /// `SDB_TEST_MEM_BUDGET` environment variable or unlimited; a limited
-    /// budget makes the planner select the spilling operator variants.
-    memory_budget: MemoryBudget,
-    /// Whether the cost-based optimizer rewrites logical plans before
-    /// physical planning (default on).
-    optimizer: bool,
-    /// Whether oracle operand rows coalesce across input batches into one
-    /// round trip per registered call (default on).
-    oracle_batching: bool,
-    /// Injected per-request latency on the oracle link (tests/benches;
-    /// `None` defers to `SDB_TEST_ORACLE_LATENCY_MS`).
-    oracle_latency: Option<std::time::Duration>,
-    /// Whether operators route eligible work through the vectorised columnar
-    /// kernels (default on; `SDB_TEST_SCALAR_EVAL=1` flips the default).
-    vectorised: bool,
-    /// Whether queries execute with per-operator tracing (default off;
-    /// `SDB_TRACE=1` flips the default). `EXPLAIN ANALYZE` forces tracing on
-    /// for its own query regardless of this knob.
-    tracing: bool,
+    /// The settings every query starts from; [`QueryOptions`] override a
+    /// copy per query, and `EXPLAIN ANALYZE` forces tracing on for its own.
+    config: ExecConfig,
 }
 
 impl SpEngine {
-    /// Creates an engine with an empty catalog and the standard SDB UDF set.
+    /// Creates an engine with an empty catalog, the standard SDB UDF set and
+    /// the process's default [`ExecConfig`].
     pub fn new() -> Self {
         SpEngine {
             catalog: Arc::new(Catalog::new()),
             registry: UdfRegistry::with_sdb_udfs(),
             oracle: RwLock::new(None),
-            batch_size: crate::operators::DEFAULT_BATCH_SIZE,
-            parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            memory_budget: MemoryBudget::from_env(),
-            optimizer: true,
-            oracle_batching: true,
-            oracle_latency: None,
-            // `SDB_TEST_SCALAR_EVAL=1` re-runs whole suites through the
-            // scalar row-at-a-time paths; `with_vectorised` still overrides.
-            vectorised: std::env::var("SDB_TEST_SCALAR_EVAL")
-                .map(|v| v != "1")
-                .unwrap_or(true),
-            // `SDB_TRACE=1` re-runs whole suites with per-operator tracing
-            // (byte-identical output); `with_tracing` still overrides.
-            tracing: std::env::var("SDB_TRACE")
-                .map(|v| v == "1")
-                .unwrap_or(false),
+            config: ExecConfig::default(),
         }
     }
 
@@ -224,7 +186,7 @@ impl SpEngine {
     /// ```
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
-        self.batch_size = batch_size;
+        self.config.batch_size = batch_size;
         self
     }
 
@@ -249,7 +211,7 @@ impl SpEngine {
     /// ```
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         assert!(parallelism > 0, "parallelism must be positive");
-        self.parallelism = parallelism;
+        self.config.parallelism = parallelism;
         self
     }
 
@@ -284,7 +246,7 @@ impl SpEngine {
     /// [`SpillingHashAggregate`]: crate::operators::spill_aggregate::SpillingHashAggregate
     /// [`GraceHashJoin`]: crate::operators::grace_join::GraceHashJoin
     pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.memory_budget = budget;
+        self.config.memory_budget = budget;
         self
     }
 
@@ -318,13 +280,13 @@ impl SpEngine {
     /// # Ok::<(), sdb_engine::EngineError>(())
     /// ```
     pub fn with_optimizer(mut self, optimizer: bool) -> Self {
-        self.optimizer = optimizer;
+        self.config.optimizer = optimizer;
         self
     }
 
     /// Whether the cost-based optimizer is enabled.
     pub fn optimizer_enabled(&self) -> bool {
-        self.optimizer
+        self.config.optimizer
     }
 
     /// Enables or disables cross-batch oracle batching (builder style;
@@ -339,13 +301,13 @@ impl SpEngine {
     /// assert!(!engine.oracle_batching());
     /// ```
     pub fn with_oracle_batching(mut self, batching: bool) -> Self {
-        self.oracle_batching = batching;
+        self.config.oracle_batching = batching;
         self
     }
 
     /// Whether cross-batch oracle batching is enabled.
     pub fn oracle_batching(&self) -> bool {
-        self.oracle_batching
+        self.config.oracle_batching
     }
 
     /// Enables or disables the vectorised columnar kernels (builder style;
@@ -359,13 +321,13 @@ impl SpEngine {
     /// assert!(!engine.vectorised());
     /// ```
     pub fn with_vectorised(mut self, vectorised: bool) -> Self {
-        self.vectorised = vectorised;
+        self.config.vectorised = vectorised;
         self
     }
 
     /// Whether the vectorised columnar kernels are enabled.
     pub fn vectorised(&self) -> bool {
-        self.vectorised
+        self.config.vectorised
     }
 
     /// Enables or disables per-operator execution tracing for every query
@@ -387,13 +349,13 @@ impl SpEngine {
     /// # Ok::<(), sdb_engine::EngineError>(())
     /// ```
     pub fn with_tracing(mut self, tracing: bool) -> Self {
-        self.tracing = tracing;
+        self.config.tracing = tracing;
         self
     }
 
     /// Whether per-operator execution tracing is enabled.
     pub fn tracing(&self) -> bool {
-        self.tracing
+        self.config.tracing
     }
 
     /// Injects a fixed per-request latency on the oracle link (builder
@@ -408,13 +370,14 @@ impl SpEngine {
     /// assert_eq!(engine.oracle_latency(), Some(Duration::from_millis(10)));
     /// ```
     pub fn with_oracle_latency(mut self, latency: std::time::Duration) -> Self {
-        self.oracle_latency = Some(latency);
+        self.config.oracle_latency = Some(latency);
         self
     }
 
-    /// The injected oracle latency, if any was set through the builder.
+    /// The injected oracle latency, if any (the builder's, else
+    /// `SDB_TEST_ORACLE_LATENCY_MS`).
     pub fn oracle_latency(&self) -> Option<std::time::Duration> {
-        self.oracle_latency
+        self.config.oracle_latency
     }
 
     /// Collects optimizer statistics for one table (the `ANALYZE <table>`
@@ -444,8 +407,8 @@ impl SpEngine {
 
     fn explain_query(&self, query: &sdb_sql::ast::Query) -> Result<Vec<String>> {
         let plan = PlanBuilder::build(query)?;
-        let ctx = Arc::new(self.fresh_context(None));
-        let optimized = if self.optimizer {
+        let ctx = Arc::new(self.query_context(None, &QueryOptions::default()));
+        let optimized = if self.config.optimizer {
             ctx.optimizer().optimize(&plan)
         } else {
             plan.clone()
@@ -455,9 +418,9 @@ impl SpEngine {
         let mut lines = Vec::new();
         lines.push(format!(
             "physical plan (optimizer {}, parallelism {}, budget {}):",
-            if self.optimizer { "on" } else { "off" },
-            self.parallelism,
-            match self.memory_budget.limit() {
+            if self.config.optimizer { "on" } else { "off" },
+            self.config.parallelism,
+            match self.config.memory_budget.limit() {
                 Some(limit) => format!("{limit}B"),
                 None => "unlimited".to_string(),
             }
@@ -472,35 +435,19 @@ impl SpEngine {
         Ok(lines)
     }
 
-    /// A fresh execution context carrying this engine's knobs.
-    fn fresh_context(&self, oracle: Option<crate::secure::OracleRef>) -> ExecContext<'_> {
-        let ctx = ExecContext::new(&self.catalog, &self.registry, oracle)
-            .with_batch_size(self.batch_size)
-            .with_memory_budget(self.memory_budget.clone())
-            .with_optimizer(self.optimizer)
-            .with_oracle_batching(self.oracle_batching)
-            .with_vectorised(self.vectorised)
-            .with_parallelism(self.parallelism)
-            .with_tracing(self.tracing);
-        match self.oracle_latency {
-            Some(latency) => ctx.with_oracle_latency(latency),
-            None => ctx,
-        }
-    }
-
     /// Rows per batch used for query execution.
     pub fn batch_size(&self) -> usize {
-        self.batch_size
+        self.config.batch_size
     }
 
     /// The per-query memory budget for blocking operators.
     pub fn memory_budget(&self) -> &MemoryBudget {
-        &self.memory_budget
+        &self.config.memory_budget
     }
 
     /// Workers per query used by the parallel operators.
     pub fn parallelism(&self) -> usize {
-        self.parallelism
+        self.config.parallelism
     }
 
     /// The shared catalog.
@@ -574,28 +521,27 @@ impl SpEngine {
         self.execute_statement_with(statement, &QueryOptions::default())
     }
 
-    /// Builds the execution context for one query, layering `opts` over the
-    /// engine's knobs. Order matters: the budget rebuilds the pool, tracing
-    /// installs observers, and the pager lease replaces the pool last (so
-    /// observers and the cancel token land on the lease actually used).
+    /// Builds the execution context for one query: the engine's config
+    /// with `opts` applied, constructed once.
     fn query_context(&self, oracle: Option<OracleRef>, opts: &QueryOptions) -> ExecContext<'_> {
-        let mut ctx = self.fresh_context(oracle);
+        let mut config = self.config.clone();
         if let Some(budget) = &opts.memory_budget {
-            ctx = ctx.with_memory_budget(budget.clone());
+            config.memory_budget = budget.clone();
         }
         if let Some(parallelism) = opts.parallelism {
-            ctx = ctx.with_parallelism(parallelism);
+            config.parallelism = parallelism;
         }
         if let Some(tracing) = opts.tracing {
-            ctx = ctx.with_tracing(tracing);
+            config.tracing = tracing;
         }
-        if let Some(cancel) = &opts.cancel {
-            ctx = ctx.with_cancel_token(cancel.clone());
-        }
-        if let Some(pager) = &opts.pager {
-            ctx = ctx.with_pager(Arc::clone(pager));
-        }
-        ctx
+        ExecContext::new(
+            &self.catalog,
+            &self.registry,
+            oracle,
+            config,
+            opts.pager.clone(),
+            opts.cancel.clone(),
+        )
     }
 
     /// Executes an already-parsed statement with per-query overrides.
@@ -704,7 +650,8 @@ impl SpEngine {
         let started = Instant::now();
         let plan = PlanBuilder::build(query)?;
         let oracle = self.oracle.read().clone();
-        let ctx = Arc::new(self.fresh_context(oracle).with_tracing(true));
+        let traced = QueryOptions::default().with_tracing(true);
+        let ctx = Arc::new(self.query_context(oracle, &traced));
         let batch = planner::execute_plan(&ctx, &plan)?;
         let mut stats = ctx.stats();
         stats.total_time = started.elapsed();
@@ -717,8 +664,8 @@ impl SpEngine {
             "analyzed plan ({} rows in {}, parallelism {}, budget {}):",
             batch.num_rows(),
             crate::trace::fmt_us(report.total_time_us),
-            self.parallelism,
-            match self.memory_budget.limit() {
+            self.config.parallelism,
+            match self.config.memory_budget.limit() {
                 Some(limit) => format!("{limit}B"),
                 None => "unlimited".to_string(),
             }

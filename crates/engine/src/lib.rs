@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod engine;
 pub mod error;
 pub mod eval;
@@ -39,6 +40,7 @@ pub mod stats;
 pub mod trace;
 pub mod udf;
 
+pub use config::ExecConfig;
 pub use engine::{QueryOptions, QueryOutput, SpEngine};
 pub use error::EngineError;
 pub use operators::{BoxedOperator, ExecContext, PhysicalOperator, DEFAULT_BATCH_SIZE};

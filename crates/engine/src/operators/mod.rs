@@ -48,23 +48,14 @@
 //! step preserves morsel order, so parallel execution is **byte-identical**
 //! to serial execution for the same plan.
 //!
-//! ## Knobs
+//! ## Settings
 //!
-//! * `parallelism` (default: available cores; `1` = the serial plans) decides
-//!   whether [`crate::planner::PhysicalPlanner`] inserts the parallel
-//!   variants and how many workers each fan-out uses.
-//! * `batch_size` (default [`DEFAULT_BATCH_SIZE`]) is the number of rows per
-//!   batch flowing between operators.
-//! * `memory_budget` (default unlimited; `SDB_TEST_MEM_BUDGET` overrides the
-//!   default in bytes) bounds what the blocking operators materialise — when
-//!   limited, sort, aggregation and hash joins lower to their spilling
-//!   variants, which park overflow in the context's [`Pager`] and produce
-//!   byte-identical results.
-//!
-//! All are fields on [`ExecContext`] with builder-style setters, exposed
-//! through [`crate::SpEngine::with_parallelism`],
-//! [`crate::SpEngine::with_batch_size`] and
-//! [`crate::SpEngine::with_memory_budget`].
+//! A context runs under one [`ExecConfig`] (parallelism, batch size, memory
+//! budget, …), fixed at construction: [`ExecContext::new`] builds the pager
+//! (or takes the caller's lease), the statistics shards and the trace hooks
+//! exactly once. With a limited budget, sort, aggregation and hash joins
+//! lower to their spilling variants, which park overflow in the context's
+//! [`Pager`] and produce byte-identical results.
 //!
 //! ## Statistics and RNG under parallelism
 //!
@@ -73,6 +64,8 @@
 //! [`ExecContext::stats`] merges all shards into one snapshot. The
 //! comparison-blinding RNG is likewise per worker, with thread-indexed seeds
 //! (`seed + worker`) so seeded runs stay deterministic at any parallelism.
+//! The RNGs are seeded on the first blinding, so a query that blinds nothing
+//! never reads OS entropy.
 
 pub mod aggregate;
 pub mod expr;
@@ -91,7 +84,7 @@ pub mod spill_aggregate;
 mod tests;
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
@@ -101,6 +94,7 @@ use sdb_sql::ast::Query;
 use sdb_sql::plan::PlanBuilder;
 use sdb_storage::{CancelToken, Catalog, MemoryBudget, Pager, RecordBatch, Schema, Value};
 
+use crate::config::ExecConfig;
 use crate::eval::{Evaluator, SubqueryResolver};
 use crate::secure::OracleRef;
 use crate::stats::{ExecutionStats, ShardedStats};
@@ -153,30 +147,19 @@ pub type BoxedOperator<'a> = Box<dyn PhysicalOperator + 'a>;
 pub struct ExecContext<'a> {
     catalog: &'a Catalog,
     registry: &'a UdfRegistry,
-    /// The oracle operators talk to — `oracle_raw`, possibly wrapped in a
+    /// The oracle operators talk to: the caller's, wrapped in a
     /// [`crate::secure::LatencyOracle`] when latency injection is configured.
     oracle: Option<OracleRef>,
-    /// The oracle exactly as the caller provided it (subquery contexts and
-    /// latency re-wrapping always start from here, so latency can never be
-    /// applied twice).
-    oracle_raw: Option<OracleRef>,
-    /// Injected per-request oracle latency (`SDB_TEST_ORACLE_LATENCY_MS` or
-    /// [`Self::with_oracle_latency`]); `None` = no injection.
-    oracle_latency: Option<std::time::Duration>,
     /// The encrypted-value memo: answers of past sign/group-tag requests,
     /// keyed by call fingerprint + operand ciphertexts, shared with subquery
     /// contexts so hot answers never re-travel the link.
     oracle_memo: Arc<oracle::OracleMemo>,
-    /// Whether [`oracle::OracleResolve`] (and the Grace join's key
-    /// resolution) coalesce operand rows across input batches into one
-    /// round trip per registered call (default on; `false` restores the
-    /// one-trip-per-call-per-batch behavior).
-    oracle_batching: bool,
+    config: ExecConfig,
     stats: ShardedStats,
-    /// One blinding RNG per worker; seeded runs use thread-indexed seeds
-    /// (`seed + worker`) so parallelism cannot change a seeded run's stream.
-    rngs: Vec<Mutex<StdRng>>,
-    rng_seed: Option<u64>,
+    /// One blinding RNG per worker, seeded on first use (thread-indexed
+    /// seeds `seed + worker` when the config has one, so parallelism cannot
+    /// change a seeded run's stream).
+    rngs: OnceLock<Vec<Mutex<StdRng>>>,
     /// Results of uncorrelated subqueries: bucketed by the cheap SQL
     /// rendering, then matched by full structural equality on the query AST —
     /// so two parameterisations that happen to display the same SQL text
@@ -186,24 +169,9 @@ pub struct ExecContext<'a> {
     /// arguments (`n`, `p`, `q`) once, however many batches and evaluators
     /// the query runs through.
     udf_sites: crate::udf::UdfSites,
-    batch_size: usize,
-    parallelism: usize,
-    /// Whether the cost-based optimizer rewrites logical plans before
-    /// physical planning (default on; reordering only happens where
-    /// statistics exist).
-    optimizer: bool,
-    /// Test/CI mode (`SDB_TEST_ANALYZE`): analyze missing table statistics
-    /// on demand at plan time, so whole suites exercise reordered plans.
-    auto_analyze: bool,
-    /// Whether operators may route eligible work through the vectorised
-    /// columnar kernels (default on; `SDB_TEST_SCALAR_EVAL=1` forces the
-    /// scalar row-at-a-time paths for byte-identity cross-checks).
-    vectorised: bool,
-    /// How much the blocking operators may materialise before spilling.
-    budget: MemoryBudget,
     /// The query's buffer pool; spilling operators park runs and partitions
-    /// here. Shared so subtrees on different worker threads account against
-    /// one budget.
+    /// here. Shared so subtrees on different worker threads, and the
+    /// query's subqueries, account against one budget.
     pager: Arc<Pager>,
     /// The per-query execution trace, when tracing is on (default off).
     /// `Some` makes [`crate::planner::PhysicalPlanner`] wrap every operator
@@ -217,246 +185,68 @@ pub struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    /// Creates a context. `oracle` is the connection back to the DO proxy for
-    /// interactive protocol steps; pass `None` for plaintext-only workloads.
+    /// Creates a query's context in one pass. `oracle` is the connection
+    /// back to the DO proxy for interactive protocol steps (`None` for
+    /// plaintext-only workloads); `config` fixes every setting.
     ///
-    /// Parallelism defaults to the number of available cores; batch size to
-    /// [`DEFAULT_BATCH_SIZE`].
-    pub fn new(catalog: &'a Catalog, registry: &'a UdfRegistry, oracle: Option<OracleRef>) -> Self {
-        let parallelism = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        // `SDB_TEST_MEM_BUDGET` (bytes) forces a default budget so whole test
-        // suites can be re-run through the spill paths; an explicit
-        // `with_memory_budget` still overrides it.
-        let budget = MemoryBudget::from_env();
-        // `SDB_TEST_ORACLE_LATENCY_MS` injects a per-request sleep on the
-        // oracle link so whole suites (and the benches) can be re-run over a
-        // simulated WAN; an explicit `with_oracle_latency` still overrides it.
-        let oracle_latency = std::env::var("SDB_TEST_ORACLE_LATENCY_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|ms| *ms > 0)
-            .map(std::time::Duration::from_millis);
+    /// Without a `lease`, the query gets a private pool under the config's
+    /// budget. With one (the serving layer's [`Pager::shared`] lease on a
+    /// global [`sdb_storage::BufferPool`]), the budget becomes the lease's
+    /// resident-byte quota, so the query spills once its own pages exceed
+    /// its share, exactly as it would in a private pool of that size. The
+    /// trace hook and the cancellation token (`None`: never cancelled) are
+    /// installed on whichever pager the query uses.
+    ///
+    /// Panics if the config's batch size or parallelism is zero.
+    pub fn new(
+        catalog: &'a Catalog,
+        registry: &'a UdfRegistry,
+        oracle: Option<OracleRef>,
+        config: ExecConfig,
+        lease: Option<Arc<Pager>>,
+        cancel: Option<CancelToken>,
+    ) -> Self {
+        assert!(config.batch_size > 0, "batch size must be positive");
+        assert!(config.parallelism > 0, "parallelism must be positive");
+        let pager = match lease {
+            Some(lease) => {
+                lease.set_quota(config.memory_budget.limit());
+                lease
+            }
+            None => Arc::new(Pager::new(&config.memory_budget)),
+        };
+        let cancel = cancel.unwrap_or_default();
+        pager.set_cancel_token(cancel.clone());
+        let trace = config.tracing.then(|| {
+            let trace = Arc::new(crate::trace::QueryTrace::new());
+            crate::trace::install_pager_observer(&pager, &trace);
+            trace
+        });
+        let oracle = match (oracle, config.oracle_latency) {
+            (Some(raw), Some(latency)) => {
+                Some(Arc::new(crate::secure::LatencyOracle::new(raw, latency)) as OracleRef)
+            }
+            (oracle, _) => oracle,
+        };
         ExecContext {
             catalog,
             registry,
-            oracle: Self::wrapped_oracle(&oracle, oracle_latency),
-            oracle_raw: oracle,
-            oracle_latency,
-            oracle_memo: Arc::new(oracle::OracleMemo::default()),
-            oracle_batching: true,
-            stats: ShardedStats::new(parallelism),
-            rngs: Self::entropy_rngs(parallelism),
-            rng_seed: None,
+            oracle,
+            oracle_memo: Arc::default(),
+            stats: ShardedStats::new(config.parallelism),
+            rngs: OnceLock::new(),
             subquery_cache: Mutex::new(HashMap::new()),
             udf_sites: crate::udf::UdfSites::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
-            parallelism,
-            optimizer: true,
-            auto_analyze: std::env::var("SDB_TEST_ANALYZE")
-                .map(|v| v == "1")
-                .unwrap_or(false),
-            // `SDB_TEST_SCALAR_EVAL=1` re-runs whole suites through the
-            // scalar row-at-a-time paths; an explicit `with_vectorised`
-            // still overrides it.
-            vectorised: std::env::var("SDB_TEST_SCALAR_EVAL")
-                .map(|v| v != "1")
-                .unwrap_or(true),
-            pager: Arc::new(Pager::new(&budget)),
-            budget,
-            trace: None,
-            cancel: CancelToken::new(),
-        }
-    }
-
-    /// The oracle operators should actually call: the raw connection, wrapped
-    /// in a [`crate::secure::LatencyOracle`] when latency injection is on.
-    fn wrapped_oracle(
-        raw: &Option<OracleRef>,
-        latency: Option<std::time::Duration>,
-    ) -> Option<OracleRef> {
-        match (raw, latency) {
-            (Some(oracle), Some(latency)) => Some(Arc::new(crate::secure::LatencyOracle::new(
-                Arc::clone(oracle),
-                latency,
-            ))),
-            (raw, _) => raw.clone(),
-        }
-    }
-
-    fn entropy_rngs(workers: usize) -> Vec<Mutex<StdRng>> {
-        // One OS entropy draw, then derived per-worker streams: seeding every
-        // worker from the OS would cost one entropy read per core per query.
-        let mut master = StdRng::from_entropy();
-        (0..workers.max(1))
-            .map(|_| Mutex::new(StdRng::seed_from_u64(master.gen())))
-            .collect()
-    }
-
-    fn seeded_rngs(seed: u64, workers: usize) -> Vec<Mutex<StdRng>> {
-        (0..workers.max(1) as u64)
-            .map(|i| Mutex::new(StdRng::seed_from_u64(seed.wrapping_add(i))))
-            .collect()
-    }
-
-    /// Uses fixed, thread-indexed RNG seeds for the comparison-blinding
-    /// factors (worker `i` draws from `seed + i`; tests only).
-    pub fn with_rng_seed(self, seed: u64) -> Self {
-        ExecContext {
-            rngs: Self::seeded_rngs(seed, self.parallelism),
-            rng_seed: Some(seed),
-            ..self
-        }
-    }
-
-    /// Bounds how much memory the blocking operators (sort, aggregation) may
-    /// materialise before spilling through the pager, and rebuilds the
-    /// query's buffer pool under the new budget. With a limited budget the
-    /// planner selects the spilling operator variants
-    /// ([`crate::operators::external_sort::ExternalSort`],
-    /// [`crate::operators::spill_aggregate::SpillingHashAggregate`]), whose
-    /// output is byte-identical to the in-memory ones.
-    pub fn with_memory_budget(self, budget: MemoryBudget) -> Self {
-        let pager = Arc::new(Pager::new(&budget));
-        // The budget rebuilds the buffer pool, so the trace's pager hook (if
-        // tracing was enabled first) and the cancellation token must be
-        // re-installed on the new lease.
-        if let Some(trace) = &self.trace {
-            crate::trace::install_pager_observer(&pager, trace);
-        }
-        pager.set_cancel_token(self.cancel.clone());
-        ExecContext {
+            config,
             pager,
-            budget,
-            ..self
-        }
-    }
-
-    /// Replaces the query's pager lease — the serving layer's hook for
-    /// running many queries against one shared, globally-budgeted
-    /// [`sdb_storage::BufferPool`] (create the lease with
-    /// [`Pager::shared`]). The trace's pager hook and the cancellation token
-    /// are installed on the new lease, and the context's planning budget
-    /// becomes the lease's resident-byte *quota* inside the shared pool —
-    /// so a query bounded to a share of the global budget spills once its
-    /// own pages exceed that share, exactly as it would in a private pool
-    /// of that size. The planning budget itself is untouched, so set
-    /// [`Self::with_memory_budget`] *first* to the budget the plan should
-    /// assume.
-    pub fn with_pager(self, pager: Arc<Pager>) -> Self {
-        if let Some(trace) = &self.trace {
-            crate::trace::install_pager_observer(&pager, trace);
-        }
-        pager.set_cancel_token(self.cancel.clone());
-        pager.set_quota(self.budget.limit());
-        ExecContext { pager, ..self }
-    }
-
-    /// Installs the cancellation token polled by this query's operators,
-    /// oracle flushes and pager (replacing the default never-cancelled
-    /// token). Cancelling the token makes the next poll fail with
-    /// [`sdb_storage::StorageError::Cancelled`]; the query then unwinds
-    /// through its normal error path, releasing its pager lease, spill
-    /// files and pins.
-    pub fn with_cancel_token(self, cancel: CancelToken) -> Self {
-        self.pager.set_cancel_token(cancel.clone());
-        ExecContext { cancel, ..self }
-    }
-
-    /// Overrides the batch size (power users / tests).
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn with_batch_size(self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        ExecContext { batch_size, ..self }
-    }
-
-    /// Enables or disables the cost-based optimizer (default on; `false`
-    /// keeps the purely syntactic plans).
-    pub fn with_optimizer(self, optimizer: bool) -> Self {
-        ExecContext { optimizer, ..self }
-    }
-
-    /// Enables or disables the vectorised columnar kernels (default on;
-    /// `false` forces the scalar row-at-a-time paths everywhere). Kernel
-    /// output is byte-identical to the scalar paths — this knob exists for
-    /// the equivalence cross-checks and for benchmarking the scalar
-    /// baseline.
-    pub fn with_vectorised(self, vectorised: bool) -> Self {
-        ExecContext { vectorised, ..self }
-    }
-
-    /// Enables or disables per-query execution tracing (default off; the
-    /// `SDB_TRACE=1` env var flips [`crate::SpEngine`]'s default). With
-    /// tracing on, the planner wraps every physical operator in a
-    /// [`crate::trace::InstrumentedOperator`] recording per-span wall time,
-    /// batch/row counts and attributed counter deltas, and pager spill /
-    /// eviction events are attached to the owning span. Tracing never
-    /// changes query output — instrumented plans are byte-identical.
-    pub fn with_tracing(self, tracing: bool) -> Self {
-        if !tracing {
-            return ExecContext {
-                trace: None,
-                ..self
-            };
-        }
-        let trace = Arc::new(crate::trace::QueryTrace::new());
-        crate::trace::install_pager_observer(&self.pager, &trace);
-        ExecContext {
-            trace: Some(trace),
-            ..self
+            trace,
+            cancel,
         }
     }
 
     /// The active query trace, when tracing is on.
     pub fn trace(&self) -> Option<&Arc<crate::trace::QueryTrace>> {
         self.trace.as_ref()
-    }
-
-    /// Enables or disables cross-batch oracle batching (default on). With
-    /// batching off, [`oracle::OracleResolve`] pays one round trip per
-    /// registered call per input batch and the Grace hash join re-resolves
-    /// key calls per spilled chunk — the pre-batching behavior, kept for the
-    /// byte-identity cross-checks and for cost-model comparisons.
-    pub fn with_oracle_batching(self, oracle_batching: bool) -> Self {
-        ExecContext {
-            oracle_batching,
-            ..self
-        }
-    }
-
-    /// Injects a fixed per-request latency on the oracle link (tests and
-    /// benches; simulates the SP↔proxy WAN round trip). Always rebuilds the
-    /// wrapper from the raw connection, so repeated calls never stack sleeps.
-    pub fn with_oracle_latency(self, latency: std::time::Duration) -> Self {
-        let latency = Some(latency);
-        ExecContext {
-            oracle: Self::wrapped_oracle(&self.oracle_raw, latency),
-            oracle_latency: latency,
-            ..self
-        }
-    }
-
-    /// Overrides the number of workers parallel operators may use (`1`
-    /// selects the serial plans). Resizes the statistics shards and the
-    /// per-worker RNG pool, preserving any configured seed.
-    ///
-    /// Panics if `parallelism` is zero.
-    pub fn with_parallelism(self, parallelism: usize) -> Self {
-        assert!(parallelism > 0, "parallelism must be positive");
-        if parallelism == self.parallelism {
-            return self;
-        }
-        ExecContext {
-            stats: ShardedStats::new(parallelism),
-            rngs: match self.rng_seed {
-                Some(seed) => Self::seeded_rngs(seed, parallelism),
-                None => Self::entropy_rngs(parallelism),
-            },
-            parallelism,
-            ..self
-        }
     }
 
     /// The catalog queries run against.
@@ -477,7 +267,7 @@ impl<'a> ExecContext<'a> {
 
     /// Whether cross-batch oracle batching is on.
     pub fn oracle_batching(&self) -> bool {
-        self.oracle_batching
+        self.config.oracle_batching
     }
 
     /// The shared encrypted-value memo for oracle answers.
@@ -487,38 +277,38 @@ impl<'a> ExecContext<'a> {
 
     /// Rows per batch.
     pub fn batch_size(&self) -> usize {
-        self.batch_size
+        self.config.batch_size
     }
 
     /// Number of workers parallel operators may fan out to (`1` = serial).
     pub fn parallelism(&self) -> usize {
-        self.parallelism
+        self.config.parallelism
     }
 
     /// The memory budget for blocking operators.
     pub fn memory_budget(&self) -> &MemoryBudget {
-        &self.budget
+        &self.config.memory_budget
     }
 
     /// Whether the cost-based optimizer runs before physical planning.
     pub fn optimizer_enabled(&self) -> bool {
-        self.optimizer
+        self.config.optimizer
     }
 
     /// Whether operators may route eligible work through the vectorised
     /// columnar kernels.
     pub fn vectorised(&self) -> bool {
-        self.vectorised
+        self.config.vectorised
     }
 
     /// A configured [`crate::optimizer::Optimizer`] for this context's
     /// catalog and knobs.
     pub fn optimizer(&self) -> crate::optimizer::Optimizer<'a> {
         crate::optimizer::Optimizer::new(self.catalog)
-            .with_batch_size(self.batch_size)
-            .with_budget(self.budget.limit())
-            .with_auto_analyze(self.auto_analyze)
-            .with_oracle_batching(self.oracle_batching)
+            .with_batch_size(self.config.batch_size)
+            .with_budget(self.config.memory_budget.limit())
+            .with_auto_analyze(self.config.auto_analyze)
+            .with_oracle_batching(self.config.oracle_batching)
     }
 
     /// The query's buffer pool lease.
@@ -553,9 +343,26 @@ impl<'a> ExecContext<'a> {
         self.stats.shard(parallel::current_worker())
     }
 
-    /// Locks the current worker's blinding RNG.
+    /// Locks the current worker's blinding RNG, seeding the pool on first
+    /// use: from the config's seed, else from one OS entropy draw that
+    /// derives every worker's stream.
+    #[allow(clippy::disallowed_methods)]
     pub(crate) fn rng_mut(&self) -> MutexGuard<'_, StdRng> {
-        self.rngs[parallel::current_worker() % self.rngs.len()].lock()
+        let rngs = self.rngs.get_or_init(|| {
+            let workers = self.config.parallelism as u64;
+            let seeds: Vec<u64> = match self.config.rng_seed {
+                Some(seed) => (0..workers).map(|i| seed.wrapping_add(i)).collect(),
+                None => {
+                    let mut master = StdRng::from_entropy();
+                    (0..workers).map(|_| master.gen()).collect()
+                }
+            };
+            seeds
+                .into_iter()
+                .map(|seed| Mutex::new(StdRng::seed_from_u64(seed)))
+                .collect()
+        });
+        rngs[parallel::current_worker() % rngs.len()].lock()
     }
 
     /// The UDF instances of the query's call sites, with the constants they
@@ -579,7 +386,8 @@ impl<'a> ExecContext<'a> {
         &self,
         exprs: impl IntoIterator<Item = &'e sdb_sql::ast::Expr>,
     ) -> Arc<crate::udf::KeyUpdateSets> {
-        self.udf_sites.key_update_sets(exprs, self.parallelism)
+        self.udf_sites
+            .key_update_sets(exprs, self.config.parallelism)
     }
 
     /// Counts one batch of keyed work (join keys, a grouped morsel): a kernel
@@ -589,7 +397,7 @@ impl<'a> ExecContext<'a> {
     /// `kernel_hit_share` comparable.
     pub(crate) fn record_key_batch(&self, interpreted: bool) {
         let mut stats = self.stats_mut();
-        match interpreted || !self.vectorised {
+        match interpreted || !self.config.vectorised {
             true => stats.scalar_fallback_batches += 1,
             false => stats.vectorised_batches += 1,
         }
@@ -657,59 +465,45 @@ impl ExecContext<'_> {
             }
         }
         let plan = PlanBuilder::build(query)?;
-        // Start from the *raw* oracle so the latency wrapper is applied
-        // exactly once, and share the parent's encrypted-value memo so
-        // answers the parent already paid for never re-travel the link.
-        let mut sub = ExecContext::new(self.catalog, self.registry, self.oracle_raw.clone())
-            .with_batch_size(self.batch_size)
-            .with_memory_budget(self.budget.clone())
-            .with_optimizer(self.optimizer)
-            .with_oracle_batching(self.oracle_batching)
-            .with_vectorised(self.vectorised)
-            .with_parallelism(1);
-        sub.oracle = Self::wrapped_oracle(&sub.oracle_raw, self.oracle_latency);
-        sub.oracle_latency = self.oracle_latency;
+        // The parent's settings at parallelism 1, untraced (its pager events
+        // still reach the parent's spans), on the parent's oracle as already
+        // latency-wrapped; spill through the parent's lease, so the subquery
+        // counts against the query's budget share; stop with the parent's
+        // cancel token.
+        let config = ExecConfig {
+            parallelism: 1,
+            tracing: false,
+            oracle_latency: None,
+            ..self.config.clone()
+        };
+        let mut sub = ExecContext::new(
+            self.catalog,
+            self.registry,
+            self.oracle.clone(),
+            config,
+            Some(Arc::clone(&self.pager)),
+            Some(self.cancel.clone()),
+        );
+        // Answers the parent already paid for never re-travel the link.
         sub.oracle_memo = Arc::clone(&self.oracle_memo);
-        // Cancelling the parent must also stop a subquery in flight.
-        sub = sub.with_cancel_token(self.cancel.clone());
+        let sub = Arc::new(sub);
         // Attribute the subquery's wall time to the parent: `total_time` is
         // only stamped at the top-level execute, so without this counter a
         // subquery-heavy parent under-reports where its time went. Cache
         // hits return above and cost (and record) nothing.
         let started = std::time::Instant::now();
-        let batch = execute_plan(&Arc::new(sub), &plan, |sub_stats| {
-            self.stats_mut().merge(sub_stats);
-        })?;
-        self.stats_mut().subquery_time += started.elapsed();
+        let batch = crate::planner::execute_plan(&sub, &plan)?;
+        // The shards only: the spill counters live on the shared lease, which
+        // the parent's `stats()` already reads.
+        let mut stats = self.stats_mut();
+        stats.merge(&sub.stats.snapshot());
+        stats.subquery_time += started.elapsed();
         cache
             .entry(key)
             .or_default()
             .push((query.clone(), batch.clone()));
         Ok(batch)
     }
-}
-
-/// Plans and drains a logical plan to completion, concatenating all produced
-/// batches. `on_finish` receives the context's final statistics (used to merge
-/// subquery stats into a parent). When the context's optimizer knob is on,
-/// the logical plan passes through the cost-based optimizer first.
-pub(crate) fn execute_plan<'a>(
-    ctx: &Arc<ExecContext<'a>>,
-    plan: &sdb_sql::plan::LogicalPlan,
-    on_finish: impl FnOnce(&ExecutionStats),
-) -> Result<RecordBatch> {
-    let optimized;
-    let plan = if ctx.optimizer_enabled() {
-        optimized = ctx.optimizer().optimize(plan);
-        &optimized
-    } else {
-        plan
-    };
-    let mut root = crate::planner::PhysicalPlanner::new(Arc::clone(ctx)).plan(plan)?;
-    let batch = drain_operator(root.as_mut())?;
-    ctx.stats_mut().rows_returned = batch.num_rows();
-    on_finish(&ctx.stats());
-    Ok(batch)
 }
 
 /// Runs one operator's full lifecycle, concatenating its output batches.

@@ -542,7 +542,7 @@ impl Epoch {
 /// the pager while operand rows accumulate, and each registered call resolves
 /// in one coalesced round trip per [`ORACLE_FLUSH_BYTES`]/[`ORACLE_FLUSH_ROWS`]
 /// window — for typical inputs, one trip per distinct call total. With
-/// batching off ([`ExecContext::with_oracle_batching`]), sign and group-tag
+/// batching off ([`crate::ExecConfig::oracle_batching`]), sign and group-tag
 /// calls resolve per input batch as before; either way the encrypted-value
 /// memo answers repeated operands locally.
 ///

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use sdb_sql::ast::{BinaryOp, Expr, JoinKind, Literal};
 use sdb_sql::plan::{AggFunc, AggregateExpr, ProjectionItem, SortKey};
-use sdb_storage::{Catalog, ColumnDef, DataType, RecordBatch, Schema, Value};
+use sdb_storage::{Catalog, ColumnDef, DataType, MemoryBudget, RecordBatch, Schema, Value};
 
 use super::aggregate::HashAggregate;
 use super::filter::Filter;
@@ -14,11 +14,22 @@ use super::project::Project;
 use super::scan::TableScan;
 use super::sort::{Distinct, Limit, Sort};
 use super::{drain_operator, BoxedOperator, ExecContext, PhysicalOperator};
+use crate::secure::OracleRef;
 use crate::udf::UdfRegistry;
-use crate::Result;
+use crate::{ExecConfig, Result};
 
 fn registry() -> UdfRegistry {
     UdfRegistry::with_sdb_udfs()
+}
+
+/// A context under `config` on a private pool.
+fn context<'a>(
+    catalog: &'a Catalog,
+    reg: &'a UdfRegistry,
+    oracle: Option<OracleRef>,
+    config: ExecConfig,
+) -> Arc<ExecContext<'a>> {
+    Arc::new(ExecContext::new(catalog, reg, oracle, config, None, None))
 }
 
 fn catalog_with_numbers(rows: &[(i64, i64)]) -> Catalog {
@@ -113,7 +124,15 @@ fn scan_chunks_by_batch_size() {
     let rows: Vec<(i64, i64)> = (0..5).map(|i| (i, i * 10)).collect();
     let catalog = catalog_with_numbers(&rows);
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None).with_batch_size(2));
+    let ctx = context(
+        &catalog,
+        &reg,
+        None,
+        ExecConfig {
+            batch_size: 2,
+            ..ExecConfig::default()
+        },
+    );
     let mut scan = TableScan::new(Arc::clone(&ctx), "numbers", None);
     scan.open().unwrap();
     let sizes: Vec<usize> = std::iter::from_fn(|| scan.next_batch().unwrap())
@@ -128,7 +147,7 @@ fn scan_chunks_by_batch_size() {
 fn scan_of_empty_table_emits_schema_batch() {
     let catalog = catalog_with_numbers(&[]);
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let mut scan = TableScan::new(ctx, "numbers", Some("n"));
     let batch = drain_operator(&mut scan).unwrap();
     assert_eq!(batch.num_rows(), 0);
@@ -140,7 +159,15 @@ fn scanned_batches_are_windows_onto_the_tables_buffers() {
     let rows: Vec<(i64, i64)> = (0..10).map(|i| (i, i * 10)).collect();
     let catalog = catalog_with_numbers(&rows);
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None).with_batch_size(4));
+    let ctx = context(
+        &catalog,
+        &reg,
+        None,
+        ExecConfig {
+            batch_size: 4,
+            ..ExecConfig::default()
+        },
+    );
     let handle = catalog.table("numbers").unwrap();
 
     // Only `b` is referenced: the scan reads that one column.
@@ -192,7 +219,7 @@ fn operator_trees_are_send() {
 fn filter_across_batches_and_empty_input() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = ab_schema();
 
     // Predicate a > 2 over batches [(1,1),(3,3)] and [(5,5)].
@@ -219,7 +246,7 @@ fn filter_across_batches_and_empty_input() {
 fn project_computes_per_batch() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = ab_schema();
     let input = FixedBatches::boxed(int_batches(&schema, &[&[(1, 10)], &[(2, 20)], &[]]));
     let items = vec![
@@ -244,7 +271,7 @@ fn project_computes_per_batch() {
 fn project_shares_what_it_does_not_compute() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = Schema::new(vec![
         ColumnDef::public("a", DataType::Int),
         ColumnDef::sensitive("b", DataType::Decimal { scale: 2 }),
@@ -312,7 +339,7 @@ fn join_sides(schema: &Schema) -> (BoxedOperator<'static>, BoxedOperator<'static
 fn hash_join_streams_probe_batches() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = ab_schema();
     let (left, right) = join_sides(&schema);
     let mut join = HashJoin::new(
@@ -347,7 +374,7 @@ fn hash_join_streams_probe_batches() {
 fn hash_join_with_empty_sides() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = ab_schema();
     let empty = || FixedBatches::boxed(vec![RecordBatch::empty(ab_schema())]);
 
@@ -383,7 +410,7 @@ fn hash_join_with_empty_sides() {
 fn fk_pk_probe_shares_the_probe_columns() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = ab_schema();
     let dim = || FixedBatches::boxed(int_batches(&ab_schema(), &[&[(2, -2), (1, -1), (3, -3)]]));
     let probe = |rows: &[(i64, i64)]| int_batches(&schema, &[rows]).remove(0);
@@ -427,7 +454,7 @@ fn fk_pk_probe_shares_the_probe_columns() {
 fn hash_join_orders_matches_and_pads_unmatched_rows() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = ab_schema();
     let build = || {
         FixedBatches::boxed(keyed_batches(
@@ -488,7 +515,15 @@ fn forced_hash_collisions_change_no_result() {
     let catalog = Catalog::new();
     let reg = registry();
     // Serial: the hook is per thread.
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None).with_parallelism(1));
+    let ctx = context(
+        &catalog,
+        &reg,
+        None,
+        ExecConfig {
+            parallelism: 1,
+            ..ExecConfig::default()
+        },
+    );
     let rows: Vec<(Option<i64>, i64)> = (0..90)
         .map(|i| ((i % 11 != 0).then_some(i % 7), i % 5))
         .collect();
@@ -537,7 +572,7 @@ fn forced_hash_collisions_change_no_result() {
 fn nested_loop_join_applies_predicate() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = ab_schema();
     let (left, right) = join_sides(&schema);
     let on = Expr::binary(col("a"), BinaryOp::Lt, col("k"));
@@ -555,7 +590,7 @@ fn nested_loop_join_applies_predicate() {
 fn aggregate_groups_across_batch_boundaries() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = ab_schema();
     // Group 1 spans both batches.
     let input = FixedBatches::boxed(int_batches(&schema, &[&[(1, 10), (2, 20)], &[(1, 30)]]));
@@ -580,7 +615,7 @@ fn aggregate_groups_across_batch_boundaries() {
 fn global_aggregate_over_empty_input_yields_one_row() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let input = FixedBatches::boxed(vec![RecordBatch::empty(ab_schema())]);
     let mut aggregate = HashAggregate::new(
         ctx,
@@ -606,7 +641,7 @@ fn global_aggregate_over_empty_input_yields_one_row() {
 fn sort_merges_batches() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = ab_schema();
     let input = FixedBatches::boxed(int_batches(&schema, &[&[(3, 0), (1, 0)], &[(2, 0)]]));
     let keys = vec![SortKey {
@@ -773,7 +808,7 @@ fn rank_calls_resolve_in_one_round_trip_across_batches() {
 
     // Rank surrogates are only comparable within one request: multi-batch
     // input must still produce exactly one round trip.
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, Some(oracle.clone())));
+    let ctx = context(&catalog, &reg, Some(oracle.clone()), ExecConfig::default());
     let input = FixedBatches::boxed(encrypted_batches(3, 2));
     let mut resolve = OracleResolve::new(Arc::clone(&ctx), input, vec![oracle_call("SDB_RANK")]);
     let out = drain_operator(&mut resolve).unwrap();
@@ -788,7 +823,7 @@ fn rank_calls_resolve_in_one_round_trip_across_batches() {
 
     // Group tags coalesce across input batches too (the cross-batch
     // accumulator): one trip for three input batches.
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, Some(oracle.clone())));
+    let ctx = context(&catalog, &reg, Some(oracle.clone()), ExecConfig::default());
     let input = FixedBatches::boxed(encrypted_batches(3, 2));
     let mut resolve =
         OracleResolve::new(Arc::clone(&ctx), input, vec![oracle_call("SDB_GROUP_TAG")]);
@@ -799,7 +834,15 @@ fn rank_calls_resolve_in_one_round_trip_across_batches() {
     assert_eq!(stats.oracle_rows_coalesced, 6);
 
     // With batching off, tags resolve per batch — the pre-batching behavior.
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, Some(oracle)).with_oracle_batching(false));
+    let ctx = context(
+        &catalog,
+        &reg,
+        Some(oracle),
+        ExecConfig {
+            oracle_batching: false,
+            ..ExecConfig::default()
+        },
+    );
     let input = FixedBatches::boxed(encrypted_batches(3, 2));
     let mut resolve =
         OracleResolve::new(Arc::clone(&ctx), input, vec![oracle_call("SDB_GROUP_TAG")]);
@@ -822,8 +865,14 @@ fn batching_is_byte_identical_and_one_trip_per_call_under_any_budget() {
 
     // Reference: batching off, unlimited budget (one trip per call per batch).
     let oracle: crate::secure::OracleRef = std::sync::Arc::new(ContentOracle);
-    let ref_ctx = Arc::new(
-        ExecContext::new(&catalog, &reg, Some(oracle.clone())).with_oracle_batching(false),
+    let ref_ctx = context(
+        &catalog,
+        &reg,
+        Some(oracle.clone()),
+        ExecConfig {
+            oracle_batching: false,
+            ..ExecConfig::default()
+        },
     );
     let input = FixedBatches::boxed(encrypted_batches(25, 16));
     let mut resolve = OracleResolve::new(Arc::clone(&ref_ctx), input, calls());
@@ -838,11 +887,11 @@ fn batching_is_byte_identical_and_one_trip_per_call_under_any_budget() {
     // Batched: one coalesced trip per distinct call, identical answers —
     // with and without a budget that forces the parked batches to spill.
     for budget in [None, Some(4096usize)] {
-        let mut ctx = ExecContext::new(&catalog, &reg, Some(oracle.clone()));
+        let mut config = ExecConfig::default();
         if let Some(bytes) = budget {
-            ctx = ctx.with_memory_budget(sdb_storage::MemoryBudget::bytes(bytes));
+            config.memory_budget = MemoryBudget::bytes(bytes);
         }
-        let ctx = Arc::new(ctx);
+        let ctx = context(&catalog, &reg, Some(oracle.clone()), config);
         let input = FixedBatches::boxed(encrypted_batches(25, 16));
         let mut resolve = OracleResolve::new(Arc::clone(&ctx), input, calls());
         let out = drain_operator(&mut resolve).unwrap();
@@ -876,8 +925,14 @@ fn memo_answers_repeated_operands_without_new_trips() {
     // entirely from the memo — two trips total, zero for the repeat.
     let mut batches = encrypted_batches(2, 2);
     batches.push(batches[0].clone());
-    let ctx = Arc::new(
-        ExecContext::new(&catalog, &reg, Some(oracle.clone())).with_oracle_batching(false),
+    let ctx = context(
+        &catalog,
+        &reg,
+        Some(oracle.clone()),
+        ExecConfig {
+            oracle_batching: false,
+            ..ExecConfig::default()
+        },
     );
     let input = FixedBatches::boxed(batches.clone());
     let mut resolve = OracleResolve::new(Arc::clone(&ctx), input, vec![cmp_call("h1")]);
@@ -907,8 +962,14 @@ fn zero_row_rank_input_short_circuits_without_a_trip() {
     ]);
 
     for batching in [true, false] {
-        let ctx = Arc::new(
-            ExecContext::new(&catalog, &reg, Some(oracle.clone())).with_oracle_batching(batching),
+        let ctx = context(
+            &catalog,
+            &reg,
+            Some(oracle.clone()),
+            ExecConfig {
+                oracle_batching: batching,
+                ..ExecConfig::default()
+            },
         );
         let input = FixedBatches::boxed(vec![RecordBatch::empty(schema.clone())]);
         let mut resolve =
@@ -936,7 +997,7 @@ fn zero_row_rank_input_short_circuits_without_a_trip() {
 fn project_locks_computed_types_across_null_leading_batches() {
     let catalog = Catalog::new();
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let schema = Schema::new(vec![
         ColumnDef::public("a", DataType::Int),
         ColumnDef::public("name", DataType::Varchar),
@@ -984,10 +1045,15 @@ fn tiny_budget_ctx<'a>(
     reg: &'a UdfRegistry,
     batch_size: usize,
 ) -> Arc<ExecContext<'a>> {
-    Arc::new(
-        ExecContext::new(catalog, reg, None)
-            .with_memory_budget(sdb_storage::MemoryBudget::bytes(256))
-            .with_batch_size(batch_size),
+    context(
+        catalog,
+        reg,
+        None,
+        ExecConfig {
+            memory_budget: MemoryBudget::bytes(256),
+            batch_size,
+            ..ExecConfig::default()
+        },
     )
 }
 
@@ -1009,7 +1075,15 @@ fn external_sort_is_byte_identical_to_in_memory_sort() {
         desc: false,
     }];
 
-    let in_memory_ctx = Arc::new(ExecContext::new(&catalog, &reg, None).with_batch_size(32));
+    let in_memory_ctx = context(
+        &catalog,
+        &reg,
+        None,
+        ExecConfig {
+            batch_size: 32,
+            ..ExecConfig::default()
+        },
+    );
     let mut reference = Sort::new(
         Arc::clone(&in_memory_ctx),
         Box::new(TableScan::new(Arc::clone(&in_memory_ctx), "numbers", None)),
@@ -1092,7 +1166,15 @@ fn spilling_aggregate_is_byte_identical_to_hash_aggregate() {
         },
     ];
 
-    let in_memory_ctx = Arc::new(ExecContext::new(&catalog, &reg, None).with_batch_size(32));
+    let in_memory_ctx = context(
+        &catalog,
+        &reg,
+        None,
+        ExecConfig {
+            batch_size: 32,
+            ..ExecConfig::default()
+        },
+    );
     let mut reference = HashAggregate::new(
         Arc::clone(&in_memory_ctx),
         Box::new(TableScan::new(Arc::clone(&in_memory_ctx), "numbers", None)),
@@ -1214,7 +1296,15 @@ fn grace_join_is_byte_identical_to_hash_join() {
     let catalog = Catalog::new();
     let reg = registry();
     for kind in [JoinKind::Inner, JoinKind::Left] {
-        let unlimited = Arc::new(ExecContext::new(&catalog, &reg, None).with_batch_size(16));
+        let unlimited = context(
+            &catalog,
+            &reg,
+            None,
+            ExecConfig {
+                batch_size: 16,
+                ..ExecConfig::default()
+            },
+        );
         let mut reference = HashJoin::new(
             Arc::clone(&unlimited),
             FixedBatches::boxed(keyed_batches(&schema, &probe_chunks)),
@@ -1346,8 +1436,15 @@ fn grace_join_resolves_oracle_keys_in_one_trip_per_side() {
     let left_in = || FixedBatches::boxed(encrypted_batches(6, 8));
     let right_in = || FixedBatches::boxed(encrypted_batches(4, 8));
 
-    let unlimited =
-        Arc::new(ExecContext::new(&catalog, &reg, Some(oracle.clone())).with_batch_size(16));
+    let unlimited = context(
+        &catalog,
+        &reg,
+        Some(oracle.clone()),
+        ExecConfig {
+            batch_size: 16,
+            ..ExecConfig::default()
+        },
+    );
     let mut reference = HashJoin::new(
         Arc::clone(&unlimited),
         left_in(),
@@ -1360,10 +1457,15 @@ fn grace_join_resolves_oracle_keys_in_one_trip_per_side() {
     assert!(expected.num_rows() > 0, "tags must produce matches");
 
     // Batched Grace under a spill-forcing budget: one trip per side, total.
-    let ctx = Arc::new(
-        ExecContext::new(&catalog, &reg, Some(oracle.clone()))
-            .with_memory_budget(sdb_storage::MemoryBudget::bytes(256))
-            .with_batch_size(16),
+    let ctx = context(
+        &catalog,
+        &reg,
+        Some(oracle.clone()),
+        ExecConfig {
+            memory_budget: MemoryBudget::bytes(256),
+            batch_size: 16,
+            ..ExecConfig::default()
+        },
     );
     let mut grace = GraceHashJoin::new(
         Arc::clone(&ctx),
@@ -1389,11 +1491,16 @@ fn grace_join_resolves_oracle_keys_in_one_trip_per_side() {
     assert_eq!(ctx.pager().resident_bytes(), 0);
 
     // Batching off: every accumulated chunk pays its own trips, same bytes.
-    let ctx = Arc::new(
-        ExecContext::new(&catalog, &reg, Some(oracle))
-            .with_memory_budget(sdb_storage::MemoryBudget::bytes(256))
-            .with_batch_size(16)
-            .with_oracle_batching(false),
+    let ctx = context(
+        &catalog,
+        &reg,
+        Some(oracle),
+        ExecConfig {
+            memory_budget: MemoryBudget::bytes(256),
+            batch_size: 16,
+            oracle_batching: false,
+            ..ExecConfig::default()
+        },
     );
     let mut grace = GraceHashJoin::new(
         Arc::clone(&ctx),
@@ -1416,7 +1523,7 @@ fn grace_join_resolves_oracle_keys_in_one_trip_per_side() {
 fn describe_renders_operator_trees() {
     let catalog = catalog_with_numbers(&[(1, 2)]);
     let reg = registry();
-    let ctx = Arc::new(ExecContext::new(&catalog, &reg, None));
+    let ctx = context(&catalog, &reg, None, ExecConfig::default());
     let scan: BoxedOperator<'_> = Box::new(TableScan::new(Arc::clone(&ctx), "numbers", None));
     let filter: BoxedOperator<'_> = Box::new(Filter::new(
         Arc::clone(&ctx),

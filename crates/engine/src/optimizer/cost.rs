@@ -100,7 +100,7 @@ pub struct CostModel {
     /// beyond it are priced as spills).
     pub budget: Option<usize>,
     /// Whether the engine coalesces oracle operand rows across input batches
-    /// (the [`ExecContext::with_oracle_batching`](crate::ExecContext::with_oracle_batching)
+    /// (the [`ExecConfig::oracle_batching`](crate::ExecConfig::oracle_batching)
     /// knob). Changes the per-call trip count from per-batch to per-flush.
     pub oracle_batching: bool,
 }

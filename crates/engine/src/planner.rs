@@ -431,9 +431,20 @@ fn placeholder_column(name: &str) -> ColumnDef {
 }
 
 /// Plans and executes a logical plan to completion, concatenating all output
-/// batches and recording `rows_returned`.
+/// batches and recording `rows_returned`. When the context's optimizer is on,
+/// the logical plan passes through the cost-based optimizer first.
 pub fn execute_plan<'a>(ctx: &Arc<ExecContext<'a>>, plan: &LogicalPlan) -> Result<RecordBatch> {
-    crate::operators::execute_plan(ctx, plan, |_| {})
+    let optimized;
+    let plan = if ctx.optimizer_enabled() {
+        optimized = ctx.optimizer().optimize(plan);
+        &optimized
+    } else {
+        plan
+    };
+    let mut root = PhysicalPlanner::new(Arc::clone(ctx)).plan(plan)?;
+    let batch = crate::operators::drain_operator(root.as_mut())?;
+    ctx.stats_mut().rows_returned = batch.num_rows();
+    Ok(batch)
 }
 
 #[cfg(test)]
@@ -442,11 +453,24 @@ mod tests {
     //! (Carried over from the monolithic executor this pipeline replaced.)
 
     use super::*;
+    use crate::secure::OracleRef;
     use crate::udf::UdfRegistry;
-    use crate::EngineError;
+    use crate::{EngineError, ExecConfig};
     use sdb_sql::plan::PlanBuilder;
     use sdb_sql::{parse_sql, Statement};
     use sdb_storage::{Catalog, Value};
+
+    /// A context under `config` on a private pool.
+    pub(super) fn context<'a>(
+        catalog: &'a Catalog,
+        registry: &'a UdfRegistry,
+        oracle: Option<OracleRef>,
+        config: ExecConfig,
+    ) -> Arc<ExecContext<'a>> {
+        Arc::new(ExecContext::new(
+            catalog, registry, oracle, config, None, None,
+        ))
+    }
 
     pub(super) fn setup_catalog() -> Catalog {
         let catalog = Catalog::new();
@@ -501,7 +525,15 @@ mod tests {
     /// exercised alongside the single-batch default.
     fn run_batched(catalog: &Catalog, sql: &str, batch_size: usize) -> RecordBatch {
         let registry = UdfRegistry::with_sdb_udfs();
-        let ctx = Arc::new(ExecContext::new(catalog, &registry, None).with_batch_size(batch_size));
+        let ctx = context(
+            catalog,
+            &registry,
+            None,
+            ExecConfig {
+                batch_size,
+                ..ExecConfig::default()
+            },
+        );
         let plan = PlanBuilder::build(&parse_query(sql)).unwrap();
         execute_plan(&ctx, &plan).unwrap_or_else(|e| panic!("query failed: {sql}: {e}"))
     }
@@ -705,7 +737,7 @@ mod tests {
     fn stats_track_scans_and_rows() {
         let catalog = setup_catalog();
         let registry = UdfRegistry::with_sdb_udfs();
-        let ctx = Arc::new(ExecContext::new(&catalog, &registry, None));
+        let ctx = context(&catalog, &registry, None, ExecConfig::default());
         let plan =
             PlanBuilder::build(&parse_query("SELECT * FROM emp WHERE salary > 250")).unwrap();
         let batch = execute_plan(&ctx, &plan).unwrap();
@@ -719,7 +751,7 @@ mod tests {
     fn missing_table_and_column_errors() {
         let catalog = setup_catalog();
         let registry = UdfRegistry::with_sdb_udfs();
-        let ctx = Arc::new(ExecContext::new(&catalog, &registry, None));
+        let ctx = context(&catalog, &registry, None, ExecConfig::default());
         let plan = PlanBuilder::build(&parse_query("SELECT * FROM nope")).unwrap();
         assert!(execute_plan(&ctx, &plan).is_err());
 
@@ -733,7 +765,7 @@ mod tests {
         // A filter that calls an oracle function must fail without an oracle
         // connected.
         let registry = UdfRegistry::with_sdb_udfs();
-        let ctx = Arc::new(ExecContext::new(&catalog, &registry, None));
+        let ctx = context(&catalog, &registry, None, ExecConfig::default());
         let plan = PlanBuilder::build(&parse_query(
             "SELECT name FROM emp WHERE SDB_CMP_GT(salary, id, 'h', '35')",
         ))
@@ -746,7 +778,7 @@ mod tests {
     fn plain_conjuncts_filter_below_the_oracle_backed_ones() {
         let catalog = setup_catalog();
         let registry = UdfRegistry::with_sdb_udfs();
-        let ctx = Arc::new(ExecContext::new(&catalog, &registry, None));
+        let ctx = context(&catalog, &registry, None, ExecConfig::default());
         let planner = PhysicalPlanner::new(Arc::clone(&ctx));
         let tree = |sql: &str| {
             let plan = PlanBuilder::build(&parse_query(sql)).unwrap();
@@ -812,8 +844,15 @@ mod tests {
         let registry = UdfRegistry::with_sdb_udfs();
         let plan_of = |sql: &str| PlanBuilder::build(&parse_query(sql)).unwrap();
         for parallelism in [1, 4] {
-            let ctx =
-                Arc::new(ExecContext::new(&catalog, &registry, None).with_parallelism(parallelism));
+            let ctx = context(
+                &catalog,
+                &registry,
+                None,
+                ExecConfig {
+                    parallelism,
+                    ..ExecConfig::default()
+                },
+            );
             let planner = PhysicalPlanner::new(Arc::clone(&ctx));
             let op = planner
                 .plan(&plan_of("SELECT name FROM emp WHERE salary > 0 LIMIT 2"))
@@ -831,10 +870,15 @@ mod tests {
         let sql = "SELECT dept_id, COUNT(*) AS c FROM emp GROUP BY dept_id ORDER BY dept_id";
         let plan = PlanBuilder::build(&parse_query(sql)).unwrap();
 
-        let budgeted = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_memory_budget(sdb_storage::MemoryBudget::bytes(1024))
-                .with_parallelism(1),
+        let budgeted = context(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                memory_budget: sdb_storage::MemoryBudget::bytes(1024),
+                parallelism: 1,
+                ..ExecConfig::default()
+            },
         );
         let tree = PhysicalPlanner::new(budgeted)
             .plan(&plan)
@@ -845,10 +889,15 @@ mod tests {
 
         // An explicit unlimited budget keeps the in-memory operators (set
         // explicitly so a CI-level SDB_TEST_MEM_BUDGET cannot leak in).
-        let unbudgeted = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_memory_budget(sdb_storage::MemoryBudget::unlimited())
-                .with_parallelism(1),
+        let unbudgeted = context(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                memory_budget: sdb_storage::MemoryBudget::unlimited(),
+                parallelism: 1,
+                ..ExecConfig::default()
+            },
         );
         let tree = PhysicalPlanner::new(unbudgeted)
             .plan(&plan)
@@ -888,10 +937,15 @@ mod tests {
         let residual_left =
             "SELECT e.name FROM emp e LEFT JOIN dept d ON e.dept_id = d.id AND d.dept_name <> 'x'";
 
-        let budgeted = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_memory_budget(sdb_storage::MemoryBudget::bytes(1024))
-                .with_parallelism(1),
+        let budgeted = context(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                memory_budget: sdb_storage::MemoryBudget::bytes(1024),
+                parallelism: 1,
+                ..ExecConfig::default()
+            },
         );
         let planner = PhysicalPlanner::new(budgeted);
         let tree = planner
@@ -909,10 +963,15 @@ mod tests {
         assert!(tree.contains("NestedLoopJoin"), "{tree}");
 
         // An explicit unlimited budget keeps the in-memory hash join.
-        let unbudgeted = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_memory_budget(sdb_storage::MemoryBudget::unlimited())
-                .with_parallelism(1),
+        let unbudgeted = context(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                memory_budget: sdb_storage::MemoryBudget::unlimited(),
+                parallelism: 1,
+                ..ExecConfig::default()
+            },
         );
         let tree = PhysicalPlanner::new(unbudgeted)
             .plan(&PlanBuilder::build(&parse_query(equi)).unwrap())
@@ -928,7 +987,7 @@ mod tests {
     fn planner_selects_join_operators() {
         let catalog = setup_catalog();
         let registry = UdfRegistry::with_sdb_udfs();
-        let ctx = Arc::new(ExecContext::new(&catalog, &registry, None));
+        let ctx = context(&catalog, &registry, None, ExecConfig::default());
         let planner = PhysicalPlanner::new(Arc::clone(&ctx));
 
         // Equi-join lowers to a hash join (under the projection).
@@ -952,12 +1011,13 @@ mod pruning_tests {
     //! Scan column pruning: a plan whose scans read only referenced columns
     //! returns bytes identical to the same plan reading every column.
 
-    use super::tests::{parse_query, setup_catalog};
+    use super::tests::{context, parse_query, setup_catalog};
     use super::*;
     use crate::secure::{
         OracleRef, OracleRequest, OracleRequestKind, OracleResponse, OracleResult,
     };
     use crate::udf::UdfRegistry;
+    use crate::ExecConfig;
     use num_bigint::BigUint;
     use sdb_sql::plan::PlanBuilder;
     use sdb_storage::{Catalog, Value};
@@ -972,11 +1032,13 @@ mod pruning_tests {
     ) -> (RecordBatch, Vec<(usize, usize)>) {
         let registry = UdfRegistry::with_sdb_udfs();
         let run = |prune: bool| {
-            let ctx = ExecContext::new(catalog, &registry, oracle.clone())
-                .with_rng_seed(11)
-                .with_batch_size(3)
-                .with_tracing(true);
-            let ctx = Arc::new(ctx);
+            let config = ExecConfig {
+                rng_seed: Some(11),
+                batch_size: 3,
+                tracing: true,
+                ..ExecConfig::default()
+            };
+            let ctx = context(catalog, &registry, oracle.clone(), config);
             let plan = ctx
                 .optimizer()
                 .optimize(&PlanBuilder::build(&parse_query(sql)).unwrap());

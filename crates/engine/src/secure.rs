@@ -135,9 +135,10 @@ impl SdbOracle for NullOracle {
 /// real unit cost; wrapping it makes every round trip pay a realistic RTT, so
 /// tests and benches can *observe* (as wall-clock time) whether operators
 /// batch their oracle traffic or quietly regress to per-batch or per-row
-/// trips. Enable it globally with `SDB_TEST_ORACLE_LATENCY_MS` (every
-/// [`crate::ExecContext`] wraps its oracle when the variable is set) or
-/// explicitly via [`crate::SpEngine::with_oracle_latency`].
+/// trips. Every [`crate::ExecContext`] wraps its oracle when its
+/// [`crate::ExecConfig::oracle_latency`] is set: process-wide with
+/// `SDB_TEST_ORACLE_LATENCY_MS`, or per engine with
+/// [`crate::SpEngine::with_oracle_latency`].
 pub struct LatencyOracle {
     inner: OracleRef,
     latency: std::time::Duration,
@@ -147,22 +148,6 @@ impl LatencyOracle {
     /// Wraps `inner`, delaying every request by `latency`.
     pub fn new(inner: OracleRef, latency: std::time::Duration) -> Self {
         LatencyOracle { inner, latency }
-    }
-
-    /// Wraps `inner` with the latency named by `SDB_TEST_ORACLE_LATENCY_MS`,
-    /// or returns it unchanged when the variable is unset, unparsable or
-    /// zero.
-    pub fn wrap_from_env(inner: OracleRef) -> OracleRef {
-        match std::env::var("SDB_TEST_ORACLE_LATENCY_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            Some(ms) if ms > 0 => Arc::new(LatencyOracle::new(
-                inner,
-                std::time::Duration::from_millis(ms),
-            )),
-            _ => inner,
-        }
     }
 }
 
@@ -308,17 +293,6 @@ mod tests {
             .unwrap();
         assert!(started.elapsed() >= std::time::Duration::from_millis(5));
         assert_eq!(response, OracleResponse::Signs(vec![]));
-    }
-
-    #[test]
-    fn wrap_from_env_without_the_variable_is_identity() {
-        // The test runner may or may not have the variable set; only assert
-        // the unset path (a private temp var name nothing else reads).
-        if std::env::var("SDB_TEST_ORACLE_LATENCY_MS").is_err() {
-            let inner: OracleRef = Arc::new(NullOracle);
-            let wrapped = LatencyOracle::wrap_from_env(Arc::clone(&inner));
-            assert!(Arc::ptr_eq(&inner, &wrapped));
-        }
     }
 
     #[test]

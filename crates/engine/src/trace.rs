@@ -1,6 +1,6 @@
 //! Per-query execution tracing: a span tree mirroring the physical plan.
 //!
-//! When tracing is on ([`crate::operators::ExecContext::with_tracing`],
+//! When tracing is on ([`crate::ExecConfig::tracing`],
 //! default off, `SDB_TRACE=1` flips the engine default),
 //! [`crate::planner::PhysicalPlanner`] wraps every physical operator in an
 //! [`InstrumentedOperator`]. Each wrapper owns one span of a [`QueryTrace`]

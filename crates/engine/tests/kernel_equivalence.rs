@@ -17,7 +17,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use sdb_engine::planner::execute_plan;
-use sdb_engine::{ExecContext, UdfRegistry};
+use sdb_engine::{ExecConfig, ExecContext, UdfRegistry};
 use sdb_sql::plan::PlanBuilder;
 use sdb_sql::{parse_sql, Statement};
 use sdb_storage::{Catalog, ColumnDef, DataType, RecordBatch, Schema, Value};
@@ -130,11 +130,18 @@ fn run(
     parallelism: usize,
 ) -> Result<RecordBatch, String> {
     let registry = UdfRegistry::with_sdb_udfs();
-    let ctx = Arc::new(
-        ExecContext::new(catalog, &registry, None)
-            .with_vectorised(vectorised)
-            .with_parallelism(parallelism),
-    );
+    let ctx = Arc::new(ExecContext::new(
+        catalog,
+        &registry,
+        None,
+        ExecConfig {
+            vectorised,
+            parallelism,
+            ..ExecConfig::default()
+        },
+        None,
+        None,
+    ));
     let plan = match parse_sql(sql).unwrap() {
         Statement::Query(q) => PlanBuilder::build(&q).unwrap(),
         other => panic!("expected query, got {other:?}"),
@@ -226,11 +233,18 @@ fn engagement_counters_record_which_path_ran() {
     let catalog = table_of(&deterministic_rows(128));
     let registry = UdfRegistry::with_sdb_udfs();
     let run_counted = |sql: &str, vectorised: bool| {
-        let ctx = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_vectorised(vectorised)
-                .with_memory_budget(sdb_storage::MemoryBudget::unlimited()),
-        );
+        let ctx = Arc::new(ExecContext::new(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                vectorised,
+                memory_budget: sdb_storage::MemoryBudget::unlimited(),
+                ..ExecConfig::default()
+            },
+            None,
+            None,
+        ));
         let plan = match parse_sql(sql).unwrap() {
             Statement::Query(q) => PlanBuilder::build(&q).unwrap(),
             other => panic!("expected query, got {other:?}"),

@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use sdb_crypto::{BoundKeyUpdateSet, EncryptedRowId, KeyConfig, KeyUpdateParams, SiesCipher};
 use sdb_engine::planner::execute_plan;
 use sdb_engine::secure::{OracleRequest, OracleResponse, OracleResult, SdbOracle};
-use sdb_engine::{ExecContext, ExecutionStats, UdfRegistry, DEFAULT_BATCH_SIZE};
+use sdb_engine::{ExecConfig, ExecContext, ExecutionStats, UdfRegistry, DEFAULT_BATCH_SIZE};
 use sdb_sql::plan::PlanBuilder;
 use sdb_sql::{parse_sql, Statement};
 use sdb_storage::{Catalog, ColumnDef, DataType, MemoryBudget, RecordBatch, Schema, Value};
@@ -232,12 +232,19 @@ fn run_keeping_powers(
     let budget = knobs
         .budget
         .map_or_else(MemoryBudget::unlimited, MemoryBudget::bytes);
-    let ctx = Arc::new(
-        ExecContext::new(catalog, &registry, oracle)
-            .with_memory_budget(budget)
-            .with_parallelism(knobs.parallelism)
-            .with_batch_size(knobs.batch_size),
-    );
+    let ctx = Arc::new(ExecContext::new(
+        catalog,
+        &registry,
+        oracle,
+        ExecConfig {
+            memory_budget: budget,
+            parallelism: knobs.parallelism,
+            batch_size: knobs.batch_size,
+            ..ExecConfig::default()
+        },
+        None,
+        None,
+    ));
     let out = execute_plan(&ctx, &PlanBuilder::build(&query).unwrap())?;
     Ok((out, ctx.stats(), ctx.udf_sites().remembered_powers()))
 }

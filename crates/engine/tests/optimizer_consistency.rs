@@ -19,7 +19,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use sdb_engine::planner::execute_plan;
-use sdb_engine::{ExecContext, MemoryBudget, SpEngine, UdfRegistry};
+use sdb_engine::{ExecConfig, ExecContext, MemoryBudget, SpEngine, UdfRegistry};
 use sdb_sql::plan::{LogicalPlan, PlanBuilder};
 use sdb_sql::{parse_sql, Statement};
 use sdb_storage::{Catalog, ColumnDef, DataType, RecordBatch, Schema, Value};
@@ -112,12 +112,19 @@ fn run(
     parallelism: usize,
 ) -> RecordBatch {
     let registry = UdfRegistry::with_sdb_udfs();
-    let ctx = Arc::new(
-        ExecContext::new(catalog, &registry, None)
-            .with_optimizer(optimizer)
-            .with_memory_budget(budget)
-            .with_parallelism(parallelism),
-    );
+    let ctx = Arc::new(ExecContext::new(
+        catalog,
+        &registry,
+        None,
+        ExecConfig {
+            optimizer,
+            memory_budget: budget,
+            parallelism,
+            ..ExecConfig::default()
+        },
+        None,
+        None,
+    ));
     let plan = parse_plan(sql);
     execute_plan(&ctx, &plan).unwrap_or_else(|e| panic!("query failed: {sql}: {e}"))
 }
@@ -190,13 +197,20 @@ fn kernels_match_scalar_across_optimized_matrix() {
     catalog.analyze_all().unwrap();
     let registry = UdfRegistry::with_sdb_udfs();
     let run_v = |sql: &str, vectorised: bool, budget: MemoryBudget, parallelism: usize| {
-        let ctx = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_vectorised(vectorised)
-                .with_optimizer(true)
-                .with_memory_budget(budget)
-                .with_parallelism(parallelism),
-        );
+        let ctx = Arc::new(ExecContext::new(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                vectorised,
+                optimizer: true,
+                memory_budget: budget,
+                parallelism,
+                ..ExecConfig::default()
+            },
+            None,
+            None,
+        ));
         let plan = parse_plan(sql);
         execute_plan(&ctx, &plan).unwrap_or_else(|e| panic!("query failed: {sql}: {e}"))
     };
@@ -292,20 +306,34 @@ fn bare_limit_blocks_reordering_but_sorted_limit_does_not() {
     );
     let reference = {
         let registry = UdfRegistry::with_sdb_udfs();
-        let ctx = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_optimizer(false)
-                .with_parallelism(1),
-        );
+        let ctx = Arc::new(ExecContext::new(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                optimizer: false,
+                parallelism: 1,
+                ..ExecConfig::default()
+            },
+            None,
+            None,
+        ));
         execute_plan(&ctx, &bare).unwrap()
     };
     let got = {
         let registry = UdfRegistry::with_sdb_udfs();
-        let ctx = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_optimizer(true)
-                .with_parallelism(1),
-        );
+        let ctx = Arc::new(ExecContext::new(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                optimizer: true,
+                parallelism: 1,
+                ..ExecConfig::default()
+            },
+            None,
+            None,
+        ));
         execute_plan(&ctx, &bare).unwrap()
     };
     assert_eq!(got, reference, "bare-LIMIT result set must not change");
@@ -460,11 +488,18 @@ fn nested_loop_right_side_stays_paged_under_budget() {
     let registry = UdfRegistry::with_sdb_udfs();
     // The scan reads only `m.g` (60 ints, under 512 B): the budget sits
     // below that.
-    let ctx = Arc::new(
-        ExecContext::new(&catalog, &registry, None)
-            .with_memory_budget(MemoryBudget::bytes(128))
-            .with_parallelism(1),
-    );
+    let ctx = Arc::new(ExecContext::new(
+        &catalog,
+        &registry,
+        None,
+        ExecConfig {
+            memory_budget: MemoryBudget::bytes(128),
+            parallelism: 1,
+            ..ExecConfig::default()
+        },
+        None,
+        None,
+    ));
     let plan = parse_plan(sql);
     let got = execute_plan(&ctx, &plan).unwrap();
     assert_eq!(got, reference, "paged nested loop diverged");

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sdb_engine::planner::execute_plan;
-use sdb_engine::{ExecContext, UdfRegistry, DEFAULT_BATCH_SIZE};
+use sdb_engine::{ExecConfig, ExecContext, UdfRegistry, DEFAULT_BATCH_SIZE};
 use sdb_sql::ast::{Expr, Literal, Query, SelectItem, TableRef};
 use sdb_sql::plan::PlanBuilder;
 use sdb_sql::{parse_sql, Statement};
@@ -76,11 +76,18 @@ fn parse_query(sql: &str) -> Query {
 
 fn run(catalog: &Catalog, query: &Query, parallelism: usize, batch_size: usize) -> RecordBatch {
     let registry = UdfRegistry::with_sdb_udfs();
-    let ctx = Arc::new(
-        ExecContext::new(catalog, &registry, None)
-            .with_parallelism(parallelism)
-            .with_batch_size(batch_size),
-    );
+    let ctx = Arc::new(ExecContext::new(
+        catalog,
+        &registry,
+        None,
+        ExecConfig {
+            parallelism,
+            batch_size,
+            ..ExecConfig::default()
+        },
+        None,
+        None,
+    ));
     let plan = PlanBuilder::build(query).unwrap();
     execute_plan(&ctx, &plan).unwrap()
 }
@@ -140,12 +147,15 @@ fn kernels_match_scalar_across_budget_matrix() {
     let catalog = generated_catalog(1_000);
     let registry = UdfRegistry::with_sdb_udfs();
     let run_v = |query: &Query, vectorised: bool, budget: Option<usize>, parallelism: usize| {
-        let mut ctx = ExecContext::new(&catalog, &registry, None)
-            .with_vectorised(vectorised)
-            .with_parallelism(parallelism);
+        let mut config = ExecConfig {
+            vectorised,
+            parallelism,
+            ..ExecConfig::default()
+        };
         if let Some(bytes) = budget {
-            ctx = ctx.with_memory_budget(sdb_storage::MemoryBudget::bytes(bytes));
+            config.memory_budget = sdb_storage::MemoryBudget::bytes(bytes);
         }
+        let ctx = ExecContext::new(&catalog, &registry, None, config, None, None);
         let plan = PlanBuilder::build(query).unwrap();
         execute_plan(&Arc::new(ctx), &plan).unwrap()
     };
@@ -173,12 +183,15 @@ fn tracing_is_byte_identical_across_knob_matrix() {
     let catalog = generated_catalog(1_000);
     let registry = UdfRegistry::with_sdb_udfs();
     let run_t = |query: &Query, tracing: bool, budget: Option<usize>, parallelism: usize| {
-        let mut ctx = ExecContext::new(&catalog, &registry, None)
-            .with_parallelism(parallelism)
-            .with_tracing(tracing);
+        let mut config = ExecConfig {
+            parallelism,
+            tracing,
+            ..ExecConfig::default()
+        };
         if let Some(bytes) = budget {
-            ctx = ctx.with_memory_budget(sdb_storage::MemoryBudget::bytes(bytes));
+            config.memory_budget = sdb_storage::MemoryBudget::bytes(bytes);
         }
+        let ctx = ExecContext::new(&catalog, &registry, None, config, None, None);
         let ctx = Arc::new(ctx);
         let plan = PlanBuilder::build(query).unwrap();
         let out = execute_plan(&ctx, &plan).unwrap();
@@ -301,12 +314,19 @@ fn seeded_rng_keeps_parallel_oracle_runs_deterministic() {
     let plan = PlanBuilder::build(&query).unwrap();
     let run_seeded = |parallelism: usize| {
         let oracle: sdb_engine::secure::OracleRef = Arc::new(ParityOracle);
-        let ctx = Arc::new(
-            ExecContext::new(&catalog, &registry, Some(oracle))
-                .with_rng_seed(42)
-                .with_parallelism(parallelism)
-                .with_batch_size(64),
-        );
+        let ctx = Arc::new(ExecContext::new(
+            &catalog,
+            &registry,
+            Some(oracle),
+            ExecConfig {
+                rng_seed: Some(42),
+                parallelism,
+                batch_size: 64,
+                ..ExecConfig::default()
+            },
+            None,
+            None,
+        ));
         execute_plan(&ctx, &plan).unwrap()
     };
 
@@ -371,7 +391,14 @@ fn subquery_cache_distinguishes_identically_rendered_subqueries() {
     }];
 
     let registry = UdfRegistry::with_sdb_udfs();
-    let ctx = Arc::new(ExecContext::new(&catalog, &registry, None));
+    let ctx = Arc::new(ExecContext::new(
+        &catalog,
+        &registry,
+        None,
+        ExecConfig::default(),
+        None,
+        None,
+    ));
     let plan = PlanBuilder::build(&outer).unwrap();
     let out = execute_plan(&ctx, &plan).unwrap();
     assert_eq!(out.num_rows(), 1);
@@ -402,14 +429,17 @@ fn oracle_batching_matrix_is_byte_identical_with_exact_trip_counts() {
     let run_with =
         |parallelism: usize, batch_size: usize, budget: Option<usize>, batching: bool| {
             let oracle: sdb_engine::secure::OracleRef = Arc::new(ParityOracle);
-            let mut ctx = ExecContext::new(&catalog, &registry, Some(oracle))
-                .with_rng_seed(42)
-                .with_parallelism(parallelism)
-                .with_batch_size(batch_size)
-                .with_oracle_batching(batching);
+            let mut config = ExecConfig {
+                rng_seed: Some(42),
+                parallelism,
+                batch_size,
+                oracle_batching: batching,
+                ..ExecConfig::default()
+            };
             if let Some(bytes) = budget {
-                ctx = ctx.with_memory_budget(sdb_storage::MemoryBudget::bytes(bytes));
+                config.memory_budget = sdb_storage::MemoryBudget::bytes(bytes);
             }
+            let ctx = ExecContext::new(&catalog, &registry, Some(oracle), config, None, None);
             let ctx = Arc::new(ctx);
             let out = execute_plan(&ctx, &plan).unwrap();
             (out, ctx.stats())
@@ -461,12 +491,19 @@ fn memo_answers_repeat_executions_without_round_trips() {
     );
     let plan = PlanBuilder::build(&query).unwrap();
     let oracle: sdb_engine::secure::OracleRef = Arc::new(ParityOracle);
-    let ctx = Arc::new(
-        ExecContext::new(&catalog, &registry, Some(oracle))
-            .with_rng_seed(42)
-            .with_parallelism(4)
-            .with_batch_size(64),
-    );
+    let ctx = Arc::new(ExecContext::new(
+        &catalog,
+        &registry,
+        Some(oracle),
+        ExecConfig {
+            rng_seed: Some(42),
+            parallelism: 4,
+            batch_size: 64,
+            ..ExecConfig::default()
+        },
+        None,
+        None,
+    ));
 
     let first = execute_plan(&ctx, &plan).unwrap();
     assert_eq!(ctx.stats().oracle_round_trips, 2);
@@ -481,4 +518,87 @@ fn memo_answers_repeat_executions_without_round_trips() {
         stats.oracle_memo_hits, 400,
         "200 rows x 2 calls answered from the memo"
     );
+}
+
+/// A [`ParityOracle`] that also records every blinded operand it is shipped,
+/// one vector per request.
+#[derive(Default)]
+struct RecordingOracle {
+    shipped: std::sync::Mutex<Vec<Vec<BigUint>>>,
+}
+
+impl RecordingOracle {
+    fn take(&self) -> Vec<Vec<BigUint>> {
+        std::mem::take(&mut self.shipped.lock().unwrap())
+    }
+}
+
+impl sdb_engine::SdbOracle for RecordingOracle {
+    fn resolve(&self, request: sdb_engine::OracleRequest) -> sdb_engine::OracleResult {
+        let shares = request.rows.iter().map(|r| r.share.clone()).collect();
+        self.shipped.lock().unwrap().push(shares);
+        ParityOracle.resolve(request)
+    }
+}
+
+/// The blinding RNGs are seeded when a query first blinds, never shared
+/// between queries: two unseeded runs of one compare on one engine ship
+/// different operands (same answers), while a seeded config reproduces its
+/// operands exactly at parallelism 1 and 4.
+#[test]
+fn blinding_is_fresh_per_query_unless_seeded() {
+    let sql = "SELECT id FROM enc WHERE SDB_CMP_GT(v, rid, 'h', '1000003')";
+    let recorder = Arc::new(RecordingOracle::default());
+    let engine = sdb_engine::SpEngine::with_catalog(Arc::new(encrypted_catalog(64)));
+    engine.connect_oracle(Arc::clone(&recorder) as sdb_engine::secure::OracleRef);
+    let first = engine.execute_sql(sql).unwrap();
+    let first_shipped = recorder.take();
+    let second = engine.execute_sql(sql).unwrap();
+    let second_shipped = recorder.take();
+    assert_eq!(
+        first.batch, second.batch,
+        "blinding must not change answers"
+    );
+    assert!(
+        !first_shipped.is_empty(),
+        "the compare must reach the oracle"
+    );
+    assert_ne!(
+        first_shipped, second_shipped,
+        "unseeded queries must draw fresh blinding factors"
+    );
+
+    let catalog = encrypted_catalog(64);
+    let registry = UdfRegistry::with_sdb_udfs();
+    let plan = PlanBuilder::build(&parse_query(sql)).unwrap();
+    let run_seeded = |parallelism: usize| {
+        let config = ExecConfig {
+            rng_seed: Some(42),
+            parallelism,
+            batch_size: 16,
+            ..ExecConfig::default()
+        };
+        let oracle = Arc::clone(&recorder) as sdb_engine::secure::OracleRef;
+        let ctx = Arc::new(ExecContext::new(
+            &catalog,
+            &registry,
+            Some(oracle),
+            config,
+            None,
+            None,
+        ));
+        let out = execute_plan(&ctx, &plan).unwrap();
+        (out, recorder.take())
+    };
+    for parallelism in [1, 4] {
+        let (out_a, shipped_a) = run_seeded(parallelism);
+        let (out_b, shipped_b) = run_seeded(parallelism);
+        assert_eq!(out_a, first.batch, "parallelism {parallelism}");
+        assert_eq!(out_a, out_b, "parallelism {parallelism}");
+        assert!(!shipped_a.is_empty());
+        assert_eq!(
+            shipped_a, shipped_b,
+            "a seeded config must repeat its operands (parallelism {parallelism})"
+        );
+    }
 }

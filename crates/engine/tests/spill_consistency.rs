@@ -9,11 +9,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use sdb_engine::planner::execute_plan;
-use sdb_engine::{ExecContext, MemoryBudget, UdfRegistry, DEFAULT_BATCH_SIZE};
+use sdb_engine::{ExecConfig, ExecContext, MemoryBudget, UdfRegistry, DEFAULT_BATCH_SIZE};
 use sdb_sql::ast::Query;
 use sdb_sql::plan::PlanBuilder;
 use sdb_sql::{parse_sql, Statement};
-use sdb_storage::{Catalog, ColumnDef, DataType, RecordBatch, Schema, Value};
+use sdb_storage::{BufferPool, Catalog, ColumnDef, DataType, Pager, RecordBatch, Schema, Value};
 
 /// Deterministic pseudo-random stream (no RNG dependency in the data).
 fn mix(i: u64) -> u64 {
@@ -87,13 +87,20 @@ fn run(
     // the joins out from under the per-query spill expectations.
     // (Optimized-plan byte-identity has its own matrix in
     // optimizer_consistency.rs.)
-    let ctx = Arc::new(
-        ExecContext::new(catalog, &registry, None)
-            .with_memory_budget(budget)
-            .with_optimizer(false)
-            .with_parallelism(parallelism)
-            .with_batch_size(batch_size),
-    );
+    let ctx = Arc::new(ExecContext::new(
+        catalog,
+        &registry,
+        None,
+        ExecConfig {
+            memory_budget: budget,
+            optimizer: false,
+            parallelism,
+            batch_size,
+            ..ExecConfig::default()
+        },
+        None,
+        None,
+    ));
     let plan = PlanBuilder::build(query).unwrap();
     let batch = execute_plan(&ctx, &plan).unwrap();
     (batch, ctx.stats())
@@ -289,13 +296,20 @@ fn kernels_match_scalar_across_spill_matrix() {
     let catalog = generated_catalog(3_000);
     let registry = UdfRegistry::with_sdb_udfs();
     let run_v = |query: &Query, vectorised: bool, budget: MemoryBudget, parallelism: usize| {
-        let ctx = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_vectorised(vectorised)
-                .with_memory_budget(budget)
-                .with_optimizer(false)
-                .with_parallelism(parallelism),
-        );
+        let ctx = Arc::new(ExecContext::new(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                vectorised,
+                memory_budget: budget,
+                optimizer: false,
+                parallelism,
+                ..ExecConfig::default()
+            },
+            None,
+            None,
+        ));
         let plan = PlanBuilder::build(query).unwrap();
         execute_plan(&ctx, &plan).unwrap()
     };
@@ -351,10 +365,17 @@ fn spill_files_removed_after_query_drop() {
     let registry = UdfRegistry::with_sdb_udfs();
 
     let spill_path = {
-        let ctx = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_memory_budget(MemoryBudget::bytes(2 * 1024).with_spill_dir(&dir)),
-        );
+        let ctx = Arc::new(ExecContext::new(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                memory_budget: MemoryBudget::bytes(2 * 1024).with_spill_dir(&dir),
+                ..ExecConfig::default()
+            },
+            None,
+            None,
+        ));
         let plan = PlanBuilder::build(&parse_query("SELECT id FROM big ORDER BY val, id")).unwrap();
         execute_plan(&ctx, &plan).unwrap();
         let path = ctx
@@ -379,10 +400,17 @@ fn spill_files_removed_after_failed_query() {
     let registry = UdfRegistry::with_sdb_udfs();
 
     let spill_path = {
-        let ctx = Arc::new(
-            ExecContext::new(&catalog, &registry, None)
-                .with_memory_budget(MemoryBudget::bytes(2 * 1024).with_spill_dir(&dir)),
-        );
+        let ctx = Arc::new(ExecContext::new(
+            &catalog,
+            &registry,
+            None,
+            ExecConfig {
+                memory_budget: MemoryBudget::bytes(2 * 1024).with_spill_dir(&dir),
+                ..ExecConfig::default()
+            },
+            None,
+            None,
+        ));
         let plan = PlanBuilder::build(&parse_query("SELECT SUM(name) AS s FROM big")).unwrap();
         let result = execute_plan(&ctx, &plan);
         assert!(result.is_err(), "summing strings must fail");
@@ -455,4 +483,57 @@ proptest! {
             }
         }
     }
+}
+
+/// A subquery spills through its parent's pager lease. On a shared pool,
+/// under a 4 KiB budget share, an uncorrelated subquery whose sort spills
+/// returns the unbudgeted bytes, and every page it spilled shows on the
+/// lease (what the serving layer bills the session) and in the query's
+/// statistics, counted once.
+#[test]
+fn subqueries_spill_through_the_parents_lease() {
+    let catalog = generated_catalog(2_000);
+    let registry = UdfRegistry::with_sdb_udfs();
+    // Only the subquery materialises: the outer scan and filter stream.
+    let query = parse_query(
+        "SELECT id, val FROM big WHERE id < 40 AND val IN (SELECT val FROM big ORDER BY name, id)",
+    );
+    let plan = PlanBuilder::build(&query).unwrap();
+    let serial = ExecConfig {
+        parallelism: 1,
+        optimizer: false,
+        ..ExecConfig::default()
+    };
+    let unbudgeted = ExecConfig {
+        memory_budget: MemoryBudget::unlimited(),
+        ..serial.clone()
+    };
+    let reference = execute_plan(
+        &Arc::new(ExecContext::new(
+            &catalog, &registry, None, unbudgeted, None, None,
+        )),
+        &plan,
+    )
+    .unwrap();
+    assert_eq!(reference.num_rows(), 40);
+
+    let pool = Arc::new(BufferPool::new(&MemoryBudget::bytes(1 << 20)));
+    let lease = Arc::new(Pager::shared(&pool));
+    let budgeted = ExecConfig {
+        memory_budget: MemoryBudget::bytes(4 << 10),
+        ..serial
+    };
+    let ctx = Arc::new(ExecContext::new(
+        &catalog,
+        &registry,
+        None,
+        budgeted,
+        Some(Arc::clone(&lease)),
+        None,
+    ));
+    let out = execute_plan(&ctx, &plan).unwrap();
+    assert_eq!(out, reference, "the budgeted subquery changed bytes");
+    let spilled = lease.stats().pages_spilled;
+    assert!(spilled > 0, "the subquery's sort must spill on the lease");
+    assert_eq!(ctx.stats().pages_spilled, spilled);
 }

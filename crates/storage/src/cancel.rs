@@ -25,7 +25,7 @@ use crate::{Result, StorageError};
 /// Poll count that disables the self-trip fuse.
 const FUSE_DISARMED: u64 = u64::MAX;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TokenState {
     cancelled: AtomicBool,
     /// Number of [`CancelToken::check`] calls observed so far.
@@ -33,6 +33,16 @@ struct TokenState {
     /// Trip the token when `checks` reaches this value (tests);
     /// [`FUSE_DISARMED`] means never.
     fuse: AtomicU64,
+}
+
+impl Default for TokenState {
+    fn default() -> Self {
+        TokenState {
+            cancelled: AtomicBool::new(false),
+            checks: AtomicU64::new(0),
+            fuse: AtomicU64::new(FUSE_DISARMED),
+        }
+    }
 }
 
 /// A cloneable cancellation flag polled cooperatively by running queries.
@@ -56,15 +66,9 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// Creates an untripped token.
+    /// Creates an untripped token (the same as [`CancelToken::default`]).
     pub fn new() -> Self {
-        CancelToken {
-            state: Arc::new(TokenState {
-                cancelled: AtomicBool::new(false),
-                checks: AtomicU64::new(0),
-                fuse: AtomicU64::new(FUSE_DISARMED),
-            }),
-        }
+        CancelToken::default()
     }
 
     /// Creates a token that trips itself on the `n`-th [`check`] call
@@ -118,12 +122,13 @@ mod tests {
 
     #[test]
     fn default_token_never_trips_on_its_own() {
-        let token = CancelToken::new();
-        for _ in 0..1000 {
-            token.check().unwrap();
+        for token in [CancelToken::new(), CancelToken::default()] {
+            for _ in 0..1000 {
+                token.check().unwrap();
+            }
+            assert_eq!(token.checks(), 1000);
+            assert!(!token.is_cancelled());
         }
-        assert_eq!(token.checks(), 1000);
-        assert!(!token.is_cancelled());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use sdb::{SdbClient, SdbConfig};
 use sdb_engine::operators::drain_operator;
-use sdb_engine::{ExecContext, PhysicalPlanner, SdbOracle, UdfRegistry};
+use sdb_engine::{ExecConfig, ExecContext, PhysicalPlanner, SdbOracle, UdfRegistry};
 use sdb_sql::PlanBuilder;
 use sdb_storage::Value;
 use sdb_workload::{generate_all, ScaleFactor, SensitivityProfile};
@@ -169,6 +169,9 @@ fn sp_side_arithmetic_state_holds_only_constants_the_sp_was_sent() {
         client.engine().catalog(),
         &registry,
         Some(oracle),
+        ExecConfig::default(),
+        None,
+        None,
     ));
     let plan = PlanBuilder::build(&rewritten.server_query).unwrap();
     let mut root = PhysicalPlanner::new(Arc::clone(&ctx)).plan(&plan).unwrap();
@@ -235,6 +238,9 @@ fn key_update_sets_remember_only_what_the_sp_was_sent_and_count_in_integers() {
         client.engine().catalog(),
         &registry,
         Some(oracle),
+        ExecConfig::default(),
+        None,
+        None,
     ));
     let plan = PlanBuilder::build(&rewritten.server_query).unwrap();
     let mut root = PhysicalPlanner::new(Arc::clone(&ctx)).plan(&plan).unwrap();

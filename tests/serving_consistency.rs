@@ -362,6 +362,25 @@ fn degraded_submissions_run_spilling_plans() {
     );
 }
 
+/// A subquery spills through its query's lease on the shared pool, so the
+/// session is billed for those pages: the outer plan only streams, the
+/// uncorrelated subquery's sort overflows the budget share.
+#[test]
+fn subquery_spills_count_against_the_session() {
+    let mut server = build_server(MemoryBudget::bytes(64 << 10), 1, 1, AdmissionMode::Queue);
+    server.stage_table(wide_table()).expect("stage wide");
+    server.upload_all().expect("upload wide");
+    let session = server.connect();
+
+    let sql = "SELECT id FROM wide WHERE id < 4 AND id IN (SELECT id FROM wide ORDER BY pad DESC)";
+    let result = server.execute(session, sql).expect("subquery");
+    assert_eq!(result.rows().len(), 4);
+    let spilled = result.server_stats.pages_spilled;
+    assert!(spilled > 0, "the subquery's sort must spill");
+    let stats = server.session_stats(session).expect("stats");
+    assert_eq!(stats.pages_spilled, spilled);
+}
+
 /// A latency histogram snapshot must be internally consistent no matter when
 /// it was taken: the count equals the per-bucket sum, and the quantiles are
 /// ordered and bounded by the observed max.
@@ -652,12 +671,22 @@ fn no_submission_starves_under_sustained_load() {
 
 #[test]
 fn a_scan_opened_before_an_insert_keeps_its_snapshot() {
-    use sdb_engine::{ExecContext, PhysicalPlanner, UdfRegistry};
+    use sdb_engine::{ExecConfig, ExecContext, PhysicalPlanner, UdfRegistry};
 
     let mut server = build_server(MemoryBudget::unlimited(), 1, 1, AdmissionMode::Queue);
     let catalog = Arc::clone(server.client().engine().catalog());
     let registry = UdfRegistry::with_sdb_udfs();
-    let ctx = Arc::new(ExecContext::new(&catalog, &registry, None).with_batch_size(32));
+    let ctx = Arc::new(ExecContext::new(
+        &catalog,
+        &registry,
+        None,
+        ExecConfig {
+            batch_size: 32,
+            ..ExecConfig::default()
+        },
+        None,
+        None,
+    ));
     let sdb_sql::Statement::Query(query) = sdb_sql::parse_sql("SELECT id FROM orders").unwrap()
     else {
         panic!("a query");
