@@ -4,7 +4,7 @@
 //! global aggregation (`GlobalAggKernel`'s columnar folds) have a scalar
 //! twin and run twice — `with_vectorised(false)` vs `(true)`. The keyed
 //! operators (hash-join probe on one and on two key columns, group-by) have
-//! one key path (`sdb_engine::kernels::keys`) whatever the knob says, so
+//! one key path (`sdb_storage::keys`) whatever the knob says, so
 //! they are timed once.
 //!
 //! Besides the criterion timings, the target writes a

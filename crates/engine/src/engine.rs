@@ -545,11 +545,28 @@ impl SpEngine {
     }
 
     /// Executes an already-parsed statement with per-query overrides.
+    ///
+    /// A panic while the statement runs becomes [`EngineError::Panicked`].
+    /// Unwinding drops the query's context and operators, so its pages and
+    /// spill file go with them, as on any other error. What the engine
+    /// shares between statements survives a panic intact: its locks never
+    /// poison, a table grows by whole rows, and an index is extended by
+    /// whole entries.
     pub fn execute_statement_with(
         &self,
         statement: &Statement,
         opts: &QueryOptions,
     ) -> Result<QueryOutput> {
+        let run = std::panic::AssertUnwindSafe(|| self.run_statement(statement, opts));
+        std::panic::catch_unwind(run).unwrap_or_else(|panic| {
+            let detail = (panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "a non-text payload".to_string());
+            Err(EngineError::Panicked { detail })
+        })
+    }
+
+    fn run_statement(&self, statement: &Statement, opts: &QueryOptions) -> Result<QueryOutput> {
         match statement {
             Statement::Query(query) => {
                 let plan = PlanBuilder::build(query)?;

@@ -43,6 +43,13 @@ pub enum EngineError {
         /// Description of the unsupported operation.
         detail: String,
     },
+    /// The statement panicked (a bug, or a panicking UDF). The engine caught
+    /// the panic at the statement boundary and dropped the query's state, its
+    /// pager lease included; the engine itself keeps serving.
+    Panicked {
+        /// The panic's message.
+        detail: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -64,6 +71,7 @@ impl fmt::Display for EngineError {
             }
             EngineError::OracleProtocol { detail } => write!(f, "oracle protocol error: {detail}"),
             EngineError::Unsupported { detail } => write!(f, "unsupported: {detail}"),
+            EngineError::Panicked { detail } => write!(f, "statement panicked: {detail}"),
         }
     }
 }

@@ -9,9 +9,10 @@
 //! * [`select`] — predicate → selection [`sdb_storage::Bitmap`] for `Filter`;
 //! * [`agg`] — global (no `GROUP BY`) SUM/COUNT/AVG/MIN/MAX folds.
 //!
-//! [`keys`] is not a kernel with a scalar twin but the one key path of every
-//! keyed operator: key columns, a hash per row, the key equality and the
-//! chained index joins, grouping and `DISTINCT` share.
+//! The one key path of every keyed operator — key columns, a hash per row,
+//! the key equality and the chained index joins, grouping and `DISTINCT`
+//! share — is [`sdb_storage::keys`], because the catalog's hash indexes are
+//! built from it too.
 //!
 //! Compilation is conservative: anything that could *error* or call a UDF in
 //! the scalar path (mixed-type comparisons, computed expressions, subqueries)
@@ -23,7 +24,8 @@
 //! interpreter whenever a kernel declines.
 
 pub mod agg;
-pub mod keys;
+#[cfg(test)]
+mod keys;
 pub mod select;
 
 pub use agg::GlobalAggKernel;

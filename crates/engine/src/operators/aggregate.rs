@@ -19,10 +19,10 @@ use sdb_storage::{ColumnDef, DataType, RecordBatch, Schema, Value};
 use super::expr::{evaluate_exprs, infer_column_def, input_column, sensitivity_of, ExprColumn};
 use super::parallel::{effective_workers, scoped_workers};
 use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
-use crate::kernels::keys::{hash_key, key_eq, keys_eq, BatchKeys, ChainIndex};
 use crate::kernels::GlobalAggKernel;
 use crate::udf::KeyUpdateSets;
 use crate::{EngineError, Result};
+use sdb_storage::keys::{hash_key, key_eq, keys_eq, BatchKeys, ChainIndex};
 
 /// Per-group accumulation state: the group-key values (which *are* the key),
 /// the number of rows seen and each aggregate's argument values in row order.
@@ -33,7 +33,7 @@ pub(super) struct GroupState {
 }
 
 /// Group states in first-occurrence order, found by key through an index from
-/// key hash to candidate states (see [`crate::kernels::keys`]; NULLs form one
+/// key hash to candidate states (see [`sdb_storage::keys`]; NULLs form one
 /// group). Shared with [`super::spill_aggregate::SpillingHashAggregate`],
 /// which rebuilds states from spilled partition rows.
 #[derive(Default)]

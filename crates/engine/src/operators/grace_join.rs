@@ -14,7 +14,7 @@
 //!    never re-evaluates its key (re-evaluation could re-trigger subquery
 //!    resolution and would double-count UDF statistics); what a row is
 //!    routed by is the hash of those components
-//!    ([`crate::kernels::keys`]), recomputed from them at every level.
+//!    ([`sdb_storage::keys`]), recomputed from them at every level.
 //!    Probe rows also carry their global arrival sequence number. Key
 //!    evaluation is morsel-parallel (the same path the in-memory join
 //!    uses); routing happens serially in arrival order, so every stream
@@ -83,8 +83,8 @@ use super::oracle::{collect_oracle_calls_all, resolve_for_exprs, OracleAccumulat
 use super::parallel::scoped_workers;
 use super::spill_aggregate::{FANOUT, MAX_LEVELS};
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
-use crate::kernels::keys::{partition_of, BatchKeys};
 use crate::Result;
+use sdb_storage::keys::{partition_of, BatchKeys};
 
 /// Bounded-memory hash equi-join. Output is byte-identical to the in-memory
 /// [`super::join::HashJoin`]; see the [module docs](self) for the design.

@@ -11,12 +11,12 @@ use super::expr::{evaluate_exprs, input_column};
 use super::oracle::resolve_for_exprs;
 use super::parallel::{effective_workers, scoped_workers};
 use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
-use crate::kernels::keys::{keys_eq, BatchKeys, ChainIndex};
 use crate::Result;
+use sdb_storage::keys::{keys_eq, BatchKeys, ChainIndex};
 
 /// Hash equi-join: indexes the materialised right side by key during
 /// `open()`, then streams left batches against it. Keys are columns plus a
-/// hash per row (see [`crate::kernels::keys`]); a probe row's matches come
+/// hash per row (see [`sdb_storage::keys`]); a probe row's matches come
 /// back as `(probe row, build row)` index pairs and the output batch is one
 /// gather per column.
 ///

@@ -1,9 +1,10 @@
 //! Base-table scan: windows onto the table's shared column buffers, reading
-//! only the columns the plan references.
+//! only the columns the plan references — or, as an `IndexScan`, only the
+//! rows a key lookup on a public column finds.
 
 use std::sync::Arc;
 
-use sdb_storage::{ColumnDef, RecordBatch, Schema};
+use sdb_storage::{ColumnDef, RecordBatch, Schema, Value};
 
 use super::{ExecContext, PhysicalOperator};
 use crate::Result;
@@ -15,15 +16,25 @@ use crate::Result;
 /// first batch. A concurrent `INSERT` copies on write, so the rows a scan
 /// emits are exactly the rows the table held at `open()`. Batches are
 /// windows onto that snapshot.
+///
+/// With a [`KeyLookup`] the scan is an `IndexScan`: after the same snapshot
+/// it probes the catalog's [`sdb_storage::KeyIndex`] on the lookup's column
+/// and emits, in ascending row order, only the snapshot's rows the index
+/// finds — a superset of the rows equal to a key, which the filter above
+/// decides. `rows_scanned` counts the rows emitted either way.
 pub struct TableScan<'a> {
     ctx: Arc<ExecContext<'a>>,
     table: String,
     alias: Option<String>,
     /// The column names the plan above references (`None`: every column).
     referenced: Option<Vec<String>>,
+    /// The key lookup of an index scan.
+    lookup: Option<KeyLookup>,
     /// The table snapshot, taken at `open()`.
     source: Option<RecordBatch>,
-    /// Next row offset into the snapshot.
+    /// The snapshot rows an index scan emits, ascending (`None`: every row).
+    rows: Option<Vec<usize>>,
+    /// Next position in the rows to emit.
     offset: usize,
     /// True until the first batch is emitted (an empty table still yields one
     /// empty batch so downstream operators learn the schema).
@@ -39,7 +50,9 @@ impl<'a> TableScan<'a> {
             table: table.to_string(),
             alias: alias.map(str::to_string),
             referenced: None,
+            lookup: None,
             source: None,
+            rows: None,
             offset: 0,
             emitted: false,
         }
@@ -51,6 +64,16 @@ impl<'a> TableScan<'a> {
     pub fn reading(mut self, referenced: Option<Vec<String>>) -> Self {
         self.referenced = referenced;
         self
+    }
+
+    /// Makes the scan an index scan emitting only the rows `lookup` finds.
+    pub fn looking_up(mut self, lookup: KeyLookup) -> Self {
+        self.lookup = Some(lookup);
+        self
+    }
+
+    fn visible(&self) -> &str {
+        self.alias.as_deref().unwrap_or(&self.table)
     }
 
     /// Whether a reference anywhere above can resolve to column `name` of
@@ -71,11 +94,12 @@ impl<'a> TableScan<'a> {
 
     /// The snapshot: the read columns, named `visible.column` so joins and
     /// qualified references resolve (bare references still work through the
-    /// schema's suffix matching).
-    fn snapshot(&self) -> Result<RecordBatch> {
-        let visible = self.alias.as_deref().unwrap_or(&self.table);
-        let handle = self.ctx.catalog().table(&self.table)?;
-        let (snapshot, total) = {
+    /// schema's suffix matching); for an index scan, also the rows to emit.
+    fn snapshot(&self) -> Result<(RecordBatch, Option<Vec<usize>>)> {
+        let visible = self.visible();
+        let catalog = self.ctx.catalog();
+        let handle = catalog.table(&self.table)?;
+        let (snapshot, total, key) = {
             let table = handle.read();
             let defs = table.schema().columns();
             let mut read: Vec<usize> = (0..defs.len())
@@ -85,15 +109,42 @@ impl<'a> TableScan<'a> {
                 let heapless = |d: &ColumnDef| d.data_type.is_numeric();
                 read.push(defs.iter().position(heapless).unwrap_or(0));
             }
-            (table.scan_columns(&read), defs.len())
+            let key = match &self.lookup {
+                Some(lookup) => Some((
+                    table.schema().index_of(&lookup.column)?,
+                    table.column(&lookup.column)?.clone(),
+                )),
+                None => None,
+            };
+            (table.scan_columns(&read), defs.len(), key)
         };
         let mut stats = self.ctx.stats_mut();
         stats.scan_columns_read += snapshot.num_columns();
         stats.scan_columns_total += total;
         drop(stats);
+        // A column the catalog will not index (the table was replaced by one
+        // where it is sensitive) leaves every row to the filter.
+        let rows = self
+            .lookup
+            .as_ref()
+            .zip(key)
+            .and_then(|(lookup, (at, column))| {
+                let index = catalog.key_index(&self.table, &handle, at)?;
+                Some(index.lookup(&column, &lookup.keys))
+            });
         let schema = qualified(visible, snapshot.schema());
-        Ok(RecordBatch::new(schema, snapshot.columns().to_vec())?)
+        Ok((RecordBatch::new(schema, snapshot.columns().to_vec())?, rows))
     }
+}
+
+/// The lookup of an index scan: the rows whose `column` may equal one of
+/// `keys`.
+#[derive(Debug, Clone)]
+pub struct KeyLookup {
+    /// The column, named as in its table.
+    pub column: String,
+    /// The keys (one for `=`, the list of an `IN`).
+    pub keys: Vec<Value>,
 }
 
 /// `schema` with every column named `visible.column`, the way a scan emits it.
@@ -108,11 +159,23 @@ pub(crate) fn qualified(visible: &str, schema: &Schema) -> Schema {
 
 impl PhysicalOperator for TableScan<'_> {
     fn name(&self) -> &'static str {
-        "TableScan"
+        match self.lookup {
+            Some(_) => "IndexScan",
+            None => "TableScan",
+        }
+    }
+
+    fn describe(&self) -> String {
+        match &self.lookup {
+            Some(lookup) => format!("IndexScan({}.{})", self.visible(), lookup.column),
+            None => self.name().to_string(),
+        }
     }
 
     fn open(&mut self) -> Result<()> {
-        self.source = Some(self.snapshot()?);
+        let (source, rows) = self.snapshot()?;
+        self.source = Some(source);
+        self.rows = rows;
         self.offset = 0;
         self.emitted = false;
         Ok(())
@@ -123,12 +186,16 @@ impl PhysicalOperator for TableScan<'_> {
         let Some(source) = &self.source else {
             return Ok(None);
         };
-        let take = self.ctx.batch_size().min(source.num_rows() - self.offset);
+        let emitting = self.rows.as_ref().map_or(source.num_rows(), Vec::len);
+        let take = self.ctx.batch_size().min(emitting - self.offset);
         // An empty table still emits one empty batch carrying the schema.
         if take == 0 && self.emitted {
             return Ok(None);
         }
-        let batch = source.slice(self.offset, take)?;
+        let batch = match &self.rows {
+            Some(rows) => source.gather(&rows[self.offset..self.offset + take]),
+            None => source.slice(self.offset, take)?,
+        };
         self.offset += take;
         self.emitted = true;
         self.ctx.stats_mut().rows_scanned += take;
@@ -137,6 +204,7 @@ impl PhysicalOperator for TableScan<'_> {
 
     fn close(&mut self) -> Result<()> {
         self.source = None;
+        self.rows = None;
         Ok(())
     }
 }

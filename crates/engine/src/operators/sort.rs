@@ -7,8 +7,8 @@ use sdb_storage::{RecordBatch, Schema, Value};
 
 use super::expr::bind_to_existing_columns;
 use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
-use crate::kernels::keys::{keys_eq, BatchKeys, ChainIndex};
 use crate::Result;
+use sdb_storage::keys::{keys_eq, BatchKeys, ChainIndex};
 
 /// Sorts the materialised input by the given keys (stable, NULLs ordered by
 /// the storage layer's total order).
@@ -152,7 +152,7 @@ impl PhysicalOperator for Limit<'_> {
 
 /// Removes duplicate rows (first occurrence wins), streaming batch by batch
 /// with a running set of the rows emitted so far: the whole row is the key
-/// (see [`crate::kernels::keys`]; NULLs equal each other).
+/// (see [`sdb_storage::keys`]; NULLs equal each other).
 pub struct Distinct<'a> {
     input: BoxedOperator<'a>,
     seen: Vec<Vec<Value>>,

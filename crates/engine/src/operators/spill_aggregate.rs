@@ -7,7 +7,7 @@
 //! [`MemoryBudget`](sdb_storage::MemoryBudget) is exceeded, at which point
 //! they are hash-partitioned by grouping key into `FANOUT` spill streams
 //! parked in the pager (same-key rows always land in the same partition: a
-//! row is routed by the hash of its key values, [`crate::kernels::keys`],
+//! row is routed by the hash of its key values, [`sdb_storage::keys`],
 //! which is not spilled — a reloaded row re-hashes the values it carries).
 //! At the end each partition is re-aggregated independently; a partition
 //! still larger than the budget is recursively re-partitioned with a
@@ -34,8 +34,8 @@ use super::aggregate::{
     aggregate_key_updates, bind_aggregate_exprs, finalize_groups, GroupState, Groups,
 };
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
-use crate::kernels::keys::{hash_key, partition_of};
 use crate::Result;
+use sdb_storage::keys::{hash_key, partition_of};
 
 /// Number of spill partitions per level (shared with
 /// [`super::grace_join::GraceHashJoin`], which partitions the same way).

@@ -510,7 +510,7 @@ fn hash_join_orders_matches_and_pads_unmatched_rows() {
 /// DISTINCT all produce exactly what they produce under the real hasher.
 #[test]
 fn forced_hash_collisions_change_no_result() {
-    use crate::kernels::keys::FORCE_COLLISIONS;
+    use sdb_storage::keys::FORCE_COLLISIONS;
 
     let catalog = Catalog::new();
     let reg = registry();
@@ -556,7 +556,7 @@ fn forced_hash_collisions_change_no_result() {
 
     let expected = run_all();
     FORCE_COLLISIONS.with(|force| force.set(true));
-    assert_eq!(crate::kernels::keys::hash_key([&Value::Int(1)]), 0);
+    assert_eq!(sdb_storage::keys::hash_key([&Value::Int(1)]), 0);
     let collided = run_all();
     FORCE_COLLISIONS.with(|force| force.set(false));
     assert_eq!(expected, collided);

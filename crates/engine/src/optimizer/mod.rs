@@ -560,8 +560,10 @@ fn node_label(plan: &LogicalPlan) -> String {
 }
 
 /// Pretty-prints a [`crate::PhysicalOperator::describe`] string (e.g.
-/// `Limit(Project(HashJoin(TableScan, TableScan)))`) as an indented tree,
-/// one operator per line.
+/// `Limit(Project(HashJoin(TableScan, IndexScan(d.id))))`) as an indented
+/// tree, one operator per line. Operator names are capitalised; a
+/// parenthesised part that starts in lower case is a leaf's argument (the
+/// column of an index scan) and stays on the leaf's line.
 pub fn render_physical_tree(describe: &str) -> Vec<String> {
     let mut lines = Vec::new();
     render_describe(describe.trim(), 0, &mut lines);
@@ -570,10 +572,13 @@ pub fn render_physical_tree(describe: &str) -> Vec<String> {
 
 fn render_describe(node: &str, depth: usize, lines: &mut Vec<String>) {
     let node = node.trim();
+    let argument = |open: usize| node[open + 1..].starts_with(|c: char| c.is_ascii_lowercase());
     let (name, rest) = match node.find('(') {
         // `describe` strings always balance their parens; tolerate anything
         // else by printing the node verbatim.
-        Some(open) if node.ends_with(')') => (&node[..open], &node[open + 1..node.len() - 1]),
+        Some(open) if node.ends_with(')') && !argument(open) => {
+            (&node[..open], &node[open + 1..node.len() - 1])
+        }
         _ => (node, ""),
     };
     lines.push(format!("{}{}", "  ".repeat(depth), name));
@@ -755,8 +760,9 @@ mod tests {
 
     #[test]
     fn physical_tree_renders_indented() {
-        let lines =
-            render_physical_tree("Limit(Project(HashJoin(TableScan, ExternalSort(TableScan))))");
+        let lines = render_physical_tree(
+            "Limit(Project(HashJoin(TableScan, ExternalSort(Filter(IndexScan(d.id))))))",
+        );
         assert_eq!(
             lines,
             vec![
@@ -765,7 +771,8 @@ mod tests {
                 "    HashJoin",
                 "      TableScan",
                 "      ExternalSort",
-                "        TableScan",
+                "        Filter",
+                "          IndexScan(d.id)",
             ]
         );
     }

@@ -13,7 +13,18 @@
 //! output); [`HashJoin`] parallelises its build side internally under the
 //! same knob. A scan is the one [`TableScan`] at every parallelism.
 //!
-//! Three further rules:
+//! Four further rules:
+//!
+//! * **Index scans** — a filter directly over a scan lowers the scan to an
+//!   `IndexScan` ([`TableScan::looking_up`]) when one of its conjuncts is
+//!   `column = literal` or `column IN (literal, …)` on a column the catalog
+//!   may index (public, plaintext-typed: [`sdb_storage::indexable`]) with
+//!   every literal NULL or of the column's class, numeric or string. The
+//!   filter stays above and decides every row; the index only narrows the
+//!   scan to a superset of the rows the conjunct keeps. Comparing a column
+//!   with a literal of its class cannot fail, so no row the index leaves out
+//!   would have raised an error. Sensitive columns never qualify: their
+//!   equalities keep the oracle and tag paths.
 //!
 //! * **Plain conjuncts first** — a filter whose predicate mixes oracle-free
 //!   and oracle-backed conjuncts lowers to `Filter → OracleResolve → Filter`:
@@ -36,10 +47,11 @@
 
 use std::sync::Arc;
 
-use sdb_sql::ast::{Expr, JoinKind};
+use sdb_sql::ast::{BinaryOp, Expr, JoinKind};
 use sdb_sql::plan::{LogicalPlan, ProjectionItem};
-use sdb_storage::{ColumnDef, DataType, RecordBatch, Schema};
+use sdb_storage::{indexable, ColumnDef, DataType, RecordBatch, Schema, Value};
 
+use crate::eval::literal_to_value;
 use crate::operators::aggregate::{HashAggregate, ParallelHashAggregate};
 use crate::operators::expr::{classify_equi_conjunct, conjoin, split_conjuncts};
 use crate::operators::external_sort::ExternalSort;
@@ -48,7 +60,7 @@ use crate::operators::grace_join::GraceHashJoin;
 use crate::operators::join::{HashJoin, NestedLoopJoin};
 use crate::operators::oracle::{collect_oracle_calls_all, OracleResolve};
 use crate::operators::project::Project;
-use crate::operators::scan::{qualified, TableScan};
+use crate::operators::scan::{qualified, KeyLookup, TableScan};
 use crate::operators::sort::{Distinct, Limit, Sort};
 use crate::operators::spill_aggregate::SpillingHashAggregate;
 use crate::operators::{BoxedOperator, ExecContext};
@@ -98,7 +110,13 @@ impl<'a> PhysicalPlanner<'a> {
             let split = pending.len() - arity;
             pending.split_off(split)
         };
-        let span = trace.begin_span(op.name(), children, est_rows);
+        // A leaf's span carries its whole description: an index scan's
+        // names the column it looks up.
+        let label = match arity {
+            0 => op.describe(),
+            _ => op.name().to_string(),
+        };
+        let span = trace.begin_span(label, children, est_rows);
         self.pending_spans.borrow_mut().push(span);
         Box::new(crate::trace::InstrumentedOperator::new(
             op,
@@ -137,23 +155,17 @@ impl<'a> PhysicalPlanner<'a> {
     ) -> Result<(BoxedOperator<'a>, Schema)> {
         match plan {
             LogicalPlan::Scan { table, alias } => {
-                // Resolve the table at plan time: missing tables fail before
-                // execution starts, and the scan's qualified names feed join
-                // classification above.
-                let handle = self.ctx.catalog().table(table)?;
-                let visible = alias.as_deref().unwrap_or(table);
-                let names = qualified(visible, handle.read().schema());
-                let scan = TableScan::new(Arc::clone(&self.ctx), table, alias.as_deref())
-                    .reading(referenced.clone().filter(|_| self.prune));
-                Ok((
-                    self.instrument(Box::new(scan), 0, self.estimate(plan)),
-                    names,
-                ))
+                self.scan(plan, table, alias.as_deref(), referenced, None)
             }
 
             LogicalPlan::Filter { input, predicate } => {
                 let below = also_referencing(referenced, [predicate]);
-                let (child, schema) = self.lower(input, &below)?;
+                let (child, schema) = match input.as_ref() {
+                    LogicalPlan::Scan { table, alias } => {
+                        self.scan(input, table, alias.as_deref(), &below, Some(predicate))?
+                    }
+                    input => self.lower(input, &below)?,
+                };
                 Ok((self.filter(child, predicate, self.estimate(plan)), schema))
             }
 
@@ -362,6 +374,43 @@ impl<'a> PhysicalPlanner<'a> {
         }
     }
 
+    /// Lowers `plan`, a scan of `table`; under a filter on `predicate`, to
+    /// an index scan when a conjunct allows one ([`key_lookup`]).
+    fn scan(
+        &self,
+        plan: &LogicalPlan,
+        table: &str,
+        alias: Option<&str>,
+        referenced: &Referenced,
+        predicate: Option<&Expr>,
+    ) -> Result<(BoxedOperator<'a>, Schema)> {
+        // Resolve the table at plan time: missing tables fail before
+        // execution starts, and the scan's qualified names feed join
+        // classification above.
+        let handle = self.ctx.catalog().table(table)?;
+        let visible = alias.unwrap_or(table);
+        let schema = handle.read().schema().clone();
+        let names = qualified(visible, &schema);
+        let scan = TableScan::new(Arc::clone(&self.ctx), table, alias)
+            .reading(referenced.clone().filter(|_| self.prune));
+        let lookup = predicate.and_then(|predicate| key_lookup(predicate, &names));
+        let Some((conjunct, at, keys)) = lookup else {
+            return Ok((
+                self.instrument(Box::new(scan), 0, self.estimate(plan)),
+                names,
+            ));
+        };
+        let est = self.ctx.trace().and_then(|_| {
+            self.estimate(&LogicalPlan::Filter {
+                input: Box::new(plan.clone()),
+                predicate: conjunct,
+            })
+        });
+        let column = schema.column_at(at).name.clone();
+        let scan = scan.looking_up(KeyLookup { column, keys });
+        Ok((self.instrument(Box::new(scan), 0, est), names))
+    }
+
     /// Filters `child` by `predicate`; `est_rows` annotates the result. A
     /// conjunction of oracle-free and oracle-backed conjuncts becomes
     /// `Filter → OracleResolve → Filter`: the oracle-free ones run first, so
@@ -423,6 +472,55 @@ fn also_referencing<'e>(
         expr.referenced_columns(&mut names);
     }
     Some(names)
+}
+
+/// The conjunct of `predicate` an index scan over a scan emitting `names`
+/// can serve, with the position of its column and its keys: `column =
+/// literal` (either way round) or `column IN (literal, …)`, on a column the
+/// catalog may index, with every literal NULL or of the column's class. Of
+/// several, the one with the fewest keys.
+fn key_lookup(predicate: &Expr, names: &Schema) -> Option<(Expr, usize, Vec<Value>)> {
+    let lookup_of = |conjunct: &Expr| -> Option<(usize, Vec<Value>)> {
+        let (column, literals) = match conjunct {
+            Expr::Binary {
+                left,
+                op: BinaryOp::Eq,
+                right,
+            } => match (left.as_ref(), right.as_ref()) {
+                (Expr::Column(column), literal @ Expr::Literal(_))
+                | (literal @ Expr::Literal(_), Expr::Column(column)) => {
+                    (column, std::slice::from_ref(literal))
+                }
+                _ => return None,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated: false,
+            } => match expr.as_ref() {
+                Expr::Column(column) => (column, list.as_slice()),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let at = names.index_of(column).ok()?;
+        let def = names.column_at(at);
+        let keys = (literals.iter())
+            .map(|literal| match literal {
+                Expr::Literal(literal) => Some(literal_to_value(literal)),
+                _ => None,
+            })
+            .collect::<Option<Vec<Value>>>()?;
+        let of_its_class = |key: &Value| match key {
+            Value::Null => true,
+            Value::Str(_) => def.data_type == DataType::Varchar,
+            _ => def.data_type != DataType::Varchar,
+        };
+        (indexable(def) && keys.iter().all(of_its_class)).then_some((at, keys))
+    };
+    (split_conjuncts(predicate).into_iter())
+        .filter_map(|conjunct| lookup_of(&conjunct).map(|(at, keys)| (conjunct, at, keys)))
+        .min_by_key(|(_, _, keys)| keys.len())
 }
 
 /// A name-only column entry for the planner's resolution schemas.
@@ -789,7 +887,7 @@ mod tests {
             tree(&format!(
                 "SELECT name FROM emp WHERE dept_id = 10 AND {oracle} AND id < 4"
             )),
-            "Project(Filter(OracleResolve(Filter(TableScan))))"
+            "Project(Filter(OracleResolve(Filter(IndexScan(emp.dept_id)))))"
         );
         // Nothing to put first, or nothing to resolve: one filter as before.
         assert_eq!(
@@ -798,7 +896,7 @@ mod tests {
         );
         assert_eq!(
             tree("SELECT name FROM emp WHERE dept_id = 10 AND id < 4"),
-            "Project(Filter(TableScan))"
+            "Project(Filter(IndexScan(emp.dept_id)))"
         );
         // An OR over both kinds is one conjunct, and oracle-backed.
         assert_eq!(
@@ -807,6 +905,61 @@ mod tests {
             )),
             "Project(Filter(OracleResolve(TableScan)))"
         );
+    }
+
+    #[test]
+    fn equalities_with_literals_on_public_columns_lower_to_index_scans() {
+        let catalog = setup_catalog();
+        let vault = Schema::new(vec![
+            ColumnDef::public("id", DataType::Int),
+            ColumnDef::sensitive("secret", DataType::Encrypted),
+            ColumnDef::public("tag", DataType::Tag),
+        ]);
+        catalog.create_table("vault", vault).unwrap();
+        let registry = UdfRegistry::with_sdb_udfs();
+        let ctx = context(&catalog, &registry, None, ExecConfig::default());
+        let planner = PhysicalPlanner::new(Arc::clone(&ctx));
+        let tree = |sql: &str| {
+            let plan = PlanBuilder::build(&parse_query(sql)).unwrap();
+            planner.plan(&plan).unwrap().describe()
+        };
+        for (sql, scan) in [
+            (
+                "SELECT name FROM emp WHERE 'ann' = name",
+                "IndexScan(emp.name)",
+            ),
+            (
+                "SELECT name FROM emp e WHERE e.id IN (1, 2, NULL)",
+                "IndexScan(e.id)",
+            ),
+            (
+                "SELECT name FROM emp WHERE emp.salary = 1.5",
+                "IndexScan(emp.salary)",
+            ),
+            ("SELECT name FROM emp WHERE id = NULL", "IndexScan(emp.id)"),
+            // The conjunct with the fewest keys.
+            (
+                "SELECT name FROM emp WHERE id IN (1, 2) AND dept_id = 10",
+                "IndexScan(emp.dept_id)",
+            ),
+            // Not a bare column against literals of its class.
+            ("SELECT name FROM emp WHERE id + 0 = 1", "TableScan"),
+            ("SELECT name FROM emp WHERE name = 1", "TableScan"),
+            ("SELECT name FROM emp WHERE id IN (1, 'a')", "TableScan"),
+            ("SELECT name FROM emp WHERE id NOT IN (1, 2)", "TableScan"),
+            ("SELECT name FROM emp WHERE id = dept_id", "TableScan"),
+            ("SELECT name FROM emp WHERE id = 1 OR id = 2", "TableScan"),
+            // Never a sensitive or encrypted-typed column.
+            ("SELECT id FROM vault WHERE secret = 1", "TableScan"),
+            ("SELECT id FROM vault WHERE tag = 1", "TableScan"),
+        ] {
+            assert_eq!(tree(sql), format!("Project(Filter({scan}))"), "{sql}");
+        }
+        // Only a filter directly over its scan (the join operator depends
+        // on the budget).
+        let join = tree("SELECT e.name FROM emp e JOIN dept d ON e.dept_id = d.id WHERE d.id = 10");
+        assert!(join.starts_with("Project(Filter("), "{join}");
+        assert!(join.ends_with("Join(TableScan, TableScan)))"), "{join}");
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub struct TraceEvent {
 /// One span's raw accumulation (arena entry).
 #[derive(Debug, Default)]
 struct SpanData {
-    name: &'static str,
+    name: String,
     children: Vec<SpanId>,
     est_rows: Option<f64>,
     open: Duration,
@@ -128,19 +128,20 @@ impl QueryTrace {
         }
     }
 
-    /// Registers a span for one physical operator. `children` are the span
-    /// ids of its direct inputs (already registered — the planner lowers
-    /// bottom-up); `est_rows` is the optimizer's cardinality estimate for
-    /// the operator's logical node, when statistics exist.
+    /// Registers a span for one physical operator, labelled `name`.
+    /// `children` are the span ids of its direct inputs (already registered
+    /// — the planner lowers bottom-up); `est_rows` is the optimizer's
+    /// cardinality estimate for the operator's logical node, when
+    /// statistics exist.
     pub fn begin_span(
         &self,
-        name: &'static str,
+        name: impl Into<String>,
         children: Vec<SpanId>,
         est_rows: Option<f64>,
     ) -> SpanId {
         let mut spans = self.spans.lock();
         spans.push(SpanData {
-            name,
+            name: name.into(),
             children,
             est_rows,
             ..SpanData::default()
@@ -241,7 +242,7 @@ impl QueryTrace {
                 }
                 SpanReport {
                     id,
-                    name: s.name.to_string(),
+                    name: s.name.clone(),
                     children: s.children.clone(),
                     est_rows: s.est_rows,
                     open_us: s.open.as_micros() as u64,
@@ -271,7 +272,8 @@ impl QueryTrace {
 pub struct SpanReport {
     /// The span's id — its index in [`TraceReport::spans`].
     pub id: SpanId,
-    /// Operator name (`PhysicalOperator::name`), e.g. `"HashJoin"`.
+    /// Operator name (`PhysicalOperator::name`), e.g. `"HashJoin"`; a
+    /// leaf's whole description, e.g. `"IndexScan(orders.o_orderkey)"`.
     pub name: String,
     /// Span ids of this operator's direct inputs.
     pub children: Vec<SpanId>,

@@ -193,3 +193,45 @@ fn trace_dir_exports_json_reports() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An equality on a public column reads through its index: `EXPLAIN` names
+/// the index scan and its column, `EXPLAIN ANALYZE` gives it the rows it
+/// emitted (and counts only those as scanned), and its trace span carries
+/// the same label — a `Scan` name, which tooling files under scans.
+#[test]
+fn index_scans_name_their_column_and_count_the_rows_they_emit() {
+    let engine = engine_with(1, None);
+    let out = engine
+        .execute_sql("EXPLAIN SELECT v FROM fact WHERE id = 42")
+        .unwrap();
+    let explained: Vec<&str> = (0..out.batch.num_rows())
+        .map(|row| out.batch.column(0).get(row).as_str().unwrap())
+        .collect();
+    assert!(
+        explained.iter().any(|l| l.trim() == "IndexScan(fact.id)"),
+        "{explained:?}"
+    );
+
+    let lines = plan_lines(
+        &engine,
+        "EXPLAIN ANALYZE SELECT v FROM fact WHERE k1 IN (3, 4)",
+    );
+    let scan = (lines.iter())
+        .find(|l| l.trim_start().starts_with("IndexScan(fact.k1) "))
+        .unwrap_or_else(|| panic!("an index scan line: {lines:?}"));
+    assert!(
+        scan.contains(" rows=240 "),
+        "two keys of five over 600 rows: {scan}"
+    );
+    assert!(scan.contains(" cols=2/4"), "{scan}");
+    let out = engine
+        .execute_sql("EXPLAIN ANALYZE SELECT v FROM fact WHERE k1 IN (3, 4)")
+        .unwrap();
+    assert_eq!(out.stats.rows_scanned, 240);
+    let report = out.trace.expect("EXPLAIN ANALYZE carries its trace");
+    let span = (report.spans.iter())
+        .find(|s| s.name.starts_with("IndexScan"))
+        .expect("an index scan span");
+    assert_eq!(span.name, "IndexScan(fact.k1)");
+    assert_eq!(span.rows_out, 240);
+}

@@ -537,3 +537,78 @@ fn subqueries_spill_through_the_parents_lease() {
     assert!(spilled > 0, "the subquery's sort must spill on the lease");
     assert_eq!(ctx.stats().pages_spilled, spilled);
 }
+
+/// A UDF that panics on its `calls`-th invocation.
+struct PanicAfter {
+    calls: std::sync::atomic::AtomicUsize,
+}
+
+impl sdb_engine::ScalarUdf for PanicAfter {
+    fn name(&self) -> &str {
+        "PANIC_AFTER"
+    }
+
+    fn invoke(&self, _: &[Value]) -> sdb_engine::Result<Value> {
+        let call = self
+            .calls
+            .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+        assert!(call > 1, "a bug inside a user-defined function");
+        Ok(Value::Bool(true))
+    }
+}
+
+/// A query that panics after it has spilled on a shared lease fails with an
+/// error instead. Releasing the lease, as the serving layer does after every
+/// query, then frees the pages the unwound operators held and deletes the
+/// spill file, exactly as after any other error; the next query on the same
+/// pool answers byte for byte what a fresh engine does.
+#[test]
+fn a_panicking_query_fails_and_leaves_its_pool_clean() {
+    let sorted = "SELECT id, val FROM big ORDER BY val, id";
+    let mut engine = sdb_engine::SpEngine::with_catalog(Arc::new(generated_catalog(2_000)))
+        .with_batch_size(64)
+        .with_parallelism(1);
+    engine.registry_mut().register(Arc::new(PanicAfter {
+        calls: std::sync::atomic::AtomicUsize::new(1_500),
+    }));
+    let pool = Arc::new(BufferPool::new(&MemoryBudget::unlimited()));
+    let opts = |lease: &Arc<Pager>| {
+        sdb_engine::QueryOptions::default()
+            .with_memory_budget(MemoryBudget::bytes(2 * 1024))
+            .with_pager(Arc::clone(lease))
+    };
+
+    let lease = Arc::new(Pager::shared(&pool));
+    let failed = engine.execute_sql_with(
+        "SELECT id, val FROM big WHERE PANIC_AFTER(id) ORDER BY val, id",
+        &opts(&lease),
+    );
+    assert!(
+        matches!(&failed, Err(sdb_engine::EngineError::Panicked { detail })
+            if detail.contains("a bug inside a user-defined function")),
+        "{failed:?}"
+    );
+    assert!(
+        lease.stats().pages_spilled > 0,
+        "the panic came after spilling"
+    );
+    let spill_file = lease.spill_path().expect("the lease spilled to a file");
+    drop(lease);
+    assert!(!spill_file.exists(), "the spill file went with the lease");
+    assert_eq!(
+        (
+            pool.lease_count(),
+            pool.resident_pages(),
+            pool.spill_file_count()
+        ),
+        (0, 0, 0)
+    );
+
+    let lease = Arc::new(Pager::shared(&pool));
+    let after = engine.execute_sql_with(sorted, &opts(&lease)).unwrap();
+    assert!(lease.stats().pages_spilled > 0);
+    let fresh = sdb_engine::SpEngine::with_catalog(Arc::new(generated_catalog(2_000)))
+        .execute_sql(sorted)
+        .unwrap();
+    assert_eq!(after.batch, fresh.batch);
+}

@@ -135,7 +135,7 @@ impl RecordBatch {
 
     /// Copies the rows at `rows` (any order) into a new batch: the one place
     /// cells are copied, reached only when rows are dropped or reordered.
-    fn gather(&self, rows: &[usize]) -> RecordBatch {
+    pub fn gather(&self, rows: &[usize]) -> RecordBatch {
         RecordBatch {
             schema: self.schema.clone(),
             columns: self.columns.iter().map(|c| c.gather(rows)).collect(),

@@ -4,13 +4,16 @@
 //! Alongside the tables themselves the catalog stores their optimizer
 //! statistics ([`TableStats`]) — populated by the `ANALYZE` path (the client
 //! upload path analyzes automatically), dropped with the table, and read by
-//! the engine's cost-based planner.
+//! the engine's cost-based planner — and their hash indexes ([`KeyIndex`]),
+//! built on the first lookup that wants one and dropped with the table too.
+//! Neither counts towards [`Catalog::approx_size_bytes`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use crate::index::{indexable, KeyIndex};
 use crate::stats::{analyze_table, TableStats};
 use crate::{Result, Schema, StorageError, Table};
 
@@ -23,6 +26,9 @@ pub struct Catalog {
     tables: RwLock<BTreeMap<String, TableHandle>>,
     /// Optimizer statistics per table, keyed like `tables`.
     stats: RwLock<BTreeMap<String, Arc<TableStats>>>,
+    /// Hash indexes per (table, column position), each tied to the handle
+    /// it was built from.
+    indexes: RwLock<BTreeMap<(String, usize), Arc<KeyIndex>>>,
 }
 
 impl Catalog {
@@ -55,13 +61,14 @@ impl Catalog {
         Ok(handle)
     }
 
-    /// Replaces (or inserts) a table unconditionally. Any statistics for the
-    /// old table are discarded.
+    /// Replaces (or inserts) a table unconditionally. Any statistics and
+    /// indexes of the old table are discarded.
     pub fn register_or_replace(&self, table: Table) -> TableHandle {
         let key = table.name().to_string();
         let handle = Arc::new(RwLock::new(table));
         self.stats.write().remove(&key);
-        self.tables.write().insert(key, handle.clone());
+        self.tables.write().insert(key.clone(), handle.clone());
+        self.drop_indexes(&key);
         handle
     }
 
@@ -75,14 +82,64 @@ impl Catalog {
             .ok_or(StorageError::TableNotFound { name: key })
     }
 
-    /// Drops a table (and its statistics).
+    /// Drops a table (and its statistics and indexes).
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let key = name.to_ascii_lowercase();
         if self.tables.write().remove(&key).is_none() {
             return Err(StorageError::TableNotFound { name: key });
         }
         self.stats.write().remove(&key);
+        self.drop_indexes(&key);
         Ok(())
+    }
+
+    /// The hash index over column position `column` of table `name` as
+    /// `handle` holds it (the handle a snapshot was taken from), created
+    /// empty on first use. `None` when the column may not be indexed: only
+    /// public plaintext columns may ([`indexable`]). Must not be called
+    /// while holding `handle`'s lock.
+    ///
+    /// An index kept for an earlier handle of the name — the table was
+    /// replaced — is never returned for this one. An index for a handle
+    /// that is no longer registered serves its caller but is not kept.
+    pub fn key_index(
+        &self,
+        name: &str,
+        handle: &TableHandle,
+        column: usize,
+    ) -> Option<Arc<KeyIndex>> {
+        let key = (name.to_ascii_lowercase(), column);
+        if let Some(index) = self.indexes.read().get(&key) {
+            if index.indexes(handle) {
+                return Some(Arc::clone(index));
+            }
+        }
+        if !indexable(handle.read().schema().columns().get(column)?) {
+            return None;
+        }
+        let registered = self.tables.read().get(&key.0).cloned();
+        if !registered.is_some_and(|current| Arc::ptr_eq(&current, handle)) {
+            return Some(Arc::new(KeyIndex::new(handle)));
+        }
+        let mut indexes = self.indexes.write();
+        let index = indexes
+            .entry(key)
+            .and_modify(|index| {
+                if !index.indexes(handle) {
+                    *index = Arc::new(KeyIndex::new(handle));
+                }
+            })
+            .or_insert_with(|| Arc::new(KeyIndex::new(handle)));
+        Some(Arc::clone(index))
+    }
+
+    /// The (table, column position) of every index the catalog keeps.
+    pub fn indexed_columns(&self) -> Vec<(String, usize)> {
+        self.indexes.read().keys().cloned().collect()
+    }
+
+    fn drop_indexes(&self, table: &str) {
+        self.indexes.write().retain(|(name, _), _| name != table);
     }
 
     /// Analyzes one table and stores its statistics, returning them.
@@ -236,6 +293,52 @@ mod tests {
         cat.drop_table("t").unwrap();
         assert!(cat.table_stats("t").is_none());
         assert!(cat.analyze("t").is_err(), "missing tables fail to analyze");
+    }
+
+    #[test]
+    fn indexes_go_with_their_table_and_never_serve_a_replacement() {
+        let cat = Catalog::new();
+        let handle = cat.create_table("t", schema()).unwrap();
+        for i in 0..10 {
+            handle.write().insert_row(vec![Value::Int(i)]).unwrap();
+        }
+        let key = [Value::Int(7)];
+        let snapshot = handle.read().scan().column(0).clone();
+        let index = cat.key_index("T", &handle, 0).expect("a public INT column");
+        assert_eq!(index.lookup(&snapshot, &key), vec![7]);
+        assert!(Arc::ptr_eq(
+            &index,
+            &cat.key_index("t", &handle, 0).unwrap()
+        ));
+        assert_eq!(cat.indexed_columns(), vec![("t".to_string(), 0)]);
+
+        // The replacement holds 7 at row 0: its lookups never see row 7.
+        let mut replacement = Table::new("t", schema());
+        replacement.insert_row(vec![Value::Int(7)]).unwrap();
+        let replaced = cat.register_or_replace(replacement);
+        assert!(cat.indexed_columns().is_empty());
+        let fresh = cat.key_index("t", &replaced, 0).unwrap();
+        assert!(!Arc::ptr_eq(&index, &fresh));
+        assert_eq!(
+            fresh.lookup(&replaced.read().scan().column(0).clone(), &key),
+            vec![0]
+        );
+        // A lookup through the old handle is served, but not kept.
+        let stale = cat.key_index("t", &handle, 0).unwrap();
+        assert_eq!(stale.lookup(&snapshot, &key), vec![7]);
+        assert!(Arc::ptr_eq(
+            &fresh,
+            &cat.key_index("t", &replaced, 0).unwrap()
+        ));
+
+        cat.drop_table("t").unwrap();
+        assert!(cat.indexed_columns().is_empty());
+
+        let sensitive = Schema::new(vec![ColumnDef::sensitive("v", DataType::Encrypted)]);
+        let handle = cat.create_table("s", sensitive).unwrap();
+        assert!(cat.key_index("s", &handle, 0).is_none());
+        assert!(cat.key_index("s", &handle, 1).is_none(), "no such column");
+        assert!(cat.indexed_columns().is_empty());
     }
 
     #[test]

@@ -21,6 +21,8 @@ pub mod catalog;
 pub mod column;
 pub mod columnar;
 pub mod error;
+pub mod index;
+pub mod keys;
 pub mod pager;
 pub mod persist;
 pub mod schema;
@@ -35,6 +37,7 @@ pub use catalog::Catalog;
 pub use column::Column;
 pub use columnar::{ColumnVector, ColumnarColumn};
 pub use error::StorageError;
+pub use index::{indexable, KeyIndex};
 pub use pager::{
     BufferPool, MemoryBudget, PageId, PageStream, PageStreamReader, PageStreamScan,
     PageStreamWriter, Pager, PagerEvent, PagerObserver, PagerStats, PinnedPage,

@@ -216,25 +216,23 @@ pub fn resolve_name<'a>(
     names: impl Iterator<Item = &'a str> + Clone,
     name: &str,
 ) -> NameResolution {
-    let needle = name.to_ascii_lowercase();
     // Exact match first (first position wins on duplicates).
     if let Some(idx) = names
         .clone()
-        .position(|stored| stored.eq_ignore_ascii_case(&needle))
+        .position(|stored| stored.eq_ignore_ascii_case(name))
     {
         return NameResolution::One(idx);
     }
-    let needle_is_qualified = needle.contains('.');
-    let bare = needle.rsplit('.').next().unwrap_or(&needle);
+    let needle_is_qualified = name.contains('.');
+    let bare = name.rsplit('.').next().unwrap_or(name);
     let mut fallback = names.enumerate().filter(|(_, stored)| {
-        let stored = stored.to_ascii_lowercase();
         if needle_is_qualified {
             // `t.price` may fall back to an unqualified stored `price`, but
             // must not match `other.price`.
-            !stored.contains('.') && stored == bare
+            !stored.contains('.') && stored.eq_ignore_ascii_case(bare)
         } else {
             // Bare `price` may match a stored qualified `*.price`.
-            stored.rsplit('.').next() == Some(bare)
+            (stored.rsplit('.').next()).is_some_and(|stored| stored.eq_ignore_ascii_case(bare))
         }
     });
     match fallback.next() {

@@ -394,3 +394,88 @@ fn scan_pruning_reports_column_counts_only() {
         assert!(auditor.audit([("trace-json", json.as_str())]).is_clean());
     }
 }
+
+#[test]
+fn indexes_cover_only_public_plaintext_columns() {
+    // The SP indexes what it already holds in plaintext, and nothing else:
+    // after a serving-style mix, every index the catalog keeps is over a
+    // public column of a plaintext type, and an equality on a sensitive
+    // column keeps its oracle or tag path.
+    let mut client = loaded_client();
+    client
+        .execute("CREATE TABLE notes (id INT, body VARCHAR(16) SENSITIVE, amount INT SENSITIVE)")
+        .unwrap();
+    client
+        .execute("INSERT INTO notes VALUES (1, 'alpha', 10), (2, 'beta', 20)")
+        .unwrap();
+    client.upload_all().unwrap();
+    let mix = [
+        "SELECT o_orderkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = 7",
+        "SELECT c_custkey, c_name, c_acctbal FROM customer WHERE c_custkey = 3",
+        "SELECT l_linenumber, l_quantity, l_extendedprice FROM lineitem \
+         WHERE l_orderkey = 7 ORDER BY l_linenumber",
+        "SELECT SUM(o_totalprice) AS total FROM orders WHERE o_custkey = 3",
+        "SELECT l.l_shipmode, COUNT(*) AS line_count FROM orders o \
+         JOIN lineitem l ON o.o_orderkey = l.l_orderkey \
+         WHERE l.l_shipmode IN ('MAIL', 'SHIP') \
+         AND l.l_receiptdate >= DATE '1995-01-01' AND l.l_receiptdate < DATE '1996-01-01' \
+         GROUP BY l.l_shipmode ORDER BY l.l_shipmode",
+        "SELECT c_custkey, c_acctbal FROM customer WHERE c_acctbal > 1000.00 \
+         ORDER BY c_custkey LIMIT 10",
+        "SELECT o_orderkey FROM orders WHERE o_totalprice = 1000.00",
+        "SELECT c_custkey FROM customer WHERE c_acctbal = 1000.00 AND c_custkey = 3",
+        "SELECT id FROM notes WHERE body = 'alpha'",
+        "SELECT id FROM notes WHERE amount = 10",
+    ];
+    for sql in mix {
+        client
+            .query(sql)
+            .unwrap_or_else(|e| panic!("{sql} failed: {e}"));
+    }
+
+    let catalog = client.engine().catalog();
+    let indexed = catalog.indexed_columns();
+    for (table, column) in &indexed {
+        let handle = catalog.table(table).unwrap();
+        let def = handle.read().schema().column_at(*column).clone();
+        assert!(
+            sdb_storage::indexable(&def)
+                && def.sensitivity == sdb_storage::Sensitivity::Public
+                && !def.data_type.is_encrypted(),
+            "{table}.{} is indexed: {def:?}",
+            def.name
+        );
+    }
+    let names: Vec<String> = (indexed.iter())
+        .map(|(table, column)| {
+            let handle = catalog.table(table).unwrap();
+            let name = handle.read().schema().column_at(*column).name.clone();
+            format!("{table}.{name}")
+        })
+        .collect();
+    for expected in [
+        "orders.o_orderkey",
+        "customer.c_custkey",
+        "lineitem.l_orderkey",
+        "orders.o_custkey",
+        "lineitem.l_shipmode",
+    ] {
+        assert!(
+            names.iter().any(|n| n == expected),
+            "{expected} in {names:?}"
+        );
+    }
+
+    for sensitive in [
+        "SELECT o_orderkey FROM orders WHERE o_totalprice = 1000.00",
+        "SELECT id FROM notes WHERE body = 'alpha'",
+        "SELECT id FROM notes WHERE amount = 10",
+    ] {
+        let plan = client.explain(sensitive).unwrap();
+        assert!(!plan.contains("IndexScan"), "{sensitive}:\n{plan}");
+    }
+    let plan = client
+        .explain("SELECT c_custkey FROM customer WHERE c_acctbal = 1000.00 AND c_custkey = 3")
+        .unwrap();
+    assert!(plan.contains("IndexScan(customer.c_custkey)"), "{plan}");
+}

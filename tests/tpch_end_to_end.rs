@@ -257,7 +257,10 @@ fn rewritten_q6_and_q3_scans_read_exactly_the_referenced_columns() {
             .expect("explain analyze");
         let mut got: Vec<String> = analyzed
             .lines()
-            .filter(|line| line.trim_start().starts_with("TableScan"))
+            .filter(|line| {
+                let line = line.trim_start();
+                line.starts_with("TableScan") || line.starts_with("IndexScan")
+            })
             .map(|line| {
                 let cols = line.split("cols=").nth(1).expect("scan lines carry cols=");
                 cols.split_whitespace().next().unwrap_or("").to_string()
