@@ -14,6 +14,12 @@
 //! a time in lockstep; the `item_keys` group derives a column of item keys row
 //! by row and in lockstep.
 //!
+//! The `fresh_x` group prices the data owner's item-key memo
+//! (`sdb_crypto::ItemKeyMemo`) on the same column: a cold memo that derives
+//! and stores every row, a warm one that serves every row with one
+//! multiplication, and a stream of requests each under an `x` the memo never
+//! admitted — the bypass, which costs what `gen_item_keys` does.
+//!
 //! The `fresh_exponents` group runs a stream of key-update queries through
 //! one `SpEngine`, each with an exponent no earlier query used: the workload
 //! the engine's power memo never admits, so it prices the memo's bypass
@@ -33,7 +39,9 @@ use std::hint::black_box;
 
 use sdb_crypto::bigint::{mod_inverse, mod_mul};
 use sdb_crypto::share::{encrypt_value, gen_item_key, KeyUpdateParams};
-use sdb_crypto::{gen_item_keys, BoundKeyUpdateSet, KeyConfig, SignedCodec, SystemKey};
+use sdb_crypto::{
+    gen_item_keys, BoundKeyUpdateSet, ColumnKey, ItemKeyMemo, KeyConfig, SignedCodec, SystemKey,
+};
 use sdb_engine::SpEngine;
 use sdb_storage::{Catalog, ColumnDef, DataType, Schema, Value};
 
@@ -240,6 +248,43 @@ fn item_keys(c: &mut Criterion) {
     group.finish();
 }
 
+/// The same 64-row column through the item-key memo at 256, 512 and 2048
+/// bits: cold (a fresh memo admitting the key), warm (every row a hit), and
+/// a stream of keys with an `x` of their own (never admitted).
+fn fresh_x(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fresh_x");
+    let [small, mid, _, paper] = profiles();
+    for (label, config) in [small, mid, paper] {
+        let mut rng = StdRng::seed_from_u64(0xab1e);
+        let key = SystemKey::generate(&mut rng, config).expect("key generation");
+        let ck = key.gen_column_key(&mut rng);
+        let row_ids: Vec<BigUint> = (0..64).map(|_| key.gen_row_id(&mut rng)).collect();
+        let admitting = || {
+            let memo = ItemKeyMemo::default();
+            memo.admit(ck.x());
+            memo.grow(row_ids.len());
+            memo
+        };
+        group.bench_function(BenchmarkId::new("cold_64", label), |b| {
+            b.iter(|| black_box(admitting().item_keys(&key, &ck, &row_ids)))
+        });
+        let warm = admitting();
+        warm.item_keys(&key, &ck, &row_ids);
+        group.bench_function(BenchmarkId::new("hit_64", label), |b| {
+            b.iter(|| black_box(warm.item_keys(&key, &ck, &row_ids)))
+        });
+        let mut x = ck.x().clone();
+        group.bench_function(BenchmarkId::new("fresh_x_64", label), |b| {
+            b.iter(|| {
+                x += BigUint::from(1u32);
+                let fresh = ColumnKey::new(ck.m().clone(), x.clone());
+                black_box(warm.item_keys(&key, &fresh, &row_ids))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// 64 rows of random shares at 512 bits, each query re-keyed with an
 /// exponent of its own: every run raises all 64 rows.
 fn fresh_exponents(c: &mut Criterion) {
@@ -314,6 +359,6 @@ fn inverse(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = modulus_sweep, key_update_set, key_update_rows, item_keys, fresh_exponents, inverse
+    targets = modulus_sweep, key_update_set, key_update_rows, item_keys, fresh_x, fresh_exponents, inverse
 }
 criterion_main!(benches);

@@ -145,6 +145,11 @@ pub struct QueryResult {
     /// The per-operator execution trace, when tracing was on for this query
     /// — rides along so the serving layer's slow-query log can capture it.
     pub trace: Option<sdb_engine::trace::TraceReport>,
+    /// Row-keyed item keys the DO derived by exponentiation (oracle requests
+    /// and result decryption).
+    pub item_keys_derived: usize,
+    /// Row-keyed item keys the DO served from its item-key memo.
+    pub item_key_memo_hits: usize,
 }
 
 impl QueryResult {
@@ -434,6 +439,8 @@ impl SdbClient {
             bytes_to_sp,
             bytes_from_sp,
             trace: output.trace,
+            item_keys_derived: rewritten.session.item_keys_derived(),
+            item_key_memo_hits: rewritten.session.item_key_memo_hits(),
         })
     }
 

@@ -213,6 +213,12 @@ impl SystemKey {
         self.g_table.pow_times(exponents, factor)
     }
 
+    /// Appends `g^e` in Montgomery form (`k` limbs) to `out` for every
+    /// exponent `e` of `exponents`, through the fixed-base table of `g`.
+    pub(crate) fn g_powers(&self, exponents: &[BigUint], out: &mut Vec<u64>) {
+        self.g_table.powers(exponents, out)
+    }
+
     /// The secret totient `φ(n)`. Only the DO-side code may call this.
     pub fn phi(&self) -> &BigUint {
         &self.parts.phi

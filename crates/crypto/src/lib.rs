@@ -27,6 +27,8 @@
 //!   [`KeyUpdateParams`] computation behind the `sdb_key_update` UDF.
 //! * [`signed`] — encoding of signed 64-bit application values into `Z_n`.
 //! * [`prime`] — Miller–Rabin primality testing and random prime generation.
+//! * [`item_memo`] — the DO's memo of item-key powers per row and column-key
+//!   exponent.
 //! * [`modulus`] — the Montgomery context of one fixed odd modulus: multiply,
 //!   windowed exponentiation, and the fixed-base table behind item keys.
 //! * [`bigint`] — modular inverse and co-primality (a fixed-width binary
@@ -60,6 +62,7 @@ pub mod batch;
 pub mod bigint;
 pub mod error;
 mod inverse;
+pub mod item_memo;
 pub mod keys;
 pub mod modulus;
 pub mod prf;
@@ -71,6 +74,7 @@ pub mod signed;
 
 pub use batch::{blind_shares, encrypt_values, gen_item_keys, mod_inverse_batch};
 pub use error::CryptoError;
+pub use item_memo::{ItemKeyCounts, ItemKeyMemo, ItemKeyMemoStats};
 pub use keys::{ColumnKey, KeyConfig, SystemKey};
 pub use modulus::Modulus;
 pub use prf::{EqualityTagger, Prf};

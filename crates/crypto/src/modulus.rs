@@ -559,6 +559,16 @@ impl Modulus {
         by_width!(self, mul_mont_mul_in(a, power, factor))
     }
 
+    /// `factor · power mod n` for every `power` in Montgomery form (a row of
+    /// [`FixedBase::powers`]): one multiplication each.
+    pub(crate) fn times_mont<'p>(
+        &self,
+        factor: &BigUint,
+        powers: impl Iterator<Item = &'p [u64]>,
+    ) -> Vec<BigUint> {
+        by_width!(self, times_mont_in(factor, powers))
+    }
+
     fn mont_mul<L: Limbs>(&self, a: &[u64], b: &[u64]) -> L {
         mont_mul(a, b, &self.limbs, self.n0)
     }
@@ -806,14 +816,19 @@ impl FixedBase {
     /// `factor · base^e mod n` for every exponent `e` of `exponents`, in
     /// order; [`lockstep_rows`] of them at a time run in lockstep.
     pub(crate) fn pow_times(&self, exponents: &[BigUint], factor: &BigUint) -> Vec<BigUint> {
-        let mut out = Vec::with_capacity(exponents.len());
+        let k = self.modulus.limb_count();
+        let mut powers = Vec::with_capacity(exponents.len() * k);
+        self.powers(exponents, &mut powers);
+        self.modulus.times_mont(factor, powers.chunks_exact(k))
+    }
+
+    /// Appends `base^e` in Montgomery form, `k` limbs, to `out` for every
+    /// exponent `e` of `exponents`, in order; [`lockstep_rows`] of them at a
+    /// time run in lockstep.
+    pub(crate) fn powers(&self, exponents: &[BigUint], out: &mut Vec<u64>) {
         for block in exponents.chunks(lockstep_rows(self.modulus.limb_count())) {
-            by_width!(
-                self.modulus,
-                fixed_base_pow_times(self, block, factor, &mut out)
-            );
+            by_width!(self.modulus, fixed_base_powers(self, block, out));
         }
-        out
     }
 
     fn entry(&self, digit: usize, value: usize) -> &[u64] {
@@ -841,14 +856,13 @@ impl Modulus {
         table
     }
 
-    /// Appends `factor · base^e` to `out` for every row's exponent `e`, the
-    /// rows in lockstep digit by digit.
-    fn fixed_base_pow_times<L: Limbs>(
+    /// Appends `base^e` in Montgomery form to `out` for every row's exponent
+    /// `e`, the rows in lockstep digit by digit.
+    fn fixed_base_powers<L: Limbs>(
         &self,
         base: &FixedBase,
         exponents: &[BigUint],
-        factor: &BigUint,
-        out: &mut Vec<BigUint>,
+        out: &mut Vec<u64>,
     ) {
         let (k, width) = (self.limbs.len(), base.digits * DIGIT_BITS);
         let fits = |exponent: &BigUint| exponent.bits() as usize <= width;
@@ -877,21 +891,27 @@ impl Modulus {
                 }
             }
         }
-        let factor_limbs = self.load::<L>(factor);
         for (exponent, (_, power)) in exponents.iter().zip(&rows) {
-            out.push(if fits(exponent) {
-                // canonical × Montgomery = canonical.
-                store(
-                    self.mont_mul::<L>(factor_limbs.as_ref(), power.as_ref())
-                        .as_ref(),
-                )
+            if fits(exponent) {
+                out.extend_from_slice(power.as_ref());
             } else {
                 // Wider than the table: recover the base and take the general
                 // path.
                 let base = self.unload::<L>(base.entry(0, 1));
-                self.mul(factor, &self.pow(&base, exponent))
-            });
+                out.extend_from_slice(&self.to_mont_in::<L>(&self.pow(&base, exponent)).0);
+            }
         }
+    }
+
+    /// `factor · power mod n` for every `power` in Montgomery form.
+    fn times_mont_in<'p, L: Limbs>(
+        &self,
+        factor: &BigUint,
+        powers: impl Iterator<Item = &'p [u64]>,
+    ) -> Vec<BigUint> {
+        let factor = self.load::<L>(factor);
+        // canonical × Montgomery = canonical.
+        (powers.map(|power| store(self.mont_mul::<L>(factor.as_ref(), power).as_ref()))).collect()
     }
 }
 

@@ -174,7 +174,12 @@ impl<'a> GraceHashJoin<'a> {
     fn new_writers(&self, schema: &Schema) -> Vec<PageStreamWriter> {
         (0..FANOUT)
             .map(|_| {
-                PageStreamWriter::new(schema.clone(), self.flush_bytes(), self.ctx.batch_size())
+                PageStreamWriter::new(
+                    self.ctx.pager(),
+                    schema.clone(),
+                    self.flush_bytes(),
+                    self.ctx.batch_size(),
+                )
             })
             .collect()
     }
@@ -267,18 +272,14 @@ impl<'a> GraceHashJoin<'a> {
             }
         }
 
-        let pager = Arc::clone(self.ctx.pager());
-        let build_streams = finish_writers(build_writers, &pager)?;
+        let build_streams = finish_writers(build_writers)?;
         self.ctx.stats_mut().join_build_partitions +=
             build_streams.iter().filter(|s| !s.is_empty()).count();
         let probe_streams = match probe_writers {
-            Some(writers) => finish_writers(writers, &pager)?,
-            // No probe batches: nothing can be emitted; abandon the build
-            // partitions (their pages die with the free below).
+            Some(writers) => finish_writers(writers)?,
+            // No probe batches: nothing can be emitted; the build
+            // partitions free their pages as they drop.
             None => {
-                for stream in build_streams {
-                    stream.free(&pager)?;
-                }
                 return Ok(State::Drain(DrainState {
                     output_schema: Schema::empty(),
                     cursors: Vec::new(),
@@ -307,7 +308,7 @@ impl<'a> GraceHashJoin<'a> {
         let mut heap = BinaryHeap::new();
         for stream in outputs {
             let mut cursor = OutCursor {
-                reader: stream.reader(self.ctx.pager()),
+                reader: stream.reader(),
                 current: None,
                 row: 0,
             };
@@ -355,7 +356,6 @@ impl<'a> GraceHashJoin<'a> {
         let mut keys = self.right_keys.clone();
         let working = resolve_for_exprs(&self.ctx, batch.clone(), &mut keys)?;
         let keys = keys_of_batch(&self.ctx, &keys, &working)?;
-        let pager = self.ctx.pager();
         let mut routed = 0usize;
         for (row, &hash) in keys.hashes.iter().enumerate() {
             if keys.nulls[row] {
@@ -363,7 +363,7 @@ impl<'a> GraceHashJoin<'a> {
             }
             let mut out: Vec<Value> = keys.row(row).cloned().collect();
             out.extend(batch.row(row).into_iter().take(payload));
-            writers[partition_of(hash, 0, FANOUT)].push_row(pager, out)?;
+            writers[partition_of(hash, 0, FANOUT)].push_row(out)?;
             routed += 1;
         }
         self.ctx.stats_mut().join_spilled_rows += routed;
@@ -384,7 +384,6 @@ impl<'a> GraceHashJoin<'a> {
         let mut keys = self.left_keys.clone();
         let working = resolve_for_exprs(&self.ctx, batch.clone(), &mut keys)?;
         let keys = keys_of_batch(&self.ctx, &keys, &working)?;
-        let pager = self.ctx.pager();
         let mut routed = 0usize;
         for (row, &hash) in keys.hashes.iter().enumerate() {
             let seq = *next_seq;
@@ -397,7 +396,7 @@ impl<'a> GraceHashJoin<'a> {
             let mut out = vec![Value::Int(seq as i64)];
             out.extend(keys.row(row).cloned());
             out.extend(batch.row(row).into_iter().take(payload));
-            writers[p].push_row(pager, out)?;
+            writers[p].push_row(out)?;
             routed += 1;
         }
         self.ctx.stats_mut().join_spilled_rows += routed;
@@ -420,7 +419,14 @@ struct PairJoiner<'j, 'a> {
 impl PairJoiner<'_, '_> {
     fn new_writers(&self, schema: &Schema) -> Vec<PageStreamWriter> {
         (0..FANOUT)
-            .map(|_| PageStreamWriter::new(schema.clone(), self.flush_bytes, self.ctx.batch_size()))
+            .map(|_| {
+                PageStreamWriter::new(
+                    self.ctx.pager(),
+                    schema.clone(),
+                    self.flush_bytes,
+                    self.ctx.batch_size(),
+                )
+            })
             .collect()
     }
 
@@ -491,15 +497,13 @@ impl PairJoiner<'_, '_> {
         outputs: &mut Vec<PageStream>,
     ) -> Result<()> {
         let pager = Arc::clone(self.ctx.pager());
+        // Streams returned from unread free their pages as they drop.
         if probe.is_empty() {
             // No probe rows: no output can exist (inner or LEFT).
-            build.free(&pager)?;
-            probe.free(&pager)?;
             return Ok(());
         }
         if build.is_empty() && self.kind != JoinKind::Left {
             // Inner join against nothing: no probe row can match.
-            probe.free(&pager)?;
             return Ok(());
         }
         let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
@@ -511,7 +515,7 @@ impl PairJoiner<'_, '_> {
         // Leaf: materialise the build partition and index it by its key
         // columns, then stream the probe partition against it page by page.
         let mut build_rows = RecordBatch::empty(build.schema().clone());
-        let mut reader = build.reader(&pager);
+        let mut reader = build.reader();
         while let Some(page) = reader.next_batch()? {
             build_rows.append(&page)?;
         }
@@ -523,11 +527,12 @@ impl PairJoiner<'_, '_> {
         let side = BuildSide::new(build_rows.project(&payload), keys);
 
         let mut out = PageStreamWriter::new(
+            &pager,
             out_page_schema(output_schema),
             self.flush_bytes,
             self.ctx.batch_size(),
         );
-        let mut reader = probe.reader(&pager);
+        let mut reader = probe.reader();
         while let Some(page) = reader.next_batch()? {
             let keys = BatchKeys::new(page.columns()[1..1 + self.keys].to_vec(), page.num_rows());
             let (probe_rows, matched) = side.matches(&keys, self.kind == JoinKind::Left);
@@ -540,14 +545,12 @@ impl PairJoiner<'_, '_> {
                     Some(rrow) => c.get(rrow).clone(),
                     None => Value::Null,
                 }));
-                out.push_row(&pager, joined)?;
+                out.push_row(joined)?;
             }
         }
-        let stream = out.finish(&pager)?;
+        let stream = out.finish()?;
         if !stream.is_empty() {
             outputs.push(stream);
-        } else {
-            stream.free(&pager)?;
         }
         Ok(())
     }
@@ -565,23 +568,22 @@ impl PairJoiner<'_, '_> {
         output_schema: &Schema,
         outputs: &mut Vec<PageStream>,
     ) -> Result<()> {
-        let pager = Arc::clone(self.ctx.pager());
         let build_schema = build.schema().clone();
         let mut build_writers = self.new_writers(&build_schema);
-        let mut reader = build.reader(&pager);
+        let mut reader = build.reader();
         let mut routed = 0usize;
         while let Some(page) = reader.next_batch()? {
             let keys = BatchKeys::new(page.columns()[..self.keys].to_vec(), page.num_rows());
             for (row, &hash) in keys.hashes.iter().enumerate() {
                 let p = partition_of(hash, level, FANOUT);
-                build_writers[p].push_row(&pager, page.row(row))?;
+                build_writers[p].push_row(page.row(row))?;
                 routed += 1;
             }
         }
 
         let probe_schema = probe.schema().clone();
         let mut probe_writers = self.new_writers(&probe_schema);
-        let mut reader = probe.reader(&pager);
+        let mut reader = probe.reader();
         while let Some(page) = reader.next_batch()? {
             let keys = BatchKeys::new(page.columns()[1..1 + self.keys].to_vec(), page.num_rows());
             for (row, &hash) in keys.hashes.iter().enumerate() {
@@ -590,16 +592,16 @@ impl PairJoiner<'_, '_> {
                     true => 0,
                     false => partition_of(hash, level, FANOUT),
                 };
-                probe_writers[p].push_row(&pager, page.row(row))?;
+                probe_writers[p].push_row(page.row(row))?;
                 routed += 1;
             }
         }
         self.ctx.stats_mut().join_spilled_rows += routed;
 
-        let build_streams = finish_writers(build_writers, &pager)?;
+        let build_streams = finish_writers(build_writers)?;
         self.ctx.stats_mut().join_build_partitions +=
             build_streams.iter().filter(|s| !s.is_empty()).count();
-        let probe_streams = finish_writers(probe_writers, &pager)?;
+        let probe_streams = finish_writers(probe_writers)?;
         for (sub_build, sub_probe) in build_streams.into_iter().zip(probe_streams) {
             self.join_partition(sub_build, sub_probe, level + 1, output_schema, outputs)?;
         }
@@ -752,12 +754,9 @@ fn out_page_schema(output_schema: &Schema) -> Schema {
 }
 
 /// Seals a set of partition writers into their streams.
-fn finish_writers(
-    writers: Vec<PageStreamWriter>,
-    pager: &sdb_storage::Pager,
-) -> Result<Vec<PageStream>> {
+fn finish_writers(writers: Vec<PageStreamWriter>) -> Result<Vec<PageStream>> {
     writers
         .into_iter()
-        .map(|w| w.finish(pager).map_err(Into::into))
+        .map(|w| w.finish().map_err(Into::into))
         .collect()
 }

@@ -323,15 +323,20 @@ impl<'a> NestedLoopJoin<'a> {
         while let Some(batch) = self.right.next_batch()? {
             let writer = writer.get_or_insert_with(|| {
                 schema = batch.schema().clone();
-                PageStreamWriter::new(batch.schema().clone(), flush_bytes, self.ctx.batch_size())
+                PageStreamWriter::new(
+                    self.ctx.pager(),
+                    batch.schema().clone(),
+                    flush_bytes,
+                    self.ctx.batch_size(),
+                )
             });
             for row in 0..batch.num_rows() {
-                writer.push_row(self.ctx.pager(), batch.row(row))?;
+                writer.push_row(batch.row(row))?;
             }
         }
         let stream = match writer {
-            Some(writer) => writer.finish(self.ctx.pager())?,
-            None => PageStreamWriter::new(Schema::empty(), 1, 1).finish(self.ctx.pager())?,
+            Some(writer) => writer.finish()?,
+            None => PageStreamWriter::new(self.ctx.pager(), Schema::empty(), 1, 1).finish()?,
         };
         Ok(RightSide::Paged { schema, stream })
     }
@@ -351,7 +356,7 @@ impl<'a> NestedLoopJoin<'a> {
 
         let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); batch.num_rows()];
         let mut scan = stream.scan();
-        while let Some(page) = scan.next_batch(self.ctx.pager())? {
+        while let Some(page) = scan.next_batch()? {
             for (lrow, bucket) in buckets.iter_mut().enumerate() {
                 for rrow in 0..page.num_rows() {
                     let mut row = batch.row(lrow);
@@ -445,9 +450,7 @@ impl PhysicalOperator for NestedLoopJoin<'_> {
     }
 
     fn close(&mut self) -> Result<()> {
-        if let Some(RightSide::Paged { stream, .. }) = self.right_side.take() {
-            stream.free(self.ctx.pager())?;
-        }
+        // A paged right side frees its pages as it drops.
         self.right_side = None;
         self.left.close()?;
         self.right.close()

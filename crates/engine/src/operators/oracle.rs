@@ -419,7 +419,12 @@ impl OracleAccumulator {
         Ok(OracleAccumulator {
             key_updates,
             input_schema: schema.clone(),
-            writer: PageStreamWriter::new(schema.clone(), flush_bytes, ctx.batch_size()),
+            writer: PageStreamWriter::new(
+                ctx.pager(),
+                schema.clone(),
+                flush_bytes,
+                ctx.batch_size(),
+            ),
             total_rows: 0,
             active,
             buffers,
@@ -445,7 +450,7 @@ impl OracleAccumulator {
             &mut self.buffers,
         )?;
         for row in 0..batch.num_rows() {
-            self.writer.push_row(ctx.pager(), batch.row(row))?;
+            self.writer.push_row(batch.row(row))?;
         }
         self.total_rows += batch.num_rows();
         Ok(())
@@ -468,7 +473,7 @@ impl OracleAccumulator {
             buffers,
             ..
         } = self;
-        let stream = writer.finish(ctx.pager())?;
+        let stream = writer.finish()?;
         let mut answers = Vec::with_capacity(active.len());
         for (call, buffer) in active.iter().zip(buffers) {
             answers.push(resolve_call(ctx, call, total_rows, buffer, true)?);
@@ -478,7 +483,7 @@ impl OracleAccumulator {
             .map(|call| ColumnDef::public(&call.rendered, call.data_type()))
             .collect();
         Ok(Epoch {
-            reader: stream.reader(ctx.pager()),
+            reader: stream.reader(),
             input_schema,
             columns,
             answers,

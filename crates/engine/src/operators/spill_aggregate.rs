@@ -161,7 +161,14 @@ impl<'a> SpillingHashAggregate<'a> {
         let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
         let flush_bytes = (limit / (2 * FANOUT)).max(1);
         (0..FANOUT)
-            .map(|_| PageStreamWriter::new(page_schema.clone(), flush_bytes, self.ctx.batch_size()))
+            .map(|_| {
+                PageStreamWriter::new(
+                    self.ctx.pager(),
+                    page_schema.clone(),
+                    flush_bytes,
+                    self.ctx.batch_size(),
+                )
+            })
             .collect()
     }
 
@@ -200,7 +207,7 @@ impl<'a> SpillingHashAggregate<'a> {
                     partitions = Some(self.partition_writers(&page_schema));
                 }
                 let writers = partitions.as_mut().expect("created above");
-                spill_rows(&self.ctx, writers, pending.drain(..), 0)?;
+                spill_rows(writers, pending.drain(..), 0)?;
                 pending_bytes = 0;
             }
         }
@@ -218,10 +225,10 @@ impl<'a> SpillingHashAggregate<'a> {
                 groups.states
             }
             Some(mut writers) => {
-                spill_rows(&self.ctx, &mut writers, pending.drain(..), 0)?;
+                spill_rows(&mut writers, pending.drain(..), 0)?;
                 let mut collected: Vec<(u64, GroupState)> = Vec::new();
                 for writer in writers {
-                    let run = writer.finish(self.ctx.pager())?;
+                    let run = writer.finish()?;
                     self.aggregate_partition(run, 1, &page_schema, &mut collected)?;
                 }
                 // Minimum sequence number == global first occurrence.
@@ -246,13 +253,13 @@ impl<'a> SpillingHashAggregate<'a> {
         if run.bytes() > limit && level <= MAX_LEVELS {
             // Still too big: split by a different hash of the same keys.
             let mut writers = self.partition_writers(page_schema);
-            let mut reader = run.reader(self.ctx.pager());
+            let mut reader = run.reader();
             while let Some(batch) = reader.next_batch()? {
                 let rows = decode_rows(&batch, self.group_by.len(), self.aggregates.len())?;
-                spill_rows(&self.ctx, &mut writers, rows.into_iter(), level)?;
+                spill_rows(&mut writers, rows.into_iter(), level)?;
             }
             for writer in writers {
-                let sub = writer.finish(self.ctx.pager())?;
+                let sub = writer.finish()?;
                 if !sub.is_empty() {
                     self.aggregate_partition(sub, level + 1, page_schema, out)?;
                 }
@@ -264,7 +271,7 @@ impl<'a> SpillingHashAggregate<'a> {
         // reader frees each page as it is consumed).
         let mut groups = Groups::default();
         let mut min_seqs: Vec<u64> = Vec::new();
-        let mut reader = run.reader(self.ctx.pager());
+        let mut reader = run.reader();
         while let Some(batch) = reader.next_batch()? {
             let rows = decode_rows(&batch, self.group_by.len(), self.aggregates.len())?;
             group_rows_into(rows, &mut min_seqs, &mut groups);
@@ -311,14 +318,13 @@ impl PhysicalOperator for SpillingHashAggregate<'_> {
 
 /// Routes prepared rows (in arrival order) to their partitions' writers.
 fn spill_rows(
-    ctx: &ExecContext<'_>,
     writers: &mut [PageStreamWriter],
     rows: impl Iterator<Item = PreparedRow>,
     level: u32,
 ) -> Result<()> {
     for row in rows {
         let p = partition_of(row.hash, level, FANOUT);
-        writers[p].push_row(ctx.pager(), row.into_values())?;
+        writers[p].push_row(row.into_values())?;
     }
     Ok(())
 }

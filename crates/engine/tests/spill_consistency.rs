@@ -618,3 +618,58 @@ fn a_panicking_query_fails_and_leaves_its_pool_clean() {
         .unwrap();
     assert_eq!(after.batch, fresh.batch);
 }
+
+/// A Grace join cancelled at any poll point — while partitioning both
+/// sides, or with its partitions sealed and only part of the pairs joined —
+/// fails with `Cancelled`, and the partition streams it abandons free their
+/// pages as they drop: a caller that keeps the lease sees none left.
+#[test]
+fn an_abandoned_grace_join_leaves_its_kept_lease_clean() {
+    let sql = "SELECT a.id, b.id FROM big a JOIN big b ON a.grp = b.grp AND a.val = b.val \
+               WHERE a.id < 500";
+    let engine = sdb_engine::SpEngine::with_catalog(Arc::new(generated_catalog(3_000)))
+        .with_optimizer(false)
+        .with_parallelism(1);
+    let pool = Arc::new(BufferPool::new(&MemoryBudget::unlimited()));
+    let opts = |lease: &Arc<Pager>, cancel: sdb_storage::CancelToken| {
+        sdb_engine::QueryOptions::default()
+            .with_memory_budget(MemoryBudget::bytes(4 * 1024))
+            .with_pager(Arc::clone(lease))
+            .with_cancel_token(cancel)
+    };
+
+    let probe = sdb_storage::CancelToken::new();
+    let lease = Arc::new(Pager::shared(&pool));
+    let reference = engine
+        .execute_sql_with(sql, &opts(&lease, probe.clone()))
+        .unwrap();
+    assert!(
+        reference.stats.join_build_partitions > 0,
+        "the join went Grace"
+    );
+    assert_eq!(lease.resident_bytes(), 0);
+    let checks = probe.checks();
+    assert!(checks > 10, "expected many poll points, saw {checks}");
+
+    let step = (checks / 40).max(1);
+    for fuse in (1..checks).step_by(step as usize) {
+        let lease = Arc::new(Pager::shared(&pool));
+        let cancel = sdb_storage::CancelToken::cancel_after_checks(fuse);
+        let failed = engine.execute_sql_with(sql, &opts(&lease, cancel));
+        assert!(
+            matches!(
+                &failed,
+                Err(sdb_engine::EngineError::Storage(
+                    sdb_storage::StorageError::Cancelled
+                ))
+            ),
+            "fuse {fuse}: {:?}",
+            failed.map(|out| out.batch.num_rows())
+        );
+        assert_eq!(
+            (lease.resident_bytes(), pool.resident_pages()),
+            (0, 0),
+            "fuse {fuse} of {checks}: the kept lease holds pages of the abandoned join"
+        );
+    }
+}

@@ -7,37 +7,40 @@
 //! LIMIT, and returns the plaintext result the application sees.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sdb_crypto::share::decrypt_value;
-use sdb_crypto::{gen_item_keys, RowIdGenerator, SiesCipher, SignedCodec, SystemKey};
+use sdb_crypto::SiesCipher;
 use sdb_engine::eval::Evaluator;
 use sdb_engine::UdfRegistry;
 use sdb_storage::{Column, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value};
 
 use crate::keystore::KeyStore;
 use crate::meta::PlainType;
-use crate::oracle::decode_units;
+use crate::oracle::{decode_units, OracleParts};
 use crate::plan::{Ingredient, OutputSource, ResultPlan};
 use crate::session::{HandleKey, QuerySession};
 use crate::{ProxyError, Result};
 
 /// Decrypts SP results according to a [`ResultPlan`].
 pub struct Decryptor {
-    system: SystemKey,
-    row_ids: RowIdGenerator,
+    parts: Arc<OracleParts>,
     payload: SiesCipher,
-    codec: SignedCodec,
     registry: UdfRegistry,
 }
 
 impl Decryptor {
     /// Builds a decryptor from the key store.
     pub fn new(keystore: &KeyStore) -> Self {
+        Decryptor::with_parts(Arc::new(OracleParts::new(keystore)), keystore)
+    }
+
+    /// Builds a decryptor that derives item keys through `parts`, the ones
+    /// the proxy's oracles share.
+    pub fn with_parts(parts: Arc<OracleParts>, keystore: &KeyStore) -> Self {
         Decryptor {
-            system: keystore.system().clone(),
-            row_ids: keystore.row_id_generator(),
+            parts,
             payload: keystore.payload_cipher(),
-            codec: SignedCodec::new(keystore.system()),
             registry: UdfRegistry::with_sdb_udfs(),
         }
     }
@@ -84,17 +87,16 @@ impl Decryptor {
                     let rid_col = server.column(rid_idx);
                     // The row ids of the non-NULL cells, then all their item
                     // keys in one call.
-                    let mut row_ids = Vec::with_capacity(rows);
-                    for row in (0..rows).filter(|&row| !column.get(row).is_null()) {
-                        let rid = self
-                            .row_ids
-                            .decrypt(rid_col.get(row).as_encrypted_row_id()?)
-                            .map_err(|e| ProxyError::Decryption {
-                                detail: format!("row id decryption failed: {e}"),
-                            })?;
-                        row_ids.push(rid.0);
-                    }
-                    let mut item_keys = gen_item_keys(&self.system, &key, &row_ids).into_iter();
+                    let row_ids = (0..rows)
+                        .filter(|&row| !column.get(row).is_null())
+                        .map(|row| rid_col.get(row).as_encrypted_row_id())
+                        .collect::<std::result::Result<Vec<_>, _>>()?;
+                    let item_keys = (self.parts)
+                        .row_keyed(&key, row_ids.into_iter(), session)
+                        .map_err(|e| ProxyError::Decryption {
+                            detail: format!("row id decryption failed: {e}"),
+                        })?;
+                    let mut item_keys = item_keys.into_iter();
                     let mut out = Vec::with_capacity(rows);
                     for share in column.values() {
                         out.push(match share {
@@ -316,8 +318,8 @@ impl Decryptor {
         item_key: &num_bigint::BigUint,
         decode: PlainType,
     ) -> Result<Value> {
-        let residue = decrypt_value(&self.system, share.as_encrypted()?, item_key);
-        let units = self.codec.decode(&residue)?;
+        let residue = decrypt_value(&self.parts.system, share.as_encrypted()?, item_key);
+        let units = self.parts.codec.decode(&residue)?;
         Ok(decode_units(units, decode))
     }
 }
@@ -330,7 +332,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sdb_crypto::share::{encrypt_value, gen_item_key};
-    use sdb_crypto::KeyConfig;
+    use sdb_crypto::{KeyConfig, SignedCodec};
     use sdb_sql::ast::{BinaryOp, Expr};
 
     fn keystore() -> KeyStore {

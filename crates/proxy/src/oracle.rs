@@ -11,8 +11,9 @@
 use std::sync::Arc;
 
 use num_bigint::BigUint;
+use sdb_crypto::rowid::EncryptedRowId;
 use sdb_crypto::share::decrypt_value;
-use sdb_crypto::{gen_item_keys, RowIdGenerator, SignedCodec, SystemKey};
+use sdb_crypto::{ColumnKey, EqualityTagger, ItemKeyMemo, RowIdGenerator, SignedCodec, SystemKey};
 use sdb_engine::secure::OracleRow;
 use sdb_engine::{OracleRequest, OracleResponse, OracleResult, SdbOracle};
 use sdb_storage::Value;
@@ -21,38 +22,87 @@ use crate::keystore::KeyStore;
 use crate::meta::PlainType;
 use crate::session::{HandleKey, QuerySession};
 
+/// What every query's oracle and the result decryptor derive their answers
+/// from: the system key, the row-id cipher, the tagger, the codec and the
+/// item-key memo. A proxy builds them once and shares them; none of it is
+/// part of the key store or its JSON, and `Debug` shows the memo's counts
+/// only.
+pub struct OracleParts {
+    pub(crate) system: SystemKey,
+    row_ids: RowIdGenerator,
+    tagger: EqualityTagger,
+    pub(crate) codec: SignedCodec,
+    memo: ItemKeyMemo,
+}
+
+impl OracleParts {
+    /// Builds the parts from the key store, with an empty memo that admits
+    /// nothing yet.
+    pub fn new(keystore: &KeyStore) -> Self {
+        OracleParts {
+            system: keystore.system().clone(),
+            row_ids: keystore.row_id_generator(),
+            tagger: keystore.tagger(),
+            codec: SignedCodec::new(keystore.system()),
+            memo: ItemKeyMemo::default(),
+        }
+    }
+
+    /// The item-key memo.
+    pub fn memo(&self) -> &ItemKeyMemo {
+        &self.memo
+    }
+
+    /// The item key under `key` of every row whose encrypted row id
+    /// `row_ids` yields, through the memo, counted in `session`. Every row id
+    /// is decrypted (and its MAC checked) whether or not the memo holds it.
+    pub(crate) fn row_keyed<'r>(
+        &self,
+        key: &ColumnKey,
+        row_ids: impl Iterator<Item = &'r EncryptedRowId>,
+        session: &QuerySession,
+    ) -> sdb_crypto::Result<Vec<BigUint>> {
+        let row_ids = row_ids
+            .map(|row_id| self.row_ids.decrypt(row_id).map(|rid| rid.0))
+            .collect::<sdb_crypto::Result<Vec<_>>>()?;
+        let (item_keys, counts) = self.memo.item_keys(&self.system, key, &row_ids);
+        session.count_item_keys(counts);
+        Ok(item_keys)
+    }
+}
+
+impl std::fmt::Debug for OracleParts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OracleParts")
+            .field("memo", &self.memo)
+            .finish_non_exhaustive()
+    }
+}
+
 /// The oracle served by the proxy for one query.
 pub struct ProxyOracle {
-    system: SystemKey,
-    row_ids: RowIdGenerator,
-    tagger: sdb_crypto::EqualityTagger,
-    codec: SignedCodec,
+    parts: Arc<OracleParts>,
     session: Arc<QuerySession>,
 }
 
 impl ProxyOracle {
     /// Builds an oracle bound to a query session from the key store.
     pub fn new(keystore: &KeyStore, session: Arc<QuerySession>) -> Self {
-        ProxyOracle {
-            system: keystore.system().clone(),
-            row_ids: keystore.row_id_generator(),
-            tagger: keystore.tagger(),
-            codec: SignedCodec::new(keystore.system()),
-            session,
-        }
+        ProxyOracle::with_parts(Arc::new(OracleParts::new(keystore)), session)
+    }
+
+    /// Builds an oracle bound to a query session from parts built earlier.
+    pub fn with_parts(parts: Arc<OracleParts>, session: Arc<QuerySession>) -> Self {
+        ProxyOracle { parts, session }
     }
 
     /// The item key of every row of a request: for a row-keyed handle, all
-    /// of them derived in one call from the rows' decrypted row ids.
+    /// of them in one call from the rows' decrypted row ids.
     fn item_keys(&self, handle: &HandleKey, rows: &[OracleRow]) -> Result<Vec<BigUint>, String> {
         match handle {
-            HandleKey::RowKeyed { key, .. } => {
-                let row_ids = (rows.iter())
-                    .map(|row| self.row_ids.decrypt(&row.row_id).map(|rid| rid.0))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| format!("row id decryption failed: {e}"))?;
-                Ok(gen_item_keys(&self.system, key, &row_ids))
-            }
+            HandleKey::RowKeyed { key, .. } => (self.parts)
+                .row_keyed(key, rows.iter().map(|row| &row.row_id), &self.session)
+                .map_err(|e| format!("row id decryption failed: {e}")),
             HandleKey::RowIndependent { item_key, .. } => Ok(vec![item_key.clone(); rows.len()]),
         }
     }
@@ -88,13 +138,19 @@ impl SdbOracle for ProxyOracle {
         self.session.count_oracle_request(request.rows.len());
         let item_keys = self.item_keys(&handle, &request.rows)?;
         let rows = request.rows.iter().zip(&item_keys);
+        let OracleParts {
+            system,
+            codec,
+            tagger,
+            ..
+        } = &*self.parts;
 
         match request.kind {
             sdb_engine::secure::OracleRequestKind::Sign => {
                 let mut signs = Vec::with_capacity(request.rows.len());
                 for (row, ik) in rows {
-                    let residue = decrypt_value(&self.system, &row.share, ik);
-                    signs.push(self.codec.sign(&residue));
+                    let residue = decrypt_value(system, &row.share, ik);
+                    signs.push(codec.sign(&residue));
                 }
                 Ok(OracleResponse::Signs(signs))
             }
@@ -102,16 +158,15 @@ impl SdbOracle for ProxyOracle {
                 let decode = Self::decode_of(&handle);
                 let mut tags = Vec::with_capacity(request.rows.len());
                 for (row, ik) in rows {
-                    let residue = decrypt_value(&self.system, &row.share, ik);
-                    let units = self
-                        .codec
+                    let residue = decrypt_value(system, &row.share, ik);
+                    let units = codec
                         .decode(&residue)
                         .map_err(|e| format!("decoding failed: {e}"))?;
                     let domain = match decode {
                         PlainType::Date => "sdb:date",
                         _ => "sdb:num",
                     };
-                    let tag = self.tagger.tag_i128(domain, units);
+                    let tag = tagger.tag_i128(domain, units);
                     self.session.record_tag(tag, decode_units(units, decode));
                     tags.push(tag);
                 }
@@ -126,9 +181,8 @@ impl SdbOracle for ProxyOracle {
                 let decode = Self::decode_of(&handle);
                 let mut units_per_row = Vec::with_capacity(request.rows.len());
                 for (row, ik) in rows {
-                    let residue = decrypt_value(&self.system, &row.share, ik);
-                    let units = self
-                        .codec
+                    let residue = decrypt_value(system, &row.share, ik);
+                    let units = codec
                         .decode(&residue)
                         .map_err(|e| format!("decoding failed: {e}"))?;
                     units_per_row.push(units);

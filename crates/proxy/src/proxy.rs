@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdb_crypto::{KeyConfig, KeyUpdateMemo};
+use sdb_crypto::{ItemKeyMemo, KeyConfig, KeyUpdateMemo};
 use sdb_sql::{parse_sql, Query, Statement};
 use sdb_storage::{RecordBatch, Table, Value};
 
@@ -20,7 +20,7 @@ use crate::decryptor::Decryptor;
 use crate::encryptor::{EncryptedUpload, Encryptor, UploadOptions};
 use crate::keystore::KeyStore;
 use crate::meta::TableMeta;
-use crate::oracle::ProxyOracle;
+use crate::oracle::{OracleParts, ProxyOracle};
 use crate::plan::ResultPlan;
 use crate::rewriter::Rewriter;
 use crate::session::QuerySession;
@@ -79,12 +79,24 @@ pub struct SdbProxy {
     keystore: KeyStore,
     metas: BTreeMap<String, TableMeta>,
     query_counter: AtomicU64,
-    /// What every query's rewrite and decryption would otherwise rebuild
-    /// from the key store: `n` in decimal, the key-update memo and the
-    /// decryptor. None of it is part of the key store or its JSON.
+    /// What every query's rewrite, oracle and decryption would otherwise
+    /// rebuild from the key store: `n` in decimal, the key-update memo, the
+    /// oracle's parts (with the item-key memo) and the decryptor sharing
+    /// them. None of it is part of the key store or its JSON.
     n_text: String,
     key_updates: KeyUpdateMemo,
+    oracle_parts: Arc<OracleParts>,
     decryptor: Decryptor,
+}
+
+impl std::fmt::Debug for SdbProxy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SdbProxy")
+            .field("tables", &self.metas.keys().collect::<Vec<_>>())
+            .field("key_updates", &self.key_updates)
+            .field("item_keys", self.oracle_parts.memo())
+            .finish_non_exhaustive()
+    }
 }
 
 impl SdbProxy {
@@ -92,10 +104,12 @@ impl SdbProxy {
     /// `seed` makes key generation deterministic for tests and benches.
     pub fn new(config: KeyConfig, seed: u64) -> Result<Self> {
         let keystore = KeyStore::generate(config, seed)?;
+        let oracle_parts = Arc::new(OracleParts::new(&keystore));
         Ok(SdbProxy {
             n_text: keystore.system().n().to_string(),
             key_updates: KeyUpdateMemo::default(),
-            decryptor: Decryptor::new(&keystore),
+            decryptor: Decryptor::with_parts(Arc::clone(&oracle_parts), &keystore),
+            oracle_parts,
             keystore,
             metas: BTreeMap::new(),
             query_counter: AtomicU64::new(0),
@@ -105,6 +119,12 @@ impl SdbProxy {
     /// The key store (e.g. to inspect its size, demo step 1).
     pub fn keystore(&self) -> &KeyStore {
         &self.keystore
+    }
+
+    /// The item-key memo the oracles and the decryptor share (its counters;
+    /// the powers it holds never leave it).
+    pub fn item_key_memo(&self) -> &ItemKeyMemo {
+        self.oracle_parts.memo()
     }
 
     /// Metadata of the uploaded tables.
@@ -121,6 +141,14 @@ impl SdbProxy {
         options: UploadOptions,
     ) -> Result<EncryptedUpload> {
         let upload = Encryptor::encrypt_table(&mut self.keystore, table, options)?;
+        // The memo admits the table's stored keys and may hold an entry per
+        // encrypted cell.
+        let keys = self.keystore.table_keys(&upload.meta.name)?;
+        let memo = self.oracle_parts.memo();
+        for key in keys.columns.values().chain([&keys.aux]) {
+            memo.admit(key.x());
+        }
+        memo.grow(table.num_rows() * (keys.columns.len() + 1));
         self.metas
             .insert(upload.meta.name.clone(), upload.meta.clone());
         Ok(upload)
@@ -136,13 +164,16 @@ impl SdbProxy {
         let mut rng = self
             .keystore
             .derived_rng(0x175e7 ^ self.query_counter.fetch_add(1, Ordering::Relaxed));
-        Encryptor::encrypt_rows(
+        let encrypted = Encryptor::encrypt_rows(
             &self.keystore,
             meta,
             UploadOptions::default(),
             rows,
             &mut rng,
-        )
+        )?;
+        let columns = self.keystore.table_keys(&meta.name)?.columns.len();
+        (self.oracle_parts.memo()).grow(rows.len() * (columns + 1));
+        Ok(encrypted)
     }
 
     /// Parses and rewrites one application SELECT statement (demo step 2).
@@ -184,7 +215,10 @@ impl SdbProxy {
 
     /// Builds the oracle the SP engine should use while executing this query.
     pub fn oracle(&self, rewritten: &RewrittenQuery) -> Arc<ProxyOracle> {
-        Arc::new(ProxyOracle::new(&self.keystore, rewritten.session.clone()))
+        Arc::new(ProxyOracle::with_parts(
+            Arc::clone(&self.oracle_parts),
+            rewritten.session.clone(),
+        ))
     }
 
     /// Decrypts and post-processes the SP's answer, returning the plaintext result

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use num_bigint::BigUint;
 use parking_lot::Mutex;
 
-use sdb_crypto::ColumnKey;
+use sdb_crypto::{ColumnKey, ItemKeyCounts};
 use sdb_storage::Value;
 
 use crate::meta::PlainType;
@@ -54,6 +54,8 @@ pub struct QuerySession {
     next_rank_base: AtomicUsize,
     oracle_requests: AtomicUsize,
     oracle_rows: AtomicUsize,
+    item_keys_derived: AtomicUsize,
+    item_key_memo_hits: AtomicUsize,
 }
 
 impl QuerySession {
@@ -132,6 +134,23 @@ impl QuerySession {
     pub fn oracle_rows(&self) -> usize {
         self.oracle_rows.load(Ordering::Relaxed)
     }
+
+    /// Counts how one batch of row-keyed item keys was obtained (oracle
+    /// requests and result decryption alike).
+    pub fn count_item_keys(&self, counts: ItemKeyCounts) {
+        (self.item_keys_derived).fetch_add(counts.derived, Ordering::Relaxed);
+        (self.item_key_memo_hits).fetch_add(counts.hits, Ordering::Relaxed);
+    }
+
+    /// Row-keyed item keys derived by exponentiation so far.
+    pub fn item_keys_derived(&self) -> usize {
+        self.item_keys_derived.load(Ordering::Relaxed)
+    }
+
+    /// Row-keyed item keys served from the proxy's memo so far.
+    pub fn item_key_memo_hits(&self) -> usize {
+        self.item_key_memo_hits.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -182,5 +201,15 @@ mod tests {
         session.count_oracle_request(5);
         assert_eq!(session.oracle_requests(), 2);
         assert_eq!(session.oracle_rows(), 15);
+        session.count_item_keys(ItemKeyCounts {
+            derived: 3,
+            hits: 4,
+        });
+        session.count_item_keys(ItemKeyCounts {
+            derived: 0,
+            hits: 2,
+        });
+        assert_eq!(session.item_keys_derived(), 3);
+        assert_eq!(session.item_key_memo_hits(), 6);
     }
 }

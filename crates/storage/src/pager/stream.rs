@@ -9,7 +9,11 @@
 //! consumer needs for its recursion decisions — and a [`PageStreamReader`]
 //! walks the pages in write order, freeing each page as soon as it has been
 //! handed out (streams are consume-once: a spilled partition is never read
-//! twice), and the pages it never handed out when it is dropped.
+//! twice), and the pages it never handed out when it is dropped. A sealed
+//! stream holds its pager too, and frees whatever pages it still owns when
+//! it is dropped unread: an operator that unwinds or errors between
+//! partitioning and reading leaves no page behind in a pager its caller
+//! keeps.
 //!
 //! Rows come back exactly in the order they were pushed: pages are appended
 //! and read in order, and each page preserves its row order through the
@@ -21,16 +25,18 @@ use std::sync::Arc;
 use super::pool::{PageId, Pager};
 use crate::{RecordBatch, Result, Schema, StorageError, Value};
 
-/// Buffers rows for one page stream and flushes them to pager pages.
+/// Buffers rows for one page stream and flushes them to pages of its pager.
 ///
 /// Flushing happens when the buffered rows exceed `flush_bytes` (approximate,
-/// via [`Value::approx_size`]) or `max_rows`, whichever comes first.
+/// via [`Value::approx_size`]) or `max_rows`, whichever comes first. A writer
+/// dropped before [`PageStreamWriter::finish`] frees the pages it flushed.
 ///
 /// Pages are built without per-value type validation: the page codec tags
 /// every value individually, so the schema's declared column types are
 /// advisory (spilling operators use placeholder types for bookkeeping
 /// columns holding mixed values). Row *arity* is still checked.
 pub struct PageStreamWriter {
+    pager: Arc<Pager>,
     schema: Schema,
     buffer: Vec<Vec<Value>>,
     buffer_bytes: usize,
@@ -42,12 +48,14 @@ pub struct PageStreamWriter {
 }
 
 impl PageStreamWriter {
-    /// Creates a writer producing pages of `schema`-shaped batches.
+    /// Creates a writer producing pages of `schema`-shaped batches in
+    /// `pager`.
     ///
     /// Panics if `max_rows` is zero (a page must be able to hold a row).
-    pub fn new(schema: Schema, flush_bytes: usize, max_rows: usize) -> Self {
+    pub fn new(pager: &Arc<Pager>, schema: Schema, flush_bytes: usize, max_rows: usize) -> Self {
         assert!(max_rows > 0, "a page must hold at least one row");
         PageStreamWriter {
+            pager: Arc::clone(pager),
             schema,
             buffer: Vec::new(),
             buffer_bytes: 0,
@@ -60,7 +68,7 @@ impl PageStreamWriter {
     }
 
     /// Appends one row, flushing the buffer to a page when it is full.
-    pub fn push_row(&mut self, pager: &Pager, row: Vec<Value>) -> Result<()> {
+    pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(StorageError::ArityMismatch {
                 expected: self.schema.len(),
@@ -73,7 +81,7 @@ impl PageStreamWriter {
         self.rows += 1;
         self.buffer.push(row);
         if self.buffer_bytes >= self.flush_bytes || self.buffer.len() >= self.max_rows {
-            self.flush(pager)?;
+            self.flush()?;
         }
         Ok(())
     }
@@ -83,30 +91,40 @@ impl PageStreamWriter {
         self.rows
     }
 
-    fn flush(&mut self, pager: &Pager) -> Result<()> {
+    fn flush(&mut self) -> Result<()> {
         if self.buffer.is_empty() {
             return Ok(());
         }
         let batch = RecordBatch::from_rows_unchecked(self.schema.clone(), self.buffer.drain(..));
         self.buffer_bytes = 0;
-        self.pages.push(pager.append_page(batch)?);
+        self.pages.push(self.pager.append_page(batch)?);
         Ok(())
     }
 
-    /// Flushes any buffered rows and seals the stream.
-    pub fn finish(mut self, pager: &Pager) -> Result<PageStream> {
-        self.flush(pager)?;
+    /// Flushes any buffered rows and seals the stream, which takes over the
+    /// pages and the pager.
+    pub fn finish(mut self) -> Result<PageStream> {
+        self.flush()?;
         Ok(PageStream {
-            schema: self.schema,
-            pages: self.pages,
+            pager: Arc::clone(&self.pager),
+            schema: self.schema.clone(),
+            pages: std::mem::take(&mut self.pages),
             rows: self.rows,
             bytes: self.bytes,
         })
     }
 }
 
+impl Drop for PageStreamWriter {
+    fn drop(&mut self) {
+        free_all(&self.pager, &self.pages);
+    }
+}
+
 /// A sealed, ordered sequence of pager pages plus its size accounting.
+/// Dropping it frees the pages it still owns.
 pub struct PageStream {
+    pager: Arc<Pager>,
     schema: Schema,
     pages: Vec<PageId>,
     rows: usize,
@@ -140,12 +158,12 @@ impl PageStream {
         self.rows == 0
     }
 
-    /// Starts consuming the stream in write order from `pager`, the pool
-    /// its pages were written to.
-    pub fn reader(self, pager: &Arc<Pager>) -> PageStreamReader {
+    /// Starts consuming the stream in write order; the reader takes over
+    /// its pages.
+    pub fn reader(mut self) -> PageStreamReader {
         PageStreamReader {
-            pager: Arc::clone(pager),
-            pages: self.pages,
+            pager: Arc::clone(&self.pager),
+            pages: std::mem::take(&mut self.pages),
             next: 0,
         }
     }
@@ -153,21 +171,27 @@ impl PageStream {
     /// Starts a non-consuming pass over the stream in write order. Unlike
     /// [`PageStream::reader`], pages stay in the pool (or spill file) after
     /// being read, so the stream can be scanned any number of times — the
-    /// multi-pass access pattern of a block-nested-loop join. Free the
-    /// stream explicitly with [`PageStream::free`] when done.
+    /// multi-pass access pattern of a block-nested-loop join. The pages are
+    /// freed when the stream is dropped.
     pub fn scan(&self) -> PageStreamScan<'_> {
         PageStreamScan {
             stream: self,
             next: 0,
         }
     }
+}
 
-    /// Frees every page without reading it (abandoning the stream).
-    pub fn free(self, pager: &Pager) -> Result<()> {
-        for id in self.pages {
-            pager.free_page(id)?;
-        }
-        Ok(())
+impl Drop for PageStream {
+    fn drop(&mut self) {
+        free_all(&self.pager, &self.pages);
+    }
+}
+
+/// Frees pages on a drop path, where an error has nowhere to go (the lease
+/// frees whatever is left when it drops).
+fn free_all(pager: &Pager, pages: &[PageId]) {
+    for &id in pages {
+        let _ = pager.free_page(id);
     }
 }
 
@@ -183,11 +207,11 @@ pub struct PageStreamScan<'s> {
 impl PageStreamScan<'_> {
     /// Reads the next non-empty page without freeing it, or `None` at the
     /// end of the stream.
-    pub fn next_batch(&mut self, pager: &Pager) -> Result<Option<Arc<RecordBatch>>> {
+    pub fn next_batch(&mut self) -> Result<Option<Arc<RecordBatch>>> {
         while self.next < self.stream.pages.len() {
             let id = self.stream.pages[self.next];
             self.next += 1;
-            let batch = pager.read_page(id)?;
+            let batch = self.stream.pager.read_page(id)?;
             if batch.num_rows() > 0 {
                 return Ok(Some(batch));
             }
@@ -229,9 +253,7 @@ impl PageStreamReader {
 
 impl Drop for PageStreamReader {
     fn drop(&mut self) {
-        for &id in &self.pages[self.next..] {
-            let _ = self.pager.free_page(id);
-        }
+        free_all(&self.pager, &self.pages[self.next..]);
     }
 }
 
@@ -255,16 +277,16 @@ mod tests {
     #[test]
     fn rows_come_back_in_push_order() {
         let pager = Arc::new(Pager::new(&MemoryBudget::unlimited()));
-        let mut writer = PageStreamWriter::new(schema(), 64, 7);
+        let mut writer = PageStreamWriter::new(&pager, schema(), 64, 7);
         for i in 0..100 {
-            writer.push_row(&pager, row(i)).unwrap();
+            writer.push_row(row(i)).unwrap();
         }
-        let stream = writer.finish(&pager).unwrap();
+        let stream = writer.finish().unwrap();
         assert_eq!(stream.rows(), 100);
         assert!(stream.bytes() > 0);
         assert!(stream.num_pages() > 1, "tiny thresholds force many pages");
 
-        let mut reader = stream.reader(&pager);
+        let mut reader = stream.reader();
         let mut seen = Vec::new();
         while let Some(batch) = reader.next_batch().unwrap() {
             for r in 0..batch.num_rows() {
@@ -277,13 +299,13 @@ mod tests {
     #[test]
     fn reading_frees_pages_as_it_goes() {
         let pager = Arc::new(Pager::new(&MemoryBudget::unlimited()));
-        let mut writer = PageStreamWriter::new(schema(), 1, 1); // one row per page
+        let mut writer = PageStreamWriter::new(&pager, schema(), 1, 1); // one row per page
         for i in 0..5 {
-            writer.push_row(&pager, row(i)).unwrap();
+            writer.push_row(row(i)).unwrap();
         }
-        let stream = writer.finish(&pager).unwrap();
+        let stream = writer.finish().unwrap();
         assert_eq!(stream.num_pages(), 5);
-        let mut reader = stream.reader(&pager);
+        let mut reader = stream.reader();
         let mut read = 0;
         while reader.next_batch().unwrap().is_some() {
             read += 1;
@@ -299,29 +321,41 @@ mod tests {
     #[test]
     fn empty_stream_reads_nothing() {
         let pager = Arc::new(Pager::new(&MemoryBudget::unlimited()));
-        let writer = PageStreamWriter::new(schema(), 1024, 8);
-        let stream = writer.finish(&pager).unwrap();
+        let writer = PageStreamWriter::new(&pager, schema(), 1024, 8);
+        let stream = writer.finish().unwrap();
         assert!(stream.is_empty());
         assert_eq!(stream.num_pages(), 0);
-        assert!(stream.reader(&pager).next_batch().unwrap().is_none());
+        assert!(stream.reader().next_batch().unwrap().is_none());
     }
 
     #[test]
     fn free_and_release_drop_all_pages() {
         let pager = Arc::new(Pager::new(&MemoryBudget::unlimited()));
-        let mut writer = PageStreamWriter::new(schema(), 1, 1);
+        let mut writer = PageStreamWriter::new(&pager, schema(), 1, 1);
         for i in 0..4 {
-            writer.push_row(&pager, row(i)).unwrap();
+            writer.push_row(row(i)).unwrap();
         }
-        writer.finish(&pager).unwrap().free(&pager).unwrap();
-        assert_eq!(pager.resident_bytes(), 0);
+        drop(writer.finish().unwrap());
+        assert_eq!(pager.resident_bytes(), 0, "an unread stream frees on drop");
 
-        let mut writer = PageStreamWriter::new(schema(), 1, 1);
+        let mut writer = PageStreamWriter::new(&pager, schema(), 1, 1);
         for i in 0..4 {
-            writer.push_row(&pager, row(i)).unwrap();
+            writer.push_row(row(i)).unwrap();
+        }
+        assert!(pager.resident_bytes() > 0);
+        drop(writer);
+        assert_eq!(
+            pager.resident_bytes(),
+            0,
+            "an unfinished writer frees on drop"
+        );
+
+        let mut writer = PageStreamWriter::new(&pager, schema(), 1, 1);
+        for i in 0..4 {
+            writer.push_row(row(i)).unwrap();
         }
         // A reader dropped part-way frees the pages it never read.
-        let mut reader = writer.finish(&pager).unwrap().reader(&pager);
+        let mut reader = writer.finish().unwrap().reader();
         reader.next_batch().unwrap();
         drop(reader);
         assert_eq!(pager.resident_bytes(), 0);
@@ -330,36 +364,36 @@ mod tests {
     #[test]
     fn scan_is_repeatable_and_keeps_pages() {
         let pager = Arc::new(Pager::new(&MemoryBudget::bytes(64)));
-        let mut writer = PageStreamWriter::new(schema(), 32, 4);
+        let mut writer = PageStreamWriter::new(&pager, schema(), 32, 4);
         for i in 0..30 {
-            writer.push_row(&pager, row(i)).unwrap();
+            writer.push_row(row(i)).unwrap();
         }
-        let stream = writer.finish(&pager).unwrap();
+        let stream = writer.finish().unwrap();
         for _ in 0..3 {
             let mut scan = stream.scan();
             let mut seen = Vec::new();
-            while let Some(batch) = scan.next_batch(&pager).unwrap() {
+            while let Some(batch) = scan.next_batch().unwrap() {
                 for r in 0..batch.num_rows() {
                     seen.push(batch.column(0).get(r).as_i64().unwrap());
                 }
             }
             assert_eq!(seen, (0..30).collect::<Vec<_>>(), "every pass is full");
         }
-        // Pages survived the scans and are reclaimed by an explicit free.
-        stream.free(&pager).unwrap();
+        // Pages survived the scans and are reclaimed when the stream drops.
+        drop(stream);
         assert_eq!(pager.resident_bytes(), 0);
     }
 
     #[test]
     fn streams_spill_under_a_tiny_budget_and_round_trip() {
         let pager = Arc::new(Pager::new(&MemoryBudget::bytes(64)));
-        let mut writer = PageStreamWriter::new(schema(), 32, 4);
+        let mut writer = PageStreamWriter::new(&pager, schema(), 32, 4);
         for i in 0..50 {
-            writer.push_row(&pager, row(i)).unwrap();
+            writer.push_row(row(i)).unwrap();
         }
-        let stream = writer.finish(&pager).unwrap();
+        let stream = writer.finish().unwrap();
         assert!(pager.stats().pages_spilled > 0, "64B budget must spill");
-        let mut reader = stream.reader(&pager);
+        let mut reader = stream.reader();
         let mut seen = Vec::new();
         while let Some(batch) = reader.next_batch().unwrap() {
             for r in 0..batch.num_rows() {

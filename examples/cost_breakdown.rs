@@ -2,7 +2,8 @@
 //! the client cost (parse + rewrite + decrypt at the proxy) and the server cost
 //! (execution at the SP, including the oracle round trips), as the demo's query
 //! view does. The paper's observation is that the client costs are subtle compared
-//! with the total cost.
+//! with the total cost. The last two columns count the row-keyed item keys the
+//! proxy derived by exponentiation and those its item-key memo served.
 //!
 //! Run with: `cargo run --release --example cost_breakdown`
 
@@ -19,8 +20,17 @@ fn main() -> sdb::Result<()> {
     client.upload_all()?;
 
     println!(
-        "{:<28} {:>9} {:>11} {:>11} {:>11} {:>9} {:>8} {:>10}",
-        "query", "rows", "parse", "rewrite", "decrypt", "server", "oracle", "client %"
+        "{:<28} {:>9} {:>11} {:>11} {:>11} {:>9} {:>8} {:>10} {:>8} {:>6}",
+        "query",
+        "rows",
+        "parse",
+        "rewrite",
+        "decrypt",
+        "server",
+        "oracle",
+        "client %",
+        "derived",
+        "memo"
     );
     for id in [1u8, 3, 5, 6, 10, 12, 14, 18, 19, 22] {
         let template = query_by_id(id).expect("template");
@@ -29,7 +39,7 @@ fn main() -> sdb::Result<()> {
         let server_time = result.server_stats.total_time;
         let total = client_time + server_time;
         println!(
-            "{:<28} {:>9} {:>11?} {:>11?} {:>11?} {:>9?} {:>8} {:>9.1}%",
+            "{:<28} {:>9} {:>11?} {:>11?} {:>11?} {:>9?} {:>8} {:>9.1}% {:>8} {:>6}",
             format!("Q{id} {}", template.name),
             result.batch.num_rows(),
             result.client_cost.parse,
@@ -38,6 +48,8 @@ fn main() -> sdb::Result<()> {
             server_time,
             result.server_stats.oracle_round_trips,
             100.0 * client_time.as_secs_f64() / total.as_secs_f64().max(f64::EPSILON),
+            result.item_keys_derived,
+            result.item_key_memo_hits,
         );
     }
 

@@ -531,3 +531,105 @@ fn indexes_cover_only_public_plaintext_columns() {
         .unwrap();
     assert!(plan.contains("IndexScan(customer.c_custkey)"), "{plan}");
 }
+
+#[test]
+fn the_item_key_memo_stays_in_do_memory() {
+    // The proxy's item-key memo holds `G = g^(r·x mod φ(n))` (in Montgomery
+    // form) per stored key's `x` and row id `r`; a hit yields `m·G`. Serve a
+    // query mix three times so it fills and serves, then scan every
+    // haystack that leaves the DO — the wire log, exported traces, the
+    // Prometheus text and the key store's JSON — for every such `G`, its
+    // Montgomery form and every stored key's item key of every stored row.
+    let config = sdb_server::ServerConfig::test_profile();
+    let mut server = sdb_server::SdbServer::new(config).expect("server");
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        server.stage_table(table).expect("stage");
+    }
+    server.upload_all().expect("upload");
+    let session = server.connect();
+    let queries = [
+        sdb_workload::query_by_id(6).expect("Q6").sql,
+        sdb_workload::query_by_id(18).expect("Q18").sql,
+        "SELECT c_custkey, c_acctbal FROM customer WHERE c_acctbal > 2000.00 \
+         ORDER BY c_custkey LIMIT 10",
+        "SELECT o_orderkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = 7",
+    ];
+    let mut hits = 0;
+    let mut traces = Vec::new();
+    for _ in 0..3 {
+        for sql in queries {
+            hits += server
+                .execute(session, sql)
+                .expect("query")
+                .item_key_memo_hits;
+            let opts = sdb_engine::QueryOptions::default().with_tracing(true);
+            let traced = server.client().query_with(sql, &opts).expect("traced");
+            traces.push(traced.trace.expect("tracing was on").to_json());
+        }
+    }
+    let client = server.client();
+    let memo = client.proxy().item_key_memo();
+    assert!(hits > 0 && memo.stats().entries > 0, "{memo:?}");
+
+    let keystore = client.proxy().keystore();
+    let system = keystore.system();
+    let n = system.n();
+    let limbs = n.bits().div_ceil(64);
+    let r_mont = (num_bigint::BigUint::from(1u32) << (64 * limbs)) % n;
+    let row_ids = keystore.row_id_generator();
+    let mut needles = Vec::new();
+    for name in keystore.table_names() {
+        let keys = keystore.table_keys(&name).unwrap();
+        let handle = client.engine().catalog().table(&name).unwrap();
+        let table = handle.read();
+        for cell in table.column("row_id").unwrap().values() {
+            let r = row_ids
+                .decrypt(cell.as_encrypted_row_id().unwrap())
+                .unwrap()
+                .0;
+            for key in keys.columns.values().chain([&keys.aux]) {
+                let g_power = system.g().modpow(&((&r * key.x()) % system.phi()), n);
+                needles.push(((key.m() * &g_power) % n).to_string());
+                needles.push(((&g_power * &r_mont) % n).to_string());
+                needles.push(g_power.to_string());
+            }
+        }
+    }
+    assert!(needles.len() > 100);
+
+    let wire = client.wire().concatenated_payloads();
+    let prometheus = server.metrics().render_prometheus();
+    let keystore_json = serde_json::to_string(keystore).unwrap();
+    let proxy_debug = format!("{:?}", client.proxy());
+    let mut haystacks = vec![
+        ("wire", wire.as_str()),
+        ("prometheus", prometheus.as_str()),
+        ("key store", keystore_json.as_str()),
+        ("proxy debug", proxy_debug.as_str()),
+    ];
+    haystacks.extend(traces.iter().map(|t| ("trace", t.as_str())));
+    assert!(!wire.is_empty());
+    for (name, haystack) in haystacks {
+        for needle in &needles {
+            assert!(
+                !haystack.contains(needle.as_str()),
+                "item-key material in the {name}"
+            );
+        }
+    }
+
+    // Debug output shows table names and counts: no number longer than a
+    // counter's.
+    let debug = format!("{memo:?}");
+    assert!(debug.starts_with("ItemKeyMemo { tables: "), "{debug}");
+    assert!(
+        proxy_debug.starts_with("SdbProxy { tables: ["),
+        "{proxy_debug}"
+    );
+    for debug in [debug, proxy_debug] {
+        let longest = (debug.split(|c: char| !c.is_ascii_digit()))
+            .map(str::len)
+            .max();
+        assert!(longest <= Some(20), "{debug}");
+    }
+}
