@@ -1,10 +1,10 @@
 //! Cross-batch oracle batching on a latency-injected DO-proxy link: a
 //! multi-predicate secure filter over 25 input batches pays one round trip
-//! per *distinct call* when operand rows coalesce across batches, versus one
-//! per call per batch on the streaming path — at a 10ms RTT that is the
-//! difference between ~20ms and ~500ms of pure link wait per query. A
-//! budget-forced Grace join with oracle-keyed sides rides the same
-//! accumulator: one trip per side, zero re-resolution for spilled chunks.
+//! per *distinct call*, because operand rows coalesce across batches (one
+//! trip per call per batch would be 50 here: ~500ms of pure link wait per
+//! query at a 10ms RTT, against ~20ms). A budget-forced Grace join with
+//! oracle-keyed sides rides the same accumulator: one trip per side, zero
+//! re-resolution for spilled chunks.
 //!
 //! Besides the criterion timings, the target writes a deterministic
 //! `BENCH_oracle_batching.json` snapshot (round-trip counts only, no
@@ -30,9 +30,8 @@ const JOIN_BUILD_ROWS: u64 = 400;
 const BATCH_SIZE: usize = 32;
 const LINK_LATENCY_MS: u64 = 10;
 
-/// Two distinct comparison predicates: batched, each coalesces the whole
-/// scan into one round trip (2 total); unbatched, each pays one trip per
-/// 32-row batch (50 total at 800 rows).
+/// Two distinct comparison predicates: each coalesces the whole scan (25
+/// batches of 32 rows) into one round trip, 2 in total.
 const FILTER_SQL: &str = "SELECT id FROM enc \
      WHERE SDB_CMP_GT(v, rid, 'h', '1000003') AND SDB_CMP_GT(v, rid, 'h2', '1000003')";
 
@@ -110,10 +109,9 @@ fn shared_catalog() -> Arc<Catalog> {
     catalog
 }
 
-fn engine(catalog: &Arc<Catalog>, batching: bool, budget: Option<usize>) -> SpEngine {
+fn engine(catalog: &Arc<Catalog>, budget: Option<usize>) -> SpEngine {
     let mut engine = SpEngine::with_catalog(Arc::clone(catalog))
         .with_batch_size(BATCH_SIZE)
-        .with_oracle_batching(batching)
         .with_oracle_latency(Duration::from_millis(LINK_LATENCY_MS));
     if let Some(bytes) = budget {
         engine = engine.with_memory_budget(MemoryBudget::bytes(bytes));
@@ -131,27 +129,22 @@ fn trips(engine: &SpEngine, sql: &str) -> (usize, usize) {
 /// Writes the deterministic trip-count snapshot checked in at the repo root.
 fn write_snapshot(catalog: &Arc<Catalog>) {
     // Latency-free engines: trip counts are what the snapshot tracks.
-    let no_latency = |batching: bool, budget: Option<usize>| {
-        let mut engine = SpEngine::with_catalog(Arc::clone(catalog))
-            .with_batch_size(BATCH_SIZE)
-            .with_oracle_batching(batching);
+    let no_latency = |budget: Option<usize>| {
+        let mut engine = SpEngine::with_catalog(Arc::clone(catalog)).with_batch_size(BATCH_SIZE);
         if let Some(bytes) = budget {
             engine = engine.with_memory_budget(MemoryBudget::bytes(bytes));
         }
         engine.connect_oracle(Arc::new(ContentOracle));
         engine
     };
-    let (_, filter_unbatched) = trips(&no_latency(false, None), FILTER_SQL);
-    let (_, filter_batched) = trips(&no_latency(true, None), FILTER_SQL);
-    let join_out = no_latency(true, Some(4096))
-        .execute_sql(JOIN_SQL)
-        .expect("join");
+    let (_, filter_batched) = trips(&no_latency(None), FILTER_SQL);
+    let join_out = no_latency(Some(4096)).execute_sql(JOIN_SQL).expect("join");
     assert!(
         join_out.stats.join_spilled_rows > 0,
         "a 4K budget must force the Grace partition path"
     );
     let snapshot = format!(
-        "{{\n  \"bench\": \"oracle_batching\",\n  \"filter\": {{\n    \"rows\": {FILTER_ROWS},\n    \"batch_size\": {BATCH_SIZE},\n    \"distinct_calls\": 2,\n    \"round_trips_unbatched\": {filter_unbatched},\n    \"round_trips_batched\": {filter_batched}\n  }},\n  \"grace_join\": {{\n    \"probe_rows\": {FILTER_ROWS},\n    \"build_rows\": {JOIN_BUILD_ROWS},\n    \"budget_bytes\": 4096,\n    \"round_trips_batched\": {},\n    \"spilled\": true\n  }}\n}}\n",
+        "{{\n  \"bench\": \"oracle_batching\",\n  \"filter\": {{\n    \"rows\": {FILTER_ROWS},\n    \"batch_size\": {BATCH_SIZE},\n    \"distinct_calls\": 2,\n    \"round_trips_batched\": {filter_batched}\n  }},\n  \"grace_join\": {{\n    \"probe_rows\": {FILTER_ROWS},\n    \"build_rows\": {JOIN_BUILD_ROWS},\n    \"budget_bytes\": 4096,\n    \"round_trips_batched\": {},\n    \"spilled\": true\n  }}\n}}\n",
         join_out.stats.oracle_round_trips
     );
     let path = concat!(
@@ -166,19 +159,11 @@ fn oracle_batching(c: &mut Criterion) {
     let catalog = shared_catalog();
     write_snapshot(&catalog);
 
-    let unbatched = engine(&catalog, false, None);
-    let batched = engine(&catalog, true, None);
-    let batched_budgeted = engine(&catalog, true, Some(4096));
+    let batched = engine(&catalog, None);
+    let batched_budgeted = engine(&catalog, Some(4096));
 
     let mut group = c.benchmark_group("oracle_batching_10ms_link");
     group.sample_size(10);
-    group.bench_function("filter_per_batch_trips", |b| {
-        b.iter(|| {
-            let (rows, trips) = trips(&unbatched, FILTER_SQL);
-            assert_eq!(trips, 50, "2 calls x 25 batches without batching");
-            black_box(rows)
-        })
-    });
     group.bench_function("filter_coalesced_trips", |b| {
         b.iter(|| {
             let (rows, trips) = trips(&batched, FILTER_SQL);

@@ -23,6 +23,38 @@ pub fn mod_inverse(a: &BigUint, m: &BigUint) -> Result<BigUint> {
     })
 }
 
+/// [`mod_inverse`] of a word-sized `a` modulo a wider `m`: one division of
+/// `m` by `a`, then Euclid on two words. `None` when `gcd(a, m) != 1`.
+pub fn mod_inverse_word(a: u64, m: &BigUint) -> Option<BigUint> {
+    if a == 0 || m.bits() <= 64 {
+        return mod_inverse(&BigUint::from(a), m).ok();
+    }
+    // m = k·a + r; Euclid on (a, r) gives u·a + v·r = 1, so
+    // (u − v·k)·a ≡ 1 (mod m).
+    let (k, r) = m.div_rem(&BigUint::from(a));
+    let (mut r0, mut r1) = (i128::from(a), i128::from(r.to_u64().expect("r < a")));
+    let (mut u0, mut u1) = (1i128, 0i128);
+    let (mut v0, mut v1) = (0i128, 1i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (u0, u1) = (u1, u0 - q * u1);
+        (v0, v1) = (v1, v0 - q * v1);
+    }
+    if r0 != 1 {
+        return None;
+    }
+    let signed = |x: i128| {
+        let magnitude = BigUint::from(x.unsigned_abs()) % m;
+        match x < 0 {
+            true => mod_sub(&BigUint::zero(), &magnitude, m),
+            false => magnitude,
+        }
+    };
+    let vk = mod_mul(&signed(v0), &(&k % m), m);
+    Some(mod_sub(&signed(u0), &vk, m))
+}
+
 /// Returns `true` if `a` and `b` are co-prime.
 pub fn coprime(a: &BigUint, b: &BigUint) -> bool {
     inverse::coprime(a, b)
@@ -156,6 +188,29 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0x5db_c0de)
+    }
+
+    #[test]
+    fn word_inverse_matches_the_general_inverse() {
+        let mut rng = rng();
+        for bits in [70u64, 128, 512] {
+            let mut m = rng.gen_biguint(bits);
+            m.set_bit(bits - 1, true);
+            for a in [1u64, 2, 3, 5, 100, 2400, u64::MAX, rng.gen()] {
+                assert_eq!(
+                    mod_inverse_word(a, &m),
+                    mod_inverse(&BigUint::from(a), &m).ok(),
+                    "{a}⁻¹ mod {m}"
+                );
+            }
+            // Not invertible: a shares a factor with m.
+            let even = &m << 1u32;
+            assert_eq!(mod_inverse_word(6, &even), None);
+        }
+        assert_eq!(
+            mod_inverse_word(3, &BigUint::from(7u32)),
+            Some(BigUint::from(5u32))
+        );
     }
 
     #[test]

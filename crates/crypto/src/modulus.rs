@@ -114,6 +114,8 @@ macro_rules! by_width {
     };
 }
 
+mod lanes;
+
 fn ge(a: &[u64], b: &[u64]) -> bool {
     for (x, y) in a.iter().zip(b).rev() {
         if x != y {

@@ -366,6 +366,27 @@ impl BoundKeyUpdateSet {
         self.modulus.mul_mont_mul(a_e, power, q)
     }
 
+    /// [`Self::apply`] for a lane of rows but for the factor `q`: `out[r] =
+    /// a[r] · S_e^p` for the `member`-th update, `powers` holding a row of
+    /// powers per row of `a` (see [`Modulus::mul_lanes`] for lanes) — one
+    /// product a row. The key update is `out[r] · q`, with `q` from
+    /// [`Self::factor`]: a caller that multiplies constants in later (or not
+    /// at all) saves a product a row.
+    pub fn apply_lanes(&self, member: usize, a: &[u64], powers: &[u64], out: &mut [u64]) {
+        let layout = (self.row_limbs(), self.members[member].0);
+        self.modulus.times_power_lanes(a, powers, layout, out);
+    }
+
+    /// The `q` of the `member`-th update.
+    pub fn factor(&self, member: usize) -> BigUint {
+        self.modulus.value_of(&self.members[member].1)
+    }
+
+    /// The modulus the set is bound to.
+    pub fn modulus(&self) -> &Arc<Modulus> {
+        &self.modulus
+    }
+
     /// The residues `S_e^p` a filled `row` holds, one per distinct exponent,
     /// as canonical values: what a leakage audit of the row compares.
     pub fn powers(&self, row: &[u64]) -> Vec<BigUint> {

@@ -36,9 +36,6 @@ pub struct ExecConfig {
     pub memory_budget: MemoryBudget,
     /// Whether the cost-based optimizer rewrites logical plans (default on).
     pub optimizer: bool,
-    /// Whether oracle operand rows coalesce across input batches into one
-    /// round trip per registered call (default on).
-    pub oracle_batching: bool,
     /// Whether operators route eligible work through the vectorised
     /// columnar kernels (default on; `SDB_TEST_SCALAR_EVAL=1` turns it off).
     pub vectorised: bool,
@@ -74,7 +71,6 @@ impl ExecConfig {
             parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
             memory_budget: MemoryBudget::from_env(),
             optimizer: true,
-            oracle_batching: true,
             vectorised: var("SDB_TEST_SCALAR_EVAL").as_deref() != Some("1"),
             tracing: var("SDB_TRACE").as_deref() == Some("1"),
             oracle_latency: var("SDB_TEST_ORACLE_LATENCY_MS")

@@ -290,27 +290,6 @@ impl SpEngine {
         self.config.optimizer
     }
 
-    /// Enables or disables cross-batch oracle batching (builder style;
-    /// default on). With batching off, every registered oracle call pays one
-    /// round trip per input batch and the Grace join re-resolves keys per
-    /// spilled chunk — the pre-batching behavior, kept for byte-identity
-    /// cross-checks and cost comparisons. Results are identical either way.
-    ///
-    /// ```
-    /// # use sdb_engine::SpEngine;
-    /// let engine = SpEngine::new().with_oracle_batching(false);
-    /// assert!(!engine.oracle_batching());
-    /// ```
-    pub fn with_oracle_batching(mut self, batching: bool) -> Self {
-        self.config.oracle_batching = batching;
-        self
-    }
-
-    /// Whether cross-batch oracle batching is enabled.
-    pub fn oracle_batching(&self) -> bool {
-        self.config.oracle_batching
-    }
-
     /// Enables or disables the vectorised columnar kernels (builder style;
     /// default on, `SDB_TEST_SCALAR_EVAL=1` flips the default). Kernels are
     /// byte-identical to the scalar row-at-a-time paths — the knob exists for

@@ -3,11 +3,15 @@
 //! Each kernel compiles a *subset* of the scalar evaluator's surface against
 //! an input schema, then evaluates entire [`sdb_storage::RecordBatch`]es over
 //! pivoted [`sdb_storage::ColumnarColumn`]s — typed vectors plus validity
-//! bitmaps — instead of per-row [`sdb_storage::Value`] interpretation. Two
+//! bitmaps — instead of per-row [`sdb_storage::Value`] interpretation. Three
 //! kernel families exist:
 //!
 //! * [`select`] — predicate → selection [`sdb_storage::Bitmap`] for `Filter`;
-//! * [`agg`] — global (no `GROUP BY`) SUM/COUNT/AVG/MIN/MAX folds.
+//! * [`agg`] — global (no `GROUP BY`) SUM/COUNT/AVG/MIN/MAX folds;
+//! * `shares` — expressions of the five SDB share UDFs over lanes of
+//!   Montgomery limbs, for every operator that evaluates expressions into
+//!   columns (`Project`, the hash aggregates, `OracleResolve`), behind
+//!   `operators::expr::evaluate_exprs`.
 //!
 //! The one key path of every keyed operator — key columns, a hash per row,
 //! the key equality and the chained index joins, grouping and `DISTINCT`
@@ -18,7 +22,11 @@
 //! the scalar path (mixed-type comparisons, computed expressions, subqueries)
 //! refuses to compile, so the kernels are infallible at evaluation time and
 //! every observable — result bytes, error surfaces, oracle call counts — is
-//! identical to the scalar path. Operators consult
+//! identical to the scalar path. The share kernels are the one family that
+//! evaluates UDF calls: they compile only the five share functions, check a
+//! batch's cells before anything runs (a cell the interpreter would fail on
+//! sends the whole batch to it), and count calls and key updates exactly as
+//! the interpreter does. Operators consult
 //! [`ExecContext::vectorised`](crate::operators::ExecContext::vectorised)
 //! (disabled via `SDB_TEST_SCALAR_EVAL=1`) and fall back to the scalar
 //! interpreter whenever a kernel declines.
@@ -27,6 +35,8 @@ pub mod agg;
 #[cfg(test)]
 mod keys;
 pub mod select;
+pub(crate) mod shares;
 
 pub use agg::GlobalAggKernel;
 pub use select::CompiledPredicate;
+pub(crate) use shares::ShareKernels;

@@ -16,11 +16,11 @@ use sdb_sql::ast::Expr;
 use sdb_sql::plan::{AggFunc, AggregateExpr};
 use sdb_storage::{ColumnDef, DataType, RecordBatch, Schema, Value};
 
-use super::expr::{evaluate_exprs, infer_column_def, input_column, sensitivity_of, ExprColumn};
+use super::expr::{evaluate_exprs, infer_column_def, sensitivity_of};
 use super::parallel::{effective_workers, scoped_workers};
 use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
 use crate::kernels::GlobalAggKernel;
-use crate::udf::KeyUpdateSets;
+use crate::kernels::ShareKernels;
 use crate::{EngineError, Result};
 use sdb_storage::keys::{hash_key, key_eq, keys_eq, BatchKeys, ChainIndex};
 
@@ -89,37 +89,36 @@ pub(super) fn bind_aggregate_exprs(
     (group_exprs, agg_args)
 }
 
-/// The key-update sets of an aggregation: every `SDB_KEY_UPDATE` among its
-/// grouping expressions and aggregate arguments.
-pub(super) fn aggregate_key_updates(
+/// The share arithmetic of an aggregation: its grouping expressions and
+/// aggregate arguments.
+pub(super) fn aggregate_shares(
     ctx: &ExecContext<'_>,
     group_by: &[(Expr, String)],
     aggregates: &[AggregateExpr],
-) -> Arc<KeyUpdateSets> {
+) -> Arc<ShareKernels> {
     let keys = group_by.iter().map(|(expr, _)| expr);
-    ctx.key_update_sets(keys.chain(aggregates.iter().filter_map(|agg| agg.arg.as_ref())))
+    ctx.share_kernels(keys.chain(aggregates.iter().filter_map(|agg| agg.arg.as_ref())))
 }
 
 /// Groups one contiguous morsel of rows. The grouping expressions and every
-/// aggregate argument become one column each — shared when the expression is
-/// a column reference, interpreted row by row (keys, then arguments)
-/// otherwise — the key columns are hashed, and the row loop is a group lookup
-/// plus argument clones. Groups come back in first-occurrence order; each
+/// aggregate argument become one column each ([`evaluate_exprs`]: shared
+/// when the expression is a column reference, computed by a share kernel or
+/// interpreted row by row, keys then arguments, otherwise) — the key columns
+/// are hashed, and the row loop is a group lookup plus argument clones. Groups come back in first-occurrence order; each
 /// group's argument values are in row order.
 fn group_morsel(
     ctx: &ExecContext<'_>,
-    key_updates: &KeyUpdateSets,
+    shares: &ShareKernels,
     batch: &RecordBatch,
     group_exprs: &[Expr],
     agg_args: &[Expr],
 ) -> Result<Vec<GroupState>> {
     let exprs: Vec<&Expr> = group_exprs.iter().chain(agg_args).collect();
-    let interpreted = (exprs.iter())
-        .any(|e| !matches!(e, Expr::Literal(_)) && input_column(e, batch.schema()).is_none());
-    ctx.record_key_batch(interpreted);
-    let evaluator = ctx.evaluator().with_key_updates(key_updates);
-    let mut evaluated = evaluate_exprs(&evaluator, &exprs, batch, false)?;
+    let evaluator = ctx.evaluator().with_key_updates(shares.key_updates());
+    let evaluated = evaluate_exprs(&evaluator, Some(shares), &exprs, batch, false)?;
+    ctx.record_key_batch(evaluated.interpreted);
     ctx.record_udf_calls(&evaluator);
+    let mut evaluated = evaluated.columns;
     let mut args = evaluated.split_off(group_exprs.len());
     let keys = evaluated.into_iter().map(|key| key.into_column(batch));
     let keys = BatchKeys::new(keys.collect(), batch.num_rows());
@@ -130,11 +129,7 @@ fn group_morsel(
         let state = &mut groups.states[group];
         state.rows += 1;
         for (acc, arg) in state.arg_values.iter_mut().zip(&mut args) {
-            acc.push(match arg {
-                ExprColumn::Input(idx) => batch.column(*idx).get(row).clone(),
-                // Computed for this row alone (often a share): moved, not cloned.
-                ExprColumn::Values(values) => std::mem::replace(&mut values[row], Value::Null),
-            });
+            acc.push(arg.take(batch, row));
         }
     }
     Ok(groups.states)
@@ -229,7 +224,7 @@ pub struct HashAggregate<'a> {
     input: BoxedOperator<'a>,
     group_by: Vec<(Expr, String)>,
     aggregates: Vec<AggregateExpr>,
-    key_updates: Arc<KeyUpdateSets>,
+    shares: Arc<ShareKernels>,
     done: bool,
 }
 
@@ -242,7 +237,7 @@ impl<'a> HashAggregate<'a> {
         aggregates: Vec<AggregateExpr>,
     ) -> Self {
         HashAggregate {
-            key_updates: aggregate_key_updates(&ctx, &group_by, &aggregates),
+            shares: aggregate_shares(&ctx, &group_by, &aggregates),
             ctx,
             input,
             group_by,
@@ -281,13 +276,7 @@ impl PhysicalOperator for HashAggregate<'_> {
         {
             return Ok(Some(out));
         }
-        let groups = group_morsel(
-            &self.ctx,
-            &self.key_updates,
-            &batch,
-            &group_exprs,
-            &agg_args,
-        )?;
+        let groups = group_morsel(&self.ctx, &self.shares, &batch, &group_exprs, &agg_args)?;
         finalize_groups(
             &self.group_by,
             &self.aggregates,
@@ -317,7 +306,7 @@ pub struct ParallelHashAggregate<'a> {
     input: BoxedOperator<'a>,
     group_by: Vec<(Expr, String)>,
     aggregates: Vec<AggregateExpr>,
-    key_updates: Arc<KeyUpdateSets>,
+    shares: Arc<ShareKernels>,
     done: bool,
 }
 
@@ -330,7 +319,7 @@ impl<'a> ParallelHashAggregate<'a> {
         aggregates: Vec<AggregateExpr>,
     ) -> Self {
         ParallelHashAggregate {
-            key_updates: aggregate_key_updates(&ctx, &group_by, &aggregates),
+            shares: aggregate_shares(&ctx, &group_by, &aggregates),
             ctx,
             input,
             group_by,
@@ -372,21 +361,15 @@ impl PhysicalOperator for ParallelHashAggregate<'_> {
 
         let workers = effective_workers(self.ctx.parallelism(), batch.num_rows());
         let groups = if workers <= 1 {
-            group_morsel(
-                &self.ctx,
-                &self.key_updates,
-                &batch,
-                &group_exprs,
-                &agg_args,
-            )?
+            group_morsel(&self.ctx, &self.shares, &batch, &group_exprs, &agg_args)?
         } else {
             let morsels = batch.partition(workers);
             let ctx = &self.ctx;
-            let key_updates = &self.key_updates;
+            let shares = &self.shares;
             let group_exprs = &group_exprs;
             let agg_args = &agg_args;
             let parts = scoped_workers(morsels.len(), |i| {
-                group_morsel(ctx, key_updates, &morsels[i], group_exprs, agg_args)
+                group_morsel(ctx, shares, &morsels[i], group_exprs, agg_args)
             })?;
             merge_group_states(parts)
         };

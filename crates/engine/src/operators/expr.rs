@@ -6,6 +6,7 @@ use sdb_sql::ast::{BinaryOp, Expr};
 use sdb_storage::{Column, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value};
 
 use crate::eval::{literal_to_value, Evaluator};
+use crate::kernels::ShareKernels;
 use crate::Result;
 
 /// Replaces every subexpression whose rendered text names an existing input
@@ -178,6 +179,15 @@ impl ExprColumn {
             }
         }
     }
+
+    /// The value in row `row`: the input's, cloned, or the computed one —
+    /// for this row alone, often a share — moved out (read each row once).
+    pub(super) fn take(&mut self, batch: &RecordBatch, row: usize) -> Value {
+        match self {
+            ExprColumn::Input(idx) => batch.column(*idx).get(row).clone(),
+            ExprColumn::Values(values) => std::mem::replace(&mut values[row], Value::Null),
+        }
+    }
 }
 
 /// The input column `expr` refers to, when it is a resolvable reference.
@@ -188,21 +198,36 @@ pub(super) fn input_column(expr: &Expr, schema: &Schema) -> Option<usize> {
     }
 }
 
-/// Evaluates `exprs` over every row of `batch`, one [`ExprColumn`] each. A
-/// column reference costs nothing per row and a literal one clone; everything
-/// else goes through the interpreter row by row — every expression of a row
-/// before the next row's, which is what key-update sets require — so errors
-/// and UDF counts are those of evaluating each row in turn.
+/// `exprs` evaluated over a batch.
+pub(super) struct Evaluated {
+    /// One column per expression.
+    pub(super) columns: Vec<ExprColumn>,
+    /// Whether the interpreter evaluated any of them: everything else was a
+    /// column reference, a literal or a share kernel's.
+    pub(super) interpreted: bool,
+}
+
+/// Evaluates `exprs` over every row of `batch`, one [`ExprColumn`] each: the
+/// one place the operators evaluate expressions over a batch. A column
+/// reference costs nothing per row and a literal one clone; an expression of
+/// share arithmetic goes to the operator's share kernels (`shares`) when
+/// they take it and the batch; everything else goes through the interpreter
+/// row by row — every expression of a row before the next row's, which is
+/// what key-update sets require — so errors and UDF counts are those of
+/// evaluating each row in turn. The kernels decline any batch whose cells
+/// would make the interpreter fail, so their share of the work cannot fail:
+/// the first error is the interpreter's.
 ///
 /// With `null_ends_row` (join keys, where a NULL component already decides
 /// that the row matches nothing) the expressions after a row's first NULL
 /// are not evaluated and read NULL.
 pub(super) fn evaluate_exprs<'e>(
     evaluator: &Evaluator<'e>,
+    shares: Option<&ShareKernels>,
     exprs: &[&'e Expr],
     batch: &RecordBatch,
     null_ends_row: bool,
-) -> Result<Vec<ExprColumn>> {
+) -> Result<Evaluated> {
     let rows = batch.num_rows();
     let mut interpreted = Vec::with_capacity(exprs.len());
     let mut out = Vec::with_capacity(exprs.len());
@@ -216,10 +241,48 @@ pub(super) fn evaluate_exprs<'e>(
         interpreted.push(ready.is_none());
         out.push(ready.unwrap_or_else(|| ExprColumn::Values(Vec::with_capacity(rows))));
     }
-    if !interpreted.contains(&true) {
-        return Ok(out);
+    let kernel = match (shares, interpreted.contains(&true) && !null_ends_row) {
+        (Some(shares), true) => shares.batch(evaluator.registry(), exprs, &interpreted, batch),
+        _ => None,
+    };
+    if let Some(kernel) = &kernel {
+        for (i, interpreted) in interpreted.iter_mut().enumerate() {
+            *interpreted &= !kernel.serves(i);
+        }
     }
-    for row in 0..rows {
+    let any_interpreted = interpreted.contains(&true);
+    if any_interpreted {
+        interpret(
+            evaluator,
+            exprs,
+            batch,
+            null_ends_row,
+            &interpreted,
+            &mut out,
+        )?;
+    }
+    if let Some(kernel) = kernel {
+        for (i, values) in kernel.run(evaluator) {
+            out[i] = ExprColumn::Values(values);
+        }
+    }
+    Ok(Evaluated {
+        columns: out,
+        interpreted: any_interpreted,
+    })
+}
+
+/// The row-by-row part of [`evaluate_exprs`]: fills the `interpreted`
+/// expressions' columns of `out`.
+fn interpret<'e>(
+    evaluator: &Evaluator<'e>,
+    exprs: &[&'e Expr],
+    batch: &RecordBatch,
+    null_ends_row: bool,
+    interpreted: &[bool],
+    out: &mut [ExprColumn],
+) -> Result<()> {
+    for row in 0..batch.num_rows() {
         let mut ended = false;
         for (i, expr) in exprs.iter().enumerate() {
             let null = match &mut out[i] {
@@ -238,7 +301,7 @@ pub(super) fn evaluate_exprs<'e>(
             ended |= null_ends_row && null;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The string payload of a literal expression, if it is one.

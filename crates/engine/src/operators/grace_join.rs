@@ -328,12 +328,9 @@ impl<'a> GraceHashJoin<'a> {
     }
 
     /// A cross-batch accumulator for the oracle calls in `keys`, or `None`
-    /// when there is nothing to coalesce (no calls, batching off, or the
-    /// calls already materialised as columns of `schema`).
+    /// when there is nothing to coalesce (no calls, or the calls already
+    /// materialised as columns of `schema`).
     fn spill_resolver(&self, keys: &[Expr], schema: &Schema) -> Result<Option<OracleAccumulator>> {
-        if !self.ctx.oracle_batching() {
-            return Ok(None);
-        }
         let calls = collect_oracle_calls_all(keys);
         if calls.is_empty() {
             return Ok(None);

@@ -146,9 +146,12 @@ pub(super) fn keys_of_batch(
     let keys: Vec<&Expr> = keys.iter().collect();
     let evaluate = |morsel: &RecordBatch| {
         let evaluator = ctx.evaluator();
-        let evaluated = evaluate_exprs(&evaluator, &keys, morsel, true);
+        let evaluated = evaluate_exprs(&evaluator, None, &keys, morsel, true);
         ctx.record_udf_calls(&evaluator);
-        let columns = evaluated?.into_iter().map(|key| key.into_column(morsel));
+        let columns = evaluated?
+            .columns
+            .into_iter()
+            .map(|key| key.into_column(morsel));
         Ok(columns.collect::<Vec<Column>>())
     };
     let workers = match interpreted {

@@ -96,6 +96,7 @@ use sdb_storage::{CancelToken, Catalog, MemoryBudget, Pager, RecordBatch, Schema
 
 use crate::config::ExecConfig;
 use crate::eval::{Evaluator, SubqueryResolver};
+use crate::kernels::ShareKernels;
 use crate::secure::OracleRef;
 use crate::stats::{ExecutionStats, ShardedStats};
 use crate::udf::UdfRegistry;
@@ -275,11 +276,6 @@ impl<'a> ExecContext<'a> {
         self.oracle.as_ref()
     }
 
-    /// Whether cross-batch oracle batching is on.
-    pub fn oracle_batching(&self) -> bool {
-        self.config.oracle_batching
-    }
-
     /// The shared encrypted-value memo for oracle answers.
     pub(crate) fn oracle_memo(&self) -> &oracle::OracleMemo {
         &self.oracle_memo
@@ -318,7 +314,6 @@ impl<'a> ExecContext<'a> {
             .with_batch_size(self.config.batch_size)
             .with_budget(self.config.memory_budget.limit())
             .with_auto_analyze(self.config.auto_analyze)
-            .with_oracle_batching(self.config.oracle_batching)
     }
 
     /// The query's buffer pool lease.
@@ -389,15 +384,27 @@ impl<'a> ExecContext<'a> {
             .with_query_sites(&self.udf_sites)
     }
 
-    /// Plans the key-update sets of one operator from the expressions it
-    /// evaluates (see [`crate::udf::KeyUpdateSets`]); the operator hands them
-    /// to its evaluators with [`Evaluator::with_key_updates`].
-    pub(crate) fn key_update_sets<'e>(
+    /// Plans the share arithmetic of one operator from the expressions it
+    /// evaluates: its key-update sets (see [`crate::udf::KeyUpdateSets`]),
+    /// which it hands to its evaluators with [`Evaluator::with_key_updates`],
+    /// and its share kernels, which it hands to
+    /// [`expr::evaluate_exprs`] (none compile unless
+    /// [`Self::vectorised`]).
+    pub(crate) fn share_kernels<'e>(
         &self,
         exprs: impl IntoIterator<Item = &'e sdb_sql::ast::Expr>,
-    ) -> Arc<crate::udf::KeyUpdateSets> {
-        self.udf_sites
-            .key_update_sets(exprs, self.config.parallelism, self.power_memo.as_ref())
+    ) -> Arc<ShareKernels> {
+        let exprs: Vec<&sdb_sql::ast::Expr> = exprs.into_iter().collect();
+        let workers = self.config.parallelism;
+        let key_updates = (self.udf_sites).key_update_sets(
+            exprs.iter().copied(),
+            workers,
+            self.power_memo.as_ref(),
+        );
+        let enabled = self.config.vectorised;
+        let kernels = ShareKernels::plan(self.registry, key_updates, exprs, workers, enabled);
+        (self.udf_sites).remember_share_moduli(kernels.moduli().map(str::to_string));
+        Arc::new(kernels)
     }
 
     /// Counts one batch of keyed work (join keys, a grouped morsel): a kernel
@@ -422,6 +429,9 @@ impl<'a> ExecContext<'a> {
         stats.key_update_pows += key_updates.pows;
         stats.key_update_derived += key_updates.derived;
         stats.key_update_memo_hits += key_updates.memo;
+        let (kernel_rows, kernel_time) = evaluator.share_kernel();
+        stats.share_kernel_rows += kernel_rows;
+        stats.share_kernel_time += kernel_time;
     }
 }
 

@@ -46,11 +46,11 @@ use sdb_storage::{
 
 use super::expr::{self, append_virtual_column, literal_string};
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
+use crate::kernels::ShareKernels;
 use crate::secure::{
     oracle_fns, parse_biguint_arg, sign_to_bool, OracleRequest, OracleRequestKind, OracleResponse,
     OracleRow,
 };
-use crate::udf::KeyUpdateSets;
 use crate::{EngineError, Result};
 
 /// Accumulated operand bytes (across all registered calls) that force a
@@ -196,29 +196,37 @@ struct CallBuffer {
     rows: Vec<OracleRow>,
 }
 
-/// Evaluates every call's operand expressions over `batch`, appending the
-/// non-NULL rows to the call's buffer at positions offset by `base`. Rows go
-/// outermost, so calls over one auxiliary column share that row's powers
-/// (see [`KeyUpdateSets`]). Returns the approximate operand bytes added (for
-/// the flush threshold).
+/// Evaluates every call's operand expressions over `batch`
+/// ([`expr::evaluate_exprs`]: rows outermost, so calls over one auxiliary
+/// column share that row's powers, see [`crate::udf::KeyUpdateSets`]),
+/// appending the non-NULL rows to the call's buffer at positions offset by
+/// `base`. Returns the approximate operand bytes added (for the flush
+/// threshold).
 fn gather_operands(
     ctx: &ExecContext<'_>,
-    key_updates: &KeyUpdateSets,
+    shares: &ShareKernels,
     calls: &[PreparedCall],
     batch: &RecordBatch,
     base: usize,
     buffers: &mut [CallBuffer],
 ) -> Result<usize> {
-    let evaluator = ctx.evaluator().with_key_updates(key_updates);
+    let evaluator = ctx.evaluator().with_key_updates(shares.key_updates());
+    let exprs: Vec<&Expr> = (calls.iter())
+        .flat_map(|call| [&call.share_expr, &call.row_id_expr])
+        .collect();
+    let mut columns = expr::evaluate_exprs(&evaluator, Some(shares), &exprs, batch, false)?.columns;
     let mut bytes = 0usize;
     for row in 0..batch.num_rows() {
-        for (call, buffer) in calls.iter().zip(buffers.iter_mut()) {
-            let share = evaluator.evaluate(&call.share_expr, batch, row)?;
-            let row_id = evaluator.evaluate(&call.row_id_expr, batch, row)?;
+        for (i, buffer) in buffers.iter_mut().enumerate().take(calls.len()) {
+            let share = columns[2 * i].take(batch, row);
+            let row_id = columns[2 * i + 1].take(batch, row);
             if share.is_null() || row_id.is_null() {
                 continue;
             }
-            let share = share.as_encrypted()?.clone();
+            let share = match share {
+                Value::Encrypted(share) => share,
+                other => other.as_encrypted()?.clone(),
+            };
             let row_id = row_id.as_encrypted_row_id()?.clone();
             bytes += row_id.size_bytes() + (share.bits() as usize).div_ceil(8);
             buffer.present.push(base + row);
@@ -383,19 +391,19 @@ pub(crate) struct OracleAccumulator {
     writer: PageStreamWriter,
     total_rows: usize,
     active: Vec<PreparedCall>,
-    key_updates: Arc<KeyUpdateSets>,
+    shares: Arc<ShareKernels>,
     buffers: Vec<CallBuffer>,
     operand_bytes: usize,
 }
 
 impl OracleAccumulator {
     /// Prepares the calls not already materialised as columns of `schema`.
-    /// `key_updates` are the sets planned from `calls` by the operator that
-    /// owns them (empty: every key update is served by the function).
+    /// `shares` is the share arithmetic planned from `calls` by the operator
+    /// that owns them (empty: the interpreter and the functions serve it).
     pub(crate) fn new(
         ctx: &ExecContext<'_>,
         calls: &[Expr],
-        key_updates: Arc<KeyUpdateSets>,
+        shares: Arc<ShareKernels>,
         schema: &Schema,
     ) -> Result<OracleAccumulator> {
         let mut active = Vec::new();
@@ -417,7 +425,7 @@ impl OracleAccumulator {
             .unwrap_or(1 << 20);
         let buffers = active.iter().map(|_| CallBuffer::default()).collect();
         Ok(OracleAccumulator {
-            key_updates,
+            shares,
             input_schema: schema.clone(),
             writer: PageStreamWriter::new(
                 ctx.pager(),
@@ -443,7 +451,7 @@ impl OracleAccumulator {
     pub(crate) fn push(&mut self, ctx: &ExecContext<'_>, batch: &RecordBatch) -> Result<()> {
         self.operand_bytes += gather_operands(
             ctx,
-            &self.key_updates,
+            &self.shares,
             &self.active,
             batch,
             self.total_rows,
@@ -538,13 +546,12 @@ impl Epoch {
 
 /// Physical operator materialising oracle-backed calls as virtual columns.
 ///
-/// With cross-batch batching on (the default), input batches are parked in
-/// the pager while operand rows accumulate, and each registered call resolves
-/// in one coalesced round trip per [`ORACLE_FLUSH_BYTES`]/[`ORACLE_FLUSH_ROWS`]
-/// window — for typical inputs, one trip per distinct call total. With
-/// batching off ([`crate::ExecConfig::oracle_batching`]), sign and group-tag
-/// calls resolve per input batch as before; either way the encrypted-value
-/// memo answers repeated operands locally.
+/// Input batches are parked in the pager while operand rows accumulate, and
+/// each registered call resolves in one coalesced round trip per
+/// [`ORACLE_FLUSH_BYTES`]/[`ORACLE_FLUSH_ROWS`] window — for typical inputs,
+/// one trip per distinct call total; the encrypted-value memo answers
+/// repeated operands locally. An input that already carries every call as a
+/// column streams through.
 ///
 /// Rank surrogates are only comparable *within one request* (the proxy
 /// reserves a fresh rank block per request), so when any registered call is a
@@ -555,15 +562,13 @@ pub struct OracleResolve<'a> {
     ctx: Arc<ExecContext<'a>>,
     input: BoxedOperator<'a>,
     calls: Vec<Expr>,
-    /// The key-update sets of the calls' operands: calls over one auxiliary
+    /// The share arithmetic of the calls' operands: calls over one auxiliary
     /// column share its powers, whichever call gathers a batch first.
-    key_updates: Arc<KeyUpdateSets>,
+    shares: Arc<ShareKernels>,
     /// True when any call demands whole-input resolution (rank surrogates).
     blocking: bool,
-    /// Cross-batch accumulation configured on the context.
-    batched: bool,
-    /// Runtime mode: resolve per input batch (batching off, or every call
-    /// found already materialised below).
+    /// Runtime mode: every call was found already materialised below, so
+    /// input batches pass through.
     streaming: bool,
     done: bool,
     epoch: Option<Epoch>,
@@ -576,37 +581,15 @@ impl<'a> OracleResolve<'a> {
             Expr::Function { name, .. } => name.eq_ignore_ascii_case(oracle_fns::RANK),
             _ => false,
         });
-        let batched = ctx.oracle_batching();
         OracleResolve {
-            key_updates: ctx.key_update_sets(&calls),
+            shares: ctx.share_kernels(&calls),
             ctx,
             input,
             calls,
             blocking,
-            batched,
-            streaming: !batched,
+            streaming: false,
             done: false,
             epoch: None,
-        }
-    }
-
-    /// The pre-batching path: blocking rank resolution materialises the whole
-    /// input; everything else resolves batch by batch.
-    fn next_streaming(&mut self) -> Result<Option<RecordBatch>> {
-        if self.blocking {
-            if self.done {
-                return Ok(None);
-            }
-            self.done = true;
-            let batch = super::materialize_input(self.input.as_mut())?
-                .unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-            return resolve_calls(&self.ctx, &self.key_updates, batch, &self.calls).map(Some);
-        }
-        match self.input.next_batch()? {
-            None => Ok(None),
-            Some(batch) => {
-                resolve_calls(&self.ctx, &self.key_updates, batch, &self.calls).map(Some)
-            }
         }
     }
 
@@ -622,7 +605,7 @@ impl<'a> OracleResolve<'a> {
         let mut acc = OracleAccumulator::new(
             &self.ctx,
             &self.calls,
-            Arc::clone(&self.key_updates),
+            Arc::clone(&self.shares),
             first.schema(),
         )?;
         if acc.is_passthrough() {
@@ -667,7 +650,7 @@ impl PhysicalOperator for OracleResolve<'_> {
 
     fn open(&mut self) -> Result<()> {
         self.done = false;
-        self.streaming = !self.batched;
+        self.streaming = false;
         // Dropping an epoch frees the pages it has not streamed back.
         self.epoch = None;
         self.input.open()
@@ -676,7 +659,7 @@ impl PhysicalOperator for OracleResolve<'_> {
     fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
         self.ctx.check_cancelled()?;
         if self.streaming {
-            return self.next_streaming();
+            return self.input.next_batch();
         }
         if let Some(batch) = self.next_resolved()? {
             return Ok(Some(batch));
@@ -776,17 +759,6 @@ pub fn resolve_oracle_calls(
     batch: RecordBatch,
     calls: &[Expr],
 ) -> Result<RecordBatch> {
-    resolve_calls(ctx, &KeyUpdateSets::default(), batch, calls)
-}
-
-/// [`resolve_oracle_calls`] with the key-update sets of the operator the calls
-/// belong to.
-fn resolve_calls(
-    ctx: &ExecContext<'_>,
-    key_updates: &KeyUpdateSets,
-    batch: RecordBatch,
-    calls: &[Expr],
-) -> Result<RecordBatch> {
     if calls.is_empty() {
         return Ok(batch);
     }
@@ -806,7 +778,14 @@ fn resolve_calls(
         active.push(PreparedCall::parse(call)?);
     }
     let mut buffers: Vec<CallBuffer> = active.iter().map(|_| CallBuffer::default()).collect();
-    gather_operands(ctx, key_updates, &active, &batch, 0, &mut buffers)?;
+    gather_operands(
+        ctx,
+        &ShareKernels::default(),
+        &active,
+        &batch,
+        0,
+        &mut buffers,
+    )?;
     let mut batch = batch;
     for (call, buffer) in active.iter().zip(buffers) {
         let values = resolve_call(ctx, call, batch.num_rows(), buffer, false)?;

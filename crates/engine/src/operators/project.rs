@@ -3,11 +3,13 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use sdb_sql::ast::Expr;
 use sdb_sql::plan::ProjectionItem;
 use sdb_storage::{Column, ColumnDef, RecordBatch, Schema};
 
 use super::expr::{bind_to_existing_columns, evaluate_exprs, infer_column_def, ExprColumn};
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
+use crate::kernels::ShareKernels;
 use crate::Result;
 
 enum Output {
@@ -30,7 +32,8 @@ struct StagedBatch {
 
 /// Evaluates projection items against each input batch. An item that binds
 /// to an input column shares that column's buffer, under the input's type
-/// and sensitivity; only real expressions are evaluated row by row.
+/// and sensitivity; real expressions go through `evaluate_exprs` (share
+/// kernels, else the interpreter row by row).
 ///
 /// Computed-column types are inferred from produced values. To keep the
 /// output schema stable across batches, the first *concrete* inference per
@@ -47,8 +50,8 @@ pub struct Project<'a> {
     input: BoxedOperator<'a>,
     items: Vec<ProjectionItem>,
     virtual_columns: Vec<String>,
-    /// The key-update sets of the computed items.
-    key_updates: Arc<crate::udf::KeyUpdateSets>,
+    /// The share arithmetic of the computed items.
+    shares: Arc<ShareKernels>,
     /// Concrete defs locked in for each computed expression, once known.
     locked: Vec<Option<ColumnDef>>,
     /// Batches staged while some computed column is still type-ambiguous.
@@ -73,14 +76,14 @@ impl<'a> Project<'a> {
             .iter()
             .filter(|item| matches!(item, ProjectionItem::Named { .. }))
             .count();
-        let key_updates = ctx.key_update_sets(items.iter().filter_map(|item| match item {
+        let shares = ctx.share_kernels(items.iter().filter_map(|item| match item {
             ProjectionItem::Named { expr, .. } => Some(expr),
             ProjectionItem::Wildcard => None,
         }));
         Project {
             ctx,
             input,
-            key_updates,
+            shares,
             items,
             virtual_columns,
             locked: vec![None; computed_count],
@@ -124,9 +127,13 @@ impl<'a> Project<'a> {
             }
         }
 
-        let evaluator = self.ctx.evaluator().with_key_updates(&self.key_updates);
-        let computed =
-            evaluate_exprs(&evaluator, &exprs.iter().collect::<Vec<_>>(), &batch, false)?;
+        let evaluator = self
+            .ctx
+            .evaluator()
+            .with_key_updates(self.shares.key_updates());
+        let exprs_ref: Vec<&Expr> = exprs.iter().collect();
+        let computed = evaluate_exprs(&evaluator, Some(&self.shares), &exprs_ref, &batch, false)?;
+        let computed = computed.columns;
         self.ctx.record_udf_calls(&evaluator);
 
         // Lock in concrete defs: a direct column reference is concrete even

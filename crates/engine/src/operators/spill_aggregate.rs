@@ -31,9 +31,11 @@ use sdb_sql::plan::AggregateExpr;
 use sdb_storage::{ColumnDef, DataType, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
 
 use super::aggregate::{
-    aggregate_key_updates, bind_aggregate_exprs, finalize_groups, GroupState, Groups,
+    aggregate_shares, bind_aggregate_exprs, finalize_groups, GroupState, Groups,
 };
+use super::expr::evaluate_exprs;
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
+use crate::kernels::ShareKernels;
 use crate::Result;
 use sdb_storage::keys::{hash_key, partition_of};
 
@@ -84,7 +86,7 @@ pub struct SpillingHashAggregate<'a> {
     input: BoxedOperator<'a>,
     group_by: Vec<(Expr, String)>,
     aggregates: Vec<AggregateExpr>,
-    key_updates: Arc<crate::udf::KeyUpdateSets>,
+    shares: Arc<ShareKernels>,
     done: bool,
 }
 
@@ -97,7 +99,7 @@ impl<'a> SpillingHashAggregate<'a> {
         aggregates: Vec<AggregateExpr>,
     ) -> Self {
         SpillingHashAggregate {
-            key_updates: aggregate_key_updates(&ctx, &group_by, &aggregates),
+            shares: aggregate_shares(&ctx, &group_by, &aggregates),
             ctx,
             input,
             group_by,
@@ -121,7 +123,8 @@ impl<'a> SpillingHashAggregate<'a> {
         Schema::new(defs)
     }
 
-    /// Evaluates one input batch into prepared rows.
+    /// Evaluates one input batch into prepared rows ([`evaluate_exprs`]:
+    /// every key, then every argument, of a row before the next row's).
     fn prepare_batch(
         &self,
         batch: &RecordBatch,
@@ -131,16 +134,18 @@ impl<'a> SpillingHashAggregate<'a> {
         out: &mut Vec<PreparedRow>,
         out_bytes: &mut usize,
     ) -> Result<()> {
-        let evaluator = self.ctx.evaluator().with_key_updates(&self.key_updates);
+        let evaluator = self
+            .ctx
+            .evaluator()
+            .with_key_updates(self.shares.key_updates());
+        let exprs: Vec<&Expr> = group_exprs.iter().chain(agg_args).collect();
+        let evaluated = evaluate_exprs(&evaluator, Some(&self.shares), &exprs, batch, false)?;
+        self.ctx.record_udf_calls(&evaluator);
+        let mut columns = evaluated.columns;
         for row in 0..batch.num_rows() {
-            let mut key_values = Vec::with_capacity(group_exprs.len());
-            for e in group_exprs {
-                key_values.push(evaluator.evaluate(e, batch, row)?);
-            }
-            let mut args = Vec::with_capacity(agg_args.len());
-            for a in agg_args {
-                args.push(evaluator.evaluate(a, batch, row)?);
-            }
+            let (keys, args) = columns.split_at_mut(group_exprs.len());
+            let key_values: Vec<Value> = keys.iter_mut().map(|k| k.take(batch, row)).collect();
+            let args = args.iter_mut().map(|a| a.take(batch, row)).collect();
             let prepared = PreparedRow {
                 seq: *next_seq,
                 hash: hash_key(&key_values),
@@ -151,7 +156,6 @@ impl<'a> SpillingHashAggregate<'a> {
             *out_bytes += prepared.approx_size();
             out.push(prepared);
         }
-        self.ctx.record_udf_calls(&evaluator);
         Ok(())
     }
 

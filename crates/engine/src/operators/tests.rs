@@ -832,28 +832,6 @@ fn rank_calls_resolve_in_one_round_trip_across_batches() {
     let stats = ctx.stats();
     assert_eq!(stats.oracle_round_trips, 1, "tags coalesce across batches");
     assert_eq!(stats.oracle_rows_coalesced, 6);
-
-    // With batching off, tags resolve per batch — the pre-batching behavior.
-    let ctx = context(
-        &catalog,
-        &reg,
-        Some(oracle),
-        ExecConfig {
-            oracle_batching: false,
-            ..ExecConfig::default()
-        },
-    );
-    let input = FixedBatches::boxed(encrypted_batches(3, 2));
-    let mut resolve =
-        OracleResolve::new(Arc::clone(&ctx), input, vec![oracle_call("SDB_GROUP_TAG")]);
-    let out = drain_operator(&mut resolve).unwrap();
-    assert_eq!(out.num_rows(), 6);
-    let stats = ctx.stats();
-    assert_eq!(
-        stats.oracle_round_trips, 3,
-        "unbatched tags resolve per batch"
-    );
-    assert_eq!(stats.oracle_rows_coalesced, 0);
 }
 
 #[test]
@@ -863,25 +841,24 @@ fn batching_is_byte_identical_and_one_trip_per_call_under_any_budget() {
     let reg = registry();
     let calls = || vec![cmp_call("h1"), cmp_call("h2"), oracle_call("SDB_GROUP_TAG")];
 
-    // Reference: batching off, unlimited budget (one trip per call per batch).
+    // Reference: each batch resolved on its own (one trip per call per
+    // batch), the batches then concatenated.
     let oracle: crate::secure::OracleRef = std::sync::Arc::new(ContentOracle);
-    let ref_ctx = context(
-        &catalog,
-        &reg,
-        Some(oracle.clone()),
-        ExecConfig {
-            oracle_batching: false,
-            ..ExecConfig::default()
-        },
-    );
-    let input = FixedBatches::boxed(encrypted_batches(25, 16));
-    let mut resolve = OracleResolve::new(Arc::clone(&ref_ctx), input, calls());
-    let expected = drain_operator(&mut resolve).unwrap();
+    let ref_ctx = context(&catalog, &reg, Some(oracle.clone()), ExecConfig::default());
+    let mut expected: Option<RecordBatch> = None;
+    for batch in encrypted_batches(25, 16) {
+        let resolved = super::oracle::resolve_oracle_calls(&ref_ctx, batch, &calls()).unwrap();
+        match &mut expected {
+            None => expected = Some(resolved),
+            Some(acc) => acc.append(&resolved).unwrap(),
+        }
+    }
+    let expected = expected.unwrap();
     assert_eq!(expected.num_rows(), 400);
     assert_eq!(
         ref_ctx.stats().oracle_round_trips,
         75,
-        "3 calls x 25 batches without batching"
+        "3 calls x 25 batches resolved one batch at a time"
     );
 
     // Batched: one coalesced trip per distinct call, identical answers —
@@ -915,28 +892,25 @@ fn batching_is_byte_identical_and_one_trip_per_call_under_any_budget() {
 
 #[test]
 fn memo_answers_repeated_operands_without_new_trips() {
-    use super::oracle::OracleResolve;
     let catalog = Catalog::new();
     let reg = registry();
     let oracle: crate::secure::OracleRef = std::sync::Arc::new(ContentOracle);
 
-    // Batches 1 and 3 carry identical (share, row id) operands. Streaming
-    // (batching off) resolves batch by batch: the third batch is answered
-    // entirely from the memo — two trips total, zero for the repeat.
+    // Batches 1 and 3 carry identical (share, row id) operands. Resolved
+    // batch by batch, the third batch is answered entirely from the memo —
+    // two trips total, zero for the repeat.
     let mut batches = encrypted_batches(2, 2);
     batches.push(batches[0].clone());
-    let ctx = context(
-        &catalog,
-        &reg,
-        Some(oracle.clone()),
-        ExecConfig {
-            oracle_batching: false,
-            ..ExecConfig::default()
-        },
-    );
-    let input = FixedBatches::boxed(batches.clone());
-    let mut resolve = OracleResolve::new(Arc::clone(&ctx), input, vec![cmp_call("h1")]);
-    let out = drain_operator(&mut resolve).unwrap();
+    let ctx = context(&catalog, &reg, Some(oracle.clone()), ExecConfig::default());
+    let calls = [cmp_call("h1")];
+    let mut out = RecordBatch::empty(Schema::empty());
+    for (i, batch) in batches.into_iter().enumerate() {
+        let resolved = super::oracle::resolve_oracle_calls(&ctx, batch, &calls).unwrap();
+        match i {
+            0 => out = resolved,
+            _ => out.append(&resolved).unwrap(),
+        }
+    }
     assert_eq!(out.num_rows(), 6);
     let stats = ctx.stats();
     assert_eq!(
@@ -961,32 +935,17 @@ fn zero_row_rank_input_short_circuits_without_a_trip() {
         ColumnDef::public("rid", DataType::EncryptedRowId),
     ]);
 
-    for batching in [true, false] {
-        let ctx = context(
-            &catalog,
-            &reg,
-            Some(oracle.clone()),
-            ExecConfig {
-                oracle_batching: batching,
-                ..ExecConfig::default()
-            },
-        );
-        let input = FixedBatches::boxed(vec![RecordBatch::empty(schema.clone())]);
-        let mut resolve =
-            OracleResolve::new(Arc::clone(&ctx), input, vec![oracle_call("SDB_RANK")]);
-        let out = drain_operator(&mut resolve).unwrap();
-        assert_eq!(out.num_rows(), 0);
-        assert_eq!(
-            out.num_columns(),
-            3,
-            "the rank column still appears (batching={batching})"
-        );
-        assert_eq!(
-            ctx.stats().oracle_round_trips,
-            0,
-            "zero-row rank resolution must not travel the link (batching={batching})"
-        );
-    }
+    let ctx = context(&catalog, &reg, Some(oracle), ExecConfig::default());
+    let input = FixedBatches::boxed(vec![RecordBatch::empty(schema)]);
+    let mut resolve = OracleResolve::new(Arc::clone(&ctx), input, vec![oracle_call("SDB_RANK")]);
+    let out = drain_operator(&mut resolve).unwrap();
+    assert_eq!(out.num_rows(), 0);
+    assert_eq!(out.num_columns(), 3, "the rank column still appears");
+    assert_eq!(
+        ctx.stats().oracle_round_trips,
+        0,
+        "zero-row rank resolution must not travel the link"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1489,34 +1448,6 @@ fn grace_join_resolves_oracle_keys_in_one_trip_per_side() {
     assert_eq!(stats.oracle_rows_shipped, 80, "48 probe + 32 build rows");
     assert_eq!(stats.oracle_memo_hits, 0, "handles differ per side");
     assert_eq!(ctx.pager().resident_bytes(), 0);
-
-    // Batching off: every accumulated chunk pays its own trips, same bytes.
-    let ctx = context(
-        &catalog,
-        &reg,
-        Some(oracle),
-        ExecConfig {
-            memory_budget: MemoryBudget::bytes(256),
-            batch_size: 16,
-            oracle_batching: false,
-            ..ExecConfig::default()
-        },
-    );
-    let mut grace = GraceHashJoin::new(
-        Arc::clone(&ctx),
-        left_in(),
-        right_in(),
-        JoinKind::Inner,
-        vec![tag_key("hL")],
-        vec![tag_key("hR")],
-    );
-    let out = drain_operator(&mut grace).unwrap();
-    assert_eq!(expected, out, "unbatched grace join diverged");
-    assert!(
-        ctx.stats().oracle_round_trips > 2,
-        "per-chunk resolution pays a trip per chunk: {:?}",
-        ctx.stats()
-    );
 }
 
 #[test]

@@ -99,21 +99,13 @@ pub struct CostModel {
     /// The memory budget limit, if one is set (estimated materialisations
     /// beyond it are priced as spills).
     pub budget: Option<usize>,
-    /// Whether the engine coalesces oracle operand rows across input batches
-    /// (the [`ExecConfig::oracle_batching`](crate::ExecConfig::oracle_batching)
-    /// knob). Changes the per-call trip count from per-batch to per-flush.
-    pub oracle_batching: bool,
 }
 
 impl CostModel {
     /// Trips one non-blocking oracle call pays over `rows` input rows: one
-    /// per flush window when batching, one per input batch when not.
+    /// per flush window of the cross-batch accumulator.
     fn trips_per_call(&self, rows: f64) -> f64 {
-        let window = if self.oracle_batching {
-            crate::operators::oracle::ORACLE_FLUSH_ROWS as f64
-        } else {
-            self.batch_size as f64
-        };
+        let window = crate::operators::oracle::ORACLE_FLUSH_ROWS as f64;
         (rows / window).ceil().max(1.0)
     }
 
@@ -192,7 +184,7 @@ impl CostModel {
             // Grace plan: both sides are partitioned through the pager.
             cost.spill_bytes += 2.0 * (build_bytes + probe_rows * probe_width);
         }
-        let probe_trips = if self.oracle_batching && spills {
+        let probe_trips = if spills {
             // Grace routes each side through the cross-batch accumulator:
             // one coalesced trip per call per side, spilled chunks never
             // re-resolve.
@@ -232,11 +224,9 @@ mod tests {
     use sdb_sql::ast::Expr;
 
     fn model(budget: Option<usize>) -> CostModel {
-        // Batching off: the legacy per-batch trip expectations below.
         CostModel {
             batch_size: 1000,
             budget,
-            oracle_batching: false,
         }
     }
 
@@ -260,33 +250,20 @@ mod tests {
     }
 
     #[test]
-    fn oracle_trips_scale_with_batches_except_rank() {
-        let m = model(None);
-        let c = m.oracle_cost(&[cmp_call()], 2500.0);
-        assert_eq!(c.oracle_round_trips, 3.0, "ceil(2500/1000) batches");
-        assert!(c.oracle_bytes > 0.0);
-
-        let c = m.oracle_cost(&[rank_call()], 2500.0);
-        assert_eq!(c.oracle_round_trips, 1.0, "rank is one blocking trip");
-
-        assert_eq!(m.oracle_cost(&[Expr::col("a")], 2500.0), Cost::zero());
-    }
-
-    #[test]
     fn batching_collapses_cmp_trips_to_the_flush_window() {
-        let m = CostModel {
-            oracle_batching: true,
-            ..model(None)
-        };
+        let m = model(None);
         let c = m.oracle_cost(&[cmp_call()], 2500.0);
         assert_eq!(
             c.oracle_round_trips, 1.0,
             "2500 rows fit one coalesced flush"
         );
+        assert!(c.oracle_bytes > 0.0);
         assert_eq!(
             m.oracle_cost(&[rank_call()], 2500.0).oracle_round_trips,
-            1.0
+            1.0,
+            "rank is one blocking trip"
         );
+        assert_eq!(m.oracle_cost(&[Expr::col("a")], 2500.0), Cost::zero());
         // Inputs beyond the flush window still pay one trip per window.
         let huge = 2.5 * crate::operators::oracle::ORACLE_FLUSH_ROWS as f64;
         assert_eq!(m.oracle_cost(&[cmp_call()], huge).oracle_round_trips, 3.0);
@@ -294,21 +271,15 @@ mod tests {
 
     #[test]
     fn batched_grace_join_prices_one_probe_trip_per_call() {
-        let streaming = model(Some(10_000));
-        let batched = CostModel {
-            oracle_batching: true,
-            ..streaming
-        };
+        let m = model(Some(10_000));
         // Build side (10 000×16 B) overflows the 10 KB budget → Grace spill.
-        let spilled = batched.join_cost(8_000.0, 16.0, 10_000.0, 16.0, 100.0, 1.0, true);
+        let spilled = m.join_cost(8_000.0, 16.0, 10_000.0, 16.0, 100.0, 1.0, true);
         assert_eq!(
             spilled.oracle_round_trips, 2.0,
             "one coalesced trip per side"
         );
-        let legacy = streaming.join_cost(8_000.0, 16.0, 10_000.0, 16.0, 100.0, 1.0, true);
-        assert_eq!(legacy.oracle_round_trips, 9.0, "8 probe batches + build");
-        // In-memory probes still stream per batch even with batching on.
-        let in_memory = batched.join_cost(8_000.0, 16.0, 100.0, 16.0, 100.0, 1.0, true);
+        // In-memory probes still stream per batch: 8 probe batches + build.
+        let in_memory = m.join_cost(8_000.0, 16.0, 100.0, 16.0, 100.0, 1.0, true);
         assert_eq!(in_memory.oracle_round_trips, 9.0);
     }
 

@@ -432,7 +432,6 @@ mod tests {
         CostModel {
             batch_size: 4096,
             budget: None,
-            oracle_batching: true,
         }
     }
 

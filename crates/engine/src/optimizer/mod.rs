@@ -69,24 +69,15 @@ impl<'a> Optimizer<'a> {
             model: CostModel {
                 batch_size: crate::operators::DEFAULT_BATCH_SIZE,
                 budget: None,
-                oracle_batching: true,
             },
             auto_analyze: false,
         }
     }
 
-    /// Sets the batch size the cost model assumes (with cross-batch
-    /// batching off, oracle calls pay one round trip per batch).
+    /// Sets the batch size the cost model assumes (an in-memory join's
+    /// probe side pays one oracle round trip per batch).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.model.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Sets whether the cost model assumes cross-batch oracle batching
-    /// (default on, matching the engine): non-rank calls then price at one
-    /// coalesced trip per flush window instead of one per batch.
-    pub fn with_oracle_batching(mut self, batching: bool) -> Self {
-        self.model.oracle_batching = batching;
         self
     }
 

@@ -33,6 +33,13 @@ pub struct ExecutionStats {
     /// raising them (charged on first use, like [`Self::key_update_pows`],
     /// but one per row rather than one per exponent).
     pub key_update_memo_hits: usize,
+    /// Rows whose share arithmetic (the five SDB share UDFs) a share kernel
+    /// evaluated a batch at a time rather than the interpreter row by row,
+    /// counted once per row and operator.
+    pub share_kernel_rows: usize,
+    /// Wall-clock time the share kernels took for them.
+    #[serde(with = "duration_micros")]
+    pub share_kernel_time: Duration,
     /// Number of oracle round trips to the DO proxy.
     pub oracle_round_trips: usize,
     /// Rows shipped to the oracle across all round trips.
@@ -99,6 +106,8 @@ impl ExecutionStats {
         self.key_update_pows += other.key_update_pows;
         self.key_update_derived += other.key_update_derived;
         self.key_update_memo_hits += other.key_update_memo_hits;
+        self.share_kernel_rows += other.share_kernel_rows;
+        self.share_kernel_time += other.share_kernel_time;
         self.oracle_round_trips += other.oracle_round_trips;
         self.oracle_rows_shipped += other.oracle_rows_shipped;
         self.oracle_memo_hits += other.oracle_memo_hits;
@@ -146,6 +155,12 @@ impl ExecutionStats {
             key_update_memo_hits: self
                 .key_update_memo_hits
                 .saturating_sub(earlier.key_update_memo_hits),
+            share_kernel_rows: self
+                .share_kernel_rows
+                .saturating_sub(earlier.share_kernel_rows),
+            share_kernel_time: self
+                .share_kernel_time
+                .saturating_sub(earlier.share_kernel_time),
             oracle_round_trips: self
                 .oracle_round_trips
                 .saturating_sub(earlier.oracle_round_trips),
@@ -409,6 +424,8 @@ mod tests {
             key_update_pows: 24,
             key_update_derived: 25,
             key_update_memo_hits: 26,
+            share_kernel_rows: 27,
+            share_kernel_time: Duration::from_micros(28),
         };
         let b = ExecutionStats {
             rows_scanned: 100,
@@ -437,6 +454,8 @@ mod tests {
             key_update_pows: 2_400,
             key_update_derived: 2_500,
             key_update_memo_hits: 2_600,
+            share_kernel_rows: 2_700,
+            share_kernel_time: Duration::from_micros(2_800),
         };
         a.merge(&b);
         assert_eq!(a.rows_scanned, 101);
@@ -469,6 +488,8 @@ mod tests {
         assert_eq!(a.key_update_pows, 2_424);
         assert_eq!(a.key_update_derived, 2_525);
         assert_eq!(a.key_update_memo_hits, 2_626);
+        assert_eq!(a.share_kernel_rows, 2_727);
+        assert_eq!(a.share_kernel_time, Duration::from_micros(2_828));
     }
 
     /// `delta_since` is merge's inverse on the summed fields: zeroes the

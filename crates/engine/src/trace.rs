@@ -408,6 +408,13 @@ impl SpanReport {
                 x.key_update_calls, x.key_update_pows, x.key_update_derived, x.key_update_memo_hits,
             ));
         }
+        if x.share_kernel_rows > 0 {
+            line.push_str(&format!(
+                " share[rows={} time={}]",
+                x.share_kernel_rows,
+                fmt_us(x.share_kernel_time.as_micros() as u64),
+            ));
+        }
         if x.pages_spilled > 0 || x.pages_evicted > 0 || x.spill_bytes_read > 0 {
             line.push_str(&format!(
                 " spill[pages={} written={} read={} evicted={}]",

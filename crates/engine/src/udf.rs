@@ -23,12 +23,13 @@
 //! [`PowerMemo`], which keeps the powers of exponents earlier queries raised.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use num_bigint::BigUint;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sdb_crypto::bigint::{mod_add, mod_mul};
-use sdb_crypto::{BoundKeyUpdate, BoundKeyUpdateSet, KeyUpdateParams};
+use sdb_crypto::{BoundKeyUpdate, BoundKeyUpdateSet, KeyUpdateParams, Modulus};
 use sdb_sql::ast::{Expr, Literal};
 use sdb_storage::{Column, Value};
 
@@ -55,6 +56,28 @@ pub trait ScalarUdf: Send + Sync {
     fn remembered_constants(&self) -> Vec<String> {
         Vec::new()
     }
+    /// The share arithmetic this function is, when it is one of the SDB share
+    /// UDFs the share kernels evaluate a batch at a time
+    /// (`crate::kernels::shares`); `None`, the default, leaves every call
+    /// to [`Self::invoke`].
+    fn share_op(&self) -> Option<ShareOp> {
+        None
+    }
+}
+
+/// The five SDB share UDFs, as the share kernels know them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShareOp {
+    /// `SDB_MULTIPLY(a_e, b_e, n)`.
+    Multiply,
+    /// `SDB_ADD(a_e, b_e, n)`.
+    Add,
+    /// `SDB_KEY_UPDATE(a_e, s_e, p, q, n)`.
+    KeyUpdate,
+    /// `SDB_MUL_PLAIN(a_e, plain, scale, n)`.
+    MulPlain,
+    /// `SDB_ADD_PLAIN(a_e, plain, scale, s_e, n)`.
+    AddPlain,
 }
 
 /// The UDF instances of one query's call sites, shared by every evaluator of
@@ -65,6 +88,8 @@ pub struct UdfSites {
     sites: Mutex<HashMap<String, Arc<dyn ScalarUdf>>>,
     /// The key-update sets of the query's operators.
     key_updates: Mutex<Vec<Arc<KeyUpdateSets>>>,
+    /// The moduli, as texts, the operators' share kernels bound.
+    share_moduli: Mutex<Vec<String>>,
 }
 
 impl UdfSites {
@@ -103,7 +128,8 @@ impl UdfSites {
     }
 
     /// Every constant remembered by any site (see
-    /// [`ScalarUdf::remembered_constants`]) or bound by a key-update set.
+    /// [`ScalarUdf::remembered_constants`]), bound by a key-update set or
+    /// by a share kernel.
     pub fn remembered_constants(&self) -> Vec<String> {
         let sites = self.sites.lock();
         let key_updates = self.key_updates.lock();
@@ -111,7 +137,14 @@ impl UdfSites {
             .values()
             .flat_map(|udf| udf.remembered_constants())
             .chain(key_updates.iter().flat_map(|sets| sets.constants()))
+            .chain(self.share_moduli.lock().iter().cloned())
             .collect()
+    }
+
+    /// Keeps the moduli an operator's share kernels bound with the query's
+    /// other arithmetic state.
+    pub(crate) fn remember_share_moduli(&self, moduli: impl IntoIterator<Item = String>) {
+        self.share_moduli.lock().extend(moduli);
     }
 
     /// Every residue `S_e^p` a key-update set holds in its rows of powers, as
@@ -252,6 +285,51 @@ struct KeyUpdateGroup {
     /// The memo's table of each distinct exponent, in slot order (`None`
     /// where the exponent is not admitted; empty without a memo).
     tables: Vec<Option<Arc<PowerTable>>>,
+}
+
+impl KeyUpdateGroup {
+    /// The block of the calling worker.
+    fn block(&self) -> MutexGuard<'_, PowerBlock> {
+        self.blocks[parallel::current_worker() % self.blocks.len()].lock()
+    }
+
+    /// Finds the powers of `row` of `aux` — a share — in `block`, raising
+    /// the window that starts at it when the block does not hold the row,
+    /// and charges the row to `counts` on its first use. Returns where the
+    /// row's powers start in the block's limbs.
+    fn serve(
+        &self,
+        block: &mut PowerBlock,
+        aux: &Column,
+        row: usize,
+        memo: Option<&QueryMemo>,
+        counts: &mut KeyUpdateCounts,
+    ) -> usize {
+        let cell = match block.cell(aux, aux.offset() + row) {
+            Some(cell) => cell,
+            None => {
+                let len = if self.prefetch {
+                    self.set.block_rows().min(aux.len() - row)
+                } else {
+                    1
+                };
+                let memo = memo.map(QueryMemo::memo);
+                block.raise(&self.set, aux, row, len, memo, &self.tables);
+                0
+            }
+        };
+        let cell = (block.cells[cell].as_mut()).expect("every share of the window is raised");
+        if !cell.used {
+            cell.used = true;
+            if cell.from_memo {
+                counts.memo += 1;
+            } else {
+                counts.pows += self.set.heads();
+                counts.derived += self.set.derived();
+            }
+        }
+        cell.row * self.set.row_limbs()
+    }
 }
 
 /// The powers of the auxiliary shares in a window of consecutive cells of a
@@ -488,34 +566,92 @@ impl KeyUpdateSets {
     ) -> Option<BigUint> {
         let group = &self.groups[site.group];
         share(aux.get(row))?;
-        let mut block = group.blocks[parallel::current_worker() % group.blocks.len()].lock();
-        let cell = match block.cell(aux, aux.offset() + row) {
-            Some(cell) => cell,
-            None => {
-                let len = if group.prefetch {
-                    group.set.block_rows().min(aux.len() - row)
-                } else {
-                    1
-                };
-                let memo = self.memo.as_ref().map(QueryMemo::memo);
-                block.raise(&group.set, aux, row, len, memo, &group.tables);
-                0
-            }
-        };
-        let cell = (block.cells[cell].as_mut()).expect("every share of the window is raised");
-        if !cell.used {
-            cell.used = true;
-            if cell.from_memo {
-                counts.memo += 1;
-            } else {
-                counts.pows += group.set.heads();
-                counts.derived += group.set.derived();
+        let mut block = group.block();
+        let start = group.serve(&mut block, aux, row, self.memo.as_ref(), counts);
+        let powers = &block.limbs[start..start + group.set.row_limbs()];
+        Some(group.set.apply(site.member, a, powers))
+    }
+
+    /// What [`Self::apply`] does for the calls of a run of rows, short of
+    /// the arithmetic: visits every call `(site, row)` for which `uses`
+    /// holds — rows in order, and within a row the sites in the order of
+    /// `sites`, which is the order the interpreter makes the same calls in —
+    /// and serves it exactly as `apply` would (the same windows raised, the
+    /// same memo reads and stores, the same charges to `counts`). The powers
+    /// of each row served are copied into `powers[group]`, the row's powers
+    /// at its place in `rows` (the register grows as needed). The auxiliary
+    /// cell of every call visited must hold a share.
+    pub(crate) fn gather(
+        &self,
+        sites: &[(KeyUpdateMember, &Column)],
+        uses: impl Fn(usize, usize) -> bool,
+        rows: Range<usize>,
+        powers: &mut Vec<Vec<u64>>,
+        counts: &mut KeyUpdateCounts,
+    ) {
+        if sites.is_empty() {
+            return;
+        }
+        let mut blocks: Vec<Option<MutexGuard<'_, PowerBlock>>> =
+            self.groups.iter().map(|_| None).collect();
+        powers.resize_with(self.groups.len(), Vec::new);
+        // Every lock up front, in group order.
+        for (index, block) in blocks.iter_mut().enumerate() {
+            if sites.iter().any(|(site, _)| site.group == index) {
+                *block = Some(self.groups[index].block());
             }
         }
-        let cell = *cell;
-        let row_limbs = group.set.row_limbs();
-        let powers = &block.limbs[cell.row * row_limbs..(cell.row + 1) * row_limbs];
-        Some(group.set.apply(site.member, a, powers))
+        for (site, _) in sites {
+            let needed = rows.len() * self.groups[site.group].set.row_limbs();
+            let register = &mut powers[site.group];
+            if register.len() < needed {
+                register.resize(needed, 0);
+            }
+        }
+        // The last row each group served. A group's later calls on the
+        // same row find the row in its block, already charged: serving the
+        // first is serving them all.
+        let mut served = vec![usize::MAX; self.groups.len()];
+        for row in rows.clone() {
+            for (i, &(site, aux)) in sites.iter().enumerate() {
+                if served[site.group] == row || !uses(i, row) {
+                    continue;
+                }
+                served[site.group] = row;
+                let group = &self.groups[site.group];
+                let block = blocks[site.group].as_mut().expect("locked above");
+                let start = group.serve(block, aux, row, self.memo.as_ref(), counts);
+                let row_limbs = group.set.row_limbs();
+                powers[site.group][(row - rows.start) * row_limbs..][..row_limbs]
+                    .copy_from_slice(&block.limbs[start..start + row_limbs]);
+            }
+        }
+    }
+
+    /// [`BoundKeyUpdateSet::apply_lanes`] for `site`, over the register of
+    /// its group that [`Self::gather`] filled: the key update but for the
+    /// factor [`Self::factor`].
+    pub(crate) fn apply_lanes(
+        &self,
+        site: KeyUpdateMember,
+        a: &[u64],
+        powers: &[Vec<u64>],
+        out: &mut [u64],
+    ) {
+        let set = &self.groups[site.group].set;
+        set.apply_lanes(site.member, a, &powers[site.group], out);
+    }
+
+    /// The `q` of `site`.
+    pub(crate) fn factor(&self, site: KeyUpdateMember) -> BigUint {
+        self.groups[site.group].set.factor(site.member)
+    }
+
+    /// The context of the modulus whose text is `n`, when a group is bound
+    /// to it.
+    pub(crate) fn modulus(&self, n: &str) -> Option<&Arc<Modulus>> {
+        let group = self.groups.iter().find(|group| group.constants[0] == n)?;
+        Some(group.set.modulus())
     }
 
     fn constants(&self) -> impl Iterator<Item = String> + '_ {
@@ -801,6 +937,10 @@ impl ScalarUdf for SdbMultiplyUdf {
         Ok(Value::Encrypted(mod_mul(a, b, &n.value)))
     }
 
+    fn share_op(&self) -> Option<ShareOp> {
+        Some(ShareOp::Multiply)
+    }
+
     remembers_constants!(n);
 }
 
@@ -830,6 +970,10 @@ impl ScalarUdf for SdbAddUdf {
             .n
             .get("SDB_ADD", [n], |[n]| parse_modulus("SDB_ADD", n))?;
         Ok(Value::Encrypted(mod_add(a, b, &n.value)))
+    }
+
+    fn share_op(&self) -> Option<ShareOp> {
+        Some(ShareOp::Add)
     }
 
     remembers_constants!(n);
@@ -868,6 +1012,10 @@ impl ScalarUdf for SdbKeyUpdateUdf {
             Ok(params.bind(&parse_modulus(NAME, n)?))
         })?;
         Ok(Value::Encrypted(update.value.apply(a, s)))
+    }
+
+    fn share_op(&self) -> Option<ShareOp> {
+        Some(ShareOp::KeyUpdate)
     }
 
     remembers_constants!(update);
@@ -923,6 +1071,10 @@ impl ScalarUdf for SdbMulPlainUdf {
         Ok(Value::Encrypted(mod_mul(a, &operand, &n.value)))
     }
 
+    fn share_op(&self) -> Option<ShareOp> {
+        Some(ShareOp::MulPlain)
+    }
+
     remembers_constants!(n);
 }
 
@@ -955,6 +1107,10 @@ impl ScalarUdf for SdbAddPlainUdf {
         let n = &n.value;
         let operand = encode_plain_operand("SDB_ADD_PLAIN", plain, scale, n)?;
         Ok(Value::Encrypted(mod_add(a, &mod_mul(&operand, s, n), n)))
+    }
+
+    fn share_op(&self) -> Option<ShareOp> {
+        Some(ShareOp::AddPlain)
     }
 
     remembers_constants!(n);

@@ -11,13 +11,23 @@
 //! of the contract. Deterministic tests pin the selection bitmap's word
 //! boundaries (row counts ≡ 0, 1 and 63 mod 64) and the parallel morsel
 //! paths.
+//!
+//! The share kernels (expressions of the five SDB share UDFs) get the same
+//! treatment against the interpreter: random trees at three modulus widths,
+//! the shapes they must decline, and every operator that evaluates through
+//! them — answers, errors and the UDF / key-update counters identical.
 
 use std::sync::Arc;
 
+use num_bigint::{BigUint, RandBigInt};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
+use sdb_crypto::{EncryptedRowId, SiesCipher};
 use sdb_engine::planner::execute_plan;
-use sdb_engine::{ExecConfig, ExecContext, UdfRegistry};
+use sdb_engine::secure::{OracleRequest, OracleResponse, OracleResult, SdbOracle};
+use sdb_engine::{ExecConfig, ExecContext, SpEngine, UdfRegistry};
 use sdb_sql::plan::PlanBuilder;
 use sdb_sql::{parse_sql, Statement};
 use sdb_storage::{Catalog, ColumnDef, DataType, RecordBatch, Schema, Value};
@@ -294,4 +304,443 @@ fn kernels_match_scalar_under_parallelism() {
         let got = run(&catalog, sql, true, 4);
         assert_eq!(reference, got, "parallel kernel diverged for: {sql}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Share kernels: expressions of the five SDB share UDFs, a batch at a time
+// ---------------------------------------------------------------------------
+
+/// The share table `s(id, g, a, b, c, sdb_s, x, d, rid)` under a random odd
+/// `n` of `bits` bits: `a`, `b`, `c` shares (NULL on every seventh row, the
+/// auxiliary `sdb_s` with them; `c` NULL on some others too), `x` an INT and
+/// `d` a DECIMAL(2) plain operand with NULLs, `rid` an encrypted row id.
+struct ShareTable {
+    catalog: Arc<Catalog>,
+    n: BigUint,
+    /// Exponents, two of them neighbours (derived from each other).
+    p: [BigUint; 4],
+    q: [BigUint; 3],
+}
+
+fn share_table(bits: u64, rows: usize, seed: u64) -> ShareTable {
+    let mut rng = StdRng::seed_from_u64(seed ^ bits);
+    let mut n = rng.gen_biguint(bits);
+    n.set_bit(bits - 1, true);
+    n.set_bit(0, true);
+    let p0 = rng.gen_biguint_below(&n);
+    let p = [
+        p0.clone(),
+        &p0 + BigUint::from(3u32),
+        rng.gen_biguint_below(&n),
+        rng.gen_biguint_below(&n),
+    ];
+    let q = [(); 3].map(|()| rng.gen_biguint_below(&n));
+    let cipher = SiesCipher::from_master(&mut rng);
+    let catalog = Catalog::new();
+    let table = catalog
+        .create_table(
+            "s",
+            Schema::new(vec![
+                ColumnDef::public("id", DataType::Int),
+                ColumnDef::public("g", DataType::Int),
+                ColumnDef::sensitive("a", DataType::Encrypted),
+                ColumnDef::sensitive("b", DataType::Encrypted),
+                ColumnDef::sensitive("c", DataType::Encrypted),
+                ColumnDef::sensitive("sdb_s", DataType::Encrypted),
+                ColumnDef::public("x", DataType::Int),
+                ColumnDef::public("d", DataType::Decimal { scale: 2 }),
+                ColumnDef::public("rid", DataType::EncryptedRowId),
+            ]),
+        )
+        .unwrap();
+    let mut guard = table.write();
+    for i in 0..rows as i64 {
+        let absent = i % 7 == 3;
+        let mut share = |present: bool| match present {
+            true => Value::Encrypted(rng.gen_biguint_below(&n)),
+            false => Value::Null,
+        };
+        let (a, b, s) = (share(!absent), share(!absent), share(!absent));
+        let c = share(!absent && i % 5 != 1);
+        let x = match i % 6 {
+            4 => Value::Null,
+            _ => Value::Int((i * 37) % 101 - 50),
+        };
+        let d = match i % 4 {
+            2 => Value::Null,
+            1 => Value::Int(i % 9 - 4),
+            _ => Value::Decimal {
+                units: (i * 131) % 2001 - 1000,
+                scale: 2,
+            },
+        };
+        let rid = cipher.encrypt_biguint(&mut rng, &BigUint::from(i as u64 + 1));
+        guard
+            .insert_row(vec![
+                Value::Int(i),
+                Value::Int(i % 3),
+                a,
+                b,
+                c,
+                s,
+                x,
+                d,
+                Value::EncryptedRowId(EncryptedRowId(rid)),
+            ])
+            .unwrap();
+    }
+    drop(guard);
+    ShareTable {
+        catalog: Arc::new(catalog),
+        n,
+        p,
+        q,
+    }
+}
+
+/// A tiny deterministic generator for expression trees.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self, below: u64) -> u64 {
+        // SplitMix64.
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % below
+    }
+}
+
+impl ShareTable {
+    /// A random share expression of depth at most `depth` over the five
+    /// share UDFs, the share columns and the plain operands.
+    fn tree(&self, draw: &mut Draw, depth: u32) -> String {
+        let n = &self.n;
+        if depth == 0 || draw.next(4) == 0 {
+            return ["a", "b", "c"][draw.next(3) as usize].to_string();
+        }
+        let plain = |draw: &mut Draw| {
+            ["x", "d", "x", "d", "3", "-7", "1.25", "NULL"][draw.next(8) as usize].to_string()
+        };
+        let sub = |draw: &mut Draw| self.tree(draw, depth - 1);
+        match draw.next(5) {
+            0 => format!("SDB_MULTIPLY({}, {}, '{n}')", sub(draw), sub(draw)),
+            1 => format!("SDB_ADD({}, {}, '{n}')", sub(draw), sub(draw)),
+            2 => {
+                let a = sub(draw);
+                let p = &self.p[draw.next(4) as usize];
+                let q = &self.q[draw.next(3) as usize];
+                format!("SDB_KEY_UPDATE({a}, sdb_s, '{p}', '{q}', '{n}')")
+            }
+            3 => {
+                let a = sub(draw);
+                let scale = draw.next(4);
+                format!("SDB_MUL_PLAIN({a}, {}, {scale}, '{n}')", plain(draw))
+            }
+            _ => {
+                let a = sub(draw);
+                let scale = draw.next(4);
+                format!("SDB_ADD_PLAIN({a}, {}, {scale}, sdb_s, '{n}')", plain(draw))
+            }
+        }
+    }
+
+    /// `SDB_KEY_UPDATE(a, sdb_s, p_i, q_j, n)` as SQL text.
+    fn ku(&self, a: &str, i: usize, j: usize) -> String {
+        let (p, q, n) = (&self.p[i], &self.q[j], &self.n);
+        format!("SDB_KEY_UPDATE({a}, sdb_s, '{p}', '{q}', '{n}')")
+    }
+}
+
+/// What one run of a query shows: its answer or error, the counters the
+/// kernels must reproduce, and the rows the kernels evaluated.
+#[derive(Debug)]
+struct Observed {
+    result: Result<RecordBatch, String>,
+    counters: [usize; 5],
+    kernel_rows: usize,
+}
+
+fn observe(engine: &SpEngine, sql: &str) -> Observed {
+    match engine.execute_sql(sql) {
+        Ok(out) => Observed {
+            result: Ok(out.batch),
+            counters: [
+                out.stats.udf_calls,
+                out.stats.key_update_calls,
+                out.stats.key_update_pows,
+                out.stats.key_update_derived,
+                out.stats.key_update_memo_hits,
+            ],
+            kernel_rows: out.stats.share_kernel_rows,
+        },
+        Err(e) => Observed {
+            result: Err(format!("{e:?}")),
+            counters: [0; 5],
+            kernel_rows: 0,
+        },
+    }
+}
+
+/// Two engines over `catalog`, kernels on and off, otherwise alike.
+fn engine_pair(catalog: &Arc<Catalog>, parallelism: usize) -> (SpEngine, SpEngine) {
+    let engine = |vectorised| {
+        SpEngine::with_catalog(Arc::clone(catalog))
+            .with_parallelism(parallelism)
+            .with_vectorised(vectorised)
+    };
+    (engine(true), engine(false))
+}
+
+/// Runs every query of `sqls` three times on a kernel engine and an
+/// interpreter engine — a cold power memo, the run it admits the exponents
+/// on, and one it serves from — and asserts identical answers, errors and
+/// counters on every run. Returns the rows the kernels evaluated.
+fn share_cross_check(catalog: &Arc<Catalog>, sqls: &[String], parallelism: usize) -> usize {
+    let (kernels, interpreter) = engine_pair(catalog, parallelism);
+    let mut kernel_rows = 0;
+    for round in 0..3 {
+        for sql in sqls {
+            let on = observe(&kernels, sql);
+            let off = observe(&interpreter, sql);
+            let context = format!("round {round}, parallelism {parallelism}: {sql}");
+            assert_eq!(on.result, off.result, "{context}");
+            assert_eq!(on.counters, off.counters, "{context}");
+            assert_eq!(off.kernel_rows, 0, "{context}");
+            kernel_rows += on.kernel_rows;
+        }
+    }
+    kernel_rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 6,
+        .. ProptestConfig::default()
+    })]
+
+    /// Random trees of the five share UDFs, depth ≤ 4, over encrypted and
+    /// plain columns with NULLs, in a projection and a grouped aggregate, at
+    /// 128-, 256- and 512-bit moduli and parallelism 1 and 2, with a cold and
+    /// a warm power memo: the kernels answer exactly as the interpreter, and
+    /// count the same calls, powers and memo hits.
+    #[test]
+    fn share_kernels_match_the_interpreter_on_random_trees(seed in any::<u64>()) {
+        for bits in [128u64, 256, 512] {
+            let table = share_table(bits, 40, seed);
+            let mut draw = Draw(seed);
+            let (t1, t2, t3) = (table.tree(&mut draw, 4), table.tree(&mut draw, 4), table.tree(&mut draw, 3));
+            let sqls = [
+                format!("SELECT id, {t1} AS e1, {t2} AS e2 FROM s"),
+                format!(
+                    "SELECT g, SUM({t3}) AS v, SUM({}) AS w, COUNT(*) AS c FROM s GROUP BY g",
+                    table.ku(&t1, 0, 1)
+                ),
+            ];
+            let rows: usize = [1, 2]
+                .into_iter()
+                .map(|parallelism| share_cross_check(&table.catalog, &sqls, parallelism))
+                .sum();
+            prop_assert!(rows > 0, "the kernels never engaged");
+        }
+    }
+}
+
+/// Shapes the kernels must decline — an even `n`, an unparsable constant, a
+/// non-share cell, a NULL auxiliary share where the operand is not, a share
+/// at or above `n`, a scale out of range — answer (or fail) exactly as the
+/// interpreter, and the kernels evaluate nothing.
+#[test]
+fn declined_share_shapes_are_the_interpreters() {
+    let table = share_table(256, 30, 7);
+    let n = &table.n;
+    let even = n + BigUint::from(1u32);
+    // A share at or above `n` in its own table.
+    let catalog = Catalog::new();
+    let big = catalog
+        .create_table(
+            "big",
+            Schema::new(vec![
+                ColumnDef::sensitive("a", DataType::Encrypted),
+                ColumnDef::sensitive("b", DataType::Encrypted),
+            ]),
+        )
+        .unwrap();
+    for a in [n + BigUint::from(5u32), BigUint::from(9u32)] {
+        big.write()
+            .insert_row(vec![
+                Value::Encrypted(a),
+                Value::Encrypted(BigUint::from(11u32)),
+            ])
+            .unwrap();
+    }
+    let big = Arc::new(catalog);
+    // `c` is NULL on rows where `a` is not: as an auxiliary share it fails
+    // the key update and the plain addition there.
+    let (p, q) = (&table.p[0], &table.q[0]);
+    let cases: [(&Arc<Catalog>, String, bool); 8] = [
+        (
+            &table.catalog,
+            format!("SELECT SDB_KEY_UPDATE(a, c, '{p}', '{q}', '{n}') AS k FROM s"),
+            false,
+        ),
+        (
+            &table.catalog,
+            format!("SELECT SDB_ADD_PLAIN(a, x, 0, c, '{n}') AS k FROM s"),
+            false,
+        ),
+        (
+            &table.catalog,
+            format!("SELECT SDB_MULTIPLY(a, b, '{even}') AS m FROM s"),
+            true,
+        ),
+        (
+            &table.catalog,
+            format!(
+                "SELECT SDB_KEY_UPDATE(a, sdb_s, '{}', '{}', '{even}') AS k FROM s",
+                table.p[0], table.q[0]
+            ),
+            true,
+        ),
+        (
+            &table.catalog,
+            "SELECT SDB_ADD(a, b, 'n0t') AS m FROM s".to_string(),
+            false,
+        ),
+        (
+            &table.catalog,
+            format!("SELECT SDB_MULTIPLY(x, b, '{n}') AS m FROM s"),
+            false,
+        ),
+        (
+            &big,
+            format!("SELECT SDB_MULTIPLY(a, b, '{n}') AS m FROM big"),
+            true,
+        ),
+        (
+            &table.catalog,
+            format!("SELECT SDB_MUL_PLAIN(a, x, 19, '{n}') AS m FROM s"),
+            false,
+        ),
+    ];
+    for (catalog, sql, answers) in cases {
+        let (kernels, interpreter) = engine_pair(catalog, 1);
+        let (on, off) = (observe(&kernels, &sql), observe(&interpreter, &sql));
+        assert_eq!(on.result, off.result, "{sql}");
+        assert_eq!(on.counters, off.counters, "{sql}");
+        assert_eq!(on.result.is_ok(), answers, "{sql}: {:?}", on.result);
+        assert_eq!(on.kernel_rows, 0, "the kernels must decline: {sql}");
+    }
+}
+
+/// Group-tag oracle answering with the low 64 bits of each (unblinded) share,
+/// so the answer column shows the shares the operands evaluated to.
+struct LowBitsOracle;
+
+impl SdbOracle for LowBitsOracle {
+    fn resolve(&self, request: OracleRequest) -> OracleResult {
+        let tags = (request.rows.iter())
+            .map(|row| row.share.iter_u64_digits().next().unwrap_or(0))
+            .collect();
+        Ok(OracleResponse::Tags(tags))
+    }
+}
+
+/// Each consumer of the expression seam — `Project`, `HashAggregate`,
+/// `SpillingHashAggregate` under a tiny budget, `OracleResolve` — runs its
+/// share arithmetic in the kernels (the traced span of that operator counts
+/// the rows) and answers byte for byte as with the kernels off; the
+/// operators' share counters add up to the query's.
+#[test]
+fn every_consumer_runs_the_kernels_and_answers_as_the_interpreter() {
+    let table = share_table(256, 300, 11);
+    let n = &table.n;
+    let product = format!("SDB_ADD_PLAIN(SDB_MULTIPLY(a, b, '{n}'), d, 2, sdb_s, '{n}')");
+    let summed = format!(
+        "SUM({}) AS v, SUM({}) AS w",
+        table.ku("a", 0, 0),
+        table.ku(&product, 1, 2)
+    );
+    let cases = [
+        ("Project", format!("SELECT id, {product} AS v FROM s"), None),
+        (
+            "HashAggregate",
+            format!("SELECT g, {summed} FROM s GROUP BY g"),
+            None,
+        ),
+        (
+            "SpillingHashAggregate",
+            format!("SELECT g, {summed} FROM s GROUP BY g"),
+            Some(2048),
+        ),
+        (
+            "OracleResolve",
+            format!(
+                "SELECT id, SDB_GROUP_TAG({}, rid, 'h') AS tag FROM s",
+                table.ku("c", 2, 1)
+            ),
+            None,
+        ),
+    ];
+    for (operator, sql, budget) in cases {
+        let engine = |vectorised| {
+            let mut engine = SpEngine::with_catalog(Arc::clone(&table.catalog))
+                .with_parallelism(1)
+                .with_batch_size(64)
+                .with_vectorised(vectorised)
+                .with_tracing(true);
+            if let Some(bytes) = budget {
+                engine = engine.with_memory_budget(sdb_storage::MemoryBudget::bytes(bytes));
+            } else {
+                engine = engine.with_memory_budget(sdb_storage::MemoryBudget::unlimited());
+            }
+            engine.connect_oracle(Arc::new(LowBitsOracle));
+            engine
+        };
+        let on = engine(true).execute_sql(&sql).unwrap();
+        let off = engine(false).execute_sql(&sql).unwrap();
+        assert_eq!(on.batch, off.batch, "{operator}: {sql}");
+        assert_eq!(on.stats.udf_calls, off.stats.udf_calls, "{operator}");
+        assert_eq!(off.stats.share_kernel_rows, 0);
+        let trace = on.trace.expect("tracing was on");
+        let spans = || trace.spans.iter().map(|span| &span.exclusive);
+        let engaged: Vec<&str> = (trace.spans.iter())
+            .filter(|span| span.exclusive.share_kernel_rows > 0)
+            .map(|span| span.name.as_str())
+            .collect();
+        assert_eq!(engaged, [operator], "{sql}");
+        assert_eq!(
+            on.stats.share_kernel_rows, 300,
+            "{operator}: every row, once"
+        );
+        assert_eq!(
+            spans().map(|x| x.share_kernel_rows).sum::<usize>(),
+            on.stats.share_kernel_rows
+        );
+        let time: std::time::Duration = spans().map(|x| x.share_kernel_time).sum();
+        assert_eq!(time, on.stats.share_kernel_time, "{operator}");
+        if budget.is_some() {
+            assert!(on.stats.pages_spilled > 0, "the budget must spill");
+        }
+    }
+}
+
+/// A batch longer than a kernel's chunk of rows: the key-update windows
+/// straddle chunk boundaries and every chunk picks up where the previous
+/// one stopped, so answers and counters stay the interpreter's.
+#[test]
+fn long_batches_run_in_chunks_as_the_interpreter() {
+    let table = share_table(256, 2500, 3);
+    let n = &table.n;
+    let product = format!("SDB_ADD_PLAIN(SDB_MULTIPLY(a, b, '{n}'), d, 2, sdb_s, '{n}')");
+    let sqls = [
+        format!("SELECT id, {} AS v FROM s", table.ku(&product, 1, 0)),
+        format!(
+            "SELECT g, SUM({}) AS v, SUM({}) AS w FROM s GROUP BY g",
+            table.ku("c", 0, 2),
+            table.ku("a", 3, 1)
+        ),
+    ];
+    assert!(share_cross_check(&table.catalog, &sqls, 1) > 0);
 }

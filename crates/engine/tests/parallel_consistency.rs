@@ -413,7 +413,7 @@ fn subquery_cache_distinguishes_identically_rendered_subqueries() {
 /// Cross-batch oracle batching over the full knob matrix: at every
 /// parallelism × batch-size × memory-budget combination, a two-predicate
 /// secure filter resolves in exactly one round trip per distinct call, with
-/// output byte-identical to the unbatched per-batch path.
+/// output byte-identical across the matrix.
 #[test]
 fn oracle_batching_matrix_is_byte_identical_with_exact_trip_counts() {
     let catalog = encrypted_catalog(200);
@@ -426,41 +426,33 @@ fn oracle_batching_matrix_is_byte_identical_with_exact_trip_counts() {
     );
     let plan = PlanBuilder::build(&query).unwrap();
 
-    let run_with =
-        |parallelism: usize, batch_size: usize, budget: Option<usize>, batching: bool| {
-            let oracle: sdb_engine::secure::OracleRef = Arc::new(ParityOracle);
-            let mut config = ExecConfig {
-                rng_seed: Some(42),
-                parallelism,
-                batch_size,
-                oracle_batching: batching,
-                ..ExecConfig::default()
-            };
-            if let Some(bytes) = budget {
-                config.memory_budget = sdb_storage::MemoryBudget::bytes(bytes);
-            }
-            let ctx = ExecContext::new(&catalog, &registry, Some(oracle), config, None, None);
-            let ctx = Arc::new(ctx);
-            let out = execute_plan(&ctx, &plan).unwrap();
-            (out, ctx.stats())
+    let run_with = |parallelism: usize, batch_size: usize, budget: Option<usize>| {
+        let oracle: sdb_engine::secure::OracleRef = Arc::new(ParityOracle);
+        let mut config = ExecConfig {
+            rng_seed: Some(42),
+            parallelism,
+            batch_size,
+            ..ExecConfig::default()
         };
+        if let Some(bytes) = budget {
+            config.memory_budget = sdb_storage::MemoryBudget::bytes(bytes);
+        }
+        let ctx = ExecContext::new(&catalog, &registry, Some(oracle), config, None, None);
+        let ctx = Arc::new(ctx);
+        let out = execute_plan(&ctx, &plan).unwrap();
+        (out, ctx.stats())
+    };
 
-    // Unbatched reference: one trip per call per 2-row input batch. The
-    // blinding factors differ from the batched runs (different chunking),
-    // but the proxy's verdicts depend only on the stable row ids — so the
-    // outputs must still be byte-identical.
-    let (reference, ref_stats) = run_with(1, 2, None, false);
+    // Reference: serial, unbounded. The blinding factors differ between
+    // runs (different chunking), but the proxy's verdicts depend only on
+    // the stable row ids — so the outputs must be byte-identical.
+    let (reference, _) = run_with(1, DEFAULT_BATCH_SIZE, None);
     assert!(reference.num_rows() > 0, "the filter must keep some rows");
-    assert_eq!(
-        ref_stats.oracle_round_trips, 200,
-        "2 calls x 100 two-row batches without batching"
-    );
-    assert_eq!(ref_stats.oracle_memo_hits, 0);
 
     for parallelism in [1, 4] {
         for batch_size in [2, DEFAULT_BATCH_SIZE] {
             for budget in [None, Some(4096)] {
-                let (out, stats) = run_with(parallelism, batch_size, budget, true);
+                let (out, stats) = run_with(parallelism, batch_size, budget);
                 let knobs =
                     format!("parallelism={parallelism} batch_size={batch_size} budget={budget:?}");
                 assert_eq!(reference, out, "batched output diverged ({knobs})");

@@ -251,6 +251,9 @@ pub struct MetricsRegistry {
     oracle_rtt: Histogram,
     // Key-update power memo.
     key_update_memo_hits: Counter,
+    // Share kernels.
+    share_kernel_rows: Counter,
+    share_kernel_micros: Counter,
     // Shared buffer pool (fed by the pager observer).
     pool_spill_pages: Counter,
     pool_spill_bytes_written: Counter,
@@ -353,6 +356,8 @@ impl MetricsRegistry {
             self.oracle_memo_hits.add(stats.oracle_memo_hits as u64);
             self.key_update_memo_hits
                 .add(stats.key_update_memo_hits as u64);
+            self.share_kernel_rows.add(stats.share_kernel_rows as u64);
+            (self.share_kernel_micros).add(stats.share_kernel_time.as_micros() as u64);
             if stats.oracle_round_trips > 0 {
                 // One sample per query: the mean round-trip time over this
                 // query's trips (per-trip timing would need an engine hook
@@ -382,6 +387,8 @@ impl MetricsRegistry {
             oracle_memo_hits: self.oracle_memo_hits.get(),
             oracle_rtt: self.oracle_rtt.snapshot(),
             key_update_memo_hits: self.key_update_memo_hits.get(),
+            share_kernel_rows: self.share_kernel_rows.get(),
+            share_kernel_micros: self.share_kernel_micros.get(),
             pool_spill_pages: self.pool_spill_pages.get(),
             pool_spill_bytes_written: self.pool_spill_bytes_written.get(),
             pool_spill_bytes_read: self.pool_spill_bytes_read.get(),
@@ -439,6 +446,10 @@ pub struct MetricsSnapshot {
     pub oracle_rtt: HistogramSnapshot,
     /// Key-update rows served from the engine's power memo.
     pub key_update_memo_hits: u64,
+    /// Rows whose share arithmetic a share kernel evaluated, per operator.
+    pub share_kernel_rows: u64,
+    /// Microseconds the share kernels took.
+    pub share_kernel_micros: u64,
     /// Pages spilled from the shared pool (observer-counted).
     pub pool_spill_pages: u64,
     /// Encoded bytes written to spill files.
@@ -470,7 +481,7 @@ impl MetricsSnapshot {
     /// `le="+Inf"`, plus `_sum` and `_count`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &str, u64); 17] = [
+        let counters: [(&str, &str, u64); 19] = [
             (
                 "sdb_queries_executed_total",
                 "Queries submitted (successful, cancelled or failed)",
@@ -535,6 +546,16 @@ impl MetricsSnapshot {
                 "sdb_key_update_memo_hits_total",
                 "Key-update rows served from the engine's power memo",
                 self.key_update_memo_hits,
+            ),
+            (
+                "sdb_share_kernel_rows_total",
+                "Rows whose share arithmetic a share kernel evaluated, per operator",
+                self.share_kernel_rows,
+            ),
+            (
+                "sdb_share_kernel_micros_total",
+                "Microseconds the share kernels took",
+                self.share_kernel_micros,
             ),
             (
                 "sdb_pool_spill_pages_total",

@@ -634,7 +634,35 @@ macro_rules! forward_assign {
         }
     };
 }
-forward_assign!(AddAssign, add_assign, add_core);
+impl AddAssign<&BigUint> for BigUint {
+    /// Adds in place: a running sum reuses its limbs instead of allocating
+    /// a new value per term.
+    fn add_assign(&mut self, rhs: &BigUint) {
+        if self.limbs.len() < rhs.limbs.len() {
+            self.limbs.resize(rhs.limbs.len(), 0);
+        }
+        let mut carry = false;
+        for (i, limb) in self.limbs.iter_mut().enumerate() {
+            let y = match rhs.limbs.get(i) {
+                Some(&y) => y,
+                None if !carry => return,
+                None => 0,
+            };
+            let (sum, c1) = limb.overflowing_add(y);
+            let (sum, c2) = sum.overflowing_add(u64::from(carry));
+            *limb = sum;
+            carry = c1 | c2;
+        }
+        if carry {
+            self.limbs.push(1);
+        }
+    }
+}
+impl AddAssign<BigUint> for BigUint {
+    fn add_assign(&mut self, rhs: BigUint) {
+        *self += &rhs;
+    }
+}
 forward_assign!(SubAssign, sub_assign, sub_core);
 forward_assign!(MulAssign, mul_assign, mul_core);
 forward_assign!(RemAssign, rem_assign, rem_core);
@@ -906,6 +934,32 @@ mod tests {
             sq.to_string(),
             "115792089237316195423570985008687907852589419931798687112530834793049593217025"
         );
+    }
+
+    /// In-place addition against the allocating `add_core`, across carries
+    /// into a new limb, shorter and longer right operands and zero.
+    #[test]
+    fn add_assign_matches_the_allocating_sum() {
+        let max = BigUint::from(u64::MAX);
+        let values = [
+            BigUint::zero(),
+            BigUint::one(),
+            max.clone(),
+            &max * &max,
+            big("340282366920938463463374607431768211455"),
+            big("123456789012345678901234567890123456789012345678901234567890"),
+        ];
+        for a in &values {
+            for b in &values {
+                let mut sum = a.clone();
+                sum += b;
+                assert_eq!(sum, add_core(a, b), "{a} + {b}");
+                assert_ne!(sum.limbs.last(), Some(&0), "normalised");
+                let mut owned = a.clone();
+                owned += b.clone();
+                assert_eq!(owned, sum);
+            }
+        }
     }
 
     #[test]

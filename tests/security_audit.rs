@@ -249,7 +249,13 @@ fn key_update_sets_remember_only_what_the_sp_was_sent_and_count_in_integers() {
     assert!(stats.key_update_calls > 0 && stats.key_update_pows < stats.key_update_calls);
 
     let constants = ctx.udf_sites().remembered_constants();
-    assert!(constants.len() > 2 * 8, "n, and the p and q of eight sites");
+    // The set binds `n` and the `p` and `q` of Q1's seven distinct key
+    // updates; the interpreter's call sites and the share kernels may keep
+    // copies of `n` (and the interpreter's of `p` and `q`) besides.
+    assert!(
+        constants.len() > 2 * 7,
+        "n, and the p and q of seven updates"
+    );
     for constant in &constants {
         assert!(
             rewritten.server_sql.contains(constant.as_str()),
@@ -632,4 +638,90 @@ fn the_item_key_memo_stays_in_do_memory() {
             .max();
         assert!(longest <= Some(20), "{debug}");
     }
+}
+
+#[test]
+fn the_share_kernel_clock_reports_integers_only() {
+    // What the share kernels add to `EXPLAIN ANALYZE` (`share[rows= time=]`),
+    // to the exported trace (`share_kernel_rows`, `share_kernel_time`) and
+    // to the Prometheus text (`sdb_share_kernel_*_total`) is a row count and
+    // a duration: no residue, no plaintext.
+    if !ExecConfig::default().vectorised {
+        return; // the kernels are off process-wide: nothing to scan
+    }
+    let config = sdb_server::ServerConfig::test_profile();
+    let mut server = sdb_server::SdbServer::new(config).expect("server");
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        server.stage_table(table).expect("stage");
+    }
+    server.upload_all().expect("upload");
+    let mut auditor = sdb::MemoryAuditor::new();
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        auditor.register_table(&table);
+    }
+    let session = server.connect();
+    let q1 = sdb_workload::query_by_id(1).expect("Q1").sql;
+    for id in [1u8, 6] {
+        let sql = sdb_workload::query_by_id(id).expect("template").sql;
+        server.execute(session, sql).expect("query");
+    }
+    // No number in these surfaces is as long as a residue.
+    let short_numbers = |text: &str| {
+        (text.split(|c: char| !c.is_ascii_digit()))
+            .map(str::len)
+            .max()
+            .unwrap_or(0)
+            <= 20
+    };
+
+    let analyzed = server
+        .client()
+        .explain_analyze(q1)
+        .expect("explain analyze");
+    let aggregate = (analyzed.lines())
+        .find(|line| line.contains("HashAggregate"))
+        .expect("Q1 aggregates");
+    let share = aggregate.split("share[rows=").nth(1).expect("share[...]");
+    let rows = share.split_whitespace().next().unwrap();
+    assert!(rows.parse::<usize>().unwrap() > 0, "{aggregate}");
+    assert!(
+        share.split(']').next().unwrap().contains(" time="),
+        "{aggregate}"
+    );
+    let plan: Vec<&str> = analyzed.lines().skip(1).collect();
+    let plan = plan.join("\n");
+    assert!(short_numbers(&plan), "{plan}");
+    assert!(auditor
+        .audit([("explain-analyze", plan.as_str())])
+        .is_clean());
+
+    let opts = sdb_engine::QueryOptions::default().with_tracing(true);
+    let traced = server.client().query_with(q1, &opts).expect("traced");
+    let json = traced.trace.expect("tracing was on").to_json();
+    for field in ["\"share_kernel_rows\": ", "\"share_kernel_time\": "] {
+        let occurrences: Vec<&str> = json.split(field).skip(1).collect();
+        assert!(!occurrences.is_empty(), "the trace exports {field}");
+        for rest in occurrences {
+            let value = rest.split([',', '\n']).next().unwrap_or("");
+            assert!(value.trim().parse::<u64>().is_ok(), "{field}{value}");
+        }
+    }
+    assert!(auditor.audit([("trace-json", json.as_str())]).is_clean());
+
+    let prometheus = server.metrics().render_prometheus();
+    let value_of = |name: &str| -> u64 {
+        let line = (prometheus.lines())
+            .find(|line| line.starts_with(name))
+            .unwrap_or_else(|| panic!("{name} missing from\n{prometheus}"));
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    };
+    assert!(value_of("sdb_share_kernel_rows_total") > 0);
+    value_of("sdb_share_kernel_micros_total");
+    let lines: Vec<&str> = (prometheus.lines())
+        .filter(|line| line.contains("share_kernel"))
+        .collect();
+    assert!(short_numbers(&lines.join("\n")), "{lines:?}");
+    assert!(auditor
+        .audit([("prometheus", prometheus.as_str())])
+        .is_clean());
 }
