@@ -1,6 +1,6 @@
-//! Bounded-memory execution benchmark: the in-memory sort/aggregate
-//! operators vs their spilling variants under a deliberately tight
-//! `MemoryBudget` over a 200k-row table. The spilling legs pay codec +
+//! Bounded-memory execution benchmark: the sort/aggregate operators
+//! unbudgeted vs overflowing a deliberately tight `MemoryBudget` over a
+//! 200k-row table. The spilling legs pay codec +
 //! spill-file I/O; the interesting number is how close they stay to the
 //! unbudgeted path while holding residency to the budget.
 

@@ -27,12 +27,12 @@ pub struct ExecConfig {
     /// Rows per batch flowing between operators (default
     /// [`DEFAULT_BATCH_SIZE`]). Results are byte-identical at any size.
     pub batch_size: usize,
-    /// Workers for the morsel-parallel operators; `1` selects the serial
-    /// plans (default: the available cores).
+    /// Workers the morsel-parallel operators may fan out to; `1` runs them
+    /// serially (default: the available cores).
     pub parallelism: usize,
-    /// How much the blocking operators may materialise before they lower to
-    /// their spilling variants (default unlimited; `SDB_TEST_MEM_BUDGET`
-    /// bytes).
+    /// How much a blocking operator may hold in memory before it overflows
+    /// and spills through the pager (default unlimited;
+    /// `SDB_TEST_MEM_BUDGET` bytes).
     pub memory_budget: MemoryBudget,
     /// Whether the cost-based optimizer rewrites logical plans (default on).
     pub optimizer: bool,

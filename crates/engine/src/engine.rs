@@ -44,8 +44,8 @@ pub struct QueryOutput {
 /// global buffer pool, and cancellation token.
 #[derive(Clone, Default)]
 pub struct QueryOptions {
-    /// Memory budget the *plan* should assume (drives the choice of
-    /// spilling operator variants).
+    /// Memory budget the query's blocking operators hold their input
+    /// under; an input that overflows it spills through the pager.
     pub memory_budget: Option<MemoryBudget>,
     /// Pager lease to execute against (typically [`Pager::shared`] on a
     /// global [`sdb_storage::BufferPool`]). Without one, the query gets a
@@ -217,11 +217,11 @@ impl SpEngine {
     }
 
     /// Bounds how much memory blocking operators (sort, aggregation, hash
-    /// join build sides) may materialise per query before spilling to disk
-    /// (builder style). With a limited budget the planner selects the
-    /// spilling operator variants ([`ExternalSort`], [`SpillingHashAggregate`]
-    /// and [`GraceHashJoin`]), whose results are byte-identical to the
-    /// in-memory ones; spill activity is reported in [`ExecutionStats`].
+    /// and nested-loop join build sides) may hold per query (builder
+    /// style). Each holds its input in memory while it fits; an input that
+    /// overflows the budget spills through the pager, with results
+    /// byte-identical to the in-memory ones. Spill activity is reported in
+    /// [`ExecutionStats`].
     ///
     /// ```
     /// use sdb_engine::{MemoryBudget, SpEngine};
@@ -242,10 +242,6 @@ impl SpEngine {
     /// assert!(out.stats.pages_spilled > 0);
     /// # Ok::<(), sdb_engine::EngineError>(())
     /// ```
-    ///
-    /// [`ExternalSort`]: crate::operators::external_sort::ExternalSort
-    /// [`SpillingHashAggregate`]: crate::operators::spill_aggregate::SpillingHashAggregate
-    /// [`GraceHashJoin`]: crate::operators::grace_join::GraceHashJoin
     pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.config.memory_budget = budget;
         self

@@ -1,13 +1,13 @@
-//! Hash aggregation with grouping: the serial operator and its partitioned
-//! parallel variant.
+//! Hash aggregation with grouping, morsel-parallel.
 //!
-//! Both operators share the same building blocks so their output is
-//! byte-identical: `group_morsel` folds a contiguous run of rows into
-//! per-group states (group-key values plus the evaluated argument values of
-//! every aggregate, in row order), `merge_group_states` combines per-morsel
-//! states in morsel order (preserving global first-occurrence group order and
-//! global row order within each group), and `finalize_groups` computes the
-//! aggregate values and infers the output schema.
+//! The building blocks keep the output byte-identical at any parallelism
+//! and on the overflow path ([`super::spill_aggregate`]): `group_morsel`
+//! folds a contiguous run of rows into per-group states (group-key values
+//! plus the evaluated argument values of every aggregate, in row order),
+//! `merge_group_states` combines per-morsel states in morsel order
+//! (preserving global first-occurrence group order and global row order
+//! within each group), and `finalize_groups` computes the aggregate values
+//! and infers the output schema.
 
 use std::sync::Arc;
 
@@ -18,7 +18,7 @@ use sdb_storage::{ColumnDef, DataType, RecordBatch, Schema, Value};
 
 use super::expr::{evaluate_exprs, infer_column_def, sensitivity_of};
 use super::parallel::{effective_workers, scoped_workers};
-use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
+use super::{hold_input, BoxedOperator, ExecContext, Held, PhysicalOperator};
 use crate::kernels::GlobalAggKernel;
 use crate::kernels::ShareKernels;
 use crate::{EngineError, Result};
@@ -34,8 +34,7 @@ pub(super) struct GroupState {
 
 /// Group states in first-occurrence order, found by key through an index from
 /// key hash to candidate states (see [`sdb_storage::keys`]; NULLs form one
-/// group). Shared with [`super::spill_aggregate::SpillingHashAggregate`],
-/// which rebuilds states from spilled partition rows.
+/// group). The overflow path rebuilds states from spilled partition rows.
 #[derive(Default)]
 pub(super) struct Groups {
     pub(super) states: Vec<GroupState>,
@@ -87,17 +86,6 @@ pub(super) fn bind_aggregate_exprs(
         })
         .collect();
     (group_exprs, agg_args)
-}
-
-/// The share arithmetic of an aggregation: its grouping expressions and
-/// aggregate arguments.
-pub(super) fn aggregate_shares(
-    ctx: &ExecContext<'_>,
-    group_by: &[(Expr, String)],
-    aggregates: &[AggregateExpr],
-) -> Arc<ShareKernels> {
-    let keys = group_by.iter().map(|(expr, _)| expr);
-    ctx.share_kernels(keys.chain(aggregates.iter().filter_map(|agg| agg.arg.as_ref())))
 }
 
 /// Groups one contiguous morsel of rows. The grouping expressions and every
@@ -211,20 +199,30 @@ pub(super) fn finalize_groups(
     RecordBatch::from_rows(Schema::new(defs), out_rows).map_err(Into::into)
 }
 
-/// Groups the materialised input by the grouping expressions and evaluates one
-/// aggregate per output column. A global aggregate (no GROUP BY) over an empty
-/// input still produces one row.
+/// Groups the input by the grouping expressions and evaluates one aggregate
+/// per output column. A global aggregate (no GROUP BY) over an empty input
+/// still produces one row.
+///
+/// The input is held in memory while it fits the memory budget, then split
+/// into per-worker morsels via [`RecordBatch::partition`]: per-worker group
+/// states accumulate on scoped threads (the expensive part — per-row
+/// evaluation of grouping expressions and aggregate arguments) and merge in
+/// morsel order at drain. Once the input overflows, its rows are evaluated
+/// batch by batch and partitioned through the pager instead
+/// ([`super::spill_aggregate`]). Either way the output is byte-identical to
+/// one serial pass over the whole input.
 ///
 /// Oracle-backed grouping expressions or aggregate arguments (e.g.
 /// `SDB_GROUP_TAG` keys, encrypted `SDB_SUM` arguments) are materialised by an
 /// [`super::oracle::OracleResolve`] child the planner inserts beneath this
-/// operator; the runtime binding pass turns them into column references.
+/// operator, before any fan-out; the runtime binding pass turns them into
+/// column references.
 pub struct HashAggregate<'a> {
-    ctx: Arc<ExecContext<'a>>,
-    input: BoxedOperator<'a>,
-    group_by: Vec<(Expr, String)>,
-    aggregates: Vec<AggregateExpr>,
-    shares: Arc<ShareKernels>,
+    pub(super) ctx: Arc<ExecContext<'a>>,
+    pub(super) input: BoxedOperator<'a>,
+    pub(super) group_by: Vec<(Expr, String)>,
+    pub(super) aggregates: Vec<AggregateExpr>,
+    pub(super) shares: Arc<ShareKernels>,
     done: bool,
 }
 
@@ -236,14 +234,46 @@ impl<'a> HashAggregate<'a> {
         group_by: Vec<(Expr, String)>,
         aggregates: Vec<AggregateExpr>,
     ) -> Self {
+        // The share arithmetic: grouping expressions and aggregate arguments.
+        let keys = group_by.iter().map(|(expr, _)| expr);
+        let args = aggregates.iter().filter_map(|agg| agg.arg.as_ref());
         HashAggregate {
-            shares: aggregate_shares(&ctx, &group_by, &aggregates),
+            shares: ctx.share_kernels(keys.chain(args)),
             ctx,
             input,
             group_by,
             aggregates,
             done: false,
         }
+    }
+
+    /// Aggregates an input that fit the budget, fanning its morsels out.
+    fn aggregate(&self, batch: RecordBatch) -> Result<RecordBatch> {
+        let (group_exprs, agg_args) =
+            bind_aggregate_exprs(&self.group_by, &self.aggregates, batch.schema());
+        if let Some(out) =
+            try_global_kernel(&self.ctx, &group_exprs, &self.aggregates, &agg_args, &batch)
+        {
+            return Ok(out);
+        }
+        let workers = effective_workers(self.ctx.parallelism(), batch.num_rows());
+        let groups = if workers <= 1 {
+            group_morsel(&self.ctx, &self.shares, &batch, &group_exprs, &agg_args)?
+        } else {
+            let morsels = batch.partition(workers);
+            let (ctx, shares) = (&self.ctx, &self.shares);
+            let parts = scoped_workers(morsels.len(), |i| {
+                group_morsel(ctx, shares, &morsels[i], &group_exprs, &agg_args)
+            })?;
+            merge_group_states(parts)
+        };
+        finalize_groups(
+            &self.group_by,
+            &self.aggregates,
+            &group_exprs,
+            groups,
+            batch.schema(),
+        )
     }
 }
 
@@ -266,25 +296,10 @@ impl PhysicalOperator for HashAggregate<'_> {
             return Ok(None);
         }
         self.done = true;
-
-        let batch = materialize_input(self.input.as_mut())?
-            .unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-        let (group_exprs, agg_args) =
-            bind_aggregate_exprs(&self.group_by, &self.aggregates, batch.schema());
-        if let Some(out) =
-            try_global_kernel(&self.ctx, &group_exprs, &self.aggregates, &agg_args, &batch)
-        {
-            return Ok(Some(out));
+        match hold_input(&self.ctx, self.input.as_mut())? {
+            Held::Fit(batch) => self.aggregate(batch).map(Some),
+            Held::Overflow(held) => self.spill(held).map(Some),
         }
-        let groups = group_morsel(&self.ctx, &self.shares, &batch, &group_exprs, &agg_args)?;
-        finalize_groups(
-            &self.group_by,
-            &self.aggregates,
-            &group_exprs,
-            groups,
-            batch.schema(),
-        )
-        .map(Some)
     }
 
     fn close(&mut self) -> Result<()> {
@@ -292,108 +307,11 @@ impl PhysicalOperator for HashAggregate<'_> {
     }
 }
 
-/// Partitioned parallel hash aggregation: splits the materialised input into
-/// per-worker morsels via [`RecordBatch::partition`], accumulates per-worker
-/// group states on scoped threads (the expensive part — per-row evaluation of
-/// grouping expressions and aggregate arguments), and merges the states in
-/// morsel order at drain. Output is byte-identical to [`HashAggregate`].
-///
-/// Oracle round trips stay serial: the [`super::oracle::OracleResolve`] child
-/// the planner inserts beneath this operator resolves while the input is
-/// being materialised, before any fan-out.
-pub struct ParallelHashAggregate<'a> {
-    ctx: Arc<ExecContext<'a>>,
-    input: BoxedOperator<'a>,
-    group_by: Vec<(Expr, String)>,
-    aggregates: Vec<AggregateExpr>,
-    shares: Arc<ShareKernels>,
-    done: bool,
-}
-
-impl<'a> ParallelHashAggregate<'a> {
-    /// Creates a parallel aggregation over `input`.
-    pub fn new(
-        ctx: Arc<ExecContext<'a>>,
-        input: BoxedOperator<'a>,
-        group_by: Vec<(Expr, String)>,
-        aggregates: Vec<AggregateExpr>,
-    ) -> Self {
-        ParallelHashAggregate {
-            shares: aggregate_shares(&ctx, &group_by, &aggregates),
-            ctx,
-            input,
-            group_by,
-            aggregates,
-            done: false,
-        }
-    }
-}
-
-impl PhysicalOperator for ParallelHashAggregate<'_> {
-    fn name(&self) -> &'static str {
-        "ParallelHashAggregate"
-    }
-
-    fn describe(&self) -> String {
-        format!("{}({})", self.name(), self.input.describe())
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.done = false;
-        self.input.open()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-
-        let batch = materialize_input(self.input.as_mut())?
-            .unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-        let (group_exprs, agg_args) =
-            bind_aggregate_exprs(&self.group_by, &self.aggregates, batch.schema());
-        if let Some(out) =
-            try_global_kernel(&self.ctx, &group_exprs, &self.aggregates, &agg_args, &batch)
-        {
-            return Ok(Some(out));
-        }
-
-        let workers = effective_workers(self.ctx.parallelism(), batch.num_rows());
-        let groups = if workers <= 1 {
-            group_morsel(&self.ctx, &self.shares, &batch, &group_exprs, &agg_args)?
-        } else {
-            let morsels = batch.partition(workers);
-            let ctx = &self.ctx;
-            let shares = &self.shares;
-            let group_exprs = &group_exprs;
-            let agg_args = &agg_args;
-            let parts = scoped_workers(morsels.len(), |i| {
-                group_morsel(ctx, shares, &morsels[i], group_exprs, agg_args)
-            })?;
-            merge_group_states(parts)
-        };
-        finalize_groups(
-            &self.group_by,
-            &self.aggregates,
-            &group_exprs,
-            groups,
-            batch.schema(),
-        )
-        .map(Some)
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.input.close()
-    }
-}
-
-/// Global-aggregate kernel fast path shared by [`HashAggregate`] and
-/// [`ParallelHashAggregate`]: with no GROUP BY and every aggregate in the
-/// [`GlobalAggKernel`] subset (plain typed column arguments, no DISTINCT on
-/// SUM/AVG/COUNT), the whole result computes as columnar folds — validity
-/// popcounts for COUNT, scaled `i128` accumulation for SUM/AVG, index-tracked
-/// MIN/MAX. The emitted batch is byte-identical to
+/// Global-aggregate kernel fast path of [`HashAggregate`]'s in-memory path:
+/// with no GROUP BY and every aggregate in the [`GlobalAggKernel`] subset
+/// (plain typed column arguments, no DISTINCT on SUM/AVG/COUNT), the whole
+/// result computes as columnar folds — validity popcounts for COUNT, scaled
+/// `i128` accumulation for SUM/AVG, index-tracked MIN/MAX. The emitted batch is byte-identical to
 /// [`finalize_groups`]'s single-row output, including the empty-input row.
 /// `None` → scalar path (which also owns every error surface).
 fn try_global_kernel(

@@ -1,15 +1,16 @@
-//! External merge sort: bounded-memory sorting through the pager.
+//! The sort's overflow path: external merge sort through the pager.
 //!
-//! The classic two-phase design, morsel-parallel where it pays:
+//! [`Sort`] holds its input in memory while it fits the
+//! [`MemoryBudget`](sdb_storage::MemoryBudget). On the first overflow it
+//! replays the held batches, then the rest of its input, into the classic
+//! two-phase design, morsel-parallel where it pays:
 //!
 //! 1. **Run generation** — input batches accumulate (with their evaluated
-//!    sort-key values prepended as extra columns) until the
-//!    [`MemoryBudget`](sdb_storage::MemoryBudget) is reached; the
-//!    accumulated run is then sorted — in parallel, by sorting per-worker
-//!    morsels on scoped threads and merging them, which is exactly a
-//!    parallel merge sort — and parked in the pager as a sequence of
-//!    `batch_size`-row pages. Under budget pressure the pager transparently
-//!    spills those pages to disk.
+//!    sort-key values prepended as extra columns) until the budget is
+//!    reached; the accumulated run is then sorted (`sort::sorted_order`)
+//!    and parked in the pager as a sequence of `batch_size`-row pages.
+//!    Under budget pressure the pager transparently spills those pages to
+//!    disk.
 //! 2. **K-way merge on drain** — one cursor per run pins its frontier page
 //!    (pages are faulted back in on demand and freed as soon as they are
 //!    consumed) and a binary heap pops the globally smallest row, emitting
@@ -18,8 +19,7 @@
 //! Ties break by run index and then by position within the run. Runs are
 //! contiguous chunks of the input in arrival order and each run is sorted
 //! with a position tie-break, so the merged output is **byte-identical** to
-//! the in-memory [`super::sort::Sort`]'s stable sort, at any parallelism and
-//! any batch size.
+//! the in-memory stable sort, at any parallelism and any batch size.
 //!
 //! Spilled key columns ride along with the data instead of being
 //! re-evaluated after a page faults back in: re-evaluation could re-trigger
@@ -29,64 +29,31 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use sdb_sql::plan::SortKey;
 use sdb_storage::{
-    partition_ranges, Column, ColumnDef, DataType, PageId, Pager, PinnedPage, RecordBatch, Schema,
-    Value,
+    Column, ColumnDef, DataType, PageId, Pager, PinnedPage, RecordBatch, Schema, Value,
 };
 
-use super::expr::bind_to_existing_columns;
-use super::parallel::{effective_workers, scoped_workers};
-use super::{BoxedOperator, ExecContext, PhysicalOperator};
+use super::sort::{key_columns, sorted_order, Sort};
+use super::{ExecContext, Replay};
 use crate::Result;
 
-/// Sorts its input by the given keys within a memory budget, spilling sorted
-/// runs through the pager. Output is byte-identical to [`super::sort::Sort`].
-pub struct ExternalSort<'a> {
-    ctx: Arc<ExecContext<'a>>,
-    input: BoxedOperator<'a>,
-    keys: Vec<SortKey>,
-    /// Set once the build phase (run generation) has completed.
-    merge: Option<MergeState>,
-    /// The schema of emitted batches (the input schema, keys stripped).
-    output_schema: Schema,
-    /// True once the single empty batch for an empty input was emitted.
-    emitted: bool,
-}
-
-impl<'a> ExternalSort<'a> {
-    /// Creates an external sort over `input`.
-    pub fn new(ctx: Arc<ExecContext<'a>>, input: BoxedOperator<'a>, keys: Vec<SortKey>) -> Self {
-        ExternalSort {
-            ctx,
-            input,
-            keys,
-            merge: None,
-            output_schema: Schema::empty(),
-            emitted: false,
-        }
-    }
-
-    /// Drains the input into sorted runs parked in the pager.
-    fn build(&mut self) -> Result<MergeState> {
-        let desc: Arc<Vec<bool>> = Arc::new(self.keys.iter().map(|k| k.desc).collect());
-        let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
+impl Sort<'_> {
+    /// The overflow path: drains the held batches and the rest of the input
+    /// into sorted runs parked in the pager, ready to merge.
+    pub(super) fn spill(&mut self, mut held: Replay) -> Result<Merge> {
+        let desc = self.desc();
+        let limit = self
+            .ctx
+            .memory_budget()
+            .limit()
+            .expect("only a limited budget overflows");
+        let output_schema = held.schema().clone();
+        let bound = self.bind_keys(&output_schema);
         let mut runs: Vec<RunCursor> = Vec::new();
         let mut run_buf: Option<RecordBatch> = None;
         let mut run_bytes = 0usize;
-        let mut bound_keys: Option<Vec<sdb_sql::ast::Expr>> = None;
-
-        while let Some(batch) = self.input.next_batch()? {
-            if bound_keys.is_none() {
-                self.output_schema = batch.schema().clone();
-                bound_keys = Some(
-                    self.keys
-                        .iter()
-                        .map(|k| bind_to_existing_columns(&k.expr, batch.schema()))
-                        .collect(),
-                );
-            }
-            let combined = self.attach_keys(&batch, bound_keys.as_ref().expect("bound above"))?;
+        while let Some(batch) = held.next_batch(self.input.as_mut())? {
+            let combined = attach_keys(&self.ctx, &batch, &bound)?;
             run_bytes += combined.approx_size_bytes();
             match &mut run_buf {
                 None => run_buf = Some(combined),
@@ -94,14 +61,14 @@ impl<'a> ExternalSort<'a> {
             }
             if run_bytes >= limit {
                 if let Some(run) = run_buf.take() {
-                    runs.push(self.seal_run(run, &desc)?);
+                    runs.push(seal_run(&self.ctx, run, &desc)?);
                 }
                 run_bytes = 0;
             }
         }
         if let Some(run) = run_buf.take() {
             if run.num_rows() > 0 {
-                runs.push(self.seal_run(run, &desc)?);
+                runs.push(seal_run(&self.ctx, run, &desc)?);
             }
         }
 
@@ -109,7 +76,7 @@ impl<'a> ExternalSort<'a> {
         let mut heap = BinaryHeap::with_capacity(runs.len());
         for (i, mut cursor) in runs.into_iter().enumerate() {
             cursor.advance_page()?;
-            if let Some(key) = cursor.frontier_key(self.keys.len()) {
+            if let Some(key) = cursor.frontier_key(desc.len()) {
                 heap.push(MergeEntry {
                     key,
                     run: i,
@@ -118,109 +85,80 @@ impl<'a> ExternalSort<'a> {
             }
             cursors.push(cursor);
         }
-        Ok(MergeState {
+        Ok(Merge {
+            output_schema,
             cursors,
             heap,
             desc,
         })
     }
-
-    /// Prepends the evaluated key values as extra columns (named `__sortkey*`
-    /// so they can never shadow data columns downstream — they are stripped
-    /// before emission anyway).
-    fn attach_keys(
-        &self,
-        batch: &RecordBatch,
-        bound: &[sdb_sql::ast::Expr],
-    ) -> Result<RecordBatch> {
-        let evaluator = self.ctx.evaluator();
-        let mut key_columns: Vec<Column> = (0..bound.len())
-            .map(|_| Column::new(DataType::Int))
-            .collect();
-        for row in 0..batch.num_rows() {
-            for (expr, column) in bound.iter().zip(key_columns.iter_mut()) {
-                column.push_unchecked(evaluator.evaluate(expr, batch, row)?);
-            }
-        }
-        self.ctx.record_udf_calls(&evaluator);
-
-        let mut defs: Vec<ColumnDef> = (0..bound.len())
-            .map(|i| ColumnDef::public(&format!("__sortkey{i}"), DataType::Int))
-            .collect();
-        defs.extend(batch.schema().columns().iter().cloned());
-        key_columns.extend(batch.columns().iter().cloned());
-        Ok(RecordBatch::new(Schema::new(defs), key_columns)?)
-    }
-
-    /// Sorts one run (morsel-parallel) and parks it in the pager as
-    /// `batch_size`-row pages, behind a cursor that frees them when dropped.
-    fn seal_run(&self, run: RecordBatch, desc: &Arc<Vec<bool>>) -> Result<RunCursor> {
-        let order = sorted_order(&self.ctx, &run, desc)?;
-        let sorted = run.reorder(&order)?;
-        let batch_size = self.ctx.batch_size();
-        let mut cursor = RunCursor {
-            pager: Arc::clone(self.ctx.pager()),
-            pages: Vec::with_capacity(sorted.num_rows().div_ceil(batch_size).max(1)),
-            next_page: 0,
-            row: 0,
-            current: None,
-        };
-        let mut offset = 0;
-        while offset < sorted.num_rows() {
-            let take = batch_size.min(sorted.num_rows() - offset);
-            (cursor.pages).push(self.ctx.pager().append_page(sorted.slice(offset, take)?)?);
-            offset += take;
-        }
-        Ok(cursor)
-    }
 }
 
-impl PhysicalOperator for ExternalSort<'_> {
-    fn name(&self) -> &'static str {
-        "ExternalSort"
-    }
+/// Prepends the evaluated key values as extra columns (named `__sortkey*`
+/// so they can never shadow data columns downstream — they are stripped
+/// before emission anyway).
+fn attach_keys(
+    ctx: &ExecContext<'_>,
+    batch: &RecordBatch,
+    bound: &[sdb_sql::ast::Expr],
+) -> Result<RecordBatch> {
+    let mut columns = key_columns(ctx, batch, bound)?;
+    let mut defs: Vec<ColumnDef> = (0..bound.len())
+        .map(|i| ColumnDef::public(&format!("__sortkey{i}"), DataType::Int))
+        .collect();
+    defs.extend(batch.schema().columns().iter().cloned());
+    columns.extend(batch.columns().iter().cloned());
+    Ok(RecordBatch::new(Schema::new(defs), columns)?)
+}
 
-    fn describe(&self) -> String {
-        format!("{}({})", self.name(), self.input.describe())
+/// Sorts one key-prefixed run (morsel-parallel) and parks it in the pager
+/// as `batch_size`-row pages, behind a cursor that frees them when dropped.
+fn seal_run(ctx: &ExecContext<'_>, run: RecordBatch, desc: &[bool]) -> Result<RunCursor> {
+    let order = sorted_order(ctx, run.num_rows(), &run.columns()[..desc.len()], desc)?;
+    let sorted = run.reorder(&order)?;
+    let batch_size = ctx.batch_size();
+    let mut cursor = RunCursor {
+        pager: Arc::clone(ctx.pager()),
+        pages: Vec::with_capacity(sorted.num_rows().div_ceil(batch_size).max(1)),
+        next_page: 0,
+        row: 0,
+        current: None,
+    };
+    let mut offset = 0;
+    while offset < sorted.num_rows() {
+        let take = batch_size.min(sorted.num_rows() - offset);
+        (cursor.pages).push(ctx.pager().append_page(sorted.slice(offset, take)?)?);
+        offset += take;
     }
+    Ok(cursor)
+}
 
-    fn open(&mut self) -> Result<()> {
-        self.merge = None;
-        self.output_schema = Schema::empty();
-        self.emitted = false;
-        self.input.open()
-    }
+/// An overflowed sort's runs and the heap merging them.
+pub(super) struct Merge {
+    /// The schema of emitted batches (the input schema, keys stripped).
+    output_schema: Schema,
+    cursors: Vec<RunCursor>,
+    heap: BinaryHeap<MergeEntry>,
+    desc: Arc<Vec<bool>>,
+}
 
-    fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        if self.merge.is_none() {
-            let state = self.build()?;
-            self.merge = Some(state);
+impl Merge {
+    /// The next merged batch of up to `batch_size` rows, `None` once every
+    /// run is drained (an overflowed input has rows).
+    pub(super) fn next_batch(&mut self, batch_size: usize) -> Result<Option<RecordBatch>> {
+        if self.heap.is_empty() {
+            return Ok(None);
         }
-        let num_keys = self.keys.len();
-        let state = self.merge.as_mut().expect("built above");
-        if state.heap.is_empty() {
-            // Match the in-memory sort on empty inputs: one empty batch
-            // carrying the (possibly empty) schema.
-            if self.emitted {
-                return Ok(None);
-            }
-            self.emitted = true;
-            return Ok(Some(RecordBatch::empty(self.output_schema.clone())));
-        }
-
-        let mut columns: Vec<Column> = self
-            .output_schema
-            .columns()
-            .iter()
+        let num_keys = self.desc.len();
+        let mut columns: Vec<Column> = (self.output_schema.columns().iter())
             .map(|c| Column::new(c.data_type))
             .collect();
         let mut rows = 0;
-        let batch_size = self.ctx.batch_size();
         while rows < batch_size {
-            let Some(entry) = state.heap.pop() else {
+            let Some(entry) = self.heap.pop() else {
                 break;
             };
-            let cursor = &mut state.cursors[entry.run];
+            let cursor = &mut self.cursors[entry.run];
             {
                 let page = cursor.current.as_ref().expect("frontier implies a page");
                 for (j, column) in columns.iter_mut().enumerate() {
@@ -230,21 +168,14 @@ impl PhysicalOperator for ExternalSort<'_> {
             rows += 1;
             cursor.advance_row()?;
             if let Some(key) = cursor.frontier_key(num_keys) {
-                state.heap.push(MergeEntry {
+                self.heap.push(MergeEntry {
                     key,
                     run: entry.run,
-                    desc: Arc::clone(&state.desc),
+                    desc: Arc::clone(&self.desc),
                 });
             }
         }
-        self.emitted = true;
         Ok(Some(RecordBatch::new(self.output_schema.clone(), columns)?))
-    }
-
-    fn close(&mut self) -> Result<()> {
-        // Dropping the run cursors frees their pages.
-        self.merge = None;
-        self.input.close()
     }
 }
 
@@ -320,13 +251,6 @@ impl Drop for RunCursor {
     }
 }
 
-/// Everything the drain phase needs: run cursors plus the merge heap.
-struct MergeState {
-    cursors: Vec<RunCursor>,
-    heap: BinaryHeap<MergeEntry>,
-    desc: Arc<Vec<bool>>,
-}
-
 /// One run's frontier in the merge heap. The heap is a max-heap, so `Ord` is
 /// reversed: popping yields the row that sorts *first*.
 struct MergeEntry {
@@ -369,65 +293,3 @@ impl PartialEq for MergeEntry {
 }
 
 impl Eq for MergeEntry {}
-
-/// Compares two rows of a key-prefixed run batch: key columns first (with
-/// desc flags), then position — a total order whose sort equals a stable
-/// sort by keys alone.
-fn compare_rows(batch: &RecordBatch, desc: &[bool], a: usize, b: usize) -> Ordering {
-    for (i, d) in desc.iter().enumerate() {
-        let ord = batch.column(i).get(a).cmp_total(batch.column(i).get(b));
-        let ord = if *d { ord.reverse() } else { ord };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    a.cmp(&b)
-}
-
-/// The sorted row order of one run. With more than one worker, per-worker
-/// morsels sort on scoped threads and merge afterwards — a parallel merge
-/// sort whose result is identical to the serial sort because the comparator
-/// carries the position tie-break.
-fn sorted_order(
-    ctx: &ExecContext<'_>,
-    run: &RecordBatch,
-    desc: &Arc<Vec<bool>>,
-) -> Result<Vec<usize>> {
-    let rows = run.num_rows();
-    let workers = effective_workers(ctx.parallelism(), rows);
-    if workers <= 1 {
-        let mut order: Vec<usize> = (0..rows).collect();
-        order.sort_unstable_by(|&a, &b| compare_rows(run, desc, a, b));
-        return Ok(order);
-    }
-    let ranges = partition_ranges(rows, workers);
-    let parts: Vec<Vec<usize>> = scoped_workers(ranges.len(), |i| {
-        let mut order: Vec<usize> = ranges[i].clone().collect();
-        order.sort_unstable_by(|&a, &b| compare_rows(run, desc, a, b));
-        Ok(order)
-    })?;
-    // Merge the sorted morsels (frontier scan: worker counts are small).
-    let mut heads = vec![0usize; parts.len()];
-    let mut order = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut best: Option<(usize, usize)> = None; // (part, row index)
-        for (p, part) in parts.iter().enumerate() {
-            let Some(&candidate) = part.get(heads[p]) else {
-                continue;
-            };
-            best = match best {
-                None => Some((p, candidate)),
-                Some((_, current))
-                    if compare_rows(run, desc, candidate, current) == Ordering::Less =>
-                {
-                    Some((p, candidate))
-                }
-                keep => keep,
-            };
-        }
-        let (p, row) = best.expect("total counts match");
-        heads[p] += 1;
-        order.push(row);
-    }
-    Ok(order)
-}

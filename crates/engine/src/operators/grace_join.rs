@@ -1,12 +1,10 @@
-//! Grace-style spilling hash join: bounded-memory equi-joins through the
+//! The hash join's overflow path: Grace-style partitioning through the
 //! pager.
 //!
-//! The operator starts exactly like the in-memory [`super::join::HashJoin`]:
-//! the build (right) side accumulates in RAM. If it finishes within the
-//! [`MemoryBudget`](sdb_storage::MemoryBudget) nothing spills and the probe
-//! side streams against the shared build/probe machinery — the same code path
-//! as the in-memory operator. Once the build side exceeds the budget the
-//! operator flips to the classic Grace plan:
+//! [`HashJoin`] holds its build (right) side in memory while it fits the
+//! [`MemoryBudget`](sdb_storage::MemoryBudget). On the first overflow it
+//! replays the held batches, then the rest of the build input, into the
+//! classic Grace plan:
 //!
 //! 1. **Partition** — both inputs hash-partition by join key into `FANOUT`
 //!    paired pager streams ([`PageStreamWriter`]), the evaluated key
@@ -23,45 +21,44 @@
 //!    its key columns with the in-memory machinery, then its probe partition
 //!    streams against it page by page. A build partition still larger than
 //!    the budget recursively re-partitions *both* streams at the next hash
-//!    level (bounded depth, like the spilling aggregate); beyond that it is
-//!    joined in memory — a single pathological key cannot be split further.
-//!    Partition pairs are independent up to the final ordered merge, so with
-//!    `parallelism > 1` they join concurrently on scoped worker threads
-//!    (`scoped_workers`); concurrency is additionally capped so the
-//!    workers' simultaneous build materialisations stay within roughly one
-//!    memory budget (`budget / largest build partition`).
+//!    level (bounded depth, like the aggregation's overflow path); beyond
+//!    that it is joined in memory — a single pathological key cannot be
+//!    split further. Partition pairs are independent up to the final
+//!    ordered merge, so with `parallelism > 1` they join concurrently on
+//!    scoped worker threads (`scoped_workers`); concurrency is additionally
+//!    capped so the workers' simultaneous build materialisations stay within
+//!    roughly one memory budget (`budget / largest build partition`).
 //! 3. **Merge** — each pair's output (sequence number attached) parks in an
 //!    output stream; the drain phase k-way-merges all output streams by
 //!    sequence number.
 //!
-//! **Byte-identity with [`super::join::HashJoin`]:** the in-memory join
-//! emits, for each probe row in arrival order, its matches in ascending
-//! build-row order (or one null-padded row for an unmatched LEFT JOIN probe
-//! row). Partition streams preserve arrival order, a probe row's entire
-//! output lands in exactly one partition (one key → one partition at every
-//! level), and within a partition build rows stay in ascending global order —
-//! so each output stream is sorted by sequence number and the k-way merge
-//! reproduces the in-memory row order exactly, at any parallelism × batch
-//! size. NULL join keys never match: null-keyed build rows are dropped at
-//! partition time, null-keyed probe rows are dropped for inner joins and
-//! routed to partition zero for LEFT JOINs (they only need padding).
+//! **Byte-identity with the in-memory path:** that path emits, for each
+//! probe row in arrival order, its matches in ascending build-row order (or
+//! one null-padded row for an unmatched LEFT JOIN probe row). Partition
+//! streams preserve arrival order, a probe row's entire output lands in
+//! exactly one partition (one key → one partition at every level), and
+//! within a partition build rows stay in ascending global order — so each
+//! output stream is sorted by sequence number and the k-way merge reproduces
+//! the in-memory row order exactly, at any parallelism × batch size. NULL
+//! join keys never match: null-keyed build rows are dropped at partition
+//! time, null-keyed probe rows are dropped for inner joins and routed to
+//! partition zero for LEFT JOINs (they only need padding).
 //!
 //! Residual (non-equi) ON conjuncts are handled exactly as for the in-memory
-//! join: the planner puts a [`super::filter::Filter`] above the join for
+//! path: the planner puts a [`super::filter::Filter`] above the join for
 //! inner joins and falls back to the nested-loop operator for LEFT JOINs,
 //! where residuals decide *matching*, not post-join filtering.
 //!
 //! Oracle-backed keys (group-tag equality surrogates) are resolved through
-//! the cross-batch accumulator when oracle batching is on: each side's raw
-//! chunks are parked in the pager while operand rows coalesce, so the whole
-//! side resolves in **one round trip per key call** and spilled chunks are
-//! never re-resolved — the resolved virtual columns ride along when the
-//! chunks stream back out for partitioning (and only the evaluated
-//! `__key{i}` components enter the partition streams, so recursion levels
-//! pay zero further trips). With batching off, keys resolve per accumulated
-//! chunk as before. Tags come from a keyed PRF of the plaintext and are
-//! stable across round trips, so partitioning by them is sound (rank
-//! surrogates never appear in equi-join keys).
+//! the cross-batch accumulator: each side's raw chunks are parked in the
+//! pager while operand rows coalesce, so the whole side resolves in **one
+//! round trip per key call** and spilled chunks are never re-resolved — the
+//! resolved virtual columns ride along when the chunks stream back out for
+//! partitioning (and only the evaluated `__key{i}` components enter the
+//! partition streams, so recursion levels pay zero further trips). Tags come
+//! from a keyed PRF of the plaintext and are stable across round trips, so
+//! partitioning by them is sound (rank surrogates never appear in equi-join
+//! keys).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -78,37 +75,17 @@ use parking_lot::Mutex;
 use sdb_storage::partition_ranges;
 
 use super::expr::input_column;
-use super::join::{keys_of_batch, probe_batch, BuildSide};
+use super::join::{keys_of_batch, BuildSide, HashJoin};
 use super::oracle::{collect_oracle_calls_all, resolve_for_exprs, OracleAccumulator};
 use super::parallel::scoped_workers;
-use super::spill_aggregate::{FANOUT, MAX_LEVELS};
-use super::{BoxedOperator, ExecContext, PhysicalOperator};
+use super::spill_aggregate::{flush_bytes, partition_writers, FANOUT, MAX_LEVELS};
+use super::{ExecContext, Replay};
 use crate::Result;
 use sdb_storage::keys::{partition_of, BatchKeys};
 
-/// Bounded-memory hash equi-join. Output is byte-identical to the in-memory
-/// [`super::join::HashJoin`]; see the [module docs](self) for the design.
-pub struct GraceHashJoin<'a> {
-    ctx: Arc<ExecContext<'a>>,
-    left: BoxedOperator<'a>,
-    right: BoxedOperator<'a>,
-    kind: JoinKind,
-    left_keys: Vec<Expr>,
-    right_keys: Vec<Expr>,
-    state: Option<State>,
-}
-
-/// What the build phase decided.
-enum State {
-    /// The build side fit in the budget: stream the probe side against the
-    /// in-memory build, exactly like [`super::join::HashJoin`].
-    InMemory(BuildSide),
-    /// The build side spilled: every partition pair has been joined and the
-    /// output streams are draining through a sequence-number merge.
-    Drain(DrainState),
-}
-
-struct DrainState {
+/// A hash join whose build side overflowed: every partition pair has been
+/// joined and the output streams drain through a sequence-number merge.
+pub(super) struct Spilled {
     /// The emitted schema: probe columns then build columns, no bookkeeping.
     output_schema: Schema,
     cursors: Vec<OutCursor>,
@@ -117,43 +94,12 @@ struct DrainState {
     /// across cursors.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// The probe side produced at least one batch (possibly empty) — the
-    /// in-memory operator then emits at least one (possibly empty) batch.
+    /// in-memory path then emits at least one (possibly empty) batch.
     probe_saw_batch: bool,
     emitted: bool,
 }
 
-impl<'a> GraceHashJoin<'a> {
-    /// Creates a spilling hash join on the given oriented key pairs.
-    pub fn new(
-        ctx: Arc<ExecContext<'a>>,
-        left: BoxedOperator<'a>,
-        right: BoxedOperator<'a>,
-        kind: JoinKind,
-        left_keys: Vec<Expr>,
-        right_keys: Vec<Expr>,
-    ) -> Self {
-        assert!(
-            !left_keys.is_empty(),
-            "hash join requires at least one key pair"
-        );
-        GraceHashJoin {
-            ctx,
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            state: None,
-        }
-    }
-
-    /// Per-partition flush threshold: a small fraction of the budget so
-    /// `FANOUT` writers cannot hoard it.
-    fn flush_bytes(&self) -> usize {
-        let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
-        (limit / (2 * FANOUT)).max(1)
-    }
-
+impl HashJoin<'_> {
     /// The page schema of build partition streams: the key components, then
     /// the build side's original columns.
     fn build_page_schema(&self, right_schema: &Schema) -> Schema {
@@ -171,61 +117,20 @@ impl<'a> GraceHashJoin<'a> {
         Schema::new(defs)
     }
 
-    fn new_writers(&self, schema: &Schema) -> Vec<PageStreamWriter> {
-        (0..FANOUT)
-            .map(|_| {
-                PageStreamWriter::new(
-                    self.ctx.pager(),
-                    schema.clone(),
-                    self.flush_bytes(),
-                    self.ctx.batch_size(),
-                )
-            })
-            .collect()
-    }
-
-    /// Drains the build side, accumulating in memory and flipping to
-    /// partitioned mode on budget overflow; then (in partitioned mode)
-    /// drains the probe side into paired partitions and joins every pair.
-    fn build(&mut self) -> Result<State> {
-        let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
-        let mut acc: Option<RecordBatch> = None;
-        let mut acc_bytes = 0usize;
-
-        let mut overflow = false;
-        while let Some(batch) = self.right.next_batch()? {
-            acc_bytes += batch.approx_size_bytes();
-            match &mut acc {
-                None => acc = Some(batch),
-                Some(a) => a.append(&batch)?,
-            }
-            if acc_bytes > limit {
-                overflow = true;
-                break;
-            }
-        }
-
-        if !overflow {
-            // Everything fit: the in-memory build path, byte for byte.
-            let right_rows = acc.unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-            let build = BuildSide::index(&self.ctx, right_rows, &self.right_keys)?;
-            return Ok(State::InMemory(build));
-        }
-
-        // Partitioned build: route the accumulated chunk, then the rest of
-        // the build input, into FANOUT keyed streams. When the keys carry
-        // oracle calls (and batching is on), the raw chunks are parked in a
-        // cross-batch accumulator first so the whole side resolves in one
-        // coalesced round trip per call instead of one per chunk.
-        let acc = acc.expect("overflow implies at least one batch");
-        let right_schema = acc.schema().clone();
+    /// The overflow path: routes the held build batches, then the rest of
+    /// the build input, into `FANOUT` keyed streams, drains the probe side
+    /// into paired streams and joins every pair. When the keys carry oracle
+    /// calls, each side's raw chunks are parked in a cross-batch accumulator
+    /// first, so the whole side resolves in one coalesced round trip per
+    /// call instead of one per chunk.
+    pub(super) fn spill(&mut self, mut build: Replay) -> Result<Spilled> {
+        let right_schema = build.schema().clone();
         let payload = right_schema.len();
         let build_schema = self.build_page_schema(&right_schema);
-        let mut build_writers = self.new_writers(&build_schema);
+        let mut build_writers = partition_writers(&self.ctx, &build_schema);
         match self.spill_resolver(&self.right_keys, &right_schema)? {
             Some(mut resolver) => {
-                resolver.push(&self.ctx, &acc)?;
-                while let Some(batch) = self.right.next_batch()? {
+                while let Some(batch) = build.next_batch(self.right.as_mut())? {
                     resolver.push(&self.ctx, &batch)?;
                 }
                 let mut epoch = resolver.flush(&self.ctx)?;
@@ -234,8 +139,7 @@ impl<'a> GraceHashJoin<'a> {
                 }
             }
             None => {
-                self.partition_build_chunk(acc, payload, &mut build_writers)?;
-                while let Some(batch) = self.right.next_batch()? {
+                while let Some(batch) = build.next_batch(self.right.as_mut())? {
                     self.partition_build_chunk(batch, payload, &mut build_writers)?;
                 }
             }
@@ -253,7 +157,10 @@ impl<'a> GraceHashJoin<'a> {
             if !probe_saw_batch {
                 probe_saw_batch = true;
                 left_schema = batch.schema().clone();
-                probe_writers = Some(self.new_writers(&self.probe_page_schema(&left_schema)));
+                probe_writers = Some(partition_writers(
+                    &self.ctx,
+                    &self.probe_page_schema(&left_schema),
+                ));
                 probe_resolver = self.spill_resolver(&self.left_keys, &left_schema)?;
             }
             match &mut probe_resolver {
@@ -280,13 +187,13 @@ impl<'a> GraceHashJoin<'a> {
             // No probe batches: nothing can be emitted; the build
             // partitions free their pages as they drop.
             None => {
-                return Ok(State::Drain(DrainState {
+                return Ok(Spilled {
                     output_schema: Schema::empty(),
                     cursors: Vec::new(),
                     heap: BinaryHeap::new(),
                     probe_saw_batch: false,
                     emitted: false,
-                }));
+                });
             }
         };
 
@@ -297,7 +204,6 @@ impl<'a> GraceHashJoin<'a> {
         let joiner = PairJoiner {
             ctx: &self.ctx,
             kind: self.kind,
-            flush_bytes: self.flush_bytes(),
             keys: self.left_keys.len(),
         };
         let pairs: Vec<(PageStream, PageStream)> =
@@ -318,13 +224,13 @@ impl<'a> GraceHashJoin<'a> {
             }
             cursors.push(cursor);
         }
-        Ok(State::Drain(DrainState {
+        Ok(Spilled {
             output_schema,
             cursors,
             heap,
             probe_saw_batch,
             emitted: false,
-        }))
+        })
     }
 
     /// A cross-batch accumulator for the oracle calls in `keys`, or `None`
@@ -407,26 +313,12 @@ impl<'a> GraceHashJoin<'a> {
 struct PairJoiner<'j, 'a> {
     ctx: &'j Arc<ExecContext<'a>>,
     kind: JoinKind,
-    flush_bytes: usize,
     /// How many key components lead a build row and follow a probe row's
     /// sequence number.
     keys: usize,
 }
 
 impl PairJoiner<'_, '_> {
-    fn new_writers(&self, schema: &Schema) -> Vec<PageStreamWriter> {
-        (0..FANOUT)
-            .map(|_| {
-                PageStreamWriter::new(
-                    self.ctx.pager(),
-                    schema.clone(),
-                    self.flush_bytes,
-                    self.ctx.batch_size(),
-                )
-            })
-            .collect()
-    }
-
     /// Joins every partition pair, fanning independent pairs out across
     /// scoped workers. Concurrency is capped both by the parallelism knob
     /// and by the budget: each in-flight pair may materialise up to one
@@ -526,7 +418,7 @@ impl PairJoiner<'_, '_> {
         let mut out = PageStreamWriter::new(
             &pager,
             out_page_schema(output_schema),
-            self.flush_bytes,
+            flush_bytes(self.ctx),
             self.ctx.batch_size(),
         );
         let mut reader = probe.reader();
@@ -566,7 +458,7 @@ impl PairJoiner<'_, '_> {
         outputs: &mut Vec<PageStream>,
     ) -> Result<()> {
         let build_schema = build.schema().clone();
-        let mut build_writers = self.new_writers(&build_schema);
+        let mut build_writers = partition_writers(self.ctx, &build_schema);
         let mut reader = build.reader();
         let mut routed = 0usize;
         while let Some(page) = reader.next_batch()? {
@@ -579,7 +471,7 @@ impl PairJoiner<'_, '_> {
         }
 
         let probe_schema = probe.schema().clone();
-        let mut probe_writers = self.new_writers(&probe_schema);
+        let mut probe_writers = partition_writers(self.ctx, &probe_schema);
         let mut reader = probe.reader();
         while let Some(page) = reader.next_batch()? {
             let keys = BatchKeys::new(page.columns()[1..1 + self.keys].to_vec(), page.num_rows());
@@ -606,88 +498,42 @@ impl PairJoiner<'_, '_> {
     }
 }
 
-impl PhysicalOperator for GraceHashJoin<'_> {
-    fn name(&self) -> &'static str {
-        "GraceHashJoin"
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "{}({}, {})",
-            self.name(),
-            self.left.describe(),
-            self.right.describe()
-        )
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.state = None;
-        self.left.open()?;
-        self.right.open()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        if self.state.is_none() {
-            let state = self.build()?;
-            self.state = Some(state);
-        }
-        match self.state.as_mut().expect("built above") {
-            State::InMemory(build) => {
-                let Some(batch) = self.left.next_batch()? else {
-                    return Ok(None);
-                };
-                probe_batch(&self.ctx, build, self.kind, &self.left_keys, batch).map(Some)
+impl Spilled {
+    /// The next merged output batch of up to `batch_size` rows.
+    pub(super) fn next_batch(&mut self, batch_size: usize) -> Result<Option<RecordBatch>> {
+        if self.heap.is_empty() {
+            // Match the in-memory path on degenerate inputs: one empty
+            // combined-schema batch if the probe side produced batches,
+            // nothing at all otherwise.
+            if self.emitted || !self.probe_saw_batch {
+                return Ok(None);
             }
-            State::Drain(drain) => {
-                if drain.heap.is_empty() {
-                    // Match the in-memory operator on degenerate inputs: one
-                    // empty combined-schema batch if the probe side produced
-                    // batches, nothing at all otherwise.
-                    if drain.emitted || !drain.probe_saw_batch {
-                        return Ok(None);
-                    }
-                    drain.emitted = true;
-                    return Ok(Some(RecordBatch::empty(drain.output_schema.clone())));
+            self.emitted = true;
+            return Ok(Some(RecordBatch::empty(self.output_schema.clone())));
+        }
+        let mut columns: Vec<Column> = (self.output_schema.columns().iter())
+            .map(|c| Column::new(c.data_type))
+            .collect();
+        let mut rows = 0;
+        while rows < batch_size {
+            let Some(Reverse((_, idx))) = self.heap.pop() else {
+                break;
+            };
+            let cursor = &mut self.cursors[idx];
+            {
+                let page = cursor.current.as_ref().expect("frontier implies a page");
+                for (j, column) in columns.iter_mut().enumerate() {
+                    column.push_unchecked(page.column(1 + j).get(cursor.row).clone());
                 }
-                let mut columns: Vec<Column> = drain
-                    .output_schema
-                    .columns()
-                    .iter()
-                    .map(|c| Column::new(c.data_type))
-                    .collect();
-                let mut rows = 0;
-                let batch_size = self.ctx.batch_size();
-                while rows < batch_size {
-                    let Some(Reverse((_, idx))) = drain.heap.pop() else {
-                        break;
-                    };
-                    let cursor = &mut drain.cursors[idx];
-                    {
-                        let page = cursor.current.as_ref().expect("frontier implies a page");
-                        for (j, column) in columns.iter_mut().enumerate() {
-                            column.push_unchecked(page.column(1 + j).get(cursor.row).clone());
-                        }
-                    }
-                    rows += 1;
-                    cursor.advance()?;
-                    if let Some(seq) = cursor.frontier_seq()? {
-                        drain.heap.push(Reverse((seq, idx)));
-                    }
-                }
-                drain.emitted = true;
-                Ok(Some(RecordBatch::new(
-                    drain.output_schema.clone(),
-                    columns,
-                )?))
+            }
+            rows += 1;
+            cursor.advance()?;
+            if let Some(seq) = cursor.frontier_seq()? {
+                self.heap.push(Reverse((seq, idx)));
             }
         }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        // Dropping the drain's cursors frees their unread pages.
-        self.state = None;
-        self.left.close()?;
-        self.right.close()
+        self.emitted = true;
+        Ok(Some(RecordBatch::new(self.output_schema.clone(), columns)?))
     }
 }
 

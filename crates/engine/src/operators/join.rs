@@ -1,6 +1,7 @@
 //! Joins: hash equi-join (streaming probe side, build-side key evaluation
 //! fanned out over morsels) and the nested-loop fallback for non-equi or
-//! missing ON conditions.
+//! missing ON conditions. Both hold their right side in memory while it fits
+//! the memory budget; the hash join's overflow path is [`super::grace_join`].
 
 use std::sync::Arc;
 
@@ -8,41 +9,54 @@ use sdb_sql::ast::{Expr, JoinKind};
 use sdb_storage::{Column, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
 
 use super::expr::{evaluate_exprs, input_column};
+use super::grace_join::Spilled;
 use super::oracle::resolve_for_exprs;
 use super::parallel::{effective_workers, scoped_workers};
-use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
+use super::{hold_input, BoxedOperator, ExecContext, Held, PhysicalOperator, Replay};
 use crate::Result;
 use sdb_storage::keys::{keys_eq, BatchKeys, ChainIndex};
 
-/// Hash equi-join: indexes the materialised right side by key during
-/// `open()`, then streams left batches against it. Keys are columns plus a
-/// hash per row (see [`sdb_storage::keys`]); a probe row's matches come
-/// back as `(probe row, build row)` index pairs and the output batch is one
-/// gather per column.
+/// Hash equi-join: indexes the right (build) side by key during `open()`,
+/// then streams left batches against it. Keys are columns plus a hash per
+/// row (see [`sdb_storage::keys`]); a probe row's matches come back as
+/// `(probe row, build row)` index pairs and the output batch is one gather
+/// per column.
 ///
 /// Output order is probe rows in arrival order, each row's matches in
 /// ascending build-row order (one NULL-padded row for an unmatched LEFT JOIN
 /// probe row) — at any parallelism, since only key *evaluation* fans out and
 /// the index is always filled in row order.
 ///
+/// The build side is held in memory while it fits the memory budget. Once
+/// it overflows, both sides are partitioned through the pager instead (the
+/// Grace plan of [`super::grace_join`]), with byte-identical output.
+///
 /// Oracle-backed calls in the keys (e.g. `SDB_GROUP_TAG` equality surrogates)
 /// are resolved inline per side *before* evaluation (oracle round trips stay
 /// serial and batched); the virtual columns feed only the keys and never
 /// appear in the join output.
 pub struct HashJoin<'a> {
-    ctx: Arc<ExecContext<'a>>,
-    left: BoxedOperator<'a>,
-    right: BoxedOperator<'a>,
-    kind: JoinKind,
-    left_keys: Vec<Expr>,
-    right_keys: Vec<Expr>,
-    build: Option<BuildSide>,
+    pub(super) ctx: Arc<ExecContext<'a>>,
+    pub(super) left: BoxedOperator<'a>,
+    pub(super) right: BoxedOperator<'a>,
+    pub(super) kind: JoinKind,
+    pub(super) left_keys: Vec<Expr>,
+    pub(super) right_keys: Vec<Expr>,
+    state: Option<State>,
+}
+
+/// What the build phase decided.
+enum State {
+    /// The build side fit in the budget: the probe side streams against it.
+    InMemory(BuildSide),
+    /// The build side overflowed: every partition pair has been joined and
+    /// the output drains through a sequence-number merge.
+    Spilled(Spilled),
 }
 
 /// A fully-built hash-join build side: the materialised right rows (original
 /// columns only), their key columns and the index from key hash to rows.
-/// Shared with the spilling [`super::grace_join::GraceHashJoin`], both for
-/// its in-memory mode and for each leaf partition.
+/// The overflow path builds one per leaf partition.
 pub(super) struct BuildSide {
     pub(super) rows: RecordBatch,
     keys: Vec<Column>,
@@ -63,7 +77,7 @@ impl BuildSide {
 
     /// Resolves and evaluates `keys` over the materialised build side and
     /// indexes it.
-    pub(super) fn index(ctx: &ExecContext<'_>, rows: RecordBatch, keys: &[Expr]) -> Result<Self> {
+    fn index(ctx: &ExecContext<'_>, rows: RecordBatch, keys: &[Expr]) -> Result<Self> {
         let mut keys = keys.to_vec();
         let working = resolve_for_exprs(ctx, rows.clone(), &mut keys)?;
         let keys = keys_of_batch(ctx, &keys, &working)?;
@@ -125,7 +139,7 @@ impl<'a> HashJoin<'a> {
             kind,
             left_keys,
             right_keys,
-            build: None,
+            state: None,
         }
     }
 }
@@ -178,7 +192,7 @@ pub(super) fn keys_of_batch(
 /// the output gathers the original columns. When every probe row matched
 /// exactly once (a foreign key against its primary key) the probe columns
 /// are shared with the input, not copied.
-pub(super) fn probe_batch(
+fn probe_batch(
     ctx: &ExecContext<'_>,
     build: &BuildSide,
     kind: JoinKind,
@@ -217,28 +231,38 @@ impl PhysicalOperator for HashJoin<'_> {
     }
 
     fn open(&mut self) -> Result<()> {
+        self.state = None;
         self.left.open()?;
         self.right.open()?;
 
-        // Build phase: materialise the right side and index it by key (oracle
+        // Build phase: hold the right side and index it by key (oracle
         // calls in the keys resolve against a working copy; the output rows
-        // come from the original, unaugmented columns).
-        let right_rows = materialize_input(self.right.as_mut())?
-            .unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-        self.build = Some(BuildSide::index(&self.ctx, right_rows, &self.right_keys)?);
+        // come from the original, unaugmented columns), or partition both
+        // sides once it overflows.
+        self.state = Some(match hold_input(&self.ctx, self.right.as_mut())? {
+            Held::Fit(rows) => {
+                State::InMemory(BuildSide::index(&self.ctx, rows, &self.right_keys)?)
+            }
+            Held::Overflow(build) => State::Spilled(self.spill(build)?),
+        });
         Ok(())
     }
 
     fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        let build = self.build.as_ref().expect("join opened");
-        let Some(batch) = self.left.next_batch()? else {
-            return Ok(None);
-        };
-        probe_batch(&self.ctx, build, self.kind, &self.left_keys, batch).map(Some)
+        match self.state.as_mut().expect("join opened") {
+            State::InMemory(build) => {
+                let Some(batch) = self.left.next_batch()? else {
+                    return Ok(None);
+                };
+                probe_batch(&self.ctx, build, self.kind, &self.left_keys, batch).map(Some)
+            }
+            State::Spilled(spilled) => spilled.next_batch(self.ctx.batch_size()),
+        }
     }
 
     fn close(&mut self) -> Result<()> {
-        self.build = None;
+        // Dropping a spilled join's cursors frees their unread pages.
+        self.state = None;
         self.left.close()?;
         self.right.close()
     }
@@ -250,16 +274,15 @@ impl PhysicalOperator for HashJoin<'_> {
 /// predicate is evaluated directly (it may still use plain UDFs and
 /// subqueries).
 ///
-/// With an unlimited [`MemoryBudget`](sdb_storage::MemoryBudget) the right
-/// side materialises in RAM as before. Under a limited budget it streams
-/// into a pager [`PageStream`] instead (a *block-nested-loop*): each left
-/// batch runs one non-consuming pass over the right side's pages
-/// ([`PageStream::scan`]), holding one page in memory at a time, and
-/// per-left-row match lists are accumulated so the emitted row order is
-/// byte-identical to the in-memory loop (left-major, right rows in arrival
-/// order). The pass costs IO per left batch — the classic block-nested-loop
-/// trade — but the right side no longer occupies unbounded memory, closing
-/// the engine's last unbounded materialisation.
+/// The right side is held in memory while it fits the
+/// [`MemoryBudget`](sdb_storage::MemoryBudget). Once it overflows it is
+/// parked in a pager [`PageStream`] instead (a *block-nested-loop*): each
+/// left batch runs one non-consuming pass over the right side's pages
+/// ([`PageStream::scan`]), holding one page in memory at a time — the pass
+/// costs IO per left batch, the classic block-nested-loop trade. Either way
+/// a left batch is matched page by page (an in-memory right side is one
+/// page) into per-left-row match lists, so the emitted row order is
+/// left-major, right rows in arrival order.
 pub struct NestedLoopJoin<'a> {
     ctx: Arc<ExecContext<'a>>,
     left: BoxedOperator<'a>,
@@ -269,12 +292,12 @@ pub struct NestedLoopJoin<'a> {
     right_side: Option<RightSide>,
 }
 
-/// How the right side was materialised at `open()`.
+/// Where the right side was held at `open()`.
 enum RightSide {
-    /// Unlimited budget: the whole input in RAM.
+    /// It fit the budget: the whole input in RAM.
     InMemory(RecordBatch),
-    /// Limited budget: parked in the pager, scanned per left batch.
-    Paged { schema: Schema, stream: PageStream },
+    /// It overflowed: parked in the pager, scanned per left batch.
+    Paged(PageStream),
 }
 
 impl<'a> NestedLoopJoin<'a> {
@@ -313,53 +336,35 @@ impl<'a> NestedLoopJoin<'a> {
         }
     }
 
-    /// Streams the right input into a pager page stream (budgeted path).
-    fn park_right(&mut self) -> Result<RightSide> {
-        let limit = self
-            .ctx
-            .memory_budget()
-            .limit()
-            .expect("paged path requires a limited budget");
-        let flush_bytes = (limit / 4).max(1);
-        let mut schema = Schema::empty();
-        let mut writer: Option<PageStreamWriter> = None;
-        while let Some(batch) = self.right.next_batch()? {
-            let writer = writer.get_or_insert_with(|| {
-                schema = batch.schema().clone();
-                PageStreamWriter::new(
-                    self.ctx.pager(),
-                    batch.schema().clone(),
-                    flush_bytes,
-                    self.ctx.batch_size(),
-                )
-            });
+    /// Streams the overflowed right input into a pager page stream.
+    fn park_right(&mut self, mut held: Replay) -> Result<PageStream> {
+        let limit = (self.ctx.memory_budget().limit()).expect("only a limited budget overflows");
+        let mut writer = PageStreamWriter::new(
+            self.ctx.pager(),
+            held.schema().clone(),
+            (limit / 4).max(1),
+            self.ctx.batch_size(),
+        );
+        while let Some(batch) = held.next_batch(self.right.as_mut())? {
             for row in 0..batch.num_rows() {
                 writer.push_row(batch.row(row))?;
             }
         }
-        let stream = match writer {
-            Some(writer) => writer.finish()?,
-            None => PageStreamWriter::new(self.ctx.pager(), Schema::empty(), 1, 1).finish()?,
-        };
-        Ok(RightSide::Paged { schema, stream })
+        Ok(writer.finish()?)
     }
 
-    /// One left batch against the paged right side: a single pass over the
-    /// right pages, with per-left-row buckets restoring the in-memory
-    /// (left-major) output order.
-    fn probe_paged(
-        &self,
-        batch: &RecordBatch,
-        schema: &Schema,
-        stream: &PageStream,
-    ) -> Result<RecordBatch> {
-        let combined_schema = batch.schema().join(schema);
-        let right_width = schema.len();
+    /// One left batch against the right side: a single pass over its pages,
+    /// with per-left-row buckets restoring the left-major output order.
+    fn probe(&self, batch: &RecordBatch, right: &RightSide) -> Result<RecordBatch> {
+        let right_schema = match right {
+            RightSide::InMemory(rows) => rows.schema(),
+            RightSide::Paged(stream) => stream.schema(),
+        };
+        let combined_schema = batch.schema().join(right_schema);
         let evaluator = self.ctx.evaluator();
 
         let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); batch.num_rows()];
-        let mut scan = stream.scan();
-        while let Some(page) = scan.next_batch()? {
+        let mut match_page = |page: &RecordBatch| -> Result<()> {
             for (lrow, bucket) in buckets.iter_mut().enumerate() {
                 for rrow in 0..page.num_rows() {
                     let mut row = batch.row(lrow);
@@ -369,6 +374,16 @@ impl<'a> NestedLoopJoin<'a> {
                     }
                 }
             }
+            Ok(())
+        };
+        match right {
+            RightSide::InMemory(rows) => match_page(rows)?,
+            RightSide::Paged(stream) => {
+                let mut scan = stream.scan();
+                while let Some(page) = scan.next_batch()? {
+                    match_page(&page)?;
+                }
+            }
         }
         self.ctx.record_udf_calls(&evaluator);
 
@@ -376,39 +391,12 @@ impl<'a> NestedLoopJoin<'a> {
         for (lrow, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() && self.kind == JoinKind::Left {
                 let mut row = batch.row(lrow);
-                row.extend(std::iter::repeat_n(Value::Null, right_width));
+                row.extend(std::iter::repeat_n(Value::Null, right_schema.len()));
                 rows.push(row);
             } else {
                 rows.extend(bucket);
             }
         }
-        RecordBatch::from_rows(combined_schema, rows).map_err(Into::into)
-    }
-
-    /// One left batch against the in-memory right side (unlimited budget).
-    fn probe_in_memory(&self, batch: &RecordBatch, right: &RecordBatch) -> Result<RecordBatch> {
-        let combined_schema = batch.schema().join(right.schema());
-        let right_width = right.num_columns();
-        let evaluator = self.ctx.evaluator();
-
-        let mut rows = Vec::new();
-        for lrow in 0..batch.num_rows() {
-            let mut matched = false;
-            for rrow in 0..right.num_rows() {
-                let mut row = batch.row(lrow);
-                row.extend(right.row(rrow));
-                if self.keep_row(&evaluator, &combined_schema, &row)? {
-                    rows.push(row);
-                    matched = true;
-                }
-            }
-            if !matched && self.kind == JoinKind::Left {
-                let mut row = batch.row(lrow);
-                row.extend(std::iter::repeat_n(Value::Null, right_width));
-                rows.push(row);
-            }
-        }
-        self.ctx.record_udf_calls(&evaluator);
         RecordBatch::from_rows(combined_schema, rows).map_err(Into::into)
     }
 }
@@ -430,12 +418,9 @@ impl PhysicalOperator for NestedLoopJoin<'_> {
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right.open()?;
-        self.right_side = Some(if self.ctx.memory_budget().is_limited() {
-            self.park_right()?
-        } else {
-            let right = materialize_input(self.right.as_mut())?
-                .unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-            RightSide::InMemory(right)
+        self.right_side = Some(match hold_input(&self.ctx, self.right.as_mut())? {
+            Held::Fit(rows) => RightSide::InMemory(rows),
+            Held::Overflow(held) => RightSide::Paged(self.park_right(held)?),
         });
         Ok(())
     }
@@ -444,12 +429,8 @@ impl PhysicalOperator for NestedLoopJoin<'_> {
         let Some(batch) = self.left.next_batch()? else {
             return Ok(None);
         };
-        match self.right_side.as_ref().expect("join opened") {
-            RightSide::InMemory(right) => self.probe_in_memory(&batch, right).map(Some),
-            RightSide::Paged { schema, stream } => {
-                self.probe_paged(&batch, schema, stream).map(Some)
-            }
-        }
+        self.probe(&batch, self.right_side.as_ref().expect("join opened"))
+            .map(Some)
     }
 
     fn close(&mut self) -> Result<()> {

@@ -7,7 +7,7 @@
 //! shares one [`ExecContext`] carrying the catalog, the UDF registry, the
 //! optional DO-proxy oracle and the run's statistics.
 //!
-//! One file per operator:
+//! One file per operator, plus the overflow paths of the blocking ones:
 //!
 //! * [`scan`] — base-table scan: windows onto the table's shared buffers,
 //!   only the columns the plan references;
@@ -15,15 +15,14 @@
 //! * [`project`] — projection / expression evaluation;
 //! * [`join`] — hash equi-join (index-vector probe, gathered output) and the
 //!   nested-loop fallback;
-//! * [`grace_join`] — bounded-memory Grace-style spilling hash join
-//!   (selected when a [`MemoryBudget`] is set);
-//! * [`aggregate`] — hash aggregation with grouping, with a partitioned
-//!   parallel variant;
+//! * [`grace_join`] — the hash join's overflow path: Grace-style
+//!   partitioning of both inputs through the pager;
+//! * [`aggregate`] — hash aggregation with grouping, morsel-parallel;
+//! * [`spill_aggregate`] — the aggregation's overflow path: partition and
+//!   spill of evaluated rows;
 //! * [`sort`] — sort, limit and distinct (the order-shaping operators);
-//! * [`external_sort`] — bounded-memory external merge sort through the
-//!   pager (selected when a [`MemoryBudget`] is set);
-//! * [`spill_aggregate`] — bounded-memory partition-and-spill aggregation
-//!   (likewise budget-selected);
+//! * [`external_sort`] — the sort's overflow path: sorted runs through the
+//!   pager and a k-way merge;
 //! * [`oracle`] — the SDB oracle-call operator resolving interactive protocol
 //!   steps (comparisons, group tags, ranks) with one batched round trip per
 //!   call;
@@ -40,7 +39,7 @@
 //! * [`join::HashJoin`] partitions its materialised build side to evaluate
 //!   interpreted key expressions per worker (concatenated in morsel order;
 //!   the index itself is filled serially, in row order);
-//! * [`aggregate::ParallelHashAggregate`] partitions its input via
+//! * [`aggregate::HashAggregate`] partitions its input via
 //!   [`RecordBatch::partition`], accumulates per-worker group states and
 //!   merges them at drain in global first-occurrence order.
 //!
@@ -48,14 +47,17 @@
 //! step preserves morsel order, so parallel execution is **byte-identical**
 //! to serial execution for the same plan.
 //!
-//! ## Settings
+//! ## Settings and memory
 //!
 //! A context runs under one [`ExecConfig`] (parallelism, batch size, memory
 //! budget, …), fixed at construction: [`ExecContext::new`] builds the pager
 //! (or takes the caller's lease), the statistics shards and the trace hooks
-//! exactly once. With a limited budget, sort, aggregation and hash joins
-//! lower to their spilling variants, which park overflow in the context's
-//! [`Pager`] and produce byte-identical results.
+//! exactly once. Each blocking node (sort, aggregate, hash join, nested-loop
+//! join) is one operator whatever the budget: it holds its input in memory
+//! (`hold_input`) and runs in memory while the held bytes stay within the
+//! budget's limit. On the first overflow it replays the held batches, then
+//! the rest of its input, into its overflow path, which parks data in the
+//! context's [`Pager`] and produces byte-identical results.
 //!
 //! ## Statistics and RNG under parallelism
 //!
@@ -83,7 +85,7 @@ pub mod spill_aggregate;
 #[cfg(test)]
 mod tests;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard};
@@ -532,22 +534,73 @@ impl ExecContext<'_> {
 /// Runs one operator's full lifecycle, concatenating its output batches.
 pub fn drain_operator(root: &mut dyn PhysicalOperator) -> Result<RecordBatch> {
     root.open()?;
-    let result = materialize_input(root)?;
-    root.close()?;
-    Ok(result.unwrap_or_else(|| RecordBatch::empty(Schema::empty())))
-}
-
-/// Drains an operator into a single materialised batch, for blocking
-/// consumers (join build sides, aggregation, sort). Returns `None` when the
-/// input produced no batches at all. Accumulates with in-place appends, so
-/// the total cost is linear in the rows produced.
-pub(crate) fn materialize_input(input: &mut dyn PhysicalOperator) -> Result<Option<RecordBatch>> {
     let mut result: Option<RecordBatch> = None;
-    while let Some(batch) = input.next_batch()? {
+    while let Some(batch) = root.next_batch()? {
         match &mut result {
             None => result = Some(batch),
             Some(acc) => acc.append(&batch)?,
         }
     }
-    Ok(result)
+    root.close()?;
+    Ok(result.unwrap_or_else(|| RecordBatch::empty(Schema::empty())))
+}
+
+/// A blocking operator's input as [`hold_input`] read it.
+pub(crate) enum Held {
+    /// The whole input fit the budget: its batches concatenated (a batch
+    /// without columns when it produced none).
+    Fit(RecordBatch),
+    /// The held batches overflowed the budget; the rest of the input is
+    /// still unread.
+    Overflow(Replay),
+}
+
+/// An overflowed input, replayed batch by batch into an overflow path.
+pub(crate) struct Replay(VecDeque<RecordBatch>);
+
+impl Replay {
+    /// The input's schema (an overflow holds at least one batch).
+    pub(crate) fn schema(&self) -> &Schema {
+        self.0.front().expect("an overflow holds a batch").schema()
+    }
+
+    /// The next input batch: the held ones first, in arrival order, then
+    /// the rest of `input`.
+    pub(crate) fn next_batch(
+        &mut self,
+        input: &mut dyn PhysicalOperator,
+    ) -> Result<Option<RecordBatch>> {
+        match self.0.pop_front() {
+            Some(batch) => Ok(Some(batch)),
+            None => input.next_batch(),
+        }
+    }
+}
+
+/// Reads a blocking operator's input, holding its batches in memory until
+/// their bytes exceed the budget's limit. Without a limit nothing is
+/// counted and the input is concatenated as it arrives; with one, the
+/// batches are also kept apart so an overflow can replay them one at a
+/// time. Concatenation appends in place, so the cost is linear in the rows.
+pub(crate) fn hold_input(ctx: &ExecContext<'_>, input: &mut dyn PhysicalOperator) -> Result<Held> {
+    let limit = ctx.memory_budget().limit();
+    let mut held = VecDeque::new();
+    let mut bytes = 0usize;
+    let mut result: Option<RecordBatch> = None;
+    while let Some(batch) = input.next_batch()? {
+        if let Some(limit) = limit {
+            bytes += batch.approx_size_bytes();
+            held.push_back(batch.clone());
+            if bytes > limit {
+                return Ok(Held::Overflow(Replay(held)));
+            }
+        }
+        match &mut result {
+            None => result = Some(batch),
+            Some(acc) => acc.append(&batch)?,
+        }
+    }
+    Ok(Held::Fit(
+        result.unwrap_or_else(|| RecordBatch::empty(Schema::empty())),
+    ))
 }

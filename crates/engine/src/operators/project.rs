@@ -12,34 +12,29 @@ use super::{BoxedOperator, ExecContext, PhysicalOperator};
 use crate::kernels::ShareKernels;
 use crate::Result;
 
-enum Output {
-    /// Pass an input column through unchanged (wildcard expansion).
-    Passthrough(usize),
-    /// Evaluate expression `index` under the given output name.
-    Computed { index: usize, name: String },
-}
-
-/// One processed-but-not-yet-emitted batch: passthrough columns plus each
-/// named item as evaluated — the raw values of a real expression are typed
-/// only at emission time.
+/// One processed-but-not-yet-emitted batch: every output column as
+/// evaluated — the raw values of a real expression are typed only at
+/// emission time.
 struct StagedBatch {
-    passthrough: Vec<(ColumnDef, Column)>,
-    /// The batch the items were evaluated over: an item that is a reference
-    /// to one of its columns shares that column at emission.
+    /// The batch the items were evaluated over: an output column that is
+    /// one of its columns shares that column at emission.
     input: RecordBatch,
-    computed: Vec<ExprColumn>,
+    /// The output columns in order: a wildcard's input columns and each
+    /// named item.
+    columns: Vec<ExprColumn>,
 }
 
-/// Evaluates projection items against each input batch. An item that binds
-/// to an input column shares that column's buffer, under the input's type
-/// and sensitivity; real expressions go through `evaluate_exprs` (share
-/// kernels, else the interpreter row by row).
+/// Evaluates projection items against each input batch. A wildcard's
+/// columns, and an item that binds to an input column, share that column's
+/// buffer under the input's type and sensitivity; real expressions go
+/// through `evaluate_exprs` (share kernels, else the interpreter row by
+/// row).
 ///
 /// Computed-column types are inferred from produced values. To keep the
 /// output schema stable across batches, the first *concrete* inference per
-/// column (a non-NULL value, or a direct column reference) is locked and
-/// reused; batches whose computed values are still all-NULL are staged until
-/// a concrete type arrives (or the input ends), so an all-NULL leading batch
+/// column (a non-NULL value, or an input column) is locked and reused;
+/// batches whose computed values are still all-NULL are staged until a
+/// concrete type arrives (or the input ends), so an all-NULL leading batch
 /// can no longer disagree with a typed later batch.
 ///
 /// `virtual_columns` names the oracle virtual columns materialised by an
@@ -52,15 +47,15 @@ pub struct Project<'a> {
     virtual_columns: Vec<String>,
     /// The share arithmetic of the computed items.
     shares: Arc<ShareKernels>,
-    /// Concrete defs locked in for each computed expression, once known.
+    /// Concrete defs locked in for each output column, once known.
     locked: Vec<Option<ColumnDef>>,
+    /// The output column names (refreshed per batch; stable because the
+    /// input schema is).
+    names: Vec<String>,
     /// Batches staged while some computed column is still type-ambiguous.
     staged: VecDeque<StagedBatch>,
     /// Fully-typed batches ready for emission.
     ready: VecDeque<RecordBatch>,
-    /// The interleaving of passthrough and computed outputs (stable across
-    /// batches because the input schema is stable; refreshed per batch).
-    output_order: Vec<Output>,
     input_done: bool,
 }
 
@@ -72,10 +67,6 @@ impl<'a> Project<'a> {
         items: Vec<ProjectionItem>,
         virtual_columns: Vec<String>,
     ) -> Self {
-        let computed_count = items
-            .iter()
-            .filter(|item| matches!(item, ProjectionItem::Named { .. }))
-            .count();
         let shares = ctx.share_kernels(items.iter().filter_map(|item| match item {
             ProjectionItem::Named { expr, .. } => Some(expr),
             ProjectionItem::Wildcard => None,
@@ -86,99 +77,85 @@ impl<'a> Project<'a> {
             shares,
             items,
             virtual_columns,
-            locked: vec![None; computed_count],
+            locked: Vec::new(),
+            names: Vec::new(),
             staged: VecDeque::new(),
             ready: VecDeque::new(),
-            output_order: Vec::new(),
             input_done: false,
         }
     }
 
     /// Evaluates the projection over one input batch and stages the result.
     fn stage_batch(&mut self, batch: RecordBatch) -> Result<()> {
-        let mut outputs = Vec::new();
-        let mut exprs = Vec::new();
-        for item in &self.items {
-            match item {
-                ProjectionItem::Wildcard => {
-                    for (i, def) in batch.schema().columns().iter().enumerate() {
-                        if self
-                            .virtual_columns
-                            .iter()
-                            .any(|v| v.eq_ignore_ascii_case(&def.name))
-                        {
-                            continue;
-                        }
-                        outputs.push(Output::Passthrough(i));
-                    }
-                }
-                ProjectionItem::Named { expr, name } => {
-                    outputs.push(Output::Computed {
-                        index: exprs.len(),
-                        name: name.clone(),
-                    });
-                    // Expressions that literally name an input column (e.g. the
-                    // projection of a GROUP BY expression such as `YEAR(d)` above
-                    // an aggregate whose output column is named "YEAR(d)", or a
-                    // resolved oracle call) bind to that column instead of being
-                    // re-evaluated.
-                    exprs.push(bind_to_existing_columns(expr, batch.schema()));
-                }
-            }
-        }
-
+        let schema = batch.schema();
+        // Expressions that literally name an input column (e.g. the
+        // projection of a GROUP BY expression such as `YEAR(d)` above an
+        // aggregate whose output column is named "YEAR(d)", or a resolved
+        // oracle call) bind to that column instead of being re-evaluated.
+        let exprs: Vec<Expr> = (self.items.iter())
+            .filter_map(|item| match item {
+                ProjectionItem::Named { expr, .. } => Some(bind_to_existing_columns(expr, schema)),
+                ProjectionItem::Wildcard => None,
+            })
+            .collect();
         let evaluator = self
             .ctx
             .evaluator()
             .with_key_updates(self.shares.key_updates());
         let exprs_ref: Vec<&Expr> = exprs.iter().collect();
         let computed = evaluate_exprs(&evaluator, Some(&self.shares), &exprs_ref, &batch, false)?;
-        let computed = computed.columns;
         self.ctx.record_udf_calls(&evaluator);
 
-        // Lock in concrete defs: a direct column reference is concrete even
-        // with no rows; otherwise the first non-NULL value decides.
-        let mut computed_names = vec![String::new(); exprs.len()];
-        for output in &outputs {
-            if let Output::Computed { index, name } = output {
-                computed_names[*index] = name.clone();
-            }
-        }
-        for (i, expr) in exprs.iter().enumerate() {
-            if self.locked[i].is_some() {
-                continue;
-            }
-            let values = match &computed[i] {
-                ExprColumn::Input(_) => &[][..],
-                ExprColumn::Values(values) => values,
-            };
-            let is_concrete =
-                matches!(computed[i], ExprColumn::Input(_)) || values.iter().any(|v| !v.is_null());
-            if is_concrete {
-                let def = infer_column_def(&computed_names[i], expr, values, batch.schema());
-                self.locked[i] = Some(def);
+        // The output columns in order, each with the expression it came
+        // from (`None`: a wildcard's input column).
+        let mut computed = computed.columns.into_iter().zip(&exprs);
+        let mut columns = Vec::new();
+        self.names.clear();
+        for item in &self.items {
+            match item {
+                ProjectionItem::Wildcard => {
+                    for (i, def) in schema.columns().iter().enumerate() {
+                        let is_virtual = (self.virtual_columns.iter())
+                            .any(|v| v.eq_ignore_ascii_case(&def.name));
+                        if !is_virtual {
+                            self.names.push(def.name.clone());
+                            columns.push((ExprColumn::Input(i), None));
+                        }
+                    }
+                }
+                ProjectionItem::Named { name, .. } => {
+                    let (column, expr) = computed.next().expect("one column per named item");
+                    self.names.push(name.clone());
+                    columns.push((column, Some(expr)));
+                }
             }
         }
 
-        let mut passthrough = Vec::new();
-        for output in &outputs {
-            if let Output::Passthrough(i) = output {
-                passthrough.push((
-                    batch.schema().column_at(*i).clone(),
-                    batch.column(*i).clone(),
-                ));
-            }
+        // Lock in concrete defs: an input column is concrete even with no
+        // rows; otherwise the first non-NULL value decides.
+        self.locked.resize(columns.len(), None);
+        for (i, (column, expr)) in columns.iter().enumerate() {
+            let name = &self.names[i];
+            self.locked[i] = match (self.locked[i].take(), column) {
+                (Some(locked), _) => Some(locked),
+                (None, ExprColumn::Input(idx)) => Some(ColumnDef {
+                    name: name.clone(),
+                    ..schema.column_at(*idx).clone()
+                }),
+                (None, ExprColumn::Values(values)) => (values.iter().any(|v| !v.is_null()))
+                    .then(|| infer_column_def(name, expr.expect("computed"), values, schema)),
+            };
         }
+
+        let columns = columns.into_iter().map(|(column, _)| column).collect();
         self.staged.push_back(StagedBatch {
-            passthrough,
             input: batch,
-            computed,
+            columns,
         });
-        self.output_order = outputs;
         Ok(())
     }
 
-    /// True when every computed column has a locked (concrete) type.
+    /// True when every output column has a locked (concrete) type.
     fn types_settled(&self) -> bool {
         self.locked.iter().all(Option::is_some)
     }
@@ -189,33 +166,18 @@ impl<'a> Project<'a> {
         while let Some(staged) = self.staged.pop_front() {
             let mut defs = Vec::new();
             let mut columns = Vec::new();
-            let mut passthrough = staged.passthrough.into_iter();
-            let mut computed: Vec<Option<ExprColumn>> =
-                staged.computed.into_iter().map(Some).collect();
-            for output in &self.output_order {
-                match output {
-                    Output::Passthrough(_) => {
-                        let (def, column) = passthrough.next().expect("passthrough count fixed");
-                        defs.push(def);
-                        columns.push(column);
-                    }
-                    Output::Computed { index, name } => {
-                        let evaluated = computed[*index].take().expect("each computed used once");
-                        let def = match &self.locked[*index] {
-                            Some(locked) => locked.clone(),
-                            // Never saw a concrete value anywhere: fall back to
-                            // the historical all-NULL default.
-                            None => ColumnDef::public(name, sdb_storage::DataType::Int),
-                        };
-                        columns.push(match evaluated {
-                            ExprColumn::Input(idx) => staged.input.column(idx).clone(),
-                            ExprColumn::Values(values) => {
-                                Column::from_values(def.data_type, values)?
-                            }
-                        });
-                        defs.push(def);
-                    }
-                }
+            for (i, evaluated) in staged.columns.into_iter().enumerate() {
+                let def = match &self.locked[i] {
+                    Some(locked) => locked.clone(),
+                    // Never saw a concrete value anywhere: fall back to the
+                    // historical all-NULL default.
+                    None => ColumnDef::public(&self.names[i], sdb_storage::DataType::Int),
+                };
+                columns.push(match evaluated {
+                    ExprColumn::Input(idx) => staged.input.column(idx).clone(),
+                    ExprColumn::Values(values) => Column::from_values(def.data_type, values)?,
+                });
+                defs.push(def);
             }
             self.ready
                 .push_back(RecordBatch::new(Schema::new(defs), columns)?);
@@ -234,7 +196,7 @@ impl PhysicalOperator for Project<'_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.locked = vec![None; self.locked.len()];
+        self.locked.clear();
         self.staged.clear();
         self.ready.clear();
         self.input_done = false;

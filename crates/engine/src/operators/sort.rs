@@ -1,25 +1,43 @@
 //! The order-shaping operators: sort, limit and distinct.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
+use sdb_sql::ast::Expr;
 use sdb_sql::plan::SortKey;
-use sdb_storage::{RecordBatch, Schema, Value};
+use sdb_storage::{partition_ranges, Column, DataType, RecordBatch, Schema, Value};
 
 use super::expr::bind_to_existing_columns;
-use super::{materialize_input, BoxedOperator, ExecContext, PhysicalOperator};
+use super::external_sort::Merge;
+use super::parallel::{effective_workers, scoped_workers};
+use super::{hold_input, BoxedOperator, ExecContext, Held, PhysicalOperator};
 use crate::Result;
 use sdb_storage::keys::{keys_eq, BatchKeys, ChainIndex};
 
-/// Sorts the materialised input by the given keys (stable, NULLs ordered by
-/// the storage layer's total order).
+/// Sorts its input by the given keys (stable, NULLs ordered by the storage
+/// layer's total order).
+///
+/// The input is held in memory while it fits the memory budget and then
+/// sorted as one run — morsel-parallel, see `sorted_order` — and emitted
+/// as one batch. Once it overflows, the held batches and the rest of the
+/// input become sorted runs in the pager, merged on drain
+/// ([`super::external_sort`]); the output is byte-identical.
 ///
 /// Oracle-backed sort keys (e.g. `SDB_RANK` surrogates) are materialised by an
 /// [`super::oracle::OracleResolve`] child inserted by the planner.
 pub struct Sort<'a> {
-    ctx: Arc<ExecContext<'a>>,
-    input: BoxedOperator<'a>,
-    keys: Vec<SortKey>,
-    done: bool,
+    pub(super) ctx: Arc<ExecContext<'a>>,
+    pub(super) input: BoxedOperator<'a>,
+    pub(super) keys: Vec<SortKey>,
+    state: Option<State>,
+}
+
+/// What is left to emit once the input has been read.
+enum State {
+    /// The in-memory sort emitted everything.
+    Done,
+    /// The input overflowed: its sorted runs drain through a merge.
+    Merge(Merge),
 }
 
 impl<'a> Sort<'a> {
@@ -29,8 +47,20 @@ impl<'a> Sort<'a> {
             ctx,
             input,
             keys,
-            done: false,
+            state: None,
         }
+    }
+
+    /// The sort keys bound to the input schema.
+    pub(super) fn bind_keys(&self, schema: &Schema) -> Vec<Expr> {
+        (self.keys.iter())
+            .map(|k| bind_to_existing_columns(&k.expr, schema))
+            .collect()
+    }
+
+    /// Each key's descending flag.
+    pub(super) fn desc(&self) -> Arc<Vec<bool>> {
+        Arc::new(self.keys.iter().map(|k| k.desc).collect())
     }
 }
 
@@ -44,52 +74,115 @@ impl PhysicalOperator for Sort<'_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.done = false;
+        self.state = None;
         self.input.open()
     }
 
     fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        if self.done {
-            return Ok(None);
+        let batch_size = self.ctx.batch_size();
+        match &mut self.state {
+            Some(State::Done) => return Ok(None),
+            Some(State::Merge(merge)) => return merge.next_batch(batch_size),
+            None => {}
         }
-        self.done = true;
-        let batch = materialize_input(self.input.as_mut())?
-            .unwrap_or_else(|| RecordBatch::empty(Schema::empty()));
-
-        let exprs: Vec<_> = self
-            .keys
-            .iter()
-            .map(|k| bind_to_existing_columns(&k.expr, batch.schema()))
-            .collect();
-        let evaluator = self.ctx.evaluator();
-
-        let mut key_values: Vec<Vec<Value>> = Vec::with_capacity(batch.num_rows());
-        for row in 0..batch.num_rows() {
-            let mut kv = Vec::with_capacity(exprs.len());
-            for e in &exprs {
-                kv.push(evaluator.evaluate(e, &batch, row)?);
+        let batch = match hold_input(&self.ctx, self.input.as_mut())? {
+            Held::Fit(batch) => batch,
+            Held::Overflow(held) => {
+                let mut merge = self.spill(held)?;
+                let first = merge.next_batch(batch_size);
+                self.state = Some(State::Merge(merge));
+                return first;
             }
-            key_values.push(kv);
-        }
-        self.ctx.record_udf_calls(&evaluator);
-
-        let mut order: Vec<usize> = (0..batch.num_rows()).collect();
-        order.sort_by(|&a, &b| {
-            for (i, key) in self.keys.iter().enumerate() {
-                let ord = key_values[a][i].cmp_total(&key_values[b][i]);
-                let ord = if key.desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        };
+        self.state = Some(State::Done);
+        let keys = key_columns(&self.ctx, &batch, &self.bind_keys(batch.schema()))?;
+        let order = sorted_order(&self.ctx, batch.num_rows(), &keys, &self.desc())?;
         batch.reorder(&order).map(Some).map_err(Into::into)
     }
 
     fn close(&mut self) -> Result<()> {
+        // Dropping a merge's run cursors frees their pages.
+        self.state = None;
         self.input.close()
     }
+}
+
+/// Evaluates the bound sort keys over every row of `batch`, one column each.
+pub(super) fn key_columns(
+    ctx: &ExecContext<'_>,
+    batch: &RecordBatch,
+    bound: &[Expr],
+) -> Result<Vec<Column>> {
+    let evaluator = ctx.evaluator();
+    let mut columns: Vec<Column> = bound.iter().map(|_| Column::new(DataType::Int)).collect();
+    for row in 0..batch.num_rows() {
+        for (expr, column) in bound.iter().zip(columns.iter_mut()) {
+            column.push_unchecked(evaluator.evaluate(expr, batch, row)?);
+        }
+    }
+    ctx.record_udf_calls(&evaluator);
+    Ok(columns)
+}
+
+/// Compares two rows by their key values (with desc flags), then by
+/// position — a total order whose sort equals a stable sort by keys alone.
+fn compare_rows(keys: &[Column], desc: &[bool], a: usize, b: usize) -> Ordering {
+    for (key, d) in keys.iter().zip(desc) {
+        let ord = key.get(a).cmp_total(key.get(b));
+        let ord = if *d { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    a.cmp(&b)
+}
+
+/// The sorted order of `rows` rows given their key columns. With more
+/// than one worker, per-worker morsels sort on scoped threads and merge
+/// afterwards — a parallel merge sort whose result is identical to the
+/// serial sort because the comparator carries the position tie-break.
+pub(super) fn sorted_order(
+    ctx: &ExecContext<'_>,
+    rows: usize,
+    keys: &[Column],
+    desc: &[bool],
+) -> Result<Vec<usize>> {
+    let workers = effective_workers(ctx.parallelism(), rows);
+    if workers <= 1 {
+        let mut order: Vec<usize> = (0..rows).collect();
+        order.sort_unstable_by(|&a, &b| compare_rows(keys, desc, a, b));
+        return Ok(order);
+    }
+    let ranges = partition_ranges(rows, workers);
+    let parts: Vec<Vec<usize>> = scoped_workers(ranges.len(), |i| {
+        let mut order: Vec<usize> = ranges[i].clone().collect();
+        order.sort_unstable_by(|&a, &b| compare_rows(keys, desc, a, b));
+        Ok(order)
+    })?;
+    // Merge the sorted morsels (frontier scan: worker counts are small).
+    let mut heads = vec![0usize; parts.len()];
+    let mut order = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let mut best: Option<(usize, usize)> = None; // (part, row index)
+        for (p, part) in parts.iter().enumerate() {
+            let Some(&candidate) = part.get(heads[p]) else {
+                continue;
+            };
+            best = match best {
+                None => Some((p, candidate)),
+                Some((_, current))
+                    if compare_rows(keys, desc, candidate, current) == Ordering::Less =>
+                {
+                    Some((p, candidate))
+                }
+                keep => keep,
+            };
+        }
+        let (p, row) = best.expect("total counts match");
+        heads[p] += 1;
+        order.push(row);
+    }
+    Ok(order)
 }
 
 /// Truncates the stream after `n` rows (streaming: stops pulling from its

@@ -1,46 +1,43 @@
-//! Bounded-memory hash aggregation: partition-and-spill with recursive
+//! The aggregation's overflow path: partition-and-spill with recursive
 //! re-aggregation.
 //!
-//! The operator streams its input and evaluates each row into a *prepared
-//! row* — a global arrival sequence number, the grouping-key values and every
-//! aggregate's argument value. Prepared rows accumulate in memory until the
-//! [`MemoryBudget`](sdb_storage::MemoryBudget) is exceeded, at which point
-//! they are hash-partitioned by grouping key into `FANOUT` spill streams
-//! parked in the pager (same-key rows always land in the same partition: a
-//! row is routed by the hash of its key values, [`sdb_storage::keys`],
-//! which is not spilled — a reloaded row re-hashes the values it carries).
-//! At the end each partition is re-aggregated independently; a partition
-//! still larger than the budget is recursively re-partitioned with a
-//! different hash level, up to `MAX_LEVELS` (beyond that it is aggregated
-//! in memory — a single pathological group cannot be split by key).
+//! [`HashAggregate`] holds its input in memory while it fits the
+//! [`MemoryBudget`](sdb_storage::MemoryBudget). On the first overflow it
+//! replays the held batches, then the rest of its input, through this path:
+//! each row is evaluated into a *prepared row* — a global arrival sequence
+//! number, the grouping-key values and every aggregate's argument value.
+//! Prepared rows accumulate in memory until they exceed the budget, at
+//! which point they are hash-partitioned by grouping key into `FANOUT`
+//! spill streams parked in the pager (same-key rows always land in the same
+//! partition: a row is routed by the hash of its key values,
+//! [`sdb_storage::keys`], which is not spilled — a reloaded row re-hashes
+//! the values it carries). At the end each partition is re-aggregated
+//! independently; a partition still larger than the budget is recursively
+//! re-partitioned with a different hash level, up to `MAX_LEVELS` (beyond
+//! that it is aggregated in memory — a single pathological group cannot be
+//! split by key).
 //!
-//! **Byte-identity with [`super::aggregate::HashAggregate`]:** the in-memory
-//! operator emits groups in global first-occurrence order with each group's
-//! argument values in global row order. Spilled rows keep their arrival
-//! order within every partition (writes happen in arrival order, reads in
-//! page order), so per-partition aggregation preserves row order; the final
-//! groups are then sorted by their minimum sequence number, which *is* the
-//! global first-occurrence order. If the input never exceeds the budget,
-//! nothing spills and the pending rows aggregate directly — the same code
-//! path minus the partitioning.
-
-use std::sync::Arc;
+//! **Byte-identity with the in-memory path:** that path emits groups in
+//! global first-occurrence order with each group's argument values in
+//! global row order. Spilled rows keep their arrival order within every
+//! partition (writes happen in arrival order, reads in page order), so
+//! per-partition aggregation preserves row order; the final groups are then
+//! sorted by their minimum sequence number, which *is* the global
+//! first-occurrence order. If the prepared rows never exceed the budget,
+//! nothing spills and they aggregate directly — the same code path minus
+//! the partitioning.
 
 use sdb_sql::ast::Expr;
-use sdb_sql::plan::AggregateExpr;
 use sdb_storage::{ColumnDef, DataType, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
 
-use super::aggregate::{
-    aggregate_shares, bind_aggregate_exprs, finalize_groups, GroupState, Groups,
-};
+use super::aggregate::{bind_aggregate_exprs, finalize_groups, GroupState, Groups, HashAggregate};
 use super::expr::evaluate_exprs;
-use super::{BoxedOperator, ExecContext, PhysicalOperator};
-use crate::kernels::ShareKernels;
+use super::{ExecContext, Replay};
 use crate::Result;
 use sdb_storage::keys::{hash_key, partition_of};
 
-/// Number of spill partitions per level (shared with
-/// [`super::grace_join::GraceHashJoin`], which partitions the same way).
+/// Number of spill partitions per level (shared with the hash join's
+/// overflow path, which partitions the same way).
 pub(super) const FANOUT: usize = 8;
 
 /// Maximum re-partitioning depth before giving up on splitting further.
@@ -78,36 +75,7 @@ impl PreparedRow {
     }
 }
 
-/// Hash aggregation that spills prepared rows through the pager when group
-/// state would exceed the memory budget. Output is byte-identical to
-/// [`super::aggregate::HashAggregate`].
-pub struct SpillingHashAggregate<'a> {
-    ctx: Arc<ExecContext<'a>>,
-    input: BoxedOperator<'a>,
-    group_by: Vec<(Expr, String)>,
-    aggregates: Vec<AggregateExpr>,
-    shares: Arc<ShareKernels>,
-    done: bool,
-}
-
-impl<'a> SpillingHashAggregate<'a> {
-    /// Creates a spilling aggregation over `input`.
-    pub fn new(
-        ctx: Arc<ExecContext<'a>>,
-        input: BoxedOperator<'a>,
-        group_by: Vec<(Expr, String)>,
-        aggregates: Vec<AggregateExpr>,
-    ) -> Self {
-        SpillingHashAggregate {
-            shares: aggregate_shares(&ctx, &group_by, &aggregates),
-            ctx,
-            input,
-            group_by,
-            aggregates,
-            done: false,
-        }
-    }
-
+impl HashAggregate<'_> {
     /// The page schema for spilled prepared rows: sequence number, then the
     /// key values, then the aggregate argument values. The declared types are
     /// placeholders — the page codec tags every value individually.
@@ -159,70 +127,46 @@ impl<'a> SpillingHashAggregate<'a> {
         Ok(())
     }
 
-    /// One partition writer per fanout slot, flushing at a small fraction of
-    /// the budget so `FANOUT` writers cannot hoard it.
-    fn partition_writers(&self, page_schema: &Schema) -> Vec<PageStreamWriter> {
-        let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
-        let flush_bytes = (limit / (2 * FANOUT)).max(1);
-        (0..FANOUT)
-            .map(|_| {
-                PageStreamWriter::new(
-                    self.ctx.pager(),
-                    page_schema.clone(),
-                    flush_bytes,
-                    self.ctx.batch_size(),
-                )
-            })
-            .collect()
-    }
-
-    /// Streams the input, spilling on overflow, and produces the final
-    /// groups in global first-occurrence order.
-    fn aggregate_input(&mut self) -> Result<(Vec<GroupState>, Vec<Expr>, Schema)> {
-        let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
+    /// The overflow path: evaluates the held batches and the rest of the
+    /// input into prepared rows, spilling them by key whenever they exceed
+    /// the budget, and aggregates them into groups in global
+    /// first-occurrence order.
+    pub(super) fn spill(&mut self, mut held: Replay) -> Result<RecordBatch> {
+        let limit = self
+            .ctx
+            .memory_budget()
+            .limit()
+            .expect("only a limited budget overflows");
         let page_schema = self.page_schema();
-        let mut input_schema = Schema::empty();
-        let mut bound: Option<(Vec<Expr>, Vec<Expr>)> = None;
+        let input_schema = held.schema().clone();
+        let (group_exprs, agg_args) =
+            bind_aggregate_exprs(&self.group_by, &self.aggregates, &input_schema);
         let mut pending: Vec<PreparedRow> = Vec::new();
         let mut pending_bytes = 0usize;
         let mut partitions: Option<Vec<PageStreamWriter>> = None;
         let mut next_seq = 0u64;
 
-        while let Some(batch) = self.input.next_batch()? {
-            if bound.is_none() {
-                input_schema = batch.schema().clone();
-                bound = Some(bind_aggregate_exprs(
-                    &self.group_by,
-                    &self.aggregates,
-                    batch.schema(),
-                ));
-            }
-            let (group_exprs, agg_args) = bound.as_ref().expect("bound above");
+        while let Some(batch) = held.next_batch(self.input.as_mut())? {
             self.prepare_batch(
                 &batch,
-                group_exprs,
-                agg_args,
+                &group_exprs,
+                &agg_args,
                 &mut next_seq,
                 &mut pending,
                 &mut pending_bytes,
             )?;
             if pending_bytes > limit {
-                if partitions.is_none() {
-                    partitions = Some(self.partition_writers(&page_schema));
-                }
-                let writers = partitions.as_mut().expect("created above");
+                let writers =
+                    partitions.get_or_insert_with(|| partition_writers(&self.ctx, &page_schema));
                 spill_rows(writers, pending.drain(..), 0)?;
                 pending_bytes = 0;
             }
         }
-        let (group_exprs, _) = bound.unwrap_or_else(|| {
-            bind_aggregate_exprs(&self.group_by, &self.aggregates, &Schema::empty())
-        });
 
         let groups = match partitions {
-            // Everything fit: aggregate the pending rows directly. They are
-            // in arrival order, so the groups come out exactly as the
-            // in-memory operator would produce them.
+            // The prepared rows fit: aggregate them directly. They are in
+            // arrival order, so the groups come out exactly as the in-memory
+            // path would produce them.
             None => {
                 let mut groups = Groups::default();
                 group_rows_into(pending, &mut Vec::new(), &mut groups);
@@ -240,7 +184,13 @@ impl<'a> SpillingHashAggregate<'a> {
                 collected.into_iter().map(|(_, state)| state).collect()
             }
         };
-        Ok((groups, group_exprs, input_schema))
+        finalize_groups(
+            &self.group_by,
+            &self.aggregates,
+            &group_exprs,
+            groups,
+            &input_schema,
+        )
     }
 
     /// Re-aggregates one spilled partition, recursively re-partitioning at
@@ -256,7 +206,7 @@ impl<'a> SpillingHashAggregate<'a> {
         let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
         if run.bytes() > limit && level <= MAX_LEVELS {
             // Still too big: split by a different hash of the same keys.
-            let mut writers = self.partition_writers(page_schema);
+            let mut writers = partition_writers(&self.ctx, page_schema);
             let mut reader = run.reader();
             while let Some(batch) = reader.next_batch()? {
                 let rows = decode_rows(&batch, self.group_by.len(), self.aggregates.len())?;
@@ -285,39 +235,19 @@ impl<'a> SpillingHashAggregate<'a> {
     }
 }
 
-impl PhysicalOperator for SpillingHashAggregate<'_> {
-    fn name(&self) -> &'static str {
-        "SpillingHashAggregate"
-    }
+/// A partition writer's flush threshold: a small fraction of the budget, so
+/// `FANOUT` writers cannot hoard it.
+pub(super) fn flush_bytes(ctx: &ExecContext<'_>) -> usize {
+    let limit = ctx.memory_budget().limit().unwrap_or(usize::MAX);
+    (limit / (2 * FANOUT)).max(1)
+}
 
-    fn describe(&self) -> String {
-        format!("{}({})", self.name(), self.input.describe())
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.done = false;
-        self.input.open()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        let (groups, group_exprs, input_schema) = self.aggregate_input()?;
-        finalize_groups(
-            &self.group_by,
-            &self.aggregates,
-            &group_exprs,
-            groups,
-            &input_schema,
-        )
-        .map(Some)
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.input.close()
-    }
+/// One partition writer per fanout slot.
+pub(super) fn partition_writers(ctx: &ExecContext<'_>, schema: &Schema) -> Vec<PageStreamWriter> {
+    let flush_bytes = flush_bytes(ctx);
+    (0..FANOUT)
+        .map(|_| PageStreamWriter::new(ctx.pager(), schema.clone(), flush_bytes, ctx.batch_size()))
+        .collect()
 }
 
 /// Routes prepared rows (in arrival order) to their partitions' writers.

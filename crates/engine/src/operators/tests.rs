@@ -994,11 +994,11 @@ fn project_locks_computed_types_across_null_leading_batches() {
 }
 
 // ---------------------------------------------------------------------------
-// ExternalSort / SpillingHashAggregate (bounded-memory variants)
+// Sort / HashAggregate under an unlimited and a tiny budget
 // ---------------------------------------------------------------------------
 
-/// A context whose tiny budget forces the spilling operators to actually
-/// spill on a few hundred rows.
+/// A context whose tiny budget makes the blocking operators overflow, and
+/// actually spill, on a few hundred rows.
 fn tiny_budget_ctx<'a>(
     catalog: &'a Catalog,
     reg: &'a UdfRegistry,
@@ -1016,6 +1016,20 @@ fn tiny_budget_ctx<'a>(
     )
 }
 
+/// The same context with no budget: every blocking operator stays in
+/// memory.
+fn unlimited_ctx<'a>(
+    catalog: &'a Catalog,
+    reg: &'a UdfRegistry,
+    batch_size: usize,
+) -> Arc<ExecContext<'a>> {
+    let config = ExecConfig {
+        batch_size,
+        ..ExecConfig::default()
+    };
+    context(catalog, reg, None, config)
+}
+
 fn spillable_rows() -> Vec<(i64, i64)> {
     // Many duplicate keys (a % 5) so sort stability and group merging are
     // both exercised; values are distinct so misordered rows are visible.
@@ -1024,8 +1038,6 @@ fn spillable_rows() -> Vec<(i64, i64)> {
 
 #[test]
 fn external_sort_is_byte_identical_to_in_memory_sort() {
-    use super::external_sort::ExternalSort;
-
     let rows = spillable_rows();
     let catalog = catalog_with_numbers(&rows);
     let reg = registry();
@@ -1034,15 +1046,7 @@ fn external_sort_is_byte_identical_to_in_memory_sort() {
         desc: false,
     }];
 
-    let in_memory_ctx = context(
-        &catalog,
-        &reg,
-        None,
-        ExecConfig {
-            batch_size: 32,
-            ..ExecConfig::default()
-        },
-    );
+    let in_memory_ctx = unlimited_ctx(&catalog, &reg, 32);
     let mut reference = Sort::new(
         Arc::clone(&in_memory_ctx),
         Box::new(TableScan::new(Arc::clone(&in_memory_ctx), "numbers", None)),
@@ -1051,7 +1055,7 @@ fn external_sort_is_byte_identical_to_in_memory_sort() {
     let expected = drain_operator(&mut reference).unwrap();
 
     let ctx = tiny_budget_ctx(&catalog, &reg, 32);
-    let mut external = ExternalSort::new(
+    let mut external = Sort::new(
         Arc::clone(&ctx),
         Box::new(TableScan::new(Arc::clone(&ctx), "numbers", None)),
         keys,
@@ -1073,33 +1077,31 @@ fn external_sort_is_byte_identical_to_in_memory_sort() {
 
 #[test]
 fn external_sort_empty_input_matches_sort() {
-    use super::external_sort::ExternalSort;
-
     let catalog = catalog_with_numbers(&[]);
     let reg = registry();
-    let ctx = tiny_budget_ctx(&catalog, &reg, 32);
     let keys = vec![SortKey {
         expr: col("a"),
         desc: true,
     }];
+    let unlimited = unlimited_ctx(&catalog, &reg, 32);
     let mut reference = Sort::new(
-        Arc::clone(&ctx),
-        Box::new(TableScan::new(Arc::clone(&ctx), "numbers", None)),
+        Arc::clone(&unlimited),
+        Box::new(TableScan::new(Arc::clone(&unlimited), "numbers", None)),
         keys.clone(),
     );
     let expected = drain_operator(&mut reference).unwrap();
-    let mut external = ExternalSort::new(
+    let ctx = tiny_budget_ctx(&catalog, &reg, 32);
+    let mut external = Sort::new(
         Arc::clone(&ctx),
         Box::new(TableScan::new(Arc::clone(&ctx), "numbers", None)),
         keys,
     );
     assert_eq!(expected, drain_operator(&mut external).unwrap());
+    assert_eq!(ctx.stats().peak_resident_pages, 0, "nothing to overflow");
 }
 
 #[test]
 fn spilling_aggregate_is_byte_identical_to_hash_aggregate() {
-    use super::spill_aggregate::SpillingHashAggregate;
-
     let rows = spillable_rows();
     let catalog = catalog_with_numbers(&rows);
     let reg = registry();
@@ -1125,15 +1127,7 @@ fn spilling_aggregate_is_byte_identical_to_hash_aggregate() {
         },
     ];
 
-    let in_memory_ctx = context(
-        &catalog,
-        &reg,
-        None,
-        ExecConfig {
-            batch_size: 32,
-            ..ExecConfig::default()
-        },
-    );
+    let in_memory_ctx = unlimited_ctx(&catalog, &reg, 32);
     let mut reference = HashAggregate::new(
         Arc::clone(&in_memory_ctx),
         Box::new(TableScan::new(Arc::clone(&in_memory_ctx), "numbers", None)),
@@ -1143,7 +1137,7 @@ fn spilling_aggregate_is_byte_identical_to_hash_aggregate() {
     let expected = drain_operator(&mut reference).unwrap();
 
     let ctx = tiny_budget_ctx(&catalog, &reg, 32);
-    let mut spilling = SpillingHashAggregate::new(
+    let mut spilling = HashAggregate::new(
         Arc::clone(&ctx),
         Box::new(TableScan::new(Arc::clone(&ctx), "numbers", None)),
         group_by,
@@ -1161,8 +1155,6 @@ fn spilling_aggregate_is_byte_identical_to_hash_aggregate() {
 
 #[test]
 fn spilling_aggregate_global_and_empty_inputs() {
-    use super::spill_aggregate::SpillingHashAggregate;
-
     let aggregates = vec![AggregateExpr {
         func: AggFunc::Count,
         arg: None,
@@ -1172,15 +1164,16 @@ fn spilling_aggregate_global_and_empty_inputs() {
     for rows in [vec![], spillable_rows()] {
         let catalog = catalog_with_numbers(&rows);
         let reg = registry();
-        let ctx = tiny_budget_ctx(&catalog, &reg, 32);
+        let unlimited = unlimited_ctx(&catalog, &reg, 32);
         let mut reference = HashAggregate::new(
-            Arc::clone(&ctx),
-            Box::new(TableScan::new(Arc::clone(&ctx), "numbers", None)),
+            Arc::clone(&unlimited),
+            Box::new(TableScan::new(Arc::clone(&unlimited), "numbers", None)),
             vec![],
             aggregates.clone(),
         );
         let expected = drain_operator(&mut reference).unwrap();
-        let mut spilling = SpillingHashAggregate::new(
+        let ctx = tiny_budget_ctx(&catalog, &reg, 32);
+        let mut spilling = HashAggregate::new(
             Arc::clone(&ctx),
             Box::new(TableScan::new(Arc::clone(&ctx), "numbers", None)),
             vec![],
@@ -1196,7 +1189,7 @@ fn spilling_aggregate_global_and_empty_inputs() {
 }
 
 // ---------------------------------------------------------------------------
-// GraceHashJoin (bounded-memory hash join)
+// HashJoin under an unlimited and a tiny budget (the Grace plan)
 // ---------------------------------------------------------------------------
 
 /// Join inputs with duplicate and NULL keys: `rows` become `(key, payload)`
@@ -1217,12 +1210,10 @@ fn keyed_batches(schema: &Schema, chunks: &[&[(Option<i64>, i64)]]) -> Vec<Recor
         .collect()
 }
 
-/// Cross-checks GraceHashJoin (tiny budget, forced spilling) against the
-/// in-memory HashJoin on the same inputs, for both join kinds.
+/// Cross-checks the hash join under a tiny budget (forced Grace
+/// partitioning) against the same join unbudgeted, for both join kinds.
 #[test]
 fn grace_join_is_byte_identical_to_hash_join() {
-    use super::grace_join::GraceHashJoin;
-
     let schema = ab_schema();
     let right_schema = Schema::new(vec![
         ColumnDef::public("k", DataType::Int),
@@ -1255,15 +1246,7 @@ fn grace_join_is_byte_identical_to_hash_join() {
     let catalog = Catalog::new();
     let reg = registry();
     for kind in [JoinKind::Inner, JoinKind::Left] {
-        let unlimited = context(
-            &catalog,
-            &reg,
-            None,
-            ExecConfig {
-                batch_size: 16,
-                ..ExecConfig::default()
-            },
-        );
+        let unlimited = unlimited_ctx(&catalog, &reg, 16);
         let mut reference = HashJoin::new(
             Arc::clone(&unlimited),
             FixedBatches::boxed(keyed_batches(&schema, &probe_chunks)),
@@ -1275,7 +1258,7 @@ fn grace_join_is_byte_identical_to_hash_join() {
         let expected = drain_operator(&mut reference).unwrap();
 
         let ctx = tiny_budget_ctx(&catalog, &reg, 16);
-        let mut grace = GraceHashJoin::new(
+        let mut grace = HashJoin::new(
             Arc::clone(&ctx),
             FixedBatches::boxed(keyed_batches(&schema, &probe_chunks)),
             FixedBatches::boxed(keyed_batches(&right_schema, &build_chunks)),
@@ -1303,8 +1286,6 @@ fn grace_join_is_byte_identical_to_hash_join() {
 /// out and join the pathological partition in memory, still correctly.
 #[test]
 fn grace_join_survives_single_key_skew() {
-    use super::grace_join::GraceHashJoin;
-
     let schema = ab_schema();
     let right_schema = Schema::new(vec![
         ColumnDef::public("k", DataType::Int),
@@ -1317,7 +1298,7 @@ fn grace_join_survives_single_key_skew() {
     let catalog = Catalog::new();
     let reg = registry();
     let ctx = tiny_budget_ctx(&catalog, &reg, 16);
-    let mut grace = GraceHashJoin::new(
+    let mut grace = HashJoin::new(
         Arc::clone(&ctx),
         FixedBatches::boxed(keyed_batches(&schema, &[probe])),
         FixedBatches::boxed(keyed_batches(&right_schema, &build_chunks)),
@@ -1331,13 +1312,10 @@ fn grace_join_survives_single_key_skew() {
     assert_eq!(ctx.pager().resident_bytes(), 0);
 }
 
-/// Empty sides under a budget behave exactly like the in-memory join: an
-/// empty build side joins nothing, an empty (but schema-carrying) probe side
-/// yields an empty combined batch.
+/// Empty sides under a budget: an empty build side joins nothing, an empty
+/// (but schema-carrying) probe side yields an empty combined batch.
 #[test]
 fn grace_join_with_empty_sides() {
-    use super::grace_join::GraceHashJoin;
-
     let catalog = Catalog::new();
     let reg = registry();
     let schema = ab_schema();
@@ -1345,7 +1323,7 @@ fn grace_join_with_empty_sides() {
 
     let ctx = tiny_budget_ctx(&catalog, &reg, 16);
     let left = FixedBatches::boxed(int_batches(&schema, &[&[(1, 1)]]));
-    let mut join = GraceHashJoin::new(
+    let mut join = HashJoin::new(
         Arc::clone(&ctx),
         left,
         empty(),
@@ -1356,7 +1334,7 @@ fn grace_join_with_empty_sides() {
     assert_eq!(drain_operator(&mut join).unwrap().num_rows(), 0);
 
     let right = FixedBatches::boxed(int_batches(&schema, &[&[(1, 1)]]));
-    let mut join = GraceHashJoin::new(
+    let mut join = HashJoin::new(
         Arc::clone(&ctx),
         empty(),
         right,
@@ -1369,14 +1347,12 @@ fn grace_join_with_empty_sides() {
     assert_eq!(out.num_columns(), 4);
 }
 
-/// A spill-forced Grace join whose keys are oracle group tags: each side
-/// resolves in exactly one coalesced round trip, spilled chunks are never
-/// re-resolved (the rendered `__joinkey` rides the partition streams), and
-/// the output stays byte-identical to the in-memory join.
+/// A hash join forced onto the Grace plan whose keys are oracle group tags:
+/// each side resolves in exactly one coalesced round trip, spilled chunks
+/// are never re-resolved (the evaluated `__key{i}` rides the partition
+/// streams), and the output stays byte-identical to the unbudgeted join.
 #[test]
 fn grace_join_resolves_oracle_keys_in_one_trip_per_side() {
-    use super::grace_join::GraceHashJoin;
-
     let catalog = Catalog::new();
     let reg = registry();
     let oracle: crate::secure::OracleRef = std::sync::Arc::new(ContentOracle);
@@ -1415,7 +1391,7 @@ fn grace_join_resolves_oracle_keys_in_one_trip_per_side() {
     let expected = drain_operator(&mut reference).unwrap();
     assert!(expected.num_rows() > 0, "tags must produce matches");
 
-    // Batched Grace under a spill-forcing budget: one trip per side, total.
+    // The same join under a spill-forcing budget: one trip per side, total.
     let ctx = context(
         &catalog,
         &reg,
@@ -1426,7 +1402,7 @@ fn grace_join_resolves_oracle_keys_in_one_trip_per_side() {
             ..ExecConfig::default()
         },
     );
-    let mut grace = GraceHashJoin::new(
+    let mut grace = HashJoin::new(
         Arc::clone(&ctx),
         left_in(),
         right_in(),

@@ -7,13 +7,11 @@
 //! operands. The cost model therefore prices, in order:
 //!
 //! 1. **oracle round trips** — [`ROUND_TRIP_COST`] CPU-row-equivalents each.
-//!    With cross-batch batching on (the default), a non-blocking oracle call
-//!    coalesces operand rows across input batches and pays one trip per
-//!    flush window (`ceil(rows /`
+//!    A non-blocking oracle call coalesces operand rows across input batches
+//!    and pays one trip per flush window (`ceil(rows /`
 //!    [`ORACLE_FLUSH_ROWS`](crate::operators::oracle::ORACLE_FLUSH_ROWS)`)` —
-//!    one trip for any realistic input); with batching off it pays one trip
-//!    per input batch (`ceil(rows / batch_size)`). Rank calls are blocking
-//!    and cost exactly one trip regardless of input size.
+//!    one trip for any realistic input). Rank calls are blocking and cost
+//!    exactly one trip regardless of input size.
 //! 2. **oracle wire bytes** — [`ORACLE_BYTE_COST`] per byte shipped
 //!    (operands are ~[`ORACLE_ROW_BYTES`] per row per call).
 //! 3. **spill IO** — [`SPILL_BYTE_COST`] per byte written + read back when a
@@ -93,8 +91,8 @@ impl Cost {
 /// Prices operators given the engine's execution knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
-    /// Rows per batch (each batch of a non-blocking oracle call is one
-    /// round trip).
+    /// Rows per batch (an in-memory hash join's probe side resolves its key
+    /// calls once per batch).
     pub batch_size: usize,
     /// The memory budget limit, if one is set (estimated materialisations
     /// beyond it are priced as spills).
@@ -124,8 +122,7 @@ impl CostModel {
                 Expr::Function { name, .. } if name.eq_ignore_ascii_case(oracle_fns::RANK)
             );
             // Rank surrogates resolve the whole input in one blocking trip;
-            // everything else pays one trip per flush window (batching) or
-            // per batch (streaming).
+            // everything else pays one trip per flush window.
             trips += if blocking { 1.0 } else { batches };
         }
         Cost {
@@ -154,8 +151,8 @@ impl CostModel {
     /// (the Grace join partitions both inputs through the pager), and oracle
     /// trips for `oracle_calls` key calls — the build side resolves once
     /// over the materialised input; the probe side resolves once per whole
-    /// side when it is routed through the cross-batch accumulator (Grace
-    /// spill with batching on), once per batch otherwise.
+    /// side when an overflowing build routes it through the cross-batch
+    /// accumulator (the Grace plan), once per probe batch otherwise.
     /// Non-hashable joins price as nested loops (`probe × build` CPU).
     #[allow(clippy::too_many_arguments)]
     pub fn join_cost(

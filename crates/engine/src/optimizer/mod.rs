@@ -752,7 +752,7 @@ mod tests {
     #[test]
     fn physical_tree_renders_indented() {
         let lines = render_physical_tree(
-            "Limit(Project(HashJoin(TableScan, ExternalSort(Filter(IndexScan(d.id))))))",
+            "Limit(Project(HashJoin(TableScan, Sort(Filter(IndexScan(d.id))))))",
         );
         assert_eq!(
             lines,
@@ -761,7 +761,7 @@ mod tests {
                 "  Project",
                 "    HashJoin",
                 "      TableScan",
-                "      ExternalSort",
+                "      Sort",
                 "        Filter",
                 "          IndexScan(d.id)",
             ]

@@ -1,17 +1,22 @@
 //! Lowers [`LogicalPlan`]s into physical-operator trees.
 //!
-//! The planner is deliberately thin: operator selection (hash vs nested-loop
-//! join, serial vs parallel variants), oracle-call placement ([`OracleResolve`]
+//! The planner is deliberately thin: one operator per logical node (hash vs
+//! nested-loop join is the one choice, by the shape of the ON condition),
+//! oracle-call placement ([`OracleResolve`]
 //! children under the operators whose expressions need interactive protocol
 //! steps), name-resolution schemas for join-key classification and the
 //! columns each scan reads. Runtime concerns — expression binding, type
 //! inference, the actual oracle round trips — live in the operators
 //! themselves.
 //!
-//! When the context's `parallelism` knob is above one, aggregations lower to
-//! [`ParallelHashAggregate`] (a morsel-parallel variant with byte-identical
-//! output); [`HashJoin`] parallelises its build side internally under the
-//! same knob. A scan is the one [`TableScan`] at every parallelism.
+//! Neither the memory budget nor the parallelism knob changes which
+//! operator a node lowers to. [`HashAggregate`] fans its morsels out and
+//! [`HashJoin`] its build-side key evaluation under the `parallelism` knob;
+//! a scan is the one [`TableScan`] at every parallelism. [`Sort`],
+//! [`HashAggregate`], [`HashJoin`] and [`NestedLoopJoin`] hold their input
+//! in memory while it fits the context's
+//! [`MemoryBudget`](sdb_storage::MemoryBudget) and spill through the pager
+//! only once it overflows, with byte-identical output.
 //!
 //! Four further rules:
 //!
@@ -30,14 +35,6 @@
 //!   and oracle-backed conjuncts lowers to `Filter → OracleResolve → Filter`:
 //!   the oracle-free conjuncts run below the [`OracleResolve`], so only the
 //!   rows they keep are key-updated, blinded and shipped to the proxy.
-//! * **Bounded memory** — with a limited
-//!   [`MemoryBudget`](sdb_storage::MemoryBudget) on the context, `Sort`
-//!   lowers to [`ExternalSort`], `Aggregate` to [`SpillingHashAggregate`]
-//!   and hash equi-joins to [`GraceHashJoin`], which spill through the pager
-//!   instead of materialising; their output is byte-identical to the
-//!   in-memory operators. (LEFT JOINs with residual ON conjuncts still take
-//!   the nested-loop path under a budget — residuals decide matching there,
-//!   and both plans must agree.)
 //! * **Column pruning** — lowering carries down the column names referenced
 //!   above each node; a projection without a wildcard and an aggregate start
 //!   the list afresh (everything above them names *their* output), every
@@ -52,17 +49,14 @@ use sdb_sql::plan::{LogicalPlan, ProjectionItem};
 use sdb_storage::{indexable, ColumnDef, DataType, RecordBatch, Schema, Value};
 
 use crate::eval::literal_to_value;
-use crate::operators::aggregate::{HashAggregate, ParallelHashAggregate};
+use crate::operators::aggregate::HashAggregate;
 use crate::operators::expr::{classify_equi_conjunct, conjoin, split_conjuncts};
-use crate::operators::external_sort::ExternalSort;
 use crate::operators::filter::Filter;
-use crate::operators::grace_join::GraceHashJoin;
 use crate::operators::join::{HashJoin, NestedLoopJoin};
 use crate::operators::oracle::{collect_oracle_calls_all, OracleResolve};
 use crate::operators::project::Project;
 use crate::operators::scan::{qualified, KeyLookup, TableScan};
 use crate::operators::sort::{Distinct, Limit, Sort};
-use crate::operators::spill_aggregate::SpillingHashAggregate;
 use crate::operators::{BoxedOperator, ExecContext};
 use crate::Result;
 
@@ -255,28 +249,14 @@ impl<'a> PhysicalPlanner<'a> {
                     return Ok((self.instrument(Box::new(join), 2, est), combined));
                 }
 
-                // With a limited budget the build side must not materialise
-                // unboundedly: the Grace-style spilling join partitions both
-                // sides through the pager on overflow, byte-identical output.
-                let join: BoxedOperator<'a> = if self.ctx.memory_budget().is_limited() {
-                    Box::new(GraceHashJoin::new(
-                        Arc::clone(&self.ctx),
-                        left_op,
-                        right_op,
-                        *kind,
-                        left_keys,
-                        right_keys,
-                    ))
-                } else {
-                    Box::new(HashJoin::new(
-                        Arc::clone(&self.ctx),
-                        left_op,
-                        right_op,
-                        *kind,
-                        left_keys,
-                        right_keys,
-                    ))
-                };
+                let join = Box::new(HashJoin::new(
+                    Arc::clone(&self.ctx),
+                    left_op,
+                    right_op,
+                    *kind,
+                    left_keys,
+                    right_keys,
+                ));
                 // Residual conjuncts become an ordinary filter above the join
                 // (oracle-backed residuals resolve there like any predicate).
                 // The plan node's estimate annotates the arm's topmost
@@ -307,29 +287,12 @@ impl<'a> PhysicalPlanner<'a> {
                     .map(|(_, name)| placeholder_column(name))
                     .collect();
                 names.extend(aggregates.iter().map(|a| placeholder_column(&a.name)));
-                let budgeted = self.ctx.memory_budget().is_limited();
-                let aggregate: BoxedOperator<'a> = if budgeted {
-                    Box::new(SpillingHashAggregate::new(
-                        Arc::clone(&self.ctx),
-                        child,
-                        group_by.clone(),
-                        aggregates.clone(),
-                    ))
-                } else if self.ctx.parallelism() > 1 {
-                    Box::new(ParallelHashAggregate::new(
-                        Arc::clone(&self.ctx),
-                        child,
-                        group_by.clone(),
-                        aggregates.clone(),
-                    ))
-                } else {
-                    Box::new(HashAggregate::new(
-                        Arc::clone(&self.ctx),
-                        child,
-                        group_by.clone(),
-                        aggregates.clone(),
-                    ))
-                };
+                let aggregate = Box::new(HashAggregate::new(
+                    Arc::clone(&self.ctx),
+                    child,
+                    group_by.clone(),
+                    aggregates.clone(),
+                ));
                 Ok((
                     self.instrument(aggregate, 1, self.estimate(plan)),
                     Schema::new(names),
@@ -340,15 +303,7 @@ impl<'a> PhysicalPlanner<'a> {
                 let exprs: Vec<Expr> = keys.iter().map(|k| k.expr.clone()).collect();
                 let (child, schema) = self.lower(input, &also_referencing(referenced, &exprs))?;
                 let child = self.with_oracle_resolve(child, &exprs);
-                let sort: BoxedOperator<'a> = if self.ctx.memory_budget().is_limited() {
-                    Box::new(ExternalSort::new(
-                        Arc::clone(&self.ctx),
-                        child,
-                        keys.clone(),
-                    ))
-                } else {
-                    Box::new(Sort::new(Arc::clone(&self.ctx), child, keys.clone()))
-                };
+                let sort = Box::new(Sort::new(Arc::clone(&self.ctx), child, keys.clone()));
                 Ok((self.instrument(sort, 1, self.estimate(plan)), schema))
             }
 
@@ -553,7 +508,7 @@ mod tests {
     use super::*;
     use crate::secure::OracleRef;
     use crate::udf::UdfRegistry;
-    use crate::{EngineError, ExecConfig};
+    use crate::{EngineError, ExecConfig, ExecutionStats};
     use sdb_sql::plan::PlanBuilder;
     use sdb_sql::{parse_sql, Statement};
     use sdb_storage::{Catalog, Value};
@@ -1016,49 +971,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn memory_budget_selects_spilling_variants() {
-        let catalog = setup_catalog();
+    /// Plans and runs `sql` with an unlimited and a one-byte budget: the
+    /// two plans hold the same operators, the answers are equal, and the
+    /// budgeted run's statistics come back.
+    fn run_unlimited_and_tiny(catalog: &Catalog, sql: &str) -> ExecutionStats {
         let registry = UdfRegistry::with_sdb_udfs();
-        let sql = "SELECT dept_id, COUNT(*) AS c FROM emp GROUP BY dept_id ORDER BY dept_id";
         let plan = PlanBuilder::build(&parse_query(sql)).unwrap();
-
-        let budgeted = context(
-            &catalog,
-            &registry,
-            None,
-            ExecConfig {
-                memory_budget: sdb_storage::MemoryBudget::bytes(1024),
+        let run = |memory_budget| {
+            let config = ExecConfig {
+                memory_budget,
                 parallelism: 1,
                 ..ExecConfig::default()
-            },
-        );
-        let tree = PhysicalPlanner::new(budgeted)
-            .plan(&plan)
-            .unwrap()
-            .describe();
-        assert!(tree.contains("ExternalSort"), "{tree}");
-        assert!(tree.contains("SpillingHashAggregate"), "{tree}");
+            };
+            let ctx = context(catalog, &registry, None, config);
+            let tree = (PhysicalPlanner::new(Arc::clone(&ctx)).plan(&plan))
+                .unwrap()
+                .describe();
+            (tree, execute_plan(&ctx, &plan).unwrap(), ctx.stats())
+        };
+        // Set explicitly so a CI-level SDB_TEST_MEM_BUDGET cannot leak in.
+        let (tree, expected, _) = run(sdb_storage::MemoryBudget::unlimited());
+        let (tiny_tree, out, stats) = run(sdb_storage::MemoryBudget::bytes(1));
+        assert_eq!(tree, tiny_tree, "the budget changed the plan of: {sql}");
+        assert_eq!(expected, out, "overflow changed the answer of: {sql}");
+        stats
+    }
 
-        // An explicit unlimited budget keeps the in-memory operators (set
-        // explicitly so a CI-level SDB_TEST_MEM_BUDGET cannot leak in).
-        let unbudgeted = context(
-            &catalog,
-            &registry,
-            None,
-            ExecConfig {
-                memory_budget: sdb_storage::MemoryBudget::unlimited(),
-                parallelism: 1,
-                ..ExecConfig::default()
-            },
-        );
-        let tree = PhysicalPlanner::new(unbudgeted)
-            .plan(&plan)
-            .unwrap()
-            .describe();
-        assert!(tree.starts_with("Sort("), "{tree}");
-        assert!(!tree.contains("ExternalSort"), "{tree}");
-        assert!(!tree.contains("Spilling"), "{tree}");
+    #[test]
+    fn a_tiny_budget_overflows_sort_and_aggregate_in_place() {
+        let catalog = setup_catalog();
+        for sql in [
+            "SELECT name FROM emp ORDER BY dept_id DESC, name",
+            "SELECT dept_id, COUNT(*) AS c, SUM(salary) AS s FROM emp GROUP BY dept_id",
+        ] {
+            let stats = run_unlimited_and_tiny(&catalog, sql);
+            assert!(stats.pages_spilled > 0, "{sql} did not overflow: {stats:?}");
+        }
     }
 
     #[test]
@@ -1083,57 +1031,18 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_selects_grace_join() {
+    fn a_tiny_budget_overflows_joins_in_place() {
         let catalog = setup_catalog();
-        let registry = UdfRegistry::with_sdb_udfs();
         let equi = "SELECT e.name FROM emp e JOIN dept d ON e.dept_id = d.id";
+        let stats = run_unlimited_and_tiny(&catalog, equi);
+        assert!(stats.join_build_partitions > 0, "{stats:?}");
+
+        // Residual LEFT JOINs keep the nested-loop plan: residuals decide
+        // matching there. Its right side parks in the pager on overflow.
         let residual_left =
             "SELECT e.name FROM emp e LEFT JOIN dept d ON e.dept_id = d.id AND d.dept_name <> 'x'";
-
-        let budgeted = context(
-            &catalog,
-            &registry,
-            None,
-            ExecConfig {
-                memory_budget: sdb_storage::MemoryBudget::bytes(1024),
-                parallelism: 1,
-                ..ExecConfig::default()
-            },
-        );
-        let planner = PhysicalPlanner::new(budgeted);
-        let tree = planner
-            .plan(&PlanBuilder::build(&parse_query(equi)).unwrap())
-            .unwrap()
-            .describe();
-        assert!(tree.contains("GraceHashJoin"), "{tree}");
-
-        // Residual LEFT JOINs keep the nested-loop plan even under a budget:
-        // residuals decide matching there, and both plans must agree.
-        let tree = planner
-            .plan(&PlanBuilder::build(&parse_query(residual_left)).unwrap())
-            .unwrap()
-            .describe();
-        assert!(tree.contains("NestedLoopJoin"), "{tree}");
-
-        // An explicit unlimited budget keeps the in-memory hash join.
-        let unbudgeted = context(
-            &catalog,
-            &registry,
-            None,
-            ExecConfig {
-                memory_budget: sdb_storage::MemoryBudget::unlimited(),
-                parallelism: 1,
-                ..ExecConfig::default()
-            },
-        );
-        let tree = PhysicalPlanner::new(unbudgeted)
-            .plan(&PlanBuilder::build(&parse_query(equi)).unwrap())
-            .unwrap()
-            .describe();
-        assert!(
-            tree.contains("HashJoin") && !tree.contains("Grace"),
-            "{tree}"
-        );
+        let stats = run_unlimited_and_tiny(&catalog, residual_left);
+        assert!(stats.pages_spilled > 0, "{stats:?}");
     }
 
     #[test]

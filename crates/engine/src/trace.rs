@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn events_attach_to_the_current_span_and_cap() {
         let trace = QueryTrace::new();
-        let span = trace.begin_span("GraceHashJoin", vec![], None);
+        let span = trace.begin_span("HashJoin", vec![], None);
         trace.event("orphan", 1, 0); // no current span: dropped silently
         let prev = trace.swap_current(span);
         for _ in 0..MAX_EVENTS_PER_SPAN + 3 {

@@ -117,7 +117,12 @@ fn three_table_join_renders_actuals_and_deviation() {
 fn rendering_is_stable_across_budget_and_parallelism_matrix() {
     for budget in [Some(4 * 1024), None] {
         for parallelism in [1, 4] {
-            let engine = engine_with(parallelism, budget);
+            let mut engine = engine_with(parallelism, budget);
+            if budget.is_none() {
+                // Explicitly unlimited, so a CI-level SDB_TEST_MEM_BUDGET
+                // cannot leak in.
+                engine = engine.with_memory_budget(MemoryBudget::unlimited());
+            }
             let lines = plan_lines(&engine, THREE_TABLE_JOIN);
             let knobs = format!("budget={budget:?} parallelism={parallelism}");
 

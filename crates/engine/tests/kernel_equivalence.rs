@@ -236,8 +236,8 @@ fn word_boundary_row_counts_match_scalar() {
 /// engage the vectorised paths for every kernel family, kernels-off runs
 /// never do (and count their scalar batches instead), and a shape no kernel
 /// compiles falls back even with kernels on. The budget is pinned unlimited
-/// — the spilling operator variants prepare rows outside the kernel paths,
-/// so engagement is only guaranteed for the in-memory operators.
+/// — an aggregate that overflows its budget prepares rows outside the
+/// kernel paths, so engagement is only guaranteed in memory.
 #[test]
 fn engagement_counters_record_which_path_ran() {
     let catalog = table_of(&deterministic_rows(128));
@@ -647,8 +647,8 @@ impl SdbOracle for LowBitsOracle {
     }
 }
 
-/// Each consumer of the expression seam — `Project`, `HashAggregate`,
-/// `SpillingHashAggregate` under a tiny budget, `OracleResolve` — runs its
+/// Each consumer of the expression seam — `Project`, `HashAggregate` in
+/// memory and overflowing a tiny budget, `OracleResolve` — runs its
 /// share arithmetic in the kernels (the traced span of that operator counts
 /// the rows) and answers byte for byte as with the kernels off; the
 /// operators' share counters add up to the query's.
@@ -670,7 +670,7 @@ fn every_consumer_runs_the_kernels_and_answers_as_the_interpreter() {
             None,
         ),
         (
-            "SpillingHashAggregate",
+            "HashAggregate",
             format!("SELECT g, {summed} FROM s GROUP BY g"),
             Some(2048),
         ),

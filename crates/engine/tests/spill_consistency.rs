@@ -128,7 +128,7 @@ const SPILL_QUERIES: &[&str] = &[
 /// whether the plan's *build* (right) side is big enough that a 4KB budget
 /// must actually spill it — joins whose build side is the 5-row `dim` table
 /// stay on the in-memory path even under a budget, and the residual LEFT
-/// JOIN keeps the nested-loop plan, which never spills. Only some queries
+/// JOIN keeps the nested-loop plan, which never partitions. Only some queries
 /// carry a top-level ORDER BY: hash-join output order itself is part of the
 /// byte-identity contract, so most compare raw join order.
 const JOIN_QUERIES: &[(&str, bool)] = &[
@@ -619,17 +619,86 @@ fn a_panicking_query_fails_and_leaves_its_pool_clean() {
     assert_eq!(after.batch, fresh.batch);
 }
 
-/// A Grace join cancelled at any poll point — while partitioning both
-/// sides, or with its partitions sealed and only part of the pairs joined —
-/// fails with `Cancelled`, and the partition streams it abandons free their
-/// pages as they drop: a caller that keeps the lease sees none left.
+/// Every blocking node whose input fits a limited budget stays in memory:
+/// the same operator that overflows a small lease appends no page to a
+/// 1 MiB one, and answers as the unlimited run does.
 #[test]
-fn an_abandoned_grace_join_leaves_its_kept_lease_clean() {
-    let sql = "SELECT a.id, b.id FROM big a JOIN big b ON a.grp = b.grp AND a.val = b.val \
-               WHERE a.id < 500";
+fn blocking_nodes_that_fit_a_limited_lease_append_no_page() {
+    let catalog = generated_catalog(1_000);
+    let registry = UdfRegistry::with_sdb_udfs();
+    let cases = [
+        ("Sort", "SELECT id, val FROM big ORDER BY val, id"),
+        (
+            "HashAggregate",
+            "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM big GROUP BY grp",
+        ),
+        (
+            "HashJoin",
+            "SELECT d.label, b.id FROM dim d JOIN big b ON d.k = b.grp",
+        ),
+        (
+            "NestedLoopJoin",
+            "SELECT d.label, b.id FROM dim d JOIN big b ON d.k > b.grp",
+        ),
+    ];
+    let pool = Arc::new(BufferPool::new(&MemoryBudget::unlimited()));
+    for (operator, sql) in cases {
+        let plan = PlanBuilder::build(&parse_query(sql)).unwrap();
+        let (reference, _) = run(
+            &catalog,
+            &parse_query(sql),
+            1,
+            64,
+            MemoryBudget::unlimited(),
+        );
+        for (budget, overflows) in [(1 << 20, false), (4 << 10, true)] {
+            let lease = Arc::new(Pager::shared(&pool));
+            let config = ExecConfig {
+                memory_budget: MemoryBudget::bytes(budget),
+                optimizer: false,
+                parallelism: 1,
+                batch_size: 64,
+                ..ExecConfig::default()
+            };
+            let ctx = Arc::new(ExecContext::new(
+                &catalog,
+                &registry,
+                None,
+                config,
+                Some(Arc::clone(&lease)),
+                None,
+            ));
+            let tree = (sdb_engine::planner::PhysicalPlanner::new(Arc::clone(&ctx)).plan(&plan))
+                .unwrap()
+                .describe();
+            assert!(tree.contains(operator), "{tree}");
+            assert_eq!(execute_plan(&ctx, &plan).unwrap(), reference, "{sql}");
+            let peak = lease.stats().peak_resident_pages;
+            assert_eq!(peak > 0, overflows, "{budget}-byte lease, {sql}");
+            assert_eq!(ctx.stats().peak_resident_pages, peak);
+        }
+    }
+}
+
+/// Each blocking node forced to overflow and cancelled at any poll point —
+/// while holding its input, while spilling it, or with its spill sealed and
+/// only partly drained — fails with `Cancelled`, and the pages it abandons
+/// free themselves as they drop: a caller that keeps the lease sees none
+/// left.
+#[test]
+fn an_abandoned_blocking_node_leaves_its_kept_lease_clean() {
+    let cases = [
+        "SELECT id, val FROM big ORDER BY val, id",
+        "SELECT id, COUNT(*) AS n, SUM(val) AS s FROM big GROUP BY id",
+        "SELECT a.id, b.id FROM big a JOIN big b ON a.grp = b.grp AND a.val = b.val \
+         WHERE a.id < 500",
+        "SELECT d.label, b.id FROM dim d JOIN big b ON d.k > b.grp",
+    ];
+    // Small batches: many held batches to replay, many pages to abandon.
     let engine = sdb_engine::SpEngine::with_catalog(Arc::new(generated_catalog(3_000)))
         .with_optimizer(false)
-        .with_parallelism(1);
+        .with_parallelism(1)
+        .with_batch_size(64);
     let pool = Arc::new(BufferPool::new(&MemoryBudget::unlimited()));
     let opts = |lease: &Arc<Pager>, cancel: sdb_storage::CancelToken| {
         sdb_engine::QueryOptions::default()
@@ -638,38 +707,41 @@ fn an_abandoned_grace_join_leaves_its_kept_lease_clean() {
             .with_cancel_token(cancel)
     };
 
-    let probe = sdb_storage::CancelToken::new();
-    let lease = Arc::new(Pager::shared(&pool));
-    let reference = engine
-        .execute_sql_with(sql, &opts(&lease, probe.clone()))
-        .unwrap();
-    assert!(
-        reference.stats.join_build_partitions > 0,
-        "the join went Grace"
-    );
-    assert_eq!(lease.resident_bytes(), 0);
-    let checks = probe.checks();
-    assert!(checks > 10, "expected many poll points, saw {checks}");
-
-    let step = (checks / 40).max(1);
-    for fuse in (1..checks).step_by(step as usize) {
+    for sql in cases {
+        let probe = sdb_storage::CancelToken::new();
         let lease = Arc::new(Pager::shared(&pool));
-        let cancel = sdb_storage::CancelToken::cancel_after_checks(fuse);
-        let failed = engine.execute_sql_with(sql, &opts(&lease, cancel));
+        engine
+            .execute_sql_with(sql, &opts(&lease, probe.clone()))
+            .unwrap();
+        let stats = lease.stats();
+        assert!(stats.peak_resident_pages > 0, "{sql} did not overflow");
+        assert_eq!(lease.resident_bytes(), 0);
+        let checks = probe.checks();
         assert!(
-            matches!(
-                &failed,
-                Err(sdb_engine::EngineError::Storage(
-                    sdb_storage::StorageError::Cancelled
-                ))
-            ),
-            "fuse {fuse}: {:?}",
-            failed.map(|out| out.batch.num_rows())
+            checks > 40,
+            "{sql}: expected many poll points, saw {checks}"
         );
-        assert_eq!(
-            (lease.resident_bytes(), pool.resident_pages()),
-            (0, 0),
-            "fuse {fuse} of {checks}: the kept lease holds pages of the abandoned join"
-        );
+
+        let step = (checks / 40).max(1);
+        for fuse in (1..checks).step_by(step as usize) {
+            let lease = Arc::new(Pager::shared(&pool));
+            let cancel = sdb_storage::CancelToken::cancel_after_checks(fuse);
+            let failed = engine.execute_sql_with(sql, &opts(&lease, cancel));
+            assert!(
+                matches!(
+                    &failed,
+                    Err(sdb_engine::EngineError::Storage(
+                        sdb_storage::StorageError::Cancelled
+                    ))
+                ),
+                "fuse {fuse}, {sql}: {:?}",
+                failed.map(|out| out.batch.num_rows())
+            );
+            assert_eq!(
+                (lease.resident_bytes(), pool.resident_pages()),
+                (0, 0),
+                "fuse {fuse} of {checks}: the kept lease holds pages of {sql}"
+            );
+        }
     }
 }

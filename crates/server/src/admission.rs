@@ -5,7 +5,7 @@
 //! is hot (all slots taken) the submission either *queues* — strict FIFO by
 //! ticket number, so a starved session is always next in line and livelock is
 //! impossible — or *degrades*: it runs immediately on a deliberately small
-//! budget share, which makes the planner pick spilling operator variants
+//! budget share, on which its blocking operators spill through the pager
 //! instead of holding working sets in memory.
 //!
 //! Waiting is a cancel-aware sleep-poll loop (the workspace's `parking_lot`

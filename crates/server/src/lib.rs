@@ -10,7 +10,7 @@
 //! * **Budget admission** ([`AdmissionController`]) — each query plans under
 //!   a share of the global budget; when every slot is taken, submissions
 //!   either queue in strict FIFO order or run immediately on a degraded
-//!   share (forcing spilling operator variants).
+//!   share (its blocking operators then overflow to the pager sooner).
 //! * **Cooperative cancellation** ([`CancelToken`]) — polled in scan loops,
 //!   oracle round trips, pager operations and admission waits; a cancelled
 //!   query's buffer-pool lease and spill file are reclaimed on the way out.

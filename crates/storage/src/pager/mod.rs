@@ -91,12 +91,6 @@ impl MemoryBudget {
         self.bytes
     }
 
-    /// True when a byte limit is set (the planner's cue to select the
-    /// spilling operator variants).
-    pub fn is_limited(&self) -> bool {
-        self.bytes.is_some()
-    }
-
     /// The directory spill files are created in.
     pub fn spill_dir(&self) -> PathBuf {
         self.spill_dir.clone().unwrap_or_else(std::env::temp_dir)
@@ -110,7 +104,6 @@ mod tests {
     #[test]
     fn unlimited_by_default() {
         let b = MemoryBudget::default();
-        assert!(!b.is_limited());
         assert_eq!(b.limit(), None);
         assert_eq!(b.spill_dir(), std::env::temp_dir());
     }
@@ -118,7 +111,6 @@ mod tests {
     #[test]
     fn limited_budget_with_custom_dir() {
         let b = MemoryBudget::bytes(4096).with_spill_dir("/some/dir");
-        assert!(b.is_limited());
         assert_eq!(b.limit(), Some(4096));
         assert_eq!(b.spill_dir(), PathBuf::from("/some/dir"));
     }

@@ -707,24 +707,13 @@ impl Pager {
         *self.cancel.write() = token;
     }
 
-    /// Replaces the whole observer set with `observer` (or clears it, with
-    /// `None`). Each callback fires synchronously at every spill write,
-    /// spill read and eviction caused by this lease's operations; it runs
-    /// under the pool lock, so it must be cheap and must not re-enter the
-    /// pager. Use [`Pager::add_observer`] to compose with observers already
-    /// installed instead of replacing them.
-    pub fn set_observer(&self, observer: Option<PagerObserver>) {
-        let mut observers = self.observer.write();
-        observers.clear();
-        if let Some(observer) = observer {
-            observers.push(observer);
-        }
-    }
-
     /// Appends an observer to the set without disturbing the ones already
     /// installed — the composition point that lets the engine's tracing
     /// hook and the serving layer's metrics hook watch the same lease.
-    /// Observers fire in installation order.
+    /// Observers fire in installation order. Each callback fires
+    /// synchronously at every spill write, spill read and eviction caused by
+    /// this lease's operations; it runs under the pool lock, so it must be
+    /// cheap and must not re-enter the pager.
     pub fn add_observer(&self, observer: PagerObserver) {
         self.observer.write().push(observer);
     }
@@ -1082,7 +1071,7 @@ mod tests {
         let pager = Arc::new(Pager::new(&MemoryBudget::bytes(one_page * 2)));
         let events = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&events);
-        pager.set_observer(Some(Arc::new(move |e| sink.lock().push(e))));
+        pager.add_observer(Arc::new(move |e| sink.lock().push(e)));
 
         let ids: Vec<_> = (0..6)
             .map(|i| pager.append_page(batch(i, 50)).unwrap())
@@ -1110,14 +1099,6 @@ mod tests {
             PagerEvent::SpillWrite { bytes } | PagerEvent::SpillRead { bytes } => *bytes > 0,
             PagerEvent::Evict => true,
         }));
-
-        // Clearing the observer stops delivery.
-        pager.set_observer(None);
-        let before = events.lock().len();
-        for i in 6..9 {
-            pager.append_page(batch(i, 50)).unwrap();
-        }
-        assert_eq!(events.lock().len(), before);
     }
 
     #[test]
@@ -1127,7 +1108,7 @@ mod tests {
         let first = Arc::new(Mutex::new(Vec::new()));
         let second = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&first);
-        pager.set_observer(Some(Arc::new(move |e| sink.lock().push(e))));
+        pager.add_observer(Arc::new(move |e| sink.lock().push(e)));
         let sink = Arc::clone(&second);
         pager.add_observer(Arc::new(move |e| sink.lock().push(e)));
 
@@ -1142,18 +1123,18 @@ mod tests {
             "every observer receives every event in the same order"
         );
 
-        // `set_observer` still replaces the whole set: the first two stop
-        // receiving, the replacement starts.
+        // A third observer joins the set: all three receive what follows.
         let third = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&third);
-        pager.set_observer(Some(Arc::new(move |e| sink.lock().push(e))));
+        pager.add_observer(Arc::new(move |e| sink.lock().push(e)));
         let (before_first, before_second) = (first.lock().len(), second.lock().len());
         for i in 6..9 {
             pager.append_page(batch(i, 50)).unwrap();
         }
-        assert_eq!(first.lock().len(), before_first);
-        assert_eq!(second.lock().len(), before_second);
-        assert!(!third.lock().is_empty());
+        let late = third.lock().clone();
+        assert!(!late.is_empty());
+        assert_eq!(first.lock()[before_first..], late[..]);
+        assert_eq!(second.lock()[before_second..], late[..]);
     }
 
     #[test]

@@ -335,7 +335,7 @@ fn degraded_submissions_run_spilling_plans() {
     let session = server.connect();
 
     // Reference bytes from a normal (non-degraded) run. The sort key is
-    // public, so the ORDER BY runs server-side through ExternalSort.
+    // public, so the ORDER BY runs server-side, in the SP's `Sort`.
     let sql = "SELECT id, pad FROM wide ORDER BY id DESC";
     let reference = fingerprint(&server.execute(session, sql).expect("reference"));
 
