@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use sdb_engine::{EngineError, ExecutionStats, QueryOptions, SpEngine};
+use sdb_engine::{EngineError, ExecutionStats, QueryOptions, QueryOutput, SpEngine};
 use sdb_proxy::proxy::{ClientCost, RewrittenQuery};
 use sdb_proxy::{ProxyError, SdbProxy, UploadOptions};
 use sdb_sql::ast::{Expr, Literal, UnaryOp};
@@ -138,7 +138,8 @@ pub struct QueryResult {
     pub client_cost: ClientCost,
     /// Server-side execution statistics.
     pub server_stats: ExecutionStats,
-    /// Bytes sent to the SP for this query (rewritten SQL).
+    /// Bytes sent to the SP for this query: the rewritten SQL, or its
+    /// shape statement (the draws, and the template on its first sending).
     pub bytes_to_sp: usize,
     /// Bytes received from the SP for this query (encrypted result).
     pub bytes_from_sp: usize,
@@ -150,6 +151,9 @@ pub struct QueryResult {
     pub item_keys_derived: usize,
     /// Row-keyed item keys the DO served from its item-key memo.
     pub item_key_memo_hits: usize,
+    /// 1 when the proxy replayed a cached statement shape instead of
+    /// parsing and rewriting the SQL, 0 otherwise.
+    pub do_shape_hits: usize,
 }
 
 impl QueryResult {
@@ -322,19 +326,28 @@ impl SdbClient {
     /// estimate-vs-actual deviation and oracle / spill attribution. The
     /// query's encrypted result rows are discarded; only the annotated plan
     /// comes back.
+    ///
+    /// The header line also says whether the proxy replayed a cached shape
+    /// (`DO shape hits`) next to the SP's planning time and plan-cache hits.
+    /// The oracle travels with the query, as in
+    /// [`Self::run_rewritten_with`], so concurrent calls on one client never
+    /// touch each other's oracle.
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
         let rewritten = self.proxy.rewrite(sql)?;
-        let oracle = RecordingOracle::new(self.proxy.oracle(&rewritten), self.wire.clone());
-        self.engine.connect_oracle(Arc::new(oracle));
-        let output = self
-            .engine
-            .execute_sql(&format!("EXPLAIN ANALYZE {}", rewritten.server_sql));
-        self.engine.disconnect_oracle();
-        let output = output?;
+        let (output, _) = self.send(&rewritten, &QueryOptions::default(), true)?;
 
         let mut lines = vec![format!("rewritten: {}", rewritten.server_sql)];
-        for row in output.batch.rows() {
-            lines.push(row[0].as_str()?.to_string());
+        for (i, row) in output.batch.rows().enumerate() {
+            let line = row[0].as_str()?;
+            lines.push(if i == 0 {
+                let hits = format!(
+                    ", DO shape hits {}, parallelism",
+                    u8::from(rewritten.shape_hit)
+                );
+                line.replacen(", parallelism", &hits, 1)
+            } else {
+                line.to_string()
+            });
         }
         Ok(lines.join("\n"))
     }
@@ -410,16 +423,7 @@ impl SdbClient {
         rewritten: &RewrittenQuery,
         opts: &QueryOptions,
     ) -> Result<QueryResult> {
-        let bytes_to_sp = rewritten.server_sql.len();
-        self.wire
-            .record(WireMessageKind::QueryToSp, rewritten.server_sql.clone());
-
-        // The oracle travels inside the per-query options rather than the
-        // engine-wide slot, so concurrent sessions sharing this client can
-        // never swap each other's oracle mid-query.
-        let oracle = RecordingOracle::new(self.proxy.oracle(rewritten), self.wire.clone());
-        let opts = opts.clone().with_oracle(Arc::new(oracle));
-        let output = self.engine.execute_sql_with(&rewritten.server_sql, &opts)?;
+        let (output, bytes_to_sp) = self.send(rewritten, opts, false)?;
 
         let result_payload = serde_json::to_string(&output.batch).unwrap_or_default();
         let bytes_from_sp = result_payload.len();
@@ -441,7 +445,58 @@ impl SdbClient {
             trace: output.trace,
             item_keys_derived: rewritten.session.item_keys_derived(),
             item_key_memo_hits: rewritten.session.item_key_memo_hits(),
+            do_shape_hits: usize::from(rewritten.shape_hit),
         })
+    }
+
+    /// Sends a rewritten query to the SP and runs it there (as `EXPLAIN
+    /// ANALYZE` with `analyze`), returning the SP's output and the bytes
+    /// sent. A statement the proxy replayed goes by shape, with its template
+    /// until the SP has been sent it; an SP that has dropped the shape
+    /// answers `UnknownShape` and is sent the template again. Every message
+    /// is recorded on the wire log as sent.
+    fn send(
+        &self,
+        rewritten: &RewrittenQuery,
+        opts: &QueryOptions,
+        analyze: bool,
+    ) -> Result<(QueryOutput, usize)> {
+        // The oracle travels inside the per-query options rather than the
+        // engine-wide slot, so concurrent sessions sharing this client can
+        // never swap each other's oracle mid-query.
+        let oracle = RecordingOracle::new(self.proxy.oracle(rewritten), self.wire.clone());
+        let opts = opts.clone().with_oracle(Arc::new(oracle));
+        let Some(mut statement) = rewritten.statement(false) else {
+            let sql = &rewritten.server_sql;
+            self.wire.record(WireMessageKind::QueryToSp, sql.clone());
+            let output = if analyze {
+                self.engine
+                    .execute_sql_with(&format!("EXPLAIN ANALYZE {sql}"), &opts)?
+            } else {
+                self.engine.execute_sql_with(sql, &opts)?
+            };
+            return Ok((output, sql.len()));
+        };
+        let mut bytes = 0;
+        loop {
+            let payload = serde_json::to_string(&statement).unwrap_or_default();
+            bytes += payload.len();
+            self.wire.record(WireMessageKind::QueryToSp, payload);
+            if let Some(shape) = rewritten.shape().filter(|_| statement.template.is_some()) {
+                shape.announce();
+            }
+            let output = if analyze {
+                self.engine.explain_analyze_shaped(&statement, &opts)
+            } else {
+                self.engine.execute_shaped(&statement, &opts)
+            };
+            match output {
+                Err(EngineError::UnknownShape { .. }) if statement.template.is_none() => {
+                    statement = rewritten.statement(true).expect("a shaped statement");
+                }
+                output => return Ok((output?, bytes)),
+            }
+        }
     }
 
     /// Runs the adversarial audit (experiment E4): scans everything the SP holds or
@@ -922,6 +977,44 @@ mod tests {
             client.execute("EXPLAIN ANALYZE SELECT id FROM emp"),
             Err(SdbError::Usage { .. })
         ));
+    }
+
+    /// Concurrent `EXPLAIN ANALYZE` calls on one client each run against
+    /// their own query's oracle, as concurrent queries do: none can swap in
+    /// or drop another's (they once shared the engine-wide slot), so every
+    /// call completes and counts the rows a lone call counts.
+    #[test]
+    fn concurrent_explain_analyze_calls_keep_their_own_oracle() {
+        let (client, _) = fixture();
+        let sqls = [
+            "SELECT id FROM emp WHERE salary > 2000",
+            "SELECT dept_id, SUM(bonus) AS b FROM emp WHERE bonus > 50 GROUP BY dept_id",
+        ];
+        let header = |text: &str| -> String {
+            let line = text.lines().nth(1).expect("header").to_string();
+            line.split(" rows in").next().unwrap().to_string()
+        };
+        let expected: Vec<String> = (sqls.iter())
+            .map(|sql| header(&client.explain_analyze(sql).unwrap()))
+            .collect();
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (sqls.iter().zip(&expected))
+                .map(|(sql, expected)| {
+                    let client = &client;
+                    scope.spawn(move || {
+                        for _ in 0..200 {
+                            let text = (client.explain_analyze(sql))
+                                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+                            assert_eq!(&header(&text), expected, "{sql}");
+                            assert!(text.contains("oracle[trips="), "{text}");
+                        }
+                    })
+                })
+                .collect();
+            for thread in threads {
+                thread.join().expect("explain thread");
+            }
+        });
     }
 
     #[test]

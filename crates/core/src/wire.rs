@@ -26,7 +26,9 @@ pub struct WireMessage {
 /// Kinds of wire messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum WireMessageKind {
-    /// Rewritten SQL text sent from the proxy to the SP.
+    /// Rewritten SQL text sent from the proxy to the SP, or, for a
+    /// statement the proxy holds the shape of, its shape statement (JSON:
+    /// shape id, draws, and the template on its first sending).
     QueryToSp,
     /// Encrypted result batch sent from the SP to the proxy.
     ResultToProxy,

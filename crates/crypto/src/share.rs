@@ -159,12 +159,19 @@ const MEMO_ENTRIES: usize = 4096;
 impl KeyUpdateMemo {
     /// The `(p, q)` pair of [`KeyUpdateParams::compute`], from the memo where
     /// the target allows.
+    ///
+    /// `target_m_inv` is `m_T⁻¹ mod n` when the caller has it: a statement
+    /// inverts each of its drawn targets once, in one batch
+    /// ([`crate::mod_inverse_batch`]), and passes the inverse to every
+    /// update onto that target. `None` inverts here. The target `T = S`
+    /// needs no inverse.
     pub fn params(
         &self,
         key: &SystemKey,
         source: &ColumnKey,
         aux: &ColumnKey,
         target: &ColumnKey,
+        target_m_inv: Option<&BigUint>,
     ) -> Result<KeyUpdateParams> {
         let (phi, modulus) = (key.phi(), key.modulus());
         let aux_terms = self.inverse(key, aux)?;
@@ -172,11 +179,14 @@ impl KeyUpdateMemo {
         if target == aux && !m_s_invertible {
             return KeyUpdateParams::compute(key, source, aux, target);
         }
+        let m_t_inv = || match target_m_inv {
+            Some(inverse) => Ok(std::borrow::Cow::Borrowed(inverse)),
+            None => mod_inverse(target.m(), key.n()).map(std::borrow::Cow::Owned),
+        };
         if target != aux && !target.x().is_zero() {
             let p = mod_mul(&mod_sub(target.x(), source.x(), phi), x_s_inv, phi);
-            let m_t_inv = mod_inverse(target.m(), key.n())?;
             let m_s_pow = modulus.pow(aux.m(), &p);
-            let q = modulus.mul(&modulus.mul(source.m(), &m_s_pow), &m_t_inv);
+            let q = modulus.mul(&modulus.mul(source.m(), &m_s_pow), m_t_inv()?.as_ref());
             return Ok(KeyUpdateParams { p, q });
         }
         let pair = self.pair(key, source, aux, x_s_inv);
@@ -186,10 +196,9 @@ impl KeyUpdateMemo {
             let p = (p0 + BigUint::one()) % phi;
             return Ok(KeyUpdateParams { p, q: b.clone() });
         }
-        let m_t_inv = mod_inverse(target.m(), key.n())?;
         Ok(KeyUpdateParams {
             p: p0.clone(),
-            q: modulus.mul(b, &m_t_inv),
+            q: modulus.mul(b, m_t_inv()?.as_ref()),
         })
     }
 
@@ -652,7 +661,7 @@ mod tests {
                     ];
                     for target in &targets {
                         assert_eq!(
-                            memo.params(&key, source, &aux, target).unwrap(),
+                            memo.params(&key, source, &aux, target, None).unwrap(),
                             KeyUpdateParams::compute(&key, source, &aux, target).unwrap(),
                             "round {round}"
                         );
@@ -664,16 +673,19 @@ mod tests {
                 "KeyUpdateMemo { aux_keys: 1, pairs: 3 }"
             );
             let shared = ColumnKey::new(key.n().clone(), BigUint::zero());
-            assert!(memo.params(&key, &sources[0], &aux, &shared).is_err());
+            assert!(memo.params(&key, &sources[0], &aux, &shared, None).is_err());
             assert!(KeyUpdateParams::compute(&key, &sources[0], &aux, &shared).is_err());
             // An auxiliary `m` without an inverse fails only the target `T = S`.
             let odd_aux = ColumnKey::new(key.n().clone(), aux.x().clone());
             let target = key.gen_column_key(&mut rng);
             assert_eq!(
-                memo.params(&key, &sources[0], &odd_aux, &target).unwrap(),
+                memo.params(&key, &sources[0], &odd_aux, &target, None)
+                    .unwrap(),
                 KeyUpdateParams::compute(&key, &sources[0], &odd_aux, &target).unwrap()
             );
-            assert!(memo.params(&key, &sources[0], &odd_aux, &odd_aux).is_err());
+            assert!(memo
+                .params(&key, &sources[0], &odd_aux, &odd_aux, None)
+                .is_err());
             assert!(KeyUpdateParams::compute(&key, &sources[0], &odd_aux, &odd_aux).is_err());
         }
     }

@@ -11,9 +11,9 @@ use rand::SeedableRng;
 use std::sync::OnceLock;
 
 use sdb_crypto::share::{
-    decrypt_value, encrypt_value, gen_item_key, ColumnKeyAlgebra, KeyUpdateParams,
+    decrypt_value, encrypt_value, gen_item_key, ColumnKeyAlgebra, KeyUpdateMemo, KeyUpdateParams,
 };
-use sdb_crypto::{ColumnKey, KeyConfig, SignedCodec, SystemKey};
+use sdb_crypto::{mod_inverse_batch, ColumnKey, KeyConfig, SignedCodec, SystemKey};
 
 fn system_key() -> &'static SystemKey {
     static KEY: OnceLock<SystemKey> = OnceLock::new();
@@ -90,6 +90,47 @@ proptest! {
         let v_e_new = params.apply(key.n(), &v_e, &s_e);
         let ik_tgt = gen_item_key(key, &ck_tgt, &r);
         prop_assert_eq!(decrypt_value(key, &v_e_new, &ik_tgt), BigUint::from(v));
+    }
+
+    /// The DO memo's `(p, q)` with the targets' `m_T⁻¹` inverted in one batch
+    /// by the caller is `compute`'s pair, for a general target, a
+    /// row-independent one and the auxiliary key itself; with an auxiliary
+    /// `m_S` that has no inverse, exactly where `compute` fails.
+    #[test]
+    fn memo_params_with_batched_target_inverses_match_compute(
+        src_seed in any::<u64>(), aux_seed in any::<u64>(), tgt_seed in any::<u64>(),
+        odd_aux in any::<bool>(),
+    ) {
+        let key = system_key();
+        let memo = KeyUpdateMemo::default();
+        let source = column_key_from_seed(key, src_seed);
+        let mut aux = aux_key_from_seed(key, aux_seed);
+        if odd_aux {
+            aux = ColumnKey::new(key.n().clone(), aux.x().clone());
+        }
+        let mut rng = StdRng::seed_from_u64(tgt_seed);
+        let drawn = [
+            key.gen_column_key(&mut rng),
+            ColumnKeyAlgebra::row_independent_target(key, &mut rng),
+        ];
+        let ms: Vec<BigUint> = drawn.iter().map(|t| t.m().clone()).collect();
+        let inverses = mod_inverse_batch(&ms, key.n()).unwrap();
+        let targets = [
+            (&drawn[0], Some(&inverses[0])),
+            (&drawn[1], Some(&inverses[1])),
+            (&aux, None),
+        ];
+        for _round in 0..2 {
+            for (target, inverse) in targets {
+                let memoised = memo.params(key, &source, &aux, target, inverse);
+                let textbook = KeyUpdateParams::compute(key, &source, &aux, target);
+                match (memoised, textbook) {
+                    (Ok(m), Ok(t)) => prop_assert_eq!(m, t),
+                    (Err(_), Err(_)) => prop_assert!(odd_aux && target == &aux),
+                    (m, t) => prop_assert!(false, "memo {:?} vs compute {:?}", m.is_ok(), t.is_ok()),
+                }
+            }
+        }
     }
 
     /// EE addition (after key unification) is correct including for signed operands.

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use sdb_sql::{parse_sql, PlanBuilder, Statement};
+use sdb_sql::{parse_sql, LogicalPlan, PlanBuilder, Statement};
 use sdb_storage::{
     CancelToken, Catalog, ColumnDef, DataType, MemoryBudget, Pager, RecordBatch, Schema, Table,
     Value,
@@ -19,6 +19,7 @@ use crate::operators::ExecContext;
 use crate::planner;
 use crate::power_memo::PowerMemo;
 use crate::secure::OracleRef;
+use crate::statement::{PlanCache, PlanKey, ServerStatement};
 use crate::stats::ExecutionStats;
 use crate::udf::UdfRegistry;
 use crate::{EngineError, Result};
@@ -146,6 +147,8 @@ pub struct SpEngine {
     config: ExecConfig,
     /// The key-update powers earlier queries raised, bounded by the catalog.
     power_memo: Arc<PowerMemo>,
+    /// The statement shapes the DO sent, with their optimised plans.
+    plan_cache: PlanCache,
 }
 
 impl SpEngine {
@@ -163,6 +166,7 @@ impl SpEngine {
             registry: UdfRegistry::with_sdb_udfs(),
             oracle: RwLock::new(None),
             config: ExecConfig::default(),
+            plan_cache: PlanCache::default(),
         }
     }
 
@@ -436,6 +440,29 @@ impl SpEngine {
         &self.power_memo
     }
 
+    /// Statement shapes this engine holds (see [`Self::execute_shaped`]).
+    pub fn statement_shapes(&self) -> usize {
+        self.plan_cache.len()
+    }
+
+    /// Approximate bytes the statement shapes and their cached plans hold.
+    pub fn statement_shape_bytes(&self) -> usize {
+        self.plan_cache.approx_bytes()
+    }
+
+    /// Every statement template this engine holds, as rendered, and every
+    /// cached plan in full (for leakage scans: nothing in them was not sent
+    /// by the DO).
+    pub fn statement_shape_dump(&self) -> Vec<String> {
+        self.plan_cache.dump()
+    }
+
+    /// Drops every statement shape; the DO's next statement of each shape
+    /// meets [`EngineError::UnknownShape`] and resends the template.
+    pub fn clear_statement_shapes(&self) {
+        self.plan_cache.clear();
+    }
+
     /// The UDF registry (e.g. to register extra plain UDFs).
     pub fn registry_mut(&mut self) -> &mut UdfRegistry {
         &mut self.registry
@@ -492,9 +519,176 @@ impl SpEngine {
     pub fn execute_sql_with(&self, sql: &str, opts: &QueryOptions) -> Result<QueryOutput> {
         let started = Instant::now();
         let statement = parse_sql(sql)?;
-        let mut output = self.execute_statement_with(&statement, opts)?;
+        let mut output = self.guarded(|| self.run_statement(&statement, opts, started))?;
         output.stats.total_time = started.elapsed();
         Ok(output)
+    }
+
+    /// Executes a SELECT the DO sent by shape ([`ServerStatement`]): the
+    /// template it carries (held from now on) or the one held under its
+    /// shape id, with the statement's draws bound into the template's
+    /// cached optimised plan. Answers, counts and the physical plan are
+    /// those of the same statement sent as text.
+    ///
+    /// Fails with [`EngineError::UnknownShape`] when the statement carries
+    /// no template and the engine holds none under its id.
+    pub fn execute_shaped(
+        &self,
+        statement: &ServerStatement,
+        opts: &QueryOptions,
+    ) -> Result<QueryOutput> {
+        self.guarded(|| self.run_shaped(statement, opts, false))
+    }
+
+    /// [`Self::execute_shaped`] as `EXPLAIN ANALYZE`: the shaped statement
+    /// runs with tracing forced on and comes back as its annotated plan.
+    pub fn explain_analyze_shaped(
+        &self,
+        statement: &ServerStatement,
+        opts: &QueryOptions,
+    ) -> Result<QueryOutput> {
+        self.guarded(|| self.run_shaped(statement, opts, true))
+    }
+
+    fn run_shaped(
+        &self,
+        statement: &ServerStatement,
+        opts: &QueryOptions,
+        analyze: bool,
+    ) -> Result<QueryOutput> {
+        let started = Instant::now();
+        let shape = match &statement.template {
+            Some(text) => self.plan_cache.insert(statement.shape, text),
+            None => (self.plan_cache.shape(statement.shape)).ok_or(EngineError::UnknownShape {
+                shape: statement.shape,
+            })?,
+        };
+        let traced;
+        let opts = if analyze {
+            traced = Self::traced(opts);
+            &traced
+        } else {
+            opts
+        };
+        let ctx = Arc::new(self.query_context(self.oracle_for(opts), opts));
+        // Read before planning: a plan built while the catalog changed is
+        // filed under the epoch it started from, which is already past.
+        let key = PlanKey {
+            epoch: self.catalog.epoch(),
+            optimizer: ctx.optimizer_enabled(),
+            batch_size: ctx.batch_size(),
+            budget: ctx.memory_budget().limit(),
+        };
+        let cached = shape.plan(&key);
+        let hit = cached.is_some();
+        let plan = match cached {
+            Some(plan) => plan,
+            None => {
+                let Statement::Query(query) = parse_sql(&shape.template)? else {
+                    return Err(EngineError::Unsupported {
+                        detail: "a statement shape must be a query".into(),
+                    });
+                };
+                let built = PlanBuilder::build(&query)?;
+                let plan = Arc::new(if ctx.optimizer_enabled() {
+                    ctx.optimizer().optimize(&built)
+                } else {
+                    built
+                });
+                shape.offer(key, &plan);
+                plan
+            }
+        };
+        if statement.draws.is_empty() {
+            return self.run_query(ctx, &plan, true, hit, started, analyze);
+        }
+        let bound = plan.bind_params(&statement.draws)?;
+        self.run_query(ctx, &bound, true, hit, started, analyze)
+    }
+
+    /// The oracle a query uses: its own, else the engine-wide slot.
+    fn oracle_for(&self, opts: &QueryOptions) -> Option<OracleRef> {
+        opts.oracle.clone().or_else(|| self.oracle.read().clone())
+    }
+
+    /// `opts` with tracing forced on, for `EXPLAIN ANALYZE`.
+    fn traced(opts: &QueryOptions) -> QueryOptions {
+        opts.clone().with_tracing(true)
+    }
+
+    /// Optimises `plan` unless it is already, plans it physically and runs
+    /// it on `ctx`. Planning began at `planning` (parsing included); with
+    /// `analyze` the output is the `EXPLAIN ANALYZE` rendering of the run.
+    fn run_query(
+        &self,
+        ctx: Arc<ExecContext<'_>>,
+        plan: &LogicalPlan,
+        optimized: bool,
+        plan_cache_hit: bool,
+        planning: Instant,
+        analyze: bool,
+    ) -> Result<QueryOutput> {
+        let batch = {
+            let optimizing;
+            let plan = if !optimized && ctx.optimizer_enabled() {
+                optimizing = ctx.optimizer().optimize(plan);
+                &optimizing
+            } else {
+                plan
+            };
+            let mut root = planner::PhysicalPlanner::new(Arc::clone(&ctx)).plan(plan)?;
+            let plan_time = planning.elapsed();
+            {
+                let mut stats = ctx.stats_mut();
+                stats.plan_time = plan_time;
+                stats.plan_cache_hits = usize::from(plan_cache_hit);
+            }
+            crate::operators::drain_operator(root.as_mut())?
+        };
+        ctx.stats_mut().rows_returned = batch.num_rows();
+        let mut stats = ctx.stats();
+        stats.total_time = planning.elapsed();
+        let Some(trace) = ctx.trace() else {
+            return Ok(QueryOutput {
+                stats,
+                batch,
+                trace: None,
+            });
+        };
+        let mut report = trace.report();
+        if !analyze {
+            Self::maybe_export_trace(&report);
+            return Ok(QueryOutput {
+                stats,
+                batch,
+                trace: Some(report),
+            });
+        }
+        report.total_time_us = stats.total_time.as_micros() as u64;
+        Self::maybe_export_trace(&report);
+        let mut lines = Vec::with_capacity(report.spans.len() + 1);
+        lines.push(format!(
+            "analyzed plan ({} rows in {}, planning {}, plan cache hits {}, parallelism {}, budget {}):",
+            batch.num_rows(),
+            crate::trace::fmt_us(report.total_time_us),
+            crate::trace::fmt_us(stats.plan_time.as_micros() as u64),
+            stats.plan_cache_hits,
+            ctx.parallelism(),
+            match ctx.memory_budget().limit() {
+                Some(limit) => format!("{limit}B"),
+                None => "unlimited".to_string(),
+            }
+        ));
+        for line in report.render() {
+            lines.push(format!("  {line}"));
+        }
+        let schema = Schema::new(vec![ColumnDef::public("plan", DataType::Varchar)]);
+        let rows = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
+        Ok(QueryOutput {
+            batch: RecordBatch::from_rows(schema, rows)?,
+            stats,
+            trace: Some(report),
+        })
     }
 
     /// Executes an already-parsed statement.
@@ -539,8 +733,12 @@ impl SpEngine {
         statement: &Statement,
         opts: &QueryOptions,
     ) -> Result<QueryOutput> {
-        let run = std::panic::AssertUnwindSafe(|| self.run_statement(statement, opts));
-        std::panic::catch_unwind(run).unwrap_or_else(|panic| {
+        self.guarded(|| self.run_statement(statement, opts, Instant::now()))
+    }
+
+    /// Runs `run`, turning a panic into [`EngineError::Panicked`].
+    fn guarded(&self, run: impl FnOnce() -> Result<QueryOutput>) -> Result<QueryOutput> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|panic| {
             let detail = (panic.downcast_ref::<&str>().map(|s| s.to_string()))
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "a non-text payload".to_string());
@@ -548,24 +746,25 @@ impl SpEngine {
         })
     }
 
-    fn run_statement(&self, statement: &Statement, opts: &QueryOptions) -> Result<QueryOutput> {
+    /// Runs one parsed statement; a query's planning began at `planning`.
+    fn run_statement(
+        &self,
+        statement: &Statement,
+        opts: &QueryOptions,
+        planning: Instant,
+    ) -> Result<QueryOutput> {
         match statement {
             Statement::Query(query) => {
                 let plan = PlanBuilder::build(query)?;
-                let oracle = opts.oracle.clone().or_else(|| self.oracle.read().clone());
-                let ctx = Arc::new(self.query_context(oracle, opts));
-                let batch = planner::execute_plan(&ctx, &plan)?;
-                let trace = ctx.trace().map(|t| t.report());
-                if let Some(report) = &trace {
-                    Self::maybe_export_trace(report);
-                }
-                Ok(QueryOutput {
-                    stats: ctx.stats(),
-                    batch,
-                    trace,
-                })
+                let ctx = Arc::new(self.query_context(self.oracle_for(opts), opts));
+                self.run_query(ctx, &plan, false, false, planning, false)
             }
-            Statement::ExplainAnalyze(query) => self.explain_analyze_query(query),
+            Statement::ExplainAnalyze(query) => {
+                let plan = PlanBuilder::build(query)?;
+                let opts = Self::traced(opts);
+                let ctx = Arc::new(self.query_context(self.oracle_for(&opts), &opts));
+                self.run_query(ctx, &plan, false, false, planning, true)
+            }
             Statement::Explain(query) => {
                 let lines = self.explain_query(query)?;
                 let schema = Schema::new(vec![ColumnDef::public("plan", DataType::Varchar)]);
@@ -636,49 +835,6 @@ impl SpEngine {
                 })
             }
         }
-    }
-
-    /// Executes `query` with tracing forced on and renders the annotated
-    /// physical tree — per-operator actual rows, wall time,
-    /// estimate-vs-actual deviation and oracle / spill / kernel attribution
-    /// (the `EXPLAIN ANALYZE` statement). The full [`TraceReport`] rides
-    /// along on [`QueryOutput::trace`].
-    ///
-    /// [`TraceReport`]: crate::trace::TraceReport
-    fn explain_analyze_query(&self, query: &sdb_sql::ast::Query) -> Result<QueryOutput> {
-        let started = Instant::now();
-        let plan = PlanBuilder::build(query)?;
-        let oracle = self.oracle.read().clone();
-        let traced = QueryOptions::default().with_tracing(true);
-        let ctx = Arc::new(self.query_context(oracle, &traced));
-        let batch = planner::execute_plan(&ctx, &plan)?;
-        let mut stats = ctx.stats();
-        stats.total_time = started.elapsed();
-        let mut report = ctx.trace().expect("tracing was forced on").report();
-        report.total_time_us = stats.total_time.as_micros() as u64;
-        Self::maybe_export_trace(&report);
-
-        let mut lines = Vec::with_capacity(report.spans.len() + 1);
-        lines.push(format!(
-            "analyzed plan ({} rows in {}, parallelism {}, budget {}):",
-            batch.num_rows(),
-            crate::trace::fmt_us(report.total_time_us),
-            self.config.parallelism,
-            match self.config.memory_budget.limit() {
-                Some(limit) => format!("{limit}B"),
-                None => "unlimited".to_string(),
-            }
-        ));
-        for line in report.render() {
-            lines.push(format!("  {line}"));
-        }
-        let schema = Schema::new(vec![ColumnDef::public("plan", DataType::Varchar)]);
-        let rows = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
-        Ok(QueryOutput {
-            batch: RecordBatch::from_rows(schema, rows)?,
-            stats,
-            trace: Some(report),
-        })
     }
 
     /// Writes `report` as JSON under `SDB_TRACE_DIR` when that is set.

@@ -43,6 +43,12 @@ pub enum EngineError {
         /// Description of the unsupported operation.
         detail: String,
     },
+    /// A statement named a shape this engine does not hold (it never saw the
+    /// shape's text, or has dropped it since); the sender resends the text.
+    UnknownShape {
+        /// The shape id the statement carried.
+        shape: u64,
+    },
     /// The statement panicked (a bug, or a panicking UDF). The engine caught
     /// the panic at the statement boundary and dropped the query's state, its
     /// pager lease included; the engine itself keeps serving.
@@ -71,6 +77,9 @@ impl fmt::Display for EngineError {
             }
             EngineError::OracleProtocol { detail } => write!(f, "oracle protocol error: {detail}"),
             EngineError::Unsupported { detail } => write!(f, "unsupported: {detail}"),
+            EngineError::UnknownShape { shape } => {
+                write!(f, "unknown statement shape {shape:016x}")
+            }
             EngineError::Panicked { detail } => write!(f, "statement panicked: {detail}"),
         }
     }

@@ -261,6 +261,9 @@ impl<'a> Evaluator<'a> {
         match expr {
             Expr::Column(name) => Ok(self.column(name, batch)?.get(row).clone()),
             Expr::Literal(lit) => Ok(literal_to_value(lit)),
+            Expr::Param(i) => Err(EngineError::Expression {
+                detail: format!("parameter ${i} is not bound"),
+            }),
             Expr::Unary { op, expr } => {
                 let v = self.evaluate(expr, batch, row)?;
                 self.eval_unary(*op, v)

@@ -37,6 +37,7 @@ pub mod optimizer;
 pub mod planner;
 pub mod power_memo;
 pub mod secure;
+pub mod statement;
 pub mod stats;
 pub mod trace;
 pub mod udf;
@@ -52,6 +53,7 @@ pub use sdb_storage::{BufferPool, CancelToken, MemoryBudget};
 pub use secure::{
     LatencyOracle, NullOracle, OracleRequest, OracleResponse, OracleResult, SdbOracle,
 };
+pub use statement::ServerStatement;
 pub use stats::ExecutionStats;
 pub use trace::{QueryTrace, SpanReport, TraceEvent, TraceReport};
 pub use udf::{ScalarUdf, UdfRegistry, UdfSites};

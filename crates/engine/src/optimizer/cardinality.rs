@@ -216,7 +216,7 @@ impl<'a> Estimator<'a> {
                 .resolve(name)
                 .map(|c| c.distinct)
                 .unwrap_or_else(|| rows.sqrt().max(1.0)),
-            Expr::Literal(_) => 1.0,
+            Expr::Literal(_) | Expr::Param(_) => 1.0,
             // Anything computed: assume it collapses some duplicates.
             _ => rows.sqrt().max(1.0),
         }

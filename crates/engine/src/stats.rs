@@ -87,6 +87,15 @@ pub struct ExecutionStats {
     /// parent query (cache misses only; memoised re-uses cost nothing).
     #[serde(with = "duration_micros")]
     pub subquery_time: Duration,
+    /// Wall-clock time the statement spent being planned before its first
+    /// operator ran: parsing (or binding a cached plan's parameters),
+    /// optimising and physical planning. A whole-query field, like
+    /// [`Self::total_time`].
+    #[serde(with = "duration_micros")]
+    pub plan_time: Duration,
+    /// 1 when the statement's optimised plan came from the engine's plan
+    /// cache, 0 when it was built. A whole-query field.
+    pub plan_cache_hits: usize,
 }
 
 impl ExecutionStats {
@@ -130,7 +139,8 @@ impl ExecutionStats {
     /// this one (field-wise saturating subtraction). Used by the tracing
     /// layer to attribute global counters to individual operator spans.
     ///
-    /// Whole-query fields (`rows_returned`, `total_time`) are zeroed —
+    /// Whole-query fields (`rows_returned`, `total_time`, `plan_time`,
+    /// `plan_cache_hits`) are zeroed —
     /// they are stamped once at the top level, not accumulated — and
     /// `peak_resident_pages` keeps the later high-water mark because the
     /// delta of a maximum is not meaningful.
@@ -200,6 +210,8 @@ impl ExecutionStats {
                 .scalar_fallback_batches
                 .saturating_sub(earlier.scalar_fallback_batches),
             subquery_time: self.subquery_time.saturating_sub(earlier.subquery_time),
+            plan_time: Duration::ZERO,
+            plan_cache_hits: 0,
         }
     }
 
@@ -218,7 +230,8 @@ impl ExecutionStats {
 ///
 /// Worker `i` accumulates into shard `i % shards`; shard 0 doubles as the
 /// "main thread" shard and is the only one carrying the whole-query fields
-/// (`rows_returned`, `total_time` — `merge` deliberately skips them).
+/// (`rows_returned`, `total_time`, `plan_time`, `plan_cache_hits` — `merge`
+/// deliberately skips them).
 /// [`ShardedStats::snapshot`] folds every shard into one [`ExecutionStats`].
 #[derive(Debug)]
 pub struct ShardedStats {
@@ -393,8 +406,8 @@ mod tests {
     /// struct literal (no `..Default::default()`), so adding a counter to
     /// [`ExecutionStats`] without deciding its merge rule fails to compile
     /// here. Every field sums except `peak_resident_pages` (high-water
-    /// mark: max) and the whole-query fields `rows_returned` / `total_time`
-    /// (stamped once at the top level: merge leaves them untouched).
+    /// mark: max) and the whole-query fields `rows_returned` / `total_time` /
+    /// `plan_time` / `plan_cache_hits` (stamped once at the top level: merge leaves them untouched).
     #[test]
     fn merge_is_exhaustive_sum_except_peak_and_whole_query_fields() {
         let mut a = ExecutionStats {
@@ -426,6 +439,8 @@ mod tests {
             key_update_memo_hits: 26,
             share_kernel_rows: 27,
             share_kernel_time: Duration::from_micros(28),
+            plan_time: Duration::from_micros(29),
+            plan_cache_hits: 30,
         };
         let b = ExecutionStats {
             rows_scanned: 100,
@@ -456,6 +471,8 @@ mod tests {
             key_update_memo_hits: 2_600,
             share_kernel_rows: 2_700,
             share_kernel_time: Duration::from_micros(2_800),
+            plan_time: Duration::from_micros(2_900),
+            plan_cache_hits: 3_000,
         };
         a.merge(&b);
         assert_eq!(a.rows_scanned, 101);
@@ -490,6 +507,8 @@ mod tests {
         assert_eq!(a.key_update_memo_hits, 2_626);
         assert_eq!(a.share_kernel_rows, 2_727);
         assert_eq!(a.share_kernel_time, Duration::from_micros(2_828));
+        assert_eq!(a.plan_time, Duration::from_micros(29), "whole-query field");
+        assert_eq!(a.plan_cache_hits, 30, "whole-query field");
     }
 
     /// `delta_since` is merge's inverse on the summed fields: zeroes the

@@ -12,7 +12,8 @@
 //! * **Query rewriting** ([`rewriter`]): parsing application SQL, rewriting every
 //!   operator that touches a sensitive column into SDB UDF calls over encrypted
 //!   columns, and producing a [`plan::ResultPlan`] describing how to decrypt and
-//!   post-process whatever the SP sends back (demo step 2, Figure 3).
+//!   post-process whatever the SP sends back (demo step 2, Figure 3). A
+//!   statement seen before replays its cached [`shape::Shape`] instead.
 //! * **Interactive protocols** ([`oracle`]): answering the SP's blinded sign /
 //!   group-tag / rank requests during execution.
 //! * **Result decryption** ([`decryptor`]): reconstructing plaintext results from
@@ -32,6 +33,7 @@ pub mod plan;
 pub mod proxy;
 pub mod rewriter;
 pub mod session;
+pub mod shape;
 
 pub use decryptor::Decryptor;
 pub use encryptor::{EncryptedUpload, Encryptor, UploadOptions};
@@ -42,6 +44,7 @@ pub use oracle::ProxyOracle;
 pub use plan::{Ingredient, OutputColumn, ResultPlan};
 pub use proxy::{ClientCost, RewrittenQuery, SdbProxy};
 pub use session::QuerySession;
+pub use shape::Shape;
 
 /// Library result alias.
 pub type Result<T> = std::result::Result<T, ProxyError>;

@@ -6,6 +6,10 @@
 //! results and decrypting them; sending the decrypted results back to the
 //! application. The demo's client-cost breakdown (parse + rewrite + decrypt,
 //! experiment E3) is measured here.
+//!
+//! A text rewritten before replays its cached [`Shape`] (see
+//! [`crate::shape`]): the same server SQL a cold rewrite with the same query
+//! counter would produce, without parsing or rewriting.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,7 +17,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdb_crypto::{ItemKeyMemo, KeyConfig, KeyUpdateMemo};
-use sdb_sql::{parse_sql, Query, Statement};
+use sdb_engine::ServerStatement;
+use sdb_sql::{parse_sql, Lexer, Query, Statement, Token};
 use sdb_storage::{RecordBatch, Table, Value};
 
 use crate::decryptor::Decryptor;
@@ -24,6 +29,7 @@ use crate::oracle::{OracleParts, ProxyOracle};
 use crate::plan::ResultPlan;
 use crate::rewriter::Rewriter;
 use crate::session::QuerySession;
+use crate::shape::{Shape, ShapeCache, Template};
 use crate::{ProxyError, Result};
 
 /// The client-side cost breakdown of one query (demo step 2).
@@ -52,16 +58,57 @@ pub struct RewrittenQuery {
     /// The rewritten query as SQL text (what Figure 3 of the paper displays and
     /// what is submitted to the SP).
     pub server_sql: String,
-    /// The rewritten query as an AST.
-    pub server_query: Query,
     /// The decryption / post-processing plan.
     pub plan: ResultPlan,
     /// The per-query session shared with the oracle.
     pub session: Arc<QuerySession>,
     /// Time spent parsing.
     pub parse_time: Duration,
-    /// Time spent rewriting.
+    /// Time spent rewriting (replaying, on a shape hit), up to rendering
+    /// the server SQL.
     pub rewrite_time: Duration,
+    /// Whether the rewrite replayed a cached shape.
+    pub shape_hit: bool,
+    /// The statement's shape, once the proxy has admitted it.
+    shape: Option<Arc<Shape>>,
+    /// The value of each slot of the server query for this execution.
+    draws: Vec<String>,
+}
+
+impl RewrittenQuery {
+    /// The rewritten query as an AST, parsed on demand from
+    /// [`Self::server_sql`].
+    pub fn server_query(&self) -> Query {
+        match parse_sql(&self.server_sql) {
+            Ok(Statement::Query(query)) => query,
+            other => unreachable!("the rewriter renders a query: {other:?}"),
+        }
+    }
+
+    /// The value of each slot of the server query (the `p` and `q` of every
+    /// key update) for this execution.
+    pub fn draws(&self) -> &[String] {
+        &self.draws
+    }
+
+    /// The statement's shape, once the proxy has admitted it (from the
+    /// text's second rewrite on).
+    pub fn shape(&self) -> Option<&Arc<Shape>> {
+        self.shape.as_ref()
+    }
+
+    /// What to send the SP: a replayed shape goes by shape, with the
+    /// template until it has been sent (or when `resend`); `None` sends
+    /// [`Self::server_sql`] as text. A shape admitted but never replayed
+    /// thus costs the SP nothing.
+    pub fn statement(&self, resend: bool) -> Option<ServerStatement> {
+        let shape = self.shape.as_ref().filter(|_| self.shape_hit)?;
+        Some(ServerStatement {
+            shape: shape.id(),
+            draws: self.draws.clone(),
+            template: (resend || !shape.announced()).then(|| shape.template().to_string()),
+        })
+    }
 }
 
 impl std::fmt::Debug for RewrittenQuery {
@@ -70,6 +117,7 @@ impl std::fmt::Debug for RewrittenQuery {
             .field("original_sql", &self.original_sql)
             .field("server_sql", &self.server_sql)
             .field("outputs", &self.plan.outputs.len())
+            .field("shape_hit", &self.shape_hit)
             .finish()
     }
 }
@@ -87,6 +135,8 @@ pub struct SdbProxy {
     key_updates: KeyUpdateMemo,
     oracle_parts: Arc<OracleParts>,
     decryptor: Decryptor,
+    /// Cached rewrites by application SQL text.
+    shapes: ShapeCache,
 }
 
 impl std::fmt::Debug for SdbProxy {
@@ -95,6 +145,7 @@ impl std::fmt::Debug for SdbProxy {
             .field("tables", &self.metas.keys().collect::<Vec<_>>())
             .field("key_updates", &self.key_updates)
             .field("item_keys", self.oracle_parts.memo())
+            .field("shapes", &self.shapes.len())
             .finish_non_exhaustive()
     }
 }
@@ -113,6 +164,7 @@ impl SdbProxy {
             keystore,
             metas: BTreeMap::new(),
             query_counter: AtomicU64::new(0),
+            shapes: ShapeCache::default(),
         })
     }
 
@@ -132,6 +184,22 @@ impl SdbProxy {
         &self.metas
     }
 
+    /// Statement shapes the proxy holds.
+    pub fn statement_shapes(&self) -> usize {
+        self.shapes.len()
+    }
+
+    /// Approximate bytes the statement shapes hold.
+    pub fn statement_shape_bytes(&self) -> usize {
+        self.shapes.approx_bytes()
+    }
+
+    /// The template text of every statement shape the proxy holds (what the
+    /// SP is sent once per shape).
+    pub fn statement_templates(&self) -> Vec<String> {
+        self.shapes.templates()
+    }
+
     /// Encrypts a plaintext table for upload (demo step 1). The returned
     /// [`EncryptedUpload::table`] is what gets shipped to the SP; the proxy keeps
     /// the keys and the logical metadata.
@@ -141,6 +209,8 @@ impl SdbProxy {
         options: UploadOptions,
     ) -> Result<EncryptedUpload> {
         let upload = Encryptor::encrypt_table(&mut self.keystore, table, options)?;
+        // The key store changed: every shape is rewritten afresh.
+        self.shapes.clear();
         // The memo admits the table's stored keys and may hold an entry per
         // encrypted cell.
         let keys = self.keystore.table_keys(&upload.meta.name)?;
@@ -176,9 +246,23 @@ impl SdbProxy {
         Ok(encrypted)
     }
 
-    /// Parses and rewrites one application SELECT statement (demo step 2).
+    /// Parses and rewrites one application SELECT statement (demo step 2), or
+    /// replays its cached shape.
     pub fn rewrite(&self, sql: &str) -> Result<RewrittenQuery> {
+        if let Some(shape) = self.shapes.get(sql) {
+            return self.replay(sql, shape);
+        }
         let parse_started = Instant::now();
+        if sql.contains('$')
+            && Lexer::new(sql)
+                .tokenize()?
+                .iter()
+                .any(|t| matches!(t, Token::Param(_)))
+        {
+            return Err(ProxyError::UnsupportedSensitiveOperation {
+                detail: "statement parameters ($i) are not accepted from the application".into(),
+            });
+        }
         let statement = parse_sql(sql)?;
         let parse_time = parse_started.elapsed();
         let Statement::Query(query) = statement else {
@@ -201,15 +285,52 @@ impl SdbProxy {
         );
         let output = rewriter.rewrite_query(&query)?;
         let rewrite_time = rewrite_started.elapsed();
+        let template = output.server_query.to_string();
+        let (server_sql, shape) = if self.shapes.sighted(sql) {
+            let shape = Arc::new(Shape::new(template, output.plan.clone(), output.tape));
+            self.shapes.admit(sql, &shape);
+            (shape.splice(&output.draws), Some(shape))
+        } else if output.draws.is_empty() {
+            (template, None)
+        } else {
+            (Template::new(template).splice(&output.draws), None)
+        };
 
         Ok(RewrittenQuery {
             original_sql: sql.to_string(),
-            server_sql: output.server_query.to_string(),
-            server_query: output.server_query,
+            server_sql,
             plan: output.plan,
             session,
             parse_time,
             rewrite_time,
+            shape_hit: false,
+            shape,
+            draws: output.draws,
+        })
+    }
+
+    /// Replays `shape` for this execution: the draws of the query's own
+    /// RNG, the handles registered in order, the slots spliced in. Like a
+    /// cold rewrite's, the rewrite time ends before the text is rendered.
+    fn replay(&self, sql: &str, shape: Arc<Shape>) -> Result<RewrittenQuery> {
+        let started = Instant::now();
+        let session = Arc::new(QuerySession::new());
+        let seed = self.query_counter.fetch_add(1, Ordering::Relaxed);
+        let rng = || self.keystore.derived_rng(0xc0ffee ^ seed);
+        let tape = shape.tape();
+        let (keys, draws) = tape.replay(self.keystore.system(), rng, &self.key_updates)?;
+        tape.register_handles(&keys, &session);
+        let rewrite_time = started.elapsed();
+        Ok(RewrittenQuery {
+            original_sql: sql.to_string(),
+            server_sql: shape.splice(&draws),
+            plan: shape.plan().clone(),
+            session,
+            parse_time: Duration::ZERO,
+            rewrite_time,
+            shape_hit: true,
+            shape: Some(shape),
+            draws,
         })
     }
 

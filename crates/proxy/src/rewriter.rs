@@ -29,7 +29,6 @@ use num_bigint::BigUint;
 use num_traits::One;
 use rand::rngs::StdRng;
 
-use sdb_crypto::share::ColumnKeyAlgebra;
 use sdb_crypto::{ColumnKey, KeyUpdateMemo};
 use sdb_engine::secure::oracle_fns;
 use sdb_sql::ast::{
@@ -40,16 +39,23 @@ use crate::encryptor::{domain_of, AUX_COLUMN, ROW_ID_COLUMN, SIES_SUFFIX, TAG_SU
 use crate::keystore::KeyStore;
 use crate::meta::{ColumnMeta, PlainType, TableMeta};
 use crate::plan::{Ingredient, OutputColumn, OutputSource, PostSortKey, ResultPlan};
-use crate::session::{HandleKey, QuerySession};
+use crate::session::QuerySession;
+use crate::shape::{Tape, TapeRecorder};
 use crate::{ProxyError, Result};
 
 /// The product of rewriting one query.
 #[derive(Debug, Clone)]
 pub struct RewriteOutput {
-    /// The query to submit to the SP.
+    /// The query to submit to the SP, with a numbered parameter `$i` in
+    /// place of each per-execution constant (the `p` and `q` of every key
+    /// update).
     pub server_query: Query,
     /// The decryption / post-processing plan.
     pub plan: ResultPlan,
+    /// The value of each parameter of [`Self::server_query`].
+    pub draws: Vec<String>,
+    /// The key algebra the rewrite ran, for replaying it.
+    pub(crate) tape: Tape,
 }
 
 /// One table visible in the query's FROM clause.
@@ -64,11 +70,12 @@ struct Binding {
 }
 
 /// A rewritten encrypted expression: the server-side expression producing shares,
-/// together with the proxy-side key, fixed-point scale and source table.
+/// together with the proxy-side key (the tape step that makes it), fixed-point
+/// scale and source table.
 #[derive(Debug, Clone)]
 struct EncExpr {
     expr: Expr,
-    key: ColumnKey,
+    key: usize,
     scale: u8,
     decode: PlainType,
     /// Visible name of the table whose row ids / auxiliary column apply.
@@ -91,6 +98,8 @@ pub struct Rewriter<'a> {
     session: Arc<QuerySession>,
     rng: RefCell<StdRng>,
     n_str: &'a str,
+    /// Every key the rewrite uses is made through the tape.
+    tape: RefCell<TapeRecorder>,
 }
 
 /// Mutable rewrite state for one query.
@@ -129,6 +138,7 @@ impl<'a> Rewriter<'a> {
             session,
             rng: RefCell::new(rng),
             n_str,
+            tape: RefCell::new(TapeRecorder::default()),
         }
     }
 
@@ -142,6 +152,8 @@ impl<'a> Rewriter<'a> {
             return Ok(RewriteOutput {
                 server_query: query.clone(),
                 plan: ResultPlan::default(),
+                draws: Vec::new(),
+                tape: Tape::default(),
             });
         }
 
@@ -281,7 +293,14 @@ impl<'a> Rewriter<'a> {
             post_limit: query.limit,
         };
 
-        Ok(RewriteOutput { server_query, plan })
+        let (tape, keys) = self.tape.take().finish();
+        let draws = tape.draws(&keys, self.keystore.system(), self.key_updates)?;
+        Ok(RewriteOutput {
+            server_query,
+            plan,
+            draws,
+            tape,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -430,10 +449,7 @@ impl<'a> Rewriter<'a> {
                         detail: format!("{name} is not a sensitive numeric column"),
                     });
                 }
-                let key = self
-                    .keystore
-                    .column_key(&binding.table, &column.name)?
-                    .clone();
+                let key = self.stored_key(self.keystore.column_key(&binding.table, &column.name)?);
                 let decode = column.plain_type()?;
                 Ok(EncExpr {
                     expr: Expr::Column(format!("{}.{}", binding.visible, column.name)),
@@ -558,7 +574,12 @@ impl<'a> Rewriter<'a> {
 
     /// EE multiplication (paper §2.2).
     fn ee_multiply(&self, l: EncExpr, r: EncExpr) -> EncExpr {
-        let key = ColumnKeyAlgebra::multiply(self.keystore.system(), &l.key, &r.key);
+        let key = self.tape.borrow_mut().multiply(
+            l.key,
+            r.key,
+            self.keystore.system(),
+            &mut self.rng.borrow_mut(),
+        );
         let scale = l.scale + r.scale;
         EncExpr {
             expr: Expr::func("SDB_MULTIPLY", vec![l.expr, r.expr, Expr::str(self.n_str)]),
@@ -581,11 +602,11 @@ impl<'a> Rewriter<'a> {
             r = self.scale_enc(r, &(system.n() - BigUint::one()), 0);
         }
         let aux = self.aux_key_of(&l.table, ctx)?;
-        let target = system.gen_column_key(&mut *self.rng.borrow_mut());
+        let target = (self.tape.borrow_mut()).fresh(system, &mut self.rng.borrow_mut());
         let s_col = Expr::Column(format!("{}.{}", l.table, AUX_COLUMN));
 
-        let l_expr = self.key_update_expr(&l, &aux, &target, &s_col)?;
-        let r_expr = self.key_update_expr(&r, &aux, &target, &s_col)?;
+        let l_expr = self.key_update_expr(&l, aux, target, &s_col);
+        let r_expr = self.key_update_expr(&r, aux, target, &s_col);
         Ok(EncExpr {
             expr: Expr::func("SDB_ADD", vec![l_expr, r_expr, Expr::str(self.n_str)]),
             key: target,
@@ -641,7 +662,7 @@ impl<'a> Rewriter<'a> {
                 let s_col = Expr::Column(format!("{}.{}", enc.table, AUX_COLUMN));
                 // Key-update the encrypted operand onto the auxiliary column's key so
                 // the SP can blend in the plain operand through S_e.
-                let updated = self.key_update_expr(&enc, &aux, &aux, &s_col)?;
+                let updated = self.key_update_expr(&enc, aux, aux, &s_col);
                 let mut result = EncExpr {
                     expr: Expr::func(
                         "SDB_ADD_PLAIN",
@@ -667,31 +688,47 @@ impl<'a> Rewriter<'a> {
         }
     }
 
-    /// Emits an `SDB_KEY_UPDATE` call re-encrypting `enc` under `target`.
-    fn key_update_expr(
-        &self,
-        enc: &EncExpr,
-        aux: &ColumnKey,
-        target: &ColumnKey,
-        s_col: &Expr,
-    ) -> Result<Expr> {
-        let params = (self.key_updates).params(self.keystore.system(), &enc.key, aux, target)?;
-        Ok(Expr::func(
+    /// Emits an `SDB_KEY_UPDATE` call re-encrypting `enc` under the key of
+    /// tape step `target` through the auxiliary key of step `aux`. Its `p`
+    /// and `q` are parameters: the rewrite computes them once it is done,
+    /// inverting every drawn target in one batch.
+    fn key_update_expr(&self, enc: &EncExpr, aux: usize, target: usize, s_col: &Expr) -> Expr {
+        let (p, q) = self.tape.borrow_mut().key_update(enc.key, aux, target);
+        Expr::func(
             "SDB_KEY_UPDATE",
             vec![
                 enc.expr.clone(),
                 s_col.clone(),
-                Expr::str(&params.p.to_string()),
-                Expr::str(&params.q.to_string()),
+                Expr::Param(p),
+                Expr::Param(q),
                 Expr::str(self.n_str),
             ],
-        ))
+        )
+    }
+
+    /// A key read from the key store, recorded on the tape.
+    fn stored_key(&self, key: &ColumnKey) -> usize {
+        (self.tape.borrow_mut()).stored(
+            key.clone(),
+            self.keystore.system(),
+            &mut self.rng.borrow_mut(),
+        )
+    }
+
+    /// Registers a handle over the key of tape step `key` in the session.
+    fn register_handle(&self, key: usize, decode: PlainType, row_independent: bool) -> String {
+        (self.tape.borrow_mut()).register_handle(key, decode, row_independent, &self.session)
     }
 
     /// Multiplies the *decrypted* value of `enc` by a constant without touching the
     /// ciphertext (column-key change only), optionally bumping the recorded scale.
     fn scale_enc(&self, enc: EncExpr, constant: &BigUint, scale_bump: u8) -> EncExpr {
-        let key = ColumnKeyAlgebra::scale_by_constant(self.keystore.system(), &enc.key, constant);
+        let key = self.tape.borrow_mut().scale(
+            enc.key,
+            constant,
+            self.keystore.system(),
+            &mut self.rng.borrow_mut(),
+        );
         let scale = enc.scale + scale_bump;
         EncExpr {
             expr: enc.expr,
@@ -712,7 +749,8 @@ impl<'a> Rewriter<'a> {
         self.scale_enc(enc, &factor, diff)
     }
 
-    fn aux_key_of(&self, visible: &str, ctx: &Ctx) -> Result<ColumnKey> {
+    /// The auxiliary key of a visible table, as a tape step.
+    fn aux_key_of(&self, visible: &str, ctx: &Ctx) -> Result<usize> {
         let binding = ctx
             .bindings
             .iter()
@@ -720,7 +758,7 @@ impl<'a> Rewriter<'a> {
             .ok_or_else(|| ProxyError::UnknownTable {
                 name: visible.to_string(),
             })?;
-        Ok(self.keystore.table_keys(&binding.table)?.aux.clone())
+        Ok(self.stored_key(&self.keystore.table_keys(&binding.table)?.aux))
     }
 
     /// Static fixed-point scale of a plain (insensitive) expression.
@@ -878,10 +916,7 @@ impl<'a> Rewriter<'a> {
         };
         match self.rewrite_enc_expr(&difference, ctx) {
             Ok(diff) => {
-                let handle = self.session.register_handle(HandleKey::RowKeyed {
-                    key: diff.key.clone(),
-                    decode: scaled_plain_type(diff.scale),
-                });
+                let handle = self.register_handle(diff.key, scaled_plain_type(diff.scale), false);
                 let cmp_fn = match op {
                     BinaryOp::Gt => oracle_fns::CMP_GT,
                     BinaryOp::GtEq => oracle_fns::CMP_GE,
@@ -996,10 +1031,7 @@ impl<'a> Rewriter<'a> {
             }
         }
         let enc = self.rewrite_enc_expr(expr, ctx)?;
-        let handle = self.session.register_handle(HandleKey::RowKeyed {
-            key: enc.key.clone(),
-            decode: enc.decode,
-        });
+        let handle = self.register_handle(enc.key, enc.decode, false);
         Ok(Expr::func(
             oracle_fns::GROUP_TAG,
             vec![
@@ -1266,10 +1298,7 @@ impl<'a> Rewriter<'a> {
             }
             "MIN" | "MAX" => {
                 let enc = self.rewrite_enc_expr(arg, ctx)?;
-                let handle = self.session.register_handle(HandleKey::RowKeyed {
-                    key: enc.key.clone(),
-                    decode: enc.decode,
-                });
+                let handle = self.register_handle(enc.key, enc.decode, false);
                 let rank_call = Expr::func(
                     oracle_fns::RANK,
                     vec![
@@ -1298,17 +1327,11 @@ impl<'a> Rewriter<'a> {
         }
         let enc = self.rewrite_enc_expr(arg, ctx)?;
         let aux = self.aux_key_of(&enc.table, ctx)?;
-        let target = ColumnKeyAlgebra::row_independent_target(
-            self.keystore.system(),
-            &mut *self.rng.borrow_mut(),
-        );
+        let target = (self.tape.borrow_mut())
+            .fresh_row_independent(self.keystore.system(), &mut self.rng.borrow_mut());
         let s_col = Expr::Column(format!("{}.{}", enc.table, AUX_COLUMN));
-        let updated = self.key_update_expr(&enc, &aux, &target, &s_col)?;
-        let item_key = ColumnKeyAlgebra::row_independent_item_key(&target);
-        let handle = self.session.register_handle(HandleKey::RowIndependent {
-            item_key,
-            decode: scaled_plain_type(enc.scale),
-        });
+        let updated = self.key_update_expr(&enc, aux, target, &s_col);
+        let handle = self.register_handle(target, scaled_plain_type(enc.scale), true);
         let server_expr = Expr::func("SUM", vec![updated]);
         let alias = self.add_server_item(
             server_expr,
@@ -1330,10 +1353,7 @@ impl<'a> Rewriter<'a> {
             .entry(enc.table.clone())
             .or_insert_with(|| format!("__rowid_{}", enc.table.replace('.', "_")))
             .clone();
-        let handle = self.session.register_handle(HandleKey::RowKeyed {
-            key: enc.key.clone(),
-            decode: enc.decode,
-        });
+        let handle = self.register_handle(enc.key, enc.decode, false);
         self.add_server_item(
             enc.expr,
             Ingredient::EncryptedRowKeyed {

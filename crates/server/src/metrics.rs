@@ -254,6 +254,10 @@ pub struct MetricsRegistry {
     // Share kernels.
     share_kernel_rows: Counter,
     share_kernel_micros: Counter,
+    // Statement shapes and planning.
+    do_shape_hits: Counter,
+    plan_cache_hits: Counter,
+    plan_micros: Counter,
     // Shared buffer pool (fed by the pager observer).
     pool_spill_pages: Counter,
     pool_spill_bytes_written: Counter,
@@ -267,6 +271,7 @@ pub struct MetricsRegistry {
     pub(crate) pool_pinned_bytes: Gauge,
     pub(crate) pool_capacity_bytes: Gauge,
     pub(crate) power_memo_bytes: Gauge,
+    pub(crate) statement_shape_bytes: Gauge,
 }
 
 impl MetricsRegistry {
@@ -347,6 +352,7 @@ impl MetricsRegistry {
         self.admissions_degraded
             .add(delta.degraded_admissions as u64);
         self.oracle_round_trips.add(delta.oracle_round_trips as u64);
+        self.do_shape_hits.add(delta.do_shape_hits as u64);
         self.query_latency.record_duration(latency);
         if let Some(stats) = stats {
             self.oracle_rows_shipped
@@ -358,6 +364,8 @@ impl MetricsRegistry {
                 .add(stats.key_update_memo_hits as u64);
             self.share_kernel_rows.add(stats.share_kernel_rows as u64);
             (self.share_kernel_micros).add(stats.share_kernel_time.as_micros() as u64);
+            self.plan_cache_hits.add(stats.plan_cache_hits as u64);
+            self.plan_micros.add(stats.plan_time.as_micros() as u64);
             if stats.oracle_round_trips > 0 {
                 // One sample per query: the mean round-trip time over this
                 // query's trips (per-trip timing would need an engine hook
@@ -389,6 +397,9 @@ impl MetricsRegistry {
             key_update_memo_hits: self.key_update_memo_hits.get(),
             share_kernel_rows: self.share_kernel_rows.get(),
             share_kernel_micros: self.share_kernel_micros.get(),
+            do_shape_hits: self.do_shape_hits.get(),
+            plan_cache_hits: self.plan_cache_hits.get(),
+            plan_micros: self.plan_micros.get(),
             pool_spill_pages: self.pool_spill_pages.get(),
             pool_spill_bytes_written: self.pool_spill_bytes_written.get(),
             pool_spill_bytes_read: self.pool_spill_bytes_read.get(),
@@ -400,6 +411,7 @@ impl MetricsRegistry {
             pool_pinned_bytes: self.pool_pinned_bytes.get(),
             pool_capacity_bytes: self.pool_capacity_bytes.get(),
             power_memo_bytes: self.power_memo_bytes.get(),
+            statement_shape_bytes: self.statement_shape_bytes.get(),
         }
     }
 
@@ -450,6 +462,13 @@ pub struct MetricsSnapshot {
     pub share_kernel_rows: u64,
     /// Microseconds the share kernels took.
     pub share_kernel_micros: u64,
+    /// Queries whose rewrite the DO replayed from a cached statement shape.
+    pub do_shape_hits: u64,
+    /// Queries whose optimised plan the SP took from its plan cache.
+    pub plan_cache_hits: u64,
+    /// Microseconds the SP spent planning queries (parse or bind, optimise,
+    /// physical planning).
+    pub plan_micros: u64,
     /// Pages spilled from the shared pool (observer-counted).
     pub pool_spill_pages: u64,
     /// Encoded bytes written to spill files.
@@ -472,6 +491,9 @@ pub struct MetricsSnapshot {
     pub pool_capacity_bytes: u64,
     /// Residue bytes the engine's key-update power memo holds right now.
     pub power_memo_bytes: u64,
+    /// Approximate bytes the DO's and the SP's statement-shape caches hold
+    /// right now.
+    pub statement_shape_bytes: u64,
 }
 
 impl MetricsSnapshot {
@@ -481,7 +503,7 @@ impl MetricsSnapshot {
     /// `le="+Inf"`, plus `_sum` and `_count`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &str, u64); 19] = [
+        let counters: [(&str, &str, u64); 22] = [
             (
                 "sdb_queries_executed_total",
                 "Queries submitted (successful, cancelled or failed)",
@@ -558,6 +580,21 @@ impl MetricsSnapshot {
                 self.share_kernel_micros,
             ),
             (
+                "sdb_do_shape_hits_total",
+                "Queries whose rewrite the DO replayed from a cached statement shape",
+                self.do_shape_hits,
+            ),
+            (
+                "sdb_plan_cache_hits_total",
+                "Queries whose optimised plan the SP took from its plan cache",
+                self.plan_cache_hits,
+            ),
+            (
+                "sdb_plan_micros_total",
+                "Microseconds the SP spent planning queries",
+                self.plan_micros,
+            ),
+            (
                 "sdb_pool_spill_pages_total",
                 "Pages spilled from the shared buffer pool",
                 self.pool_spill_pages,
@@ -581,7 +618,7 @@ impl MetricsSnapshot {
         for (name, help, value) in counters {
             render_sample(&mut out, name, help, "counter", value);
         }
-        let gauges: [(&str, &str, u64); 7] = [
+        let gauges: [(&str, &str, u64); 8] = [
             (
                 "sdb_queries_running",
                 "Queries holding an admission slot",
@@ -616,6 +653,11 @@ impl MetricsSnapshot {
                 "sdb_power_memo_bytes",
                 "Residue bytes held by the engine's key-update power memo",
                 self.power_memo_bytes,
+            ),
+            (
+                "sdb_statement_shape_bytes",
+                "Approximate bytes held by the DO's and the SP's statement-shape caches",
+                self.statement_shape_bytes,
             ),
         ];
         for (name, help, value) in gauges {

@@ -140,6 +140,9 @@ pub struct SessionStats {
     pub cancelled_queries: usize,
     /// Queries that failed for any other reason.
     pub failed_queries: usize,
+    /// Successful queries whose rewrite the DO replayed from a cached
+    /// statement shape.
+    pub do_shape_hits: usize,
 }
 
 impl SessionStats {
@@ -156,6 +159,7 @@ impl SessionStats {
         self.degraded_admissions += delta.degraded_admissions;
         self.cancelled_queries += delta.cancelled_queries;
         self.failed_queries += delta.failed_queries;
+        self.do_shape_hits += delta.do_shape_hits;
     }
 }
 
@@ -383,6 +387,7 @@ impl SdbServer {
             Ok(result) => {
                 delta.rows_returned = result.rows().len();
                 delta.oracle_round_trips = result.server_stats.oracle_round_trips;
+                delta.do_shape_hits = result.do_shape_hits;
             }
             Err(_) if cancel.is_cancelled() => delta.cancelled_queries = 1,
             Err(_) => delta.failed_queries = 1,
@@ -499,6 +504,11 @@ impl SdbServer {
         self.metrics
             .power_memo_bytes
             .set(self.client.engine().power_memo().bytes() as u64);
+        let client = &self.client;
+        self.metrics.statement_shape_bytes.set(
+            (client.proxy().statement_shape_bytes() + client.engine().statement_shape_bytes())
+                as u64,
+        );
         self.metrics.snapshot()
     }
 

@@ -152,6 +152,9 @@ pub enum Expr {
     Column(String),
     /// Literal.
     Literal(Literal),
+    /// A numbered statement parameter (`$i`): a string literal supplied per
+    /// execution, bound by [`Expr::bind_params`] before evaluation.
+    Param(usize),
     /// Unary operation.
     Unary {
         /// The operator.
@@ -285,7 +288,7 @@ impl Expr {
     pub fn walk<'e, F: FnMut(&'e Expr)>(&'e self, visit: &mut F) {
         visit(self);
         match self {
-            Expr::Column(_) | Expr::Literal(_) => {}
+            Expr::Column(_) | Expr::Literal(_) | Expr::Param(_) => {}
             Expr::Unary { expr, .. } => expr.walk(visit),
             Expr::Binary { left, right, .. } => {
                 left.walk(visit);
@@ -343,6 +346,105 @@ impl Expr {
         });
     }
 
+    /// The expression with every [`Expr::Param`] `$i` replaced by the string
+    /// literal `params[i]`, subquery bodies included. Fails on a parameter
+    /// number `params` does not cover.
+    pub fn bind_params(&self, params: &[String]) -> Result<Expr, crate::SqlError> {
+        let bind = |e: &Expr| e.bind_params(params);
+        let boxed = |e: &Expr| bind(e).map(Box::new);
+        Ok(match self {
+            Expr::Param(i) => match params.get(*i) {
+                Some(value) => Expr::Literal(Literal::Str(value.clone())),
+                None => {
+                    return Err(crate::SqlError::Plan {
+                        detail: format!("parameter ${i} is not bound"),
+                    })
+                }
+            },
+            Expr::Column(_) | Expr::Literal(_) => self.clone(),
+            Expr::Unary { op, expr } => Expr::Unary {
+                op: *op,
+                expr: boxed(expr)?,
+            },
+            Expr::Binary { left, op, right } => Expr::Binary {
+                left: boxed(left)?,
+                op: *op,
+                right: boxed(right)?,
+            },
+            Expr::Function {
+                name,
+                args,
+                distinct,
+                wildcard,
+            } => Expr::Function {
+                name: name.clone(),
+                args: args.iter().map(bind).collect::<Result<_, _>>()?,
+                distinct: *distinct,
+                wildcard: *wildcard,
+            },
+            Expr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => Expr::Case {
+                operand: operand.as_deref().map(boxed).transpose()?,
+                branches: (branches.iter())
+                    .map(|(w, t)| Ok((bind(w)?, bind(t)?)))
+                    .collect::<Result<_, crate::SqlError>>()?,
+                else_expr: else_expr.as_deref().map(boxed).transpose()?,
+            },
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => Expr::Between {
+                expr: boxed(expr)?,
+                low: boxed(low)?,
+                high: boxed(high)?,
+                negated: *negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: boxed(expr)?,
+                list: list.iter().map(bind).collect::<Result<_, _>>()?,
+                negated: *negated,
+            },
+            Expr::InSubquery {
+                expr,
+                query,
+                negated,
+            } => Expr::InSubquery {
+                expr: boxed(expr)?,
+                query: Box::new(query.bind_params(params)?),
+                negated: *negated,
+            },
+            Expr::ScalarSubquery(query) => {
+                Expr::ScalarSubquery(Box::new(query.bind_params(params)?))
+            }
+            Expr::Exists { query, negated } => Expr::Exists {
+                query: Box::new(query.bind_params(params)?),
+                negated: *negated,
+            },
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Expr::Like {
+                expr: boxed(expr)?,
+                pattern: pattern.clone(),
+                negated: *negated,
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: boxed(expr)?,
+                negated: *negated,
+            },
+        })
+    }
+
     /// True if the expression contains any aggregate function call.
     pub fn contains_aggregate(&self) -> bool {
         match self {
@@ -394,6 +496,7 @@ impl fmt::Display for Expr {
         match self {
             Expr::Column(name) => write!(f, "{name}"),
             Expr::Literal(lit) => write!(f, "{lit}"),
+            Expr::Param(i) => write!(f, "${i}"),
             Expr::Unary { op, expr } => match op {
                 UnaryOp::Neg => write!(f, "(-{expr})"),
                 UnaryOp::Not => write!(f, "(NOT {expr})"),
@@ -608,6 +711,47 @@ pub struct Query {
 }
 
 impl Query {
+    /// The query with every [`Expr::Param`] bound (see [`Expr::bind_params`]).
+    pub fn bind_params(&self, params: &[String]) -> Result<Query, crate::SqlError> {
+        let bind = |e: &Expr| e.bind_params(params);
+        Ok(Query {
+            distinct: self.distinct,
+            projections: (self.projections.iter())
+                .map(|item| {
+                    Ok(match item {
+                        SelectItem::Wildcard => SelectItem::Wildcard,
+                        SelectItem::Expr { expr, alias } => SelectItem::Expr {
+                            expr: bind(expr)?,
+                            alias: alias.clone(),
+                        },
+                    })
+                })
+                .collect::<Result<_, crate::SqlError>>()?,
+            from: self.from.clone(),
+            joins: (self.joins.iter())
+                .map(|join| {
+                    Ok(JoinClause {
+                        kind: join.kind,
+                        table: join.table.clone(),
+                        on: bind(&join.on)?,
+                    })
+                })
+                .collect::<Result<_, crate::SqlError>>()?,
+            where_clause: self.where_clause.as_ref().map(bind).transpose()?,
+            group_by: self.group_by.iter().map(bind).collect::<Result<_, _>>()?,
+            having: self.having.as_ref().map(bind).transpose()?,
+            order_by: (self.order_by.iter())
+                .map(|order| {
+                    Ok(OrderItem {
+                        expr: bind(&order.expr)?,
+                        desc: order.desc,
+                    })
+                })
+                .collect::<Result<_, crate::SqlError>>()?,
+            limit: self.limit,
+        })
+    }
+
     /// An empty SELECT skeleton, useful for programmatic construction.
     pub fn empty() -> Query {
         Query {

@@ -16,6 +16,8 @@ pub enum Token {
     Decimal(i64, u8),
     /// Single-quoted string literal (quotes stripped, `''` unescaped).
     Str(String),
+    /// A numbered statement parameter, `$i`.
+    Param(usize),
     /// `(`
     LParen,
     /// `)`
@@ -68,6 +70,7 @@ impl fmt::Display for Token {
                 )
             }
             Token::Str(s) => write!(f, "'{s}'"),
+            Token::Param(i) => write!(f, "${i}"),
             Token::LParen => write!(f, "("),
             Token::RParen => write!(f, ")"),
             Token::Comma => write!(f, ","),
@@ -196,6 +199,7 @@ impl<'a> Lexer<'a> {
                 }
             }
             b'\'' => self.lex_string(start),
+            b'$' => self.lex_param(start),
             c if c.is_ascii_digit() => self.lex_number(start),
             c if c.is_ascii_alphabetic() || c == b'_' => self.lex_ident(start),
             c => Err(SqlError::Lex {
@@ -227,6 +231,18 @@ impl<'a> Lexer<'a> {
                 Some(c) => out.push(c as char),
             }
         }
+    }
+
+    fn lex_param(&mut self, start: usize) -> Result<Token> {
+        let digits = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.input[digits..self.pos]).expect("ascii digits");
+        text.parse().map(Token::Param).map_err(|_| SqlError::Lex {
+            position: start,
+            detail: "'$' must be followed by a parameter number".into(),
+        })
     }
 
     fn lex_number(&mut self, start: usize) -> Result<Token> {

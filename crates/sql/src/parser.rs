@@ -507,6 +507,7 @@ impl Parser {
             Token::Int(v) => Ok(Expr::Literal(Literal::Int(v))),
             Token::Decimal(units, scale) => Ok(Expr::Literal(Literal::Decimal { units, scale })),
             Token::Str(s) => Ok(Expr::Literal(Literal::Str(s))),
+            Token::Param(i) => Ok(Expr::Param(i)),
             Token::LParen => {
                 // Parenthesised expression or scalar subquery.
                 if self.peek_keyword("SELECT") {

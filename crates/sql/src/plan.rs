@@ -143,6 +143,91 @@ pub enum LogicalPlan {
 }
 
 impl LogicalPlan {
+    /// The plan with every [`Expr::Param`] bound to its string literal (see
+    /// [`Expr::bind_params`]). Names derived from expressions, such as an
+    /// aggregate's output name, keep the `$i` text they were built with, so
+    /// every reference to them still resolves.
+    pub fn bind_params(&self, params: &[String]) -> Result<LogicalPlan> {
+        let bind = |e: &Expr| e.bind_params(params);
+        let input = |plan: &LogicalPlan| plan.bind_params(params).map(Box::new);
+        Ok(match self {
+            LogicalPlan::Scan { .. } => self.clone(),
+            LogicalPlan::Filter {
+                input: inner,
+                predicate,
+            } => LogicalPlan::Filter {
+                input: input(inner)?,
+                predicate: bind(predicate)?,
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                kind,
+                on,
+            } => LogicalPlan::Join {
+                left: input(left)?,
+                right: input(right)?,
+                kind: *kind,
+                on: on.as_ref().map(bind).transpose()?,
+            },
+            LogicalPlan::Project {
+                input: inner,
+                items,
+            } => LogicalPlan::Project {
+                input: input(inner)?,
+                items: (items.iter())
+                    .map(|item| {
+                        Ok(match item {
+                            ProjectionItem::Wildcard => ProjectionItem::Wildcard,
+                            ProjectionItem::Named { expr, name } => ProjectionItem::Named {
+                                expr: bind(expr)?,
+                                name: name.clone(),
+                            },
+                        })
+                    })
+                    .collect::<Result<_>>()?,
+            },
+            LogicalPlan::Aggregate {
+                input: inner,
+                group_by,
+                aggregates,
+            } => LogicalPlan::Aggregate {
+                input: input(inner)?,
+                group_by: (group_by.iter())
+                    .map(|(expr, name)| Ok((bind(expr)?, name.clone())))
+                    .collect::<Result<_>>()?,
+                aggregates: (aggregates.iter())
+                    .map(|agg| {
+                        Ok(AggregateExpr {
+                            func: agg.func,
+                            arg: agg.arg.as_ref().map(bind).transpose()?,
+                            distinct: agg.distinct,
+                            name: agg.name.clone(),
+                        })
+                    })
+                    .collect::<Result<_>>()?,
+            },
+            LogicalPlan::Sort { input: inner, keys } => LogicalPlan::Sort {
+                input: input(inner)?,
+                keys: (keys.iter())
+                    .map(|key| {
+                        Ok(SortKey {
+                            expr: bind(&key.expr)?,
+                            desc: key.desc,
+                        })
+                    })
+                    .collect::<Result<_>>()?,
+            },
+            LogicalPlan::Distinct { input: inner } => LogicalPlan::Distinct {
+                input: input(inner)?,
+            },
+            LogicalPlan::Limit { input: inner, n } => LogicalPlan::Limit {
+                input: input(inner)?,
+                n: *n,
+            },
+        })
+    }
+
     /// A compact single-line description of the plan tree (for logs and tests).
     pub fn describe(&self) -> String {
         match self {

@@ -7,8 +7,15 @@
 //! the engine's cost-based planner — and their hash indexes ([`KeyIndex`]),
 //! built on the first lookup that wants one and dropped with the table too.
 //! Neither counts towards [`Catalog::approx_size_bytes`].
+//!
+//! Every change a query plan can depend on — a table created, registered,
+//! replaced or dropped, statistics collected, stored or discarded — advances
+//! the catalog's [`Catalog::epoch`], so a plan cached under one epoch is
+//! never reused under another. Row inserts do not: plans read statistics,
+//! and indexes are versioned below the plan.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -29,12 +36,27 @@ pub struct Catalog {
     /// Hash indexes per (table, column position), each tied to the handle
     /// it was built from.
     indexes: RwLock<BTreeMap<(String, usize), Arc<KeyIndex>>>,
+    /// Advanced by every schema or statistics change.
+    epoch: AtomicU64,
 }
 
 impl Catalog {
     /// Creates an empty catalog.
     pub fn new() -> Self {
         Catalog::default()
+    }
+
+    /// The catalog's epoch: it advances whenever a table is created,
+    /// registered, replaced or dropped and whenever statistics change.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Called after the change it marks: the release pairs with
+    /// [`Self::epoch`]'s acquire, so whoever reads the new epoch sees the
+    /// change.
+    fn advance_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Creates a new empty table, failing if the name is taken.
@@ -46,6 +68,7 @@ impl Catalog {
         }
         let handle = Arc::new(RwLock::new(Table::new(&key, schema)));
         tables.insert(key, handle.clone());
+        self.advance_epoch();
         Ok(handle)
     }
 
@@ -58,6 +81,7 @@ impl Catalog {
         }
         let handle = Arc::new(RwLock::new(table));
         tables.insert(key, handle.clone());
+        self.advance_epoch();
         Ok(handle)
     }
 
@@ -69,6 +93,7 @@ impl Catalog {
         self.stats.write().remove(&key);
         self.tables.write().insert(key.clone(), handle.clone());
         self.drop_indexes(&key);
+        self.advance_epoch();
         handle
     }
 
@@ -90,6 +115,7 @@ impl Catalog {
         }
         self.stats.write().remove(&key);
         self.drop_indexes(&key);
+        self.advance_epoch();
         Ok(())
     }
 
@@ -149,6 +175,7 @@ impl Catalog {
         self.stats
             .write()
             .insert(stats.table.clone(), Arc::clone(&stats));
+        self.advance_epoch();
         Ok(stats)
     }
 
@@ -171,11 +198,13 @@ impl Catalog {
         self.stats
             .write()
             .insert(stats.table.clone(), Arc::new(stats));
+        self.advance_epoch();
     }
 
     /// Discards a table's statistics without touching the table.
     pub fn clear_stats(&self, name: &str) {
         self.stats.write().remove(&name.to_ascii_lowercase());
+        self.advance_epoch();
     }
 
     /// Names of all tables, sorted.
@@ -339,6 +368,33 @@ mod tests {
         assert!(cat.key_index("s", &handle, 0).is_none());
         assert!(cat.key_index("s", &handle, 1).is_none(), "no such column");
         assert!(cat.indexed_columns().is_empty());
+    }
+
+    #[test]
+    fn the_epoch_advances_on_schema_and_statistics_changes_only() {
+        let cat = Catalog::new();
+        let mut last = cat.epoch();
+        let mut advanced = |cat: &Catalog, what: &str| {
+            assert!(cat.epoch() > last, "{what} advances the epoch");
+            last = cat.epoch();
+        };
+        let handle = cat.create_table("t", schema()).unwrap();
+        advanced(&cat, "create");
+        handle.write().insert_row(vec![Value::Int(1)]).unwrap();
+        cat.analyze("t").unwrap();
+        advanced(&cat, "analyze");
+        cat.clear_stats("t");
+        advanced(&cat, "clear_stats");
+        cat.register_or_replace(Table::new("t", schema()));
+        advanced(&cat, "replace");
+        cat.register_table(Table::new("u", schema())).unwrap();
+        advanced(&cat, "register");
+        cat.drop_table("u").unwrap();
+        advanced(&cat, "drop");
+        let epoch = cat.epoch();
+        let handle = cat.table("t").unwrap();
+        handle.write().insert_row(vec![Value::Int(2)]).unwrap();
+        assert_eq!(cat.epoch(), epoch, "an insert leaves the epoch alone");
     }
 
     #[test]

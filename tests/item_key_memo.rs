@@ -53,7 +53,11 @@ const SERVING_SHAPES: [&str; 7] = [
 
 /// Everything about one run that must not depend on the memo. Oracle
 /// *request* payloads carry the SP's fresh blinding factors, so only their
-/// count is compared; every other wire direction is deterministic.
+/// count is compared; every other wire direction is deterministic. What
+/// goes to the SP depends on the statement-shape caches, not on the memo: a
+/// warm SP that holds a statement's shape is sent its draws only, a cold one
+/// the template as well. So the draws (the `p` and `q` of every key update)
+/// are compared instead of the bytes sent.
 #[derive(Debug, PartialEq)]
 struct Observed {
     answer: String,
@@ -61,7 +65,7 @@ struct Observed {
     oracle_rows: usize,
     oracle_round_trips: usize,
     requests_on_wire: usize,
-    bytes_to_sp: usize,
+    draw_bytes: usize,
     bytes_from_sp: usize,
     oracle_response_bytes: usize,
 }
@@ -104,7 +108,7 @@ fn run(client: &SdbClient, sql: &str) -> (Observed, ItemKeys) {
         oracle_rows: session.oracle_rows(),
         oracle_round_trips: result.server_stats.oracle_round_trips,
         requests_on_wire: wire.count_of_kind(WireMessageKind::OracleRequest),
-        bytes_to_sp: wire.bytes_of_kind(WireMessageKind::QueryToSp),
+        draw_bytes: rewritten.draws().iter().map(String::len).sum(),
         bytes_from_sp: wire.bytes_of_kind(WireMessageKind::ResultToProxy),
         oracle_response_bytes: wire.bytes_of_kind(WireMessageKind::OracleResponse),
     };

@@ -173,7 +173,7 @@ fn sp_side_arithmetic_state_holds_only_constants_the_sp_was_sent() {
         None,
         None,
     ));
-    let plan = PlanBuilder::build(&rewritten.server_query).unwrap();
+    let plan = PlanBuilder::build(&rewritten.server_query()).unwrap();
     let mut root = PhysicalPlanner::new(Arc::clone(&ctx)).plan(&plan).unwrap();
     let sp_answer = drain_operator(root.as_mut()).unwrap();
     assert_eq!(sp_answer.num_rows(), 1);
@@ -242,7 +242,7 @@ fn key_update_sets_remember_only_what_the_sp_was_sent_and_count_in_integers() {
         None,
         None,
     ));
-    let plan = PlanBuilder::build(&rewritten.server_query).unwrap();
+    let plan = PlanBuilder::build(&rewritten.server_query()).unwrap();
     let mut root = PhysicalPlanner::new(Arc::clone(&ctx)).plan(&plan).unwrap();
     drain_operator(root.as_mut()).unwrap();
     let stats = ctx.stats();
@@ -723,5 +723,89 @@ fn the_share_kernel_clock_reports_integers_only() {
     assert!(short_numbers(&lines.join("\n")), "{lines:?}");
     assert!(auditor
         .audit([("prometheus", prometheus.as_str())])
+        .is_clean());
+}
+
+#[test]
+fn the_planning_clock_and_shape_counters_report_integers_only() {
+    // What statement shapes add to the SP's statistics (`plan_time`,
+    // `plan_cache_hits`), to a session's (`do_shape_hits`), to the `EXPLAIN
+    // ANALYZE` header (`planning`, `plan cache hits`, `DO shape hits`) and to
+    // the Prometheus text (`sdb_plan_*`, `sdb_do_shape_hits_total`,
+    // `sdb_statement_shape_bytes`) is a duration or a count: no residue, no
+    // plaintext.
+    let config = sdb_server::ServerConfig::test_profile();
+    let mut server = sdb_server::SdbServer::new(config).expect("server");
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        server.stage_table(table).expect("stage");
+    }
+    server.upload_all().expect("upload");
+    let mut auditor = sdb::MemoryAuditor::new();
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        auditor.register_table(&table);
+    }
+    let session = server.connect();
+    let q1 = sdb_workload::query_by_id(1).expect("Q1").sql;
+    let mut last = None;
+    for id in [1u8, 6] {
+        let sql = sdb_workload::query_by_id(id).expect("template").sql;
+        for _ in 0..5 {
+            last = Some(server.execute(session, sql).expect("query"));
+        }
+    }
+    let last = last.expect("ran");
+    assert_eq!(last.do_shape_hits, 1);
+    assert_eq!(last.server_stats.plan_cache_hits, 1);
+
+    let integer_fields = |json: &str, fields: &[&str]| {
+        for field in fields {
+            let occurrences: Vec<&str> = json.split(field).skip(1).collect();
+            assert!(!occurrences.is_empty(), "{field} in {json}");
+            for rest in occurrences {
+                let value = rest.split([',', '}', '\n']).next().unwrap_or("");
+                assert!(value.trim().parse::<u64>().is_ok(), "{field}{value}");
+            }
+        }
+    };
+    let stats = serde_json::to_string(&last.server_stats).expect("stats");
+    integer_fields(&stats, &["\"plan_time\":", "\"plan_cache_hits\":"]);
+    let session_stats =
+        serde_json::to_string(&server.session_stats(session).expect("session")).expect("json");
+    integer_fields(&session_stats, &["\"do_shape_hits\":"]);
+
+    let analyzed = server
+        .client()
+        .explain_analyze(q1)
+        .expect("explain analyze");
+    let header = analyzed.lines().nth(1).expect("header");
+    let count = |label: &str| -> u64 {
+        let value = header.split(label).nth(1).expect(label);
+        value.split(',').next().unwrap().parse().expect(label)
+    };
+    assert!(count("plan cache hits ") <= 1, "{header}");
+    assert_eq!(count("DO shape hits "), 1, "{header}");
+    let planning = header.split("planning ").nth(1).expect("planning");
+    let planning = planning.split(',').next().unwrap();
+    assert!(planning.ends_with('s'), "a duration: {header}");
+
+    let prometheus = server.metrics_snapshot().render_prometheus();
+    let names = [
+        "sdb_do_shape_hits_total",
+        "sdb_plan_cache_hits_total",
+        "sdb_plan_micros_total",
+        "sdb_statement_shape_bytes",
+    ];
+    let lines: Vec<&str> = (prometheus.lines())
+        .filter(|line| names.iter().any(|name| line.starts_with(name)))
+        .collect();
+    assert_eq!(lines.len(), names.len(), "{prometheus}");
+    for line in &lines {
+        let value = line.split_whitespace().nth(1).unwrap();
+        assert!(value.parse::<u64>().unwrap() > 0, "{line}");
+        assert!(value.len() <= 20, "{line}");
+    }
+    let surfaces = [stats, session_stats, header.to_string(), lines.join("\n")].join("\n");
+    assert!(auditor
+        .audit([("planning-and-shapes", surfaces.as_str())])
         .is_clean());
 }

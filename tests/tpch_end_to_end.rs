@@ -232,7 +232,7 @@ fn rewritten_q6_and_q3_scans_read_exactly_the_referenced_columns() {
     for id in [6u8, 3] {
         let template = sdb_workload::query_by_id(id).expect("template");
         let rewritten = client.rewrite_only(template.sql).expect("rewrite");
-        let query = &rewritten.server_query;
+        let query = &rewritten.server_query();
 
         // Every column the rewritten SQL names, from the AST alone.
         let mut names = Vec::new();
