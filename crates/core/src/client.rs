@@ -327,8 +327,9 @@ impl SdbClient {
     /// query's encrypted result rows are discarded; only the annotated plan
     /// comes back.
     ///
-    /// The header line also says whether the proxy replayed a cached shape
-    /// (`DO shape hits`) next to the SP's planning time and plan-cache hits.
+    /// A line under the rewritten SQL says whether the proxy replayed a
+    /// cached shape (`DO shape hits`); the SP's header line that follows
+    /// carries its planning time and plan-cache hits.
     /// The oracle travels with the query, as in
     /// [`Self::run_rewritten_with`], so concurrent calls on one client never
     /// touch each other's oracle.
@@ -336,18 +337,12 @@ impl SdbClient {
         let rewritten = self.proxy.rewrite(sql)?;
         let (output, _) = self.send(&rewritten, &QueryOptions::default(), true)?;
 
-        let mut lines = vec![format!("rewritten: {}", rewritten.server_sql)];
-        for (i, row) in output.batch.rows().enumerate() {
-            let line = row[0].as_str()?;
-            lines.push(if i == 0 {
-                let hits = format!(
-                    ", DO shape hits {}, parallelism",
-                    u8::from(rewritten.shape_hit)
-                );
-                line.replacen(", parallelism", &hits, 1)
-            } else {
-                line.to_string()
-            });
+        let mut lines = vec![
+            format!("rewritten: {}", rewritten.server_sql),
+            format!("DO shape hits {}", u8::from(rewritten.shape_hit)),
+        ];
+        for row in output.batch.rows() {
+            lines.push(row[0].as_str()?.to_string());
         }
         Ok(lines.join("\n"))
     }
@@ -991,7 +986,7 @@ mod tests {
             "SELECT dept_id, SUM(bonus) AS b FROM emp WHERE bonus > 50 GROUP BY dept_id",
         ];
         let header = |text: &str| -> String {
-            let line = text.lines().nth(1).expect("header").to_string();
+            let line = text.lines().nth(2).expect("header").to_string();
             line.split(" rows in").next().unwrap().to_string()
         };
         let expected: Vec<String> = (sqls.iter())

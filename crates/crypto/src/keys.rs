@@ -242,17 +242,6 @@ impl SystemKey {
         ColumnKey::new(m, x)
     }
 
-    /// [`Self::gen_column_key`] without its co-primality check on `m`: its
-    /// first candidate. Whenever that candidate is co-prime with `n` — all
-    /// but a negligible share of draws, and something a caller that inverts
-    /// `m` anyway learns for free — this is the same key, drawn with the same
-    /// randomness.
-    pub fn gen_column_key_unchecked<R: Rng + ?Sized>(&self, rng: &mut R) -> ColumnKey {
-        let m = random_in_range(rng, &BigUint::one(), self.n());
-        let x = random_in_range(rng, &BigUint::one(), self.phi());
-        ColumnKey::new(m, x)
-    }
-
     /// Generates a column key whose `x` component is invertible modulo `φ(n)`.
     ///
     /// The auxiliary all-ones column `S` needs this property: key-update parameters
@@ -305,23 +294,6 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
-    }
-
-    #[test]
-    fn an_unchecked_column_key_is_the_checked_one() {
-        let key = SystemKey::generate(&mut rng(), KeyConfig::TEST).unwrap();
-        for seed in 0..200 {
-            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            assert_eq!(
-                key.gen_column_key_unchecked(&mut a),
-                key.gen_column_key(&mut b)
-            );
-            assert_eq!(
-                a.gen::<u64>(),
-                b.gen::<u64>(),
-                "the same randomness consumed"
-            );
-        }
     }
 
     #[test]

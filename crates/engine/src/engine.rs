@@ -616,9 +616,9 @@ impl SpEngine {
         opts.clone().with_tracing(true)
     }
 
-    /// Optimises `plan` unless it is already, plans it physically and runs
-    /// it on `ctx`. Planning began at `planning` (parsing included); with
-    /// `analyze` the output is the `EXPLAIN ANALYZE` rendering of the run.
+    /// Runs `plan` on `ctx` through [`planner::execute_planned`]. Planning
+    /// began at `planning` (parsing included); with `analyze` the output is
+    /// the `EXPLAIN ANALYZE` rendering of the run.
     fn run_query(
         &self,
         ctx: Arc<ExecContext<'_>>,
@@ -628,24 +628,8 @@ impl SpEngine {
         planning: Instant,
         analyze: bool,
     ) -> Result<QueryOutput> {
-        let batch = {
-            let optimizing;
-            let plan = if !optimized && ctx.optimizer_enabled() {
-                optimizing = ctx.optimizer().optimize(plan);
-                &optimizing
-            } else {
-                plan
-            };
-            let mut root = planner::PhysicalPlanner::new(Arc::clone(&ctx)).plan(plan)?;
-            let plan_time = planning.elapsed();
-            {
-                let mut stats = ctx.stats_mut();
-                stats.plan_time = plan_time;
-                stats.plan_cache_hits = usize::from(plan_cache_hit);
-            }
-            crate::operators::drain_operator(root.as_mut())?
-        };
-        ctx.stats_mut().rows_returned = batch.num_rows();
+        ctx.stats_mut().plan_cache_hits = usize::from(plan_cache_hit);
+        let batch = planner::execute_planned(&ctx, plan, optimized, planning)?;
         let mut stats = ctx.stats();
         stats.total_time = planning.elapsed();
         let Some(trace) = ctx.trace() else {

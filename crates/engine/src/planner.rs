@@ -487,14 +487,28 @@ fn placeholder_column(name: &str) -> ColumnDef {
 /// batches and recording `rows_returned`. When the context's optimizer is on,
 /// the logical plan passes through the cost-based optimizer first.
 pub fn execute_plan<'a>(ctx: &Arc<ExecContext<'a>>, plan: &LogicalPlan) -> Result<RecordBatch> {
-    let optimized;
-    let plan = if ctx.optimizer_enabled() {
-        optimized = ctx.optimizer().optimize(plan);
-        &optimized
+    execute_planned(ctx, plan, false, std::time::Instant::now())
+}
+
+/// [`execute_plan`] for a plan that may come `optimized` already (the
+/// optimiser then leaves it alone) and whose planning began at `planning`
+/// (parsing or binding included): `plan_time` is stamped once the physical
+/// tree is built, before its first operator call.
+pub fn execute_planned<'a>(
+    ctx: &Arc<ExecContext<'a>>,
+    plan: &LogicalPlan,
+    optimized: bool,
+    planning: std::time::Instant,
+) -> Result<RecordBatch> {
+    let optimizing;
+    let plan = if !optimized && ctx.optimizer_enabled() {
+        optimizing = ctx.optimizer().optimize(plan);
+        &optimizing
     } else {
         plan
     };
     let mut root = PhysicalPlanner::new(Arc::clone(ctx)).plan(plan)?;
+    ctx.stats_mut().plan_time = planning.elapsed();
     let batch = crate::operators::drain_operator(root.as_mut())?;
     ctx.stats_mut().rows_returned = batch.num_rows();
     Ok(batch)

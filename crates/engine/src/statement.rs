@@ -114,13 +114,15 @@ impl PlanCache {
         Some(shape)
     }
 
-    /// Holds `template` as shape `id` (a shape already held keeps its
-    /// plans). A full cache first sweeps out the shapes no execution found
-    /// since its last sweep, or every shape if all were; they are dropped
-    /// after the lock is released.
+    /// Holds `template` as shape `id`. A shape already held under `id`
+    /// keeps its plans if it has the same template, and is replaced if not:
+    /// the id is the sender's hash, so two templates may share one. A full
+    /// cache first sweeps out the shapes no execution found since its last
+    /// sweep, or every shape if all were; they are dropped after the lock is
+    /// released.
     pub fn insert(&self, id: u64, template: &str) -> Arc<CachedShape> {
         let mut shapes = self.shapes.write();
-        if let Some(shape) = shapes.get(&id) {
+        if let Some(shape) = shapes.get(&id).filter(|shape| shape.template == template) {
             return Arc::clone(shape);
         }
         let swept: Vec<(u64, Arc<CachedShape>)> = if shapes.len() >= SHAPES {
@@ -209,11 +211,18 @@ mod tests {
         shape.offer(key(1), &plan);
         assert!(shape.plan(&key(1)).is_some(), "seen twice");
         assert!(shape.plan(&key(2)).is_none(), "another epoch re-plans");
-        let again = cache.insert(7, "SELECT 1 FROM t");
+        let again = cache.insert(7, "SELECT a FROM t WHERE b = $0");
         assert!(
             again.plan(&key(1)).is_some(),
             "a held shape keeps its plans"
         );
+        let other = cache.insert(7, "SELECT 1 FROM t");
+        assert_eq!(
+            other.template, "SELECT 1 FROM t",
+            "another template under the id"
+        );
+        assert!(other.plan(&key(1)).is_none(), "replaces the shape");
+        assert_eq!(cache.shape(7).unwrap().template, "SELECT 1 FROM t");
         assert_eq!(cache.len(), 1);
         assert!(cache.approx_bytes() > 0);
         cache.clear();

@@ -316,9 +316,9 @@ impl SdbProxy {
         let started = Instant::now();
         let session = Arc::new(QuerySession::new());
         let seed = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        let rng = || self.keystore.derived_rng(0xc0ffee ^ seed);
+        let mut rng = self.keystore.derived_rng(0xc0ffee ^ seed);
         let tape = shape.tape();
-        let (keys, draws) = tape.replay(self.keystore.system(), rng, &self.key_updates)?;
+        let (keys, draws) = tape.replay(self.keystore.system(), &mut rng, &self.key_updates)?;
         tape.register_handles(&keys, &session);
         let rewrite_time = started.elapsed();
         Ok(RewrittenQuery {

@@ -19,11 +19,10 @@
 //!
 //! A replay runs the tape with the query's own RNG (`derived_rng(0xc0ffee ^
 //! counter)`), so it draws what a cold rewrite with the same counter draws, in
-//! the same order, and never reuses randomness. It inverts every fresh key's
-//! `m` in one batch — which is also the co-primality check a cold draw makes
-//! per key, so a replay draws without it — computes every slot, registers the
-//! handles in order and splices the slots into the template: the server SQL
-//! is byte for byte the cold rewrite's.
+//! the same order, and never reuses randomness. It inverts the key updates'
+//! targets in one batch, computes every slot, registers the handles in order
+//! and splices the slots into the template: the server SQL is byte for byte
+//! the cold rewrite's.
 //!
 //! The `ShapeCache` admits a text on its second sighting and holds a
 //! bounded number of shapes: when it is full, the shapes no execution has
@@ -38,7 +37,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use num_bigint::BigUint;
-use num_traits::Zero;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 
@@ -68,26 +66,12 @@ enum KeyStep {
 }
 
 impl KeyStep {
-    /// The key this step yields, given the keys of the steps before it. A
-    /// fresh key is drawn without its co-primality check unless `checked`.
-    fn run(
-        &self,
-        keys: &[ColumnKey],
-        system: &SystemKey,
-        rng: &mut StdRng,
-        checked: bool,
-    ) -> ColumnKey {
+    /// The key this step yields, given the keys of the steps before it.
+    fn run(&self, keys: &[ColumnKey], system: &SystemKey, rng: &mut StdRng) -> ColumnKey {
         match self {
             KeyStep::Stored(key) => key.clone(),
-            KeyStep::Fresh if checked => system.gen_column_key(rng),
-            KeyStep::Fresh => system.gen_column_key_unchecked(rng),
-            KeyStep::FreshRowIndependent if checked => {
-                ColumnKeyAlgebra::row_independent_target(system, rng)
-            }
-            KeyStep::FreshRowIndependent => {
-                let base = system.gen_column_key_unchecked(rng);
-                ColumnKey::new(base.m().clone(), BigUint::zero())
-            }
+            KeyStep::Fresh => system.gen_column_key(rng),
+            KeyStep::FreshRowIndependent => ColumnKeyAlgebra::row_independent_target(system, rng),
             KeyStep::Multiply(a, b) => ColumnKeyAlgebra::multiply(system, &keys[*a], &keys[*b]),
             KeyStep::Scale(a, c) => ColumnKeyAlgebra::scale_by_constant(system, &keys[*a], c),
         }
@@ -141,33 +125,19 @@ impl std::fmt::Debug for Tape {
 }
 
 impl Tape {
-    /// Runs the key steps with `rng`: every key the rewrite used, drawn
-    /// keys in the order the rewrite drew them.
-    fn keys(&self, system: &SystemKey, rng: &mut StdRng, checked: bool) -> Vec<ColumnKey> {
-        let mut keys = Vec::with_capacity(self.steps.len());
-        for step in &self.steps {
-            let key = step.run(&keys, system, rng, checked);
-            keys.push(key);
-        }
-        keys
-    }
-
-    /// One execution's keys and slot values, drawn from a fresh `rng()`.
-    /// Fresh keys are drawn unchecked: the batch inversion in
-    /// [`Self::draws`] is their co-primality check, and should it fail the
-    /// steps run again with the check, so the keys are always those of
-    /// [`SystemKey::gen_column_key`].
+    /// One execution's keys and slot values: the key steps run with `rng`,
+    /// so drawn keys come in the order the rewrite drew them.
     pub(crate) fn replay(
         &self,
         system: &SystemKey,
-        rng: impl Fn() -> StdRng,
+        rng: &mut StdRng,
         memo: &KeyUpdateMemo,
     ) -> Result<(Vec<ColumnKey>, Vec<String>)> {
-        let keys = self.keys(system, &mut rng(), false);
-        if let Ok(draws) = self.draws(&keys, system, memo) {
-            return Ok((keys, draws));
+        let mut keys = Vec::with_capacity(self.steps.len());
+        for step in &self.steps {
+            let key = step.run(&keys, system, rng);
+            keys.push(key);
         }
-        let keys = self.keys(system, &mut rng(), true);
         let draws = self.draws(&keys, system, memo)?;
         Ok((keys, draws))
     }
@@ -181,9 +151,8 @@ impl Tape {
     }
 
     /// The value of every slot over `keys`: each key update's `p` and `q`.
-    /// Each target other than the auxiliary key, and each fresh key, is
-    /// inverted once, all of them in one batch; it fails if one has no
-    /// inverse.
+    /// Each target other than the auxiliary key is inverted once, all of
+    /// them in one batch; it fails if one has no inverse.
     pub(crate) fn draws(
         &self,
         keys: &[ColumnKey],
@@ -192,16 +161,12 @@ impl Tape {
     ) -> Result<Vec<String>> {
         let mut targets: HashMap<usize, usize> = HashMap::new();
         let mut ms = Vec::new();
-        let fresh = (self.steps.iter().enumerate())
-            .filter(|(_, step)| matches!(step, KeyStep::Fresh | KeyStep::FreshRowIndependent))
-            .map(|(i, _)| i);
-        let targets_of_updates = (self.updates.iter())
-            .filter(|&&[_, aux, target]| keys[target] != keys[aux])
-            .map(|&[_, _, target]| target);
-        for step in fresh.chain(targets_of_updates) {
-            if let std::collections::hash_map::Entry::Vacant(slot) = targets.entry(step) {
-                slot.insert(ms.len());
-                ms.push(keys[step].m().clone());
+        for &[_, aux, target] in &self.updates {
+            if keys[target] != keys[aux] {
+                if let std::collections::hash_map::Entry::Vacant(slot) = targets.entry(target) {
+                    slot.insert(ms.len());
+                    ms.push(keys[target].m().clone());
+                }
             }
         }
         let inverses = mod_inverse_batch(&ms, system.n())?;
@@ -268,7 +233,7 @@ pub(crate) struct TapeRecorder {
 
 impl TapeRecorder {
     fn step(&mut self, step: KeyStep, system: &SystemKey, rng: &mut StdRng) -> usize {
-        let key = step.run(&self.keys, system, rng, true);
+        let key = step.run(&self.keys, system, rng);
         self.tape.steps.push(step);
         self.keys.push(key);
         self.keys.len() - 1

@@ -729,8 +729,9 @@ fn the_share_kernel_clock_reports_integers_only() {
 #[test]
 fn the_planning_clock_and_shape_counters_report_integers_only() {
     // What statement shapes add to the SP's statistics (`plan_time`,
-    // `plan_cache_hits`), to a session's (`do_shape_hits`), to the `EXPLAIN
-    // ANALYZE` header (`planning`, `plan cache hits`, `DO shape hits`) and to
+    // `plan_cache_hits`), to a session's (`do_shape_hits`), to `EXPLAIN
+    // ANALYZE` (`DO shape hits`, the SP header's `planning` and `plan cache
+    // hits`) and to
     // the Prometheus text (`sdb_plan_*`, `sdb_do_shape_hits_total`,
     // `sdb_statement_shape_bytes`) is a duration or a count: no residue, no
     // plaintext.
@@ -777,13 +778,14 @@ fn the_planning_clock_and_shape_counters_report_integers_only() {
         .client()
         .explain_analyze(q1)
         .expect("explain analyze");
-    let header = analyzed.lines().nth(1).expect("header");
+    let do_line = analyzed.lines().nth(1).expect("DO line");
+    assert_eq!(do_line, "DO shape hits 1", "{analyzed}");
+    let header = analyzed.lines().nth(2).expect("header");
     let count = |label: &str| -> u64 {
         let value = header.split(label).nth(1).expect(label);
         value.split(',').next().unwrap().parse().expect(label)
     };
     assert!(count("plan cache hits ") <= 1, "{header}");
-    assert_eq!(count("DO shape hits "), 1, "{header}");
     let planning = header.split("planning ").nth(1).expect("planning");
     let planning = planning.split(',').next().unwrap();
     assert!(planning.ends_with('s'), "a duration: {header}");
