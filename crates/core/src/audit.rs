@@ -10,6 +10,8 @@
 
 use std::collections::BTreeSet;
 
+use num_bigint::BigUint;
+use sdb_crypto::wire;
 use sdb_storage::{Table, Value};
 
 /// A single place where a sensitive plaintext was found.
@@ -43,6 +45,9 @@ impl AuditReport {
 #[derive(Debug, Default, Clone)]
 pub struct MemoryAuditor {
     needles: BTreeSet<String>,
+    /// Magnitudes of the numeric needles; [`MemoryAuditor::audit`] renders
+    /// each in its wire form, so registering one stays an integer insert.
+    wire_units: BTreeSet<u64>,
 }
 
 impl MemoryAuditor {
@@ -81,7 +86,13 @@ impl MemoryAuditor {
     /// positives — exactly as a human inspecting the demo's memory dump would look
     /// for *their* distinctive figures, not for every small number. Numeric needles
     /// are matched with digit boundaries (see [`MemoryAuditor::audit`]) so they are
-    /// not "found" inside the long digit strings of ciphertexts.
+    /// not "found" inside the long digit strings of ciphertexts. Each numeric
+    /// needle's units are also registered in the form a share takes on the
+    /// wire — the quoted base64 text of their magnitude (see
+    /// [`sdb_crypto::wire`]) — so a plaintext that travelled where a share
+    /// should is found too; the quotes bound the token, so it never matches
+    /// inside a longer string. That text is made when an audit runs, not
+    /// here: an `INSERT` registers its values on the write path.
     pub fn register_value(&mut self, value: &Value) {
         const NUMERIC_THRESHOLD: i64 = 100_000;
         match value {
@@ -94,12 +105,14 @@ impl MemoryAuditor {
             Value::Int(v) => {
                 if v.abs() >= NUMERIC_THRESHOLD {
                     self.needles.insert(v.to_string());
+                    self.wire_units.insert(v.unsigned_abs());
                 }
             }
             Value::Decimal { units, .. } => {
                 if units.abs() >= NUMERIC_THRESHOLD {
                     self.needles.insert(units.to_string());
                     self.needles.insert(value.render());
+                    self.wire_units.insert(units.unsigned_abs());
                 }
             }
             Value::Date(d) => {
@@ -113,7 +126,7 @@ impl MemoryAuditor {
 
     /// Number of registered needles.
     pub fn needle_count(&self) -> usize {
-        self.needles.len()
+        self.needles.len() + self.wire_units.len()
     }
 
     /// Scans the given named haystacks, returning a report.
@@ -126,13 +139,14 @@ impl MemoryAuditor {
         &self,
         haystacks: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> AuditReport {
+        let wire_needles: Vec<String> = self.wire_units.iter().map(|&u| wire_needle(u)).collect();
         let mut report = AuditReport {
-            needles_checked: self.needles.len(),
+            needles_checked: self.needle_count(),
             ..Default::default()
         };
         for (location, haystack) in haystacks {
             report.haystacks_scanned += 1;
-            for needle in &self.needles {
+            for needle in self.needles.iter().chain(&wire_needles) {
                 if contains_needle(haystack, needle) {
                     report.findings.push(AuditFinding {
                         location: location.to_string(),
@@ -143,6 +157,11 @@ impl MemoryAuditor {
         }
         report
     }
+}
+
+/// A magnitude as a share on the wire: its quoted base64 text.
+fn wire_needle(magnitude: u64) -> String {
+    format!("\"{}\"", wire::share::to_text(&BigUint::from(magnitude)))
 }
 
 /// Substring search with digit-boundary handling for numeric needles.
@@ -218,6 +237,21 @@ mod tests {
         auditor.register_value(&Value::Str("ab".into()));
         assert_eq!(auditor.needle_count(), 0);
         auditor.register_value(&Value::Int(123_456));
-        assert_eq!(auditor.needle_count(), 1);
+        // Its decimal text and its quoted wire text.
+        assert_eq!(auditor.needle_count(), 2);
+    }
+
+    #[test]
+    fn numeric_needles_are_found_in_their_wire_form() {
+        let mut auditor = MemoryAuditor::new();
+        auditor.register_table(&table_with_secret());
+        let share = wire::share::to_text(&BigUint::from(987_654u32));
+        let quoted = format!("{{\"Encrypted\":\"{share}\"}}");
+        let report = auditor.audit([("wire", quoted.as_str())]);
+        assert_eq!(report.findings.len(), 1, "{quoted}");
+        assert_eq!(report.findings[0].needle, format!("\"{share}\""));
+        // Unquoted, inside a longer base64 string, it is not a finding.
+        let inside = format!("\"AAAA{share}AAAA\"");
+        assert!(auditor.audit([("wire", inside.as_str())]).is_clean());
     }
 }

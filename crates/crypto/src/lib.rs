@@ -36,6 +36,8 @@
 //! * [`prf`] — a SipHash-2-4 based keyed PRF (equality tags, key derivation).
 //! * [`sies`] — the row-id cipher (stand-in for SIES \[Papadopoulos et al., ICDE'11\]).
 //! * [`rowid`] — row-id generation and the encrypted row-id type.
+//! * [`wire`] — the base64 encoding of shares and row-id ciphertexts inside
+//!   the DO ↔ SP wire's JSON.
 //!
 //! ## Quick example (Figure 1 of the paper)
 //!
@@ -71,6 +73,7 @@ pub mod rowid;
 pub mod share;
 pub mod sies;
 pub mod signed;
+pub mod wire;
 
 pub use batch::{blind_shares, encrypt_values, gen_item_keys, mod_inverse_batch};
 pub use error::CryptoError;

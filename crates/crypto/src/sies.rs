@@ -12,14 +12,15 @@
 
 use num_bigint::BigUint;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::prf::{Prf, PrfKey};
-use crate::{CryptoError, Result};
+use crate::{wire, CryptoError, Result};
 
 /// A ciphertext produced by [`SiesCipher::encrypt_bytes`] (or its
-/// [`SiesCipher::encrypt_biguint`] wrapper).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// [`SiesCipher::encrypt_biguint`] wrapper). It serialises as one base64
+/// string of `nonce ‖ tag ‖ body` (see [`crate::wire`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SiesCiphertext {
     /// Random per-encryption nonce.
     pub nonce: u64,
@@ -33,6 +34,21 @@ impl SiesCiphertext {
     /// Total serialised size in bytes (for storage accounting).
     pub fn size_bytes(&self) -> usize {
         8 + self.body.len() + 8
+    }
+}
+
+impl Serialize for SiesCiphertext {
+    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
+        serializer.serialize_str(&wire::encode(&wire::sies_to_bytes(self)))
+    }
+}
+
+impl<'de> Deserialize<'de> for SiesCiphertext {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
+        let text = String::deserialize(deserializer)?;
+        wire::decode(&text)
+            .and_then(|bytes| wire::sies_from_bytes(&bytes))
+            .map_err(serde::de::Error::custom)
     }
 }
 

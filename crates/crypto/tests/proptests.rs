@@ -7,7 +7,7 @@ use num_bigint::BigUint;
 use num_traits::One;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 use sdb_crypto::share::{
@@ -192,5 +192,83 @@ proptest! {
             tampered.body[0] ^= 0xff;
             prop_assert!(cipher.decrypt_bytes(&tampered).is_err());
         }
+    }
+}
+
+/// A modulus-sized odd value of exactly `bits` bits, drawn from `seed`.
+fn modulus_of_bits(bits: u64, seed: u64) -> BigUint {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut bytes: Vec<u8> = (0..bits.div_ceil(8)).map(|_| rng.gen()).collect();
+    bytes[0] |= 1;
+    let top = (bits - 1) % 8;
+    let last = bytes.len() - 1;
+    bytes[last] = (bytes[last] & ((1u16 << (top + 1)) - 1) as u8) | (1 << top);
+    BigUint::from_bytes_le(&bytes)
+}
+
+/// A share field as payloads carry one.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct Wired {
+    #[serde(with = "sdb_crypto::wire::share")]
+    share: BigUint,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Shares survive the wire encoding at 64, 512 and 2048 bits: 0, 1,
+    /// n − 1, a random residue and residues whose high bytes are zero; the
+    /// text is minimal base64 and one zero byte more is refused.
+    #[test]
+    fn shares_round_trip_the_wire_encoding(seed in any::<u64>(), shift in 1u64..256) {
+        use sdb_crypto::wire::share;
+        for bits in [64u64, 512, 2048] {
+            let n = modulus_of_bits(bits, seed ^ bits);
+            let residue = modulus_of_bits(bits, seed.wrapping_add(bits)) % &n;
+            let shares = [
+                BigUint::from(0u32),
+                BigUint::one(),
+                &n - BigUint::one(),
+                residue.clone(),
+                &residue >> (shift * 8 % bits),
+                &residue >> (bits - 8),
+            ];
+            for value in shares {
+                let text = share::to_text(&value);
+                prop_assert_eq!(text.len(), (value.bits().div_ceil(8) as usize).div_ceil(3) * 4);
+                let mut padded = if value.bits() == 0 { Vec::new() } else { value.to_bytes_le() };
+                padded.push(0);
+                let padded = format!("{{\"share\":\"{}\"}}", sdb_crypto::wire::encode(&padded));
+                prop_assert!(serde_json::from_str::<Wired>(&padded).is_err());
+                let wired = Wired { share: value };
+                let json = serde_json::to_string(&wired).unwrap();
+                prop_assert_eq!(&json, &format!("{{\"share\":\"{text}\"}}"));
+                prop_assert_eq!(serde_json::from_str::<Wired>(&json).unwrap(), wired);
+            }
+        }
+    }
+
+    /// Row-id ciphertexts survive serde as one base64 string of
+    /// `nonce ‖ tag ‖ body`; cut or extended strings are refused, not a panic.
+    #[test]
+    fn row_id_ciphertexts_round_trip_the_wire_encoding(
+        data in proptest::collection::vec(any::<u8>(), 0..300), key_seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(key_seed);
+        let cipher = sdb_crypto::SiesCipher::from_master(&mut rng);
+        let ct = cipher.encrypt_bytes(&mut rng, &data);
+        let json = serde_json::to_string(&ct).unwrap();
+        prop_assert_eq!(json.len(), 2 + ct.size_bytes().div_ceil(3) * 4);
+        let back: sdb_crypto::sies::SiesCiphertext = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &ct);
+        prop_assert_eq!(cipher.decrypt_bytes(&back).unwrap(), data.clone());
+        let text = &json[1..json.len() - 1];
+        // One or two symbols short, or a whole group short of the header.
+        for cut in [text.len() - 1, text.len() - 2, 20] {
+            let cut = format!("\"{}\"", &text[..cut]);
+            prop_assert!(serde_json::from_str::<sdb_crypto::sies::SiesCiphertext>(&cut).is_err());
+        }
+        let extended = format!("\"{text}A\"");
+        prop_assert!(serde_json::from_str::<sdb_crypto::sies::SiesCiphertext>(&extended).is_err());
     }
 }

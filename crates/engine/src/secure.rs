@@ -43,7 +43,9 @@ pub enum OracleRequestKind {
 pub struct OracleRow {
     /// Encrypted row id as stored at the SP.
     pub row_id: EncryptedRowId,
-    /// The encrypted (possibly blinded) value.
+    /// The encrypted (possibly blinded) value (base64 bytes on the wire, see
+    /// [`sdb_crypto::wire`]).
+    #[serde(with = "sdb_crypto::wire::share")]
     pub share: BigUint,
 }
 

@@ -92,8 +92,8 @@ pub enum Value {
     Date(i32),
     /// Boolean.
     Bool(bool),
-    /// SDB secret share.
-    Encrypted(BigUint),
+    /// SDB secret share (base64 bytes on the wire, see [`sdb_crypto::wire`]).
+    Encrypted(#[serde(with = "sdb_crypto::wire::share")] BigUint),
     /// Encrypted row id.
     EncryptedRowId(EncryptedRowId),
     /// Deterministic equality tag.

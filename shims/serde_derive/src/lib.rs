@@ -3,7 +3,8 @@
 //! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the
 //! shapes this workspace uses — plain structs (named, tuple, unit) and enums
 //! (unit / newtype / tuple / struct variants), plus the
-//! `#[serde(with = "module")]` field attribute — by parsing the item's token
+//! `#[serde(with = "module")]` attribute on named fields and on a newtype
+//! variant's field — by parsing the item's token
 //! stream directly (no `syn`/`quote` available offline) and emitting code
 //! against the `serde` shim's simplified content model.
 //!
@@ -71,10 +72,17 @@ fn generate_serialize(item: &Item) -> String {
                         "{name}::{v} => serde::Serializer::serialize_unit_variant(\
                          __serializer, \"{name}\", {index}u32, \"{v}\"),\n"
                     )),
-                    Fields::Tuple(types) if types.len() == 1 => arms.push_str(&format!(
-                        "{name}::{v}(__f0) => serde::Serializer::serialize_newtype_variant(\
-                         __serializer, \"{name}\", {index}u32, \"{v}\", __f0),\n"
-                    )),
+                    Fields::Tuple(types) if types.len() == 1 => {
+                        let (helper, value) = match &variant.with {
+                            None => (String::new(), "__f0"),
+                            Some(module) => (with_helper(module, &types[0]), "&__SerdeWith(__f0)"),
+                        };
+                        arms.push_str(&format!(
+                            "{name}::{v}(__f0) => {{\n{helper}\
+                             serde::Serializer::serialize_newtype_variant(\
+                             __serializer, \"{name}\", {index}u32, \"{v}\", {value})\n}}\n"
+                        ))
+                    }
                     Fields::Tuple(types) => {
                         let binders: Vec<String> =
                             (0..types.len()).map(|i| format!("__f{i}")).collect();
@@ -191,16 +199,24 @@ fn serialize_field_stmt(
     match with {
         None => format!("{builder_trait}::serialize_field(&mut {builder}, \"{key}\", {access})?;\n"),
         Some(module) => format!(
-            "{{\n\
-             struct __SerdeWith<'a>(&'a {field_type});\n\
-             impl<'a> serde::Serialize for __SerdeWith<'a> {{\n\
-             fn serialize<__S: serde::Serializer>(&self, __serializer: __S)\n\
-             -> std::result::Result<__S::Ok, __S::Error> {{\n\
-             {module}::serialize(self.0, __serializer)\n}}\n}}\n\
+            "{{\n{helper}\
              {builder_trait}::serialize_field(&mut {builder}, \"{key}\", \
-             &__SerdeWith({access}))?;\n}}\n"
+             &__SerdeWith({access}))?;\n}}\n",
+            helper = with_helper(module, field_type),
         ),
     }
+}
+
+/// A helper struct `__SerdeWith` around a `&field_type` whose `Serialize`
+/// routes through `module::serialize`.
+fn with_helper(module: &str, field_type: &str) -> String {
+    format!(
+        "struct __SerdeWith<'a>(&'a {field_type});\n\
+         impl<'a> serde::Serialize for __SerdeWith<'a> {{\n\
+         fn serialize<__S: serde::Serializer>(&self, __serializer: __S)\n\
+         -> std::result::Result<__S::Ok, __S::Error> {{\n\
+         {module}::serialize(self.0, __serializer)\n}}\n}}\n"
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -222,10 +238,21 @@ fn generate_deserialize(item: &Item) -> String {
                          serde::__private::expect_no_payload::<__D::Error>(__payload, \"{v}\")?;\n\
                          Ok({constructor})\n}}\n"
                     )),
-                    Fields::Tuple(types) if types.len() == 1 => arms.push_str(&format!(
-                        "\"{v}\" => Ok({constructor}(serde::__private::from_content::<_, __D::Error>(\
-                         serde::__private::expect_payload::<__D::Error>(__payload, \"{v}\")?)?)),\n"
-                    )),
+                    Fields::Tuple(types) if types.len() == 1 => {
+                        let payload = format!(
+                            "serde::__private::expect_payload::<__D::Error>(__payload, \"{v}\")?"
+                        );
+                        let field = match &variant.with {
+                            None => format!(
+                                "serde::__private::from_content::<_, __D::Error>({payload})?"
+                            ),
+                            Some(module) => format!(
+                                "{module}::deserialize(\
+                                 serde::__private::ContentDeserializer::<__D::Error>::new({payload}))?"
+                            ),
+                        };
+                        arms.push_str(&format!("\"{v}\" => Ok({constructor}({field})),\n"))
+                    }
                     Fields::Tuple(types) => {
                         let len = types.len();
                         let mut arm = format!(

@@ -29,6 +29,8 @@ pub struct Variant {
     pub name: String,
     /// Variant payload shape.
     pub fields: Fields,
+    /// `#[serde(with = "module")]` on a newtype variant's field, if present.
+    pub with: Option<String>,
 }
 
 /// A parsed derive input item.

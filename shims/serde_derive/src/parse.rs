@@ -37,7 +37,7 @@ pub fn parse_item(input: TokenStream) -> Item {
                     if let Some(stream) = group_with(t, Delimiter::Brace) {
                         Fields::Named(parse_named_fields(stream))
                     } else if let Some(stream) = group_with(t, Delimiter::Parenthesis) {
-                        Fields::Tuple(parse_tuple_fields(stream))
+                        Fields::Tuple(parse_tuple_fields(stream, false).0)
                     } else {
                         panic!("serde shim derive: unexpected token after struct name: {t}");
                     }
@@ -180,14 +180,17 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     fields
 }
 
-fn parse_tuple_fields(stream: TokenStream) -> Vec<String> {
+/// Parses positional fields, returning their types and the `with`-module of
+/// a lone field; `with` is accepted only there, and only when `newtype_with`
+/// (the fields of an enum variant).
+fn parse_tuple_fields(stream: TokenStream, newtype_with: bool) -> (Vec<String>, Option<String>) {
     let tokens = trees(stream);
     let mut cursor = 0;
     let mut types = Vec::new();
+    let mut module = None;
     while cursor < tokens.len() {
-        let with = take_field_attributes(&tokens, &mut cursor);
-        if with.is_some() {
-            panic!("serde shim derive: #[serde(with)] is not supported on tuple fields");
+        if let Some(with) = take_field_attributes(&tokens, &mut cursor) {
+            module = Some(with);
         }
         skip_attributes_and_visibility(&tokens, &mut cursor);
         types.push(take_type(&tokens, &mut cursor));
@@ -195,7 +198,13 @@ fn parse_tuple_fields(stream: TokenStream) -> Vec<String> {
             cursor += 1;
         }
     }
-    types
+    if module.is_some() && !(newtype_with && types.len() == 1) {
+        panic!(
+            "serde shim derive: #[serde(with)] on a tuple field is supported only \
+             in a newtype enum variant"
+        );
+    }
+    (types, module)
 }
 
 fn parse_variants(stream: TokenStream) -> Vec<Variant> {
@@ -209,18 +218,19 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             other => panic!("serde shim derive: expected variant name, found {other:?}"),
         };
         cursor += 1;
-        let fields = match tokens.get(cursor) {
+        let (fields, with) = match tokens.get(cursor) {
             Some(t) if group_with(t, Delimiter::Parenthesis).is_some() => {
                 let stream = group_with(t, Delimiter::Parenthesis).expect("checked");
                 cursor += 1;
-                Fields::Tuple(parse_tuple_fields(stream))
+                let (types, with) = parse_tuple_fields(stream, true);
+                (Fields::Tuple(types), with)
             }
             Some(t) if group_with(t, Delimiter::Brace).is_some() => {
                 let stream = group_with(t, Delimiter::Brace).expect("checked");
                 cursor += 1;
-                Fields::Named(parse_named_fields(stream))
+                (Fields::Named(parse_named_fields(stream)), None)
             }
-            _ => Fields::Unit,
+            _ => (Fields::Unit, None),
         };
         if tokens.get(cursor).is_some_and(|t| is_punct(t, '=')) {
             panic!("serde shim derive: explicit enum discriminants are not supported");
@@ -228,7 +238,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
         if tokens.get(cursor).is_some_and(|t| is_punct(t, ',')) {
             cursor += 1;
         }
-        variants.push(Variant { name, fields });
+        variants.push(Variant { name, fields, with });
     }
     variants
 }

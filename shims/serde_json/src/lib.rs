@@ -137,6 +137,37 @@ mod tests {
         assert_eq!(round, "snow\u{2603}man");
     }
 
+    /// Hex text for a `u32`, as a `with`-module.
+    mod hex {
+        use serde::Deserialize;
+
+        pub fn serialize<S: serde::Serializer>(v: &u32, s: S) -> Result<S::Ok, S::Error> {
+            s.serialize_str(&format!("{v:x}"))
+        }
+
+        pub fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<u32, D::Error> {
+            let text = String::deserialize(d)?;
+            u32::from_str_radix(&text, 16).map_err(serde::de::Error::custom)
+        }
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Cell {
+        Plain(u32),
+        Hex(#[serde(with = "hex")] u32),
+        Pair(u32, u32),
+    }
+
+    #[test]
+    fn newtype_variants_route_through_with_modules() {
+        let cells = vec![Cell::Plain(255), Cell::Hex(255), Cell::Pair(1, 2)];
+        let json = to_string(&cells).unwrap();
+        assert_eq!(json, r#"[{"Plain":255},{"Hex":"ff"},{"Pair":[1,2]}]"#);
+        assert_eq!(from_str::<Vec<Cell>>(&json).unwrap(), cells);
+        assert!(from_str::<Cell>(r#"{"Hex":"zz"}"#).is_err());
+        assert!(from_str::<Cell>(r#"{"Hex":255}"#).is_err());
+    }
+
     #[test]
     fn pretty_output_parses_back() {
         let pairs: Vec<(String, Vec<u8>)> = vec![("xs".into(), vec![1, 2])];

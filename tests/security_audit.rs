@@ -8,12 +8,53 @@
 
 use std::sync::Arc;
 
-use sdb::{SdbClient, SdbConfig};
+use num_bigint::BigUint;
+use sdb::{SdbClient, SdbConfig, WireMessageKind};
+use sdb_crypto::wire;
 use sdb_engine::operators::drain_operator;
 use sdb_engine::{ExecConfig, ExecContext, PhysicalPlanner, SdbOracle, UdfRegistry};
 use sdb_sql::PlanBuilder;
 use sdb_storage::Value;
 use sdb_workload::{generate_all, ScaleFactor, SensitivityProfile};
+
+/// A number in both renderings a scan must search: its decimal digits (SQL
+/// text, the SP's arithmetic state) and the quoted base64 text a share takes
+/// on the wire (`sdb_crypto::wire`).
+fn both_renderings(value: &BigUint) -> [String; 2] {
+    [
+        value.to_string(),
+        format!("\"{}\"", wire::share::to_text(value)),
+    ]
+}
+
+/// The DO's secrets: `φ(n)`, `g` and every stored key's `m` and `x`.
+fn do_secrets(client: &SdbClient) -> Vec<BigUint> {
+    let keystore = client.proxy().keystore();
+    let system = keystore.system();
+    let mut secrets = vec![system.phi().clone(), system.g().clone()];
+    for table in keystore.table_names() {
+        let keys = keystore.table_keys(&table).unwrap();
+        for key in keys.columns.values().chain([&keys.aux]) {
+            secrets.push(key.m().clone());
+            secrets.push(key.x().clone());
+        }
+    }
+    secrets
+}
+
+/// Asserts that no DO secret, in either rendering, crossed the client's wire.
+fn wire_holds_no_do_secret(client: &SdbClient) {
+    let wire = client.wire().concatenated_payloads();
+    assert!(!wire.is_empty());
+    for secret in do_secrets(client) {
+        for text in both_renderings(&secret) {
+            assert!(
+                !wire.contains(text.as_str()),
+                "a DO secret crossed the wire"
+            );
+        }
+    }
+}
 
 fn loaded_client() -> SdbClient {
     let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
@@ -149,6 +190,38 @@ fn query_results_decrypt_only_at_the_proxy() {
 }
 
 #[test]
+fn a_plaintext_units_value_sent_as_a_share_is_found() {
+    // Positive control for the wire scan: a sensitive figure that crosses
+    // the wire where a share should — as its own bytes in an unencrypted
+    // `Value::Encrypted` — is reported, although its decimal digits never
+    // appear there.
+    let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
+    client
+        .execute("CREATE TABLE accounts (id INT, balance DECIMAL(12,2) SENSITIVE)")
+        .unwrap();
+    client
+        .execute("INSERT INTO accounts VALUES (1, 4321.09), (2, 99999.99)")
+        .unwrap();
+    client.upload_all().unwrap();
+    assert!(client.audit().is_clean());
+
+    let planted = vec![vec![
+        Value::Int(1),
+        Value::Encrypted(BigUint::from(432_109u32)),
+    ]];
+    let payload = serde_json::to_string(&planted).unwrap();
+    assert!(!payload.contains("432109") && !payload.contains("4321.09"));
+    client
+        .wire()
+        .record(WireMessageKind::ResultToProxy, payload);
+    let report = client.audit();
+    let [_, quoted] = both_renderings(&BigUint::from(432_109u32));
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].location, "wire-traffic");
+    assert_eq!(report.findings[0].needle, quoted);
+}
+
+#[test]
 fn sp_side_arithmetic_state_holds_only_constants_the_sp_was_sent() {
     // The SP binds each SDB_* call site's constants once per query and keeps
     // the derived arithmetic state (parsed numbers, the Montgomery context of
@@ -195,22 +268,18 @@ fn sp_side_arithmetic_state_holds_only_constants_the_sp_was_sent() {
         );
     }
 
-    // None of the DO's secrets is among them.
-    let mut secrets = vec![system.phi().to_string(), system.g().to_string()];
-    let keystore = client.proxy().keystore();
-    for table in keystore.table_names() {
-        let keys = keystore.table_keys(&table).unwrap();
-        for key in keys.columns.values().chain([&keys.aux]) {
-            secrets.push(key.m().to_string());
-            secrets.push(key.x().to_string());
-        }
-    }
+    // None of the DO's secrets is among them, nor on the wire.
+    let secrets: Vec<String> = do_secrets(&client)
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     for secret in &secrets {
         assert!(
             !remembered.contains(secret),
             "a DO secret reached the SP-side arithmetic state"
         );
     }
+    wire_holds_no_do_secret(&client);
     // And no sensitive plaintext: the same needles as the storage/wire audit.
     let mut auditor = sdb::MemoryAuditor::new();
     for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
@@ -269,16 +338,10 @@ fn key_update_sets_remember_only_what_the_sp_was_sent_and_count_in_integers() {
     // rows of a lockstep block, every one of which is scanned below.
     assert!(powers.len() > 7, "the last block's rows are still held");
 
-    let system = client.proxy().keystore().system();
-    let mut secrets = vec![system.phi().to_string(), system.g().to_string()];
-    let keystore = client.proxy().keystore();
-    for table in keystore.table_names() {
-        let keys = keystore.table_keys(&table).unwrap();
-        for key in keys.columns.values().chain([&keys.aux]) {
-            secrets.push(key.m().to_string());
-            secrets.push(key.x().to_string());
-        }
-    }
+    let secrets: Vec<String> = do_secrets(&client)
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     for secret in &secrets {
         assert!(
             !constants.contains(secret) && !powers.contains(secret),
@@ -313,6 +376,7 @@ fn key_update_sets_remember_only_what_the_sp_was_sent_and_count_in_integers() {
         }
     }
     assert!(auditor.audit([("trace-json", json.as_str())]).is_clean());
+    wire_holds_no_do_secret(&client);
 }
 
 #[test]
@@ -338,22 +402,17 @@ fn the_power_memo_holds_only_powers_of_stored_shares() {
     let residues: Vec<String> = memo.residues().iter().map(ToString::to_string).collect();
     assert!(!residues.is_empty());
 
-    let system = client.proxy().keystore().system();
-    let mut secrets = vec![system.phi().to_string(), system.g().to_string()];
-    let keystore = client.proxy().keystore();
-    for table in keystore.table_names() {
-        let keys = keystore.table_keys(&table).unwrap();
-        for key in keys.columns.values().chain([&keys.aux]) {
-            secrets.push(key.m().to_string());
-            secrets.push(key.x().to_string());
-        }
-    }
+    let secrets: Vec<String> = do_secrets(&client)
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     for secret in &secrets {
         assert!(
             !residues.contains(secret),
             "a DO secret reached the power memo"
         );
     }
+    wire_holds_no_do_secret(&client);
     let mut auditor = sdb::MemoryAuditor::new();
     for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
         auditor.register_table(&table);
@@ -595,9 +654,9 @@ fn the_item_key_memo_stays_in_do_memory() {
                 .0;
             for key in keys.columns.values().chain([&keys.aux]) {
                 let g_power = system.g().modpow(&((&r * key.x()) % system.phi()), n);
-                needles.push(((key.m() * &g_power) % n).to_string());
-                needles.push(((&g_power * &r_mont) % n).to_string());
-                needles.push(g_power.to_string());
+                needles.extend(both_renderings(&((key.m() * &g_power) % n)));
+                needles.extend(both_renderings(&((&g_power * &r_mont) % n)));
+                needles.extend(both_renderings(&g_power));
             }
         }
     }

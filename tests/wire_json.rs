@@ -1,4 +1,4 @@
-//! Byte identity of the streamed wire JSON.
+//! Byte identity of the streamed wire JSON, and its round trip.
 //!
 //! `serde_json` renders every payload by streaming it straight into the
 //! output string. These tests hold that output, byte for byte, to the
@@ -6,7 +6,9 @@
 //! (upload tables, result batches, oracle requests and responses, serving
 //! frames, the key store), pretty for exported traces — on the workspace's
 //! real payload types. The reference renderer is the serde_json shim's own
-//! test reference, included from its source.
+//! test reference, included from its source. Every DO ↔ SP payload a client
+//! records also decodes to exactly the value that was sent, and carries its
+//! shares as base64 bytes (`sdb_crypto::wire`), never as decimal digits.
 
 use std::sync::{Arc, Mutex};
 
@@ -14,6 +16,7 @@ use num_bigint::BigUint;
 use num_traits::Zero;
 use serde::Serialize;
 
+use sdb::wire::RecordingOracle;
 use sdb::{SdbClient, SdbConfig, WireLog, WireMessageKind};
 use sdb_engine::{OracleRequest, OracleResponse, OracleResult, QueryOptions, SdbOracle};
 use sdb_server::metrics::{QueryInfo, QueryState};
@@ -121,6 +124,14 @@ fn decimal_by_division(value: &BigUint) -> String {
         text.push_str(&format!("{chunk:019}"));
     }
     text
+}
+
+/// The longest run of decimal digits in `text`.
+fn longest_digit_run(text: &str) -> usize {
+    (text.split(|c: char| !c.is_ascii_digit()))
+        .map(str::len)
+        .max()
+        .unwrap_or(0)
 }
 
 fn loaded_client() -> SdbClient {
@@ -346,4 +357,91 @@ fn every_serving_frame_streams_identically() {
         ));
     }
     wire_payloads_are_canonical(server.wire());
+}
+
+#[test]
+fn every_recorded_payload_decodes_to_what_was_sent() {
+    let mut client = loaded_client();
+    client
+        .execute("CREATE TABLE ledger (id INT, amount DECIMAL(12,2) SENSITIVE, note VARCHAR(20) SENSITIVE)")
+        .unwrap();
+    client
+        .execute("INSERT INTO ledger VALUES (1, 1234567.89, 'opening'), (2, 0.00, NULL), (3, -0.01, 'nil')")
+        .unwrap();
+    client.upload("ledger").unwrap();
+
+    // The upload of every table decodes to what the SP loaded.
+    let uploads: Vec<String> = (client.wire().messages().into_iter())
+        .filter(|m| m.kind == WireMessageKind::Upload)
+        .map(|m| m.payload)
+        .collect();
+    assert_eq!(uploads.len(), 9);
+    let catalog = client.engine().catalog();
+    for payload in &uploads {
+        let sent: Table = serde_json::from_str(payload).unwrap();
+        let stored = catalog.table(sent.name()).unwrap();
+        let stored = stored.read();
+        assert_eq!(sent.scan(), stored.scan(), "{}", sent.name());
+        assert_eq!(serde_json::to_string(&sent).unwrap(), *payload);
+    }
+
+    // Each query twice: once end to end, whose result batch the proxy
+    // decrypts again from the recorded payload, and once on a capturing
+    // oracle whose typed traffic the recorded requests and responses decode
+    // to.
+    let mut kinds = Vec::new();
+    for id in [1u8, 3, 6, 10, 18, 22] {
+        let sql = sdb_workload::query_by_id(id).expect("template").sql;
+        let rewritten = client.rewrite_only(sql).unwrap();
+        let answer = client.run_rewritten(&rewritten).unwrap();
+        let messages = client.wire().messages();
+        let payload = &messages.last().unwrap().payload;
+        assert_eq!(
+            messages.last().unwrap().kind,
+            WireMessageKind::ResultToProxy
+        );
+        let batch: RecordBatch = serde_json::from_str(payload).unwrap();
+        assert_eq!(serde_json::to_string(&batch).unwrap(), *payload, "Q{id}");
+        let (decrypted, _) = client.proxy().decrypt_result(&rewritten, &batch).unwrap();
+        assert_eq!(decrypted, answer.batch, "Q{id}");
+
+        let rewritten = client.rewrite_only(sql).unwrap();
+        let oracle = Arc::new(CapturingOracle {
+            inner: client.proxy().oracle(&rewritten),
+            seen: Mutex::new(Vec::new()),
+        });
+        let log = WireLog::new();
+        let opts = QueryOptions::default()
+            .with_oracle(Arc::new(RecordingOracle::new(oracle.clone(), log.clone())));
+        client
+            .engine()
+            .execute_sql_with(&rewritten.server_sql, &opts)
+            .unwrap_or_else(|e| panic!("Q{id}: {e}"));
+        let seen = oracle.seen.lock().unwrap();
+        let recorded = log.messages();
+        assert_eq!(recorded.len(), 2 * seen.len());
+        for ((request, response), pair) in seen.iter().zip(recorded.chunks(2)) {
+            kinds.push(request.kind);
+            assert_eq!(pair[0].kind, WireMessageKind::OracleRequest);
+            assert_eq!(pair[1].kind, WireMessageKind::OracleResponse);
+            let sent: OracleRequest = serde_json::from_str(&pair[0].payload).unwrap();
+            assert_eq!(&sent, request, "Q{id}");
+            let answered: OracleResponse = serde_json::from_str(&pair[1].payload).unwrap();
+            assert_eq!(&answered, response, "Q{id}");
+        }
+        for message in &recorded {
+            client.wire().record(message.kind, message.payload.clone());
+        }
+    }
+    assert!(kinds.len() >= 2, "the queries reach the oracle: {kinds:?}");
+
+    // No share went out as decimal digits: the longest digit run on these
+    // payloads is a date, a count or a tag, never a residue of n.
+    for message in client.wire().messages() {
+        if message.kind == WireMessageKind::QueryToSp {
+            continue;
+        }
+        let run = longest_digit_run(&message.payload);
+        assert!(run < 40, "{:?} holds {run} decimal digits", message.kind);
+    }
 }
