@@ -519,7 +519,8 @@ impl OnionClient {
         let mut columns: Vec<Vec<Value>> = vec![Vec::new(); decrypts.len()];
         for row in 0..server.num_rows() {
             for (i, decrypt) in decrypts.iter().enumerate() {
-                let value = server.column(i).get(row);
+                let value = server.column(i).value(row);
+                let value = &*value;
                 columns[i].push(match decrypt {
                     OnionDecrypt::Plain => value.clone(),
                     OnionDecrypt::Rnd { plain } => {
@@ -756,7 +757,7 @@ mod tests {
                 rewritten_sql,
             } => {
                 assert_eq!(batch.num_rows(), 1);
-                assert_eq!(batch.column(0).get(0), &Value::Int(2));
+                assert_eq!(*batch.column(0).value(0), Value::Int(2));
                 assert!(rewritten_sql.contains("SDB_TAG_EQ(qty_det"));
             }
             other => panic!("unexpected {other:?}"),
@@ -768,8 +769,8 @@ mod tests {
             OnionOutcome::Supported { batch, .. } => {
                 assert_eq!(batch.num_rows(), 3);
                 assert_eq!(
-                    batch.column(1).get(0),
-                    &Value::Decimal {
+                    *batch.column(1).value(0),
+                    Value::Decimal {
                         units: 1050,
                         scale: 2
                     }
@@ -790,8 +791,8 @@ mod tests {
                 assert_eq!(batch.num_rows(), 1);
                 // Rows with qty >= 3: prices 10.50 + 2.50 + 10.50 = 23.50.
                 assert_eq!(
-                    batch.column(0).get(0),
-                    &Value::Decimal {
+                    *batch.column(0).value(0),
+                    Value::Decimal {
                         units: 2350,
                         scale: 2
                     }
@@ -805,8 +806,8 @@ mod tests {
         {
             OnionOutcome::Supported { batch, .. } => {
                 assert_eq!(
-                    batch.column(0).get(0),
-                    &Value::Decimal {
+                    *batch.column(0).value(0),
+                    Value::Decimal {
                         units: 250,
                         scale: 2
                     }

@@ -73,7 +73,7 @@ impl MemoryAuditor {
         let batch = table.scan();
         for row in 0..batch.num_rows() {
             for &col in &sensitive {
-                self.register_value(batch.column(col).get(row));
+                self.register_value(&batch.column(col).value(row));
             }
         }
     }

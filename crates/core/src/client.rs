@@ -254,13 +254,18 @@ impl SdbClient {
                             self.auditor.register_value(&row[position]);
                         }
                     }
-                    // Encrypt at the proxy and append at the SP.
+                    // Encrypt at the proxy and append at the SP; the rows
+                    // cross the wire as an upload, rendered when read.
                     let physical = self.proxy.encrypt_rows(&table, &logical_rows)?;
                     let handle = self.engine.catalog().table(&table)?;
                     let mut guard = handle.write();
+                    let start = guard.num_rows();
                     for row in physical {
                         guard.insert_row(row)?;
                     }
+                    let rows = start..guard.num_rows();
+                    drop(guard);
+                    self.wire.record_rows(WireMessageKind::Upload, handle, rows);
                     Ok(())
                 } else {
                     let handle = self.staging.table(&table)?;

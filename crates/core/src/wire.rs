@@ -7,12 +7,14 @@
 //! knowledge, paper §2.3). Oracle traffic is recorded by wrapping the proxy's
 //! oracle in [`RecordingOracle`].
 
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use serde::Serialize;
 
 use sdb_engine::{OracleRequest, OracleResult, SdbOracle};
+use sdb_storage::catalog::TableHandle;
 
 /// One message crossing the DO ↔ SP boundary.
 #[derive(Debug, Clone, Serialize)]
@@ -76,7 +78,31 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(&[u8], usize), String> {
 /// A log of every message that crossed the boundary.
 #[derive(Debug, Default, Clone)]
 pub struct WireLog {
-    messages: Arc<Mutex<Vec<WireMessage>>>,
+    messages: Arc<Mutex<Vec<Logged>>>,
+}
+
+/// One logged message: its payload as sent, or typed rows whose JSON is
+/// rendered when the log is first read, off the path that sent them.
+#[derive(Debug)]
+struct Logged {
+    kind: WireMessageKind,
+    text: OnceLock<String>,
+    rows: Option<(TableHandle, Range<usize>)>,
+}
+
+impl Logged {
+    /// The payload an eavesdropper sees: for rows, the JSON of the batch
+    /// they form.
+    fn payload(&self) -> &str {
+        self.text.get_or_init(|| {
+            let (table, rows) = self.rows.as_ref().expect("a message holds text or rows");
+            let batch = table.read().scan();
+            let rows = batch
+                .slice(rows.start, rows.len())
+                .expect("appended rows stay");
+            serde_json::to_string(&rows).unwrap_or_default()
+        })
+    }
 }
 
 impl WireLog {
@@ -87,12 +113,34 @@ impl WireLog {
 
     /// Records a message.
     pub fn record(&self, kind: WireMessageKind, payload: String) {
-        self.messages.lock().push(WireMessage { kind, payload });
+        self.messages.lock().push(Logged {
+            kind,
+            text: OnceLock::from(payload),
+            rows: None,
+        });
+    }
+
+    /// Records a message of the rows `rows` of `table` — rows appended to
+    /// it, which no later statement changes — as typed rows: the payload,
+    /// the JSON of the batch they form, is rendered only when the log's
+    /// payloads or byte counts are read. The caller must not hold `table`'s
+    /// lock.
+    pub fn record_rows(&self, kind: WireMessageKind, table: TableHandle, rows: Range<usize>) {
+        self.messages.lock().push(Logged {
+            kind,
+            text: OnceLock::new(),
+            rows: Some((table, rows)),
+        });
     }
 
     /// All recorded messages.
     pub fn messages(&self) -> Vec<WireMessage> {
-        self.messages.lock().clone()
+        (self.messages.lock().iter())
+            .map(|m| WireMessage {
+                kind: m.kind,
+                payload: m.payload().to_string(),
+            })
+            .collect()
     }
 
     /// Total bytes recorded for a message kind.
@@ -101,7 +149,7 @@ impl WireLog {
             .lock()
             .iter()
             .filter(|m| m.kind == kind)
-            .map(|m| m.payload.len())
+            .map(|m| m.payload().len())
             .sum()
     }
 
@@ -116,7 +164,7 @@ impl WireLog {
 
     /// Total bytes across all messages.
     pub fn total_bytes(&self) -> usize {
-        self.messages.lock().iter().map(|m| m.payload.len()).sum()
+        self.messages.lock().iter().map(|m| m.payload().len()).sum()
     }
 
     /// Concatenation of every payload (haystack for the audit).
@@ -124,7 +172,7 @@ impl WireLog {
         self.messages
             .lock()
             .iter()
-            .map(|m| m.payload.as_str())
+            .map(Logged::payload)
             .collect::<Vec<_>>()
             .join("\n")
     }

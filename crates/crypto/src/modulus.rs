@@ -523,6 +523,12 @@ impl Modulus {
         by_width!(self, mul_in(a, b))
     }
 
+    /// [`Self::mul`] with `a` given as little-endian limbs (any number of
+    /// them, zero high limbs allowed), as a column of shares holds it.
+    pub fn mul_limbs(&self, a: &[u64], b: &BigUint) -> BigUint {
+        by_width!(self, mul_limbs_in(a, b))
+    }
+
     /// `base^exponent mod n` (`x⁰ = 1`, and everything is 0 modulo 1).
     pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         let (set, _) = ExponentSet::plan(&[exponent]);
@@ -600,6 +606,21 @@ impl Modulus {
 
     fn mul_in<L: Limbs>(&self, a: &BigUint, b: &BigUint) -> BigUint {
         let (a, b) = (self.load::<L>(a), self.load::<L>(b));
+        let product = self.mont_mul::<L>(a.as_ref(), b.as_ref());
+        store(self.mont_mul::<L>(product.as_ref(), &self.r2).as_ref())
+    }
+
+    fn mul_limbs_in<L: Limbs>(&self, a: &[u64], b: &BigUint) -> BigUint {
+        let a = match self.is_residue(a) {
+            true => {
+                let mut limbs = L::zeroed(self.limbs.len());
+                let k = a.len().min(self.limbs.len());
+                limbs.as_mut()[..k].copy_from_slice(&a[..k]);
+                limbs
+            }
+            false => self.load::<L>(&store(a)),
+        };
+        let b = self.load::<L>(b);
         let product = self.mont_mul::<L>(a.as_ref(), b.as_ref());
         store(self.mont_mul::<L>(product.as_ref(), &self.r2).as_ref())
     }

@@ -36,6 +36,35 @@ impl Modulus {
         true
     }
 
+    /// Writes the residue whose little-endian limbs are `x` (any number of
+    /// them, zero high limbs allowed) into `lane` (one row); `false`, with
+    /// `lane` untouched, when `x ≥ n`.
+    pub fn load_lane_limbs(&self, x: &[u64], lane: &mut [u64]) -> bool {
+        if !self.is_residue(x) {
+            return false;
+        }
+        let k = x.len().min(lane.len());
+        lane[..k].copy_from_slice(&x[..k]);
+        lane[k..].fill(0);
+        true
+    }
+
+    /// Whether the little-endian limbs `x` (any number of them) are a value
+    /// below `n`.
+    pub fn is_residue(&self, x: &[u64]) -> bool {
+        let k = self.limbs.len();
+        if x.iter().skip(k).any(|&limb| limb != 0) {
+            return false;
+        }
+        for (i, &limb) in self.limbs.iter().enumerate().rev() {
+            let digit = x.get(i).copied().unwrap_or(0);
+            if digit != limb {
+                return digit < limb;
+            }
+        }
+        false
+    }
+
     /// Writes `units mod n` into `lane` (one row), a negative `units`
     /// wrapping to `n − (|units| mod n)` and reduced once more, so that the
     /// row is canonical.
@@ -160,6 +189,44 @@ mod tests {
         (lane.chunks_exact(modulus.lane_limbs()))
             .map(|row| modulus.store_lane(row))
             .collect()
+    }
+
+    /// A row given as limbs — narrower than a lane, or padded with zero
+    /// limbs past it — loads and multiplies as its `BigUint` does, and one
+    /// at or above `n` is refused (and reduced by `mul_limbs`).
+    #[test]
+    fn limbs_load_and_multiply_as_their_values() {
+        let mut rng = StdRng::seed_from_u64(0x11b5);
+        for limbs in [1u64, 4, 8, 9] {
+            let mut n = rng.gen_biguint(64 * limbs);
+            n.set_bit(64 * limbs - 1, true);
+            n.set_bit(0, true);
+            let modulus = Modulus::new(&n).unwrap();
+            let k = modulus.lane_limbs();
+            let b = rng.gen_biguint_below(&n);
+            let values = [
+                rng.gen_biguint_below(&n),
+                BigUint::from(7u32),
+                BigUint::from(0u32),
+                &n - BigUint::from(1u32),
+                n.clone(),
+                &n + BigUint::from(5u32),
+                &n << 70u32,
+            ];
+            for x in &values {
+                let digits: Vec<u64> = x.iter_u64_digits().collect();
+                for padded in [digits.clone(), [digits.clone(), vec![0; 3]].concat()] {
+                    assert_eq!(modulus.is_residue(&padded), *x < n, "{x}");
+                    let (mut row, mut expected) = (vec![u64::MAX; k], vec![u64::MAX; k]);
+                    assert_eq!(
+                        modulus.load_lane_limbs(&padded, &mut row),
+                        modulus.load_lane(x, &mut expected)
+                    );
+                    assert_eq!(row, expected);
+                    assert_eq!(modulus.mul_limbs(&padded, &b), modulus.mul(x, &b));
+                }
+            }
+        }
     }
 
     /// Products, sums and exponent moves over lanes equal the `BigUint`

@@ -54,6 +54,11 @@ pub fn decrypt_value(key: &SystemKey, encrypted: &BigUint, item_key: &BigUint) -
     key.modulus().mul(encrypted, item_key)
 }
 
+/// [`decrypt_value`] of a share given as its little-endian limbs.
+pub fn decrypt_limbs(key: &SystemKey, encrypted: &[u64], item_key: &BigUint) -> BigUint {
+    key.modulus().mul_limbs(encrypted, item_key)
+}
+
 /// Parameters `(p, q)` the DO ships to the SP for a key update (ARCHITECTURE.md,
 /// "Modular arithmetic").
 ///

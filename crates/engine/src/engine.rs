@@ -135,7 +135,7 @@ impl QueryOptions {
 ///
 /// let out = engine.execute_sql("SELECT owner FROM accounts WHERE balance > 15")?;
 /// assert_eq!(out.batch.num_rows(), 1);
-/// assert_eq!(out.batch.column(0).get(0).as_str()?, "bob");
+/// assert_eq!(out.batch.column(0).value(0).as_str()?, "bob");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct SpEngine {
@@ -922,13 +922,13 @@ mod tests {
             .execute_sql("SELECT owner, balance FROM accounts WHERE id <= 2 ORDER BY id")
             .unwrap();
         assert_eq!(out.batch.num_rows(), 2);
-        assert_eq!(out.batch.column(0).get(0), &Value::Str("ann".into()));
+        assert_eq!(*out.batch.column(0).value(0), Value::Str("ann".into()));
         assert!(out.stats.total_time.as_nanos() > 0);
 
         let out = engine
             .execute_sql("SELECT COUNT(*) AS n FROM accounts")
             .unwrap();
-        assert_eq!(out.batch.column(0).get(0), &Value::Int(3));
+        assert_eq!(*out.batch.column(0).value(0), Value::Int(3));
     }
 
     #[test]
@@ -975,7 +975,7 @@ mod tests {
         engine.execute_sql("CREATE TABLE t (a INT)").unwrap();
         engine.execute_sql("INSERT INTO t VALUES (-5)").unwrap();
         let out = engine.execute_sql("SELECT a FROM t").unwrap();
-        assert_eq!(out.batch.column(0).get(0), &Value::Int(-5));
+        assert_eq!(*out.batch.column(0).value(0), Value::Int(-5));
     }
 
     #[test]

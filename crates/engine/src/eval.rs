@@ -241,7 +241,7 @@ impl<'a> Evaluator<'a> {
                 served = sets.apply(member, aux, row, a, &mut counts);
             }
             if served.is_none() {
-                site.args.borrow_mut()[1] = aux.get(row).clone();
+                site.args.borrow_mut()[1] = aux.value(row).into_owned();
             }
         }
         let result = match served {
@@ -259,7 +259,7 @@ impl<'a> Evaluator<'a> {
     /// Evaluates `expr` against row `row` of `batch`.
     pub fn evaluate(&self, expr: &'a Expr, batch: &RecordBatch, row: usize) -> Result<Value> {
         match expr {
-            Expr::Column(name) => Ok(self.column(name, batch)?.get(row).clone()),
+            Expr::Column(name) => Ok(self.column(name, batch)?.value(row).into_owned()),
             Expr::Literal(lit) => Ok(literal_to_value(lit)),
             Expr::Param(i) => Err(EngineError::Expression {
                 detail: format!("parameter ${i} is not bound"),

@@ -179,12 +179,28 @@ fn sum_column(col: &ColumnarColumn) -> Option<Value> {
     if validity.count_set() == 0 {
         return Some(Value::Null);
     }
-    if let ColumnVector::Encrypted(shares) = col.vector() {
-        let mut acc = BigUint::from(0u32);
+    if let ColumnVector::Shares(shares) = col.vector() {
+        // A running sum of limbs, one carry limb above the widest share.
+        let mut acc = vec![0u64; shares.width() + 1];
         for i in validity.iter_set() {
-            acc += &shares[i];
+            let mut carry = false;
+            for (sum, &limb) in acc.iter_mut().zip(shares.row(i)) {
+                let (s, c1) = sum.overflowing_add(limb);
+                let (s, c2) = s.overflowing_add(u64::from(carry));
+                *sum = s;
+                carry = c1 | c2;
+            }
+            for sum in &mut acc[shares.width()..] {
+                let (s, c) = sum.overflowing_add(u64::from(carry));
+                *sum = s;
+                carry = c;
+            }
+            if carry {
+                acc.push(1);
+            }
         }
-        return Some(Value::Encrypted(acc));
+        let bytes: Vec<u8> = acc.iter().flat_map(|limb| limb.to_le_bytes()).collect();
+        return Some(Value::Encrypted(BigUint::from_bytes_le(&bytes)));
     }
     let scale = match col.vector() {
         ColumnVector::Decimal { scales, .. } => {
@@ -278,7 +294,7 @@ fn cmp_elements(col: &ColumnarColumn, a: usize, b: usize) -> Option<std::cmp::Or
             .expect("validity-checked string element")
             .cmp(col.str_at(b).expect("validity-checked string element")),
         ColumnVector::Tag(v) => v[a].cmp(&v[b]),
-        ColumnVector::Encrypted(v) => v[a].cmp(&v[b]),
+        ColumnVector::Shares(shares) => shares.cmp_rows(a, b),
         // cmp_total ranks all encrypted row ids equally.
         ColumnVector::EncryptedRowId(_) => Ordering::Equal,
         ColumnVector::Values(_) => return None,

@@ -16,8 +16,10 @@
 //!
 //! into nodes over lanes (see `sdb_crypto::Modulus::mul_lanes`): a share
 //! column is loaded into limbs once, every node is one pass of products or
-//! sums over the rows — [`CHUNK_ROWS`] of them at a time — and each output
-//! row becomes one `Value::Encrypted`. Anything else declines, and the
+//! sums over the rows — [`CHUNK_ROWS`] of them at a time. A lane loads its
+//! rows' limbs straight from the column's [`ShareColumn`], and each root's
+//! lane is copied into a `ShareColumn` of `limbs(n)` words a row: no
+//! `BigUint` is built on the way in or out. Anything else declines, and the
 //! interpreter serves it.
 //!
 //! The kernels are observably the interpreter:
@@ -37,6 +39,7 @@
 //!   twice, as the interpreter computes it, so the counters match.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,7 +48,7 @@ use parking_lot::Mutex;
 use sdb_crypto::bigint::mod_inverse_word;
 use sdb_crypto::Modulus;
 use sdb_sql::ast::{Expr, Literal};
-use sdb_storage::{Column, RecordBatch, Schema, Value};
+use sdb_storage::{Bitmap, Column, ColumnCells, RecordBatch, Schema, ShareColumn, Value};
 
 use crate::eval::{literal_to_value, Evaluator};
 use crate::operators::parallel;
@@ -191,6 +194,7 @@ impl ShareKernels {
             roots,
             modulus,
             checked: Vec::new(),
+            loaded: Vec::new(),
             checking: Duration::ZERO,
         };
         let started = Instant::now();
@@ -391,6 +395,9 @@ pub(crate) struct BatchKernel<'b> {
     modulus: Arc<Modulus>,
     /// Per node, filled by [`Self::check`].
     checked: Vec<Checked>,
+    /// Per node, the shares of a share column node (packed when the column
+    /// held them as values), filled by [`Self::check`].
+    loaded: Vec<Option<ShareColumn>>,
     /// What checking took, charged with the rest of the kernel's time.
     checking: Duration,
 }
@@ -407,15 +414,21 @@ impl BatchKernel<'_> {
         let rows = self.batch.num_rows();
         for node in &self.nodes {
             let mut units = Vec::new();
+            let mut loaded = None;
             let valid = match *node {
                 Node::Share { column } => {
-                    let cells = self.batch.column(column).values();
-                    let valid = |cell: &Value| match cell {
-                        Value::Null => Some(false),
-                        Value::Encrypted(share) => (share < self.modulus.n()).then_some(true),
-                        _ => None,
+                    let column = self.batch.column(column);
+                    let shares = match column.shares() {
+                        Some(shares) => shares.clone(),
+                        None => ShareColumn::from_values(column.as_values()?)?,
                     };
-                    cells.iter().map(valid).collect::<Option<Vec<bool>>>()?
+                    let valid = |row| match shares.is_valid(row) {
+                        false => Some(false),
+                        true => self.modulus.is_residue(shares.row(row)).then_some(true),
+                    };
+                    let valid = (0..rows).map(valid).collect::<Option<Vec<bool>>>()?;
+                    loaded = Some(shares);
+                    valid
                 }
                 Node::Multiply { a, b } | Node::Add { a, b } => {
                     let (a, b) = (&self.checked[a].valid, &self.checked[b].valid);
@@ -423,11 +436,12 @@ impl BatchKernel<'_> {
                 }
                 Node::KeyUpdate { a, aux, .. } => {
                     let valid = self.checked[a].valid.clone();
-                    let aux = self.batch.column(aux).values();
-                    let share = |(&valid, cell): (&bool, &Value)| {
-                        !valid || matches!(cell, Value::Encrypted(_))
+                    let aux = self.batch.column(aux).cells();
+                    let share = |row: usize| match aux {
+                        ColumnCells::Shares(shares) => shares.is_valid(row),
+                        ColumnCells::Values(cells) => matches!(cells[row], Value::Encrypted(_)),
                     };
-                    if !valid.iter().zip(aux).all(share) {
+                    if !(0..rows).all(|row| !valid[row] || share(row)) {
                         return None;
                     }
                     valid
@@ -439,8 +453,9 @@ impl BatchKernel<'_> {
                         Plain::Literal(_) => {}
                         Plain::Column { column, scale } => {
                             units = vec![0; rows];
-                            let cells = self.batch.column(column).values();
-                            for (row, cell) in cells.iter().enumerate() {
+                            let cells = self.batch.column(column).cells();
+                            for row in 0..rows {
+                                let cell = cells.value(row);
                                 if cell.is_null() {
                                     valid[row] = false;
                                 } else if valid[row] {
@@ -459,15 +474,16 @@ impl BatchKernel<'_> {
                 }
             };
             self.checked.push(Checked { valid, units });
+            self.loaded.push(loaded);
         }
         Some(())
     }
 
     /// Evaluates the compiled expressions, [`CHUNK_ROWS`] rows at a time:
-    /// per expression it serves, its index and a value per row. `evaluator`
-    /// is charged the calls as the interpreter would count them, and the
-    /// rows and time.
-    pub(crate) fn run(self, evaluator: &Evaluator<'_>) -> Vec<(usize, Vec<Value>)> {
+    /// per expression it serves, its index and its column of shares, a root
+    /// lane's limbs copied in. `evaluator` is charged the calls as the
+    /// interpreter would count them, and the rows and time.
+    pub(crate) fn run(self, evaluator: &Evaluator<'_>) -> Vec<(usize, ShareColumn)> {
         let started = Instant::now();
         let rows = self.batch.num_rows();
         let k = self.modulus.lane_limbs();
@@ -499,9 +515,9 @@ impl BatchKernel<'_> {
                 last_use[operand] = Some(i);
             }
         }
-        let mut outputs: Vec<(usize, Vec<Value>)> = (self.roots.iter().enumerate())
+        let mut outputs: Vec<(usize, Vec<u64>)> = (self.roots.iter().enumerate())
             .filter(|(_, root)| root.is_some())
-            .map(|(i, _)| (i, Vec::with_capacity(rows)))
+            .map(|(i, _)| (i, Vec::with_capacity(rows * k)))
             .collect();
 
         let mut powers = std::mem::take(&mut registers.powers);
@@ -518,9 +534,9 @@ impl BatchKernel<'_> {
             let mut lanes: Vec<Lane> = Vec::with_capacity(self.nodes.len());
             for (i, node) in self.nodes.iter().enumerate() {
                 let lane = match *node {
-                    Node::Share { column } => {
-                        let cells = &self.batch.column(column).values()[chunk.clone()];
-                        arithmetic.load(cells)
+                    Node::Share { .. } => {
+                        let shares = self.loaded[i].as_ref().expect("loaded when checked");
+                        arithmetic.load(shares, chunk.clone())
                     }
                     Node::Multiply { a, b } => arithmetic.product(&lanes[a], &lanes[b]),
                     Node::Add { a, b } => arithmetic.sum(&lanes[a], &lanes[b]),
@@ -553,17 +569,17 @@ impl BatchKernel<'_> {
                 }
             }
             let roots = self.roots.iter().flatten();
-            for (&root, (_, values)) in roots.zip(&mut outputs) {
+            for (&root, (_, out)) in roots.zip(&mut outputs) {
                 let lane = &lanes[root];
                 let exact = arithmetic.exact(lane);
                 let limbs = exact.as_deref().unwrap_or(&lane.limbs);
                 let valid = &self.checked[root].valid[chunk.clone()];
-                values.extend(limbs.chunks_exact(k).zip(valid).map(
-                    |(limbs, &valid)| match valid {
-                        true => Value::Encrypted(self.modulus.store_lane(limbs)),
-                        false => Value::Null,
-                    },
-                ));
+                for (limbs, &valid) in limbs.chunks_exact(k).zip(valid) {
+                    match valid {
+                        true => out.extend_from_slice(limbs),
+                        false => out.resize(out.len() + k, 0),
+                    }
+                }
                 arithmetic.registers.lanes.extend(exact);
             }
             for lane in lanes {
@@ -578,6 +594,13 @@ impl BatchKernel<'_> {
         let calls: usize = (self.roots.iter().flatten())
             .map(|&root| self.call_nodes(root))
             .sum();
+        let outputs = (outputs.into_iter())
+            .zip(self.roots.iter().flatten())
+            .map(|((i, limbs), &root)| {
+                let valid = Bitmap::from_bools(&self.checked[root].valid);
+                (i, ShareColumn::from_parts(k, limbs, valid))
+            })
+            .collect();
         let time = self.checking + started.elapsed();
         evaluator.record_share_kernel(rows * calls, counts, rows, time);
         outputs
@@ -630,14 +653,15 @@ impl Arithmetic<'_> {
         self.modulus.mul(x, y)
     }
 
-    /// The shares of `cells` (checked: NULL or below `n`), exact; a NULL
-    /// row's limbs are left as they are.
-    fn load(&mut self, cells: &[Value]) -> Lane {
+    /// The shares of `rows` of `shares` (checked: NULL or below `n`),
+    /// exact: their limbs copied in; a NULL row's limbs are left as they
+    /// are.
+    fn load(&mut self, shares: &ShareColumn, rows: Range<usize>) -> Lane {
         let mut limbs = self.registers.take(self.len);
         let k = self.modulus.lane_limbs();
-        for (cell, row) in cells.iter().zip(limbs.chunks_exact_mut(k)) {
-            if let Value::Encrypted(share) = cell {
-                self.modulus.load_lane(share, row);
+        for (row, lane) in rows.zip(limbs.chunks_exact_mut(k)) {
+            if shares.is_valid(row) {
+                self.modulus.load_lane_limbs(shares.row(row), lane);
             }
         }
         Lane {

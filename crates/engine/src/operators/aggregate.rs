@@ -9,6 +9,7 @@
 //! within each group), and `finalize_groups` computes the aggregate values
 //! and infers the output schema.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use num_bigint::BigUint;
@@ -45,10 +46,10 @@ impl Groups {
     /// The position of the group whose key is `key` (hashing to `hash`),
     /// appended — with the key cloned and `aggregates` empty argument lists —
     /// if this is its first occurrence.
-    pub(super) fn find_or_insert<'v>(
+    pub(super) fn find_or_insert<V: Borrow<Value>>(
         &mut self,
         hash: u64,
-        key: impl Iterator<Item = &'v Value> + Clone,
+        key: impl Iterator<Item = V> + Clone,
         aggregates: usize,
     ) -> usize {
         let states = &self.states;
@@ -56,7 +57,7 @@ impl Groups {
             .find(|&group| keys_eq(&states[group].key_values, key.clone()));
         found.unwrap_or_else(|| {
             self.states.push(GroupState {
-                key_values: key.cloned().collect(),
+                key_values: key.map(|value| value.borrow().clone()).collect(),
                 rows: 0,
                 arg_values: vec![Vec::new(); aggregates],
             });

@@ -165,14 +165,18 @@ pub(super) enum ExprColumn {
     Input(usize),
     /// One value per row.
     Values(Vec<Value>),
+    /// A computed column: the share kernels' output.
+    Computed(Column),
 }
 
 impl ExprColumn {
-    /// The values as a column: the input's own (an `Arc` bump), or the
-    /// computed ones under the type of the first non-NULL value.
+    /// The values as a column: the input's own (an `Arc` bump), the
+    /// kernels', or the computed values under the type of the first non-NULL
+    /// one.
     pub(super) fn into_column(self, batch: &RecordBatch) -> Column {
         match self {
             ExprColumn::Input(idx) => batch.column(idx).clone(),
+            ExprColumn::Computed(column) => column,
             ExprColumn::Values(values) => {
                 let data_type = values.iter().find_map(Value::data_type);
                 Column::from_values_unchecked(data_type.unwrap_or(DataType::Int), values)
@@ -184,8 +188,9 @@ impl ExprColumn {
     /// for this row alone, often a share — moved out (read each row once).
     pub(super) fn take(&mut self, batch: &RecordBatch, row: usize) -> Value {
         match self {
-            ExprColumn::Input(idx) => batch.column(*idx).get(row).clone(),
+            ExprColumn::Input(idx) => batch.column(*idx).value(row).into_owned(),
             ExprColumn::Values(values) => std::mem::replace(&mut values[row], Value::Null),
+            ExprColumn::Computed(column) => column.value(row).into_owned(),
         }
     }
 }
@@ -262,8 +267,8 @@ pub(super) fn evaluate_exprs<'e>(
         )?;
     }
     if let Some(kernel) = kernel {
-        for (i, values) in kernel.run(evaluator) {
-            out[i] = ExprColumn::Values(values);
+        for (i, shares) in kernel.run(evaluator) {
+            out[i] = ExprColumn::Computed(Column::from_shares(DataType::Encrypted, shares));
         }
     }
     Ok(Evaluated {
@@ -296,7 +301,8 @@ fn interpret<'e>(
                 }
                 _ if !null_ends_row => continue,
                 ExprColumn::Values(values) => values[row].is_null(),
-                ExprColumn::Input(idx) => batch.column(*idx).get(row).is_null(),
+                ExprColumn::Input(idx) => batch.column(*idx).is_null(row),
+                ExprColumn::Computed(column) => column.is_null(row),
             };
             ended |= null_ends_row && null;
         }

@@ -27,6 +27,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sdb_storage::{
@@ -34,7 +35,7 @@ use sdb_storage::{
 };
 
 use super::sort::{key_columns, sorted_order, Sort};
-use super::{ExecContext, Replay};
+use super::{append_rows, ExecContext, Replay};
 use crate::Result;
 
 impl Sort<'_> {
@@ -150,21 +151,34 @@ impl Merge {
             return Ok(None);
         }
         let num_keys = self.desc.len();
+        // Consecutive rows of one run's page are one run of rows, copied as
+        // a whole before the run's cursor leaves the page.
         let mut columns: Vec<Column> = (self.output_schema.columns().iter())
             .map(|c| Column::new(c.data_type))
             .collect();
+        let mut open: Option<(usize, Range<usize>)> = None;
         let mut rows = 0;
         while rows < batch_size {
             let Some(entry) = self.heap.pop() else {
                 break;
             };
-            let cursor = &mut self.cursors[entry.run];
-            {
-                let page = cursor.current.as_ref().expect("frontier implies a page");
-                for (j, column) in columns.iter_mut().enumerate() {
-                    column.push_unchecked(page.column(num_keys + j).get(cursor.row).clone());
+            let cursor = &self.cursors[entry.run];
+            let page = cursor.current.as_ref().expect("frontier implies a page");
+            match &mut open {
+                Some((run, range)) if *run == entry.run && range.end == cursor.row => {
+                    range.end += 1;
+                }
+                _ => {
+                    if let Some(done) = open.replace((entry.run, cursor.row..cursor.row + 1)) {
+                        self.append_run(done, &mut columns);
+                    }
                 }
             }
+            if cursor.row + 1 == page.num_rows() {
+                let done = open.take().expect("opened above");
+                self.append_run(done, &mut columns);
+            }
+            let cursor = &mut self.cursors[entry.run];
             rows += 1;
             cursor.advance_row()?;
             if let Some(key) = cursor.frontier_key(num_keys) {
@@ -175,7 +189,17 @@ impl Merge {
                 });
             }
         }
+        if let Some(done) = open {
+            self.append_run(done, &mut columns);
+        }
         Ok(Some(RecordBatch::new(self.output_schema.clone(), columns)?))
+    }
+
+    /// Copies the rows `rows` of run `run`'s current page, its payload
+    /// columns, onto `columns`.
+    fn append_run(&self, (run, rows): (usize, Range<usize>), columns: &mut [Column]) {
+        let page = (self.cursors[run].current.as_ref()).expect("a run's page is current");
+        append_rows(columns, page, self.desc.len(), rows);
     }
 }
 
@@ -231,7 +255,7 @@ impl RunCursor {
         let page = self.current.as_ref()?;
         Some(
             (0..num_keys)
-                .map(|i| page.column(i).get(self.row).clone())
+                .map(|i| page.column(i).value(self.row).into_owned())
                 .collect(),
         )
     }

@@ -60,8 +60,11 @@
 //! partitioning by them is sound (rank surrogates never appear in equi-join
 //! keys).
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sdb_sql::ast::{Expr, JoinKind};
@@ -79,7 +82,7 @@ use super::join::{keys_of_batch, BuildSide, HashJoin};
 use super::oracle::{collect_oracle_calls_all, resolve_for_exprs, OracleAccumulator};
 use super::parallel::scoped_workers;
 use super::spill_aggregate::{flush_bytes, partition_writers, FANOUT, MAX_LEVELS};
-use super::{ExecContext, Replay};
+use super::{append_rows, ExecContext, Replay};
 use crate::Result;
 use sdb_storage::keys::{partition_of, BatchKeys};
 
@@ -264,7 +267,7 @@ impl HashJoin<'_> {
             if keys.nulls[row] {
                 continue;
             }
-            let mut out: Vec<Value> = keys.row(row).cloned().collect();
+            let mut out: Vec<Value> = keys.row(row).map(Cow::into_owned).collect();
             out.extend(batch.row(row).into_iter().take(payload));
             writers[partition_of(hash, 0, FANOUT)].push_row(out)?;
             routed += 1;
@@ -297,7 +300,7 @@ impl HashJoin<'_> {
                 true => continue,
             };
             let mut out = vec![Value::Int(seq as i64)];
-            out.extend(keys.row(row).cloned());
+            out.extend(keys.row(row).map(Cow::into_owned));
             out.extend(batch.row(row).into_iter().take(payload));
             writers[p].push_row(out)?;
             routed += 1;
@@ -415,27 +418,25 @@ impl PairJoiner<'_, '_> {
         let payload: Vec<usize> = (self.keys..build_rows.num_columns()).collect();
         let side = BuildSide::new(build_rows.project(&payload), keys);
 
+        let page_schema = out_page_schema(output_schema);
         let mut out = PageStreamWriter::new(
             &pager,
-            out_page_schema(output_schema),
+            page_schema.clone(),
             flush_bytes(self.ctx),
             self.ctx.batch_size(),
         );
+        // Each probe page's joined rows are one gather: the sequence number
+        // and probe payload by probe row, the build payload by match.
         let mut reader = probe.reader();
         while let Some(page) = reader.next_batch()? {
             let keys = BatchKeys::new(page.columns()[1..1 + self.keys].to_vec(), page.num_rows());
             let (probe_rows, matched) = side.matches(&keys, self.kind == JoinKind::Left);
-            for (&lrow, rrow) in probe_rows.iter().zip(matched) {
-                let mut joined = Vec::with_capacity(output_schema.len() + 1);
-                joined.push(page.column(0).get(lrow).clone());
-                let probe_payload = &page.columns()[1 + self.keys..];
-                joined.extend(probe_payload.iter().map(|c| c.get(lrow).clone()));
-                joined.extend((side.rows.columns().iter()).map(|c| match rrow {
-                    Some(rrow) => c.get(rrow).clone(),
-                    None => Value::Null,
-                }));
-                out.push_row(joined)?;
-            }
+            let probe_side = iter::once(0).chain(1 + self.keys..page.num_columns());
+            let mut columns: Vec<Column> = probe_side
+                .map(|i| page.column(i).gather(&probe_rows))
+                .collect();
+            columns.extend((side.rows.columns().iter()).map(|c| c.gather_or_null(&matched)));
+            out.push_batch(&RecordBatch::new(page_schema.clone(), columns)?)?;
         }
         let stream = out.finish()?;
         if !stream.is_empty() {
@@ -511,19 +512,27 @@ impl Spilled {
             self.emitted = true;
             return Ok(Some(RecordBatch::empty(self.output_schema.clone())));
         }
+        // Consecutive rows of one page are one run, copied as a whole.
         let mut columns: Vec<Column> = (self.output_schema.columns().iter())
             .map(|c| Column::new(c.data_type))
             .collect();
+        let mut run: Option<(Arc<RecordBatch>, Range<usize>)> = None;
         let mut rows = 0;
         while rows < batch_size {
             let Some(Reverse((_, idx))) = self.heap.pop() else {
                 break;
             };
             let cursor = &mut self.cursors[idx];
-            {
-                let page = cursor.current.as_ref().expect("frontier implies a page");
-                for (j, column) in columns.iter_mut().enumerate() {
-                    column.push_unchecked(page.column(1 + j).get(cursor.row).clone());
+            let page = cursor.current.as_ref().expect("frontier implies a page");
+            match &mut run {
+                Some((open, range)) if Arc::ptr_eq(open, page) && range.end == cursor.row => {
+                    range.end += 1;
+                }
+                _ => {
+                    let next = (Arc::clone(page), cursor.row..cursor.row + 1);
+                    if let Some((open, range)) = run.replace(next) {
+                        append_rows(&mut columns, &open, 1, range);
+                    }
                 }
             }
             rows += 1;
@@ -531,6 +540,9 @@ impl Spilled {
             if let Some(seq) = cursor.frontier_seq()? {
                 self.heap.push(Reverse((seq, idx)));
             }
+        }
+        if let Some((open, range)) = run {
+            append_rows(&mut columns, &open, 1, range);
         }
         self.emitted = true;
         Ok(Some(RecordBatch::new(self.output_schema.clone(), columns)?))
@@ -570,7 +582,7 @@ impl OutCursor {
     fn frontier_seq(&self) -> Result<Option<u64>> {
         match &self.current {
             None => Ok(None),
-            Some(page) => Ok(Some(page.column(0).get(self.row).as_i64()? as u64)),
+            Some(page) => Ok(Some(page.column(0).value(self.row).as_i64()? as u64)),
         }
     }
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use sdb_sql::ast::{Expr, JoinKind};
-use sdb_storage::{Column, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
+use sdb_storage::{Column, ColumnCells, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
 
 use super::expr::{evaluate_exprs, input_column};
 use super::grace_join::Spilled;
@@ -14,7 +14,7 @@ use super::oracle::resolve_for_exprs;
 use super::parallel::{effective_workers, scoped_workers};
 use super::{hold_input, BoxedOperator, ExecContext, Held, PhysicalOperator, Replay};
 use crate::Result;
-use sdb_storage::keys::{keys_eq, BatchKeys, ChainIndex};
+use sdb_storage::keys::{cells_key_eq, BatchKeys, ChainIndex};
 
 /// Hash equi-join: indexes the right (build) side by key during `open()`,
 /// then streams left batches against it. Keys are columns plus a hash per
@@ -94,16 +94,18 @@ impl BuildSide {
         probe: &BatchKeys,
         pad_unmatched: bool,
     ) -> (Vec<usize>, Vec<Option<usize>>) {
-        let build_keys: Vec<&[Value]> = self.keys.iter().map(Column::values).collect();
-        let probe_keys: Vec<&[Value]> = probe.columns.iter().map(Column::values).collect();
+        let build_keys: Vec<ColumnCells<'_>> = self.keys.iter().map(Column::cells).collect();
+        let probe_keys: Vec<ColumnCells<'_>> = probe.columns.iter().map(Column::cells).collect();
         let mut probe_rows = Vec::with_capacity(probe.hashes.len());
         let mut build_rows = Vec::with_capacity(probe.hashes.len());
         for (lrow, &hash) in probe.hashes.iter().enumerate() {
             let before = probe_rows.len();
             if !probe.nulls[lrow] {
                 for rrow in self.index.matches(hash) {
-                    let build_key = build_keys.iter().map(|column| &column[rrow]);
-                    if keys_eq(probe_keys.iter().map(|column| &column[lrow]), build_key) {
+                    let same = |(probe, build): (&ColumnCells<'_>, &ColumnCells<'_>)| {
+                        cells_key_eq(*probe, lrow, *build, rrow)
+                    };
+                    if probe_keys.iter().zip(&build_keys).all(same) {
                         probe_rows.push(lrow);
                         build_rows.push(Some(rrow));
                     }
@@ -180,7 +182,7 @@ pub(super) fn keys_of_batch(
     let mut columns = parts.next().expect("one part per morsel");
     for part in parts {
         for (column, more) in columns.iter_mut().zip(part) {
-            column.extend_from_slice(more.values());
+            column.extend(&more);
         }
     }
     Ok(BatchKeys::new(columns, rows))

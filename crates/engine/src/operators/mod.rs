@@ -85,7 +85,9 @@ pub mod spill_aggregate;
 #[cfg(test)]
 mod tests;
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard};
@@ -94,7 +96,7 @@ use rand::{Rng, SeedableRng};
 
 use sdb_sql::ast::Query;
 use sdb_sql::plan::PlanBuilder;
-use sdb_storage::{CancelToken, Catalog, MemoryBudget, Pager, RecordBatch, Schema, Value};
+use sdb_storage::{CancelToken, Catalog, Column, MemoryBudget, Pager, RecordBatch, Schema, Value};
 
 use crate::config::ExecConfig;
 use crate::eval::{Evaluator, SubqueryResolver};
@@ -447,7 +449,7 @@ impl SubqueryResolver for ExecContext<'_> {
         }
         match batch.num_rows() {
             0 => Ok(Value::Null),
-            1 => Ok(batch.column(0).get(0).clone()),
+            1 => Ok(batch.column(0).value(0).into_owned()),
             n => Err(EngineError::Expression {
                 detail: format!("scalar subquery returned {n} rows"),
             }),
@@ -459,7 +461,7 @@ impl SubqueryResolver for ExecContext<'_> {
         if batch.num_columns() == 0 {
             return Ok(vec![]);
         }
-        Ok(batch.column(0).values().to_vec())
+        Ok(batch.column(0).iter().map(Cow::into_owned).collect())
     }
 }
 
@@ -574,6 +576,20 @@ impl Replay {
             Some(batch) => Ok(Some(batch)),
             None => input.next_batch(),
         }
+    }
+}
+
+/// Copies rows `rows` of `page`'s columns from `first` on onto `columns`, a
+/// column at a time: how the spill merges emit a run of consecutive rows of
+/// one page (shares copy their limbs).
+pub(crate) fn append_rows(
+    columns: &mut [Column],
+    page: &RecordBatch,
+    first: usize,
+    rows: Range<usize>,
+) {
+    for (column, source) in columns.iter_mut().zip(&page.columns()[first..]) {
+        column.extend(&source.slice(rows.start, rows.len()));
     }
 }
 

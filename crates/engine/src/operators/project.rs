@@ -7,7 +7,9 @@ use sdb_sql::ast::Expr;
 use sdb_sql::plan::ProjectionItem;
 use sdb_storage::{Column, ColumnDef, RecordBatch, Schema};
 
-use super::expr::{bind_to_existing_columns, evaluate_exprs, infer_column_def, ExprColumn};
+use super::expr::{
+    bind_to_existing_columns, evaluate_exprs, infer_column_def, sensitivity_of, ExprColumn,
+};
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
 use crate::kernels::ShareKernels;
 use crate::Result;
@@ -144,6 +146,13 @@ impl<'a> Project<'a> {
                 }),
                 (None, ExprColumn::Values(values)) => (values.iter().any(|v| !v.is_null()))
                     .then(|| infer_column_def(name, expr.expect("computed"), values, schema)),
+                (None, ExprColumn::Computed(column)) => (0..column.len())
+                    .any(|row| !column.is_null(row))
+                    .then(|| ColumnDef {
+                        name: name.clone(),
+                        data_type: column.data_type(),
+                        sensitivity: sensitivity_of(column.data_type()),
+                    }),
             };
         }
 
@@ -176,6 +185,10 @@ impl<'a> Project<'a> {
                 columns.push(match evaluated {
                     ExprColumn::Input(idx) => staged.input.column(idx).clone(),
                     ExprColumn::Values(values) => Column::from_values(def.data_type, values)?,
+                    ExprColumn::Computed(column) if column.data_type() == def.data_type => column,
+                    ExprColumn::Computed(column) => {
+                        Column::from_values(def.data_type, column.to_values())?
+                    }
                 });
                 defs.push(def);
             }

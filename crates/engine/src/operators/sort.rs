@@ -1,11 +1,12 @@
 //! The order-shaping operators: sort, limit and distinct.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use sdb_sql::ast::Expr;
 use sdb_sql::plan::SortKey;
-use sdb_storage::{partition_ranges, Column, DataType, RecordBatch, Schema, Value};
+use sdb_storage::{partition_ranges, Column, ColumnCells, DataType, RecordBatch, Schema, Value};
 
 use super::expr::bind_to_existing_columns;
 use super::external_sort::Merge;
@@ -126,9 +127,9 @@ pub(super) fn key_columns(
 
 /// Compares two rows by their key values (with desc flags), then by
 /// position — a total order whose sort equals a stable sort by keys alone.
-fn compare_rows(keys: &[Column], desc: &[bool], a: usize, b: usize) -> Ordering {
+fn compare_rows(keys: &[ColumnCells<'_>], desc: &[bool], a: usize, b: usize) -> Ordering {
     for (key, d) in keys.iter().zip(desc) {
-        let ord = key.get(a).cmp_total(key.get(b));
+        let ord = key.cmp_total(a, b);
         let ord = if *d { ord.reverse() } else { ord };
         if ord != Ordering::Equal {
             return ord;
@@ -147,6 +148,8 @@ pub(super) fn sorted_order(
     keys: &[Column],
     desc: &[bool],
 ) -> Result<Vec<usize>> {
+    let keys: Vec<ColumnCells<'_>> = keys.iter().map(Column::cells).collect();
+    let keys = &keys[..];
     let workers = effective_workers(ctx.parallelism(), rows);
     if workers <= 1 {
         let mut order: Vec<usize> = (0..rows).collect();
@@ -289,7 +292,7 @@ impl PhysicalOperator for Distinct<'_> {
             let is_new = !(self.index.matches(hash)).any(|i| keys_eq(&seen[i], keys.row(row)));
             if is_new {
                 self.index.insert(hash);
-                self.seen.push(keys.row(row).cloned().collect());
+                self.seen.push(keys.row(row).map(Cow::into_owned).collect());
             }
             mask.push(is_new);
         }

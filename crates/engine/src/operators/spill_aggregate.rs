@@ -285,12 +285,12 @@ fn group_rows_into(rows: Vec<PreparedRow>, min_seqs: &mut Vec<u64>, groups: &mut
 fn decode_rows(batch: &RecordBatch, num_keys: usize, num_args: usize) -> Result<Vec<PreparedRow>> {
     let mut rows = Vec::with_capacity(batch.num_rows());
     for r in 0..batch.num_rows() {
-        let seq = batch.column(0).get(r).as_i64()? as u64;
+        let seq = batch.column(0).value(r).as_i64()? as u64;
         let key_values: Vec<Value> = (0..num_keys)
-            .map(|i| batch.column(1 + i).get(r).clone())
+            .map(|i| batch.column(1 + i).value(r).into_owned())
             .collect();
         let args: Vec<Value> = (0..num_args)
-            .map(|j| batch.column(1 + num_keys + j).get(r).clone())
+            .map(|j| batch.column(1 + num_keys + j).value(r).into_owned())
             .collect();
         rows.push(PreparedRow {
             seq,

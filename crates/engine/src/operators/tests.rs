@@ -178,7 +178,7 @@ fn scanned_batches_are_windows_onto_the_tables_buffers() {
     while let Some(batch) = scan.next_batch().unwrap() {
         assert_eq!(batch.schema().column_at(0).name, "numbers.b");
         assert_eq!(batch.num_columns(), 1);
-        assert_eq!(batch.column(0).get(0), &Value::Int(seen * 10));
+        assert_eq!(*batch.column(0).value(0), Value::Int(seen * 10));
         seen += batch.num_rows() as i64;
         // No cell was copied on the way here, nor by anything downstream
         // that only narrows or shares.
@@ -228,7 +228,7 @@ fn filter_across_batches_and_empty_input() {
     let mut filter = Filter::new(Arc::clone(&ctx), input, predicate.clone());
     let out = drain_operator(&mut filter).unwrap();
     assert_eq!(out.num_rows(), 2);
-    assert_eq!(out.column(0).get(0), &Value::Int(3));
+    assert_eq!(*out.column(0).value(0), Value::Int(3));
 
     // Empty input keeps the schema.
     let input = FixedBatches::boxed(vec![RecordBatch::empty(schema.clone())]);
@@ -260,7 +260,7 @@ fn project_computes_per_batch() {
     let out = drain_operator(&mut project).unwrap();
     assert_eq!(out.num_columns(), 3);
     assert_eq!(out.schema().column_at(0).name, "sum");
-    assert_eq!(out.column(0).get(1), &Value::Int(22));
+    assert_eq!(*out.column(0).value(1), Value::Int(22));
     assert_eq!(out.num_rows(), 2);
 }
 
@@ -367,7 +367,7 @@ fn hash_join_streams_probe_batches() {
     );
     let out = drain_operator(&mut join).unwrap();
     assert_eq!(out.num_rows(), 4);
-    assert!(out.column(2).get(3).is_null());
+    assert!(out.column(2).value(3).is_null());
 }
 
 #[test]
@@ -429,7 +429,7 @@ fn fk_pk_probe_shares_the_probe_columns() {
     join.close().unwrap();
     assert!(out.column(0).shares_buffer(fact.column(0)));
     assert!(out.column(1).shares_buffer(fact.column(1)));
-    let dim_values: Vec<Value> = out.column(3).values().to_vec();
+    let dim_values: Vec<Value> = out.column(3).to_values();
     assert_eq!(dim_values, [-1, -3, -1, -2].map(Value::Int));
 
     let fact = probe(&[(1, 10), (4, 40)]);
@@ -475,7 +475,7 @@ fn hash_join_orders_matches_and_pads_unmatched_rows() {
     let int = |v| Value::Int(v);
 
     let inner = run(JoinKind::Inner, probe.clone(), build());
-    let build_rows: Vec<Value> = inner.column(3).values().to_vec();
+    let build_rows: Vec<Value> = inner.column(3).to_values();
     assert_eq!(build_rows, [0, 3, 4].map(int), "ascending build rows");
 
     let left = run(JoinKind::Left, probe.clone(), build());
@@ -495,7 +495,7 @@ fn hash_join_orders_matches_and_pads_unmatched_rows() {
     let empty = || FixedBatches::boxed(vec![RecordBatch::empty(ab_schema())]);
     let padded = run(JoinKind::Left, probe.clone(), empty());
     assert_eq!(padded.num_rows(), 3);
-    assert!(padded.column(2).values().iter().all(Value::is_null));
+    assert!(padded.column(2).iter().all(|v| v.is_null()));
     // Empty probe batch: an empty batch of the combined schema.
     let none = run(
         JoinKind::Left,
@@ -563,7 +563,7 @@ fn forced_hash_collisions_change_no_result() {
     // The inputs exercise what they claim to: a NULL group among the 8, and
     // DISTINCT dropping most of the 90 rows.
     assert_eq!(expected[2].num_rows(), 8);
-    assert!(expected[2].column(0).values().contains(&Value::Null));
+    assert!(expected[2].column(0).to_values().contains(&Value::Null));
     assert!(expected[3].num_rows() < 45);
     assert!(expected[0].num_rows() > 90 && expected[1].num_rows() > expected[0].num_rows());
 }
@@ -630,7 +630,7 @@ fn global_aggregate_over_empty_input_yields_one_row() {
     );
     let out = drain_operator(&mut aggregate).unwrap();
     assert_eq!(out.num_rows(), 1);
-    assert_eq!(out.column(0).get(0), &Value::Int(0));
+    assert_eq!(*out.column(0).value(0), Value::Int(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -650,12 +650,7 @@ fn sort_merges_batches() {
     }];
     let mut sort = Sort::new(ctx, input, keys);
     let out = drain_operator(&mut sort).unwrap();
-    let values: Vec<i64> = out
-        .column(0)
-        .values()
-        .iter()
-        .map(|v| v.as_i64().unwrap())
-        .collect();
+    let values: Vec<i64> = out.column(0).iter().map(|v| v.as_i64().unwrap()).collect();
     assert_eq!(values, vec![1, 2, 3]);
 }
 
@@ -819,7 +814,7 @@ fn rank_calls_resolve_in_one_round_trip_across_batches() {
         "ranks must batch across input batches"
     );
     // All six rows answered from one rank block, in request order.
-    assert_eq!(out.column(2).get(5), &Value::Int(5));
+    assert_eq!(*out.column(2).value(5), Value::Int(5));
 
     // Group tags coalesce across input batches too (the cross-batch
     // accumulator): one trip for three input batches.
@@ -920,8 +915,8 @@ fn memo_answers_repeated_operands_without_new_trips() {
     assert_eq!(stats.oracle_memo_hits, 2);
     assert_eq!(stats.oracle_rows_shipped, 4);
     // The memoized answers are the same the oracle would have given.
-    assert_eq!(out.column(2).get(0), out.column(2).get(4));
-    assert_eq!(out.column(2).get(1), out.column(2).get(5));
+    assert_eq!(out.column(2).value(0), out.column(2).value(4));
+    assert_eq!(out.column(2).value(1), out.column(2).value(5));
 }
 
 #[test]
@@ -989,8 +984,8 @@ fn project_locks_computed_types_across_null_leading_batches() {
     let out = drain_operator(&mut project).unwrap();
     assert_eq!(out.num_rows(), 3);
     assert_eq!(out.schema().column_at(0).data_type, DataType::Varchar);
-    assert!(out.column(0).get(0).is_null());
-    assert_eq!(out.column(0).get(2), &Value::Str("high".into()));
+    assert!(out.column(0).value(0).is_null());
+    assert_eq!(*out.column(0).value(2), Value::Str("high".into()));
 }
 
 // ---------------------------------------------------------------------------

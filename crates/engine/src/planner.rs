@@ -624,7 +624,7 @@ mod tests {
         let batch = run(&catalog, "SELECT name, salary * 2 AS double_pay FROM emp");
         assert_eq!(batch.num_rows(), 5);
         assert_eq!(batch.schema().column_at(1).name, "double_pay");
-        assert_eq!(batch.column(1).get(0), &Value::Int(200));
+        assert_eq!(*batch.column(1).value(0), Value::Int(200));
     }
 
     #[test]
@@ -637,7 +637,6 @@ mod tests {
         assert_eq!(batch.num_rows(), 2);
         let names: Vec<String> = batch
             .column(0)
-            .values()
             .iter()
             .map(|v| v.as_str().unwrap().to_string())
             .collect();
@@ -661,7 +660,7 @@ mod tests {
             "SELECT e.name, d.dept_name FROM emp e JOIN dept d ON e.dept_id = d.id ORDER BY e.name",
         );
         assert_eq!(batch.num_rows(), 4); // eve's dept 30 has no match
-        assert_eq!(batch.column(1).get(0).as_str().unwrap(), "eng");
+        assert_eq!(batch.column(1).value(0).as_str().unwrap(), "eng");
     }
 
     #[test]
@@ -672,7 +671,7 @@ mod tests {
             "SELECT e.name, d.dept_name FROM emp e LEFT JOIN dept d ON e.dept_id = d.id ORDER BY e.id",
         );
         assert_eq!(batch.num_rows(), 5);
-        assert!(batch.column(1).get(4).is_null());
+        assert!(batch.column(1).value(4).is_null());
     }
 
     #[test]
@@ -694,17 +693,17 @@ mod tests {
         );
         assert_eq!(batch.num_rows(), 3);
         // dept 10: count 2, sum 300, avg 150, min 100, max 200
-        assert_eq!(batch.column(1).get(0), &Value::Int(2));
-        assert_eq!(batch.column(2).get(0), &Value::Int(300));
+        assert_eq!(*batch.column(1).value(0), Value::Int(2));
+        assert_eq!(*batch.column(2).value(0), Value::Int(300));
         assert_eq!(
-            batch.column(3).get(0),
-            &Value::Decimal {
+            *batch.column(3).value(0),
+            Value::Decimal {
                 units: 1_500_000,
                 scale: 4
             }
         );
-        assert_eq!(batch.column(4).get(0), &Value::Int(100));
-        assert_eq!(batch.column(5).get(0), &Value::Int(200));
+        assert_eq!(*batch.column(4).value(0), Value::Int(100));
+        assert_eq!(*batch.column(5).value(0), Value::Int(200));
     }
 
     #[test]
@@ -712,15 +711,15 @@ mod tests {
         let catalog = setup_catalog();
         let batch = run(&catalog, "SELECT COUNT(*) AS n, SUM(salary) AS s FROM emp");
         assert_eq!(batch.num_rows(), 1);
-        assert_eq!(batch.column(0).get(0), &Value::Int(5));
-        assert_eq!(batch.column(1).get(0), &Value::Int(1500));
+        assert_eq!(*batch.column(0).value(0), Value::Int(5));
+        assert_eq!(*batch.column(1).value(0), Value::Int(1500));
 
         let batch = run(
             &catalog,
             "SELECT dept_id, SUM(salary) AS s FROM emp GROUP BY dept_id HAVING SUM(salary) > 400 ORDER BY s DESC",
         );
         assert_eq!(batch.num_rows(), 2);
-        assert_eq!(batch.column(1).get(0), &Value::Int(700));
+        assert_eq!(*batch.column(1).value(0), Value::Int(700));
     }
 
     #[test]
@@ -731,8 +730,8 @@ mod tests {
             "SELECT COUNT(*) AS n, SUM(salary) AS s FROM emp WHERE id > 99",
         );
         assert_eq!(batch.num_rows(), 1);
-        assert_eq!(batch.column(0).get(0), &Value::Int(0));
-        assert!(batch.column(1).get(0).is_null());
+        assert_eq!(*batch.column(0).value(0), Value::Int(0));
+        assert!(batch.column(1).value(0).is_null());
     }
 
     #[test]
@@ -743,7 +742,7 @@ mod tests {
             "SELECT salary FROM emp ORDER BY salary DESC LIMIT 2",
         );
         assert_eq!(batch.num_rows(), 2);
-        assert_eq!(batch.column(0).get(0), &Value::Int(500));
+        assert_eq!(*batch.column(0).value(0), Value::Int(500));
 
         let batch = run(
             &catalog,
@@ -756,7 +755,7 @@ mod tests {
     fn count_distinct() {
         let catalog = setup_catalog();
         let batch = run(&catalog, "SELECT COUNT(DISTINCT dept_id) AS d FROM emp");
-        assert_eq!(batch.column(0).get(0), &Value::Int(3));
+        assert_eq!(*batch.column(0).value(0), Value::Int(3));
     }
 
     #[test]
@@ -797,7 +796,7 @@ mod tests {
             &catalog,
             "SELECT SUM(CASE WHEN dept_id = 10 THEN salary ELSE 0 END) AS eng_total FROM emp",
         );
-        assert_eq!(batch.column(0).get(0), &Value::Int(300));
+        assert_eq!(*batch.column(0).value(0), Value::Int(300));
     }
 
     #[test]
@@ -949,15 +948,15 @@ mod tests {
             "every left row must survive a LEFT JOIN"
         );
         assert!(
-            batch.column(1).get(0).is_null(),
+            batch.column(1).value(0).is_null(),
             "ann's only match fails the residual"
         );
         assert!(
-            batch.column(1).get(1).is_null(),
+            batch.column(1).value(1).is_null(),
             "bob's only match fails the residual"
         );
-        assert_eq!(batch.column(1).get(2).as_str().unwrap(), "ops");
-        assert!(batch.column(1).get(4).is_null(), "eve has no dept at all");
+        assert_eq!(batch.column(1).value(2).as_str().unwrap(), "ops");
+        assert!(batch.column(1).value(4).is_null(), "eve has no dept at all");
     }
 
     #[test]
@@ -1038,10 +1037,10 @@ mod tests {
         assert_eq!(batch.num_rows(), 5);
         assert_eq!(batch.schema().column_at(0).data_type, DataType::Varchar);
         assert!(
-            batch.column(0).get(0).is_null(),
+            batch.column(0).value(0).is_null(),
             "salary 100 fails the CASE"
         );
-        assert_eq!(batch.column(0).get(4), &Value::Str("eve".into()));
+        assert_eq!(*batch.column(0).value(4), Value::Str("eve".into()));
     }
 
     #[test]
@@ -1161,7 +1160,7 @@ mod pruning_tests {
     fn count_star_keeps_one_column_for_the_row_count() {
         let catalog = setup_catalog();
         let (out, scans) = run_both(&catalog, "SELECT COUNT(*) AS n FROM emp", None);
-        assert_eq!(out.column(0).get(0), &Value::Int(5));
+        assert_eq!(*out.column(0).value(0), Value::Int(5));
         assert_eq!(scans, vec![(1, 4)]);
     }
 
@@ -1170,7 +1169,7 @@ mod pruning_tests {
         let catalog = setup_catalog();
         // ORDER BY a column the select list does not name.
         let (out, scans) = run_both(&catalog, "SELECT name FROM emp ORDER BY salary DESC", None);
-        assert_eq!(out.column(0).get(0), &Value::Str("eve".into()));
+        assert_eq!(*out.column(0).value(0), Value::Str("eve".into()));
         assert_eq!(scans, vec![(2, 4)]);
         // HAVING over an aggregate the select list does not name.
         let (out, scans) = run_both(
@@ -1206,7 +1205,7 @@ mod pruning_tests {
             None,
         );
         assert_eq!(out.num_rows(), 5);
-        assert!(out.column(1).get(4).is_null());
+        assert!(out.column(1).value(4).is_null());
         assert_eq!(scans, vec![(3, 4), (2, 2)]);
         // With a residual ON conjunct (the nested-loop path).
         let (out, _) = run_both(
@@ -1215,7 +1214,7 @@ mod pruning_tests {
              LEFT JOIN dept d ON e.dept_id = d.id AND d.dept_name <> 'eng' ORDER BY e.id",
             None,
         );
-        assert!(out.column(1).get(0).is_null());
+        assert!(out.column(1).value(0).is_null());
     }
 
     /// Sign answers that depend only on the row-id ciphertext, as the

@@ -131,10 +131,11 @@ fn fingerprint(n: &BigUint, p: &BigUint) -> u64 {
     hasher.finish()
 }
 
-/// The low limb of a share, if it fits `limbs` limbs.
-fn low_limb(share: &BigUint, limbs: usize) -> Option<u64> {
-    let mut digits = share.iter_u64_digits();
-    (digits.len() <= limbs).then(|| digits.next().unwrap_or(0))
+/// The low limb of a share — little-endian limbs, zero high limbs allowed —
+/// if it fits `limbs` limbs.
+fn low_limb(share: &[u64], limbs: usize) -> Option<u64> {
+    let fits = share.iter().skip(limbs).all(|&limb| limb == 0);
+    fits.then(|| share.first().copied().unwrap_or(0))
 }
 
 impl Entries {
@@ -142,16 +143,13 @@ impl Entries {
         self.next.len()
     }
 
-    fn find(&self, share: &BigUint, k: usize) -> Option<usize> {
+    fn find(&self, share: &[u64], k: usize) -> Option<usize> {
         let mut at = *self.first.get(&low_limb(share, k)?)?;
         while at != END {
             let entry = at as usize;
-            let mut digits = share.iter_u64_digits();
             let stored = &self.limbs[2 * k * entry..][..k];
-            if stored
-                .iter()
-                .all(|&limb| limb == digits.next().unwrap_or(0))
-            {
+            let digit = |j: usize| share.get(j).copied().unwrap_or(0);
+            if stored.iter().enumerate().all(|(j, &limb)| limb == digit(j)) {
                 return Some(entry);
             }
             at = self.next[entry];
@@ -165,7 +163,7 @@ impl Entries {
 
     /// Adds `share`'s power unless it is held already or the share is
     /// wider than a residue; whether it was added.
-    fn insert(&mut self, share: &BigUint, power: &[u64], k: usize) -> bool {
+    fn insert(&mut self, share: &[u64], power: &[u64], k: usize) -> bool {
         let Some(low) = low_limb(share, k) else {
             return false;
         };
@@ -175,7 +173,7 @@ impl Entries {
         let entry = self.next.len() as u32;
         self.next.push(self.first.insert(low, entry).unwrap_or(END));
         let start = self.limbs.len();
-        self.limbs.extend(share.iter_u64_digits());
+        self.limbs.extend_from_slice(&share[..share.len().min(k)]);
         self.limbs.resize(start + k, 0);
         self.limbs.extend_from_slice(power);
         true
@@ -198,12 +196,13 @@ impl PowerTable {
         self.limbs * std::mem::size_of::<u64>()
     }
 
-    /// Copies the power of every share of `shares` still marked in `served`
-    /// into its row of `rows` (`row_limbs` limbs a row, this table's residue
-    /// at `offset`), and clears the mark of every share the table lacks.
+    /// Copies the power of every share of `shares` (little-endian limbs)
+    /// still marked in `served` into its row of `rows` (`row_limbs` limbs a
+    /// row, this table's residue at `offset`), and clears the mark of every
+    /// share the table lacks.
     pub(crate) fn read(
         &self,
-        shares: &[&BigUint],
+        shares: &[&[u64]],
         served: &mut [bool],
         rows: &mut [u64],
         row_limbs: usize,
@@ -319,10 +318,11 @@ impl PowerMemo {
         tables
     }
 
-    /// Stores the powers of `raised` — shares with their residue in
-    /// `table`'s exponent — unless the table was evicted; those that would
-    /// pass the bound after every other exponent is gone are dropped.
-    pub(crate) fn store(&self, table: &Arc<PowerTable>, raised: &[(&BigUint, &[u64])]) {
+    /// Stores the powers of `raised` — shares (little-endian limbs) with
+    /// their residue in `table`'s exponent — unless the table was evicted;
+    /// those that would pass the bound after every other exponent is gone
+    /// are dropped.
+    pub(crate) fn store(&self, table: &Arc<PowerTable>, raised: &[(&[u64], &[u64])]) {
         let mut state = self.state.lock();
         let current = state.tables.get(&table.fingerprint);
         if !current.is_some_and(|admitted| Arc::ptr_eq(&admitted.table, table)) {

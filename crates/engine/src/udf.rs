@@ -22,6 +22,7 @@
 //! sets"). Before raising a row, a group looks its share up in the engine's
 //! [`PowerMemo`], which keeps the powers of exponents earlier queries raised.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -31,7 +32,8 @@ use parking_lot::{Mutex, MutexGuard};
 use sdb_crypto::bigint::{mod_add, mod_mul};
 use sdb_crypto::{BoundKeyUpdate, BoundKeyUpdateSet, KeyUpdateParams, Modulus};
 use sdb_sql::ast::{Expr, Literal};
-use sdb_storage::{Column, Value};
+use sdb_storage::shares::biguint_of;
+use sdb_storage::{Column, ColumnCells, Value};
 
 use crate::operators::parallel;
 use crate::power_memo::{PowerMemo, PowerTable, QueryMemo};
@@ -380,19 +382,22 @@ impl PowerBlock {
         memo: Option<&PowerMemo>,
         tables: &[Option<Arc<PowerTable>>],
     ) {
-        let mut shares = Vec::with_capacity(len);
+        // The limbs of every share of the window: borrowed from a column of
+        // shares, copied out of a value buffer's.
+        let mut shares: Vec<Cow<'_, [u64]>> = Vec::with_capacity(len);
         self.cells.clear();
         for cell in row..row + len {
-            let raised = share(aux.get(cell)).map(|share| {
-                shares.push(share);
+            let cell = share_limbs(aux, cell).map(|limbs| {
+                shares.push(limbs);
                 Cell {
                     row: shares.len() - 1,
                     used: false,
                     from_memo: false,
                 }
             });
-            self.cells.push(raised);
+            self.cells.push(cell);
         }
+        let shares: Vec<&[u64]> = shares.iter().map(|limbs| &**limbs).collect();
         let row_limbs = set.row_limbs();
         self.limbs.clear();
         self.limbs.resize(shares.len() * row_limbs, 0);
@@ -411,10 +416,12 @@ impl PowerBlock {
             }
         }
         let missing: Vec<usize> = (0..shares.len()).filter(|&i| !served[i]).collect();
+        // Only the shares that are raised become integers.
+        let misses: Vec<BigUint> = missing.iter().map(|&i| biguint_of(shares[i])).collect();
+        let misses: Vec<&BigUint> = misses.iter().collect();
         if missing.len() == shares.len() {
-            set.fill_rows(&shares, &mut self.limbs);
+            set.fill_rows(&misses, &mut self.limbs);
         } else if !missing.is_empty() {
-            let misses: Vec<&BigUint> = missing.iter().map(|&i| shares[i]).collect();
             let mut raised = vec![0; misses.len() * row_limbs];
             set.fill_rows(&misses, &mut raised);
             for (&i, powers) in missing.iter().zip(raised.chunks(row_limbs)) {
@@ -424,7 +431,7 @@ impl PowerBlock {
         if let Some(memo) = memo.filter(|_| !missing.is_empty()) {
             for (slot, table) in tables.iter().enumerate() {
                 let Some(table) = table else { continue };
-                let raised: Vec<(&BigUint, &[u64])> = (missing.iter())
+                let raised: Vec<(&[u64], &[u64])> = (missing.iter())
                     .map(|&i| {
                         (
                             shares[i],
@@ -442,11 +449,22 @@ impl PowerBlock {
     }
 }
 
-/// The share in a cell of an auxiliary column, if it holds one.
-fn share(value: &Value) -> Option<&BigUint> {
-    match value {
-        Value::Encrypted(share) => Some(share),
-        _ => None,
+/// The limbs of the share in `row` of an auxiliary column, if it holds one.
+fn share_limbs(aux: &Column, row: usize) -> Option<Cow<'_, [u64]>> {
+    match aux.cells() {
+        ColumnCells::Shares(shares) => shares.is_valid(row).then(|| Cow::Borrowed(shares.row(row))),
+        ColumnCells::Values(values) => match &values[row] {
+            Value::Encrypted(share) => Some(Cow::Owned(share.iter_u64_digits().collect())),
+            _ => None,
+        },
+    }
+}
+
+/// Whether `row` of an auxiliary column holds a share.
+fn holds_share(aux: &Column, row: usize) -> bool {
+    match aux.cells() {
+        ColumnCells::Shares(shares) => shares.is_valid(row),
+        ColumnCells::Values(values) => matches!(values[row], Value::Encrypted(_)),
     }
 }
 
@@ -565,7 +583,9 @@ impl KeyUpdateSets {
         counts: &mut KeyUpdateCounts,
     ) -> Option<BigUint> {
         let group = &self.groups[site.group];
-        share(aux.get(row))?;
+        if !holds_share(aux, row) {
+            return None;
+        }
         let mut block = group.block();
         let start = group.serve(&mut block, aux, row, self.memo.as_ref(), counts);
         let powers = &block.limbs[start..start + group.set.row_limbs()];
@@ -1694,7 +1714,7 @@ mod tests {
         // row 3 on, up to `block_rows` cells, the NULL of row 5 left out.
         let block = sets.groups[0].set.block_rows();
         let held: Vec<BigUint> = (shares[3..(3 + block).min(shares.len())].iter())
-            .filter_map(share)
+            .filter_map(|value| value.as_encrypted().ok())
             .flat_map(|s| [s.modpow(&p, n), s.modpow(&next, n)])
             .collect();
         assert_eq!(sets.powers(), held);

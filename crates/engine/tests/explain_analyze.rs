@@ -62,7 +62,7 @@ fn plan_lines(engine: &SpEngine, sql: &str) -> Vec<String> {
         "EXPLAIN ANALYZE must carry the full trace report"
     );
     (0..out.batch.num_rows())
-        .map(|row| out.batch.column(0).get(row).as_str().unwrap().to_string())
+        .map(|row| out.batch.column(0).value(row).as_str().unwrap().to_string())
         .collect()
 }
 
@@ -209,8 +209,8 @@ fn index_scans_name_their_column_and_count_the_rows_they_emit() {
     let out = engine
         .execute_sql("EXPLAIN SELECT v FROM fact WHERE id = 42")
         .unwrap();
-    let explained: Vec<&str> = (0..out.batch.num_rows())
-        .map(|row| out.batch.column(0).get(row).as_str().unwrap())
+    let explained: Vec<String> = (0..out.batch.num_rows())
+        .map(|row| out.batch.column(0).value(row).as_str().unwrap().to_string())
         .collect();
     assert!(
         explained.iter().any(|l| l.trim() == "IndexScan(fact.id)"),

@@ -328,11 +328,11 @@ fn an_index_scan_opened_before_an_insert_keeps_its_snapshot() {
     ));
     let seen = drain_operator(plan_of(&after).as_mut()).unwrap();
     assert_eq!(seen.num_rows(), 4);
-    assert_eq!(seen.column(1).get(3), &Value::Int(77));
+    assert_eq!(*seen.column(1).value(3), Value::Int(77));
 
     // The scan opened before the insert finishes on its own snapshot.
     while let Some(batch) = root.next_batch().unwrap() {
-        assert!(!batch.column(1).values().contains(&Value::Int(77)));
+        assert!(!batch.column(1).to_values().contains(&Value::Int(77)));
         rows += batch.num_rows();
     }
     root.close().unwrap();
@@ -356,7 +356,7 @@ fn lookups_racing_inserts_see_whole_prefixes() {
                     for step in 0..STEPS {
                         barrier.wait();
                         let out = engine.execute_sql("SELECT v FROM r WHERE k = 7");
-                        let values = out.map(|out| out.batch.column(0).values().to_vec());
+                        let values = out.map(|out| out.batch.column(0).to_values());
                         seen.push((step, values.unwrap_or_default()));
                     }
                     seen
@@ -408,10 +408,7 @@ fn a_replaced_table_is_looked_up_afresh() {
         .unwrap();
     let lookup = |sql: &str| {
         let out = engine.execute_sql(sql).unwrap();
-        (
-            out.batch.column(0).values().to_vec(),
-            out.stats.rows_scanned,
-        )
+        (out.batch.column(0).to_values(), out.stats.rows_scanned)
     };
     let strs = |v: &[&str]| {
         v.iter()

@@ -455,7 +455,6 @@ fn analyze_and_explain_through_the_engine() {
     let lines: Vec<String> = out
         .batch
         .column(0)
-        .values()
         .iter()
         .map(|v| v.as_str().unwrap().to_string())
         .collect();

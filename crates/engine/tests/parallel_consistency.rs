@@ -402,10 +402,10 @@ fn subquery_cache_distinguishes_identically_rendered_subqueries() {
     let plan = PlanBuilder::build(&outer).unwrap();
     let out = execute_plan(&ctx, &plan).unwrap();
     assert_eq!(out.num_rows(), 1);
-    assert_eq!(out.column(0).get(0), &Value::Int(1));
+    assert_eq!(*out.column(0).value(0), Value::Int(1));
     assert_eq!(
-        out.column(1).get(0),
-        &Value::Decimal { units: 1, scale: 0 },
+        *out.column(1).value(0),
+        Value::Decimal { units: 1, scale: 0 },
         "the decimal parameterisation must not collide with the int one"
     );
 }

@@ -9,11 +9,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sdb_crypto::share::decrypt_value;
+use sdb_crypto::share::{decrypt_limbs, decrypt_value};
 use sdb_crypto::SiesCipher;
 use sdb_engine::eval::Evaluator;
 use sdb_engine::UdfRegistry;
-use sdb_storage::{Column, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value};
+use sdb_storage::{
+    Column, ColumnCells, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value,
+};
 
 use crate::keystore::KeyStore;
 use crate::meta::PlainType;
@@ -69,7 +71,7 @@ impl Decryptor {
         for (idx, (name, ingredient)) in plan.ingredients.iter().enumerate() {
             let column = server.column(idx);
             let values = match ingredient {
-                Ingredient::Plain | Ingredient::RowId => column.values().to_vec(),
+                Ingredient::Plain | Ingredient::RowId => column.to_values(),
                 Ingredient::EncryptedRowKeyed {
                     handle,
                     decode,
@@ -84,12 +86,16 @@ impl Decryptor {
                         }
                     };
                     let rid_idx = server.schema().index_of(row_id_column)?;
-                    let rid_col = server.column(rid_idx);
+                    let ColumnCells::Values(rid_col) = server.column(rid_idx).cells() else {
+                        return Err(ProxyError::Decryption {
+                            detail: format!("row id column {row_id_column} holds shares"),
+                        });
+                    };
                     // The row ids of the non-NULL cells, then all their item
                     // keys in one call.
                     let row_ids = (0..rows)
-                        .filter(|&row| !column.get(row).is_null())
-                        .map(|row| rid_col.get(row).as_encrypted_row_id())
+                        .filter(|&row| !column.is_null(row))
+                        .map(|row| rid_col[row].as_encrypted_row_id())
                         .collect::<std::result::Result<Vec<_>, _>>()?;
                     let item_keys = (self.parts)
                         .row_keyed(&key, row_ids.into_iter(), session)
@@ -98,12 +104,12 @@ impl Decryptor {
                         })?;
                     let mut item_keys = item_keys.into_iter();
                     let mut out = Vec::with_capacity(rows);
-                    for share in column.values() {
-                        out.push(match share {
-                            Value::Null => Value::Null,
-                            share => {
+                    for row in 0..rows {
+                        out.push(match column.is_null(row) {
+                            true => Value::Null,
+                            false => {
                                 let ik = item_keys.next().expect("one item key per share");
-                                self.decode_share(share, &ik, *decode)?
+                                self.decode_share(column.cells(), row, &ik, *decode)?
                             }
                         });
                     }
@@ -120,19 +126,18 @@ impl Decryptor {
                     };
                     (0..rows)
                         .map(|row| {
-                            let share = column.get(row);
-                            if share.is_null() {
+                            if column.is_null(row) {
                                 Ok(Value::Null)
                             } else {
-                                self.decode_share(share, &item_key, *decode)
+                                self.decode_share(column.cells(), row, &item_key, *decode)
                             }
                         })
                         .collect::<Result<Vec<_>>>()?
                 }
                 Ingredient::SurrogateTag => (0..rows)
                     .map(|row| {
-                        let v = column.get(row);
-                        match v {
+                        let v = column.value(row);
+                        match &*v {
                             Value::Null => Ok(Value::Null),
                             Value::Tag(t) => {
                                 session.tag_value(*t).ok_or_else(|| ProxyError::Decryption {
@@ -147,8 +152,8 @@ impl Decryptor {
                     .collect::<Result<Vec<_>>>()?,
                 Ingredient::SurrogateRank => (0..rows)
                     .map(|row| {
-                        let v = column.get(row);
-                        match v {
+                        let v = column.value(row);
+                        match &*v {
                             Value::Null => Ok(Value::Null),
                             Value::Int(r) => session.rank_value(*r as u64).ok_or_else(|| {
                                 ProxyError::Decryption {
@@ -163,8 +168,8 @@ impl Decryptor {
                     .collect::<Result<Vec<_>>>()?,
                 Ingredient::SiesString => (0..rows)
                     .map(|row| {
-                        let v = column.get(row);
-                        match v {
+                        let v = column.value(row);
+                        match &*v {
                             Value::Null => Ok(Value::Null),
                             Value::EncryptedRowId(ct) => {
                                 let bytes = self.payload.decrypt_bytes(&ct.0).map_err(|e| {
@@ -217,7 +222,7 @@ impl Decryptor {
         let mut out_columns = Vec::new();
         for output in &plan.outputs {
             let values: Vec<Value> = match &output.source {
-                OutputSource::Column(name) => intermediate.column_by_name(name)?.values().to_vec(),
+                OutputSource::Column(name) => intermediate.column_by_name(name)?.to_values(),
                 OutputSource::Computed(expr) => (0..intermediate.num_rows())
                     .map(|row| evaluator.evaluate(expr, &intermediate, row))
                     .collect::<std::result::Result<Vec<_>, _>>()?,
@@ -262,7 +267,7 @@ impl Decryptor {
             for row in 0..result.num_rows() {
                 let key: String = visible
                     .iter()
-                    .map(|&i| result.column(i).get(row).render())
+                    .map(|&i| result.column(i).value(row).render())
                     .collect::<Vec<_>>()
                     .join("\u{1f}");
                 mask.push(seen.insert(key));
@@ -279,10 +284,7 @@ impl Decryptor {
             let mut order: Vec<usize> = (0..result.num_rows()).collect();
             order.sort_by(|&a, &b| {
                 for (idx, desc) in &key_indices {
-                    let ord = result
-                        .column(*idx)
-                        .get(a)
-                        .cmp_total(result.column(*idx).get(b));
+                    let ord = result.column(*idx).cells().cmp_total(a, b);
                     let ord = if *desc { ord.reverse() } else { ord };
                     if ord != std::cmp::Ordering::Equal {
                         return ord;
@@ -312,13 +314,22 @@ impl Decryptor {
         Ok(result)
     }
 
+    /// Decrypts and decodes the share in `row` of `cells` (not NULL): a
+    /// column of shares is read from its limbs.
     fn decode_share(
         &self,
-        share: &Value,
+        cells: ColumnCells<'_>,
+        row: usize,
         item_key: &num_bigint::BigUint,
         decode: PlainType,
     ) -> Result<Value> {
-        let residue = decrypt_value(&self.parts.system, share.as_encrypted()?, item_key);
+        let system = &self.parts.system;
+        let residue = match cells {
+            ColumnCells::Shares(shares) => decrypt_limbs(system, shares.row(row), item_key),
+            ColumnCells::Values(values) => {
+                decrypt_value(system, values[row].as_encrypted()?, item_key)
+            }
+        };
         let units = self.parts.codec.decode(&residue)?;
         Ok(decode_units(units, decode))
     }
@@ -437,8 +448,8 @@ mod tests {
         assert_eq!(result.num_columns(), 3);
         // Sorted by total descending: 2*10.50 = 21.00, 1*3.00 = 3.00, 5*-2.50 = -12.50.
         assert_eq!(
-            result.column_by_name("price").unwrap().get(0),
-            &Value::Decimal {
+            *result.column_by_name("price").unwrap().value(0),
+            Value::Decimal {
                 units: 1050,
                 scale: 2
             }
@@ -447,7 +458,7 @@ mod tests {
             result
                 .column_by_name("total")
                 .unwrap()
-                .get(0)
+                .value(0)
                 .as_scaled_i128(2)
                 .unwrap(),
             2100
@@ -456,7 +467,7 @@ mod tests {
             result
                 .column_by_name("total")
                 .unwrap()
-                .get(2)
+                .value(2)
                 .as_scaled_i128(2)
                 .unwrap(),
             -1250
@@ -536,8 +547,8 @@ mod tests {
         let result = decryptor.decrypt(&plan, &session, &server).unwrap();
         assert_eq!(result.num_rows(), 1);
         assert_eq!(
-            result.column_by_name("total").unwrap().get(0),
-            &Value::Int(900)
+            *result.column_by_name("total").unwrap().value(0),
+            Value::Int(900)
         );
     }
 
@@ -584,10 +595,10 @@ mod tests {
         let result = Decryptor::new(&ks)
             .decrypt(&plan, &session, &server)
             .unwrap();
-        assert_eq!(result.column(0).get(0), &Value::Int(42));
+        assert_eq!(*result.column(0).value(0), Value::Int(42));
         assert_eq!(
-            result.column(1).get(0),
-            &Value::Decimal {
+            *result.column(1).value(0),
+            Value::Decimal {
                 units: 777,
                 scale: 2
             }
@@ -652,8 +663,8 @@ mod tests {
             .unwrap();
         assert_eq!(result.num_columns(), 1);
         assert_eq!(result.num_rows(), 2);
-        assert_eq!(result.column(0).get(0), &Value::Int(1));
-        assert_eq!(result.column(0).get(1), &Value::Int(2));
+        assert_eq!(*result.column(0).value(0), Value::Int(1));
+        assert_eq!(*result.column(0).value(1), Value::Int(2));
     }
 
     #[test]

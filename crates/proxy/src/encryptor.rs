@@ -625,11 +625,19 @@ mod tests {
 
         let batch = up.table.scan();
         for row in 0..2 {
-            let enc_rid = batch.column_by_name("row_id").unwrap().get(row).clone();
+            let enc_rid = batch
+                .column_by_name("row_id")
+                .unwrap()
+                .value(row)
+                .into_owned();
             let rid = row_gen
                 .decrypt(enc_rid.as_encrypted_row_id().unwrap())
                 .unwrap();
-            let salary_e = batch.column_by_name("salary").unwrap().get(row).clone();
+            let salary_e = batch
+                .column_by_name("salary")
+                .unwrap()
+                .value(row)
+                .into_owned();
             let ik = gen_item_key(system, salary_key, rid.value());
             let units = codec
                 .decode(&decrypt_value(
@@ -642,7 +650,7 @@ mod tests {
             assert_eq!(units, expected);
         }
         // NULL stays NULL.
-        assert!(batch.column_by_name("salary").unwrap().get(2).is_null());
+        assert!(batch.column_by_name("salary").unwrap().value(2).is_null());
     }
 
     #[test]
@@ -658,12 +666,12 @@ mod tests {
                     batch
                         .column_by_name("row_id")
                         .unwrap()
-                        .get(row)
+                        .value(row)
                         .as_encrypted_row_id()
                         .unwrap(),
                 )
                 .unwrap();
-            let s_e = batch.column_by_name("sdb_s").unwrap().get(row);
+            let s_e = batch.column_by_name("sdb_s").unwrap().value(row);
             let ik = gen_item_key(system, aux_key, rid.value());
             assert_eq!(
                 decrypt_value(system, s_e.as_encrypted().unwrap(), &ik),
@@ -678,9 +686,9 @@ mod tests {
         let batch = up.table.scan();
         let tagger = ks.tagger();
         let cipher = ks.payload_cipher();
-        let tag = batch.column_by_name("notes_tag").unwrap().get(0);
-        assert_eq!(tag, &Value::Tag(tagger.tag_str("sdb:str", "top secret")));
-        let payload = batch.column_by_name("notes_sies").unwrap().get(0);
+        let tag = batch.column_by_name("notes_tag").unwrap().value(0);
+        assert_eq!(*tag, Value::Tag(tagger.tag_str("sdb:str", "top secret")));
+        let payload = batch.column_by_name("notes_sies").unwrap().value(0);
         let decrypted = cipher
             .decrypt_bytes(&payload.as_encrypted_row_id().unwrap().0)
             .unwrap();
@@ -706,8 +714,12 @@ mod tests {
         // ablation measures); here just check determinism against the tagger.
         let tagger = ks.tagger();
         assert_eq!(
-            up.table.scan().column_by_name("salary_tag").unwrap().get(0),
-            &Value::Tag(tagger.tag_i128("sdb:num", 123_456))
+            *up.table
+                .scan()
+                .column_by_name("salary_tag")
+                .unwrap()
+                .value(0),
+            Value::Tag(tagger.tag_i128("sdb:num", 123_456))
         );
     }
 
@@ -747,12 +759,12 @@ mod tests {
                     batch
                         .column_by_name("row_id")
                         .unwrap()
-                        .get(row)
+                        .value(row)
                         .as_encrypted_row_id()
                         .unwrap(),
                 )
                 .unwrap();
-            let v_e = batch.column_by_name("v").unwrap().get(row);
+            let v_e = batch.column_by_name("v").unwrap().value(row);
             let ik = gen_item_key(system, key, rid.value());
             let units = codec
                 .decode(&decrypt_value(system, v_e.as_encrypted().unwrap(), &ik))
@@ -760,7 +772,7 @@ mod tests {
             let id = batch
                 .column_by_name("id")
                 .unwrap()
-                .get(row)
+                .value(row)
                 .as_i64()
                 .unwrap();
             assert_eq!(units, i128::from(id) * 7);

@@ -115,7 +115,10 @@ impl RecordBatch {
 
     /// One row as a vector of values (cloned).
     pub fn row(&self, idx: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(idx).clone()).collect()
+        self.columns
+            .iter()
+            .map(|c| c.value(idx).into_owned())
+            .collect()
     }
 
     /// Iterates rows as value vectors.
@@ -229,7 +232,7 @@ impl RecordBatch {
             });
         }
         for (col, src) in self.columns.iter_mut().zip(other.columns.iter()) {
-            col.extend_from_slice(src.values());
+            col.extend(src);
         }
         self.num_rows += other.num_rows;
         Ok(())
@@ -304,8 +307,8 @@ mod tests {
         assert_eq!(b.num_columns(), 2);
         assert_eq!(b.row(1), vec![Value::Int(2), Value::Str("b".into())]);
         assert_eq!(
-            b.column_by_name("name").unwrap().get(2),
-            &Value::Str("c".into())
+            *b.column_by_name("name").unwrap().value(2),
+            Value::Str("c".into())
         );
     }
 

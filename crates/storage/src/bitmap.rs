@@ -78,6 +78,38 @@ impl Bitmap {
         }
     }
 
+    /// Appends one bit.
+    pub fn push(&mut self, value: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        self.set(self.len - 1, value);
+    }
+
+    /// The `len` bits from `start` on, as a bitmap of their own (a word at a
+    /// time). Panics when out of range.
+    pub fn range(&self, start: usize, len: usize) -> Bitmap {
+        assert!(start + len <= self.len, "bitmap range out of bounds");
+        let (first, shift) = (start / 64, start % 64);
+        let words = (0..len.div_ceil(64))
+            .map(|i| {
+                let low = self.words[first + i] >> shift;
+                let high = match shift {
+                    0 => 0,
+                    _ => self
+                        .words
+                        .get(first + i + 1)
+                        .map_or(0, |w| w << (64 - shift)),
+                };
+                low | high
+            })
+            .collect();
+        let mut out = Bitmap { words, len };
+        out.mask_tail();
+        out
+    }
+
     /// Number of set bits (word-wise popcount).
     pub fn count_set(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -261,6 +293,32 @@ mod tests {
         let expected: Vec<usize> = (0..130).filter(|i| i % 7 == 0).collect();
         assert_eq!(set, expected);
         assert_eq!(b.to_bools(), bits);
+    }
+
+    #[test]
+    fn push_and_range_match_the_bits() {
+        let bits: Vec<bool> = (0..200).map(|i| i % 3 != 1 && i % 7 != 0).collect();
+        let mut pushed = Bitmap::new_clear(0);
+        for &bit in &bits {
+            pushed.push(bit);
+        }
+        assert_eq!(pushed, Bitmap::from_bools(&bits));
+        for (start, len) in [
+            (0, 0),
+            (0, 200),
+            (1, 63),
+            (63, 65),
+            (64, 64),
+            (70, 130),
+            (199, 1),
+        ] {
+            let range = pushed.range(start, len);
+            assert_eq!(range.to_bools(), bits[start..start + len], "{start}+{len}");
+            assert_eq!(
+                range.count_set(),
+                bits[start..start + len].iter().filter(|b| **b).count()
+            );
+        }
     }
 
     #[test]

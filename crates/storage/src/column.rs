@@ -1,26 +1,54 @@
 //! A single column of values: a window onto a shared buffer, copy-on-write.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use serde::ser::SerializeStruct;
+use serde::ser::{SerializeSeq, SerializeStruct};
 use serde::{Deserialize, Serialize};
 
-use crate::{DataType, Result, Value};
+use crate::{DataType, Result, ShareColumn, Value};
 
 /// A typed column of values: the window `[offset, offset + len)` of a shared
 /// buffer.
+///
+/// The buffer follows the cells, not only the declared type: a column whose
+/// cells are all shares or NULL (with at least one share, or declared
+/// `ENCRYPTED`) holds a [`ShareColumn`] of limbs, any other a buffer of
+/// [`Value`]s. Spill pages declare placeholder types, so a column of shares
+/// packs them whatever it declares; a column that mixes other values in keeps
+/// the value buffer. [`Column::value`] is the one-row view either way, and
+/// [`Column::shares`] the typed view hot paths read.
 ///
 /// `clone` and [`Column::slice`] share the buffer and never copy a cell.
 /// Mutation is copy-on-write: a column that alone owns its whole buffer
 /// appends in place; any other first copies its window out, so no other
 /// holder of the buffer ever observes a change. Equality, size accounting
-/// and the serialised form (`{data_type, values}`) see only the window.
+/// and the serialised form (`{data_type, values}`) see only the window, and
+/// only the cells: the two buffers of the same cells are equal.
 #[derive(Debug, Clone)]
 pub struct Column {
     data_type: DataType,
-    buffer: Arc<Vec<Value>>,
-    offset: usize,
-    len: usize,
+    cells: Cells,
+}
+
+/// What holds a column's cells.
+#[derive(Debug, Clone)]
+enum Cells {
+    Values {
+        buffer: Arc<Vec<Value>>,
+        offset: usize,
+        len: usize,
+    },
+    Shares(ShareColumn),
+}
+
+/// A borrowed view of a column's cells as its buffer holds them.
+#[derive(Debug, Clone, Copy)]
+pub enum ColumnCells<'c> {
+    /// A value buffer's window.
+    Values(&'c [Value]),
+    /// Shares as limbs.
+    Shares(&'c ShareColumn),
 }
 
 impl Column {
@@ -38,13 +66,33 @@ impl Column {
     }
 
     /// Creates a column from existing values without type-checking (used by
-    /// trusted internal paths).
+    /// trusted internal paths). Shares are packed into limbs.
     pub fn from_values_unchecked(data_type: DataType, values: Vec<Value>) -> Self {
+        let packs = data_type == DataType::Encrypted
+            || values.iter().any(|v| matches!(v, Value::Encrypted(_)));
+        match packs.then(|| ShareColumn::from_values(&values)).flatten() {
+            Some(shares) => Column::from_shares(data_type, shares),
+            None => Column::value_buffer(data_type, values),
+        }
+    }
+
+    /// A column holding `values` in a value buffer, as they are.
+    fn value_buffer(data_type: DataType, values: Vec<Value>) -> Self {
         Column {
             data_type,
-            len: values.len(),
-            buffer: Arc::new(values),
-            offset: 0,
+            cells: Cells::Values {
+                len: values.len(),
+                buffer: Arc::new(values),
+                offset: 0,
+            },
+        }
+    }
+
+    /// A column of shares declared `data_type`.
+    pub fn from_shares(data_type: DataType, shares: ShareColumn) -> Self {
+        Column {
+            data_type,
+            cells: Cells::Shares(shares),
         }
     }
 
@@ -55,22 +103,95 @@ impl Column {
 
     /// Number of values.
     pub fn len(&self) -> usize {
-        self.len
+        match &self.cells {
+            Cells::Values { len, .. } => *len,
+            Cells::Shares(shares) => shares.len(),
+        }
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// The buffer as a uniquely-owned, exactly-windowed `Vec` to append to
-    /// (callers add what they appended to `self.len`).
-    fn buffer_mut(&mut self) -> &mut Vec<Value> {
-        if self.offset != 0 || self.len != self.buffer.len() {
-            self.buffer = Arc::new(self.values().to_vec());
-            self.offset = 0;
+    /// The cells as the buffer holds them.
+    pub fn cells(&self) -> ColumnCells<'_> {
+        match &self.cells {
+            Cells::Values {
+                buffer,
+                offset,
+                len,
+            } => ColumnCells::Values(&buffer[*offset..*offset + *len]),
+            Cells::Shares(shares) => ColumnCells::Shares(shares),
         }
-        Arc::make_mut(&mut self.buffer)
+    }
+
+    /// The shares, when the column holds its cells as limbs.
+    pub fn shares(&self) -> Option<&ShareColumn> {
+        match self.cells() {
+            ColumnCells::Shares(shares) => Some(shares),
+            ColumnCells::Values(_) => None,
+        }
+    }
+
+    /// The values, when the column holds its cells as [`Value`]s (`None` for
+    /// a column of shares: see [`Self::value`] and [`Self::shares`]).
+    pub fn as_values(&self) -> Option<&[Value]> {
+        match self.cells() {
+            ColumnCells::Values(values) => Some(values),
+            ColumnCells::Shares(_) => None,
+        }
+    }
+
+    /// The value at `idx`: borrowed from a value buffer, materialised from a
+    /// share's limbs.
+    pub fn value(&self, idx: usize) -> Cow<'_, Value> {
+        self.cells().value(idx)
+    }
+
+    /// Whether the value at `idx` is NULL.
+    pub fn is_null(&self, idx: usize) -> bool {
+        self.cells().is_null(idx)
+    }
+
+    /// Every value, owned: a copy of the column for cold paths.
+    pub fn to_values(&self) -> Vec<Value> {
+        match self.cells() {
+            ColumnCells::Values(values) => values.to_vec(),
+            ColumnCells::Shares(shares) => (0..shares.len()).map(|row| shares.value(row)).collect(),
+        }
+    }
+
+    /// Every value in order (see [`Self::value`]).
+    pub fn iter(&self) -> impl Iterator<Item = Cow<'_, Value>> + '_ {
+        let cells = self.cells();
+        (0..self.len()).map(move |idx| cells.value(idx))
+    }
+
+    /// The cells as a value buffer, whatever holds them now: a column of
+    /// shares materialises every cell (a non-share is being appended).
+    fn values_mut(&mut self) -> &mut Vec<Value> {
+        let owned = match &self.cells {
+            Cells::Values {
+                buffer,
+                offset,
+                len,
+            } => *offset == 0 && *len == buffer.len(),
+            Cells::Shares(_) => false,
+        };
+        if !owned {
+            *self = Column::value_buffer(self.data_type, self.to_values());
+        }
+        match &mut self.cells {
+            Cells::Values { buffer, .. } => Arc::make_mut(buffer),
+            Cells::Shares(_) => unreachable!("converted above"),
+        }
+    }
+
+    fn grow(&mut self, added: usize) {
+        if let Cells::Values { len, .. } = &mut self.cells {
+            *len += added;
+        }
     }
 
     /// Appends a value after type-checking it.
@@ -80,82 +201,236 @@ impl Column {
         Ok(())
     }
 
-    /// Appends a value without type-checking (used by trusted internal paths).
+    /// Appends a value without type-checking (used by trusted internal
+    /// paths). A share pushed onto an empty column packs it.
     pub fn push_unchecked(&mut self, value: Value) {
-        self.buffer_mut().push(value);
-        self.len += 1;
+        match (&mut self.cells, &value) {
+            (Cells::Shares(shares), Value::Encrypted(share)) => return shares.push(share),
+            (Cells::Shares(shares), Value::Null) => return shares.push_null(),
+            (Cells::Values { len: 0, .. }, Value::Encrypted(share)) => {
+                let mut shares = ShareColumn::default();
+                shares.push(share);
+                self.cells = Cells::Shares(shares);
+                return;
+            }
+            (
+                Cells::Values {
+                    buffer,
+                    offset: 0,
+                    len,
+                },
+                _,
+            ) if *len == buffer.len() => {
+                Arc::make_mut(buffer).push(value);
+                *len += 1;
+                return;
+            }
+            _ => {}
+        }
+        self.values_mut().push(value);
+        self.grow(1);
     }
 
-    /// Appends clones of `values` without type-checking.
-    pub fn extend_from_slice(&mut self, values: &[Value]) {
-        self.buffer_mut().extend_from_slice(values);
-        self.len += values.len();
-    }
-
-    /// The value at `idx`.
-    pub fn get(&self, idx: usize) -> &Value {
-        &self.values()[idx]
-    }
-
-    /// All values.
-    pub fn values(&self) -> &[Value] {
-        &self.buffer[self.offset..self.offset + self.len]
+    /// Appends `other`'s cells without type-checking: an empty column takes
+    /// a window onto `other`'s buffer, limbs onto limbs copy words, and a
+    /// column of shares extended by other values falls back to the value
+    /// buffer.
+    pub fn extend(&mut self, other: &Column) {
+        if other.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            self.cells = other.cells.clone();
+            return;
+        }
+        if let (Cells::Shares(shares), Some(more)) = (&mut self.cells, other.shares()) {
+            return shares.extend(more);
+        }
+        let packable = |v: &Value| matches!(v, Value::Null | Value::Encrypted(_));
+        if self.shares().is_some() && other.iter().all(|v| packable(&v)) {
+            for value in other.iter() {
+                self.push_unchecked(value.into_owned());
+            }
+            return;
+        }
+        let values = self.values_mut();
+        match other.as_values() {
+            Some(more) => values.extend_from_slice(more),
+            None => values.extend(other.iter().map(Cow::into_owned)),
+        }
+        self.grow(other.len());
     }
 
     /// The sub-window of `len` values starting at `offset`, sharing this
     /// column's buffer. Panics when out of range.
     pub fn slice(&self, offset: usize, len: usize) -> Column {
-        assert!(offset + len <= self.len, "column slice out of range");
+        assert!(offset + len <= self.len(), "column slice out of range");
+        let cells = match &self.cells {
+            Cells::Values {
+                buffer,
+                offset: start,
+                ..
+            } => Cells::Values {
+                buffer: Arc::clone(buffer),
+                offset: start + offset,
+                len,
+            },
+            Cells::Shares(shares) => Cells::Shares(shares.slice(offset, len)),
+        };
         Column {
             data_type: self.data_type,
-            buffer: Arc::clone(&self.buffer),
-            offset: self.offset + offset,
-            len,
+            cells,
         }
     }
 
     /// Copies the values at `rows` (any order, repeats allowed) into a new
-    /// column.
+    /// column: shares copy their limbs, no allocation per cell.
     pub fn gather(&self, rows: &[usize]) -> Column {
-        let values = self.values();
-        let gathered = rows.iter().map(|&i| values[i].clone()).collect();
-        Column::from_values_unchecked(self.data_type, gathered)
+        match self.cells() {
+            ColumnCells::Shares(shares) => Column::from_shares(self.data_type, shares.gather(rows)),
+            ColumnCells::Values(values) => {
+                let gathered = rows.iter().map(|&i| values[i].clone()).collect();
+                Column::value_buffer(self.data_type, gathered)
+            }
+        }
     }
 
     /// [`Self::gather`] with gaps: `None` becomes a NULL (the unmatched side
     /// of an outer join).
     pub fn gather_or_null(&self, rows: &[Option<usize>]) -> Column {
-        let values = self.values();
-        let gathered = rows
-            .iter()
-            .map(|row| row.map_or(Value::Null, |i| values[i].clone()))
-            .collect();
-        Column::from_values_unchecked(self.data_type, gathered)
+        match self.cells() {
+            ColumnCells::Shares(shares) => {
+                Column::from_shares(self.data_type, shares.gather_or_null(rows))
+            }
+            ColumnCells::Values(values) => {
+                let gathered = rows
+                    .iter()
+                    .map(|row| row.map_or(Value::Null, |i| values[i].clone()))
+                    .collect();
+                Column::value_buffer(self.data_type, gathered)
+            }
+        }
     }
 
     /// True when both columns are windows onto the same buffer (no cell was
     /// copied between them).
     pub fn shares_buffer(&self, other: &Column) -> bool {
-        Arc::ptr_eq(&self.buffer, &other.buffer)
+        match (&self.cells, &other.cells) {
+            (Cells::Values { buffer: a, .. }, Cells::Values { buffer: b, .. }) => Arc::ptr_eq(a, b),
+            (Cells::Shares(a), Cells::Shares(b)) => a.shares_buffer(b),
+            _ => false,
+        }
     }
 
     /// Where this column's window starts in its buffer: with
     /// [`Column::shares_buffer`], what tells which cells two windows have in
     /// common.
     pub fn offset(&self) -> usize {
-        self.offset
+        match &self.cells {
+            Cells::Values { offset, .. } => *offset,
+            Cells::Shares(shares) => shares.offset(),
+        }
     }
 
     /// Rough serialised size in bytes, used for key-store / storage accounting
     /// (experiment E2).
     pub fn approx_size_bytes(&self) -> usize {
-        self.values().iter().map(Value::approx_size).sum()
+        match self.cells() {
+            ColumnCells::Shares(shares) => shares.approx_size_bytes(),
+            ColumnCells::Values(values) => values.iter().map(Value::approx_size).sum(),
+        }
+    }
+}
+
+impl<'c> ColumnCells<'c> {
+    /// The value at `idx`: borrowed from a value buffer, materialised from a
+    /// share's limbs.
+    pub fn value(self, idx: usize) -> Cow<'c, Value> {
+        match self {
+            ColumnCells::Values(values) => Cow::Borrowed(&values[idx]),
+            ColumnCells::Shares(shares) => Cow::Owned(shares.value(idx)),
+        }
+    }
+
+    /// Whether the value at `idx` is NULL.
+    pub fn is_null(self, idx: usize) -> bool {
+        match self {
+            ColumnCells::Values(values) => values[idx].is_null(),
+            ColumnCells::Shares(shares) => !shares.is_valid(idx),
+        }
+    }
+
+    /// [`Value::cmp_total`] of the values at `a` and `b`; two shares compare
+    /// their limbs.
+    pub fn cmp_total(self, a: usize, b: usize) -> std::cmp::Ordering {
+        match self {
+            ColumnCells::Values(values) => values[a].cmp_total(&values[b]),
+            ColumnCells::Shares(shares) => match (shares.is_valid(a), shares.is_valid(b)) {
+                (true, true) => shares.cmp_rows(a, b),
+                (a, b) => a.cmp(&b),
+            },
+        }
+    }
+
+    /// [`Value::approx_size`] of the value at `idx`.
+    pub fn approx_size(self, idx: usize) -> usize {
+        match self {
+            ColumnCells::Values(values) => values[idx].approx_size(),
+            ColumnCells::Shares(shares) => shares.approx_size(idx),
+        }
     }
 }
 
 impl PartialEq for Column {
     fn eq(&self, other: &Self) -> bool {
-        self.data_type == other.data_type && self.values() == other.values()
+        if self.data_type != other.data_type || self.len() != other.len() {
+            return false;
+        }
+        match (self.cells(), other.cells()) {
+            (ColumnCells::Values(a), ColumnCells::Values(b)) => a == b,
+            (ColumnCells::Shares(a), ColumnCells::Shares(b)) => a == b,
+            _ => self.iter().zip(other.iter()).all(|(a, b)| a == b),
+        }
+    }
+}
+
+/// A column's cells in order, serialised as the sequence of their values.
+struct SerializedCells<'c>(&'c Column);
+
+impl Serialize for SerializedCells<'_> {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        let shares = match self.0.cells() {
+            ColumnCells::Values(values) => return values.serialize(serializer),
+            ColumnCells::Shares(shares) => shares,
+        };
+        let mut seq = serializer.serialize_seq(Some(shares.len()))?;
+        for row in 0..shares.len() {
+            match shares.is_valid(row) {
+                true => seq.serialize_element(&SerializedShare(shares, row))?,
+                false => seq.serialize_element(&Value::Null)?,
+            }
+        }
+        seq.end()
+    }
+}
+
+/// One share of a column serialised as its [`Value::Encrypted`] view is —
+/// the base64 of its minimal bytes (see [`sdb_crypto::wire::share`]) —
+/// written from the limbs.
+struct SerializedShare<'c>(&'c ShareColumn, usize);
+
+impl Serialize for SerializedShare<'_> {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        let mut bytes = Vec::with_capacity(self.0.byte_len(self.1));
+        self.0.write_bytes_le(self.1, &mut bytes);
+        let text = sdb_crypto::wire::encode(&bytes);
+        serializer.serialize_newtype_variant("Value", 6, "Encrypted", &text)
     }
 }
 
@@ -166,7 +441,7 @@ impl Serialize for Column {
     ) -> std::result::Result<S::Ok, S::Error> {
         let mut s = serializer.serialize_struct("Column", 2)?;
         s.serialize_field("data_type", &self.data_type)?;
-        s.serialize_field("values", self.values())?;
+        s.serialize_field("values", &SerializedCells(self))?;
         s.end()
     }
 }
@@ -225,12 +500,12 @@ mod tests {
         let c = Column::from_values(DataType::Int, (1..=4).map(Value::Int).collect()).unwrap();
         let window = c.slice(1, 3);
         assert_eq!(
-            window.gather(&[2, 0, 0]).values(),
+            window.gather(&[2, 0, 0]).as_values().unwrap(),
             &[Value::Int(4), Value::Int(2), Value::Int(2)]
         );
         let padded = window.gather_or_null(&[Some(1), None, Some(1)]);
         assert_eq!(
-            padded.values(),
+            padded.as_values().unwrap(),
             &[Value::Int(3), Value::Null, Value::Int(3)]
         );
         assert_eq!(padded.data_type(), DataType::Int);
@@ -240,23 +515,30 @@ mod tests {
     #[test]
     fn unique_owner_appends_in_place_and_sharers_copy_on_write() {
         let mut owner = Column::from_values(DataType::Int, vec![Value::Int(1)]).unwrap();
-        owner.buffer_mut().reserve(8);
-        let reserved = owner.values().as_ptr();
+        owner.values_mut().reserve(8);
+        let reserved = owner.as_values().unwrap().as_ptr();
         owner.push(Value::Int(2)).unwrap();
-        assert_eq!(owner.values().as_ptr(), reserved, "no copy when unique");
+        assert_eq!(
+            owner.as_values().unwrap().as_ptr(),
+            reserved,
+            "no copy when unique"
+        );
 
         let snapshot = owner.clone();
         assert!(snapshot.shares_buffer(&owner));
         owner.push(Value::Int(3)).unwrap();
         assert!(!snapshot.shares_buffer(&owner), "the writer moved away");
-        assert_eq!(snapshot.values(), &[Value::Int(1), Value::Int(2)]);
+        assert_eq!(
+            snapshot.as_values().unwrap(),
+            &[Value::Int(1), Value::Int(2)]
+        );
         assert_eq!(owner.len(), 3);
 
         // A window copies only itself out before growing.
         let mut window = owner.slice(1, 2);
         window.push_unchecked(Value::Int(9));
         assert_eq!(
-            window.values(),
+            window.as_values().unwrap(),
             &[Value::Int(2), Value::Int(3), Value::Int(9)]
         );
         assert_eq!(owner.len(), 3);

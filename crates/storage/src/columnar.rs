@@ -1,7 +1,7 @@
 //! Typed columnar vectors behind the [`Column`] codec boundary.
 //!
-//! [`Column`] stays the canonical row-exchange representation (a `Vec<Value>`
-//! with `Value`-level accessors, so every operator keeps compiling), but hot
+//! [`Column`] stays the canonical row-exchange representation (a buffer of
+//! `Value`s, or of share limbs, behind `Value`-level accessors), but hot
 //! paths pivot a column into a [`ColumnVector`] — one contiguous typed vector
 //! per data type, paired with a validity [`Bitmap`] — and run their loops over
 //! the typed data with no enum dispatch per element:
@@ -14,7 +14,8 @@
 //!   byte-identical — `Value::Int(5)` and `Value::Decimal { units: 5, scale:
 //!   0 }` compare equal numerically but are distinct variants;
 //! * VARCHAR packs every string into one byte buffer with an offsets array;
-//! * ENCRYPTED / ENC_ROW_ID get dedicated vectors of their payload types;
+//! * ENCRYPTED is the column's own [`ShareColumn`] (shared, not copied);
+//!   ENC_ROW_ID gets a vector of its payload type;
 //! * columns whose *runtime* contents deviate from the declared type
 //!   (sort-key columns built through `push_unchecked` mix types freely) fall
 //!   back to [`ColumnVector::Values`], which kernels treat as "not columnar —
@@ -23,11 +24,10 @@
 //! The contract is exact round-tripping: for every column,
 //! `ColumnarColumn::from_column(c).to_column(c.data_type()) == c`.
 
-use num_bigint::BigUint;
 use sdb_crypto::EncryptedRowId;
 
 use crate::bitmap::Bitmap;
-use crate::{Column, DataType, Value};
+use crate::{Column, DataType, ShareColumn, Value};
 
 /// The typed payload of a columnar column. NULL slots hold a zero/empty
 /// placeholder in the typed vectors; the validity bitmap is authoritative.
@@ -61,8 +61,8 @@ pub enum ColumnVector {
     Bool(Bitmap),
     /// Deterministic equality tags.
     Tag(Vec<u64>),
-    /// SDB secret shares.
-    Encrypted(Vec<BigUint>),
+    /// SDB secret shares, as limbs.
+    Shares(ShareColumn),
     /// Encrypted row ids / SIES payloads.
     EncryptedRowId(Vec<EncryptedRowId>),
     /// Fallback for columns whose runtime contents are not homogeneous:
@@ -82,7 +82,21 @@ impl ColumnarColumn {
     /// runtime values deviate from the declared type fall back to
     /// [`ColumnVector::Values`].
     pub fn from_column(column: &Column) -> ColumnarColumn {
-        let values = column.values();
+        let Some(values) = column.as_values() else {
+            let shares = column.shares().expect("a column holds values or shares");
+            if column.data_type() != DataType::Encrypted && shares.null_count() == shares.len() {
+                // No share in the window: the NULLs of the declared type.
+                let nulls = vec![Value::Null; shares.len()];
+                return ColumnarColumn::from_column(&Column::from_values_unchecked(
+                    column.data_type(),
+                    nulls,
+                ));
+            }
+            return ColumnarColumn {
+                validity: shares.validity(),
+                vector: ColumnVector::Shares(shares.clone()),
+            };
+        };
         let n = values.len();
         let mut validity = Bitmap::new_set(n);
         for (i, v) in values.iter().enumerate() {
@@ -172,7 +186,7 @@ impl ColumnarColumn {
             ColumnVector::Date(v) => Value::Date(v[idx]),
             ColumnVector::Bool(bits) => Value::Bool(bits.get(idx)),
             ColumnVector::Tag(v) => Value::Tag(v[idx]),
-            ColumnVector::Encrypted(v) => Value::Encrypted(v[idx].clone()),
+            ColumnVector::Shares(shares) => shares.value(idx),
             ColumnVector::EncryptedRowId(v) => Value::EncryptedRowId(v[idx].clone()),
             ColumnVector::Values(values) => values[idx].clone(),
         }
@@ -193,6 +207,9 @@ impl ColumnarColumn {
     /// Pivots back to a row-exchange [`Column`] of the given declared type.
     /// Exact inverse of [`ColumnarColumn::from_column`].
     pub fn to_column(&self, data_type: DataType) -> Column {
+        if let ColumnVector::Shares(shares) = &self.vector {
+            return Column::from_shares(data_type, shares.clone());
+        }
         let values = (0..self.len()).map(|i| self.value_at(i)).collect();
         Column::from_values_unchecked(data_type, values)
     }
@@ -291,15 +308,7 @@ fn extract_tag(values: &[Value]) -> Option<ColumnVector> {
 }
 
 fn extract_encrypted(values: &[Value]) -> Option<ColumnVector> {
-    let mut out = Vec::with_capacity(values.len());
-    for v in values {
-        match v {
-            Value::Encrypted(e) => out.push(e.clone()),
-            Value::Null => out.push(BigUint::from(0u32)),
-            _ => return None,
-        }
-    }
-    Some(ColumnVector::Encrypted(out))
+    ShareColumn::from_values(values).map(ColumnVector::Shares)
 }
 
 fn extract_row_id(values: &[Value]) -> Option<ColumnVector> {
@@ -335,7 +344,7 @@ mod tests {
         );
         assert_eq!(
             pivoted.null_count(),
-            column.values().iter().filter(|v| v.is_null()).count()
+            column.iter().filter(|v| v.is_null()).count()
         );
     }
 
@@ -398,7 +407,10 @@ mod tests {
         roundtrip(DataType::Tag, vec![Value::Tag(u64::MAX), Value::Null]);
         roundtrip(
             DataType::Encrypted,
-            vec![Value::Encrypted(BigUint::from(1u8) << 200u32), Value::Null],
+            vec![
+                Value::Encrypted(num_bigint::BigUint::from(1u8) << 200u32),
+                Value::Null,
+            ],
         );
         roundtrip(
             DataType::EncryptedRowId,

@@ -85,8 +85,8 @@ impl KeyIndex {
         if self.rows() < rows {
             let mut chains = self.chains.write();
             let covered = chains.entries().min(rows);
-            for value in &snapshot.values()[covered..] {
-                chains.insert(hash_key([value]));
+            for row in covered..rows {
+                chains.insert(hash_key([snapshot.value(row)]));
             }
         }
         let chains = self.chains.read();

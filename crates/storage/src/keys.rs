@@ -30,7 +30,9 @@
 //! kind of table a collision degrades a probe to a walk of its chain (plus,
 //! for an index, the predicate on each candidate row), never to a wrong row.
 
-use crate::{Column, Value};
+use std::borrow::{Borrow, Cow};
+
+use crate::{Column, ColumnCells, Value};
 
 /// What separates the classes (and NULL) in the hash.
 const CLASS_NULL: u64 = 0;
@@ -128,6 +130,15 @@ fn mix_value(state: u64, v: &Value) -> u64 {
     }
 }
 
+/// [`mix_value`] of a share given as little-endian limbs (zero high limbs
+/// allowed).
+#[inline]
+fn mix_share(state: u64, limbs: &[u64]) -> u64 {
+    let digits = crate::shares::trimmed(limbs);
+    let state = mix(mix(state, CLASS_ENCRYPTED), digits.len() as u64);
+    digits.iter().fold(state, |state, &limb| mix(state, limb))
+}
+
 /// Whether two key components are the same key (see the [module docs](self)
 /// for the relation). Total: NULL equals NULL.
 #[inline]
@@ -144,19 +155,32 @@ pub fn key_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
+/// [`key_eq`] of row `a_row` of `a` and row `b_row` of `b`: two shares
+/// compare their limbs.
+#[inline]
+pub fn cells_key_eq(a: ColumnCells<'_>, a_row: usize, b: ColumnCells<'_>, b_row: usize) -> bool {
+    match (a, b) {
+        (ColumnCells::Values(a), ColumnCells::Values(b)) => key_eq(&a[a_row], &b[b_row]),
+        (ColumnCells::Shares(a), ColumnCells::Shares(b)) => a.row_eq(a_row, b, b_row),
+        (a, b) => key_eq(&a.value(a_row), &b.value(b_row)),
+    }
+}
+
 /// [`key_eq`] over every component of two keys of the same arity.
 #[inline]
-pub fn keys_eq<'a, 'b>(
-    a: impl IntoIterator<Item = &'a Value>,
-    b: impl IntoIterator<Item = &'b Value>,
+pub fn keys_eq(
+    a: impl IntoIterator<Item = impl Borrow<Value>>,
+    b: impl IntoIterator<Item = impl Borrow<Value>>,
 ) -> bool {
-    a.into_iter().zip(b).all(|(x, y)| key_eq(x, y))
+    a.into_iter()
+        .zip(b)
+        .all(|(x, y)| key_eq(x.borrow(), y.borrow()))
 }
 
 /// The hash of one row-major key: what [`BatchKeys`] computes for the same
 /// components held in columns.
-pub fn hash_key<'v>(components: impl IntoIterator<Item = &'v Value>) -> u64 {
-    finish(components.into_iter().fold(SEED, mix_value))
+pub fn hash_key(components: impl IntoIterator<Item = impl Borrow<Value>>) -> u64 {
+    finish((components.into_iter()).fold(SEED, |state, value| mix_value(state, value.borrow())))
 }
 
 /// The spill partition (of `fanout`) a key goes to at a recursion level: the
@@ -183,10 +207,24 @@ impl BatchKeys {
         let mut hashes = vec![SEED; rows];
         let mut nulls = vec![false; rows];
         for column in &columns {
-            let cells = hashes.iter_mut().zip(&mut nulls).zip(column.values());
-            for ((hash, null), value) in cells {
-                *hash = mix_value(*hash, value);
-                *null |= value.is_null();
+            let rows = hashes.iter_mut().zip(&mut nulls);
+            match column.cells() {
+                ColumnCells::Values(values) => {
+                    for ((hash, null), value) in rows.zip(values) {
+                        *hash = mix_value(*hash, value);
+                        *null |= value.is_null();
+                    }
+                }
+                ColumnCells::Shares(shares) => {
+                    for (row, (hash, null)) in rows.enumerate() {
+                        if shares.is_valid(row) {
+                            *hash = mix_share(*hash, shares.row(row));
+                        } else {
+                            *hash = mix(*hash, CLASS_NULL);
+                            *null = true;
+                        }
+                    }
+                }
             }
         }
         for hash in &mut hashes {
@@ -200,8 +238,8 @@ impl BatchKeys {
     }
 
     /// The components of one row's key.
-    pub fn row(&self, row: usize) -> impl Iterator<Item = &Value> + Clone {
-        self.columns.iter().map(move |column| column.get(row))
+    pub fn row(&self, row: usize) -> impl Iterator<Item = Cow<'_, Value>> + Clone {
+        self.columns.iter().map(move |column| column.value(row))
     }
 }
 

@@ -6,8 +6,9 @@
 //! from scratch so that the whole system is self-contained (see `ARCHITECTURE.md`,
 //! "Crate map" and "Batches: shared buffers, windows, copy-on-write, column pruning").
 //!
-//! Sensitive columns are stored as [`Value::Encrypted`] residues (the `v_e` shares
-//! of the paper) next to plain insensitive columns, exactly mirroring the paper's
+//! Sensitive columns are stored as residues (the `v_e` shares of the paper), packed
+//! into the fixed-width limbs of a [`ShareColumn`] with [`Value::Encrypted`] as the
+//! one-row view, next to plain insensitive columns, exactly mirroring the paper's
 //! storage layout: *"the SP stores the plain values of insensitive data and the
 //! secret shares of sensitive data"*.
 
@@ -26,6 +27,7 @@ pub mod keys;
 pub mod pager;
 pub mod persist;
 pub mod schema;
+pub mod shares;
 pub mod stats;
 pub mod table;
 pub mod value;
@@ -34,7 +36,7 @@ pub use batch::{partition_ranges, RecordBatch};
 pub use bitmap::Bitmap;
 pub use cancel::CancelToken;
 pub use catalog::Catalog;
-pub use column::Column;
+pub use column::{Column, ColumnCells};
 pub use columnar::{ColumnVector, ColumnarColumn};
 pub use error::StorageError;
 pub use index::{indexable, KeyIndex};
@@ -43,6 +45,7 @@ pub use pager::{
     PageStreamWriter, Pager, PagerEvent, PagerObserver, PagerStats, PinnedPage,
 };
 pub use schema::{resolve_name, ColumnDef, NameResolution, Schema, Sensitivity};
+pub use shares::ShareColumn;
 pub use stats::{analyze_table, ColumnStats, HllSketch, TableStats};
 pub use table::Table;
 pub use value::{DataType, Value};

@@ -34,7 +34,7 @@ use sdb_crypto::EncryptedRowId;
 
 use crate::{
     Bitmap, Column, ColumnDef, ColumnVector, ColumnarColumn, DataType, RecordBatch, Result, Schema,
-    Sensitivity, StorageError, Value,
+    Sensitivity, ShareColumn, StorageError, Value,
 };
 
 const MAGIC: &[u8; 4] = b"SDBP";
@@ -73,10 +73,16 @@ fn encode_column_values(out: &mut Vec<u8>, column: &Column) {
         // Mixed-type columns and the variable-length crypto payloads keep
         // the tagged layout: the former have no typed vector, the latter
         // gain nothing from dropping one tag byte per bigint.
-        ColumnVector::Values(_) | ColumnVector::Encrypted(_) | ColumnVector::EncryptedRowId(_) => {
+        ColumnVector::Shares(shares) => {
             out.push(LAYOUT_TAGGED);
-            for value in column.values() {
-                encode_value(out, value);
+            for row in 0..shares.len() {
+                encode_share(out, shares, row);
+            }
+        }
+        ColumnVector::Values(_) | ColumnVector::EncryptedRowId(_) => {
+            out.push(LAYOUT_TAGGED);
+            for value in column.iter() {
+                encode_value(out, &value);
             }
         }
         vector => {
@@ -117,11 +123,27 @@ fn encode_column_values(out: &mut Vec<u8>, column: &Column) {
                     }
                 }
                 ColumnVector::Values(_)
-                | ColumnVector::Encrypted(_)
+                | ColumnVector::Shares(_)
                 | ColumnVector::EncryptedRowId(_) => unreachable!("handled by the tagged arm"),
             }
         }
     }
+}
+
+/// One row of a share column in the tagged layout, byte for byte what
+/// [`encode_value`] writes for the row's [`Value`].
+fn encode_share(out: &mut Vec<u8>, shares: &ShareColumn, row: usize) {
+    if !shares.is_valid(row) {
+        out.push(0);
+        return;
+    }
+    out.push(7);
+    // `BigUint::to_bytes_le` writes zero as one byte.
+    let len = shares.byte_len(row).max(1);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    let start = out.len();
+    shares.write_bytes_le(row, out);
+    out.resize(start + len, 0);
 }
 
 fn encode_words(out: &mut Vec<u8>, words: &[u64]) {

@@ -1,9 +1,10 @@
 //! Ordered page streams over the pager: the building block spilling
 //! operators use for partition files.
 //!
-//! A [`PageStreamWriter`] buffers rows for one logical stream (an external
-//! hash join partition, a sorted run, …) and flushes them to pager pages when
-//! the buffer reaches a byte or row threshold, so a fan-out of writers cannot
+//! A [`PageStreamWriter`] buffers rows — one at a time, or a batch's worth
+//! copied a column at a time — for one logical stream (an external hash join
+//! partition, a sorted run, …) and flushes them to pager pages when the
+//! buffer reaches a byte or row threshold, so a fan-out of writers cannot
 //! hoard the memory budget. [`PageStreamWriter::finish`] seals the stream
 //! into a [`PageStream`] — the ordered page list plus row/byte accounting the
 //! consumer needs for its recursion decisions — and a [`PageStreamReader`]
@@ -23,13 +24,16 @@
 use std::sync::Arc;
 
 use super::pool::{PageId, Pager};
-use crate::{RecordBatch, Result, Schema, StorageError, Value};
+use crate::{Column, RecordBatch, Result, Schema, StorageError, Value};
 
 /// Buffers rows for one page stream and flushes them to pages of its pager.
 ///
 /// Flushing happens when the buffered rows exceed `flush_bytes` (approximate,
-/// via [`Value::approx_size`]) or `max_rows`, whichever comes first. A writer
-/// dropped before [`PageStreamWriter::finish`] frees the pages it flushed.
+/// via [`Value::approx_size`]) or `max_rows`, whichever comes first, checked
+/// after every row: [`PageStreamWriter::push_row`] and
+/// [`PageStreamWriter::push_batch`] cut the same rows into the same pages.
+/// A writer dropped before [`PageStreamWriter::finish`] frees the pages it
+/// flushed.
 ///
 /// Pages are built without per-value type validation: the page codec tags
 /// every value individually, so the schema's declared column types are
@@ -38,7 +42,9 @@ use crate::{RecordBatch, Result, Schema, StorageError, Value};
 pub struct PageStreamWriter {
     pager: Arc<Pager>,
     schema: Schema,
-    buffer: Vec<Vec<Value>>,
+    /// The buffered rows, a column per schema column.
+    buffer: Vec<Column>,
+    buffered: usize,
     buffer_bytes: usize,
     flush_bytes: usize,
     max_rows: usize,
@@ -56,8 +62,9 @@ impl PageStreamWriter {
         assert!(max_rows > 0, "a page must hold at least one row");
         PageStreamWriter {
             pager: Arc::clone(pager),
+            buffer: empty_columns(&schema),
             schema,
-            buffer: Vec::new(),
+            buffered: 0,
             buffer_bytes: 0,
             flush_bytes: flush_bytes.max(1),
             max_rows,
@@ -76,14 +83,63 @@ impl PageStreamWriter {
             });
         }
         let size = row.iter().map(Value::approx_size).sum::<usize>();
+        for (column, value) in self.buffer.iter_mut().zip(row) {
+            column.push_unchecked(value);
+        }
+        match self.fits(size) {
+            true => Ok(()),
+            false => self.flush(),
+        }
+    }
+
+    /// Appends every row of `batch`, whose columns must line up with the
+    /// schema's: the rows go into pages exactly as [`Self::push_row`] would
+    /// put them one by one, but each page's rows are copied a column at a
+    /// time.
+    pub fn push_batch(&mut self, batch: &RecordBatch) -> Result<()> {
+        if batch.num_columns() != self.schema.len() {
+            return Err(StorageError::ArityMismatch {
+                expected: self.schema.len(),
+                found: batch.num_columns(),
+            });
+        }
+        let mut sizes = vec![0usize; batch.num_rows()];
+        for column in batch.columns() {
+            let cells = column.cells();
+            for (row, size) in sizes.iter_mut().enumerate() {
+                *size += cells.approx_size(row);
+            }
+        }
+        let mut start = 0;
+        for (row, size) in sizes.into_iter().enumerate() {
+            if !self.fits(size) {
+                self.buffer_rows(batch, start, row + 1 - start);
+                start = row + 1;
+                self.flush()?;
+            }
+        }
+        self.buffer_rows(batch, start, batch.num_rows() - start);
+        Ok(())
+    }
+
+    /// Counts a row of `size` bytes as buffered; `true` while the buffer is
+    /// still short of a page.
+    fn fits(&mut self, size: usize) -> bool {
         self.buffer_bytes += size;
         self.bytes += size;
         self.rows += 1;
-        self.buffer.push(row);
-        if self.buffer_bytes >= self.flush_bytes || self.buffer.len() >= self.max_rows {
-            self.flush()?;
+        self.buffered += 1;
+        self.buffer_bytes < self.flush_bytes && self.buffered < self.max_rows
+    }
+
+    /// Copies `len` rows of `batch` from `start` on into the buffer.
+    fn buffer_rows(&mut self, batch: &RecordBatch, start: usize, len: usize) {
+        if len == 0 {
+            return;
         }
-        Ok(())
+        for (column, more) in self.buffer.iter_mut().zip(batch.columns()) {
+            column.extend(&more.slice(start, len));
+        }
     }
 
     /// Rows pushed so far.
@@ -92,10 +148,12 @@ impl PageStreamWriter {
     }
 
     fn flush(&mut self) -> Result<()> {
-        if self.buffer.is_empty() {
+        if self.buffered == 0 {
             return Ok(());
         }
-        let batch = RecordBatch::from_rows_unchecked(self.schema.clone(), self.buffer.drain(..));
+        let columns = std::mem::replace(&mut self.buffer, empty_columns(&self.schema));
+        let batch = RecordBatch::new(self.schema.clone(), columns)?;
+        self.buffered = 0;
         self.buffer_bytes = 0;
         self.pages.push(self.pager.append_page(batch)?);
         Ok(())
@@ -185,6 +243,13 @@ impl Drop for PageStream {
     fn drop(&mut self) {
         free_all(&self.pager, &self.pages);
     }
+}
+
+/// An empty column for every column of `schema`.
+fn empty_columns(schema: &Schema) -> Vec<Column> {
+    (schema.columns().iter())
+        .map(|def| Column::new(def.data_type))
+        .collect()
 }
 
 /// Frees pages on a drop path, where an error has nowhere to go (the lease
@@ -290,10 +355,58 @@ mod tests {
         let mut seen = Vec::new();
         while let Some(batch) = reader.next_batch().unwrap() {
             for r in 0..batch.num_rows() {
-                seen.push(batch.column(0).get(r).as_i64().unwrap());
+                seen.push(batch.column(0).value(r).as_i64().unwrap());
             }
         }
         assert_eq!(seen, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn batches_are_cut_into_the_pages_rows_would_be() {
+        // Shares of varied widths and NULLs, under a placeholder type as
+        // spilled key columns declare them, next to plain columns.
+        let schema = Schema::new(vec![
+            ColumnDef::public("a", DataType::Int),
+            ColumnDef::public("b", DataType::Varchar),
+            ColumnDef::public("__key0", DataType::Int),
+        ]);
+        let cell = |i: i64| match i % 4 {
+            0 => Value::Null,
+            n => Value::Encrypted(num_bigint::BigUint::from(7u32) << (40 * n as u32 + i as u32)),
+        };
+        let rows: Vec<Vec<Value>> = (0..157)
+            .map(|i| vec![Value::Int(i), Value::Str(format!("r{}", i % 13)), cell(i)])
+            .collect();
+        for (flush_bytes, max_rows) in [(64, 1000), (300, 7), (1 << 20, 16), (1, 1)] {
+            let pager = Arc::new(Pager::new(&MemoryBudget::unlimited()));
+            let mut by_row = PageStreamWriter::new(&pager, schema.clone(), flush_bytes, max_rows);
+            for row in &rows {
+                by_row.push_row(row.clone()).unwrap();
+            }
+            let mut by_batch = PageStreamWriter::new(&pager, schema.clone(), flush_bytes, max_rows);
+            let batch = RecordBatch::from_rows_unchecked(schema.clone(), rows.clone());
+            for (start, len) in [(0, 0), (0, 40), (40, 1), (41, 99), (140, 17)] {
+                by_batch
+                    .push_batch(&batch.slice(start, len).unwrap())
+                    .unwrap();
+            }
+            let (by_row, by_batch) = (by_row.finish().unwrap(), by_batch.finish().unwrap());
+            assert_eq!(
+                by_row.num_pages(),
+                by_batch.num_pages(),
+                "{flush_bytes}/{max_rows}"
+            );
+            assert_eq!(by_row.bytes(), by_batch.bytes());
+            assert_eq!(by_row.rows(), by_batch.rows());
+            let (mut a, mut b) = (by_row.reader(), by_batch.reader());
+            while let Some(page) = a.next_batch().unwrap() {
+                let other = b.next_batch().unwrap().expect("as many pages");
+                assert_eq!(
+                    super::super::encode_batch(&page),
+                    super::super::encode_batch(&other)
+                );
+            }
+        }
     }
 
     #[test]
@@ -374,7 +487,7 @@ mod tests {
             let mut seen = Vec::new();
             while let Some(batch) = scan.next_batch().unwrap() {
                 for r in 0..batch.num_rows() {
-                    seen.push(batch.column(0).get(r).as_i64().unwrap());
+                    seen.push(batch.column(0).value(r).as_i64().unwrap());
                 }
             }
             assert_eq!(seen, (0..30).collect::<Vec<_>>(), "every pass is full");
@@ -397,7 +510,7 @@ mod tests {
         let mut seen = Vec::new();
         while let Some(batch) = reader.next_batch().unwrap() {
             for r in 0..batch.num_rows() {
-                seen.push(batch.column(0).get(r).as_i64().unwrap());
+                seen.push(batch.column(0).value(r).as_i64().unwrap());
             }
         }
         assert_eq!(seen, (0..50).collect::<Vec<_>>());

@@ -16,12 +16,13 @@
 //! makes every share unique) — honest answers for what the SP can actually
 //! see.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Table, Value};
+use crate::{ColumnCells, Table, Value};
 
 /// Number of HyperLogLog registers (2^8). The standard error of the estimate
 /// is ~`1.04 / sqrt(256)` ≈ 6.5%, plenty for join-ordering decisions at a
@@ -204,49 +205,11 @@ pub fn analyze_table(table: &Table) -> TableStats {
             let column = table
                 .column(&def.name)
                 .expect("schema columns exist by construction");
-            let mut null_count = 0usize;
-            let mut sketch = HllSketch::new();
-            let mut min: Option<Value> = None;
-            let mut max: Option<Value> = None;
-            let mut width = 0usize;
-            for value in column.values() {
-                width += value.approx_size();
-                if value.is_null() {
-                    null_count += 1;
-                    continue;
+            match column.cells() {
+                ColumnCells::Values(values) => column_stats(&def.name, rows, values.iter()),
+                ColumnCells::Shares(shares) => {
+                    column_stats(&def.name, rows, (0..rows).map(|row| shares.value(row)))
                 }
-                sketch.insert_value(value);
-                if comparable(value) {
-                    let smaller = min
-                        .as_ref()
-                        .map(|m| value.cmp_total(m) == std::cmp::Ordering::Less)
-                        .unwrap_or(true);
-                    if smaller {
-                        min = Some(value.clone());
-                    }
-                    let bigger = max
-                        .as_ref()
-                        .map(|m| value.cmp_total(m) == std::cmp::Ordering::Greater)
-                        .unwrap_or(true);
-                    if bigger {
-                        max = Some(value.clone());
-                    }
-                }
-            }
-            let non_null = rows - null_count;
-            // The sketch cannot report more distinct values than were fed.
-            let distinct = sketch.estimate().min(non_null as f64);
-            ColumnStats {
-                name: def.name.clone(),
-                null_count,
-                distinct,
-                min,
-                max,
-                avg_width: if rows == 0 {
-                    0.0
-                } else {
-                    width as f64 / rows as f64
-                },
             }
         })
         .collect();
@@ -254,6 +217,59 @@ pub fn analyze_table(table: &Table) -> TableStats {
         table: table.name().to_string(),
         row_count: rows,
         columns,
+    }
+}
+
+/// The statistics of the column `name` whose `rows` values `values` yields.
+fn column_stats(
+    name: &str,
+    rows: usize,
+    values: impl Iterator<Item = impl Borrow<Value>>,
+) -> ColumnStats {
+    let mut null_count = 0usize;
+    let mut sketch = HllSketch::new();
+    let mut min: Option<Value> = None;
+    let mut max: Option<Value> = None;
+    let mut width = 0usize;
+    for value in values {
+        let value = value.borrow();
+        width += value.approx_size();
+        if value.is_null() {
+            null_count += 1;
+            continue;
+        }
+        sketch.insert_value(value);
+        if comparable(value) {
+            let smaller = min
+                .as_ref()
+                .map(|m| value.cmp_total(m) == std::cmp::Ordering::Less)
+                .unwrap_or(true);
+            if smaller {
+                min = Some(value.clone());
+            }
+            let bigger = max
+                .as_ref()
+                .map(|m| value.cmp_total(m) == std::cmp::Ordering::Greater)
+                .unwrap_or(true);
+            if bigger {
+                max = Some(value.clone());
+            }
+        }
+    }
+    let non_null = rows - null_count;
+    // The sketch cannot report more distinct values than were fed.
+    let distinct = sketch.estimate().min(non_null as f64);
+    ColumnStats {
+        name: name.to_string(),
+        null_count,
+        distinct,
+        min,
+        max,
+        avg_width: if rows == 0 {
+            0.0
+        } else {
+            width as f64 / rows as f64
+        },
     }
 }
 

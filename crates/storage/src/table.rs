@@ -75,7 +75,7 @@ impl Table {
             });
         }
         for (col, src) in self.columns.iter_mut().zip(batch.columns().iter()) {
-            col.extend_from_slice(src.values());
+            col.extend(src);
         }
         self.num_rows += batch.num_rows();
         Ok(())
@@ -140,8 +140,8 @@ mod tests {
         let b = t.scan();
         assert_eq!(b.num_rows(), 2);
         assert_eq!(
-            b.column_by_name("dept").unwrap().get(1),
-            &Value::Str("ops".into())
+            *b.column_by_name("dept").unwrap().value(1),
+            Value::Str("ops".into())
         );
     }
 

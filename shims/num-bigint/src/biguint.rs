@@ -74,9 +74,14 @@ impl BigUint {
     /// Builds a value from little-endian bytes.
     pub fn from_bytes_le(bytes: &[u8]) -> Self {
         let mut limbs = Vec::with_capacity(bytes.len().div_ceil(8));
-        for chunk in bytes.chunks(8) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            limbs.push(u64::from_le_bytes(chunk.try_into().expect("eight bytes")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
             let mut limb = [0u8; 8];
-            limb[..chunk.len()].copy_from_slice(chunk);
+            limb[..rest.len()].copy_from_slice(rest);
             limbs.push(u64::from_le_bytes(limb));
         }
         BigUint::from_limbs(limbs)

@@ -297,7 +297,7 @@ fn a_tampered_row_id_of_a_memoised_row_still_fails() {
         .execute_sql_with(&rewritten.server_sql, &opts)
         .expect("execute");
     let rid_column = (0..output.batch.num_columns())
-        .find(|&c| matches!(output.batch.column(c).get(0), Value::EncryptedRowId(_)))
+        .find(|&c| matches!(*output.batch.column(c).value(0), Value::EncryptedRowId(_)))
         .expect("a row id column");
     let mut rows: Vec<Vec<Value>> = output.batch.rows().collect();
     let tampered = tamper(&rows[3][rid_column]);

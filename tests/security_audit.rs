@@ -14,7 +14,7 @@ use sdb_crypto::wire;
 use sdb_engine::operators::drain_operator;
 use sdb_engine::{ExecConfig, ExecContext, PhysicalPlanner, SdbOracle, UdfRegistry};
 use sdb_sql::PlanBuilder;
-use sdb_storage::Value;
+use sdb_storage::{Catalog, RecordBatch, Table, Value};
 use sdb_workload::{generate_all, ScaleFactor, SensitivityProfile};
 
 /// A number in both renderings a scan must search: its decimal digits (SQL
@@ -111,7 +111,7 @@ fn encrypted_values_are_not_deterministic_across_rows() {
     let column = batch.column_by_name("amount").unwrap();
     let mut ciphertexts = std::collections::HashSet::new();
     for i in 0..3 {
-        match column.get(i) {
+        match &*column.value(i) {
             Value::Encrypted(e) => ciphertexts.insert(e.to_string()),
             other => panic!("expected encrypted share, found {other:?}"),
         };
@@ -152,16 +152,15 @@ fn cpa_style_insert_does_not_reveal_other_rows() {
     let attacker_row = batch
         .column_by_name("id")
         .unwrap()
-        .values()
         .iter()
-        .position(|v| v == &Value::Int(99))
+        .position(|v| *v == Value::Int(99))
         .expect("attacker row present");
-    let attacker_ct = column.get(attacker_row).as_encrypted().unwrap();
+    let attacker_ct = column.value(attacker_row).as_encrypted().unwrap().clone();
     for i in 0..batch.num_rows() {
         if i != attacker_row {
             assert_ne!(
-                column.get(i).as_encrypted().unwrap(),
-                attacker_ct,
+                column.value(i).as_encrypted().unwrap(),
+                &attacker_ct,
                 "an attacker-chosen plaintext must not reproduce another row's ciphertext"
             );
         }
@@ -219,6 +218,65 @@ fn a_plaintext_units_value_sent_as_a_share_is_found() {
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     assert_eq!(report.findings[0].location, "wire-traffic");
     assert_eq!(report.findings[0].needle, quoted);
+}
+
+/// A client with `accounts (id INT, balance INT SENSITIVE)` uploaded and
+/// two rows inserted after the upload.
+fn client_with_inserts() -> SdbClient {
+    let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
+    client
+        .execute("CREATE TABLE accounts (id INT, balance INT SENSITIVE)")
+        .unwrap();
+    client
+        .execute("INSERT INTO accounts VALUES (1, 123456)")
+        .unwrap();
+    client.upload_all().unwrap();
+    client
+        .execute("INSERT INTO accounts VALUES (2, 654321), (3, 777777)")
+        .unwrap();
+    client
+}
+
+#[test]
+fn insert_rows_reach_the_wire_ledger_as_the_sp_appended_them() {
+    let client = client_with_inserts();
+    let uploads: Vec<String> = (client.wire().messages().into_iter())
+        .filter(|m| m.kind == WireMessageKind::Upload)
+        .map(|m| m.payload)
+        .collect();
+    assert_eq!(uploads.len(), 2, "the table upload, then the INSERT");
+    let sent: RecordBatch = serde_json::from_str(&uploads[1]).unwrap();
+    let handle = client.engine().catalog().table("accounts").unwrap();
+    let stored = handle.read().scan();
+    assert_eq!(sent, stored.slice(1, 2).unwrap());
+    assert_eq!(
+        client.wire().bytes_of_kind(WireMessageKind::Upload),
+        uploads.iter().map(String::len).sum::<usize>()
+    );
+    assert!(client.audit().is_clean());
+}
+
+#[test]
+fn a_plaintext_planted_in_insert_rows_is_found() {
+    // Positive control for the INSERT ledger: rows that carry a sensitive
+    // figure in the clear are typed rows like any INSERT's, and the audit
+    // renders and scans them.
+    let client = client_with_inserts();
+    let handle = client.engine().catalog().table("accounts").unwrap();
+    let schema = handle.read().schema().clone();
+    let mut planted: Vec<Value> = vec![Value::Null; schema.len()];
+    planted[schema.index_of("balance").unwrap()] = Value::Int(654_321);
+    let mut table = Table::new("accounts", schema.clone());
+    let rows = RecordBatch::from_rows_unchecked(schema, [planted]);
+    table.append_batch(&rows).unwrap();
+    let table = Catalog::new().register_table(table).unwrap();
+    client
+        .wire()
+        .record_rows(WireMessageKind::Upload, table, 0..1);
+    let report = client.audit();
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].location, "wire-traffic");
+    assert_eq!(report.findings[0].needle, "654321");
 }
 
 #[test]
@@ -647,7 +705,7 @@ fn the_item_key_memo_stays_in_do_memory() {
         let keys = keystore.table_keys(&name).unwrap();
         let handle = client.engine().catalog().table(&name).unwrap();
         let table = handle.read();
-        for cell in table.column("row_id").unwrap().values() {
+        for cell in table.column("row_id").unwrap().iter() {
             let r = row_ids
                 .decrypt(cell.as_encrypted_row_id().unwrap())
                 .unwrap()

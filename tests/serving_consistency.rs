@@ -706,12 +706,12 @@ fn a_scan_opened_before_an_insert_keeps_its_snapshot() {
     // The scan is open and one batch in when the INSERT lands on its table.
     root.open().unwrap();
     let mut ids: Vec<Value> = Vec::new();
-    ids.extend_from_slice(
+    ids.extend(
         root.next_batch()
             .unwrap()
             .expect("first batch")
             .column(0)
-            .values(),
+            .to_values(),
     );
     assert_eq!(ids.len(), 32);
     server
@@ -720,7 +720,7 @@ fn a_scan_opened_before_an_insert_keeps_its_snapshot() {
         ))
         .expect("insert while the scan is open");
     while let Some(batch) = root.next_batch().unwrap() {
-        ids.extend_from_slice(batch.column(0).values());
+        ids.extend(batch.column(0).to_values());
     }
     root.close().unwrap();
     let before: Vec<Value> = (0..ROWS).map(Value::Int).collect();
