@@ -1,11 +1,11 @@
-//! Experiment E6 (micro): per-operator cost of SDB's secure operators compared with
-//! the plaintext operation and with the onion baseline's specialised schemes.
+//! Per-operator cost of SDB's secure operators compared with the plaintext
+//! operation.
 //!
 //! Series reported (one Criterion group per operation class):
-//! * encryption / decryption of one value (SDB secret sharing vs Paillier vs DET/OPE);
+//! * encryption / decryption of one value (item key + secret share);
 //! * EE multiplication (`SDB_MULTIPLY`) vs plaintext multiplication;
-//! * key update + EE addition vs Paillier homomorphic addition;
-//! * comparison protocol step (blind + decrypt sign) vs OPE comparison;
+//! * key update + EE addition vs plaintext addition;
+//! * comparison protocol step (blind + decrypt sign) vs plaintext comparison;
 //! * `scan_pruning`: a scan + half-selective filter over a wide encrypted table
 //!   by a query referencing 1 / 4 / all of its 16 columns, and `clone` + `slice`
 //!   of one 4096-row batch of it (shared buffers: neither copies a cell);
@@ -19,8 +19,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-use sdb_baseline::{DetCipher, OpeCipher, PaillierKey};
-use sdb_crypto::prf::PrfKey;
 use sdb_crypto::share::{
     decrypt_value, encrypt_value, gen_item_key, ColumnKeyAlgebra, KeyUpdateParams,
 };
@@ -46,10 +44,6 @@ fn micro(c: &mut Criterion) {
     let b_e = encrypt_value(&key, &codec.encode(b_plain.into()).unwrap(), &ik_b);
     let s_e = encrypt_value(&key, &BigUint::from(1u32), &ik_s);
 
-    let paillier = PaillierKey::generate(&mut rng, KeyConfig::TEST).expect("paillier");
-    let det = DetCipher::new(PrfKey::new(1, 2));
-    let ope = OpeCipher::new(PrfKey::new(3, 4));
-
     // --- encryption ---------------------------------------------------------
     let mut group = c.benchmark_group("encrypt_one_value");
     group.bench_function("sdb_item_key_plus_encrypt", |bencher| {
@@ -61,16 +55,6 @@ fn micro(c: &mut Criterion) {
                 &ik,
             ))
         })
-    });
-    group.bench_function("paillier_encrypt", |bencher| {
-        let mut local = StdRng::seed_from_u64(9);
-        bencher.iter(|| black_box(paillier.encrypt(&mut local, &BigUint::from(a_plain as u64))))
-    });
-    group.bench_function("onion_det_encrypt", |bencher| {
-        bencher.iter(|| black_box(det.encrypt_i128("col", black_box(a_plain as i128))))
-    });
-    group.bench_function("onion_ope_encrypt", |bencher| {
-        bencher.iter(|| black_box(ope.encrypt(black_box(a_plain as i128))))
     });
     group.finish();
 
@@ -85,13 +69,6 @@ fn micro(c: &mut Criterion) {
                     .unwrap(),
             )
         })
-    });
-    let paillier_ct = {
-        let mut local = StdRng::seed_from_u64(10);
-        paillier.encrypt(&mut local, &BigUint::from(a_plain as u64))
-    };
-    group.bench_function("paillier_decrypt", |bencher| {
-        bencher.iter(|| black_box(paillier.decrypt(black_box(&paillier_ct))))
     });
     group.finish();
 
@@ -123,17 +100,6 @@ fn micro(c: &mut Criterion) {
             black_box((a_t + b_t) % key.n())
         })
     });
-    let paillier_a = {
-        let mut local = StdRng::seed_from_u64(11);
-        paillier.encrypt(&mut local, &BigUint::from(a_plain as u64))
-    };
-    let paillier_b = {
-        let mut local = StdRng::seed_from_u64(12);
-        paillier.encrypt(&mut local, &BigUint::from(b_plain as u64))
-    };
-    group.bench_function("paillier_homomorphic_add", |bencher| {
-        bencher.iter(|| black_box(paillier.add(&paillier_a, &paillier_b)))
-    });
     group.bench_function("plaintext_add", |bencher| {
         bencher.iter(|| black_box(black_box(a_plain) + black_box(b_plain)))
     });
@@ -151,11 +117,6 @@ fn micro(c: &mut Criterion) {
             let ik = gen_item_key(&key, &ck_a, &row);
             black_box(codec.sign(&decrypt_value(&key, &blinded, &ik)))
         })
-    });
-    let ope_a = ope.encrypt(a_plain as i128);
-    let ope_b = ope.encrypt(b_plain as i128);
-    group.bench_function("onion_ope_compare", |bencher| {
-        bencher.iter(|| black_box(black_box(ope_a) > black_box(ope_b)))
     });
     group.bench_function("plaintext_compare", |bencher| {
         bencher.iter(|| black_box(black_box(a_plain) > black_box(b_plain)))

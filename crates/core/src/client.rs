@@ -113,13 +113,6 @@ impl SdbConfig {
         }
     }
 
-    /// Enables deterministic equality tags for sensitive numeric columns
-    /// (ablation E7).
-    pub fn with_deterministic_tags(mut self) -> Self {
-        self.upload.deterministic_tags = true;
-        self
-    }
-
     /// Sets the number of upload encryption threads.
     pub fn with_upload_threads(mut self, threads: usize) -> Self {
         self.upload.threads = threads;
@@ -527,7 +520,7 @@ impl SdbClient {
         &self.wire
     }
 
-    /// The SP engine (for benches and the baseline comparison).
+    /// The SP engine (for benches and inspection).
     pub fn engine(&self) -> &SpEngine {
         &self.engine
     }
@@ -1029,24 +1022,5 @@ mod tests {
         client.upload("t").unwrap();
         assert!(client.upload("t").is_err());
         assert!(client.query("SELECT missing FROM t").is_err());
-    }
-
-    #[test]
-    fn deterministic_tag_mode_also_answers_correctly() {
-        let mut client =
-            SdbClient::new(SdbConfig::test_profile().with_deterministic_tags()).unwrap();
-        client
-            .execute("CREATE TABLE t (id INT, v INT SENSITIVE)")
-            .unwrap();
-        client
-            .execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 10)")
-            .unwrap();
-        client.upload_all().unwrap();
-        let result = client
-            .query("SELECT v, COUNT(*) AS n FROM t GROUP BY v ORDER BY v")
-            .unwrap();
-        assert_eq!(result.rows().len(), 2);
-        assert_eq!(result.rows()[0][0], Value::Int(10));
-        assert_eq!(result.rows()[0][1], Value::Int(2));
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! 1. **Keystream generation** for the row-id cipher ([`crate::sies`]), our stand-in
 //!    for the SIES scheme the paper cites for row ids.
-//! 2. **Equality tags** for the optional deterministic GROUP BY / join mode
-//!    (ablation experiment E7): `tag = PRF_k(column_id || plaintext)`.
+//! 2. **Equality tags**: `tag = PRF_k(domain || plaintext)`, stored beside every
+//!    sensitive VARCHAR (equality is the only operation those support) and
+//!    answered by the DO oracle for `SDB_GROUP_TAG`.
 //!
 //! SipHash-2-4 is implemented from the published specification (Aumasson &
 //! Bernstein, 2012). It is a 64-bit keyed PRF designed for exactly this kind of
@@ -128,8 +129,9 @@ impl Prf {
     }
 }
 
-/// Deterministic equality tagger for the optional CryptDB-DET-style GROUP BY / join
-/// mode (ablation E7). Tags are `PRF_k(domain_separator || payload)`.
+/// Deterministic equality tagger: the upload-time tags of sensitive VARCHAR
+/// columns and the DO oracle's group tags. Tags are
+/// `PRF_k(domain_separator || payload)`.
 #[derive(Debug, Clone)]
 pub struct EqualityTagger {
     prf: Prf,

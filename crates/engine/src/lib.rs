@@ -17,12 +17,11 @@
 //!   comparison / grouping / ranking protocols, where the SP ships *blinded or
 //!   encrypted* values to the data owner's proxy and receives back only the
 //!   plaintext-free verdicts it needs (sign bits, opaque group tags, opaque rank
-//!   surrogates). Every crossing of this interface is counted so the benches can
-//!   report client vs server cost (experiment E3) and the audit can inspect the
-//!   traffic (experiment E4).
+//!   surrogates). Every crossing of this interface is counted so `perf_report` can
+//!   report client vs server cost and the audit can inspect the traffic.
 //!
-//! The same engine executes plaintext queries (no UDFs involved), which is how the
-//! plaintext baseline of `sdb-baseline` runs.
+//! The same engine executes plaintext queries (no UDFs involved): that is the
+//! plaintext side of `perf_report`'s SDB-over-plaintext ratio.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,7 +36,7 @@ use crate::{ProxyError, Result};
 pub const ROW_ID_COLUMN: &str = "row_id";
 /// Name of the physical auxiliary all-ones column.
 pub const AUX_COLUMN: &str = "sdb_s";
-/// Suffix of deterministic-tag companion columns.
+/// Suffix of the deterministic-tag companion column of a sensitive VARCHAR.
 pub const TAG_SUFFIX: &str = "_tag";
 /// Suffix of SIES-payload companion columns (sensitive VARCHAR).
 pub const SIES_SUFFIX: &str = "_sies";
@@ -44,20 +44,13 @@ pub const SIES_SUFFIX: &str = "_sies";
 /// Upload options.
 #[derive(Debug, Clone, Copy)]
 pub struct UploadOptions {
-    /// Also materialise deterministic equality tags for sensitive *numeric* columns
-    /// (the CryptDB-DET-style fast path measured in ablation E7). Sensitive VARCHAR
-    /// columns always get tags — equality is the only operation they support.
-    pub deterministic_tags: bool,
     /// Number of worker threads for row encryption (1 = sequential).
     pub threads: usize,
 }
 
 impl Default for UploadOptions {
     fn default() -> Self {
-        UploadOptions {
-            deterministic_tags: false,
-            threads: 1,
-        }
+        UploadOptions { threads: 1 }
     }
 }
 
@@ -118,7 +111,7 @@ impl Encryptor {
         let mut rng = keystore.derived_rng(fxhash(table.name()));
         keystore.register_table(&mut rng, table.name(), &numeric_sensitive)?;
 
-        let physical_schema = physical_schema(&meta, options);
+        let physical_schema = physical_schema(&meta);
         let mut encrypted = Table::new(table.name(), physical_schema.clone());
 
         let source = table.scan();
@@ -127,7 +120,7 @@ impl Encryptor {
 
         let encrypted_rows: Vec<Vec<Value>> = if threads <= 1 || rows.len() < 64 {
             let mut worker_rng = keystore.derived_rng(fxhash(table.name()) ^ 1);
-            encrypt_rows_batched(keystore, &meta, options, &rows, &mut worker_rng)?
+            encrypt_rows_batched(keystore, &meta, &rows, &mut worker_rng)?
         } else {
             let chunk_size = rows.len().div_ceil(threads);
             let chunks: Vec<&[Vec<Value>]> = rows.chunks(chunk_size).collect();
@@ -140,13 +133,7 @@ impl Encryptor {
                     handles.push(scope.spawn(move || {
                         let mut worker_rng = keystore_ref
                             .derived_rng(fxhash(meta_ref.name.as_str()) ^ (i as u64 + 2));
-                        encrypt_rows_batched(
-                            keystore_ref,
-                            meta_ref,
-                            options,
-                            chunk,
-                            &mut worker_rng,
-                        )
+                        encrypt_rows_batched(keystore_ref, meta_ref, chunk, &mut worker_rng)
                     }));
                 }
                 for handle in handles {
@@ -185,11 +172,10 @@ impl Encryptor {
     pub fn encrypt_rows(
         keystore: &KeyStore,
         meta: &TableMeta,
-        options: UploadOptions,
         rows: &[Vec<Value>],
         rng: &mut StdRng,
     ) -> Result<Vec<Vec<Value>>> {
-        encrypt_rows_batched(keystore, meta, options, rows, rng)
+        encrypt_rows_batched(keystore, meta, rows, rng)
     }
 }
 
@@ -214,7 +200,6 @@ struct RowDraws {
 fn encrypt_rows_batched(
     keystore: &KeyStore,
     meta: &TableMeta,
-    options: UploadOptions,
     rows: &[Vec<Value>],
     rng: &mut StdRng,
 ) -> Result<Vec<Vec<Value>>> {
@@ -309,20 +294,6 @@ fn encrypt_rows_batched(
                     Some(e) => Value::Encrypted(e.clone()),
                     None => Value::Null,
                 });
-                if options.deterministic_tags {
-                    let tag = match value {
-                        Value::Null => Value::Null,
-                        other => {
-                            let units = other
-                                .as_scaled_i128(
-                                    PlainType::from_data_type(column.data_type)?.scale(),
-                                )
-                                .map_err(ProxyError::Storage)?;
-                            Value::Tag(tagger.tag_i128(&domain_of(column), units))
-                        }
-                    };
-                    out.push(tag);
-                }
             } else if column.is_string_sensitive() {
                 match value {
                     Value::Null => {
@@ -354,7 +325,7 @@ fn encrypt_rows_batched(
 }
 
 /// Builds the physical (SP-side) schema for a logical table.
-pub fn physical_schema(meta: &TableMeta, options: UploadOptions) -> Schema {
+pub fn physical_schema(meta: &TableMeta) -> Schema {
     let mut defs = vec![
         ColumnDef {
             name: ROW_ID_COLUMN.to_string(),
@@ -374,13 +345,6 @@ pub fn physical_schema(meta: &TableMeta, options: UploadOptions) -> Schema {
                 data_type: DataType::Encrypted,
                 sensitivity: Sensitivity::Sensitive,
             });
-            if options.deterministic_tags {
-                defs.push(ColumnDef {
-                    name: format!("{}{TAG_SUFFIX}", column.name),
-                    data_type: DataType::Tag,
-                    sensitivity: Sensitivity::Sensitive,
-                });
-            }
         } else if column.is_string_sensitive() {
             defs.push(ColumnDef {
                 name: format!("{}{TAG_SUFFIX}", column.name),
@@ -410,7 +374,6 @@ pub fn physical_schema(meta: &TableMeta, options: UploadOptions) -> Schema {
 fn encrypt_row(
     keystore: &KeyStore,
     meta: &TableMeta,
-    options: UploadOptions,
     row: &[Value],
     rng: &mut StdRng,
 ) -> Result<Vec<Value>> {
@@ -456,18 +419,6 @@ fn encrypt_row(
                 }
             };
             out.push(encrypted);
-            if options.deterministic_tags {
-                let tag = match value {
-                    Value::Null => Value::Null,
-                    other => {
-                        let units = other
-                            .as_scaled_i128(PlainType::from_data_type(column.data_type)?.scale())
-                            .map_err(ProxyError::Storage)?;
-                        Value::Tag(tagger.tag_i128(&domain_of(column), units))
-                    }
-                };
-                out.push(tag);
-            }
         } else if column.is_string_sensitive() {
             match value {
                 Value::Null => {
@@ -696,34 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_tag_mode_adds_numeric_tags() {
-        let (ks, up) = upload(UploadOptions {
-            deterministic_tags: true,
-            threads: 1,
-        });
-        let names: Vec<&str> = up
-            .table
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.as_str())
-            .collect();
-        assert!(names.contains(&"salary_tag"));
-        assert!(names.contains(&"hired_tag"));
-        // Equal plaintexts produce equal tags across rows (that is the leakage the
-        // ablation measures); here just check determinism against the tagger.
-        let tagger = ks.tagger();
-        assert_eq!(
-            *up.table
-                .scan()
-                .column_by_name("salary_tag")
-                .unwrap()
-                .value(0),
-            Value::Tag(tagger.tag_i128("sdb:num", 123_456))
-        );
-    }
-
-    #[test]
     fn parallel_upload_matches_row_count_and_decrypts() {
         // Build a larger table to exercise the parallel path.
         let schema = Schema::new(vec![
@@ -736,15 +659,7 @@ mod tests {
                 .unwrap();
         }
         let mut ks = KeyStore::generate(KeyConfig::TEST, 13).unwrap();
-        let up = Encryptor::encrypt_table(
-            &mut ks,
-            &t,
-            UploadOptions {
-                deterministic_tags: false,
-                threads: 4,
-            },
-        )
-        .unwrap();
+        let up = Encryptor::encrypt_table(&mut ks, &t, UploadOptions { threads: 4 }).unwrap();
         assert_eq!(up.table.num_rows(), 300);
 
         // Spot-check decryption of a few rows.
@@ -784,39 +699,30 @@ mod tests {
         // Same keystore state, same seed: the batched path must consume the
         // RNG stream exactly as the scalar path does and produce identical
         // ciphertexts for every column kind (numeric, tag, SIES, public).
-        for options in [
-            UploadOptions::default(),
-            UploadOptions {
-                deterministic_tags: true,
-                threads: 1,
-            },
-        ] {
-            let table = sample_table();
-            let meta = TableMeta::from_schema(table.name(), table.schema());
-            let mut ks = KeyStore::generate(KeyConfig::TEST, 23).unwrap();
-            let numeric: Vec<String> = meta
-                .columns
-                .iter()
-                .filter(|c| c.is_numeric_sensitive())
-                .map(|c| c.name.clone())
-                .collect();
-            let mut reg_rng = ks.derived_rng(1);
-            ks.register_table(&mut reg_rng, table.name(), &numeric)
-                .unwrap();
-            let rows: Vec<Vec<Value>> = table.scan().rows().collect();
+        let table = sample_table();
+        let meta = TableMeta::from_schema(table.name(), table.schema());
+        let mut ks = KeyStore::generate(KeyConfig::TEST, 23).unwrap();
+        let numeric: Vec<String> = meta
+            .columns
+            .iter()
+            .filter(|c| c.is_numeric_sensitive())
+            .map(|c| c.name.clone())
+            .collect();
+        let mut reg_rng = ks.derived_rng(1);
+        ks.register_table(&mut reg_rng, table.name(), &numeric)
+            .unwrap();
+        let rows: Vec<Vec<Value>> = table.scan().rows().collect();
 
-            let mut scalar_rng = ks.derived_rng(99);
-            let scalar: Vec<Vec<Value>> = rows
-                .iter()
-                .map(|row| encrypt_row(&ks, &meta, options, row, &mut scalar_rng).unwrap())
-                .collect();
+        let mut scalar_rng = ks.derived_rng(99);
+        let scalar: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|row| encrypt_row(&ks, &meta, row, &mut scalar_rng).unwrap())
+            .collect();
 
-            let mut batched_rng = ks.derived_rng(99);
-            let batched =
-                encrypt_rows_batched(&ks, &meta, options, &rows, &mut batched_rng).unwrap();
+        let mut batched_rng = ks.derived_rng(99);
+        let batched = encrypt_rows_batched(&ks, &meta, &rows, &mut batched_rng).unwrap();
 
-            assert_eq!(scalar, batched);
-        }
+        assert_eq!(scalar, batched);
     }
 
     #[test]

@@ -234,13 +234,7 @@ impl SdbProxy {
         let mut rng = self
             .keystore
             .derived_rng(0x175e7 ^ self.query_counter.fetch_add(1, Ordering::Relaxed));
-        let encrypted = Encryptor::encrypt_rows(
-            &self.keystore,
-            meta,
-            UploadOptions::default(),
-            rows,
-            &mut rng,
-        )?;
+        let encrypted = Encryptor::encrypt_rows(&self.keystore, meta, rows, &mut rng)?;
         let columns = self.keystore.table_keys(&meta.name)?.columns.len();
         (self.oracle_parts.memo()).grow(rows.len() * (columns + 1));
         Ok(encrypted)

@@ -400,8 +400,8 @@ impl<'a> Rewriter<'a> {
     }
 
     /// Subqueries over tables with sensitive columns are outside the supported
-    /// rewrite surface — report them explicitly (this is the coverage boundary the
-    /// baseline comparison records).
+    /// rewrite surface — report them explicitly (this is the coverage boundary
+    /// the TPC-H coverage analyzer records).
     fn check_subqueries(&self, expr: &Expr) -> Result<()> {
         let check_query = |q: &Query| -> Result<()> {
             for table in &q.from {

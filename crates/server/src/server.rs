@@ -52,7 +52,7 @@ pub struct ServerConfig {
     /// which honours `SDB_TRACE`).
     pub tracing: Option<bool>,
     /// Whether the server-wide [`MetricsRegistry`] records anything
-    /// (default on; the overhead bench turns it off for its baseline).
+    /// (default on).
     pub metrics: bool,
     /// Slow-query capture threshold in milliseconds: queries at least this
     /// slow land in the ring-buffer slow-query log, `0` captures every

@@ -33,7 +33,7 @@ pub use ast::{
 pub use error::SqlError;
 pub use lexer::{Lexer, Token};
 pub use parser::parse_statements;
-pub use parser::{parse_sql, Parser};
+pub use parser::{parse_sql, Parser, MAX_NESTING};
 pub use plan::{AggFunc, AggregateExpr, LogicalPlan, PlanBuilder, ProjectionItem, SortKey};
 
 /// Library result alias.

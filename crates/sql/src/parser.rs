@@ -33,16 +33,62 @@ pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
     }
 }
 
+/// The deepest nesting the parser accepts. Every subquery, parenthesis,
+/// argument list, `CASE` part and prefix `NOT`/`-` is one level, and an
+/// operator adds as many levels as the tree under it is tall (`a + b + c`
+/// parses left-deep, two levels). Deeper input is a parse error, so neither
+/// the parser nor what walks its trees afterwards (rewriter, planner,
+/// evaluator, drop) can run a thread out of stack on it. The workload and
+/// its rewritten statements nest at most 11 levels; at 64, the deepest
+/// accepted input parses on a 2 MiB thread in a debug build.
+pub const MAX_NESTING: usize = 64;
+
 /// Token-stream parser.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
     /// Creates a parser over a token stream (must end with [`Token::Eof`]).
     pub fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `parse` one nesting level deeper, or fails past [`MAX_NESTING`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.depth += 1;
+        let parsed = if self.depth > MAX_NESTING {
+            Err(too_deep())
+        } else {
+            parse(self)
+        };
+        self.depth -= 1;
+        parsed
+    }
+
+    /// `left op right` as the next operator of a left-deep chain whose tree is
+    /// `height` levels tall so far (`None` before its first operator).
+    fn chain(
+        &self,
+        left: Expr,
+        op: BinaryOp,
+        right: Expr,
+        height: &mut Option<usize>,
+    ) -> Result<Expr> {
+        let below = height.unwrap_or_else(|| expr_height(&left));
+        let tall = below.max(expr_height(&right)) + 1;
+        if self.depth + tall > MAX_NESTING {
+            return Err(too_deep());
+        }
+        *height = Some(tall);
+        Ok(Expr::binary(left, op, right))
     }
 
     fn peek(&self) -> &Token {
@@ -168,6 +214,10 @@ impl Parser {
 
     /// Parses a SELECT query (without a trailing semicolon).
     pub fn parse_query(&mut self) -> Result<Query> {
+        self.nested(Self::parse_query_body)
+    }
+
+    fn parse_query_body(&mut self) -> Result<Query> {
         self.expect_keyword("SELECT")?;
         let distinct = self.eat_keyword("DISTINCT");
         let projections = self.parse_select_list()?;
@@ -328,30 +378,32 @@ impl Parser {
 
     /// Parses a full expression.
     pub fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
         let mut left = self.parse_and()?;
+        let mut height = None;
         while self.eat_keyword("OR") {
             let right = self.parse_and()?;
-            left = Expr::binary(left, BinaryOp::Or, right);
+            left = self.chain(left, BinaryOp::Or, right, &mut height)?;
         }
         Ok(left)
     }
 
     fn parse_and(&mut self) -> Result<Expr> {
         let mut left = self.parse_not()?;
+        let mut height = None;
         while self.eat_keyword("AND") {
             let right = self.parse_not()?;
-            left = Expr::binary(left, BinaryOp::And, right);
+            left = self.chain(left, BinaryOp::And, right, &mut height)?;
         }
         Ok(left)
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat_keyword("NOT") {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -444,13 +496,14 @@ impl Parser {
         if let Some(op) = op {
             self.bump();
             let right = self.parse_additive()?;
-            return Ok(Expr::binary(left, op, right));
+            return self.chain(left, op, right, &mut None);
         }
         Ok(left)
     }
 
     fn parse_additive(&mut self) -> Result<Expr> {
         let mut left = self.parse_multiplicative()?;
+        let mut height = None;
         loop {
             let op = match self.peek() {
                 Token::Plus => BinaryOp::Add,
@@ -459,12 +512,13 @@ impl Parser {
             };
             self.bump();
             let right = self.parse_multiplicative()?;
-            left = Expr::binary(left, op, right);
+            left = self.chain(left, op, right, &mut height)?;
         }
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr> {
         let mut left = self.parse_unary()?;
+        let mut height = None;
         loop {
             let op = match self.peek() {
                 Token::Star => BinaryOp::Mul,
@@ -474,13 +528,13 @@ impl Parser {
             };
             self.bump();
             let right = self.parse_unary()?;
-            left = Expr::binary(left, op, right);
+            left = self.chain(left, op, right, &mut height)?;
         }
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat_token(&Token::Minus) {
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             // Fold negation into literals so `-5` is a literal, not an expression.
             if let Expr::Literal(Literal::Int(v)) = inner {
                 return Ok(Expr::Literal(Literal::Int(-v)));
@@ -497,7 +551,7 @@ impl Parser {
             });
         }
         if self.eat_token(&Token::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -782,6 +836,58 @@ impl Parser {
     }
 }
 
+fn too_deep() -> SqlError {
+    SqlError::Parse {
+        detail: format!("expression or subquery nested deeper than {MAX_NESTING} levels"),
+    }
+}
+
+/// Levels below `expr` in its tree, subquery bodies included.
+fn expr_height(expr: &Expr) -> usize {
+    let tallest = |children: &mut dyn Iterator<Item = &Expr>| {
+        children.map(expr_height).max().map_or(0, |h| h + 1)
+    };
+    match expr {
+        Expr::Column(_) | Expr::Literal(_) | Expr::Param(_) => 0,
+        Expr::Unary { expr, .. } | Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => {
+            expr_height(expr) + 1
+        }
+        Expr::Binary { left, right, .. } => expr_height(left).max(expr_height(right)) + 1,
+        Expr::Function { args, .. } => tallest(&mut args.iter()),
+        Expr::Case {
+            operand,
+            branches,
+            else_expr,
+        } => tallest(
+            &mut (operand.iter().chain(else_expr).map(|e| &**e))
+                .chain(branches.iter().flat_map(|(when, then)| [when, then])),
+        ),
+        Expr::Between {
+            expr, low, high, ..
+        } => tallest(&mut [expr, low, high].into_iter().map(|e| &**e)),
+        Expr::InList { expr, list, .. } => tallest(&mut std::iter::once(&**expr).chain(list)),
+        Expr::InSubquery { expr, query, .. } => expr_height(expr).max(query_height(query)) + 1,
+        Expr::ScalarSubquery(query) | Expr::Exists { query, .. } => query_height(query) + 1,
+    }
+}
+
+/// Levels below `query`: the tallest of its expressions, plus one.
+fn query_height(query: &Query) -> usize {
+    let projections = query.projections.iter().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        SelectItem::Wildcard => None,
+    });
+    projections
+        .chain(query.joins.iter().map(|join| &join.on))
+        .chain(&query.where_clause)
+        .chain(&query.group_by)
+        .chain(&query.having)
+        .chain(query.order_by.iter().map(|item| &item.expr))
+        .map(expr_height)
+        .max()
+        .map_or(0, |h| h + 1)
+}
+
 fn is_clause_keyword(ident: &str) -> bool {
     matches!(
         ident.to_ascii_uppercase().as_str(),
@@ -1036,6 +1142,62 @@ mod tests {
         assert!(parse_sql("DROP TABLE t").is_err());
         assert!(parse_sql("SELECT * FROM t LIMIT x").is_err());
         assert!(parse_sql("SELECT a b c FROM t").is_err());
+    }
+
+    /// Shapes that nest: the text opening and closing one repetition, and
+    /// the levels a repetition takes (a subquery is a query and its select
+    /// item).
+    const NESTING_SHAPES: [(&str, &str, usize); 6] = [
+        ("(", ")", 1),
+        ("ABS(", ")", 1),
+        ("CASE WHEN ", " THEN 1 END", 1),
+        ("NOT ", "", 1),
+        ("- ", "", 1),
+        ("(SELECT ", ")", 2),
+    ];
+
+    /// `SELECT` of `1` inside `n` repetitions of a shape, `FROM t`; the
+    /// outer query and its select item take two levels.
+    fn nest(open: &str, close: &str, n: usize) -> String {
+        format!("SELECT {}1{} FROM t", open.repeat(n), close.repeat(n))
+    }
+
+    /// `SELECT 1 + 1 + …` with `terms` terms: a left-deep tree `terms - 1` tall.
+    fn sum_of_ones(terms: usize) -> String {
+        format!("SELECT {} FROM t", vec!["1"; terms].join(" + "))
+    }
+
+    fn is_too_deep(sql: &str) -> bool {
+        matches!(parse_sql(sql), Err(SqlError::Parse { detail }) if detail.contains("nested deeper"))
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // At the bound, parsing and dropping the tree fit a 2 MiB thread,
+        // unoptimised too.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for (open, close, levels) in NESTING_SHAPES {
+                    let sql = nest(open, close, (MAX_NESTING - 2) / levels);
+                    assert!(parse_sql(&sql).is_ok(), "{open}…");
+                }
+                assert!(parse_sql(&sum_of_ones(MAX_NESTING - 1)).is_ok());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for (open, close, levels) in NESTING_SHAPES {
+            let past = (MAX_NESTING - 2) / levels + 1;
+            assert!(is_too_deep(&nest(open, close, past)), "{open}…");
+            assert!(is_too_deep(&nest(open, close, 100_000)), "{open}…");
+        }
+        assert!(is_too_deep(&sum_of_ones(MAX_NESTING)));
+        assert!(is_too_deep(&sum_of_ones(100_000)));
+        // A chain over a tall operand counts the operand's height.
+        let half = vec!["1"; MAX_NESTING / 2 + 4].join(" + ");
+        assert!(parse_sql(&format!("SELECT ({half}) FROM t")).is_ok());
+        assert!(is_too_deep(&format!("SELECT ({half}) + {half} FROM t")));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * [`Value::Encrypted`] — a secret share `v_e ∈ Z_n` (paper Eq. 3);
 //! * [`Value::EncryptedRowId`] — a row id under the conventional row-id cipher;
-//! * [`Value::Tag`] — a keyed deterministic equality tag (optional mode, E7).
+//! * [`Value::Tag`] — a keyed deterministic equality tag (sensitive VARCHARs).
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -7,9 +7,9 @@
 use std::collections::BTreeMap;
 
 use sdb::{SdbClient, SdbConfig};
-use sdb_baseline::analyze_query;
 use sdb_proxy::meta::TableMeta;
 use sdb_proxy::KeyStore;
+use sdb_repro::analyze_query;
 use sdb_sql::{parse_sql, Statement};
 use sdb_workload::{
     all_queries, generate_all, table_names, table_schema, ScaleFactor, SensitivityProfile,

@@ -1,9 +1,9 @@
 //! Offline shim for the `criterion` crate.
 //!
 //! Provides the API surface the workspace's benches use — `Criterion`,
-//! `benchmark_group`, `bench_function`, `bench_with_input`, `BenchmarkId`,
-//! `black_box` and the `criterion_group!`/`criterion_main!` macros — with a
-//! simple timing loop instead of criterion's statistical machinery.
+//! `benchmark_group`, `bench_function`, `bench_with_input`, `BenchmarkId` and
+//! the `criterion_group!`/`criterion_main!` macros — with a simple timing loop
+//! instead of criterion's statistical machinery.
 //!
 //! Behaviour under the two cargo entry points:
 //!
@@ -13,13 +13,8 @@
 //!   each benchmark body executes exactly once, as a smoke test.
 
 use std::fmt::Display;
-use std::hint;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Opaque-to-the-optimizer identity function.
-pub fn black_box<T>(x: T) -> T {
-    hint::black_box(x)
-}
 
 /// How benchmarks should execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,18 +78,6 @@ impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup { criterion: self, name: name.into() }
     }
-
-    /// Runs a single benchmark.
-    pub fn bench_function<F>(&mut self, id: impl Display, mut body: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_one(self.mode, self.measure_time, &id.to_string(), &mut body);
-        self
-    }
-
-    /// Final reporting hook (a no-op in this shim).
-    pub fn final_summary(&mut self) {}
 }
 
 /// A group of related benchmarks.
@@ -106,17 +89,6 @@ pub struct BenchmarkGroup<'a> {
 impl BenchmarkGroup<'_> {
     /// Sets the sample count (accepted for API compatibility).
     pub fn sample_size(&mut self, _samples: usize) -> &mut Self {
-        self
-    }
-
-    /// Sets the measurement time.
-    pub fn measurement_time(&mut self, time: Duration) -> &mut Self {
-        self.criterion.measure_time = time;
-        self
-    }
-
-    /// Sets the throughput annotation (accepted for API compatibility).
-    pub fn throughput(&mut self, _throughput: Throughput) -> &mut Self {
         self
     }
 
@@ -161,26 +133,12 @@ impl BenchmarkId {
     pub fn new(name: impl Display, parameter: impl Display) -> Self {
         BenchmarkId { text: format!("{name}/{parameter}") }
     }
-
-    /// Builds an id from a parameter alone.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId { text: parameter.to_string() }
-    }
 }
 
 impl Display for BenchmarkId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.text)
     }
-}
-
-/// Throughput annotation (accepted for API compatibility).
-#[derive(Debug, Clone, Copy)]
-pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
-    /// Elements processed per iteration.
-    Elements(u64),
 }
 
 /// Drives a single benchmark's iterations.
@@ -292,6 +250,5 @@ mod tests {
     #[test]
     fn benchmark_id_formats() {
         assert_eq!(BenchmarkId::new("op", 16).to_string(), "op/16");
-        assert_eq!(BenchmarkId::from_parameter("x").to_string(), "x");
     }
 }

@@ -722,13 +722,6 @@ impl Integer for BigUint {
         }
         a
     }
-
-    fn lcm(&self, other: &Self) -> Self {
-        if self.is_zero() || other.is_zero() {
-            return BigUint::zero();
-        }
-        self / Integer::gcd(self, other) * other
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1046,14 +1039,6 @@ mod tests {
         assert_eq!(BigUint::from_bytes_le(&x.to_bytes_le()), x);
         assert_eq!(BigUint::from_bytes_be(&x.to_bytes_be()), x);
         assert_eq!(BigUint::zero().to_bytes_le(), vec![0]);
-    }
-
-    #[test]
-    fn gcd_lcm() {
-        let a = BigUint::from(48u32);
-        let b = BigUint::from(18u32);
-        assert_eq!(Integer::gcd(&a, &b), BigUint::from(6u32));
-        assert_eq!(Integer::lcm(&a, &b), BigUint::from(144u32));
     }
 
     #[test]

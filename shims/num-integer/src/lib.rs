@@ -1,51 +1,11 @@
 //! Offline shim for the `num-integer` crate.
 //!
-//! Provides the [`Integer`] trait with the `gcd`/`lcm` operations this
-//! workspace uses, implemented for the primitive unsigned integers.
-//! `num-bigint` (the sibling shim) implements it for `BigUint`.
+//! Provides the [`Integer`] trait with the `gcd` operation this workspace
+//! uses. `num-bigint` (the sibling shim) implements it for `BigUint`, the one
+//! type the workspace calls it on.
 
 /// Integer operations beyond the primitive arithmetic operators.
 pub trait Integer: Sized {
     /// Greatest common divisor.
     fn gcd(&self, other: &Self) -> Self;
-    /// Least common multiple.
-    fn lcm(&self, other: &Self) -> Self;
-}
-
-macro_rules! impl_integer_unsigned {
-    ($($t:ty),*) => {$(
-        impl Integer for $t {
-            fn gcd(&self, other: &Self) -> Self {
-                let (mut a, mut b) = (*self, *other);
-                while b != 0 {
-                    let r = a % b;
-                    a = b;
-                    b = r;
-                }
-                a
-            }
-            fn lcm(&self, other: &Self) -> Self {
-                if *self == 0 || *other == 0 {
-                    return 0;
-                }
-                self / self.gcd(other) * other
-            }
-        }
-    )*};
-}
-
-impl_integer_unsigned!(u8, u16, u32, u64, u128, usize);
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gcd_lcm() {
-        assert_eq!(12u64.gcd(&18), 6);
-        assert_eq!(12u64.lcm(&18), 36);
-        assert_eq!(7u32.gcd(&13), 1);
-        assert_eq!(0u64.gcd(&5), 5);
-        assert_eq!(0u64.lcm(&5), 0);
-    }
 }

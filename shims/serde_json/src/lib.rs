@@ -168,6 +168,41 @@ mod tests {
         assert!(from_str::<Cell>(r#"{"Hex":255}"#).is_err());
     }
 
+    /// `n` arrays, each holding the next.
+    fn nested_arrays(n: usize) -> String {
+        format!("{}{}", "[".repeat(n), "]".repeat(n))
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // At the bound, parsing and dropping the tree fit a 2 MiB thread,
+        // unoptimised too.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                assert!(content_from_str(&nested_arrays(parser::MAX_DEPTH)).is_ok());
+                let objects = format!(
+                    "{}0{}",
+                    r#"{"a":"#.repeat(parser::MAX_DEPTH),
+                    "}".repeat(parser::MAX_DEPTH)
+                );
+                assert!(content_from_str(&objects).is_ok());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let deep = [
+            nested_arrays(parser::MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            r#"{"a":"#.repeat(100_000),
+        ];
+        for text in deep {
+            let err = content_from_str(&text).unwrap_err().to_string();
+            assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+            assert!(from_slice::<Vec<u8>>(text.as_bytes()).is_err());
+        }
+    }
+
     #[test]
     fn pretty_output_parses_back() {
         let pairs: Vec<(String, Vec<u8>)> = vec![("xs".into(), vec![1, 2])];

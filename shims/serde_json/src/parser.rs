@@ -4,8 +4,12 @@ use serde::content::Content;
 
 use crate::{Error, Result};
 
+/// The deepest nesting of arrays and objects the parser accepts: the real
+/// crate's recursion limit. Deeper input is an error, not a stack overflow.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 pub(crate) fn parse(text: &str) -> Result<Content> {
-    let mut parser = Parser { bytes: text.as_bytes(), position: 0 };
+    let mut parser = Parser { bytes: text.as_bytes(), position: 0, depth: 0 };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
     parser.skip_whitespace();
@@ -18,6 +22,8 @@ pub(crate) fn parse(text: &str) -> Result<Content> {
 struct Parser<'a> {
     bytes: &'a [u8],
     position: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -56,12 +62,23 @@ impl Parser<'_> {
             Some(b't') => self.parse_keyword("true", Content::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Content::Bool(false)),
             Some(b'"') => Ok(Content::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             Some(c) => Err(self.error(&format!("unexpected character `{}`", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, or fails past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Content>) -> Result<Content> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, keyword: &str, value: Content) -> Result<Content> {

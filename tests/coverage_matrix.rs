@@ -8,9 +8,9 @@
 
 use std::collections::BTreeMap;
 
-use sdb_baseline::{analyze_query, SystemSupport};
 use sdb_proxy::meta::TableMeta;
 use sdb_proxy::KeyStore;
+use sdb_repro::{analyze_query, SystemSupport};
 use sdb_sql::{parse_sql, Statement};
 use sdb_workload::{all_queries, table_names, table_schema, SensitivityProfile};
 
@@ -94,7 +94,7 @@ fn onion_baseline_supports_only_a_small_fraction() {
 
 #[test]
 fn the_gap_is_exactly_about_interoperability() {
-    use sdb_baseline::RequiredOperation;
+    use sdb_repro::RequiredOperation;
     let (keystore, metas) = metadata();
     // Every template the onion baseline rejects must require at least one of the
     // "output of one operator feeds another" operations.

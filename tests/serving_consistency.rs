@@ -484,6 +484,54 @@ fn metrics_snapshot_accounts_for_the_mixed_workload() {
     assert_eq!(summed.pages_spilled as u64, snapshot.pool_spill_pages);
 }
 
+/// Observability never changes a query's bytes: the serial mixed round,
+/// with a public sort that spills, renders the same rows on a server with the
+/// metrics registry on, with it off, and with slow-query capture at
+/// threshold 0. Only the enabled registry counts the round, and the capture
+/// ring holds every query of it.
+#[test]
+fn observability_leaves_rendered_rows_unchanged() {
+    let mut queries = mixed_queries();
+    queries.push("SELECT id, pad FROM wide ORDER BY id DESC");
+    let build = |metrics: bool, capture_all: bool| {
+        let mut config = ServerConfig::test_profile()
+            .with_global_budget(MemoryBudget::bytes(64 << 10))
+            .with_parallelism(1)
+            .with_metrics(metrics);
+        if capture_all {
+            config = config.with_slow_query_ms(0);
+        }
+        let mut server = SdbServer::new(config).expect("server");
+        server.stage_table(orders_table()).expect("stage orders");
+        server.stage_table(wide_table()).expect("stage wide");
+        server.upload_all().expect("upload");
+        server
+    };
+    let round = |server: &SdbServer| -> Vec<Vec<String>> {
+        let session = server.connect();
+        let mut rendered = Vec::new();
+        for sql in &queries {
+            let result = server.execute(session, sql).expect("query");
+            rendered
+                .extend((result.rows().iter()).map(|row| row.iter().map(Value::render).collect()));
+        }
+        rendered
+    };
+
+    let registry_on = build(true, false);
+    let registry_off = build(false, false);
+    let capture_all = build(true, true);
+    let reference = round(&registry_off);
+    assert_eq!(round(&registry_on), reference, "registry on changed rows");
+    assert_eq!(round(&capture_all), reference, "slow capture changed rows");
+
+    let on = registry_on.metrics_snapshot();
+    assert_eq!(on.queries_executed, queries.len() as u64);
+    assert!(on.pool_spill_pages > 0, "the public sort must spill");
+    assert_eq!(registry_off.metrics_snapshot().queries_executed, 0);
+    assert_eq!(capture_all.slow_queries().len(), queries.len());
+}
+
 #[test]
 fn prometheus_exposition_parses_line_by_line() {
     let server = build_server(MemoryBudget::bytes(64 << 10), 1, 4, AdmissionMode::Queue);
