@@ -1,9 +1,10 @@
 //! Shared constants for the benchmark harness.
 //!
-//! The criterion targets under `benches/` time single kernels and operators
-//! (`operator_micro`, `ablation_modulus`, `columnar_kernels`); the end-to-end
-//! numbers are `perf_report`'s (`perfbench/README.md`), which takes its data
-//! seed from here.
+//! The two criterion targets under `benches/` time single operations:
+//! `operator_micro` the secure operators against their plaintext
+//! counterparts, `ablation_modulus` the modular-arithmetic kernels across
+//! modulus widths. The end-to-end numbers are `perf_report`'s
+//! (`perfbench/README.md`), which takes its data seed from here.
 
 #![forbid(unsafe_code)]
 

@@ -40,10 +40,6 @@ pub enum WireMessageKind {
     OracleResponse,
     /// Encrypted table upload (proxy → SP).
     Upload,
-    /// Framed serving-layer request (client → server session manager).
-    SessionRequest,
-    /// Framed serving-layer response (server session manager → client).
-    SessionResponse,
 }
 
 /// Length-prefixes `payload` as one wire frame: a 4-byte big-endian length

@@ -7,7 +7,6 @@
 //! query, and a subquery runs under its parent's copy at parallelism 1.
 
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use sdb_storage::MemoryBudget;
 
@@ -36,14 +35,8 @@ pub struct ExecConfig {
     pub memory_budget: MemoryBudget,
     /// Whether the cost-based optimizer rewrites logical plans (default on).
     pub optimizer: bool,
-    /// Whether operators route eligible work through the vectorised
-    /// columnar kernels (default on; `SDB_TEST_SCALAR_EVAL=1` turns it off).
-    pub vectorised: bool,
     /// Per-operator execution tracing (default off; `SDB_TRACE=1`).
     pub tracing: bool,
-    /// Per-request latency injected on the oracle link, a simulated WAN
-    /// round trip (default none; `SDB_TEST_ORACLE_LATENCY_MS`).
-    pub oracle_latency: Option<Duration>,
     /// Analyze missing table statistics at plan time, so whole suites run
     /// reordered plans (default off; `SDB_TEST_ANALYZE=1`).
     pub auto_analyze: bool,
@@ -71,12 +64,7 @@ impl ExecConfig {
             parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
             memory_budget: MemoryBudget::from_env(),
             optimizer: true,
-            vectorised: var("SDB_TEST_SCALAR_EVAL").as_deref() != Some("1"),
             tracing: var("SDB_TRACE").as_deref() == Some("1"),
-            oracle_latency: var("SDB_TEST_ORACLE_LATENCY_MS")
-                .and_then(|ms| ms.parse::<u64>().ok())
-                .filter(|ms| *ms > 0)
-                .map(Duration::from_millis),
             auto_analyze: var("SDB_TEST_ANALYZE").as_deref() == Some("1"),
             rng_seed: None,
         }

@@ -290,26 +290,6 @@ impl SpEngine {
         self.config.optimizer
     }
 
-    /// Enables or disables the vectorised columnar kernels (builder style;
-    /// default on, `SDB_TEST_SCALAR_EVAL=1` flips the default). Kernels are
-    /// byte-identical to the scalar row-at-a-time paths — the knob exists for
-    /// equivalence cross-checks and scalar-baseline benchmarking.
-    ///
-    /// ```
-    /// # use sdb_engine::SpEngine;
-    /// let engine = SpEngine::new().with_vectorised(false);
-    /// assert!(!engine.vectorised());
-    /// ```
-    pub fn with_vectorised(mut self, vectorised: bool) -> Self {
-        self.config.vectorised = vectorised;
-        self
-    }
-
-    /// Whether the vectorised columnar kernels are enabled.
-    pub fn vectorised(&self) -> bool {
-        self.config.vectorised
-    }
-
     /// Enables or disables per-operator execution tracing for every query
     /// this engine runs (builder style; default off, `SDB_TRACE=1` flips the
     /// default). Traced queries return a [`crate::trace::TraceReport`] on
@@ -336,28 +316,6 @@ impl SpEngine {
     /// Whether per-operator execution tracing is enabled.
     pub fn tracing(&self) -> bool {
         self.config.tracing
-    }
-
-    /// Injects a fixed per-request latency on the oracle link (builder
-    /// style; tests and benches). Simulates the SP↔proxy WAN round trip the
-    /// protocol is billed by; `SDB_TEST_ORACLE_LATENCY_MS` sets the same
-    /// knob process-wide.
-    ///
-    /// ```
-    /// # use sdb_engine::SpEngine;
-    /// # use std::time::Duration;
-    /// let engine = SpEngine::new().with_oracle_latency(Duration::from_millis(10));
-    /// assert_eq!(engine.oracle_latency(), Some(Duration::from_millis(10)));
-    /// ```
-    pub fn with_oracle_latency(mut self, latency: std::time::Duration) -> Self {
-        self.config.oracle_latency = Some(latency);
-        self
-    }
-
-    /// The injected oracle latency, if any (the builder's, else
-    /// `SDB_TEST_ORACLE_LATENCY_MS`).
-    pub fn oracle_latency(&self) -> Option<std::time::Duration> {
-        self.config.oracle_latency
     }
 
     /// Collects optimizer statistics for one table (the `ANALYZE <table>`

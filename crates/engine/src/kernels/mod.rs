@@ -26,10 +26,10 @@
 //! evaluates UDF calls: they compile only the five share functions, check a
 //! batch's cells before anything runs (a cell the interpreter would fail on
 //! sends the whole batch to it), and count calls and key updates exactly as
-//! the interpreter does. Operators consult
-//! [`ExecContext::vectorised`](crate::operators::ExecContext::vectorised)
-//! (disabled via `SDB_TEST_SCALAR_EVAL=1`) and fall back to the scalar
-//! interpreter whenever a kernel declines.
+//! the interpreter does. An operator runs a kernel whenever the expression's
+//! shape compiles and the batch's cells pass its checks, and the row
+//! interpreter ([`crate::eval`]) otherwise; the interpreter is also the
+//! reference the kernel equivalence tests compare every kernel against.
 
 pub mod agg;
 #[cfg(test)]

@@ -100,38 +100,34 @@ fn literal_text(expr: &Expr) -> Option<&str> {
 impl ShareKernels {
     /// Plans the share arithmetic of an operator that evaluates `exprs` with
     /// the key-update sets `key_updates`, on up to `workers` threads at once.
-    /// With `enabled` off (the interpreter-only mode) nothing compiles.
     pub(crate) fn plan<'e>(
         registry: &UdfRegistry,
         key_updates: Arc<KeyUpdateSets>,
         exprs: impl IntoIterator<Item = &'e Expr>,
         workers: usize,
-        enabled: bool,
     ) -> ShareKernels {
         let mut moduli = HashMap::new();
-        if enabled {
-            for expr in exprs {
-                expr.walk(&mut |node| {
-                    let Some((op, args)) = share_call(registry, node) else {
-                        return;
-                    };
-                    let Some(text) = args.get(layout(op).0).and_then(literal_text) else {
-                        return;
-                    };
-                    if moduli.contains_key(text) {
-                        return;
-                    }
-                    let modulus = match key_updates.modulus(text) {
-                        Some(modulus) => Some(Arc::clone(modulus)),
-                        None => BigUint::parse_bytes(text.as_bytes(), 10)
-                            .and_then(|n| Modulus::new(&n))
-                            .map(Arc::new),
-                    };
-                    if let Some(modulus) = modulus {
-                        moduli.insert(text.to_string(), modulus);
-                    }
-                });
-            }
+        for expr in exprs {
+            expr.walk(&mut |node| {
+                let Some((op, args)) = share_call(registry, node) else {
+                    return;
+                };
+                let Some(text) = args.get(layout(op).0).and_then(literal_text) else {
+                    return;
+                };
+                if moduli.contains_key(text) {
+                    return;
+                }
+                let modulus = match key_updates.modulus(text) {
+                    Some(modulus) => Some(Arc::clone(modulus)),
+                    None => BigUint::parse_bytes(text.as_bytes(), 10)
+                        .and_then(|n| Modulus::new(&n))
+                        .map(Arc::new),
+                };
+                if let Some(modulus) = modulus {
+                    moduli.insert(text.to_string(), modulus);
+                }
+            });
         }
         ShareKernels {
             key_updates,

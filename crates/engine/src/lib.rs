@@ -49,9 +49,7 @@ pub use optimizer::Optimizer;
 pub use planner::PhysicalPlanner;
 pub use power_memo::PowerMemo;
 pub use sdb_storage::{BufferPool, CancelToken, MemoryBudget};
-pub use secure::{
-    LatencyOracle, NullOracle, OracleRequest, OracleResponse, OracleResult, SdbOracle,
-};
+pub use secure::{NullOracle, OracleRequest, OracleResponse, OracleResult, SdbOracle};
 pub use statement::ServerStatement;
 pub use stats::ExecutionStats;
 pub use trace::{QueryTrace, SpanReport, TraceEvent, TraceReport};

@@ -322,7 +322,7 @@ fn try_global_kernel(
     agg_args: &[Expr],
     batch: &RecordBatch,
 ) -> Option<RecordBatch> {
-    if !ctx.vectorised() || !group_exprs.is_empty() {
+    if !group_exprs.is_empty() {
         return None;
     }
     let out =

@@ -59,15 +59,13 @@ impl PhysicalOperator for Filter<'_> {
         // to a selection bitmap without per-row interpretation. The kernel
         // only compiles infallible, UDF-free predicates, so skipping the
         // scalar loop changes no observable (including UDF call counts).
-        if self.ctx.vectorised() {
-            if let Some(compiled) = CompiledPredicate::compile(&bound, batch.schema()) {
-                if let Some(selection) = compiled.selection(&batch) {
-                    self.ctx.stats_mut().vectorised_batches += 1;
-                    return batch
-                        .filter_bitmap(&selection)
-                        .map(Some)
-                        .map_err(Into::into);
-                }
+        if let Some(compiled) = CompiledPredicate::compile(&bound, batch.schema()) {
+            if let Some(selection) = compiled.selection(&batch) {
+                self.ctx.stats_mut().vectorised_batches += 1;
+                return batch
+                    .filter_bitmap(&selection)
+                    .map(Some)
+                    .map_err(Into::into);
             }
         }
         self.ctx.stats_mut().scalar_fallback_batches += 1;

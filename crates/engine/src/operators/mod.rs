@@ -152,8 +152,7 @@ pub type BoxedOperator<'a> = Box<dyn PhysicalOperator + 'a>;
 pub struct ExecContext<'a> {
     catalog: &'a Catalog,
     registry: &'a UdfRegistry,
-    /// The oracle operators talk to: the caller's, wrapped in a
-    /// [`crate::secure::LatencyOracle`] when latency injection is configured.
+    /// The oracle operators talk to.
     oracle: Option<OracleRef>,
     /// The encrypted-value memo: answers of past sign/group-tag requests,
     /// keyed by call fingerprint + operand ciphertexts, shared with subquery
@@ -230,12 +229,6 @@ impl<'a> ExecContext<'a> {
             crate::trace::install_pager_observer(&pager, &trace);
             trace
         });
-        let oracle = match (oracle, config.oracle_latency) {
-            (Some(raw), Some(latency)) => {
-                Some(Arc::new(crate::secure::LatencyOracle::new(raw, latency)) as OracleRef)
-            }
-            (oracle, _) => oracle,
-        };
         ExecContext {
             catalog,
             registry,
@@ -274,8 +267,7 @@ impl<'a> ExecContext<'a> {
         self.registry
     }
 
-    /// The DO-proxy oracle, if connected (latency-wrapped when injection is
-    /// configured).
+    /// The DO-proxy oracle, if connected.
     pub fn oracle(&self) -> Option<&OracleRef> {
         self.oracle.as_ref()
     }
@@ -303,12 +295,6 @@ impl<'a> ExecContext<'a> {
     /// Whether the cost-based optimizer runs before physical planning.
     pub fn optimizer_enabled(&self) -> bool {
         self.config.optimizer
-    }
-
-    /// Whether operators may route eligible work through the vectorised
-    /// columnar kernels.
-    pub fn vectorised(&self) -> bool {
-        self.config.vectorised
     }
 
     /// A configured [`crate::optimizer::Optimizer`] for this context's
@@ -392,8 +378,7 @@ impl<'a> ExecContext<'a> {
     /// evaluates: its key-update sets (see [`crate::udf::KeyUpdateSets`]),
     /// which it hands to its evaluators with [`Evaluator::with_key_updates`],
     /// and its share kernels, which it hands to
-    /// [`expr::evaluate_exprs`] (none compile unless
-    /// [`Self::vectorised`]).
+    /// [`expr::evaluate_exprs`].
     pub(crate) fn share_kernels<'e>(
         &self,
         exprs: impl IntoIterator<Item = &'e sdb_sql::ast::Expr>,
@@ -405,22 +390,21 @@ impl<'a> ExecContext<'a> {
             workers,
             self.power_memo.as_ref(),
         );
-        let enabled = self.config.vectorised;
-        let kernels = ShareKernels::plan(self.registry, key_updates, exprs, workers, enabled);
+        let kernels = ShareKernels::plan(self.registry, key_updates, exprs, workers);
         (self.udf_sites).remember_share_moduli(kernels.moduli().map(str::to_string));
         Arc::new(kernels)
     }
 
     /// Counts one batch of keyed work (join keys, a grouped morsel): a kernel
     /// hit when nothing in it needed the interpreter — every expression a
-    /// column reference or literal — and a scalar fallback otherwise, or
-    /// with the knob off. One code path either way; the counters keep
-    /// `kernel_hit_share` comparable.
+    /// column reference or literal — and a scalar fallback otherwise. One
+    /// code path either way; the counters keep `kernel_hit_share` comparable.
     pub(crate) fn record_key_batch(&self, interpreted: bool) {
         let mut stats = self.stats_mut();
-        match interpreted || !self.config.vectorised {
-            true => stats.scalar_fallback_batches += 1,
-            false => stats.vectorised_batches += 1,
+        if interpreted {
+            stats.scalar_fallback_batches += 1;
+        } else {
+            stats.vectorised_batches += 1;
         }
     }
 
@@ -491,14 +475,12 @@ impl ExecContext<'_> {
         }
         let plan = PlanBuilder::build(query)?;
         // The parent's settings at parallelism 1, untraced (its pager events
-        // still reach the parent's spans), on the parent's oracle as already
-        // latency-wrapped; spill through the parent's lease, so the subquery
-        // counts against the query's budget share; stop with the parent's
-        // cancel token.
+        // still reach the parent's spans), on the parent's oracle; spill
+        // through the parent's lease, so the subquery counts against the
+        // query's budget share; stop with the parent's cancel token.
         let config = ExecConfig {
             parallelism: 1,
             tracing: false,
-            oracle_latency: None,
             ..self.config.clone()
         };
         let mut sub = ExecContext::new(

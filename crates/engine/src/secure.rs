@@ -130,36 +130,6 @@ impl SdbOracle for NullOracle {
     }
 }
 
-/// An [`SdbOracle`] wrapper injecting a fixed per-request latency before
-/// delegating to the wrapped oracle — a simulated WAN round trip.
-///
-/// The in-process proxy answers in microseconds, which hides the protocol's
-/// real unit cost; wrapping it makes every round trip pay a realistic RTT, so
-/// tests and benches can *observe* (as wall-clock time) whether operators
-/// batch their oracle traffic or quietly regress to per-batch or per-row
-/// trips. Every [`crate::ExecContext`] wraps its oracle when its
-/// [`crate::ExecConfig::oracle_latency`] is set: process-wide with
-/// `SDB_TEST_ORACLE_LATENCY_MS`, or per engine with
-/// [`crate::SpEngine::with_oracle_latency`].
-pub struct LatencyOracle {
-    inner: OracleRef,
-    latency: std::time::Duration,
-}
-
-impl LatencyOracle {
-    /// Wraps `inner`, delaying every request by `latency`.
-    pub fn new(inner: OracleRef, latency: std::time::Duration) -> Self {
-        LatencyOracle { inner, latency }
-    }
-}
-
-impl SdbOracle for LatencyOracle {
-    fn resolve(&self, request: OracleRequest) -> OracleResult {
-        std::thread::sleep(self.latency);
-        self.inner.resolve(request)
-    }
-}
-
 impl fmt::Display for OracleRequestKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -274,27 +244,6 @@ mod tests {
             BigUint::parse_bytes(b"12345678901234567890", 10).unwrap()
         );
         assert!(parse_biguint_arg("SDB_MULTIPLY", "not-a-number").is_err());
-    }
-
-    #[test]
-    fn latency_oracle_delays_then_delegates() {
-        struct Echo;
-        impl SdbOracle for Echo {
-            fn resolve(&self, request: OracleRequest) -> OracleResult {
-                Ok(OracleResponse::Signs(vec![1; request.rows.len()]))
-            }
-        }
-        let oracle = LatencyOracle::new(Arc::new(Echo), std::time::Duration::from_millis(5));
-        let started = std::time::Instant::now();
-        let response = oracle
-            .resolve(OracleRequest {
-                kind: OracleRequestKind::Sign,
-                handle: "h".into(),
-                rows: vec![],
-            })
-            .unwrap();
-        assert!(started.elapsed() >= std::time::Duration::from_millis(5));
-        assert_eq!(response, OracleResponse::Signs(vec![]));
     }
 
     #[test]

@@ -81,7 +81,8 @@ pub struct ExecutionStats {
     /// rendering or global-aggregation fast path).
     pub vectorised_batches: usize,
     /// Batches that fell back to the row-at-a-time scalar interpreter at a
-    /// kernel-eligible site (kernels disabled, or shape not supported).
+    /// kernel-eligible site (a shape no kernel compiles, or cells a kernel
+    /// refuses).
     pub scalar_fallback_batches: usize,
     /// Wall-clock time spent executing scalar subqueries on behalf of the
     /// parent query (cache misses only; memoised re-uses cost nothing).

@@ -3,8 +3,6 @@
 //! `ExecConfig::default()`, so this binary holds a single test that sets
 //! them before anything else can.
 
-use std::time::Duration;
-
 use sdb_engine::{ExecConfig, MemoryBudget, SpEngine};
 
 #[test]
@@ -12,8 +10,6 @@ fn environment_sets_the_process_defaults_once() {
     for (name, value) in [
         ("SDB_TEST_MEM_BUDGET", "65536"),
         ("SDB_TEST_ANALYZE", "1"),
-        ("SDB_TEST_SCALAR_EVAL", "1"),
-        ("SDB_TEST_ORACLE_LATENCY_MS", "3"),
         ("SDB_TRACE", "1"),
     ] {
         std::env::set_var(name, value);
@@ -22,8 +18,6 @@ fn environment_sets_the_process_defaults_once() {
     let config = ExecConfig::default();
     assert_eq!(config.memory_budget, MemoryBudget::bytes(65536));
     assert!(config.auto_analyze);
-    assert!(!config.vectorised);
-    assert_eq!(config.oracle_latency, Some(Duration::from_millis(3)));
     assert!(config.tracing);
     assert!(config.parallelism >= 1);
     assert_eq!(config.rng_seed, None);
@@ -34,8 +28,6 @@ fn environment_sets_the_process_defaults_once() {
 
     let engine = SpEngine::new();
     assert_eq!(engine.memory_budget(), &MemoryBudget::bytes(65536));
-    assert!(!engine.vectorised());
-    assert_eq!(engine.oracle_latency(), Some(Duration::from_millis(3)));
     assert!(engine.tracing());
 
     // Auto-analyze shows in what a query leaves behind: statistics for the

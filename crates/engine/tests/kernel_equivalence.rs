@@ -1,21 +1,25 @@
-//! Kernel-vs-scalar equivalence: every vectorised kernel (selection, join /
-//! group key rendering, global aggregation) must be **byte-identical** to the
-//! scalar interpreter it fast-paths, over NULL-heavy columns of every typed
-//! vector variant.
+//! Kernel-vs-interpreter equivalence: every columnar kernel must answer
+//! exactly as the row interpreter it stands in for, which is the reference
+//! these tests call directly.
 //!
-//! A proptest drives randomly generated tables (~30% NULLs per column, mixed
-//! INT-in-DECIMAL representations, strings with LIKE metacharacters in the
-//! data) through a fixed query battery twice — `with_vectorised(true)` vs
-//! `with_vectorised(false)` — and asserts raw batch equality, *without* ORDER
-//! BY: group first-occurrence order, join match order and row order are part
-//! of the contract. Deterministic tests pin the selection bitmap's word
-//! boundaries (row counts ≡ 0, 1 and 63 mod 64) and the parallel morsel
-//! paths.
+//! * *Selection.* [`CompiledPredicate::selection`] + `filter_bitmap` against
+//!   row-by-row [`Evaluator::evaluate_predicate`] + `RecordBatch::filter`,
+//!   over every form a batch reaches a `Filter` in: a fresh scan, slice
+//!   windows at odd offsets, page-codec round trips, gathers and partition
+//!   morsels. Where the kernel compiles, the interpreter must not fail.
+//! * *Global aggregates.* [`GlobalAggKernel::execute`] against
+//!   [`compute_aggregate`] over the interpreted argument values, including
+//!   empty input, the scalar fold's tie rules and the mixed INT/DECIMAL
+//!   cells the kernel must decline.
+//! * *Share kernels.* Whole queries over the five SDB share UDFs on two
+//!   engines: one as shipped, and one whose registry serves the same five
+//!   functions through wrappers the kernels do not recognise, so every call
+//!   runs in the interpreter. Answers, errors and the UDF / key-update
+//!   counters must be identical.
 //!
-//! The share kernels (expressions of the five SDB share UDFs) get the same
-//! treatment against the interpreter: random trees at three modulus widths,
-//! the shapes they must decline, and every operator that evaluates through
-//! them — answers, errors and the UDF / key-update counters identical.
+//! The random tables are NULL-heavy (~25% per column), DECIMAL cells mix the
+//! `Int` short form with `Decimal` elements, and strings carry LIKE
+//! metacharacters as data.
 
 use std::sync::Arc;
 
@@ -25,64 +29,50 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sdb_crypto::{EncryptedRowId, SiesCipher};
+use sdb_engine::eval::Evaluator;
+use sdb_engine::kernels::{CompiledPredicate, GlobalAggKernel};
+use sdb_engine::operators::aggregate::compute_aggregate;
+use sdb_engine::operators::expr::{bind_to_existing_columns, sensitivity_of};
 use sdb_engine::planner::execute_plan;
 use sdb_engine::secure::{OracleRequest, OracleResponse, OracleResult, SdbOracle};
-use sdb_engine::{ExecConfig, ExecContext, SpEngine, UdfRegistry};
-use sdb_sql::plan::PlanBuilder;
+use sdb_engine::{ExecConfig, ExecContext, ScalarUdf, SpEngine, UdfRegistry};
+use sdb_sql::ast::Expr;
+use sdb_sql::plan::{AggFunc, AggregateExpr, PlanBuilder};
 use sdb_sql::{parse_sql, Statement};
+use sdb_storage::pager::{decode_batch, encode_batch};
 use sdb_storage::{Catalog, ColumnDef, DataType, RecordBatch, Schema, Value};
 
-/// The query battery: every kernel family and every fallback-worthy shape.
-const QUERIES: &[&str] = &[
-    // Selection: numeric comparisons (INT, DECIMAL with mixed element
-    // scales, DATE), string comparison, Kleene AND/OR, NOT, IS [NOT] NULL,
-    // IN lists, BETWEEN, LIKE, bare and negated boolean columns.
-    "SELECT i FROM t WHERE i > 10",
-    "SELECT i FROM t WHERE i <= -25",
-    "SELECT i, d FROM t WHERE d >= 1.25",
-    "SELECT i FROM t WHERE d < 30",
-    "SELECT i FROM t WHERE dt > DATE '1970-04-10'",
-    "SELECT i, s FROM t WHERE s = 'ab'",
-    "SELECT i FROM t WHERE s < 'b'",
-    "SELECT i FROM t WHERE i > 0 AND d < 20",
-    "SELECT i FROM t WHERE i < -50 OR s = 'cc'",
-    "SELECT i FROM t WHERE NOT (i > 0)",
-    "SELECT i FROM t WHERE i IS NULL",
-    "SELECT i FROM t WHERE s IS NOT NULL",
-    "SELECT i FROM t WHERE i IN (1, 2, 3, -7)",
-    "SELECT i FROM t WHERE i NOT IN (0, 5)",
-    "SELECT i FROM t WHERE s IN ('a', 'bb', 'zz')",
-    "SELECT i FROM t WHERE i BETWEEN -10 AND 40",
-    "SELECT i FROM t WHERE i NOT BETWEEN 0 AND 9",
-    "SELECT i, s FROM t WHERE s LIKE 'a%'",
-    "SELECT i FROM t WHERE s NOT LIKE '%b'",
-    "SELECT i FROM t WHERE b",
-    "SELECT i FROM t WHERE NOT b",
-    "SELECT i FROM t WHERE b = TRUE",
-    // Mixed-class comparison: must *fall back* and surface the scalar
-    // path's NULL-propagation before any per-row type error on valid rows
-    // is even possible (all-NULL operands short-circuit identically).
-    "SELECT i FROM t WHERE i IS NULL AND s IS NULL",
-    // Key kernels: hash join build + probe over every key type, NULL keys
-    // never matching; LEFT JOIN null padding; grouped aggregation with NULL
-    // groups (NULL groups exist) and multi-column keys.
-    "SELECT a.i, b.i FROM t a JOIN t b ON a.g = b.g",
-    "SELECT a.i, b.s FROM t a JOIN t b ON a.s = b.s",
-    "SELECT a.i, b.i FROM t a LEFT JOIN t b ON a.i = b.i",
-    "SELECT a.i, b.i FROM t a JOIN t b ON a.g = b.g AND a.b = b.b",
-    "SELECT g, COUNT(*) AS n FROM t GROUP BY g",
-    "SELECT g, b, COUNT(*) AS n, SUM(i) AS si FROM t GROUP BY g, b",
-    "SELECT s, MIN(i) AS lo, MAX(d) AS hi FROM t GROUP BY s",
-    // Global aggregation kernels: COUNT(*) vs COUNT(col), SUM/AVG over
-    // mixed INT/DECIMAL representations, MIN/MAX over every variant
-    // (first-minimum / last-maximum tie rules), DISTINCT fallback.
-    "SELECT COUNT(*) AS c, COUNT(i) AS ci, SUM(i) AS si, AVG(i) AS ai, \
-     MIN(i) AS mi, MAX(i) AS xi FROM t",
-    "SELECT SUM(d) AS sd, AVG(d) AS ad, MIN(d) AS md, MAX(d) AS xd FROM t",
-    "SELECT MIN(s) AS ms, MAX(s) AS xs, MIN(b) AS mb, MAX(b) AS xb, \
-     MIN(dt) AS mdt, MAX(dt) AS xdt FROM t",
-    "SELECT COUNT(DISTINCT g) AS dg, SUM(i) AS si FROM t",
-    "SELECT COUNT(*) AS c FROM t WHERE i > 100000",
+/// Predicates in the selection kernel's subset — numeric comparisons (INT,
+/// DECIMAL with mixed element scales, DATE), string comparison, Kleene
+/// AND/OR, NOT, IS [NOT] NULL, IN lists, BETWEEN, LIKE, bare and negated
+/// boolean columns — and shapes it declines (arithmetic, mixed classes).
+const PREDICATES: &[&str] = &[
+    "i > 10",
+    "i <= -25",
+    "d >= 1.25",
+    "d < 30",
+    "dt > DATE '1970-04-10'",
+    "s = 'ab'",
+    "s < 'b'",
+    "i > 0 AND d < 20",
+    "i < -50 OR s = 'cc'",
+    "NOT (i > 0)",
+    "i IS NULL",
+    "s IS NOT NULL",
+    "i IN (1, 2, 3, -7)",
+    "i NOT IN (0, 5)",
+    "s IN ('a', 'bb', 'zz')",
+    "i BETWEEN -10 AND 40",
+    "i NOT BETWEEN 0 AND 9",
+    "s LIKE 'a%'",
+    "s NOT LIKE '%b'",
+    "b",
+    "NOT b",
+    "b = TRUE",
+    "i IS NULL AND s IS NULL",
+    "g = 2 OR d IS NULL",
+    "i - 5 > 10",
+    "s > 3",
 ];
 
 /// One generated row: (i INT, d DECIMAL(2), s VARCHAR, b BOOL, dt DATE,
@@ -129,54 +119,11 @@ fn table_of(rows: &[Row]) -> Catalog {
     catalog
 }
 
-/// Runs one query; errors are part of the observable contract, so they are
-/// returned (as their display text) rather than panicking — e.g. MIN/MAX
-/// over mixed INT/DECIMAL groups errors on the scalar path and the kernels
-/// must surface the identical error.
-fn run(
-    catalog: &Catalog,
-    sql: &str,
-    vectorised: bool,
-    parallelism: usize,
-) -> Result<RecordBatch, String> {
-    let registry = UdfRegistry::with_sdb_udfs();
-    let ctx = Arc::new(ExecContext::new(
-        catalog,
-        &registry,
-        None,
-        ExecConfig {
-            vectorised,
-            parallelism,
-            ..ExecConfig::default()
-        },
-        None,
-        None,
-    ));
-    let plan = match parse_sql(sql).unwrap() {
-        Statement::Query(q) => PlanBuilder::build(&q).unwrap(),
-        other => panic!("expected query, got {other:?}"),
-    };
-    execute_plan(&ctx, &plan).map_err(|e| e.to_string())
-}
-
-/// Runs the full battery with kernels on and off and asserts raw equality —
-/// of the output batch *and* of any error.
-fn cross_check(catalog: &Catalog, parallelism: usize) {
-    for sql in QUERIES {
-        let scalar = run(catalog, sql, false, parallelism);
-        let vectorised = run(catalog, sql, true, parallelism);
-        assert_eq!(
-            scalar, vectorised,
-            "kernel diverged from scalar (parallelism={parallelism}) for: {sql}"
-        );
-    }
-}
-
 /// Expands one 64-bit seed into a NULL-heavy row (~25% NULLs per column).
 ///
 /// DECIMAL(2) cells alternate between `Int` (the scale-0 short form the
 /// loader writes for whole numbers) and `Decimal { scale: 2 }` elements —
-/// the kernels must reproduce the scalar path's mixed-scale arithmetic.
+/// the kernels must reproduce the interpreter's mixed-scale arithmetic.
 /// Strings include LIKE metacharacters (`a%b`) as *data*.
 fn row_from(r: u64) -> Row {
     let strings = ["a", "ab", "abc", "b", "bb", "cc", "zz", "a%b", "", "ba"];
@@ -198,57 +145,320 @@ fn row_from(r: u64) -> Row {
     )
 }
 
+/// Deterministic NULL-heavy rows.
+fn deterministic_rows(n: usize) -> Vec<Row> {
+    let mix = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31);
+    (0..n).map(|i| row_from(mix(i as u64))).collect()
+}
+
+/// Every form in which an operator hands a batch of `t` to a kernel: its
+/// fresh scan, slice windows at odd offsets (the tail and head words of a
+/// bitmap no longer line up with the buffer's), the page codec's round trip
+/// (a spilled run read back), gathers (a filter's or join's output) and the
+/// morsels of a parallel operator.
+fn batch_forms(catalog: &Catalog) -> Vec<(String, RecordBatch)> {
+    let scan = catalog.table("t").unwrap().read().scan();
+    let n = scan.num_rows();
+    let mut forms = vec![("scan".to_string(), scan.clone())];
+    for (offset, len) in [(1, 62), (3, 64), (5, 65), (63, 2), (65, 63), (7, 0)] {
+        if offset + len <= n {
+            let window = scan.slice(offset, len).unwrap();
+            forms.push((format!("slice {offset}+{len}"), window));
+        }
+    }
+    if n > 1 {
+        let tail = scan.slice(1, n - 1).unwrap();
+        forms.push(("slice 1..".into(), tail.clone()));
+        forms.push((
+            "codec(slice 1..)".into(),
+            decode_batch(&encode_batch(&tail)).unwrap(),
+        ));
+    }
+    forms.push(("codec".into(), decode_batch(&encode_batch(&scan)).unwrap()));
+    let reversed: Vec<usize> = (0..n).rev().collect();
+    let every_third: Vec<usize> = (0..n).step_by(3).collect();
+    forms.push(("gather reversed".into(), scan.gather(&reversed)));
+    forms.push(("gather every third".into(), scan.gather(&every_third)));
+    for parts in [2, 3, 4, 7] {
+        for (i, morsel) in scan.partition(parts).into_iter().enumerate() {
+            forms.push((format!("morsel {i}/{parts}"), morsel));
+        }
+    }
+    forms
+}
+
+/// The predicate of `SELECT … WHERE <sql>`, as parsed.
+fn predicate(sql: &str) -> Expr {
+    match parse_sql(&format!("SELECT i FROM t WHERE {sql}")).unwrap() {
+        Statement::Query(q) => q.where_clause.expect("a WHERE clause"),
+        other => panic!("expected query, got {other:?}"),
+    }
+}
+
+/// The predicates of [`PREDICATES`] outside the selection kernel's subset.
+const DECLINED: &[&str] = &["i - 5 > 10", "s > 3"];
+
+/// Runs every predicate over every batch form through the selection kernel
+/// and through the interpreter, as `Filter` would: the kernel compiles
+/// exactly the predicates of its subset, and where it does, the
+/// interpreter does not fail and keeps the same rows.
+fn selection_cross_check(catalog: &Catalog) {
+    let registry = UdfRegistry::with_sdb_udfs();
+    for sql in PREDICATES {
+        let predicate = predicate(sql);
+        for (form, batch) in batch_forms(catalog) {
+            let bound = bind_to_existing_columns(&predicate, batch.schema());
+            let compiled = CompiledPredicate::compile(&bound, batch.schema());
+            assert_eq!(compiled.is_none(), DECLINED.contains(sql), "{sql}");
+            let Some(compiled) = compiled else { continue };
+            let selection = compiled.selection(&batch).expect("typed columns");
+            let evaluator = Evaluator::new(&registry);
+            let mask: Vec<bool> = (0..batch.num_rows())
+                .map(|row| evaluator.evaluate_predicate(&bound, &batch, row))
+                .collect::<Result<_, _>>()
+                .unwrap_or_else(|e| panic!("{sql} on {form}: the kernel compiled, yet {e}"));
+            assert_eq!(
+                batch.filter_bitmap(&selection).unwrap(),
+                batch.filter(&mask).unwrap(),
+                "{sql} on {form} ({} rows)",
+                batch.num_rows()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
         .. ProptestConfig::default()
     })]
 
-    /// The acceptance property: over random NULL-heavy tables, every query
-    /// in the battery is byte-identical with kernels on vs off.
+    /// Over random NULL-heavy tables, the selection kernel keeps exactly the
+    /// rows the interpreter keeps, on every batch form.
     #[test]
     fn kernels_match_scalar_on_random_null_heavy_tables(
         seeds in proptest::collection::vec(any::<u64>(), 1..96)
     ) {
         let rows: Vec<Row> = seeds.into_iter().map(row_from).collect();
-        let catalog = table_of(&rows);
-        cross_check(&catalog, 1);
+        selection_cross_check(&table_of(&rows));
     }
 }
 
-/// Deterministic NULL-heavy rows for the word-boundary and parallel tests.
-fn deterministic_rows(n: usize) -> Vec<Row> {
-    let mix = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31);
-    (0..n).map(|i| row_from(mix(i as u64))).collect()
-}
-
-/// Selection bitmaps pack 64 rows per word: row counts congruent to 0, 1 and
-/// 63 mod 64 pin the tail-word masking on both sides of every boundary.
+/// Selection bitmaps pack 64 rows per word: row counts on both sides of one
+/// and two word boundaries pin the tail-word masking.
 #[test]
 fn word_boundary_row_counts_match_scalar() {
     for n in [63, 64, 65, 127, 128, 129] {
-        let catalog = table_of(&deterministic_rows(n));
-        cross_check(&catalog, 1);
+        selection_cross_check(&table_of(&deterministic_rows(n)));
     }
 }
 
-/// The engagement counters prove which path actually ran: kernels-on runs
-/// engage the vectorised paths for every kernel family, kernels-off runs
-/// never do (and count their scalar batches instead), and a shape no kernel
-/// compiles falls back even with kernels on. The budget is pinned unlimited
-/// — an aggregate that overflows its budget prepares rows outside the
-/// kernel paths, so engagement is only guaranteed in memory.
+/// A parallel operator hands the kernels its morsels (2, 3, 4 and 7 of a
+/// 257-row batch, among the batch forms): each answers as the interpreter.
+#[test]
+fn kernels_match_scalar_under_parallelism() {
+    let catalog = table_of(&deterministic_rows(257));
+    selection_cross_check(&catalog);
+    aggregate_cross_check(&catalog);
+}
+
+// ---------------------------------------------------------------------------
+// Global aggregates
+// ---------------------------------------------------------------------------
+
+fn aggregate(func: AggFunc, arg: Option<&str>, distinct: bool) -> AggregateExpr {
+    let name = format!("{func:?}({})", arg.unwrap_or("*"));
+    AggregateExpr {
+        func,
+        arg: arg.map(|col| Expr::Column(col.to_string())),
+        distinct,
+        name,
+    }
+}
+
+/// Global aggregate lists over `t`: COUNT(*) vs COUNT(col), SUM/AVG over
+/// INT and mixed INT/DECIMAL cells, MIN/MAX over every type, and MIN/MAX
+/// DISTINCT (which the scalar fold ignores).
+fn aggregate_lists() -> Vec<Vec<AggregateExpr>> {
+    use AggFunc::*;
+    let each = |funcs: &[AggFunc], col: &str| -> Vec<AggregateExpr> {
+        funcs
+            .iter()
+            .map(|f| aggregate(*f, Some(col), false))
+            .collect()
+    };
+    let mut lists = vec![
+        each(&[Count, Sum, Avg, Min, Max], "i"),
+        each(&[Count, Sum, Avg, Min, Max], "d"),
+        each(&[Sum, Avg, Min, Max], "b"),
+        each(&[Min, Max, Count], "s"),
+        each(&[Sum, Min, Max], "dt"),
+        vec![
+            aggregate(Count, None, false),
+            aggregate(Min, Some("g"), true),
+        ],
+    ];
+    lists.push(lists.concat());
+    lists
+}
+
+/// The interpreter's answer: each argument evaluated row by row, folded by
+/// [`compute_aggregate`], and typed as `HashAggregate` types its output.
+fn interpreted_aggregates(aggregates: &[AggregateExpr], batch: &RecordBatch) -> RecordBatch {
+    let registry = UdfRegistry::with_sdb_udfs();
+    let evaluator = Evaluator::new(&registry);
+    let rows = batch.num_rows();
+    let row: Vec<Value> = (aggregates.iter())
+        .map(|agg| {
+            let values = (agg.arg.iter())
+                .flat_map(|arg| (0..rows).map(|row| evaluator.evaluate(arg, batch, row).unwrap()))
+                .collect();
+            compute_aggregate(agg, rows, values).unwrap()
+        })
+        .collect();
+    let defs = (aggregates.iter().zip(&row))
+        .map(|(agg, value)| {
+            let data_type = value.data_type().unwrap_or(DataType::Int);
+            ColumnDef {
+                name: agg.name.clone(),
+                data_type,
+                sensitivity: sensitivity_of(data_type),
+            }
+        })
+        .collect();
+    RecordBatch::from_rows(Schema::new(defs), vec![row]).unwrap()
+}
+
+/// The kernel's plan of `aggregates` over `schema`, if it compiles.
+fn agg_kernel(aggregates: &[AggregateExpr], schema: &Schema) -> Option<GlobalAggKernel> {
+    let args: Vec<Expr> = (aggregates.iter())
+        .map(|agg| agg.arg.clone().unwrap_or(Expr::Column(String::new())))
+        .collect();
+    GlobalAggKernel::compile(aggregates, &args, schema)
+}
+
+/// The kernel answers `aggregates` over `batch` as the interpreter does.
+fn aggregate_matches(aggregates: &[AggregateExpr], batch: &RecordBatch, what: &str) {
+    let kernel = agg_kernel(aggregates, batch.schema()).expect("in the kernel subset");
+    let out = kernel.execute(aggregates, batch).expect("typed columns");
+    assert_eq!(out, interpreted_aggregates(aggregates, batch), "{what}");
+}
+
+/// Every aggregate list over every batch form of a table, empty ones
+/// included (COUNT 0, every other aggregate NULL).
+fn aggregate_cross_check(catalog: &Catalog) {
+    for aggregates in aggregate_lists() {
+        let names: Vec<&str> = aggregates.iter().map(|a| a.name.as_str()).collect();
+        for (form, batch) in batch_forms(catalog) {
+            aggregate_matches(&aggregates, &batch, &format!("{names:?} on {form}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 16,
+        .. ProptestConfig::default()
+    })]
+
+    /// Over random NULL-heavy tables, the global-aggregate kernel answers as
+    /// the interpreter's fold on every batch form.
+    #[test]
+    fn global_aggregates_match_the_interpreter_on_random_tables(
+        seeds in proptest::collection::vec(any::<u64>(), 1..96)
+    ) {
+        let rows: Vec<Row> = seeds.into_iter().map(row_from).collect();
+        aggregate_cross_check(&table_of(&rows));
+    }
+}
+
+/// Empty input and the word-boundary row counts; and numerically equal
+/// cells in different representations, where MIN keeps the first minimum
+/// and MAX the last maximum, as `min_by` / `max_by` do.
+#[test]
+fn global_aggregates_match_on_empty_input_and_keep_the_tie_rules() {
+    for n in [0, 63, 64, 65, 129] {
+        aggregate_cross_check(&table_of(&deterministic_rows(n)));
+    }
+    let decimal = |units| Value::Decimal { units, scale: 2 };
+    let cells = [
+        decimal(500),
+        Value::Int(5),
+        Value::Null,
+        decimal(900),
+        Value::Int(9),
+        decimal(700),
+    ];
+    let schema = Schema::new(vec![ColumnDef::public("d", DataType::Decimal { scale: 2 })]);
+    let rows = cells.iter().map(|c| vec![c.clone()]).collect();
+    let batch = RecordBatch::from_rows(schema, rows).unwrap();
+    let aggregates = [
+        aggregate(AggFunc::Min, Some("d"), false),
+        aggregate(AggFunc::Max, Some("d"), false),
+    ];
+    aggregate_matches(&aggregates, &batch, "ties");
+    aggregate_matches(
+        &aggregates,
+        &batch.gather(&[5, 4, 3, 2, 1, 0]),
+        "ties reversed",
+    );
+    let reference = interpreted_aggregates(&aggregates, &batch);
+    assert_eq!(reference.column(0).value(0).into_owned(), decimal(500));
+    assert_eq!(reference.column(1).value(0).into_owned(), Value::Int(9));
+}
+
+/// What the interpreter owns: DISTINCT on SUM/COUNT/AVG and computed
+/// arguments do not compile, and cells whose variant is not the column's
+/// declared type — an INT column holding `Decimal` cells, as a projection
+/// of mixed expressions leaves them — compile (the schema is all the plan
+/// sees) but are declined batch by batch, while the interpreter answers.
+#[test]
+fn the_global_aggregate_kernel_declines_what_the_interpreter_owns() {
+    let schema = Schema::new(vec![ColumnDef::public("i", DataType::Int)]);
+    for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Avg] {
+        assert!(agg_kernel(&[aggregate(func, Some("i"), true)], &schema).is_none());
+    }
+    let sum = [aggregate(AggFunc::Sum, Some("i"), false)];
+    let computed = predicate("i - 5 > 10");
+    assert!(GlobalAggKernel::compile(&sum, &[computed], &schema).is_none());
+    let cells = [
+        Value::Int(4),
+        Value::Decimal {
+            units: 125,
+            scale: 2,
+        },
+        Value::Null,
+    ];
+    let batch = RecordBatch::from_rows_unchecked(schema, cells.map(|cell| vec![cell]));
+    for func in [
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Count,
+    ] {
+        let aggregates = [aggregate(func, Some("i"), false)];
+        let kernel = agg_kernel(&aggregates, batch.schema()).unwrap();
+        assert_eq!(kernel.execute(&aggregates, &batch), None, "{func:?}");
+        interpreted_aggregates(&aggregates, &batch);
+    }
+}
+
+/// The engagement counters say which path ran: a filter, a join, a grouped
+/// and a global aggregate over plain columns run their kernels, and a
+/// predicate outside the selection kernel's subset falls back, and says so.
+/// The budget is pinned unlimited — an aggregate that overflows its budget
+/// prepares rows outside the kernel paths.
 #[test]
 fn engagement_counters_record_which_path_ran() {
     let catalog = table_of(&deterministic_rows(128));
     let registry = UdfRegistry::with_sdb_udfs();
-    let run_counted = |sql: &str, vectorised: bool| {
+    let run_counted = |sql: &str| {
         let ctx = Arc::new(ExecContext::new(
             &catalog,
             &registry,
             None,
             ExecConfig {
-                vectorised,
                 memory_budget: sdb_storage::MemoryBudget::unlimited(),
                 ..ExecConfig::default()
             },
@@ -264,46 +474,20 @@ fn engagement_counters_record_which_path_ran() {
     };
     for sql in [
         "SELECT i FROM t WHERE i > 10",                   // selection kernel
-        "SELECT a.i, b.i FROM t a JOIN t b ON a.g = b.g", // join key kernel
-        "SELECT g, COUNT(*) AS n FROM t GROUP BY g",      // group key kernel
+        "SELECT a.i, b.i FROM t a JOIN t b ON a.g = b.g", // join keys
+        "SELECT g, COUNT(*) AS n FROM t GROUP BY g",      // group keys
         "SELECT COUNT(*) AS c, SUM(i) AS si FROM t",      // global agg kernel
     ] {
-        let on = run_counted(sql, true);
-        assert!(on.vectorised_batches > 0, "kernels must engage for: {sql}");
-        let off = run_counted(sql, false);
-        assert_eq!(
-            off.vectorised_batches, 0,
-            "kernels-off must never engage for: {sql}"
-        );
+        let stats = run_counted(sql);
         assert!(
-            off.scalar_fallback_batches > 0,
-            "the scalar path must be counted for: {sql}"
+            stats.vectorised_batches > 0,
+            "kernels must engage for: {sql}"
         );
     }
     // Arithmetic in the predicate: outside the selection kernel's
-    // column-vs-literal subset, so it falls back (and says so) even with
-    // kernels on.
-    let fallback = run_counted("SELECT i FROM t WHERE i - 5 > 10", true);
+    // column-vs-literal subset, so it falls back (and says so).
+    let fallback = run_counted("SELECT i FROM t WHERE i - 5 > 10");
     assert!(fallback.scalar_fallback_batches > 0);
-}
-
-/// The kernels compose with morsel parallelism: batch-level fast paths fire
-/// inside parallel workers and the merged output still matches the serial
-/// scalar reference.
-#[test]
-fn kernels_match_scalar_under_parallelism() {
-    let catalog = table_of(&deterministic_rows(257));
-    cross_check(&catalog, 4);
-    // Cross-parallelism: vectorised parallel vs scalar serial. Skip queries
-    // that error (error text can legitimately differ across parallelism).
-    for sql in QUERIES {
-        let reference = run(&catalog, sql, false, 1);
-        if reference.is_err() {
-            continue;
-        }
-        let got = run(&catalog, sql, true, 4);
-        assert_eq!(reference, got, "parallel kernel diverged for: {sql}");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -483,17 +667,54 @@ fn observe(engine: &SpEngine, sql: &str) -> Observed {
     }
 }
 
-/// Two engines over `catalog`, kernels on and off, otherwise alike.
-fn engine_pair(catalog: &Arc<Catalog>, parallelism: usize) -> (SpEngine, SpEngine) {
-    let engine = |vectorised| {
-        SpEngine::with_catalog(Arc::clone(catalog))
-            .with_parallelism(parallelism)
-            .with_vectorised(vectorised)
-    };
-    (engine(true), engine(false))
+/// A share UDF the share kernels do not recognise: it delegates everything
+/// but [`ScalarUdf::share_op`], so every call runs in the interpreter.
+struct Interpreted(Arc<dyn ScalarUdf>);
+
+impl ScalarUdf for Interpreted {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn invoke(&self, args: &[Value]) -> sdb_engine::Result<Value> {
+        self.0.invoke(args)
+    }
+
+    fn site_instance(&self) -> Option<Arc<dyn ScalarUdf>> {
+        let site = self.0.site_instance()?;
+        Some(Arc::new(Interpreted(site)))
+    }
+
+    fn remembered_constants(&self) -> Vec<String> {
+        self.0.remembered_constants()
+    }
 }
 
-/// Runs every query of `sqls` three times on a kernel engine and an
+/// The reference engine: `engine` with the five share UDFs served through
+/// [`Interpreted`] wrappers.
+fn interpreted(mut engine: SpEngine) -> SpEngine {
+    let registry = engine.registry_mut();
+    for name in [
+        "SDB_MULTIPLY",
+        "SDB_ADD",
+        "SDB_KEY_UPDATE",
+        "SDB_MUL_PLAIN",
+        "SDB_ADD_PLAIN",
+    ] {
+        let udf = registry.get(name).expect("a share UDF");
+        registry.register(Arc::new(Interpreted(udf)));
+    }
+    engine
+}
+
+/// Two engines over `catalog`, with the share kernels and with the
+/// interpreter, otherwise alike.
+fn engine_pair(catalog: &Arc<Catalog>, parallelism: usize) -> (SpEngine, SpEngine) {
+    let engine = || SpEngine::with_catalog(Arc::clone(catalog)).with_parallelism(parallelism);
+    (engine(), interpreted(engine()))
+}
+
+/// Runs every query of `sqls` three times on a kernel engine and the
 /// interpreter engine — a cold power memo, the run it admits the exponents
 /// on, and one it serves from — and asserts identical answers, errors and
 /// counters on every run. Returns the rows the kernels evaluated.
@@ -650,7 +871,7 @@ impl SdbOracle for LowBitsOracle {
 /// Each consumer of the expression seam — `Project`, `HashAggregate` in
 /// memory and overflowing a tiny budget, `OracleResolve` — runs its
 /// share arithmetic in the kernels (the traced span of that operator counts
-/// the rows) and answers byte for byte as with the kernels off; the
+/// the rows) and answers byte for byte as the interpreter engine; the
 /// operators' share counters add up to the query's.
 #[test]
 fn every_consumer_runs_the_kernels_and_answers_as_the_interpreter() {
@@ -684,11 +905,10 @@ fn every_consumer_runs_the_kernels_and_answers_as_the_interpreter() {
         ),
     ];
     for (operator, sql, budget) in cases {
-        let engine = |vectorised| {
+        let engine = || {
             let mut engine = SpEngine::with_catalog(Arc::clone(&table.catalog))
                 .with_parallelism(1)
                 .with_batch_size(64)
-                .with_vectorised(vectorised)
                 .with_tracing(true);
             if let Some(bytes) = budget {
                 engine = engine.with_memory_budget(sdb_storage::MemoryBudget::bytes(bytes));
@@ -698,8 +918,8 @@ fn every_consumer_runs_the_kernels_and_answers_as_the_interpreter() {
             engine.connect_oracle(Arc::new(LowBitsOracle));
             engine
         };
-        let on = engine(true).execute_sql(&sql).unwrap();
-        let off = engine(false).execute_sql(&sql).unwrap();
+        let on = engine().execute_sql(&sql).unwrap();
+        let off = interpreted(engine()).execute_sql(&sql).unwrap();
         assert_eq!(on.batch, off.batch, "{operator}: {sql}");
         assert_eq!(on.stats.udf_calls, off.stats.udf_calls, "{operator}");
         assert_eq!(off.stats.share_kernel_rows, 0);

@@ -187,51 +187,6 @@ fn optimizer_matches_syntactic_plans_across_knob_matrix() {
     }
 }
 
-/// Kernels-on vs kernels-off byte-identity over *optimized* plans: the
-/// vectorised fast paths must not change a byte even when join reordering
-/// and selection pushdown have reshaped the plan, across the budget ×
-/// parallelism matrix.
-#[test]
-fn kernels_match_scalar_across_optimized_matrix() {
-    let catalog = skewed_catalog(600, 40, 6);
-    catalog.analyze_all().unwrap();
-    let registry = UdfRegistry::with_sdb_udfs();
-    let run_v = |sql: &str, vectorised: bool, budget: MemoryBudget, parallelism: usize| {
-        let ctx = Arc::new(ExecContext::new(
-            &catalog,
-            &registry,
-            None,
-            ExecConfig {
-                vectorised,
-                optimizer: true,
-                memory_budget: budget,
-                parallelism,
-                ..ExecConfig::default()
-            },
-            None,
-            None,
-        ));
-        let plan = parse_plan(sql);
-        execute_plan(&ctx, &plan).unwrap_or_else(|e| panic!("query failed: {sql}: {e}"))
-    };
-    for sql in MATRIX_QUERIES {
-        for budget in [
-            MemoryBudget::bytes(4 * 1024),
-            MemoryBudget::bytes(64 * 1024),
-            MemoryBudget::unlimited(),
-        ] {
-            for parallelism in [1usize, 4] {
-                let scalar = run_v(sql, false, budget.clone(), parallelism);
-                let vectorised = run_v(sql, true, budget.clone(), parallelism);
-                assert_eq!(
-                    scalar, vectorised,
-                    "kernels diverged (budget={budget:?} parallelism={parallelism}) for: {sql}"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn region_ambiguous_bare_name_keeps_syntactic_plan() {
     // `flag` is unique inside its original ON scope (a⋈b) but ambiguous

@@ -139,41 +139,6 @@ fn parallel_matches_serial_across_knob_matrix() {
     }
 }
 
-/// Kernels-on vs kernels-off byte-identity across the budget × parallelism
-/// matrix: the vectorised fast paths must compose with morsel parallelism
-/// *and* memory-budgeted (spilling) operators without changing a byte.
-#[test]
-fn kernels_match_scalar_across_budget_matrix() {
-    let catalog = generated_catalog(1_000);
-    let registry = UdfRegistry::with_sdb_udfs();
-    let run_v = |query: &Query, vectorised: bool, budget: Option<usize>, parallelism: usize| {
-        let mut config = ExecConfig {
-            vectorised,
-            parallelism,
-            ..ExecConfig::default()
-        };
-        if let Some(bytes) = budget {
-            config.memory_budget = sdb_storage::MemoryBudget::bytes(bytes);
-        }
-        let ctx = ExecContext::new(&catalog, &registry, None, config, None, None);
-        let plan = PlanBuilder::build(query).unwrap();
-        execute_plan(&Arc::new(ctx), &plan).unwrap()
-    };
-    for sql in KNOB_QUERIES {
-        let query = parse_query(sql);
-        for budget in [Some(4 * 1024), Some(64 * 1024), None] {
-            for parallelism in [1, 4] {
-                let scalar = run_v(&query, false, budget, parallelism);
-                let vectorised = run_v(&query, true, budget, parallelism);
-                assert_eq!(
-                    scalar, vectorised,
-                    "kernels diverged (budget={budget:?} parallelism={parallelism}) for: {sql}"
-                );
-            }
-        }
-    }
-}
-
 /// Tracing-on vs tracing-off byte-identity across the budget × parallelism
 /// matrix: the instrumented wrappers forward batches untouched, so traced
 /// execution changes no output byte — and the trace really recorded the run

@@ -288,48 +288,6 @@ fn spilling_matches_in_memory_across_knob_matrix() {
     }
 }
 
-/// Kernels-on vs kernels-off byte-identity under spilling pressure: the
-/// vectorised fast paths feed the same batches into budgeted sort/aggregate/
-/// join operators, so tiny budgets must not perturb a byte of output.
-#[test]
-fn kernels_match_scalar_across_spill_matrix() {
-    let catalog = generated_catalog(3_000);
-    let registry = UdfRegistry::with_sdb_udfs();
-    let run_v = |query: &Query, vectorised: bool, budget: MemoryBudget, parallelism: usize| {
-        let ctx = Arc::new(ExecContext::new(
-            &catalog,
-            &registry,
-            None,
-            ExecConfig {
-                vectorised,
-                memory_budget: budget,
-                optimizer: false,
-                parallelism,
-                ..ExecConfig::default()
-            },
-            None,
-            None,
-        ));
-        let plan = PlanBuilder::build(query).unwrap();
-        execute_plan(&ctx, &plan).unwrap()
-    };
-    for sql in SPILL_QUERIES {
-        let query = parse_query(sql);
-        for budget_bytes in [Some(4 * 1024), Some(64 * 1024), None] {
-            let budget = || budget_bytes.map_or(MemoryBudget::unlimited(), MemoryBudget::bytes);
-            for parallelism in [1, 4] {
-                let scalar = run_v(&query, false, budget(), parallelism);
-                let vectorised = run_v(&query, true, budget(), parallelism);
-                assert_eq!(
-                    scalar, vectorised,
-                    "kernels diverged (budget={budget_bytes:?} parallelism={parallelism}) \
-                     for: {sql}"
-                );
-            }
-        }
-    }
-}
-
 /// Spill metrics surface in the merged stats snapshot (and a parallel run
 /// reports them too, through the shared pager).
 #[test]

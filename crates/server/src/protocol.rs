@@ -1,16 +1,16 @@
 //! Framed request/response protocol.
 //!
-//! Layered directly on the wire boundary from `sdb`: each request and each
-//! response is a JSON payload wrapped in a 4-byte big-endian length frame
-//! ([`sdb::encode_frame`] / [`sdb::decode_frame`]), and every crossing is
-//! recorded in the server's [`sdb::WireLog`] as
-//! [`WireMessageKind::SessionRequest`] / [`WireMessageKind::SessionResponse`]
-//! — so the adversarial audit inspects serving traffic exactly like query and
-//! oracle traffic.
+//! Each request and each response is a JSON payload wrapped in a 4-byte
+//! big-endian length frame ([`sdb::encode_frame`] / [`sdb::decode_frame`]).
+//! These frames run between the application and the DO-side server: they
+//! carry plaintext SQL and decrypted rows by design, so they stay out of the
+//! server's [`sdb::WireLog`], which holds the DO ↔ SP traffic a network or SP
+//! attacker would see (the rewritten statements, encrypted results and
+//! oracle exchanges a framed `Execute` causes).
 
 use serde::{Deserialize, Serialize};
 
-use sdb::{decode_frame, encode_frame, WireMessageKind};
+use sdb::{decode_frame, encode_frame};
 
 use crate::error::ServerError;
 use crate::metrics::{MetricsSnapshot, QueryInfo, SlowQueryRecord};
@@ -127,31 +127,22 @@ pub enum Response {
 
 impl SdbServer {
     /// Handles one framed request and returns the framed response. Protocol
-    /// errors (bad frame, bad JSON, unknown session) come back as framed
-    /// [`Response::Error`] messages, never as a Rust error — a serving loop
-    /// always has bytes to send back.
+    /// errors (bad frame, bytes after the frame, bad JSON, unknown session)
+    /// come back as framed [`Response::Error`] messages, never as a Rust
+    /// error — a serving loop always has bytes to send back.
     pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let response = match decode_frame(frame) {
+        let request =
+            decode_frame(frame).and_then(|(payload, consumed)| match frame.len() - consumed {
+                0 => serde_json::from_slice::<Request>(payload).map_err(|err| err.to_string()),
+                trailing => Err(format!("{trailing} bytes after the frame")),
+            });
+        let response = match request {
+            Ok(request) => self.handle_request(request),
             Err(detail) => Response::Error {
                 message: ServerError::Protocol(detail).to_string(),
             },
-            Ok((payload, _)) => {
-                self.wire().record(
-                    WireMessageKind::SessionRequest,
-                    String::from_utf8_lossy(payload).into_owned(),
-                );
-                match serde_json::from_slice::<Request>(payload) {
-                    Err(err) => Response::Error {
-                        message: ServerError::Protocol(err.to_string()).to_string(),
-                    },
-                    Ok(request) => self.handle_request(request),
-                }
-            }
         };
-        let json = serde_json::to_string(&response).unwrap_or_default();
-        let frame = encode_frame(json.as_bytes());
-        self.wire().record(WireMessageKind::SessionResponse, json);
-        frame
+        encode_frame(&serde_json::to_vec(&response).unwrap_or_default())
     }
 
     /// Executes one decoded request.
@@ -237,8 +228,10 @@ mod tests {
         assert_eq!(back, request);
     }
 
+    /// Application frames carry plaintext SQL and decrypted rows by design;
+    /// none of them enters the DO ↔ SP log, whatever the frame holds.
     #[test]
-    fn logged_response_is_the_framed_payload() {
+    fn session_frames_stay_off_the_wire_log() {
         let server = SdbServer::new(ServerConfig::test_profile()).unwrap();
         let session = match unframe(&server.handle_frame(&frame(&Request::Connect))) {
             Response::Connected { session } => session,
@@ -247,19 +240,14 @@ mod tests {
         for input in [
             frame(&Request::Metrics),
             frame(&Request::Stats { session }),
-            frame(&Request::Execute {
-                session,
-                sql: "SELECT * FROM missing".into(),
-            }),
             b"\x00\x00".to_vec(),
+            encode_frame(b"not json"),
             frame(&Request::Close { session }),
         ] {
             let output = server.handle_frame(&input);
-            let (payload, consumed) = decode_frame(&output).unwrap();
+            let (_, consumed) = decode_frame(&output).unwrap();
             assert_eq!(consumed, output.len());
-            let logged = server.wire().messages().pop().unwrap();
-            assert_eq!(logged.kind, WireMessageKind::SessionResponse);
-            assert_eq!(logged.payload.as_bytes(), payload);
+            assert!(server.wire().messages().is_empty());
         }
     }
 
@@ -311,14 +299,35 @@ mod tests {
             Response::Error { message } => assert!(message.contains("protocol error")),
             other => panic!("unexpected {other:?}"),
         }
-        // Both directions were recorded on the wire.
-        assert!(server.wire().count_of_kind(WireMessageKind::SessionRequest) >= 5);
-        assert!(
-            server
-                .wire()
-                .count_of_kind(WireMessageKind::SessionResponse)
-                >= 6
-        );
+        // The query crossed the DO ↔ SP boundary rewritten and came back
+        // encrypted; neither the framed request nor its rendered rows did.
+        let wire = server.wire();
+        assert!(wire.count_of_kind(sdb::WireMessageKind::QueryToSp) >= 1);
+        assert!(wire.count_of_kind(sdb::WireMessageKind::ResultToProxy) >= 1);
+        for message in wire.messages() {
+            assert!(!message.payload.contains("\"Execute\""), "{message:?}");
+            assert!(!message.payload.contains("\"Rows\""), "{message:?}");
+        }
+    }
+
+    /// A frame followed by more bytes is refused, not answered for its
+    /// first request with the rest dropped unseen.
+    #[test]
+    fn bytes_after_a_frame_are_a_protocol_error() {
+        let server = SdbServer::new(ServerConfig::test_profile()).unwrap();
+        let before = server.connect();
+        let mut input = frame(&Request::Connect);
+        input.extend(frame(&Request::Connect));
+        let trailing = input.len() / 2;
+        match unframe(&server.handle_frame(&input)) {
+            Response::Error { message } => {
+                assert!(message.contains("protocol error"), "{message}");
+                assert!(message.contains(&format!("{trailing} bytes")), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Neither request of the refused input opened a session.
+        assert_eq!(server.connect(), before + 1);
     }
 
     #[test]

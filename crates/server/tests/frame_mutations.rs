@@ -172,6 +172,9 @@ fn over_deep_payloads_are_errors() {
             Response::Error { message } => assert!(message.contains("deeper than"), "{message}"),
             other => panic!("{what}: answered {other:?}"),
         }
+        // The DO ↔ SP log holds what crossed to the SP (the check queries),
+        // never the application's frame.
+        assert!(server.wire().total_bytes() < 1 << 20, "{what}");
         assert_still_serves(&server, what);
     }
 }

@@ -763,9 +763,6 @@ fn the_share_kernel_clock_reports_integers_only() {
     // to the exported trace (`share_kernel_rows`, `share_kernel_time`) and
     // to the Prometheus text (`sdb_share_kernel_*_total`) is a row count and
     // a duration: no residue, no plaintext.
-    if !ExecConfig::default().vectorised {
-        return; // the kernels are off process-wide: nothing to scan
-    }
     let config = sdb_server::ServerConfig::test_profile();
     let mut server = sdb_server::SdbServer::new(config).expect("server");
     for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {

@@ -3,8 +3,8 @@
 //! `serde_json` renders every payload by streaming it straight into the
 //! output string. These tests hold that output, byte for byte, to the
 //! `Content`-tree renderer it replaced — compact for the DO ↔ SP payloads
-//! (upload tables, result batches, oracle requests and responses, serving
-//! frames, the key store), pretty for exported traces — on the workspace's
+//! (upload tables, result batches, oracle requests and responses, the key
+//! store) and the serving frames, pretty for exported traces — on the workspace's
 //! real payload types. The reference renderer is the serde_json shim's own
 //! test reference, included from its source. Every DO ↔ SP payload a client
 //! records also decodes to exactly the value that was sent, and carries its
@@ -350,11 +350,19 @@ fn every_serving_frame_streams_identically() {
         streams_identically(response, &format!("{response:?}"));
     }
 
-    // The frames the server itself sent are canonical too.
+    // The frames the server itself answers with are canonical too, and so
+    // is the DO ↔ SP traffic they caused.
     for request in &requests {
-        server.handle_frame(&sdb::encode_frame(
+        let answer = server.handle_frame(&sdb::encode_frame(
             serde_json::to_string(request).unwrap().as_bytes(),
         ));
+        let (payload, consumed) = sdb::decode_frame(&answer).unwrap();
+        assert_eq!(consumed, answer.len());
+        let payload = std::str::from_utf8(payload).unwrap();
+        let content = serde_json::content_from_str(payload).unwrap();
+        let mut rendered = String::new();
+        reference::write_compact(&content, &mut rendered).unwrap();
+        assert_same_text(payload, &rendered, &format!("answer to {request:?}"));
     }
     wire_payloads_are_canonical(server.wire());
 }
