@@ -78,18 +78,25 @@ impl From<StorageError> for SdbError {
 pub struct SdbConfig {
     /// Cryptographic parameter profile.
     pub key_config: KeyConfig,
-    /// Seed for deterministic key generation (tests, benches, examples).
+    /// Seed of the fixture key material (tests, benches): the same seed
+    /// gives the same keys. Unused when `entropy_keyed` is set.
     pub seed: u64,
+    /// Draw every DO secret from a DRBG keyed by the operating system
+    /// (`SdbProxy::from_entropy`) instead of from `seed`.
+    pub entropy_keyed: bool,
     /// Default upload options.
     pub upload: UploadOptions,
 }
 
 impl SdbConfig {
     /// Fast profile for tests (small modulus, still an honest instantiation).
+    /// Its keys come from the fixed seed `0x5db`, like every profile's:
+    /// see [`Self::entropy_keyed`].
     pub fn test_profile() -> Self {
         SdbConfig {
             key_config: KeyConfig::TEST,
             seed: 0x5db,
+            entropy_keyed: false,
             upload: UploadOptions::default(),
         }
     }
@@ -99,6 +106,7 @@ impl SdbConfig {
         SdbConfig {
             key_config: KeyConfig::BALANCED,
             seed: 0x5db,
+            entropy_keyed: false,
             upload: UploadOptions::default(),
         }
     }
@@ -109,8 +117,19 @@ impl SdbConfig {
         SdbConfig {
             key_config: KeyConfig::PAPER,
             seed: 0x5db,
+            entropy_keyed: false,
             upload: UploadOptions::default(),
         }
+    }
+
+    /// This profile's key sizes with every DO secret drawn from the
+    /// operating system's entropy, as a deployment needs: the profiles
+    /// themselves are fixtures whose keys anyone can regenerate from the
+    /// public seed. Building the client fails when the OS has no entropy
+    /// to give.
+    pub fn entropy_keyed(mut self) -> Self {
+        self.entropy_keyed = true;
+        self
     }
 
     /// Sets the number of upload encryption threads.
@@ -187,7 +206,10 @@ impl SdbClient {
     /// Creates a client with fresh key material.
     pub fn new(config: SdbConfig) -> Result<Self> {
         Ok(SdbClient {
-            proxy: SdbProxy::new(config.key_config, config.seed)?,
+            proxy: match config.entropy_keyed {
+                true => SdbProxy::from_entropy(config.key_config)?,
+                false => SdbProxy::new(config.key_config, config.seed)?,
+            },
             engine: SpEngine::new(),
             staging: Catalog::new(),
             uploaded: BTreeSet::new(),
@@ -637,6 +659,36 @@ fn literal_value(expr: &Expr) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two entropy-keyed clients get different moduli, and each answers
+    /// like a seeded one.
+    #[test]
+    fn entropy_keyed_clients_have_their_own_keys() {
+        let answer = |config: SdbConfig| {
+            let mut client = SdbClient::new(config).unwrap();
+            client
+                .execute("CREATE TABLE t (id INT, v INT SENSITIVE)")
+                .unwrap();
+            client
+                .execute("INSERT INTO t VALUES (1, 5), (2, -7), (3, 9)")
+                .unwrap();
+            client.upload_all().unwrap();
+            client.execute("INSERT INTO t VALUES (4, 11)").unwrap();
+            let rows = client
+                .query("SELECT id FROM t WHERE v > 0 ORDER BY id")
+                .unwrap()
+                .rows();
+            (client.proxy().keystore().system().n().clone(), rows)
+        };
+        let (n_a, rows_a) = answer(SdbConfig::test_profile().entropy_keyed());
+        let (n_b, rows_b) = answer(SdbConfig::test_profile().entropy_keyed());
+        let (n_seeded, rows_seeded) = answer(SdbConfig::test_profile());
+        assert_ne!(n_a, n_b);
+        assert_ne!(n_a, n_seeded);
+        assert_eq!(rows_a, rows_seeded);
+        assert_eq!(rows_b, rows_seeded);
+        assert_eq!(rows_seeded.len(), 3);
+    }
 
     /// Builds the standard employees/departments fixture on both an SDB client
     /// (salary, bonus, hired and codename sensitive) and a plaintext engine, so

@@ -20,7 +20,8 @@
 //! ```
 //! use sdb::{SdbClient, SdbConfig};
 //!
-//! let mut client = SdbClient::new(SdbConfig::test_profile()).unwrap();
+//! // Keys from the OS: the profiles alone are seeded fixtures.
+//! let mut client = SdbClient::new(SdbConfig::test_profile().entropy_keyed()).unwrap();
 //! client.execute("CREATE TABLE staff (id INT, salary INT SENSITIVE)").unwrap();
 //! client.execute("INSERT INTO staff VALUES (1, 1000), (2, 2500)").unwrap();
 //! client.upload_all().unwrap();

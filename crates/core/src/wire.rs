@@ -257,7 +257,7 @@ mod tests {
         let request = OracleRequest {
             kind: sdb_engine::secure::OracleRequestKind::Sign,
             handle: "h0".into(),
-            rows: vec![],
+            rows: Default::default(),
         };
         let _ = oracle.resolve(request);
         assert_eq!(log.count_of_kind(WireMessageKind::OracleRequest), 1);

@@ -17,6 +17,7 @@ use num_bigint::BigUint;
 
 use crate::bigint::{mod_inverse, mod_mul, reduce};
 use crate::keys::{ColumnKey, SystemKey};
+use crate::modulus::{store, Modulus};
 use crate::Result;
 
 /// Inverts every element of `items` modulo `m` using Montgomery simultaneous
@@ -92,15 +93,30 @@ pub fn gen_item_keys(key: &SystemKey, ck: &ColumnKey, row_ids: &[BigUint]) -> Ve
     key.g_pow_times(&exponents, ck.m())
 }
 
-/// Blinds a column of shares in one pass: `share_i · factor_i mod n`.
-/// The oracle flush path uses this to prepare a whole shipped column at once.
-pub fn blind_shares(n: &BigUint, shares: &[BigUint], factors: &[u64]) -> Vec<BigUint> {
-    assert_eq!(shares.len(), factors.len(), "one factor per share");
-    shares
-        .iter()
-        .zip(factors)
-        .map(|(share, &factor)| mod_mul(share, &BigUint::from(factor), n))
-        .collect()
+/// Blinds a column of shares in one pass: `share_r · factors[r] mod n` for
+/// every row `r`. The shares are `width` little-endian limbs a row (any
+/// values: one at or above `n` is reduced first), and so is the result, at
+/// `n`'s limb count. For an odd `n` each row is a lane times one word; the
+/// values are exactly what the `BigUint` formula gives. The oracle flush path
+/// blinds a whole shipped column with it.
+pub fn blind_limbs(n: &BigUint, width: usize, shares: &[u64], factors: &[u64]) -> Vec<u64> {
+    let rows = factors.len();
+    assert_eq!(shares.len(), rows * width, "one factor per share");
+    if let Some(modulus) = Modulus::shared(n) {
+        let lane = modulus.lane_of(rows, width, shares);
+        let mut out = vec![0; lane.len()];
+        modulus.mul_lanes_by_words(&lane, factors, &mut out);
+        return out;
+    }
+    // No Montgomery context (an even `n`): the textbook formula a row.
+    let k = n.iter_u64_digits().len();
+    let mut out = Vec::with_capacity(rows * k);
+    for (r, &factor) in factors.iter().enumerate() {
+        let share = store(&shares[r * width..(r + 1) * width]);
+        out.extend((share * BigUint::from(factor) % n).iter_u64_digits());
+        out.resize((r + 1) * k, 0);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -182,20 +198,38 @@ mod tests {
     }
 
     #[test]
-    fn blind_shares_matches_scalar_loop() {
+    fn blind_limbs_matches_the_textbook_formula() {
         let mut rng = rng();
-        let n = BigUint::from(0xffff_fffb_u64);
-        let shares: Vec<BigUint> = (0..50)
-            .map(|_| BigUint::from(rng.gen_range(1u64..u64::MAX)))
-            .collect();
-        let factors: Vec<u64> = (0..50).map(|_| rng.gen_range(1..(1u64 << 30))).collect();
-        let blinded = blind_shares(&n, &shares, &factors);
-        for i in 0..50 {
-            assert_eq!(
-                blinded[i],
-                (&shares[i] * BigUint::from(factors[i])) % &n,
-                "share {i}"
-            );
+        // A one-limb odd `n` below some factors, a two-limb one, an even one.
+        for n in [
+            BigUint::from(1_000_003u64),
+            BigUint::from(0xffff_fffb_u64) << 40u32 | BigUint::from(1u32),
+            BigUint::from(0xffff_fffa_u64),
+        ] {
+            let k = n.iter_u64_digits().len();
+            let shares: Vec<BigUint> = (0..50)
+                .map(|_| BigUint::from(rng.gen_range(0u64..u64::MAX)))
+                .chain([BigUint::from(0u32), n.clone(), &n - BigUint::from(1u32)])
+                .collect();
+            let width = 2;
+            let mut words = Vec::new();
+            for share in &shares {
+                let start = words.len();
+                words.extend(share.iter_u64_digits());
+                words.resize(start + width, 0);
+            }
+            let factors: Vec<u64> = (0..shares.len())
+                .map(|_| rng.gen_range(1..(1u64 << 30)))
+                .collect();
+            let blinded = blind_limbs(&n, width, &words, &factors);
+            assert_eq!(blinded.len(), shares.len() * k);
+            for (i, share) in shares.iter().enumerate() {
+                assert_eq!(
+                    store(&blinded[i * k..(i + 1) * k]),
+                    (share * BigUint::from(factors[i])) % &n,
+                    "n {n}, share {i}"
+                );
+            }
         }
     }
 }

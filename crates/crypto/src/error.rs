@@ -30,6 +30,11 @@ pub enum CryptoError {
         /// Description of the problem.
         detail: String,
     },
+    /// The operating system's entropy source could not be read.
+    Entropy {
+        /// What failed.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CryptoError {
@@ -48,6 +53,7 @@ impl fmt::Display for CryptoError {
             CryptoError::MalformedCiphertext { detail } => {
                 write!(f, "malformed ciphertext: {detail}")
             }
+            CryptoError::Entropy { detail } => write!(f, "no entropy from the OS: {detail}"),
         }
     }
 }

@@ -118,20 +118,53 @@ impl ItemKeyMemo {
         ck: &ColumnKey,
         row_ids: &[BigUint],
     ) -> (Vec<BigUint>, ItemKeyCounts) {
+        let (powers, counts) = self.powers(key, ck, row_ids);
+        let modulus = key.modulus();
+        let keys = modulus.times_mont(ck.m(), powers.chunks_exact(modulus.limb_count()));
+        (keys, counts)
+    }
+
+    /// [`Self::item_keys`] in Montgomery form, `v_k·R mod n`, as a lane
+    /// (`limbs(n)` limbs a row): its product with a lane of shares
+    /// ([`crate::Modulus::mul_lanes`]) is their decryption. Same counts, one
+    /// multiplication a row.
+    pub fn item_key_lanes(
+        &self,
+        key: &SystemKey,
+        ck: &ColumnKey,
+        row_ids: &[BigUint],
+    ) -> (Vec<u64>, ItemKeyCounts) {
+        let (powers, counts) = self.powers(key, ck, row_ids);
+        let modulus = key.modulus();
+        let mut keys = vec![0; powers.len()];
+        // (G·R)·(m·R)·R⁻¹ = m·G·R.
+        modulus.mul_lanes_by(&powers, &modulus.mont_row(ck.m()), &mut keys);
+        (keys, counts)
+    }
+
+    /// `G = g^(r·x mod φ(n))` in Montgomery form for every row id `r`, as a
+    /// lane: held rows copied from the memo, the others derived in one batch
+    /// and, when `x` is admitted, stored.
+    fn powers(
+        &self,
+        key: &SystemKey,
+        ck: &ColumnKey,
+        row_ids: &[BigUint],
+    ) -> (Vec<u64>, ItemKeyCounts) {
+        let k = key.modulus().limb_count();
+        let exponent = |r: &BigUint| (r * ck.x()) % key.phi();
         let table = read(&self.tables).get(ck.x()).cloned();
         let n = key.n();
         let Some(table) = table.filter(|_| row_ids.iter().all(|r| r < n)) else {
+            let mut powers = Vec::with_capacity(row_ids.len() * k);
+            let exponents: Vec<BigUint> = row_ids.iter().map(exponent).collect();
+            key.g_powers(&exponents, &mut powers);
             let derived = row_ids.len();
-            return (
-                crate::gen_item_keys(key, ck, row_ids),
-                ItemKeyCounts { derived, hits: 0 },
-            );
+            return (powers, ItemKeyCounts { derived, hits: 0 });
         };
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         table.last_used.store(tick, Ordering::Relaxed);
 
-        let modulus = key.modulus();
-        let k = modulus.limb_count();
         let mut limbs = vec![0u64; row_ids.len() * k];
         for (row, r) in limbs.chunks_exact_mut(k).zip(row_ids) {
             for (limb, digit) in row.iter_mut().zip(r.iter_u64_digits()) {
@@ -141,24 +174,15 @@ impl ItemKeyMemo {
         let row = |i: usize| &limbs[i * k..(i + 1) * k];
 
         // Hits under one read lock; the rows it lacks are the misses.
-        let mut out = vec![BigUint::zero(); row_ids.len()];
+        let mut out = vec![0u64; row_ids.len() * k];
         let mut misses = Vec::new();
         {
             let rows = read(&table.rows);
-            let mut hits = Vec::new();
-            let mut powers = Vec::new();
-            for i in 0..row_ids.len() {
+            for (i, out) in out.chunks_exact_mut(k).enumerate() {
                 match rows.slots.get(row(i)) {
-                    Some(&slot) => {
-                        hits.push(i);
-                        powers.push(&rows.powers[slot as usize * k..(slot as usize + 1) * k]);
-                    }
+                    Some(&slot) => out.copy_from_slice(&rows.powers[slot as usize * k..][..k]),
                     None => misses.push(i),
                 }
-            }
-            let keys = modulus.times_mont(ck.m(), powers.into_iter());
-            for (i, item_key) in hits.into_iter().zip(keys) {
-                out[i] = item_key;
             }
         }
         let counts = ItemKeyCounts {
@@ -169,14 +193,11 @@ impl ItemKeyMemo {
             return (out, counts);
         }
 
-        let exponents: Vec<BigUint> = (misses.iter())
-            .map(|&i| (&row_ids[i] * ck.x()) % key.phi())
-            .collect();
         let mut powers = Vec::with_capacity(misses.len() * k);
+        let exponents: Vec<BigUint> = misses.iter().map(|&i| exponent(&row_ids[i])).collect();
         key.g_powers(&exponents, &mut powers);
-        let keys = modulus.times_mont(ck.m(), powers.chunks_exact(k));
-        for (&i, item_key) in misses.iter().zip(keys) {
-            out[i] = item_key;
+        for (&i, power) in misses.iter().zip(powers.chunks_exact(k)) {
+            out[i * k..(i + 1) * k].copy_from_slice(power);
         }
 
         // The misses, under one write lock.
@@ -340,6 +361,18 @@ mod tests {
             );
             assert_eq!(memo.stats().entries, 9);
             assert_eq!(memo.stats().stored, 9);
+            // In Montgomery form, held and derived alike: `v_k·R mod n`.
+            let (lanes, counts) = memo.item_key_lanes(&f.key, &f.ck, &f.rows);
+            assert_eq!(counts.hits, 9);
+            let fresh = ItemKeyMemo::default()
+                .item_key_lanes(&f.key, &f.ck, &f.rows)
+                .0;
+            assert_eq!(lanes, fresh);
+            let modulus = f.key.modulus();
+            let rows: Vec<u64> = (expected.iter())
+                .flat_map(|ik| modulus.mont_row(ik))
+                .collect();
+            assert_eq!(lanes, rows);
         }
     }
 

@@ -62,6 +62,7 @@
 
 pub mod batch;
 pub mod bigint;
+pub mod drbg;
 pub mod error;
 mod inverse;
 pub mod item_memo;
@@ -75,7 +76,8 @@ pub mod sies;
 pub mod signed;
 pub mod wire;
 
-pub use batch::{blind_shares, encrypt_values, gen_item_keys, mod_inverse_batch};
+pub use batch::{blind_limbs, encrypt_values, gen_item_keys, mod_inverse_batch};
+pub use drbg::{DoRng, Drbg};
 pub use error::CryptoError;
 pub use item_memo::{ItemKeyCounts, ItemKeyMemo, ItemKeyMemoStats};
 pub use keys::{ColumnKey, KeyConfig, SystemKey};
@@ -83,7 +85,7 @@ pub use modulus::Modulus;
 pub use prf::{EqualityTagger, Prf};
 pub use rowid::{EncryptedRowId, RowId, RowIdGenerator};
 pub use share::{
-    decrypt_value, encrypt_value, gen_item_key, BoundKeyUpdate, BoundKeyUpdateSet,
+    decrypt_lanes, decrypt_value, encrypt_value, gen_item_key, BoundKeyUpdate, BoundKeyUpdateSet,
     ColumnKeyAlgebra, KeyUpdateMemo, KeyUpdateParams,
 };
 pub use sies::SiesCipher;

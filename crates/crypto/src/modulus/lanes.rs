@@ -103,6 +103,32 @@ impl Modulus {
         by_width!(self, mul_lanes_in(a, c, 0, out))
     }
 
+    /// The `rows` rows of `words`, `width` little-endian limbs each (any
+    /// width, any value), as a lane: each row reduced modulo `n`.
+    pub fn lane_of(&self, rows: usize, width: usize, words: &[u64]) -> Vec<u64> {
+        let k = self.limbs.len();
+        let mut lane = vec![0; rows * k];
+        for (r, out) in lane.chunks_exact_mut(k).enumerate() {
+            let row = &words[r * width..(r + 1) * width];
+            if !self.load_lane_limbs(row, out) {
+                self.load_lane(&(store(row) % &self.n), out);
+            }
+        }
+        lane
+    }
+
+    /// `x·R mod n` as one row: the constant whose product with a lane
+    /// ([`Self::mul_lanes_by`]) multiplies every row by `x` exactly.
+    pub fn mont_row(&self, x: &BigUint) -> Vec<u64> {
+        self.to_mont(x).0
+    }
+
+    /// `out[r] = a[r]·words[r] mod n` for every row, exactly: a row times a
+    /// single word (a blinding factor), two products a row.
+    pub fn mul_lanes_by_words(&self, a: &[u64], words: &[u64], out: &mut [u64]) {
+        by_width!(self, mul_lanes_by_words_in(a, words, out))
+    }
+
     /// `out[r] = a[r] + b[r] mod n` for every row.
     pub fn add_lanes(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         let k = self.limbs.len();
@@ -149,6 +175,18 @@ impl Modulus {
         for (row, (a, out)) in a.chunks_exact(k).zip(out.chunks_exact_mut(k)).enumerate() {
             let b = &b[row * b_step * k..][..k];
             out.copy_from_slice(self.mont_mul::<L>(a, b).as_ref());
+        }
+    }
+
+    fn mul_lanes_by_words_in<L: Limbs>(&self, a: &[u64], words: &[u64], out: &mut [u64]) {
+        let k = self.limbs.len();
+        let mut word = L::zeroed(k);
+        let rows = a.chunks_exact(k).zip(words).zip(out.chunks_exact_mut(k));
+        for ((a, &w), out) in rows {
+            // Only a one-limb `n` can be at or below a word.
+            word.as_mut()[0] = if k == 1 { w % self.limbs[0] } else { w };
+            let product = self.mont_mul::<L>(a, word.as_ref());
+            out.copy_from_slice(self.mont_mul::<L>(product.as_ref(), &self.r2).as_ref());
         }
     }
 
@@ -268,6 +306,19 @@ mod tests {
             let scaled: Vec<BigUint> = a.iter().map(|x| x * &c % &n).collect();
             assert_eq!(rows(&modulus, &out), scaled);
             assert_eq!(out.len(), a.len() * k);
+            assert_eq!(modulus.mont_row(&c), modulus.lane_constant(&(&c * &r)));
+
+            // A word a row, exactly — a word above a one-limb `n` included.
+            let words: Vec<u64> = (0..a.len())
+                .map(|i| [1, (1 << 30) - 1, u64::MAX, i as u64 + 2][i % 4])
+                .collect();
+            modulus.mul_lanes_by_words(&la, &words, &mut out);
+            let blinded: Vec<BigUint> = a
+                .iter()
+                .zip(&words)
+                .map(|(x, &w)| x * BigUint::from(w) % &n)
+                .collect();
+            assert_eq!(rows(&modulus, &out), blinded);
         }
     }
 

@@ -59,6 +59,34 @@ pub fn decrypt_limbs(key: &SystemKey, encrypted: &[u64], item_key: &BigUint) -> 
     key.modulus().mul_limbs(encrypted, item_key)
 }
 
+/// [`decrypt_value`] of a column of `rows` shares, `width` little-endian
+/// limbs a row (any values), under item keys in Montgomery form (`v_k·R mod
+/// n`, as [`crate::ItemKeyMemo::item_key_lanes`] or [`Modulus::mont_row`]
+/// give them): a row each, or one row for every share. The residues come
+/// back as a lane, `limbs(n)` limbs a row, one product a row.
+pub fn decrypt_lanes(
+    key: &SystemKey,
+    rows: usize,
+    width: usize,
+    shares: &[u64],
+    item_keys: &[u64],
+) -> Vec<u64> {
+    let modulus = key.modulus();
+    let lane = modulus.lane_of(rows, width, shares);
+    let mut out = vec![0; lane.len()];
+    if item_keys.len() == lane.len() {
+        modulus.mul_lanes(&lane, item_keys, &mut out);
+    } else {
+        assert_eq!(
+            item_keys.len(),
+            modulus.lane_limbs(),
+            "an item key a row, or one"
+        );
+        modulus.mul_lanes_by(&lane, item_keys, &mut out);
+    }
+    out
+}
+
 /// Parameters `(p, q)` the DO ships to the SP for a key update (ARCHITECTURE.md,
 /// "Modular arithmetic").
 ///
@@ -470,6 +498,57 @@ mod tests {
 
     fn test_key(rng: &mut StdRng) -> SystemKey {
         SystemKey::generate(rng, KeyConfig::TEST).unwrap()
+    }
+
+    /// A column of shares — narrow, padded, zero, at or above `n` —
+    /// decrypts under a lane of item keys and under one key as
+    /// [`decrypt_value`] does row by row.
+    #[test]
+    fn lanes_decrypt_as_decrypt_value() {
+        let mut rng = rng();
+        let key = test_key(&mut rng);
+        let n = key.n();
+        let modulus = key.modulus();
+        let k = modulus.lane_limbs();
+        let mut shares: Vec<BigUint> = (0..20).map(|_| rng.gen_biguint_below(n)).collect();
+        let one = BigUint::one();
+        shares.extend([
+            BigUint::from(0u32),
+            one.clone(),
+            n - &one,
+            n.clone(),
+            n + &one,
+        ]);
+        let item_keys: Vec<BigUint> = shares.iter().map(|_| rng.gen_biguint_below(n)).collect();
+        let width = k + 1;
+        let mut words = Vec::new();
+        for share in &shares {
+            let start = words.len();
+            words.extend(share.iter_u64_digits());
+            words.resize(start + width, 0);
+        }
+        let per_row: Vec<u64> = item_keys
+            .iter()
+            .flat_map(|ik| modulus.mont_row(ik))
+            .collect();
+        let residues = decrypt_lanes(&key, shares.len(), width, &words, &per_row);
+        let one = decrypt_lanes(
+            &key,
+            shares.len(),
+            width,
+            &words,
+            &modulus.mont_row(&item_keys[0]),
+        );
+        for (i, share) in shares.iter().enumerate() {
+            let row = |lane: &[u64]| modulus.store_lane(&lane[i * k..(i + 1) * k]);
+            assert_eq!(
+                row(&residues),
+                decrypt_value(&key, share, &item_keys[i]),
+                "{i}"
+            );
+            assert_eq!(row(&one), decrypt_value(&key, share, &item_keys[0]), "{i}");
+        }
+        assert!(decrypt_lanes(&key, 0, width, &[], &modulus.mont_row(&item_keys[0])).is_empty());
     }
 
     /// Experiment E1: the worked example of Figure 1 in the paper

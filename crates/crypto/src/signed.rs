@@ -13,6 +13,8 @@
 //! differences and products of in-domain values decode correctly, and the *sign* of
 //! a blinded difference survives the comparison protocol.
 
+use std::cmp::Ordering;
+
 use num_bigint::BigUint;
 use num_traits::Zero;
 
@@ -25,6 +27,9 @@ use crate::{CryptoError, Result};
 pub struct SignedCodec {
     n: BigUint,
     half_n: BigUint,
+    /// `n` and `⌊n/2⌋` as little-endian limbs, for the `*_limbs` methods.
+    n_limbs: Vec<u64>,
+    half_limbs: Vec<u64>,
     /// Inclusive magnitude bound for *inputs* (outputs may grow up to the modulus
     /// head-room before decoding breaks; see [`KeyConfig::validate`](crate::KeyConfig::validate)).
     max_magnitude: u128,
@@ -34,13 +39,7 @@ impl SignedCodec {
     /// Builds a codec for the given system key, using the key's configured domain.
     pub fn new(key: &SystemKey) -> Self {
         let n = key.n().clone();
-        let half_n = &n >> 1u32;
-        let domain_bits = key.config().domain_bits.min(126);
-        SignedCodec {
-            n,
-            half_n,
-            max_magnitude: 1u128 << domain_bits,
-        }
+        SignedCodec::from_modulus(n, key.config().domain_bits)
     }
 
     /// Builds a codec directly from a modulus with an explicit domain bound.
@@ -48,6 +47,8 @@ impl SignedCodec {
     pub fn from_modulus(n: BigUint, domain_bits: u32) -> Self {
         let half_n = &n >> 1u32;
         SignedCodec {
+            n_limbs: n.iter_u64_digits().collect(),
+            half_limbs: half_n.iter_u64_digits().collect(),
             n,
             half_n,
             max_magnitude: 1u128 << domain_bits.min(126),
@@ -114,6 +115,74 @@ impl SignedCodec {
             1
         }
     }
+}
+
+impl SignedCodec {
+    /// [`Self::sign`] of a canonical residue (below `n`) given as
+    /// little-endian limbs, as a lane row holds it.
+    pub fn sign_limbs(&self, residue: &[u64]) -> i8 {
+        if residue.iter().all(|&limb| limb == 0) {
+            0
+        } else if cmp_limbs(residue, &self.half_limbs) == Ordering::Greater {
+            -1
+        } else {
+            1
+        }
+    }
+
+    /// [`Self::decode`] of a canonical residue (below `n`) given as
+    /// little-endian limbs: the same values and the same errors.
+    pub fn decode_limbs(&self, residue: &[u64]) -> Result<i128> {
+        let negative = cmp_limbs(residue, &self.half_limbs) == Ordering::Greater;
+        // The magnitude, `n − residue` when negative, a limb at a time: its
+        // low two limbs, and whether any higher one is set.
+        let (mut low, mut high, mut borrow) = ([0u64; 2], false, false);
+        for i in 0..residue.len().max(self.n_limbs.len()) {
+            let limb = residue.get(i).copied().unwrap_or(0);
+            let limb = match negative {
+                true => {
+                    let n = self.n_limbs.get(i).copied().unwrap_or(0);
+                    let (d, b1) = n.overflowing_sub(limb);
+                    let (d, b2) = d.overflowing_sub(u64::from(borrow));
+                    borrow = b1 | b2;
+                    d
+                }
+                false => limb,
+            };
+            match low.get_mut(i) {
+                Some(slot) => *slot = limb,
+                None => high |= limb != 0,
+            }
+        }
+        if high {
+            return Err(CryptoError::DomainOverflow {
+                detail: "decoded magnitude exceeds 128 bits".to_string(),
+            });
+        }
+        let magnitude = u128::from(low[0]) | u128::from(low[1]) << 64;
+        if magnitude > i128::MAX as u128 {
+            return Err(CryptoError::DomainOverflow {
+                detail: "decoded magnitude exceeds i128::MAX".to_string(),
+            });
+        }
+        Ok(if negative {
+            -(magnitude as i128)
+        } else {
+            magnitude as i128
+        })
+    }
+}
+
+/// Compares two little-endian limb strings as numbers (either may carry
+/// zero high limbs).
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
+    for i in (0..a.len().max(b.len())).rev() {
+        let (x, y) = (a.get(i).unwrap_or(&0), b.get(i).unwrap_or(&0));
+        if x != y {
+            return x.cmp(y);
+        }
+    }
+    Ordering::Equal
 }
 
 #[cfg(test)]
@@ -214,6 +283,47 @@ mod tests {
             let wide = codec.encode(v).unwrap() + n * BigUint::from(3u32);
             assert_eq!(codec.decode(&wide).unwrap(), v);
             assert_eq!(codec.sign(&wide), v.signum() as i8);
+        }
+    }
+
+    /// The limb forms give what the `BigUint` forms give, at both ends of
+    /// the domain, around `n/2`, and past 128 bits of magnitude.
+    #[test]
+    fn limb_forms_match_the_biguint_forms() {
+        let (key, codec, mut rng) = setup();
+        let n = key.n();
+        let half = n >> 1u32;
+        let one = BigUint::from(1u32);
+        let mut residues = vec![
+            BigUint::from(0u32),
+            one.clone(),
+            n - &one,
+            half.clone(),
+            &half + &one,
+            &half - &one,
+            BigUint::from(u128::MAX >> 1),
+            BigUint::from(u128::MAX),
+            BigUint::from(u128::MAX) + &one,
+            n - BigUint::from(u128::MAX >> 1),
+            n - BigUint::from(u128::MAX),
+        ];
+        residues.extend(
+            (0..50).map(|_| BigUint::from(rng.gen::<u64>()) * BigUint::from(rng.gen::<u64>()) % n),
+        );
+        residues.extend((0..50).map(|_| n - BigUint::from(rng.gen::<u64>()) - &one));
+        for residue in &residues {
+            let mut limbs: Vec<u64> = residue.iter_u64_digits().collect();
+            for padded in [limbs.clone(), {
+                limbs.resize(n.iter_u64_digits().len() + 1, 0);
+                limbs.clone()
+            }] {
+                assert_eq!(codec.sign_limbs(&padded), codec.sign(residue), "{residue}");
+                match (codec.decode_limbs(&padded), codec.decode(residue)) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{residue}"),
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                    (a, b) => panic!("{residue}: limbs {a:?}, BigUint {b:?}"),
+                }
+            }
         }
     }
 

@@ -272,3 +272,50 @@ proptest! {
         prop_assert!(serde_json::from_str::<sdb_crypto::sies::SiesCiphertext>(&extended).is_err());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Blinding a column a lane at a time gives `share·factor mod n` on
+    /// `BigUint` at 256, 512, 1024 and 2048 bits: random shares and
+    /// factors plus the edges — shares 0, 1, n − 1 and n + 1 (unreduced),
+    /// factors 1 and 2³⁰ − 1 — with the shares one limb wider than `n`.
+    #[test]
+    fn lane_blinding_matches_the_biguint_product(seed in any::<u64>(), factor in 1u64..(1 << 30)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for bits in [256u64, 512, 1024, 2048] {
+            let n = modulus_of_bits(bits, seed ^ bits);
+            let k = n.iter_u64_digits().len();
+            let shares = [
+                BigUint::from(0u32),
+                BigUint::one(),
+                &n - BigUint::one(),
+                &n + BigUint::one(),
+                modulus_of_bits(bits, seed.wrapping_add(bits)) % &n,
+                modulus_of_bits(bits - 60, seed.wrapping_mul(3) ^ bits),
+            ];
+            let factors: Vec<u64> = [1, (1 << 30) - 1, factor]
+                .into_iter()
+                .chain(std::iter::repeat_with(|| rng.gen_range(1..(1u64 << 30))))
+                .take(shares.len() * 2)
+                .collect();
+            let width = k + 1;
+            let mut words = Vec::new();
+            for share in shares.iter().chain(&shares) {
+                let start = words.len();
+                words.extend(share.iter_u64_digits());
+                words.resize(start + width, 0);
+            }
+            let blinded = sdb_crypto::blind_limbs(&n, width, &words, &factors);
+            prop_assert_eq!(blinded.len(), factors.len() * k);
+            for (row, (share, &factor)) in shares.iter().chain(&shares).zip(&factors).enumerate() {
+                let mut limbs = blinded[row * k..(row + 1) * k].to_vec();
+                while limbs.last() == Some(&0) {
+                    limbs.pop();
+                }
+                let expected: Vec<u64> = ((share * BigUint::from(factor)) % &n).iter_u64_digits().collect();
+                prop_assert_eq!(limbs, expected, "{} bits, row {}", bits, row);
+            }
+        }
+    }
+}

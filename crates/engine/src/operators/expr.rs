@@ -3,7 +3,9 @@
 //! inference.
 
 use sdb_sql::ast::{BinaryOp, Expr};
-use sdb_storage::{Column, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value};
+use sdb_storage::{
+    Column, ColumnCells, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value,
+};
 
 use crate::eval::{literal_to_value, Evaluator};
 use crate::kernels::ShareKernels;
@@ -181,6 +183,16 @@ impl ExprColumn {
                 let data_type = values.iter().find_map(Value::data_type);
                 Column::from_values_unchecked(data_type.unwrap_or(DataType::Int), values)
             }
+        }
+    }
+
+    /// The cells, borrowed: the input's, the computed values or the
+    /// kernels' limbs.
+    pub(super) fn cells<'c>(&'c self, batch: &'c RecordBatch) -> ColumnCells<'c> {
+        match self {
+            ExprColumn::Input(idx) => batch.column(*idx).cells(),
+            ExprColumn::Values(values) => ColumnCells::Values(values),
+            ExprColumn::Computed(column) => column.cells(),
         }
     }
 

@@ -154,10 +154,6 @@ pub struct ExecContext<'a> {
     registry: &'a UdfRegistry,
     /// The oracle operators talk to.
     oracle: Option<OracleRef>,
-    /// The encrypted-value memo: answers of past sign/group-tag requests,
-    /// keyed by call fingerprint + operand ciphertexts, shared with subquery
-    /// contexts so hot answers never re-travel the link.
-    oracle_memo: Arc<oracle::OracleMemo>,
     config: ExecConfig,
     stats: ShardedStats,
     /// One blinding RNG per worker, seeded on first use (thread-indexed
@@ -233,7 +229,6 @@ impl<'a> ExecContext<'a> {
             catalog,
             registry,
             oracle,
-            oracle_memo: Arc::default(),
             stats: ShardedStats::new(config.parallelism),
             rngs: OnceLock::new(),
             subquery_cache: Mutex::new(HashMap::new()),
@@ -270,11 +265,6 @@ impl<'a> ExecContext<'a> {
     /// The DO-proxy oracle, if connected.
     pub fn oracle(&self) -> Option<&OracleRef> {
         self.oracle.as_ref()
-    }
-
-    /// The shared encrypted-value memo for oracle answers.
-    pub(crate) fn oracle_memo(&self) -> &oracle::OracleMemo {
-        &self.oracle_memo
     }
 
     /// Rows per batch.
@@ -491,9 +481,7 @@ impl ExecContext<'_> {
             Some(Arc::clone(&self.pager)),
             Some(self.cancel.clone()),
         );
-        // Answers the parent already paid for never re-travel the link, and
-        // the subquery plans its exponents as part of the parent's query.
-        sub.oracle_memo = Arc::clone(&self.oracle_memo);
+        // The subquery plans its exponents as part of the parent's query.
         sub.power_memo = self.power_memo.clone();
         let sub = Arc::new(sub);
         // Attribute the subquery's wall time to the parent: `total_time` is

@@ -3,53 +3,48 @@
 //! plan as pseudo-function calls.
 //!
 //! Round trips to the DO proxy are the unit cost the protocol prices highest,
-//! so resolution is *amortized and memoized*:
+//! so resolution is *amortized*: instead of one round trip per registered
+//! call per input batch, [`OracleResolve`] parks raw input batches in the
+//! pager (spilling past the memory budget like any other parked stream, a
+//! batch at a time) while buffering each call's operands. At a byte/row
+//! threshold ([`ORACLE_FLUSH_BYTES`] / [`ORACLE_FLUSH_ROWS`]) or end-of-input
+//! it flushes *one coalesced request per call*, then streams the parked
+//! batches back out with the answers attached. A multi-predicate filter over
+//! dozens of batches thus costs one trip per distinct call, not one per call
+//! per batch, under any `MemoryBudget`.
 //!
-//! * **Cross-batch accumulation** — instead of one round trip per registered
-//!   call per input batch, [`OracleResolve`] parks raw input batches in the
-//!   pager (spilling past the memory budget like any other parked stream)
-//!   while buffering each call's prepared operand rows. At a byte/row
-//!   threshold ([`ORACLE_FLUSH_BYTES`] / [`ORACLE_FLUSH_ROWS`]) or
-//!   end-of-input it flushes *one coalesced request per call*, then streams
-//!   the parked batches back out with the answers attached. A multi-predicate
-//!   filter over dozens of batches thus costs one trip per distinct call, not
-//!   one per call per batch, under any `MemoryBudget`.
-//! * **Encrypted-value memoization** — sign and group-tag answers are
-//!   deterministic in the operand ciphertexts (the proxy decrypts with the
-//!   row-id-derived item key; tags are a keyed PRF of the plaintext), so
-//!   resolved answers are remembered in a per-query `OracleMemo` keyed by
-//!   `(request kind, key handle, row-id ciphertext, pre-blinding share)`.
-//!   Hot operands — join keys probed per spilled chunk, correlated subquery
-//!   operands — never re-travel the link; hits are counted in
-//!   `oracle_memo_hits`. Rank surrogates are *never* memoized: the proxy
-//!   allocates a fresh rank block per request, so surrogates are only
-//!   comparable within one request.
+//! A call's operands stay columns from the gather to the proxy: the present
+//! positions, the row-id ciphertexts and the shares as limbs (a
+//! [`ShareColumn`] copied from the share kernels' output or the stored
+//! column), which a comparison blinds a lane at a time and ships as
+//! [`OracleRows`]. Every buffered row ships: answers are not remembered
+//! across requests (`oracle_memo_hits` stays 0).
 //!
 //! For each distinct call the answers come back as a *virtual column* named by
 //! the call's rendered text. Downstream expressions pick the column up through
 //! [`expr::bind_to_existing_columns`], so the operators above never see the
 //! call itself.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use num_bigint::BigUint;
-use parking_lot::Mutex;
 use rand::Rng;
 
 use sdb_crypto::EncryptedRowId;
 use sdb_sql::ast::Expr;
 use sdb_storage::{
-    ColumnDef, DataType, PageStreamReader, PageStreamWriter, RecordBatch, Schema, Value,
+    Bitmap, ColumnCells, ColumnDef, DataType, PageStreamReader, PageStreamWriter, RecordBatch,
+    Schema, ShareColumn, Value,
 };
 
 use super::expr::{self, append_virtual_column, literal_string};
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
 use crate::kernels::ShareKernels;
 use crate::secure::{
-    oracle_fns, parse_biguint_arg, sign_to_bool, OracleRequest, OracleRequestKind, OracleResponse,
-    OracleRow,
+    oracle_fns, parse_biguint_arg, CmpOp, OracleRequest, OracleRequestKind, OracleResponse,
+    OracleRows,
 };
 use crate::{EngineError, Result};
 
@@ -63,49 +58,17 @@ pub const ORACLE_FLUSH_BYTES: usize = 4 << 20;
 /// accumulator.
 pub const ORACLE_FLUSH_ROWS: usize = 1 << 20;
 
-/// Key of one memoized oracle answer: request-kind discriminant, proxy key
-/// handle, row-id ciphertext and the **pre-blinding** share (the blinding
-/// factor is fresh per shipped row, so only the unblinded share is stable).
-type MemoKey = (u8, String, EncryptedRowId, BigUint);
-
-/// A memoized oracle answer. Rank surrogates are never memoized — they are
-/// only comparable within the single request that allocated them.
-#[derive(Clone, Copy)]
-enum MemoAnswer {
-    /// The sign verdict of a comparison request.
-    Sign(i8),
-    /// The opaque group tag of a group-tag request.
-    Tag(u64),
-}
-
-/// The per-query encrypted-value memo: answers of past sign/group-tag
-/// requests, shared across operators and subquery contexts (`Mutex`-guarded
-/// like the subquery cache) so hot operands never re-travel the oracle link.
-#[derive(Default)]
-pub(crate) struct OracleMemo {
-    entries: Mutex<HashMap<MemoKey, MemoAnswer>>,
-}
-
-fn kind_tag(kind: OracleRequestKind) -> u8 {
-    match kind {
-        OracleRequestKind::Sign => 0,
-        OracleRequestKind::GroupTag => 1,
-        OracleRequestKind::Rank => 2,
-    }
-}
-
 /// One registered oracle call, parsed once per operator (not once per batch):
 /// the operand expressions, key handle, request kind and — for comparisons —
-/// the public modulus used for blinding.
+/// the comparison and the public modulus used for blinding.
 struct PreparedCall {
-    /// Upper-cased function name (decides the sign→bool mapping).
-    name: String,
     /// The call's rendered text: the virtual column's name.
     rendered: String,
     kind: OracleRequestKind,
     handle: String,
-    /// Blinding modulus (comparison calls only).
-    modulus: Option<BigUint>,
+    /// The comparison asked of the sign and the blinding modulus
+    /// (comparison calls only).
+    comparison: Option<(CmpOp, BigUint)>,
     /// The share operand expression (`args[0]`).
     share_expr: Expr,
     /// The row-id operand expression (`args[1]`).
@@ -118,8 +81,8 @@ impl PreparedCall {
             Expr::Function { name, args, .. } => (name.to_ascii_uppercase(), args),
             _ => unreachable!("collect_oracle_calls only returns function nodes"),
         };
-        let is_cmp = oracle_fns::is_cmp_fn(&name);
-        let expected_arity = if is_cmp { 4 } else { 3 };
+        let cmp = CmpOp::parse(&name);
+        let expected_arity = if cmp.is_some() { 4 } else { 3 };
         if args.len() != expected_arity {
             return Err(EngineError::UdfInvocation {
                 name: name.clone(),
@@ -130,18 +93,17 @@ impl PreparedCall {
             name: name.clone(),
             detail: "third argument must be a string key handle".into(),
         })?;
-        let modulus = if is_cmp {
-            Some(parse_biguint_arg(
-                &name,
-                &literal_string(&args[3]).ok_or_else(|| EngineError::UdfInvocation {
+        let comparison = match cmp {
+            Some(cmp) => {
+                let n = literal_string(&args[3]).ok_or_else(|| EngineError::UdfInvocation {
                     name: name.clone(),
                     detail: "fourth argument must be the public modulus as a string".into(),
-                })?,
-            )?)
-        } else {
-            None
+                })?;
+                Some((cmp, parse_biguint_arg(&name, &n)?))
+            }
+            None => None,
         };
-        let kind = if is_cmp {
+        let kind = if comparison.is_some() {
             OracleRequestKind::Sign
         } else if name == oracle_fns::GROUP_TAG {
             OracleRequestKind::GroupTag
@@ -150,17 +112,16 @@ impl PreparedCall {
         };
         Ok(PreparedCall {
             rendered: call.to_string(),
-            name,
             kind,
             handle,
-            modulus,
+            comparison,
             share_expr: args[0].clone(),
             row_id_expr: args[1].clone(),
         })
     }
 
     /// The virtual column's type, known before any answer arrives (needed to
-    /// emit schema-correct columns when every row was NULL or memoized).
+    /// emit schema-correct columns when every row was NULL).
     fn data_type(&self) -> DataType {
         match self.kind {
             OracleRequestKind::Sign => DataType::Bool,
@@ -168,39 +129,24 @@ impl PreparedCall {
             OracleRequestKind::Rank => DataType::Int,
         }
     }
-
-    fn memo_key(&self, row: &OracleRow) -> MemoKey {
-        (
-            kind_tag(self.kind),
-            self.handle.clone(),
-            row.row_id.clone(),
-            row.share.clone(),
-        )
-    }
-
-    fn memo_value(&self, answer: MemoAnswer) -> Result<Value> {
-        match answer {
-            MemoAnswer::Sign(sign) => Ok(Value::Bool(sign_to_bool(&self.name, sign)?)),
-            MemoAnswer::Tag(tag) => Ok(Value::Tag(tag)),
-        }
-    }
 }
 
-/// One call's operand rows accumulated so far. Shares are kept
-/// **pre-blinding** so the memo key stays stable across requests; the fresh
-/// blinding factor is applied only to rows that actually ship.
+/// One call's operands accumulated so far, a column each. Shares are kept
+/// **pre-blinding**; the fresh blinding factors are applied when they ship.
 #[derive(Default)]
 struct CallBuffer {
     /// Position of each operand row in the accumulated input (epoch-global).
     present: Vec<usize>,
-    rows: Vec<OracleRow>,
+    row_ids: Vec<EncryptedRowId>,
+    shares: ShareColumn,
 }
 
 /// Evaluates every call's operand expressions over `batch`
 /// ([`expr::evaluate_exprs`]: rows outermost, so calls over one auxiliary
 /// column share that row's powers, see [`crate::udf::KeyUpdateSets`]),
-/// appending the non-NULL rows to the call's buffer at positions offset by
-/// `base`. Returns the approximate operand bytes added (for the flush
+/// appending the rows where neither operand is NULL to the call's buffer at
+/// positions offset by `base`: a share column's limbs are gathered, a row
+/// id cloned once. Returns the operand bytes added (for the flush
 /// threshold).
 fn gather_operands(
     ctx: &ExecContext<'_>,
@@ -214,34 +160,41 @@ fn gather_operands(
     let exprs: Vec<&Expr> = (calls.iter())
         .flat_map(|call| [&call.share_expr, &call.row_id_expr])
         .collect();
-    let mut columns = expr::evaluate_exprs(&evaluator, Some(shares), &exprs, batch, false)?.columns;
+    let columns = expr::evaluate_exprs(&evaluator, Some(shares), &exprs, batch, false)?.columns;
     let mut bytes = 0usize;
-    for row in 0..batch.num_rows() {
-        for (i, buffer) in buffers.iter_mut().enumerate().take(calls.len()) {
-            let share = columns[2 * i].take(batch, row);
-            let row_id = columns[2 * i + 1].take(batch, row);
-            if share.is_null() || row_id.is_null() {
+    for (operands, buffer) in columns.chunks_exact(2).zip(buffers.iter_mut()) {
+        let (share_cells, row_id_cells) = (operands[0].cells(batch), operands[1].cells(batch));
+        let start = buffer.row_ids.len();
+        let mut kept = Vec::new();
+        for row in 0..batch.num_rows() {
+            if share_cells.is_null(row) || row_id_cells.is_null(row) {
                 continue;
             }
-            let share = match share {
-                Value::Encrypted(share) => share,
-                other => other.as_encrypted()?.clone(),
-            };
-            let row_id = row_id.as_encrypted_row_id()?.clone();
-            bytes += row_id.size_bytes() + (share.bits() as usize).div_ceil(8);
+            if let ColumnCells::Values(values) = share_cells {
+                buffer.shares.push(values[row].as_encrypted()?);
+            }
+            let row_id = row_id_cells.value(row);
+            buffer.row_ids.push(row_id.as_encrypted_row_id()?.clone());
             buffer.present.push(base + row);
-            buffer.rows.push(OracleRow { row_id, share });
+            kept.push(row);
         }
+        if let ColumnCells::Shares(column) = share_cells {
+            buffer.shares.extend(&column.gather(&kept));
+        }
+        bytes += (buffer.row_ids[start..].iter())
+            .map(EncryptedRowId::size_bytes)
+            .sum::<usize>();
+        bytes += (start..buffer.row_ids.len())
+            .map(|row| buffer.shares.byte_len(row))
+            .sum::<usize>();
     }
     ctx.record_udf_calls(&evaluator);
     Ok(bytes)
 }
 
 /// Resolves one call's buffered operands into a full-length value column
-/// (NULL where the operands were NULL): memo lookups first, then — only if
-/// any rows miss — a single round trip for the misses, whose answers are
-/// scattered back and memoized. Zero buffered rows (or an all-hit buffer)
-/// cost zero trips.
+/// (NULL where the operands were NULL) in a single round trip; zero buffered
+/// rows cost zero trips. A comparison's shares are blinded first.
 fn resolve_call(
     ctx: &ExecContext<'_>,
     call: &PreparedCall,
@@ -249,36 +202,16 @@ fn resolve_call(
     buffer: CallBuffer,
     coalesced: bool,
 ) -> Result<Vec<Value>> {
-    let CallBuffer { present, rows } = buffer;
+    let CallBuffer {
+        present,
+        row_ids,
+        shares,
+    } = buffer;
     if coalesced {
-        ctx.stats_mut().oracle_rows_coalesced += rows.len();
+        ctx.stats_mut().oracle_rows_coalesced += present.len();
     }
     let mut values = vec![Value::Null; total_rows];
-
-    // Memo lookups (sign/tag answers are deterministic in the operands; rank
-    // surrogates are per-request and always ship).
-    let mut miss_present: Vec<usize> = Vec::new();
-    let mut miss_rows: Vec<OracleRow> = Vec::new();
-    if call.kind == OracleRequestKind::Rank {
-        miss_present = present;
-        miss_rows = rows;
-    } else {
-        let buffered = present.len();
-        let memo = ctx.oracle_memo().entries.lock();
-        for (pos, row) in present.into_iter().zip(rows) {
-            match memo.get(&call.memo_key(&row)) {
-                Some(answer) => values[pos] = call.memo_value(*answer)?,
-                None => {
-                    miss_present.push(pos);
-                    miss_rows.push(row);
-                }
-            }
-        }
-        drop(memo);
-        ctx.stats_mut().oracle_memo_hits += buffered - miss_present.len();
-    }
-
-    if miss_rows.is_empty() {
+    if present.is_empty() {
         return Ok(values); // nothing to ship: no round trip at all
     }
 
@@ -296,31 +229,26 @@ fn resolve_call(
 
     // Blind comparison shares with a fresh positive factor per shipped row so
     // the DO proxy (and anything watching the channel) learns only signs.
-    // Factors are drawn first, in row order (same RNG stream as the old
-    // per-row loop), then the whole share column is blinded in one pass.
-    let shipped: Vec<OracleRow> = match &call.modulus {
-        Some(n) => {
-            let factors: Vec<u64> = miss_rows
-                .iter()
-                .map(|_| ctx.rng_mut().gen_range(1..(1u64 << 30)))
-                .collect();
-            let shares: Vec<BigUint> = miss_rows.iter().map(|row| row.share.clone()).collect();
-            let blinded = sdb_crypto::batch::blind_shares(n, &shares, &factors);
-            miss_rows
-                .iter()
-                .zip(blinded)
-                .map(|(row, share)| OracleRow {
-                    row_id: row.row_id.clone(),
-                    share,
-                })
-                .collect()
+    // Factors are drawn first, in row order, then the whole share column is
+    // blinded a lane at a time.
+    let shares = match &call.comparison {
+        Some((_, n)) => {
+            let factors: Vec<u64> = {
+                let mut rng = ctx.rng_mut();
+                (0..present.len())
+                    .map(|_| rng.gen_range(1..(1u64 << 30)))
+                    .collect()
+            };
+            let limbs = sdb_crypto::batch::blind_limbs(n, shares.width(), shares.words(), &factors);
+            let width = n.iter_u64_digits().len();
+            ShareColumn::from_parts(width, limbs, Bitmap::new_set(factors.len()))
         }
-        None => miss_rows.clone(),
+        None => shares,
     };
     let request = OracleRequest {
         kind: call.kind,
         handle: call.handle.clone(),
-        rows: shipped,
+        rows: OracleRows::new(row_ids, shares),
     };
     let trip_bytes = request.approx_size_bytes();
     let trip_rows = request.rows.len();
@@ -342,39 +270,36 @@ fn resolve_call(
         trace.event("oracle_trip_end", trip_bytes, trip_rows);
     }
 
-    if response.len() != miss_present.len() {
+    if response.len() != present.len() {
         return Err(EngineError::OracleProtocol {
             detail: format!(
                 "oracle returned {} answers for {} rows",
                 response.len(),
-                miss_present.len()
+                present.len()
             ),
         });
     }
 
-    // Scatter the answers and remember them (rank excluded).
-    match &response {
+    // Scatter the answers.
+    match response {
         OracleResponse::Signs(signs) => {
-            let mut memo = ctx.oracle_memo().entries.lock();
-            for ((pos, row), sign) in miss_present.iter().zip(&miss_rows).zip(signs) {
-                values[*pos] = Value::Bool(sign_to_bool(&call.name, *sign)?);
-                if call.kind == OracleRequestKind::Sign {
-                    memo.insert(call.memo_key(row), MemoAnswer::Sign(*sign));
-                }
+            let Some((cmp, _)) = call.comparison else {
+                return Err(EngineError::OracleProtocol {
+                    detail: format!("signs answered a {} request", call.kind),
+                });
+            };
+            for (pos, sign) in present.into_iter().zip(signs) {
+                values[pos] = Value::Bool(cmp.holds(sign));
             }
         }
         OracleResponse::Tags(tags) => {
-            let mut memo = ctx.oracle_memo().entries.lock();
-            for ((pos, row), tag) in miss_present.iter().zip(&miss_rows).zip(tags) {
-                values[*pos] = Value::Tag(*tag);
-                if call.kind == OracleRequestKind::GroupTag {
-                    memo.insert(call.memo_key(row), MemoAnswer::Tag(*tag));
-                }
+            for (pos, tag) in present.into_iter().zip(tags) {
+                values[pos] = Value::Tag(tag);
             }
         }
         OracleResponse::Ranks(ranks) => {
-            for (pos, rank) in miss_present.iter().zip(ranks) {
-                values[*pos] = Value::Int(*rank as i64);
+            for (pos, rank) in present.into_iter().zip(ranks) {
+                values[pos] = Value::Int(rank as i64);
             }
         }
     }
@@ -457,9 +382,7 @@ impl OracleAccumulator {
             self.total_rows,
             &mut self.buffers,
         )?;
-        for row in 0..batch.num_rows() {
-            self.writer.push_row(batch.row(row))?;
-        }
+        self.writer.push_batch(batch)?;
         self.total_rows += batch.num_rows();
         Ok(())
     }
@@ -470,7 +393,7 @@ impl OracleAccumulator {
     }
 
     /// Resolves every buffered call — one coalesced round trip per call with
-    /// misses — and returns the epoch ready to stream the parked batches back
+    /// rows — and returns the epoch ready to stream the parked batches back
     /// out with their virtual columns attached.
     pub(crate) fn flush(self, ctx: &ExecContext<'_>) -> Result<Epoch> {
         let OracleAccumulator {
@@ -549,9 +472,8 @@ impl Epoch {
 /// Input batches are parked in the pager while operand rows accumulate, and
 /// each registered call resolves in one coalesced round trip per
 /// [`ORACLE_FLUSH_BYTES`]/[`ORACLE_FLUSH_ROWS`] window — for typical inputs,
-/// one trip per distinct call total; the encrypted-value memo answers
-/// repeated operands locally. An input that already carries every call as a
-/// column streams through.
+/// one trip per distinct call total. An input that already carries every
+/// call as a column streams through.
 ///
 /// Rank surrogates are only comparable *within one request* (the proxy
 /// reserves a fresh rank block per request), so when any registered call is a
@@ -749,9 +671,8 @@ pub fn collect_oracle_calls_all(exprs: &[Expr]) -> Vec<Expr> {
     calls
 }
 
-/// Resolves each oracle call against `batch` — memo hits answered locally,
-/// misses in one round trip per call (zero-row batches and all-hit batches
-/// cost no trip) — appending the per-row answers as virtual columns. Calls
+/// Resolves each oracle call against `batch` — one round trip per call with
+/// rows (a zero-row batch costs no trip) — appending the per-row answers as virtual columns. Calls
 /// whose rendered name already exists as a column (materialised by an
 /// operator below) are skipped.
 pub fn resolve_oracle_calls(

@@ -773,19 +773,18 @@ struct ContentOracle;
 impl crate::secure::SdbOracle for ContentOracle {
     fn resolve(&self, request: crate::secure::OracleRequest) -> crate::secure::OracleResult {
         use crate::secure::{OracleRequestKind, OracleResponse};
-        let body_sum = |r: &crate::secure::OracleRow| -> u64 {
-            r.row_id.0.body.iter().map(|&b| u64::from(b)).sum()
+        let body_sum = |r: &sdb_crypto::EncryptedRowId| -> u64 {
+            r.0.body.iter().map(|&b| u64::from(b)).sum()
         };
+        let row_ids = request.rows.row_ids().iter();
         Ok(match request.kind {
             OracleRequestKind::Sign => OracleResponse::Signs(
-                request
-                    .rows
-                    .iter()
+                row_ids
                     .map(|r| if body_sum(r).is_multiple_of(2) { 1 } else { -1 })
                     .collect(),
             ),
             OracleRequestKind::GroupTag => {
-                OracleResponse::Tags(request.rows.iter().map(|r| body_sum(r) % 16).collect())
+                OracleResponse::Tags(row_ids.map(|r| body_sum(r) % 16).collect())
             }
             OracleRequestKind::Rank => {
                 OracleResponse::Ranks((0..request.rows.len() as u64).collect())
@@ -883,40 +882,6 @@ fn batching_is_byte_identical_and_one_trip_per_call_under_any_budget() {
             );
         }
     }
-}
-
-#[test]
-fn memo_answers_repeated_operands_without_new_trips() {
-    let catalog = Catalog::new();
-    let reg = registry();
-    let oracle: crate::secure::OracleRef = std::sync::Arc::new(ContentOracle);
-
-    // Batches 1 and 3 carry identical (share, row id) operands. Resolved
-    // batch by batch, the third batch is answered entirely from the memo —
-    // two trips total, zero for the repeat.
-    let mut batches = encrypted_batches(2, 2);
-    batches.push(batches[0].clone());
-    let ctx = context(&catalog, &reg, Some(oracle.clone()), ExecConfig::default());
-    let calls = [cmp_call("h1")];
-    let mut out = RecordBatch::empty(Schema::empty());
-    for (i, batch) in batches.into_iter().enumerate() {
-        let resolved = super::oracle::resolve_oracle_calls(&ctx, batch, &calls).unwrap();
-        match i {
-            0 => out = resolved,
-            _ => out.append(&resolved).unwrap(),
-        }
-    }
-    assert_eq!(out.num_rows(), 6);
-    let stats = ctx.stats();
-    assert_eq!(
-        stats.oracle_round_trips, 2,
-        "the repeated batch must not travel the link"
-    );
-    assert_eq!(stats.oracle_memo_hits, 2);
-    assert_eq!(stats.oracle_rows_shipped, 4);
-    // The memoized answers are the same the oracle would have given.
-    assert_eq!(out.column(2).value(0), out.column(2).value(4));
-    assert_eq!(out.column(2).value(1), out.column(2).value(5));
 }
 
 #[test]

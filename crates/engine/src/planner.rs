@@ -1224,8 +1224,8 @@ mod pruning_tests {
     impl crate::secure::SdbOracle for RowIdOracle {
         fn resolve(&self, request: OracleRequest) -> OracleResult {
             assert_eq!(request.kind, OracleRequestKind::Sign);
-            let sign = |r: &crate::secure::OracleRow| {
-                let sum: u64 = r.row_id.0.body.iter().map(|&b| u64::from(b)).sum();
+            let sign = |r: &sdb_crypto::EncryptedRowId| {
+                let sum: u64 = r.0.body.iter().map(|&b| u64::from(b)).sum();
                 if sum.is_multiple_of(2) {
                     1
                 } else {
@@ -1233,7 +1233,7 @@ mod pruning_tests {
                 }
             };
             Ok(OracleResponse::Signs(
-                request.rows.iter().map(sign).collect(),
+                request.rows.row_ids().iter().map(sign).collect(),
             ))
         }
     }

@@ -22,7 +22,10 @@ use std::sync::Arc;
 
 use num_bigint::BigUint;
 use sdb_crypto::EncryptedRowId;
-use serde::{Deserialize, Serialize};
+use sdb_storage::shares::biguint_of;
+use sdb_storage::ShareColumn;
+use serde::ser::{SerializeSeq, SerializeStruct};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::{EngineError, Result};
 
@@ -37,16 +40,115 @@ pub enum OracleRequestKind {
     Rank,
 }
 
-/// One row shipped to the oracle: the encrypted row id (so the proxy can derive the
-/// item key) and an encrypted or blinded share.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OracleRow {
-    /// Encrypted row id as stored at the SP.
-    pub row_id: EncryptedRowId,
-    /// The encrypted (possibly blinded) value (base64 bytes on the wire, see
-    /// [`sdb_crypto::wire`]).
-    #[serde(with = "sdb_crypto::wire::share")]
-    pub share: BigUint,
+/// The rows of an [`OracleRequest`], a column each: the encrypted row ids
+/// (so the proxy can derive the item keys) and the encrypted or blinded
+/// shares as limbs, no NULL among them.
+///
+/// On the wire the rows are the JSON array of `{"row_id": …, "share": …}`
+/// objects, both fields base64 text (see [`sdb_crypto::wire`]), written from
+/// the limbs and read back into them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OracleRows {
+    row_ids: Vec<EncryptedRowId>,
+    shares: ShareColumn,
+}
+
+impl OracleRows {
+    /// The rows whose row ids and shares these are, in order. Panics when
+    /// the lengths differ or a share is NULL.
+    pub fn new(row_ids: Vec<EncryptedRowId>, shares: ShareColumn) -> OracleRows {
+        assert_eq!(row_ids.len(), shares.len(), "a share for every row id");
+        assert_eq!(shares.null_count(), 0, "oracle shares are never NULL");
+        OracleRows { row_ids, shares }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.row_ids.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.row_ids.is_empty()
+    }
+
+    /// The encrypted row ids.
+    pub fn row_ids(&self) -> &[EncryptedRowId] {
+        &self.row_ids
+    }
+
+    /// The shares.
+    pub fn shares(&self) -> &ShareColumn {
+        &self.shares
+    }
+
+    /// The share of `row` as a number.
+    pub fn share(&self, row: usize) -> BigUint {
+        biguint_of(self.shares.row(row))
+    }
+
+    /// Wire size of the rows in bytes: each row id's and each share's
+    /// minimal bytes (for cost accounting).
+    pub fn approx_size_bytes(&self) -> usize {
+        let row_ids: usize = self.row_ids.iter().map(EncryptedRowId::size_bytes).sum();
+        row_ids
+            + (0..self.len())
+                .map(|row| self.shares.byte_len(row))
+                .sum::<usize>()
+    }
+}
+
+impl FromIterator<(EncryptedRowId, BigUint)> for OracleRows {
+    fn from_iter<I: IntoIterator<Item = (EncryptedRowId, BigUint)>>(rows: I) -> Self {
+        let (mut row_ids, mut shares) = (Vec::new(), ShareColumn::default());
+        for (row_id, share) in rows {
+            row_ids.push(row_id);
+            shares.push(&share);
+        }
+        OracleRows { row_ids, shares }
+    }
+}
+
+/// One row of [`OracleRows`] as its wire object.
+struct WireRow<'r>(&'r OracleRows, usize);
+
+impl Serialize for WireRow<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
+        let WireRow(rows, row) = *self;
+        let mut bytes = Vec::with_capacity(rows.shares.byte_len(row));
+        rows.shares.write_bytes_le(row, &mut bytes);
+        let mut s = serializer.serialize_struct("OracleRow", 2)?;
+        s.serialize_field("row_id", &rows.row_ids[row])?;
+        s.serialize_field("share", &sdb_crypto::wire::encode(&bytes))?;
+        s.end()
+    }
+}
+
+impl Serialize for OracleRows {
+    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
+        let mut seq = serializer.serialize_seq(Some(self.len()))?;
+        for row in 0..self.len() {
+            seq.serialize_element(&WireRow(self, row))?;
+        }
+        seq.end()
+    }
+}
+
+impl<'de> Deserialize<'de> for OracleRows {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
+        /// The wire object of one row.
+        #[derive(Deserialize)]
+        struct Row {
+            row_id: EncryptedRowId,
+            #[serde(with = "sdb_crypto::wire::share")]
+            share: BigUint,
+        }
+        let rows = Vec::<Row>::deserialize(deserializer)?;
+        Ok(rows
+            .into_iter()
+            .map(|row| (row.row_id, row.share))
+            .collect())
+    }
 }
 
 /// A batched request from the SP to the DO proxy.
@@ -58,18 +160,13 @@ pub struct OracleRequest {
     /// (established during query rewriting; opaque to the SP).
     pub handle: String,
     /// The rows to resolve.
-    pub rows: Vec<OracleRow>,
+    pub rows: OracleRows,
 }
 
 impl OracleRequest {
     /// Approximate wire size in bytes (for cost accounting).
     pub fn approx_size_bytes(&self) -> usize {
-        self.handle.len()
-            + self
-                .rows
-                .iter()
-                .map(|r| r.row_id.size_bytes() + (r.share.bits() as usize).div_ceil(8))
-                .sum::<usize>()
+        self.handle.len() + self.rows.approx_size_bytes()
     }
 }
 
@@ -166,13 +263,60 @@ pub mod oracle_fns {
 
     /// True if `name` is any oracle-backed function.
     pub fn is_oracle_fn(name: &str) -> bool {
-        let upper = name.to_ascii_uppercase();
-        ALL_CMP.contains(&upper.as_str()) || upper == GROUP_TAG || upper == RANK
+        is_cmp_fn(name) || name.eq_ignore_ascii_case(GROUP_TAG) || name.eq_ignore_ascii_case(RANK)
     }
 
     /// True if `name` is an oracle-backed comparison.
     pub fn is_cmp_fn(name: &str) -> bool {
-        ALL_CMP.contains(&name.to_ascii_uppercase().as_str())
+        ALL_CMP.iter().any(|cmp| cmp.eq_ignore_ascii_case(name))
+    }
+}
+
+/// What a comparison oracle function asks of the sign of its blinded
+/// difference, parsed once from the function's name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    /// `SDB_CMP_GT`: sign > 0.
+    Gt,
+    /// `SDB_CMP_GE`: sign ≥ 0.
+    Ge,
+    /// `SDB_CMP_LT`: sign < 0.
+    Lt,
+    /// `SDB_CMP_LE`: sign ≤ 0.
+    Le,
+    /// `SDB_CMP_EQ`: sign = 0.
+    Eq,
+    /// `SDB_CMP_NE`: sign ≠ 0.
+    Ne,
+}
+
+impl CmpOp {
+    /// The comparison a function name (any case) names, if it is one.
+    pub fn parse(name: &str) -> Option<CmpOp> {
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        let at = oracle_fns::ALL_CMP
+            .iter()
+            .position(|cmp| cmp.eq_ignore_ascii_case(name))?;
+        Some(OPS[at])
+    }
+
+    /// Whether a sign (−1/0/+1) satisfies the comparison.
+    pub fn holds(self, sign: i8) -> bool {
+        match self {
+            CmpOp::Gt => sign > 0,
+            CmpOp::Ge => sign >= 0,
+            CmpOp::Lt => sign < 0,
+            CmpOp::Le => sign <= 0,
+            CmpOp::Eq => sign == 0,
+            CmpOp::Ne => sign != 0,
+        }
     }
 }
 
@@ -186,15 +330,10 @@ pub fn parse_biguint_arg(name: &str, text: &str) -> Result<BigUint> {
 
 /// Converts a sign (−1/0/+1) into the boolean outcome of a comparison operator.
 pub fn sign_to_bool(op: &str, sign: i8) -> Result<bool> {
-    match op.to_ascii_uppercase().as_str() {
-        "SDB_CMP_GT" => Ok(sign > 0),
-        "SDB_CMP_GE" => Ok(sign >= 0),
-        "SDB_CMP_LT" => Ok(sign < 0),
-        "SDB_CMP_LE" => Ok(sign <= 0),
-        "SDB_CMP_EQ" => Ok(sign == 0),
-        "SDB_CMP_NE" => Ok(sign != 0),
-        other => Err(EngineError::UdfInvocation {
-            name: other.to_string(),
+    match CmpOp::parse(op) {
+        Some(cmp) => Ok(cmp.holds(sign)),
+        None => Err(EngineError::UdfInvocation {
+            name: op.to_string(),
             detail: "not a comparison oracle function".into(),
         }),
     }
@@ -210,9 +349,112 @@ mod tests {
         let req = OracleRequest {
             kind: OracleRequestKind::Sign,
             handle: "h".into(),
-            rows: vec![],
+            rows: OracleRows::default(),
         };
         assert!(oracle.resolve(req).is_err());
+    }
+
+    fn row_id(nonce: u64) -> EncryptedRowId {
+        EncryptedRowId(sdb_crypto::sies::SiesCiphertext {
+            nonce,
+            tag: 7,
+            body: vec![1, 2, 3],
+        })
+    }
+
+    /// A zero share, a 64-bit one and a 512-bit one, under three row ids.
+    fn request() -> OracleRequest {
+        let shares = [
+            BigUint::from(0u32),
+            BigUint::from(0x0102_0304_0506_0708u64),
+            (BigUint::from(1u32) << 511u32) + BigUint::from(5u32),
+        ];
+        OracleRequest {
+            kind: OracleRequestKind::GroupTag,
+            handle: "h1".into(),
+            rows: (1..).map(row_id).zip(shares).collect(),
+        }
+    }
+
+    /// The columnar rows are written as the array of row objects: the
+    /// pinned text, and byte for byte what a `Vec` of derived row structs
+    /// (the request's earlier form) writes.
+    #[test]
+    fn requests_serialise_to_the_row_objects_text() {
+        let empty = OracleRequest {
+            kind: OracleRequestKind::Sign,
+            handle: "h0".into(),
+            rows: OracleRows::default(),
+        };
+        let text = serde_json::to_string(&empty).unwrap();
+        assert_eq!(text, r#"{"kind":"Sign","handle":"h0","rows":[]}"#);
+
+        let text = serde_json::to_string(&request()).unwrap();
+        let golden = concat!(
+            r#"{"kind":"GroupTag","handle":"h1","rows":["#,
+            r#"{"row_id":"AQAAAAAAAAAHAAAAAAAAAAECAw==","share":""},"#,
+            r#"{"row_id":"AgAAAAAAAAAHAAAAAAAAAAECAw==","share":"CAcGBQQDAgE="},"#,
+            r#"{"row_id":"AwAAAAAAAAAHAAAAAAAAAAECAw==","share":""#,
+            "BQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAgA==",
+            r#""}]}"#,
+        );
+        assert_eq!(text, golden);
+
+        #[derive(Serialize)]
+        struct Row {
+            row_id: EncryptedRowId,
+            #[serde(with = "sdb_crypto::wire::share")]
+            share: BigUint,
+        }
+        #[derive(Serialize)]
+        struct RowRequest {
+            kind: OracleRequestKind,
+            handle: String,
+            rows: Vec<Row>,
+        }
+        let request = request();
+        let rows = (0..request.rows.len())
+            .map(|row| Row {
+                row_id: request.rows.row_ids()[row].clone(),
+                share: request.rows.share(row),
+            })
+            .collect();
+        let reference = RowRequest {
+            kind: request.kind,
+            handle: request.handle.clone(),
+            rows,
+        };
+        assert_eq!(serde_json::to_string(&reference).unwrap(), golden);
+        // 19 bytes a row id, 0 + 8 + 64 share bytes, 2 handle bytes.
+        assert_eq!(request.approx_size_bytes(), 3 * 19 + 72 + 2);
+    }
+
+    /// A request reads back as it was written; a share or row id that is
+    /// not canonical base64 is refused.
+    #[test]
+    fn requests_round_trip_and_refuse_malformed_text() {
+        let request = request();
+        let text = serde_json::to_string(&request).unwrap();
+        let back: OracleRequest = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, request);
+        assert_eq!(back.rows.share(2), request.rows.share(2));
+        for (good, bad) in [
+            (r#""share":"CAcGBQQDAgE=""#, r#""share":"CAcGBQQDAgE""#),
+            (r#""share":"CAcGBQQDAgE=""#, r#""share":"CAcGBQQDAgEA""#),
+            (r#""share":"CAcGBQQDAgE=""#, r#""share":"CAcGBQQD!gE=""#),
+            (r#""share":"CAcGBQQDAgE=""#, r#""share":7"#),
+            (
+                r#""row_id":"AQAAAAAAAAAHAAAAAAAAAAECAw==""#,
+                r#""row_id":"AQAA""#,
+            ),
+        ] {
+            let broken = text.replacen(good, bad, 1);
+            assert_ne!(broken, text);
+            assert!(
+                serde_json::from_str::<OracleRequest>(&broken).is_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]
@@ -223,6 +465,9 @@ mod tests {
         assert!(!oracle_fns::is_oracle_fn("SDB_MULTIPLY"));
         assert!(oracle_fns::is_cmp_fn("SDB_CMP_EQ"));
         assert!(!oracle_fns::is_cmp_fn("SDB_RANK"));
+        assert!(!oracle_fns::is_oracle_fn("SDB_CMP_GTE"));
+        assert_eq!(CmpOp::parse("sdb_cmp_le"), Some(CmpOp::Le));
+        assert_eq!(CmpOp::parse("SDB_GROUP_TAG"), None);
     }
 
     #[test]

@@ -44,8 +44,11 @@ pub struct ExecutionStats {
     pub oracle_round_trips: usize,
     /// Rows shipped to the oracle across all round trips.
     pub oracle_rows_shipped: usize,
-    /// Operand rows answered from the encrypted-value memo instead of
-    /// travelling the oracle link again.
+    /// Operand rows answered without travelling the oracle link. Always 0:
+    /// the engine keeps no memo of oracle answers, so every buffered operand
+    /// row ships. The field stays for the readers of the statistics (the
+    /// benchmark's `engine.oracle_memo_hits`, the server's
+    /// `sdb_oracle_memo_hits_total`).
     pub oracle_memo_hits: usize,
     /// Operand rows buffered across input batches by the cross-batch
     /// accumulator and resolved in coalesced per-call requests (rather than

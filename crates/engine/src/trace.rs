@@ -392,13 +392,12 @@ impl SpanReport {
                 x.scan_columns_read, x.scan_columns_total
             ));
         }
-        if x.oracle_round_trips > 0 || x.oracle_memo_hits > 0 {
+        if x.oracle_round_trips > 0 {
             line.push_str(&format!(
-                " oracle[trips={} rows={} bytes={} memo={} wait={}]",
+                " oracle[trips={} rows={} bytes={} wait={}]",
                 x.oracle_round_trips,
                 x.oracle_rows_shipped,
                 x.oracle_bytes_shipped,
-                x.oracle_memo_hits,
                 fmt_us(x.oracle_time.as_micros() as u64),
             ));
         }

@@ -861,8 +861,9 @@ struct LowBitsOracle;
 
 impl SdbOracle for LowBitsOracle {
     fn resolve(&self, request: OracleRequest) -> OracleResult {
-        let tags = (request.rows.iter())
-            .map(|row| row.share.iter_u64_digits().next().unwrap_or(0))
+        let shares = request.rows.shares();
+        let tags = (0..shares.len())
+            .map(|row| shares.row(row).first().copied().unwrap_or(0))
             .collect();
         Ok(OracleResponse::Tags(tags))
     }

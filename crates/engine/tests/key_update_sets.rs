@@ -168,7 +168,9 @@ struct RecordingOracle {
 
 impl SdbOracle for RecordingOracle {
     fn resolve(&self, request: OracleRequest) -> OracleResult {
-        let shares: Vec<BigUint> = request.rows.iter().map(|row| row.share.clone()).collect();
+        let shares: Vec<BigUint> = (0..request.rows.len())
+            .map(|row| request.rows.share(row))
+            .collect();
         let tags = shares
             .iter()
             .map(|share| share.iter_u64_digits().next().unwrap_or(0))

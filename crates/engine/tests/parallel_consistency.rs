@@ -219,9 +219,10 @@ impl sdb_engine::SdbOracle for ParityOracle {
             OracleRequestKind::Sign => sdb_engine::OracleResponse::Signs(
                 request
                     .rows
+                    .row_ids()
                     .iter()
                     .map(|r| {
-                        let sum: u64 = r.row_id.0.body.iter().map(|&b| u64::from(b)).sum();
+                        let sum: u64 = r.0.body.iter().map(|&b| u64::from(b)).sum();
                         if sum.is_multiple_of(2) {
                             1
                         } else {
@@ -435,48 +436,6 @@ fn oracle_batching_matrix_is_byte_identical_with_exact_trip_counts() {
     }
 }
 
-/// The encrypted-value memo spans plan executions on one context: re-running
-/// a secure filter answers every sign from the memo — zero additional round
-/// trips over the DO-proxy link.
-#[test]
-fn memo_answers_repeat_executions_without_round_trips() {
-    let catalog = encrypted_catalog(200);
-    let registry = UdfRegistry::with_sdb_udfs();
-    let query = parse_query(
-        "SELECT id FROM enc WHERE SDB_CMP_GT(v, rid, 'h', '1000003') \
-         AND SDB_CMP_GT(v, rid, 'h2', '1000003')",
-    );
-    let plan = PlanBuilder::build(&query).unwrap();
-    let oracle: sdb_engine::secure::OracleRef = Arc::new(ParityOracle);
-    let ctx = Arc::new(ExecContext::new(
-        &catalog,
-        &registry,
-        Some(oracle),
-        ExecConfig {
-            rng_seed: Some(42),
-            parallelism: 4,
-            batch_size: 64,
-            ..ExecConfig::default()
-        },
-        None,
-        None,
-    ));
-
-    let first = execute_plan(&ctx, &plan).unwrap();
-    assert_eq!(ctx.stats().oracle_round_trips, 2);
-    let second = execute_plan(&ctx, &plan).unwrap();
-    assert_eq!(first, second, "memoized answers must reproduce the output");
-    let stats = ctx.stats();
-    assert_eq!(
-        stats.oracle_round_trips, 2,
-        "the repeat execution travels zero additional trips"
-    );
-    assert_eq!(
-        stats.oracle_memo_hits, 400,
-        "200 rows x 2 calls answered from the memo"
-    );
-}
-
 /// A [`ParityOracle`] that also records every blinded operand it is shipped,
 /// one vector per request.
 #[derive(Default)]
@@ -492,7 +451,9 @@ impl RecordingOracle {
 
 impl sdb_engine::SdbOracle for RecordingOracle {
     fn resolve(&self, request: sdb_engine::OracleRequest) -> sdb_engine::OracleResult {
-        let shares = request.rows.iter().map(|r| r.share.clone()).collect();
+        let shares = (0..request.rows.len())
+            .map(|row| request.rows.share(row))
+            .collect();
         self.shipped.lock().unwrap().push(shares);
         ParityOracle.resolve(request)
     }

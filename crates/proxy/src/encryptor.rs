@@ -19,7 +19,7 @@
 use std::time::{Duration, Instant};
 
 use num_bigint::BigUint;
-use rand::rngs::StdRng;
+use rand::Rng;
 
 use sdb_crypto::batch::{encrypt_values, gen_item_keys};
 #[cfg(test)]
@@ -173,7 +173,7 @@ impl Encryptor {
         keystore: &KeyStore,
         meta: &TableMeta,
         rows: &[Vec<Value>],
-        rng: &mut StdRng,
+        rng: &mut impl Rng,
     ) -> Result<Vec<Vec<Value>>> {
         encrypt_rows_batched(keystore, meta, rows, rng)
     }
@@ -201,7 +201,7 @@ fn encrypt_rows_batched(
     keystore: &KeyStore,
     meta: &TableMeta,
     rows: &[Vec<Value>],
-    rng: &mut StdRng,
+    rng: &mut impl Rng,
 ) -> Result<Vec<Vec<Value>>> {
     let system = keystore.system();
     let codec = SignedCodec::new(system);
@@ -375,7 +375,7 @@ fn encrypt_row(
     keystore: &KeyStore,
     meta: &TableMeta,
     row: &[Value],
-    rng: &mut StdRng,
+    rng: &mut impl Rng,
 ) -> Result<Vec<Value>> {
     let system = keystore.system();
     let codec = SignedCodec::new(system);

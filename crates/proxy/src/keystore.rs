@@ -40,17 +40,32 @@ pub struct KeyStore {
 }
 
 impl KeyStore {
-    /// Generates a fresh key store under the given parameter profile.
+    /// Generates a key store under the given parameter profile from a
+    /// fixture seed: the same seed gives the same keys, so this is for
+    /// tests, benchmarks and examples ([`Self::generate_with`] draws from a
+    /// real source).
     pub fn generate(config: KeyConfig, seed: u64) -> Result<KeyStore> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let system = SystemKey::generate(&mut rng, config)?;
+        KeyStore::draw(config, &mut StdRng::seed_from_u64(seed), seed)
+    }
+
+    /// Generates a key store under the given parameter profile with every
+    /// secret drawn from `rng` — an OS-keyed [`sdb_crypto::Drbg`] for a
+    /// deployment — including the seed of [`Self::derived_rng`].
+    pub fn generate_with<R: Rng + ?Sized>(config: KeyConfig, rng: &mut R) -> Result<KeyStore> {
+        let mut keystore = KeyStore::draw(config, rng, 0)?;
+        keystore.rng_seed = rng.gen();
+        Ok(keystore)
+    }
+
+    fn draw<R: Rng + ?Sized>(config: KeyConfig, rng: &mut R, rng_seed: u64) -> Result<KeyStore> {
+        let system = SystemKey::generate(rng, config)?;
         Ok(KeyStore {
             system,
-            row_id_prf: (PrfKey::random(&mut rng), PrfKey::random(&mut rng)),
-            payload_prf: (PrfKey::random(&mut rng), PrfKey::random(&mut rng)),
-            tag_key: PrfKey::random(&mut rng),
+            row_id_prf: (PrfKey::random(rng), PrfKey::random(rng)),
+            payload_prf: (PrfKey::random(rng), PrfKey::random(rng)),
+            tag_key: PrfKey::random(rng),
             tables: BTreeMap::new(),
-            rng_seed: seed,
+            rng_seed,
         })
     }
 

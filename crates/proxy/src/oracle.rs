@@ -12,9 +12,9 @@ use std::sync::Arc;
 
 use num_bigint::BigUint;
 use sdb_crypto::rowid::EncryptedRowId;
-use sdb_crypto::share::decrypt_value;
+use sdb_crypto::share::decrypt_lanes;
 use sdb_crypto::{ColumnKey, EqualityTagger, ItemKeyMemo, RowIdGenerator, SignedCodec, SystemKey};
-use sdb_engine::secure::OracleRow;
+use sdb_engine::secure::{OracleRequestKind, OracleRows};
 use sdb_engine::{OracleRequest, OracleResponse, OracleResult, SdbOracle};
 use sdb_storage::Value;
 
@@ -62,12 +62,31 @@ impl OracleParts {
         row_ids: impl Iterator<Item = &'r EncryptedRowId>,
         session: &QuerySession,
     ) -> sdb_crypto::Result<Vec<BigUint>> {
-        let row_ids = row_ids
-            .map(|row_id| self.row_ids.decrypt(row_id).map(|rid| rid.0))
-            .collect::<sdb_crypto::Result<Vec<_>>>()?;
+        let row_ids = self.decrypt_row_ids(row_ids)?;
         let (item_keys, counts) = self.memo.item_keys(&self.system, key, &row_ids);
         session.count_item_keys(counts);
         Ok(item_keys)
+    }
+
+    /// [`Self::row_keyed`] in Montgomery form, as a lane
+    /// ([`ItemKeyMemo::item_key_lanes`]).
+    fn row_keyed_lanes(
+        &self,
+        key: &ColumnKey,
+        row_ids: &[EncryptedRowId],
+        session: &QuerySession,
+    ) -> sdb_crypto::Result<Vec<u64>> {
+        let row_ids = self.decrypt_row_ids(row_ids.iter())?;
+        let (item_keys, counts) = self.memo.item_key_lanes(&self.system, key, &row_ids);
+        session.count_item_keys(counts);
+        Ok(item_keys)
+    }
+
+    fn decrypt_row_ids<'r>(
+        &self,
+        row_ids: impl Iterator<Item = &'r EncryptedRowId>,
+    ) -> sdb_crypto::Result<Vec<BigUint>> {
+        (row_ids.map(|row_id| self.row_ids.decrypt(row_id).map(|rid| rid.0))).collect()
     }
 }
 
@@ -96,15 +115,26 @@ impl ProxyOracle {
         ProxyOracle { parts, session }
     }
 
-    /// The item key of every row of a request: for a row-keyed handle, all
-    /// of them in one call from the rows' decrypted row ids.
-    fn item_keys(&self, handle: &HandleKey, rows: &[OracleRow]) -> Result<Vec<BigUint>, String> {
-        match handle {
+    /// The residues of a request's shares, decrypted a lane at a time
+    /// (`limbs(n)` limbs a row): under the rows' item keys in Montgomery
+    /// form for a row-keyed handle, all of them from one memo call, or under
+    /// the handle's one key.
+    fn residues(&self, handle: &HandleKey, rows: &OracleRows) -> Result<Vec<u64>, String> {
+        let system = &self.parts.system;
+        let item_keys = match handle {
             HandleKey::RowKeyed { key, .. } => (self.parts)
-                .row_keyed(key, rows.iter().map(|row| &row.row_id), &self.session)
-                .map_err(|e| format!("row id decryption failed: {e}")),
-            HandleKey::RowIndependent { item_key, .. } => Ok(vec![item_key.clone(); rows.len()]),
-        }
+                .row_keyed_lanes(key, rows.row_ids(), &self.session)
+                .map_err(|e| format!("row id decryption failed: {e}"))?,
+            HandleKey::RowIndependent { item_key, .. } => system.modulus().mont_row(item_key),
+        };
+        let shares = rows.shares();
+        Ok(decrypt_lanes(
+            system,
+            rows.len(),
+            shares.width(),
+            shares.words(),
+            &item_keys,
+        ))
     }
 
     fn decode_of(handle: &HandleKey) -> PlainType {
@@ -136,57 +166,47 @@ impl SdbOracle for ProxyOracle {
             .handle(&request.handle)
             .map_err(|e| e.to_string())?;
         self.session.count_oracle_request(request.rows.len());
-        let item_keys = self.item_keys(&handle, &request.rows)?;
-        let rows = request.rows.iter().zip(&item_keys);
+        let residues = self.residues(&handle, &request.rows)?;
         let OracleParts {
             system,
             codec,
             tagger,
             ..
         } = &*self.parts;
+        let residues = residues.chunks_exact(system.modulus().lane_limbs());
+        let decode = |residue: &[u64]| {
+            codec
+                .decode_limbs(residue)
+                .map_err(|e| format!("decoding failed: {e}"))
+        };
 
         match request.kind {
-            sdb_engine::secure::OracleRequestKind::Sign => {
-                let mut signs = Vec::with_capacity(request.rows.len());
-                for (row, ik) in rows {
-                    let residue = decrypt_value(system, &row.share, ik);
-                    signs.push(codec.sign(&residue));
-                }
-                Ok(OracleResponse::Signs(signs))
-            }
-            sdb_engine::secure::OracleRequestKind::GroupTag => {
-                let decode = Self::decode_of(&handle);
+            OracleRequestKind::Sign => Ok(OracleResponse::Signs(
+                residues.map(|residue| codec.sign_limbs(residue)).collect(),
+            )),
+            OracleRequestKind::GroupTag => {
+                let decode_as = Self::decode_of(&handle);
+                let domain = match decode_as {
+                    PlainType::Date => "sdb:date",
+                    _ => "sdb:num",
+                };
                 let mut tags = Vec::with_capacity(request.rows.len());
-                for (row, ik) in rows {
-                    let residue = decrypt_value(system, &row.share, ik);
-                    let units = codec
-                        .decode(&residue)
-                        .map_err(|e| format!("decoding failed: {e}"))?;
-                    let domain = match decode {
-                        PlainType::Date => "sdb:date",
-                        _ => "sdb:num",
-                    };
+                for residue in residues {
+                    let units = decode(residue)?;
                     let tag = tagger.tag_i128(domain, units);
-                    self.session.record_tag(tag, decode_units(units, decode));
+                    self.session.record_tag(tag, decode_units(units, decode_as));
                     tags.push(tag);
                 }
                 Ok(OracleResponse::Tags(tags))
             }
-            sdb_engine::secure::OracleRequestKind::Rank => {
+            OracleRequestKind::Rank => {
                 // Ranks are *opaque* order surrogates: the proxy decrypts the whole
                 // batch, sorts the distinct values, and hands back dense ranks drawn
                 // from a block reserved for this request. The SP learns only the
                 // relative order within the batch (the leakage MIN/MAX/ORDER BY over
                 // sensitive data requires) and cannot invert a rank to a value.
-                let decode = Self::decode_of(&handle);
-                let mut units_per_row = Vec::with_capacity(request.rows.len());
-                for (row, ik) in rows {
-                    let residue = decrypt_value(system, &row.share, ik);
-                    let units = codec
-                        .decode(&residue)
-                        .map_err(|e| format!("decoding failed: {e}"))?;
-                    units_per_row.push(units);
-                }
+                let decode_as = Self::decode_of(&handle);
+                let units_per_row = residues.map(decode).collect::<Result<Vec<i128>, _>>()?;
                 let mut distinct: Vec<i128> = units_per_row.clone();
                 distinct.sort_unstable();
                 distinct.dedup();
@@ -199,7 +219,8 @@ impl SdbOracle for ProxyOracle {
                             .expect("value came from the same batch")
                             as u64;
                         let rank = base + position;
-                        self.session.record_rank(rank, decode_units(*units, decode));
+                        self.session
+                            .record_rank(rank, decode_units(*units, decode_as));
                         rank
                     })
                     .collect();
@@ -217,7 +238,6 @@ mod tests {
     use rand::SeedableRng;
     use sdb_crypto::share::{encrypt_value, gen_item_key};
     use sdb_crypto::KeyConfig;
-    use sdb_engine::secure::OracleRequestKind;
 
     struct Setup {
         keystore: KeyStore,
@@ -240,7 +260,11 @@ mod tests {
 
     /// Encrypts `value` in a fresh row under a fresh column key, registers a handle,
     /// and returns the oracle row plus the handle.
-    fn encrypted_row(setup: &mut Setup, value: i64, decode: PlainType) -> (OracleRow, String) {
+    fn encrypted_row(
+        setup: &mut Setup,
+        value: i64,
+        decode: PlainType,
+    ) -> ((EncryptedRowId, BigUint), String) {
         let system = setup.keystore.system().clone();
         let codec = SignedCodec::new(&system);
         let key = system.gen_column_key(&mut setup.rng);
@@ -257,28 +281,22 @@ mod tests {
         let handle = setup
             .session
             .register_handle(HandleKey::RowKeyed { key, decode });
-        (
-            OracleRow {
-                row_id: enc_rid,
-                share,
-            },
-            handle,
-        )
+        ((enc_rid, share), handle)
     }
 
     #[test]
     fn sign_resolution_with_blinding() {
         let mut s = setup();
         for (value, expected) in [(42i64, 1i8), (-17, -1), (0, 0)] {
-            let (mut row, handle) = encrypted_row(&mut s, value, PlainType::Int);
+            let ((row_id, share), handle) = encrypted_row(&mut s, value, PlainType::Int);
             // Simulate the SP's blinding: multiply the share by a positive factor.
-            row.share = row.share * BigUint::from(12_345u32) % s.keystore.system().n();
+            let share = share * BigUint::from(12_345u32) % s.keystore.system().n();
             let response = s
                 .oracle
                 .resolve(OracleRequest {
                     kind: OracleRequestKind::Sign,
                     handle,
-                    rows: vec![row],
+                    rows: [(row_id, share)].into_iter().collect(),
                 })
                 .unwrap();
             assert_eq!(
@@ -296,19 +314,18 @@ mod tests {
         let (row_a, handle_a) = encrypted_row(&mut s, 7, PlainType::Int);
         let (row_b, handle_b) = encrypted_row(&mut s, 7, PlainType::Int);
         let (row_c, handle_c) = encrypted_row(&mut s, 9, PlainType::Int);
-        let tag_of = |oracle: &ProxyOracle, row: OracleRow, handle: String| -> u64 {
-            match oracle
+        let tag_of =
+            |oracle: &ProxyOracle, row: (EncryptedRowId, BigUint), handle: String| match oracle
                 .resolve(OracleRequest {
                     kind: OracleRequestKind::GroupTag,
                     handle,
-                    rows: vec![row],
+                    rows: [row].into_iter().collect(),
                 })
                 .unwrap()
             {
                 OracleResponse::Tags(t) => t[0],
                 other => panic!("unexpected {other:?}"),
-            }
-        };
+            };
         let ta = tag_of(&s.oracle, row_a, handle_a);
         let tb = tag_of(&s.oracle, row_b, handle_b);
         let tc = tag_of(&s.oracle, row_c, handle_c);
@@ -332,7 +349,7 @@ mod tests {
                 .resolve(OracleRequest {
                     kind: OracleRequestKind::Rank,
                     handle,
-                    rows: vec![row],
+                    rows: [row].into_iter().collect(),
                 })
                 .unwrap()
             {
@@ -359,7 +376,7 @@ mod tests {
         let err = s.oracle.resolve(OracleRequest {
             kind: OracleRequestKind::Sign,
             handle: "h999".into(),
-            rows: vec![row],
+            rows: [row].into_iter().collect(),
         });
         assert!(err.is_err());
     }

@@ -13,10 +13,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use sdb_crypto::{ItemKeyMemo, KeyConfig, KeyUpdateMemo};
+use sdb_crypto::{DoRng, Drbg, ItemKeyMemo, KeyConfig, KeyUpdateMemo};
 use sdb_engine::ServerStatement;
 use sdb_sql::{parse_sql, Lexer, Query, Statement, Token};
 use sdb_storage::{RecordBatch, Table, Value};
@@ -127,6 +127,10 @@ pub struct SdbProxy {
     keystore: KeyStore,
     metas: BTreeMap<String, TableMeta>,
     query_counter: AtomicU64,
+    /// The OS-keyed generator every query's and INSERT's draws come from,
+    /// for a proxy built by [`SdbProxy::from_entropy`]; a seeded proxy
+    /// derives them from its key store's fixture seed.
+    drbg: Option<Mutex<Drbg>>,
     /// What every query's rewrite, oracle and decryption would otherwise
     /// rebuild from the key store: `n` in decimal, the key-update memo, the
     /// oracle's parts (with the item-key memo) and the decryptor sharing
@@ -154,7 +158,20 @@ impl SdbProxy {
     /// Creates a proxy with fresh key material under the given parameter profile.
     /// `seed` makes key generation deterministic for tests and benches.
     pub fn new(config: KeyConfig, seed: u64) -> Result<Self> {
-        let keystore = KeyStore::generate(config, seed)?;
+        SdbProxy::with_keystore(KeyStore::generate(config, seed)?, None)
+    }
+
+    /// Creates a proxy whose every secret comes from a DRBG keyed by the
+    /// operating system ([`Drbg::from_os`]): the key store, and each query's
+    /// key draws and INSERT row ids after it. Fails when the OS has no
+    /// entropy to give.
+    pub fn from_entropy(config: KeyConfig) -> Result<Self> {
+        let mut drbg = Drbg::from_os()?;
+        let keystore = KeyStore::generate_with(config, &mut drbg)?;
+        SdbProxy::with_keystore(keystore, Some(Mutex::new(drbg)))
+    }
+
+    fn with_keystore(keystore: KeyStore, drbg: Option<Mutex<Drbg>>) -> Result<Self> {
         let oracle_parts = Arc::new(OracleParts::new(&keystore));
         Ok(SdbProxy {
             n_text: keystore.system().n().to_string(),
@@ -164,8 +181,19 @@ impl SdbProxy {
             keystore,
             metas: BTreeMap::new(),
             query_counter: AtomicU64::new(0),
+            drbg,
             shapes: ShapeCache::default(),
         })
+    }
+
+    /// The generator of one query or INSERT: a fork of the DRBG, or for a
+    /// seeded proxy the key store's stream under `salt` and the task count.
+    fn task_rng(&self, salt: u64) -> DoRng {
+        let task = self.query_counter.fetch_add(1, Ordering::Relaxed);
+        match &self.drbg {
+            Some(drbg) => DoRng::Drbg(drbg.lock().unwrap_or_else(PoisonError::into_inner).fork()),
+            None => DoRng::Seeded(self.keystore.derived_rng(salt ^ task)),
+        }
     }
 
     /// The key store (e.g. to inspect its size, demo step 1).
@@ -231,9 +259,7 @@ impl SdbProxy {
                 name: table.to_string(),
             }
         })?;
-        let mut rng = self
-            .keystore
-            .derived_rng(0x175e7 ^ self.query_counter.fetch_add(1, Ordering::Relaxed));
+        let mut rng = self.task_rng(0x175e7);
         let encrypted = Encryptor::encrypt_rows(&self.keystore, meta, rows, &mut rng)?;
         let columns = self.keystore.table_keys(&meta.name)?.columns.len();
         (self.oracle_parts.memo()).grow(rows.len() * (columns + 1));
@@ -268,14 +294,13 @@ impl SdbProxy {
 
         let rewrite_started = Instant::now();
         let session = Arc::new(QuerySession::new());
-        let seed = self.query_counter.fetch_add(1, Ordering::Relaxed);
         let rewriter = Rewriter::new(
             &self.keystore,
             &self.metas,
             &self.key_updates,
             &self.n_text,
             session.clone(),
-            self.keystore.derived_rng(0xc0ffee ^ seed),
+            self.task_rng(0xc0ffee),
         );
         let output = rewriter.rewrite_query(&query)?;
         let rewrite_time = rewrite_started.elapsed();
@@ -309,8 +334,7 @@ impl SdbProxy {
     fn replay(&self, sql: &str, shape: Arc<Shape>) -> Result<RewrittenQuery> {
         let started = Instant::now();
         let session = Arc::new(QuerySession::new());
-        let seed = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        let mut rng = self.keystore.derived_rng(0xc0ffee ^ seed);
+        let mut rng = self.task_rng(0xc0ffee);
         let tape = shape.tape();
         let (keys, draws) = tape.replay(self.keystore.system(), &mut rng, &self.key_updates)?;
         tape.register_handles(&keys, &session);
@@ -398,6 +422,52 @@ mod tests {
             decrypt: Duration::from_micros(3),
         };
         assert!(cost.total() >= cost.decrypt);
+    }
+
+    /// The stock profiles' seed: anyone holding the code regenerates the
+    /// key store of a proxy built from it.
+    const STOCK_SEED: u64 = 0x5db;
+
+    /// Whether `keystore` is the one the stock seed generates: same `n`,
+    /// same secret `φ(n)`.
+    fn from_stock_seed(keystore: &KeyStore) -> bool {
+        let stock = KeyStore::generate(keystore.system().config(), STOCK_SEED).unwrap();
+        stock.system().n() == keystore.system().n()
+            || stock.system().phi() == keystore.system().phi()
+    }
+
+    /// Entropy-keyed proxies share no modulus with each other or with the
+    /// stock seed's key store — and a proxy planted on the stock seed is
+    /// caught by the same check.
+    #[test]
+    fn entropy_keyed_proxies_are_not_the_stock_seeds() {
+        let a = SdbProxy::from_entropy(KeyConfig::TEST).unwrap();
+        let b = SdbProxy::from_entropy(KeyConfig::TEST).unwrap();
+        assert_ne!(a.keystore().system().n(), b.keystore().system().n());
+        assert!(!from_stock_seed(a.keystore()));
+        assert!(!from_stock_seed(b.keystore()));
+        let planted = SdbProxy::new(KeyConfig::TEST, STOCK_SEED).unwrap();
+        assert!(from_stock_seed(planted.keystore()));
+    }
+
+    /// An entropy-keyed proxy's per-query and INSERT generators are forks of
+    /// its DRBG, not the key store's seeded stream under the task's salt: a
+    /// seeded proxy's first rewrite draws from `derived_rng(0xc0ffee ^ 0)`,
+    /// an entropy-keyed one's does not, and two of its tasks differ.
+    #[test]
+    fn entropy_keyed_tasks_draw_from_the_drbg() {
+        let words =
+            |rng: &mut dyn rand::RngCore| -> Vec<u64> { (0..4).map(|_| rng.next_u64()).collect() };
+        let seeded = SdbProxy::new(KeyConfig::TEST, 5).unwrap();
+        assert_eq!(
+            words(&mut seeded.task_rng(0xc0ffee)),
+            words(&mut seeded.keystore().derived_rng(0xc0ffee))
+        );
+        let proxy = SdbProxy::from_entropy(KeyConfig::TEST).unwrap();
+        let first = words(&mut proxy.task_rng(0xc0ffee));
+        assert_ne!(first, words(&mut proxy.keystore().derived_rng(0xc0ffee)));
+        assert_ne!(first, words(&mut proxy.task_rng(0xc0ffee)));
+        assert!(matches!(proxy.task_rng(0x175e7), DoRng::Drbg(_)));
     }
 
     /// Rewrites fill the DO's key-update memo, not the key store: its JSON

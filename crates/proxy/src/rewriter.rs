@@ -27,9 +27,8 @@ use std::sync::Arc;
 
 use num_bigint::BigUint;
 use num_traits::One;
-use rand::rngs::StdRng;
 
-use sdb_crypto::{ColumnKey, KeyUpdateMemo};
+use sdb_crypto::{ColumnKey, DoRng, KeyUpdateMemo};
 use sdb_engine::secure::oracle_fns;
 use sdb_sql::ast::{
     is_aggregate_name, BinaryOp, Expr, JoinClause, Literal, OrderItem, Query, SelectItem, UnaryOp,
@@ -96,7 +95,7 @@ pub struct Rewriter<'a> {
     metas: &'a BTreeMap<String, TableMeta>,
     key_updates: &'a KeyUpdateMemo,
     session: Arc<QuerySession>,
-    rng: RefCell<StdRng>,
+    rng: RefCell<DoRng>,
     n_str: &'a str,
     /// Every key the rewrite uses is made through the tape.
     tape: RefCell<TapeRecorder>,
@@ -129,14 +128,14 @@ impl<'a> Rewriter<'a> {
         key_updates: &'a KeyUpdateMemo,
         n_str: &'a str,
         session: Arc<QuerySession>,
-        rng: StdRng,
+        rng: impl Into<DoRng>,
     ) -> Self {
         Rewriter {
             keystore,
             metas,
             key_updates,
             session,
-            rng: RefCell::new(rng),
+            rng: RefCell::new(rng.into()),
             n_str,
             tape: RefCell::new(TapeRecorder::default()),
         }
@@ -1462,6 +1461,7 @@ fn scaled_plain_type(scale: u8) -> PlainType {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sdb_crypto::KeyConfig;
     use sdb_sql::{parse_sql, Statement};

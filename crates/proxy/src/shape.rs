@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use num_bigint::BigUint;
 use parking_lot::{Mutex, RwLock};
-use rand::rngs::StdRng;
+use sdb_crypto::DoRng;
 
 use sdb_crypto::share::ColumnKeyAlgebra;
 use sdb_crypto::{mod_inverse_batch, ColumnKey, KeyUpdateMemo, SystemKey};
@@ -67,7 +67,7 @@ enum KeyStep {
 
 impl KeyStep {
     /// The key this step yields, given the keys of the steps before it.
-    fn run(&self, keys: &[ColumnKey], system: &SystemKey, rng: &mut StdRng) -> ColumnKey {
+    fn run(&self, keys: &[ColumnKey], system: &SystemKey, rng: &mut DoRng) -> ColumnKey {
         match self {
             KeyStep::Stored(key) => key.clone(),
             KeyStep::Fresh => system.gen_column_key(rng),
@@ -130,7 +130,7 @@ impl Tape {
     pub(crate) fn replay(
         &self,
         system: &SystemKey,
-        rng: &mut StdRng,
+        rng: &mut DoRng,
         memo: &KeyUpdateMemo,
     ) -> Result<(Vec<ColumnKey>, Vec<String>)> {
         let mut keys = Vec::with_capacity(self.steps.len());
@@ -232,7 +232,7 @@ pub(crate) struct TapeRecorder {
 }
 
 impl TapeRecorder {
-    fn step(&mut self, step: KeyStep, system: &SystemKey, rng: &mut StdRng) -> usize {
+    fn step(&mut self, step: KeyStep, system: &SystemKey, rng: &mut DoRng) -> usize {
         let key = step.run(&self.keys, system, rng);
         self.tape.steps.push(step);
         self.keys.push(key);
@@ -240,17 +240,17 @@ impl TapeRecorder {
     }
 
     /// A key read from the key store.
-    pub(crate) fn stored(&mut self, key: ColumnKey, system: &SystemKey, rng: &mut StdRng) -> usize {
+    pub(crate) fn stored(&mut self, key: ColumnKey, system: &SystemKey, rng: &mut DoRng) -> usize {
         self.step(KeyStep::Stored(key), system, rng)
     }
 
     /// A fresh column key.
-    pub(crate) fn fresh(&mut self, system: &SystemKey, rng: &mut StdRng) -> usize {
+    pub(crate) fn fresh(&mut self, system: &SystemKey, rng: &mut DoRng) -> usize {
         self.step(KeyStep::Fresh, system, rng)
     }
 
     /// A fresh row-independent target key.
-    pub(crate) fn fresh_row_independent(&mut self, system: &SystemKey, rng: &mut StdRng) -> usize {
+    pub(crate) fn fresh_row_independent(&mut self, system: &SystemKey, rng: &mut DoRng) -> usize {
         self.step(KeyStep::FreshRowIndependent, system, rng)
     }
 
@@ -260,7 +260,7 @@ impl TapeRecorder {
         a: usize,
         b: usize,
         system: &SystemKey,
-        rng: &mut StdRng,
+        rng: &mut DoRng,
     ) -> usize {
         self.step(KeyStep::Multiply(a, b), system, rng)
     }
@@ -271,7 +271,7 @@ impl TapeRecorder {
         a: usize,
         c: &BigUint,
         system: &SystemKey,
-        rng: &mut StdRng,
+        rng: &mut DoRng,
     ) -> usize {
         self.step(KeyStep::Scale(a, c.clone()), system, rng)
     }

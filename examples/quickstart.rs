@@ -30,7 +30,8 @@ fn figure1() {
 
 fn rewriting_example() -> sdb::Result<()> {
     println!("=== Paper §2.2: SELECT A * B AS C FROM T ===");
-    let mut client = SdbClient::new(SdbConfig::test_profile())?;
+    // Keys from the OS: the profiles alone are fixtures keyed by a public seed.
+    let mut client = SdbClient::new(SdbConfig::test_profile().entropy_keyed())?;
     client.execute("CREATE TABLE t (id INT, a INT SENSITIVE, b INT SENSITIVE)")?;
     client.execute("INSERT INTO t VALUES (1, 6, 7), (2, 21, 2), (3, -5, 9)")?;
     client.upload_all()?;

@@ -14,7 +14,7 @@ use sdb::wire::WireMessageKind;
 use sdb::{SdbClient, SdbConfig};
 use sdb_crypto::share::{encrypt_value, gen_item_key};
 use sdb_crypto::{RowId, SignedCodec};
-use sdb_engine::secure::{OracleRequest, OracleRequestKind, OracleResponse, OracleRow};
+use sdb_engine::secure::{OracleRequest, OracleRequestKind, OracleResponse};
 use sdb_engine::{QueryOptions, SdbOracle};
 use sdb_proxy::meta::PlainType;
 use sdb_proxy::session::HandleKey;
@@ -334,10 +334,7 @@ fn a_tampered_row_id_of_a_memoised_row_still_fails() {
     let request = OracleRequest {
         kind: OracleRequestKind::Sign,
         handle,
-        rows: vec![OracleRow {
-            row_id: tampered,
-            share: BigUint::from(1u32),
-        }],
+        rows: [(tampered, BigUint::from(1u32))].into_iter().collect(),
     };
     assert_eq!(proxy.oracle(&rewritten).resolve(request), Err(expected));
 }
@@ -377,10 +374,8 @@ fn a_tiny_upload_forces_whole_x_eviction_and_answers_stay_exact() {
         .map(|&v| {
             let rid = RowId(system.gen_row_id(&mut rng));
             let item_key = gen_item_key(&system, &key, rid.value());
-            OracleRow {
-                row_id: row_ids.encrypt(&mut rng, &rid),
-                share: encrypt_value(&system, &codec.encode(i128::from(v)).unwrap(), &item_key),
-            }
+            let share = encrypt_value(&system, &codec.encode(i128::from(v)).unwrap(), &item_key);
+            (row_ids.encrypt(&mut rng, &rid), share)
         })
         .collect();
     let response = proxy.oracle(&rewritten).resolve(OracleRequest {
