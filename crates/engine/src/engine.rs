@@ -64,9 +64,6 @@ pub struct QueryOptions {
     /// sessions each carry their own oracle here, so one session's
     /// connect/disconnect can never swap another's mid-query.
     pub oracle: Option<OracleRef>,
-    /// Seed of this query's comparison-blinding RNGs ([`ExecConfig::rng_seed`]):
-    /// a seeded query ships the same blinded shares every run (tests only).
-    pub rng_seed: Option<u64>,
 }
 
 impl std::fmt::Debug for QueryOptions {
@@ -78,7 +75,6 @@ impl std::fmt::Debug for QueryOptions {
             .field("parallelism", &self.parallelism)
             .field("tracing", &self.tracing)
             .field("oracle", &self.oracle.as_ref().map(|_| ".."))
-            .field("rng_seed", &self.rng_seed)
             .finish()
     }
 }
@@ -117,12 +113,6 @@ impl QueryOptions {
     /// Sets this query's oracle (overrides the engine-wide slot).
     pub fn with_oracle(mut self, oracle: OracleRef) -> Self {
         self.oracle = Some(oracle);
-        self
-    }
-
-    /// Seeds this query's comparison-blinding RNGs.
-    pub fn with_rng_seed(mut self, seed: u64) -> Self {
-        self.rng_seed = Some(seed);
         self
     }
 }
@@ -660,9 +650,6 @@ impl SpEngine {
         }
         if let Some(tracing) = opts.tracing {
             config.tracing = tracing;
-        }
-        if opts.rng_seed.is_some() {
-            config.rng_seed = opts.rng_seed;
         }
         ExecContext::new(
             &self.catalog,

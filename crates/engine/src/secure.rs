@@ -328,17 +328,6 @@ pub fn parse_biguint_arg(name: &str, text: &str) -> Result<BigUint> {
     })
 }
 
-/// Converts a sign (−1/0/+1) into the boolean outcome of a comparison operator.
-pub fn sign_to_bool(op: &str, sign: i8) -> Result<bool> {
-    match CmpOp::parse(op) {
-        Some(cmp) => Ok(cmp.holds(sign)),
-        None => Err(EngineError::UdfInvocation {
-            name: op.to_string(),
-            detail: "not a comparison oracle function".into(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,14 +461,15 @@ mod tests {
 
     #[test]
     fn sign_to_bool_semantics() {
-        assert!(sign_to_bool("SDB_CMP_GT", 1).unwrap());
-        assert!(!sign_to_bool("SDB_CMP_GT", 0).unwrap());
-        assert!(sign_to_bool("SDB_CMP_GE", 0).unwrap());
-        assert!(sign_to_bool("SDB_CMP_LT", -1).unwrap());
-        assert!(sign_to_bool("SDB_CMP_LE", -1).unwrap());
-        assert!(sign_to_bool("SDB_CMP_EQ", 0).unwrap());
-        assert!(sign_to_bool("SDB_CMP_NE", 1).unwrap());
-        assert!(sign_to_bool("SDB_MULTIPLY", 0).is_err());
+        let holds = |name: &str, sign: i8| CmpOp::parse(name).map(|cmp| cmp.holds(sign));
+        assert_eq!(holds("SDB_CMP_GT", 1), Some(true));
+        assert_eq!(holds("SDB_CMP_GT", 0), Some(false));
+        assert_eq!(holds("SDB_CMP_GE", 0), Some(true));
+        assert_eq!(holds("SDB_CMP_LT", -1), Some(true));
+        assert_eq!(holds("SDB_CMP_LE", -1), Some(true));
+        assert_eq!(holds("SDB_CMP_EQ", 0), Some(true));
+        assert_eq!(holds("SDB_CMP_NE", 1), Some(true));
+        assert_eq!(holds("SDB_MULTIPLY", 0), None);
     }
 
     #[test]

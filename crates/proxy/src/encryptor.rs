@@ -25,7 +25,7 @@ use sdb_crypto::batch::{encrypt_values, gen_item_keys};
 #[cfg(test)]
 use sdb_crypto::share::{encrypt_value, gen_item_key};
 use sdb_crypto::sies::SiesCiphertext;
-use sdb_crypto::{EncryptedRowId, RowId, SignedCodec};
+use sdb_crypto::{DoRng, Drbg, EncryptedRowId, RowId, SignedCodec};
 use sdb_storage::{ColumnDef, DataType, Schema, Sensitivity, Table, Value};
 
 use crate::keystore::KeyStore;
@@ -87,10 +87,16 @@ pub struct Encryptor;
 impl Encryptor {
     /// Encrypts `table` (whose schema carries the sensitivity choices) and registers
     /// the necessary keys in `keystore`.
+    ///
+    /// The column keys, row ids and nonces are drawn from forks of `drbg`
+    /// when one is given (an entropy-keyed proxy), else from the key
+    /// store's fixture seed ([`KeyStore::derived_rng`] under the table's
+    /// name), which makes a seeded upload reproducible.
     pub fn encrypt_table(
         keystore: &mut KeyStore,
         table: &Table,
         options: UploadOptions,
+        mut drbg: Option<&mut Drbg>,
     ) -> Result<EncryptedUpload> {
         let started = Instant::now();
         let meta = TableMeta::from_schema(table.name(), table.schema());
@@ -108,7 +114,12 @@ impl Encryptor {
             .filter(|c| c.is_numeric_sensitive())
             .map(|c| c.name.clone())
             .collect();
-        let mut rng = keystore.derived_rng(fxhash(table.name()));
+        let salt = fxhash(table.name());
+        let mut rng_for = |keystore: &KeyStore, salt: u64| match drbg.as_deref_mut() {
+            Some(drbg) => DoRng::Drbg(drbg.fork()),
+            None => DoRng::Seeded(keystore.derived_rng(salt)),
+        };
+        let mut rng = rng_for(keystore, salt);
         keystore.register_table(&mut rng, table.name(), &numeric_sensitive)?;
 
         let physical_schema = physical_schema(&meta);
@@ -119,7 +130,7 @@ impl Encryptor {
         let threads = options.threads.max(1).min(rows.len().max(1));
 
         let encrypted_rows: Vec<Vec<Value>> = if threads <= 1 || rows.len() < 64 {
-            let mut worker_rng = keystore.derived_rng(fxhash(table.name()) ^ 1);
+            let mut worker_rng = rng_for(keystore, salt ^ 1);
             encrypt_rows_batched(keystore, &meta, &rows, &mut worker_rng)?
         } else {
             let chunk_size = rows.len().div_ceil(threads);
@@ -130,9 +141,9 @@ impl Encryptor {
             std::thread::scope(|scope| {
                 let mut handles = Vec::new();
                 for (i, chunk) in chunks.iter().enumerate() {
+                    let salt = fxhash(&meta_ref.name) ^ (i as u64 + 2);
+                    let mut worker_rng = rng_for(keystore_ref, salt);
                     handles.push(scope.spawn(move || {
-                        let mut worker_rng = keystore_ref
-                            .derived_rng(fxhash(meta_ref.name.as_str()) ^ (i as u64 + 2));
                         encrypt_rows_batched(keystore_ref, meta_ref, chunk, &mut worker_rng)
                     }));
                 }
@@ -517,7 +528,7 @@ mod tests {
 
     fn upload(options: UploadOptions) -> (KeyStore, EncryptedUpload) {
         let mut ks = KeyStore::generate(KeyConfig::TEST, 11).unwrap();
-        let up = Encryptor::encrypt_table(&mut ks, &sample_table(), options).unwrap();
+        let up = Encryptor::encrypt_table(&mut ks, &sample_table(), options, None).unwrap();
         (ks, up)
     }
 
@@ -659,7 +670,7 @@ mod tests {
                 .unwrap();
         }
         let mut ks = KeyStore::generate(KeyConfig::TEST, 13).unwrap();
-        let up = Encryptor::encrypt_table(&mut ks, &t, UploadOptions { threads: 4 }).unwrap();
+        let up = Encryptor::encrypt_table(&mut ks, &t, UploadOptions { threads: 4 }, None).unwrap();
         assert_eq!(up.table.num_rows(), 300);
 
         // Spot-check decryption of a few rows.
@@ -737,6 +748,52 @@ mod tests {
         );
     }
 
+    /// With a DRBG, an upload's column keys and row ids come from its forks,
+    /// not from the key store's fixture seed: two seeded uploads from one
+    /// key store agree (so the comparison can see a seeded draw), a DRBG
+    /// upload shares no key and no row id with them, on the sequential and
+    /// the threaded path.
+    #[test]
+    fn a_drbg_upload_draws_nothing_from_the_fixture_seed() {
+        let mut table = Table::new(
+            "wide",
+            Schema::new(vec![ColumnDef::sensitive("v", DataType::Int)]),
+        );
+        for i in 0..100 {
+            table.insert_row(vec![Value::Int(i)]).unwrap();
+        }
+        let base = KeyStore::generate(KeyConfig::TEST, 11).unwrap();
+        let mut drbg = Drbg::new([7; 32]);
+        for threads in [1, 4] {
+            let upload = |drbg: Option<&mut Drbg>| {
+                let mut ks = base.clone();
+                let options = UploadOptions { threads };
+                let up = Encryptor::encrypt_table(&mut ks, &table, options, drbg).unwrap();
+                let key = ks.column_key("wide", "v").unwrap().clone();
+                let row_ids = up
+                    .table
+                    .scan()
+                    .column_by_name(ROW_ID_COLUMN)
+                    .unwrap()
+                    .clone();
+                (
+                    key,
+                    (0..100)
+                        .map(|row| row_ids.value(row).into_owned())
+                        .collect::<Vec<_>>(),
+                )
+            };
+            let (seeded_key, seeded_ids) = upload(None);
+            assert_eq!(upload(None), (seeded_key.clone(), seeded_ids.clone()));
+            let (key, ids) = upload(Some(&mut drbg));
+            assert_ne!(key, seeded_key, "threads {threads}");
+            assert!(
+                ids.iter().all(|id| !seeded_ids.contains(id)),
+                "threads {threads}"
+            );
+        }
+    }
+
     #[test]
     fn rejects_sensitive_string_with_non_string_value() {
         let schema = Schema::new(vec![ColumnDef::sensitive("notes", DataType::Varchar)]);
@@ -745,6 +802,6 @@ mod tests {
         // through the untyped path by building the row vector manually.
         t.insert_row(vec![Value::Null]).unwrap();
         let mut ks = KeyStore::generate(KeyConfig::TEST, 17).unwrap();
-        assert!(Encryptor::encrypt_table(&mut ks, &t, UploadOptions::default()).is_ok());
+        assert!(Encryptor::encrypt_table(&mut ks, &t, UploadOptions::default(), None).is_ok());
     }
 }

@@ -127,9 +127,9 @@ pub struct SdbProxy {
     keystore: KeyStore,
     metas: BTreeMap<String, TableMeta>,
     query_counter: AtomicU64,
-    /// The OS-keyed generator every query's and INSERT's draws come from,
-    /// for a proxy built by [`SdbProxy::from_entropy`]; a seeded proxy
-    /// derives them from its key store's fixture seed.
+    /// The OS-keyed generator every upload's, query's and INSERT's draws
+    /// come from, for a proxy built by [`SdbProxy::from_entropy`]; a seeded
+    /// proxy derives them from its key store's fixture seed.
     drbg: Option<Mutex<Drbg>>,
     /// What every query's rewrite, oracle and decryption would otherwise
     /// rebuild from the key store: `n` in decimal, the key-update memo, the
@@ -162,9 +162,10 @@ impl SdbProxy {
     }
 
     /// Creates a proxy whose every secret comes from a DRBG keyed by the
-    /// operating system ([`Drbg::from_os`]): the key store, and each query's
-    /// key draws and INSERT row ids after it. Fails when the OS has no
-    /// entropy to give.
+    /// operating system ([`Drbg::from_os`]): the key store, and each
+    /// upload's column keys, row ids and nonces, each query's key draws and
+    /// each INSERT's row ids after it. Fails when the OS has no entropy to
+    /// give.
     pub fn from_entropy(config: KeyConfig) -> Result<Self> {
         let mut drbg = Drbg::from_os()?;
         let keystore = KeyStore::generate_with(config, &mut drbg)?;
@@ -236,7 +237,9 @@ impl SdbProxy {
         table: &Table,
         options: UploadOptions,
     ) -> Result<EncryptedUpload> {
-        let upload = Encryptor::encrypt_table(&mut self.keystore, table, options)?;
+        let drbg =
+            (self.drbg.as_mut()).map(|drbg| drbg.get_mut().unwrap_or_else(PoisonError::into_inner));
+        let upload = Encryptor::encrypt_table(&mut self.keystore, table, options, drbg)?;
         // The key store changed: every shape is rewritten afresh.
         self.shapes.clear();
         // The memo admits the table's stored keys and may hold an entry per

@@ -247,7 +247,6 @@ pub struct MetricsRegistry {
     oracle_round_trips: Counter,
     oracle_rows_shipped: Counter,
     oracle_rows_coalesced: Counter,
-    oracle_memo_hits: Counter,
     oracle_rtt: Histogram,
     // Key-update power memo.
     key_update_memo_hits: Counter,
@@ -359,7 +358,6 @@ impl MetricsRegistry {
                 .add(stats.oracle_rows_shipped as u64);
             self.oracle_rows_coalesced
                 .add(stats.oracle_rows_coalesced as u64);
-            self.oracle_memo_hits.add(stats.oracle_memo_hits as u64);
             self.key_update_memo_hits
                 .add(stats.key_update_memo_hits as u64);
             self.share_kernel_rows.add(stats.share_kernel_rows as u64);
@@ -392,7 +390,6 @@ impl MetricsRegistry {
             oracle_round_trips: self.oracle_round_trips.get(),
             oracle_rows_shipped: self.oracle_rows_shipped.get(),
             oracle_rows_coalesced: self.oracle_rows_coalesced.get(),
-            oracle_memo_hits: self.oracle_memo_hits.get(),
             oracle_rtt: self.oracle_rtt.snapshot(),
             key_update_memo_hits: self.key_update_memo_hits.get(),
             share_kernel_rows: self.share_kernel_rows.get(),
@@ -451,8 +448,6 @@ pub struct MetricsSnapshot {
     pub oracle_rows_shipped: u64,
     /// Operand rows coalesced across batches before an oracle call.
     pub oracle_rows_coalesced: u64,
-    /// Operand rows answered from the encrypted-value memo.
-    pub oracle_memo_hits: u64,
     /// Per-query mean oracle round-trip time (µs); one sample per query
     /// that made at least one trip.
     pub oracle_rtt: HistogramSnapshot,
@@ -503,7 +498,7 @@ impl MetricsSnapshot {
     /// `le="+Inf"`, plus `_sum` and `_count`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &str, u64); 22] = [
+        let counters: [(&str, &str, u64); 21] = [
             (
                 "sdb_queries_executed_total",
                 "Queries submitted (successful, cancelled or failed)",
@@ -558,11 +553,6 @@ impl MetricsSnapshot {
                 "sdb_oracle_rows_coalesced_total",
                 "Operand rows coalesced across batches before an oracle call",
                 self.oracle_rows_coalesced,
-            ),
-            (
-                "sdb_oracle_memo_hits_total",
-                "Operand rows answered from the encrypted-value memo",
-                self.oracle_memo_hits,
             ),
             (
                 "sdb_key_update_memo_hits_total",

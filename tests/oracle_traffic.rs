@@ -4,14 +4,21 @@
 //! For each query, unbudgeted and under a 64-byte memory budget (every
 //! blocking operator and every parked oracle input spills), the test counts
 //! the round trips, the rows and bytes `ExecutionStats` says were shipped,
-//! and the bytes of the oracle requests on the client's wire log. The
-//! proxy's fixture seed and the query's blinding seed fix every share, so
-//! the counts repeat exactly; a change that ships one more row, one more
-//! trip or one more byte fails here.
+//! and the bytes of the oracle requests on a wire log. The proxy's fixture
+//! seed and the context's blinding seed (`ExecConfig::rng_seed`) fix every
+//! share, so the counts repeat exactly; a change that ships one more row,
+//! one more trip or one more byte fails here. The rewritten query runs on
+//! the client's engine catalog through `execute_plan`, the proxy's oracle
+//! wrapped in the wire log as the client wraps it.
 
-use sdb::wire::WireMessageKind;
+use std::sync::Arc;
+
+use sdb::wire::{RecordingOracle, WireLog, WireMessageKind};
 use sdb::{SdbClient, SdbConfig};
-use sdb_engine::QueryOptions;
+use sdb_engine::planner::execute_plan;
+use sdb_engine::{ExecConfig, ExecContext, UdfRegistry};
+use sdb_sql::plan::PlanBuilder;
+use sdb_sql::{parse_sql, Statement};
 use sdb_storage::MemoryBudget;
 use sdb_workload::{generate_all, query_by_id, ScaleFactor, SensitivityProfile};
 
@@ -42,19 +49,42 @@ fn client() -> SdbClient {
     client
 }
 
-fn traffic(client: &SdbClient, options: &QueryOptions) -> Vec<Traffic> {
+fn traffic(client: &SdbClient, budget: MemoryBudget) -> Vec<Traffic> {
+    let registry = UdfRegistry::with_sdb_udfs();
     [1, 6, 18, 22]
         .into_iter()
         .map(|id| {
             let sql = query_by_id(id).expect("template").sql;
-            let before = client.wire().bytes_of_kind(WireMessageKind::OracleRequest);
-            let result = client.query_with(sql, options).expect("query");
-            let stats = &result.server_stats;
+            let rewritten = client.rewrite_only(sql).expect("rewrite");
+            let Statement::Query(query) = parse_sql(&rewritten.server_sql).expect("parse") else {
+                panic!("Q{id} rewrites to a query");
+            };
+            let plan = PlanBuilder::build(&query).expect("plan");
+            let log = WireLog::new();
+            let oracle = RecordingOracle::new(client.proxy().oracle(&rewritten), log.clone());
+            let config = ExecConfig {
+                parallelism: 1,
+                memory_budget: budget.clone(),
+                rng_seed: Some(11),
+                ..ExecConfig::default()
+            };
+            let catalog = client.engine().catalog();
+            let ctx = ExecContext::new(
+                catalog,
+                &registry,
+                Some(Arc::new(oracle)),
+                config,
+                None,
+                None,
+            );
+            let ctx = Arc::new(ctx);
+            execute_plan(&ctx, &plan).expect("query");
+            let stats = ctx.stats();
             (
                 stats.oracle_round_trips,
                 stats.oracle_rows_shipped,
                 stats.oracle_bytes_shipped,
-                client.wire().bytes_of_kind(WireMessageKind::OracleRequest) - before,
+                log.bytes_of_kind(WireMessageKind::OracleRequest),
             )
         })
         .collect()
@@ -63,11 +93,8 @@ fn traffic(client: &SdbClient, options: &QueryOptions) -> Vec<Traffic> {
 #[test]
 fn tpch_crypto_oracle_traffic_is_pinned() {
     let client = client();
-    let serial = QueryOptions::default()
-        .with_parallelism(1)
-        .with_rng_seed(11);
-    let unbudgeted = traffic(&client, &serial);
-    let budgeted = traffic(&client, &serial.with_memory_budget(MemoryBudget::bytes(64)));
+    let unbudgeted = traffic(&client, MemoryBudget::unlimited());
+    let budgeted = traffic(&client, MemoryBudget::bytes(64));
     assert_eq!(
         (unbudgeted.as_slice(), budgeted.as_slice()),
         (&UNBUDGETED[..], &BUDGETED[..])
