@@ -2,17 +2,21 @@
 //!
 //! The demo invites an attendee to inspect a memory dump of the SP while queries
 //! run and observe that sensitive data never appears in plaintext. This module is
-//! the automated version of that step: it collects every representation of the
-//! sensitive plaintexts the DO uploaded (raw renderings and the scaled integer
-//! units that actually get encrypted) and scans everything the SP ever holds —
-//! the stored catalog, intermediate and final (encrypted) results, and all wire
-//! traffic — for occurrences.
+//! the automated version of that step: the caller registers every representation
+//! of the sensitive plaintexts it uploaded or inserted (raw renderings and the
+//! scaled integer units that actually get encrypted) and scans everything the SP
+//! holds — the stored catalog, intermediate and final (encrypted) results, and
+//! the wire traffic a [`WireCapture`] kept — for occurrences. It is a test of the
+//! system, not a runtime defence: no client or server holds an auditor.
 
 use std::collections::BTreeSet;
 
 use num_bigint::BigUint;
 use sdb_crypto::wire;
+use sdb_storage::persist::CatalogSnapshot;
 use sdb_storage::{Table, Value};
+
+use crate::{SdbClient, WireCapture};
 
 /// A single place where a sensitive plaintext was found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,9 +49,6 @@ impl AuditReport {
 #[derive(Debug, Default, Clone)]
 pub struct MemoryAuditor {
     needles: BTreeSet<String>,
-    /// Magnitudes of the numeric needles; [`MemoryAuditor::audit`] renders
-    /// each in its wire form, so registering one stays an integer insert.
-    wire_units: BTreeSet<u64>,
 }
 
 impl MemoryAuditor {
@@ -56,24 +57,15 @@ impl MemoryAuditor {
         MemoryAuditor::default()
     }
 
-    /// Registers every sensitive value of `table` (per its schema's sensitivity
-    /// markers) as a needle. Short numeric values (fewer than 4 digits) are skipped
-    /// — they would produce meaningless matches against unrelated numbers such as
-    /// row counts — mirroring how the demo audience checks for *their* data, not
-    /// for every small integer.
+    /// Registers every value of `table`'s sensitive columns (per its
+    /// schema's sensitivity markers) with [`Self::register_value`].
     pub fn register_table(&mut self, table: &Table) {
-        let schema = table.schema();
-        let sensitive: Vec<usize> = schema
-            .columns()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.sensitivity.is_sensitive())
-            .map(|(i, _)| i)
-            .collect();
         let batch = table.scan();
-        for row in 0..batch.num_rows() {
-            for &col in &sensitive {
-                self.register_value(&batch.column(col).value(row));
+        for (col, def) in table.schema().columns().iter().enumerate() {
+            if def.sensitivity.is_sensitive() {
+                for row in 0..batch.num_rows() {
+                    self.register_value(&batch.column(col).value(row));
+                }
             }
         }
     }
@@ -91,8 +83,7 @@ impl MemoryAuditor {
     /// wire — the quoted base64 text of their magnitude (see
     /// [`sdb_crypto::wire`]) — so a plaintext that travelled where a share
     /// should is found too; the quotes bound the token, so it never matches
-    /// inside a longer string. That text is made when an audit runs, not
-    /// here: an `INSERT` registers its values on the write path.
+    /// inside a longer string.
     pub fn register_value(&mut self, value: &Value) {
         const NUMERIC_THRESHOLD: i64 = 100_000;
         match value {
@@ -105,14 +96,14 @@ impl MemoryAuditor {
             Value::Int(v) => {
                 if v.abs() >= NUMERIC_THRESHOLD {
                     self.needles.insert(v.to_string());
-                    self.wire_units.insert(v.unsigned_abs());
+                    self.needles.insert(wire_needle(v.unsigned_abs()));
                 }
             }
             Value::Decimal { units, .. } => {
                 if units.abs() >= NUMERIC_THRESHOLD {
                     self.needles.insert(units.to_string());
                     self.needles.insert(value.render());
-                    self.wire_units.insert(units.unsigned_abs());
+                    self.needles.insert(wire_needle(units.unsigned_abs()));
                 }
             }
             Value::Date(d) => {
@@ -126,7 +117,16 @@ impl MemoryAuditor {
 
     /// Number of registered needles.
     pub fn needle_count(&self) -> usize {
-        self.needles.len() + self.wire_units.len()
+        self.needles.len()
+    }
+
+    /// Scans what the client's SP holds (`sp-storage`, its catalog as JSON)
+    /// and what `capture` kept of the client's wire (`wire-traffic`).
+    pub fn audit_client(&self, client: &SdbClient, capture: &WireCapture) -> AuditReport {
+        let snapshot = CatalogSnapshot::capture(client.engine().catalog());
+        let storage = serde_json::to_string(&snapshot).unwrap_or_default();
+        let wire = capture.concatenated_payloads();
+        self.audit([("sp-storage", &*storage), ("wire-traffic", &*wire)])
     }
 
     /// Scans the given named haystacks, returning a report.
@@ -139,14 +139,13 @@ impl MemoryAuditor {
         &self,
         haystacks: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> AuditReport {
-        let wire_needles: Vec<String> = self.wire_units.iter().map(|&u| wire_needle(u)).collect();
         let mut report = AuditReport {
             needles_checked: self.needle_count(),
             ..Default::default()
         };
         for (location, haystack) in haystacks {
             report.haystacks_scanned += 1;
-            for needle in self.needles.iter().chain(&wire_needles) {
+            for needle in &self.needles {
                 if contains_needle(haystack, needle) {
                     report.findings.push(AuditFinding {
                         location: location.to_string(),

@@ -2,7 +2,6 @@
 //! DO-side proxy and the SP-side engine and moves every exchange between them
 //! through the byte-counted wire layer.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -12,10 +11,9 @@ use sdb_proxy::{ProxyError, SdbProxy, UploadOptions};
 use sdb_sql::ast::{Expr, Literal, UnaryOp};
 use sdb_sql::{parse_sql, SqlError, Statement};
 use sdb_storage::{
-    Catalog, ColumnDef, RecordBatch, Schema, Sensitivity, StorageError, Table, Value,
+    Catalog, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, StorageError, Table, Value,
 };
 
-use crate::audit::{AuditReport, MemoryAuditor};
 use crate::wire::{RecordingOracle, WireLog, WireMessageKind};
 use crate::Result;
 use sdb_crypto::KeyConfig;
@@ -195,11 +193,10 @@ pub struct SdbClient {
     config: SdbConfig,
     proxy: SdbProxy,
     engine: SpEngine,
-    /// DO-side plaintext staging area for tables defined but not yet uploaded.
+    /// DO-side plaintext staging area for tables defined but not yet
+    /// uploaded: an upload moves its table out.
     staging: Catalog,
-    uploaded: BTreeSet<String>,
     wire: WireLog,
-    auditor: MemoryAuditor,
 }
 
 impl SdbClient {
@@ -212,9 +209,7 @@ impl SdbClient {
             },
             engine: SpEngine::new(),
             staging: Catalog::new(),
-            uploaded: BTreeSet::new(),
             wire: WireLog::new(),
-            auditor: MemoryAuditor::new(),
             config,
         })
     }
@@ -225,20 +220,9 @@ impl SdbClient {
     pub fn execute(&mut self, sql: &str) -> Result<()> {
         match parse_sql(sql)? {
             Statement::CreateTable { name, columns } => {
-                let schema = Schema::new(
-                    columns
-                        .iter()
-                        .map(|c| ColumnDef {
-                            name: c.name.clone(),
-                            data_type: c.data_type,
-                            sensitivity: if c.sensitive {
-                                Sensitivity::Sensitive
-                            } else {
-                                Sensitivity::Public
-                            },
-                        })
-                        .collect(),
-                );
+                let schema =
+                    declared_schema(columns.iter().map(|c| (&c.name, c.data_type, c.sensitive)));
+                self.ensure_not_uploaded(&name)?;
                 self.staging.create_table(&name, schema)?;
                 Ok(())
             }
@@ -248,27 +232,7 @@ impl SdbClient {
                 rows,
             } => {
                 let logical_rows = self.literal_rows(&table, &columns, &rows)?;
-                if self.uploaded.contains(&table.to_ascii_lowercase()) {
-                    // New sensitive values become audit needles too (values land in
-                    // schema order, so sensitivity is positional).
-                    let sensitive_positions: Vec<usize> = self
-                        .proxy
-                        .table_metas()
-                        .get(&table.to_ascii_lowercase())
-                        .map(|meta| {
-                            meta.columns
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, c)| c.sensitive)
-                                .map(|(i, _)| i)
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    for row in &logical_rows {
-                        for &position in &sensitive_positions {
-                            self.auditor.register_value(&row[position]);
-                        }
-                    }
+                if self.is_uploaded(&table) {
                     // Encrypt at the proxy and append at the SP; the rows
                     // cross the wire as an upload, rendered when read.
                     let physical = self.proxy.encrypt_rows(&table, &logical_rows)?;
@@ -319,7 +283,7 @@ impl SdbClient {
     /// INSERTs when estimates drift).
     pub fn analyze(&self, table: &str) -> Result<()> {
         let name = table.to_ascii_lowercase();
-        if !self.uploaded.contains(&name) {
+        if !self.is_uploaded(&name) {
             return Err(SdbError::Usage {
                 detail: format!("table {name} is not uploaded; upload before ANALYZE"),
             });
@@ -370,36 +334,47 @@ impl SdbClient {
     /// Loads an already-built plaintext table into the staging area (bulk loading
     /// path used by the workload generator and the benches).
     pub fn stage_table(&mut self, table: Table) -> Result<()> {
+        self.ensure_not_uploaded(table.name())?;
         self.staging.register_table(table)?;
         Ok(())
     }
 
-    /// Encrypts and uploads one staged table to the SP (demo step 1).
+    /// Whether `table` is uploaded: the proxy holds its keys and metadata.
+    fn is_uploaded(&self, table: &str) -> bool {
+        (self.proxy.table_metas()).contains_key(&table.to_ascii_lowercase())
+    }
+
+    /// Refuses a table name the SP already holds: staging no longer does.
+    fn ensure_not_uploaded(&self, name: &str) -> Result<()> {
+        let name = name.to_ascii_lowercase();
+        match self.is_uploaded(&name) {
+            true => Err(StorageError::TableAlreadyExists { name }.into()),
+            false => Ok(()),
+        }
+    }
+
+    /// Encrypts and uploads one staged table to the SP (demo step 1), moving
+    /// it out of staging: the DO keeps no plaintext copy of uploaded data.
     pub fn upload(&mut self, table: &str) -> Result<sdb_proxy::encryptor::UploadStats> {
         let name = table.to_ascii_lowercase();
-        if self.uploaded.contains(&name) {
+        if self.is_uploaded(&name) {
             return Err(SdbError::Usage {
                 detail: format!("table {name} is already uploaded"),
             });
         }
         let staged = self.staging.table(&name)?;
-        let plaintext = staged.read().clone();
-        self.auditor.register_table(&plaintext);
-
-        let upload = self.proxy.upload_table(&plaintext, self.config.upload)?;
+        let upload = (self.proxy).upload_table(&staged.read(), self.config.upload)?;
         let payload = serde_json::to_string(&upload.table).unwrap_or_default();
         self.wire.record(WireMessageKind::Upload, payload);
         self.engine.load_table(upload.table)?;
-        self.uploaded.insert(name);
+        self.staging.drop_table(&name)?;
         Ok(upload.stats)
     }
 
-    /// Uploads every staged table that has not been uploaded yet.
+    /// Uploads every staged table.
     pub fn upload_all(&mut self) -> Result<()> {
         for name in self.staging.table_names() {
-            if !self.uploaded.contains(&name) {
-                self.upload(&name)?;
-            }
+            self.upload(&name)?;
         }
         Ok(())
     }
@@ -514,19 +489,6 @@ impl SdbClient {
         }
     }
 
-    /// Runs the adversarial audit (experiment E4): scans everything the SP holds or
-    /// saw on the wire for the sensitive plaintexts uploaded so far.
-    pub fn audit(&self) -> AuditReport {
-        let catalog_snapshot =
-            sdb_storage::persist::CatalogSnapshot::capture(self.engine.catalog());
-        let sp_storage = serde_json::to_string(&catalog_snapshot).unwrap_or_default();
-        let wire_traffic = self.wire.concatenated_payloads();
-        self.auditor.audit([
-            ("sp-storage", sp_storage.as_str()),
-            ("wire-traffic", wire_traffic.as_str()),
-        ])
-    }
-
     /// Size of the proxy's key store in bytes (demo step 1).
     pub fn keystore_size_bytes(&self) -> usize {
         self.proxy.keystore().approx_size_bytes()
@@ -537,7 +499,8 @@ impl SdbClient {
         self.engine.catalog().approx_size_bytes()
     }
 
-    /// The wire log (byte accounting, audit haystack).
+    /// The wire log: per-kind byte and message counts, and the captures a
+    /// test opens to read payloads (the audit's wire haystack).
     pub fn wire(&self) -> &WireLog {
         &self.wire
     }
@@ -554,7 +517,7 @@ impl SdbClient {
 
     /// Names of uploaded tables.
     pub fn uploaded_tables(&self) -> Vec<String> {
-        self.uploaded.iter().cloned().collect()
+        self.proxy.table_metas().keys().cloned().collect()
     }
 
     // ------------------------------------------------------------------
@@ -565,28 +528,12 @@ impl SdbClient {
         columns: &[String],
         rows: &[Vec<Expr>],
     ) -> Result<Vec<Vec<Value>>> {
-        let schema = if self.uploaded.contains(&table.to_ascii_lowercase()) {
-            // Logical schema from the proxy's metadata.
-            let meta = self
-                .proxy
-                .table_metas()
-                .get(&table.to_ascii_lowercase())
-                .ok_or_else(|| SdbError::Usage {
-                    detail: format!("unknown table {table}"),
-                })?;
-            Schema::new(
+        // An uploaded table's logical schema is the proxy's metadata.
+        let schema = if let Some(meta) = self.proxy.table_metas().get(&table.to_ascii_lowercase()) {
+            declared_schema(
                 meta.columns
                     .iter()
-                    .map(|c| ColumnDef {
-                        name: c.name.clone(),
-                        data_type: c.data_type,
-                        sensitivity: if c.sensitive {
-                            Sensitivity::Sensitive
-                        } else {
-                            Sensitivity::Public
-                        },
-                    })
-                    .collect(),
+                    .map(|c| (&c.name, c.data_type, c.sensitive)),
             )
         } else {
             self.staging.table(table)?.read().schema().clone()
@@ -621,6 +568,20 @@ impl SdbClient {
         }
         Ok(out)
     }
+}
+
+/// A schema of `(name, type, sensitive)` columns as the application
+/// declared them.
+fn declared_schema<'a>(columns: impl Iterator<Item = (&'a String, DataType, bool)>) -> Schema {
+    let column = |(name, data_type, sensitive): (&String, _, _)| ColumnDef {
+        name: name.clone(),
+        data_type,
+        sensitivity: match sensitive {
+            true => Sensitivity::Sensitive,
+            false => Sensitivity::Public,
+        },
+    };
+    Schema::new(columns.map(column).collect())
 }
 
 /// Converts a literal INSERT expression into a runtime value.
@@ -659,6 +620,7 @@ fn literal_value(expr: &Expr) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemoryAuditor, WireCapture};
 
     /// Two entropy-keyed clients get different moduli, and each answers
     /// like a seeded one.
@@ -694,6 +656,13 @@ mod tests {
     /// (salary, bonus, hired and codename sensitive) and a plaintext engine, so
     /// tests can compare answers.
     fn fixture() -> (SdbClient, SpEngine) {
+        let (client, plain, _, _) = audited_fixture();
+        (client, plain)
+    }
+
+    /// [`fixture`], plus an auditor holding the staged tables' sensitive
+    /// values and a capture of the wire from the upload on.
+    fn audited_fixture() -> (SdbClient, SpEngine, MemoryAuditor, WireCapture) {
         let ddl_sdb = [
             "CREATE TABLE emp (id INT, name VARCHAR(20), dept_id INT, salary DECIMAL(10,2) SENSITIVE, bonus INT SENSITIVE, hired DATE SENSITIVE, codename VARCHAR(30) SENSITIVE)",
             "CREATE TABLE dept (id INT, dept_name VARCHAR(20), budget INT SENSITIVE)",
@@ -719,13 +688,18 @@ mod tests {
         for sql in inserts {
             client.execute(sql).unwrap();
         }
+        let mut auditor = MemoryAuditor::new();
+        for name in client.staging.table_names() {
+            auditor.register_table(&client.staging.table(&name).unwrap().read());
+        }
+        let capture = client.wire().capture();
         client.upload_all().unwrap();
 
         let plain = SpEngine::new();
         for sql in ddl_plain.iter().chain(inserts.iter()) {
             plain.execute_sql(sql).unwrap();
         }
-        (client, plain)
+        (client, plain, auditor, capture)
     }
 
     /// Compares the SDB answer for `sql` against the plaintext engine's answer,
@@ -884,7 +858,7 @@ mod tests {
 
     #[test]
     fn rewritten_sql_contains_no_plaintext_and_audit_is_clean() {
-        let (client, _) = fixture();
+        let (client, _, auditor, capture) = audited_fixture();
         let queries = [
             "SELECT id, salary * bonus AS c FROM emp WHERE salary > 2000",
             "SELECT dept_id, SUM(salary) AS t FROM emp GROUP BY dept_id",
@@ -898,7 +872,7 @@ mod tests {
             assert!(!result.rewritten_sql.contains("falcon"));
         }
         // Demo step 3: nothing the SP stores or saw on the wire contains plaintext.
-        let report = client.audit();
+        let report = auditor.audit_client(&client, &capture);
         assert!(report.needles_checked > 0);
         assert!(
             report.is_clean(),
@@ -924,9 +898,20 @@ mod tests {
 
     #[test]
     fn insert_after_upload_encrypts_new_rows() {
-        let (mut client, plain) = fixture();
+        let (mut client, plain, mut auditor, capture) = audited_fixture();
         let insert =
             "INSERT INTO emp VALUES (6, 'fred', 30, 999.99, 5, DATE '2020-02-02', 'falcon')";
+        for value in [
+            Value::Decimal {
+                units: 99_999,
+                scale: 2,
+            },
+            Value::Int(5),
+            Value::Date(sdb_sql::dates::parse_date("2020-02-02").unwrap()),
+            Value::Str("falcon".into()),
+        ] {
+            auditor.register_value(&value);
+        }
         client.execute(insert).unwrap();
         plain.execute_sql(insert).unwrap();
         assert_same_answer(&client, &plain, "SELECT id, salary FROM emp ORDER BY id");
@@ -936,7 +921,35 @@ mod tests {
             "SELECT codename, COUNT(*) AS n FROM emp GROUP BY codename ORDER BY codename",
         );
         // The audit stays clean even after the incremental insert.
-        assert!(client.audit().is_clean());
+        assert!(auditor.audit_client(&client, &capture).is_clean());
+    }
+
+    /// An upload moves its table out of staging: the DO keeps no plaintext
+    /// of uploaded data, the name stays taken, and a second upload of
+    /// everything finds nothing to do.
+    #[test]
+    fn upload_moves_tables_out_of_staging() {
+        let (mut client, _) = fixture();
+        assert!(client.staging.is_empty());
+        let taken = |result: Result<()>| {
+            matches!(
+                result,
+                Err(SdbError::Storage(StorageError::TableAlreadyExists { .. }))
+            )
+        };
+        assert!(taken(client.execute("CREATE TABLE emp (id INT)")));
+        assert!(taken(client.stage_table(Table::new(
+            "Dept",
+            Schema::new(vec![ColumnDef::public("id", sdb_storage::DataType::Int)])
+        ))));
+        let uploads = client.wire().count_of_kind(WireMessageKind::Upload);
+        client.upload_all().unwrap();
+        assert_eq!(
+            client.wire().count_of_kind(WireMessageKind::Upload),
+            uploads
+        );
+        assert_eq!(client.uploaded_tables(), ["dept", "emp"]);
+        assert!(client.staging.is_empty());
     }
 
     #[test]

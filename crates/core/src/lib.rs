@@ -13,9 +13,10 @@
 //! behind a single [`SdbClient`] that mirrors what an application sees: define
 //! tables (marking columns `SENSITIVE`), insert data, upload, and run SQL. All
 //! round trips between proxy and SP go through an explicit, byte-counted
-//! [`wire`] layer so the demo's cost breakdown (experiment E3) and the adversarial
-//! memory audit (experiment E4) observe exactly what a service-provider attacker
-//! could observe.
+//! [`wire`] layer, so the demo's cost breakdown (experiment E3) counts exactly
+//! what crosses it, and the adversarial memory audit (experiment E4, an
+//! [`audit`] a test runs over a [`WireCapture`]) sees exactly what a
+//! service-provider attacker could observe.
 //!
 //! ```
 //! use sdb::{SdbClient, SdbConfig};
@@ -43,7 +44,7 @@ pub use audit::{AuditReport, MemoryAuditor};
 pub use client::{QueryResult, SdbClient, SdbConfig, SdbError};
 pub use sdb_crypto::KeyConfig;
 pub use sdb_proxy::UploadOptions;
-pub use wire::{decode_frame, encode_frame, WireLog, WireMessage, WireMessageKind};
+pub use wire::{decode_frame, encode_frame, WireCapture, WireLog, WireMessage, WireMessageKind};
 
 /// Library result alias.
 pub type Result<T> = std::result::Result<T, SdbError>;

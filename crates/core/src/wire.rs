@@ -2,13 +2,13 @@
 //!
 //! The paper runs the proxy and the SP on two machines; this reproduction keeps
 //! them in one process but forces every exchange through this module so that
-//! (1) the cost model can count bytes and round trips, and (2) the adversarial
-//! audit can inspect exactly what a network or SP attacker would see (QR
-//! knowledge, paper §2.3). Oracle traffic is recorded by wrapping the proxy's
-//! oracle in [`RecordingOracle`].
+//! (1) the cost model can count bytes and round trips, always, and (2) a test
+//! — the adversarial audit among them — can capture exactly what a network or
+//! SP attacker would see (QR knowledge, paper §2.3). Oracle traffic is
+//! recorded by wrapping the proxy's oracle in [`RecordingOracle`].
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -71,34 +71,59 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(&[u8], usize), String> {
     Ok((&bytes[4..total], total))
 }
 
-/// A log of every message that crossed the boundary.
+/// Per-kind message and byte counts of everything that crossed the
+/// boundary. The log keeps counts, not payloads: a payload is measured and
+/// dropped as it is recorded, so a long-running client or server holds a
+/// few integers however much traffic it serves. A test that needs the
+/// payloads themselves opens a [`WireCapture`] with [`WireLog::capture`].
 #[derive(Debug, Default, Clone)]
 pub struct WireLog {
-    messages: Arc<Mutex<Vec<Logged>>>,
+    ledger: Arc<Mutex<Ledger>>,
 }
 
-/// One logged message: its payload as sent, or typed rows whose JSON is
-/// rendered when the log is first read, off the path that sent them.
-#[derive(Debug)]
-struct Logged {
-    kind: WireMessageKind,
-    text: OnceLock<String>,
-    rows: Option<(TableHandle, Range<usize>)>,
+#[derive(Debug, Default)]
+struct Ledger {
+    /// Messages and bytes per kind, indexed by `WireMessageKind as usize`.
+    messages: [usize; 5],
+    bytes: [usize; 5],
+    /// Appended rows counted as messages, not yet as bytes: the JSON they
+    /// send is rendered when the byte counts are next read, off the path
+    /// that sent them.
+    pending_rows: Vec<(WireMessageKind, TableHandle, Range<usize>)>,
+    /// The open captures; a dropped one is pruned at the next record.
+    captures: Vec<Weak<Mutex<Vec<WireMessage>>>>,
 }
 
-impl Logged {
-    /// The payload an eavesdropper sees: for rows, the JSON of the batch
-    /// they form.
-    fn payload(&self) -> &str {
-        self.text.get_or_init(|| {
-            let (table, rows) = self.rows.as_ref().expect("a message holds text or rows");
-            let batch = table.read().scan();
-            let rows = batch
-                .slice(rows.start, rows.len())
-                .expect("appended rows stay");
-            serde_json::to_string(&rows).unwrap_or_default()
-        })
+impl Ledger {
+    /// Hands a copy of a message to every open capture; `payload` runs
+    /// only if one is open.
+    fn capture(&mut self, kind: WireMessageKind, payload: impl FnOnce() -> String) {
+        self.captures.retain(|capture| capture.strong_count() > 0);
+        if self.captures.is_empty() {
+            return;
+        }
+        let message = WireMessage {
+            kind,
+            payload: payload(),
+        };
+        for capture in self.captures.iter().filter_map(Weak::upgrade) {
+            capture.lock().push(message.clone());
+        }
     }
+
+    /// Adds the bytes of every pending row message.
+    fn size_rows(&mut self) {
+        for (kind, table, rows) in std::mem::take(&mut self.pending_rows) {
+            self.bytes[kind as usize] += rows_json(&table, rows).len();
+        }
+    }
+}
+
+/// The JSON of the batch that rows `rows` of `table` form.
+fn rows_json(table: &TableHandle, rows: Range<usize>) -> String {
+    let batch = table.read().scan();
+    let rows = (batch.slice(rows.start, rows.len())).expect("appended rows stay");
+    serde_json::to_string(&rows).unwrap_or_default()
 }
 
 impl WireLog {
@@ -107,75 +132,82 @@ impl WireLog {
         WireLog::default()
     }
 
-    /// Records a message.
+    /// Records a message: counts it and its bytes, then drops it unless a
+    /// capture is open.
     pub fn record(&self, kind: WireMessageKind, payload: String) {
-        self.messages.lock().push(Logged {
-            kind,
-            text: OnceLock::from(payload),
-            rows: None,
-        });
+        let mut ledger = self.ledger.lock();
+        ledger.messages[kind as usize] += 1;
+        ledger.bytes[kind as usize] += payload.len();
+        ledger.capture(kind, || payload);
     }
 
     /// Records a message of the rows `rows` of `table` — rows appended to
     /// it, which no later statement changes — as typed rows: the payload,
-    /// the JSON of the batch they form, is rendered only when the log's
-    /// payloads or byte counts are read. The caller must not hold `table`'s
-    /// lock.
+    /// the JSON of the batch they form, is rendered when the byte counts
+    /// are read, or at once for an open capture. The caller must not hold
+    /// `table`'s lock.
     pub fn record_rows(&self, kind: WireMessageKind, table: TableHandle, rows: Range<usize>) {
-        self.messages.lock().push(Logged {
-            kind,
-            text: OnceLock::new(),
-            rows: Some((table, rows)),
-        });
+        let mut ledger = self.ledger.lock();
+        ledger.messages[kind as usize] += 1;
+        ledger.capture(kind, || rows_json(&table, rows.clone()));
+        ledger.pending_rows.push((kind, table, rows));
     }
 
-    /// All recorded messages.
-    pub fn messages(&self) -> Vec<WireMessage> {
-        (self.messages.lock().iter())
-            .map(|m| WireMessage {
-                kind: m.kind,
-                payload: m.payload().to_string(),
-            })
-            .collect()
+    /// Starts keeping a copy of every payload recorded from now on, until
+    /// the returned handle is dropped. This is how tests and the audit
+    /// read what crossed the wire; without an open capture the log keeps
+    /// no payload.
+    pub fn capture(&self) -> WireCapture {
+        let capture = WireCapture::default();
+        (self.ledger.lock().captures).push(Arc::downgrade(&capture.messages));
+        capture
     }
 
     /// Total bytes recorded for a message kind.
     pub fn bytes_of_kind(&self, kind: WireMessageKind) -> usize {
-        self.messages
-            .lock()
-            .iter()
-            .filter(|m| m.kind == kind)
-            .map(|m| m.payload().len())
-            .sum()
+        let mut ledger = self.ledger.lock();
+        ledger.size_rows();
+        ledger.bytes[kind as usize]
     }
 
     /// Number of messages of a kind.
     pub fn count_of_kind(&self, kind: WireMessageKind) -> usize {
-        self.messages
-            .lock()
-            .iter()
-            .filter(|m| m.kind == kind)
-            .count()
+        self.ledger.lock().messages[kind as usize]
     }
 
     /// Total bytes across all messages.
     pub fn total_bytes(&self) -> usize {
-        self.messages.lock().iter().map(|m| m.payload().len()).sum()
+        let mut ledger = self.ledger.lock();
+        ledger.size_rows();
+        ledger.bytes.iter().sum()
     }
 
-    /// Concatenation of every payload (haystack for the audit).
-    pub fn concatenated_payloads(&self) -> String {
-        self.messages
-            .lock()
-            .iter()
-            .map(Logged::payload)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Clears the log.
+    /// Resets the counts. Open captures keep what they hold.
     pub fn clear(&self) {
-        self.messages.lock().clear();
+        let mut ledger = self.ledger.lock();
+        (ledger.messages, ledger.bytes) = Default::default();
+        ledger.pending_rows.clear();
+    }
+}
+
+/// The messages a [`WireLog`] recorded while this handle was alive, in
+/// order (see [`WireLog::capture`]). Dropping it ends the capture.
+#[derive(Debug, Default)]
+pub struct WireCapture {
+    messages: Arc<Mutex<Vec<WireMessage>>>,
+}
+
+impl WireCapture {
+    /// Every captured message.
+    pub fn messages(&self) -> Vec<WireMessage> {
+        self.messages.lock().clone()
+    }
+
+    /// Concatenation of every captured payload (haystack for the audit).
+    pub fn concatenated_payloads(&self) -> String {
+        let messages = self.messages.lock();
+        let payloads: Vec<&str> = messages.iter().map(|m| m.payload.as_str()).collect();
+        payloads.join("\n")
     }
 }
 
@@ -219,8 +251,66 @@ mod tests {
         assert_eq!(log.count_of_kind(WireMessageKind::QueryToSp), 1);
         assert_eq!(log.bytes_of_kind(WireMessageKind::QueryToSp), 8);
         assert_eq!(log.total_bytes(), 10);
-        assert!(log.concatenated_payloads().contains("SELECT 1"));
         log.clear();
+        assert_eq!(log.total_bytes(), 0);
+        assert_eq!(log.count_of_kind(WireMessageKind::QueryToSp), 0);
+    }
+
+    #[test]
+    fn a_capture_keeps_what_is_recorded_while_it_lives() {
+        let log = WireLog::new();
+        log.record(WireMessageKind::QueryToSp, "before".to_string());
+        let capture = log.capture();
+        let other = log.clone().capture();
+        log.record(WireMessageKind::QueryToSp, "SELECT 1".to_string());
+        log.clear();
+        log.record(WireMessageKind::ResultToProxy, "{}".to_string());
+        assert_eq!(capture.concatenated_payloads(), "SELECT 1\n{}");
+        let kinds: Vec<_> = capture.messages().iter().map(|m| m.kind).collect();
+        assert_eq!(
+            kinds,
+            [WireMessageKind::QueryToSp, WireMessageKind::ResultToProxy]
+        );
+        drop(capture);
+        log.record(WireMessageKind::QueryToSp, "after".to_string());
+        assert_eq!(
+            log.ledger.lock().captures.len(),
+            1,
+            "the dropped one is gone"
+        );
+        assert!(other.concatenated_payloads().ends_with("after"));
+        drop(other);
+        log.record(WireMessageKind::QueryToSp, "unseen".to_string());
+        assert!(log.ledger.lock().captures.is_empty());
+    }
+
+    #[test]
+    fn insert_rows_are_counted_at_once_and_sized_when_read() {
+        use sdb_storage::{Catalog, ColumnDef, DataType, Schema, Table, Value};
+        let mut table = Table::new(
+            "t",
+            Schema::new(vec![ColumnDef::public("v", DataType::Int)]),
+        );
+        for v in 0..3 {
+            table.insert_row(vec![Value::Int(v)]).unwrap();
+        }
+        let table = Catalog::new().register_table(table).unwrap();
+        let rows = table.read().scan().slice(1, 2).unwrap();
+        let json = serde_json::to_string(&rows).unwrap();
+
+        let log = WireLog::new();
+        let capture = log.capture();
+        log.record_rows(WireMessageKind::Upload, table.clone(), 1..3);
+        assert_eq!(log.count_of_kind(WireMessageKind::Upload), 1);
+        assert_eq!(log.ledger.lock().pending_rows.len(), 1);
+        assert_eq!(log.bytes_of_kind(WireMessageKind::Upload), json.len());
+        assert!(log.ledger.lock().pending_rows.is_empty());
+        assert_eq!(capture.concatenated_payloads(), json);
+
+        // Clearing drops rows not yet sized.
+        log.record_rows(WireMessageKind::Upload, table, 1..3);
+        log.clear();
+        assert!(log.ledger.lock().pending_rows.is_empty());
         assert_eq!(log.total_bytes(), 0);
     }
 

@@ -233,6 +233,7 @@ mod tests {
     #[test]
     fn session_frames_stay_off_the_wire_log() {
         let server = SdbServer::new(ServerConfig::test_profile()).unwrap();
+        let capture = server.wire().capture();
         let session = match unframe(&server.handle_frame(&frame(&Request::Connect))) {
             Response::Connected { session } => session,
             other => panic!("unexpected {other:?}"),
@@ -247,7 +248,8 @@ mod tests {
             let output = server.handle_frame(&input);
             let (_, consumed) = decode_frame(&output).unwrap();
             assert_eq!(consumed, output.len());
-            assert!(server.wire().messages().is_empty());
+            assert!(capture.messages().is_empty());
+            assert_eq!(server.wire().total_bytes(), 0);
         }
     }
 
@@ -261,6 +263,7 @@ mod tests {
             .execute_ddl("INSERT INTO t VALUES (1, 5), (2, 7)")
             .unwrap();
         server.upload_all().unwrap();
+        let capture = server.wire().capture();
 
         let session = match unframe(&server.handle_frame(&frame(&Request::Connect))) {
             Response::Connected { session } => session,
@@ -304,7 +307,7 @@ mod tests {
         let wire = server.wire();
         assert!(wire.count_of_kind(sdb::WireMessageKind::QueryToSp) >= 1);
         assert!(wire.count_of_kind(sdb::WireMessageKind::ResultToProxy) >= 1);
-        for message in wire.messages() {
+        for message in capture.messages() {
             assert!(!message.payload.contains("\"Execute\""), "{message:?}");
             assert!(!message.payload.contains("\"Rows\""), "{message:?}");
         }

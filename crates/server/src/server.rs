@@ -1,7 +1,7 @@
 //! The session manager: many concurrent queries over one engine.
 //!
 //! One [`SdbServer`] owns a single [`sdb::SdbClient`] (proxy + SP engine +
-//! wire log), one global [`BufferPool`] sized by the server's memory budget,
+//! wire counts), one global [`BufferPool`] sized by the server's memory budget,
 //! and one [`AdmissionController`]. Each connected session runs queries
 //! through [`SdbServer::execute`], which:
 //!
@@ -563,8 +563,9 @@ impl SdbServer {
         &self.admission
     }
 
-    /// The wire log recording every boundary crossing, including framed
-    /// session requests and responses.
+    /// The wire log counting every DO ↔ SP crossing (rewritten statements,
+    /// encrypted results, oracle traffic, uploads); session frames stay off
+    /// it. It keeps counts, not payloads: see [`WireLog::capture`].
     pub fn wire(&self) -> &WireLog {
         self.client.wire()
     }

@@ -4,20 +4,26 @@
 //! memory (DB knowledge) and watch the traffic between proxy and SP (QR knowledge).
 //! This example runs a query workload, then scans everything that attacker could
 //! see — the stored catalog and every wire message — for the sensitive plaintexts
-//! that were uploaded, and prints the verdict.
+//! that were uploaded, and prints the verdict. The audit is the example's own:
+//! it registers the plaintext it stages and captures the wire from the upload
+//! on, as any test of the system does; the client keeps neither.
 //!
-//! Run with: `cargo run --release --example adversary_audit`
+//! Run with: `cargo run --release --example adversary_audit` (exits 1 on a
+//! finding).
 
-use sdb::{SdbClient, SdbConfig};
+use sdb::{MemoryAuditor, SdbClient, SdbConfig};
 use sdb_workload::{generate_all, query_by_id, ScaleFactor, SensitivityProfile};
 
 fn main() -> sdb::Result<()> {
     println!("=== Demo step 3: memory / wire dump audit at the SP ===\n");
 
     let mut client = SdbClient::new(SdbConfig::test_profile())?;
+    let mut auditor = MemoryAuditor::new();
     for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 31_337) {
+        auditor.register_table(&table);
         client.stage_table(table)?;
     }
+    let capture = client.wire().capture();
     client.upload_all()?;
 
     for id in [1u8, 3, 6, 10, 14, 18, 22] {
@@ -38,11 +44,11 @@ fn main() -> sdb::Result<()> {
     );
     println!(
         "  wire messages       : {} ({} bytes)",
-        client.wire().messages().len(),
+        capture.messages().len(),
         client.wire().total_bytes()
     );
 
-    let report = client.audit();
+    let report = auditor.audit_client(&client, &capture);
     println!(
         "\nAudit: scanned {} haystacks for {} sensitive plaintext needles",
         report.haystacks_scanned, report.needles_checked

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use num_bigint::BigUint;
-use sdb::{SdbClient, SdbConfig, WireMessageKind};
+use sdb::{MemoryAuditor, SdbClient, SdbConfig, WireCapture, WireMessageKind};
 use sdb_crypto::wire;
 use sdb_engine::operators::drain_operator;
 use sdb_engine::{ExecConfig, ExecContext, PhysicalPlanner, SdbOracle, UdfRegistry};
@@ -42,9 +42,10 @@ fn do_secrets(client: &SdbClient) -> Vec<BigUint> {
     secrets
 }
 
-/// Asserts that no DO secret, in either rendering, crossed the client's wire.
-fn wire_holds_no_do_secret(client: &SdbClient) {
-    let wire = client.wire().concatenated_payloads();
+/// Asserts that no DO secret, in either rendering, crossed the client's
+/// wire while `capture` was open.
+fn wire_holds_no_do_secret(client: &SdbClient, capture: &WireCapture) {
+    let wire = capture.concatenated_payloads();
     assert!(!wire.is_empty());
     for secret in do_secrets(client) {
         for text in both_renderings(&secret) {
@@ -56,29 +57,58 @@ fn wire_holds_no_do_secret(client: &SdbClient) {
     }
 }
 
-fn loaded_client() -> SdbClient {
+/// A client with the tiny Financial workload uploaded, an auditor holding
+/// the sensitive values it staged, and a capture of its wire from the
+/// upload on.
+struct Loaded {
+    client: SdbClient,
+    auditor: MemoryAuditor,
+    capture: WireCapture,
+}
+
+fn loaded() -> Loaded {
     let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
+    let mut auditor = MemoryAuditor::new();
     for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        auditor.register_table(&table);
         client.stage_table(table).expect("stage");
     }
+    let capture = client.wire().capture();
     client.upload_all().expect("upload");
-    client
+    Loaded {
+        client,
+        auditor,
+        capture,
+    }
+}
+
+/// An auditor holding `values` as sensitive needles.
+fn auditor_of(values: &[Value]) -> MemoryAuditor {
+    let mut auditor = MemoryAuditor::new();
+    for value in values {
+        auditor.register_value(value);
+    }
+    auditor
 }
 
 #[test]
 fn sp_storage_and_wire_traffic_never_contain_sensitive_plaintext() {
-    let client = loaded_client();
+    let Loaded {
+        client,
+        auditor,
+        capture,
+    } = loaded();
 
     // Run a representative mix of queries so intermediate results, oracle traffic
     // and rewritten SQL all cross the (recorded) wire.
-    for id in [1u8, 3, 6, 10, 14, 18, 22] {
+    for id in AUDIT_MIX {
         let template = sdb_workload::query_by_id(id).expect("template");
         client
             .query(template.sql)
             .unwrap_or_else(|e| panic!("Q{id} failed: {e}"));
     }
 
-    let report = client.audit();
+    let report = auditor.audit_client(&client, &capture);
     assert!(
         report.needles_checked > 30,
         "expected many sensitive needles"
@@ -89,6 +119,120 @@ fn sp_storage_and_wire_traffic_never_contain_sensitive_plaintext() {
         "sensitive plaintext observed at the SP: {:?}",
         report.findings
     );
+}
+
+/// The query mix the storage/wire audit runs.
+const AUDIT_MIX: [u8; 7] = [1, 3, 6, 10, 14, 18, 22];
+
+/// A server with the tiny Financial workload uploaded, and an auditor
+/// holding the sensitive values it staged.
+fn loaded_server(config: sdb_server::ServerConfig) -> (sdb_server::SdbServer, MemoryAuditor) {
+    let mut server = sdb_server::SdbServer::new(config).expect("server");
+    let mut auditor = MemoryAuditor::new();
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
+        auditor.register_table(&table);
+        server.stage_table(table).expect("stage");
+    }
+    server.upload_all().expect("upload");
+    (server, auditor)
+}
+
+/// What a slow-query record's `stats` and `trace` reveal: the sensitive
+/// needles and the renderings of DO secrets found in their JSON.
+fn slow_record_findings(
+    record: &sdb_server::SlowQueryRecord,
+    auditor: &MemoryAuditor,
+    secrets: &[String],
+) -> Vec<String> {
+    let stats = serde_json::to_string(&record.stats).expect("stats");
+    let trace = serde_json::to_string(&record.trace).expect("trace");
+    let report = auditor.audit([("stats", stats.as_str()), ("trace", trace.as_str())]);
+    let mut findings: Vec<String> = report.findings.into_iter().map(|f| f.needle).collect();
+    for secret in secrets {
+        if stats.contains(secret.as_str()) || trace.contains(secret.as_str()) {
+            findings.push(format!("a DO secret: {secret}"));
+        }
+    }
+    findings
+}
+
+#[test]
+fn the_slow_query_ring_holds_no_sensitive_plaintext_or_do_secret() {
+    // Every query of the audit mix lands in the ring (threshold 0) with its
+    // full trace. A record's `sql` is left out of the scan: it is the
+    // application's own text, submitted at the DO, where the ring lives.
+    let config = sdb_server::ServerConfig::test_profile()
+        .with_slow_query_ms(0)
+        .with_tracing(true);
+    let (server, auditor) = loaded_server(config);
+    let session = server.connect();
+    for id in AUDIT_MIX {
+        let sql = sdb_workload::query_by_id(id).expect("template").sql;
+        server
+            .execute(session, sql)
+            .unwrap_or_else(|e| panic!("Q{id} failed: {e}"));
+    }
+    let secrets: Vec<String> = (do_secrets(server.client()).iter())
+        .flat_map(both_renderings)
+        .collect();
+    let records = server.slow_queries();
+    assert_eq!(records.len(), AUDIT_MIX.len());
+    for record in &records {
+        assert!(record.trace.is_some(), "tracing was on");
+        let findings = slow_record_findings(record, &auditor, &secrets);
+        assert!(findings.is_empty(), "{}: {findings:?}", record.sql);
+    }
+
+    // Positive control: a sensitive figure and a DO secret planted in a
+    // span's name are both found.
+    let mut planted = records[0].clone();
+    let tables = generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17);
+    let lineitem = tables
+        .iter()
+        .find(|t| t.name() == "lineitem")
+        .expect("lineitem");
+    let prices = lineitem.scan();
+    let figure = prices
+        .column_by_name("l_extendedprice")
+        .unwrap()
+        .value(0)
+        .render();
+    let trace = planted.trace.as_mut().expect("traced");
+    trace.spans[0].name = format!("Filter({figure} {})", secrets[0]);
+    let findings = slow_record_findings(&planted, &auditor, &secrets);
+    assert_eq!(findings.len(), 2, "{findings:?}");
+}
+
+/// A default server's wire log counts what its queries sent and received,
+/// exactly, and keeps none of it: a capture opened afterwards is empty, and
+/// the log's own state does not grow with its traffic.
+#[test]
+fn a_serving_wire_log_keeps_counts_not_payloads() {
+    let (server, _) = loaded_server(sdb_server::ServerConfig::test_profile());
+    let session = server.connect();
+    let (mut to_sp, mut from_sp) = (0, 0);
+    const QUERIES: usize = 210;
+    for i in 0..QUERIES {
+        let sql = match i % 3 {
+            0 => format!("SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey = {i}"),
+            1 => format!("SELECT SUM(o_totalprice) AS total FROM orders WHERE o_custkey = {i}"),
+            _ => "SELECT c_custkey FROM customer WHERE c_acctbal > 1000.00 \
+                  ORDER BY c_custkey LIMIT 5"
+                .to_string(),
+        };
+        let result = server.execute(session, &sql).expect("query");
+        to_sp += result.bytes_to_sp;
+        from_sp += result.bytes_from_sp;
+    }
+    let wire = server.wire();
+    assert_eq!(wire.count_of_kind(WireMessageKind::ResultToProxy), QUERIES);
+    assert_eq!(wire.bytes_of_kind(WireMessageKind::QueryToSp), to_sp);
+    assert_eq!(wire.bytes_of_kind(WireMessageKind::ResultToProxy), from_sp);
+    assert!(wire.count_of_kind(WireMessageKind::OracleRequest) > 0);
+    let capture = wire.capture();
+    assert!(capture.messages().is_empty());
+    let state = format!("{wire:?}");
+    assert!(state.len() < 1024, "{state}");
 }
 
 #[test]
@@ -132,6 +276,8 @@ fn cpa_style_insert_does_not_reveal_other_rows() {
     // her known ciphertexts never repeat among the pre-existing rows and that the
     // audit stays clean after her inserts flow through the normal path.
     let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
+    let auditor = auditor_of(&[Value::Int(123_456), Value::Int(654_321)]);
+    let capture = client.wire().capture();
     client
         .execute("CREATE TABLE accounts (id INT, balance INT SENSITIVE)")
         .unwrap();
@@ -165,12 +311,14 @@ fn cpa_style_insert_does_not_reveal_other_rows() {
             );
         }
     }
-    assert!(client.audit().is_clean());
+    assert!(auditor.audit_client(&client, &capture).is_clean());
 }
 
 #[test]
 fn query_results_decrypt_only_at_the_proxy() {
-    let client = loaded_client();
+    let Loaded {
+        client, capture, ..
+    } = loaded();
     let rewritten = client
         .rewrite_only("SELECT SUM(l_extendedprice) AS s FROM lineitem")
         .unwrap();
@@ -181,7 +329,7 @@ fn query_results_decrypt_only_at_the_proxy() {
         Value::Decimal { units, .. } => units.to_string(),
         other => other.render(),
     };
-    let wire = client.wire().concatenated_payloads();
+    let wire = capture.concatenated_payloads();
     assert!(
         !wire.contains(&decrypted_sum),
         "the plaintext aggregate leaked onto the wire"
@@ -195,6 +343,17 @@ fn a_plaintext_units_value_sent_as_a_share_is_found() {
     // `Value::Encrypted` — is reported, although its decimal digits never
     // appear there.
     let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
+    let auditor = auditor_of(&[
+        Value::Decimal {
+            units: 432_109,
+            scale: 2,
+        },
+        Value::Decimal {
+            units: 9_999_999,
+            scale: 2,
+        },
+    ]);
+    let capture = client.wire().capture();
     client
         .execute("CREATE TABLE accounts (id INT, balance DECIMAL(12,2) SENSITIVE)")
         .unwrap();
@@ -202,7 +361,7 @@ fn a_plaintext_units_value_sent_as_a_share_is_found() {
         .execute("INSERT INTO accounts VALUES (1, 4321.09), (2, 99999.99)")
         .unwrap();
     client.upload_all().unwrap();
-    assert!(client.audit().is_clean());
+    assert!(auditor.audit_client(&client, &capture).is_clean());
 
     let planted = vec![vec![
         Value::Int(1),
@@ -213,7 +372,7 @@ fn a_plaintext_units_value_sent_as_a_share_is_found() {
     client
         .wire()
         .record(WireMessageKind::ResultToProxy, payload);
-    let report = client.audit();
+    let report = auditor.audit_client(&client, &capture);
     let [_, quoted] = both_renderings(&BigUint::from(432_109u32));
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     assert_eq!(report.findings[0].location, "wire-traffic");
@@ -221,9 +380,16 @@ fn a_plaintext_units_value_sent_as_a_share_is_found() {
 }
 
 /// A client with `accounts (id INT, balance INT SENSITIVE)` uploaded and
-/// two rows inserted after the upload.
-fn client_with_inserts() -> SdbClient {
+/// two rows inserted after the upload; the auditor holds the three balances
+/// and the capture opens before the upload.
+fn client_with_inserts() -> Loaded {
     let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
+    let auditor = auditor_of(&[
+        Value::Int(123_456),
+        Value::Int(654_321),
+        Value::Int(777_777),
+    ]);
+    let capture = client.wire().capture();
     client
         .execute("CREATE TABLE accounts (id INT, balance INT SENSITIVE)")
         .unwrap();
@@ -234,13 +400,22 @@ fn client_with_inserts() -> SdbClient {
     client
         .execute("INSERT INTO accounts VALUES (2, 654321), (3, 777777)")
         .unwrap();
-    client
+    Loaded {
+        client,
+        auditor,
+        capture,
+    }
 }
 
 #[test]
 fn insert_rows_reach_the_wire_ledger_as_the_sp_appended_them() {
-    let client = client_with_inserts();
-    let uploads: Vec<String> = (client.wire().messages().into_iter())
+    let Loaded {
+        client,
+        auditor,
+        capture,
+    } = client_with_inserts();
+    assert_eq!(client.wire().count_of_kind(WireMessageKind::Upload), 2);
+    let uploads: Vec<String> = (capture.messages().into_iter())
         .filter(|m| m.kind == WireMessageKind::Upload)
         .map(|m| m.payload)
         .collect();
@@ -253,7 +428,7 @@ fn insert_rows_reach_the_wire_ledger_as_the_sp_appended_them() {
         client.wire().bytes_of_kind(WireMessageKind::Upload),
         uploads.iter().map(String::len).sum::<usize>()
     );
-    assert!(client.audit().is_clean());
+    assert!(auditor.audit_client(&client, &capture).is_clean());
 }
 
 #[test]
@@ -261,7 +436,11 @@ fn a_plaintext_planted_in_insert_rows_is_found() {
     // Positive control for the INSERT ledger: rows that carry a sensitive
     // figure in the clear are typed rows like any INSERT's, and the audit
     // renders and scans them.
-    let client = client_with_inserts();
+    let Loaded {
+        client,
+        auditor,
+        capture,
+    } = client_with_inserts();
     let handle = client.engine().catalog().table("accounts").unwrap();
     let schema = handle.read().schema().clone();
     let mut planted: Vec<Value> = vec![Value::Null; schema.len()];
@@ -273,7 +452,7 @@ fn a_plaintext_planted_in_insert_rows_is_found() {
     client
         .wire()
         .record_rows(WireMessageKind::Upload, table, 0..1);
-    let report = client.audit();
+    let report = auditor.audit_client(&client, &capture);
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     assert_eq!(report.findings[0].location, "wire-traffic");
     assert_eq!(report.findings[0].needle, "654321");
@@ -286,7 +465,11 @@ fn sp_side_arithmetic_state_holds_only_constants_the_sp_was_sent() {
     // n, p's windows) while the query runs. Run the SP half of a query the way
     // the engine does, then look at what that state remembers: only n, p and
     // q, which crossed the wire in the clear inside the rewritten SQL.
-    let client = loaded_client();
+    let Loaded {
+        client,
+        auditor,
+        capture,
+    } = loaded();
     let rewritten = client
         .rewrite_only(
             "SELECT SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS charge, \
@@ -337,12 +520,8 @@ fn sp_side_arithmetic_state_holds_only_constants_the_sp_was_sent() {
             "a DO secret reached the SP-side arithmetic state"
         );
     }
-    wire_holds_no_do_secret(&client);
+    wire_holds_no_do_secret(&client, &capture);
     // And no sensitive plaintext: the same needles as the storage/wire audit.
-    let mut auditor = sdb::MemoryAuditor::new();
-    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
-        auditor.register_table(&table);
-    }
     let haystack = remembered.join("\n");
     assert!(auditor
         .audit([("sp-arithmetic-state", haystack.as_str())])
@@ -356,7 +535,11 @@ fn key_update_sets_remember_only_what_the_sp_was_sent_and_count_in_integers() {
     // functions of stored shares and of constants the rewritten SQL carries
     // in the clear. Run the SP half of rewritten Q1 and look at all of it,
     // the powers as the canonical residues they stand for.
-    let client = loaded_client();
+    let Loaded {
+        client,
+        auditor,
+        capture,
+    } = loaded();
     let q1 = sdb_workload::query_by_id(1).expect("template").sql;
     let rewritten = client.rewrite_only(q1).unwrap();
     let registry = UdfRegistry::with_sdb_udfs();
@@ -406,10 +589,6 @@ fn key_update_sets_remember_only_what_the_sp_was_sent_and_count_in_integers() {
             "a DO secret reached a key-update set"
         );
     }
-    let mut auditor = sdb::MemoryAuditor::new();
-    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
-        auditor.register_table(&table);
-    }
     let haystack = [constants.join("\n"), powers.join("\n")].join("\n");
     assert!(auditor
         .audit([("key-update-sets", haystack.as_str())])
@@ -434,7 +613,7 @@ fn key_update_sets_remember_only_what_the_sp_was_sent_and_count_in_integers() {
         }
     }
     assert!(auditor.audit([("trace-json", json.as_str())]).is_clean());
-    wire_holds_no_do_secret(&client);
+    wire_holds_no_do_secret(&client, &capture);
 }
 
 #[test]
@@ -443,7 +622,11 @@ fn the_power_memo_holds_only_powers_of_stored_shares() {
     // clear), stored shares and their `S_e^p`: run a query mix three times so
     // it fills and serves, then scan every residue it holds, as the
     // canonical value it stands for, for DO secrets and sensitive plaintext.
-    let client = loaded_client();
+    let Loaded {
+        client,
+        auditor,
+        capture,
+    } = loaded();
     let mut served = 0;
     for _ in 0..3 {
         for id in [1u8, 3, 6, 10, 14, 18, 22] {
@@ -470,11 +653,7 @@ fn the_power_memo_holds_only_powers_of_stored_shares() {
             "a DO secret reached the power memo"
         );
     }
-    wire_holds_no_do_secret(&client);
-    let mut auditor = sdb::MemoryAuditor::new();
-    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
-        auditor.register_table(&table);
-    }
+    wire_holds_no_do_secret(&client, &capture);
     assert!(auditor
         .audit([("power-memo", residues.join("\n").as_str())])
         .is_clean());
@@ -488,7 +667,7 @@ fn keystore_json_holds_no_derived_tables_and_a_restored_store_rebuilds_them() {
     // The fixed-base table of g and the Montgomery context are DO-side derived
     // state: persisting them would multiply the key store's size by orders of
     // magnitude and write a second copy of a secret to disk.
-    let client = loaded_client();
+    let client = loaded().client;
     let keystore = client.proxy().keystore();
     let json = serde_json::to_string(keystore).unwrap();
     assert_eq!(json.len(), keystore.approx_size_bytes());
@@ -526,11 +705,9 @@ fn scan_pruning_reports_column_counts_only() {
     // The pruning surface — `cols=read/total` on EXPLAIN ANALYZE scan lines,
     // `scan_columns_*` in the exported trace — carries two integers per scan:
     // no column name beyond what the rewritten SQL already shows, no value.
-    let client = loaded_client();
-    let mut auditor = sdb::MemoryAuditor::new();
-    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
-        auditor.register_table(&table);
-    }
+    let Loaded {
+        client, auditor, ..
+    } = loaded();
     for id in [1u8, 3, 6] {
         let template = sdb_workload::query_by_id(id).expect("template");
         let analyzed = client
@@ -576,7 +753,7 @@ fn indexes_cover_only_public_plaintext_columns() {
     // after a serving-style mix, every index the catalog keeps is over a
     // public column of a plaintext type, and an equality on a sensitive
     // column keeps its oracle or tag path.
-    let mut client = loaded_client();
+    let mut client = loaded().client;
     client
         .execute("CREATE TABLE notes (id INT, body VARCHAR(16) SENSITIVE, amount INT SENSITIVE)")
         .unwrap();
@@ -668,6 +845,7 @@ fn the_item_key_memo_stays_in_do_memory() {
     for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
         server.stage_table(table).expect("stage");
     }
+    let capture = server.wire().capture();
     server.upload_all().expect("upload");
     let session = server.connect();
     let queries = [
@@ -720,7 +898,7 @@ fn the_item_key_memo_stays_in_do_memory() {
     }
     assert!(needles.len() > 100);
 
-    let wire = client.wire().concatenated_payloads();
+    let wire = capture.concatenated_payloads();
     let prometheus = server.metrics().render_prometheus();
     let keystore_json = serde_json::to_string(keystore).unwrap();
     let proxy_debug = format!("{:?}", client.proxy());
@@ -763,16 +941,7 @@ fn the_share_kernel_clock_reports_integers_only() {
     // to the exported trace (`share_kernel_rows`, `share_kernel_time`) and
     // to the Prometheus text (`sdb_share_kernel_*_total`) is a row count and
     // a duration: no residue, no plaintext.
-    let config = sdb_server::ServerConfig::test_profile();
-    let mut server = sdb_server::SdbServer::new(config).expect("server");
-    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
-        server.stage_table(table).expect("stage");
-    }
-    server.upload_all().expect("upload");
-    let mut auditor = sdb::MemoryAuditor::new();
-    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
-        auditor.register_table(&table);
-    }
+    let (server, auditor) = loaded_server(sdb_server::ServerConfig::test_profile());
     let session = server.connect();
     let q1 = sdb_workload::query_by_id(1).expect("Q1").sql;
     for id in [1u8, 6] {
@@ -849,16 +1018,7 @@ fn the_planning_clock_and_shape_counters_report_integers_only() {
     // the Prometheus text (`sdb_plan_*`, `sdb_do_shape_hits_total`,
     // `sdb_statement_shape_bytes`) is a duration or a count: no residue, no
     // plaintext.
-    let config = sdb_server::ServerConfig::test_profile();
-    let mut server = sdb_server::SdbServer::new(config).expect("server");
-    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
-        server.stage_table(table).expect("stage");
-    }
-    server.upload_all().expect("upload");
-    let mut auditor = sdb::MemoryAuditor::new();
-    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17) {
-        auditor.register_table(&table);
-    }
+    let (server, auditor) = loaded_server(sdb_server::ServerConfig::test_profile());
     let session = server.connect();
     let q1 = sdb_workload::query_by_id(1).expect("Q1").sql;
     let mut last = None;

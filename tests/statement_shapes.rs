@@ -210,10 +210,10 @@ fn cached_statements_hold_no_sensitive_plaintext() {
         for _ in 0..4 {
             query(&client, &sql);
         }
-        client.wire().clear();
+        let capture = client.wire().capture();
         let result = query(&client, &sql);
         assert_eq!(result.do_shape_hits, 1);
-        let sent: Vec<String> = (client.wire().messages().into_iter())
+        let sent: Vec<String> = (capture.messages().into_iter())
             .filter(|m| m.kind == WireMessageKind::QueryToSp)
             .map(|m| m.payload)
             .collect();
@@ -337,10 +337,10 @@ fn an_unknown_shape_is_resent_with_its_template() {
     let expected = answer(&warm(&client, sql));
 
     client.engine().clear_statement_shapes();
-    client.wire().clear();
+    let capture = client.wire().capture();
     let result = query(&client, sql);
     assert_eq!(answer(&result), expected);
-    let sent: Vec<String> = (client.wire().messages().into_iter())
+    let sent: Vec<String> = (capture.messages().into_iter())
         .filter(|m| m.kind == WireMessageKind::QueryToSp)
         .map(|m| m.payload)
         .collect();

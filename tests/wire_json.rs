@@ -17,7 +17,7 @@ use num_traits::Zero;
 use serde::Serialize;
 
 use sdb::wire::RecordingOracle;
-use sdb::{SdbClient, SdbConfig, WireLog, WireMessageKind};
+use sdb::{SdbClient, SdbConfig, WireCapture, WireLog, WireMessageKind};
 use sdb_engine::{OracleRequest, OracleResponse, OracleResult, QueryOptions, SdbOracle};
 use sdb_server::metrics::{QueryInfo, QueryState};
 use sdb_server::{Request, Response, SdbServer, ServerConfig};
@@ -70,12 +70,12 @@ fn streams_identically<T: Serialize>(value: &T, what: &str) -> String {
     streamed
 }
 
-/// Every JSON payload already on the wire (all but the rewritten SQL) is a
+/// Every JSON payload captured on the wire (all but the rewritten SQL) is a
 /// fixed point of parse + reference render: nothing the streaming writer
 /// produced renders differently.
-fn wire_payloads_are_canonical(log: &WireLog) {
+fn wire_payloads_are_canonical(capture: &WireCapture) {
     let mut checked = 0;
-    for message in log.messages() {
+    for message in capture.messages() {
         if message.kind == WireMessageKind::QueryToSp {
             continue;
         }
@@ -134,18 +134,21 @@ fn longest_digit_run(text: &str) -> usize {
         .unwrap_or(0)
 }
 
-fn loaded_client() -> SdbClient {
+/// A client with the tiny Financial workload uploaded, and a capture of its
+/// wire from the upload on.
+fn loaded_client() -> (SdbClient, WireCapture) {
     let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
     for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0x5db) {
         client.stage_table(table).expect("stage");
     }
+    let capture = client.wire().capture();
     client.upload_all().expect("upload");
-    client
+    (client, capture)
 }
 
 #[test]
 fn upload_tables_key_store_and_sp_storage_stream_identically() {
-    let client = loaded_client();
+    let (client, _) = loaded_client();
     let tables = client.engine().catalog().snapshot();
     assert_eq!(tables.len(), 8);
     let mut shares = 0;
@@ -168,7 +171,7 @@ fn upload_tables_key_store_and_sp_storage_stream_identically() {
 
 #[test]
 fn results_oracle_traffic_and_traces_stream_identically() {
-    let client = loaded_client();
+    let (client, capture) = loaded_client();
     let mut kinds = Vec::new();
     for id in [1u8, 3, 6, 10, 18] {
         let template = sdb_workload::query_by_id(id).expect("template");
@@ -204,12 +207,12 @@ fn results_oracle_traffic_and_traces_stream_identically() {
             .unwrap_or_else(|e| panic!("Q{id}: {e}"));
     }
     assert!(kinds.len() >= 2, "the queries reach the oracle: {kinds:?}");
-    wire_payloads_are_canonical(client.wire());
+    wire_payloads_are_canonical(&capture);
 }
 
 #[test]
 fn every_value_variant_streams_identically() {
-    let client = loaded_client();
+    let (client, _) = loaded_client();
     let encrypted = client.engine().catalog().snapshot().remove(0);
     let encrypted = encrypted.scan();
     let schema = Schema::new(vec![
@@ -272,6 +275,7 @@ fn every_serving_frame_streams_identically() {
             .with_slow_query_ms(0),
     )
     .unwrap();
+    let capture = server.wire().capture();
     server
         .execute_ddl("CREATE TABLE t (id INT, region VARCHAR, v INT SENSITIVE)")
         .unwrap();
@@ -364,12 +368,12 @@ fn every_serving_frame_streams_identically() {
         reference::write_compact(&content, &mut rendered).unwrap();
         assert_same_text(payload, &rendered, &format!("answer to {request:?}"));
     }
-    wire_payloads_are_canonical(server.wire());
+    wire_payloads_are_canonical(&capture);
 }
 
 #[test]
 fn every_recorded_payload_decodes_to_what_was_sent() {
-    let mut client = loaded_client();
+    let (mut client, capture) = loaded_client();
     client
         .execute("CREATE TABLE ledger (id INT, amount DECIMAL(12,2) SENSITIVE, note VARCHAR(20) SENSITIVE)")
         .unwrap();
@@ -379,7 +383,7 @@ fn every_recorded_payload_decodes_to_what_was_sent() {
     client.upload("ledger").unwrap();
 
     // The upload of every table decodes to what the SP loaded.
-    let uploads: Vec<String> = (client.wire().messages().into_iter())
+    let uploads: Vec<String> = (capture.messages().into_iter())
         .filter(|m| m.kind == WireMessageKind::Upload)
         .map(|m| m.payload)
         .collect();
@@ -402,7 +406,7 @@ fn every_recorded_payload_decodes_to_what_was_sent() {
         let sql = sdb_workload::query_by_id(id).expect("template").sql;
         let rewritten = client.rewrite_only(sql).unwrap();
         let answer = client.run_rewritten(&rewritten).unwrap();
-        let messages = client.wire().messages();
+        let messages = capture.messages();
         let payload = &messages.last().unwrap().payload;
         assert_eq!(
             messages.last().unwrap().kind,
@@ -419,6 +423,7 @@ fn every_recorded_payload_decodes_to_what_was_sent() {
             seen: Mutex::new(Vec::new()),
         });
         let log = WireLog::new();
+        let log_capture = log.capture();
         let opts = QueryOptions::default()
             .with_oracle(Arc::new(RecordingOracle::new(oracle.clone(), log.clone())));
         client
@@ -426,7 +431,7 @@ fn every_recorded_payload_decodes_to_what_was_sent() {
             .execute_sql_with(&rewritten.server_sql, &opts)
             .unwrap_or_else(|e| panic!("Q{id}: {e}"));
         let seen = oracle.seen.lock().unwrap();
-        let recorded = log.messages();
+        let recorded = log_capture.messages();
         assert_eq!(recorded.len(), 2 * seen.len());
         for ((request, response), pair) in seen.iter().zip(recorded.chunks(2)) {
             kinds.push(request.kind);
@@ -445,7 +450,7 @@ fn every_recorded_payload_decodes_to_what_was_sent() {
 
     // No share went out as decimal digits: the longest digit run on these
     // payloads is a date, a count or a tag, never a residue of n.
-    for message in client.wire().messages() {
+    for message in capture.messages() {
         if message.kind == WireMessageKind::QueryToSp {
             continue;
         }
