@@ -42,7 +42,7 @@ use sdb_crypto::share::{encrypt_value, gen_item_key, KeyUpdateParams};
 use sdb_crypto::{
     gen_item_keys, BoundKeyUpdateSet, ColumnKey, ItemKeyMemo, KeyConfig, SignedCodec, SystemKey,
 };
-use sdb_engine::SpEngine;
+use sdb_engine::{ExecConfig, SpEngine};
 use sdb_storage::{Catalog, ColumnDef, DataType, Schema, Value};
 
 /// prime_bits → modulus of ~2×prime_bits.
@@ -308,7 +308,10 @@ fn fresh_exponents(c: &mut Criterion) {
         let row = vec![share(&mut rng), share(&mut rng)];
         table.write().insert_row(row).expect("row");
     }
-    let engine = SpEngine::with_catalog(std::sync::Arc::new(catalog)).with_parallelism(1);
+    let engine = SpEngine::with_catalog(std::sync::Arc::new(catalog)).with_config(ExecConfig {
+        parallelism: 1,
+        ..ExecConfig::default()
+    });
     let q = key.gen_row_id(&mut rng) % n;
     let mut p = key.gen_row_id(&mut rng);
     group.bench_function(BenchmarkId::new("query_64_rows", "n=512"), |b| {

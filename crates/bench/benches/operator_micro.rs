@@ -146,7 +146,10 @@ fn wide_encrypted_table(rows: i64) -> sdb_storage::Table {
 
 fn scan_pruning(c: &mut Criterion) {
     const ROWS: i64 = 16_384;
-    let engine = sdb_engine::SpEngine::new().with_parallelism(1);
+    let engine = sdb_engine::SpEngine::new().with_config(sdb_engine::ExecConfig {
+        parallelism: 1,
+        ..sdb_engine::ExecConfig::default()
+    });
     engine
         .load_table(wide_encrypted_table(ROWS))
         .expect("load wide");

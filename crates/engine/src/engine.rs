@@ -32,13 +32,13 @@ pub struct QueryOutput {
     /// Execution statistics (the server-side half of the demo's cost breakdown).
     pub stats: ExecutionStats,
     /// The per-operator execution trace, when tracing was on for this query
-    /// ([`SpEngine::with_tracing`] / `SDB_TRACE=1` / `EXPLAIN ANALYZE`).
+    /// ([`ExecConfig::tracing`] / `SDB_TRACE=1` / `EXPLAIN ANALYZE`).
     pub trace: Option<crate::trace::TraceReport>,
 }
 
-/// Per-query overrides applied on top of an engine's configured knobs for a
+/// Per-query overrides applied on top of an engine's [`ExecConfig`] for a
 /// single [`SpEngine::execute_sql_with`] call. `None` fields inherit the
-/// engine's defaults.
+/// engine's settings.
 ///
 /// This is the serving layer's hook: one long-lived engine can run many
 /// concurrent queries, each with its own budget share, pager lease on the
@@ -115,6 +115,24 @@ impl QueryOptions {
         self.oracle = Some(oracle);
         self
     }
+
+    /// The settings a query with these options runs under: `config` with
+    /// the overrides applied. Fails with [`EngineError::InvalidConfig`] on
+    /// a zero worker count or batch size.
+    pub fn apply(&self, config: &ExecConfig) -> Result<ExecConfig> {
+        let mut config = config.clone();
+        if let Some(budget) = &self.memory_budget {
+            config.memory_budget = budget.clone();
+        }
+        if let Some(parallelism) = self.parallelism {
+            config.parallelism = parallelism;
+        }
+        if let Some(tracing) = self.tracing {
+            config.tracing = tracing;
+        }
+        config.validate()?;
+        Ok(config)
+    }
 }
 
 /// The service-provider engine.
@@ -123,12 +141,14 @@ impl QueryOptions {
 /// `cargo test` as a doc-test):
 ///
 /// ```
-/// use sdb_engine::{MemoryBudget, SpEngine};
+/// use sdb_engine::{ExecConfig, MemoryBudget, SpEngine};
 ///
-/// let engine = SpEngine::new()
-///     .with_parallelism(2)                              // workers per query
-///     .with_batch_size(4096)                            // rows per batch
-///     .with_memory_budget(MemoryBudget::bytes(64 << 20)); // spill past 64 MiB
+/// let engine = SpEngine::new().with_config(ExecConfig {
+///     parallelism: 2,                              // workers per query
+///     batch_size: 4096,                            // rows per batch
+///     memory_budget: MemoryBudget::bytes(64 << 20), // spill past 64 MiB
+///     ..ExecConfig::default()
+/// });
 ///
 /// engine.execute_sql("CREATE TABLE accounts (id INT, owner VARCHAR(20), balance INT)")?;
 /// engine.execute_sql("INSERT INTO accounts VALUES (1, 'ann', 10), (2, 'bob', 20)")?;
@@ -170,152 +190,18 @@ impl SpEngine {
         }
     }
 
-    /// Overrides the rows-per-batch knob for every query this engine runs
-    /// (builder style). Panics if `batch_size` is zero.
-    ///
-    /// Results are byte-identical at any batch size; the knob trades
-    /// per-batch overhead against peak batch memory.
-    ///
-    /// ```
-    /// use sdb_engine::SpEngine;
-    ///
-    /// let engine = SpEngine::new().with_batch_size(2);
-    /// engine.execute_sql("CREATE TABLE t (a INT)")?;
-    /// engine.execute_sql("INSERT INTO t VALUES (3), (1), (2), (5), (4)")?;
-    ///
-    /// // Five rows flow through the pipeline as three 2-row batches.
-    /// let out = engine.execute_sql("SELECT a FROM t ORDER BY a")?;
-    /// assert_eq!(out.batch.num_rows(), 5);
-    /// assert_eq!(engine.batch_size(), 2);
-    /// # Ok::<(), sdb_engine::EngineError>(())
-    /// ```
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        self.config.batch_size = batch_size;
+    /// Replaces the settings every query this engine runs starts from
+    /// (builder style; see [`ExecConfig`]'s fields for what each does). A
+    /// zero worker count or batch size fails each query with
+    /// [`EngineError::InvalidConfig`].
+    pub fn with_config(mut self, config: ExecConfig) -> Self {
+        self.config = config;
         self
     }
 
-    /// Overrides the per-query worker count (builder style; `1` selects the
-    /// serial plans). Panics if `parallelism` is zero.
-    ///
-    /// Defaults to the available cores. Parallel plans fan heavy operator
-    /// phases out over contiguous row morsels and merge in morsel order, so
-    /// results are byte-identical to serial execution.
-    ///
-    /// ```
-    /// use sdb_engine::SpEngine;
-    ///
-    /// let engine = SpEngine::new().with_parallelism(4);
-    /// engine.execute_sql("CREATE TABLE t (a INT, g INT)")?;
-    /// engine.execute_sql("INSERT INTO t VALUES (10, 1), (20, 1), (30, 2)")?;
-    ///
-    /// let out = engine.execute_sql("SELECT g, SUM(a) AS s FROM t GROUP BY g ORDER BY g")?;
-    /// assert_eq!(out.batch.num_rows(), 2);
-    /// assert_eq!(engine.parallelism(), 4);
-    /// # Ok::<(), sdb_engine::EngineError>(())
-    /// ```
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        assert!(parallelism > 0, "parallelism must be positive");
-        self.config.parallelism = parallelism;
-        self
-    }
-
-    /// Bounds how much memory blocking operators (sort, aggregation, hash
-    /// and nested-loop join build sides) may hold per query (builder
-    /// style). Each holds its input in memory while it fits; an input that
-    /// overflows the budget spills through the pager, with results
-    /// byte-identical to the in-memory ones. Spill activity is reported in
-    /// [`ExecutionStats`].
-    ///
-    /// ```
-    /// use sdb_engine::{MemoryBudget, SpEngine};
-    ///
-    /// let engine = SpEngine::new().with_memory_budget(MemoryBudget::bytes(4 << 10));
-    /// engine.execute_sql("CREATE TABLE t (a INT, b INT)")?;
-    /// for chunk in 0..20 {
-    ///     let rows: Vec<String> = (0..50)
-    ///         .map(|i| format!("({}, {})", chunk * 50 + i, (chunk * 50 + i) % 7))
-    ///         .collect();
-    ///     engine.execute_sql(&format!("INSERT INTO t VALUES {}", rows.join(", ")))?;
-    /// }
-    ///
-    /// // 1000 rows cannot be sorted inside 4 KiB: runs spill through the
-    /// // pager, and the result is still exactly the sorted table.
-    /// let out = engine.execute_sql("SELECT a FROM t ORDER BY b, a")?;
-    /// assert_eq!(out.batch.num_rows(), 1000);
-    /// assert!(out.stats.pages_spilled > 0);
-    /// # Ok::<(), sdb_engine::EngineError>(())
-    /// ```
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.config.memory_budget = budget;
-        self
-    }
-
-    /// Enables or disables the cost-based optimizer (builder style;
-    /// default on).
-    ///
-    /// With the optimizer on, queries over `ANALYZE`d tables get their
-    /// inner-join regions reordered so the smallest estimated relation
-    /// becomes the hash-join build side, priced by a cost model that counts
-    /// oracle round trips first. The result *set* is always identical to the
-    /// syntactic plan's; the row order of queries without a total `ORDER BY`
-    /// is unspecified either way. Tables without statistics keep their
-    /// syntactic plans, as do regions under a `LIMIT` with no `Sort` in
-    /// between (there, production order decides the surviving rows).
-    ///
-    /// ```
-    /// use sdb_engine::SpEngine;
-    ///
-    /// let engine = SpEngine::new();
-    /// engine.execute_sql("CREATE TABLE t (a INT)")?;
-    /// engine.execute_sql("INSERT INTO t VALUES (1), (2), (3)")?;
-    /// engine.execute_sql("ANALYZE t")?;
-    /// assert_eq!(engine.catalog().table_stats("t").unwrap().row_count, 3);
-    ///
-    /// // EXPLAIN renders the physical tree plus per-node estimates.
-    /// let out = engine.execute_sql("EXPLAIN SELECT a FROM t WHERE a > 1")?;
-    /// assert!(out.batch.num_rows() > 0);
-    ///
-    /// let syntactic = SpEngine::new().with_optimizer(false);
-    /// assert!(!syntactic.optimizer_enabled());
-    /// # Ok::<(), sdb_engine::EngineError>(())
-    /// ```
-    pub fn with_optimizer(mut self, optimizer: bool) -> Self {
-        self.config.optimizer = optimizer;
-        self
-    }
-
-    /// Whether the cost-based optimizer is enabled.
-    pub fn optimizer_enabled(&self) -> bool {
-        self.config.optimizer
-    }
-
-    /// Enables or disables per-operator execution tracing for every query
-    /// this engine runs (builder style; default off, `SDB_TRACE=1` flips the
-    /// default). Traced queries return a [`crate::trace::TraceReport`] on
-    /// [`QueryOutput::trace`] (exported as JSON under `SDB_TRACE_DIR` when
-    /// that is set) and produce byte-identical results to untraced runs.
-    ///
-    /// ```
-    /// # use sdb_engine::SpEngine;
-    /// let engine = SpEngine::new().with_tracing(true);
-    /// engine.execute_sql("CREATE TABLE t (a INT)")?;
-    /// engine.execute_sql("INSERT INTO t VALUES (1), (2), (3)")?;
-    ///
-    /// let out = engine.execute_sql("SELECT a FROM t WHERE a > 1")?;
-    /// let report = out.trace.expect("tracing was on");
-    /// let root = &report.spans[report.root.unwrap()];
-    /// assert_eq!(root.rows_out, out.batch.num_rows());
-    /// # Ok::<(), sdb_engine::EngineError>(())
-    /// ```
-    pub fn with_tracing(mut self, tracing: bool) -> Self {
-        self.config.tracing = tracing;
-        self
-    }
-
-    /// Whether per-operator execution tracing is enabled.
-    pub fn tracing(&self) -> bool {
-        self.config.tracing
+    /// The settings every query this engine runs starts from.
+    pub fn config(&self) -> &ExecConfig {
+        &self.config
     }
 
     /// Collects optimizer statistics for one table (the `ANALYZE <table>`
@@ -345,8 +231,9 @@ impl SpEngine {
 
     fn explain_query(&self, query: &sdb_sql::ast::Query) -> Result<Vec<String>> {
         let plan = PlanBuilder::build(query)?;
-        let ctx = Arc::new(self.query_context(None, &QueryOptions::default()));
-        let optimized = if self.config.optimizer {
+        let ctx = Arc::new(self.query_context(None, &QueryOptions::default())?);
+        let config = ctx.config();
+        let optimized = if config.optimizer {
             ctx.optimizer().optimize(&plan)
         } else {
             plan.clone()
@@ -356,9 +243,9 @@ impl SpEngine {
         let mut lines = Vec::new();
         lines.push(format!(
             "physical plan (optimizer {}, parallelism {}, budget {}):",
-            if self.config.optimizer { "on" } else { "off" },
-            self.config.parallelism,
-            match self.config.memory_budget.limit() {
+            if config.optimizer { "on" } else { "off" },
+            config.parallelism,
+            match config.memory_budget.limit() {
                 Some(limit) => format!("{limit}B"),
                 None => "unlimited".to_string(),
             }
@@ -371,21 +258,6 @@ impl SpEngine {
             lines.push(format!("  {line}"));
         }
         Ok(lines)
-    }
-
-    /// Rows per batch used for query execution.
-    pub fn batch_size(&self) -> usize {
-        self.config.batch_size
-    }
-
-    /// The per-query memory budget for blocking operators.
-    pub fn memory_budget(&self) -> &MemoryBudget {
-        &self.config.memory_budget
-    }
-
-    /// Workers per query used by the parallel operators.
-    pub fn parallelism(&self) -> usize {
-        self.config.parallelism
     }
 
     /// The shared catalog.
@@ -528,14 +400,15 @@ impl SpEngine {
         } else {
             opts
         };
-        let ctx = Arc::new(self.query_context(self.oracle_for(opts), opts));
+        let ctx = Arc::new(self.query_context(self.oracle_for(opts), opts)?);
+        let config = ctx.config();
         // Read before planning: a plan built while the catalog changed is
         // filed under the epoch it started from, which is already past.
         let key = PlanKey {
             epoch: self.catalog.epoch(),
-            optimizer: ctx.optimizer_enabled(),
-            batch_size: ctx.batch_size(),
-            budget: ctx.memory_budget().limit(),
+            optimizer: config.optimizer,
+            batch_size: config.batch_size,
+            budget: config.memory_budget.limit(),
         };
         let cached = shape.plan(&key);
         let hit = cached.is_some();
@@ -548,7 +421,7 @@ impl SpEngine {
                     });
                 };
                 let built = PlanBuilder::build(&query)?;
-                let plan = Arc::new(if ctx.optimizer_enabled() {
+                let plan = Arc::new(if config.optimizer {
                     ctx.optimizer().optimize(&built)
                 } else {
                     built
@@ -615,8 +488,8 @@ impl SpEngine {
             crate::trace::fmt_us(report.total_time_us),
             crate::trace::fmt_us(stats.plan_time.as_micros() as u64),
             stats.plan_cache_hits,
-            ctx.parallelism(),
-            match ctx.memory_budget().limit() {
+            ctx.config().parallelism,
+            match ctx.config().memory_budget.limit() {
                 Some(limit) => format!("{limit}B"),
                 None => "unlimited".to_string(),
             }
@@ -640,26 +513,20 @@ impl SpEngine {
 
     /// Builds the execution context for one query: the engine's config
     /// with `opts` applied, constructed once.
-    fn query_context(&self, oracle: Option<OracleRef>, opts: &QueryOptions) -> ExecContext<'_> {
-        let mut config = self.config.clone();
-        if let Some(budget) = &opts.memory_budget {
-            config.memory_budget = budget.clone();
-        }
-        if let Some(parallelism) = opts.parallelism {
-            config.parallelism = parallelism;
-        }
-        if let Some(tracing) = opts.tracing {
-            config.tracing = tracing;
-        }
-        ExecContext::new(
+    fn query_context(
+        &self,
+        oracle: Option<OracleRef>,
+        opts: &QueryOptions,
+    ) -> Result<ExecContext<'_>> {
+        Ok(ExecContext::new(
             &self.catalog,
             &self.registry,
             oracle,
-            config,
+            opts.apply(&self.config)?,
             opts.pager.clone(),
             opts.cancel.clone(),
         )
-        .with_power_memo(&self.power_memo)
+        .with_power_memo(&self.power_memo))
     }
 
     /// Executes an already-parsed statement with per-query overrides.
@@ -698,13 +565,13 @@ impl SpEngine {
         match statement {
             Statement::Query(query) => {
                 let plan = PlanBuilder::build(query)?;
-                let ctx = Arc::new(self.query_context(self.oracle_for(opts), opts));
+                let ctx = Arc::new(self.query_context(self.oracle_for(opts), opts)?);
                 self.run_query(ctx, &plan, false, false, planning, false)
             }
             Statement::ExplainAnalyze(query) => {
                 let plan = PlanBuilder::build(query)?;
                 let opts = Self::traced(opts);
-                let ctx = Arc::new(self.query_context(self.oracle_for(&opts), &opts));
+                let ctx = Arc::new(self.query_context(self.oracle_for(&opts), &opts)?);
                 self.run_query(ctx, &plan, false, false, planning, true)
             }
             Statement::Explain(query) => {
@@ -781,6 +648,9 @@ impl SpEngine {
 
     /// Writes `report` as JSON under `SDB_TRACE_DIR` when that is set.
     /// Best-effort: export failures never fail the query.
+    // Read per export, not resolved once: a test process sets and clears
+    // the directory between queries.
+    #[allow(clippy::disallowed_methods)]
     fn maybe_export_trace(report: &crate::trace::TraceReport) {
         if let Ok(dir) = std::env::var("SDB_TRACE_DIR") {
             if !dir.is_empty() {
@@ -934,6 +804,32 @@ mod tests {
         engine.execute_sql("INSERT INTO t VALUES (-5)").unwrap();
         let out = engine.execute_sql("SELECT a FROM t").unwrap();
         assert_eq!(*out.batch.column(0).value(0), Value::Int(-5));
+    }
+
+    #[test]
+    fn a_zero_worker_count_or_batch_size_is_a_typed_error() {
+        let engine = SpEngine::new();
+        engine.execute_sql("CREATE TABLE t (a INT, g INT)").unwrap();
+        engine
+            .execute_sql("INSERT INTO t VALUES (1, 1), (2, 2)")
+            .unwrap();
+        let sql = "SELECT g, SUM(a) AS s FROM t GROUP BY g";
+        let invalid = |result: Result<QueryOutput>, setting: &str| match result {
+            Err(EngineError::InvalidConfig { detail }) => {
+                assert!(detail.contains(setting), "{detail}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+
+        let zero_workers = QueryOptions::default().with_parallelism(0);
+        invalid(engine.execute_sql_with(sql, &zero_workers), "parallelism");
+        let zero_batch =
+            SpEngine::with_catalog(Arc::clone(engine.catalog())).with_config(ExecConfig {
+                batch_size: 0,
+                ..ExecConfig::default()
+            });
+        invalid(zero_batch.execute_sql(sql), "batch size");
+        assert_eq!(engine.execute_sql(sql).unwrap().batch.num_rows(), 2);
     }
 
     #[test]

@@ -49,6 +49,11 @@ pub enum EngineError {
         /// The shape id the statement carried.
         shape: u64,
     },
+    /// A query's settings cannot run: a zero worker count or batch size.
+    InvalidConfig {
+        /// The setting at fault.
+        detail: String,
+    },
     /// The statement panicked (a bug, or a panicking UDF). The engine caught
     /// the panic at the statement boundary and dropped the query's state, its
     /// pager lease included; the engine itself keeps serving.
@@ -80,6 +85,7 @@ impl fmt::Display for EngineError {
             EngineError::UnknownShape { shape } => {
                 write!(f, "unknown statement shape {shape:016x}")
             }
+            EngineError::InvalidConfig { detail } => write!(f, "invalid settings: {detail}"),
             EngineError::Panicked { detail } => write!(f, "statement panicked: {detail}"),
         }
     }

@@ -257,7 +257,7 @@ impl<'a> HashAggregate<'a> {
         {
             return Ok(out);
         }
-        let workers = effective_workers(self.ctx.parallelism(), batch.num_rows());
+        let workers = effective_workers(self.ctx.config().parallelism, batch.num_rows());
         let groups = if workers <= 1 {
             group_morsel(&self.ctx, &self.shares, &batch, &group_exprs, &agg_args)?
         } else {

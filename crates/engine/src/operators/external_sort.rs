@@ -43,11 +43,8 @@ impl Sort<'_> {
     /// into sorted runs parked in the pager, ready to merge.
     pub(super) fn spill(&mut self, mut held: Replay) -> Result<Merge> {
         let desc = self.desc();
-        let limit = self
-            .ctx
-            .memory_budget()
-            .limit()
-            .expect("only a limited budget overflows");
+        let limit =
+            (self.ctx.config().memory_budget.limit()).expect("only a limited budget overflows");
         let output_schema = held.schema().clone();
         let bound = self.bind_keys(&output_schema);
         let mut runs: Vec<RunCursor> = Vec::new();
@@ -117,7 +114,7 @@ fn attach_keys(
 fn seal_run(ctx: &ExecContext<'_>, run: RecordBatch, desc: &[bool]) -> Result<RunCursor> {
     let order = sorted_order(ctx, run.num_rows(), &run.columns()[..desc.len()], desc)?;
     let sorted = run.reorder(&order)?;
-    let batch_size = ctx.batch_size();
+    let batch_size = ctx.config().batch_size;
     let mut cursor = RunCursor {
         pager: Arc::clone(ctx.pager()),
         pages: Vec::with_capacity(sorted.num_rows().div_ceil(batch_size).max(1)),

@@ -362,11 +362,11 @@ impl PairJoiner<'_, '_> {
     /// How many workers may join pairs concurrently without the combined
     /// build materialisations running far past the budget.
     fn pair_workers(&self, pairs: &[(PageStream, PageStream)]) -> usize {
-        let parallelism = self.ctx.parallelism().min(pairs.len()).max(1);
+        let parallelism = self.ctx.config().parallelism.min(pairs.len()).max(1);
         if parallelism <= 1 {
             return 1;
         }
-        let Some(limit) = self.ctx.memory_budget().limit() else {
+        let Some(limit) = self.ctx.config().memory_budget.limit() else {
             return parallelism;
         };
         let largest = pairs.iter().map(|(b, _)| b.bytes()).max().unwrap_or(0);
@@ -398,7 +398,7 @@ impl PairJoiner<'_, '_> {
             // Inner join against nothing: no probe row can match.
             return Ok(());
         }
-        let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
+        let limit = (self.ctx.config().memory_budget.limit()).unwrap_or(usize::MAX);
         if build.bytes() > limit && level <= MAX_LEVELS {
             // Still too big: split both sides by a different hash of the key.
             return self.repartition_pair(build, probe, level, output_schema, outputs);
@@ -423,7 +423,7 @@ impl PairJoiner<'_, '_> {
             &pager,
             page_schema.clone(),
             flush_bytes(self.ctx),
-            self.ctx.batch_size(),
+            self.ctx.config().batch_size,
         );
         // Each probe page's joined rows are one gather: the sequence number
         // and probe payload by probe row, the build payload by match.

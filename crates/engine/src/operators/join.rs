@@ -171,7 +171,7 @@ pub(super) fn keys_of_batch(
         Ok(columns.collect::<Vec<Column>>())
     };
     let workers = match interpreted {
-        true => effective_workers(ctx.parallelism(), rows),
+        true => effective_workers(ctx.config().parallelism, rows),
         false => 1,
     };
     if workers <= 1 {
@@ -258,7 +258,7 @@ impl PhysicalOperator for HashJoin<'_> {
                 };
                 probe_batch(&self.ctx, build, self.kind, &self.left_keys, batch).map(Some)
             }
-            State::Spilled(spilled) => spilled.next_batch(self.ctx.batch_size()),
+            State::Spilled(spilled) => spilled.next_batch(self.ctx.config().batch_size),
         }
     }
 
@@ -340,12 +340,13 @@ impl<'a> NestedLoopJoin<'a> {
 
     /// Streams the overflowed right input into a pager page stream.
     fn park_right(&mut self, mut held: Replay) -> Result<PageStream> {
-        let limit = (self.ctx.memory_budget().limit()).expect("only a limited budget overflows");
+        let limit =
+            (self.ctx.config().memory_budget.limit()).expect("only a limited budget overflows");
         let mut writer = PageStreamWriter::new(
             self.ctx.pager(),
             held.schema().clone(),
             (limit / 4).max(1),
-            self.ctx.batch_size(),
+            self.ctx.config().batch_size,
         );
         while let Some(batch) = held.next_batch(self.right.as_mut())? {
             for row in 0..batch.num_rows() {

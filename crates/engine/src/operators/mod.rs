@@ -33,7 +33,7 @@
 //!
 //! The context is `Send + Sync` ([`PhysicalOperator`] requires `Send`, so
 //! whole plans can cross threads) and the blocking operators fan their heavy
-//! phases out across `ctx.parallelism()` workers using `std::thread::scope`
+//! phases out across `ctx.config().parallelism` workers using `std::thread::scope`
 //! (see [`parallel`]):
 //!
 //! * [`join::HashJoin`] partitions its materialised build side to evaluate
@@ -96,7 +96,7 @@ use rand::{Rng, SeedableRng};
 
 use sdb_sql::ast::Query;
 use sdb_sql::plan::PlanBuilder;
-use sdb_storage::{CancelToken, Catalog, Column, MemoryBudget, Pager, RecordBatch, Schema, Value};
+use sdb_storage::{CancelToken, Catalog, Column, Pager, RecordBatch, Schema, Value};
 
 use crate::config::ExecConfig;
 use crate::eval::{Evaluator, SubqueryResolver};
@@ -267,24 +267,9 @@ impl<'a> ExecContext<'a> {
         self.oracle.as_ref()
     }
 
-    /// Rows per batch.
-    pub fn batch_size(&self) -> usize {
-        self.config.batch_size
-    }
-
-    /// Number of workers parallel operators may fan out to (`1` = serial).
-    pub fn parallelism(&self) -> usize {
-        self.config.parallelism
-    }
-
-    /// The memory budget for blocking operators.
-    pub fn memory_budget(&self) -> &MemoryBudget {
-        &self.config.memory_budget
-    }
-
-    /// Whether the cost-based optimizer runs before physical planning.
-    pub fn optimizer_enabled(&self) -> bool {
-        self.config.optimizer
+    /// The settings this query runs under.
+    pub fn config(&self) -> &ExecConfig {
+        &self.config
     }
 
     /// A configured [`crate::optimizer::Optimizer`] for this context's
@@ -569,7 +554,7 @@ pub(crate) fn append_rows(
 /// batches are also kept apart so an overflow can replay them one at a
 /// time. Concatenation appends in place, so the cost is linear in the rows.
 pub(crate) fn hold_input(ctx: &ExecContext<'_>, input: &mut dyn PhysicalOperator) -> Result<Held> {
-    let limit = ctx.memory_budget().limit();
+    let limit = ctx.config().memory_budget.limit();
     let mut held = VecDeque::new();
     let mut bytes = 0usize;
     let mut result: Option<RecordBatch> = None;

@@ -343,9 +343,7 @@ impl OracleAccumulator {
                 operation: active[0].rendered.clone(),
             });
         }
-        let flush_bytes = ctx
-            .memory_budget()
-            .limit()
+        let flush_bytes = (ctx.config().memory_budget.limit())
             .map(|limit| (limit / 4).max(1))
             .unwrap_or(1 << 20);
         let buffers = active.iter().map(|_| CallBuffer::default()).collect();
@@ -356,7 +354,7 @@ impl OracleAccumulator {
                 ctx.pager(),
                 schema.clone(),
                 flush_bytes,
-                ctx.batch_size(),
+                ctx.config().batch_size,
             ),
             total_rows: 0,
             active,

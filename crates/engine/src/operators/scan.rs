@@ -9,7 +9,7 @@ use sdb_storage::{ColumnDef, RecordBatch, Schema, Value};
 use super::{ExecContext, PhysicalOperator};
 use crate::Result;
 
-/// Scans a catalog table, emitting batches of at most `ctx.batch_size()` rows.
+/// Scans a catalog table, emitting batches of at most `ctx.config().batch_size` rows.
 ///
 /// `open()` takes the snapshot under the table's read guard: one shared
 /// handle per column read, no cell copied, and the guard is gone before the
@@ -187,7 +187,7 @@ impl PhysicalOperator for TableScan<'_> {
             return Ok(None);
         };
         let emitting = self.rows.as_ref().map_or(source.num_rows(), Vec::len);
-        let take = self.ctx.batch_size().min(emitting - self.offset);
+        let take = self.ctx.config().batch_size.min(emitting - self.offset);
         // An empty table still emits one empty batch carrying the schema.
         if take == 0 && self.emitted {
             return Ok(None);

@@ -80,7 +80,7 @@ impl PhysicalOperator for Sort<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        let batch_size = self.ctx.batch_size();
+        let batch_size = self.ctx.config().batch_size;
         match &mut self.state {
             Some(State::Done) => return Ok(None),
             Some(State::Merge(merge)) => return merge.next_batch(batch_size),
@@ -150,7 +150,7 @@ pub(super) fn sorted_order(
 ) -> Result<Vec<usize>> {
     let keys: Vec<ColumnCells<'_>> = keys.iter().map(Column::cells).collect();
     let keys = &keys[..];
-    let workers = effective_workers(ctx.parallelism(), rows);
+    let workers = effective_workers(ctx.config().parallelism, rows);
     if workers <= 1 {
         let mut order: Vec<usize> = (0..rows).collect();
         order.sort_unstable_by(|&a, &b| compare_rows(keys, desc, a, b));

@@ -132,11 +132,8 @@ impl HashAggregate<'_> {
     /// the budget, and aggregates them into groups in global
     /// first-occurrence order.
     pub(super) fn spill(&mut self, mut held: Replay) -> Result<RecordBatch> {
-        let limit = self
-            .ctx
-            .memory_budget()
-            .limit()
-            .expect("only a limited budget overflows");
+        let limit =
+            (self.ctx.config().memory_budget.limit()).expect("only a limited budget overflows");
         let page_schema = self.page_schema();
         let input_schema = held.schema().clone();
         let (group_exprs, agg_args) =
@@ -203,7 +200,7 @@ impl HashAggregate<'_> {
         page_schema: &Schema,
         out: &mut Vec<(u64, GroupState)>,
     ) -> Result<()> {
-        let limit = self.ctx.memory_budget().limit().unwrap_or(usize::MAX);
+        let limit = (self.ctx.config().memory_budget.limit()).unwrap_or(usize::MAX);
         if run.bytes() > limit && level <= MAX_LEVELS {
             // Still too big: split by a different hash of the same keys.
             let mut writers = partition_writers(&self.ctx, page_schema);
@@ -238,15 +235,15 @@ impl HashAggregate<'_> {
 /// A partition writer's flush threshold: a small fraction of the budget, so
 /// `FANOUT` writers cannot hoard it.
 pub(super) fn flush_bytes(ctx: &ExecContext<'_>) -> usize {
-    let limit = ctx.memory_budget().limit().unwrap_or(usize::MAX);
+    let limit = ctx.config().memory_budget.limit().unwrap_or(usize::MAX);
     (limit / (2 * FANOUT)).max(1)
 }
 
 /// One partition writer per fanout slot.
 pub(super) fn partition_writers(ctx: &ExecContext<'_>, schema: &Schema) -> Vec<PageStreamWriter> {
-    let flush_bytes = flush_bytes(ctx);
+    let (flush_bytes, batch_size) = (flush_bytes(ctx), ctx.config().batch_size);
     (0..FANOUT)
-        .map(|_| PageStreamWriter::new(ctx.pager(), schema.clone(), flush_bytes, ctx.batch_size()))
+        .map(|_| PageStreamWriter::new(ctx.pager(), schema.clone(), flush_bytes, batch_size))
         .collect()
 }
 

@@ -35,7 +35,7 @@
 //! top-k-with-ties latitude). `crates/engine/tests/optimizer_consistency.rs`
 //! pins all of this with an optimizer-on/off × budget × parallelism matrix.
 //!
-//! The optimizer is on by default; [`crate::SpEngine::with_optimizer`] turns
+//! The optimizer is on by default; [`crate::ExecConfig::optimizer`] turns
 //! it off (today's purely syntactic plans). `EXPLAIN <query>` renders the
 //! chosen physical tree together with per-node row and cost estimates.
 

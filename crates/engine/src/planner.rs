@@ -501,7 +501,7 @@ pub fn execute_planned<'a>(
     planning: std::time::Instant,
 ) -> Result<RecordBatch> {
     let optimizing;
-    let plan = if !optimized && ctx.optimizer_enabled() {
+    let plan = if !optimized && ctx.config().optimizer {
         optimizing = ctx.optimizer().optimize(plan);
         &optimizing
     } else {

@@ -27,8 +27,7 @@ fn environment_sets_the_process_defaults_once() {
     assert_eq!(ExecConfig::default(), config);
 
     let engine = SpEngine::new();
-    assert_eq!(engine.memory_budget(), &MemoryBudget::bytes(65536));
-    assert!(engine.tracing());
+    assert_eq!(engine.config(), &config);
 
     // Auto-analyze shows in what a query leaves behind: statistics for the
     // table it planned over, which nothing else collected.

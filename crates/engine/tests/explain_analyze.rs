@@ -5,15 +5,20 @@
 //! spill attribution appearing exactly when a budget forces spilling, and the
 //! JSON trace export landing under `SDB_TRACE_DIR`.
 
-use sdb_engine::{MemoryBudget, SpEngine};
+use sdb_engine::{ExecConfig, MemoryBudget, SpEngine};
+
+/// The process defaults at one worker.
+fn serial() -> ExecConfig {
+    ExecConfig {
+        parallelism: 1,
+        ..ExecConfig::default()
+    }
+}
 
 /// A three-table star fixture: `fact(id, k1, k2, v)` joined to dimensions
 /// `d1(k, name1)` and `d2(k, name2)`, with optimizer statistics collected.
-fn engine_with(parallelism: usize, budget: Option<usize>) -> SpEngine {
-    let mut engine = SpEngine::new().with_parallelism(parallelism);
-    if let Some(bytes) = budget {
-        engine = engine.with_memory_budget(MemoryBudget::bytes(bytes));
-    }
+fn engine_with(config: ExecConfig) -> SpEngine {
+    let engine = SpEngine::new().with_config(config);
     engine
         .execute_sql("CREATE TABLE fact (id INT, k1 INT, k2 INT, v INT)")
         .unwrap();
@@ -70,7 +75,7 @@ fn plan_lines(engine: &SpEngine, sql: &str) -> Vec<String> {
 /// with actual rows, wall time, and estimate-vs-actual deviation.
 #[test]
 fn three_table_join_renders_actuals_and_deviation() {
-    let engine = engine_with(1, None);
+    let engine = engine_with(serial());
     let lines = plan_lines(&engine, THREE_TABLE_JOIN);
 
     assert!(
@@ -117,12 +122,14 @@ fn three_table_join_renders_actuals_and_deviation() {
 fn rendering_is_stable_across_budget_and_parallelism_matrix() {
     for budget in [Some(4 * 1024), None] {
         for parallelism in [1, 4] {
-            let mut engine = engine_with(parallelism, budget);
-            if budget.is_none() {
-                // Explicitly unlimited, so a CI-level SDB_TEST_MEM_BUDGET
-                // cannot leak in.
-                engine = engine.with_memory_budget(MemoryBudget::unlimited());
-            }
+            // Explicitly unlimited without a budget, so a CI-level
+            // SDB_TEST_MEM_BUDGET cannot leak in.
+            let memory_budget = budget.map_or_else(MemoryBudget::unlimited, MemoryBudget::bytes);
+            let engine = engine_with(ExecConfig {
+                parallelism,
+                memory_budget,
+                ..ExecConfig::default()
+            });
             let lines = plan_lines(&engine, THREE_TABLE_JOIN);
             let knobs = format!("budget={budget:?} parallelism={parallelism}");
 
@@ -151,17 +158,23 @@ fn rendering_is_stable_across_budget_and_parallelism_matrix() {
 }
 
 /// Plain queries (no `EXPLAIN ANALYZE`) carry no trace unless tracing is on;
-/// with `with_tracing(true)` the same query reports a span tree whose root
+/// with `ExecConfig::tracing` on the same query reports a span tree whose root
 /// accounts for every output row. The knob is set explicitly on both sides
 /// so the test holds under the CI `SDB_TRACE=1` leg too.
 #[test]
 fn plain_queries_trace_only_when_asked() {
-    let engine = engine_with(1, None).with_tracing(false);
+    let engine = engine_with(ExecConfig {
+        tracing: false,
+        ..serial()
+    });
     let sql = "SELECT v FROM fact WHERE v > 50 ORDER BY id";
     let untraced = engine.execute_sql(sql).unwrap();
     assert!(untraced.trace.is_none(), "tracing off records nothing");
 
-    let traced_engine = engine_with(1, None).with_tracing(true);
+    let traced_engine = engine_with(ExecConfig {
+        tracing: true,
+        ..serial()
+    });
     let traced = traced_engine.execute_sql(sql).unwrap();
     assert_eq!(untraced.batch, traced.batch, "tracing never changes output");
     let report = traced.trace.expect("tracing was on");
@@ -177,7 +190,7 @@ fn trace_dir_exports_json_reports() {
     let dir = std::env::temp_dir().join(format!("sdb-trace-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::env::set_var("SDB_TRACE_DIR", &dir);
-    let engine = engine_with(1, None);
+    let engine = engine_with(serial());
     let lines = plan_lines(&engine, THREE_TABLE_JOIN);
     std::env::remove_var("SDB_TRACE_DIR");
     assert!(!lines.is_empty());
@@ -205,7 +218,7 @@ fn trace_dir_exports_json_reports() {
 /// the same label — a `Scan` name, which tooling files under scans.
 #[test]
 fn index_scans_name_their_column_and_count_the_rows_they_emit() {
-    let engine = engine_with(1, None);
+    let engine = engine_with(serial());
     let out = engine
         .execute_sql("EXPLAIN SELECT v FROM fact WHERE id = 42")
         .unwrap();

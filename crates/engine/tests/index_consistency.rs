@@ -91,7 +91,7 @@ fn run(catalog: &Catalog, sql: &str, config: ExecConfig) -> (RecordBatch, Execut
         catalog, &registry, None, config, None, None,
     ));
     let plan = PlanBuilder::build(&parse(sql)).unwrap();
-    let plan = match ctx.optimizer_enabled() {
+    let plan = match ctx.config().optimizer {
         true => ctx.optimizer().optimize(&plan),
         false => plan,
     };
@@ -341,7 +341,10 @@ fn an_index_scan_opened_before_an_insert_keeps_its_snapshot() {
 
 #[test]
 fn lookups_racing_inserts_see_whole_prefixes() {
-    let engine = SpEngine::new().with_parallelism(1);
+    let engine = SpEngine::new().with_config(ExecConfig {
+        parallelism: 1,
+        ..ExecConfig::default()
+    });
     engine.execute_sql("CREATE TABLE r (k INT, v INT)").unwrap();
     const STEPS: i64 = 60;
     const READERS: usize = 2;

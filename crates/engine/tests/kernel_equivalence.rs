@@ -710,7 +710,12 @@ fn interpreted(mut engine: SpEngine) -> SpEngine {
 /// Two engines over `catalog`, with the share kernels and with the
 /// interpreter, otherwise alike.
 fn engine_pair(catalog: &Arc<Catalog>, parallelism: usize) -> (SpEngine, SpEngine) {
-    let engine = || SpEngine::with_catalog(Arc::clone(catalog)).with_parallelism(parallelism);
+    let engine = || {
+        SpEngine::with_catalog(Arc::clone(catalog)).with_config(ExecConfig {
+            parallelism,
+            ..ExecConfig::default()
+        })
+    };
     (engine(), interpreted(engine()))
 }
 
@@ -907,15 +912,18 @@ fn every_consumer_runs_the_kernels_and_answers_as_the_interpreter() {
     ];
     for (operator, sql, budget) in cases {
         let engine = || {
-            let mut engine = SpEngine::with_catalog(Arc::clone(&table.catalog))
-                .with_parallelism(1)
-                .with_batch_size(64)
-                .with_tracing(true);
-            if let Some(bytes) = budget {
-                engine = engine.with_memory_budget(sdb_storage::MemoryBudget::bytes(bytes));
-            } else {
-                engine = engine.with_memory_budget(sdb_storage::MemoryBudget::unlimited());
-            }
+            let memory_budget = budget.map_or_else(
+                sdb_storage::MemoryBudget::unlimited,
+                sdb_storage::MemoryBudget::bytes,
+            );
+            let engine =
+                SpEngine::with_catalog(Arc::clone(&table.catalog)).with_config(ExecConfig {
+                    parallelism: 1,
+                    batch_size: 64,
+                    tracing: true,
+                    memory_budget,
+                    ..ExecConfig::default()
+                });
             engine.connect_oracle(Arc::new(LowBitsOracle));
             engine
         };

@@ -366,7 +366,10 @@ fn smallest_relation_becomes_hash_join_build_side() {
 
 #[test]
 fn analyze_and_explain_through_the_engine() {
-    let engine = SpEngine::new().with_parallelism(1);
+    let engine = SpEngine::new().with_config(ExecConfig {
+        parallelism: 1,
+        ..ExecConfig::default()
+    });
     engine
         .execute_sql("CREATE TABLE f (id INT, d INT, v INT)")
         .unwrap();
@@ -424,7 +427,10 @@ fn analyze_and_explain_through_the_engine() {
     assert!(text.contains("Join[Inner] (build = right child)"), "{text}");
 
     // The optimizer-off engine explains the syntactic plan.
-    let syntactic = SpEngine::with_catalog(Arc::clone(engine.catalog())).with_optimizer(false);
+    let syntactic = SpEngine::with_catalog(Arc::clone(engine.catalog())).with_config(ExecConfig {
+        optimizer: false,
+        ..ExecConfig::default()
+    });
     let off = syntactic.explain_sql(sql).unwrap().join("\n");
     assert!(off.contains("optimizer off"), "{off}");
 }

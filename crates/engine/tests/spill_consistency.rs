@@ -525,8 +525,11 @@ impl sdb_engine::ScalarUdf for PanicAfter {
 fn a_panicking_query_fails_and_leaves_its_pool_clean() {
     let sorted = "SELECT id, val FROM big ORDER BY val, id";
     let mut engine = sdb_engine::SpEngine::with_catalog(Arc::new(generated_catalog(2_000)))
-        .with_batch_size(64)
-        .with_parallelism(1);
+        .with_config(ExecConfig {
+            batch_size: 64,
+            parallelism: 1,
+            ..ExecConfig::default()
+        });
     engine.registry_mut().register(Arc::new(PanicAfter {
         calls: std::sync::atomic::AtomicUsize::new(1_500),
     }));
@@ -654,9 +657,12 @@ fn an_abandoned_blocking_node_leaves_its_kept_lease_clean() {
     ];
     // Small batches: many held batches to replay, many pages to abandon.
     let engine = sdb_engine::SpEngine::with_catalog(Arc::new(generated_catalog(3_000)))
-        .with_optimizer(false)
-        .with_parallelism(1)
-        .with_batch_size(64);
+        .with_config(ExecConfig {
+            optimizer: false,
+            parallelism: 1,
+            batch_size: 64,
+            ..ExecConfig::default()
+        });
     let pool = Arc::new(BufferPool::new(&MemoryBudget::unlimited()));
     let opts = |lease: &Arc<Pager>, cancel: sdb_storage::CancelToken| {
         sdb_engine::QueryOptions::default()

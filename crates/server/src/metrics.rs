@@ -224,13 +224,8 @@ pub struct HistogramSnapshot {
 }
 
 /// The lock-free registry of server-wide counters, gauges and histograms.
-///
-/// A disabled registry (see [`crate::ServerConfig::with_metrics`]) keeps
-/// every recording method as an early-return no-op so the overhead bench
-/// can compare registry-on against registry-off.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: bool,
     // Query lifecycle.
     queries_executed: Counter,
     queries_cancelled: Counter,
@@ -274,25 +269,9 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates a registry; a disabled one records nothing.
-    pub fn new(enabled: bool) -> Self {
-        MetricsRegistry {
-            enabled,
-            ..MetricsRegistry::default()
-        }
-    }
-
-    /// Whether this registry records anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Feeds one pager event into the pool counters. Cheap enough to run
     /// inside the pager's observer callback (under the pool lock).
     pub fn observe_pager_event(&self, event: PagerEvent) {
-        if !self.enabled {
-            return;
-        }
         match event {
             PagerEvent::SpillWrite { bytes } => {
                 self.pool_spill_pages.inc();
@@ -307,25 +286,16 @@ impl MetricsRegistry {
 
     /// Records how long a successful admission waited for its slot.
     pub fn record_admission_wait(&self, wait: Duration) {
-        if !self.enabled {
-            return;
-        }
         self.admission_wait.record_duration(wait);
     }
 
     /// Records a submission whose waiter was cancelled before admission.
     pub fn record_admission_cancelled(&self) {
-        if !self.enabled {
-            return;
-        }
         self.admissions_cancelled.inc();
     }
 
     /// Records a query that met the slow threshold.
     pub fn record_slow_query(&self) {
-        if !self.enabled {
-            return;
-        }
         self.slow_queries.inc();
     }
 
@@ -340,9 +310,6 @@ impl MetricsRegistry {
         latency: Duration,
         stats: Option<&ExecutionStats>,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.queries_executed.add(delta.queries as u64);
         self.queries_cancelled.add(delta.cancelled_queries as u64);
         self.queries_failed.add(delta.failed_queries as u64);
@@ -944,30 +911,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let registry = MetricsRegistry::new(false);
-        registry.record_admission_wait(Duration::from_millis(5));
-        registry.record_slow_query();
-        registry.observe_pager_event(PagerEvent::Evict);
-        registry.fold_query(
-            &SessionStats {
-                queries: 1,
-                rows_returned: 10,
-                ..SessionStats::default()
-            },
-            Duration::from_millis(1),
-            None,
-        );
-        let snap = registry.snapshot();
-        assert_eq!(snap.queries_executed, 0);
-        assert_eq!(snap.rows_returned, 0);
-        assert_eq!(snap.pool_evictions, 0);
-        assert_eq!(snap.query_latency.count, 0);
-    }
-
-    #[test]
     fn prometheus_rendering_is_well_formed() {
-        let registry = MetricsRegistry::new(true);
+        let registry = MetricsRegistry::default();
         registry.fold_query(
             &SessionStats {
                 queries: 1,

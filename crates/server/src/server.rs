@@ -24,8 +24,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use sdb::{QueryResult, SdbClient, SdbConfig, WireLog};
-use sdb_engine::QueryOptions;
+use sdb::{QueryResult, SdbClient, SdbConfig, SdbError, WireLog};
+use sdb_engine::{ExecConfig, QueryOptions};
 use sdb_storage::{BufferPool, CancelToken, MemoryBudget, Pager};
 
 use crate::admission::{AdmissionController, AdmissionMode};
@@ -51,9 +51,6 @@ pub struct ServerConfig {
     /// Per-operator tracing per query (`None` inherits the engine default,
     /// which honours `SDB_TRACE`).
     pub tracing: Option<bool>,
-    /// Whether the server-wide [`MetricsRegistry`] records anything
-    /// (default on).
-    pub metrics: bool,
     /// Slow-query capture threshold in milliseconds: queries at least this
     /// slow land in the ring-buffer slow-query log, `0` captures every
     /// query. `None` inherits `SDB_SLOW_QUERY_MS` (capture off when that is
@@ -63,16 +60,16 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Small-parameter profile for tests: the client's test key profile and
-    /// the `SDB_TEST_MEM_BUDGET` budget (unlimited when unset).
+    /// the process default budget ([`ExecConfig::memory_budget`]: the
+    /// `SDB_TEST_MEM_BUDGET` bytes, unlimited when unset).
     pub fn test_profile() -> Self {
         ServerConfig {
             client: SdbConfig::test_profile(),
-            global_budget: MemoryBudget::from_env(),
+            global_budget: ExecConfig::default().memory_budget,
             max_concurrent: 4,
             admission: AdmissionMode::Queue,
             parallelism: None,
             tracing: None,
-            metrics: true,
             slow_query_ms: None,
         }
     }
@@ -107,9 +104,10 @@ impl ServerConfig {
         self
     }
 
-    /// Turns the metrics registry on or off (default on).
-    pub fn with_metrics(mut self, metrics: bool) -> Self {
-        self.metrics = metrics;
+    /// The metrics registry is always on: `metrics` must be `true`. Kept
+    /// only for callers written when the registry could be turned off.
+    pub fn with_metrics(self, metrics: bool) -> Self {
+        assert!(metrics, "the metrics registry cannot be turned off");
         self
     }
 
@@ -208,8 +206,9 @@ pub struct SdbServer {
     admission: AdmissionController,
     sessions: Mutex<HashMap<u64, Arc<SessionState>>>,
     next_session: AtomicU64,
-    parallelism: Option<usize>,
-    tracing: Option<bool>,
+    /// What every query runs with before its grant's budget, lease and
+    /// cancel token are added: the configured worker count and tracing.
+    options: QueryOptions,
     metrics: Arc<MetricsRegistry>,
     queries: Mutex<HashMap<u64, Arc<InFlight>>>,
     next_query: AtomicU64,
@@ -219,15 +218,24 @@ pub struct SdbServer {
 
 impl SdbServer {
     /// Builds a server: embedded client, shared buffer pool sized by the
-    /// global budget, and admission controller.
+    /// global budget, and admission controller. Fails with
+    /// [`sdb_engine::EngineError::InvalidConfig`] on a zero worker count.
     pub fn new(config: ServerConfig) -> Result<Self> {
         let client = SdbClient::new(config.client)?;
+        let options = QueryOptions {
+            parallelism: config.parallelism,
+            tracing: config.tracing,
+            ..QueryOptions::default()
+        };
+        (options.apply(client.engine().config())).map_err(SdbError::Engine)?;
         let pool = Arc::new(BufferPool::new(&config.global_budget));
         let admission = AdmissionController::new(
             config.max_concurrent,
             config.admission,
             config.global_budget,
         );
+        // Read once, when the server starts.
+        #[allow(clippy::disallowed_methods)]
         let slow_threshold = config
             .slow_query_ms
             .or_else(|| std::env::var("SDB_SLOW_QUERY_MS").ok()?.trim().parse().ok())
@@ -238,9 +246,8 @@ impl SdbServer {
             admission,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
-            parallelism: config.parallelism,
-            tracing: config.tracing,
-            metrics: Arc::new(MetricsRegistry::new(config.metrics)),
+            options,
+            metrics: Arc::new(MetricsRegistry::default()),
             queries: Mutex::new(HashMap::new()),
             next_query: AtomicU64::new(1),
             slow_log: SlowQueryLog::default(),
@@ -349,22 +356,14 @@ impl SdbServer {
         };
 
         let pager = Arc::new(Pager::shared(&self.pool));
-        if self.metrics.enabled() {
-            // Composes with the tracing observer the engine installs on the
-            // same lease (`Pager::add_observer` fans out to both).
-            let metrics = Arc::clone(&self.metrics);
-            pager.add_observer(Arc::new(move |event| metrics.observe_pager_event(event)));
-        }
-        let mut opts = QueryOptions::default()
+        // Composes with the tracing observer the engine installs on the
+        // same lease (`Pager::add_observer` fans out to both).
+        let metrics = Arc::clone(&self.metrics);
+        pager.add_observer(Arc::new(move |event| metrics.observe_pager_event(event)));
+        let opts = (self.options.clone())
             .with_memory_budget(grant.budget().clone())
             .with_cancel_token(cancel.clone())
             .with_pager(Arc::clone(&pager));
-        if let Some(parallelism) = self.parallelism {
-            opts = opts.with_parallelism(parallelism);
-        }
-        if let Some(tracing) = self.tracing {
-            opts = opts.with_tracing(tracing);
-        }
 
         let result = self.client.query_with(sql, &opts);
         let pager_stats = pager.stats();

@@ -66,19 +66,6 @@ impl MemoryBudget {
         }
     }
 
-    /// Reads the `SDB_TEST_MEM_BUDGET` environment variable (bytes) as the
-    /// default budget, falling back to unlimited. This is the CI hook that
-    /// re-runs entire test suites through the spill paths.
-    pub fn from_env() -> Self {
-        match std::env::var("SDB_TEST_MEM_BUDGET")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            Some(limit) if limit > 0 => MemoryBudget::bytes(limit),
-            _ => MemoryBudget::unlimited(),
-        }
-    }
-
     /// Overrides the directory spill files are created in (default: the
     /// system temp dir). The directory must already exist.
     pub fn with_spill_dir(mut self, dir: impl AsRef<Path>) -> Self {

@@ -137,8 +137,38 @@ fn loaded_server(config: sdb_server::ServerConfig) -> (sdb_server::SdbServer, Me
     (server, auditor)
 }
 
-/// What a slow-query record's `stats` and `trace` reveal: the sensitive
-/// needles and the renderings of DO secrets found in their JSON.
+/// Every DO secret of `client`, in both renderings.
+fn rendered_secrets(client: &SdbClient) -> Vec<String> {
+    (do_secrets(client).iter())
+        .flat_map(both_renderings)
+        .collect()
+}
+
+/// The first `l_extendedprice` the tiny Financial workload stages: a
+/// sensitive figure its auditors hold as a needle.
+fn a_sensitive_figure() -> Value {
+    let tables = generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17);
+    let lineitem = tables
+        .iter()
+        .find(|t| t.name() == "lineitem")
+        .expect("lineitem");
+    let prices = lineitem.scan();
+    let figure = prices.column_by_name("l_extendedprice").unwrap().value(0);
+    figure.into_owned()
+}
+
+/// What `text` reveals: the sensitive needles and the DO-secret renderings
+/// found in it.
+fn findings_in(text: &str, auditor: &MemoryAuditor, secrets: &[String]) -> Vec<String> {
+    let report = auditor.audit([("surface", text)]);
+    let mut findings: Vec<String> = report.findings.into_iter().map(|f| f.needle).collect();
+    for secret in secrets.iter().filter(|s| text.contains(s.as_str())) {
+        findings.push(format!("a DO secret: {secret}"));
+    }
+    findings
+}
+
+/// What a slow-query record's `stats` and `trace` reveal.
 fn slow_record_findings(
     record: &sdb_server::SlowQueryRecord,
     auditor: &MemoryAuditor,
@@ -146,14 +176,7 @@ fn slow_record_findings(
 ) -> Vec<String> {
     let stats = serde_json::to_string(&record.stats).expect("stats");
     let trace = serde_json::to_string(&record.trace).expect("trace");
-    let report = auditor.audit([("stats", stats.as_str()), ("trace", trace.as_str())]);
-    let mut findings: Vec<String> = report.findings.into_iter().map(|f| f.needle).collect();
-    for secret in secrets {
-        if stats.contains(secret.as_str()) || trace.contains(secret.as_str()) {
-            findings.push(format!("a DO secret: {secret}"));
-        }
-    }
-    findings
+    findings_in(&format!("{stats}\n{trace}"), auditor, secrets)
 }
 
 #[test]
@@ -172,9 +195,7 @@ fn the_slow_query_ring_holds_no_sensitive_plaintext_or_do_secret() {
             .execute(session, sql)
             .unwrap_or_else(|e| panic!("Q{id} failed: {e}"));
     }
-    let secrets: Vec<String> = (do_secrets(server.client()).iter())
-        .flat_map(both_renderings)
-        .collect();
+    let secrets = rendered_secrets(server.client());
     let records = server.slow_queries();
     assert_eq!(records.len(), AUDIT_MIX.len());
     for record in &records {
@@ -186,21 +207,66 @@ fn the_slow_query_ring_holds_no_sensitive_plaintext_or_do_secret() {
     // Positive control: a sensitive figure and a DO secret planted in a
     // span's name are both found.
     let mut planted = records[0].clone();
-    let tables = generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, 0xa0d17);
-    let lineitem = tables
-        .iter()
-        .find(|t| t.name() == "lineitem")
-        .expect("lineitem");
-    let prices = lineitem.scan();
-    let figure = prices
-        .column_by_name("l_extendedprice")
-        .unwrap()
-        .value(0)
-        .render();
+    let figure = a_sensitive_figure().render();
     let trace = planted.trace.as_mut().expect("traced");
     trace.spans[0].name = format!("Filter({figure} {})", secrets[0]);
     let findings = slow_record_findings(&planted, &auditor, &secrets);
     assert_eq!(findings.len(), 2, "{findings:?}");
+}
+
+#[test]
+fn the_prometheus_text_and_the_sp_statement_shapes_hold_no_sensitive_plaintext_or_do_secret() {
+    // Five rounds of the audit mix: the DO replays each statement by shape
+    // from its third rewrite, and the SP caches its plan from the fourth
+    // execution, so the shape cache holds every template and plan.
+    let (server, auditor) = loaded_server(sdb_server::ServerConfig::test_profile());
+    let session = server.connect();
+    for _ in 0..5 {
+        for id in AUDIT_MIX {
+            let sql = sdb_workload::query_by_id(id).expect("template").sql;
+            server
+                .execute(session, sql)
+                .unwrap_or_else(|e| panic!("Q{id} failed: {e}"));
+        }
+    }
+    let engine = server.client().engine();
+    assert_eq!(engine.statement_shapes(), AUDIT_MIX.len());
+    let shapes = engine.statement_shape_dump();
+    assert!(shapes.len() > AUDIT_MIX.len(), "plans are cached too");
+    let shapes = shapes.join("\n");
+    let prometheus = server.metrics_snapshot().render_prometheus();
+    let secrets = rendered_secrets(server.client());
+    for (name, text) in [("prometheus", &prometheus), ("statement shapes", &shapes)] {
+        let findings = findings_in(text, &auditor, &secrets);
+        assert!(findings.is_empty(), "{name}: {findings:?}");
+    }
+
+    // Positive control for the exposition: a sensitive figure and a DO
+    // secret planted in a help line are both found.
+    let figure = a_sensitive_figure();
+    let planted = format!(
+        "{prometheus}# HELP sdb_planted {} {}\n",
+        figure.render(),
+        secrets[0]
+    );
+    let findings = findings_in(&planted, &auditor, &secrets);
+    assert_eq!(findings.len(), 2, "{findings:?}");
+
+    // Positive control for the shape cache: a public key compared with a
+    // literal that spells a sensitive figure's units reaches the SP as
+    // written, and from its third run the template holds it.
+    let Value::Decimal { units, .. } = figure else {
+        panic!("l_extendedprice is a decimal: {figure:?}");
+    };
+    let probe = format!("SELECT o_orderkey FROM orders WHERE o_orderkey = {units}");
+    for _ in 0..3 {
+        server.execute(session, &probe).expect("probe");
+    }
+    let shapes = engine.statement_shape_dump().join("\n");
+    let findings = findings_in(&shapes, &auditor, &secrets);
+    assert_eq!(findings, [units.to_string()], "{shapes}");
+    let planted = format!("{shapes}\n{}", secrets[0]);
+    assert_eq!(findings_in(&planted, &auditor, &secrets).len(), 2);
 }
 
 /// A default server's wire log counts what its queries sent and received,

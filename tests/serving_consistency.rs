@@ -17,7 +17,8 @@
 
 use std::sync::Arc;
 
-use sdb_engine::MemoryBudget;
+use sdb::{SdbClient, SdbError};
+use sdb_engine::{EngineError, MemoryBudget, QueryOptions};
 use sdb_server::{
     AdmissionMode, CancelToken, HistogramSnapshot, QueryState, SdbServer, ServerConfig,
     ServerError, SessionStats,
@@ -485,19 +486,17 @@ fn metrics_snapshot_accounts_for_the_mixed_workload() {
 }
 
 /// Observability never changes a query's bytes: the serial mixed round,
-/// with a public sort that spills, renders the same rows on a server with the
-/// metrics registry on, with it off, and with slow-query capture at
-/// threshold 0. Only the enabled registry counts the round, and the capture
-/// ring holds every query of it.
+/// with a public sort that spills, renders the same rows with slow-query
+/// capture off and at threshold 0. The registry counts the round, and the
+/// capture ring holds every query of it.
 #[test]
 fn observability_leaves_rendered_rows_unchanged() {
     let mut queries = mixed_queries();
     queries.push("SELECT id, pad FROM wide ORDER BY id DESC");
-    let build = |metrics: bool, capture_all: bool| {
+    let build = |capture_all: bool| {
         let mut config = ServerConfig::test_profile()
             .with_global_budget(MemoryBudget::bytes(64 << 10))
-            .with_parallelism(1)
-            .with_metrics(metrics);
+            .with_parallelism(1);
         if capture_all {
             config = config.with_slow_query_ms(0);
         }
@@ -518,18 +517,44 @@ fn observability_leaves_rendered_rows_unchanged() {
         rendered
     };
 
-    let registry_on = build(true, false);
-    let registry_off = build(false, false);
-    let capture_all = build(true, true);
-    let reference = round(&registry_off);
-    assert_eq!(round(&registry_on), reference, "registry on changed rows");
+    let plain = build(false);
+    let capture_all = build(true);
+    let reference = round(&plain);
     assert_eq!(round(&capture_all), reference, "slow capture changed rows");
 
-    let on = registry_on.metrics_snapshot();
-    assert_eq!(on.queries_executed, queries.len() as u64);
-    assert!(on.pool_spill_pages > 0, "the public sort must spill");
-    assert_eq!(registry_off.metrics_snapshot().queries_executed, 0);
+    let snapshot = plain.metrics_snapshot();
+    assert_eq!(snapshot.queries_executed, queries.len() as u64);
+    assert!(snapshot.pool_spill_pages > 0, "the public sort must spill");
     assert_eq!(capture_all.slow_queries().len(), queries.len());
+}
+
+/// A zero worker count fails as the engine's typed error, before any
+/// query runs: a server refuses to start with one, and a client query
+/// carrying one answers `InvalidConfig` instead of panicking mid-plan.
+#[test]
+fn a_zero_worker_count_is_a_typed_error() {
+    let invalid =
+        |err: &SdbError| matches!(err, SdbError::Engine(EngineError::InvalidConfig { .. }));
+    match SdbServer::new(ServerConfig::test_profile().with_parallelism(0)) {
+        Err(ServerError::Client(err)) => assert!(invalid(&err), "{err}"),
+        Err(err) => panic!("expected InvalidConfig, got {err}"),
+        Ok(_) => panic!("a server with parallelism 0 started"),
+    }
+
+    let mut client = SdbClient::new(ServerConfig::test_profile().client).expect("client");
+    client.stage_table(orders_table()).expect("stage");
+    client.upload_all().expect("upload");
+    let sql = "SELECT region, SUM(amount) AS total FROM orders GROUP BY region";
+    let zero = QueryOptions::default().with_parallelism(0);
+    match client.query_with(sql, &zero) {
+        Err(err) => assert!(invalid(&err), "{err}"),
+        Ok(_) => panic!("a query at parallelism 0 ran"),
+    }
+    let serial = QueryOptions::default().with_parallelism(1);
+    assert_eq!(
+        client.query_with(sql, &serial).expect("query").rows().len(),
+        4
+    );
 }
 
 #[test]
