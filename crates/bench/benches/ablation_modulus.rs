@@ -2,9 +2,9 @@
 //! secure operators. The paper's prototype fixes 1024-bit primes (2048-bit n);
 //! this sweep shows what that parameter buys and costs, and what the Montgomery
 //! context of the modulus (`sdb_crypto::Modulus`) buys at each width against the
-//! `BigUint` reference it replaced (`(a·b) % n`, binary `modpow`): n = 256, 512
-//! and 2048 run the monomorphised 4-, 8- and 32-limb kernels, n = 1024 the
-//! slice path.
+//! `BigUint` reference it replaced (`(a·b) % n`, binary `modpow`): n = 256,
+//! 512, 1024 and 2048 run the monomorphised 4-, 8-, 16- and 32-limb kernels
+//! (and the data owner's powers of `g` their 2-, 4-, 8- and 16-limb halves).
 //!
 //! The `key_update_set` group prices one row of a key-update set (1, 2, 4 and
 //! 7 updates of one auxiliary share, the last with a `p, p−1, p−2` run as in
@@ -12,7 +12,10 @@
 //!
 //! The `key_update_rows` group raises four rows of a set one, two or four at
 //! a time in lockstep; the `item_keys` group derives a column of item keys row
-//! by row and in lockstep.
+//! by row and in lockstep. The `encrypt` group encrypts a column as uploads
+//! and INSERTs do (`encrypt_column`: half-width powers to the complement
+//! exponent, no inversion) next to item keys, their simultaneous inversion and
+//! a product a cell.
 //!
 //! The `fresh_x` group prices the data owner's item-key memo
 //! (`sdb_crypto::ItemKeyMemo`) on the same column: a cold memo that derives
@@ -40,7 +43,8 @@ use std::hint::black_box;
 use sdb_crypto::bigint::{mod_inverse, mod_mul};
 use sdb_crypto::share::{encrypt_value, gen_item_key, KeyUpdateParams};
 use sdb_crypto::{
-    gen_item_keys, BoundKeyUpdateSet, ColumnKey, ItemKeyMemo, KeyConfig, SignedCodec, SystemKey,
+    encrypt_column, gen_item_keys, mod_inverse_batch, BoundKeyUpdateSet, ColumnKey, ItemKeyMemo,
+    KeyConfig, SignedCodec, SystemKey,
 };
 use sdb_engine::{ExecConfig, SpEngine};
 use sdb_storage::{Catalog, ColumnDef, DataType, Schema, Value};
@@ -225,8 +229,8 @@ fn key_update_rows(c: &mut Criterion) {
 }
 
 /// A column of 64 item keys under one column key: `gen_item_key` row by row
-/// against `gen_item_keys`, which runs the fixed-base table over several rows
-/// in lockstep.
+/// against `gen_item_keys`, which runs the fixed-base tables of the two
+/// primes' halves over several rows in lockstep.
 fn item_keys(c: &mut Criterion) {
     let mut group = c.benchmark_group("item_keys");
     for (label, config) in profiles() {
@@ -243,6 +247,43 @@ fn item_keys(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("lockstep_64", label), |b| {
             b.iter(|| black_box(gen_item_keys(&key, &ck, &row_ids)))
+        });
+    }
+    group.finish();
+}
+
+/// A column of 64 cells under one column key, row ids reduced included:
+/// `encrypt_column` against `gen_item_keys`, `mod_inverse_batch` and one
+/// product a cell, the way a column was encrypted before it stopped
+/// inverting item keys.
+fn encrypt(c: &mut Criterion) {
+    let mut group = c.benchmark_group("encrypt");
+    for (label, config) in profiles() {
+        let mut rng = StdRng::seed_from_u64(0xab1f);
+        let key = SystemKey::generate(&mut rng, config).expect("key generation");
+        let codec = SignedCodec::new(&key);
+        let ck = key.gen_column_key(&mut rng);
+        let cipher = key.column_cipher(&ck).expect("m is a unit");
+        let row_ids: Vec<BigUint> = (0..64).map(|_| key.gen_row_id(&mut rng)).collect();
+        let plain: Vec<BigUint> = (0..64i128)
+            .map(|i| codec.encode(i * 7_919 - 200_000).unwrap())
+            .collect();
+        let every_row: Vec<usize> = (0..64).collect();
+        group.bench_function(BenchmarkId::new("encrypt_column_64", label), |b| {
+            b.iter(|| {
+                let rows = key.row_exponents(row_ids.iter());
+                black_box(encrypt_column(&key, &cipher, &rows, &every_row, &plain))
+            })
+        });
+        group.bench_function(BenchmarkId::new("invert_item_keys_64", label), |b| {
+            b.iter(|| {
+                let item_keys = gen_item_keys(&key, &ck, &row_ids);
+                let inverses = mod_inverse_batch(&item_keys, key.n()).unwrap();
+                let cells: Vec<BigUint> = (plain.iter().zip(&inverses))
+                    .map(|(v, inverse)| key.modulus().mul(v, inverse))
+                    .collect();
+                black_box(cells)
+            })
         });
     }
     group.finish();
@@ -362,6 +403,6 @@ fn inverse(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = modulus_sweep, key_update_set, key_update_rows, item_keys, fresh_x, fresh_exponents, inverse
+    targets = modulus_sweep, key_update_set, key_update_rows, item_keys, encrypt, fresh_x, fresh_exponents, inverse
 }
 criterion_main!(benches);

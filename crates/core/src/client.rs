@@ -5,7 +5,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use sdb_engine::{EngineError, ExecutionStats, QueryOptions, QueryOutput, SpEngine};
+use sdb_engine::{EngineError, ExecConfig, ExecutionStats, QueryOptions, QueryOutput, SpEngine};
 use sdb_proxy::proxy::{ClientCost, RewrittenQuery};
 use sdb_proxy::{ProxyError, SdbProxy, UploadOptions};
 use sdb_sql::ast::{Expr, Literal, UnaryOp};
@@ -212,6 +212,13 @@ impl SdbClient {
             wire: WireLog::new(),
             config,
         })
+    }
+
+    /// Runs the SP's queries under `config` (batch size, parallelism,
+    /// memory budget, …) instead of the process defaults.
+    pub fn with_exec_config(mut self, config: ExecConfig) -> Self {
+        self.engine = self.engine.with_config(config);
+        self
     }
 
     /// Executes a DDL/DML statement on the DO side: `CREATE TABLE … (… SENSITIVE …)`

@@ -81,6 +81,13 @@ pub struct WireLog {
     ledger: Arc<Mutex<Ledger>>,
 }
 
+/// How many appended-row messages the log holds unsized: one more, and it
+/// sizes them all. An entry is a kind, a table handle and a row range (32
+/// bytes), so this caps the pending rows at 32 KiB however long a client
+/// INSERTs without reading its byte counts; the counts stay exact, because
+/// appended rows never change.
+const PENDING_ROWS_BOUND: usize = 1024;
+
 #[derive(Debug, Default)]
 struct Ledger {
     /// Messages and bytes per kind, indexed by `WireMessageKind as usize`.
@@ -144,13 +151,17 @@ impl WireLog {
     /// Records a message of the rows `rows` of `table` — rows appended to
     /// it, which no later statement changes — as typed rows: the payload,
     /// the JSON of the batch they form, is rendered when the byte counts
-    /// are read, or at once for an open capture. The caller must not hold
-    /// `table`'s lock.
+    /// are read, when more than `PENDING_ROWS_BOUND` such messages are
+    /// pending, or at once for an open capture. The caller must hold no
+    /// table's lock.
     pub fn record_rows(&self, kind: WireMessageKind, table: TableHandle, rows: Range<usize>) {
         let mut ledger = self.ledger.lock();
         ledger.messages[kind as usize] += 1;
         ledger.capture(kind, || rows_json(&table, rows.clone()));
         ledger.pending_rows.push((kind, table, rows));
+        if ledger.pending_rows.len() > PENDING_ROWS_BOUND {
+            ledger.size_rows();
+        }
     }
 
     /// Starts keeping a copy of every payload recorded from now on, until
@@ -312,6 +323,42 @@ mod tests {
         log.clear();
         assert!(log.ledger.lock().pending_rows.is_empty());
         assert_eq!(log.total_bytes(), 0);
+    }
+
+    /// A client that INSERTs and never reads its counts holds at most
+    /// `PENDING_ROWS_BOUND` unsized row messages, none sized before the
+    /// bound is passed, and its totals are what sizing each at once gives.
+    #[test]
+    fn pending_insert_rows_stay_bounded_and_exact() {
+        use sdb_storage::{Catalog, ColumnDef, DataType, Schema, Table, Value};
+        let mut table = Table::new(
+            "t",
+            Schema::new(vec![ColumnDef::public("v", DataType::Int)]),
+        );
+        for v in 0..4 {
+            table.insert_row(vec![Value::Int(v * 1000)]).unwrap();
+        }
+        let table = Catalog::new().register_table(table).unwrap();
+
+        let (lazy, eager) = (WireLog::new(), WireLog::new());
+        let mut expected = 0;
+        for i in 0..3 * PENDING_ROWS_BOUND + 5 {
+            let rows = i % 3..4;
+            lazy.record_rows(WireMessageKind::Upload, table.clone(), rows.clone());
+            let pending = lazy.ledger.lock().pending_rows.len();
+            assert!(pending <= PENDING_ROWS_BOUND, "{pending} after {i}");
+            if i < PENDING_ROWS_BOUND {
+                assert_eq!(pending, i + 1, "nothing is sized below the bound");
+            }
+            eager.record_rows(WireMessageKind::Upload, table.clone(), rows);
+            expected = eager.bytes_of_kind(WireMessageKind::Upload);
+        }
+        assert_eq!(lazy.total_bytes(), expected);
+        assert_eq!(lazy.bytes_of_kind(WireMessageKind::Upload), expected);
+        assert_eq!(
+            lazy.count_of_kind(WireMessageKind::Upload),
+            3 * PENDING_ROWS_BOUND + 5
+        );
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Column-at-a-time batched variants of the scalar share operations.
 //!
-//! The scalar path pays one extended-GCD modular inversion per
-//! [`crate::encrypt_value`] call. Montgomery's simultaneous-inversion trick
+//! The scalar [`crate::encrypt_value`] pays one extended-GCD modular
+//! inversion of its item key. [`encrypt_column`] forms no item key at all: it
+//! raises `g` to the complement of each row's exponent, from the column's
+//! `m⁻¹` taken once per key ([`crate::SystemKey::column_cipher`]), so a
+//! column costs no inversion. Inverses and powers modulo `n` are unique in
+//! `[0, n)`, so every batched helper here is **byte-identical** to mapping its
+//! scalar counterpart over the column — the equivalence tests pin that.
+//!
+//! [`mod_inverse_batch`] is Montgomery's simultaneous-inversion trick: it
 //! replaces `N` inversions with `3(N − 1)` modular multiplications plus a
-//! *single* inversion: build the prefix products `p_i = a_0 · … · a_i`,
+//! *single* inversion — build the prefix products `p_i = a_0 · … · a_i`,
 //! invert only `p_{N−1}`, then peel per-element inverses off the running
-//! inverse walking backwards. Inverses modulo `n` are unique in `[0, n)`, so
-//! every batched helper here is **byte-identical** to mapping its scalar
-//! counterpart over the column — the equivalence tests pin that.
+//! inverse walking backwards. The proxy's key-update parameters invert their
+//! column keys' `m` with it.
 //!
 //! These helpers back the proxy encryptor's table/row encryption and the
 //! engine's oracle-flush blinding, where whole operand columns are
@@ -16,7 +22,7 @@
 use num_bigint::BigUint;
 
 use crate::bigint::{mod_inverse, mod_mul, reduce};
-use crate::keys::{ColumnKey, SystemKey};
+use crate::keys::{ColumnCipher, ColumnKey, RowExponents, SystemKey};
 use crate::modulus::{store, Modulus};
 use crate::Result;
 
@@ -59,38 +65,52 @@ pub fn mod_inverse_batch(items: &[BigUint], m: &BigUint) -> Result<Vec<BigUint>>
     Ok(out)
 }
 
-/// Batched [`crate::encrypt_value`]: encrypts a column of plaintexts under a
-/// column of item keys, paying one modular inversion for the whole column.
+/// Batched [`crate::encrypt_value`] without the item keys: the plaintext
+/// `plaintexts[i]` of row `picked[i]` of `rows` encrypted under the column
+/// whose cipher is `cipher`, `v·(m·g^e)⁻¹ mod n` with `e = r·x mod φ(n)`.
 ///
-/// Byte-identical to `plaintexts.iter().zip(item_keys).map(encrypt_value)`.
-///
-/// Panics if any item key is not invertible modulo `n`, matching the scalar
-/// function's contract.
-pub fn encrypt_values(
+/// Computed as `v·m⁻¹·g^(−e)`: the complement exponent is raised modulo each
+/// prime from `m⁻¹·R`, and one Montgomery product with `v` finishes the cell.
+/// No item key is formed or inverted, and the result is byte-identical to
+/// `encrypt_value(key, v, &gen_item_key(key, ck, r))` a cell.
+pub fn encrypt_column(
     key: &SystemKey,
+    cipher: &ColumnCipher,
+    rows: &RowExponents,
+    picked: &[usize],
     plaintexts: &[BigUint],
-    item_keys: &[BigUint],
 ) -> Vec<BigUint> {
-    assert_eq!(
-        plaintexts.len(),
-        item_keys.len(),
-        "one item key per plaintext"
-    );
-    let inverses =
-        mod_inverse_batch(item_keys, key.n()).expect("item key must be invertible mod n");
-    plaintexts
-        .iter()
-        .zip(&inverses)
-        .map(|(v, inv)| key.modulus().mul(v, inv))
-        .collect()
+    assert_eq!(picked.len(), plaintexts.len(), "one row per plaintext");
+    let (crt, modulus) = (key.crt(), key.modulus());
+    let k = modulus.limb_count();
+    let exponents = crt.cell_exponents(&cipher.x, &rows.0, picked.iter().copied(), true);
+    let mut powers = Vec::with_capacity(plaintexts.len() * k);
+    crt.pow_times(&cipher.factor, &exponents, &mut powers);
+    let mut values = vec![0; powers.len()];
+    for (v, lane) in plaintexts.iter().zip(values.chunks_exact_mut(k)) {
+        if !modulus.load_lane(v, lane) {
+            modulus.load_lane(&(v % key.n()), lane);
+        }
+    }
+    // (m⁻¹·R·g^(−e))·v·R⁻¹ = v·m⁻¹·g^(−e).
+    let mut out = vec![0; powers.len()];
+    modulus.mul_lanes(&powers, &values, &mut out);
+    out.chunks_exact(k).map(store).collect()
 }
 
 /// Batched [`crate::gen_item_key`]: item keys for a column of row ids under
-/// one column key, through the key's fixed-base table of `g` with several
-/// rows in lockstep.
+/// one column key, each a pair of half-width fixed-base powers of `g`
+/// recombined modulo `n`, several rows in lockstep: `r` and `x` reduced
+/// modulo each `ρᵢ − 1`, and `m` folded into the half powers.
 pub fn gen_item_keys(key: &SystemKey, ck: &ColumnKey, row_ids: &[BigUint]) -> Vec<BigUint> {
-    let exponents: Vec<BigUint> = (row_ids.iter()).map(|r| (r * ck.x()) % key.phi()).collect();
-    key.g_pow_times(&exponents, ck.m())
+    let crt = key.crt();
+    let rows = crt.reduce(row_ids.iter());
+    let x = crt.reduce(std::iter::once(ck.x()));
+    let exponents = crt.cell_exponents(&x, &rows, 0..row_ids.len(), false);
+    let k = key.modulus().limb_count();
+    let mut keys = Vec::with_capacity(row_ids.len() * k);
+    crt.pow_times(&crt.constant(ck.m()), &exponents, &mut keys);
+    keys.chunks_exact(k).map(store).collect()
 }
 
 /// Blinds a column of shares in one pass: `share_r · factors[r] mod n` for
@@ -125,6 +145,7 @@ mod tests {
     use crate::bigint::random_coprime;
     use crate::keys::KeyConfig;
     use crate::share::{encrypt_value, gen_item_key};
+    use num_bigint::RandBigInt;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -183,18 +204,141 @@ mod tests {
         let mut rng = rng();
         let key = SystemKey::generate(&mut rng, KeyConfig::TEST).unwrap();
         let ck = key.gen_column_key(&mut rng);
+        let cipher = key.column_cipher(&ck).unwrap();
         let row_ids: Vec<BigUint> = (0..20).map(|_| key.gen_row_id(&mut rng)).collect();
         let plaintexts: Vec<BigUint> = (0..20)
             .map(|_| BigUint::from(rng.gen_range(0u64..1_000_000_000)))
             .collect();
 
         let item_keys = gen_item_keys(&key, &ck, &row_ids);
-        let batched = encrypt_values(&key, &plaintexts, &item_keys);
+        let rows = key.row_exponents(row_ids.iter());
+        // Every row, then every third row backwards.
+        let all: Vec<usize> = (0..20).collect();
+        let some: Vec<usize> = (0..20).rev().step_by(3).collect();
+        let batched = encrypt_column(&key, &cipher, &rows, &all, &plaintexts);
+        let picked: Vec<BigUint> = some.iter().map(|&i| plaintexts[i].clone()).collect();
+        let sparse = encrypt_column(&key, &cipher, &rows, &some, &picked);
         for i in 0..20 {
             let scalar_ik = gen_item_key(&key, &ck, &row_ids[i]);
             assert_eq!(item_keys[i], scalar_ik);
             assert_eq!(batched[i], encrypt_value(&key, &plaintexts[i], &scalar_ik));
         }
+        for (j, &i) in some.iter().enumerate() {
+            assert_eq!(sparse[j], batched[i]);
+        }
+        assert!(encrypt_column(&key, &cipher, &rows, &[], &[]).is_empty());
+    }
+
+    /// A key at each width the reference test runs at: 128-, 256- and
+    /// 512-bit `n` (2-, 4- and 8-limb halves); in an optimised build
+    /// (`cargo test --release`) also 1024 and 2048 bits (16-limb halves),
+    /// which the textbook `BigUint` formulas make too slow unoptimised.
+    fn reference_keys() -> &'static [SystemKey] {
+        static KEYS: std::sync::OnceLock<Vec<SystemKey>> = std::sync::OnceLock::new();
+        KEYS.get_or_init(|| {
+            let prime_bits: &[u64] = match cfg!(debug_assertions) {
+                true => &[64, 128, 256],
+                false => &[64, 128, 256, 512, 1024],
+            };
+            (prime_bits.iter())
+                .map(|&prime_bits| {
+                    let config = KeyConfig {
+                        prime_bits,
+                        domain_bits: 20,
+                        blind_bits: 10,
+                    };
+                    let mut rng = StdRng::seed_from_u64(prime_bits);
+                    SystemKey::generate(&mut rng, config).unwrap()
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// Item keys, `g_powers` and encryption through the CRT halves equal
+        /// the textbook formulas — `m·g^(r·x mod φ(n)) mod n` by
+        /// `BigUint::modpow`, `v·v_k⁻¹ mod n` by Euclid's inverse — at every
+        /// width: random keys, rows and values, and the edges: exponents 0
+        /// (`r = φ(n)`), 1 and `φ(n) − 1` (`x` = 1 and `φ(n) − 1`, `r` = 1),
+        /// the row id `n − 1`, rows and an `x` that are ≡ 0 modulo one
+        /// prime's order `ρᵢ − 1`, and the plaintexts 0 and `n − 1`.
+        #[test]
+        fn crt_item_keys_and_encryption_match_the_textbook(
+            seed in proptest::prelude::any::<u64>(),
+            v in proptest::prelude::any::<u64>(),
+        ) {
+            use crate::bigint::reference;
+            let one = BigUint::from(1u32);
+            for key in reference_keys() {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (n, phi) = (key.n(), key.phi());
+                let (rho1, rho2) = (&key.parts().rho1, &key.parts().rho2);
+                let m = random_coprime(&mut rng, n);
+                let column_keys = [
+                    key.gen_column_key(&mut rng),
+                    key.gen_aux_column_key(&mut rng),
+                    ColumnKey::new(m.clone(), one.clone()),
+                    ColumnKey::new(m.clone(), phi - &one),
+                    ColumnKey::new(m, rho2 - &one),
+                ];
+                let mut row_ids: Vec<BigUint> = (0..3).map(|_| key.gen_row_id(&mut rng)).collect();
+                row_ids.extend([phi.clone(), one.clone(), n - &one, rho1 - &one, rho2 - &one]);
+                let plaintexts: Vec<BigUint> = (0..row_ids.len())
+                    .map(|i| match i % 4 {
+                        0 => BigUint::from(v),
+                        1 => BigUint::from(0u32),
+                        2 => n - &one,
+                        _ => rng.gen_biguint_below(n),
+                    })
+                    .collect();
+                let rows = key.row_exponents(row_ids.iter());
+                let every_row: Vec<usize> = (0..row_ids.len()).collect();
+                for ck in &column_keys {
+                    let exponents: Vec<BigUint> = (row_ids.iter()).map(|r| r * ck.x() % phi).collect();
+                    let powers: Vec<BigUint> = (exponents.iter()).map(|e| key.g().modpow(e, n)).collect();
+                    let item_keys: Vec<BigUint> = (powers.iter()).map(|p| ck.m() * p % n).collect();
+                    let encrypted: Vec<BigUint> = (plaintexts.iter().zip(&item_keys))
+                        .map(|(v, ik)| v * reference::mod_inverse(ik, n).unwrap() % n)
+                        .collect();
+
+                    proptest::prop_assert_eq!(&gen_item_keys(key, ck, &row_ids), &item_keys);
+                    let mut mont = Vec::new();
+                    key.g_powers(&exponents, &mut mont);
+                    let k = key.modulus().limb_count();
+                    let unloaded: Vec<BigUint> = (mont.chunks_exact(k))
+                        .map(|power| key.modulus().out_of_mont(power))
+                        .collect();
+                    proptest::prop_assert_eq!(&unloaded, &powers);
+                    let cipher = key.column_cipher(ck).unwrap();
+                    let got = encrypt_column(key, &cipher, &rows, &every_row, &plaintexts);
+                    proptest::prop_assert_eq!(&got, &encrypted);
+                }
+            }
+        }
+    }
+
+    /// The DO's powers of `g`, its ciphers and its encryption build the
+    /// contexts of the primes themselves: `Modulus::shared`'s per-thread
+    /// context stays the one of `n` it held before.
+    #[test]
+    fn the_primes_stay_out_of_the_shared_context() {
+        let mut rng = rng();
+        let key = SystemKey::generate(&mut rng, KeyConfig::TEST).unwrap();
+        let ck = key.gen_column_key(&mut rng);
+        let row_ids: Vec<BigUint> = (0..9).map(|_| key.gen_row_id(&mut rng)).collect();
+        mod_mul(&row_ids[0], &row_ids[1], key.n());
+        assert_eq!(Modulus::shared_on_this_thread().as_ref(), Some(key.n()));
+
+        gen_item_keys(&key, &ck, &row_ids);
+        let mut powers = Vec::new();
+        key.g_powers(&row_ids, &mut powers);
+        let cipher = key.column_cipher(&ck).unwrap();
+        let rows = key.row_exponents(row_ids.iter());
+        let every_row: Vec<usize> = (0..row_ids.len()).collect();
+        encrypt_column(&key, &cipher, &rows, &every_row, &row_ids);
+        assert_eq!(Modulus::shared_on_this_thread().as_ref(), Some(key.n()));
     }
 
     #[test]

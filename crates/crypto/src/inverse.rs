@@ -21,7 +21,7 @@
 //! runs it, on its own key material.
 //!
 //! The kernel is monomorphised over the same limb storage as [`Modulus`]
-//! (`[u64; N]` for 4, 8 and 32 limbs, `Vec<u64>` otherwise), at the limb count
+//! (`[u64; N]` for 2, 4, 8, 16 and 32 limbs, `Vec<u64>` otherwise), at the limb count
 //! of the modulus.
 //!
 //! [`Modulus`]: crate::modulus::Modulus

@@ -3,8 +3,14 @@
 //! * [`SystemKey`] — the per-data-owner secrets: primes ρ₁, ρ₂, the public modulus
 //!   `n`, the secret totient `φ(n)` and the secret generator `g` (paper §2.1).
 //! * [`ColumnKey`] — the per-column pair `⟨m, x⟩` used to derive item keys.
+//! * [`ColumnCipher`] — a column key made ready to encrypt under: its `m⁻¹`
+//!   and its `x` modulo `ρ₁ − 1` and `ρ₂ − 1`.
 //! * [`KeyConfig`] — parameter profile (modulus bit length, signed-domain bits).
+//!
+//! Every DO secret here prints its shape only under `Debug`: bit lengths and
+//! the profile, never a number.
 
+use std::fmt;
 use std::sync::Arc;
 
 use num_bigint::BigUint;
@@ -13,7 +19,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::bigint::{coprime, random_coprime, random_in_range};
-use crate::modulus::{FixedBase, Modulus};
+use crate::modulus::crt::{Crt, CrtConstant, HalfExponents};
+use crate::modulus::Modulus;
 use crate::prime::generate_prime_pair;
 use crate::{CryptoError, Result};
 
@@ -83,12 +90,12 @@ impl Default for KeyConfig {
 }
 
 /// The persisted part of a [`SystemKey`]: exactly the fields its JSON holds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct SystemKeyParts {
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct SystemKeyParts {
     /// First secret prime.
-    rho1: BigUint,
+    pub(crate) rho1: BigUint,
     /// Second secret prime.
-    rho2: BigUint,
+    pub(crate) rho2: BigUint,
     /// Public modulus `n = ρ₁·ρ₂`.
     n: BigUint,
     /// Secret totient `φ(n) = (ρ₁−1)(ρ₂−1)`.
@@ -105,15 +112,26 @@ struct SystemKeyParts {
 /// provider sees `n` (it needs it to reduce UDF results) and nothing else.
 ///
 /// The key also owns the deployment's arithmetic: the Montgomery context of `n`
-/// and the fixed-base table of `g` that every item key is derived through. Both
-/// are built once per key (clones share them) and neither is serialised — a key
-/// read back from JSON rebuilds them, so the table, a DO secret, exists only in
-/// the DO's memory.
-#[derive(Debug, Clone)]
+/// and the DO's half-width contexts of `g` modulo ρ₁ and modulo ρ₂ (fixed-base
+/// tables and Garner's constant, `modulus/crt.rs`) that every power of
+/// `g` is taken through. They are built once per key (clones share them) and
+/// none is serialised — a key read back from JSON rebuilds them, so the
+/// tables, DO secrets, exist only in the DO's memory.
+#[derive(Clone)]
 pub struct SystemKey {
     parts: SystemKeyParts,
     modulus: Arc<Modulus>,
-    g_table: Arc<FixedBase>,
+    crt: Arc<Crt>,
+}
+
+impl fmt::Debug for SystemKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SystemKey")
+            .field("n_bits", &self.parts.n.bits())
+            .field("config", &self.parts.config)
+            .field("secrets", &"<redacted>")
+            .finish()
+    }
 }
 
 impl PartialEq for SystemKey {
@@ -148,12 +166,16 @@ impl SystemKey {
         let modulus = Modulus::new(&parts.n).ok_or_else(|| CryptoError::InvalidKey {
             detail: "the modulus n must be odd".to_string(),
         })?;
-        let modulus = Arc::new(modulus);
-        let g_table = FixedBase::new(Arc::clone(&modulus), &parts.g);
+        let crt = Crt::new(&parts.rho1, &parts.rho2, &parts.g, &modulus).ok_or_else(|| {
+            CryptoError::InvalidKey {
+                detail: "ρ₁ and ρ₂ must be distinct odd primes and g a unit modulo both"
+                    .to_string(),
+            }
+        })?;
         Ok(SystemKey {
             parts,
-            modulus,
-            g_table: Arc::new(g_table),
+            modulus: Arc::new(modulus),
+            crt: Arc::new(crt),
         })
     }
 
@@ -177,7 +199,9 @@ impl SystemKey {
     /// Builds a system key from explicit primes and generator. Used for the paper's
     /// Figure 1 worked example and for deterministic tests.
     ///
-    /// Panics if either "prime" is even: the scheme needs an odd modulus.
+    /// The two must be distinct odd primes and `g` a unit modulo both: the
+    /// DO's powers of `g` run modulo each prime (Fermat). Panics if the
+    /// "primes" are equal or even, or `g` is a multiple of either.
     pub fn from_parts(rho1: BigUint, rho2: BigUint, g: BigUint) -> Self {
         let n = &rho1 * &rho2;
         let phi = (&rho1 - BigUint::one()) * (&rho2 - BigUint::one());
@@ -194,7 +218,14 @@ impl SystemKey {
             g,
             config,
         })
-        .expect("the primes of a system key are odd")
+        .expect("the primes of a system key are distinct and odd, and g a unit")
+    }
+
+    /// The key's numbers, for the tests that check its arithmetic against
+    /// the primes.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> &SystemKeyParts {
+        &self.parts
     }
 
     /// The public modulus `n`.
@@ -207,16 +238,41 @@ impl SystemKey {
         &self.modulus
     }
 
-    /// `factor · g^e mod n` for every exponent `e` of `exponents`, through the
-    /// fixed-base table of `g`.
-    pub(crate) fn g_pow_times(&self, exponents: &[BigUint], factor: &BigUint) -> Vec<BigUint> {
-        self.g_table.pow_times(exponents, factor)
+    /// Appends `g^e` in Montgomery form (`k` limbs) to `out` for every
+    /// exponent `e` of `exponents`, each raised modulo ρ₁ and ρ₂.
+    pub(crate) fn g_powers(&self, exponents: &[BigUint], out: &mut Vec<u64>) {
+        let reduced = self.crt.reduce(exponents.iter());
+        self.crt.pow_times(self.crt.radix(), &reduced, out)
     }
 
-    /// Appends `g^e` in Montgomery form (`k` limbs) to `out` for every
-    /// exponent `e` of `exponents`, through the fixed-base table of `g`.
-    pub(crate) fn g_powers(&self, exponents: &[BigUint], out: &mut Vec<u64>) {
-        self.g_table.powers(exponents, out)
+    /// The DO's half-width arithmetic of `g` (see `modulus/crt.rs`).
+    pub(crate) fn crt(&self) -> &Crt {
+        &self.crt
+    }
+
+    /// Every row id of `row_ids` reduced modulo ρ₁ − 1 and ρ₂ − 1, once for
+    /// all the cells of its row.
+    pub fn row_exponents<'r>(
+        &self,
+        row_ids: impl ExactSizeIterator<Item = &'r BigUint>,
+    ) -> RowExponents {
+        RowExponents(self.crt.reduce(row_ids))
+    }
+
+    /// The cipher of a column key: `m⁻¹·R mod n` and `x` as residues modulo
+    /// the primes and their orders, `m⁻¹` taken by Fermat modulo each prime.
+    /// This is the only inversion encrypting under `ck` costs: take it once,
+    /// when the key is made or loaded. Fails when `m` is not a unit modulo
+    /// `n`.
+    pub fn column_cipher(&self, ck: &ColumnKey) -> Result<ColumnCipher> {
+        let factor = self.crt.inverse_times_radix(ck.m());
+        let factor = factor.ok_or(CryptoError::NotInvertible {
+            what: "column key m shares a factor with n",
+        })?;
+        Ok(ColumnCipher {
+            factor,
+            x: self.crt.reduce(std::iter::once(ck.x())),
+        })
     }
 
     /// The secret totient `φ(n)`. Only the DO-side code may call this.
@@ -263,10 +319,19 @@ impl SystemKey {
 }
 
 /// A per-column key `⟨m, x⟩` (paper §2.1, "column key ck_A").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ColumnKey {
     m: BigUint,
     x: BigUint,
+}
+
+impl fmt::Debug for ColumnKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ColumnKey")
+            .field("m_bits", &self.m.bits())
+            .field("x_bits", &self.x.bits())
+            .finish()
+    }
 }
 
 impl ColumnKey {
@@ -283,6 +348,32 @@ impl ColumnKey {
     /// The exponent component `x`.
     pub fn x(&self) -> &BigUint {
         &self.x
+    }
+}
+
+/// A column key made ready to encrypt under ([`SystemKey::column_cipher`]):
+/// `m⁻¹·R mod n` and `x` modulo ρ₁ − 1 and ρ₂ − 1, as residues of the two
+/// primes. A DO secret like the key it is derived from: never serialised,
+/// and `Debug` prints nothing of it.
+#[derive(Clone)]
+pub struct ColumnCipher {
+    pub(crate) factor: CrtConstant,
+    pub(crate) x: HalfExponents,
+}
+
+impl fmt::Debug for ColumnCipher {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ColumnCipher(<redacted>)")
+    }
+}
+
+/// Row ids reduced modulo ρ₁ − 1 and ρ₂ − 1 ([`SystemKey::row_exponents`]):
+/// what every encrypted cell of a row shares. A DO secret.
+pub struct RowExponents(pub(crate) HalfExponents);
+
+impl fmt::Debug for RowExponents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RowExponents(<redacted>)")
     }
 }
 
@@ -434,12 +525,51 @@ mod tests {
             crate::gen_item_key(&back, &ck, &r),
             crate::gen_item_key(&key, &ck, &r)
         );
-        assert!(format!("{key:?}").contains("<redacted>"));
+        // The six fields: five numbers and the profile.
+        let parts = &key.parts;
+        let secrets = [&parts.rho1, &parts.rho2, &parts.phi, &parts.g];
+        let numbers: Vec<&str> = (json.split(|c: char| !c.is_ascii_digit()))
+            .filter(|run| run.len() >= 12)
+            .collect();
+        let expected: Vec<String> = [&parts.rho1, &parts.rho2, &parts.n, &parts.phi, &parts.g]
+            .map(BigUint::to_string)
+            .to_vec();
+        assert_eq!(numbers, expected);
+        assert!(json.ends_with(&format!(
+            "\"config\":{}}}",
+            serde_json::to_string(&parts.config).unwrap()
+        )));
+
+        // `Debug` prints shape only: no decimal of a DO secret, for the key,
+        // a column key or its cipher.
+        let debug = format!("{key:?}");
+        assert!(debug.contains("<redacted>"), "{debug}");
+        let cipher = key.column_cipher(&ck).unwrap();
+        let m_inverse = crate::bigint::mod_inverse(ck.m(), key.n()).unwrap();
+        let rendered = [debug, format!("{ck:?}"), format!("{cipher:?}")];
+        for secret in secrets.into_iter().chain([ck.m(), ck.x(), &m_inverse]) {
+            for text in &rendered {
+                assert!(!text.contains(&secret.to_string()), "{text}");
+            }
+        }
 
         // A tampered store with an even modulus is refused, not mis-served.
         let even = json.replacen(&format!("\"n\":\"{}\"", key.n()), "\"n\":\"24\"", 1);
         assert_ne!(even, json);
         assert!(serde_json::from_str::<SystemKey>(&even).is_err());
+
+        // So is one whose primes are equal, or whose g is a multiple of one.
+        let rho1 = key.parts.rho1.to_string();
+        let equal = json.replacen(&key.parts.rho2.to_string(), &rho1, 1);
+        let g = json.replacen(
+            &format!("\"g\":\"{}\"", key.g()),
+            &format!("\"g\":\"{rho1}\""),
+            1,
+        );
+        for tampered in [equal, g] {
+            assert_ne!(tampered, json);
+            assert!(serde_json::from_str::<SystemKey>(&tampered).is_err());
+        }
     }
 
     #[test]

@@ -76,11 +76,11 @@ pub mod sies;
 pub mod signed;
 pub mod wire;
 
-pub use batch::{blind_limbs, encrypt_values, gen_item_keys, mod_inverse_batch};
+pub use batch::{blind_limbs, encrypt_column, gen_item_keys, mod_inverse_batch};
 pub use drbg::{DoRng, Drbg};
 pub use error::CryptoError;
 pub use item_memo::{ItemKeyCounts, ItemKeyMemo, ItemKeyMemoStats};
-pub use keys::{ColumnKey, KeyConfig, SystemKey};
+pub use keys::{ColumnCipher, ColumnKey, KeyConfig, RowExponents, SystemKey};
 pub use modulus::Modulus;
 pub use prf::{EqualityTagger, Prf};
 pub use rowid::{EncryptedRowId, RowId, RowIdGenerator};

@@ -23,13 +23,16 @@
 //! give.
 //!
 //! The kernels are monomorphised over fixed `[u64; N]` limb arrays for the three
-//! shipped key profiles (`N` = 4, 8, 32: 256-, 512- and 2048-bit `n`); any other
-//! width runs the same code over `Vec<u64>`.
+//! shipped key profiles and their primes (`N` = 4, 8, 32: 256-, 512- and
+//! 2048-bit `n`; `N` = 2, 4, 16: the 128-, 256- and 1024-bit primes the data
+//! owner's CRT halves run at, see `modulus/crt.rs`); any other width runs the
+//! same code over `Vec<u64>`.
 //!
 //! A [`Modulus`] is derived from the public `n` and may live on either side of
 //! the trust boundary. A `FixedBase` table is derived from a *secret* base
-//! (the generator `g`) and is a data-owner secret: it is never serialised and
-//! its `Debug` output is redacted.
+//! (the generator `g`) over a *secret* modulus (a prime of `n`) and is a
+//! data-owner secret: it is never serialised and its `Debug` output is
+//! redacted.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -66,7 +69,7 @@ macro_rules! fixed_limbs {
         }
     )*};
 }
-fixed_limbs!(4, 8, 32);
+fixed_limbs!(2, 4, 8, 16, 32);
 
 impl Limbs for Vec<u64> {
     type Wide = Vec<u64>;
@@ -86,12 +89,20 @@ impl Limbs for Vec<u64> {
 macro_rules! by_limbs {
     ($k:expr, $L:ident => $body:expr) => {
         match $k {
+            2 => {
+                type $L = [u64; 2];
+                $body
+            }
             4 => {
                 type $L = [u64; 4];
                 $body
             }
             8 => {
                 type $L = [u64; 8];
+                $body
+            }
+            16 => {
+                type $L = [u64; 16];
                 $body
             }
             32 => {
@@ -114,6 +125,7 @@ macro_rules! by_width {
     };
 }
 
+pub(crate) mod crt;
 mod lanes;
 
 fn ge(a: &[u64], b: &[u64]) -> bool {
@@ -513,6 +525,12 @@ impl Modulus {
         })
     }
 
+    /// The modulus of the context [`Self::shared`] last gave this thread.
+    #[cfg(test)]
+    pub(crate) fn shared_on_this_thread() -> Option<BigUint> {
+        LAST_USED.with(|last| (last.borrow().as_ref()).map(|modulus| modulus.n.clone()))
+    }
+
     /// The modulus `n`.
     pub fn n(&self) -> &BigUint {
         &self.n
@@ -568,7 +586,7 @@ impl Modulus {
     }
 
     /// `factor · power mod n` for every `power` in Montgomery form (a row of
-    /// [`FixedBase::powers`]): one multiplication each.
+    /// `SystemKey::g_powers`): one multiplication each.
     pub(crate) fn times_mont<'p>(
         &self,
         factor: &BigUint,
@@ -803,11 +821,11 @@ impl Modulus {
 /// multiplication per non-zero 4-bit digit of `e` and no squarings:
 /// entry `(i, d)` holds `base^(d·16^i)` for `d` in `1..=15`.
 ///
-/// **Data-owner secret** when the base is (the generator `g`): the table is
-/// never serialised — whoever owns the base rebuilds it — and `Debug` prints
-/// its shape only.
+/// **Data-owner secret**: the data owner tabulates its generator `g` modulo
+/// each prime of `n` ([`crt::Crt`]). The table is never serialised — whoever
+/// owns the base rebuilds it — and `Debug` prints its shape only.
 pub(crate) struct FixedBase {
-    modulus: Arc<Modulus>,
+    modulus: Modulus,
     /// Number of 4-bit digits the table covers.
     digits: usize,
     /// `digits × 15` residues in Montgomery form, `k` limbs each.
@@ -824,9 +842,8 @@ impl fmt::Debug for FixedBase {
 }
 
 impl FixedBase {
-    /// Tabulates `base` for exponents as long as the modulus (the scheme's are
-    /// reduced modulo `φ(n) < n`); longer ones take the general path.
-    pub(crate) fn new(modulus: Arc<Modulus>, base: &BigUint) -> FixedBase {
+    /// Tabulates `base` modulo `modulus` for exponents below the modulus.
+    pub(crate) fn new(modulus: Modulus, base: &BigUint) -> FixedBase {
         let digits = (modulus.n.bits() as usize).div_ceil(DIGIT_BITS);
         let table = by_width!(modulus, fixed_base_table(base, digits));
         FixedBase {
@@ -836,21 +853,22 @@ impl FixedBase {
         }
     }
 
-    /// `factor · base^e mod n` for every exponent `e` of `exponents`, in
-    /// order; [`lockstep_rows`] of them at a time run in lockstep.
-    pub(crate) fn pow_times(&self, exponents: &[BigUint], factor: &BigUint) -> Vec<BigUint> {
-        let k = self.modulus.limb_count();
-        let mut powers = Vec::with_capacity(exponents.len() * k);
-        self.powers(exponents, &mut powers);
-        self.modulus.times_mont(factor, powers.chunks_exact(k))
+    /// The modulus the table is taken modulo.
+    pub(crate) fn modulus(&self) -> &Modulus {
+        &self.modulus
     }
 
-    /// Appends `base^e` in Montgomery form, `k` limbs, to `out` for every
-    /// exponent `e` of `exponents`, in order; [`lockstep_rows`] of them at a
-    /// time run in lockstep.
-    pub(crate) fn powers(&self, exponents: &[BigUint], out: &mut Vec<u64>) {
-        for block in exponents.chunks(lockstep_rows(self.modulus.limb_count())) {
-            by_width!(self.modulus, fixed_base_powers(self, block, out));
+    /// `start · base^e mod n` into `out` for every exponent `e` of
+    /// `exponents`, `k` little-endian limbs a row and each below `n`;
+    /// [`lockstep_rows`] rows at a time run in lockstep. `start` is a residue
+    /// of `k` limbs, and the powers come out in its form: canonical for a
+    /// canonical `start` (`1` gives `base^e`), Montgomery for a Montgomery one.
+    pub(crate) fn pow_times(&self, start: &[u64], exponents: &[u64], out: &mut [u64]) {
+        let k = self.modulus.limb_count();
+        assert_eq!(exponents.len(), out.len(), "one power per exponent");
+        let block = lockstep_rows(k) * k;
+        for (exponents, out) in exponents.chunks(block).zip(out.chunks_mut(block)) {
+            by_width!(self.modulus, fixed_base_powers(self, start, exponents, out));
         }
     }
 
@@ -879,50 +897,40 @@ impl Modulus {
         table
     }
 
-    /// Appends `base^e` in Montgomery form to `out` for every row's exponent
-    /// `e`, the rows in lockstep digit by digit.
+    /// `start · base^e` into `out` for every row's exponent `e`, the rows in
+    /// lockstep digit by digit. A product of a residue and a table entry
+    /// (Montgomery form) is in the residue's form, so `start` sets the form
+    /// of every power.
     fn fixed_base_powers<L: Limbs>(
         &self,
         base: &FixedBase,
-        exponents: &[BigUint],
-        out: &mut Vec<u64>,
+        start: &[u64],
+        exponents: &[u64],
+        out: &mut [u64],
     ) {
-        let (k, width) = (self.limbs.len(), base.digits * DIGIT_BITS);
-        let fits = |exponent: &BigUint| exponent.bits() as usize <= width;
-        // Per row: the exponent's limbs (zero for one wider than the table,
-        // which takes the general path below) and the running product.
-        let mut rows: Vec<(L, L)> = (exponents.iter())
-            .map(|e| {
-                let limbs = if fits(e) {
-                    limbs_of(e, k)
-                } else {
-                    L::zeroed(k)
-                };
-                (limbs, self.one())
-            })
-            .collect();
+        let k = self.limbs.len();
+        debug_assert!(
+            exponents.chunks_exact(k).all(|e| !ge(e, &self.limbs)),
+            "every exponent is below the modulus"
+        );
+        let mut first = L::zeroed(k);
+        first.as_mut().copy_from_slice(&start[..k]);
+        let mut acc = vec![first; exponents.len() / k];
         let digits_per_limb = 64 / DIGIT_BITS;
         for digit in 0..base.digits {
             let (limb, shift) = (
                 digit / digits_per_limb,
                 digit % digits_per_limb * DIGIT_BITS,
             );
-            for (exponent, acc) in &mut rows {
-                let value = (exponent.as_ref()[limb] >> shift) as usize & DIGIT_VALUES;
+            for (exponent, acc) in exponents.chunks_exact(k).zip(&mut acc) {
+                let value = (exponent[limb] >> shift) as usize & DIGIT_VALUES;
                 if value != 0 {
                     *acc = self.mont_mul(acc.as_ref(), base.entry(digit, value));
                 }
             }
         }
-        for (exponent, (_, power)) in exponents.iter().zip(&rows) {
-            if fits(exponent) {
-                out.extend_from_slice(power.as_ref());
-            } else {
-                // Wider than the table: recover the base and take the general
-                // path.
-                let base = self.unload::<L>(base.entry(0, 1));
-                out.extend_from_slice(&self.to_mont_in::<L>(&self.pow(&base, exponent)).0);
-            }
+        for (power, out) in acc.iter().zip(out.chunks_exact_mut(k)) {
+            out.copy_from_slice(power.as_ref());
         }
     }
 
@@ -1054,54 +1062,77 @@ mod tests {
         }
     }
 
+    /// `start · base^e` through a fixed-base table for a column of exponents,
+    /// as canonical values.
+    pub(super) fn fixed_base_pow(
+        table: &FixedBase,
+        start: &[u64],
+        exponents: &[BigUint],
+    ) -> Vec<BigUint> {
+        let k = table.modulus().limb_count();
+        let limbs: Vec<u64> = (exponents.iter())
+            .flat_map(|e| limbs_of::<Vec<u64>>(e, k))
+            .collect();
+        let mut out = vec![0; limbs.len()];
+        table.pow_times(start, &limbs, &mut out);
+        out.chunks_exact(k).map(store).collect()
+    }
+
     /// The multi-row fixed base gives, row by row, what one row at a time and
-    /// `BigUint::modpow` give: zero exponents, exponents wider than the table
-    /// (the general path) among the lockstep ones, and every block length up
-    /// to one past [`lockstep_rows`].
+    /// `BigUint::modpow` give, in the form of its start: zero exponents,
+    /// `n − 1`, and every block length up to one past [`lockstep_rows`]; a
+    /// canonical start (one, or a factor) gives canonical powers, a start in
+    /// Montgomery form powers in Montgomery form.
     #[test]
     fn fixed_base_pow_matches_binary_modpow() {
         let mut rng = StdRng::seed_from_u64(0x4d0f);
         for limbs in LIMB_COUNTS {
             let n = odd_modulus(&mut rng, limbs);
-            let modulus = Arc::new(Modulus::new(&n).expect("odd modulus"));
             for base in bases(&mut rng, &n, limbs) {
-                let table = FixedBase::new(Arc::clone(&modulus), &base);
+                let table = FixedBase::new(Modulus::new(&n).expect("odd modulus"), &base);
+                let modulus = table.modulus();
                 let exponents = [
                     BigUint::zero(),
                     BigUint::one(),
                     BigUint::from(16u32),
                     &n - BigUint::one(),
                     rng.gen_biguint_below(&n),
-                    // Wider than the table: served by the general path.
-                    rng.gen_biguint(n.bits() + 9) | (BigUint::one() << (n.bits() + 8)),
                     BigUint::zero(),
                     rng.gen_biguint_below(&n),
                 ];
                 let powers: Vec<BigUint> = exponents.iter().map(|e| base.modpow(e, &n)).collect();
-                for factor in [
-                    BigUint::one(),
-                    rng.gen_biguint_below(&n),
-                    &n + BigUint::from(5u32),
-                ] {
-                    let expected: Vec<BigUint> = (powers.iter())
-                        .map(|power| (&factor * power) % &n)
-                        .collect();
+                let factor = rng.gen_biguint_below(&n);
+                let mut forms = vec![
+                    (BigUint::one(), BigUint::one()),
+                    (factor.clone(), factor.clone()),
+                ];
+                // A Montgomery-form start: the powers come out times R.
+                let radix = modulus.radix();
+                forms.push((store(&modulus.mont_row(&factor)), &factor * &radix % &n));
+                for (start, times) in forms {
+                    let start = limbs_of::<Vec<u64>>(&start, modulus.limb_count());
+                    let expected: Vec<BigUint> =
+                        (powers.iter()).map(|power| (&times * power) % &n).collect();
                     for (exponent, expected) in exponents.iter().zip(&expected) {
                         assert_eq!(
-                            table.pow_times(std::slice::from_ref(exponent), &factor),
+                            fixed_base_pow(&table, &start, std::slice::from_ref(exponent)),
                             std::slice::from_ref(expected),
-                            "{limbs} limbs: {factor} · {base} ^ {exponent}"
+                            "{limbs} limbs: {times} · {base} ^ {exponent}"
                         );
                     }
                     for rows in 1..=lockstep_rows(limbs as usize) + 1 {
-                        for start in 0..starts(limbs) {
+                        for first in 0..starts(limbs) {
                             let picked: Vec<usize> =
-                                (start..start + rows).map(|i| i % exponents.len()).collect();
+                                (first..first + rows).map(|i| i % exponents.len()).collect();
                             let block: Vec<BigUint> =
                                 picked.iter().map(|&i| exponents[i].clone()).collect();
                             let want: Vec<BigUint> =
                                 picked.iter().map(|&i| expected[i].clone()).collect();
-                            assert_eq!(table.pow_times(&block, &factor), want, "{limbs} limbs");
+                            assert_eq!(
+                                fixed_base_pow(&table, &start, &block),
+                                want,
+                                "{limbs} limbs"
+                            );
                         }
                     }
                 }
@@ -1205,6 +1236,36 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// At the widths of the data owner's CRT halves — 128-bit primes (2
+        /// limbs, the test profile) and, in an optimised build, 1024-bit
+        /// ones (16 limbs, the paper's) — a product, a power and a
+        /// fixed-base column of powers equal `BigUint`'s.
+        #[test]
+        fn the_half_widths_match_biguint(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for limbs in [2u64, 16].into_iter().filter(|&l| l < 16 || FULL_SIZE) {
+                let n = odd_modulus(&mut rng, limbs);
+                let modulus = Modulus::new(&n).expect("odd modulus");
+                let (a, b) = (rng.gen_biguint(n.bits() + 3), rng.gen_biguint_below(&n));
+                proptest::prop_assert_eq!(modulus.mul(&a, &b), &a * &b % &n);
+                let e = rng.gen_biguint(64 * limbs);
+                proptest::prop_assert_eq!(modulus.pow(&a, &e), a.modpow(&e, &n));
+
+                let table = FixedBase::new(modulus, &b);
+                let exponents: Vec<BigUint> = (0..lockstep_rows(limbs as usize) + 1)
+                    .map(|_| rng.gen_biguint_below(&n))
+                    .chain([BigUint::zero(), &n - BigUint::one()])
+                    .collect();
+                let expected: Vec<BigUint> = exponents.iter().map(|e| b.modpow(e, &n)).collect();
+                let one = limbs_of::<Vec<u64>>(&BigUint::one(), limbs as usize);
+                proptest::prop_assert_eq!(fixed_base_pow(&table, &one, &exponents), expected);
+            }
+        }
+    }
+
     /// A set of no exponents has no powers to write.
     #[test]
     fn an_empty_exponent_set_writes_nothing() {
@@ -1283,7 +1344,7 @@ mod tests {
         let n = BigUint::from(1_000_003u32);
         let modulus = Arc::new(Modulus::new(&n).expect("odd"));
         let base = BigUint::from(271_828u32);
-        let table = FixedBase::new(Arc::clone(&modulus), &base);
+        let table = FixedBase::new(Modulus::new(&n).expect("odd"), &base);
         let rendered = format!("{table:?}");
         assert!(rendered.contains("redacted"), "{rendered}");
         assert!(!rendered.contains("271828"), "{rendered}");

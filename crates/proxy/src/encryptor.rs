@@ -8,20 +8,25 @@
 //!    key (the vehicle for key updates and constants; ARCHITECTURE.md,
 //!    "Modular arithmetic");
 //! 3. encrypts every sensitive numeric column under its own column key and the row
-//!    id (`v_e = v·v_k⁻¹ mod n`);
+//!    id: `v_e = v·v_k⁻¹ mod n` for the item key `v_k = m·g^e`, `e = r·x mod
+//!    φ(n)`, computed as `v·m⁻¹·g^(−e)` — `m⁻¹` taken once per key by the
+//!    key store, `g^(−e)` a pair of half-width powers modulo the primes of
+//!    `n` — so no item key is formed or inverted (ARCHITECTURE.md, "Key
+//!    material");
 //! 4. replaces every sensitive VARCHAR column with a deterministic equality tag
 //!    plus a SIES-encrypted payload;
 //! 5. copies insensitive columns through unchanged.
 //!
 //! Row encryption is embarrassingly parallel (each row needs a handful of modular
-//! exponentiations), so large uploads are chunked across threads with crossbeam.
+//! exponentiations), so an upload with `UploadOptions::threads` above one
+//! splits its rows into that many chunks on scoped threads.
 
 use std::time::{Duration, Instant};
 
 use num_bigint::BigUint;
 use rand::Rng;
 
-use sdb_crypto::batch::{encrypt_values, gen_item_keys};
+use sdb_crypto::batch::encrypt_column;
 #[cfg(test)]
 use sdb_crypto::share::{encrypt_value, gen_item_key};
 use sdb_crypto::sies::SiesCiphertext;
@@ -201,9 +206,9 @@ struct RowDraws {
 }
 
 /// Column-at-a-time row encryption: byte-identical to mapping [`encrypt_row`]
-/// over `rows` with the same RNG, but the modular inversions behind
-/// `encrypt_value` collapse into one Montgomery simultaneous inversion per
-/// column (see [`sdb_crypto::batch`]).
+/// over `rows` with the same RNG, but each row id is reduced once for all its
+/// cells and each column is encrypted in one batch that inverts nothing
+/// (see [`sdb_crypto::batch`]).
 ///
 /// Phase 1 performs every RNG draw row-by-row in the scalar order (row id,
 /// encrypted row id, then SIES payloads per string column). Phase 2 is
@@ -216,7 +221,7 @@ fn encrypt_rows_batched(
 ) -> Result<Vec<Vec<Value>>> {
     let system = keystore.system();
     let codec = SignedCodec::new(system);
-    let table_keys = keystore.table_keys(&meta.name)?;
+    let ciphers = keystore.table_ciphers(&meta.name)?;
     let row_id_gen = keystore.row_id_generator();
     let payload_cipher = keystore.payload_cipher();
     let tagger = keystore.tagger();
@@ -241,11 +246,12 @@ fn encrypt_rows_batched(
         });
     }
 
-    // Phase 2a: the auxiliary all-ones column for every row at once.
-    let row_ids: Vec<BigUint> = draws.iter().map(|d| d.row_id.value().clone()).collect();
-    let aux_item_keys = gen_item_keys(system, &table_keys.aux, &row_ids);
+    // Phase 2a: every row id reduced once for all its cells, then the
+    // auxiliary all-ones column for every row at once.
+    let row_exponents = system.row_exponents(draws.iter().map(|d| d.row_id.value()));
+    let every_row: Vec<usize> = (0..rows.len()).collect();
     let ones = vec![BigUint::from(1u32); rows.len()];
-    let aux_values = encrypt_values(system, &ones, &aux_item_keys);
+    let aux_values = encrypt_column(system, &ciphers.aux, &row_exponents, &every_row, &ones);
 
     // Phase 2b: each sensitive numeric column as one batch over its non-NULL
     // rows. `encrypted[col][row]` is None for NULLs.
@@ -254,8 +260,8 @@ fn encrypt_rows_batched(
         if !column.is_numeric_sensitive() {
             continue;
         }
-        let key =
-            table_keys
+        let cipher =
+            ciphers
                 .columns
                 .get(&column.name)
                 .ok_or_else(|| ProxyError::UnknownColumn {
@@ -264,7 +270,6 @@ fn encrypt_rows_batched(
         let plain = PlainType::from_data_type(column.data_type)?;
         let mut present_rows: Vec<usize> = Vec::new();
         let mut residues: Vec<BigUint> = Vec::new();
-        let mut item_key_ids: Vec<BigUint> = Vec::new();
         for (ri, row) in rows.iter().enumerate() {
             match &row[ci] {
                 Value::Null => {}
@@ -273,13 +278,11 @@ fn encrypt_rows_batched(
                         .as_scaled_i128(plain.scale())
                         .map_err(ProxyError::Storage)?;
                     residues.push(codec.encode(units)?);
-                    item_key_ids.push(row_ids[ri].clone());
                     present_rows.push(ri);
                 }
             }
         }
-        let item_keys = gen_item_keys(system, key, &item_key_ids);
-        let values = encrypt_values(system, &residues, &item_keys);
+        let values = encrypt_column(system, cipher, &row_exponents, &present_rows, &residues);
         let mut per_row: Vec<Option<BigUint>> = vec![None; rows.len()];
         for (slot, value) in present_rows.into_iter().zip(values) {
             per_row[slot] = Some(value);

@@ -6,15 +6,24 @@
 //! equality-tag PRF key. Its size is what the demo invites attendees to inspect —
 //! the point being that it is tiny compared to the outsourced data (a handful of
 //! numbers per column, independent of row count).
+//!
+//! Beside the keys it keeps what encrypting under them needs and never
+//! serialises: each column key's [`ColumnCipher`] (its `m⁻¹`, a DO secret like
+//! `m`), derived when a table's keys are registered or the store is read
+//! back, so an upload or INSERT inverts nothing. `Debug` prints the store's
+//! shape — the profile, table and column names — and no key.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use sdb_crypto::prf::PrfKey;
-use sdb_crypto::{ColumnKey, EqualityTagger, KeyConfig, RowIdGenerator, SiesCipher, SystemKey};
+use sdb_crypto::{
+    ColumnCipher, ColumnKey, EqualityTagger, KeyConfig, RowIdGenerator, SiesCipher, SystemKey,
+};
 
 use crate::{ProxyError, Result};
 
@@ -28,15 +37,81 @@ pub struct TableKeys {
     pub columns: BTreeMap<String, ColumnKey>,
 }
 
-/// The DO's key store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KeyStore {
+/// The ciphers of one table's column keys ([`SystemKey::column_cipher`]).
+#[derive(Clone, Debug)]
+pub struct TableCiphers {
+    /// The cipher of the auxiliary all-ones column's key.
+    pub aux: ColumnCipher,
+    /// The ciphers of the sensitive numeric columns' keys, by column name.
+    pub columns: BTreeMap<String, ColumnCipher>,
+}
+
+impl TableCiphers {
+    fn of(system: &SystemKey, keys: &TableKeys) -> Result<TableCiphers> {
+        let mut columns = BTreeMap::new();
+        for (name, key) in &keys.columns {
+            columns.insert(name.clone(), system.column_cipher(key)?);
+        }
+        Ok(TableCiphers {
+            aux: system.column_cipher(&keys.aux)?,
+            columns,
+        })
+    }
+}
+
+/// The persisted part of a [`KeyStore`]: exactly the fields its JSON holds.
+#[derive(Clone, Serialize, Deserialize)]
+struct StoredKeys {
     system: SystemKey,
     row_id_prf: (PrfKey, PrfKey),
     payload_prf: (PrfKey, PrfKey),
     tag_key: PrfKey,
     tables: BTreeMap<String, TableKeys>,
     rng_seed: u64,
+}
+
+/// The DO's key store.
+#[derive(Clone)]
+pub struct KeyStore {
+    keys: StoredKeys,
+    /// The ciphers of every table's keys, by table name: derived from the
+    /// keys, never serialised.
+    ciphers: BTreeMap<String, TableCiphers>,
+}
+
+impl fmt::Debug for KeyStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let tables: BTreeMap<&String, Vec<&String>> = (self.keys.tables.iter())
+            .map(|(name, keys)| (name, keys.columns.keys().collect()))
+            .collect();
+        f.debug_struct("KeyStore")
+            .field("system", &self.keys.system)
+            .field("tables", &tables)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Serialize for KeyStore {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        self.keys.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for KeyStore {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        let keys = StoredKeys::deserialize(deserializer)?;
+        let mut ciphers = BTreeMap::new();
+        for (name, table) in &keys.tables {
+            let table = TableCiphers::of(&keys.system, table).map_err(serde::de::Error::custom)?;
+            ciphers.insert(name.clone(), table);
+        }
+        Ok(KeyStore { keys, ciphers })
+    }
 }
 
 impl KeyStore {
@@ -53,51 +128,58 @@ impl KeyStore {
     /// deployment — including the seed of [`Self::derived_rng`].
     pub fn generate_with<R: Rng + ?Sized>(config: KeyConfig, rng: &mut R) -> Result<KeyStore> {
         let mut keystore = KeyStore::draw(config, rng, 0)?;
-        keystore.rng_seed = rng.gen();
+        keystore.keys.rng_seed = rng.gen();
         Ok(keystore)
     }
 
     fn draw<R: Rng + ?Sized>(config: KeyConfig, rng: &mut R, rng_seed: u64) -> Result<KeyStore> {
         let system = SystemKey::generate(rng, config)?;
-        Ok(KeyStore {
+        let keys = StoredKeys {
             system,
             row_id_prf: (PrfKey::random(rng), PrfKey::random(rng)),
             payload_prf: (PrfKey::random(rng), PrfKey::random(rng)),
             tag_key: PrfKey::random(rng),
             tables: BTreeMap::new(),
             rng_seed,
+        };
+        Ok(KeyStore {
+            keys,
+            ciphers: BTreeMap::new(),
         })
     }
 
     /// The system key.
     pub fn system(&self) -> &SystemKey {
-        &self.system
+        &self.keys.system
     }
 
     /// A fresh RNG derived from the store's seed plus a salt (kept deterministic so
     /// uploads and rewrites are reproducible in tests and benches).
     pub fn derived_rng(&self, salt: u64) -> StdRng {
-        StdRng::seed_from_u64(self.rng_seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        StdRng::seed_from_u64(self.keys.rng_seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
     /// The row-id generator (SIES-style cipher over row ids).
     pub fn row_id_generator(&self) -> RowIdGenerator {
-        RowIdGenerator::with_cipher(SiesCipher::new(self.row_id_prf.0, self.row_id_prf.1))
+        RowIdGenerator::with_cipher(SiesCipher::new(
+            self.keys.row_id_prf.0,
+            self.keys.row_id_prf.1,
+        ))
     }
 
     /// The cipher used for sensitive VARCHAR payloads.
     pub fn payload_cipher(&self) -> SiesCipher {
-        SiesCipher::new(self.payload_prf.0, self.payload_prf.1)
+        SiesCipher::new(self.keys.payload_prf.0, self.keys.payload_prf.1)
     }
 
     /// The deterministic equality tagger (upload-time tags and literal tags during
     /// rewriting).
     pub fn tagger(&self) -> EqualityTagger {
-        EqualityTagger::new(self.tag_key)
+        EqualityTagger::new(self.keys.tag_key)
     }
 
     /// Registers keys for a newly uploaded table, generating an aux key plus one
-    /// column key per sensitive numeric column.
+    /// column key per sensitive numeric column, and derives their ciphers.
     pub fn register_table<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -105,23 +187,36 @@ impl KeyStore {
         sensitive_numeric_columns: &[String],
     ) -> Result<&TableKeys> {
         let name = table.to_ascii_lowercase();
-        if self.tables.contains_key(&name) {
+        if self.keys.tables.contains_key(&name) {
             return Err(ProxyError::Protocol {
                 detail: format!("table {name} already has keys registered"),
             });
         }
-        let aux = self.system.gen_aux_column_key(rng);
+        let system = &self.keys.system;
+        let aux = system.gen_aux_column_key(rng);
         let mut columns = BTreeMap::new();
         for column in sensitive_numeric_columns {
-            columns.insert(column.to_ascii_lowercase(), self.system.gen_column_key(rng));
+            columns.insert(column.to_ascii_lowercase(), system.gen_column_key(rng));
         }
-        self.tables.insert(name.clone(), TableKeys { aux, columns });
-        Ok(self.tables.get(&name).expect("just inserted"))
+        let keys = TableKeys { aux, columns };
+        self.ciphers
+            .insert(name.clone(), TableCiphers::of(system, &keys)?);
+        Ok(self.keys.tables.entry(name).or_insert(keys))
     }
 
     /// Keys for a table.
     pub fn table_keys(&self, table: &str) -> Result<&TableKeys> {
-        self.tables
+        self.keys
+            .tables
+            .get(&table.to_ascii_lowercase())
+            .ok_or_else(|| ProxyError::UnknownTable {
+                name: table.to_string(),
+            })
+    }
+
+    /// The ciphers of a table's keys: what encrypting its rows needs.
+    pub fn table_ciphers(&self, table: &str) -> Result<&TableCiphers> {
+        self.ciphers
             .get(&table.to_ascii_lowercase())
             .ok_or_else(|| ProxyError::UnknownTable {
                 name: table.to_string(),
@@ -140,7 +235,7 @@ impl KeyStore {
 
     /// Names of tables with registered keys.
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
+        self.keys.tables.keys().cloned().collect()
     }
 
     /// Serialised size of the key store in bytes (what demo step 1 inspects).

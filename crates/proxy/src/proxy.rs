@@ -498,6 +498,71 @@ mod tests {
         assert_eq!(proxy.keystore().approx_size_bytes(), bytes);
     }
 
+    /// `Debug` of the key store, its table keys and ciphers, and the proxy
+    /// print shape only: no decimal run of the store's JSON (the primes,
+    /// `φ(n)`, `g`, every column key's `m` and `x`) and no column key's `m⁻¹`
+    /// appears in any of them.
+    #[test]
+    fn debug_output_prints_no_do_secret() {
+        let mut proxy = SdbProxy::new(KeyConfig::TEST, 9).unwrap();
+        proxy
+            .upload_table(&plaintext_table(), UploadOptions::default())
+            .unwrap();
+        let keystore = proxy.keystore();
+        let json = serde_json::to_string(keystore).unwrap();
+        let mut secrets: Vec<String> = (json.split(|c: char| !c.is_ascii_digit()))
+            .filter(|run| run.len() >= 12)
+            .map(str::to_string)
+            .collect();
+        let keys = keystore.table_keys("accounts").unwrap();
+        for key in keys.columns.values().chain([&keys.aux]) {
+            let n = keystore.system().n();
+            let inverse = sdb_crypto::bigint::mod_inverse(key.m(), n).unwrap();
+            secrets.push(inverse.to_string());
+        }
+        // n, ρ₁, ρ₂, φ(n), g; m and x of two keys; two inverses.
+        assert!(secrets.len() >= 11, "{secrets:?}");
+        let ciphers = keystore.table_ciphers("accounts").unwrap();
+        let rendered = [
+            format!("{keystore:?}"),
+            format!("{proxy:?}"),
+            format!("{keys:?}"),
+            format!("{ciphers:?}"),
+            format!("{:?}", keystore.system()),
+        ];
+        for text in &rendered {
+            for secret in &secrets {
+                assert!(!text.contains(secret.as_str()), "{secret} in {text}");
+            }
+        }
+        assert!(rendered[0].contains("accounts") && rendered[0].contains("balance"));
+    }
+
+    /// A key store read back from its JSON rebuilds its ciphers: an INSERT
+    /// encrypted under it is byte for byte the one the original encrypts.
+    #[test]
+    fn a_key_store_read_back_encrypts_as_the_original() {
+        let mut proxy = SdbProxy::new(KeyConfig::TEST, 10).unwrap();
+        proxy
+            .upload_table(&plaintext_table(), UploadOptions::default())
+            .unwrap();
+        let json = serde_json::to_string(proxy.keystore()).unwrap();
+        let back: KeyStore = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        let meta = &proxy.table_metas()["accounts"];
+        let rows: Vec<Vec<Value>> = (0..3)
+            .map(|i| {
+                let units = 40 - 37 * i;
+                vec![Value::Int(i), Value::Decimal { units, scale: 2 }]
+            })
+            .collect();
+        let encrypt = |keystore: &KeyStore| {
+            let mut rng = keystore.derived_rng(0x1357);
+            Encryptor::encrypt_rows(keystore, meta, &rows, &mut rng).unwrap()
+        };
+        assert_eq!(encrypt(&back), encrypt(proxy.keystore()));
+    }
+
     #[test]
     fn rewrite_rejects_non_select() {
         let proxy = SdbProxy::new(KeyConfig::TEST, 6).unwrap();

@@ -5,18 +5,31 @@
 //! This is the repository's strongest end-to-end correctness check: it exercises
 //! upload encryption, all SDB UDFs, the comparison / group-tag / rank protocols,
 //! aggregate key updates, the decryptor and the client-side post-computation path
-//! across joins, grouping, HAVING, ORDER BY and LIMIT.
+//! across joins, grouping, HAVING, ORDER BY and LIMIT — over random data seeds
+//! and SP execution settings, and under the 512-bit key profile as well as the
+//! test profile.
 
+use proptest::prelude::*;
 use sdb::{SdbClient, SdbConfig};
-use sdb_engine::SpEngine;
+use sdb_engine::{ExecConfig, MemoryBudget, SpEngine};
 use sdb_storage::{RecordBatch, Value};
 use sdb_workload::{all_queries, generate_all, ScaleFactor, SensitivityProfile};
+
+/// The data seed of the fixed deployment the single-case tests use.
+const SEED: u64 = 0x7c9_2015;
 
 /// Builds the encrypted (SDB) and plaintext deployments of the same tiny TPC-H
 /// instance.
 fn deployments() -> (SdbClient, SpEngine) {
-    let seed = 0x7c9_2015;
-    let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
+    deployments_with(SdbConfig::test_profile(), SEED, ExecConfig::default())
+}
+
+/// [`deployments`] under a key profile, a data seed and the SP's execution
+/// settings.
+fn deployments_with(config: SdbConfig, seed: u64, exec: ExecConfig) -> (SdbClient, SpEngine) {
+    let mut client = SdbClient::new(config)
+        .expect("client")
+        .with_exec_config(exec);
     for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::Financial, seed) {
         client.stage_table(table).expect("stage");
     }
@@ -46,11 +59,10 @@ fn canonical_rows(batch: &RecordBatch) -> Vec<Vec<String>> {
         .collect()
 }
 
-#[test]
-fn all_22_tpch_templates_match_plaintext_results() {
-    let (client, plain) = deployments();
+/// Every template's SDB answer against the plaintext engine's; the
+/// mismatches and failures, one line each.
+fn mismatches(client: &SdbClient, plain: &SpEngine) -> Vec<String> {
     let mut failures = Vec::new();
-
     for template in all_queries() {
         let secure = match client.query(template.sql) {
             Ok(result) => result,
@@ -81,7 +93,61 @@ fn all_22_tpch_templates_match_plaintext_results() {
             ));
         }
     }
+    failures
+}
 
+#[test]
+fn all_22_tpch_templates_match_plaintext_results() {
+    let (client, plain) = deployments();
+    let failures = mismatches(&client, &plain);
+    assert!(
+        failures.is_empty(),
+        "TPC-H mismatches:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// The memory budgets the property draws from: unlimited, and budgets that
+/// make the blocking operators spill a little and a lot.
+const BUDGETS: [Option<usize>; 4] = [None, Some(1 << 20), Some(64 << 10), Some(4 << 10)];
+
+fn exec_config(batch_size: usize, parallelism: usize, budget: Option<usize>) -> ExecConfig {
+    ExecConfig {
+        batch_size,
+        parallelism,
+        memory_budget: budget.map_or_else(MemoryBudget::unlimited, MemoryBudget::bytes),
+        ..ExecConfig::default()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every template equals plaintext whatever the data (a fresh data seed
+    /// each case, so fresh row ids, item keys and ciphertexts) and whatever
+    /// the SP's batch size, worker count and memory budget.
+    #[test]
+    fn all_22_templates_match_plaintext_for_any_data_and_settings(
+        seed in any::<u64>(),
+        batch_size in 1usize..2048,
+        parallelism in 1usize..=4,
+        budget in 0usize..BUDGETS.len(),
+    ) {
+        let exec = exec_config(batch_size, parallelism, BUDGETS[budget]);
+        let (client, plain) = deployments_with(SdbConfig::test_profile(), seed, exec);
+        let failures = mismatches(&client, &plain);
+        prop_assert!(failures.is_empty(), "TPC-H mismatches:\n{}", failures.join("\n"));
+    }
+}
+
+/// The 512-bit profile, whose key's powers of `g` run on 4-limb halves,
+/// answers every template as plaintext does, under a small batch, two
+/// workers and a spilling budget.
+#[test]
+fn all_22_templates_match_plaintext_under_the_balanced_profile() {
+    let exec = exec_config(7, 2, Some(64 << 10));
+    let (client, plain) = deployments_with(SdbConfig::balanced_profile(), 0xba1a, exec);
+    let failures = mismatches(&client, &plain);
     assert!(
         failures.is_empty(),
         "TPC-H mismatches:\n{}",
