@@ -76,10 +76,11 @@ impl From<StorageError> for SdbError {
 pub struct SdbConfig {
     /// Cryptographic parameter profile.
     pub key_config: KeyConfig,
-    /// Seed of the fixture key material (tests, benches): the same seed
-    /// gives the same keys. Unused when `entropy_keyed` is set.
+    /// Key of a fixture's generator (tests, benches): every DO secret is
+    /// drawn from `Drbg::seed_from_u64(seed)`, so the same seed gives the
+    /// same keys. Unused when `entropy_keyed` is set.
     pub seed: u64,
-    /// Draw every DO secret from a DRBG keyed by the operating system
+    /// Key the DO's generator from the operating system
     /// (`SdbProxy::from_entropy`) instead of from `seed`.
     pub entropy_keyed: bool,
     /// Default upload options.

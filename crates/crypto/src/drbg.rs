@@ -1,11 +1,13 @@
 //! The data owner's randomness: a counter-mode DRBG over the SipHash-2-4 PRF
-//! ([`crate::prf`]), keyed from the operating system.
+//! ([`crate::prf`]). Every DO draw — primes, column keys, row ids, SIES
+//! nonces, each query's key-update targets — comes from one.
 //!
-//! A seeded `StdRng` (xoshiro256++) is a fixture: anyone who knows the seed
-//! regenerates every key drawn from it. [`Drbg::from_os`] keys the generator
-//! with 32 bytes of `/dev/urandom` instead and fails with
-//! [`CryptoError::Entropy`] when it cannot read them; it never falls back to
-//! the clock.
+//! [`Drbg::from_os`] keys the generator with 32 bytes of `/dev/urandom` and
+//! fails with [`CryptoError::Entropy`] when it cannot read them; it never
+//! falls back to the clock. A fixture (tests, benchmarks, the stock
+//! profiles) is [`rand::SeedableRng::seed_from_u64`]: the seed expanded to
+//! the 32-byte key by SplitMix64, so anyone who knows the seed regenerates
+//! every key drawn from it.
 //!
 //! **Construction.** The 32-byte key is two 128-bit SipHash keys `a` and
 //! `b`. Output word `i` is `PRF_a(tag_a ‖ i) ⊕ PRF_b(tag_b ‖ i)` over
@@ -18,8 +20,7 @@
 use std::fmt;
 use std::io::Read;
 
-use rand::rngs::StdRng;
-use rand::RngCore;
+use rand::{RngCore, SeedableRng};
 
 use crate::prf::{Prf, PrfKey};
 use crate::{CryptoError, Result};
@@ -36,9 +37,11 @@ pub struct Drbg {
     counter: u64,
 }
 
-impl Drbg {
+impl SeedableRng for Drbg {
+    type Seed = [u8; 32];
+
     /// A generator keyed with `key`: a fixed key gives a fixed stream.
-    pub fn new(key: [u8; 32]) -> Drbg {
+    fn from_seed(key: [u8; 32]) -> Drbg {
         let word = |at: usize| u64::from_le_bytes(key[at..at + 8].try_into().expect("8 bytes"));
         Drbg {
             a: Prf::new(PrfKey::new(word(0), word(8))),
@@ -46,7 +49,9 @@ impl Drbg {
             counter: 0,
         }
     }
+}
 
+impl Drbg {
     /// A generator keyed with 32 bytes of the operating system's entropy
     /// (`/dev/urandom`); [`CryptoError::Entropy`] when they cannot be read.
     pub fn from_os() -> Result<Drbg> {
@@ -57,14 +62,14 @@ impl Drbg {
         std::fs::File::open("/dev/urandom")
             .and_then(|mut source| source.read_exact(&mut key))
             .map_err(entropy)?;
-        Ok(Drbg::new(key))
+        Ok(Drbg::from_seed(key))
     }
 
     /// A child generator keyed with the next 32 bytes of this stream.
     pub fn fork(&mut self) -> Drbg {
         let mut key = [0u8; 32];
         self.fill_bytes(&mut key);
-        Drbg::new(key)
+        Drbg::from_seed(key)
     }
 }
 
@@ -88,38 +93,6 @@ impl fmt::Debug for Drbg {
     }
 }
 
-/// The generator of one data-owner task: a seeded fixture stream (the
-/// documented test and benchmark profiles) or a DRBG stream.
-#[derive(Debug, Clone)]
-pub enum DoRng {
-    /// Derived from a fixture seed.
-    Seeded(StdRng),
-    /// Drawn from an OS-keyed [`Drbg`].
-    Drbg(Drbg),
-}
-
-impl From<StdRng> for DoRng {
-    fn from(rng: StdRng) -> DoRng {
-        DoRng::Seeded(rng)
-    }
-}
-
-impl RngCore for DoRng {
-    fn next_u32(&mut self) -> u32 {
-        match self {
-            DoRng::Seeded(rng) => rng.next_u32(),
-            DoRng::Drbg(rng) => rng.next_u32(),
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        match self {
-            DoRng::Seeded(rng) => rng.next_u64(),
-            DoRng::Drbg(rng) => rng.next_u64(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +103,7 @@ mod tests {
     #[test]
     fn the_stream_of_a_fixed_key_is_pinned() {
         let key: [u8; 32] = std::array::from_fn(|i| i as u8);
-        let mut drbg = Drbg::new(key);
+        let mut drbg = Drbg::from_seed(key);
         let words: Vec<u64> = (0..4).map(|_| drbg.next_u64()).collect();
         assert_eq!(words, PINNED);
         // Each word is the XOR of the two SipHash instances at its counter.
@@ -141,7 +114,7 @@ mod tests {
             assert_eq!(*word, block, "word {i}");
         }
         // `next_u32` is a word's low half.
-        let mut halves = Drbg::new(key);
+        let mut halves = Drbg::from_seed(key);
         assert_eq!(halves.next_u32(), PINNED[0] as u32);
         assert_eq!(halves.next_u64(), PINNED[1]);
     }
@@ -153,16 +126,29 @@ mod tests {
         0x8dea_010f_ddc0_5e3a,
     ];
 
+    /// A fixture seed sets only the key: `seed_from_u64` is the shim's
+    /// SplitMix64 expansion into `from_seed`, and the stock profiles' seed
+    /// gives this stream. A change to either moves every fixture key.
+    #[test]
+    fn the_stock_seeds_stream_is_pinned() {
+        let mut drbg = Drbg::seed_from_u64(0x5db);
+        assert_eq!(format!("{drbg:?}"), "Drbg { counter: 0, .. }");
+        assert_eq!(
+            [drbg.next_u64(), drbg.next_u64()],
+            [0x1a16_474f_0f1a_730d, 0x9046_3d48_e916_e7c4]
+        );
+    }
+
     #[test]
     fn keys_and_forks_give_distinct_streams() {
-        let mut parent = Drbg::new([7; 32]);
+        let mut parent = Drbg::from_seed([7; 32]);
         let mut child = parent.clone().fork();
-        let mut other = Drbg::new([8; 32]);
+        let mut other = Drbg::from_seed([8; 32]);
         let first: Vec<u64> = (0..8).map(|_| parent.gen()).collect();
         assert_ne!(first, (0..8).map(|_| child.gen()).collect::<Vec<u64>>());
         assert_ne!(first, (0..8).map(|_| other.gen()).collect::<Vec<u64>>());
         // A fork consumes 32 bytes of its parent's stream.
-        let mut forked = Drbg::new([7; 32]);
+        let mut forked = Drbg::from_seed([7; 32]);
         forked.fork();
         assert_eq!(forked.next_u64(), first[4]);
         // Equal key halves do not cancel.

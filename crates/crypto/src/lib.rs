@@ -77,7 +77,7 @@ pub mod signed;
 pub mod wire;
 
 pub use batch::{blind_limbs, encrypt_column, gen_item_keys, mod_inverse_batch};
-pub use drbg::{DoRng, Drbg};
+pub use drbg::Drbg;
 pub use error::CryptoError;
 pub use item_memo::{ItemKeyCounts, ItemKeyMemo, ItemKeyMemoStats};
 pub use keys::{ColumnCipher, ColumnKey, KeyConfig, RowExponents, SystemKey};

@@ -64,56 +64,74 @@ fn sip_round(v: &mut [u64; 4]) {
     v[2] = v[2].rotate_left(32);
 }
 
+/// Absorbs one 8-byte message block: two compression rounds.
+#[inline]
+fn compress(v: &mut [u64; 4], m: u64) {
+    v[3] ^= m;
+    sip_round(v);
+    sip_round(v);
+    v[0] ^= m;
+}
+
+/// The four finalisation rounds and the output word.
+#[inline]
+fn finalize(mut v: [u64; 4]) -> u64 {
+    v[2] ^= 0xff;
+    for _ in 0..4 {
+        sip_round(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
 impl Prf {
     /// Creates a PRF instance under `key`.
     pub fn new(key: PrfKey) -> Self {
         Prf { key }
     }
 
-    /// Evaluates SipHash-2-4 over `data`, returning a 64-bit output.
-    pub fn eval(&self, data: &[u8]) -> u64 {
-        let mut v = [
+    /// The SipHash-2-4 state after its key is loaded.
+    #[inline]
+    fn initial_state(&self) -> [u64; 4] {
+        [
             self.key.k0 ^ 0x736f_6d65_7073_6575,
             self.key.k1 ^ 0x646f_7261_6e64_6f6d,
             self.key.k0 ^ 0x6c79_6765_6e65_7261,
             self.key.k1 ^ 0x7465_6462_7974_6573,
-        ];
+        ]
+    }
 
-        let len = data.len();
+    /// Evaluates SipHash-2-4 over `data`, returning a 64-bit output.
+    pub fn eval(&self, data: &[u8]) -> u64 {
+        let mut v = self.initial_state();
         let mut chunks = data.chunks_exact(8);
         for chunk in &mut chunks {
-            let m = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            v[3] ^= m;
-            sip_round(&mut v);
-            sip_round(&mut v);
-            v[0] ^= m;
+            compress(
+                &mut v,
+                u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")),
+            );
         }
 
         // Final block: remaining bytes plus the length in the top byte.
         let rem = chunks.remainder();
         let mut last = [0u8; 8];
         last[..rem.len()].copy_from_slice(rem);
-        last[7] = (len & 0xff) as u8;
-        let m = u64::from_le_bytes(last);
-        v[3] ^= m;
-        sip_round(&mut v);
-        sip_round(&mut v);
-        v[0] ^= m;
-
-        v[2] ^= 0xff;
-        for _ in 0..4 {
-            sip_round(&mut v);
-        }
-        v[0] ^ v[1] ^ v[2] ^ v[3]
+        last[7] = (data.len() & 0xff) as u8;
+        compress(&mut v, u64::from_le_bytes(last));
+        finalize(v)
     }
 
     /// Evaluates the PRF with a 64-bit counter as a tweak, producing independent
-    /// 64-bit keystream words for counter-mode style usage.
+    /// 64-bit keystream words for counter-mode style usage: SipHash-2-4 of the
+    /// 16 bytes `nonce ‖ counter` (little-endian), run on the two words
+    /// directly.
+    #[inline]
     pub fn eval_counter(&self, nonce: u64, counter: u64) -> u64 {
-        let mut buf = [0u8; 16];
-        buf[..8].copy_from_slice(&nonce.to_le_bytes());
-        buf[8..].copy_from_slice(&counter.to_le_bytes());
-        self.eval(&buf)
+        let mut v = self.initial_state();
+        compress(&mut v, nonce);
+        compress(&mut v, counter);
+        // The final block of a 16-byte message: no bytes left, length 16.
+        compress(&mut v, 16 << 56);
+        finalize(v)
     }
 
     /// Produces `len` bytes of keystream for the given nonce.
@@ -169,7 +187,7 @@ impl EqualityTagger {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Official SipHash-2-4 test vector from the reference implementation
     /// (key 000102...0f, messages of increasing length 0..=7).
@@ -222,6 +240,21 @@ mod tests {
         assert_ne!(tagger.tag_i128("t.a", 5), tagger.tag_i128("t.b", 5));
         assert_ne!(tagger.tag_i128("t.a", 5), tagger.tag_i128("t.a", 6));
         assert_ne!(tagger.tag_str("t.a", "x"), tagger.tag_str("t.a", "y"));
+    }
+
+    /// The word-level counter evaluation is SipHash-2-4 of the 16 bytes
+    /// `nonce ‖ counter`, as the byte path computes it.
+    #[test]
+    fn counter_words_match_the_byte_path() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..1_000 {
+            let prf = Prf::new(PrfKey::random(&mut rng));
+            let (nonce, counter): (u64, u64) = (rng.gen(), rng.gen());
+            let mut block = [0u8; 16];
+            block[..8].copy_from_slice(&nonce.to_le_bytes());
+            block[8..].copy_from_slice(&counter.to_le_bytes());
+            assert_eq!(prf.eval_counter(nonce, counter), prf.eval(&block));
+        }
     }
 
     #[test]

@@ -471,6 +471,7 @@ impl SpEngine {
             });
         };
         let mut report = trace.report();
+        report.plan_us = stats.plan_time.as_micros() as u64;
         if !analyze {
             Self::maybe_export_trace(&report);
             return Ok(QueryOutput {
@@ -486,7 +487,7 @@ impl SpEngine {
             "analyzed plan ({} rows in {}, planning {}, plan cache hits {}, parallelism {}, budget {}):",
             batch.num_rows(),
             crate::trace::fmt_us(report.total_time_us),
-            crate::trace::fmt_us(stats.plan_time.as_micros() as u64),
+            crate::trace::fmt_us(report.plan_us),
             stats.plan_cache_hits,
             ctx.config().parallelism,
             match ctx.config().memory_budget.limit() {

@@ -260,6 +260,7 @@ impl QueryTrace {
             .collect::<Vec<_>>();
         TraceReport {
             total_time_us: self.started.elapsed().as_micros() as u64,
+            plan_us: 0,
             root: reports.len().checked_sub(1),
             spans: reports,
         }
@@ -316,6 +317,11 @@ pub struct TraceReport {
     /// Wall time (µs) from trace start to snapshot — for a traced query,
     /// effectively the query's total execution time.
     pub total_time_us: u64,
+    /// Wall time (µs) of planning: parsing or binding, optimising and
+    /// building the physical tree ([`ExecutionStats::plan_time`]). Not a
+    /// span, so the operators' times leave it out. A snapshot taken by
+    /// [`QueryTrace::report`] reads 0; the engine fills it in.
+    pub plan_us: u64,
     /// Id of the root span (the plan's outermost operator), `None` when the
     /// trace recorded no spans.
     pub root: Option<SpanId>,

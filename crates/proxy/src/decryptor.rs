@@ -340,14 +340,13 @@ mod tests {
     use super::*;
     use crate::plan::{OutputColumn, PostSortKey};
     use num_bigint::BigUint;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sdb_crypto::share::{encrypt_value, gen_item_key};
-    use sdb_crypto::{KeyConfig, SignedCodec};
+    use sdb_crypto::{Drbg, KeyConfig, SignedCodec};
     use sdb_sql::ast::{BinaryOp, Expr};
 
     fn keystore() -> KeyStore {
-        KeyStore::generate(KeyConfig::TEST, 31).unwrap()
+        KeyStore::generate(KeyConfig::TEST, &mut Drbg::seed_from_u64(31)).unwrap()
     }
 
     /// End-to-end decryption of a small hand-built "server result".
@@ -356,7 +355,7 @@ mod tests {
         let ks = keystore();
         let system = ks.system().clone();
         let codec = SignedCodec::new(&system);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Drbg::seed_from_u64(5);
         let session = QuerySession::new();
 
         let key = system.gen_column_key(&mut rng);
@@ -479,7 +478,7 @@ mod tests {
         let ks = keystore();
         let system = ks.system().clone();
         let codec = SignedCodec::new(&system);
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Drbg::seed_from_u64(6);
         let session = QuerySession::new();
 
         // A row-independent key, as produced by a SUM rewrite.

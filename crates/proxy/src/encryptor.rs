@@ -24,13 +24,12 @@
 use std::time::{Duration, Instant};
 
 use num_bigint::BigUint;
-use rand::Rng;
 
 use sdb_crypto::batch::encrypt_column;
 #[cfg(test)]
 use sdb_crypto::share::{encrypt_value, gen_item_key};
 use sdb_crypto::sies::SiesCiphertext;
-use sdb_crypto::{DoRng, Drbg, EncryptedRowId, RowId, SignedCodec};
+use sdb_crypto::{Drbg, EncryptedRowId, RowId, SignedCodec};
 use sdb_storage::{ColumnDef, DataType, Schema, Sensitivity, Table, Value};
 
 use crate::keystore::KeyStore;
@@ -93,15 +92,13 @@ impl Encryptor {
     /// Encrypts `table` (whose schema carries the sensitivity choices) and registers
     /// the necessary keys in `keystore`.
     ///
-    /// The column keys, row ids and nonces are drawn from forks of `drbg`
-    /// when one is given (an entropy-keyed proxy), else from the key
-    /// store's fixture seed ([`KeyStore::derived_rng`] under the table's
-    /// name), which makes a seeded upload reproducible.
+    /// The column keys are drawn from `drbg`, and each encryption worker's
+    /// row ids and nonces from a fork of it.
     pub fn encrypt_table(
         keystore: &mut KeyStore,
         table: &Table,
         options: UploadOptions,
-        mut drbg: Option<&mut Drbg>,
+        drbg: &mut Drbg,
     ) -> Result<EncryptedUpload> {
         let started = Instant::now();
         let meta = TableMeta::from_schema(table.name(), table.schema());
@@ -119,13 +116,7 @@ impl Encryptor {
             .filter(|c| c.is_numeric_sensitive())
             .map(|c| c.name.clone())
             .collect();
-        let salt = fxhash(table.name());
-        let mut rng_for = |keystore: &KeyStore, salt: u64| match drbg.as_deref_mut() {
-            Some(drbg) => DoRng::Drbg(drbg.fork()),
-            None => DoRng::Seeded(keystore.derived_rng(salt)),
-        };
-        let mut rng = rng_for(keystore, salt);
-        keystore.register_table(&mut rng, table.name(), &numeric_sensitive)?;
+        keystore.register_table(drbg, table.name(), &numeric_sensitive)?;
 
         let physical_schema = physical_schema(&meta);
         let mut encrypted = Table::new(table.name(), physical_schema.clone());
@@ -135,26 +126,23 @@ impl Encryptor {
         let threads = options.threads.max(1).min(rows.len().max(1));
 
         let encrypted_rows: Vec<Vec<Value>> = if threads <= 1 || rows.len() < 64 {
-            let mut worker_rng = rng_for(keystore, salt ^ 1);
-            encrypt_rows_batched(keystore, &meta, &rows, &mut worker_rng)?
+            encrypt_rows_batched(keystore, &meta, &rows, &mut drbg.fork())?
         } else {
             let chunk_size = rows.len().div_ceil(threads);
-            let chunks: Vec<&[Vec<Value>]> = rows.chunks(chunk_size).collect();
-            let mut results: Vec<Result<Vec<Vec<Value>>>> = Vec::new();
-            let keystore_ref: &KeyStore = &*keystore;
-            let meta_ref = &meta;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (i, chunk) in chunks.iter().enumerate() {
-                    let salt = fxhash(&meta_ref.name) ^ (i as u64 + 2);
-                    let mut worker_rng = rng_for(keystore_ref, salt);
-                    handles.push(scope.spawn(move || {
-                        encrypt_rows_batched(keystore_ref, meta_ref, chunk, &mut worker_rng)
-                    }));
-                }
-                for handle in handles {
-                    results.push(handle.join().expect("encryption worker panicked"));
-                }
+            let keystore: &KeyStore = keystore;
+            let meta = &meta;
+            let results: Vec<Result<Vec<Vec<Value>>>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (rows.chunks(chunk_size))
+                    .map(|chunk| {
+                        let mut worker_rng = drbg.fork();
+                        scope.spawn(move || {
+                            encrypt_rows_batched(keystore, meta, chunk, &mut worker_rng)
+                        })
+                    })
+                    .collect();
+                (handles.into_iter())
+                    .map(|handle| handle.join().expect("encryption worker panicked"))
+                    .collect()
             });
             let mut all = Vec::with_capacity(rows.len());
             for r in results {
@@ -189,7 +177,7 @@ impl Encryptor {
         keystore: &KeyStore,
         meta: &TableMeta,
         rows: &[Vec<Value>],
-        rng: &mut impl Rng,
+        rng: &mut Drbg,
     ) -> Result<Vec<Vec<Value>>> {
         encrypt_rows_batched(keystore, meta, rows, rng)
     }
@@ -217,7 +205,7 @@ fn encrypt_rows_batched(
     keystore: &KeyStore,
     meta: &TableMeta,
     rows: &[Vec<Value>],
-    rng: &mut impl Rng,
+    rng: &mut Drbg,
 ) -> Result<Vec<Vec<Value>>> {
     let system = keystore.system();
     let codec = SignedCodec::new(system);
@@ -254,8 +242,10 @@ fn encrypt_rows_batched(
     let aux_values = encrypt_column(system, &ciphers.aux, &row_exponents, &every_row, &ones);
 
     // Phase 2b: each sensitive numeric column as one batch over its non-NULL
-    // rows. `encrypted[col][row]` is None for NULLs.
-    let mut encrypted_columns: Vec<Option<Vec<Option<BigUint>>>> = vec![None; meta.columns.len()];
+    // rows, kept as the iterator its rows take their cells from, in row
+    // order; a cell is None for a NULL.
+    let mut encrypted_columns: Vec<Option<std::vec::IntoIter<Option<BigUint>>>> =
+        vec![None; meta.columns.len()];
     for (ci, column) in meta.columns.iter().enumerate() {
         if !column.is_numeric_sensitive() {
             continue;
@@ -287,27 +277,27 @@ fn encrypt_rows_batched(
         for (slot, value) in present_rows.into_iter().zip(values) {
             per_row[slot] = Some(value);
         }
-        encrypted_columns[ci] = Some(per_row);
+        encrypted_columns[ci] = Some(per_row.into_iter());
     }
 
-    // Assembly: same output shape and order as the scalar path.
+    // Assembly: same output shape and order as the scalar path. The draws,
+    // the aux column and the encrypted cells move into their rows.
+    let width = 2
+        + meta.columns.len()
+        + (meta.columns.iter())
+            .filter(|c| c.is_string_sensitive())
+            .count();
     let mut out_rows = Vec::with_capacity(rows.len());
-    for (ri, row) in rows.iter().enumerate() {
-        let draw = &draws[ri];
-        let mut payloads = draw.payloads.iter();
-        let mut out = vec![
-            Value::EncryptedRowId(draw.enc_row_id.clone()),
-            Value::Encrypted(aux_values[ri].clone()),
-        ];
-        for (ci, (column, value)) in meta.columns.iter().zip(row.iter()).enumerate() {
+    for ((row, draw), aux) in rows.iter().zip(draws).zip(aux_values) {
+        let mut payloads = draw.payloads.into_iter();
+        let mut out = Vec::with_capacity(width);
+        out.push(Value::EncryptedRowId(draw.enc_row_id));
+        out.push(Value::Encrypted(aux));
+        for ((column, value), cells) in meta.columns.iter().zip(row).zip(&mut encrypted_columns) {
             if column.is_numeric_sensitive() {
-                let per_row = encrypted_columns[ci]
-                    .as_ref()
+                let cell = (cells.as_mut().and_then(Iterator::next))
                     .expect("numeric column was batch-encrypted");
-                out.push(match &per_row[ri] {
-                    Some(e) => Value::Encrypted(e.clone()),
-                    None => Value::Null,
-                });
+                out.push(cell.map_or(Value::Null, Value::Encrypted));
             } else if column.is_string_sensitive() {
                 match value {
                     Value::Null => {
@@ -317,7 +307,7 @@ fn encrypt_rows_batched(
                     Value::Str(s) => {
                         out.push(Value::Tag(tagger.tag_str(&domain_of(column), s)));
                         out.push(Value::EncryptedRowId(EncryptedRowId(
-                            payloads.next().expect("payload drawn in phase 1").clone(),
+                            payloads.next().expect("payload drawn in phase 1"),
                         )));
                     }
                     other => {
@@ -389,7 +379,7 @@ fn encrypt_row(
     keystore: &KeyStore,
     meta: &TableMeta,
     row: &[Value],
-    rng: &mut impl Rng,
+    rng: &mut Drbg,
 ) -> Result<Vec<Value>> {
     let system = keystore.system();
     let codec = SignedCodec::new(system);
@@ -471,18 +461,10 @@ pub fn domain_of(column: &crate::meta::ColumnMeta) -> String {
     }
 }
 
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use sdb_crypto::share::decrypt_value;
     use sdb_crypto::KeyConfig;
     use sdb_storage::ColumnDef;
@@ -530,8 +512,9 @@ mod tests {
     }
 
     fn upload(options: UploadOptions) -> (KeyStore, EncryptedUpload) {
-        let mut ks = KeyStore::generate(KeyConfig::TEST, 11).unwrap();
-        let up = Encryptor::encrypt_table(&mut ks, &sample_table(), options, None).unwrap();
+        let mut drbg = Drbg::seed_from_u64(11);
+        let mut ks = KeyStore::generate(KeyConfig::TEST, &mut drbg).unwrap();
+        let up = Encryptor::encrypt_table(&mut ks, &sample_table(), options, &mut drbg).unwrap();
         (ks, up)
     }
 
@@ -672,8 +655,10 @@ mod tests {
             t.insert_row(vec![Value::Int(i), Value::Int(i * 7)])
                 .unwrap();
         }
-        let mut ks = KeyStore::generate(KeyConfig::TEST, 13).unwrap();
-        let up = Encryptor::encrypt_table(&mut ks, &t, UploadOptions { threads: 4 }, None).unwrap();
+        let mut drbg = Drbg::seed_from_u64(13);
+        let mut ks = KeyStore::generate(KeyConfig::TEST, &mut drbg).unwrap();
+        let options = UploadOptions { threads: 4 };
+        let up = Encryptor::encrypt_table(&mut ks, &t, options, &mut drbg).unwrap();
         assert_eq!(up.table.num_rows(), 300);
 
         // Spot-check decryption of a few rows.
@@ -715,25 +700,25 @@ mod tests {
         // ciphertexts for every column kind (numeric, tag, SIES, public).
         let table = sample_table();
         let meta = TableMeta::from_schema(table.name(), table.schema());
-        let mut ks = KeyStore::generate(KeyConfig::TEST, 23).unwrap();
+        let mut ks = KeyStore::generate(KeyConfig::TEST, &mut Drbg::seed_from_u64(23)).unwrap();
         let numeric: Vec<String> = meta
             .columns
             .iter()
             .filter(|c| c.is_numeric_sensitive())
             .map(|c| c.name.clone())
             .collect();
-        let mut reg_rng = ks.derived_rng(1);
+        let mut reg_rng = Drbg::seed_from_u64(1);
         ks.register_table(&mut reg_rng, table.name(), &numeric)
             .unwrap();
         let rows: Vec<Vec<Value>> = table.scan().rows().collect();
 
-        let mut scalar_rng = ks.derived_rng(99);
+        let mut scalar_rng = Drbg::seed_from_u64(99);
         let scalar: Vec<Vec<Value>> = rows
             .iter()
             .map(|row| encrypt_row(&ks, &meta, row, &mut scalar_rng).unwrap())
             .collect();
 
-        let mut batched_rng = ks.derived_rng(99);
+        let mut batched_rng = Drbg::seed_from_u64(99);
         let batched = encrypt_rows_batched(&ks, &meta, &rows, &mut batched_rng).unwrap();
 
         assert_eq!(scalar, batched);
@@ -751,11 +736,10 @@ mod tests {
         );
     }
 
-    /// With a DRBG, an upload's column keys and row ids come from its forks,
-    /// not from the key store's fixture seed: two seeded uploads from one
-    /// key store agree (so the comparison can see a seeded draw), a DRBG
-    /// upload shares no key and no row id with them, on the sequential and
-    /// the threaded path.
+    /// A fixture seed sets only the upload generator's key: two uploads
+    /// under `Drbg::seed_from_u64(11)` agree (so the comparison can see a
+    /// seeded draw), and an OS-keyed upload shares no column key and no row
+    /// id with them, on the sequential and the threaded path.
     #[test]
     fn a_drbg_upload_draws_nothing_from_the_fixture_seed() {
         let mut table = Table::new(
@@ -765,13 +749,12 @@ mod tests {
         for i in 0..100 {
             table.insert_row(vec![Value::Int(i)]).unwrap();
         }
-        let base = KeyStore::generate(KeyConfig::TEST, 11).unwrap();
-        let mut drbg = Drbg::new([7; 32]);
+        let base = KeyStore::generate(KeyConfig::TEST, &mut Drbg::seed_from_u64(11)).unwrap();
         for threads in [1, 4] {
-            let upload = |drbg: Option<&mut Drbg>| {
+            let upload = |mut drbg: Drbg| {
                 let mut ks = base.clone();
                 let options = UploadOptions { threads };
-                let up = Encryptor::encrypt_table(&mut ks, &table, options, drbg).unwrap();
+                let up = Encryptor::encrypt_table(&mut ks, &table, options, &mut drbg).unwrap();
                 let key = ks.column_key("wide", "v").unwrap().clone();
                 let row_ids = up
                     .table
@@ -786,9 +769,12 @@ mod tests {
                         .collect::<Vec<_>>(),
                 )
             };
-            let (seeded_key, seeded_ids) = upload(None);
-            assert_eq!(upload(None), (seeded_key.clone(), seeded_ids.clone()));
-            let (key, ids) = upload(Some(&mut drbg));
+            let (seeded_key, seeded_ids) = upload(Drbg::seed_from_u64(11));
+            assert_eq!(
+                upload(Drbg::seed_from_u64(11)),
+                (seeded_key.clone(), seeded_ids.clone())
+            );
+            let (key, ids) = upload(Drbg::from_os().unwrap());
             assert_ne!(key, seeded_key, "threads {threads}");
             assert!(
                 ids.iter().all(|id| !seeded_ids.contains(id)),
@@ -804,7 +790,9 @@ mod tests {
         // Insert a NULL row first so construction succeeds, then force a bad value
         // through the untyped path by building the row vector manually.
         t.insert_row(vec![Value::Null]).unwrap();
-        let mut ks = KeyStore::generate(KeyConfig::TEST, 17).unwrap();
-        assert!(Encryptor::encrypt_table(&mut ks, &t, UploadOptions::default(), None).is_ok());
+        let mut drbg = Drbg::seed_from_u64(17);
+        let mut ks = KeyStore::generate(KeyConfig::TEST, &mut drbg).unwrap();
+        let options = UploadOptions::default();
+        assert!(Encryptor::encrypt_table(&mut ks, &t, options, &mut drbg).is_ok());
     }
 }

@@ -16,13 +16,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use sdb_crypto::prf::PrfKey;
 use sdb_crypto::{
-    ColumnCipher, ColumnKey, EqualityTagger, KeyConfig, RowIdGenerator, SiesCipher, SystemKey,
+    ColumnCipher, ColumnKey, Drbg, EqualityTagger, KeyConfig, RowIdGenerator, SiesCipher, SystemKey,
 };
 
 use crate::{ProxyError, Result};
@@ -67,7 +65,6 @@ struct StoredKeys {
     payload_prf: (PrfKey, PrfKey),
     tag_key: PrfKey,
     tables: BTreeMap<String, TableKeys>,
-    rng_seed: u64,
 }
 
 /// The DO's key store.
@@ -115,24 +112,10 @@ impl<'de> Deserialize<'de> for KeyStore {
 }
 
 impl KeyStore {
-    /// Generates a key store under the given parameter profile from a
-    /// fixture seed: the same seed gives the same keys, so this is for
-    /// tests, benchmarks and examples ([`Self::generate_with`] draws from a
-    /// real source).
-    pub fn generate(config: KeyConfig, seed: u64) -> Result<KeyStore> {
-        KeyStore::draw(config, &mut StdRng::seed_from_u64(seed), seed)
-    }
-
     /// Generates a key store under the given parameter profile with every
-    /// secret drawn from `rng` — an OS-keyed [`sdb_crypto::Drbg`] for a
-    /// deployment — including the seed of [`Self::derived_rng`].
-    pub fn generate_with<R: Rng + ?Sized>(config: KeyConfig, rng: &mut R) -> Result<KeyStore> {
-        let mut keystore = KeyStore::draw(config, rng, 0)?;
-        keystore.keys.rng_seed = rng.gen();
-        Ok(keystore)
-    }
-
-    fn draw<R: Rng + ?Sized>(config: KeyConfig, rng: &mut R, rng_seed: u64) -> Result<KeyStore> {
+    /// secret drawn from `rng`: an OS-keyed [`Drbg`] for a deployment, a
+    /// seeded one (`Drbg::seed_from_u64`) for a fixture.
+    pub fn generate(config: KeyConfig, rng: &mut Drbg) -> Result<KeyStore> {
         let system = SystemKey::generate(rng, config)?;
         let keys = StoredKeys {
             system,
@@ -140,7 +123,6 @@ impl KeyStore {
             payload_prf: (PrfKey::random(rng), PrfKey::random(rng)),
             tag_key: PrfKey::random(rng),
             tables: BTreeMap::new(),
-            rng_seed,
         };
         Ok(KeyStore {
             keys,
@@ -151,12 +133,6 @@ impl KeyStore {
     /// The system key.
     pub fn system(&self) -> &SystemKey {
         &self.keys.system
-    }
-
-    /// A fresh RNG derived from the store's seed plus a salt (kept deterministic so
-    /// uploads and rewrites are reproducible in tests and benches).
-    pub fn derived_rng(&self, salt: u64) -> StdRng {
-        StdRng::seed_from_u64(self.keys.rng_seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
     /// The row-id generator (SIES-style cipher over row ids).
@@ -180,9 +156,9 @@ impl KeyStore {
 
     /// Registers keys for a newly uploaded table, generating an aux key plus one
     /// column key per sensitive numeric column, and derives their ciphers.
-    pub fn register_table<R: Rng + ?Sized>(
+    pub fn register_table(
         &mut self,
-        rng: &mut R,
+        rng: &mut Drbg,
         table: &str,
         sensitive_numeric_columns: &[String],
     ) -> Result<&TableKeys> {
@@ -247,15 +223,16 @@ impl KeyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn store() -> KeyStore {
-        KeyStore::generate(KeyConfig::TEST, 7).unwrap()
+        KeyStore::generate(KeyConfig::TEST, &mut Drbg::seed_from_u64(7)).unwrap()
     }
 
     #[test]
     fn register_and_lookup() {
         let mut ks = store();
-        let mut rng = ks.derived_rng(1);
+        let mut rng = Drbg::seed_from_u64(1);
         ks.register_table(&mut rng, "Emp", &["salary".into(), "bonus".into()])
             .unwrap();
         assert!(ks.column_key("emp", "SALARY").is_ok());
@@ -268,7 +245,7 @@ mod tests {
     #[test]
     fn aux_key_is_invertible_mod_phi() {
         let mut ks = store();
-        let mut rng = ks.derived_rng(2);
+        let mut rng = Drbg::seed_from_u64(2);
         let keys = ks
             .register_table(&mut rng, "t", &["a".into()])
             .unwrap()
@@ -282,7 +259,7 @@ mod tests {
         let mut ks = store();
         let base = ks.approx_size_bytes();
         assert!(base > 0);
-        let mut rng = ks.derived_rng(3);
+        let mut rng = Drbg::seed_from_u64(3);
         ks.register_table(&mut rng, "t1", &["a".into(), "b".into(), "c".into()])
             .unwrap();
         let after = ks.approx_size_bytes();
@@ -294,7 +271,7 @@ mod tests {
     #[test]
     fn ciphers_are_stable_across_reconstruction() {
         let ks = store();
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Drbg::seed_from_u64(5);
         let gen1 = ks.row_id_generator();
         let gen2 = ks.row_id_generator();
         let rid = gen1.generate(&mut rng, ks.system());
@@ -308,7 +285,7 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_keys() {
         let mut ks = store();
-        let mut rng = ks.derived_rng(9);
+        let mut rng = Drbg::seed_from_u64(9);
         ks.register_table(&mut rng, "t", &["a".into()]).unwrap();
         let json = serde_json::to_string(&ks).unwrap();
         let back: KeyStore = serde_json::from_str(&json).unwrap();

@@ -234,27 +234,26 @@ impl SdbOracle for ProxyOracle {
 mod tests {
     use super::*;
     use num_bigint::BigUint;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sdb_crypto::share::{encrypt_value, gen_item_key};
-    use sdb_crypto::KeyConfig;
+    use sdb_crypto::{Drbg, KeyConfig};
 
     struct Setup {
         keystore: KeyStore,
         session: Arc<QuerySession>,
         oracle: ProxyOracle,
-        rng: StdRng,
+        rng: Drbg,
     }
 
     fn setup() -> Setup {
-        let keystore = KeyStore::generate(KeyConfig::TEST, 21).unwrap();
+        let keystore = KeyStore::generate(KeyConfig::TEST, &mut Drbg::seed_from_u64(21)).unwrap();
         let session = Arc::new(QuerySession::new());
         let oracle = ProxyOracle::new(&keystore, session.clone());
         Setup {
             keystore,
             session,
             oracle,
-            rng: StdRng::seed_from_u64(77),
+            rng: Drbg::seed_from_u64(77),
         }
     }
 

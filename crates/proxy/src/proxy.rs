@@ -8,15 +8,15 @@
 //! experiment E3) is measured here.
 //!
 //! A text rewritten before replays its cached [`Shape`] (see
-//! [`crate::shape`]): the same server SQL a cold rewrite with the same query
-//! counter would produce, without parsing or rewriting.
+//! [`crate::shape`]): the same server SQL a cold rewrite with the same fork
+//! of the proxy's generator would produce, without parsing or rewriting.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use sdb_crypto::{DoRng, Drbg, ItemKeyMemo, KeyConfig, KeyUpdateMemo};
+use rand::SeedableRng;
+use sdb_crypto::{Drbg, ItemKeyMemo, KeyConfig, KeyUpdateMemo};
 use sdb_engine::ServerStatement;
 use sdb_sql::{parse_sql, Lexer, Query, Statement, Token};
 use sdb_storage::{RecordBatch, Table, Value};
@@ -126,11 +126,9 @@ impl std::fmt::Debug for RewrittenQuery {
 pub struct SdbProxy {
     keystore: KeyStore,
     metas: BTreeMap<String, TableMeta>,
-    query_counter: AtomicU64,
-    /// The OS-keyed generator every upload's, query's and INSERT's draws
-    /// come from, for a proxy built by [`SdbProxy::from_entropy`]; a seeded
-    /// proxy derives them from its key store's fixture seed.
-    drbg: Option<Mutex<Drbg>>,
+    /// The generator the key store was drawn from; every upload, query and
+    /// INSERT after it draws from a fork of it.
+    drbg: Mutex<Drbg>,
     /// What every query's rewrite, oracle and decryption would otherwise
     /// rebuild from the key store: `n` in decimal, the key-update memo, the
     /// oracle's parts (with the item-key memo) and the decryptor sharing
@@ -155,24 +153,25 @@ impl std::fmt::Debug for SdbProxy {
 }
 
 impl SdbProxy {
-    /// Creates a proxy with fresh key material under the given parameter profile.
-    /// `seed` makes key generation deterministic for tests and benches.
+    /// Creates a proxy with fixture key material under the given parameter
+    /// profile: its generator is `Drbg::seed_from_u64(seed)`, so the same
+    /// seed gives the same keys (tests, benches, the stock profiles).
     pub fn new(config: KeyConfig, seed: u64) -> Result<Self> {
-        SdbProxy::with_keystore(KeyStore::generate(config, seed)?, None)
+        SdbProxy::with_drbg(config, Drbg::seed_from_u64(seed))
     }
 
-    /// Creates a proxy whose every secret comes from a DRBG keyed by the
-    /// operating system ([`Drbg::from_os`]): the key store, and each
-    /// upload's column keys, row ids and nonces, each query's key draws and
-    /// each INSERT's row ids after it. Fails when the OS has no entropy to
-    /// give.
+    /// Creates a proxy whose generator is keyed by the operating system
+    /// ([`Drbg::from_os`]), as a deployment needs. Fails when the OS has no
+    /// entropy to give.
     pub fn from_entropy(config: KeyConfig) -> Result<Self> {
-        let mut drbg = Drbg::from_os()?;
-        let keystore = KeyStore::generate_with(config, &mut drbg)?;
-        SdbProxy::with_keystore(keystore, Some(Mutex::new(drbg)))
+        SdbProxy::with_drbg(config, Drbg::from_os()?)
     }
 
-    fn with_keystore(keystore: KeyStore, drbg: Option<Mutex<Drbg>>) -> Result<Self> {
+    /// Creates a proxy whose every secret comes from `drbg`: the key store,
+    /// and each upload's column keys, row ids and nonces, each query's key
+    /// draws and each INSERT's row ids after it.
+    fn with_drbg(config: KeyConfig, mut drbg: Drbg) -> Result<Self> {
+        let keystore = KeyStore::generate(config, &mut drbg)?;
         let oracle_parts = Arc::new(OracleParts::new(&keystore));
         Ok(SdbProxy {
             n_text: keystore.system().n().to_string(),
@@ -181,20 +180,14 @@ impl SdbProxy {
             oracle_parts,
             keystore,
             metas: BTreeMap::new(),
-            query_counter: AtomicU64::new(0),
-            drbg,
+            drbg: Mutex::new(drbg),
             shapes: ShapeCache::default(),
         })
     }
 
-    /// The generator of one query or INSERT: a fork of the DRBG, or for a
-    /// seeded proxy the key store's stream under `salt` and the task count.
-    fn task_rng(&self, salt: u64) -> DoRng {
-        let task = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        match &self.drbg {
-            Some(drbg) => DoRng::Drbg(drbg.lock().unwrap_or_else(PoisonError::into_inner).fork()),
-            None => DoRng::Seeded(self.keystore.derived_rng(salt ^ task)),
-        }
+    /// The generator of one query or INSERT: a fork of the proxy's.
+    fn task_rng(&self) -> Drbg {
+        (self.drbg.lock().unwrap_or_else(PoisonError::into_inner)).fork()
     }
 
     /// The key store (e.g. to inspect its size, demo step 1).
@@ -237,8 +230,7 @@ impl SdbProxy {
         table: &Table,
         options: UploadOptions,
     ) -> Result<EncryptedUpload> {
-        let drbg =
-            (self.drbg.as_mut()).map(|drbg| drbg.get_mut().unwrap_or_else(PoisonError::into_inner));
+        let drbg = self.drbg.get_mut().unwrap_or_else(PoisonError::into_inner);
         let upload = Encryptor::encrypt_table(&mut self.keystore, table, options, drbg)?;
         // The key store changed: every shape is rewritten afresh.
         self.shapes.clear();
@@ -262,7 +254,7 @@ impl SdbProxy {
                 name: table.to_string(),
             }
         })?;
-        let mut rng = self.task_rng(0x175e7);
+        let mut rng = self.task_rng();
         let encrypted = Encryptor::encrypt_rows(&self.keystore, meta, rows, &mut rng)?;
         let columns = self.keystore.table_keys(&meta.name)?.columns.len();
         (self.oracle_parts.memo()).grow(rows.len() * (columns + 1));
@@ -303,7 +295,7 @@ impl SdbProxy {
             &self.key_updates,
             &self.n_text,
             session.clone(),
-            self.task_rng(0xc0ffee),
+            self.task_rng(),
         );
         let output = rewriter.rewrite_query(&query)?;
         let rewrite_time = rewrite_started.elapsed();
@@ -337,7 +329,7 @@ impl SdbProxy {
     fn replay(&self, sql: &str, shape: Arc<Shape>) -> Result<RewrittenQuery> {
         let started = Instant::now();
         let session = Arc::new(QuerySession::new());
-        let mut rng = self.task_rng(0xc0ffee);
+        let mut rng = self.task_rng();
         let tape = shape.tape();
         let (keys, draws) = tape.replay(self.keystore.system(), &mut rng, &self.key_updates)?;
         tape.register_handles(&keys, &session);
@@ -434,7 +426,8 @@ mod tests {
     /// Whether `keystore` is the one the stock seed generates: same `n`,
     /// same secret `φ(n)`.
     fn from_stock_seed(keystore: &KeyStore) -> bool {
-        let stock = KeyStore::generate(keystore.system().config(), STOCK_SEED).unwrap();
+        let mut fixture = Drbg::seed_from_u64(STOCK_SEED);
+        let stock = KeyStore::generate(keystore.system().config(), &mut fixture).unwrap();
         stock.system().n() == keystore.system().n()
             || stock.system().phi() == keystore.system().phi()
     }
@@ -453,24 +446,23 @@ mod tests {
         assert!(from_stock_seed(planted.keystore()));
     }
 
-    /// An entropy-keyed proxy's per-query and INSERT generators are forks of
-    /// its DRBG, not the key store's seeded stream under the task's salt: a
-    /// seeded proxy's first rewrite draws from `derived_rng(0xc0ffee ^ 0)`,
-    /// an entropy-keyed one's does not, and two of its tasks differ.
+    /// Every query and INSERT draws from a fork of the proxy's generator: a
+    /// seeded proxy's first task is the fork its fixture generator makes
+    /// after drawing the key store, an entropy-keyed proxy's is not, and two
+    /// consecutive forks differ.
     #[test]
     fn entropy_keyed_tasks_draw_from_the_drbg() {
-        let words =
-            |rng: &mut dyn rand::RngCore| -> Vec<u64> { (0..4).map(|_| rng.next_u64()).collect() };
+        use rand::RngCore;
+        let words = |mut rng: Drbg| -> Vec<u64> { (0..4).map(|_| rng.next_u64()).collect() };
+        let mut fixture = Drbg::seed_from_u64(5);
+        KeyStore::generate(KeyConfig::TEST, &mut fixture).unwrap();
+        let fixture_first = words(fixture.fork());
         let seeded = SdbProxy::new(KeyConfig::TEST, 5).unwrap();
-        assert_eq!(
-            words(&mut seeded.task_rng(0xc0ffee)),
-            words(&mut seeded.keystore().derived_rng(0xc0ffee))
-        );
+        assert_eq!(words(seeded.task_rng()), fixture_first);
         let proxy = SdbProxy::from_entropy(KeyConfig::TEST).unwrap();
-        let first = words(&mut proxy.task_rng(0xc0ffee));
-        assert_ne!(first, words(&mut proxy.keystore().derived_rng(0xc0ffee)));
-        assert_ne!(first, words(&mut proxy.task_rng(0xc0ffee)));
-        assert!(matches!(proxy.task_rng(0x175e7), DoRng::Drbg(_)));
+        let first = words(proxy.task_rng());
+        assert_ne!(first, fixture_first);
+        assert_ne!(first, words(proxy.task_rng()));
     }
 
     /// Rewrites fill the DO's key-update memo, not the key store: its JSON
@@ -557,7 +549,7 @@ mod tests {
             })
             .collect();
         let encrypt = |keystore: &KeyStore| {
-            let mut rng = keystore.derived_rng(0x1357);
+            let mut rng = Drbg::seed_from_u64(0x1357);
             Encryptor::encrypt_rows(keystore, meta, &rows, &mut rng).unwrap()
         };
         assert_eq!(encrypt(&back), encrypt(proxy.keystore()));

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use num_bigint::BigUint;
 use num_traits::One;
 
-use sdb_crypto::{ColumnKey, DoRng, KeyUpdateMemo};
+use sdb_crypto::{ColumnKey, Drbg, KeyUpdateMemo};
 use sdb_engine::secure::oracle_fns;
 use sdb_sql::ast::{
     is_aggregate_name, BinaryOp, Expr, JoinClause, Literal, OrderItem, Query, SelectItem, UnaryOp,
@@ -95,7 +95,7 @@ pub struct Rewriter<'a> {
     metas: &'a BTreeMap<String, TableMeta>,
     key_updates: &'a KeyUpdateMemo,
     session: Arc<QuerySession>,
-    rng: RefCell<DoRng>,
+    rng: RefCell<Drbg>,
     n_str: &'a str,
     /// Every key the rewrite uses is made through the tape.
     tape: RefCell<TapeRecorder>,
@@ -128,14 +128,14 @@ impl<'a> Rewriter<'a> {
         key_updates: &'a KeyUpdateMemo,
         n_str: &'a str,
         session: Arc<QuerySession>,
-        rng: impl Into<DoRng>,
+        rng: Drbg,
     ) -> Self {
         Rewriter {
             keystore,
             metas,
             key_updates,
             session,
-            rng: RefCell::new(rng.into()),
+            rng: RefCell::new(rng),
             n_str,
             tape: RefCell::new(TapeRecorder::default()),
         }
@@ -1461,7 +1461,6 @@ fn scaled_plain_type(scale: u8) -> PlainType {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sdb_crypto::KeyConfig;
     use sdb_sql::{parse_sql, Statement};
@@ -1475,7 +1474,8 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let mut keystore = KeyStore::generate(KeyConfig::TEST, 41).unwrap();
+        let mut keystore =
+            KeyStore::generate(KeyConfig::TEST, &mut Drbg::seed_from_u64(41)).unwrap();
         let emp = Schema::new(vec![
             ColumnDef::public("id", DataType::Int),
             ColumnDef::sensitive("salary", DataType::Decimal { scale: 2 }),
@@ -1491,7 +1491,7 @@ mod tests {
         ]);
         let emp_meta = TableMeta::from_schema("emp", &emp);
         let dept_meta = TableMeta::from_schema("dept", &dept);
-        let mut rng = keystore.derived_rng(100);
+        let mut rng = Drbg::seed_from_u64(100);
         keystore
             .register_table(&mut rng, "emp", &["salary".into(), "bonus".into()])
             .unwrap();
@@ -1517,7 +1517,7 @@ mod tests {
             &fixture.key_updates,
             &fixture.n_text,
             session,
-            StdRng::seed_from_u64(1),
+            Drbg::seed_from_u64(1),
         )
     }
 

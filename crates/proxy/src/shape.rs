@@ -17,9 +17,9 @@
 //!   store, keys drawn afresh, products and constant scalings of earlier
 //!   keys, the key updates and the handle registrations.
 //!
-//! A replay runs the tape with the query's own RNG (`derived_rng(0xc0ffee ^
-//! counter)`), so it draws what a cold rewrite with the same counter draws, in
-//! the same order, and never reuses randomness. It inverts the key updates'
+//! A replay runs the tape with the query's own generator (its fork of the
+//! proxy's `Drbg`), so it draws what a cold rewrite with the same fork draws,
+//! in the same order, and never reuses randomness. It inverts the key updates'
 //! targets in one batch, computes every slot, registers the handles in order
 //! and splices the slots into the template: the server SQL is byte for byte
 //! the cold rewrite's.
@@ -38,10 +38,9 @@ use std::sync::Arc;
 
 use num_bigint::BigUint;
 use parking_lot::{Mutex, RwLock};
-use sdb_crypto::DoRng;
 
 use sdb_crypto::share::ColumnKeyAlgebra;
-use sdb_crypto::{mod_inverse_batch, ColumnKey, KeyUpdateMemo, SystemKey};
+use sdb_crypto::{mod_inverse_batch, ColumnKey, Drbg, KeyUpdateMemo, SystemKey};
 
 use crate::meta::PlainType;
 use crate::plan::ResultPlan;
@@ -67,7 +66,7 @@ enum KeyStep {
 
 impl KeyStep {
     /// The key this step yields, given the keys of the steps before it.
-    fn run(&self, keys: &[ColumnKey], system: &SystemKey, rng: &mut DoRng) -> ColumnKey {
+    fn run(&self, keys: &[ColumnKey], system: &SystemKey, rng: &mut Drbg) -> ColumnKey {
         match self {
             KeyStep::Stored(key) => key.clone(),
             KeyStep::Fresh => system.gen_column_key(rng),
@@ -130,7 +129,7 @@ impl Tape {
     pub(crate) fn replay(
         &self,
         system: &SystemKey,
-        rng: &mut DoRng,
+        rng: &mut Drbg,
         memo: &KeyUpdateMemo,
     ) -> Result<(Vec<ColumnKey>, Vec<String>)> {
         let mut keys = Vec::with_capacity(self.steps.len());
@@ -232,7 +231,7 @@ pub(crate) struct TapeRecorder {
 }
 
 impl TapeRecorder {
-    fn step(&mut self, step: KeyStep, system: &SystemKey, rng: &mut DoRng) -> usize {
+    fn step(&mut self, step: KeyStep, system: &SystemKey, rng: &mut Drbg) -> usize {
         let key = step.run(&self.keys, system, rng);
         self.tape.steps.push(step);
         self.keys.push(key);
@@ -240,17 +239,17 @@ impl TapeRecorder {
     }
 
     /// A key read from the key store.
-    pub(crate) fn stored(&mut self, key: ColumnKey, system: &SystemKey, rng: &mut DoRng) -> usize {
+    pub(crate) fn stored(&mut self, key: ColumnKey, system: &SystemKey, rng: &mut Drbg) -> usize {
         self.step(KeyStep::Stored(key), system, rng)
     }
 
     /// A fresh column key.
-    pub(crate) fn fresh(&mut self, system: &SystemKey, rng: &mut DoRng) -> usize {
+    pub(crate) fn fresh(&mut self, system: &SystemKey, rng: &mut Drbg) -> usize {
         self.step(KeyStep::Fresh, system, rng)
     }
 
     /// A fresh row-independent target key.
-    pub(crate) fn fresh_row_independent(&mut self, system: &SystemKey, rng: &mut DoRng) -> usize {
+    pub(crate) fn fresh_row_independent(&mut self, system: &SystemKey, rng: &mut Drbg) -> usize {
         self.step(KeyStep::FreshRowIndependent, system, rng)
     }
 
@@ -260,7 +259,7 @@ impl TapeRecorder {
         a: usize,
         b: usize,
         system: &SystemKey,
-        rng: &mut DoRng,
+        rng: &mut Drbg,
     ) -> usize {
         self.step(KeyStep::Multiply(a, b), system, rng)
     }
@@ -271,7 +270,7 @@ impl TapeRecorder {
         a: usize,
         c: &BigUint,
         system: &SystemKey,
-        rng: &mut DoRng,
+        rng: &mut Drbg,
     ) -> usize {
         self.step(KeyStep::Scale(a, c.clone()), system, rng)
     }

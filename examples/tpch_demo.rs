@@ -6,7 +6,9 @@
 
 use std::collections::BTreeMap;
 
+use rand::SeedableRng;
 use sdb::{SdbClient, SdbConfig};
+use sdb_crypto::Drbg;
 use sdb_proxy::meta::TableMeta;
 use sdb_proxy::KeyStore;
 use sdb_repro::analyze_query;
@@ -26,7 +28,8 @@ fn main() -> sdb::Result<()> {
     client.upload_all()?;
 
     // Analyzer metadata (for the onion verdict).
-    let mut keystore = KeyStore::generate(sdb::KeyConfig::TEST, 1).expect("keystore");
+    let mut rng = Drbg::seed_from_u64(1);
+    let mut keystore = KeyStore::generate(sdb::KeyConfig::TEST, &mut rng).expect("keystore");
     let mut metas = BTreeMap::new();
     for table in table_names() {
         let schema = table_schema(table, SensitivityProfile::Financial);
@@ -37,7 +40,6 @@ fn main() -> sdb::Result<()> {
             .filter(|c| c.is_numeric_sensitive())
             .map(|c| c.name.clone())
             .collect();
-        let mut rng = keystore.derived_rng(3);
         keystore
             .register_table(&mut rng, table, &sensitive)
             .expect("register");

@@ -16,9 +16,9 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use sdb_crypto::Drbg;
 use sdb_proxy::meta::TableMeta;
 use sdb_proxy::rewriter::Rewriter;
 use sdb_proxy::{KeyStore, QuerySession};
@@ -148,7 +148,7 @@ fn sdb_support(
         &key_updates,
         &n_text,
         session,
-        StdRng::seed_from_u64(7),
+        Drbg::seed_from_u64(7),
     );
     match rewriter.rewrite_query(query) {
         Ok(_) => SystemSupport::Native,
@@ -387,7 +387,8 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let mut keystore = KeyStore::generate(KeyConfig::TEST, 3).unwrap();
+        let mut rng = Drbg::seed_from_u64(3);
+        let mut keystore = KeyStore::generate(KeyConfig::TEST, &mut rng).unwrap();
         let schema = Schema::new(vec![
             ColumnDef::public("id", DataType::Int),
             ColumnDef::sensitive("price", DataType::Decimal { scale: 2 }),
@@ -395,7 +396,6 @@ mod tests {
             ColumnDef::public("flag", DataType::Varchar),
         ]);
         let meta = TableMeta::from_schema("items", &schema);
-        let mut rng = keystore.derived_rng(1);
         keystore
             .register_table(&mut rng, "items", &["price".into(), "qty".into()])
             .unwrap();
@@ -475,7 +475,7 @@ mod tests {
         ]);
         f.metas
             .insert("notes".into(), TableMeta::from_schema("notes", &schema));
-        let mut rng = f.keystore.derived_rng(2);
+        let mut rng = Drbg::seed_from_u64(2);
         f.keystore.register_table(&mut rng, "notes", &[]).unwrap();
 
         let report = analyze(&f, "SELECT id FROM notes WHERE comment LIKE '%secret%'");

@@ -8,6 +8,8 @@
 
 use std::collections::BTreeMap;
 
+use rand::SeedableRng;
+use sdb_crypto::Drbg;
 use sdb_proxy::meta::TableMeta;
 use sdb_proxy::KeyStore;
 use sdb_repro::{analyze_query, SystemSupport};
@@ -15,7 +17,8 @@ use sdb_sql::{parse_sql, Statement};
 use sdb_workload::{all_queries, table_names, table_schema, SensitivityProfile};
 
 fn metadata() -> (KeyStore, BTreeMap<String, TableMeta>) {
-    let mut keystore = KeyStore::generate(sdb::KeyConfig::TEST, 0xc0ff).expect("keystore");
+    let mut rng = Drbg::seed_from_u64(0xc0ff);
+    let mut keystore = KeyStore::generate(sdb::KeyConfig::TEST, &mut rng).expect("keystore");
     let mut metas = BTreeMap::new();
     for table in table_names() {
         let schema = table_schema(table, SensitivityProfile::Financial);
@@ -26,7 +29,6 @@ fn metadata() -> (KeyStore, BTreeMap<String, TableMeta>) {
             .filter(|c| c.is_numeric_sensitive())
             .map(|c| c.name.clone())
             .collect();
-        let mut rng = keystore.derived_rng(7);
         keystore
             .register_table(&mut rng, table, &sensitive)
             .expect("register");

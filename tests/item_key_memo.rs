@@ -10,10 +10,11 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use num_bigint::BigUint;
+use rand::SeedableRng;
 use sdb::wire::WireMessageKind;
 use sdb::{SdbClient, SdbConfig};
 use sdb_crypto::share::{encrypt_value, gen_item_key};
-use sdb_crypto::{RowId, SignedCodec};
+use sdb_crypto::{Drbg, RowId, SignedCodec};
 use sdb_engine::secure::{OracleRequest, OracleRequestKind, OracleResponse};
 use sdb_engine::{QueryOptions, SdbOracle};
 use sdb_proxy::meta::PlainType;
@@ -368,7 +369,7 @@ fn a_tiny_upload_forces_whole_x_eviction_and_answers_stay_exact() {
         key: key.clone(),
         decode: PlainType::Int,
     });
-    let mut rng = proxy.keystore().derived_rng(9);
+    let mut rng = Drbg::seed_from_u64(9);
     let values: Vec<i64> = (0..3 * bound as i64).map(|v| v % 7 - 3).collect();
     let oracle_rows = (values.iter())
         .map(|&v| {

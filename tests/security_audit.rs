@@ -767,6 +767,28 @@ fn keystore_json_holds_no_derived_tables_and_a_restored_store_rebuilds_them() {
 }
 
 #[test]
+fn the_key_store_holds_no_generator_seed() {
+    // A fixture seed only keys the proxy's generator: the key store's JSON
+    // holds the keys drawn from it and nothing to regenerate a stream with.
+    let client = loaded().client;
+    let json = serde_json::to_string(client.proxy().keystore()).unwrap();
+    let serde::content::Content::Map(fields) = serde_json::content_from_str(&json).unwrap() else {
+        panic!("the key store is a JSON object: {json}");
+    };
+    let mut names: Vec<String> = (fields.into_iter())
+        .map(|(name, _)| match name {
+            serde::content::Content::Str(name) => name,
+            other => panic!("a field name: {other:?}"),
+        })
+        .collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        ["payload_prf", "row_id_prf", "system", "tables", "tag_key"]
+    );
+}
+
+#[test]
 fn scan_pruning_reports_column_counts_only() {
     // The pruning surface — `cols=read/total` on EXPLAIN ANALYZE scan lines,
     // `scan_columns_*` in the exported trace — carries two integers per scan:
@@ -1130,6 +1152,20 @@ fn the_planning_clock_and_shape_counters_report_integers_only() {
     let planning = planning.split(',').next().unwrap();
     assert!(planning.ends_with('s'), "a duration: {header}");
 
+    // The exported trace carries the same clock as one integer field.
+    let opts = sdb_engine::QueryOptions::default().with_tracing(true);
+    let traced = server.client().query_with(q1, &opts).expect("traced");
+    let report = traced.trace.expect("tracing was on");
+    let plan_us = traced.server_stats.plan_time.as_micros() as u64;
+    assert_eq!(report.plan_us, plan_us);
+    let trace_json = report.to_json();
+    integer_fields(&trace_json, &["\"plan_us\":"]);
+    assert_eq!(
+        trace_json.matches("\"plan_us\":").count(),
+        1,
+        "not a span field"
+    );
+
     let prometheus = server.metrics_snapshot().render_prometheus();
     let names = [
         "sdb_do_shape_hits_total",
@@ -1146,7 +1182,14 @@ fn the_planning_clock_and_shape_counters_report_integers_only() {
         assert!(value.parse::<u64>().unwrap() > 0, "{line}");
         assert!(value.len() <= 20, "{line}");
     }
-    let surfaces = [stats, session_stats, header.to_string(), lines.join("\n")].join("\n");
+    let surfaces = [
+        stats,
+        session_stats,
+        header.to_string(),
+        lines.join("\n"),
+        trace_json,
+    ]
+    .join("\n");
     assert!(auditor
         .audit([("planning-and-shapes", surfaces.as_str())])
         .is_clean());
