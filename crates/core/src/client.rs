@@ -241,15 +241,14 @@ impl SdbClient {
             } => {
                 let logical_rows = self.literal_rows(&table, &columns, &rows)?;
                 if self.is_uploaded(&table) {
-                    // Encrypt at the proxy and append at the SP; the rows
-                    // cross the wire as an upload, rendered when read.
-                    let physical = self.proxy.encrypt_rows(&table, &logical_rows)?;
+                    // Encrypt at the proxy and append its columns at the
+                    // SP; the rows cross the wire as an upload, rendered
+                    // when read.
+                    let physical = self.proxy.encrypt_rows(&table, logical_rows)?;
                     let handle = self.engine.catalog().table(&table)?;
                     let mut guard = handle.write();
                     let start = guard.num_rows();
-                    for row in physical {
-                        guard.insert_row(row)?;
-                    }
+                    guard.append_columns(&physical)?;
                     let rows = start..guard.num_rows();
                     drop(guard);
                     self.wire.record_rows(WireMessageKind::Upload, handle, rows);
@@ -536,24 +535,30 @@ impl SdbClient {
         columns: &[String],
         rows: &[Vec<Expr>],
     ) -> Result<Vec<Vec<Value>>> {
-        // An uploaded table's logical schema is the proxy's metadata.
-        let schema = if let Some(meta) = self.proxy.table_metas().get(&table.to_ascii_lowercase()) {
-            declared_schema(
+        // An uploaded table's logical schema is the proxy's metadata, built
+        // only to resolve an explicit column list.
+        let uploaded = self.proxy.table_metas().get(&table.to_ascii_lowercase());
+        let schema = match uploaded {
+            Some(_) if columns.is_empty() => None,
+            Some(meta) => Some(declared_schema(
                 meta.columns
                     .iter()
                     .map(|c| (&c.name, c.data_type, c.sensitive)),
-            )
-        } else {
-            self.staging.table(table)?.read().schema().clone()
+            )),
+            None => Some(self.staging.table(table)?.read().schema().clone()),
+        };
+        let width = match uploaded {
+            Some(meta) => meta.columns.len(),
+            None => schema.as_ref().map_or(0, Schema::len),
         };
 
         let mut out = Vec::with_capacity(rows.len());
         for row in rows {
-            let mut values = vec![Value::Null; schema.len()];
+            let mut values = vec![Value::Null; width];
             if columns.is_empty() {
-                if row.len() != schema.len() {
+                if row.len() != width {
                     return Err(SdbError::Storage(StorageError::ArityMismatch {
-                        expected: schema.len(),
+                        expected: width,
                         found: row.len(),
                     }));
                 }
@@ -567,6 +572,7 @@ impl SdbClient {
                         found: row.len(),
                     }));
                 }
+                let schema = schema.as_ref().expect("built for a column list");
                 for (column, expr) in columns.iter().zip(row.iter()) {
                     let idx = schema.index_of(column)?;
                     values[idx] = literal_value(expr)?;

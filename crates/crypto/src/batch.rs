@@ -65,29 +65,31 @@ pub fn mod_inverse_batch(items: &[BigUint], m: &BigUint) -> Result<Vec<BigUint>>
     Ok(out)
 }
 
-/// Batched [`crate::encrypt_value`] without the item keys: the plaintext
-/// `plaintexts[i]` of row `picked[i]` of `rows` encrypted under the column
-/// whose cipher is `cipher`, `v·(m·g^e)⁻¹ mod n` with `e = r·x mod φ(n)`.
+/// Batched [`crate::encrypt_value`] without the item keys: the `i`-th
+/// plaintext of `plaintexts`, of the row of `rows` that `picked` yields `i`-th,
+/// encrypted under the column whose cipher is `cipher`, `v·(m·g^e)⁻¹ mod n`
+/// with `e = r·x mod φ(n)`.
 ///
 /// Computed as `v·m⁻¹·g^(−e)`: the complement exponent is raised modulo each
 /// prime from `m⁻¹·R`, and one Montgomery product with `v` finishes the cell.
-/// No item key is formed or inverted, and the result is byte-identical to
-/// `encrypt_value(key, v, &gen_item_key(key, ck, r))` a cell.
-pub fn encrypt_column(
+/// No item key is formed or inverted. The result is the ciphertexts as
+/// canonical limbs, `n`'s limb count a cell in `picked` order; a cell's value
+/// is `encrypt_value(key, v, &gen_item_key(key, ck, r))`.
+pub fn encrypt_column<'p>(
     key: &SystemKey,
     cipher: &ColumnCipher,
     rows: &RowExponents,
-    picked: &[usize],
-    plaintexts: &[BigUint],
-) -> Vec<BigUint> {
+    picked: impl ExactSizeIterator<Item = usize> + Clone,
+    plaintexts: impl ExactSizeIterator<Item = &'p BigUint>,
+) -> Vec<u64> {
     assert_eq!(picked.len(), plaintexts.len(), "one row per plaintext");
     let (crt, modulus) = (key.crt(), key.modulus());
     let k = modulus.limb_count();
-    let exponents = crt.cell_exponents(&cipher.x, &rows.0, picked.iter().copied(), true);
+    let exponents = crt.cell_exponents(&cipher.x, &rows.0, picked, true);
     let mut powers = Vec::with_capacity(plaintexts.len() * k);
     crt.pow_times(&cipher.factor, &exponents, &mut powers);
     let mut values = vec![0; powers.len()];
-    for (v, lane) in plaintexts.iter().zip(values.chunks_exact_mut(k)) {
+    for (v, lane) in plaintexts.zip(values.chunks_exact_mut(k)) {
         if !modulus.load_lane(v, lane) {
             modulus.load_lane(&(v % key.n()), lane);
         }
@@ -95,7 +97,7 @@ pub fn encrypt_column(
     // (m⁻¹·R·g^(−e))·v·R⁻¹ = v·m⁻¹·g^(−e).
     let mut out = vec![0; powers.len()];
     modulus.mul_lanes(&powers, &values, &mut out);
-    out.chunks_exact(k).map(store).collect()
+    out
 }
 
 /// Batched [`crate::gen_item_key`]: item keys for a column of row ids under
@@ -151,6 +153,21 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    /// [`encrypt_column`]'s cells as numbers.
+    fn encrypted(
+        key: &SystemKey,
+        cipher: &ColumnCipher,
+        rows: &RowExponents,
+        picked: &[usize],
+        plaintexts: &[BigUint],
+    ) -> Vec<BigUint> {
+        let limbs = encrypt_column(key, cipher, rows, picked.iter().copied(), plaintexts.iter());
+        assert_eq!(limbs.len(), picked.len() * key.modulus().limb_count());
+        (limbs.chunks_exact(key.modulus().limb_count()))
+            .map(store)
+            .collect()
     }
 
     #[test]
@@ -215,9 +232,9 @@ mod tests {
         // Every row, then every third row backwards.
         let all: Vec<usize> = (0..20).collect();
         let some: Vec<usize> = (0..20).rev().step_by(3).collect();
-        let batched = encrypt_column(&key, &cipher, &rows, &all, &plaintexts);
+        let batched = encrypted(&key, &cipher, &rows, &all, &plaintexts);
         let picked: Vec<BigUint> = some.iter().map(|&i| plaintexts[i].clone()).collect();
-        let sparse = encrypt_column(&key, &cipher, &rows, &some, &picked);
+        let sparse = encrypted(&key, &cipher, &rows, &some, &picked);
         for i in 0..20 {
             let scalar_ik = gen_item_key(&key, &ck, &row_ids[i]);
             assert_eq!(item_keys[i], scalar_ik);
@@ -226,7 +243,7 @@ mod tests {
         for (j, &i) in some.iter().enumerate() {
             assert_eq!(sparse[j], batched[i]);
         }
-        assert!(encrypt_column(&key, &cipher, &rows, &[], &[]).is_empty());
+        assert!(encrypt_column(&key, &cipher, &rows, 0..0, [].iter()).is_empty());
     }
 
     /// A key at each width the reference test runs at: 128-, 256- and
@@ -299,7 +316,7 @@ mod tests {
                     let exponents: Vec<BigUint> = (row_ids.iter()).map(|r| r * ck.x() % phi).collect();
                     let powers: Vec<BigUint> = (exponents.iter()).map(|e| key.g().modpow(e, n)).collect();
                     let item_keys: Vec<BigUint> = (powers.iter()).map(|p| ck.m() * p % n).collect();
-                    let encrypted: Vec<BigUint> = (plaintexts.iter().zip(&item_keys))
+                    let textbook: Vec<BigUint> = (plaintexts.iter().zip(&item_keys))
                         .map(|(v, ik)| v * reference::mod_inverse(ik, n).unwrap() % n)
                         .collect();
 
@@ -312,8 +329,8 @@ mod tests {
                         .collect();
                     proptest::prop_assert_eq!(&unloaded, &powers);
                     let cipher = key.column_cipher(ck).unwrap();
-                    let got = encrypt_column(key, &cipher, &rows, &every_row, &plaintexts);
-                    proptest::prop_assert_eq!(&got, &encrypted);
+                    let got = encrypted(key, &cipher, &rows, &every_row, &plaintexts);
+                    proptest::prop_assert_eq!(&got, &textbook);
                 }
             }
         }
@@ -336,8 +353,7 @@ mod tests {
         key.g_powers(&row_ids, &mut powers);
         let cipher = key.column_cipher(&ck).unwrap();
         let rows = key.row_exponents(row_ids.iter());
-        let every_row: Vec<usize> = (0..row_ids.len()).collect();
-        encrypt_column(&key, &cipher, &rows, &every_row, &row_ids);
+        encrypt_column(&key, &cipher, &rows, 0..row_ids.len(), row_ids.iter());
         assert_eq!(Modulus::shared_on_this_thread().as_ref(), Some(key.n()));
     }
 

@@ -81,7 +81,7 @@ impl RngCore for Drbg {
     fn next_u64(&mut self) -> u64 {
         let i = self.counter;
         self.counter = i.checked_add(1).expect("a DRBG stream of 2⁶⁴ words");
-        self.a.eval_counter(TAGS[0], i) ^ self.b.eval_counter(TAGS[1], i)
+        self.a.xor_of_counters(&self.b, TAGS, i)
     }
 }
 

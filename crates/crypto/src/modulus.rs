@@ -561,7 +561,7 @@ impl Modulus {
     }
 
     /// Number of 64-bit limbs of a residue.
-    pub(crate) fn limb_count(&self) -> usize {
+    pub fn limb_count(&self) -> usize {
         self.limbs.len()
     }
 

@@ -64,6 +64,29 @@ fn sip_round(v: &mut [u64; 4]) {
     v[2] = v[2].rotate_left(32);
 }
 
+/// One SipHash round of two independent states, step by step in lockstep.
+#[inline]
+fn sip_rounds(v: &mut [[u64; 4]; 2]) {
+    for s in v.iter_mut() {
+        s[0] = s[0].wrapping_add(s[1]);
+        s[2] = s[2].wrapping_add(s[3]);
+    }
+    for s in v.iter_mut() {
+        s[1] = s[1].rotate_left(13) ^ s[0];
+        s[3] = s[3].rotate_left(16) ^ s[2];
+        s[0] = s[0].rotate_left(32);
+    }
+    for s in v.iter_mut() {
+        s[2] = s[2].wrapping_add(s[1]);
+        s[0] = s[0].wrapping_add(s[3]);
+    }
+    for s in v.iter_mut() {
+        s[1] = s[1].rotate_left(17) ^ s[2];
+        s[3] = s[3].rotate_left(21) ^ s[0];
+        s[2] = s[2].rotate_left(32);
+    }
+}
+
 /// Absorbs one 8-byte message block: two compression rounds.
 #[inline]
 fn compress(v: &mut [u64; 4], m: u64) {
@@ -134,6 +157,29 @@ impl Prf {
         finalize(v)
     }
 
+    /// `self.eval_counter(nonces[0], counter) ^ other.eval_counter(nonces[1],
+    /// counter)`, the two SipHash states run side by side: each round step is
+    /// taken for both before the next, so the two dependency chains overlap.
+    #[inline]
+    pub fn xor_of_counters(&self, other: &Prf, nonces: [u64; 2], counter: u64) -> u64 {
+        let mut v = [self.initial_state(), other.initial_state()];
+        for m in [nonces, [counter; 2], [16 << 56; 2]] {
+            v[0][3] ^= m[0];
+            v[1][3] ^= m[1];
+            sip_rounds(&mut v);
+            sip_rounds(&mut v);
+            v[0][0] ^= m[0];
+            v[1][0] ^= m[1];
+        }
+        v[0][2] ^= 0xff;
+        v[1][2] ^= 0xff;
+        for _ in 0..4 {
+            sip_rounds(&mut v);
+        }
+        let [a, b] = v;
+        a[0] ^ a[1] ^ a[2] ^ a[3] ^ b[0] ^ b[1] ^ b[2] ^ b[3]
+    }
+
     /// Produces `len` bytes of keystream for the given nonce.
     pub fn keystream(&self, nonce: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
@@ -188,6 +234,20 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn side_by_side_counters_are_the_xor_of_two_evaluations() {
+        let a = Prf::new(PrfKey::new(1, 2));
+        let b = Prf::new(PrfKey::new(0x0123_4567_89ab_cdef, u64::MAX));
+        for (nonces, counter) in [([0, 0], 0), ([7, 9], 1), ([u64::MAX, 3], u64::MAX)] {
+            assert_eq!(
+                a.xor_of_counters(&b, nonces, counter),
+                a.eval_counter(nonces[0], counter) ^ b.eval_counter(nonces[1], counter)
+            );
+        }
+        // One key on both sides, one nonce: the halves cancel.
+        assert_eq!(a.xor_of_counters(&a, [5, 5], 11), 0);
+    }
 
     /// Official SipHash-2-4 test vector from the reference implementation
     /// (key 000102...0f, messages of increasing length 0..=7).

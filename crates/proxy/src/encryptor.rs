@@ -15,12 +15,16 @@
 //!    material");
 //! 4. replaces every sensitive VARCHAR column with a deterministic equality tag
 //!    plus a SIES-encrypted payload;
-//! 5. copies insensitive columns through unchanged.
+//! 5. passes insensitive columns through unchanged.
 //!
-//! Row encryption is embarrassingly parallel (each row needs a handful of modular
-//! exponentiations), so an upload with `UploadOptions::threads` above one
-//! splits its rows into that many chunks on scoped threads.
+//! The work runs a column at a time, and the output is the SP table's columns:
+//! shares as limbs, row ids, tags and payloads as values, and an upload's
+//! public columns the staged ones themselves. Row encryption is embarrassingly
+//! parallel (each row needs a handful of modular exponentiations), so an
+//! upload with `UploadOptions::threads` above one splits its rows into that
+//! many chunks on scoped threads.
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use num_bigint::BigUint;
@@ -28,12 +32,14 @@ use num_bigint::BigUint;
 use sdb_crypto::batch::encrypt_column;
 #[cfg(test)]
 use sdb_crypto::share::{encrypt_value, gen_item_key};
-use sdb_crypto::sies::SiesCiphertext;
 use sdb_crypto::{Drbg, EncryptedRowId, RowId, SignedCodec};
-use sdb_storage::{ColumnDef, DataType, Schema, Sensitivity, Table, Value};
+use sdb_storage::{
+    Bitmap, Column, ColumnDef, DataType, Schema, Sensitivity, ShareColumn, StorageError, Table,
+    Value,
+};
 
 use crate::keystore::KeyStore;
-use crate::meta::{PlainType, TableMeta};
+use crate::meta::{ColumnMeta, PlainType, TableMeta};
 use crate::{ProxyError, Result};
 
 /// Name of the physical encrypted row-id column.
@@ -118,25 +124,27 @@ impl Encryptor {
             .collect();
         keystore.register_table(drbg, table.name(), &numeric_sensitive)?;
 
-        let physical_schema = physical_schema(&meta);
-        let mut encrypted = Table::new(table.name(), physical_schema.clone());
-
         let source = table.scan();
-        let rows: Vec<Vec<Value>> = source.rows().collect();
-        let threads = options.threads.max(1).min(rows.len().max(1));
+        let logical = source.columns();
+        let rows = table.num_rows();
+        let threads = options.threads.max(1).min(rows.max(1));
 
-        let encrypted_rows: Vec<Vec<Value>> = if threads <= 1 || rows.len() < 64 {
-            encrypt_rows_batched(keystore, &meta, &rows, &mut drbg.fork())?
+        let encrypted_columns = if threads <= 1 || rows < 64 {
+            encrypt_batch(keystore, &meta, logical, rows, &mut drbg.fork())?
         } else {
-            let chunk_size = rows.len().div_ceil(threads);
+            let chunk_size = rows.div_ceil(threads);
             let keystore: &KeyStore = keystore;
             let meta = &meta;
-            let results: Vec<Result<Vec<Vec<Value>>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (rows.chunks(chunk_size))
-                    .map(|chunk| {
+            let results: Vec<Result<Vec<Part>>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..rows)
+                    .step_by(chunk_size)
+                    .map(|start| {
+                        let len = chunk_size.min(rows - start);
+                        let chunk: Vec<Column> =
+                            logical.iter().map(|c| c.slice(start, len)).collect();
                         let mut worker_rng = drbg.fork();
                         scope.spawn(move || {
-                            encrypt_rows_batched(keystore, meta, chunk, &mut worker_rng)
+                            encrypt_batch(keystore, meta, chunk.as_slice(), len, &mut worker_rng)
                         })
                     })
                     .collect();
@@ -144,16 +152,24 @@ impl Encryptor {
                     .map(|handle| handle.join().expect("encryption worker panicked"))
                     .collect()
             });
-            let mut all = Vec::with_capacity(rows.len());
-            for r in results {
-                all.extend(r?);
-            }
-            all
+            let mut chunks = (results.into_iter())
+                .map(|chunk| chunk.map(Vec::into_iter))
+                .collect::<Result<Vec<_>>>()?;
+            let columns = chunks.first().map_or(0, ExactSizeIterator::len);
+            (0..columns)
+                .map(|_| {
+                    let column = chunks.iter_mut().map(|chunk| chunk.next());
+                    Part::concat(column.map(|part| part.expect("the same parts every chunk")))
+                })
+                .collect()
         };
 
-        for row in encrypted_rows {
-            encrypted.insert_row(row)?;
-        }
+        // Each public column is the staged one: a window onto its buffer.
+        let public = (meta.columns.iter().zip(logical))
+            .filter(|(column, _)| passes_through(column))
+            .map(|(_, column)| column.clone());
+        let mut encrypted = Table::new(table.name(), physical_schema(&meta));
+        encrypted.append_columns(&into_columns(encrypted_columns, public))?;
 
         let stats = UploadStats {
             rows: table.num_rows(),
@@ -172,41 +188,83 @@ impl Encryptor {
 
 impl Encryptor {
     /// Encrypts a batch of logical rows for a table whose keys are already
-    /// registered (used by the proxy's INSERT path).
+    /// registered (used by the proxy's INSERT path): the SP table's columns,
+    /// in [`physical_schema`] order, to append. A public column's values must
+    /// have its declared type; they move into their columns.
     pub fn encrypt_rows(
         keystore: &KeyStore,
         meta: &TableMeta,
-        rows: &[Vec<Value>],
+        mut rows: Vec<Vec<Value>>,
         rng: &mut Drbg,
-    ) -> Result<Vec<Vec<Value>>> {
-        encrypt_rows_batched(keystore, meta, rows, rng)
+    ) -> Result<Vec<Column>> {
+        if let Some(row) = rows.iter().find(|row| row.len() != meta.columns.len()) {
+            return Err(ProxyError::Storage(StorageError::ArityMismatch {
+                expected: meta.columns.len(),
+                found: row.len(),
+            }));
+        }
+        // The public columns: the rows' own values, moved into one buffer.
+        let public = meta.columns.iter().filter(|c| passes_through(c)).count();
+        let mut types = Vec::with_capacity(public);
+        let mut values = Vec::with_capacity(public * rows.len());
+        for (ci, column) in meta.columns.iter().enumerate() {
+            if passes_through(column) {
+                types.push(column.data_type);
+                let cells = rows
+                    .iter_mut()
+                    .map(|row| std::mem::replace(&mut row[ci], Value::Null));
+                values.extend(cells);
+            }
+        }
+        let public = Column::split_column_major(&types, rows.len(), values)?;
+        let parts = encrypt_batch(keystore, meta, rows.as_slice(), rows.len(), rng)?;
+        Ok(into_columns(parts, public))
     }
 }
 
-/// All random material one row consumes, drawn in phase 1 in exactly the
-/// per-row order of [`encrypt_row`] so batching never shifts the RNG stream.
-struct RowDraws {
-    row_id: RowId,
-    enc_row_id: EncryptedRowId,
-    /// SIES payloads for the row's non-NULL sensitive VARCHAR columns, in
-    /// column order.
-    payloads: Vec<SiesCiphertext>,
+/// Whether a logical column is stored as it is: a public one.
+fn passes_through(column: &ColumnMeta) -> bool {
+    !column.is_numeric_sensitive() && !column.is_string_sensitive()
 }
 
-/// Column-at-a-time row encryption: byte-identical to mapping [`encrypt_row`]
-/// over `rows` with the same RNG, but each row id is reduced once for all its
-/// cells and each column is encrypted in one batch that inverts nothing
-/// (see [`sdb_crypto::batch`]).
+/// The logical cells [`encrypt_batch`] reads: a staged table's columns or an
+/// INSERT's rows.
+trait LogicalCells {
+    /// The cell of logical column `column` in row `row`.
+    fn cell(&self, column: usize, row: usize) -> Cow<'_, Value>;
+}
+
+impl LogicalCells for [Column] {
+    fn cell(&self, column: usize, row: usize) -> Cow<'_, Value> {
+        self[column].value(row)
+    }
+}
+
+impl LogicalCells for [Vec<Value>] {
+    fn cell(&self, column: usize, row: usize) -> Cow<'_, Value> {
+        Cow::Borrowed(&self[row][column])
+    }
+}
+
+/// Column-at-a-time encryption of the `rows` rows of `logical` (columns in
+/// `meta` order): the parts of the SP table's columns in [`physical_schema`]
+/// order, to which [`into_columns`] adds the public ones. Byte-identical to
+/// mapping [`encrypt_row`] over the rows with the same RNG, but each row id is
+/// reduced once for all its cells and each column is encrypted in one batch
+/// that inverts nothing (see [`sdb_crypto::batch`]), straight into the limbs
+/// of a [`ShareColumn`].
 ///
-/// Phase 1 performs every RNG draw row-by-row in the scalar order (row id,
-/// encrypted row id, then SIES payloads per string column). Phase 2 is
-/// RNG-free and batches the share arithmetic per column.
-fn encrypt_rows_batched(
+/// Phase 1 performs every RNG draw row by row in the scalar order (row id,
+/// encrypted row id, then a SIES payload per non-NULL sensitive VARCHAR cell,
+/// in column order). Phase 2 is RNG-free and batches the share arithmetic per
+/// column.
+fn encrypt_batch(
     keystore: &KeyStore,
     meta: &TableMeta,
-    rows: &[Vec<Value>],
+    logical: &(impl LogicalCells + ?Sized),
+    rows: usize,
     rng: &mut Drbg,
-) -> Result<Vec<Vec<Value>>> {
+) -> Result<Vec<Part>> {
     let system = keystore.system();
     let codec = SignedCodec::new(system);
     let ciphers = keystore.table_ciphers(&meta.name)?;
@@ -214,40 +272,70 @@ fn encrypt_rows_batched(
     let payload_cipher = keystore.payload_cipher();
     let tagger = keystore.tagger();
 
-    // Phase 1: RNG draws, in the exact order the scalar path makes them.
-    let mut draws: Vec<RowDraws> = Vec::with_capacity(rows.len());
-    for row in rows {
+    // Phase 1: RNG draws, in the exact order the scalar path makes them;
+    // each sensitive VARCHAR column's tags beside its payloads.
+    let strings: Vec<(usize, String)> = (meta.columns.iter().enumerate())
+        .filter(|(_, column)| column.is_string_sensitive())
+        .map(|(ci, column)| (ci, domain_of(column)))
+        .collect();
+    let mut row_ids = Vec::with_capacity(rows);
+    let mut encrypted_row_ids = Vec::with_capacity(rows);
+    let per_string =
+        || -> Vec<Vec<Value>> { (strings.iter()).map(|_| Vec::with_capacity(rows)).collect() };
+    let (mut tags, mut payloads) = (per_string(), per_string());
+    for row in 0..rows {
         let row_id = row_id_gen.generate(rng, system);
-        let enc_row_id = row_id_gen.encrypt(rng, &row_id);
-        let mut payloads = Vec::new();
-        for (column, value) in meta.columns.iter().zip(row.iter()) {
-            if column.is_string_sensitive() {
-                if let Value::Str(s) = value {
-                    payloads.push(payload_cipher.encrypt_bytes(rng, s.as_bytes()));
+        encrypted_row_ids.push(Value::EncryptedRowId(row_id_gen.encrypt(rng, &row_id)));
+        row_ids.push(row_id);
+        for (j, (ci, domain)) in strings.iter().enumerate() {
+            let (tag, payload) = match &*logical.cell(*ci, row) {
+                Value::Null => (Value::Null, Value::Null),
+                Value::Str(s) => (
+                    Value::Tag(tagger.tag_str(domain, s)),
+                    Value::EncryptedRowId(EncryptedRowId(
+                        payload_cipher.encrypt_bytes(rng, s.as_bytes()),
+                    )),
+                ),
+                other => {
+                    return Err(ProxyError::Storage(StorageError::TypeMismatch {
+                        expected: "VARCHAR".into(),
+                        found: format!("{other:?}"),
+                    }))
                 }
-            }
+            };
+            tags[j].push(tag);
+            payloads[j].push(payload);
         }
-        draws.push(RowDraws {
-            row_id,
-            enc_row_id,
-            payloads,
-        });
     }
 
     // Phase 2a: every row id reduced once for all its cells, then the
     // auxiliary all-ones column for every row at once.
-    let row_exponents = system.row_exponents(draws.iter().map(|d| d.row_id.value()));
-    let every_row: Vec<usize> = (0..rows.len()).collect();
-    let ones = vec![BigUint::from(1u32); rows.len()];
-    let aux_values = encrypt_column(system, &ciphers.aux, &row_exponents, &every_row, &ones);
+    let row_exponents = system.row_exponents(row_ids.iter().map(RowId::value));
+    let width = system.modulus().limb_count();
+    let one = BigUint::from(1u32);
+    let ones = std::iter::repeat_n(&one, rows);
+    let aux = encrypt_column(system, &ciphers.aux, &row_exponents, 0..rows, ones);
+    let mut out = Vec::with_capacity(2 + meta.columns.len() + strings.len());
+    out.push(Part::Values(DataType::EncryptedRowId, encrypted_row_ids));
+    out.push(Part::Shares(ShareColumn::from_parts(
+        width,
+        aux,
+        Bitmap::new_set(rows),
+    )));
 
     // Phase 2b: each sensitive numeric column as one batch over its non-NULL
-    // rows, kept as the iterator its rows take their cells from, in row
-    // order; a cell is None for a NULL.
-    let mut encrypted_columns: Vec<Option<std::vec::IntoIter<Option<BigUint>>>> =
-        vec![None; meta.columns.len()];
+    // rows, whose ciphertexts land in their rows' limbs (a NULL's stay zero).
+    let (mut tags, mut payloads) = (tags.into_iter(), payloads.into_iter());
     for (ci, column) in meta.columns.iter().enumerate() {
+        if column.is_string_sensitive() {
+            let tags = tags.next().expect("tags drawn in phase 1");
+            let payloads = payloads.next().expect("payloads drawn in phase 1");
+            out.push(Part::Values(DataType::Tag, tags));
+            out.push(Part::Values(DataType::EncryptedRowId, payloads));
+            continue;
+        }
         if !column.is_numeric_sensitive() {
+            out.push(Part::Public);
             continue;
         }
         let cipher =
@@ -258,74 +346,102 @@ fn encrypt_rows_batched(
                     name: column.name.clone(),
                 })?;
         let plain = PlainType::from_data_type(column.data_type)?;
-        let mut present_rows: Vec<usize> = Vec::new();
-        let mut residues: Vec<BigUint> = Vec::new();
-        for (ri, row) in rows.iter().enumerate() {
-            match &row[ci] {
-                Value::Null => {}
-                other => {
-                    let units = other
-                        .as_scaled_i128(plain.scale())
-                        .map_err(ProxyError::Storage)?;
-                    residues.push(codec.encode(units)?);
-                    present_rows.push(ri);
-                }
+        let mut present_rows: Vec<usize> = Vec::with_capacity(rows);
+        let mut residues: Vec<BigUint> = Vec::with_capacity(rows);
+        for row in 0..rows {
+            let value = logical.cell(ci, row);
+            if !value.is_null() {
+                let units = (value.as_scaled_i128(plain.scale())).map_err(ProxyError::Storage)?;
+                residues.push(codec.encode(units)?);
+                present_rows.push(row);
             }
         }
-        let values = encrypt_column(system, cipher, &row_exponents, &present_rows, &residues);
-        let mut per_row: Vec<Option<BigUint>> = vec![None; rows.len()];
-        for (slot, value) in present_rows.into_iter().zip(values) {
-            per_row[slot] = Some(value);
+        let picked = present_rows.iter().copied();
+        let limbs = encrypt_column(system, cipher, &row_exponents, picked, residues.iter());
+        let shares = match present_rows.len() == rows {
+            true => ShareColumn::from_parts(width, limbs, Bitmap::new_set(rows)),
+            false => {
+                let mut validity = Bitmap::new_clear(rows);
+                let mut scattered = vec![0; rows * width];
+                for (&row, cell) in present_rows.iter().zip(limbs.chunks_exact(width)) {
+                    scattered[row * width..][..width].copy_from_slice(cell);
+                    validity.set(row, true);
+                }
+                ShareColumn::from_parts(width, scattered, validity)
+            }
+        };
+        out.push(Part::Shares(shares));
+    }
+    Ok(out)
+}
+
+/// One physical column of an [`encrypt_batch`] chunk.
+enum Part {
+    /// A public column: the logical column passes through.
+    Public,
+    /// Row ids, tags or SIES payloads.
+    Values(DataType, Vec<Value>),
+    /// `sdb_s` or a sensitive numeric column.
+    Shares(ShareColumn),
+}
+
+impl Part {
+    /// The same column of every chunk, in chunk order, as one part: each
+    /// buffer is allocated once, at the size of the whole column.
+    fn concat(parts: impl Iterator<Item = Part>) -> Part {
+        let parts: Vec<Part> = parts.collect();
+        match parts.first() {
+            Some(Part::Values(data_type, _)) => {
+                let data_type = *data_type;
+                let mut values = Vec::with_capacity(parts.iter().map(Part::rows).sum());
+                for part in parts {
+                    if let Part::Values(_, more) = part {
+                        values.extend(more);
+                    }
+                }
+                Part::Values(data_type, values)
+            }
+            Some(Part::Shares(first)) => {
+                let (width, rows) = (first.width(), parts.iter().map(Part::rows).sum());
+                let mut limbs = Vec::with_capacity(rows * width);
+                let mut validity = Bitmap::new_clear(rows);
+                let mut at = 0;
+                for part in &parts {
+                    if let Part::Shares(more) = part {
+                        limbs.extend_from_slice(more.words());
+                        for row in 0..more.len() {
+                            validity.set(at + row, more.is_valid(row));
+                        }
+                        at += more.len();
+                    }
+                }
+                Part::Shares(ShareColumn::from_parts(width, limbs, validity))
+            }
+            _ => Part::Public,
         }
-        encrypted_columns[ci] = Some(per_row.into_iter());
     }
 
-    // Assembly: same output shape and order as the scalar path. The draws,
-    // the aux column and the encrypted cells move into their rows.
-    let width = 2
-        + meta.columns.len()
-        + (meta.columns.iter())
-            .filter(|c| c.is_string_sensitive())
-            .count();
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for ((row, draw), aux) in rows.iter().zip(draws).zip(aux_values) {
-        let mut payloads = draw.payloads.into_iter();
-        let mut out = Vec::with_capacity(width);
-        out.push(Value::EncryptedRowId(draw.enc_row_id));
-        out.push(Value::Encrypted(aux));
-        for ((column, value), cells) in meta.columns.iter().zip(row).zip(&mut encrypted_columns) {
-            if column.is_numeric_sensitive() {
-                let cell = (cells.as_mut().and_then(Iterator::next))
-                    .expect("numeric column was batch-encrypted");
-                out.push(cell.map_or(Value::Null, Value::Encrypted));
-            } else if column.is_string_sensitive() {
-                match value {
-                    Value::Null => {
-                        out.push(Value::Null);
-                        out.push(Value::Null);
-                    }
-                    Value::Str(s) => {
-                        out.push(Value::Tag(tagger.tag_str(&domain_of(column), s)));
-                        out.push(Value::EncryptedRowId(EncryptedRowId(
-                            payloads.next().expect("payload drawn in phase 1"),
-                        )));
-                    }
-                    other => {
-                        return Err(ProxyError::Storage(
-                            sdb_storage::StorageError::TypeMismatch {
-                                expected: "VARCHAR".into(),
-                                found: format!("{other:?}"),
-                            },
-                        ))
-                    }
-                }
-            } else {
-                out.push(value.clone());
-            }
+    /// Rows of a part that holds cells.
+    fn rows(&self) -> usize {
+        match self {
+            Part::Public => 0,
+            Part::Values(_, values) => values.len(),
+            Part::Shares(shares) => shares.len(),
         }
-        out_rows.push(out);
     }
-    Ok(out_rows)
+}
+
+/// The SP table's columns from [`encrypt_batch`]'s parts, each
+/// [`Part::Public`] taken in order from `public`.
+fn into_columns(parts: Vec<Part>, public: impl IntoIterator<Item = Column>) -> Vec<Column> {
+    let mut public = public.into_iter();
+    (parts.into_iter())
+        .map(|part| match part {
+            Part::Public => public.next().expect("a public column per part"),
+            Part::Values(data_type, values) => Column::from_values_unchecked(data_type, values),
+            Part::Shares(shares) => Column::from_shares(DataType::Encrypted, shares),
+        })
+        .collect()
 }
 
 /// Builds the physical (SP-side) schema for a logical table.
@@ -693,35 +809,162 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_encryption_is_byte_identical_to_scalar_rows() {
-        // Same keystore state, same seed: the batched path must consume the
-        // RNG stream exactly as the scalar path does and produce identical
-        // ciphertexts for every column kind (numeric, tag, SIES, public).
-        let table = sample_table();
+    /// A table whose first rows are NULL in every sensitive column, so a
+    /// worker's whole chunk of a column may be NULL.
+    fn null_leading_table(rows: i64) -> Table {
+        let schema = Schema::new(vec![
+            ColumnDef::sensitive("amount", DataType::Decimal { scale: 2 }),
+            ColumnDef::public("id", DataType::Int),
+            ColumnDef::sensitive("note", DataType::Varchar),
+            ColumnDef::sensitive("day", DataType::Date),
+            ColumnDef::public("label", DataType::Varchar),
+        ]);
+        let mut table = Table::new("ledger", schema);
+        for i in 0..rows {
+            let null_or = |cut: i64, value: Value| if i < cut { Value::Null } else { value };
+            table
+                .insert_row(vec![
+                    null_or(
+                        45,
+                        Value::Decimal {
+                            units: i * 101 - 3_000,
+                            scale: 2,
+                        },
+                    ),
+                    Value::Int(i),
+                    null_or(3, Value::Str(format!("note {}", i % 9))),
+                    null_or(1, Value::Date(9_000 + i as i32)),
+                    null_or(2, Value::Str(format!("l{i}"))),
+                ])
+                .unwrap();
+        }
+        table
+    }
+
+    /// The scalar reference of an upload of `table` at `threads`: the key
+    /// registration's draws, then one fork per worker chunk, each chunk's
+    /// rows through [`encrypt_row`] in order.
+    fn scalar_upload(
+        mut keystore: KeyStore,
+        table: &Table,
+        threads: usize,
+        mut drbg: Drbg,
+    ) -> Vec<Vec<Value>> {
         let meta = TableMeta::from_schema(table.name(), table.schema());
-        let mut ks = KeyStore::generate(KeyConfig::TEST, &mut Drbg::seed_from_u64(23)).unwrap();
-        let numeric: Vec<String> = meta
-            .columns
-            .iter()
+        let numeric: Vec<String> = (meta.columns.iter())
             .filter(|c| c.is_numeric_sensitive())
             .map(|c| c.name.clone())
             .collect();
-        let mut reg_rng = Drbg::seed_from_u64(1);
-        ks.register_table(&mut reg_rng, table.name(), &numeric)
+        keystore
+            .register_table(&mut drbg, table.name(), &numeric)
             .unwrap();
         let rows: Vec<Vec<Value>> = table.scan().rows().collect();
+        let chunk = match threads <= 1 || rows.len() < 64 {
+            true => rows.len().max(1),
+            false => rows.len().div_ceil(threads),
+        };
+        let mut out = Vec::new();
+        for chunk in rows.chunks(chunk) {
+            let mut rng = drbg.fork();
+            for row in chunk {
+                out.push(encrypt_row(&keystore, &meta, row, &mut rng).unwrap());
+            }
+        }
+        out
+    }
 
-        let mut scalar_rng = Drbg::seed_from_u64(99);
-        let scalar: Vec<Vec<Value>> = rows
-            .iter()
-            .map(|row| encrypt_row(&ks, &meta, row, &mut scalar_rng).unwrap())
+    /// The columnar upload is byte-identical to the scalar row reference
+    /// on the sequential and the threaded path, NULL-leading columns
+    /// included; its public columns are the staged buffers, and its share
+    /// columns are limbs.
+    #[test]
+    fn batched_encryption_is_byte_identical_to_scalar_rows() {
+        let mut drbg = Drbg::seed_from_u64(23);
+        let base = KeyStore::generate(KeyConfig::TEST, &mut drbg).unwrap();
+        for (rows, threads) in [(3, 1), (150, 1), (150, 4), (67, 4)] {
+            let table = null_leading_table(rows);
+            let mut keystore = base.clone();
+            let options = UploadOptions { threads };
+            let up = Encryptor::encrypt_table(&mut keystore, &table, options, &mut drbg.clone())
+                .unwrap();
+            let got: Vec<Vec<Value>> = up.table.scan().rows().collect();
+            let expected = scalar_upload(base.clone(), &table, threads, drbg.clone());
+            assert_eq!(got, expected, "{rows} rows, {threads} threads");
+            for name in ["id", "label"] {
+                let staged = table.column(name).unwrap();
+                assert!(up.table.column(name).unwrap().shares_buffer(staged));
+            }
+            for name in ["sdb_s", "amount", "day"] {
+                assert!(up.table.column(name).unwrap().shares().is_some(), "{name}");
+            }
+        }
+    }
+
+    /// The INSERT path's columns append to an upload exactly as the scalar
+    /// rows of the same draws insert.
+    #[test]
+    fn inserted_columns_are_byte_identical_to_scalar_rows() {
+        let table = null_leading_table(50);
+        let meta = TableMeta::from_schema(table.name(), table.schema());
+        let mut keystore =
+            KeyStore::generate(KeyConfig::TEST, &mut Drbg::seed_from_u64(3)).unwrap();
+        Encryptor::encrypt_table(
+            &mut keystore,
+            &table,
+            UploadOptions::default(),
+            &mut Drbg::seed_from_u64(4),
+        )
+        .unwrap();
+        let rows: Vec<Vec<Value>> = table.scan().rows().skip(40).collect();
+        let columns =
+            Encryptor::encrypt_rows(&keystore, &meta, rows.clone(), &mut Drbg::seed_from_u64(5))
+                .unwrap();
+        let mut appended = Table::new("ledger", physical_schema(&meta));
+        appended.append_columns(&columns).unwrap();
+        let mut rng = Drbg::seed_from_u64(5);
+        let expected: Vec<Vec<Value>> = (rows.iter())
+            .map(|row| encrypt_row(&keystore, &meta, row, &mut rng).unwrap())
             .collect();
+        assert_eq!(appended.scan().rows().collect::<Vec<_>>(), expected);
 
-        let mut batched_rng = Drbg::seed_from_u64(99);
-        let batched = encrypt_rows_batched(&ks, &meta, &rows, &mut batched_rng).unwrap();
+        // A public column's values are type-checked; a short row is refused.
+        let mut bad = rows[0].clone();
+        bad[1] = Value::Str("one".into());
+        assert!(Encryptor::encrypt_rows(&keystore, &meta, vec![bad], &mut rng).is_err());
+        assert!(
+            Encryptor::encrypt_rows(&keystore, &meta, vec![rows[0][..4].to_vec()], &mut rng)
+                .is_err()
+        );
+    }
 
-        assert_eq!(scalar, batched);
+    /// ANALYZE of an upload: the row ids, the SIES payloads and the shares
+    /// are all distinct, and each column's estimate says so within the
+    /// sketch's error; the tags of nine notes count nine.
+    #[test]
+    fn an_uploads_row_ids_and_payloads_count_as_distinct() {
+        let table = null_leading_table(400);
+        let mut drbg = Drbg::seed_from_u64(29);
+        let mut keystore = KeyStore::generate(KeyConfig::TEST, &mut drbg).unwrap();
+        let up =
+            Encryptor::encrypt_table(&mut keystore, &table, UploadOptions::default(), &mut drbg)
+                .unwrap();
+        let stats = sdb_storage::analyze_table(&up.table);
+        for (name, non_null) in [
+            ("row_id", 400.0),
+            ("sdb_s", 400.0),
+            ("note_sies", 397.0),
+            ("amount", 355.0),
+        ] {
+            let column = stats.column(name).unwrap();
+            let err = (column.distinct - non_null).abs() / non_null;
+            assert!(
+                err < 0.20,
+                "{name}: distinct {} of {non_null}",
+                column.distinct
+            );
+        }
+        let tags = stats.column("note_tag").unwrap();
+        assert!((tags.distinct - 9.0).abs() < 1.0, "{}", tags.distinct);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use sdb_crypto::{Drbg, ItemKeyMemo, KeyConfig, KeyUpdateMemo};
 use sdb_engine::ServerStatement;
 use sdb_sql::{parse_sql, Lexer, Query, Statement, Token};
-use sdb_storage::{RecordBatch, Table, Value};
+use sdb_storage::{Column, RecordBatch, Table, Value};
 
 use crate::decryptor::Decryptor;
 use crate::encryptor::{EncryptedUpload, Encryptor, UploadOptions};
@@ -247,17 +247,19 @@ impl SdbProxy {
         Ok(upload)
     }
 
-    /// Encrypts logical rows for insertion into an already-uploaded table.
-    pub fn encrypt_rows(&self, table: &str, rows: &[Vec<Value>]) -> Result<Vec<Vec<Value>>> {
+    /// Encrypts logical rows for insertion into an already-uploaded table:
+    /// the SP table's columns to append (see [`Encryptor::encrypt_rows`]).
+    pub fn encrypt_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<Vec<Column>> {
         let meta = self.metas.get(&table.to_ascii_lowercase()).ok_or_else(|| {
             ProxyError::UnknownTable {
                 name: table.to_string(),
             }
         })?;
         let mut rng = self.task_rng();
+        let added = rows.len();
         let encrypted = Encryptor::encrypt_rows(&self.keystore, meta, rows, &mut rng)?;
         let columns = self.keystore.table_keys(&meta.name)?.columns.len();
-        (self.oracle_parts.memo()).grow(rows.len() * (columns + 1));
+        (self.oracle_parts.memo()).grow(added * (columns + 1));
         Ok(encrypted)
     }
 
@@ -550,7 +552,7 @@ mod tests {
             .collect();
         let encrypt = |keystore: &KeyStore| {
             let mut rng = Drbg::seed_from_u64(0x1357);
-            Encryptor::encrypt_rows(keystore, meta, &rows, &mut rng).unwrap()
+            Encryptor::encrypt_rows(keystore, meta, rows.clone(), &mut rng).unwrap()
         };
         assert_eq!(encrypt(&back), encrypt(proxy.keystore()));
     }
@@ -564,14 +566,16 @@ mod tests {
     #[test]
     fn encrypt_rows_requires_known_table() {
         let mut proxy = SdbProxy::new(KeyConfig::TEST, 7).unwrap();
-        assert!(proxy.encrypt_rows("ghost", &[vec![Value::Int(1)]]).is_err());
+        assert!(proxy
+            .encrypt_rows("ghost", vec![vec![Value::Int(1)]])
+            .is_err());
         proxy
             .upload_table(&plaintext_table(), UploadOptions::default())
             .unwrap();
-        let rows = proxy
+        let columns = proxy
             .encrypt_rows(
                 "accounts",
-                &[vec![
+                vec![vec![
                     Value::Int(9),
                     Value::Decimal {
                         units: 77,
@@ -580,9 +584,9 @@ mod tests {
                 ]],
             )
             .unwrap();
-        assert_eq!(rows.len(), 1);
-        // Physical row: row_id, sdb_s, id, balance.
-        assert_eq!(rows[0].len(), 4);
-        assert!(matches!(rows[0][3], Value::Encrypted(_)));
+        // Physical columns: row_id, sdb_s, id, balance.
+        assert_eq!(columns.len(), 4);
+        assert!(columns.iter().all(|column| column.len() == 1));
+        assert!(matches!(*columns[3].value(0), Value::Encrypted(_)));
     }
 }

@@ -76,6 +76,48 @@ impl Column {
         }
     }
 
+    /// The columns of `data_types`, `rows` values each, from one buffer
+    /// that holds them column after column: column `i`'s values are
+    /// `values[i * rows..(i + 1) * rows]`, and each must have its column's
+    /// type. Each column is a window onto the one buffer, so a batch of a
+    /// few rows allocates it once for all its columns. Shares are packed per
+    /// column instead.
+    pub fn split_column_major(
+        data_types: &[DataType],
+        rows: usize,
+        values: Vec<Value>,
+    ) -> Result<Vec<Column>> {
+        assert_eq!(
+            values.len(),
+            data_types.len() * rows,
+            "rows of every column"
+        );
+        for (i, &data_type) in data_types.iter().enumerate() {
+            for value in &values[i * rows..(i + 1) * rows] {
+                value.check_type(data_type)?;
+            }
+        }
+        let packs = data_types.contains(&DataType::Encrypted)
+            || values.iter().any(|v| matches!(v, Value::Encrypted(_)));
+        if packs {
+            let columns = (data_types.iter().enumerate()).map(|(i, &data_type)| {
+                let values = values[i * rows..(i + 1) * rows].to_vec();
+                Column::from_values_unchecked(data_type, values)
+            });
+            return Ok(columns.collect());
+        }
+        let buffer = Arc::new(values);
+        let window = |(i, &data_type): (usize, &DataType)| Column {
+            data_type,
+            cells: Cells::Values {
+                buffer: Arc::clone(&buffer),
+                offset: i * rows,
+                len: rows,
+            },
+        };
+        Ok(data_types.iter().enumerate().map(window).collect())
+    }
+
     /// A column holding `values` in a value buffer, as they are.
     fn value_buffer(data_type: DataType, values: Vec<Value>) -> Self {
         Column {
@@ -476,6 +518,40 @@ mod tests {
         assert!(c.push(Value::Null).is_ok());
         assert!(c.push(Value::Str("no".into())).is_err());
         assert_eq!(c.len(), 2);
+    }
+
+    /// A column-major buffer splits into windows onto it, one per type,
+    /// after every value is checked; shares are packed per column instead.
+    #[test]
+    fn column_major_buffers_split_into_windows() {
+        let values = vec![
+            Value::Int(1),
+            Value::Null,
+            Value::Str("a".into()),
+            Value::Str("b".into()),
+        ];
+        let types = [DataType::Int, DataType::Varchar];
+        let columns = Column::split_column_major(&types, 2, values.clone()).unwrap();
+        assert_eq!(columns.len(), 2);
+        assert!(columns[0].shares_buffer(&columns[1]));
+        assert_eq!(
+            (columns[1].data_type(), columns[1].offset()),
+            (DataType::Varchar, 2)
+        );
+        assert_eq!(columns[0].to_values(), values[..2]);
+        assert_eq!(columns[1].to_values(), values[2..]);
+        assert!(
+            Column::split_column_major(&[DataType::Varchar, DataType::Int], 2, values).is_err()
+        );
+
+        let share = Value::Encrypted(BigUint::from(5u8));
+        let types = [DataType::Int, DataType::Encrypted];
+        let packed = Column::split_column_major(&types, 1, vec![Value::Int(3), share]).unwrap();
+        assert!(packed[1].shares().is_some());
+        assert!(!packed[0].shares_buffer(&packed[1]));
+        assert!(Column::split_column_major(&[], 3, Vec::new())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

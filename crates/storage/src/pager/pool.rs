@@ -859,12 +859,36 @@ impl Drop for PinnedPage {
 /// Serialises spill-file naming across the process.
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// The storage under a spill file: append and read-at, nothing else. A
+/// lease's spill file runs on a [`File`]; this seam is where a device that
+/// injects faults would go.
+trait SpillDevice: Send {
+    /// Writes all of `bytes` after the device's last byte and returns the
+    /// offset they start at.
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<u64>;
+
+    /// Fills `buf` with the bytes starting at `offset`.
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> std::io::Result<()>;
+}
+
+impl SpillDevice for File {
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<u64> {
+        let offset = self.seek(SeekFrom::End(0))?;
+        self.write_all(bytes)?;
+        Ok(offset)
+    }
+
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+        self.seek(SeekFrom::Start(offset))?;
+        self.read_exact(buf)
+    }
+}
+
 /// An append-only spill file, deleted from disk when dropped (drop also runs
 /// while unwinding, so error and cancellation paths clean up too).
 struct SpillFile {
-    file: File,
+    device: Box<dyn SpillDevice>,
     path: PathBuf,
-    len: u64,
 }
 
 impl SpillFile {
@@ -883,30 +907,25 @@ impl SpillFile {
             .map_err(|e| StorageError::Persistence {
                 detail: format!("cannot create spill file {}: {e}", path.display()),
             })?;
-        Ok(SpillFile { file, path, len: 0 })
+        Ok(SpillFile {
+            device: Box::new(file),
+            path,
+        })
     }
 
     /// Appends `bytes`, returning `(offset, len)`.
     fn append(&mut self, bytes: &[u8]) -> Result<(u64, usize)> {
-        let offset = self.len;
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.file.write_all(bytes))
-            .map_err(|e| StorageError::Persistence {
-                detail: format!("spill write failed: {e}"),
-            })?;
-        self.len += bytes.len() as u64;
+        let offset = (self.device.append(bytes)).map_err(|e| StorageError::Persistence {
+            detail: format!("spill write failed: {e}"),
+        })?;
         Ok((offset, bytes.len()))
     }
 
     fn read(&mut self, slot: DiskSlot) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; slot.len];
-        self.file
-            .seek(SeekFrom::Start(slot.offset))
-            .and_then(|_| self.file.read_exact(&mut buf))
-            .map_err(|e| StorageError::Persistence {
-                detail: format!("spill read failed: {e}"),
-            })?;
+        (self.device.read_at(slot.offset, &mut buf)).map_err(|e| StorageError::Persistence {
+            detail: format!("spill read failed: {e}"),
+        })?;
         Ok(buf)
     }
 }

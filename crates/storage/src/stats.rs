@@ -12,17 +12,17 @@
 //! (the optimizer treats them as estimates, never as truth), and dropping or
 //! replacing a table discards its stats. Encrypted columns are counted like
 //! any other, but their min/max stay `None` (shares are not comparable) and
-//! their distinct estimate approaches the row count (randomised encryption
-//! makes every share unique) — honest answers for what the SP can actually
-//! see.
+//! their distinct estimate approaches the row count: a share is hashed by its
+//! limbs and a row-id ciphertext by its bytes, and randomised encryption
+//! makes every one unique — honest answers for what the SP can actually see.
 
-use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ColumnCells, Table, Value};
+use crate::shares::trimmed;
+use crate::{ColumnCells, ShareColumn, Table, Value};
 
 /// Number of HyperLogLog registers (2^8). The standard error of the estimate
 /// is ~`1.04 / sqrt(256)` ≈ 6.5%, plenty for join-ordering decisions at a
@@ -103,7 +103,9 @@ impl HllSketch {
 
 /// Hashes a value for distinct counting. Numerics are normalised to a common
 /// scale first so `1`, `1.0` and `1.00` count as one distinct value (matching
-/// the engine's join-key canonicalisation).
+/// the engine's join-key canonicalisation). A share hashes its significant
+/// words ([`hash_share`]) and a row-id ciphertext its bytes, so two such
+/// cells count as one exactly when they are equal.
 fn hash_value(value: &Value, hasher: &mut DefaultHasher) {
     match value {
         Value::Null => 0u8.hash(hasher),
@@ -122,10 +124,21 @@ fn hash_value(value: &Value, hasher: &mut DefaultHasher) {
             3u8.hash(hasher);
             t.hash(hasher);
         }
-        other => {
-            4u8.hash(hasher);
-            other.render().hash(hasher);
+        Value::Encrypted(share) => hash_share(share.iter_u64_digits(), hasher),
+        Value::EncryptedRowId(id) => {
+            5u8.hash(hasher);
+            id.hash(hasher);
         }
+    }
+}
+
+/// Hashes a share given by its significant little-endian words (no zero
+/// high word): the same share hashes the same whether a [`ShareColumn`]
+/// row of any width or a [`Value::Encrypted`] holds it.
+fn hash_share(words: impl Iterator<Item = u64>, hasher: &mut DefaultHasher) {
+    4u8.hash(hasher);
+    for word in words {
+        hasher.write_u64(word);
     }
 }
 
@@ -194,7 +207,10 @@ fn comparable(value: &Value) -> bool {
 
 /// Analyzes a table in one pass: row count plus per-column NULL counts,
 /// min/max over plain comparable values, average widths and an
-/// [`HllSketch`]-based distinct estimate.
+/// [`HllSketch`]-based distinct estimate. A column of shares is read from its
+/// limbs: validity for the NULLs, [`ShareColumn::approx_size`] for the width
+/// and a hash of each row's significant words for the sketch, the one its
+/// [`Value::Encrypted`] gets.
 pub fn analyze_table(table: &Table) -> TableStats {
     let rows = table.num_rows();
     let columns = table
@@ -205,12 +221,11 @@ pub fn analyze_table(table: &Table) -> TableStats {
             let column = table
                 .column(&def.name)
                 .expect("schema columns exist by construction");
-            match column.cells() {
-                ColumnCells::Values(values) => column_stats(&def.name, rows, values.iter()),
-                ColumnCells::Shares(shares) => {
-                    column_stats(&def.name, rows, (0..rows).map(|row| shares.value(row)))
-                }
-            }
+            let tally = match column.cells() {
+                ColumnCells::Values(values) => Tally::of_values(values),
+                ColumnCells::Shares(shares) => Tally::of_shares(shares),
+            };
+            tally.finish(&def.name, rows)
         })
         .collect();
     TableStats {
@@ -220,56 +235,76 @@ pub fn analyze_table(table: &Table) -> TableStats {
     }
 }
 
-/// The statistics of the column `name` whose `rows` values `values` yields.
-fn column_stats(
-    name: &str,
-    rows: usize,
-    values: impl Iterator<Item = impl Borrow<Value>>,
-) -> ColumnStats {
-    let mut null_count = 0usize;
-    let mut sketch = HllSketch::new();
-    let mut min: Option<Value> = None;
-    let mut max: Option<Value> = None;
-    let mut width = 0usize;
-    for value in values {
-        let value = value.borrow();
-        width += value.approx_size();
-        if value.is_null() {
-            null_count += 1;
-            continue;
-        }
-        sketch.insert_value(value);
-        if comparable(value) {
-            let smaller = min
-                .as_ref()
-                .map(|m| value.cmp_total(m) == std::cmp::Ordering::Less)
-                .unwrap_or(true);
-            if smaller {
-                min = Some(value.clone());
+/// What one pass over a column's cells counts.
+#[derive(Default)]
+struct Tally {
+    null_count: usize,
+    width: usize,
+    sketch: HllSketch,
+    min: Option<Value>,
+    max: Option<Value>,
+}
+
+impl Tally {
+    fn of_values(values: &[Value]) -> Tally {
+        let mut tally = Tally::default();
+        for value in values {
+            tally.width += value.approx_size();
+            if value.is_null() {
+                tally.null_count += 1;
+                continue;
             }
-            let bigger = max
-                .as_ref()
-                .map(|m| value.cmp_total(m) == std::cmp::Ordering::Greater)
-                .unwrap_or(true);
-            if bigger {
-                max = Some(value.clone());
+            tally.sketch.insert_value(value);
+            if comparable(value) {
+                let smaller = (tally.min.as_ref())
+                    .map(|m| value.cmp_total(m) == std::cmp::Ordering::Less)
+                    .unwrap_or(true);
+                if smaller {
+                    tally.min = Some(value.clone());
+                }
+                let bigger = (tally.max.as_ref())
+                    .map(|m| value.cmp_total(m) == std::cmp::Ordering::Greater)
+                    .unwrap_or(true);
+                if bigger {
+                    tally.max = Some(value.clone());
+                }
             }
         }
+        tally
     }
-    let non_null = rows - null_count;
-    // The sketch cannot report more distinct values than were fed.
-    let distinct = sketch.estimate().min(non_null as f64);
-    ColumnStats {
-        name: name.to_string(),
-        null_count,
-        distinct,
-        min,
-        max,
-        avg_width: if rows == 0 {
-            0.0
-        } else {
-            width as f64 / rows as f64
-        },
+
+    /// Shares have no min or max: they are not comparable.
+    fn of_shares(shares: &ShareColumn) -> Tally {
+        let mut tally = Tally::default();
+        for row in 0..shares.len() {
+            tally.width += shares.approx_size(row);
+            if !shares.is_valid(row) {
+                tally.null_count += 1;
+                continue;
+            }
+            let mut hasher = DefaultHasher::new();
+            hash_share(trimmed(shares.row(row)).iter().copied(), &mut hasher);
+            tally.sketch.insert_hash(hasher.finish());
+        }
+        tally
+    }
+
+    /// The statistics of the column `name` of a table of `rows` rows.
+    fn finish(self, name: &str, rows: usize) -> ColumnStats {
+        let non_null = rows - self.null_count;
+        ColumnStats {
+            name: name.to_string(),
+            null_count: self.null_count,
+            // The sketch cannot report more distinct values than were fed.
+            distinct: self.sketch.estimate().min(non_null as f64),
+            min: self.min,
+            max: self.max,
+            avg_width: if rows == 0 {
+                0.0
+            } else {
+                self.width as f64 / rows as f64
+            },
+        }
     }
 }
 
@@ -394,6 +429,100 @@ mod tests {
         }
         let stats = analyze_table(&t);
         assert!(stats.column("a").unwrap().distinct <= 3.0);
+    }
+
+    /// `limbs` as the share they are.
+    fn share(limbs: &[u64]) -> Value {
+        Value::Encrypted(crate::shares::biguint_of(limbs))
+    }
+
+    /// The hash a cell feeds the sketch.
+    fn hash_of(value: &Value) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        hash_value(value, &mut hasher);
+        hasher.finish()
+    }
+
+    /// A column of shares counts as the same cells held as values: NULLs,
+    /// width and distinct estimate (with repeats) agree, and neither has a
+    /// min or max.
+    #[test]
+    fn share_columns_count_as_their_values() {
+        let values: Vec<Value> = (0..300u64)
+            .map(|i| match i % 7 {
+                0 => Value::Null,
+                _ => {
+                    let k = i % 50;
+                    share(&[k * 0x9e37_79b9, k % 3, (k % 5 == 1) as u64, 0])
+                }
+            })
+            .chain([share(&[]), Value::Null])
+            .collect();
+        let shares = ShareColumn::from_values(&values).unwrap();
+        assert_eq!(shares.width(), 3);
+        let from_limbs = Tally::of_shares(&shares).finish("s", values.len());
+        let from_values = Tally::of_values(&values).finish("s", values.len());
+        assert_eq!(from_limbs, from_values);
+        assert_eq!(from_limbs.null_count, 44);
+        assert!(from_limbs.min.is_none() && from_limbs.max.is_none());
+        // 50 shares repeated six times (some NULLed) and the zero share.
+        let err = (from_limbs.distinct - 51.0).abs() / 51.0;
+        assert!(err < 0.10, "distinct {}", from_limbs.distinct);
+
+        let table_stats = analyze_table(&{
+            let schema = Schema::new(vec![ColumnDef::sensitive("s", DataType::Encrypted)]);
+            let mut table = Table::new("t", schema);
+            for value in &values {
+                table.insert_row(vec![value.clone()]).unwrap();
+            }
+            assert!(table.column("s").unwrap().shares().is_some());
+            table
+        });
+        assert_eq!(table_stats.columns[0], from_values);
+    }
+
+    /// Row-id ciphertexts hash their bytes: distinct ones count apart.
+    #[test]
+    fn row_id_ciphertexts_count_apart() {
+        use sdb_crypto::sies::SiesCiphertext;
+        use sdb_crypto::EncryptedRowId;
+        let values: Vec<Value> = (0..1_000u64)
+            .map(|i| {
+                Value::EncryptedRowId(EncryptedRowId(SiesCiphertext {
+                    nonce: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    body: vec![i as u8; 9],
+                    tag: i,
+                }))
+            })
+            .collect();
+        let stats = Tally::of_values(&values).finish("row_id", values.len());
+        let err = (stats.distinct - 1_000.0).abs() / 1_000.0;
+        assert!(err < 0.20, "estimate {} (err {err:.3})", stats.distinct);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A share hashes its significant words: the same at any stored limb
+        /// width, and the same as its `Value::Encrypted`.
+        #[test]
+        fn a_share_hashes_the_same_at_any_width(
+            limbs in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..9),
+            padding in 0usize..4,
+        ) {
+            let expected = hash_of(&share(&limbs));
+            let width = limbs.len() + padding;
+            let mut words = limbs.clone();
+            words.resize(width, 0);
+            let column = ShareColumn::from_parts(width, words, crate::Bitmap::new_set(1));
+            let mut hasher = DefaultHasher::new();
+            hash_share(trimmed(column.row(0)).iter().copied(), &mut hasher);
+            proptest::prop_assert_eq!(hasher.finish(), expected);
+            let tally = Tally::of_shares(&column);
+            let mut sketch = HllSketch::new();
+            sketch.insert_hash(expected);
+            proptest::prop_assert_eq!(tally.sketch, sketch);
+        }
     }
 
     #[test]

@@ -74,10 +74,41 @@ impl Table {
                 detail: format!("batch schema does not match table {}", self.name),
             });
         }
-        for (col, src) in self.columns.iter_mut().zip(batch.columns().iter()) {
+        self.append_columns(batch.columns())
+    }
+
+    /// Appends equally long columns, one per schema column in order and of
+    /// its declared type, without checking their cells: an empty table takes
+    /// windows onto their buffers, and shares append as limbs.
+    pub fn append_columns(&mut self, columns: &[Column]) -> Result<()> {
+        if columns.len() != self.schema.len() {
+            return Err(StorageError::ArityMismatch {
+                expected: self.schema.len(),
+                found: columns.len(),
+            });
+        }
+        let rows = columns.first().map_or(0, Column::len);
+        for (def, column) in self.schema.columns().iter().zip(columns) {
+            if column.data_type() != def.data_type {
+                return Err(StorageError::TypeMismatch {
+                    expected: def.data_type.to_string(),
+                    found: column.data_type().to_string(),
+                });
+            }
+            if column.len() != rows {
+                return Err(StorageError::Invalid {
+                    detail: format!(
+                        "column {} has {} rows, expected {rows}",
+                        def.name,
+                        column.len()
+                    ),
+                });
+            }
+        }
+        for (col, src) in self.columns.iter_mut().zip(columns) {
             col.extend(src);
         }
-        self.num_rows += batch.num_rows();
+        self.num_rows += rows;
         Ok(())
     }
 
@@ -109,7 +140,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ColumnDef, DataType};
+    use crate::{Column, ColumnDef, DataType};
 
     fn employee_table() -> Table {
         let schema = Schema::new(vec![
@@ -177,6 +208,41 @@ mod tests {
         .unwrap();
         t.append_batch(&good).unwrap();
         assert_eq!(t.num_rows(), 1);
+    }
+
+    /// Columns append as a batch would: arity, type and length are checked
+    /// before any column changes; an empty table takes their buffers.
+    #[test]
+    fn append_columns_checks_then_appends() {
+        let mut t = employee_table();
+        let ids = Column::from_values(DataType::Int, vec![Value::Int(1), Value::Int(2)]).unwrap();
+        let salaries =
+            Column::from_values(DataType::Int, vec![Value::Int(9), Value::Null]).unwrap();
+        let depts = Column::from_values(
+            DataType::Varchar,
+            vec![Value::Str("eng".into()), Value::Str("ops".into())],
+        )
+        .unwrap();
+        let short = depts.slice(0, 1);
+        assert!(t.append_columns(&[ids.clone(), salaries.clone()]).is_err());
+        assert!(t
+            .append_columns(&[ids.clone(), depts.clone(), depts.clone()])
+            .is_err());
+        assert!(t
+            .append_columns(&[ids.clone(), salaries.clone(), short])
+            .is_err());
+        assert_eq!((t.num_rows(), t.scan().columns()[0].len()), (0, 0));
+
+        t.append_columns(&[ids.clone(), salaries.clone(), depts.clone()])
+            .unwrap();
+        assert!(t.column("dept").unwrap().shares_buffer(&depts));
+        t.append_columns(&[ids, salaries, depts]).unwrap();
+        assert_eq!(t.num_rows(), 4);
+        let rows: Vec<Vec<Value>> = t.scan().rows().collect();
+        assert_eq!(
+            rows[3],
+            vec![Value::Int(2), Value::Null, Value::Str("ops".into())]
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Integration test: what the data owner sends the SP when it uploads tiny
 //! TPC-H and then INSERTs two rows is pinned byte for byte, under the test
-//! (256-bit) and the balanced (512-bit) key profiles.
+//! (256-bit), the balanced (512-bit) and the paper (2048-bit, 32-limb) key
+//! profiles. The paper profile's test runs only in an optimised build
+//! (`cargo test --release --test upload_digests`).
 //!
 //! The payloads are the SP tables' JSON — every encrypted row id, share and
 //! tag — so any change to how the DO derives item keys or encrypts (the
@@ -62,5 +64,15 @@ fn the_balanced_profile_upload_is_byte_identical() {
     assert_eq!(
         (format!("{digest:016x}"), bytes),
         (String::from("241d7bb6dac810db"), 76_992)
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "2048-bit keys: run with --release")]
+fn the_paper_profile_upload_is_byte_identical() {
+    let (digest, bytes) = upload_digest(SdbConfig::paper_profile());
+    assert_eq!(
+        (format!("{digest:016x}"), bytes),
+        (String::from("45a039ffb744bca3"), 209_352)
     );
 }
