@@ -144,6 +144,7 @@ impl ItemKeyMemo {
 
     /// `G = g^(r·x mod φ(n))` in Montgomery form for every row id `r`, as a
     /// lane: held rows copied from the memo, the others derived in one batch
+    /// ([`SystemKey::g_item_powers`]: `r` and `x` reduced per prime of `n`)
     /// and, when `x` is admitted, stored.
     fn powers(
         &self,
@@ -152,13 +153,11 @@ impl ItemKeyMemo {
         row_ids: &[BigUint],
     ) -> (Vec<u64>, ItemKeyCounts) {
         let k = key.modulus().limb_count();
-        let exponent = |r: &BigUint| (r * ck.x()) % key.phi();
         let table = read(&self.tables).get(ck.x()).cloned();
         let n = key.n();
         let Some(table) = table.filter(|_| row_ids.iter().all(|r| r < n)) else {
             let mut powers = Vec::with_capacity(row_ids.len() * k);
-            let exponents: Vec<BigUint> = row_ids.iter().map(exponent).collect();
-            key.g_powers(&exponents, &mut powers);
+            key.g_item_powers(ck.x(), row_ids.iter(), &mut powers);
             let derived = row_ids.len();
             return (powers, ItemKeyCounts { derived, hits: 0 });
         };
@@ -194,8 +193,8 @@ impl ItemKeyMemo {
         }
 
         let mut powers = Vec::with_capacity(misses.len() * k);
-        let exponents: Vec<BigUint> = misses.iter().map(|&i| exponent(&row_ids[i])).collect();
-        key.g_powers(&exponents, &mut powers);
+        let missed = misses.iter().map(|&i| &row_ids[i]);
+        key.g_item_powers(ck.x(), missed, &mut powers);
         for (&i, power) in misses.iter().zip(powers.chunks_exact(k)) {
             out[i * k..(i + 1) * k].copy_from_slice(power);
         }
@@ -373,6 +372,48 @@ mod tests {
                 .flat_map(|ik| modulus.mont_row(ik))
                 .collect();
             assert_eq!(lanes, rows);
+        }
+    }
+
+    /// A miss's powers, with `r` and `x` reduced per prime of `n`, equal
+    /// `g^(r·x mod φ(n))` raised from the exponent formed modulo `φ(n)`, at
+    /// 256 and 512 bits and, optimised, 2048: cold, as misses beside hits,
+    /// and for the edge rows `φ(n)` (exponent 0), 1 and `n − 1`.
+    #[test]
+    fn powers_equal_the_exponent_formed_modulo_phi() {
+        let mut configs = vec![KeyConfig::TEST, KeyConfig::BALANCED];
+        if !cfg!(debug_assertions) {
+            configs.push(KeyConfig::PAPER);
+        }
+        for config in configs {
+            let mut f = fixture(config, 6);
+            let one = BigUint::from(1u32);
+            f.rows
+                .extend([f.key.phi().clone(), one.clone(), f.key.n() - &one]);
+            let exponents: Vec<BigUint> = (f.rows.iter())
+                .map(|r| r * f.ck.x() % f.key.phi())
+                .collect();
+            let mut expected = Vec::new();
+            f.key.g_powers(&exponents, &mut expected);
+            let memo = memo(&[f.ck.x()], 100);
+            let k = f.key.modulus().limb_count();
+            let (cold, _) = ItemKeyMemo::default().powers(&f.key, &f.ck, &f.rows);
+            assert_eq!(
+                cold,
+                expected,
+                "{} bits, never admitted",
+                config.prime_bits * 2
+            );
+            memo.powers(&f.key, &f.ck, &f.rows[..3]);
+            let (mixed, counts) = memo.powers(&f.key, &f.ck, &f.rows);
+            assert_eq!(counts.hits, 3);
+            assert_eq!(
+                mixed,
+                expected,
+                "{} bits, misses beside hits",
+                config.prime_bits * 2
+            );
+            assert_eq!(mixed.len(), f.rows.len() * k);
         }
     }
 

@@ -240,9 +240,27 @@ impl SystemKey {
 
     /// Appends `g^e` in Montgomery form (`k` limbs) to `out` for every
     /// exponent `e` of `exponents`, each raised modulo ρ₁ and ρ₂.
+    #[cfg(test)]
     pub(crate) fn g_powers(&self, exponents: &[BigUint], out: &mut Vec<u64>) {
         let reduced = self.crt.reduce(exponents.iter());
         self.crt.pow_times(self.crt.radix(), &reduced, out)
+    }
+
+    /// Appends `g^(r·x mod φ(n))` in Montgomery form (`k` limbs) to `out`
+    /// for every row id `r` of `row_ids`: `r` and `x` are reduced modulo
+    /// each ρᵢ − 1 and multiplied there, so the product modulo `φ(n)` is
+    /// never formed.
+    pub(crate) fn g_item_powers<'r>(
+        &self,
+        x: &BigUint,
+        row_ids: impl ExactSizeIterator<Item = &'r BigUint>,
+        out: &mut Vec<u64>,
+    ) {
+        let count = row_ids.len();
+        let rows = self.crt.reduce(row_ids);
+        let x = self.crt.reduce(std::iter::once(x));
+        let exponents = self.crt.cell_exponents(&x, &rows, 0..count, false);
+        self.crt.pow_times(self.crt.radix(), &exponents, out)
     }
 
     /// The DO's half-width arithmetic of `g` (see `modulus/crt.rs`).

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use sdb_sql::{parse_sql, LogicalPlan, PlanBuilder, Statement};
+use sdb_sql::{parse_sql, Literal, LogicalPlan, PlanBuilder, Statement};
 use sdb_storage::{
     CancelToken, Catalog, ColumnDef, DataType, MemoryBudget, Pager, RecordBatch, Schema, Table,
     Value,
@@ -356,12 +356,14 @@ impl SpEngine {
 
     /// Executes a SELECT the DO sent by shape ([`ServerStatement`]): the
     /// template it carries (held from now on) or the one held under its
-    /// shape id, with the statement's draws bound into the template's
-    /// cached optimised plan. Answers, counts and the physical plan are
-    /// those of the same statement sent as text.
+    /// shape id, with the statement's lifted literals and draws bound into
+    /// the template's cached optimised plan. Answers, counts and the
+    /// physical plan are those of the same statement sent as text.
     ///
     /// Fails with [`EngineError::UnknownShape`] when the statement carries
-    /// no template and the engine holds none under its id.
+    /// no template and the engine holds none under its id, and with
+    /// [`EngineError::InvalidLiteral`] when a lifted value is not exactly
+    /// one literal of its slot's class.
     pub fn execute_shaped(
         &self,
         statement: &ServerStatement,
@@ -387,12 +389,14 @@ impl SpEngine {
         analyze: bool,
     ) -> Result<QueryOutput> {
         let started = Instant::now();
+        let lifted = crate::statement::lifted_literals(statement)?;
         let shape = match &statement.template {
-            Some(text) => self.plan_cache.insert(statement.shape, text),
+            Some(text) => self.plan_cache.insert(statement.shape, text, &lifted),
             None => (self.plan_cache.shape(statement.shape)).ok_or(EngineError::UnknownShape {
                 shape: statement.shape,
             })?,
         };
+        shape.check(&lifted)?;
         let traced;
         let opts = if analyze {
             traced = Self::traced(opts);
@@ -430,10 +434,12 @@ impl SpEngine {
                 plan
             }
         };
-        if statement.draws.is_empty() {
+        if lifted.is_empty() && statement.draws.is_empty() {
             return self.run_query(ctx, &plan, true, hit, started, analyze);
         }
-        let bound = plan.bind_params(&statement.draws)?;
+        let mut params = lifted;
+        params.extend(statement.draws.iter().cloned().map(Literal::Str));
+        let bound = plan.bind_params(&params)?;
         self.run_query(ctx, &bound, true, hit, started, analyze)
     }
 

@@ -49,6 +49,14 @@ pub enum EngineError {
         /// The shape id the statement carried.
         shape: u64,
     },
+    /// A lifted value of a shaped statement is not exactly one literal of
+    /// its slot's class (see [`crate::ServerStatement::lifted`]).
+    InvalidLiteral {
+        /// The slot at fault.
+        slot: usize,
+        /// What the value was found to be.
+        detail: String,
+    },
     /// A query's settings cannot run: a zero worker count or batch size.
     InvalidConfig {
         /// The setting at fault.
@@ -84,6 +92,9 @@ impl fmt::Display for EngineError {
             EngineError::Unsupported { detail } => write!(f, "unsupported: {detail}"),
             EngineError::UnknownShape { shape } => {
                 write!(f, "unknown statement shape {shape:016x}")
+            }
+            EngineError::InvalidLiteral { slot, detail } => {
+                write!(f, "invalid literal in slot ${slot}: {detail}")
             }
             EngineError::InvalidConfig { detail } => write!(f, "invalid settings: {detail}"),
             EngineError::Panicked { detail } => write!(f, "statement panicked: {detail}"),

@@ -1,22 +1,29 @@
 //! Statement shapes at the SP: a rewritten statement the DO proxy sends again
 //! and again differs between executions only in its per-execution constants
-//! (the `p` and `q` of each `SDB_KEY_UPDATE`). The DO sends the statement's
-//! *template* — its text with a numbered `$i` in place of each constant —
-//! once, and afterwards only the template's shape id and the constants (the
-//! draw vector) as a [`ServerStatement`].
+//! (the `p` and `q` of each `SDB_KEY_UPDATE`) and in the public literals the
+//! DO lifted out of its text (see `sdb_sql::lift`). The DO sends the
+//! statement's *template* — its text with a numbered `$i` in place of each
+//! of them — once, and afterwards only the template's shape id, the lifted
+//! literals and the constants (the draw vector) as a [`ServerStatement`].
 //!
 //! The engine keeps each template it was sent and caches its optimised
 //! logical plan with the parameters still in it. A cached plan is
 //! keyed by the catalog's epoch and the optimiser's inputs (`PlanKey`), so
 //! `ANALYZE`, DDL or a replaced table re-plans; it is admitted on the
 //! second execution under one key, so a plan built once is never kept. Each
-//! execution binds the draws into the plan and then plans it physically
+//! execution binds its values into the plan and then plans it physically
 //! exactly like a statement that arrived as text: the optimiser never looks
-//! at a parameter's value (a string literal has no estimate), so both routes
-//! give the same physical plan.
+//! at a parameter's value (a draw is a string literal with no estimate; a
+//! lifted literal sits in an equality, whose estimate reads only the
+//! column's distinct count), so both routes give the same physical plan.
+//!
+//! A lifted literal is bound as the literal it spells, of its slot's class:
+//! the class is the one the statement that sent the template had in that
+//! slot, and a value that is not exactly one literal of it is
+//! [`crate::EngineError::InvalidLiteral`], never text spliced into SQL.
 //!
 //! What the cache holds is what the SP was sent: the template text once, and
-//! nothing of the draws, which are bound into a per-execution copy. It holds
+//! nothing of the values, which are bound into a per-execution copy. It holds
 //! a bounded number of shapes: when it is full, the shapes no execution has
 //! found since the last such sweep go (all of them, if every shape was
 //! found).
@@ -28,16 +35,23 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 
-use sdb_sql::LogicalPlan;
+use sdb_sql::{parse_literal, Literal, LiteralClass, LogicalPlan};
+
+use crate::{EngineError, Result};
 
 /// A statement the DO sends by shape: the shape's id, this execution's
-/// constants, and the template text when the DO has not sent it before (or
-/// the engine answered [`crate::EngineError::UnknownShape`]).
+/// lifted literals and constants, and the template text when the DO has not
+/// sent it before (or the engine answered
+/// [`crate::EngineError::UnknownShape`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ServerStatement {
-    /// The shape's id (the DO's hash of the template text).
+    /// The shape's id (the DO's hash of the template text and its slots'
+    /// classes).
     pub shape: u64,
-    /// The value of each `$i`, in slot order.
+    /// The SQL rendering of each lifted literal, filling `$0`, `$1`, … in
+    /// order (`4231`, `'BUILDING'`, `DATE '1995-03-15'`).
+    pub lifted: Vec<String>,
+    /// The value of each `$i` after the lifted ones, in slot order.
     pub draws: Vec<String>,
     /// The template text, on the shape's first sending.
     pub template: Option<String>,
@@ -58,10 +72,25 @@ const SHAPES: usize = 256;
 /// Plan keys one shape holds (seen once or admitted) before it starts over.
 const PLANS_PER_SHAPE: usize = 4;
 
+/// The lifted literals of `statement`, parsed: each exactly one literal.
+pub(crate) fn lifted_literals(statement: &ServerStatement) -> Result<Vec<Literal>> {
+    (statement.lifted.iter().enumerate())
+        .map(|(slot, text)| {
+            parse_literal(text).map_err(|e| EngineError::InvalidLiteral {
+                slot,
+                detail: e.to_string(),
+            })
+        })
+        .collect()
+}
+
 /// One shape the engine was sent.
 pub(crate) struct CachedShape {
     /// The template text.
     pub template: String,
+    /// The class of each lifted slot, from the statement that sent the
+    /// template.
+    classes: Vec<Option<LiteralClass>>,
     /// Plan keys seen once (`None`) or admitted with their optimised plan.
     plans: Mutex<Vec<(PlanKey, Option<Arc<LogicalPlan>>)>>,
     /// Lookups since the cache's last sweep.
@@ -69,6 +98,30 @@ pub(crate) struct CachedShape {
 }
 
 impl CachedShape {
+    /// Checks that `literals` fill this shape's lifted slots, each with a
+    /// literal of its slot's class.
+    pub fn check(&self, literals: &[Literal]) -> Result<()> {
+        if literals.len() != self.classes.len() {
+            return Err(EngineError::InvalidLiteral {
+                slot: literals.len().min(self.classes.len()),
+                detail: format!(
+                    "the shape has {} lifted slots, the statement {}",
+                    self.classes.len(),
+                    literals.len()
+                ),
+            });
+        }
+        for (slot, (literal, class)) in literals.iter().zip(&self.classes).enumerate() {
+            if literal.class() != *class {
+                return Err(EngineError::InvalidLiteral {
+                    slot,
+                    detail: format!("the slot takes a {class:?} literal, not {literal}"),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// The admitted plan for `key`.
     pub fn plan(&self, key: &PlanKey) -> Option<Arc<LogicalPlan>> {
         let plans = self.plans.lock();
@@ -114,15 +167,20 @@ impl PlanCache {
         Some(shape)
     }
 
-    /// Holds `template` as shape `id`. A shape already held under `id`
-    /// keeps its plans if it has the same template, and is replaced if not:
-    /// the id is the sender's hash, so two templates may share one. A full
+    /// Holds `template` as shape `id`, its lifted slots of the classes of
+    /// `lifted` (the sending statement's literals). A shape already held
+    /// under `id` keeps its plans if it has the same template and classes,
+    /// and is replaced if not: the id is the sender's hash, so two
+    /// templates may share one. A full
     /// cache first sweeps out the shapes no execution found since its last
     /// sweep, or every shape if all were; they are dropped after the lock is
     /// released.
-    pub fn insert(&self, id: u64, template: &str) -> Arc<CachedShape> {
+    pub fn insert(&self, id: u64, template: &str, lifted: &[Literal]) -> Arc<CachedShape> {
+        let classes: Vec<Option<LiteralClass>> = lifted.iter().map(Literal::class).collect();
         let mut shapes = self.shapes.write();
-        if let Some(shape) = shapes.get(&id).filter(|shape| shape.template == template) {
+        let held =
+            |shape: &&Arc<CachedShape>| shape.template == template && shape.classes == classes;
+        if let Some(shape) = shapes.get(&id).filter(held) {
             return Arc::clone(shape);
         }
         let swept: Vec<(u64, Arc<CachedShape>)> = if shapes.len() >= SHAPES {
@@ -137,6 +195,7 @@ impl PlanCache {
         };
         let shape = Arc::new(CachedShape {
             template: template.to_string(),
+            classes,
             plans: Mutex::new(Vec::new()),
             found: AtomicU32::new(0),
         });
@@ -204,19 +263,19 @@ mod tests {
     #[test]
     fn a_plan_is_admitted_on_its_second_sighting_under_one_key() {
         let cache = PlanCache::default();
-        let shape = cache.insert(7, "SELECT a FROM t WHERE b = $0");
+        let shape = cache.insert(7, "SELECT a FROM t WHERE b = $0", &[]);
         let plan = plan(&shape.template);
         shape.offer(key(1), &plan);
         assert!(shape.plan(&key(1)).is_none(), "seen once");
         shape.offer(key(1), &plan);
         assert!(shape.plan(&key(1)).is_some(), "seen twice");
         assert!(shape.plan(&key(2)).is_none(), "another epoch re-plans");
-        let again = cache.insert(7, "SELECT a FROM t WHERE b = $0");
+        let again = cache.insert(7, "SELECT a FROM t WHERE b = $0", &[]);
         assert!(
             again.plan(&key(1)).is_some(),
             "a held shape keeps its plans"
         );
-        let other = cache.insert(7, "SELECT 1 FROM t");
+        let other = cache.insert(7, "SELECT 1 FROM t", &[]);
         assert_eq!(
             other.template, "SELECT 1 FROM t",
             "another template under the id"
@@ -224,6 +283,24 @@ mod tests {
         assert!(other.plan(&key(1)).is_none(), "replaces the shape");
         assert_eq!(cache.shape(7).unwrap().template, "SELECT 1 FROM t");
         assert_eq!(cache.len(), 1);
+
+        let int = cache.insert(8, "SELECT a FROM t WHERE b = $0", &[Literal::Int(7)]);
+        assert!(int.check(&[Literal::Int(4231)]).is_ok());
+        for bad in [
+            vec![Literal::Str("7".into())],
+            vec![],
+            vec![Literal::Int(7); 2],
+        ] {
+            assert!(matches!(
+                int.check(&bad),
+                Err(EngineError::InvalidLiteral { .. })
+            ));
+        }
+        let string = cache.insert(8, &int.template, &[Literal::Str("7".into())]);
+        assert!(
+            string.check(&[Literal::Str("x".into())]).is_ok(),
+            "another class replaces"
+        );
         assert!(cache.approx_bytes() > 0);
         cache.clear();
         assert!(cache.shape(7).is_none());
@@ -233,18 +310,18 @@ mod tests {
     fn the_cache_is_bounded() {
         let cache = PlanCache::default();
         for id in 0..SHAPES as u64 {
-            cache.insert(id, "SELECT a FROM t");
+            cache.insert(id, "SELECT a FROM t", &[]);
         }
         assert!(cache.shape(0).is_some(), "found");
-        cache.insert(u64::MAX, "SELECT a FROM t");
+        cache.insert(u64::MAX, "SELECT a FROM t", &[]);
         assert_eq!(cache.len(), 2, "a sweep keeps the shape found");
         for id in 1..SHAPES as u64 {
-            cache.insert(id, "SELECT a FROM t");
+            cache.insert(id, "SELECT a FROM t", &[]);
             assert!(cache.shape(id).is_some());
         }
-        cache.insert(u64::MAX - 1, "SELECT a FROM t");
+        cache.insert(u64::MAX - 1, "SELECT a FROM t", &[]);
         assert!(cache.len() <= SHAPES);
-        let shape = cache.insert(u64::MAX, "SELECT a FROM t");
+        let shape = cache.insert(u64::MAX, "SELECT a FROM t", &[]);
         let plan = plan(&shape.template);
         for epoch in 0..(PLANS_PER_SHAPE as u64 + 2) {
             shape.offer(key(epoch), &plan);

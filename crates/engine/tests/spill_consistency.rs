@@ -709,3 +709,59 @@ fn an_abandoned_blocking_node_leaves_its_kept_lease_clean() {
         }
     }
 }
+
+/// A spill device that fails under a query on a 64 KiB lease — a short
+/// write, a full disk, a failed read-back — makes the query fail with a
+/// typed `StorageError::Persistence`, never a panic; the kept lease holds no
+/// page of it, and releasing the lease leaves the spill dir empty.
+#[test]
+fn a_failing_spill_device_is_a_typed_error_and_leaves_nothing_behind() {
+    use sdb_engine::{EngineError, QueryOptions};
+    use sdb_storage::{SpillFault, StorageError};
+
+    let engine = sdb_engine::SpEngine::with_catalog(Arc::new(generated_catalog(4_000)))
+        .with_config(ExecConfig {
+            batch_size: 64,
+            parallelism: 1,
+            ..ExecConfig::default()
+        });
+    for fault in [
+        SpillFault::ShortWrite,
+        SpillFault::NoSpace,
+        SpillFault::ReadError,
+    ] {
+        let dir =
+            std::env::temp_dir().join(format!("sdb-spill-fault-{}-{fault:?}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let pool = Arc::new(BufferPool::new(
+            &MemoryBudget::unlimited().with_spill_dir(&dir),
+        ));
+        let lease = Arc::new(Pager::shared(&pool));
+        lease.inject_spill_fault(fault);
+        let opts = QueryOptions::default()
+            .with_memory_budget(MemoryBudget::bytes(64 << 10))
+            .with_pager(Arc::clone(&lease));
+        let failed =
+            engine.execute_sql_with("SELECT id, val, name FROM big ORDER BY val, id", &opts);
+        assert!(
+            matches!(
+                &failed,
+                Err(EngineError::Storage(StorageError::Persistence { .. }))
+            ),
+            "{fault:?}: {failed:?}"
+        );
+        if fault == SpillFault::ReadError {
+            assert!(lease.stats().pages_spilled > 0, "pages were written");
+        }
+        assert_eq!(
+            (pool.resident_pages(), lease.resident_bytes()),
+            (0, 0),
+            "{fault:?}: the kept lease holds no page of the failed query"
+        );
+        drop(opts);
+        drop(lease);
+        assert_eq!(pool.spill_file_count(), 0, "{fault:?}");
+        std::fs::remove_dir(&dir)
+            .unwrap_or_else(|e| panic!("{fault:?}: the spill dir is empty: {e}"));
+    }
+}

@@ -7,18 +7,19 @@
 //! application. The demo's client-cost breakdown (parse + rewrite + decrypt,
 //! experiment E3) is measured here.
 //!
-//! A text rewritten before replays its cached [`Shape`] (see
-//! [`crate::shape`]): the same server SQL a cold rewrite with the same fork
-//! of the proxy's generator would produce, without parsing or rewriting.
+//! A statement rewritten before, up to the public keys it looks up, replays
+//! its cached [`Shape`] (see [`crate::shape`]): the same server SQL a cold
+//! rewrite with the same fork of the proxy's generator would produce,
+//! without parsing or rewriting.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use sdb_crypto::{Drbg, ItemKeyMemo, KeyConfig, KeyUpdateMemo};
 use sdb_engine::ServerStatement;
-use sdb_sql::{parse_sql, Lexer, Query, Statement, Token};
+use sdb_sql::{lift_literals, parse_sql, parse_tokens, Lexer, Query, Statement, Token};
 use sdb_storage::{Column, RecordBatch, Table, Value};
 
 use crate::decryptor::Decryptor;
@@ -62,7 +63,7 @@ pub struct RewrittenQuery {
     pub plan: ResultPlan,
     /// The per-query session shared with the oracle.
     pub session: Arc<QuerySession>,
-    /// Time spent parsing.
+    /// Time spent parsing (lexing alone, on a shape hit).
     pub parse_time: Duration,
     /// Time spent rewriting (replaying, on a shape hit), up to rendering
     /// the server SQL.
@@ -71,7 +72,11 @@ pub struct RewrittenQuery {
     pub shape_hit: bool,
     /// The statement's shape, once the proxy has admitted it.
     shape: Option<Arc<Shape>>,
-    /// The value of each slot of the server query for this execution.
+    /// The SQL rendering of each lifted literal, when the statement has a
+    /// shape's slots for them.
+    lifted: Vec<String>,
+    /// The value of each key-update slot of the server query for this
+    /// execution.
     draws: Vec<String>,
 }
 
@@ -85,10 +90,16 @@ impl RewrittenQuery {
         }
     }
 
-    /// The value of each slot of the server query (the `p` and `q` of every
-    /// key update) for this execution.
+    /// The value of each key-update slot of the server query (the `p` and
+    /// `q` of every key update) for this execution.
     pub fn draws(&self) -> &[String] {
         &self.draws
+    }
+
+    /// The SQL rendering of each literal lifted into a slot of the
+    /// statement's shape, in slot order (empty when nothing lifted).
+    pub fn lifted(&self) -> &[String] {
+        &self.lifted
     }
 
     /// The statement's shape, once the proxy has admitted it (from the
@@ -105,6 +116,7 @@ impl RewrittenQuery {
         let shape = self.shape.as_ref().filter(|_| self.shape_hit)?;
         Some(ServerStatement {
             shape: shape.id(),
+            lifted: self.lifted.clone(),
             draws: self.draws.clone(),
             template: (resend || !shape.announced()).then(|| shape.template().to_string()),
         })
@@ -137,8 +149,11 @@ pub struct SdbProxy {
     key_updates: KeyUpdateMemo,
     oracle_parts: Arc<OracleParts>,
     decryptor: Decryptor,
-    /// Cached rewrites by application SQL text.
+    /// Cached rewrites by lexed form.
     shapes: ShapeCache,
+    /// The lower-case names of the columns a literal lifts beside: public
+    /// in every uploaded table that has a column of the name.
+    public_columns: HashSet<String>,
 }
 
 impl std::fmt::Debug for SdbProxy {
@@ -182,6 +197,7 @@ impl SdbProxy {
             metas: BTreeMap::new(),
             drbg: Mutex::new(drbg),
             shapes: ShapeCache::default(),
+            public_columns: HashSet::new(),
         })
     }
 
@@ -244,6 +260,14 @@ impl SdbProxy {
         memo.grow(table.num_rows() * (keys.columns.len() + 1));
         self.metas
             .insert(upload.meta.name.clone(), upload.meta.clone());
+        let columns = || self.metas.values().flat_map(|meta| &meta.columns);
+        let sensitive: HashSet<&str> = (columns().filter(|c| c.sensitive))
+            .map(|c| c.name.as_str())
+            .collect();
+        self.public_columns = (columns())
+            .filter(|c| !sensitive.contains(c.name.as_str()))
+            .map(|c| c.name.to_ascii_lowercase())
+            .collect();
         Ok(upload)
     }
 
@@ -264,25 +288,30 @@ impl SdbProxy {
     }
 
     /// Parses and rewrites one application SELECT statement (demo step 2), or
-    /// replays its cached shape.
+    /// replays its cached shape. The text a shape was admitted from replays
+    /// it as it is; any other text is lexed once: its lexed form, with the
+    /// public literals lifted, names the shape, and on a miss is what is
+    /// parsed.
     pub fn rewrite(&self, sql: &str) -> Result<RewrittenQuery> {
-        if let Some(shape) = self.shapes.get(sql) {
-            return self.replay(sql, shape);
+        if let Some((shape, lifted)) = self.shapes.get_text(sql) {
+            return self.replay(sql, shape, lifted, Duration::ZERO);
         }
         let parse_started = Instant::now();
-        if sql.contains('$')
-            && Lexer::new(sql)
-                .tokenize()?
-                .iter()
-                .any(|t| matches!(t, Token::Param(_)))
-        {
+        let tokens = Lexer::new(sql).tokenize()?;
+        if tokens.iter().any(|t| matches!(t, Token::Param(_))) {
             return Err(ProxyError::UnsupportedSensitiveOperation {
                 detail: "statement parameters ($i) are not accepted from the application".into(),
             });
         }
-        let statement = parse_sql(sql)?;
+        let (key, literals) = lift_literals(tokens, |c| self.public_columns.contains(c));
+        let lifted: Vec<String> = literals.iter().map(ToString::to_string).collect();
+        let lexed = parse_started.elapsed();
+        if let Some(shape) = self.shapes.get(&key) {
+            return self.replay(sql, shape, lifted, lexed);
+        }
+        let statement = parse_tokens(key.clone())?;
         let parse_time = parse_started.elapsed();
-        let Statement::Query(query) = statement else {
+        let Statement::Query(mut query) = statement else {
             return Err(ProxyError::UnsupportedSensitiveOperation {
                 detail: "only SELECT statements are rewritten; use upload_table / encrypt_rows for DDL and DML"
                     .into(),
@@ -299,17 +328,31 @@ impl SdbProxy {
             session.clone(),
             self.task_rng(),
         );
+        // Slots the rewriter does not copy as written go back to literals,
+        // and the statement is never admitted under its lexed form.
+        let (admissible, lifted) = if literals.is_empty() || rewriter.lift(&query, literals.len()) {
+            (true, lifted)
+        } else {
+            query = query.bind_params(&literals)?;
+            (false, Vec::new())
+        };
         let output = rewriter.rewrite_query(&query)?;
         let rewrite_time = rewrite_started.elapsed();
         let template = output.server_query.to_string();
-        let (server_sql, shape) = if self.shapes.sighted(sql) {
-            let shape = Arc::new(Shape::new(template, output.plan.clone(), output.tape));
-            self.shapes.admit(sql, &shape);
-            (shape.splice(&output.draws), Some(shape))
-        } else if output.draws.is_empty() {
+        let (server_sql, shape) = if admissible && self.shapes.sighted(&key) {
+            let shape = Arc::new(Shape::new(
+                template,
+                &literals,
+                output.plan.clone(),
+                output.tape,
+            ));
+            self.shapes.admit(key, sql, &lifted, &shape);
+            (shape.splice(&lifted, &output.draws), Some(shape))
+        } else if output.draws.is_empty() && lifted.is_empty() {
             (template, None)
         } else {
-            (Template::new(template).splice(&output.draws), None)
+            let template = Template::new(template, lifted.len());
+            (template.splice(&lifted, &output.draws), None)
         };
 
         Ok(RewrittenQuery {
@@ -321,14 +364,23 @@ impl SdbProxy {
             rewrite_time,
             shape_hit: false,
             shape,
+            lifted,
             draws: output.draws,
         })
     }
 
-    /// Replays `shape` for this execution: the draws of the query's own
-    /// RNG, the handles registered in order, the slots spliced in. Like a
-    /// cold rewrite's, the rewrite time ends before the text is rendered.
-    fn replay(&self, sql: &str, shape: Arc<Shape>) -> Result<RewrittenQuery> {
+    /// Replays `shape` for this execution, whose lifted literals render as
+    /// `lifted` and whose lexing took `parse_time` (none, when the text is
+    /// the one the shape was admitted from): the draws of the query's
+    /// own RNG, the handles registered in order, the slots spliced in. Like
+    /// a cold rewrite's, the rewrite time ends before the text is rendered.
+    fn replay(
+        &self,
+        sql: &str,
+        shape: Arc<Shape>,
+        lifted: Vec<String>,
+        parse_time: Duration,
+    ) -> Result<RewrittenQuery> {
         let started = Instant::now();
         let session = Arc::new(QuerySession::new());
         let mut rng = self.task_rng();
@@ -338,13 +390,14 @@ impl SdbProxy {
         let rewrite_time = started.elapsed();
         Ok(RewrittenQuery {
             original_sql: sql.to_string(),
-            server_sql: shape.splice(&draws),
+            server_sql: shape.splice(&lifted, &draws),
             plan: shape.plan().clone(),
             session,
-            parse_time: Duration::ZERO,
+            parse_time,
             rewrite_time,
             shape_hit: true,
             shape: Some(shape),
+            lifted,
             draws,
         })
     }

@@ -141,6 +141,45 @@ impl<'a> Rewriter<'a> {
         }
     }
 
+    /// Whether every slot `$0 … $(slots − 1)` of `query` (the lifted
+    /// literals of its lexed form, `sdb_sql::lift`) stands alone on one side
+    /// of a `=` conjunct at the top level of its `WHERE`, with a public
+    /// column of its tables alone on the other: a place the rewrite copies
+    /// as written. If so, the rewrite numbers its key updates' slots after
+    /// them; if not, the caller binds the literals back before rewriting.
+    pub fn lift(&self, query: &Query, slots: usize) -> bool {
+        let (Ok(bindings), Some(predicate)) = (self.resolve_bindings(query), &query.where_clause)
+        else {
+            return false;
+        };
+        let mut conjuncts = vec![predicate];
+        let mut placed = vec![false; slots];
+        while let Some(conjunct) = conjuncts.pop() {
+            let Expr::Binary { left, op, right } = conjunct else {
+                continue;
+            };
+            let (column, slot) = match (op, left.as_ref(), right.as_ref()) {
+                (BinaryOp::And, _, _) => {
+                    conjuncts.extend([left.as_ref(), right.as_ref()]);
+                    continue;
+                }
+                (BinaryOp::Eq, Expr::Column(column), Expr::Param(slot))
+                | (BinaryOp::Eq, Expr::Param(slot), Expr::Column(column)) => (column, *slot),
+                _ => continue,
+            };
+            let public =
+                (self.resolve_column(column, &bindings)).is_some_and(|(_, c)| !c.sensitive);
+            if let Some(placed) = placed.get_mut(slot).filter(|_| public) {
+                *placed = true;
+            }
+        }
+        let lifted = placed.iter().all(|&placed| placed);
+        if lifted {
+            self.tape.borrow_mut().lift(slots);
+        }
+        lifted
+    }
+
     /// Rewrites a SELECT query.
     pub fn rewrite_query(&self, query: &Query) -> Result<RewriteOutput> {
         let bindings = self.resolve_bindings(query)?;

@@ -2,16 +2,28 @@
 //! execution of the same application SQL replays it instead of parsing and
 //! rewriting again.
 //!
-//! Two rewrites of one statement differ only in their randomness: the fresh
-//! target keys the rewriter draws for EE additions and pushed encrypted
-//! `SUM`s, and through them the `p` and `q` of the `SDB_KEY_UPDATE` calls
-//! onto those targets and the keys behind the query's handles. A [`Shape`]
-//! therefore holds
+//! A statement is known by its lexed form (`sdb_sql::lift`): its tokens,
+//! with each literal compared by `=` with a public column at the top level
+//! of its `WHERE` lifted into a numbered slot of its class. So statements
+//! that differ only in the key they look up are one statement: the lookup
+//! lexes the text once and parses nothing. The rewriter copies a lifted
+//! literal into the server query as written, and checks on the cold rewrite
+//! that every slot sits where the lift put it (`Rewriter::lift`); a
+//! statement whose slots fail that check is rewritten with its literals in
+//! place and never admitted.
+//!
+//! Two rewrites of one statement differ only in their randomness — the
+//! fresh target keys the rewriter draws for EE additions and pushed
+//! encrypted `SUM`s, and through them the `p` and `q` of the
+//! `SDB_KEY_UPDATE` calls onto those targets and the keys behind the
+//! query's handles — and in their lifted literals. A [`Shape`] therefore
+//! holds
 //!
 //! * the server query as a `Template`: its text with a numbered `$i` slot
-//!   for each key update's `p` (slot `2k`) and `q` (slot `2k + 1`), one pair
-//!   per distinct (source, auxiliary, target) key triple, so two call sites
-//!   that render the same text share their slots;
+//!   for each lifted literal (slots `0 … L − 1`, in the statement's order),
+//!   then for each key update's `p` (slot `L + 2k`) and `q` (slot
+//!   `L + 2k + 1`), one pair per distinct (source, auxiliary, target) key
+//!   triple, so two call sites that render the same text share their slots;
 //! * the [`ResultPlan`], whose handle names are the same on every replay;
 //! * a `Tape` of the key algebra the rewrite ran: keys read from the key
 //!   store, keys drawn afresh, products and constant scalings of earlier
@@ -21,10 +33,11 @@
 //! proxy's `Drbg`), so it draws what a cold rewrite with the same fork draws,
 //! in the same order, and never reuses randomness. It inverts the key updates'
 //! targets in one batch, computes every slot, registers the handles in order
-//! and splices the slots into the template: the server SQL is byte for byte
-//! the cold rewrite's.
+//! and splices the slots into the template — each lifted literal as its own
+//! SQL rendering, each draw as a string literal: the server SQL is byte for
+//! byte the cold rewrite's.
 //!
-//! The `ShapeCache` admits a text on its second sighting and holds a
+//! The `ShapeCache` admits a lexed form on its second sighting and holds a
 //! bounded number of shapes: when it is full, the shapes no execution has
 //! replayed since the last such sweep go (all of them, if every shape was
 //! replayed). Uploading a table changes the key store and empties it.
@@ -41,6 +54,7 @@ use parking_lot::{Mutex, RwLock};
 
 use sdb_crypto::share::ColumnKeyAlgebra;
 use sdb_crypto::{mod_inverse_batch, ColumnKey, Drbg, KeyUpdateMemo, SystemKey};
+use sdb_sql::{Literal, Token};
 
 use crate::meta::PlainType;
 use crate::plan::ResultPlan;
@@ -228,9 +242,16 @@ pub(crate) struct TapeRecorder {
     keys: Vec<ColumnKey>,
     /// Key-update slots by their (source, auxiliary, target) keys.
     updates: HashMap<[ColumnKey; 3], usize>,
+    /// Slots the lifted literals take before the key updates'.
+    lifted: usize,
 }
 
 impl TapeRecorder {
+    /// Numbers the key updates' slots after `slots` lifted literals.
+    pub(crate) fn lift(&mut self, slots: usize) {
+        self.lifted = slots;
+    }
+
     fn step(&mut self, step: KeyStep, system: &SystemKey, rng: &mut Drbg) -> usize {
         let key = step.run(&self.keys, system, rng);
         self.tape.steps.push(step);
@@ -275,7 +296,8 @@ impl TapeRecorder {
         self.step(KeyStep::Scale(a, c.clone()), system, rng)
     }
 
-    /// The slots `(p, q)` of the key update `source → target` through `aux`.
+    /// The slots `(p, q)` of the key update `source → target` through `aux`
+    /// (numbered after the lifted literals').
     pub(crate) fn key_update(
         &mut self,
         source: usize,
@@ -288,7 +310,8 @@ impl TapeRecorder {
         if update == next {
             self.tape.updates.push([source, aux, target]);
         }
-        (2 * update, 2 * update + 1)
+        let p = self.lifted + 2 * update;
+        (p, p + 1)
     }
 
     /// Registers a handle over key `key` in `session`, and records it.
@@ -315,16 +338,18 @@ impl TapeRecorder {
     }
 }
 
-/// A server query's text with a numbered `$i` where each slot goes.
+/// A server query's text with a numbered `$i` where each slot goes: the
+/// first `lifted` slots take lifted literals, the others draws.
 #[derive(Debug, Clone)]
 pub(crate) struct Template {
     text: String,
     /// The byte range and slot number of every `$i` outside string literals.
     slots: Vec<(usize, usize, usize)>,
+    lifted: usize,
 }
 
 impl Template {
-    pub(crate) fn new(text: String) -> Template {
+    pub(crate) fn new(text: String, lifted: usize) -> Template {
         let bytes = text.as_bytes();
         let mut slots = Vec::new();
         let (mut i, mut quoted) = (0, false);
@@ -346,7 +371,11 @@ impl Template {
             }
             i += 1;
         }
-        Template { text, slots }
+        Template {
+            text,
+            slots,
+            lifted,
+        }
     }
 
     /// The template text.
@@ -354,16 +383,23 @@ impl Template {
         &self.text
     }
 
-    /// The text with each slot's value in it as a string literal.
-    pub(crate) fn splice(&self, draws: &[String]) -> String {
-        let extra: usize = draws.iter().map(|d| d.len() + 2).sum();
+    /// The text with each lifted literal's SQL rendering (`lifted`) and
+    /// each draw, as a string literal, in its slot.
+    pub(crate) fn splice(&self, lifted: &[String], draws: &[String]) -> String {
+        debug_assert_eq!(lifted.len(), self.lifted, "one literal per lifted slot");
+        let extra: usize = (lifted.iter().chain(draws)).map(|d| d.len() + 2).sum();
         let mut out = String::with_capacity(self.text.len() + extra);
         let mut at = 0;
         for &(start, end, slot) in &self.slots {
             out.push_str(&self.text[at..start]);
-            out.push('\'');
-            out.push_str(&draws[slot].replace('\'', "''"));
-            out.push('\'');
+            match slot.checked_sub(self.lifted) {
+                None => out.push_str(&lifted[slot]),
+                Some(draw) => {
+                    out.push('\'');
+                    out.push_str(&draws[draw].replace('\'', "''"));
+                    out.push('\'');
+                }
+            }
             at = end;
         }
         out.push_str(&self.text[at..]);
@@ -371,9 +407,10 @@ impl Template {
     }
 }
 
-/// A cached rewrite of one application SQL text.
+/// A cached rewrite of one application statement.
 pub struct Shape {
-    /// The hash of the template text: the shape's name at the SP.
+    /// The hash of the template text and its lifted slots' classes: the
+    /// shape's name at the SP.
     id: u64,
     template: Template,
     plan: ResultPlan,
@@ -388,6 +425,7 @@ impl std::fmt::Debug for Shape {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shape")
             .field("id", &format_args!("{:016x}", self.id))
+            .field("lifted", &self.template.lifted)
             .field("slots", &(2 * self.tape.updates.len()))
             .field("key_steps", &self.tape.steps.len())
             .field("handles", &self.tape.handles.len())
@@ -397,13 +435,17 @@ impl std::fmt::Debug for Shape {
 
 impl Shape {
     /// The shape of a rewrite: its server query rendered with `$i` slots,
-    /// its result plan and its tape.
-    pub(crate) fn new(template: String, plan: ResultPlan, tape: Tape) -> Shape {
+    /// the literals lifted into the first ones (their classes, not their
+    /// values, are the shape's), its result plan and its tape.
+    pub(crate) fn new(template: String, lifted: &[Literal], plan: ResultPlan, tape: Tape) -> Shape {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         template.hash(&mut hasher);
+        for literal in lifted {
+            literal.class().hash(&mut hasher);
+        }
         Shape {
             id: hasher.finish(),
-            template: Template::new(template),
+            template: Template::new(template, lifted.len()),
             plan,
             tape,
             announced: AtomicBool::new(false),
@@ -429,13 +471,13 @@ impl Shape {
         &self.tape
     }
 
-    pub(crate) fn splice(&self, draws: &[String]) -> String {
-        self.template.splice(draws)
+    pub(crate) fn splice(&self, lifted: &[String], draws: &[String]) -> String {
+        self.template.splice(lifted, draws)
     }
 
-    /// For each slot, whether its value depends on a key drawn afresh (so
-    /// it differs between two executions); the others are fixed by the key
-    /// store.
+    /// For each draw's slot, whether its value depends on a key drawn
+    /// afresh (so it differs between two executions); the others are fixed
+    /// by the key store.
     pub fn drawn_slots(&self) -> Vec<bool> {
         self.tape.drawn_slots()
     }
@@ -465,28 +507,60 @@ const SHAPES: usize = 256;
 /// Texts seen once the cache remembers before it starts over.
 const SIGHTINGS: usize = 4096;
 
-/// The proxy's shapes, by application SQL text.
+/// The proxy's shapes, by the lexed form of the application statement (its
+/// tokens, with the lifted literals as slots).
 #[derive(Default)]
 pub(crate) struct ShapeCache {
-    shapes: RwLock<HashMap<String, Arc<Shape>>>,
-    /// Hashes of texts seen once.
+    shapes: RwLock<Held>,
+    /// Hashes of lexed forms seen once.
     sighted: Mutex<HashSet<u64>>,
 }
 
+/// The shapes a [`ShapeCache`] holds.
+#[derive(Default)]
+struct Held {
+    /// Every shape, by lexed form.
+    by_key: HashMap<Vec<Token>, Arc<Shape>>,
+    /// The text each shape was admitted from, with its lifted literals'
+    /// renderings: that text sent again as it was is served without lexing
+    /// it (a workload's fixed statements are; a lookup on a new key is
+    /// not).
+    by_text: HashMap<String, (Arc<Shape>, Vec<String>)>,
+}
+
+/// Approximate bytes of a lexed form.
+fn key_bytes(key: &[Token]) -> usize {
+    let text: usize = (key.iter())
+        .map(|token| match token {
+            Token::Ident(s) | Token::Str(s) => s.len(),
+            _ => 0,
+        })
+        .sum();
+    text + std::mem::size_of_val(key)
+}
+
 impl ShapeCache {
-    /// The shape of `sql`, if admitted, counted as replayed.
-    pub(crate) fn get(&self, sql: &str) -> Option<Arc<Shape>> {
-        let shape = self.shapes.read().get(sql).cloned()?;
+    /// The shape of the lexed form `key`, if admitted, counted as replayed.
+    pub(crate) fn get(&self, key: &[Token]) -> Option<Arc<Shape>> {
+        let shape = self.shapes.read().by_key.get(key).cloned()?;
         shape.replays.fetch_add(1, Ordering::Relaxed);
         Some(shape)
     }
 
-    /// Records a cold rewrite of `sql`: true on the text's second sighting,
-    /// when the caller admits its shape, false on the first, which is only
-    /// remembered.
-    pub(crate) fn sighted(&self, sql: &str) -> bool {
+    /// The shape `sql` was admitted from and the renderings of its lifted
+    /// literals, if `sql` is that very text, counted as replayed.
+    pub(crate) fn get_text(&self, sql: &str) -> Option<(Arc<Shape>, Vec<String>)> {
+        let (shape, lifted) = self.shapes.read().by_text.get(sql).cloned()?;
+        shape.replays.fetch_add(1, Ordering::Relaxed);
+        Some((shape, lifted))
+    }
+
+    /// Records a cold rewrite of the lexed form `key`: true on its second
+    /// sighting, when the caller admits its shape, false on the first,
+    /// which is only remembered.
+    pub(crate) fn sighted(&self, key: &[Token]) -> bool {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        sql.hash(&mut hasher);
+        key.hash(&mut hasher);
         let sighting = hasher.finish();
         let mut sighted = self.sighted.lock();
         if sighted.remove(&sighting) {
@@ -499,48 +573,58 @@ impl ShapeCache {
         false
     }
 
-    /// Holds `shape` for `sql`. A full cache first sweeps out the shapes no
-    /// execution replayed since its last sweep, or every shape if all were;
-    /// they are dropped after the lock is released.
-    pub(crate) fn admit(&self, sql: &str, shape: &Arc<Shape>) {
-        let mut shapes = self.shapes.write();
-        let swept: Vec<(String, Arc<Shape>)> = if shapes.len() >= SHAPES {
+    /// Holds `shape` for the lexed form `key`, admitted from the text `sql`
+    /// whose lifted literals render as `lifted`. A full cache first sweeps
+    /// out the shapes no execution replayed since its last sweep, or every
+    /// shape if all were; they are dropped after the lock is released.
+    pub(crate) fn admit(&self, key: Vec<Token>, sql: &str, lifted: &[String], shape: &Arc<Shape>) {
+        let mut held = self.shapes.write();
+        let swept: Vec<(Vec<Token>, Arc<Shape>)> = if held.by_key.len() >= SHAPES {
             let unused =
-                shapes.extract_if(|_, shape| shape.replays.swap(0, Ordering::Relaxed) == 0);
+                (held.by_key).extract_if(|_, shape| shape.replays.swap(0, Ordering::Relaxed) == 0);
             let mut swept: Vec<_> = unused.collect();
-            if shapes.len() >= SHAPES {
-                swept.extend(shapes.drain());
+            if held.by_key.len() >= SHAPES {
+                swept.extend(held.by_key.drain());
             }
+            let gone: HashSet<*const Shape> = swept.iter().map(|(_, s)| Arc::as_ptr(s)).collect();
+            (held.by_text).retain(|_, (shape, _)| !gone.contains(&Arc::as_ptr(shape)));
             swept
         } else {
             Vec::new()
         };
-        shapes.insert(sql.to_string(), Arc::clone(shape));
-        drop(shapes);
+        held.by_key.insert(key, Arc::clone(shape));
+        (held.by_text).insert(sql.to_string(), (Arc::clone(shape), lifted.to_vec()));
+        drop(held);
         drop(swept);
     }
 
     /// Forgets every shape and sighting.
     pub(crate) fn clear(&self) {
-        self.shapes.write().clear();
+        *self.shapes.write() = Held::default();
         self.sighted.lock().clear();
     }
 
     /// Shapes held.
     pub(crate) fn len(&self) -> usize {
-        self.shapes.read().len()
+        self.shapes.read().by_key.len()
     }
 
-    /// Approximate bytes the shapes hold, their texts as keys included.
+    /// Approximate bytes the shapes hold, their lexed forms and admitting
+    /// texts as keys included.
     pub(crate) fn approx_bytes(&self) -> usize {
-        (self.shapes.read().iter())
-            .map(|(sql, shape)| sql.len() + shape.approx_bytes())
-            .sum()
+        let held = self.shapes.read();
+        let shapes: usize = (held.by_key.iter())
+            .map(|(key, shape)| key_bytes(key) + shape.approx_bytes())
+            .sum();
+        let texts: usize = (held.by_text.iter())
+            .map(|(sql, (_, lifted))| sql.len() + lifted.iter().map(String::len).sum::<usize>())
+            .sum();
+        shapes + texts
     }
 
     /// Every held template's text (for leakage scans).
     pub(crate) fn templates(&self) -> Vec<String> {
-        (self.shapes.read().values())
+        (self.shapes.read().by_key.values())
             .map(|shape| shape.template().to_string())
             .collect()
     }
@@ -550,72 +634,108 @@ impl ShapeCache {
 mod tests {
     use super::*;
 
+    fn key(sql: &str) -> Vec<Token> {
+        sdb_sql::Lexer::new(sql).tokenize().unwrap()
+    }
+
+    fn shape() -> Arc<Shape> {
+        Arc::new(Shape::new(
+            String::new(),
+            &[],
+            ResultPlan::default(),
+            Tape::default(),
+        ))
+    }
+
     #[test]
     fn a_template_splices_slots_outside_string_literals_only() {
-        let template = Template::new("SELECT F(a, $0, $1, '$0 it''s', $10) FROM t".into());
+        let template = Template::new("SELECT F(a, $0, $1, '$0 it''s', $10) FROM t".into(), 0);
         assert_eq!(template.slots.len(), 3);
         let draws: Vec<String> = (0..11).map(|i| format!("{}", 100 + i)).collect();
         assert_eq!(
-            template.splice(&draws),
+            template.splice(&[], &draws),
             "SELECT F(a, '100', '101', '$0 it''s', '110') FROM t"
         );
-        let plain = Template::new("SELECT a FROM t".into());
-        assert_eq!(plain.splice(&[]), "SELECT a FROM t");
+        let plain = Template::new("SELECT a FROM t".into(), 0);
+        assert_eq!(plain.splice(&[], &[]), "SELECT a FROM t");
+    }
+
+    #[test]
+    fn lifted_slots_take_their_literal_as_written_and_draws_follow() {
+        let template = Template::new("SELECT F(a, $2) FROM t WHERE k = $0 AND s = $1".into(), 2);
+        let lifted = ["4231".to_string(), "'it''s'".to_string()];
+        assert_eq!(
+            template.splice(&lifted, &["7".to_string()]),
+            "SELECT F(a, '7') FROM t WHERE k = 4231 AND s = 'it''s'"
+        );
+    }
+
+    #[test]
+    fn a_slots_class_is_part_of_the_shape_id() {
+        let with = |literal: Literal| {
+            let tape = Tape::default();
+            Shape::new("k = $0".into(), &[literal], ResultPlan::default(), tape).id()
+        };
+        assert_ne!(with(Literal::Int(7)), with(Literal::Str("7".into())));
+        assert_eq!(with(Literal::Int(7)), with(Literal::Int(4231)));
     }
 
     #[test]
     fn a_text_is_admitted_on_its_second_sighting() {
         let cache = ShapeCache::default();
-        let shape = Arc::new(Shape::new(
-            String::new(),
-            ResultPlan::default(),
-            Tape::default(),
-        ));
-        assert!(!cache.sighted("SELECT 1"));
-        assert!(cache.get("SELECT 1").is_none());
-        assert!(cache.sighted("SELECT 1"));
-        cache.admit("SELECT 1", &shape);
-        assert!(cache.get("SELECT 1").is_some());
+        let sql = key("SELECT 1");
+        assert!(!cache.sighted(&sql));
+        assert!(cache.get(&sql).is_none());
+        assert!(cache.sighted(&sql));
+        cache.admit(sql.clone(), "SELECT 1", &[], &shape());
+        assert!(cache.get(&sql).is_some());
+        assert!(cache.get(&key("SELECT   1 -- the same tokens")).is_some());
+        assert!(cache.get_text("SELECT 1").is_some(), "the admitting text");
+        assert!(
+            cache.get_text("SELECT  1").is_none(),
+            "another text is lexed"
+        );
         assert_eq!(cache.len(), 1);
         assert!(cache.approx_bytes() > 0);
         cache.clear();
-        assert!(cache.get("SELECT 1").is_none());
-        assert!(!cache.sighted("SELECT 1"), "sightings start over too");
+        assert!(cache.get(&sql).is_none());
+        assert!(cache.get_text("SELECT 1").is_none());
+        assert!(!cache.sighted(&sql), "sightings start over too");
     }
 
     #[test]
     fn the_cache_is_bounded() {
         let cache = ShapeCache::default();
-        let shape = || {
-            Arc::new(Shape::new(
-                String::new(),
-                ResultPlan::default(),
-                Tape::default(),
-            ))
-        };
         let admit = |cache: &ShapeCache, sql: &str| {
-            let admitted = cache.sighted(sql) || cache.sighted(sql);
-            cache.admit(sql, &shape());
+            let lexed = key(sql);
+            let admitted = cache.sighted(&lexed) || cache.sighted(&lexed);
+            cache.admit(lexed, sql, &[], &shape());
             admitted
         };
         for i in 0..SHAPES {
             assert!(admit(&cache, &format!("SELECT {i}")));
         }
-        assert!(cache.get("SELECT 0").is_some(), "replayed");
+        assert!(cache.get(&key("SELECT 0")).is_some(), "replayed");
         assert!(admit(&cache, "SELECT new"));
         assert_eq!(cache.len(), 2, "a sweep keeps the replayed shape");
-        assert!(cache.get("SELECT 0").is_some());
+        assert!(cache.get(&key("SELECT 0")).is_some());
+        assert!(cache.get_text("SELECT 0").is_some(), "and its text");
+        assert!(
+            cache.get_text("SELECT 1").is_none(),
+            "a swept shape's text goes"
+        );
+        assert_eq!(cache.shapes.read().by_text.len(), 2);
 
         let busy = ShapeCache::default();
         for i in 0..SHAPES {
             let sql = format!("SELECT {i}");
             assert!(admit(&busy, &sql));
-            assert!(busy.get(&sql).is_some());
+            assert!(busy.get(&key(&sql)).is_some());
         }
         assert!(admit(&busy, "SELECT new"));
         assert_eq!(busy.len(), 1, "every shape replayed: the cache starts over");
         for i in 0..(SIGHTINGS + 3) {
-            cache.sighted(&format!("SELECT a{i}"));
+            cache.sighted(&key(&format!("SELECT a{i}")));
         }
         assert!(cache.sighted.lock().len() <= SIGHTINGS);
     }

@@ -61,6 +61,35 @@ impl fmt::Display for Literal {
     }
 }
 
+/// The class of a literal a statement slot takes: a lifted literal
+/// (see [`crate::lift`]) keeps its class, so two statements whose literals
+/// differ only in value share a slot, and two that differ in class do not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LiteralClass {
+    /// An integer literal.
+    Int,
+    /// A decimal literal.
+    Decimal,
+    /// A string literal.
+    Str,
+    /// A `DATE '…'` literal.
+    Date,
+}
+
+impl Literal {
+    /// The slot class of the literal; `None` for `NULL` and the booleans,
+    /// which never fill a slot.
+    pub fn class(&self) -> Option<LiteralClass> {
+        match self {
+            Literal::Int(_) => Some(LiteralClass::Int),
+            Literal::Decimal { .. } => Some(LiteralClass::Decimal),
+            Literal::Str(_) => Some(LiteralClass::Str),
+            Literal::Date(_) => Some(LiteralClass::Date),
+            Literal::Null | Literal::Bool(_) => None,
+        }
+    }
+}
+
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BinaryOp {
@@ -346,15 +375,15 @@ impl Expr {
         });
     }
 
-    /// The expression with every [`Expr::Param`] `$i` replaced by the string
+    /// The expression with every [`Expr::Param`] `$i` replaced by the
     /// literal `params[i]`, subquery bodies included. Fails on a parameter
     /// number `params` does not cover.
-    pub fn bind_params(&self, params: &[String]) -> Result<Expr, crate::SqlError> {
+    pub fn bind_params(&self, params: &[Literal]) -> Result<Expr, crate::SqlError> {
         let bind = |e: &Expr| e.bind_params(params);
         let boxed = |e: &Expr| bind(e).map(Box::new);
         Ok(match self {
             Expr::Param(i) => match params.get(*i) {
-                Some(value) => Expr::Literal(Literal::Str(value.clone())),
+                Some(value) => Expr::Literal(value.clone()),
                 None => {
                     return Err(crate::SqlError::Plan {
                         detail: format!("parameter ${i} is not bound"),
@@ -712,7 +741,7 @@ pub struct Query {
 
 impl Query {
     /// The query with every [`Expr::Param`] bound (see [`Expr::bind_params`]).
-    pub fn bind_params(&self, params: &[String]) -> Result<Query, crate::SqlError> {
+    pub fn bind_params(&self, params: &[Literal]) -> Result<Query, crate::SqlError> {
         let bind = |e: &Expr| e.bind_params(params);
         Ok(Query {
             distinct: self.distinct,

@@ -2,10 +2,11 @@
 
 use std::fmt;
 
+use crate::ast::LiteralClass;
 use crate::{Result, SqlError};
 
 /// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Token {
     /// Keyword or identifier (keywords are recognised by the parser, not the lexer,
     /// except that the lexer upper-cases nothing — the raw text is preserved).
@@ -18,6 +19,10 @@ pub enum Token {
     Str(String),
     /// A numbered statement parameter, `$i`.
     Param(usize),
+    /// Slot `i` of a lifted literal of the given class (never lexed from
+    /// text: [`crate::lift::lift_literals`] puts it in place of the
+    /// literal). It parses as the parameter `$i`.
+    Slot(usize, LiteralClass),
     /// `(`
     LParen,
     /// `)`
@@ -70,7 +75,7 @@ impl fmt::Display for Token {
                 )
             }
             Token::Str(s) => write!(f, "'{s}'"),
-            Token::Param(i) => write!(f, "${i}"),
+            Token::Param(i) | Token::Slot(i, _) => write!(f, "${i}"),
             Token::LParen => write!(f, "("),
             Token::RParen => write!(f, ")"),
             Token::Comma => write!(f, ","),

@@ -23,17 +23,19 @@ pub mod ast;
 pub mod dates;
 pub mod error;
 pub mod lexer;
+pub mod lift;
 pub mod parser;
 pub mod plan;
 
 pub use ast::{
-    BinaryOp, ColumnDefAst, Expr, JoinClause, JoinKind, Literal, OrderItem, Query, SelectItem,
-    Statement, TableRef, UnaryOp,
+    BinaryOp, ColumnDefAst, Expr, JoinClause, JoinKind, Literal, LiteralClass, OrderItem, Query,
+    SelectItem, Statement, TableRef, UnaryOp,
 };
 pub use error::SqlError;
 pub use lexer::{Lexer, Token};
+pub use lift::{lift_literals, parse_literal};
 pub use parser::parse_statements;
-pub use parser::{parse_sql, Parser, MAX_NESTING};
+pub use parser::{parse_sql, parse_tokens, Parser, MAX_NESTING};
 pub use plan::{AggFunc, AggregateExpr, LogicalPlan, PlanBuilder, ProjectionItem, SortKey};
 
 /// Library result alias.

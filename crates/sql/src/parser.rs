@@ -12,7 +12,12 @@ use crate::{Result, SqlError};
 
 /// Parses a SQL string into a single statement.
 pub fn parse_sql(sql: &str) -> Result<Statement> {
-    let tokens = Lexer::new(sql).tokenize()?;
+    parse_tokens(Lexer::new(sql).tokenize()?)
+}
+
+/// Parses a lexed statement (ending with [`Token::Eof`]) into a single
+/// statement.
+pub fn parse_tokens(tokens: Vec<Token>) -> Result<Statement> {
     let mut parser = Parser::new(tokens);
     let stmt = parser.parse_statement()?;
     parser.expect_end()?;
@@ -561,7 +566,7 @@ impl Parser {
             Token::Int(v) => Ok(Expr::Literal(Literal::Int(v))),
             Token::Decimal(units, scale) => Ok(Expr::Literal(Literal::Decimal { units, scale })),
             Token::Str(s) => Ok(Expr::Literal(Literal::Str(s))),
-            Token::Param(i) => Ok(Expr::Param(i)),
+            Token::Param(i) | Token::Slot(i, _) => Ok(Expr::Param(i)),
             Token::LParen => {
                 // Parenthesised expression or scalar subquery.
                 if self.peek_keyword("SELECT") {

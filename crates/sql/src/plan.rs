@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ast::{is_aggregate_name, Expr, JoinKind, Query, SelectItem};
+use crate::ast::{is_aggregate_name, Expr, JoinKind, Literal, Query, SelectItem};
 use crate::{Result, SqlError};
 
 /// Aggregate functions.
@@ -143,11 +143,11 @@ pub enum LogicalPlan {
 }
 
 impl LogicalPlan {
-    /// The plan with every [`Expr::Param`] bound to its string literal (see
+    /// The plan with every [`Expr::Param`] bound to its literal (see
     /// [`Expr::bind_params`]). Names derived from expressions, such as an
     /// aggregate's output name, keep the `$i` text they were built with, so
     /// every reference to them still resolves.
-    pub fn bind_params(&self, params: &[String]) -> Result<LogicalPlan> {
+    pub fn bind_params(&self, params: &[Literal]) -> Result<LogicalPlan> {
         let bind = |e: &Expr| e.bind_params(params);
         let input = |plan: &LogicalPlan| plan.bind_params(params).map(Box::new);
         Ok(match self {

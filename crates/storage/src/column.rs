@@ -210,19 +210,33 @@ impl Column {
         (0..self.len()).map(move |idx| cells.value(idx))
     }
 
-    /// The cells as a value buffer, whatever holds them now: a column of
-    /// shares materialises every cell (a non-share is being appended).
-    fn values_mut(&mut self) -> &mut Vec<Value> {
+    /// The cells as a value buffer this column alone holds, to append
+    /// `extra` values to. A buffer another column shares, a window, or a
+    /// column of shares (a non-share is being appended; every cell is
+    /// materialised) is copied once into a buffer with room for `extra`
+    /// values or as many again as it holds, whichever is more — the room
+    /// `Vec` would grow to — so the append that forced the copy does not
+    /// move the column a second time.
+    fn values_mut(&mut self, extra: usize) -> &mut Vec<Value> {
         let owned = match &self.cells {
             Cells::Values {
                 buffer,
                 offset,
                 len,
-            } => *offset == 0 && *len == buffer.len(),
+            } => {
+                let unique = Arc::strong_count(buffer) == 1 && Arc::weak_count(buffer) == 0;
+                *offset == 0 && *len == buffer.len() && unique
+            }
             Cells::Shares(_) => false,
         };
         if !owned {
-            *self = Column::value_buffer(self.data_type, self.to_values());
+            let len = self.len();
+            let mut values = Vec::with_capacity(len + extra.max(len));
+            match self.cells() {
+                ColumnCells::Values(cells) => values.extend_from_slice(cells),
+                ColumnCells::Shares(shares) => values.extend((0..len).map(|row| shares.value(row))),
+            }
+            *self = Column::value_buffer(self.data_type, values);
         }
         match &mut self.cells {
             Cells::Values { buffer, .. } => Arc::make_mut(buffer),
@@ -255,21 +269,9 @@ impl Column {
                 self.cells = Cells::Shares(shares);
                 return;
             }
-            (
-                Cells::Values {
-                    buffer,
-                    offset: 0,
-                    len,
-                },
-                _,
-            ) if *len == buffer.len() => {
-                Arc::make_mut(buffer).push(value);
-                *len += 1;
-                return;
-            }
             _ => {}
         }
-        self.values_mut().push(value);
+        self.values_mut(1).push(value);
         self.grow(1);
     }
 
@@ -295,7 +297,7 @@ impl Column {
             }
             return;
         }
-        let values = self.values_mut();
+        let values = self.values_mut(other.len());
         match other.as_values() {
             Some(more) => values.extend_from_slice(more),
             None => values.extend(other.iter().map(Cow::into_owned)),
@@ -591,7 +593,7 @@ mod tests {
     #[test]
     fn unique_owner_appends_in_place_and_sharers_copy_on_write() {
         let mut owner = Column::from_values(DataType::Int, vec![Value::Int(1)]).unwrap();
-        owner.values_mut().reserve(8);
+        owner.values_mut(0).reserve(8);
         let reserved = owner.as_values().unwrap().as_ptr();
         owner.push(Value::Int(2)).unwrap();
         assert_eq!(

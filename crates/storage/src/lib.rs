@@ -40,6 +40,8 @@ pub use column::{Column, ColumnCells};
 pub use columnar::{ColumnVector, ColumnarColumn};
 pub use error::StorageError;
 pub use index::{indexable, KeyIndex};
+#[cfg(any(test, feature = "test-hooks"))]
+pub use pager::SpillFault;
 pub use pager::{
     BufferPool, MemoryBudget, PageId, PageStream, PageStreamReader, PageStreamScan,
     PageStreamWriter, Pager, PagerEvent, PagerObserver, PagerStats, PinnedPage,

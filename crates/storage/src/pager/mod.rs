@@ -28,6 +28,8 @@ mod pool;
 mod stream;
 
 pub use codec::{decode_batch, encode_batch};
+#[cfg(any(test, feature = "test-hooks"))]
+pub use pool::SpillFault;
 pub use pool::{BufferPool, PageId, Pager, PagerEvent, PagerObserver, PagerStats, PinnedPage};
 pub use stream::{PageStream, PageStreamReader, PageStreamScan, PageStreamWriter};
 

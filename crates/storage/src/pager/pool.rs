@@ -140,6 +140,9 @@ struct LeaseState {
     /// is itself waiting, nobody can release pins, so the oldest waiter is
     /// granted rather than wedging the pool.
     waiting_for_pin: bool,
+    /// The fault this lease's spill file injects.
+    #[cfg(any(test, feature = "test-hooks"))]
+    fault: Option<SpillFault>,
 }
 
 impl LeaseState {
@@ -314,7 +317,11 @@ impl BufferPool {
         let state = self.lease_mut(&mut inner, lease);
         state.resident_pages += 1;
         state.resident_bytes += bytes;
-        self.evict_to_capacity(&mut inner, notify)?;
+        if let Err(e) = self.evict_to_capacity(&mut inner, notify) {
+            // The caller never learns the page's id: it goes with the error.
+            self.release(&mut inner, PageId(id))?;
+            return Err(e);
+        }
         self.settle(&mut inner);
         Ok(PageId(id))
     }
@@ -424,7 +431,12 @@ impl BufferPool {
     }
 
     fn free_page(&self, id: PageId) -> Result<()> {
-        let mut inner = self.inner.lock();
+        self.release(&mut self.inner.lock(), id)
+    }
+
+    /// Drops page `id` from memory and from its spill file's index; fails
+    /// on a pinned page.
+    fn release(&self, inner: &mut PoolInner, id: PageId) -> Result<()> {
         if let Some(frame) = inner.frames.get(&id.0) {
             if frame.pins > 0 {
                 return Err(StorageError::Invalid {
@@ -435,7 +447,7 @@ impl BufferPool {
             let owner = frame.owner;
             inner.frames.remove(&id.0);
             inner.resident_bytes -= bytes;
-            let state = self.lease_mut(&mut inner, owner);
+            let state = self.lease_mut(inner, owner);
             state.resident_pages -= 1;
             state.resident_bytes -= bytes;
             if let Some(pos) = inner.clock.iter().position(|&p| p == id.0) {
@@ -600,7 +612,14 @@ impl BufferPool {
                 let owner = frame.owner;
                 let lease = self.lease_mut(inner, owner);
                 if lease.spill.is_none() {
-                    lease.spill = Some(SpillFile::create(&self.spill_dir)?);
+                    #[cfg(any(test, feature = "test-hooks"))]
+                    let spill = match lease.fault {
+                        Some(fault) => SpillFile::create_faulty(&self.spill_dir, fault)?,
+                        None => SpillFile::create(&self.spill_dir)?,
+                    };
+                    #[cfg(not(any(test, feature = "test-hooks")))]
+                    let spill = SpillFile::create(&self.spill_dir)?;
+                    lease.spill = Some(spill);
                 }
                 let spill = lease.spill.as_mut().expect("created above");
                 let slot_raw = spill.append(&encoded)?;
@@ -705,6 +724,14 @@ impl Pager {
     /// token.
     pub fn set_cancel_token(&self, token: CancelToken) {
         *self.cancel.write() = token;
+    }
+
+    /// Makes this lease's spill file inject `fault`. It takes effect when
+    /// the file is created, at the lease's first spill.
+    #[cfg(any(test, feature = "test-hooks"))]
+    pub fn inject_spill_fault(&self, fault: SpillFault) {
+        let mut inner = self.pool.inner.lock();
+        self.pool.lease_mut(&mut inner, self.lease).fault = Some(fault);
     }
 
     /// Appends an observer to the set without disturbing the ones already
@@ -860,8 +887,8 @@ impl Drop for PinnedPage {
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The storage under a spill file: append and read-at, nothing else. A
-/// lease's spill file runs on a [`File`]; this seam is where a device that
-/// injects faults would go.
+/// lease's spill file runs on a [`File`], or, in test builds, on a
+/// [`FaultyDevice`] over one.
 trait SpillDevice: Send {
     /// Writes all of `bytes` after the device's last byte and returns the
     /// offset they start at.
@@ -884,6 +911,50 @@ impl SpillDevice for File {
     }
 }
 
+/// A fault a lease's spill device injects ([`Pager::inject_spill_fault`]).
+#[cfg(any(test, feature = "test-hooks"))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpillFault {
+    /// Every append writes the first half of its bytes, then fails.
+    ShortWrite,
+    /// Every append fails with "no space left on device", writing nothing.
+    NoSpace,
+    /// Appends succeed; every read fails.
+    ReadError,
+}
+
+/// A spill file's [`File`] with a [`SpillFault`] in front of it.
+#[cfg(any(test, feature = "test-hooks"))]
+struct FaultyDevice {
+    file: File,
+    fault: SpillFault,
+}
+
+#[cfg(any(test, feature = "test-hooks"))]
+impl SpillDevice for FaultyDevice {
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<u64> {
+        use std::io::{Error, ErrorKind};
+        match self.fault {
+            SpillFault::ShortWrite => {
+                self.file.append(&bytes[..bytes.len() / 2])?;
+                Err(Error::new(ErrorKind::WriteZero, "short write (injected)"))
+            }
+            SpillFault::NoSpace => Err(Error::new(
+                ErrorKind::StorageFull,
+                "no space left on device (injected)",
+            )),
+            SpillFault::ReadError => self.file.append(bytes),
+        }
+    }
+
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+        match self.fault {
+            SpillFault::ReadError => Err(std::io::Error::other("read failed (injected)")),
+            _ => self.file.read_at(offset, buf),
+        }
+    }
+}
+
 /// An append-only spill file, deleted from disk when dropped (drop also runs
 /// while unwinding, so error and cancellation paths clean up too).
 struct SpillFile {
@@ -893,6 +964,25 @@ struct SpillFile {
 
 impl SpillFile {
     fn create(dir: &std::path::Path) -> Result<Self> {
+        let (file, path) = SpillFile::open(dir)?;
+        Ok(SpillFile {
+            device: Box::new(file),
+            path,
+        })
+    }
+
+    /// A spill file whose device injects `fault`.
+    #[cfg(any(test, feature = "test-hooks"))]
+    fn create_faulty(dir: &std::path::Path, fault: SpillFault) -> Result<Self> {
+        let (file, path) = SpillFile::open(dir)?;
+        Ok(SpillFile {
+            device: Box::new(FaultyDevice { file, fault }),
+            path,
+        })
+    }
+
+    /// A new, empty file in `dir`, named uniquely in the process.
+    fn open(dir: &std::path::Path) -> Result<(File, PathBuf)> {
         let name = format!(
             "sdb-spill-{}-{}.pages",
             std::process::id(),
@@ -907,10 +997,7 @@ impl SpillFile {
             .map_err(|e| StorageError::Persistence {
                 detail: format!("cannot create spill file {}: {e}", path.display()),
             })?;
-        Ok(SpillFile {
-            device: Box::new(file),
-            path,
-        })
+        Ok((file, path))
     }
 
     /// Appends `bytes`, returning `(offset, len)`.
@@ -992,6 +1079,37 @@ mod tests {
         }
         assert!(pager.stats().spill_bytes_read > 0);
         assert!(pager.stats().peak_resident_pages >= 2);
+    }
+
+    /// A page whose admission fails to spill the pool's victim goes with
+    /// the error, so every page left resident is one the caller holds an
+    /// id of; freeing those empties the lease, and the file goes with it.
+    #[test]
+    fn a_failed_spill_keeps_no_page_the_caller_cannot_free() {
+        let one_page = batch(0, 50).approx_size_bytes();
+        for fault in [SpillFault::ShortWrite, SpillFault::NoSpace] {
+            let pager = Pager::new(&MemoryBudget::bytes(one_page * 2));
+            pager.inject_spill_fault(fault);
+            let mut ids = Vec::new();
+            let failed = loop {
+                match pager.append_page(batch(ids.len() as i64, 50)) {
+                    Ok(id) => ids.push(id),
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                matches!(failed, StorageError::Persistence { .. }),
+                "{fault:?}: {failed:?}"
+            );
+            assert_eq!(pager.resident_pages(), ids.len(), "{fault:?}");
+            for id in ids {
+                pager.free_page(id).unwrap();
+            }
+            assert_eq!(pager.resident_pages(), 0);
+            let path = pager.spill_path().expect("the spill file was created");
+            drop(pager);
+            assert!(!path.exists());
+        }
     }
 
     #[test]

@@ -216,21 +216,28 @@ fn the_slow_query_ring_holds_no_sensitive_plaintext_or_do_secret() {
 
 #[test]
 fn the_prometheus_text_and_the_sp_statement_shapes_hold_no_sensitive_plaintext_or_do_secret() {
-    // Five rounds of the audit mix: the DO replays each statement by shape
-    // from its third rewrite, and the SP caches its plan from the fourth
-    // execution, so the shape cache holds every template and plan.
+    // Five rounds of the audit mix and of an orders lookup on a fresh key
+    // each round: the DO replays each statement by shape from its third
+    // rewrite, and the SP caches its plan from the fourth execution, so the
+    // shape cache holds every template and plan. Q3's and Q10's public
+    // equalities and the lookup's key are lifted out of their shapes.
     let (server, auditor) = loaded_server(sdb_server::ServerConfig::test_profile());
     let session = server.connect();
-    for _ in 0..5 {
+    for round in 0..5 {
         for id in AUDIT_MIX {
             let sql = sdb_workload::query_by_id(id).expect("template").sql;
             server
                 .execute(session, sql)
                 .unwrap_or_else(|e| panic!("Q{id} failed: {e}"));
         }
+        let lookup = format!(
+            "SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey = {}",
+            round + 1
+        );
+        server.execute(session, &lookup).expect("lookup");
     }
     let engine = server.client().engine();
-    assert_eq!(engine.statement_shapes(), AUDIT_MIX.len());
+    assert_eq!(engine.statement_shapes(), AUDIT_MIX.len() + 1);
     let shapes = engine.statement_shape_dump();
     assert!(shapes.len() > AUDIT_MIX.len(), "plans are cached too");
     let shapes = shapes.join("\n");
@@ -252,13 +259,24 @@ fn the_prometheus_text_and_the_sp_statement_shapes_hold_no_sensitive_plaintext_o
     let findings = findings_in(&planted, &auditor, &secrets);
     assert_eq!(findings.len(), 2, "{findings:?}");
 
-    // Positive control for the shape cache: a public key compared with a
+    // Positive control for the shape cache: a public key bounded by a
     // literal that spells a sensitive figure's units reaches the SP as
-    // written, and from its third run the template holds it.
+    // written, and from its third run the template holds it (a range bound
+    // is never lifted). The same literal as a lifted lookup key stays out of
+    // the cache.
     let Value::Decimal { units, .. } = figure else {
         panic!("l_extendedprice is a decimal: {figure:?}");
     };
-    let probe = format!("SELECT o_orderkey FROM orders WHERE o_orderkey = {units}");
+    let lifted = format!("SELECT o_orderkey FROM orders WHERE o_orderkey = {units}");
+    for _ in 0..5 {
+        server.execute(session, &lifted).expect("lifted probe");
+    }
+    let shapes = engine.statement_shape_dump().join("\n");
+    assert!(
+        findings_in(&shapes, &auditor, &secrets).is_empty(),
+        "{shapes}"
+    );
+    let probe = format!("SELECT o_orderkey FROM orders WHERE o_orderkey >= {units}");
     for _ in 0..3 {
         server.execute(session, &probe).expect("probe");
     }

@@ -1,19 +1,26 @@
 //! Statement shapes across the trust boundary.
 //!
-//! A proxy that has rewritten an application SQL text twice keeps its shape
-//! and replays it; an SP that has been sent a shape's template keeps it and
-//! reuses its optimised plan. Whatever the two caches hold, every statement
-//! must rewrite to the server SQL a proxy without the shape produces for the
-//! same query counter, and answer with the same counts; only the work of
-//! parsing, rewriting and planning may go.
+//! A proxy that has rewritten a statement twice keeps its shape and replays
+//! it; an SP that has been sent a shape's template keeps it and reuses its
+//! optimised plan. A statement is known by its tokens with the public keys
+//! it looks up lifted into slots, so lookups on different keys are one
+//! shape. Whatever the two caches hold, every statement must rewrite to the
+//! server SQL a proxy without the shape produces for the same query
+//! counter, and answer with the same counts; only the work of parsing,
+//! rewriting and planning may go.
 
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sdb::wire::WireMessageKind;
 use sdb::{MemoryAuditor, QueryResult, SdbClient, SdbConfig};
-use sdb_engine::QueryOptions;
+use sdb_engine::{EngineError, QueryOptions, SpEngine};
 use sdb_proxy::ResultPlan;
-use sdb_workload::{generate_all, ScaleFactor, SensitivityProfile};
+use sdb_sql::{lift_literals, Lexer, Literal, Token};
+use sdb_storage::{RecordBatch, Value};
+use sdb_workload::{generate_all, generate_table, ScaleFactor, SensitivityProfile};
 
 /// The statement shapes of the `serve_mixed` benchmark, one instance each.
 const SERVING_SHAPES: [&str; 7] = [
@@ -145,11 +152,25 @@ fn answer(result: &QueryResult) -> String {
     serde_json::to_string(&result.batch).expect("answer")
 }
 
+/// `sql` (which starts with `SELECT`) with its first keyword in the `i`-th
+/// of 63 letter casings: the same statement, but a lexed form no other `i`
+/// gives.
+fn recased(sql: &str, i: usize) -> String {
+    let keyword: String = ("SELECT".chars().enumerate())
+        .map(|(bit, c)| match (i + 1) >> bit & 1 {
+            1 => c.to_ascii_lowercase(),
+            _ => c,
+        })
+        .collect();
+    format!("{keyword}{}", &sql["SELECT".len()..])
+}
+
 /// Every workload statement and serving shape, five times on one client
-/// and once each, as a text its proxy has never seen, on a twin client:
-/// the twin appends `i + 1` spaces to the statement, so it rewrites cold
-/// with the same query counter, sends the SQL as text and runs the same SP
-/// work in the same order. Both profiles.
+/// and once each, as a statement its proxy has never seen, on a twin
+/// client: the twin writes the leading `SELECT` in a casing of its own
+/// each run (spaces would not do: the proxy knows a statement by its
+/// tokens), so it rewrites cold with the same query counter, sends the SQL
+/// as text and runs the same SP work in the same order. Both profiles.
 ///
 /// The server SQL, the result plan, the answer, `udf_calls`, the
 /// `key_update_*` counts and the proxy's oracle rows are equal run by run.
@@ -165,7 +186,7 @@ fn replayed_shapes_match_cold_rewrites_on_every_statement() {
             let mut runs = Vec::new();
             for i in 0..5 {
                 let replayed = run(&warm, &sql);
-                let reference = run(&cold, &format!("{sql}{}", " ".repeat(i + 1)));
+                let reference = run(&cold, &recased(&sql, i));
                 assert_eq!(replayed.observed, reference.observed, "{name} run {i}");
                 assert!(!reference.shape_hit && reference.plan_cache_hits == 0);
                 assert_eq!(replayed.shape_hit, i >= 2, "{name} run {i}: DO shape hit");
@@ -401,4 +422,370 @@ fn sessions_of_one_server_share_shapes() {
         !prometheus.contains("sdb_plan_cache_hits_total 0\n"),
         "{prometheus}"
     );
+}
+
+/// A batch's rows as text, numbers at one scale, in order.
+fn canonical(batch: &RecordBatch) -> Vec<Vec<String>> {
+    batch
+        .rows()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::Int(_) | Value::Decimal { .. } => (v.as_scaled_i128(6))
+                        .map(|x| x.to_string())
+                        .unwrap_or_else(|_| v.render()),
+                    other => other.render(),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The lower-case names of the workload's columns that are public in every
+/// table under the `Financial` profile.
+fn public_columns() -> HashSet<String> {
+    let (mut public, mut sensitive) = (HashSet::new(), HashSet::new());
+    for table in sdb_workload::table_names() {
+        let schema = sdb_workload::table_schema(table, SensitivityProfile::Financial);
+        for column in schema.columns() {
+            match column.sensitivity.is_sensitive() {
+                true => sensitive.insert(column.name.clone()),
+                false => public.insert(column.name.clone()),
+            };
+        }
+    }
+    public.retain(|c| !sensitive.contains(c));
+    public
+}
+
+/// The column a lifted slot at `at` of `key` is compared with.
+fn slot_column(key: &[Token], at: usize) -> String {
+    let name = match (key.get(at.wrapping_sub(1)), key.get(at + 1)) {
+        (Some(Token::Eq), _) => &key[at - 2],
+        (_, Some(Token::Eq)) => {
+            &key[at + 2 + 2 * usize::from(key.get(at + 3) == Some(&Token::Dot))]
+        }
+        _ => panic!("slot {at} of {key:?} is not in an equality"),
+    };
+    match name {
+        Token::Ident(name) => name.to_ascii_lowercase(),
+        other => panic!("slot {at} is compared with {other}"),
+    }
+}
+
+/// `key` rendered as SQL with `literals` in its slots; with `wrapped`, each
+/// lifted conjunct in parentheses, which parses to the same query but
+/// lifts nothing.
+fn render(key: &[Token], literals: &[Literal], wrapped: bool) -> String {
+    let mut words: Vec<String> = (key.iter())
+        .map(|token| match token {
+            Token::Slot(i, _) => literals[*i].to_string(),
+            Token::Eof => String::new(),
+            other => other.to_string(),
+        })
+        .collect();
+    if wrapped {
+        for (at, token) in key.iter().enumerate().rev() {
+            let Token::Slot(..) = token else { continue };
+            let (start, end) = match key[at - 1] {
+                Token::Eq if key[at - 3] == Token::Dot => (at - 4, at),
+                Token::Eq => (at - 2, at),
+                _ if key.get(at + 3) == Some(&Token::Dot) => (at, at + 4),
+                _ => (at, at + 2),
+            };
+            words[end] = format!("{} )", words[end]);
+            words[start] = format!("( {}", words[start]);
+        }
+    }
+    words.join(" ")
+}
+
+/// A literal of `value`'s class spelling it.
+fn literal_of(value: &Value) -> Literal {
+    match value {
+        Value::Int(v) => Literal::Int(*v),
+        Value::Decimal { units, scale } => Literal::Decimal {
+            units: *units,
+            scale: *scale,
+        },
+        Value::Str(s) => Literal::Str(s.clone()),
+        Value::Date(d) => Literal::Date(*d),
+        other => panic!("no slot takes {other:?}"),
+    }
+}
+
+/// Every workload statement and serving shape, three rounds, with each
+/// lifted literal drawn afresh from its column's values (one draw in eight
+/// a value the column does not hold): the SDB answer equals the plaintext
+/// engine's, and the server SQL equals that of a twin client, in lockstep
+/// under the same generator, whose statement wraps each lifted conjunct in
+/// parentheses — the same query, rewritten with its literals in place as a
+/// proxy without lifting does.
+#[test]
+fn lifted_literals_drawn_from_their_columns_answer_as_plaintext_and_rewrite_as_written() {
+    let (lifting, twin) = (
+        loaded(SdbConfig::test_profile()),
+        loaded(SdbConfig::test_profile()),
+    );
+    let plain = SpEngine::new();
+    let mut values: BTreeMap<String, Vec<Value>> = BTreeMap::new();
+    for table in generate_all(ScaleFactor::tiny(), SensitivityProfile::None, SEED) {
+        let rows = table.scan();
+        for (i, column) in table.schema().columns().iter().enumerate() {
+            let mut seen = BTreeSet::new();
+            let distinct = (rows.column(i).iter()).filter(|value| seen.insert(value.render()));
+            let distinct = distinct.map(|value| value.into_owned()).collect();
+            values.insert(column.name.clone(), distinct);
+        }
+        plain.load_table(table).expect("load");
+    }
+    let public = public_columns();
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut lifted_slots = 0;
+    for round in 0..3 {
+        for (name, sql) in statements() {
+            let tokens = Lexer::new(&sql).tokenize().expect("lex");
+            let (key, written) = lift_literals(tokens, |c| public.contains(c));
+            let drawn: Vec<Literal> = (key.iter().enumerate())
+                .filter(|(_, token)| matches!(token, Token::Slot(..)))
+                .map(|(at, _)| {
+                    let column = slot_column(&key, at);
+                    let cells = &values[&column];
+                    match (rng.gen_range(0..8), &cells[0]) {
+                        (0, Value::Int(_)) => Literal::Int(1 << 40),
+                        (0, Value::Str(_)) => Literal::Str("no such value".into()),
+                        _ => literal_of(&cells[rng.gen_range(0..cells.len())]),
+                    }
+                })
+                .collect();
+            assert_eq!(drawn.len(), written.len(), "{name}");
+            lifted_slots += drawn.len();
+            let (sql, wrapped) = (render(&key, &drawn, false), render(&key, &drawn, true));
+
+            let rewritten = lifting.rewrite_only(&sql).expect("rewrite");
+            let expected: Vec<String> = drawn.iter().map(ToString::to_string).collect();
+            assert_eq!(rewritten.lifted(), expected, "{name}: {sql}");
+            let reference = twin.rewrite_only(&wrapped).expect("twin rewrite");
+            assert!(reference.lifted().is_empty(), "{wrapped}");
+            assert_eq!(
+                rewritten.server_sql, reference.server_sql,
+                "{name} round {round}: {sql}"
+            );
+            let got = lifting.run_rewritten(&rewritten).expect("lifted run");
+            twin.run_rewritten(&reference).expect("twin run");
+            let want = plain.execute_sql(&sql).expect("plaintext");
+            assert_eq!(
+                canonical(&got.batch),
+                canonical(&want.batch),
+                "{name} round {round}: {sql}"
+            );
+        }
+    }
+    assert!(lifted_slots >= 3 * 9, "{lifted_slots} lifted slots");
+}
+
+/// A table with a public column of each slot class, and a sensitive one.
+fn classes_client() -> SdbClient {
+    let mut client = SdbClient::new(SdbConfig::test_profile()).expect("client");
+    client
+        .execute(
+            "CREATE TABLE slots (id INT, rate DECIMAL(6,2), day DATE, tag VARCHAR(8), \
+             bal INT SENSITIVE)",
+        )
+        .expect("create");
+    client
+        .execute(
+            "INSERT INTO slots VALUES \
+             (1, 0.05, DATE '1995-03-15', 'a', 100), (2, 0.07, DATE '1995-03-16', 'b', 250), \
+             (3, 0.05, DATE '1995-03-16', 'b', 40), (4, 0.10, DATE '1996-01-01', 'c', 75)",
+        )
+        .expect("insert");
+    client.upload_all().expect("upload");
+    client
+}
+
+/// The operator lines of an `EXPLAIN ANALYZE`, up to their timings.
+fn operators(explained: &str) -> Vec<String> {
+    (explained.lines())
+        .filter(|line| line.starts_with("  "))
+        .map(|line| line.split(" time=").next().unwrap_or(line).to_string())
+        .collect()
+}
+
+/// An INT, DECIMAL, DATE and VARCHAR key each lifts into a slot of its
+/// class, and a statement served from both caches binds it to the physical
+/// plan, estimates and answer the same statement gets sent as text.
+#[test]
+fn each_lifted_literal_class_binds_to_the_plan_and_answer_of_its_text() {
+    let (warm_client, cold) = (classes_client(), classes_client());
+    for (class, sql, written) in [
+        ("INT", "SELECT id, bal FROM slots WHERE id = 2", "2"),
+        (
+            "DECIMAL",
+            "SELECT id, bal FROM slots WHERE rate = 0.05",
+            "0.05",
+        ),
+        (
+            "DATE",
+            "SELECT id, bal FROM slots WHERE DATE '1995-03-16' = day",
+            "DATE '1995-03-16'",
+        ),
+        (
+            "VARCHAR",
+            "SELECT id, bal FROM slots WHERE tag = 'b' AND bal > 50",
+            "'b'",
+        ),
+    ] {
+        assert_eq!(
+            warm_client.rewrite_only(sql).expect("rewrite").lifted(),
+            [written],
+            "{class}"
+        );
+        let result = warm(&warm_client, sql);
+        let reference = query(&cold, &recased(sql, 0));
+        assert_eq!(answer(&result), answer(&reference), "{class}");
+        assert!(result.batch.num_rows() > 0, "{class}: the key is held");
+
+        let shaped = warm_client.explain_analyze(sql).expect("shaped");
+        assert!(shaped.contains("plan cache hits 1"), "{class}: {shaped}");
+        let text = cold.explain_analyze(&recased(sql, 1)).expect("text");
+        assert!(text.contains("plan cache hits 0"), "{class}: {text}");
+        assert_eq!(operators(&shaped), operators(&text), "{class}");
+    }
+    let lookup = warm_client
+        .explain_analyze("SELECT id, bal FROM slots WHERE id = 3")
+        .expect("another key");
+    assert!(lookup.contains("IndexScan(slots.id)"), "{lookup}");
+    assert_eq!(warm_client.proxy().statement_shapes(), 4);
+}
+
+/// A literal compared with a sensitive column, a range bound, an `IN` list,
+/// a `LIMIT` and a literal under an `OR` stay in the statement: each value
+/// is a shape of its own.
+#[test]
+fn sensitive_comparisons_and_range_bounds_never_lift() {
+    let client = classes_client();
+    let mut ids = HashSet::new();
+    for template in [
+        "SELECT id FROM slots WHERE bal = {}",
+        "SELECT id FROM slots WHERE bal > {}",
+        "SELECT id, bal FROM slots WHERE id >= {}",
+        "SELECT id, bal FROM slots WHERE id BETWEEN 1 AND {}",
+        "SELECT id, bal FROM slots WHERE id IN (1, {})",
+        "SELECT id, bal FROM slots WHERE id > 0 ORDER BY id LIMIT {}",
+        "SELECT id, bal FROM slots WHERE id = {} OR tag = 'c'",
+    ] {
+        for value in [2, 3] {
+            let sql = template.replace("{}", &value.to_string());
+            for _ in 0..3 {
+                let rewritten = client.rewrite_only(&sql).expect("rewrite");
+                assert!(rewritten.lifted().is_empty(), "{sql}");
+                client.run_rewritten(&rewritten).expect("run");
+            }
+            let rewritten = client.rewrite_only(&sql).expect("rewrite");
+            assert!(rewritten.shape_hit, "{sql} is a shape of its own");
+            ids.insert(rewritten.shape().expect("admitted").id());
+        }
+    }
+    assert_eq!(client.proxy().statement_shapes(), 14);
+    assert_eq!(
+        ids.len(),
+        13,
+        "the LIMIT runs at the DO: its two shapes send one template"
+    );
+}
+
+/// What a shaped statement carries in its lifted slots must be exactly one
+/// literal of the class the shape's template was sent with; anything else
+/// is `InvalidLiteral`, and the statement does not run.
+#[test]
+fn a_lifted_value_that_is_not_one_literal_of_its_class_is_a_typed_error() {
+    let client = classes_client();
+    let sql = "SELECT id, bal FROM slots WHERE id = 2";
+    warm(&client, sql);
+    let rewritten = client.rewrite_only(sql).expect("replay");
+    let statement = rewritten.statement(false).expect("a shaped statement");
+    assert_eq!(statement.lifted, ["2"]);
+    let opts = QueryOptions::default();
+    let engine = client.engine();
+    let mut good = statement.clone();
+    good.lifted = vec!["3".into()];
+    assert_eq!(
+        engine
+            .execute_shaped(&good, &opts)
+            .expect("a key")
+            .batch
+            .num_rows(),
+        1
+    );
+    for lifted in [
+        vec!["2 OR 1 = 1"],
+        vec!["'2'"],
+        vec!["2.0"],
+        vec!["DATE '1995-03-15'"],
+        vec!["-2"],
+        vec![""],
+        vec!["id"],
+        vec!["NULL"],
+        vec!["$0"],
+        vec!["2; DROP TABLE slots"],
+        vec![],
+        vec!["2", "3"],
+    ] {
+        let mut bad = statement.clone();
+        bad.lifted = lifted.iter().map(|v| v.to_string()).collect();
+        let failed = engine.execute_shaped(&bad, &opts);
+        assert!(
+            matches!(failed, Err(EngineError::InvalidLiteral { .. })),
+            "{lifted:?}: {failed:?}"
+        );
+    }
+    assert_eq!(
+        engine
+            .execute_shaped(&good, &opts)
+            .expect("still served")
+            .batch
+            .num_rows(),
+        1
+    );
+}
+
+/// 200 orders lookups on distinct keys through one server session fold
+/// into one shape: the DO replays from the third and the SP serves the plan
+/// from the fifth (198 and 196 hits, the admission rules unchanged), and
+/// every answer is the plaintext engine's.
+#[test]
+fn lookups_on_distinct_keys_share_one_shape_at_both_ends() {
+    let scale = ScaleFactor(0.14);
+    let mut server =
+        sdb_server::SdbServer::new(sdb_server::ServerConfig::test_profile()).expect("server");
+    let orders = generate_table("orders", scale, SensitivityProfile::Financial, SEED);
+    assert!(orders.num_rows() >= 200, "{} orders", orders.num_rows());
+    server.stage_table(orders).expect("stage");
+    server.upload_all().expect("upload");
+    let plain = SpEngine::new();
+    (plain.load_table(generate_table(
+        "orders",
+        scale,
+        SensitivityProfile::None,
+        SEED,
+    )))
+    .expect("load");
+    let session = server.connect();
+    let mut plan_cache_hits = 0;
+    for key in 1..=200 {
+        let sql = format!(
+            "SELECT o_orderkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = {key}"
+        );
+        let result = server.execute(session, &sql).expect("lookup");
+        let want = plain.execute_sql(&sql).expect("plaintext");
+        assert_eq!(canonical(&result.batch), canonical(&want.batch), "{sql}");
+        assert_eq!(result.batch.num_rows(), 1, "{sql}");
+        plan_cache_hits += result.server_stats.plan_cache_hits;
+    }
+    let stats = server.session_stats(session).expect("stats");
+    assert_eq!(stats.do_shape_hits, 198);
+    assert_eq!(plan_cache_hits, 196);
+    assert_eq!(server.client().proxy().statement_shapes(), 1);
+    assert_eq!(server.client().engine().statement_shapes(), 1);
 }
