@@ -11,7 +11,6 @@ use std::cell::{Cell, RefCell};
 use std::fmt::Write;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Duration;
 
 use sdb_sql::ast::{BinaryOp, Expr, Literal, Query, UnaryOp};
 use sdb_storage::{Column, RecordBatch, Schema, Value};
@@ -65,9 +64,6 @@ pub struct Evaluator<'a> {
     columns: RefCell<ResolvedColumns<'a>>,
     udf_calls: Cell<usize>,
     key_update_counts: Cell<KeyUpdateCounts>,
-    /// Rows the share kernels evaluated for this evaluator's operator, and
-    /// the time they took.
-    share_kernel: Cell<(usize, Duration)>,
 }
 
 /// The column references resolved against the schema last evaluated over:
@@ -93,7 +89,6 @@ impl<'a> Evaluator<'a> {
             columns: RefCell::default(),
             udf_calls: Cell::new(0),
             key_update_counts: Cell::default(),
-            share_kernel: Cell::default(),
         }
     }
 
@@ -198,34 +193,6 @@ impl<'a> Evaluator<'a> {
     /// The registry function calls resolve against.
     pub(crate) fn registry(&self) -> &'a UdfRegistry {
         self.registry
-    }
-
-    /// Counts a batch the share kernels evaluated instead of this evaluator:
-    /// its UDF calls and key updates as the interpreter counts them, its
-    /// rows and the time it took.
-    pub(crate) fn record_share_kernel(
-        &self,
-        udf_calls: usize,
-        key_updates: KeyUpdateCounts,
-        rows: usize,
-        time: Duration,
-    ) {
-        self.udf_calls.set(self.udf_calls.get() + udf_calls);
-        let mut counts = self.key_update_counts.get();
-        counts.calls += key_updates.calls;
-        counts.pows += key_updates.pows;
-        counts.derived += key_updates.derived;
-        counts.memo += key_updates.memo;
-        self.key_update_counts.set(counts);
-        let (kernel_rows, kernel_time) = self.share_kernel.get();
-        self.share_kernel
-            .set((kernel_rows + rows, kernel_time + time));
-    }
-
-    /// Rows the share kernels evaluated on this evaluator's behalf, and the
-    /// time they took.
-    pub(crate) fn share_kernel(&self) -> (usize, Duration) {
-        self.share_kernel.get()
     }
 
     /// One `SDB_KEY_UPDATE` call: from its set's powers of the row where the
@@ -678,6 +645,7 @@ pub fn like_match(pattern: &str, text: &str) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the interpreter under test, built directly
 mod tests {
     use super::*;
     use sdb_sql::parse_sql;

@@ -6,7 +6,8 @@
 //! bitmaps — instead of per-row [`sdb_storage::Value`] interpretation. Three
 //! kernel families exist:
 //!
-//! * [`select`] — predicate → selection [`sdb_storage::Bitmap`] for `Filter`;
+//! * [`select`] — predicate → selection [`sdb_storage::Bitmap`], the seam's
+//!   predicate entry (`Filter`, the nested-loop join);
 //! * [`agg`] — global (no `GROUP BY`) SUM/COUNT/AVG/MIN/MAX folds;
 //! * `shares` — expressions of the five SDB share UDFs over lanes of
 //!   Montgomery limbs, for every operator that evaluates expressions into
@@ -39,4 +40,4 @@ pub(crate) mod shares;
 
 pub use agg::GlobalAggKernel;
 pub use select::CompiledPredicate;
-pub(crate) use shares::ShareKernels;
+pub(crate) use shares::{KernelWork, ShareKernels};

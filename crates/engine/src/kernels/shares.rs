@@ -50,9 +50,19 @@ use sdb_crypto::Modulus;
 use sdb_sql::ast::{Expr, Literal};
 use sdb_storage::{Bitmap, Column, ColumnCells, RecordBatch, Schema, ShareColumn, Value};
 
-use crate::eval::{literal_to_value, Evaluator};
+use crate::eval::literal_to_value;
 use crate::operators::parallel;
 use crate::udf::{KeyUpdateCounts, KeyUpdateMember, KeyUpdateSets, ShareOp, UdfRegistry};
+
+/// What a batch kernel did: the calls and key updates it made, counted as
+/// the interpreter counts them, its rows and its time.
+#[derive(Debug, Default)]
+pub(crate) struct KernelWork {
+    pub(crate) udf_calls: usize,
+    pub(crate) key_updates: KeyUpdateCounts,
+    pub(crate) rows: usize,
+    pub(crate) time: Duration,
+}
 
 /// The share arithmetic of one operator, planned once: its key-update sets
 /// and the moduli its share calls name.
@@ -477,9 +487,8 @@ impl BatchKernel<'_> {
 
     /// Evaluates the compiled expressions, [`CHUNK_ROWS`] rows at a time:
     /// per expression it serves, its index and its column of shares, a root
-    /// lane's limbs copied in. `evaluator` is charged the calls as the
-    /// interpreter would count them, and the rows and time.
-    pub(crate) fn run(self, evaluator: &Evaluator<'_>) -> Vec<(usize, ShareColumn)> {
+    /// lane's limbs copied in; and what that took.
+    pub(crate) fn run(self) -> (Vec<(usize, ShareColumn)>, KernelWork) {
         let started = Instant::now();
         let rows = self.batch.num_rows();
         let k = self.modulus.lane_limbs();
@@ -597,9 +606,13 @@ impl BatchKernel<'_> {
                 (i, ShareColumn::from_parts(k, limbs, valid))
             })
             .collect();
-        let time = self.checking + started.elapsed();
-        evaluator.record_share_kernel(rows * calls, counts, rows, time);
-        outputs
+        let work = KernelWork {
+            udf_calls: rows * calls,
+            key_updates: counts,
+            rows,
+            time: self.checking + started.elapsed(),
+        };
+        (outputs, work)
     }
 
     /// The calls in the tree under `node`, itself included.

@@ -103,11 +103,7 @@ fn group_morsel(
     agg_args: &[Expr],
 ) -> Result<Vec<GroupState>> {
     let exprs: Vec<&Expr> = group_exprs.iter().chain(agg_args).collect();
-    let evaluator = ctx.evaluator().with_key_updates(shares.key_updates());
-    let evaluated = evaluate_exprs(&evaluator, Some(shares), &exprs, batch, false)?;
-    ctx.record_key_batch(evaluated.interpreted);
-    ctx.record_udf_calls(&evaluator);
-    let mut evaluated = evaluated.columns;
+    let mut evaluated = evaluate_exprs(ctx, Some(shares), &exprs, batch, false)?;
     let mut args = evaluated.split_off(group_exprs.len());
     let keys = evaluated.into_iter().map(|key| key.into_column(batch));
     let keys = BatchKeys::new(keys.collect(), batch.num_rows());

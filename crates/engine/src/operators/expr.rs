@@ -1,14 +1,23 @@
-//! Expression-tree helpers shared by the physical operators: schema binding,
-//! conjunct splitting, whole-batch evaluation into columns and output-type
-//! inference.
+//! Expression-tree helpers shared by the physical operators — schema
+//! binding, conjunct splitting, output-type inference — and the expression
+//! seam: the one way anything evaluates expressions over a batch. Its two
+//! entries, expressions to columns (`evaluate_exprs`) and a predicate to a
+//! selection [`Bitmap`] (`select`), serve every operator, and the DO as
+//! [`UdfRegistry::evaluate_columns`] / [`UdfRegistry::select_rows`]; each
+//! call runs the kernels where they take the work, the interpreter
+//! ([`crate::eval`]) otherwise, and is counted and clocked.
+
+use std::time::Instant;
 
 use sdb_sql::ast::{BinaryOp, Expr};
 use sdb_storage::{
-    Column, ColumnCells, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value,
+    Bitmap, Column, ColumnCells, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value,
 };
 
+use super::ExecContext;
 use crate::eval::{literal_to_value, Evaluator};
-use crate::kernels::ShareKernels;
+use crate::kernels::{CompiledPredicate, KernelWork, ShareKernels};
+use crate::udf::UdfRegistry;
 use crate::Result;
 
 /// Replaces every subexpression whose rendered text names an existing input
@@ -215,17 +224,38 @@ pub(super) fn input_column(expr: &Expr, schema: &Schema) -> Option<usize> {
     }
 }
 
-/// `exprs` evaluated over a batch.
-pub(super) struct Evaluated {
-    /// One column per expression.
-    pub(super) columns: Vec<ExprColumn>,
-    /// Whether the interpreter evaluated any of them: everything else was a
-    /// column reference, a literal or a share kernel's.
-    pub(super) interpreted: bool,
+/// A seam call's output, whether a row went through the interpreter, and
+/// the share kernels' work.
+type Served<T> = (T, bool, KernelWork);
+
+/// One call of the seam: builds its evaluator (the query's subqueries and
+/// call sites, the operator's key-update sets) and runs `body` with it; for
+/// a query, then records the call's counts, a vectorised batch or a scalar
+/// fallback, and its wall time.
+#[allow(clippy::disallowed_methods)]
+fn seam<'e, T>(
+    registry: &'e UdfRegistry,
+    ctx: Option<&'e ExecContext<'_>>,
+    shares: Option<&'e ShareKernels>,
+    body: impl FnOnce(&Evaluator<'e>) -> Result<Served<T>>,
+) -> Result<T> {
+    let started = Instant::now();
+    let mut evaluator = Evaluator::new(registry);
+    if let Some(ctx) = ctx {
+        evaluator = (evaluator.with_subqueries(ctx)).with_query_sites(ctx.udf_sites());
+    }
+    if let Some(shares) = shares {
+        evaluator = evaluator.with_key_updates(shares.key_updates());
+    }
+    let (value, interpreted, kernel) = body(&evaluator)?;
+    if let Some(ctx) = ctx {
+        ctx.record_seam(&evaluator, interpreted, &kernel, started.elapsed());
+    }
+    Ok(value)
 }
 
-/// Evaluates `exprs` over every row of `batch`, one [`ExprColumn`] each: the
-/// one place the operators evaluate expressions over a batch. A column
+/// The value entry: evaluates `exprs` over every row of `batch`, one
+/// [`ExprColumn`] each — how every operator evaluates expressions. A column
 /// reference costs nothing per row and a literal one clone; an expression of
 /// share arithmetic goes to the operator's share kernels (`shares`) when
 /// they take it and the batch; everything else goes through the interpreter
@@ -239,12 +269,59 @@ pub(super) struct Evaluated {
 /// that the row matches nothing) the expressions after a row's first NULL
 /// are not evaluated and read NULL.
 pub(super) fn evaluate_exprs<'e>(
+    ctx: &'e ExecContext<'_>,
+    shares: Option<&'e ShareKernels>,
+    exprs: &[&'e Expr],
+    batch: &RecordBatch,
+    null_ends_row: bool,
+) -> Result<Vec<ExprColumn>> {
+    seam(ctx.registry(), Some(ctx), shares, |evaluator| {
+        columns(evaluator, shares, exprs, batch, null_ends_row)
+    })
+}
+
+/// The predicate entry: the rows of `batch` for which `predicate` is true
+/// (NULL drops the row) — how every operator filters. A predicate the
+/// selection kernel compiles (infallible and UDF-free) and whose columns it
+/// reads skips the interpreter; any other is interpreted row by row.
+pub(super) fn select<'e>(
+    ctx: &'e ExecContext<'_>,
+    predicate: &'e Expr,
+    batch: &RecordBatch,
+) -> Result<Bitmap> {
+    seam(ctx.registry(), Some(ctx), None, |evaluator| {
+        selection(evaluator, predicate, batch)
+    })
+}
+
+/// The seam outside a query (the DO's post-processing): nothing recorded.
+impl UdfRegistry {
+    /// The value entry: `exprs` over `batch`, one column each (a computed
+    /// one typed by its first non-NULL value, else INT).
+    pub fn evaluate_columns(&self, exprs: &[&Expr], batch: &RecordBatch) -> Result<Vec<Column>> {
+        let columns = seam(self, None, None, |evaluator| {
+            columns(evaluator, None, exprs, batch, false)
+        })?;
+        Ok(columns.into_iter().map(|c| c.into_column(batch)).collect())
+    }
+
+    /// The predicate entry: the rows of `batch` `predicate` keeps.
+    pub fn select_rows(&self, predicate: &Expr, batch: &RecordBatch) -> Result<Bitmap> {
+        seam(self, None, None, |evaluator| {
+            selection(evaluator, predicate, batch)
+        })
+    }
+}
+
+/// The value entry's work (what is not interpreted is a column reference, a
+/// literal or a share kernel's).
+fn columns<'e>(
     evaluator: &Evaluator<'e>,
     shares: Option<&ShareKernels>,
     exprs: &[&'e Expr],
     batch: &RecordBatch,
     null_ends_row: bool,
-) -> Result<Evaluated> {
+) -> Result<Served<Vec<ExprColumn>>> {
     let rows = batch.num_rows();
     let mut interpreted = Vec::with_capacity(exprs.len());
     let mut out = Vec::with_capacity(exprs.len());
@@ -278,18 +355,18 @@ pub(super) fn evaluate_exprs<'e>(
             &mut out,
         )?;
     }
+    let mut work = KernelWork::default();
     if let Some(kernel) = kernel {
-        for (i, shares) in kernel.run(evaluator) {
+        let (computed, done) = kernel.run();
+        for (i, shares) in computed {
             out[i] = ExprColumn::Computed(Column::from_shares(DataType::Encrypted, shares));
         }
+        work = done;
     }
-    Ok(Evaluated {
-        columns: out,
-        interpreted: any_interpreted,
-    })
+    Ok((out, any_interpreted, work))
 }
 
-/// The row-by-row part of [`evaluate_exprs`]: fills the `interpreted`
+/// The row-by-row part of [`columns`]: fills the `interpreted`
 /// expressions' columns of `out`.
 fn interpret<'e>(
     evaluator: &Evaluator<'e>,
@@ -320,6 +397,23 @@ fn interpret<'e>(
         }
     }
     Ok(())
+}
+
+/// The predicate entry's work.
+fn selection<'e>(
+    evaluator: &Evaluator<'e>,
+    predicate: &'e Expr,
+    batch: &RecordBatch,
+) -> Result<Served<Bitmap>> {
+    let compiled = CompiledPredicate::compile(predicate, batch.schema());
+    if let Some(selection) = compiled.and_then(|compiled| compiled.selection(batch)) {
+        return Ok((selection, false, KernelWork::default()));
+    }
+    let mut mask = Vec::with_capacity(batch.num_rows());
+    for row in 0..batch.num_rows() {
+        mask.push(evaluator.evaluate_predicate(predicate, batch, row)?);
+    }
+    Ok((Bitmap::from_bools(&mask), true, KernelWork::default()))
 }
 
 /// The string payload of a literal expression, if it is one.

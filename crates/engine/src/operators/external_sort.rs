@@ -5,10 +5,11 @@
 //! replays the held batches, then the rest of its input, into the classic
 //! two-phase design, morsel-parallel where it pays:
 //!
-//! 1. **Run generation** — input batches accumulate (with their evaluated
-//!    sort-key values prepended as extra columns) until the budget is
-//!    reached; the accumulated run is then sorted (`sort::sorted_order`)
-//!    and parked in the pager as a sequence of `batch_size`-row pages.
+//! 1. **Run generation** — input batches accumulate (with their computed
+//!    sort keys appended as extra columns) until the budget is reached;
+//!    the accumulated run is then sorted (`sort::sorted_order`) by its key
+//!    columns, a key that is a column reference being that column, and
+//!    parked in the pager as a sequence of `batch_size`-row pages.
 //!    Under budget pressure the pager transparently spills those pages to
 //!    disk.
 //! 2. **K-way merge on drain** — one cursor per run pins its frontier page
@@ -30,10 +31,12 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
 
+use sdb_sql::ast::Expr;
 use sdb_storage::{
     Column, ColumnDef, DataType, PageId, Pager, PinnedPage, RecordBatch, Schema, Value,
 };
 
+use super::expr::input_column;
 use super::sort::{key_columns, sorted_order, Sort};
 use super::{append_rows, ExecContext, Replay};
 use crate::Result;
@@ -46,12 +49,21 @@ impl Sort<'_> {
         let limit =
             (self.ctx.config().memory_budget.limit()).expect("only a limited budget overflows");
         let output_schema = held.schema().clone();
-        let bound = self.bind_keys(&output_schema);
+        let mut computed = Vec::new();
+        let positions: Vec<usize> = (self.bind_keys(&output_schema).into_iter())
+            .map(|key| match input_column(&key, &output_schema) {
+                Some(idx) => idx,
+                None => {
+                    computed.push(key);
+                    output_schema.len() + computed.len() - 1
+                }
+            })
+            .collect();
         let mut runs: Vec<RunCursor> = Vec::new();
         let mut run_buf: Option<RecordBatch> = None;
         let mut run_bytes = 0usize;
         while let Some(batch) = held.next_batch(self.input.as_mut())? {
-            let combined = attach_keys(&self.ctx, &batch, &bound)?;
+            let combined = attach_keys(&self.ctx, &batch, &computed)?;
             run_bytes += combined.approx_size_bytes();
             match &mut run_buf {
                 None => run_buf = Some(combined),
@@ -59,14 +71,14 @@ impl Sort<'_> {
             }
             if run_bytes >= limit {
                 if let Some(run) = run_buf.take() {
-                    runs.push(seal_run(&self.ctx, run, &desc)?);
+                    runs.push(seal_run(&self.ctx, run, &positions, &desc)?);
                 }
                 run_bytes = 0;
             }
         }
         if let Some(run) = run_buf.take() {
             if run.num_rows() > 0 {
-                runs.push(seal_run(&self.ctx, run, &desc)?);
+                runs.push(seal_run(&self.ctx, run, &positions, &desc)?);
             }
         }
 
@@ -74,7 +86,7 @@ impl Sort<'_> {
         let mut heap = BinaryHeap::with_capacity(runs.len());
         for (i, mut cursor) in runs.into_iter().enumerate() {
             cursor.advance_page()?;
-            if let Some(key) = cursor.frontier_key(desc.len()) {
+            if let Some(key) = cursor.frontier_key(&positions) {
                 heap.push(MergeEntry {
                     key,
                     run: i,
@@ -87,32 +99,45 @@ impl Sort<'_> {
             output_schema,
             cursors,
             heap,
+            positions,
             desc,
         })
     }
 }
 
-/// Prepends the evaluated key values as extra columns (named `__sortkey*`
-/// so they can never shadow data columns downstream — they are stripped
-/// before emission anyway).
+/// Appends the computed keys as extra columns, named `__sortkey*` so they
+/// can never shadow data columns downstream (they are never emitted). Each
+/// is declared INT whatever its values, so every batch of a run has one
+/// schema: a computed key's values may change type from batch to batch
+/// (all NULL in one, DECIMAL in the next).
 fn attach_keys(
     ctx: &ExecContext<'_>,
     batch: &RecordBatch,
-    bound: &[sdb_sql::ast::Expr],
+    computed: &[Expr],
 ) -> Result<RecordBatch> {
-    let mut columns = key_columns(ctx, batch, bound)?;
-    let mut defs: Vec<ColumnDef> = (0..bound.len())
-        .map(|i| ColumnDef::public(&format!("__sortkey{i}"), DataType::Int))
-        .collect();
-    defs.extend(batch.schema().columns().iter().cloned());
-    columns.extend(batch.columns().iter().cloned());
+    if computed.is_empty() {
+        return Ok(batch.clone());
+    }
+    let mut defs = batch.schema().columns().to_vec();
+    let mut columns = batch.columns().to_vec();
+    for (i, key) in key_columns(ctx, batch, computed)?.iter().enumerate() {
+        defs.push(ColumnDef::public(&format!("__sortkey{i}"), DataType::Int));
+        columns.push(Column::new(DataType::Int));
+        columns.last_mut().expect("pushed").extend(key);
+    }
     Ok(RecordBatch::new(Schema::new(defs), columns)?)
 }
 
-/// Sorts one key-prefixed run (morsel-parallel) and parks it in the pager
-/// as `batch_size`-row pages, behind a cursor that frees them when dropped.
-fn seal_run(ctx: &ExecContext<'_>, run: RecordBatch, desc: &[bool]) -> Result<RunCursor> {
-    let order = sorted_order(ctx, run.num_rows(), &run.columns()[..desc.len()], desc)?;
+/// Sorts one run (morsel-parallel) and parks it in the pager as
+/// `batch_size`-row pages, behind a cursor that frees them when dropped.
+fn seal_run(
+    ctx: &ExecContext<'_>,
+    run: RecordBatch,
+    positions: &[usize],
+    desc: &[bool],
+) -> Result<RunCursor> {
+    let keys: Vec<Column> = (positions.iter()).map(|&p| run.column(p).clone()).collect();
+    let order = sorted_order(ctx, run.num_rows(), &keys, desc)?;
     let sorted = run.reorder(&order)?;
     let batch_size = ctx.config().batch_size;
     let mut cursor = RunCursor {
@@ -137,6 +162,8 @@ pub(super) struct Merge {
     output_schema: Schema,
     cursors: Vec<RunCursor>,
     heap: BinaryHeap<MergeEntry>,
+    /// Each key's column in a run's pages.
+    positions: Vec<usize>,
     desc: Arc<Vec<bool>>,
 }
 
@@ -147,7 +174,6 @@ impl Merge {
         if self.heap.is_empty() {
             return Ok(None);
         }
-        let num_keys = self.desc.len();
         // Consecutive rows of one run's page are one run of rows, copied as
         // a whole before the run's cursor leaves the page.
         let mut columns: Vec<Column> = (self.output_schema.columns().iter())
@@ -178,7 +204,7 @@ impl Merge {
             let cursor = &mut self.cursors[entry.run];
             rows += 1;
             cursor.advance_row()?;
-            if let Some(key) = cursor.frontier_key(num_keys) {
+            if let Some(key) = cursor.frontier_key(&self.positions) {
                 self.heap.push(MergeEntry {
                     key,
                     run: entry.run,
@@ -196,7 +222,7 @@ impl Merge {
     /// columns, onto `columns`.
     fn append_run(&self, (run, rows): (usize, Range<usize>), columns: &mut [Column]) {
         let page = (self.cursors[run].current.as_ref()).expect("a run's page is current");
-        append_rows(columns, page, self.desc.len(), rows);
+        append_rows(columns, page, 0, rows);
     }
 }
 
@@ -248,11 +274,11 @@ impl RunCursor {
     }
 
     /// The current row's key values, or `None` when the run is exhausted.
-    fn frontier_key(&self, num_keys: usize) -> Option<Vec<Value>> {
+    fn frontier_key(&self, positions: &[usize]) -> Option<Vec<Value>> {
         let page = self.current.as_ref()?;
         Some(
-            (0..num_keys)
-                .map(|i| page.column(i).value(self.row).into_owned())
+            (positions.iter())
+                .map(|&p| page.column(p).value(self.row).into_owned())
                 .collect(),
         )
     }

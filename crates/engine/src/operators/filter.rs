@@ -5,13 +5,13 @@ use std::sync::Arc;
 use sdb_sql::ast::Expr;
 use sdb_storage::RecordBatch;
 
-use super::expr::bind_to_existing_columns;
+use super::expr::{bind_to_existing_columns, select};
 use super::{BoxedOperator, ExecContext, PhysicalOperator};
-use crate::kernels::CompiledPredicate;
 use crate::Result;
 
 /// Keeps the rows for which `predicate` evaluates to true (NULL drops the
-/// row, per SQL semantics).
+/// row, per SQL semantics): one call of the seam's predicate entry per
+/// batch.
 ///
 /// Oracle-backed calls inside the predicate are materialised by an
 /// [`super::oracle::OracleResolve`] child the planner inserts beneath this
@@ -54,28 +54,11 @@ impl PhysicalOperator for Filter<'_> {
             return Ok(None);
         };
         let bound = bind_to_existing_columns(&self.predicate, batch.schema());
-        // Vectorised path: predicates in the kernel subset (typed column /
-        // literal comparisons, Kleene AND/OR/NOT, LIKE, IN, IS NULL) evaluate
-        // to a selection bitmap without per-row interpretation. The kernel
-        // only compiles infallible, UDF-free predicates, so skipping the
-        // scalar loop changes no observable (including UDF call counts).
-        if let Some(compiled) = CompiledPredicate::compile(&bound, batch.schema()) {
-            if let Some(selection) = compiled.selection(&batch) {
-                self.ctx.stats_mut().vectorised_batches += 1;
-                return batch
-                    .filter_bitmap(&selection)
-                    .map(Some)
-                    .map_err(Into::into);
-            }
-        }
-        self.ctx.stats_mut().scalar_fallback_batches += 1;
-        let evaluator = self.ctx.evaluator();
-        let mut mask = Vec::with_capacity(batch.num_rows());
-        for row in 0..batch.num_rows() {
-            mask.push(evaluator.evaluate_predicate(&bound, &batch, row)?);
-        }
-        self.ctx.record_udf_calls(&evaluator);
-        batch.filter(&mask).map(Some).map_err(Into::into)
+        let selection = select(&self.ctx, &bound, &batch)?;
+        batch
+            .filter_bitmap(&selection)
+            .map(Some)
+            .map_err(Into::into)
     }
 
     fn close(&mut self) -> Result<()> {

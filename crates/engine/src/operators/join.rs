@@ -6,9 +6,9 @@
 use std::sync::Arc;
 
 use sdb_sql::ast::{Expr, JoinKind};
-use sdb_storage::{Column, ColumnCells, PageStream, PageStreamWriter, RecordBatch, Schema, Value};
+use sdb_storage::{Column, ColumnCells, PageStream, PageStreamWriter, RecordBatch};
 
-use super::expr::{evaluate_exprs, input_column};
+use super::expr::{evaluate_exprs, input_column, select};
 use super::grace_join::Spilled;
 use super::oracle::resolve_for_exprs;
 use super::parallel::{effective_workers, scoped_workers};
@@ -150,7 +150,7 @@ impl<'a> HashJoin<'a> {
 /// them. A key that is a column reference is that column, shared; anything
 /// else is interpreted once per row, stopping at a row's first NULL component
 /// (the row already matches nothing). Interpretation fans out over contiguous
-/// morsels, one evaluator per worker, concatenated in morsel order.
+/// morsels, one seam call per worker, concatenated in morsel order.
 pub(super) fn keys_of_batch(
     ctx: &ExecContext<'_>,
     keys: &[Expr],
@@ -158,17 +158,12 @@ pub(super) fn keys_of_batch(
 ) -> Result<BatchKeys> {
     let rows = working.num_rows();
     let interpreted = (keys.iter()).any(|key| input_column(key, working.schema()).is_none());
-    ctx.record_key_batch(interpreted);
     let keys: Vec<&Expr> = keys.iter().collect();
     let evaluate = |morsel: &RecordBatch| {
-        let evaluator = ctx.evaluator();
-        let evaluated = evaluate_exprs(&evaluator, None, &keys, morsel, true);
-        ctx.record_udf_calls(&evaluator);
-        let columns = evaluated?
-            .columns
-            .into_iter()
-            .map(|key| key.into_column(morsel));
-        Ok(columns.collect::<Vec<Column>>())
+        let columns = evaluate_exprs(ctx, None, &keys, morsel, true)?.into_iter();
+        Ok(columns
+            .map(|key| key.into_column(morsel))
+            .collect::<Vec<Column>>())
     };
     let workers = match interpreted {
         true => effective_workers(ctx.config().parallelism, rows),
@@ -321,23 +316,6 @@ impl<'a> NestedLoopJoin<'a> {
         }
     }
 
-    /// Evaluates the ON condition for one combined row (`None` = cross join
-    /// keeps everything).
-    fn keep_row<'e>(
-        &'e self,
-        evaluator: &crate::eval::Evaluator<'e>,
-        combined_schema: &Schema,
-        row: &[Value],
-    ) -> Result<bool> {
-        match &self.on {
-            None => Ok(true),
-            Some(pred) => {
-                let probe = RecordBatch::from_rows(combined_schema.clone(), vec![row.to_vec()])?;
-                evaluator.evaluate_predicate(pred, &probe, 0)
-            }
-        }
-    }
-
     /// Streams the overflowed right input into a pager page stream.
     fn park_right(&mut self, mut held: Replay) -> Result<PageStream> {
         let limit =
@@ -356,28 +334,25 @@ impl<'a> NestedLoopJoin<'a> {
         Ok(writer.finish()?)
     }
 
-    /// One left batch against the right side: a single pass over its pages,
-    /// with per-left-row buckets restoring the left-major output order.
+    /// One left batch against the right side: a single pass over its pages.
+    /// The right rows some left row keeps are gathered as the pass reaches
+    /// their page, and per-left-row buckets of them restore the left-major
+    /// output order; the output is one gather per column.
     fn probe(&self, batch: &RecordBatch, right: &RightSide) -> Result<RecordBatch> {
         let right_schema = match right {
             RightSide::InMemory(rows) => rows.schema(),
             RightSide::Paged(stream) => stream.schema(),
         };
-        let combined_schema = batch.schema().join(right_schema);
-        let evaluator = self.ctx.evaluator();
-
-        let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); batch.num_rows()];
+        let mut kept = RecordBatch::empty(right_schema.clone());
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); batch.num_rows()];
         let mut match_page = |page: &RecordBatch| -> Result<()> {
+            let mut rows = Vec::new();
             for (lrow, bucket) in buckets.iter_mut().enumerate() {
-                for rrow in 0..page.num_rows() {
-                    let mut row = batch.row(lrow);
-                    row.extend(page.row(rrow));
-                    if self.keep_row(&evaluator, &combined_schema, &row)? {
-                        bucket.push(row);
-                    }
-                }
+                let first = kept.num_rows() + rows.len();
+                rows.extend(self.matches(batch, lrow, page)?);
+                bucket.extend(first..kept.num_rows() + rows.len());
             }
-            Ok(())
+            Ok(kept.append(&page.gather(&rows))?)
         };
         match right {
             RightSide::InMemory(rows) => match_page(rows)?,
@@ -388,19 +363,34 @@ impl<'a> NestedLoopJoin<'a> {
                 }
             }
         }
-        self.ctx.record_udf_calls(&evaluator);
 
-        let mut rows = Vec::new();
+        let (mut left_rows, mut right_rows) = (Vec::new(), Vec::new());
         for (lrow, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() && self.kind == JoinKind::Left {
-                let mut row = batch.row(lrow);
-                row.extend(std::iter::repeat_n(Value::Null, right_schema.len()));
-                rows.push(row);
-            } else {
-                rows.extend(bucket);
+                left_rows.push(lrow);
+                right_rows.push(None);
             }
+            left_rows.extend(std::iter::repeat_n(lrow, bucket.len()));
+            right_rows.extend(bucket.into_iter().map(Some));
         }
-        RecordBatch::from_rows(combined_schema, rows).map_err(Into::into)
+        let left = batch.columns().iter().map(|c| c.gather(&left_rows));
+        let right = kept.columns().iter().map(|c| c.gather_or_null(&right_rows));
+        let schema = batch.schema().join(right_schema);
+        RecordBatch::new(schema, left.chain(right).collect()).map_err(Into::into)
+    }
+
+    /// The rows of `page` left row `lrow` keeps, in page order: all of them
+    /// for a cross join, else one call of the seam's predicate entry over
+    /// the left row repeated beside the page.
+    fn matches(&self, batch: &RecordBatch, lrow: usize, page: &RecordBatch) -> Result<Vec<usize>> {
+        let Some(on) = &self.on else {
+            return Ok((0..page.num_rows()).collect());
+        };
+        let repeated = vec![lrow; page.num_rows()];
+        let left = batch.columns().iter().map(|c| c.gather(&repeated));
+        let columns = left.chain(page.columns().iter().cloned()).collect();
+        let pairs = RecordBatch::new(batch.schema().join(page.schema()), columns)?;
+        Ok(select(&self.ctx, on, &pairs)?.iter_set().collect())
     }
 }
 

@@ -89,6 +89,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
@@ -100,7 +101,7 @@ use sdb_storage::{CancelToken, Catalog, Column, Pager, RecordBatch, Schema, Valu
 
 use crate::config::ExecConfig;
 use crate::eval::{Evaluator, SubqueryResolver};
-use crate::kernels::ShareKernels;
+use crate::kernels::{KernelWork, ShareKernels};
 use crate::secure::OracleRef;
 use crate::stats::{ExecutionStats, ShardedStats};
 use crate::udf::UdfRegistry;
@@ -341,19 +342,10 @@ impl<'a> ExecContext<'a> {
         &self.udf_sites
     }
 
-    /// An expression evaluator wired to this context's registry and subquery
-    /// resolution.
-    pub(crate) fn evaluator(&self) -> Evaluator<'_> {
-        Evaluator::new(self.registry)
-            .with_subqueries(self)
-            .with_query_sites(&self.udf_sites)
-    }
-
     /// Plans the share arithmetic of one operator from the expressions it
-    /// evaluates: its key-update sets (see [`crate::udf::KeyUpdateSets`]),
-    /// which it hands to its evaluators with [`Evaluator::with_key_updates`],
-    /// and its share kernels, which it hands to
-    /// [`expr::evaluate_exprs`].
+    /// evaluates: its share kernels and their key-update sets (see
+    /// [`crate::udf::KeyUpdateSets`]), which it hands to the seam's value
+    /// entry, [`expr::evaluate_exprs`].
     pub(crate) fn share_kernels<'e>(
         &self,
         exprs: impl IntoIterator<Item = &'e sdb_sql::ast::Expr>,
@@ -370,31 +362,32 @@ impl<'a> ExecContext<'a> {
         Arc::new(kernels)
     }
 
-    /// Counts one batch of keyed work (join keys, a grouped morsel): a kernel
-    /// hit when nothing in it needed the interpreter — every expression a
-    /// column reference or literal — and a scalar fallback otherwise. One
-    /// code path either way; the counters keep `kernel_hit_share` comparable.
-    pub(crate) fn record_key_batch(&self, interpreted: bool) {
+    /// Folds one call of the expression seam ([`expr`]) into the current
+    /// worker's statistics: its interpreter's and its share kernels' UDF
+    /// calls and key updates, the kernels' rows and time, one vectorised
+    /// batch when no row went through the interpreter and one scalar
+    /// fallback otherwise, and its wall time.
+    fn record_seam(
+        &self,
+        evaluator: &Evaluator<'_>,
+        interpreted: bool,
+        kernel: &KernelWork,
+        elapsed: Duration,
+    ) {
+        let (interpreter, kernels) = (evaluator.key_update_counts(), &kernel.key_updates);
         let mut stats = self.stats_mut();
-        if interpreted {
-            stats.scalar_fallback_batches += 1;
-        } else {
-            stats.vectorised_batches += 1;
+        stats.udf_calls += evaluator.udf_calls() + kernel.udf_calls;
+        stats.key_update_calls += interpreter.calls + kernels.calls;
+        stats.key_update_pows += interpreter.pows + kernels.pows;
+        stats.key_update_derived += interpreter.derived + kernels.derived;
+        stats.key_update_memo_hits += interpreter.memo + kernels.memo;
+        stats.share_kernel_rows += kernel.rows;
+        stats.share_kernel_time += kernel.time;
+        match interpreted {
+            true => stats.scalar_fallback_batches += 1,
+            false => stats.vectorised_batches += 1,
         }
-    }
-
-    /// Folds an evaluator's UDF counters into the statistics.
-    pub(crate) fn record_udf_calls(&self, evaluator: &Evaluator<'_>) {
-        let key_updates = evaluator.key_update_counts();
-        let mut stats = self.stats_mut();
-        stats.udf_calls += evaluator.udf_calls();
-        stats.key_update_calls += key_updates.calls;
-        stats.key_update_pows += key_updates.pows;
-        stats.key_update_derived += key_updates.derived;
-        stats.key_update_memo_hits += key_updates.memo;
-        let (kernel_rows, kernel_time) = evaluator.share_kernel();
-        stats.share_kernel_rows += kernel_rows;
-        stats.share_kernel_time += kernel_time;
+        stats.eval_time += elapsed;
     }
 }
 
@@ -476,9 +469,13 @@ impl ExecContext<'_> {
         let started = std::time::Instant::now();
         let batch = crate::planner::execute_plan(&sub, &plan)?;
         // The shards only: the spill counters live on the shared lease, which
-        // the parent's `stats()` already reads.
+        // the parent's `stats()` already reads. Nor the seam's clock: every
+        // subquery runs inside one of the parent's seam calls, whose
+        // `eval_time` already holds the subquery's.
+        let mut sub_stats = sub.stats.snapshot();
+        sub_stats.eval_time = Duration::ZERO;
         let mut stats = self.stats_mut();
-        stats.merge(&sub.stats.snapshot());
+        stats.merge(&sub_stats);
         stats.subquery_time += started.elapsed();
         cache
             .entry(key)

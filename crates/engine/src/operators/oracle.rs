@@ -156,11 +156,10 @@ fn gather_operands(
     base: usize,
     buffers: &mut [CallBuffer],
 ) -> Result<usize> {
-    let evaluator = ctx.evaluator().with_key_updates(shares.key_updates());
     let exprs: Vec<&Expr> = (calls.iter())
         .flat_map(|call| [&call.share_expr, &call.row_id_expr])
         .collect();
-    let columns = expr::evaluate_exprs(&evaluator, Some(shares), &exprs, batch, false)?.columns;
+    let columns = expr::evaluate_exprs(ctx, Some(shares), &exprs, batch, false)?;
     let mut bytes = 0usize;
     for (operands, buffer) in columns.chunks_exact(2).zip(buffers.iter_mut()) {
         let (share_cells, row_id_cells) = (operands[0].cells(batch), operands[1].cells(batch));
@@ -188,7 +187,6 @@ fn gather_operands(
             .map(|row| buffer.shares.byte_len(row))
             .sum::<usize>();
     }
-    ctx.record_udf_calls(&evaluator);
     Ok(bytes)
 }
 

@@ -100,17 +100,12 @@ impl<'a> Project<'a> {
                 ProjectionItem::Wildcard => None,
             })
             .collect();
-        let evaluator = self
-            .ctx
-            .evaluator()
-            .with_key_updates(self.shares.key_updates());
         let exprs_ref: Vec<&Expr> = exprs.iter().collect();
-        let computed = evaluate_exprs(&evaluator, Some(&self.shares), &exprs_ref, &batch, false)?;
-        self.ctx.record_udf_calls(&evaluator);
+        let computed = evaluate_exprs(&self.ctx, Some(&self.shares), &exprs_ref, &batch, false)?;
 
         // The output columns in order, each with the expression it came
         // from (`None`: a wildcard's input column).
-        let mut computed = computed.columns.into_iter().zip(&exprs);
+        let mut computed = computed.into_iter().zip(&exprs);
         let mut columns = Vec::new();
         self.names.clear();
         for item in &self.items {

@@ -1,19 +1,18 @@
 //! The order-shaping operators: sort, limit and distinct.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use sdb_sql::ast::Expr;
 use sdb_sql::plan::SortKey;
-use sdb_storage::{partition_ranges, Column, ColumnCells, DataType, RecordBatch, Schema, Value};
+use sdb_storage::{partition_ranges, Column, ColumnCells, RecordBatch, Schema};
 
-use super::expr::bind_to_existing_columns;
+use super::expr::{bind_to_existing_columns, evaluate_exprs};
 use super::external_sort::Merge;
 use super::parallel::{effective_workers, scoped_workers};
 use super::{hold_input, BoxedOperator, ExecContext, Held, PhysicalOperator};
 use crate::Result;
-use sdb_storage::keys::{keys_eq, BatchKeys, ChainIndex};
+use sdb_storage::keys::{BatchKeys, KeySet};
 
 /// Sorts its input by the given keys (stable, NULLs ordered by the storage
 /// layer's total order).
@@ -108,21 +107,20 @@ impl PhysicalOperator for Sort<'_> {
     }
 }
 
-/// Evaluates the bound sort keys over every row of `batch`, one column each.
+/// Evaluates the bound sort keys over `batch`, one column each, through the
+/// seam's value entry: a key that is a column reference is that column,
+/// shared.
 pub(super) fn key_columns(
     ctx: &ExecContext<'_>,
     batch: &RecordBatch,
     bound: &[Expr],
 ) -> Result<Vec<Column>> {
-    let evaluator = ctx.evaluator();
-    let mut columns: Vec<Column> = bound.iter().map(|_| Column::new(DataType::Int)).collect();
-    for row in 0..batch.num_rows() {
-        for (expr, column) in bound.iter().zip(columns.iter_mut()) {
-            column.push_unchecked(evaluator.evaluate(expr, batch, row)?);
-        }
-    }
-    ctx.record_udf_calls(&evaluator);
-    Ok(columns)
+    let exprs: Vec<&Expr> = bound.iter().collect();
+    let columns = evaluate_exprs(ctx, None, &exprs, batch, false)?;
+    Ok(columns
+        .into_iter()
+        .map(|key| key.into_column(batch))
+        .collect())
 }
 
 /// Compares two rows by their key values (with desc flags), then by
@@ -136,6 +134,20 @@ fn compare_rows(keys: &[ColumnCells<'_>], desc: &[bool], a: usize, b: usize) -> 
         }
     }
     a.cmp(&b)
+}
+
+/// The serial sort order of `rows`, given every row's key cells: ascending
+/// by [`ColumnCells::cmp_total`] per key (reversed where `desc`), ties by
+/// position. The one comparator of the engine's sorts and the DO's
+/// post-`ORDER BY`.
+pub fn serial_order(
+    keys: &[ColumnCells<'_>],
+    desc: &[bool],
+    rows: impl Iterator<Item = usize>,
+) -> Vec<usize> {
+    let mut order: Vec<usize> = rows.collect();
+    order.sort_unstable_by(|&a, &b| compare_rows(keys, desc, a, b));
+    order
 }
 
 /// The sorted order of `rows` rows given their key columns. With more
@@ -152,15 +164,11 @@ pub(super) fn sorted_order(
     let keys = &keys[..];
     let workers = effective_workers(ctx.config().parallelism, rows);
     if workers <= 1 {
-        let mut order: Vec<usize> = (0..rows).collect();
-        order.sort_unstable_by(|&a, &b| compare_rows(keys, desc, a, b));
-        return Ok(order);
+        return Ok(serial_order(keys, desc, 0..rows));
     }
     let ranges = partition_ranges(rows, workers);
     let parts: Vec<Vec<usize>> = scoped_workers(ranges.len(), |i| {
-        let mut order: Vec<usize> = ranges[i].clone().collect();
-        order.sort_unstable_by(|&a, &b| compare_rows(keys, desc, a, b));
-        Ok(order)
+        Ok(serial_order(keys, desc, ranges[i].clone()))
     })?;
     // Merge the sorted morsels (frontier scan: worker counts are small).
     let mut heads = vec![0usize; parts.len()];
@@ -251,8 +259,7 @@ impl PhysicalOperator for Limit<'_> {
 /// (see [`sdb_storage::keys`]; NULLs equal each other).
 pub struct Distinct<'a> {
     input: BoxedOperator<'a>,
-    seen: Vec<Vec<Value>>,
-    index: ChainIndex,
+    seen: KeySet,
 }
 
 impl<'a> Distinct<'a> {
@@ -260,8 +267,7 @@ impl<'a> Distinct<'a> {
     pub fn new(input: BoxedOperator<'a>) -> Self {
         Distinct {
             input,
-            seen: Vec::new(),
-            index: ChainIndex::default(),
+            seen: KeySet::default(),
         }
     }
 }
@@ -276,8 +282,7 @@ impl PhysicalOperator for Distinct<'_> {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.seen.clear();
-        self.index = ChainIndex::default();
+        self.seen = KeySet::default();
         self.input.open()
     }
 
@@ -286,16 +291,7 @@ impl PhysicalOperator for Distinct<'_> {
             return Ok(None);
         };
         let keys = BatchKeys::new(batch.columns().to_vec(), batch.num_rows());
-        let mut mask = Vec::with_capacity(batch.num_rows());
-        for (row, &hash) in keys.hashes.iter().enumerate() {
-            let seen = &self.seen;
-            let is_new = !(self.index.matches(hash)).any(|i| keys_eq(&seen[i], keys.row(row)));
-            if is_new {
-                self.index.insert(hash);
-                self.seen.push(keys.row(row).map(Cow::into_owned).collect());
-            }
-            mask.push(is_new);
-        }
+        let mask = self.seen.insert_rows(&keys);
         batch.filter(&mask).map(Some).map_err(Into::into)
     }
 

@@ -102,14 +102,8 @@ impl HashAggregate<'_> {
         out: &mut Vec<PreparedRow>,
         out_bytes: &mut usize,
     ) -> Result<()> {
-        let evaluator = self
-            .ctx
-            .evaluator()
-            .with_key_updates(self.shares.key_updates());
         let exprs: Vec<&Expr> = group_exprs.iter().chain(agg_args).collect();
-        let evaluated = evaluate_exprs(&evaluator, Some(&self.shares), &exprs, batch, false)?;
-        self.ctx.record_udf_calls(&evaluator);
-        let mut columns = evaluated.columns;
+        let mut columns = evaluate_exprs(&self.ctx, Some(&self.shares), &exprs, batch, false)?;
         for row in 0..batch.num_rows() {
             let (keys, args) = columns.split_at_mut(group_exprs.len());
             let key_values: Vec<Value> = keys.iter_mut().map(|k| k.take(batch, row)).collect();

@@ -80,13 +80,19 @@ pub struct ExecutionStats {
     /// Build + probe rows routed through pager partition streams by Grace
     /// hash joins, re-partitioning passes included.
     pub join_spilled_rows: usize,
-    /// Batches processed by a vectorised kernel (selection bitmap, key
-    /// rendering or global-aggregation fast path).
+    /// Calls of the expression seam (`operators::expr`) that ran no row
+    /// through the interpreter, plus batches the global-aggregation kernel
+    /// folded. Over both counters, the benchmark's `kernel_hit_share`: the
+    /// share of seam calls that ran no row through the interpreter.
     pub vectorised_batches: usize,
-    /// Batches that fell back to the row-at-a-time scalar interpreter at a
-    /// kernel-eligible site (a shape no kernel compiles, or cells a kernel
-    /// refuses).
+    /// Calls of the expression seam that ran a row through the interpreter.
     pub scalar_fallback_batches: usize,
+    /// Wall-clock time spent inside the expression seam's two entries:
+    /// evaluating expressions into columns and predicates into selections,
+    /// share kernels (`share_kernel_time`) and interpreter alike. A
+    /// subquery evaluated inside a seam call is part of that call's time.
+    #[serde(with = "duration_micros")]
+    pub eval_time: Duration,
     /// Wall-clock time spent executing scalar subqueries on behalf of the
     /// parent query (cache misses only; memoised re-uses cost nothing).
     #[serde(with = "duration_micros")]
@@ -136,6 +142,7 @@ impl ExecutionStats {
         self.join_spilled_rows += other.join_spilled_rows;
         self.vectorised_batches += other.vectorised_batches;
         self.scalar_fallback_batches += other.scalar_fallback_batches;
+        self.eval_time += other.eval_time;
         self.subquery_time += other.subquery_time;
     }
 
@@ -213,6 +220,7 @@ impl ExecutionStats {
             scalar_fallback_batches: self
                 .scalar_fallback_batches
                 .saturating_sub(earlier.scalar_fallback_batches),
+            eval_time: self.eval_time.saturating_sub(earlier.eval_time),
             subquery_time: self.subquery_time.saturating_sub(earlier.subquery_time),
             plan_time: Duration::ZERO,
             plan_cache_hits: 0,
@@ -445,6 +453,7 @@ mod tests {
             share_kernel_time: Duration::from_micros(28),
             plan_time: Duration::from_micros(29),
             plan_cache_hits: 30,
+            eval_time: Duration::from_micros(31),
         };
         let b = ExecutionStats {
             rows_scanned: 100,
@@ -477,6 +486,7 @@ mod tests {
             share_kernel_time: Duration::from_micros(2_800),
             plan_time: Duration::from_micros(2_900),
             plan_cache_hits: 3_000,
+            eval_time: Duration::from_micros(3_100),
         };
         a.merge(&b);
         assert_eq!(a.rows_scanned, 101);
@@ -513,6 +523,7 @@ mod tests {
         assert_eq!(a.share_kernel_time, Duration::from_micros(2_828));
         assert_eq!(a.plan_time, Duration::from_micros(29), "whole-query field");
         assert_eq!(a.plan_cache_hits, 30, "whole-query field");
+        assert_eq!(a.eval_time, Duration::from_micros(3_131));
     }
 
     /// `delta_since` is merge's inverse on the summed fields: zeroes the

@@ -392,6 +392,9 @@ impl SpanReport {
             fmt_us(self.exclusive_us),
         ));
         let x = &self.exclusive;
+        if x.eval_time > Duration::ZERO {
+            line.push_str(&format!(" eval={}", fmt_us(x.eval_time.as_micros() as u64)));
+        }
         if x.scan_columns_total > 0 {
             line.push_str(&format!(
                 " cols={}/{}",

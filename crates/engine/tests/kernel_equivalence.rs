@@ -202,6 +202,9 @@ const DECLINED: &[&str] = &["i - 5 > 10", "s > 3"];
 /// and through the interpreter, as `Filter` would: the kernel compiles
 /// exactly the predicates of its subset, and where it does, the
 /// interpreter does not fail and keeps the same rows.
+// The interpreter is this test's reference, so it is built here
+// directly rather than through the expression seam.
+#[allow(clippy::disallowed_methods)]
 fn selection_cross_check(catalog: &Catalog) {
     let registry = UdfRegistry::with_sdb_udfs();
     for sql in PREDICATES {
@@ -304,6 +307,9 @@ fn aggregate_lists() -> Vec<Vec<AggregateExpr>> {
 
 /// The interpreter's answer: each argument evaluated row by row, folded by
 /// [`compute_aggregate`], and typed as `HashAggregate` types its output.
+// The interpreter is this test's reference, so it is built here
+// directly rather than through the expression seam.
+#[allow(clippy::disallowed_methods)]
 fn interpreted_aggregates(aggregates: &[AggregateExpr], batch: &RecordBatch) -> RecordBatch {
     let registry = UdfRegistry::with_sdb_udfs();
     let evaluator = Evaluator::new(&registry);

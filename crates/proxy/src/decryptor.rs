@@ -11,8 +11,9 @@ use std::sync::Arc;
 
 use sdb_crypto::share::{decrypt_limbs, decrypt_value};
 use sdb_crypto::SiesCipher;
-use sdb_engine::eval::Evaluator;
+use sdb_engine::operators::sort::serial_order;
 use sdb_engine::UdfRegistry;
+use sdb_storage::keys::{BatchKeys, KeySet};
 use sdb_storage::{
     Column, ColumnCells, ColumnDef, DataType, RecordBatch, Schema, Sensitivity, Value,
 };
@@ -208,90 +209,62 @@ impl Decryptor {
                 data_type,
                 sensitivity: Sensitivity::Public,
             });
-            let mut col = Column::new(data_type);
-            for v in values {
-                col.push_unchecked(v.clone());
-            }
-            columns.push(col);
+            columns.push(Column::from_values_unchecked(data_type, values.clone()));
         }
         let intermediate = RecordBatch::new(Schema::new(defs), columns)?;
 
-        // 3. Produce the output columns (including hidden ones used by post steps).
-        let evaluator = Evaluator::new(&self.registry);
+        // 3. Produce the output columns (including hidden ones used by post
+        // steps), a computed one through the engine's value entry.
         let mut out_defs = Vec::new();
         let mut out_columns = Vec::new();
         for output in &plan.outputs {
-            let values: Vec<Value> = match &output.source {
-                OutputSource::Column(name) => intermediate.column_by_name(name)?.to_values(),
-                OutputSource::Computed(expr) => (0..intermediate.num_rows())
-                    .map(|row| evaluator.evaluate(expr, &intermediate, row))
-                    .collect::<std::result::Result<Vec<_>, _>>()?,
+            let column = match &output.source {
+                OutputSource::Column(name) => intermediate.column_by_name(name)?.clone(),
+                OutputSource::Computed(expr) => {
+                    let mut computed = self.registry.evaluate_columns(&[expr], &intermediate)?;
+                    computed.pop().expect("one column per expression")
+                }
             };
-            let data_type = values
-                .iter()
-                .find_map(|v| v.data_type())
-                .unwrap_or(DataType::Int);
             out_defs.push(ColumnDef {
                 name: output.name.clone(),
-                data_type,
+                data_type: column.data_type(),
                 sensitivity: Sensitivity::Public,
             });
-            let mut col = Column::new(data_type);
-            for v in values {
-                col.push_unchecked(v);
-            }
-            out_columns.push(col);
+            out_columns.push(column);
         }
         let mut result = RecordBatch::new(Schema::new(out_defs), out_columns)?;
 
-        // 4. Post HAVING.
+        // 4. Post HAVING, through the engine's predicate entry.
         if let Some(predicate) = &plan.post_having {
-            let mut mask = Vec::with_capacity(result.num_rows());
-            for row in 0..result.num_rows() {
-                mask.push(evaluator.evaluate_predicate(predicate, &result, row)?);
-            }
-            result = result.filter(&mask)?;
+            result = result.filter_bitmap(&self.registry.select_rows(predicate, &result)?)?;
         }
 
-        // 5. Post DISTINCT (over the visible columns only).
+        // 5. Post DISTINCT (over the visible columns only), on the engine's
+        // key path: NULL is one key of its own, and a string never equals
+        // another value.
+        let visible: Vec<usize> = (plan.outputs.iter().enumerate())
+            .filter(|(_, o)| !o.hidden)
+            .map(|(i, _)| i)
+            .collect();
         if plan.post_distinct {
-            let visible: Vec<usize> = plan
-                .outputs
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| !o.hidden)
-                .map(|(i, _)| i)
-                .collect();
-            let mut seen = std::collections::HashSet::new();
-            let mut mask = Vec::with_capacity(result.num_rows());
-            for row in 0..result.num_rows() {
-                let key: String = visible
-                    .iter()
-                    .map(|&i| result.column(i).value(row).render())
-                    .collect::<Vec<_>>()
-                    .join("\u{1f}");
-                mask.push(seen.insert(key));
-            }
-            result = result.filter(&mask)?;
+            let keys = visible.iter().map(|&i| result.column(i).clone());
+            let keys = BatchKeys::new(keys.collect(), result.num_rows());
+            result = result.filter(&KeySet::default().insert_rows(&keys))?;
         }
 
-        // 6. Post ORDER BY.
+        // 6. Post ORDER BY: the engine's serial sort order.
         if !plan.post_sort.is_empty() {
-            let mut key_indices = Vec::new();
+            let mut keys = Vec::new();
+            let mut desc = Vec::new();
             for key in &plan.post_sort {
-                key_indices.push((result.schema().index_of(&key.column)?, key.desc));
+                keys.push(
+                    result
+                        .column(result.schema().index_of(&key.column)?)
+                        .cells(),
+                );
+                desc.push(key.desc);
             }
-            let mut order: Vec<usize> = (0..result.num_rows()).collect();
-            order.sort_by(|&a, &b| {
-                for (idx, desc) in &key_indices {
-                    let ord = result.column(*idx).cells().cmp_total(a, b);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+            let order = serial_order(&keys, &desc, 0..result.num_rows());
             result = result.reorder(&order)?;
         }
 
@@ -301,13 +274,6 @@ impl Decryptor {
         }
 
         // 8. Drop hidden columns.
-        let visible: Vec<usize> = plan
-            .outputs
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| !o.hidden)
-            .map(|(i, _)| i)
-            .collect();
         if visible.len() != plan.outputs.len() {
             result = result.project(&visible);
         }

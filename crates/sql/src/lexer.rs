@@ -74,7 +74,7 @@ impl fmt::Display for Token {
                     width = *scale as usize
                 )
             }
-            Token::Str(s) => write!(f, "'{s}'"),
+            Token::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
             Token::Param(i) | Token::Slot(i, _) => write!(f, "${i}"),
             Token::LParen => write!(f, "("),
             Token::RParen => write!(f, ")"),
@@ -217,24 +217,27 @@ impl<'a> Lexer<'a> {
     fn lex_string(&mut self, start: usize) -> Result<Token> {
         let mut out = String::new();
         loop {
-            match self.bump() {
-                None => {
-                    return Err(SqlError::Lex {
-                        position: start,
-                        detail: "unterminated string literal".into(),
-                    })
-                }
-                Some(b'\'') => {
-                    // '' is an escaped quote.
-                    if self.peek() == Some(b'\'') {
-                        self.pos += 1;
-                        out.push('\'');
-                    } else {
-                        return Ok(Token::Str(out));
-                    }
-                }
-                Some(c) => out.push(c as char),
+            // The text up to the next quote, as the UTF-8 it is: the input
+            // is a `str` and a quote is one byte, so the slice is whole.
+            let from = self.pos;
+            while matches!(self.peek(), Some(c) if c != b'\'') {
+                self.pos += 1;
             }
+            out.push_str(
+                std::str::from_utf8(&self.input[from..self.pos]).expect("split at quotes"),
+            );
+            if self.bump().is_none() {
+                return Err(SqlError::Lex {
+                    position: start,
+                    detail: "unterminated string literal".into(),
+                });
+            }
+            // '' is an escaped quote.
+            if self.peek() != Some(b'\'') {
+                return Ok(Token::Str(out));
+            }
+            self.pos += 1;
+            out.push('\'');
         }
     }
 
@@ -338,6 +341,70 @@ mod tests {
         assert_eq!(lex("'hello'")[0], Token::Str("hello".into()));
         assert_eq!(lex("'it''s'")[0], Token::Str("it's".into()));
         assert!(Lexer::new("'unterminated").tokenize().is_err());
+    }
+
+    #[test]
+    fn string_literals_keep_their_utf8() {
+        assert_eq!(lex("'é'")[0], Token::Str("é".into()));
+        assert_eq!(lex("'日本'")[0], Token::Str("日本".into()));
+        assert_eq!(lex("'d''é''jà'")[0], Token::Str("d'é'jà".into()));
+        assert_eq!(
+            lex("'é' = x")[1],
+            Token::Eq,
+            "the lexer resumes after the literal"
+        );
+        assert!(Lexer::new("'日本").tokenize().is_err());
+    }
+
+    #[test]
+    fn a_string_token_displays_as_the_literal_it_was_lexed_from() {
+        assert_eq!(Token::Str("it's".into()).to_string(), "'it''s'");
+        assert_eq!(Token::Str("''".into()).to_string(), "''''''");
+        assert_eq!(Token::Str(String::new()).to_string(), "''");
+    }
+
+    use proptest::prelude::*;
+
+    /// Pieces of string literals: quotes, non-ASCII, spaces, comment and
+    /// operator characters a literal must carry as text.
+    const PIECES: [&str; 12] = [
+        "a", "Z", "'", "''", "é", "日本", " ", "--", "$1", "\u{1f}", ";", "ß",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Displaying a lexed stream and lexing it again gives the same
+        /// tokens: every token's display is SQL that lexes back to it.
+        #[test]
+        fn lex_display_lex_round_trips(
+            literals in proptest::collection::vec(
+                proptest::collection::vec(0usize..PIECES.len(), 0..6),
+                1..5,
+            ),
+            number in 0i64..1_000_000,
+        ) {
+            let texts: Vec<String> = (literals.iter())
+                .map(|pieces| pieces.iter().map(|&p| PIECES[p]).collect())
+                .collect();
+            let mut sql = String::from("SELECT");
+            for (i, text) in texts.iter().enumerate() {
+                let literal = Token::Str(text.clone()).to_string();
+                sql.push_str(&format!(" {literal} <> c{i} ,"));
+            }
+            sql.push_str(&format!(" {number} , 12.50 ;"));
+            let tokens = lex(&sql);
+            let lexed: Vec<&Token> = (tokens.iter())
+                .filter(|token| matches!(token, Token::Str(_)))
+                .collect();
+            let written: Vec<Token> = texts.iter().cloned().map(Token::Str).collect();
+            prop_assert_eq!(lexed, written.iter().collect::<Vec<_>>());
+            let shown: Vec<String> = tokens[..tokens.len() - 1]
+                .iter()
+                .map(Token::to_string)
+                .collect();
+            prop_assert_eq!(lex(&shown.join(" ")), tokens);
+        }
     }
 
     #[test]

@@ -243,6 +243,33 @@ impl BatchKeys {
     }
 }
 
+/// The distinct keys met so far, kept across batches: the set `DISTINCT`
+/// filters rows through, in the engine and at the DO.
+#[derive(Default)]
+pub struct KeySet {
+    keys: Vec<Vec<Value>>,
+    index: ChainIndex,
+}
+
+impl KeySet {
+    /// For each row of `keys`, whether its key is new — equal to no earlier
+    /// row's, of this batch or of one before — adding the new ones to the
+    /// set.
+    pub fn insert_rows(&mut self, keys: &BatchKeys) -> Vec<bool> {
+        let mut fresh = Vec::with_capacity(keys.hashes.len());
+        for (row, &hash) in keys.hashes.iter().enumerate() {
+            let known = &self.keys;
+            let is_new = !(self.index.matches(hash)).any(|i| keys_eq(&known[i], keys.row(row)));
+            if is_new {
+                self.index.insert(hash);
+                self.keys.push(keys.row(row).map(Cow::into_owned).collect());
+            }
+            fresh.push(is_new);
+        }
+        fresh
+    }
+}
+
 /// End of a chain.
 const NIL: u32 = u32::MAX;
 

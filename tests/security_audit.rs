@@ -1117,13 +1117,13 @@ fn the_share_kernel_clock_reports_integers_only() {
 
 #[test]
 fn the_planning_clock_and_shape_counters_report_integers_only() {
-    // What statement shapes add to the SP's statistics (`plan_time`,
-    // `plan_cache_hits`), to a session's (`do_shape_hits`), to `EXPLAIN
-    // ANALYZE` (`DO shape hits`, the SP header's `planning` and `plan cache
-    // hits`) and to
-    // the Prometheus text (`sdb_plan_*`, `sdb_do_shape_hits_total`,
-    // `sdb_statement_shape_bytes`) is a duration or a count: no residue, no
-    // plaintext.
+    // What statement shapes and the expression seam's clock add to the SP's
+    // statistics (`plan_time`, `plan_cache_hits`, `eval_time`), to a
+    // session's (`do_shape_hits`), to `EXPLAIN ANALYZE` (`DO shape hits`,
+    // the SP header's `planning` and `plan cache hits`, each operator's
+    // `eval=`), to the trace and to the Prometheus text (`sdb_plan_*`,
+    // `sdb_do_shape_hits_total`, `sdb_statement_shape_bytes`) is a duration
+    // or a count: no residue, no plaintext.
     let (server, auditor) = loaded_server(sdb_server::ServerConfig::test_profile());
     let session = server.connect();
     let q1 = sdb_workload::query_by_id(1).expect("Q1").sql;
@@ -1149,7 +1149,10 @@ fn the_planning_clock_and_shape_counters_report_integers_only() {
         }
     };
     let stats = serde_json::to_string(&last.server_stats).expect("stats");
-    integer_fields(&stats, &["\"plan_time\":", "\"plan_cache_hits\":"]);
+    integer_fields(
+        &stats,
+        &["\"plan_time\":", "\"plan_cache_hits\":", "\"eval_time\":"],
+    );
     let session_stats =
         serde_json::to_string(&server.session_stats(session).expect("session")).expect("json");
     integer_fields(&session_stats, &["\"do_shape_hits\":"]);
@@ -1169,6 +1172,22 @@ fn the_planning_clock_and_shape_counters_report_integers_only() {
     let planning = header.split("planning ").nth(1).expect("planning");
     let planning = planning.split(',').next().unwrap();
     assert!(planning.ends_with('s'), "a duration: {header}");
+    // Each operator's seam clock is one plain duration: digits, then a unit.
+    let evals: Vec<&str> = (analyzed.split(" eval=").skip(1))
+        .map(|rest| rest.split_whitespace().next().unwrap_or(""))
+        .collect();
+    assert!(!evals.is_empty(), "{analyzed}");
+    for eval in &evals {
+        let number = ["\u{b5}s", "ms", "s"]
+            .iter()
+            .find_map(|unit| eval.strip_suffix(unit))
+            .unwrap_or_else(|| panic!("a duration: eval={eval}"));
+        assert!(number.parse::<f64>().is_ok(), "eval={eval}");
+        assert!(
+            number.chars().all(|c| c.is_ascii_digit() || c == '.'),
+            "eval={eval}"
+        );
+    }
 
     // The exported trace carries the same clock as one integer field.
     let opts = sdb_engine::QueryOptions::default().with_tracing(true);
@@ -1177,7 +1196,7 @@ fn the_planning_clock_and_shape_counters_report_integers_only() {
     let plan_us = traced.server_stats.plan_time.as_micros() as u64;
     assert_eq!(report.plan_us, plan_us);
     let trace_json = report.to_json();
-    integer_fields(&trace_json, &["\"plan_us\":"]);
+    integer_fields(&trace_json, &["\"plan_us\":", "\"eval_time\":"]);
     assert_eq!(
         trace_json.matches("\"plan_us\":").count(),
         1,
@@ -1204,6 +1223,7 @@ fn the_planning_clock_and_shape_counters_report_integers_only() {
         stats,
         session_stats,
         header.to_string(),
+        evals.join("\n"),
         lines.join("\n"),
         trace_json,
     ]
